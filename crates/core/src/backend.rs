@@ -1,6 +1,6 @@
-//! Pluggable executor backends: one trait, six interchangeable inner-loop
-//! shapes over the same retained plans, plus a cost-model dispatcher
-//! (`auto`) that picks among them per layer.
+//! Pluggable executor backends: one trait, the interchangeable inner-loop
+//! shapes of [`BackendKind::STATIC`] over the same retained plans, plus a
+//! cost-model dispatcher (`auto`) that picks among them per layer.
 //!
 //! Every UCNN execution strategy computes the *same* arithmetic as the dense
 //! convolution, only reordered around weight repetition (§III) — so an
@@ -19,17 +19,20 @@
 //! | [`BackendKind::Batch`] | one batch-major walk, entry decode amortized over B | B ≥ 2, single core |
 //! | [`BackendKind::BatchThreads`] | batch-major + scoped threads over filter bands × batch chunks | B ≥ 2, multiple cores |
 //! | [`BackendKind::Flattened`] | branch-free gathers + CSR prefix-difference groups | B = 1 latency, FC / unpadded shapes |
-//! | [`BackendKind::FlattenedBatch`] | flattened walk over batch-interleaved SIMD lanes | B ≥ 2; the serving throughput backend |
+//! | [`BackendKind::FlattenedBatch`] | flattened walk over batch-interleaved SIMD lanes, staged per filter band | B ≥ 2; the library default ([`CompiledNetwork::DEFAULT_BACKEND`](crate::plan::CompiledNetwork::DEFAULT_BACKEND)) |
 //! | [`BackendKind::Auto`] | dispatches per layer × batch bucket to the measured winner ([`tune`](crate::tune)) | whenever a calibration exists; heuristic otherwise |
 //!
 //! New executors implement [`Backend`], get a [`BackendKind`] variant, and
 //! inherit the whole conformance suite for free.
 
+use ucnn_model::reference;
 use ucnn_tensor::{Tensor3, Tensor4};
 
 use crate::counters::LayerWork;
 use crate::exec::{factorized_conv, run_compiled, run_compiled_batch, run_compiled_batch_threads};
-use crate::flatten::{run_flattened_batch, run_flattened_batch_interleaved};
+use crate::flatten::{
+    run_flattened_batch, run_flattened_batch_interleaved, run_flattened_batch_interleaved_relu,
+};
 use crate::plan::CompiledLayer;
 
 /// Selects one of the registered executor backends.
@@ -184,6 +187,31 @@ pub trait Backend: Send + Sync {
         inputs: &[Tensor3<i16>],
         threads: usize,
     ) -> Vec<Tensor3<i32>>;
+
+    /// [`Backend::run_layer`] followed by the inter-layer epilogue
+    /// ([`reference::relu_saturate`]): the `i16` activations a non-final
+    /// weight layer hands to the next stage.
+    ///
+    /// The default converts image by image, **consuming** the `i32` outputs
+    /// — each is freed as soon as its `i16` successor exists, so the two
+    /// whole-batch tensors never coexist. A backend that can apply the
+    /// epilogue while it writes its outputs overrides this and never
+    /// materializes the `i32` batch at all.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `threads == 0` or any input mismatches the layer geometry.
+    fn run_layer_relu(
+        &self,
+        layer: &CompiledLayer,
+        inputs: &[Tensor3<i16>],
+        threads: usize,
+    ) -> Vec<Tensor3<i16>> {
+        self.run_layer(layer, inputs, threads)
+            .into_iter()
+            .map(|sums| reference::relu_saturate(&sums))
+            .collect()
+    }
 
     /// Eagerly builds whatever lazily derived execution state this backend
     /// needs for `layer` (a no-op for most backends). The flattened
@@ -410,6 +438,17 @@ impl Backend for FlattenedBatchBackend {
         run_flattened_batch_interleaved(layer, inputs, threads)
     }
 
+    /// The epilogue rides the band scatter: sums leave the staging buffer
+    /// already clamped and narrowed.
+    fn run_layer_relu(
+        &self,
+        layer: &CompiledLayer,
+        inputs: &[Tensor3<i16>],
+        threads: usize,
+    ) -> Vec<Tensor3<i16>> {
+        run_flattened_batch_interleaved_relu(layer, inputs, threads, layer.kernel_sel())
+    }
+
     fn warm(&self, layer: &CompiledLayer) {
         let _ = layer.flat_tiles();
         // Resolving the kernel selection here (not on the first request)
@@ -442,6 +481,15 @@ impl Backend for AutoBackend {
         threads: usize,
     ) -> Vec<Tensor3<i32>> {
         backend(crate::tune::fallback_choice(inputs.len())).run_layer(layer, inputs, threads)
+    }
+
+    fn run_layer_relu(
+        &self,
+        layer: &CompiledLayer,
+        inputs: &[Tensor3<i16>],
+        threads: usize,
+    ) -> Vec<Tensor3<i16>> {
+        backend(crate::tune::fallback_choice(inputs.len())).run_layer_relu(layer, inputs, threads)
     }
 
     /// `auto` may dispatch to any static backend at any batch size, so it
@@ -483,7 +531,7 @@ pub fn all_backends() -> Vec<&'static dyn Backend> {
 mod tests {
     use super::*;
     use crate::compile::UcnnConfig;
-    use ucnn_model::{reference, ActivationGen, QuantScheme, WeightGen};
+    use ucnn_model::{ActivationGen, QuantScheme, WeightGen};
     use ucnn_tensor::ConvGeom;
 
     #[test]
@@ -595,6 +643,7 @@ mod tests {
             .iter()
             .map(|i| reference::conv2d(&geom, 1, i, &weights))
             .collect();
+        let expected_acts: Vec<_> = expected.iter().map(reference::relu_saturate).collect();
         for b in all_backends() {
             for threads in [1, 3] {
                 assert_eq!(
@@ -603,7 +652,16 @@ mod tests {
                     "backend {} at {threads} threads",
                     b.name()
                 );
+                // The inter-layer epilogue — provided or overridden — is
+                // exactly `relu_saturate` of the same sums.
+                assert_eq!(
+                    b.run_layer_relu(&layer, &inputs, threads),
+                    expected_acts,
+                    "backend {} epilogue at {threads} threads",
+                    b.name()
+                );
                 assert!(b.run_layer(&layer, &[], threads).is_empty());
+                assert!(b.run_layer_relu(&layer, &[], threads).is_empty());
             }
         }
     }

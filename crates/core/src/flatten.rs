@@ -58,12 +58,27 @@
 //! complement), so outputs stay bit-identical to [`run_flattened`] across
 //! all of them — the golden conformance corpus is the referee.
 //!
-//! Scratch (the interleaved chunk, the prefix lanes, the lane-major output)
-//! lives in a [`FlattenedScratch`] arena whose capacity follows the
+//! # Band staging and the fused epilogue
+//!
+//! The lane-major sums are staged one **filter band** at a time — the
+//! channel tiles that share a `k_first`, i.e. `G · out_w · out_h · LW`
+//! `i32`s rather than the whole layer's `K · …` — and each finished band is
+//! de-interleaved straight into the per-image outputs. A band stays
+//! cache-resident between the kernel that fills it and the scatter that
+//! drains it, and the executor's working set no longer scales with `K`.
+//! The scatter is also where a non-final layer's epilogue runs:
+//! [`run_flattened_batch_interleaved_relu`] clamps every sum to
+//! `0..=i16::MAX` (the reference's `relu_saturate`) while narrowing it into
+//! the `i16` activations the next layer reads, so no whole-batch `i32`
+//! tensor ever exists.
+//!
+//! Scratch (the interleaved chunk, the prefix lanes, the band's lane-major
+//! sums) lives in a [`FlattenedScratch`] arena whose capacity follows the
 //! dispatched kernel width ([`FlattenedScratch::reserve_for`]). The module
-//! keeps one arena per thread, so a serving worker's steady-state hot path
-//! stops allocating per request; callers that want explicit control use the
-//! `*_with` variants.
+//! keeps a small pool of arenas per calling thread — one per execution
+//! thread it has ever fanned out to — so a serving worker's steady-state
+//! hot path stops allocating per request at any thread budget; callers that
+//! want explicit control use the `*_with` variants.
 
 use std::cell::RefCell;
 
@@ -330,8 +345,10 @@ impl FlattenedTile {
     /// The shared strip kernel body: adds this tile's partial sums for `LW`
     /// batch-interleaved images at once. `input` holds a chunk interleaved
     /// as `input[off · LW + lane]` (see [`interleave_lanes`]), `out` is the
-    /// matching lane-major output accumulator (`out[off · LW + lane]`), and
-    /// `prefix` is caller scratch holding `(n + 1) · LW` prefix lanes.
+    /// lane-major accumulator of the tile's **filter band** — `g` output
+    /// planes starting at the tile's first filter, `out[off · LW + lane]`
+    /// with `off` counted from that filter's plane — and `prefix` is caller
+    /// scratch holding `(n + 1) · LW` prefix lanes.
     /// `LW == 1` **is** the planar walk — the layout degenerates to the
     /// plain planar slices, which is how [`run_flattened`] executes.
     ///
@@ -439,7 +456,7 @@ impl FlattenedTile {
                             }
                         }
                     }
-                    let off = (((self.k_first + level) * out_w + x) * out_h + y) * LW;
+                    let off = ((level * out_w + x) * out_h + y) * LW;
                     for (o, &a) in out[off..][..LW].iter_mut().zip(&acc) {
                         *o += a;
                     }
@@ -645,7 +662,7 @@ pub(crate) fn chunk_count(batch: usize, lane_width: usize) -> usize {
 /// ```
 #[must_use]
 pub fn run_flattened(layer: &CompiledLayer, input: &Tensor3<i16>) -> Tensor3<i32> {
-    with_thread_scratch(|scratch| run_flattened_with(layer, input, scratch))
+    with_thread_scratch(1, |arenas| run_flattened_with(layer, input, &mut arenas[0]))
 }
 
 /// [`run_flattened`] with an explicit [`FlattenedScratch`] arena: the
@@ -675,12 +692,15 @@ pub fn run_flattened_with(
 
     let sel = layer.kernel_sel();
     let mut out = Tensor3::<i32>::zeros(geom.k(), geom.out_w(), geom.out_h());
+    let plane = geom.out_w() * geom.out_h();
     let out_slice = out.as_mut_slice();
     let in_slice = input.as_slice();
     for tile in layer.flat_tiles() {
-        // Width 1 *is* the planar layout; the tier/shift selection still
+        // Width 1 *is* the planar layout, so the tile's band is simply its
+        // filters' planes of the output; the tier/shift selection still
         // applies (the quantized phase 2 pays off even single-image).
-        accumulate_width::<1>(tile, in_slice, out_slice, geom, &mut scratch.prefix, sel);
+        let band = &mut out_slice[tile.k_first * plane..][..tile.g * plane];
+        accumulate_width::<1>(tile, in_slice, band, geom, &mut scratch.prefix, sel);
     }
     out
 }
@@ -738,15 +758,15 @@ pub fn run_flattened_batch(
 pub const LANE_WIDTH: usize = 8;
 
 /// Reusable scratch for the flattened executors: the batch-interleaved
-/// input chunk, the `LW`-wide prefix lanes, and the lane-major output
-/// accumulator.
+/// input chunk, the `LW`-wide prefix lanes, and the lane-major sums of the
+/// filter band being executed.
 ///
 /// One arena serves any number of layers and chunk widths — buffers only
 /// ever grow, and [`FlattenedScratch::reserve_for`] pre-grows them to the
 /// dispatched kernel width so wider tiers never reallocate per chunk. The
-/// module keeps a thread-local arena that the plain entry points
+/// module keeps thread-local arenas that the plain entry points
 /// ([`run_flattened`], [`run_flattened_batch_interleaved`]) borrow, so each
-/// serving worker thread reuses its own arena across requests; the `*_with`
+/// serving worker thread reuses its own across requests; the `*_with`
 /// variants take one explicitly.
 #[derive(Debug, Default)]
 pub struct FlattenedScratch {
@@ -755,15 +775,18 @@ pub struct FlattenedScratch {
     /// Prefix-sum lanes: `(n + 1) · LW` values, row `i` = prefix after
     /// entry `i − 1`.
     prefix: Vec<i32>,
-    /// Lane-major output accumulator: `out_lanes[off · LW + lane]`.
-    out_lanes: Vec<i32>,
+    /// Lane-major sums of one filter band: `band_lanes[off · LW + lane]`,
+    /// `off` counted from the band's first output plane. `G` planes, not
+    /// the layer's `K` — the band is scattered into the per-image outputs
+    /// before the next one starts.
+    band_lanes: Vec<i32>,
 }
 
-/// Grows a buffer's capacity to at least `cap` elements without touching
-/// its length or contents.
+/// Grows a buffer's capacity to exactly `cap` elements (when it is smaller)
+/// without touching its length or contents.
 fn grow_capacity<T>(v: &mut Vec<T>, cap: usize) {
     if v.capacity() < cap {
-        v.reserve(cap - v.len());
+        v.reserve_exact(cap - v.len());
     }
 }
 
@@ -778,32 +801,52 @@ impl FlattenedScratch {
     /// `lane_width`, so no subsequent chunk of that width (or narrower)
     /// reallocates. Called by the batch executors with the dispatched
     /// tier's width; idempotent and monotone — an arena reserved for a wide
-    /// layer serves narrower ones for free.
+    /// layer serves narrower ones for free. The output staging is sized for
+    /// the layer's widest filter band (`G · out_w · out_h · lane_width`),
+    /// independent of its filter count.
     pub fn reserve_for(&mut self, layer: &CompiledLayer, lane_width: usize) {
         let geom = layer.geom();
         let in_len = geom.c() * layer.conv_groups() * geom.in_w() * geom.in_h();
-        let out_len = geom.k() * geom.out_w() * geom.out_h();
-        let max_entries = layer
-            .flat_tiles()
-            .iter()
-            .map(FlattenedTile::entry_count)
-            .max()
-            .unwrap_or(0);
-        grow_capacity(&mut self.interleaved, in_len * lane_width);
+        let plane = geom.out_w() * geom.out_h();
+        let tiles = layer.flat_tiles();
+        let max_entries = tiles.iter().map(|t| t.n).max().unwrap_or(0);
+        let max_g = tiles.iter().map(|t| t.g).max().unwrap_or(0);
+        // A single lane reads the planar input in place.
+        if lane_width > 1 {
+            grow_capacity(&mut self.interleaved, in_len * lane_width);
+        }
         grow_capacity(&mut self.prefix, (max_entries + 1) * lane_width);
-        grow_capacity(&mut self.out_lanes, out_len * lane_width);
+        grow_capacity(&mut self.band_lanes, max_g * plane * lane_width);
+    }
+
+    /// Bytes of heap the arena currently holds (capacities, not lengths) —
+    /// what an executor thread keeps resident between calls.
+    #[must_use]
+    pub fn resident_bytes(&self) -> usize {
+        self.interleaved.capacity() * std::mem::size_of::<i16>()
+            + (self.prefix.capacity() + self.band_lanes.capacity()) * std::mem::size_of::<i32>()
     }
 }
 
 thread_local! {
-    /// Per-thread arena behind the plain entry points: serving workers are
-    /// threads, so this is a per-worker arena without any API plumbing.
-    static THREAD_SCRATCH: RefCell<FlattenedScratch> = RefCell::new(FlattenedScratch::new());
+    /// Per-thread arenas behind the plain entry points: serving workers are
+    /// threads, so this is a per-worker pool without any API plumbing.
+    /// Arena 0 serves the calling thread itself; the rest are lent to the
+    /// scoped threads a multi-threaded batch call fans out to, so those
+    /// short-lived threads never build (and throw away) an arena of their
+    /// own.
+    static THREAD_SCRATCH: RefCell<Vec<FlattenedScratch>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Runs `f` with the calling thread's [`FlattenedScratch`] arena.
-fn with_thread_scratch<R>(f: impl FnOnce(&mut FlattenedScratch) -> R) -> R {
-    THREAD_SCRATCH.with(|cell| f(&mut cell.borrow_mut()))
+/// Runs `f` with `n` of the calling thread's [`FlattenedScratch`] arenas.
+fn with_thread_scratch<R>(n: usize, f: impl FnOnce(&mut [FlattenedScratch]) -> R) -> R {
+    THREAD_SCRATCH.with(|cell| {
+        let mut pool = cell.borrow_mut();
+        if pool.len() < n {
+            pool.resize_with(n, FlattenedScratch::new);
+        }
+        f(&mut pool[..n])
+    })
 }
 
 /// Transposes a chunk of equally sized planar images into the
@@ -841,21 +884,70 @@ pub fn interleave_lanes<T: Copy + Default>(images: &[&[T]], out: &mut Vec<T>) {
 pub fn deinterleave_lanes<T: Copy>(lanes: &[T], outs: &mut [&mut [T]]) {
     let lw = outs.len();
     assert!(lw > 0, "cannot deinterleave into an empty chunk");
-    for (lane, out) in outs.iter_mut().enumerate() {
+    for out in outs.iter() {
         assert_eq!(out.len() * lw, lanes.len(), "lane buffer size mismatch");
-        for (off, dst) in out.iter_mut().enumerate() {
-            *dst = lanes[off * lw + lane];
+    }
+    scatter_lanes(lanes, outs, 0, |v| v);
+}
+
+/// Offsets per block of the de-interleaving transpose: a block of `LW`-wide
+/// rows (4 KB of `i32` at 32 lanes) stays in L1 while every lane visits it,
+/// so each output slice is written in contiguous runs instead of one
+/// cache-line-strided read per element.
+const SCATTER_BLOCK: usize = 32;
+
+/// The de-interleaving transpose behind [`deinterleave_lanes`] and the band
+/// scatter: `outs[lane][at + off] = convert(lanes[off · LW + lane])` for
+/// every `off` the lane-major buffer holds.
+fn scatter_lanes<T: Copy, U>(
+    lanes: &[T],
+    outs: &mut [&mut [U]],
+    at: usize,
+    convert: impl Fn(T) -> U,
+) {
+    let lw = outs.len();
+    for (block, rows) in lanes.chunks(SCATTER_BLOCK * lw).enumerate() {
+        let base = at + block * SCATTER_BLOCK;
+        for (lane, out) in outs.iter_mut().enumerate() {
+            let dst = &mut out[base..][..rows.len() / lw];
+            for (d, row) in dst.iter_mut().zip(rows.chunks_exact(lw)) {
+                *d = convert(row[lane]);
+            }
         }
     }
 }
 
+/// What a finished `i32` sum becomes as it leaves the band staging buffer
+/// for a per-image output tensor — the epilogue fused into the scatter.
+trait LaneOut: ucnn_tensor::Elem + Send {
+    fn from_sum(sum: i32) -> Self;
+}
+
+/// Raw sums: the layer's `i32` output as every other backend returns it.
+impl LaneOut for i32 {
+    #[inline(always)]
+    fn from_sum(sum: i32) -> i32 {
+        sum
+    }
+}
+
+/// The inter-layer epilogue: ReLU with saturation to `i16`, element for
+/// element `ucnn_model::reference::relu_saturate`.
+impl LaneOut for i16 {
+    #[inline(always)]
+    fn from_sum(sum: i32) -> i16 {
+        sum.clamp(0, i32::from(i16::MAX)) as i16
+    }
+}
+
 /// Executes one lane chunk (`inputs.len()` = an emitted chunk width) through
-/// the flattened tiles: interleave once, walk every tile `LW`-wide, scatter
-/// the lane-major sums into the per-image outputs.
-fn run_chunk(
+/// the flattened tiles: interleave once, then per filter band walk its
+/// channel tiles `LW`-wide into the staging buffer and scatter the finished
+/// sums — through the [`LaneOut`] epilogue — into the per-image outputs.
+fn run_chunk<T: LaneOut>(
     layer: &CompiledLayer,
     inputs: &[Tensor3<i16>],
-    outs: &mut [Tensor3<i32>],
+    outs: &mut [Tensor3<T>],
     scratch: &mut FlattenedScratch,
     sel: KernelSel,
 ) {
@@ -863,35 +955,112 @@ fn run_chunk(
     let lw = inputs.len();
     debug_assert!(matches!(lw, 1..=8 | 16 | 32), "chunk width {lw}");
     debug_assert_eq!(outs.len(), lw);
-    if lw == 1 {
-        // A single lane gains nothing from interleaving (the transpose is
-        // pure overhead); the width-1 kernel is the planar walk, written
-        // straight into the already zeroed output.
-        let out_slice = outs[0].as_mut_slice();
-        let in_slice = inputs[0].as_slice();
-        for tile in layer.flat_tiles() {
-            accumulate_width::<1>(tile, in_slice, out_slice, geom, &mut scratch.prefix, sel);
+    let FlattenedScratch {
+        interleaved,
+        prefix,
+        band_lanes,
+    } = scratch;
+    // A single lane gains nothing from interleaving (the transpose is pure
+    // overhead): width 1 *is* the planar layout.
+    let input: &[i16] = if lw == 1 {
+        inputs[0].as_slice()
+    } else {
+        let images: Vec<&[i16]> = inputs.iter().map(Tensor3::as_slice).collect();
+        interleave_lanes(&images, interleaved);
+        interleaved
+    };
+    let plane = geom.out_w() * geom.out_h();
+    let mut planes: Vec<&mut [T]> = outs.iter_mut().map(Tensor3::as_mut_slice).collect();
+    // `CompiledLayer::compile` emits tiles band by band, so the channel
+    // tiles that accumulate into one filter band are adjacent.
+    let mut rest = layer.flat_tiles();
+    while let Some(first) = rest.first() {
+        let (k_first, g) = (first.k_first, first.g);
+        let tiles = rest.iter().take_while(|t| t.k_first == k_first).count();
+        let (band, after) = rest.split_at(tiles);
+        band_lanes.clear();
+        band_lanes.resize(g * plane * lw, 0);
+        for tile in band {
+            accumulate_tile_lanes(tile, input, band_lanes, geom, prefix, lw, sel);
         }
-        return;
+        scatter_lanes(band_lanes, &mut planes, k_first * plane, T::from_sum);
+        rest = after;
     }
-    let images: Vec<&[i16]> = inputs.iter().map(Tensor3::as_slice).collect();
-    interleave_lanes(&images, &mut scratch.interleaved);
-    let out_len = geom.k() * geom.out_w() * geom.out_h();
-    scratch.out_lanes.clear();
-    scratch.out_lanes.resize(out_len * lw, 0);
-    for tile in layer.flat_tiles() {
-        accumulate_tile_lanes(
-            tile,
-            &scratch.interleaved,
-            &mut scratch.out_lanes,
-            geom,
-            &mut scratch.prefix,
-            lw,
+}
+
+/// Runs a batch on the calling thread, chunk by chunk at the widths
+/// [`next_chunk_width`] emits for the (already clamped) `sel`.
+fn run_chunks<T: LaneOut>(
+    layer: &CompiledLayer,
+    inputs: &[Tensor3<i16>],
+    scratch: &mut FlattenedScratch,
+    sel: KernelSel,
+) -> Vec<Tensor3<T>> {
+    let geom = layer.geom();
+    crate::exec::check_batch_inputs(layer, inputs);
+    let lane = sel.tier.lane_width();
+    // Size the arena for the widest chunk this call will run, so the
+    // per-chunk loop never reallocates even the first time a wide tier
+    // executes.
+    scratch.reserve_for(layer, lane.min(inputs.len().max(1)));
+    let mut outs: Vec<Tensor3<T>> = inputs
+        .iter()
+        .map(|_| Tensor3::zeros(geom.k(), geom.out_w(), geom.out_h()))
+        .collect();
+    let mut start = 0;
+    while start < inputs.len() {
+        let w = next_chunk_width(inputs.len() - start, lane);
+        run_chunk(
+            layer,
+            &inputs[start..start + w],
+            &mut outs[start..start + w],
+            scratch,
             sel,
         );
+        start += w;
     }
-    let mut planes: Vec<&mut [i32]> = outs.iter_mut().map(Tensor3::as_mut_slice).collect();
-    deinterleave_lanes(&scratch.out_lanes, &mut planes);
+    outs
+}
+
+/// The batch executor behind every `run_flattened_batch_interleaved*` entry
+/// point (whose docs state the contract), generic over the [`LaneOut`]
+/// epilogue.
+fn run_interleaved<T: LaneOut>(
+    layer: &CompiledLayer,
+    inputs: &[Tensor3<i16>],
+    threads: usize,
+    sel: KernelSel,
+) -> Vec<Tensor3<T>> {
+    assert!(threads > 0, "need at least one execution thread");
+    if inputs.is_empty() {
+        return Vec::new();
+    }
+    let sel = sel.clamped();
+    // Work is dealt in whole tier-width chunks: splitting finer would
+    // narrow the SIMD width of every worker's kernel, costing more than
+    // the extra thread buys.
+    let lane = sel.tier.lane_width();
+    let chunks = inputs.len().div_ceil(lane);
+    let workers = threads.min(chunks);
+    let per_worker = chunks.div_ceil(workers) * lane;
+    with_thread_scratch(workers, |arenas| {
+        if workers == 1 {
+            return run_chunks(layer, inputs, &mut arenas[0], sel);
+        }
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = inputs
+                .chunks(per_worker)
+                .zip(arenas.iter_mut())
+                .map(|(ins, scratch)| {
+                    scope.spawn(move || run_chunks::<T>(layer, ins, scratch, sel))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("interleaved executor thread panicked"))
+                .collect()
+        })
+    })
 }
 
 /// Batch-interleaved execution of a [`CompiledLayer`]'s flattened tiles —
@@ -904,17 +1073,18 @@ fn run_chunk(
 /// layout, every gather base / halo bounds check / CSR segment range is
 /// computed once per entry per output position, and the prefix-sum and
 /// segment-multiply phases run as contiguous `LW`-wide strips through the
-/// tier's `#[target_feature]` kernel. Per image the i32 operation sequence
-/// is identical to [`run_flattened`] at every width and tier, so outputs
-/// are **bit-identical** to it at every batch size and thread count.
+/// tier's `#[target_feature]` kernel, one filter band at a time. Per image
+/// the i32 operation sequence is identical to [`run_flattened`] at every
+/// width and tier, so outputs are **bit-identical** to it at every batch
+/// size and thread count.
 ///
 /// `threads > 1` splits the batch into contiguous runs of **whole
-/// tier-width chunks** executed on scoped threads, each with its own
-/// [`FlattenedScratch`] — never below the active lane width per worker, so
-/// adding threads cannot narrow the SIMD width (a batch of 32 on the
-/// `avx512` tier runs as one full-width chunk regardless of the thread
-/// budget). With one thread (or a single chunk) the calling thread's arena
-/// is reused, so steady-state serving does not allocate scratch per request.
+/// tier-width chunks** executed on scoped threads — never below the active
+/// lane width per worker, so adding threads cannot narrow the SIMD width (a
+/// batch of 32 on the `avx512` tier runs as one full-width chunk regardless
+/// of the thread budget). Every worker borrows a [`FlattenedScratch`] from
+/// the calling thread's pool, so steady-state serving does not allocate
+/// scratch per request at any thread count.
 ///
 /// # Panics
 ///
@@ -945,7 +1115,7 @@ pub fn run_flattened_batch_interleaved(
     inputs: &[Tensor3<i16>],
     threads: usize,
 ) -> Vec<Tensor3<i32>> {
-    run_flattened_batch_interleaved_forced(layer, inputs, threads, layer.kernel_sel())
+    run_interleaved(layer, inputs, threads, layer.kernel_sel())
 }
 
 /// [`run_flattened_batch_interleaved`] with an explicit [`KernelSel`]
@@ -965,39 +1135,27 @@ pub fn run_flattened_batch_interleaved_forced(
     threads: usize,
     sel: KernelSel,
 ) -> Vec<Tensor3<i32>> {
-    assert!(threads > 0, "need at least one execution thread");
-    if inputs.is_empty() {
-        return Vec::new();
-    }
-    let sel = sel.clamped();
-    // Work is dealt in whole tier-width chunks: splitting finer would
-    // narrow the SIMD width of every worker's kernel, costing more than
-    // the extra thread buys.
-    let lane = sel.tier.lane_width();
-    let chunks = inputs.len().div_ceil(lane);
-    let workers = threads.min(chunks);
-    if workers == 1 {
-        return with_thread_scratch(|scratch| {
-            run_flattened_batch_interleaved_with_sel(layer, inputs, scratch, sel)
-        });
-    }
-    let chunk = chunks.div_ceil(workers) * lane;
-    let mut results: Vec<Vec<Tensor3<i32>>> = Vec::with_capacity(workers);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = inputs
-            .chunks(chunk)
-            .map(|ins| {
-                scope.spawn(move || {
-                    let mut scratch = FlattenedScratch::new();
-                    run_flattened_batch_interleaved_with_sel(layer, ins, &mut scratch, sel)
-                })
-            })
-            .collect();
-        for handle in handles {
-            results.push(handle.join().expect("interleaved executor thread panicked"));
-        }
-    });
-    results.into_iter().flatten().collect()
+    run_interleaved(layer, inputs, threads, sel)
+}
+
+/// [`run_flattened_batch_interleaved_forced`] with the inter-layer epilogue
+/// fused into the band scatter: every output is
+/// `reference::relu_saturate` of the layer's sums, narrowed to the `i16`
+/// activations the next layer reads, without the whole-batch `i32` tensors
+/// ever being materialized. Bit-identical to running the unfused executor
+/// and converting afterwards.
+///
+/// # Panics
+///
+/// Panics if `threads == 0` or any input mismatches the layer geometry.
+#[must_use]
+pub fn run_flattened_batch_interleaved_relu(
+    layer: &CompiledLayer,
+    inputs: &[Tensor3<i16>],
+    threads: usize,
+    sel: KernelSel,
+) -> Vec<Tensor3<i16>> {
+    run_interleaved(layer, inputs, threads, sel)
 }
 
 /// [`run_flattened_batch_interleaved`] on the calling thread with an
@@ -1030,31 +1188,7 @@ pub fn run_flattened_batch_interleaved_with_sel(
     scratch: &mut FlattenedScratch,
     sel: KernelSel,
 ) -> Vec<Tensor3<i32>> {
-    let geom = layer.geom();
-    crate::exec::check_batch_inputs(layer, inputs);
-    let sel = sel.clamped();
-    let lane = sel.tier.lane_width();
-    // Satellite of the tier dispatch: size the arena for the widest chunk
-    // this call will run, so the per-chunk loop never reallocates even the
-    // first time a wide tier executes.
-    scratch.reserve_for(layer, lane.min(inputs.len().max(1)));
-    let mut outs: Vec<Tensor3<i32>> = inputs
-        .iter()
-        .map(|_| Tensor3::zeros(geom.k(), geom.out_w(), geom.out_h()))
-        .collect();
-    let mut start = 0;
-    while start < inputs.len() {
-        let w = next_chunk_width(inputs.len() - start, lane);
-        run_chunk(
-            layer,
-            &inputs[start..start + w],
-            &mut outs[start..start + w],
-            scratch,
-            sel,
-        );
-        start += w;
-    }
-    outs
+    run_chunks(layer, inputs, scratch, sel.clamped())
 }
 
 #[cfg(test)]
@@ -1269,15 +1403,23 @@ mod tests {
         for layer in &layers {
             scratch.reserve_for(layer, widest);
         }
+        // The output staging is reserved per filter band (G = 2 planes of
+        // the larger layer), not per layer (K = 6 / 4 planes).
+        let band = geoms
+            .iter()
+            .map(|geom| 2 * geom.out_w() * geom.out_h())
+            .max()
+            .unwrap();
+        assert_eq!(scratch.band_lanes.capacity(), band * widest);
         let caps = (
             scratch.interleaved.capacity(),
             scratch.prefix.capacity(),
-            scratch.out_lanes.capacity(),
+            scratch.band_lanes.capacity(),
         );
         let ptrs = (
             scratch.interleaved.as_ptr(),
             scratch.prefix.as_ptr(),
-            scratch.out_lanes.as_ptr(),
+            scratch.band_lanes.as_ptr(),
         );
         let mut agen = ActivationGen::new(91);
         for round in 0..2 {
@@ -1303,7 +1445,7 @@ mod tests {
             (
                 scratch.interleaved.capacity(),
                 scratch.prefix.capacity(),
-                scratch.out_lanes.capacity(),
+                scratch.band_lanes.capacity(),
             ),
             "arena buffers grew after reserve_for"
         );
@@ -1312,10 +1454,242 @@ mod tests {
             (
                 scratch.interleaved.as_ptr(),
                 scratch.prefix.as_ptr(),
-                scratch.out_lanes.as_ptr(),
+                scratch.band_lanes.as_ptr(),
             ),
             "arena buffers reallocated after reserve_for"
         );
+    }
+
+    #[test]
+    fn output_staging_is_one_filter_band_not_the_layer() {
+        // K = 32 filters in bands of G = 2: after a 32-image forward the
+        // arena's output staging holds one band (G planes × LW lanes), a
+        // sixteenth of what staging the whole layer took.
+        let (k, g) = (32usize, 2usize);
+        let geom = ConvGeom::new(8, 8, 3, k, 3, 3).with_pad(1);
+        let mut wgen = WeightGen::new(QuantScheme::inq(), 95).with_density(0.8);
+        let weights = wgen.generate_dims(k, 3, 3, 3);
+        let layer = CompiledLayer::compile(&geom, 1, &weights, &UcnnConfig::with_g(g));
+        let mut agen = ActivationGen::new(96);
+        let inputs: Vec<Tensor3<i16>> = (0..32).map(|_| agen.generate(3, 8, 8)).collect();
+
+        let mut scratch = FlattenedScratch::new();
+        assert_eq!(scratch.resident_bytes(), 0, "a new arena holds nothing");
+        let got = run_flattened_batch_interleaved_with(&layer, &inputs, &mut scratch);
+        for (input, out) in inputs.iter().zip(&got) {
+            assert_eq!(out, &reference::conv2d(&geom, 1, input, &weights));
+        }
+
+        // 32 images fill the widest tier's strip, so LW is the tier width.
+        let lw = layer.kernel_sel().clamped().tier.lane_width();
+        let plane = geom.out_w() * geom.out_h();
+        let staging = scratch.band_lanes.capacity() * std::mem::size_of::<i32>();
+        assert!(
+            staging <= g * plane * lw * 4,
+            "output staging {staging} B exceeds one band ({} B)",
+            g * plane * lw * 4
+        );
+        let max_entries = layer.flat_tiles().iter().map(|t| t.n).max().unwrap();
+        assert_eq!(
+            scratch.resident_bytes(),
+            3 * 8 * 8 * lw * 2 + (max_entries + 1) * lw * 4 + staging,
+            "resident_bytes is the interleaved input + prefix lanes + one band"
+        );
+        assert!(
+            scratch.resident_bytes() < k * plane * lw * 4,
+            "the whole arena must be smaller than whole-layer staging alone"
+        );
+    }
+
+    #[test]
+    fn threaded_calls_reuse_the_calling_threads_arena_pool() {
+        // Two workers borrow two arenas from the caller's pool; a second
+        // call finds them grown and allocates no scratch (same buffers,
+        // same capacities). libtest runs each test on its own thread, so
+        // the pool starts empty here.
+        let geom = ConvGeom::new(6, 6, 3, 4, 3, 3).with_pad(1);
+        let mut wgen = WeightGen::new(QuantScheme::inq(), 97).with_density(0.8);
+        let weights = wgen.generate_dims(4, 3, 3, 3);
+        let layer = CompiledLayer::compile(&geom, 1, &weights, &UcnnConfig::with_g(2));
+        let lane = layer.kernel_sel().clamped().tier.lane_width();
+        let mut agen = ActivationGen::new(98);
+        let inputs: Vec<Tensor3<i16>> = (0..2 * lane).map(|_| agen.generate(3, 6, 6)).collect();
+        let pool = || {
+            THREAD_SCRATCH.with(|cell| {
+                cell.borrow()
+                    .iter()
+                    .map(|a| (a.resident_bytes(), a.band_lanes.as_ptr()))
+                    .collect::<Vec<_>>()
+            })
+        };
+        assert!(pool().is_empty());
+        let first = run_flattened_batch_interleaved(&layer, &inputs, 2);
+        let grown = pool();
+        assert_eq!(grown.len(), 2, "one arena per worker");
+        assert!(grown.iter().all(|&(bytes, _)| bytes > 0));
+        let second = run_flattened_batch_interleaved(&layer, &inputs, 2);
+        assert_eq!(pool(), grown, "steady state must not build new arenas");
+        assert_eq!(first, second);
+    }
+
+    /// Runs `layer` over `inputs` on every available tier at both thread
+    /// counts, raw and with the fused epilogue, against the dense reference
+    /// (`conv2d`, then `relu_saturate`).
+    fn check_bands_against_reference(
+        layer: &CompiledLayer,
+        weights: &Tensor4<i16>,
+        inputs: &[Tensor3<i16>],
+        what: &str,
+    ) {
+        let sums: Vec<Tensor3<i32>> = inputs
+            .iter()
+            .map(|i| reference::conv2d(layer.geom(), layer.conv_groups(), i, weights))
+            .collect();
+        let acts: Vec<Tensor3<i16>> = sums.iter().map(reference::relu_saturate).collect();
+        for &tier in available_tiers() {
+            let sel = layer.kernel_sel().with_tier(tier);
+            for threads in [1usize, 2] {
+                let label = format!(
+                    "{what}, tier {}, B={}, {threads} threads",
+                    tier.name(),
+                    inputs.len()
+                );
+                assert_eq!(
+                    run_flattened_batch_interleaved_forced(layer, inputs, threads, sel),
+                    sums,
+                    "raw sums: {label}"
+                );
+                assert_eq!(
+                    run_flattened_batch_interleaved_relu(layer, inputs, threads, sel),
+                    acts,
+                    "fused epilogue: {label}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn band_staging_and_fused_epilogue_match_reference() {
+        // (geometry, conv groups, G, Ct): each shape stresses one way a
+        // band can be assembled or scattered wrongly.
+        let shapes = [
+            // Bands fed by three channel tiles (C = 10 > Ct = 4): the
+            // staging buffer must accumulate across tiles, not overwrite.
+            (ConvGeom::new(6, 6, 10, 6, 3, 3), 1usize, 2usize, 4usize),
+            // Ragged last band (K = 7, G = 3 → bands of 3, 3, 1) over
+            // ragged channel tiles (C = 5, Ct = 2).
+            (ConvGeom::new(5, 6, 5, 7, 3, 3).with_pad(1), 1, 3, 2),
+            // Grouped conv: bands never span a conv group, and K / groups
+            // = 3 leaves a ragged band inside every group.
+            (ConvGeom::new(6, 5, 4, 6, 3, 3).with_pad(1), 2, 2, 3),
+            // Stride 2 with pad 2: the checked gather clips on all sides.
+            (
+                ConvGeom::new(7, 6, 3, 5, 3, 3).with_stride(2).with_pad(2),
+                1,
+                2,
+                2,
+            ),
+        ];
+        for (si, (geom, conv_groups, g, ct)) in shapes.into_iter().enumerate() {
+            let seed = 300 + si as u64;
+            let mut wgen = WeightGen::new(QuantScheme::inq(), seed).with_density(0.8);
+            let weights = wgen.generate_dims(geom.k(), geom.c(), geom.r(), geom.s());
+            let cfg = UcnnConfig {
+                g,
+                ct,
+                ..UcnnConfig::default()
+            };
+            let layer = CompiledLayer::compile(&geom, conv_groups, &weights, &cfg);
+            let mut agen = ActivationGen::new(seed ^ 0xBA9D);
+            for b in [1usize, 5, 8, 16, 32, 35] {
+                // Distinct images per lane, so a lane mix-up cannot cancel.
+                let inputs: Vec<Tensor3<i16>> = (0..b)
+                    .map(|_| agen.generate(geom.c() * conv_groups, geom.in_w(), geom.in_h()))
+                    .collect();
+                check_bands_against_reference(&layer, &weights, &inputs, &format!("shape {si}"));
+            }
+        }
+    }
+
+    #[test]
+    fn fused_epilogue_pins_saturation_extremes() {
+        // The epilogue itself, over the whole i32 range including both
+        // ends: whatever a (possibly wrapped) sum is, it narrows exactly as
+        // the reference does.
+        let edge = [
+            i32::MIN,
+            i32::MIN + 1,
+            -65_536,
+            -32_769,
+            -32_768,
+            -1,
+            0,
+            1,
+            32_766,
+            32_767,
+            32_768,
+            65_535,
+            65_536,
+            i32::MAX - 1,
+            i32::MAX,
+        ];
+        let sums = Tensor3::from_vec(edge.len(), 1, 1, edge.to_vec()).unwrap();
+        let narrowed: Vec<i16> = edge
+            .iter()
+            .map(|&v| <i16 as LaneOut>::from_sum(v))
+            .collect();
+        assert_eq!(narrowed, reference::relu_saturate(&sums).into_vec());
+        assert_eq!(<i16 as LaneOut>::from_sum(i32::MAX), i16::MAX);
+        assert_eq!(<i16 as LaneOut>::from_sum(i32::MIN), 0);
+        assert!(edge.iter().all(|&v| <i32 as LaneOut>::from_sum(v) == v));
+
+        // Through the executor: an FC-shaped layer whose filters drive the
+        // sums to each regime. Per image, with activations a₀ = a₁ = A:
+        //   k0 = 2·A·32767      (≈ 2³¹ at A = 32767: far above i16::MAX)
+        //   k1 = 2·A·(−32768)   (≈ −2³¹: far below zero)
+        //   k2 = A − A = 0, k3 = 2·A (just above i16::MAX at A = 16384),
+        //   k4 = −2·A, k5 = A (exactly i16::MAX at A = 32767).
+        // Without debug overflow checks (`cargo test --release`) a third
+        // and fourth channel push k0/k1 past ±2³¹ so the i32 sums wrap —
+        // in the executor and the reference alike.
+        let wrap = !cfg!(debug_assertions);
+        let c = if wrap { 4 } else { 2 };
+        let rows: [[i16; 2]; 6] = [
+            [i16::MAX, i16::MAX],
+            [i16::MIN, i16::MIN],
+            [1, -1],
+            [1, 1],
+            [-1, -1],
+            [1, 0],
+        ];
+        let weights = Tensor4::from_fn(6, c, 1, 1, |k, ci, _, _| match (k, ci) {
+            (0 | 1, _) => rows[k][0],
+            (_, 0 | 1) => rows[k][ci],
+            _ => 0,
+        });
+        let geom = ConvGeom::new(1, 1, c, 6, 1, 1);
+        let layer = CompiledLayer::compile(&geom, 1, &weights, &UcnnConfig::with_g(2));
+        let levels = [i16::MAX, 16_384, 16_383, 1, 0];
+        for b in [1usize, 5, 32, 35] {
+            let inputs: Vec<Tensor3<i16>> = (0..b)
+                .map(|i| Tensor3::filled(c, 1, 1, levels[i % levels.len()]))
+                .collect();
+            check_bands_against_reference(&layer, &weights, &inputs, "extremes");
+        }
+        // The regimes were actually reached (image 0 has A = i16::MAX).
+        let sums = reference::conv2d(&geom, 1, &Tensor3::filled(c, 1, 1, i16::MAX), &weights);
+        if wrap {
+            assert!(sums[(0, 0, 0)] < 0, "4·32767² must wrap negative");
+            assert!(
+                sums[(1, 0, 0)] >= 0,
+                "4·32767·(−32768) must wrap non-negative"
+            );
+        } else {
+            assert_eq!(sums[(0, 0, 0)], 2 * 32_767 * 32_767);
+            assert_eq!(sums[(1, 0, 0)], 2 * 32_767 * -32_768);
+        }
+        assert_eq!(sums[(3, 0, 0)], 65_534);
+        assert_eq!(sums[(5, 0, 0)], 32_767);
     }
 
     #[test]

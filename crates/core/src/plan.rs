@@ -19,6 +19,7 @@
 //! [`CompiledNetwork::forward`] and stays bit-identical to the dense
 //! reference.
 
+use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -27,7 +28,9 @@ use ucnn_tensor::{ConvGeom, Tensor3, Tensor4};
 
 use crate::backend::{backend, BackendKind};
 use crate::compile::{canonical_of_tensor, UcnnConfig};
-use crate::flatten::FlattenedTile;
+use crate::flatten::{
+    run_flattened_batch_interleaved_forced, run_flattened_batch_interleaved_relu, FlattenedTile,
+};
 use crate::hierarchy::{GroupStream, ZERO_RANK};
 use crate::simd::KernelSel;
 use crate::tune::{self, CalibrationTable, Candidate};
@@ -93,9 +96,12 @@ pub struct CompiledLayer {
     conv_groups: usize,
     tiles: Vec<CompiledTile>,
     /// Branch-free lowering of every tile (one per entry of `tiles`), built
-    /// lazily on the first [`BackendKind::Flattened`] execution and cached —
-    /// deployments that never select that backend pay neither the lowering
-    /// work nor the extra resident memory.
+    /// on the first flattened execution (or an explicit
+    /// [`CompiledNetwork::warm`]) and cached. The library default
+    /// ([`CompiledNetwork::DEFAULT_BACKEND`]) runs through it; a deployment
+    /// pinned to a stream-walking backend — the serving engine's default is
+    /// one — never builds it and pays neither the lowering work nor the
+    /// extra resident memory.
     flat: OnceLock<Vec<FlattenedTile>>,
     /// Cached calibration shape key ([`crate::tune::shape_key`]), formatted
     /// on first use — the `auto` dispatch path borrows it per batch.
@@ -448,8 +454,13 @@ impl CompiledNetwork {
     }
 
     /// Executor the `forward*` entry points use when no preference has been
-    /// set with [`CompiledNetwork::set_backend`].
-    pub const DEFAULT_BACKEND: BackendKind = BackendKind::BatchThreads;
+    /// set with [`CompiledNetwork::set_backend`]: the batch-interleaved
+    /// flattened executor — the tables are lowered once (on
+    /// [`CompiledNetwork::warm`] or the first forward) and every inference
+    /// afterwards walks them on the widest vector unit the CPU has. The
+    /// serving engine does **not** inherit this: `EngineConfig` names its
+    /// own default.
+    pub const DEFAULT_BACKEND: BackendKind = BackendKind::FlattenedBatch;
 
     /// Network name.
     #[must_use]
@@ -558,8 +569,11 @@ impl CompiledNetwork {
             .sum()
     }
 
-    /// Runs one inference through the stored default backend — no per-call
-    /// sorting or factorization. Bit-identical to
+    /// Runs one inference through [`CompiledNetwork::backend`] — the stored
+    /// preference, else [`CompiledNetwork::DEFAULT_BACKEND`] — with no
+    /// per-call sorting or factorization (the first call through a
+    /// flattened backend lowers the plan unless it was
+    /// [warmed](CompiledNetwork::warm)). Bit-identical to
     /// [`ucnn_model::forward::dense_forward`] on the same spec and weights.
     ///
     /// # Panics
@@ -650,16 +664,20 @@ impl CompiledNetwork {
             _ => None,
         };
         let last = self.stages.len() - 1;
-        let mut acts: Vec<Tensor3<i16>> = inputs.to_vec();
+        // The first stage reads the caller's tensors in place; every later
+        // one owns the previous stage's output.
+        let mut acts: Cow<'_, [Tensor3<i16>]> = Cow::Borrowed(inputs);
         for (si, stage) in self.stages.iter().enumerate() {
             match stage {
                 CompiledStage::Conv { name, layer, is_fc } => {
                     if *is_fc {
                         acts = acts
+                            .into_owned()
                             .into_iter()
                             .map(|a| ucnn_model::forward::flatten_for_fc(a, layer.geom().c()))
                             .collect();
                     }
+                    let batch = acts.len();
                     // `auto` elects a *candidate*: a backend kind, plus —
                     // for the flattened-batch kind — optionally a forced
                     // SIMD tier, so the calibration table can pick the
@@ -667,11 +685,16 @@ impl CompiledNetwork {
                     // fastest loop shape.
                     let cand = match kind {
                         BackendKind::Auto => auto_table
-                            .and_then(|t| t.candidate_for(layer, acts.len()))
-                            .unwrap_or_else(|| Candidate::plain(tune::fallback_choice(acts.len()))),
+                            .and_then(|t| t.candidate_for(layer, batch))
+                            .unwrap_or_else(|| Candidate::plain(tune::fallback_choice(batch))),
                         k => Candidate::plain(k),
                     };
                     let exec = backend(cand.kind);
+                    // A tier-qualified candidate bypasses the registry and
+                    // forces the flattened-batch executor onto that tier
+                    // (every candidate stays bit-identical, so the election
+                    // only changes performance).
+                    let forced = cand.tier.map(|tier| layer.kernel_sel().with_tier(tier));
                     // Reuse telemetry: one gated load on the hot path; when
                     // enabled, the analytic per-call work is recorded after
                     // execution (so the flattened lowering, if this call
@@ -682,37 +705,41 @@ impl CompiledNetwork {
                     let counting = crate::counters::enabled();
                     let lowering_was_ready = counting && layer.flat_ready();
                     let started = auto_table.map(|_| Instant::now());
-                    let outs = match cand.tier {
-                        // A tier-qualified candidate bypasses the registry
-                        // and forces the flattened-batch executor onto that
-                        // tier (every candidate stays bit-identical, so the
-                        // election only changes performance).
-                        Some(tier) => crate::flatten::run_flattened_batch_interleaved_forced(
-                            layer,
-                            &acts,
-                            threads,
-                            layer.kernel_sel().with_tier(tier),
-                        ),
-                        None => exec.run_layer(layer, &acts, threads),
-                    };
+                    // The final layer returns its raw sums; every other one
+                    // hands `relu_saturate`d i16 activations to the next
+                    // stage, through the backend's own epilogue so the
+                    // whole-batch i32 tensor is never held beside them.
+                    let mut logits = Vec::new();
+                    let mut next = Vec::new();
+                    match (si == last, forced) {
+                        (true, Some(sel)) => {
+                            logits =
+                                run_flattened_batch_interleaved_forced(layer, &acts, threads, sel);
+                        }
+                        (true, None) => logits = exec.run_layer(layer, &acts, threads),
+                        (false, Some(sel)) => {
+                            next = run_flattened_batch_interleaved_relu(layer, &acts, threads, sel);
+                        }
+                        (false, None) => next = exec.run_layer_relu(layer, &acts, threads),
+                    }
                     if let (Some(t0), Some(table)) = (started, auto_table) {
                         let per_image = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
-                            / acts.len() as u64;
-                        table.observe_candidate(layer, acts.len(), cand, per_image);
+                            / batch as u64;
+                        table.observe_candidate(layer, batch, cand, per_image);
                     }
                     if counting {
                         crate::counters::record(
                             &self.name,
                             name,
                             kind.name(),
-                            acts.len(),
-                            &exec.work(layer, acts.len(), lowering_was_ready),
+                            batch,
+                            &exec.work(layer, batch, lowering_was_ready),
                         );
                     }
                     if si == last {
-                        return outs;
+                        return logits;
                     }
-                    acts = outs.iter().map(reference::relu_saturate).collect();
+                    acts = Cow::Owned(next);
                 }
                 CompiledStage::Pool {
                     kind, size, stride, ..
@@ -869,6 +896,30 @@ mod tests {
             );
         }
         assert!(compiled.forward_batch(&[]).is_empty());
+    }
+
+    #[test]
+    fn fc_first_network_leaves_the_callers_inputs_intact() {
+        // The first stage borrows the caller's tensors; an FC first stage
+        // reshapes its activations by value, so it must take its own copy.
+        let mut net = ucnn_model::NetworkSpec::new("mlp");
+        net.push(ucnn_model::LayerSpec::fully_connected("ip1", 24, 6));
+        net.push(ucnn_model::LayerSpec::fully_connected("ip2", 6, 3));
+        let weights = forward::generate_network_weights(&net, QuantScheme::inq(), 41, 0.9);
+        let compiled = CompiledNetwork::compile(&net, &weights, &UcnnConfig::with_g(2));
+        let mut agen = ActivationGen::new(42);
+        let inputs: Vec<_> = (0..3)
+            .map(|_| agen.generate_for(&net.conv_layers()[0]))
+            .collect();
+        let before = inputs.clone();
+        let expected: Vec<_> = inputs
+            .iter()
+            .map(|i| forward::dense_forward(&net, &weights, i))
+            .collect();
+        for kind in [CompiledNetwork::DEFAULT_BACKEND, BackendKind::BatchThreads] {
+            assert_eq!(compiled.forward_batch_with(&inputs, kind, 1), expected);
+        }
+        assert_eq!(inputs, before);
     }
 
     #[test]

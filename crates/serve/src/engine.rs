@@ -83,6 +83,8 @@ pub struct EngineConfig {
     /// resort of a three-tier resolution: a per-model override in the
     /// [`ModelRegistry`] ranks first, then a preference stored on the plan
     /// itself (`CompiledNetwork::backend_preference`), then this default.
+    /// [`EngineConfig::default`] names `batch-threads` itself; it does not
+    /// follow the library's `CompiledNetwork::DEFAULT_BACKEND`.
     pub backend: BackendKind,
 }
 

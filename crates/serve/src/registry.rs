@@ -166,12 +166,18 @@ impl ModelRegistry {
     /// execution state — the flattened backends' per-layer lowering — is
     /// built here, at deploy time, so the first request after an insert no
     /// longer pays lowering latency in its tail, **including models
-    /// deployed after the engine started**. Warming runs outside the
-    /// registry lock (plans synchronize their own `OnceLock`s), so
-    /// concurrent lookups are never blocked behind it.
+    /// deployed after the engine started**. With none of the three — no
+    /// engine has adopted the registry yet — nothing is warmed: the
+    /// library's own `CompiledNetwork::DEFAULT_BACKEND` is not what an
+    /// engine will run, and [`Engine::start`] warms every resident plan for
+    /// the tier it does run. Warming runs outside the registry lock (plans
+    /// synchronize their own `OnceLock`s), so concurrent lookups are never
+    /// blocked behind it.
     ///
     /// A [`ModelQuota`] set on the old entry also survives (the same
     /// shared quota, so in-flight tokens keep counting).
+    ///
+    /// [`Engine::start`]: crate::engine::Engine::start
     pub fn insert(&self, model: CompiledNetwork) -> Arc<CompiledNetwork> {
         let arc = Arc::new(model);
         let backend = {
@@ -191,12 +197,20 @@ impl ModelRegistry {
             );
             backend
         };
-        let effective = backend
-            .or_else(|| arc.backend_preference())
-            .or_else(|| self.default_backend())
-            .unwrap_or(CompiledNetwork::DEFAULT_BACKEND);
-        arc.warm(effective);
+        self.warm_for_serving(&arc, backend);
         arc
+    }
+
+    /// Warms `plan` for the tier that will serve it: the per-model
+    /// override, else the plan's own preference, else the adopted engine
+    /// default. With none of them there is nothing to warm for.
+    fn warm_for_serving(&self, plan: &CompiledNetwork, override_kind: Option<BackendKind>) {
+        if let Some(kind) = override_kind
+            .or_else(|| plan.backend_preference())
+            .or_else(|| self.default_backend())
+        {
+            plan.warm(kind);
+        }
     }
 
     /// Registers the engine-wide default backend — the third tier of
@@ -226,10 +240,7 @@ impl ModelRegistry {
             .map(|entry| (Arc::clone(&entry.plan), entry.backend))
             .collect();
         for (plan, override_kind) in resident {
-            let effective = override_kind
-                .or_else(|| plan.backend_preference())
-                .unwrap_or(backend);
-            plan.warm(effective);
+            self.warm_for_serving(&plan, override_kind);
         }
     }
 
@@ -299,12 +310,7 @@ impl ModelRegistry {
                 None => return false,
             }
         };
-        if let Some(kind) = backend
-            .or_else(|| plan.backend_preference())
-            .or_else(|| self.default_backend())
-        {
-            plan.warm(kind);
-        }
+        self.warm_for_serving(&plan, backend);
         true
     }
 
