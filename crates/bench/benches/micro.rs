@@ -165,13 +165,11 @@ fn backend_filter() -> Option<BackendKind> {
 }
 
 fn bench_backend_comparison(c: &mut Criterion) {
-    // Two acceptance bars live in these groups, both on the FC shape:
-    // `flattened` at B = 1 must be >= 1.3x the `compiled` scalar stream
-    // walk (no per-entry decode, no closure branching, one multiply per
-    // CSR segment), and `flattened-batch` at B = 8 must be >= 2x
-    // `flattened` — one indirection walk feeds eight batch-interleaved
-    // SIMD lanes, so the gather/segment bookkeeping is paid once per chunk
-    // instead of once per image.
+    // Every registered backend on the FC shape: `flattened-batch` must
+    // beat the `batch-threads` stream walk at every B — no per-entry
+    // decode, no closure branching, one multiply per CSR segment, and at
+    // B >= 8 one indirection walk feeding a whole strip of
+    // batch-interleaved SIMD lanes.
     let geom = ConvGeom::new(1, 1, 1024, 32, 1, 1);
     let mut wgen = WeightGen::new(QuantScheme::inq(), 13).with_density(0.9);
     let w = wgen.generate_dims(32, 1024, 1, 1);

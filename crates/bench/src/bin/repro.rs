@@ -7,7 +7,7 @@
 //!       [--deadline-ms N]
 //!
 //! experiments: fig1 fig3 table2 fig7 fig9 fig10 fig11 fig12 fig13 fig14
-//!              table3 ablations serve batch backends tune all
+//!              table3 ablations serve batch backends all
 //! ```
 //!
 //! `--quick` shrinks networks/sweeps (used by CI and Criterion); the default
@@ -15,17 +15,13 @@
 //! the batch-major executor comparison (`repro serve --batch` prints the
 //! serving tables plus the per-request vs batch-major throughput table).
 //! `--backend NAME` selects the executor backend the `serve` experiment
-//! drives the engine with (`factorized`, `compiled`, `batch`,
-//! `batch-threads`, `flattened`, `flattened-batch`, or the cost-model
-//! dispatcher `auto`); the `backends` experiment prints the all-backends
-//! comparison table **and writes it as machine-readable
-//! `BENCH_backends.json`** (into `--out DIR` when given, the working
-//! directory otherwise) so the perf trajectory of the executor backends is
-//! tracked across commits. The `tune` experiment runs the calibration
-//! micro-probe over the serving model zoo and writes the resulting
-//! (layer shape × batch bucket) cost table as `BENCH_tune.json` the same
-//! way. With `--out DIR` every table is also written as
-//! `DIR/<experiment>.csv`.
+//! drives the engine with (any `BackendKind::ALL` name — an unknown one
+//! prints the list; absent, the engine's own `EngineConfig::default()`
+//! backend); the `backends` experiment prints the all-backends comparison
+//! table **and writes it as machine-readable `BENCH_backends.json`** (into
+//! `--out DIR` when given, the working directory otherwise) so the perf
+//! trajectory of the executor backends is tracked across commits. With
+//! `--out DIR` every table is also written as `DIR/<experiment>.csv`.
 //!
 //! The `serve` experiment is the load-harness front door and **always
 //! writes `BENCH_serve.json`** the same way. By default it sweeps the full
@@ -46,7 +42,6 @@ use std::process::ExitCode;
 use ucnn_bench::cli;
 use ucnn_bench::experiments::{self, ServeOpts};
 use ucnn_bench::TableOut;
-use ucnn_core::backend::BackendKind;
 
 const ALL: &[&str] = &[
     "fig1",
@@ -64,7 +59,6 @@ const ALL: &[&str] = &[
     "serve",
     "batch",
     "backends",
-    "tune",
 ];
 
 fn run_one(name: &str, quick: bool, serve_opts: &ServeOpts) -> Option<Vec<TableOut>> {
@@ -92,7 +86,6 @@ fn run_one(name: &str, quick: bool, serve_opts: &ServeOpts) -> Option<Vec<TableO
         ],
         "batch" => vec![experiments::batch_exec(quick)],
         "backends" => vec![experiments::backend_table(quick)],
-        "tune" => vec![experiments::tune_table(quick)],
         _ => return None,
     };
     Some(tables)
@@ -102,15 +95,12 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let out_dir: Option<PathBuf> = cli::arg_value(&args, "--out").map(PathBuf::from);
-    let backend = match cli::arg_value(&args, "--backend") {
-        Some(name) => match name.parse::<BackendKind>() {
-            Ok(kind) => kind,
-            Err(err) => {
-                eprintln!("{err}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => BackendKind::BatchThreads,
+    let backend = match cli::backend_arg(&args) {
+        Ok(kind) => kind,
+        Err(err) => {
+            eprintln!("{err}");
+            return ExitCode::FAILURE;
+        }
     };
 
     // The serve load-harness knobs. Parse failures on numeric flags are
@@ -211,7 +201,6 @@ fn main() -> ExitCode {
             let bench_json = match (name.as_str(), i) {
                 ("backends", _) => Some("BENCH_backends.json"),
                 ("serve", 0) => Some("BENCH_serve.json"),
-                ("tune", _) => Some("BENCH_tune.json"),
                 _ => None,
             };
             if let Some(file) = bench_json {

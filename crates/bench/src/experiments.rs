@@ -707,7 +707,7 @@ pub struct ServeOpts {
 impl Default for ServeOpts {
     fn default() -> Self {
         Self {
-            backend: BackendKind::BatchThreads,
+            backend: ucnn_serve::EngineConfig::default().backend,
             seed: SEED,
             requests: None,
             duration_s: None,
@@ -1073,9 +1073,8 @@ pub fn serve_load(quick: bool, opts: &ServeOpts) -> TableOut {
         }
     }
 
-    // Dedicated reuse sweep: every registered backend (including the
-    // `auto` dispatcher, which tallies under its own label) × {B=1, B=8}
-    // over the zoo plans, driven directly (deterministic, engine-free) so
+    // Dedicated reuse sweep: every registered backend × {B=1, B=8} over
+    // the zoo plans, driven directly (deterministic, engine-free) so
     // the reuse-ratio table always covers every backend regardless of
     // which one served the matrix. The counter sink is process-global, so the
     // enable→snapshot window is serialized against concurrent serve_load
@@ -1324,42 +1323,29 @@ pub fn batch_exec(quick: bool) -> TableOut {
 
 /// Executor backend comparison: every registered backend on FC- and
 /// conv-shaped layers (plus an i8 ternary-alphabet zoo entry) across batch
-/// sizes — per-image time and speedup vs the scalar `compiled` walk.
-/// Outputs are asserted bit-identical across backends per cell, so the
-/// table doubles as an end-to-end conformance run. `repro backends` writes
-/// these rows as machine-readable `BENCH_backends.json` for the perf
-/// trajectory.
+/// sizes — per-image time and speedup vs `batch-threads`, the serving
+/// engine's default. Outputs are asserted bit-identical across rows per
+/// cell, so the table doubles as an end-to-end conformance run. `repro
+/// backends` writes these rows as machine-readable `BENCH_backends.json`
+/// for the perf trajectory.
 ///
-/// Beyond the seven registered backends, each cell carries the explicit
+/// Beyond the three registered backends, each cell carries the explicit
 /// SIMD variants: one `flattened-batch@<tier>` row per ISA tier the CPU
-/// supports (the same tier-pinned candidates the `auto` cost model elects
-/// over), and — on power-of-two-alphabet layers — one
-/// `flattened-batch@<tier>-mult` row per tier with the shift-add quantized
-/// path forced off, so the shift-vs-multiply win is measured at equal
-/// width. The `simd_tier` column reports the exact kernel each row ran
-/// (`avx512+shift`, `scalar+mult`, `-` for non-flattened backends).
+/// supports, and — on power-of-two-alphabet layers — one
+/// `flattened-batch@<tier>-mult|-shift` twin per tier with the phase-2 mode
+/// the plan did not elect forced on, so shift-vs-multiply is measured at
+/// equal width. The `simd_tier` column reports the exact kernel each row
+/// ran (`avx512+shift`, `scalar+mult`, `-` for the stream walkers).
 ///
-/// Three acceptance bars live on the full run: `flattened` at B = 1 on the
-/// FC shape must beat `compiled` by ≥ 1.3×, `flattened-batch` at B = 8 on
-/// the FC shape must beat `flattened` by ≥ 2×, and the widest explicit
-/// tier must beat the forced-`scalar` (autovectorized 8-lane) path on at
-/// least one B ≥ 8 cell.
-///
-/// Each cell also carries an `auto` row: every candidate is timed first,
-/// its measurement seeds a [`CalibrationTable`] cell, and `auto` is then
-/// timed dispatching through that cell — so the timed loop pays auto's
-/// real lookup overhead, and the row shows what the cost-model dispatcher
-/// actually delivers against the per-cell best.
-///
-/// [`CalibrationTable`]: ucnn_core::tune::CalibrationTable
+/// `flattened-batch` and the pinned row of the tier it dispatches to run
+/// the identical kernel: the gap between those two rows is the run's own
+/// noise floor, which any comparison between other rows has to clear.
 #[must_use]
 pub fn backend_table(quick: bool) -> TableOut {
     use std::time::Instant;
-    use ucnn_core::counters::batch_bucket;
     use ucnn_core::flatten::run_flattened_batch_interleaved_forced;
     use ucnn_core::plan::CompiledLayer;
-    use ucnn_core::simd::{electable_tiers, KernelSel};
-    use ucnn_core::tune::{shape_key, CalibrationTable, Candidate};
+    use ucnn_core::simd::{available_tiers, KernelSel};
     use ucnn_model::ActivationGen;
     use ucnn_tensor::{ConvGeom, Tensor3};
 
@@ -1402,7 +1388,7 @@ pub fn backend_table(quick: bool) -> TableOut {
             "backend",
             "simd_tier",
             "per_image_us",
-            "x_vs_compiled",
+            "x_vs_batch_threads",
         ],
     );
     for (name, geom, scheme, g) in layers {
@@ -1424,38 +1410,31 @@ pub fn backend_table(quick: bool) -> TableOut {
                 .map(|_| agen.generate(geom.c(), geom.in_w(), geom.in_h()))
                 .collect();
             let expected: Vec<_> = inputs.iter().map(|i| run_compiled(plan, i)).collect();
-            // The measured variants: the six static backends, one
-            // tier-pinned flattened-batch per available ISA tier, and (on
-            // pow2 alphabets) one forced-multiply twin per tier. Each
-            // entry is (backend column, simd_tier column, runner, the
-            // candidate it seeds — `None` for bench-only variants the
-            // dispatcher can't elect).
-            let mut variants: Vec<(String, String, Runner<'_>, Option<Candidate>)> = Vec::new();
-            for kind in BackendKind::STATIC {
-                let tier_label = match kind {
-                    BackendKind::Flattened | BackendKind::FlattenedBatch => sel.label(),
-                    _ => "-".to_string(),
+            // The measured variants — (backend column, simd_tier column,
+            // runner): the registered backends, one tier-pinned
+            // flattened-batch per available ISA tier, and (on pow2
+            // alphabets) one twin per tier.
+            let mut variants: Vec<(String, String, Runner<'_>)> = Vec::new();
+            for kind in BackendKind::ALL {
+                let tier_label = if kind == BackendKind::FlattenedBatch {
+                    sel.label()
+                } else {
+                    "-".to_string()
                 };
                 variants.push((
                     kind.name().to_string(),
                     tier_label,
                     Box::new(move |ins| backend(kind).run_layer(plan, ins, 2)),
-                    Some(Candidate::plain(kind)),
                 ));
             }
-            for &tier in electable_tiers() {
-                let pinned = Candidate {
-                    kind: BackendKind::FlattenedBatch,
-                    tier: Some(tier),
-                };
+            for &tier in available_tiers() {
                 let forced = plan.kernel_sel().with_tier(tier);
                 variants.push((
-                    pinned.name(),
+                    format!("flattened-batch@{}", tier.name()),
                     forced.label(),
                     Box::new(move |ins| {
                         run_flattened_batch_interleaved_forced(plan, ins, 2, forced)
                     }),
-                    Some(pinned),
                 ));
                 if pow2 {
                     // Shift-vs-multiply at equal width: same tier, the
@@ -1474,195 +1453,49 @@ pub fn backend_table(quick: bool) -> TableOut {
                         Box::new(move |ins| {
                             run_flattened_batch_interleaved_forced(plan, ins, 2, twin)
                         }),
-                        None,
                     ));
                 }
             }
-            // Correctness plus the initial calibration seed: every variant
-            // must agree bit for bit, and its (timed) correctness run gives
-            // the cell a first estimate so `auto` can elect from round one.
-            let table = CalibrationTable::new();
-            let key = shape_key(plan);
-            let bucket = batch_bucket(b);
-            let mut mins = vec![f64::INFINITY; variants.len()];
-            for (i, (label, _, run, seeds)) in variants.iter().enumerate() {
-                let start = Instant::now();
-                let got = run(&inputs);
-                mins[i] = start.elapsed().as_secs_f64();
-                assert_eq!(&got, &expected, "backend {label} diverged on {name} B={b}");
-                if let Some(cand) = seeds {
-                    let seed_ns = (mins[i] * 1e9 / b as f64).max(1.0) as u64;
-                    table.seed_candidate(&key, bucket, *cand, seed_ns);
-                }
+            // Correctness (and warm-up): every variant must agree bit for
+            // bit.
+            for (label, _, run) in &variants {
+                assert_eq!(
+                    run(&inputs),
+                    expected,
+                    "backend {label} diverged on {name} B={b}"
+                );
             }
-            let run_auto = |ins: &[Tensor3<i16>]| {
-                let cand = table.candidate_for(plan, b).expect("cell was just seeded");
-                match cand.tier {
-                    Some(tier) => run_flattened_batch_interleaved_forced(
-                        plan,
-                        ins,
-                        2,
-                        plan.kernel_sel().with_tier(tier),
-                    ),
-                    None => backend(cand.kind).run_layer(plan, ins, 2),
-                }
-            };
-            assert_eq!(
-                run_auto(&inputs),
-                expected,
-                "auto ({}) diverged on {name} B={b}",
-                table.candidate_for(plan, b).expect("seeded").name()
-            );
-            // Reported numbers: interleaved rounds over every variant plus
-            // `auto` (whose timed path includes the per-call table lookup),
-            // min per variant across rounds. The round-robin order means
-            // slow drift — thermal, a noisy neighbor — hits every variant
-            // alike instead of whichever one happened to own the polluted
-            // block, and the per-run minimum discards preempted iterations
-            // entirely. After each round the calibration cell is re-seeded
-            // from the running minima, so the election converges on the
-            // argmin of the *reported* numbers rather than of a noisy
-            // one-shot pre-pass that could mis-elect among near-ties.
-            let mut auto_min = f64::INFINITY;
+            // Reported numbers: interleaved rounds over every variant, min
+            // per variant across rounds. The round-robin order means slow
+            // drift — thermal, a noisy neighbor — hits every variant alike
+            // instead of whichever one happened to own the polluted block,
+            // and the per-run minimum discards preempted iterations
+            // entirely.
+            let mut mins = vec![f64::INFINITY; variants.len()];
             for _ in 0..repeats {
-                for (i, (_, _, run, _)) in variants.iter().enumerate() {
+                for ((_, _, run), min) in variants.iter().zip(&mut mins) {
                     let start = Instant::now();
                     std::hint::black_box(run(&inputs));
-                    mins[i] = mins[i].min(start.elapsed().as_secs_f64());
-                }
-                for ((_, _, _, seeds), &m) in variants.iter().zip(&mins) {
-                    if let Some(cand) = seeds {
-                        let seed_ns = (m * 1e9 / b as f64).max(1.0) as u64;
-                        table.seed_candidate(&key, bucket, *cand, seed_ns);
-                    }
-                }
-                // Two timed `auto` calls per round: on cells where several
-                // backends tie, "best static" is an argmin over each tied
-                // row's minimum — an order statistic drawn from 2-3× more
-                // samples than any single row — so a lone `auto` sample per
-                // round would lose such cells by the order-statistic gap
-                // alone. Doubling `auto`'s draws keeps its minimum
-                // comparable to that of the tied cluster it dispatches
-                // into.
-                for _ in 0..2 {
-                    let start = Instant::now();
-                    std::hint::black_box(run_auto(&inputs));
-                    auto_min = auto_min.min(start.elapsed().as_secs_f64());
+                    *min = min.min(start.elapsed().as_secs_f64());
                 }
             }
-            let elected = table.candidate_for(plan, b).expect("cell was just seeded");
-            let auto_us = auto_min * 1e6 / b as f64;
-            let compiled_us = variants
+            let baseline = variants
                 .iter()
                 .zip(&mins)
-                .find(|((label, ..), _)| label == BackendKind::Compiled.name())
-                .expect("compiled backend is registered")
-                .1
-                * 1e6
-                / b as f64;
-            for ((label, tier_label, ..), s) in variants.iter().zip(&mins) {
-                let us = s * 1e6 / b as f64;
+                .find(|((label, ..), _)| label == BackendKind::BatchThreads.name())
+                .expect("batch-threads is a registered backend")
+                .1;
+            for ((label, tier_label, _), s) in variants.iter().zip(&mins) {
                 t.push_row(vec![
                     name.to_string(),
                     b.to_string(),
                     label.clone(),
                     tier_label.clone(),
-                    f2(us),
-                    f2(compiled_us / us),
+                    f2(s * 1e6 / b as f64),
+                    f2(baseline / s),
                 ]);
             }
-            let auto_tier = match elected.tier {
-                Some(tier) => plan.kernel_sel().with_tier(tier).label(),
-                None => "-".to_string(),
-            };
-            t.push_row(vec![
-                name.to_string(),
-                b.to_string(),
-                BackendKind::Auto.name().to_string(),
-                auto_tier,
-                f2(auto_us),
-                f2(compiled_us / auto_us),
-            ]);
         }
-    }
-    t
-}
-
-/// `repro tune` — the micro-probe calibration behind the `auto` backend.
-/// Every distinct conv-layer shape of the serving model zoo
-/// (`SERVE_ZOO`, so repeated topologies are probed once) is timed per
-/// dispatch candidate per batch bucket (`[1, 8]` quick, `[1, 2, 4, 8]`
-/// full; one warm-up plus a few timed `run_layer` calls each), and the
-/// per-image estimates are seeded into a
-/// [`CalibrationTable`](ucnn_core::tune::CalibrationTable). The candidate
-/// set — and therefore the column set — is machine-dependent: the six
-/// static backends always, plus one `flattened-batch@<tier>` candidate
-/// per ISA tier the CPU supports ([`candidates`]). One row per (shape,
-/// bucket) cell: the elected winner (argmin with registry-order
-/// tie-break; tier-pinned winners render as `flattened-batch@<tier>`)
-/// plus every candidate estimate in µs. `repro tune` writes the rows as
-/// `BENCH_tune.json` — the persisted calibration a deployment attaches
-/// with [`CompiledNetwork::with_calibration`] and the serving engine then
-/// re-tunes online (EWMA feedback behind a 12.5% hysteresis election).
-///
-/// [`candidates`]: ucnn_core::tune::candidates
-/// [`CompiledNetwork::with_calibration`]: ucnn_core::plan::CompiledNetwork::with_calibration
-#[must_use]
-pub fn tune_table(quick: bool) -> TableOut {
-    use ucnn_core::plan::CompiledNetwork;
-    use ucnn_core::tune::{
-        calibrate_network, candidates, CalibrationTable, Candidate, TuneOptions, DEFAULT_BUCKETS,
-    };
-    use ucnn_model::forward;
-
-    let opts = TuneOptions {
-        buckets: if quick {
-            vec![1, 8]
-        } else {
-            DEFAULT_BUCKETS.to_vec()
-        },
-        reps: if quick { 2 } else { 8 },
-    };
-    let tiny = networks::tiny();
-    let table = CalibrationTable::new();
-    for (i, (name, density)) in SERVE_ZOO.iter().enumerate() {
-        let mut spec = NetworkSpec::new(*name);
-        for layer in tiny.layers() {
-            spec.push(layer.clone());
-        }
-        let weights = forward::generate_network_weights(
-            &spec,
-            QuantScheme::inq(),
-            SEED ^ (0xB0 + i as u64),
-            *density,
-        );
-        let plan = CompiledNetwork::compile(&spec, &weights, &UcnnConfig::with_g(2));
-        calibrate_network(&table, &plan, &opts);
-    }
-
-    // Column names derive from the machine's candidate list: `@` and `-`
-    // both map to `_` so the JSON keys stay word-shaped
-    // (`flattened_batch_avx2_us`).
-    let est_cols: Vec<String> = candidates()
-        .iter()
-        .map(|c| format!("{}_us", c.name().replace(['-', '@'], "_")))
-        .collect();
-    let header: Vec<&str> = ["shape", "batch", "winner"]
-        .into_iter()
-        .chain(est_cols.iter().map(String::as_str))
-        .collect();
-    let mut t = TableOut::new(
-        "Calibration probe: per-(layer shape x batch bucket) winner and per-candidate ns/image (2 exec threads)",
-        &header,
-    );
-    for row in table.rows() {
-        let winner = Candidate {
-            kind: row.choice,
-            tier: row.choice_tier,
-        };
-        let mut cells = vec![row.shape.clone(), row.bucket.to_string(), winner.name()];
-        cells.extend(row.est_ns.iter().map(|ns| f2(*ns as f64 / 1000.0)));
-        t.push_row(cells);
     }
     t
 }
@@ -1836,7 +1669,7 @@ mod tests {
     #[test]
     fn serve_load_single_workload_and_model_subset() {
         let opts = ServeOpts {
-            backend: BackendKind::Flattened,
+            backend: BackendKind::FlattenedBatch,
             workload: Some("open".to_string()),
             mix: Some("sequential".to_string()),
             models: vec!["tiny".to_string()],
@@ -1933,20 +1766,12 @@ mod tests {
                 }
             }
         }
-        // CSR segments equal issued multiplies on flattened backends only.
-        // `auto` rows carry whichever delegate the dispatcher elected (its
-        // uncalibrated fallback is flattened at both sweep batches), so
-        // they obey one of the two invariants rather than a fixed one.
+        // CSR segments equal issued multiplies on the flattened backend only.
         for row in &reuse.rows {
             let issued: u64 = row[6].parse().unwrap();
             let csr: u64 = row[9].parse().unwrap();
             if row[2].starts_with("flattened") {
                 assert_eq!(csr, issued, "CSR invariant: {row:?}");
-            } else if row[2] == "auto" {
-                assert!(
-                    csr == issued || csr == 0,
-                    "auto rows carry the delegate's work: {row:?}"
-                );
             } else {
                 assert_eq!(csr, 0, "stream walkers report no CSR: {row:?}");
             }
@@ -1972,8 +1797,8 @@ mod tests {
         // Speedups are machine-dependent and not asserted (the micro bench
         // is the perf gate).
         let t = backend_table(true);
-        let tiers = ucnn_core::simd::electable_tiers().len();
-        // Per cell: the seven registered backends, one tier-pinned
+        let tiers = ucnn_core::simd::available_tiers().len();
+        // Per cell: the three registered backends, one tier-pinned
         // flattened-batch row per available ISA tier, and — since every
         // bench layer has a pow2 alphabet — one twin per tier with the
         // un-elected phase-2 mode forced on. 3 layers × 2 quick batch
@@ -1989,21 +1814,20 @@ mod tests {
                 "backend",
                 "simd_tier",
                 "per_image_us",
-                "x_vs_compiled"
+                "x_vs_batch_threads"
             ]
         );
         for row in &t.rows {
             assert!(row[4].parse::<f64>().unwrap() > 0.0, "{row:?}");
             assert!(row[5].parse::<f64>().unwrap() > 0.0, "{row:?}");
             // Every row reports which kernel ran: flattened rows carry a
-            // `tier+mode` label, the rest a `-` placeholder (auto carries
-            // whichever its elected candidate used).
+            // `tier+mode` label, the rest a `-` placeholder.
             if row[2].starts_with("flattened") {
                 assert!(
                     row[3].contains("+shift") || row[3].contains("+mult"),
                     "flattened rows report their kernel: {row:?}"
                 );
-            } else if row[2] != "auto" {
+            } else {
                 assert_eq!(row[3], "-", "{row:?}");
             }
         }
@@ -2019,7 +1843,7 @@ mod tests {
         // the mode the plan's run-length heuristic did not elect, so it is
         // `-mult` on shift-elected layers and `-shift` on multiply-elected
         // ones).
-        for tier in ucnn_core::simd::electable_tiers() {
+        for tier in ucnn_core::simd::available_tiers() {
             let pinned = format!("flattened-batch@{}", tier.name());
             let twin_prefix = format!("flattened-batch@{}-", tier.name());
             assert_eq!(
@@ -2036,61 +1860,9 @@ mod tests {
                 "{twin_prefix}shift|mult twin row per cell"
             );
         }
-        // The auto row exists in every cell and is never implausibly slow:
-        // the CI validator enforces the real win/loss bars on the full run.
-        assert_eq!(
-            t.rows.iter().filter(|r| r[2] == "auto").count(),
-            cells,
-            "one auto row per (layer, batch) cell"
-        );
-    }
-
-    #[test]
-    fn tune_table_covers_every_zoo_shape_and_bucket() {
-        use ucnn_core::tune::{candidates, Candidate};
-
-        let t = tune_table(true);
-        // Header stays in sync with the machine's candidate list — the
-        // six static backends plus one flattened-batch column per
-        // available ISA tier (the validator and EXPERIMENTS.md document
-        // the naming scheme, not a fixed set).
-        let expected_cols: Vec<String> = ["shape", "batch", "winner"]
-            .into_iter()
-            .map(String::from)
-            .chain(
-                candidates()
-                    .iter()
-                    .map(|c| format!("{}_us", c.name().replace(['-', '@'], "_"))),
-            )
-            .collect();
-        assert_eq!(t.header, expected_cols);
-        assert!(t.header.len() > 3 + BackendKind::STATIC.len());
-        assert!(!t.rows.is_empty());
-        let shapes: std::collections::BTreeSet<&str> =
-            t.rows.iter().map(|r| r[0].as_str()).collect();
-        // The zoo is three registrations of one topology: shapes dedup, so
-        // every shape must appear once per quick bucket with a winner whose
-        // estimate is the row minimum (candidate-order tie-break).
-        assert_eq!(t.rows.len(), shapes.len() * 2, "buckets [1, 8] per shape");
-        for row in &t.rows {
-            assert!(matches!(row[1].as_str(), "1" | "8"), "{row:?}");
-            let ests: Vec<f64> = row[3..].iter().map(|v| v.parse().unwrap()).collect();
-            assert_eq!(ests.len(), candidates().len());
-            assert!(ests.iter().all(|e| *e > 0.0), "unprobed estimate: {row:?}");
-            let min = ests.iter().cloned().fold(f64::INFINITY, f64::min);
-            let winner_idx = candidates()
-                .iter()
-                .position(|c| c.name() == row[2])
-                .unwrap_or_else(|| panic!("winner '{}' is not a candidate", row[2]));
-            assert_eq!(
-                Candidate::parse(&row[2]),
-                Some(candidates()[winner_idx]),
-                "winner names parse back to their candidate"
-            );
-            assert!(
-                (ests[winner_idx] - min).abs() < f64::EPSILON,
-                "winner must be the argmin: {row:?}"
-            );
+        // The baseline column is relative to the engine default's own row.
+        for row in t.rows.iter().filter(|r| r[2] == "batch-threads") {
+            assert_eq!(row[5], "1.00", "{row:?}");
         }
     }
 

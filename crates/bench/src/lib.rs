@@ -18,6 +18,24 @@ pub use table::TableOut;
 /// Minimal `--flag VALUE` argv scanning shared by the `repro` binary and
 /// the Criterion benches (no CLI crate in the offline build environment).
 pub mod cli {
+    use ucnn_core::backend::BackendKind;
+
+    /// The `--backend NAME` flag of the serving front-ends (`repro serve`,
+    /// the `serve_stress` example): the named backend, or — absent — the
+    /// serving engine's own default, so a front-end can never drift from
+    /// `EngineConfig::default()`.
+    ///
+    /// # Errors
+    ///
+    /// An unknown name is an error listing every valid one
+    /// ([`BackendKind::ALL`]).
+    pub fn backend_arg(args: &[String]) -> Result<BackendKind, String> {
+        arg_value(args, "--backend").map_or_else(
+            || Ok(ucnn_serve::EngineConfig::default().backend),
+            |name| name.parse(),
+        )
+    }
+
     /// The value of the **last** `--flag VALUE` occurrence in `args` —
     /// repeating a flag overrides earlier ones, like most CLIs.
     #[must_use]
@@ -65,6 +83,20 @@ pub mod cli {
             let args = argv(&["serve", "--backend", "batch", "--backend", "flattened"]);
             assert_eq!(arg_value(&args, "--backend").unwrap(), "flattened");
             assert_eq!(arg_value(&args, "--out"), None);
+        }
+
+        #[test]
+        fn backend_flag_defaults_to_the_engine_default_and_lists_names_on_error() {
+            let default = ucnn_serve::EngineConfig::default().backend;
+            assert_eq!(backend_arg(&argv(&["serve"])), Ok(default));
+            for kind in BackendKind::ALL {
+                let args = argv(&["serve", "--backend", kind.name()]);
+                assert_eq!(backend_arg(&args), Ok(kind));
+            }
+            let err = backend_arg(&argv(&["--backend", "nope"])).unwrap_err();
+            for kind in BackendKind::ALL {
+                assert!(err.contains(kind.name()), "{err}");
+            }
         }
 
         #[test]

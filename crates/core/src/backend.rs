@@ -1,6 +1,5 @@
-//! Pluggable executor backends: one trait, the interchangeable inner-loop
-//! shapes of [`BackendKind::STATIC`] over the same retained plans, plus a
-//! cost-model dispatcher (`auto`) that picks among them per layer.
+//! Pluggable executor backends: one trait, three inner-loop shapes over the
+//! same retained plans.
 //!
 //! Every UCNN execution strategy computes the *same* arithmetic as the dense
 //! convolution, only reordered around weight repetition (§III) — so an
@@ -14,25 +13,21 @@
 //!
 //! | kind | inner loop | where it wins |
 //! |------|-----------|----------------|
-//! | [`BackendKind::Factorized`] | re-sorts/factorizes per call | never (baseline for compile-amortization) |
-//! | [`BackendKind::Compiled`] | scalar stream walk per image | reference for the retained-plan paths |
-//! | [`BackendKind::Batch`] | one batch-major walk, entry decode amortized over B | B ≥ 2, single core |
-//! | [`BackendKind::BatchThreads`] | batch-major + scoped threads over filter bands × batch chunks | B ≥ 2, multiple cores |
-//! | [`BackendKind::Flattened`] | branch-free gathers + CSR prefix-difference groups | B = 1 latency, FC / unpadded shapes |
-//! | [`BackendKind::FlattenedBatch`] | flattened walk over batch-interleaved SIMD lanes, staged per filter band | B ≥ 2; the library default ([`CompiledNetwork::DEFAULT_BACKEND`](crate::plan::CompiledNetwork::DEFAULT_BACKEND)) |
-//! | [`BackendKind::Auto`] | dispatches per layer × batch bucket to the measured winner ([`tune`](crate::tune)) | whenever a calibration exists; heuristic otherwise |
+//! | [`BackendKind::Factorized`] | re-sorts/factorizes per call | never — the paper's functional definition and the compile-amortization baseline |
+//! | [`BackendKind::BatchThreads`] | retained-stream walk: per image at B = 1, batch-major at B ≥ 2, scoped threads over filter bands × batch chunks when `threads > 1` | nowhere on speed; it is the serving engine's default until the benchmark's memory accounting lets the engine switch (see `EngineConfig::backend` in `ucnn-serve`) |
+//! | [`BackendKind::FlattenedBatch`] | branch-free flattened walk over batch-interleaved SIMD lanes (width-1 strips at B = 1), staged per filter band | every measured cell; the library default ([`CompiledNetwork::DEFAULT_BACKEND`](crate::plan::CompiledNetwork::DEFAULT_BACKEND)) |
 //!
-//! New executors implement [`Backend`], get a [`BackendKind`] variant, and
-//! inherit the whole conformance suite for free.
+//! Which ISA tier and phase-2 form the flattened executor runs is not a
+//! backend choice: the plan works it out from what it can observe
+//! ([`SimdCaps`](crate::simd::SimdCaps) and the weight alphabet) and caches
+//! it as [`CompiledLayer::kernel_sel`].
 
 use ucnn_model::reference;
 use ucnn_tensor::{Tensor3, Tensor4};
 
 use crate::counters::LayerWork;
-use crate::exec::{factorized_conv, run_compiled, run_compiled_batch, run_compiled_batch_threads};
-use crate::flatten::{
-    run_flattened_batch, run_flattened_batch_interleaved, run_flattened_batch_interleaved_relu,
-};
+use crate::exec::{factorized_conv, run_compiled_batch_threads};
+use crate::flatten::{run_flattened_batch_interleaved, run_flattened_batch_interleaved_relu};
 use crate::plan::CompiledLayer;
 
 /// Selects one of the registered executor backends.
@@ -41,18 +36,14 @@ pub enum BackendKind {
     /// Per-call re-factorization (`factorized_conv`): re-sorts the weights
     /// on every execution. The slow baseline that motivates retained plans.
     Factorized,
-    /// Scalar retained-stream walk per image (`run_compiled`).
-    Compiled,
-    /// Batch-major walk (`run_compiled_batch`): each stream entry is decoded
-    /// once for the whole batch.
-    Batch,
-    /// Batch-major walk parallelized over filter bands × batch chunks with
-    /// scoped threads (`run_compiled_batch_threads`).
+    /// Retained-stream walk (`run_compiled_batch_threads`): the scalar
+    /// per-image walk at B = 1, one batch-major walk (each stream entry
+    /// decoded once for the whole batch) at B ≥ 2, parallelized over filter
+    /// bands × batch chunks with scoped threads when `threads > 1`.
     BatchThreads,
-    /// Branch-free flattened execution (`run_flattened_batch`): compile-time
-    /// lowered gather offsets and CSR group ranges, no entry decode.
-    Flattened,
-    /// Flattened execution over batch-interleaved SIMD lanes
+    /// Branch-free flattened execution — compile-time lowered gather
+    /// offsets and CSR group ranges, no entry decode — over
+    /// batch-interleaved SIMD lanes
     /// (`run_flattened_batch_interleaved`): one indirection walk per lane
     /// chunk feeds a strip of contiguous image lanes as wide as the
     /// dispatched ISA tier allows (8 scalar/NEON, 16 AVX2, 32 AVX-512 —
@@ -61,80 +52,31 @@ pub enum BackendKind {
     /// by [`CompiledLayer::kernel_sel`]. Power-of-two weight alphabets
     /// additionally take the shift-add quantized path.
     FlattenedBatch,
-    /// Cost-model dispatcher: delegates each layer to the
-    /// [`BackendKind::STATIC`] backend a
-    /// [`CalibrationTable`](crate::tune::CalibrationTable) elects for its
-    /// (shape, batch bucket), falling back to the deterministic heuristic
-    /// [`tune::fallback_choice`](crate::tune::fallback_choice) when
-    /// uncalibrated. Bit-identical to whichever backend it picks.
-    Auto,
 }
 
 impl BackendKind {
     /// Every registered backend, in registry order.
-    pub const ALL: [BackendKind; 7] = [
+    pub const ALL: [BackendKind; 3] = [
         BackendKind::Factorized,
-        BackendKind::Compiled,
-        BackendKind::Batch,
         BackendKind::BatchThreads,
-        BackendKind::Flattened,
-        BackendKind::FlattenedBatch,
-        BackendKind::Auto,
-    ];
-
-    /// The statically dispatchable backends — everything except
-    /// [`BackendKind::Auto`], which only chooses among these. This is the
-    /// set `repro tune` probes and a
-    /// [`CalibrationTable`](crate::tune::CalibrationTable) holds estimates
-    /// for; its order is the deterministic tie-break for elections.
-    pub const STATIC: [BackendKind; 6] = [
-        BackendKind::Factorized,
-        BackendKind::Compiled,
-        BackendKind::Batch,
-        BackendKind::BatchThreads,
-        BackendKind::Flattened,
         BackendKind::FlattenedBatch,
     ];
-
-    /// Every accepted non-canonical spelling, mapped to its canonical
-    /// kind. This table is the **only** place aliases exist: [`parse`]
-    /// canonicalizes on entry, and everything downstream (metrics labels,
-    /// `BENCH_*` keys, `--backend` echoes) renders [`BackendKind::name`] —
-    /// so an alias can never leak into output. (Underscore spellings are
-    /// additionally accepted for every name.)
-    ///
-    /// [`parse`]: BackendKind::parse
-    pub const ALIASES: [(&'static str, BackendKind); 1] =
-        [("flattened-simd", BackendKind::FlattenedBatch)];
 
     /// Stable CLI/config name of the backend.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
             BackendKind::Factorized => "factorized",
-            BackendKind::Compiled => "compiled",
-            BackendKind::Batch => "batch",
             BackendKind::BatchThreads => "batch-threads",
-            BackendKind::Flattened => "flattened",
             BackendKind::FlattenedBatch => "flattened-batch",
-            BackendKind::Auto => "auto",
         }
     }
 
-    /// Parses a [`BackendKind::name`] or any [`BackendKind::ALIASES`]
-    /// spelling (`_` is accepted for `-` throughout). Aliases canonicalize
-    /// here, at parse time — the returned kind's [`name`] is always the
-    /// canonical spelling, regardless of what the user typed.
-    ///
-    /// [`name`]: BackendKind::name
+    /// Parses a [`BackendKind::name`] (`_` is accepted for `-`).
     #[must_use]
     pub fn parse(name: &str) -> Option<BackendKind> {
         let name = name.replace('_', "-");
-        BackendKind::ALIASES
-            .into_iter()
-            .find(|(alias, _)| *alias == name)
-            .map(|(_, kind)| kind)
-            .or_else(|| BackendKind::ALL.into_iter().find(|k| k.name() == name))
+        BackendKind::ALL.into_iter().find(|k| k.name() == name)
     }
 }
 
@@ -214,8 +156,8 @@ pub trait Backend: Send + Sync {
     }
 
     /// Eagerly builds whatever lazily derived execution state this backend
-    /// needs for `layer` (a no-op for most backends). The flattened
-    /// backends force the `OnceLock` lowering here so the first request
+    /// needs for `layer` (a no-op for the stream walkers). The flattened
+    /// backend forces the `OnceLock` lowering here so the first request
     /// after deploy does not pay lowering latency in its tail — see
     /// [`CompiledNetwork::warm`](crate::plan::CompiledNetwork::warm).
     fn warm(&self, layer: &CompiledLayer) {
@@ -275,15 +217,8 @@ fn stream_walk_work(layer: &CompiledLayer, batch: usize) -> LayerWork {
 /// the cached lowering or had to build it, and the per-ISA profile from
 /// the layer's cached kernel selection — which interleave width ran, how
 /// many lane strips the batch decomposed into, and how many multiplies
-/// the power-of-two shift-add path absorbed. `interleaved` is whether the
-/// backend runs the batch-interleaved executor (tier-wide strips) or the
-/// planar one (width-1 strips, one per image).
-fn flattened_work(
-    layer: &CompiledLayer,
-    batch: usize,
-    lowering_was_ready: bool,
-    interleaved: bool,
-) -> LayerWork {
+/// the power-of-two shift-add path absorbed.
+fn flattened_work(layer: &CompiledLayer, batch: usize, lowering_was_ready: bool) -> LayerWork {
     let mut work = stream_walk_work(layer, batch);
     let out_positions = (layer.geom().out_w() * layer.geom().out_h()) as u64;
     let segments: u64 = layer
@@ -301,13 +236,8 @@ fn flattened_work(
     if sel.shift_add {
         work.shift_multiplies = work.multiplies_issued;
     }
-    if interleaved {
-        work.lane_width = sel.tier.lane_width() as u64;
-        work.lane_strips = crate::flatten::chunk_count(batch, sel.tier.lane_width()) as u64;
-    } else {
-        work.lane_width = 1;
-        work.lane_strips = batch as u64;
-    }
+    work.lane_width = sel.tier.lane_width() as u64;
+    work.lane_strips = crate::flatten::chunk_count(batch, sel.tier.lane_width()) as u64;
     work
 }
 
@@ -343,42 +273,6 @@ impl Backend for FactorizedBackend {
     }
 }
 
-struct CompiledBackend;
-
-impl Backend for CompiledBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Compiled
-    }
-
-    fn run_layer(
-        &self,
-        layer: &CompiledLayer,
-        inputs: &[Tensor3<i16>],
-        threads: usize,
-    ) -> Vec<Tensor3<i32>> {
-        assert!(threads > 0, "need at least one execution thread");
-        inputs.iter().map(|i| run_compiled(layer, i)).collect()
-    }
-}
-
-struct BatchBackend;
-
-impl Backend for BatchBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Batch
-    }
-
-    fn run_layer(
-        &self,
-        layer: &CompiledLayer,
-        inputs: &[Tensor3<i16>],
-        threads: usize,
-    ) -> Vec<Tensor3<i32>> {
-        assert!(threads > 0, "need at least one execution thread");
-        run_compiled_batch(layer, inputs)
-    }
-}
-
 struct BatchThreadsBackend;
 
 impl Backend for BatchThreadsBackend {
@@ -393,32 +287,6 @@ impl Backend for BatchThreadsBackend {
         threads: usize,
     ) -> Vec<Tensor3<i32>> {
         run_compiled_batch_threads(layer, inputs, threads)
-    }
-}
-
-struct FlattenedBackend;
-
-impl Backend for FlattenedBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Flattened
-    }
-
-    fn run_layer(
-        &self,
-        layer: &CompiledLayer,
-        inputs: &[Tensor3<i16>],
-        threads: usize,
-    ) -> Vec<Tensor3<i32>> {
-        run_flattened_batch(layer, inputs, threads)
-    }
-
-    fn warm(&self, layer: &CompiledLayer) {
-        let _ = layer.flat_tiles();
-        let _ = layer.kernel_sel();
-    }
-
-    fn work(&self, layer: &CompiledLayer, batch: usize, lowering_was_ready: bool) -> LayerWork {
-        flattened_work(layer, batch, lowering_was_ready, false)
     }
 }
 
@@ -458,50 +326,7 @@ impl Backend for FlattenedBatchBackend {
     }
 
     fn work(&self, layer: &CompiledLayer, batch: usize, lowering_was_ready: bool) -> LayerWork {
-        flattened_work(layer, batch, lowering_was_ready, true)
-    }
-}
-
-struct AutoBackend;
-
-impl Backend for AutoBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Auto
-    }
-
-    /// Standalone (layer-level) `auto` has no calibration in scope, so it
-    /// delegates via the deterministic heuristic. The calibrated dispatch
-    /// lives in [`CompiledNetwork::forward_batch_with`]
-    /// (crate::plan::CompiledNetwork::forward_batch_with), which resolves
-    /// the table per layer before reaching the registry.
-    fn run_layer(
-        &self,
-        layer: &CompiledLayer,
-        inputs: &[Tensor3<i16>],
-        threads: usize,
-    ) -> Vec<Tensor3<i32>> {
-        backend(crate::tune::fallback_choice(inputs.len())).run_layer(layer, inputs, threads)
-    }
-
-    fn run_layer_relu(
-        &self,
-        layer: &CompiledLayer,
-        inputs: &[Tensor3<i16>],
-        threads: usize,
-    ) -> Vec<Tensor3<i16>> {
-        backend(crate::tune::fallback_choice(inputs.len())).run_layer_relu(layer, inputs, threads)
-    }
-
-    /// `auto` may dispatch to any static backend at any batch size, so it
-    /// warms all of them (which forces the flattened lowering).
-    fn warm(&self, layer: &CompiledLayer) {
-        for kind in BackendKind::STATIC {
-            backend(kind).warm(layer);
-        }
-    }
-
-    fn work(&self, layer: &CompiledLayer, batch: usize, lowering_was_ready: bool) -> LayerWork {
-        backend(crate::tune::fallback_choice(batch)).work(layer, batch, lowering_was_ready)
+        flattened_work(layer, batch, lowering_was_ready)
     }
 }
 
@@ -510,12 +335,8 @@ impl Backend for AutoBackend {
 pub fn backend(kind: BackendKind) -> &'static dyn Backend {
     match kind {
         BackendKind::Factorized => &FactorizedBackend,
-        BackendKind::Compiled => &CompiledBackend,
-        BackendKind::Batch => &BatchBackend,
         BackendKind::BatchThreads => &BatchThreadsBackend,
-        BackendKind::Flattened => &FlattenedBackend,
         BackendKind::FlattenedBatch => &FlattenedBatchBackend,
-        BackendKind::Auto => &AutoBackend,
     }
 }
 
@@ -555,55 +376,6 @@ mod tests {
     }
 
     #[test]
-    fn every_alias_canonicalizes_at_parse_time() {
-        // Regression: `flattened-simd` used to parse but render as
-        // `flattened-batch` only by accident of a special case buried in
-        // `parse`; metrics labels, BENCH_serve keys, and `--backend`
-        // echoes must agree no matter which accepted spelling was typed.
-        // Round-trip EVERY accepted spelling: canonical names, underscore
-        // variants, and the explicit alias table.
-        let mut spellings: Vec<(String, BackendKind)> = Vec::new();
-        for kind in BackendKind::ALL {
-            spellings.push((kind.name().to_string(), kind));
-            spellings.push((kind.name().replace('-', "_"), kind));
-        }
-        for (alias, kind) in BackendKind::ALIASES {
-            spellings.push((alias.to_string(), kind));
-            spellings.push((alias.replace('-', "_"), kind));
-        }
-        for (spelling, expected) in spellings {
-            let parsed =
-                BackendKind::parse(&spelling).unwrap_or_else(|| panic!("'{spelling}' must parse"));
-            assert_eq!(parsed, expected, "'{spelling}'");
-            // The canonical name always re-parses to the same kind, and
-            // Display renders it — no alias can survive a round trip.
-            assert_eq!(BackendKind::parse(parsed.name()), Some(parsed));
-            assert_eq!(parsed.to_string(), parsed.name(), "'{spelling}'");
-            assert!(
-                BackendKind::ALL.iter().any(|k| k.name() == parsed.name()),
-                "'{spelling}' canonicalized outside the registry"
-            );
-        }
-        assert_eq!(
-            BackendKind::parse("flattened-simd").unwrap().name(),
-            "flattened-batch",
-            "the design-phase working name canonicalizes to the registry name"
-        );
-    }
-
-    #[test]
-    fn static_set_is_all_minus_auto() {
-        assert!(!BackendKind::STATIC.contains(&BackendKind::Auto));
-        for kind in BackendKind::ALL {
-            assert_eq!(
-                BackendKind::STATIC.contains(&kind),
-                kind != BackendKind::Auto,
-                "{kind}"
-            );
-        }
-    }
-
-    #[test]
     fn warm_forces_flattened_lowering_only_where_needed() {
         let geom = ConvGeom::new(5, 5, 3, 2, 3, 3);
         let mut wgen = WeightGen::new(QuantScheme::inq(), 19).with_density(0.8);
@@ -612,13 +384,11 @@ mod tests {
             let layer = CompiledLayer::compile(&geom, 1, &weights, &UcnnConfig::with_g(2));
             assert!(!layer.flat_ready());
             backend(kind).warm(&layer);
-            // `auto` may dispatch to a flattened backend, so warming it
-            // forces the lowering too.
-            let expects_flat = matches!(
-                kind,
-                BackendKind::Flattened | BackendKind::FlattenedBatch | BackendKind::Auto
+            assert_eq!(
+                layer.flat_ready(),
+                kind == BackendKind::FlattenedBatch,
+                "backend {kind}"
             );
-            assert_eq!(layer.flat_ready(), expects_flat, "backend {kind}");
         }
     }
 

@@ -1,5 +1,5 @@
 //! Branch-free flattened lowering of retained streams — the compile-time
-//! form behind [`BackendKind::Flattened`](crate::backend::BackendKind).
+//! form behind [`BackendKind::FlattenedBatch`](crate::backend::BackendKind).
 //!
 //! [`run_compiled`](crate::exec::run_compiled()) walks a
 //! [`GroupStream`] entry by entry: every
@@ -34,9 +34,10 @@
 //! # Batch-interleaved lanes and ISA tiers
 //!
 //! The paper's vector datapath amortizes one indirection stream across `VW`
-//! lanes (§VI): the iterator walk is paid once, the arithmetic is wide. The
-//! per-image executor above does the opposite over a batch — every image
-//! re-pays every gather offset and segment bound.
+//! lanes (§VI): the iterator walk is paid once, the arithmetic is wide. A
+//! per-image walk ([`run_flattened`], kept as the tests' planar oracle) does
+//! the opposite over a batch — every image re-pays every gather offset and
+//! segment bound.
 //! [`run_flattened_batch_interleaved`] is the software analog of the
 //! hardware's lane sharing: the batch is cut into chunks of interleaved
 //! images (`input[off · LW + lane]`, planar offset major, image lane
@@ -77,8 +78,7 @@
 //! dispatched kernel width ([`FlattenedScratch::reserve_for`]). The module
 //! keeps a small pool of arenas per calling thread — one per execution
 //! thread it has ever fanned out to — so a serving worker's steady-state
-//! hot path stops allocating per request at any thread budget; callers that
-//! want explicit control use the `*_with` variants.
+//! hot path stops allocating per request at any thread budget.
 
 use std::cell::RefCell;
 
@@ -662,23 +662,6 @@ pub(crate) fn chunk_count(batch: usize, lane_width: usize) -> usize {
 /// ```
 #[must_use]
 pub fn run_flattened(layer: &CompiledLayer, input: &Tensor3<i16>) -> Tensor3<i32> {
-    with_thread_scratch(1, |arenas| run_flattened_with(layer, input, &mut arenas[0]))
-}
-
-/// [`run_flattened`] with an explicit [`FlattenedScratch`] arena: the
-/// `prefix` scratch is borrowed from `scratch` instead of allocated per
-/// call, so a caller that owns an arena (e.g. a serving worker) runs the
-/// whole forward allocation-free after warm-up.
-///
-/// # Panics
-///
-/// Panics if `input` does not match the compiled layer's geometry.
-#[must_use]
-pub fn run_flattened_with(
-    layer: &CompiledLayer,
-    input: &Tensor3<i16>,
-    scratch: &mut FlattenedScratch,
-) -> Tensor3<i32> {
     let geom = layer.geom();
     assert_eq!(
         input.c(),
@@ -695,59 +678,17 @@ pub fn run_flattened_with(
     let plane = geom.out_w() * geom.out_h();
     let out_slice = out.as_mut_slice();
     let in_slice = input.as_slice();
-    for tile in layer.flat_tiles() {
-        // Width 1 *is* the planar layout, so the tile's band is simply its
-        // filters' planes of the output; the tier/shift selection still
-        // applies (the quantized phase 2 pays off even single-image).
-        let band = &mut out_slice[tile.k_first * plane..][..tile.g * plane];
-        accumulate_width::<1>(tile, in_slice, band, geom, &mut scratch.prefix, sel);
-    }
-    out
-}
-
-/// [`run_flattened`] over a batch, optionally parallelized across images
-/// with scoped threads.
-///
-/// Images are independent (each writes its own output tensor), so splitting
-/// the batch across threads cannot reorder any image's arithmetic: results
-/// are bit-identical at every thread count. `threads == 1` or a batch of
-/// `≤ 1` spawns nothing.
-///
-/// # Panics
-///
-/// Panics if `threads == 0` or any input mismatches the layer geometry.
-#[must_use]
-pub fn run_flattened_batch(
-    layer: &CompiledLayer,
-    inputs: &[Tensor3<i16>],
-    threads: usize,
-) -> Vec<Tensor3<i32>> {
-    assert!(threads > 0, "need at least one execution thread");
-    if threads == 1 || inputs.len() <= 1 {
-        return inputs.iter().map(|i| run_flattened(layer, i)).collect();
-    }
-    let workers = threads.min(inputs.len());
-    let chunk = inputs.len().div_ceil(workers);
-    let mut outs: Vec<Option<Tensor3<i32>>> = (0..inputs.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = inputs
-            .chunks(chunk)
-            .zip(outs.chunks_mut(chunk))
-            .map(|(ins, slots)| {
-                scope.spawn(move || {
-                    for (input, slot) in ins.iter().zip(slots) {
-                        *slot = Some(run_flattened(layer, input));
-                    }
-                })
-            })
-            .collect();
-        for handle in handles {
-            handle.join().expect("flattened executor thread panicked");
+    with_thread_scratch(1, |arenas| {
+        for tile in layer.flat_tiles() {
+            // Width 1 *is* the planar layout, so the tile's band is simply
+            // its filters' planes of the output; the tier/shift selection
+            // still applies (the quantized phase 2 pays off even
+            // single-image).
+            let band = &mut out_slice[tile.k_first * plane..][..tile.g * plane];
+            accumulate_width::<1>(tile, in_slice, band, geom, &mut arenas[0].prefix, sel);
         }
     });
-    outs.into_iter()
-        .map(|o| o.expect("every image was executed"))
-        .collect()
+    out
 }
 
 /// The scalar tier's interleave width — and the widest *residual* chunk the
@@ -764,10 +705,9 @@ pub const LANE_WIDTH: usize = 8;
 /// One arena serves any number of layers and chunk widths — buffers only
 /// ever grow, and [`FlattenedScratch::reserve_for`] pre-grows them to the
 /// dispatched kernel width so wider tiers never reallocate per chunk. The
-/// module keeps thread-local arenas that the plain entry points
+/// module keeps thread-local arenas that the entry points
 /// ([`run_flattened`], [`run_flattened_batch_interleaved`]) borrow, so each
-/// serving worker thread reuses its own across requests; the `*_with`
-/// variants take one explicitly.
+/// serving worker thread reuses its own across requests.
 #[derive(Debug, Default)]
 pub struct FlattenedScratch {
     /// Batch-interleaved activations: `interleaved[off · LW + lane]`.
@@ -1119,11 +1059,10 @@ pub fn run_flattened_batch_interleaved(
 }
 
 /// [`run_flattened_batch_interleaved`] with an explicit [`KernelSel`]
-/// instead of the plan's cached one — the entry point for tier-probing
-/// (`auto` calibration runs every available tier as a distinct candidate),
-/// per-tier conformance tests, and A/B benches. The selection is clamped to
-/// the CPU's detected capabilities, so forcing an unavailable tier runs the
-/// best supported one instead of faulting.
+/// instead of the plan's cached one — the entry point for the per-tier
+/// conformance tests and the A/B rows of `repro backends`. The selection is
+/// clamped to the CPU's detected capabilities, so forcing an unavailable
+/// tier runs the best supported one instead of faulting.
 ///
 /// # Panics
 ///
@@ -1158,39 +1097,6 @@ pub fn run_flattened_batch_interleaved_relu(
     run_interleaved(layer, inputs, threads, sel)
 }
 
-/// [`run_flattened_batch_interleaved`] on the calling thread with an
-/// explicit [`FlattenedScratch`] arena (no allocation once the arena has
-/// grown to the layer's working-set size at the dispatched width).
-///
-/// # Panics
-///
-/// Panics if any input mismatches the layer geometry.
-#[must_use]
-pub fn run_flattened_batch_interleaved_with(
-    layer: &CompiledLayer,
-    inputs: &[Tensor3<i16>],
-    scratch: &mut FlattenedScratch,
-) -> Vec<Tensor3<i32>> {
-    run_flattened_batch_interleaved_with_sel(layer, inputs, scratch, layer.kernel_sel())
-}
-
-/// [`run_flattened_batch_interleaved_with`] with an explicit [`KernelSel`]
-/// (clamped to the CPU like
-/// [`run_flattened_batch_interleaved_forced`]).
-///
-/// # Panics
-///
-/// Panics if any input mismatches the layer geometry.
-#[must_use]
-pub fn run_flattened_batch_interleaved_with_sel(
-    layer: &CompiledLayer,
-    inputs: &[Tensor3<i16>],
-    scratch: &mut FlattenedScratch,
-    sel: KernelSel,
-) -> Vec<Tensor3<i32>> {
-    run_chunks(layer, inputs, scratch, sel.clamped())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1214,14 +1120,6 @@ mod tests {
         let expected = reference::conv2d(&geom, conv_groups, &input, &weights);
         assert_eq!(run_compiled(&layer, &input), expected, "run_compiled");
         assert_eq!(run_flattened(&layer, &input), expected, "run_flattened");
-        let inputs = vec![input; 3];
-        for threads in [1, 2, 5] {
-            let got = run_flattened_batch(&layer, &inputs, threads);
-            assert_eq!(got.len(), 3);
-            for out in got {
-                assert_eq!(out, expected, "batch, {threads} threads");
-            }
-        }
         // The batch-interleaved executor must agree at every chunk width:
         // distinct images per lane so a lane mix-up cannot cancel out.
         let mut agen = ActivationGen::new(seed ^ 0x1A9E5);
@@ -1369,8 +1267,9 @@ mod tests {
                     .collect();
                 let expected: Vec<Tensor3<i32>> =
                     inputs.iter().map(|i| run_flattened(&layer, i)).collect();
+                let sel = layer.kernel_sel().clamped();
                 assert_eq!(
-                    run_flattened_batch_interleaved_with(&layer, &inputs, &mut scratch),
+                    run_chunks::<i32>(&layer, &inputs, &mut scratch, sel),
                     expected,
                     "layer {gi}, B={b}"
                 );
@@ -1433,9 +1332,8 @@ mod tests {
                         .collect();
                     let expected: Vec<Tensor3<i32>> =
                         inputs.iter().map(|i| run_flattened(layer, i)).collect();
-                    let sel = layer.kernel_sel().with_tier(tier);
-                    let got =
-                        run_flattened_batch_interleaved_with_sel(layer, &inputs, &mut scratch, sel);
+                    let sel = layer.kernel_sel().with_tier(tier).clamped();
+                    let got = run_chunks::<i32>(layer, &inputs, &mut scratch, sel);
                     assert_eq!(got, expected, "round {round}, tier {}", tier.name());
                 }
             }
@@ -1475,7 +1373,8 @@ mod tests {
 
         let mut scratch = FlattenedScratch::new();
         assert_eq!(scratch.resident_bytes(), 0, "a new arena holds nothing");
-        let got = run_flattened_batch_interleaved_with(&layer, &inputs, &mut scratch);
+        let sel = layer.kernel_sel().clamped();
+        let got = run_chunks::<i32>(&layer, &inputs, &mut scratch, sel);
         for (input, out) in inputs.iter().zip(&got) {
             assert_eq!(out, &reference::conv2d(&geom, 1, input, &weights));
         }
@@ -1844,6 +1743,6 @@ mod tests {
         let geom = ConvGeom::new(4, 4, 2, 2, 3, 3);
         let weights = Tensor4::from_fn(2, 2, 3, 3, |_, _, _, _| 1i16);
         let layer = CompiledLayer::compile(&geom, 1, &weights, &UcnnConfig::default());
-        let _ = run_flattened_batch(&layer, &[], 0);
+        let _ = run_flattened_batch_interleaved(&layer, &[], 0);
     }
 }

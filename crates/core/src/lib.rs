@@ -38,24 +38,18 @@
 //!   work is paid once per model and the hot path only walks streams
 //!   ([`exec::run_compiled`]).
 //! * [`backend`](mod@backend) — pluggable executor backends: one [`Backend`] trait over
-//!   six interchangeable, bit-identical inner-loop shapes plus the
-//!   cost-model dispatcher [`BackendKind::Auto`], selected by
-//!   [`BackendKind`] end to end from the serving engine down.
-//! * [`tune`] — the cost model behind [`BackendKind::Auto`]: a
-//!   [`CalibrationTable`] of per-(layer shape × batch bucket) latency
-//!   estimates, filled by micro-probe ([`tune::calibrate_network`], the
-//!   `repro tune` subcommand) and re-tuned online from the execute path's
-//!   EWMA feedback behind a hysteresis election.
+//!   three bit-identical inner-loop shapes (the per-call factorized
+//!   baseline, the retained-stream walk, the flattened SIMD executor),
+//!   selected by [`BackendKind`] end to end from the serving engine down.
 //! * [`counters`] — the per-layer reuse-telemetry sink: an opt-in,
 //!   thread-sharded [`LayerWork`] tally (multiplies issued vs
 //!   dense-equivalent, gather entries, CSR segments, lowering-cache hits)
 //!   every backend reports into per `run_layer` call.
-//! * [`flatten`] — the compile-time lowering behind
-//!   [`BackendKind::Flattened`] (branch-free gather offsets and CSR-style
-//!   activation-group ranges) and the batch-interleaved SIMD executor
-//!   behind [`BackendKind::FlattenedBatch`] (one indirection walk feeding
-//!   a strip of contiguous image lanes as wide as the dispatched ISA tier
-//!   allows, with per-worker [`FlattenedScratch`] arenas).
+//! * [`flatten`] — the compile-time lowering (branch-free gather offsets
+//!   and CSR-style activation-group ranges) and the batch-interleaved SIMD
+//!   executor behind [`BackendKind::FlattenedBatch`] (one indirection walk
+//!   feeding a strip of contiguous image lanes as wide as the dispatched
+//!   ISA tier allows, with per-worker [`FlattenedScratch`] arenas).
 //! * [`simd`] — runtime ISA detection ([`SimdCaps`]) and per-plan kernel
 //!   selection ([`KernelSel`]): which `#[target_feature]` tier the strip
 //!   kernels dispatch to (scalar / AVX2 / AVX-512 / NEON, clamped to the
@@ -97,7 +91,6 @@ pub mod hierarchy;
 pub mod partial_product;
 pub mod plan;
 pub mod simd;
-pub mod tune;
 
 pub use backend::{all_backends, backend, Backend, BackendKind};
 pub use compile::{LayerPlan, TileStats, UcnnConfig};
@@ -107,4 +100,3 @@ pub use flatten::{FlattenedScratch, FlattenedTile};
 pub use hierarchy::{GroupStream, StreamEntry};
 pub use plan::{CompiledLayer, CompiledNetwork, CompiledStage, CompiledTile};
 pub use simd::{KernelSel, SimdCaps, SimdTier};
-pub use tune::{CalRow, CalibrationTable, Candidate, TuneOptions};

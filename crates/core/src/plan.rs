@@ -20,20 +20,16 @@
 //! reference.
 
 use std::borrow::Cow;
-use std::sync::{Arc, OnceLock};
-use std::time::Instant;
+use std::sync::OnceLock;
 
 use ucnn_model::{reference, LayerKind, NetworkSpec, PoolKind};
 use ucnn_tensor::{ConvGeom, Tensor3, Tensor4};
 
 use crate::backend::{backend, BackendKind};
 use crate::compile::{canonical_of_tensor, UcnnConfig};
-use crate::flatten::{
-    run_flattened_batch_interleaved_forced, run_flattened_batch_interleaved_relu, FlattenedTile,
-};
+use crate::flatten::FlattenedTile;
 use crate::hierarchy::{GroupStream, ZERO_RANK};
 use crate::simd::KernelSel;
-use crate::tune::{self, CalibrationTable, Candidate};
 
 /// One retained work unit of a compiled layer: the stream for a group of
 /// `≤ G` filters over one channel tile, plus where it lands in the layer.
@@ -103,9 +99,6 @@ pub struct CompiledLayer {
     /// one — never builds it and pays neither the lowering work nor the
     /// extra resident memory.
     flat: OnceLock<Vec<FlattenedTile>>,
-    /// Cached calibration shape key ([`crate::tune::shape_key`]), formatted
-    /// on first use — the `auto` dispatch path borrows it per batch.
-    tune_key: OnceLock<String>,
     /// Cached SIMD kernel selection ([`KernelSel`]): the dispatched ISA
     /// tier and whether the plan's weight alphabet admits the shift-add
     /// phase-2 kernel. Resolved on first flattened execution (it needs the
@@ -114,7 +107,7 @@ pub struct CompiledLayer {
     simd: OnceLock<KernelSel>,
 }
 
-/// `flat`, `tune_key` and `simd` are derived from the other fields (plus
+/// `flat` and `simd` are derived from the other fields (plus
 /// process environment for `simd`), so equality ignores them (and
 /// `OnceLock` has no `PartialEq` anyway).
 impl PartialEq for CompiledLayer {
@@ -192,7 +185,6 @@ impl CompiledLayer {
             conv_groups,
             tiles,
             flat: OnceLock::new(),
-            tune_key: OnceLock::new(),
             simd: OnceLock::new(),
         }
     }
@@ -213,14 +205,6 @@ impl CompiledLayer {
     #[must_use]
     pub fn conv_groups(&self) -> usize {
         self.conv_groups
-    }
-
-    /// The layer's calibration shape key
-    /// ([`shape_key`](crate::tune::shape_key)), formatted once and cached.
-    #[must_use]
-    pub fn tune_key(&self) -> &str {
-        self.tune_key
-            .get_or_init(|| crate::tune::compute_shape_key(self))
     }
 
     /// The retained work units, in execution order.
@@ -358,33 +342,11 @@ pub enum CompiledStage {
 /// [`CompiledNetwork::forward`] follows the wiring rule of
 /// [`ucnn_model::forward::dense_forward`] (ReLU between weight layers, raw
 /// `i32` logits from the final layer) and is bit-identical to it.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CompiledNetwork {
     name: String,
     stages: Vec<CompiledStage>,
     input_dims: (usize, usize, usize),
-    /// Explicit executor preference set via [`CompiledNetwork::set_backend`]
-    /// / [`CompiledNetwork::with_backend`]; `None` until one is chosen, so
-    /// callers (the serving engine) can tell "tuned" from "default".
-    backend: Option<BackendKind>,
-    /// Cost model consulted when executing with [`BackendKind::Auto`]:
-    /// per-(layer shape × batch bucket) latency estimates and elected
-    /// winners. Shared (`Arc`) so clones of the plan — and every serving
-    /// worker — observe into and dispatch from the same live table.
-    calibration: Option<Arc<CalibrationTable>>,
-}
-
-/// Plan equality is over the compiled artifact (name, stages, input dims,
-/// backend preference). The attached calibration is *runtime* tuning state
-/// — live atomics updated by the execute path — and is excluded, exactly
-/// as [`CompiledLayer`]'s equality excludes its lazily derived lowering.
-impl PartialEq for CompiledNetwork {
-    fn eq(&self, other: &Self) -> bool {
-        self.name == other.name
-            && self.stages == other.stages
-            && self.input_dims == other.input_dims
-            && self.backend == other.backend
-    }
 }
 
 impl CompiledNetwork {
@@ -448,18 +410,16 @@ impl CompiledNetwork {
             name: spec.name().to_string(),
             stages,
             input_dims,
-            backend: None,
-            calibration: None,
         }
     }
 
-    /// Executor the `forward*` entry points use when no preference has been
-    /// set with [`CompiledNetwork::set_backend`]: the batch-interleaved
-    /// flattened executor — the tables are lowered once (on
-    /// [`CompiledNetwork::warm`] or the first forward) and every inference
-    /// afterwards walks them on the widest vector unit the CPU has. The
-    /// serving engine does **not** inherit this: `EngineConfig` names its
-    /// own default.
+    /// Executor the `forward*` entry points run through unless a caller
+    /// names another one ([`CompiledNetwork::forward_batch_with`]): the
+    /// batch-interleaved flattened executor — the tables are lowered once
+    /// (on [`CompiledNetwork::warm`] or the first forward) and every
+    /// inference afterwards walks them on the widest vector unit the CPU
+    /// has. The serving engine does **not** inherit this: `EngineConfig`
+    /// names its own default.
     pub const DEFAULT_BACKEND: BackendKind = BackendKind::FlattenedBatch;
 
     /// Network name.
@@ -468,66 +428,14 @@ impl CompiledNetwork {
         &self.name
     }
 
-    /// The executor backend the `forward*` entry points use: the stored
-    /// preference if one was set, [`CompiledNetwork::DEFAULT_BACKEND`]
-    /// otherwise.
+    /// The executor backend the `forward*` entry points use:
+    /// [`CompiledNetwork::DEFAULT_BACKEND`]. A plan carries no backend
+    /// choice of its own — a caller that wants another executor passes it
+    /// to [`CompiledNetwork::forward_batch_with`], and the serving stack
+    /// resolves one per request (per-model override, else engine default).
     #[must_use]
     pub fn backend(&self) -> BackendKind {
-        self.backend.unwrap_or(Self::DEFAULT_BACKEND)
-    }
-
-    /// The explicit backend preference, if one was set with
-    /// [`CompiledNetwork::set_backend`] / [`CompiledNetwork::with_backend`].
-    ///
-    /// The serving engine honors this: a plan's preference overrides the
-    /// engine-wide `EngineConfig` default (only a per-model registry
-    /// override ranks higher).
-    #[must_use]
-    pub fn backend_preference(&self) -> Option<BackendKind> {
-        self.backend
-    }
-
-    /// Builder-style variant of [`CompiledNetwork::set_backend`].
-    #[must_use]
-    pub fn with_backend(mut self, kind: BackendKind) -> Self {
-        self.backend = Some(kind);
-        self
-    }
-
-    /// Sets the executor backend the `forward*` entry points use (and the
-    /// serving engine honors, absent a per-model registry override). Every
-    /// backend is bit-identical, so this only changes performance.
-    pub fn set_backend(&mut self, kind: BackendKind) {
-        self.backend = Some(kind);
-    }
-
-    /// Builder-style variant of [`CompiledNetwork::set_calibration`].
-    #[must_use]
-    pub fn with_calibration(mut self, table: Arc<CalibrationTable>) -> Self {
-        self.calibration = Some(table);
-        self
-    }
-
-    /// Attaches the cost model [`BackendKind::Auto`] dispatches through:
-    /// per-(layer shape × batch bucket) estimates produced by
-    /// [`tune::calibrate_network`] (the `repro tune` probe) or rebuilt from
-    /// a checked-in `BENCH_tune.json` via
-    /// [`CalibrationTable::from_rows`](crate::tune::CalibrationTable::from_rows).
-    ///
-    /// Once attached, every `auto` execution also feeds its measured
-    /// per-image latency back into the table
-    /// ([`CalibrationTable::observe`](crate::tune::CalibrationTable::observe)),
-    /// so the elected winners keep tracking real traffic. Without a table,
-    /// `auto` uses the fixed heuristic
-    /// [`tune::fallback_choice`] and performs no timing.
-    pub fn set_calibration(&mut self, table: Arc<CalibrationTable>) {
-        self.calibration = Some(table);
-    }
-
-    /// The attached calibration table, if any.
-    #[must_use]
-    pub fn calibration(&self) -> Option<&Arc<CalibrationTable>> {
-        self.calibration.as_ref()
+        Self::DEFAULT_BACKEND
     }
 
     /// The compiled stages, in execution order.
@@ -543,7 +451,7 @@ impl CompiledNetwork {
     }
 
     /// Eagerly builds every lazily derived execution structure `kind` needs
-    /// (for the flattened backends, the per-layer `OnceLock` lowering), so
+    /// (for the flattened backend, the per-layer `OnceLock` lowering), so
     /// the first request served after a deploy does not pay lowering
     /// latency in its tail. Idempotent and cheap to repeat; a no-op for
     /// backends with no derived state. The serving registry calls this on
@@ -569,11 +477,9 @@ impl CompiledNetwork {
             .sum()
     }
 
-    /// Runs one inference through [`CompiledNetwork::backend`] — the stored
-    /// preference, else [`CompiledNetwork::DEFAULT_BACKEND`] — with no
-    /// per-call sorting or factorization (the first call through a
-    /// flattened backend lowers the plan unless it was
-    /// [warmed](CompiledNetwork::warm)). Bit-identical to
+    /// Runs one inference through [`CompiledNetwork::DEFAULT_BACKEND`] with
+    /// no per-call sorting or factorization (the first call lowers the plan
+    /// unless it was [warmed](CompiledNetwork::warm)). Bit-identical to
     /// [`ucnn_model::forward::dense_forward`] on the same spec and weights.
     ///
     /// # Panics
@@ -596,7 +502,8 @@ impl CompiledNetwork {
             .expect("a batch of one produces one output")
     }
 
-    /// Runs a whole batch of inferences through the stored default backend.
+    /// Runs a whole batch of inferences through
+    /// [`CompiledNetwork::DEFAULT_BACKEND`].
     ///
     /// Bit-identical to calling [`CompiledNetwork::forward`] on each input
     /// independently; an empty batch returns an empty vector.
@@ -656,13 +563,7 @@ impl CompiledNetwork {
         if inputs.is_empty() {
             return Vec::new();
         }
-        // `auto` resolves its delegate per conv stage (below); the observe
-        // flag turns on the per-layer timing that feeds the table's online
-        // EWMA re-tune — only when there is a table to feed.
-        let auto_table: Option<&CalibrationTable> = match kind {
-            BackendKind::Auto => self.calibration.as_deref(),
-            _ => None,
-        };
+        let exec = backend(kind);
         let last = self.stages.len() - 1;
         // The first stage reads the caller's tensors in place; every later
         // one owns the previous stage's output.
@@ -678,54 +579,23 @@ impl CompiledNetwork {
                             .collect();
                     }
                     let batch = acts.len();
-                    // `auto` elects a *candidate*: a backend kind, plus —
-                    // for the flattened-batch kind — optionally a forced
-                    // SIMD tier, so the calibration table can pick the
-                    // fastest ISA path per shape × bucket, not just the
-                    // fastest loop shape.
-                    let cand = match kind {
-                        BackendKind::Auto => auto_table
-                            .and_then(|t| t.candidate_for(layer, batch))
-                            .unwrap_or_else(|| Candidate::plain(tune::fallback_choice(batch))),
-                        k => Candidate::plain(k),
-                    };
-                    let exec = backend(cand.kind);
-                    // A tier-qualified candidate bypasses the registry and
-                    // forces the flattened-batch executor onto that tier
-                    // (every candidate stays bit-identical, so the election
-                    // only changes performance).
-                    let forced = cand.tier.map(|tier| layer.kernel_sel().with_tier(tier));
                     // Reuse telemetry: one gated load on the hot path; when
                     // enabled, the analytic per-call work is recorded after
                     // execution (so the flattened lowering, if this call
                     // built it, is available to account CSR segments) with
-                    // the lowering-cache state captured before. Work is
-                    // labeled with the *requested* kind, so `auto` rows
-                    // tally under `auto` whichever delegate ran.
+                    // the lowering-cache state captured before.
                     let counting = crate::counters::enabled();
                     let lowering_was_ready = counting && layer.flat_ready();
-                    let started = auto_table.map(|_| Instant::now());
                     // The final layer returns its raw sums; every other one
                     // hands `relu_saturate`d i16 activations to the next
                     // stage, through the backend's own epilogue so the
                     // whole-batch i32 tensor is never held beside them.
                     let mut logits = Vec::new();
                     let mut next = Vec::new();
-                    match (si == last, forced) {
-                        (true, Some(sel)) => {
-                            logits =
-                                run_flattened_batch_interleaved_forced(layer, &acts, threads, sel);
-                        }
-                        (true, None) => logits = exec.run_layer(layer, &acts, threads),
-                        (false, Some(sel)) => {
-                            next = run_flattened_batch_interleaved_relu(layer, &acts, threads, sel);
-                        }
-                        (false, None) => next = exec.run_layer_relu(layer, &acts, threads),
-                    }
-                    if let (Some(t0), Some(table)) = (started, auto_table) {
-                        let per_image = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
-                            / batch as u64;
-                        table.observe_candidate(layer, batch, cand, per_image);
+                    if si == last {
+                        logits = exec.run_layer(layer, &acts, threads);
+                    } else {
+                        next = exec.run_layer_relu(layer, &acts, threads);
                     }
                     if counting {
                         crate::counters::record(
@@ -947,7 +817,7 @@ mod tests {
         assert!(!flat_ready(&compiled));
         compiled.warm(BackendKind::FlattenedBatch);
         assert!(flat_ready(&compiled), "warm must force the lowering");
-        compiled.warm(BackendKind::Flattened); // idempotent
+        compiled.warm(BackendKind::FlattenedBatch); // idempotent
         assert!(flat_ready(&compiled));
     }
 

@@ -153,9 +153,9 @@ impl SimdCaps {
     }
 
     /// Clamps a requested tier downward to this CPU: the requested tier if
-    /// available, else the best available tier of no higher
-    /// [`rank`](SimdTier::rank). Never fails — `scalar` is rank 0 and
-    /// always available.
+    /// available, else the best available tier of no higher capability
+    /// rank (`scalar` < {`neon`, `avx2`} < `avx512`). Never fails —
+    /// `scalar` ranks lowest and is always available.
     #[must_use]
     pub fn clamp(self, requested: SimdTier) -> SimdTier {
         if self.supports(requested) {
@@ -198,26 +198,6 @@ fn detect() -> Vec<SimdTier> {
 #[must_use]
 pub fn available_tiers() -> &'static [SimdTier] {
     SimdCaps::get().tiers()
-}
-
-/// Tiers the `auto` cost model may elect and the bench may seed as
-/// candidates: [`available_tiers`] capped at the [`resolve_tier`] rank, so
-/// a `UCNN_SIMD` force constrains the election pool too (forcing `scalar`
-/// leaves only `scalar`; forcing `avx2` on an AVX-512 machine leaves
-/// `scalar` and `avx2` — tiers *below* the force stay electable, matching
-/// the knob's "clamp downward" semantics). Unset, every available tier is
-/// electable. Resolved once per process, like every other env read here.
-#[must_use]
-pub fn electable_tiers() -> &'static [SimdTier] {
-    static ELECTABLE: OnceLock<Vec<SimdTier>> = OnceLock::new();
-    ELECTABLE.get_or_init(|| {
-        let cap = resolve_tier().rank();
-        available_tiers()
-            .iter()
-            .copied()
-            .filter(|t| t.rank() <= cap)
-            .collect()
-    })
 }
 
 /// The tier a freshly resolved plan dispatches to: the `UCNN_SIMD` request

@@ -167,13 +167,13 @@ fn flattened_csr_and_lowering_cache_accounting() {
     let _guard = serialize();
     counters::reset();
     counters::set_enabled(true);
-    let _ = plan.forward_batch_with(&inputs[..2], BackendKind::Flattened, 1);
-    let _ = plan.forward_batch_with(&inputs[..2], BackendKind::Flattened, 1);
-    let _ = plan.forward_batch_with(&inputs[..2], BackendKind::Compiled, 1);
+    let _ = plan.forward_batch_with(&inputs[..2], BackendKind::FlattenedBatch, 1);
+    let _ = plan.forward_batch_with(&inputs[..2], BackendKind::FlattenedBatch, 1);
+    let _ = plan.forward_batch_with(&inputs[..2], BackendKind::BatchThreads, 1);
     counters::set_enabled(false);
     for row in rows_for(net) {
         match row.backend {
-            "flattened" => {
+            "flattened-batch" => {
                 assert_eq!(
                     row.work.csr_segments, row.work.multiplies_issued,
                     "one multiply per CSR segment per output position"
@@ -181,7 +181,7 @@ fn flattened_csr_and_lowering_cache_accounting() {
                 assert_eq!(row.work.lowering_misses, 1, "first execution lowers");
                 assert_eq!(row.work.lowering_hits, 1, "second execution hits");
             }
-            "compiled" => {
+            "batch-threads" => {
                 assert_eq!(row.work.csr_segments, 0);
                 assert_eq!(row.work.lowering_hits + row.work.lowering_misses, 0);
             }

@@ -25,20 +25,20 @@
 //! [`ModelQuota`]: crate::registry::ModelQuota
 //!
 //! A drained batch is grouped by model and each group executes as **one
-//! batch-major forward** ([`CompiledNetwork::forward_batch_threads`]): the
-//! retained streams are walked once for the whole group instead of once per
-//! request, and [`EngineConfig::exec_threads`] optionally parallelizes that
-//! single forward across scoped threads. Responses stay bit-identical to
+//! batched forward** ([`CompiledNetwork::forward_batch_with`], through the
+//! backend each request was admitted with): the retained plan is walked
+//! once for the whole group instead of once per request, and
+//! [`EngineConfig::exec_threads`] optionally parallelizes that single
+//! forward across scoped threads. Responses stay bit-identical to
 //! per-request execution at every batch size and thread count.
 //!
 //! Workers are plain threads, which makes two serve-path costs one-time
-//! instead of per-request: the flattened executors keep a **per-thread
+//! instead of per-request: the flattened executor keeps a **per-thread
 //! scratch arena** (`ucnn_core::flatten::FlattenedScratch`), so each
 //! worker's steady-state hot path stops allocating scratch per batch, and
 //! lazily lowered plan state is **warmed** ahead of traffic — by the
-//! [`ModelRegistry`] at insert/override time (the override and preference
-//! tiers) and by [`Engine::start`] for plans that fall through to the
-//! engine-default backend — so the first request after a deploy or a
+//! [`ModelRegistry`] at insert/override time and by [`Engine::start`] for
+//! plans already resident — so the first request after a deploy or a
 //! backend retune does not pay lowering latency in its tail.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -79,12 +79,21 @@ pub struct EngineConfig {
     /// (high throughput per batch).
     pub exec_threads: usize,
     /// Executor backend batched forwards run through (every backend is
-    /// bit-identical; this only changes performance). This is the last
-    /// resort of a three-tier resolution: a per-model override in the
-    /// [`ModelRegistry`] ranks first, then a preference stored on the plan
-    /// itself (`CompiledNetwork::backend_preference`), then this default.
-    /// [`EngineConfig::default`] names `batch-threads` itself; it does not
-    /// follow the library's `CompiledNetwork::DEFAULT_BACKEND`.
+    /// bit-identical; this only changes performance) unless the model has
+    /// a per-model override in the [`ModelRegistry`] — resolution is
+    /// override, else this.
+    ///
+    /// [`EngineConfig::default`] names `batch-threads` on purpose; it does
+    /// not follow the library's `CompiledNetwork::DEFAULT_BACKEND`
+    /// (`flattened-batch`), although that executor is faster in every cell
+    /// of `BENCH_backends.json`. Measured with the default flipped (PR 12):
+    /// `serve_closed_c2.throughput_vs_dense` 0.88 → 1.48 and
+    /// `serve_pipelined_w32` 0.97 → 2.90, but the repository benchmark
+    /// keeps one sample per answered request inside its own peak-RSS
+    /// reading, so the same flip pushes `peak_rss_mb` +30 % / +95 % past
+    /// the benchmark's 25 % bound. Flipping this default — and retiring
+    /// `batch-threads` with `run_compiled_batch*` — follows a PR that
+    /// fixes that accounting in `benchmark/`.
     pub backend: BackendKind,
 }
 
@@ -181,9 +190,9 @@ impl Pending {
 
 struct Request {
     model: Arc<CompiledNetwork>,
-    /// Backend resolved at submit time (registry override, else the plan's
-    /// preference, else the engine default) — pinned per request so a
-    /// mid-flight override change never splits one batch's semantics.
+    /// Backend resolved at submit time (registry override, else the engine
+    /// default) — pinned per request so a mid-flight override change never
+    /// splits one batch's semantics.
     backend: BackendKind,
     input: Tensor3<i16>,
     enqueued_at: Instant,
@@ -527,11 +536,10 @@ impl Engine {
         assert!(config.workers > 0, "need at least one worker");
         assert!(config.exec_threads > 0, "need at least one exec thread");
         assert!(config.max_batch > 0, "need a positive max batch");
-        // Adopt the registry: registering the engine default as the third
-        // backend-resolution tier lets the registry warm models inserted
-        // *after* start for the tier that will actually serve them — the
-        // gap that used to put lazy-lowering latency in the first
-        // post-deploy request's tail.
+        // Adopt the registry: registering the engine default lets the
+        // registry warm models inserted *after* start for the backend that
+        // will actually serve them — the gap that used to put lazy-lowering
+        // latency in the first post-deploy request's tail.
         // `set_default_backend` also warms every already-resident plan for
         // the tier that will now serve it, so plans inserted before this
         // engine adopted the registry have their lazy lowering built here,
@@ -599,17 +607,10 @@ impl Engine {
         self.backend
     }
 
-    /// Resolves the backend for a request: per-model registry override
-    /// first, then the plan's own preference
-    /// ([`CompiledNetwork::backend_preference`]), then the engine default.
-    fn resolve_backend(
-        &self,
-        override_kind: Option<BackendKind>,
-        plan: &CompiledNetwork,
-    ) -> BackendKind {
-        override_kind
-            .or_else(|| plan.backend_preference())
-            .unwrap_or(self.backend)
+    /// Resolves the backend for a request: the per-model registry
+    /// override, else the engine default.
+    fn resolve_backend(&self, override_kind: Option<BackendKind>) -> BackendKind {
+        override_kind.unwrap_or(self.backend)
     }
 
     /// Resolves a named model for submission: plan, pinned backend, and an
@@ -622,7 +623,7 @@ impl Engine {
             .registry
             .resolve(model)
             .ok_or_else(|| ServeError::UnknownModel(model.to_string()))?;
-        let backend = self.resolve_backend(resolved.backend, &resolved.plan);
+        let backend = self.resolve_backend(resolved.backend);
         let Some(token) = resolved.quota.try_acquire() else {
             self.counters.quota_rejected.fetch_add(1, Ordering::Relaxed);
             self.handles.quota_rejected.inc(0);
@@ -697,8 +698,8 @@ impl Engine {
     }
 
     /// Submits a request for an already resolved plan (no registry
-    /// override or quota: the plan's backend preference wins, engine
-    /// default otherwise), blocking while the queue is full.
+    /// override or quota: it runs on the engine default), blocking while
+    /// the queue is full.
     ///
     /// # Errors
     ///
@@ -708,8 +709,7 @@ impl Engine {
         model: Arc<CompiledNetwork>,
         input: Tensor3<i16>,
     ) -> Result<Pending, ServeError> {
-        let backend = self.resolve_backend(None, &model);
-        self.push_request(model, backend, input, None, None)
+        self.push_request(model, self.backend, input, None, None)
     }
 
     /// Builds the queued request and the handle the caller waits on — the
@@ -1280,96 +1280,10 @@ mod tests {
     }
 
     #[test]
-    fn auto_backend_serves_bit_exact_and_retunes_online() {
-        use ucnn_core::tune::{shape_key, CalibrationTable};
-        use ucnn_core::CompiledStage;
-
-        // A calibration that deliberately pins the slowest backend
-        // (factorized, estimated at a fantasy 1ns) on every layer: serving
-        // through `auto` must still be bit-exact, and the execute path's
-        // per-layer timing must feed real latencies back into the table
-        // (the online re-tune), replacing the fantasy estimate.
-        let net = networks::tiny();
-        let weights = forward::generate_network_weights(&net, QuantScheme::inq(), 61, 0.9);
-        let plan = CompiledNetwork::compile(&net, &weights, &UcnnConfig::with_g(2));
-        let shapes: Vec<String> = plan
-            .stages()
-            .iter()
-            .filter_map(|s| match s {
-                CompiledStage::Conv { layer, .. } => Some(shape_key(layer)),
-                CompiledStage::Pool { .. } => None,
-            })
-            .collect();
-        let table = Arc::new(CalibrationTable::new());
-        for shape in &shapes {
-            table.seed(shape, 1, BackendKind::Factorized, 1);
-        }
-        let registry = Arc::new(ModelRegistry::new());
-        registry.insert(plan.with_calibration(Arc::clone(&table)));
-
-        let mut agen = ActivationGen::new(62);
-        let cases: Vec<_> = (0..3)
-            .map(|_| {
-                let input = agen.generate_for(&net.conv_layers()[0]);
-                let expected = forward::dense_forward(&net, &weights, &input);
-                (input, expected)
-            })
-            .collect();
-        let engine = Engine::start(
-            Arc::clone(&registry),
-            EngineConfig {
-                workers: 1,
-                max_batch: 1,
-                backend: BackendKind::Auto,
-                ..EngineConfig::default()
-            },
-        );
-        for (i, (input, expected)) in cases.iter().enumerate() {
-            let resp = engine
-                .submit("tiny", input.clone())
-                .unwrap()
-                .wait()
-                .unwrap();
-            assert_eq!(&resp.output, expected, "auto request {i}");
-        }
-        // Factorized stayed elected (no other backend has an estimate),
-        // but its estimate now reflects measured reality, not the seed.
-        let plan = registry.get("tiny").unwrap();
-        for row in plan.calibration().unwrap().rows() {
-            assert_eq!(row.choice, BackendKind::Factorized);
-            let fact_idx = BackendKind::STATIC
-                .iter()
-                .position(|k| *k == BackendKind::Factorized)
-                .unwrap();
-            assert!(
-                row.est_ns[fact_idx] > 1,
-                "online feedback must replace the fantasy estimate: {row:?}"
-            );
-        }
-        // An authoritative probe of a cheaper backend re-elects it, and
-        // the next requests (dispatched through the new winner) stay
-        // bit-exact.
-        for shape in &shapes {
-            table.seed(shape, 1, BackendKind::Flattened, 1);
-        }
-        for (input, expected) in &cases {
-            let resp = engine
-                .submit("tiny", input.clone())
-                .unwrap()
-                .wait()
-                .unwrap();
-            assert_eq!(&resp.output, expected);
-        }
-        let stats = engine.shutdown();
-        assert_eq!(stats.served, 6);
-    }
-
-    #[test]
     fn engine_start_warms_plans_for_its_default_backend() {
         use ucnn_core::plan::CompiledStage;
 
-        // A plain plan (no preference, no override) under a flattened
-        // engine default: insert cannot warm it (the registry does not
+        // A plain plan (no override) under a flattened engine default: insert cannot warm it (the registry does not
         // know the engine default), so Engine::start must.
         let registry = Arc::new(ModelRegistry::new());
         let net = networks::tiny();
@@ -1395,14 +1309,14 @@ mod tests {
 
     #[test]
     fn per_model_backend_override_takes_precedence() {
-        // Registry override (flattened) vs engine default (batch-threads):
+        // Registry override (flattened-batch) vs engine default (batch-threads):
         // both must serve bit-exact outputs; the override path is exercised
         // by resolving through submit().
         let registry = Arc::new(ModelRegistry::new());
         let net = networks::tiny();
         let weights = forward::generate_network_weights(&net, QuantScheme::inq(), 43, 0.9);
         registry.compile_and_insert(&net, &weights, &UcnnConfig::with_g(2));
-        assert!(registry.set_backend("tiny", Some(BackendKind::Flattened)));
+        assert!(registry.set_backend("tiny", Some(BackendKind::FlattenedBatch)));
         let mut agen = ActivationGen::new(44);
         let input = agen.generate_for(&net.conv_layers()[0]);
         let expected = forward::dense_forward(&net, &weights, &input);
@@ -1422,41 +1336,69 @@ mod tests {
     }
 
     #[test]
-    fn plan_backend_preference_beats_engine_default_but_not_override() {
-        // Resolution order at submit time: registry override, then the
-        // plan's own `set_backend` preference, then the engine default.
+    fn override_beats_engine_default_and_is_pinned_at_admission() {
+        // Resolution at submit time is one rule: the per-model registry
+        // override, else the engine default.
         let registry = Arc::new(ModelRegistry::new());
         let net = networks::tiny();
         let weights = forward::generate_network_weights(&net, QuantScheme::inq(), 45, 0.9);
-        let compiled = CompiledNetwork::compile(&net, &weights, &UcnnConfig::with_g(2))
-            .with_backend(BackendKind::Flattened);
-        let plan = registry.insert(compiled);
+        registry.compile_and_insert(&net, &weights, &UcnnConfig::with_g(2));
         let engine = Engine::start(Arc::clone(&registry), EngineConfig::default());
-        assert_eq!(engine.backend(), BackendKind::BatchThreads);
+        let default = EngineConfig::default().backend;
+        assert_eq!(engine.backend(), default);
         assert_eq!(
-            engine.resolve_backend(None, &plan),
-            BackendKind::Flattened,
-            "plan preference must beat the engine default"
+            engine.resolve_backend(None),
+            default,
+            "no override falls back to the engine default"
         );
+        // `factorized` is the baseline no default will ever name.
+        let retune = BackendKind::Factorized;
+        assert_ne!(retune, default);
         assert_eq!(
-            engine.resolve_backend(Some(BackendKind::Compiled), &plan),
-            BackendKind::Compiled,
-            "registry override must beat the plan preference"
+            engine.resolve_backend(Some(retune)),
+            retune,
+            "registry override must beat the engine default"
         );
-        let no_pref = CompiledNetwork::compile(&net, &weights, &UcnnConfig::with_g(2));
-        assert_eq!(no_pref.backend_preference(), None);
-        assert_eq!(
-            engine.resolve_backend(None, &no_pref),
-            BackendKind::BatchThreads,
-            "no preference falls back to the engine default"
-        );
-        // And the preferred backend actually serves bit-exact responses.
+
+        // An override set mid-traffic applies to later admissions only: two
+        // requests admitted before it and two after, drained as ONE batch,
+        // keep the kind they were admitted with — the drain runs two
+        // forwards of two, never one re-resolved forward of four.
         let mut agen = ActivationGen::new(46);
         let input = agen.generate_for(&net.conv_layers()[0]);
         let expected = forward::dense_forward(&net, &weights, &input);
-        let resp = engine.submit("tiny", input).unwrap().wait().unwrap();
-        assert_eq!(resp.output, expected);
-        let _ = engine.shutdown();
+        let admit_two = || -> Vec<(Request, Pending)> {
+            (0..2)
+                .map(|_| {
+                    let (plan, backend, quota) = engine.admit_named("tiny").unwrap();
+                    Engine::make_request(plan, backend, input.clone(), None, quota)
+                })
+                .collect()
+        };
+        let before = admit_two();
+        assert!(registry.set_backend("tiny", Some(retune)));
+        let after = admit_two();
+        let (requests, pendings): (Vec<_>, Vec<_>) = before.into_iter().chain(after).unzip();
+        let admitted: Vec<_> = requests.iter().map(|r| r.backend).collect();
+        assert_eq!(admitted, [default, default, retune, retune]);
+        serve_batch(
+            0,
+            requests,
+            &engine.queue,
+            &engine.counters,
+            &engine.handles,
+            1,
+        );
+        for pending in pendings {
+            let resp = pending.wait().unwrap();
+            assert_eq!(resp.output, expected);
+            assert_eq!(
+                resp.batch_size, 2,
+                "a drain must group by the kind each request was admitted with"
+            );
+        }
+        let stats = engine.shutdown();
+        assert_eq!(stats.served, 4);
     }
 
     #[test]

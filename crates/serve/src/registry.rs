@@ -41,10 +41,10 @@ use ucnn_tensor::Tensor4;
 pub struct ModelRegistry {
     models: RwLock<HashMap<String, Entry>>,
     /// The engine-wide default backend, registered by [`Engine::start`]
-    /// (`None` until an engine adopts this registry). Inserts that fall
-    /// through the override and plan-preference tiers warm for this, so a
-    /// model deployed *after* start still serves its first request with no
-    /// lazy lowering in the execute phase.
+    /// (`None` until an engine adopts this registry). Inserts with no
+    /// per-model override warm for this, so a model deployed *after* start
+    /// still serves its first request with no lazy lowering in the execute
+    /// phase.
     ///
     /// [`Engine::start`]: crate::engine::Engine::start
     default_backend: RwLock<Option<BackendKind>>,
@@ -135,8 +135,7 @@ impl Drop for QuotaToken {
 pub struct ResolvedModel {
     /// The compiled plan to execute.
     pub plan: Arc<CompiledNetwork>,
-    /// Per-model backend override (`None` = plan preference, then the
-    /// engine default).
+    /// Per-model backend override (`None` = the engine default).
     pub backend: Option<BackendKind>,
     /// The model's concurrency quota.
     pub quota: Arc<ModelQuota>,
@@ -160,13 +159,12 @@ impl ModelRegistry {
     /// survives the replacement.
     ///
     /// The plan is **warmed** for the backend that will serve it (the
-    /// surviving per-model override if any, else the plan's own
-    /// preference, else the engine-wide default registered via
-    /// [`ModelRegistry::set_default_backend`]): any lazily derived
-    /// execution state — the flattened backends' per-layer lowering — is
-    /// built here, at deploy time, so the first request after an insert no
-    /// longer pays lowering latency in its tail, **including models
-    /// deployed after the engine started**. With none of the three — no
+    /// surviving per-model override if any, else the engine-wide default
+    /// registered via [`ModelRegistry::set_default_backend`]): any lazily
+    /// derived execution state — the flattened backend's per-layer lowering
+    /// — is built here, at deploy time, so the first request after an
+    /// insert no longer pays lowering latency in its tail, **including
+    /// models deployed after the engine started**. With neither — no
     /// engine has adopted the registry yet — nothing is warmed: the
     /// library's own `CompiledNetwork::DEFAULT_BACKEND` is not what an
     /// engine will run, and [`Engine::start`] warms every resident plan for
@@ -201,28 +199,24 @@ impl ModelRegistry {
         arc
     }
 
-    /// Warms `plan` for the tier that will serve it: the per-model
-    /// override, else the plan's own preference, else the adopted engine
-    /// default. With none of them there is nothing to warm for.
+    /// Warms `plan` for the backend that will serve it: the per-model
+    /// override, else the adopted engine default. With neither there is
+    /// nothing to warm for.
     fn warm_for_serving(&self, plan: &CompiledNetwork, override_kind: Option<BackendKind>) {
-        if let Some(kind) = override_kind
-            .or_else(|| plan.backend_preference())
-            .or_else(|| self.default_backend())
-        {
+        if let Some(kind) = override_kind.or_else(|| self.default_backend()) {
             plan.warm(kind);
         }
     }
 
-    /// Registers the engine-wide default backend — the third tier of
-    /// backend resolution — so inserts *after* [`Engine::start`] warm the
-    /// tier that will actually serve them. Called by the engine itself at
+    /// Registers the engine-wide default backend — what every model
+    /// without an override is served through — so inserts *after*
+    /// [`Engine::start`] warm the backend that will actually serve them. Called by the engine itself at
     /// start; with several engines sharing one registry, the last started
     /// wins (warming for the wrong tier is only a missed optimization,
     /// never a correctness issue — every backend is bit-identical).
     ///
-    /// Every **already-resident** plan is warmed here too, for the tier
-    /// that will now serve it (its override, else its own preference, else
-    /// the new default). Flipping the default under sustained traffic —
+    /// Every **already-resident** plan is warmed here too, for the backend
+    /// that will now serve it (its override, else the new default). Flipping the default under sustained traffic —
     /// the hot-swap path the churn suite exercises — used to leave
     /// resident plans cold, so the first post-flip request ate the
     /// flattened-lowering tail. Warming runs outside the registry lock
@@ -272,29 +266,15 @@ impl ModelRegistry {
             .map(|entry| Arc::clone(&entry.plan))
     }
 
-    /// Looks up a model together with its per-model backend override
-    /// (`None` = use the engine-wide default) in one lock acquisition.
-    #[must_use]
-    pub fn get_with_backend(
-        &self,
-        name: &str,
-    ) -> Option<(Arc<CompiledNetwork>, Option<BackendKind>)> {
-        self.models
-            .read()
-            .expect("registry poisoned")
-            .get(name)
-            .map(|entry| (Arc::clone(&entry.plan), entry.backend))
-    }
-
     /// Sets (or with `None` clears) the per-model executor-backend
     /// override. Returns `false` if no model of that name is registered.
     ///
     /// The override takes effect for requests submitted after the call;
     /// every backend is bit-identical, so switching is always safe. The
-    /// plan is warmed (outside the lock) for the tier that will now serve
-    /// it — the new override, or on `None` the plan preference / engine
-    /// default it falls back to — so the first request after an operator
-    /// retune does not pay lazy-lowering latency.
+    /// plan is warmed (outside the lock) for the backend that will now serve
+    /// it — the new override, or on `None` the engine default it falls back
+    /// to — so the first request after an operator retune does not pay
+    /// lazy-lowering latency.
     pub fn set_backend(&self, name: &str, backend: Option<BackendKind>) -> bool {
         let plan = {
             match self
@@ -477,7 +457,7 @@ mod tests {
         let net = networks::tiny();
         let weights = forward::generate_network_weights(&net, QuantScheme::inq(), 10, 0.9);
 
-        // No preference, no override: nothing to warm — lowering stays lazy.
+        // No override, no adopted engine: nothing to warm — lowering stays lazy.
         let plain = registry.compile_and_insert(&net, &weights, &UcnnConfig::with_g(2));
         assert!(!flat_ready(&plain));
 
@@ -490,14 +470,6 @@ mod tests {
         let w2 = forward::generate_network_weights(&net, QuantScheme::inq(), 11, 0.9);
         let swapped = registry.compile_and_insert(&net, &w2, &UcnnConfig::with_g(2));
         assert!(flat_ready(&swapped), "insert must warm under an override");
-
-        // A plan preference also warms on insert (fresh registry: no
-        // override survives from the runs above).
-        let fresh = ModelRegistry::new();
-        let preferred = CompiledNetwork::compile(&net, &weights, &UcnnConfig::with_g(2))
-            .with_backend(BackendKind::Flattened);
-        let arc = fresh.insert(preferred);
-        assert!(flat_ready(&arc), "insert must warm the plan preference");
     }
 
     #[test]
@@ -508,31 +480,28 @@ mod tests {
         let net = networks::tiny();
         let w1 = forward::generate_network_weights(&net, QuantScheme::inq(), 8, 0.9);
         assert!(
-            !registry.set_backend("tiny", Some(BackendKind::Flattened)),
+            !registry.set_backend("tiny", Some(BackendKind::FlattenedBatch)),
             "override on an absent model must be rejected"
         );
         registry.compile_and_insert(&net, &w1, &UcnnConfig::with_g(2));
         assert_eq!(registry.backend_override("tiny"), None);
 
-        assert!(registry.set_backend("tiny", Some(BackendKind::Flattened)));
+        assert!(registry.set_backend("tiny", Some(BackendKind::FlattenedBatch)));
         assert_eq!(
             registry.backend_override("tiny"),
-            Some(BackendKind::Flattened)
+            Some(BackendKind::FlattenedBatch)
         );
-        let (_, kind) = registry.get_with_backend("tiny").unwrap();
-        assert_eq!(kind, Some(BackendKind::Flattened));
 
         // A model hot-swap keeps the operator's backend choice.
         let w2 = forward::generate_network_weights(&net, QuantScheme::inq(), 9, 0.9);
         registry.compile_and_insert(&net, &w2, &UcnnConfig::with_g(2));
         assert_eq!(
             registry.backend_override("tiny"),
-            Some(BackendKind::Flattened)
+            Some(BackendKind::FlattenedBatch)
         );
 
         assert!(registry.set_backend("tiny", None));
         assert_eq!(registry.backend_override("tiny"), None);
-        assert!(registry.get_with_backend("missing").is_none());
     }
 
     #[test]
@@ -552,7 +521,7 @@ mod tests {
 
         // Simulates Engine::start adopting the registry with a flattened
         // default tier: an insert *afterwards* must warm that tier even
-        // with no override and no plan preference (satellite-1 gap).
+        // with no override (satellite-1 gap).
         registry.set_default_backend(BackendKind::FlattenedBatch);
         assert_eq!(
             registry.default_backend(),
@@ -568,7 +537,7 @@ mod tests {
         let fresh = ModelRegistry::new();
         let p2 = fresh.compile_and_insert(&net, &weights, &UcnnConfig::with_g(2));
         assert!(!flat_ready(&p2));
-        fresh.set_default_backend(BackendKind::Flattened);
+        fresh.set_default_backend(BackendKind::FlattenedBatch);
         assert!(fresh.set_backend("tiny", None));
         assert!(
             flat_ready(&p2),
@@ -611,9 +580,9 @@ mod tests {
         // un-warms anything — warming is idempotent and additive.
         let fresh = ModelRegistry::new();
         let p2 = fresh.compile_and_insert(&net, &weights, &UcnnConfig::with_g(2));
-        assert!(fresh.set_backend("tiny", Some(BackendKind::Flattened)));
+        assert!(fresh.set_backend("tiny", Some(BackendKind::FlattenedBatch)));
         assert!(flat_ready(&p2), "setting an override warms its tier");
-        fresh.set_default_backend(BackendKind::Batch);
+        fresh.set_default_backend(BackendKind::BatchThreads);
         assert!(
             flat_ready(&p2),
             "a default flip must not disturb an override's warmed state"
@@ -674,12 +643,12 @@ mod tests {
         let net = networks::tiny();
         let weights = forward::generate_network_weights(&net, QuantScheme::inq(), 15, 0.9);
         let plan = registry.compile_and_insert(&net, &weights, &UcnnConfig::default());
-        registry.set_backend("tiny", Some(BackendKind::Batch));
+        registry.set_backend("tiny", Some(BackendKind::Factorized));
         registry.set_quota("tiny", Some(4));
 
         let resolved = registry.resolve("tiny").unwrap();
         assert!(Arc::ptr_eq(&resolved.plan, &plan));
-        assert_eq!(resolved.backend, Some(BackendKind::Batch));
+        assert_eq!(resolved.backend, Some(BackendKind::Factorized));
         assert_eq!(resolved.quota.limit(), Some(4));
         assert!(Arc::ptr_eq(
             &resolved.quota,

@@ -16,11 +16,11 @@
 //! * `--batch N` — max requests per batched forward (default 8).
 //! * `--threads N` — scoped exec threads inside each batched forward
 //!   (default 1).
-//! * `--backend NAME` — executor backend (`factorized`, `compiled`,
-//!   `batch`, `batch-threads`, `flattened`, `flattened-batch`, or the
-//!   cost-model dispatcher `auto`; default `batch-threads`). Every
-//!   backend is bit-identical, so this only changes performance — the CI
-//!   backend matrix drives this flag across all seven.
+//! * `--backend NAME` — executor backend (any `BackendKind::ALL` name — an
+//!   unknown one prints the list; default: the engine's own
+//!   `EngineConfig::default()` backend). Every backend is bit-identical,
+//!   so this only changes performance — the CI backend matrix drives this
+//!   flag across all of them.
 //! * `--workload NAME` — run one arrival process (`closed`, `open`,
 //!   `bursty`, `ramp`) instead of the default closed + open + bursty sweep.
 //! * `--mix NAME` — model mix (`uniform`, `hotcold`, `sequential`;
@@ -41,14 +41,13 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use ucnn::core::backend::BackendKind;
 use ucnn::core::compile::UcnnConfig;
 use ucnn::model::{forward, networks, ActivationGen, QuantScheme};
 use ucnn::serve::harness::{self, Case, HarnessReport, ModelCases, RunConfig};
 use ucnn::serve::workload::{Arrival, Mix, StandardWorkload};
 use ucnn::serve::{Engine, EngineConfig, ModelRegistry};
 
-use ucnn_bench::cli::arg_value as arg_str;
+use ucnn_bench::cli::{arg_value as arg_str, backend_arg};
 
 fn arg_value(args: &[String], flag: &str) -> Option<usize> {
     arg_str(args, flag).and_then(|v| v.parse().ok())
@@ -84,15 +83,12 @@ fn main() -> ExitCode {
         .unwrap_or(7);
     let shards = arg_value(&args, "--shards").unwrap_or(2);
     let requests = arg_value(&args, "--requests").unwrap_or(if quick { 40 } else { 400 });
-    let backend = match arg_str(&args, "--backend") {
-        Some(name) => match name.parse::<BackendKind>() {
-            Ok(kind) => kind,
-            Err(err) => {
-                eprintln!("{err}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => BackendKind::BatchThreads,
+    let backend = match backend_arg(&args) {
+        Ok(kind) => kind,
+        Err(err) => {
+            eprintln!("{err}");
+            return ExitCode::FAILURE;
+        }
     };
     let mix_name = arg_str(&args, "--mix").map_or("sequential", String::as_str);
     let Some(mix) = Mix::parse(mix_name) else {

@@ -179,7 +179,7 @@ fn registry_churn_under_load_stays_bit_exact_and_keeps_the_override() {
     let registry = Arc::new(ModelRegistry::new());
     let models = zoo(&registry, 2, seed);
     assert!(
-        registry.set_backend("tiny", Some(BackendKind::Flattened)),
+        registry.set_backend("tiny", Some(BackendKind::FlattenedBatch)),
         "override target registered"
     );
     let engine = Engine::start(
@@ -218,9 +218,9 @@ fn registry_churn_under_load_stays_bit_exact_and_keeps_the_override() {
                 // Retune the cold model back and forth; every backend is
                 // bit-identical, so mismatches stay impossible by design.
                 let retune = if spins % 2 == 0 {
-                    BackendKind::Batch
+                    BackendKind::Factorized
                 } else {
-                    BackendKind::Compiled
+                    BackendKind::FlattenedBatch
                 };
                 registry.set_backend("tiny-1", Some(retune));
                 spins += 1;
@@ -255,7 +255,7 @@ fn registry_churn_under_load_stays_bit_exact_and_keeps_the_override() {
     assert_eq!(report.shed(), 0);
     assert_eq!(
         registry.backend_override("tiny"),
-        Some(BackendKind::Flattened),
+        Some(BackendKind::FlattenedBatch),
         "per-model override must survive every re-insert"
     );
     let stats = engine.shutdown();

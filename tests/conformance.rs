@@ -713,89 +713,3 @@ fn every_isa_tier_matches_the_golden_corpus_bit_identically() {
         "expected the full layer corpus, found {layer_cases} vectors"
     );
 }
-
-#[test]
-fn auto_is_bit_identical_under_a_forced_per_layer_calibration() {
-    // `auto` already rides every golden vector above via BackendKind::ALL
-    // (heuristic fallback, no table). This pins the *calibrated* dispatch
-    // path: a table that deliberately forces a DIFFERENT winner per layer
-    // must leave outputs bit-identical to the dense reference at every
-    // batch × thread shape — the choice only ever changes performance.
-    use std::sync::Arc;
-    use ucnn::core::plan::CompiledStage;
-    use ucnn::core::tune::{shape_key, CalibrationTable};
-
-    let spec = networks::tiny();
-    let weights = forward::generate_network_weights(&spec, QuantScheme::inq(), 0xA7, 0.85);
-    let compiled = CompiledNetwork::compile(&spec, &weights, &UcnnConfig::with_g(2));
-
-    // A palette that puts adjacent layers on maximally different inner
-    // loops (per-call re-factorization next to flattened SIMD next to the
-    // scalar walk).
-    let palette = [
-        BackendKind::Factorized,
-        BackendKind::FlattenedBatch,
-        BackendKind::Compiled,
-        BackendKind::Batch,
-        BackendKind::Flattened,
-        BackendKind::BatchThreads,
-    ];
-    let table = Arc::new(CalibrationTable::new());
-    let mut forced: Vec<(String, BackendKind)> = Vec::new();
-    for (i, stage) in compiled
-        .stages()
-        .iter()
-        .filter_map(|s| match s {
-            CompiledStage::Conv { layer, .. } => Some(layer),
-            CompiledStage::Pool { .. } => None,
-        })
-        .enumerate()
-    {
-        let winner = palette[i % palette.len()];
-        // Only the forced backend gets an estimate, so the election is
-        // unambiguous for every bucket SHAPES can land in.
-        for bucket in [1usize, 2, 4, 8, 16] {
-            table.seed(&shape_key(stage), bucket, winner, 1);
-        }
-        forced.push((shape_key(stage), winner));
-    }
-    assert!(
-        forced.windows(2).all(|w| w[0].1 != w[1].1),
-        "the test must actually force different winners on adjacent layers"
-    );
-    let compiled = compiled.with_calibration(Arc::clone(&table));
-
-    let mut agen = ActivationGen::new(0xA8);
-    let input = agen.generate_for(&spec.conv_layers()[0]);
-    let expected = forward::dense_forward(&spec, &weights, &input);
-    for (b, threads) in SHAPES {
-        let inputs = vec![input.clone(); b];
-        let got = compiled.forward_batch_with(&inputs, BackendKind::Auto, threads);
-        assert_eq!(got.len(), b);
-        for (i, out) in got.iter().enumerate() {
-            assert_eq!(
-                out, &expected,
-                "auto (forced table) diverged (B={b}, threads={threads}, image {i})"
-            );
-        }
-        // The table kept dispatching the forced winners: each run observed
-        // only the forced backend, so the election cannot have moved.
-        for (conv_i, (shape, winner)) in forced.iter().enumerate() {
-            let layer = compiled
-                .stages()
-                .iter()
-                .filter_map(|s| match s {
-                    CompiledStage::Conv { layer, .. } => Some(layer),
-                    CompiledStage::Pool { .. } => None,
-                })
-                .nth(conv_i)
-                .unwrap();
-            assert_eq!(&shape_key(layer), shape);
-            assert_eq!(
-                table.choice_for(layer, b).as_ref(),
-                Some(winner),
-                "layer {conv_i} must stay pinned to its forced winner"
-            );
-        }
-    }
-}
