@@ -1335,7 +1335,8 @@ pub fn batch_exec(quick: bool) -> TableOut {
 /// `flattened-batch@<tier>-mult|-shift` twin per tier with the phase-2 mode
 /// the plan did not elect forced on, so shift-vs-multiply is measured at
 /// equal width. The `simd_tier` column reports the exact kernel each row
-/// ran (`avx512+shift`, `scalar+mult`, `-` for the stream walkers).
+/// ran (`avx512+shift`, `scalar+mult`, `-` for the stream walkers), and
+/// `flat_bytes` what the flattened rows' lowered tables keep resident.
 ///
 /// `flattened-batch` and the pinned row of the tier it dispatches to run
 /// the identical kernel: the gap between those two rows is the run's own
@@ -1389,6 +1390,7 @@ pub fn backend_table(quick: bool) -> TableOut {
             "simd_tier",
             "per_image_us",
             "x_vs_batch_threads",
+            "flat_bytes",
         ],
     );
     for (name, geom, scheme, g) in layers {
@@ -1401,6 +1403,7 @@ pub fn backend_table(quick: bool) -> TableOut {
             .flat_tiles()
             .iter()
             .all(ucnn_core::flatten::FlattenedTile::pow2_alphabet);
+        let flat_bytes = plan.flat_bytes().to_string();
         let mut agen = ActivationGen::new(SEED ^ 0xBB);
         for &b in batches {
             // Shadow the plan as a shared borrow so the `move` runners
@@ -1493,6 +1496,11 @@ pub fn backend_table(quick: bool) -> TableOut {
                     tier_label.clone(),
                     f2(s * 1e6 / b as f64),
                     f2(baseline / s),
+                    if tier_label == "-" {
+                        tier_label.clone()
+                    } else {
+                        flat_bytes.clone()
+                    },
                 ]);
             }
         }
@@ -1814,7 +1822,8 @@ mod tests {
                 "backend",
                 "simd_tier",
                 "per_image_us",
-                "x_vs_batch_threads"
+                "x_vs_batch_threads",
+                "flat_bytes"
             ]
         );
         for row in &t.rows {
@@ -1827,8 +1836,9 @@ mod tests {
                     row[3].contains("+shift") || row[3].contains("+mult"),
                     "flattened rows report their kernel: {row:?}"
                 );
+                assert!(row[6].parse::<usize>().unwrap() > 0, "{row:?}");
             } else {
-                assert_eq!(row[3], "-", "{row:?}");
+                assert_eq!((row[3].as_str(), row[6].as_str()), ("-", "-"), "{row:?}");
             }
         }
         // Every backend appears for the FC B=1 cell.

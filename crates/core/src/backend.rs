@@ -15,7 +15,7 @@
 //! |------|-----------|----------------|
 //! | [`BackendKind::Factorized`] | re-sorts/factorizes per call | never — the paper's functional definition and the compile-amortization baseline |
 //! | [`BackendKind::BatchThreads`] | retained-stream walk: per image at B = 1, batch-major at B ≥ 2, scoped threads over filter bands × batch chunks when `threads > 1` | nowhere on speed; it is the serving engine's default until the benchmark's memory accounting lets the engine switch (see `EngineConfig::backend` in `ucnn-serve`) |
-//! | [`BackendKind::FlattenedBatch`] | branch-free flattened walk over batch-interleaved SIMD lanes (width-1 strips at B = 1), staged per filter band | every measured cell; the library default ([`CompiledNetwork::DEFAULT_BACKEND`](crate::plan::CompiledNetwork::DEFAULT_BACKEND)) |
+//! | [`BackendKind::FlattenedBatch`] | branch-free flattened walk (one gather path for every geometry: padded layers are staged into a zero-haloed chunk; prefix rows kept per group close) over batch-interleaved SIMD lanes (width-1 strips at B = 1), staged per filter band | every measured cell; the library default ([`CompiledNetwork::DEFAULT_BACKEND`](crate::plan::CompiledNetwork::DEFAULT_BACKEND)) |
 //!
 //! Which ISA tier and phase-2 form the flattened executor runs is not a
 //! backend choice: the plan works it out from what it can observe

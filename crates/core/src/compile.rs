@@ -383,7 +383,7 @@ fn tile_stats(stream: &GroupStream, config: &UcnnConfig) -> TileStats {
             None => {
                 // Innermost early MAC when the run crosses the cap mid-group
                 // (only meaningful if the group's weight is non-zero).
-                if run[g - 1] % cap == 0 && e.ranks[g - 1] != ZERO_RANK {
+                if run[g - 1].is_multiple_of(cap) && e.ranks[g - 1] != ZERO_RANK {
                     dispatches += 1;
                     multiplies += 1;
                 }

@@ -51,7 +51,7 @@ pub fn factorized_conv(
     assert_eq!(input.c(), geom.c() * conv_groups, "input channel mismatch");
     assert_eq!(filters.k(), geom.k(), "filter count mismatch");
     assert!(
-        conv_groups > 0 && geom.k() % conv_groups == 0,
+        conv_groups > 0 && geom.k().is_multiple_of(conv_groups),
         "bad group count"
     );
 

@@ -25,11 +25,13 @@
 //! hierarchical accumulator walk (the conformance corpus and the
 //! cross-backend property test pin this down).
 //!
-//! Padding is the one data-dependent hazard: with `pad > 0` an entry's read
-//! can fall outside the input plane for edge output positions. Unpadded
-//! layers (every FC layer, and any conv with `pad == 0`) take the fully
-//! branch-free gather; padded layers keep a per-entry bounds check but still
-//! skip the decode and the closure machinery.
+//! Padding is not a hazard of the walk but a property of the staged input:
+//! a layer with `pad > 0` is staged once per chunk into a **zero-haloed**
+//! plane (`(in_w + 2·pad) × (in_h + 2·pad)` per channel) and the gather
+//! offsets are lowered against that plane, so an edge position's
+//! out-of-plane reads add literal zeros. Every geometry takes the same
+//! branch-free gather, and the prefix sums are only *kept* where phase two
+//! reads them: one row per group close, not one per entry.
 //!
 //! # Batch-interleaved lanes and ISA tiers
 //!
@@ -43,9 +45,8 @@
 //! images (`input[off · LW + lane]`, planar offset major, image lane
 //! minor), and both phases run as straight-line loops over contiguous
 //! `LW`-wide strips (`i16`→`i32` widening adds, one broadcast multiply per
-//! segment weight). Every gather base, halo bounds check, and CSR segment
-//! range is computed **once per entry per output position** and feeds all
-//! `LW` images.
+//! segment weight). Every gather offset and CSR segment range is computed
+//! **once per entry per output position** and feeds all `LW` images.
 //!
 //! The strip width and codegen follow the dispatched [`KernelSel`]
 //! ([`simd`](crate::simd)): the `scalar` tier keeps the historical
@@ -73,9 +74,10 @@
 //! the `i16` activations the next layer reads, so no whole-batch `i32`
 //! tensor ever exists.
 //!
-//! Scratch (the interleaved chunk, the prefix lanes, the band's lane-major
-//! sums) lives in a [`FlattenedScratch`] arena whose capacity follows the
-//! dispatched kernel width ([`FlattenedScratch::reserve_for`]). The module
+//! Scratch (the staged chunk, the close-row prefix lanes, the band's
+//! lane-major sums) lives in a [`FlattenedScratch`] arena whose capacity
+//! follows the dispatched kernel width
+//! ([`FlattenedScratch::reserve_for`]). The module
 //! keeps a small pool of arenas per calling thread — one per execution
 //! thread it has ever fanned out to — so a serving worker's steady-state
 //! hot path stops allocating per request at any thread budget.
@@ -100,42 +102,28 @@ pub struct FlattenedTile {
     k_first: usize,
     /// Filters in the tile (`G` of the stream).
     g: usize,
-    /// `true` when every gather is in-bounds for every output position
-    /// (`pad == 0`), enabling the branch-free gather loop.
-    all_in_bounds: bool,
-    /// Retained stream entries (each gather-array below has this length).
-    n: usize,
-    /// Per entry: input offset at output position (0, 0). With `pad == 0`
-    /// this is non-negative and `base[i] + stride·(x·in_h + y)` is the exact
-    /// flattened input index for output `(x, y)`. Only populated on the
-    /// branch-free path (`pad == 0`); the checked path never reads it.
-    base: Vec<i32>,
-    /// Per entry: absolute input channel. Only populated on the checked
-    /// gather path (`pad > 0`); the branch-free path never reads it.
-    chan: Vec<u32>,
-    /// Per entry: `r - pad` (checked gather path only).
-    dx: Vec<i16>,
-    /// Per entry: `s - pad` (checked gather path only).
-    dy: Vec<i16>,
+    /// Per entry: offset of its read for output position (0, 0) in the
+    /// zero-haloed staged plane (`in_h + 2·pad` values per row), so
+    /// `base[i] + stride·(x·(in_h + 2·pad) + y)` is the exact staged index
+    /// for output `(x, y)` — in range for every position, halo included.
+    base: Vec<u32>,
+    /// Per entry: 1 when an activation group (of any level) closes on it,
+    /// else 0 — added to the prefix-row cursor, so phase 1 keeps one row
+    /// per close instead of one per entry.
+    close: Vec<u8>,
+    /// Prefix rows phase 1 fills: the zero row plus one per close.
+    rows: usize,
     /// Per level `l`: segments `seg_ptr[l]..seg_ptr[l + 1]` belong to `l`.
     seg_ptr: Vec<u32>,
-    /// Per segment: first entry of the activation group.
-    seg_start: Vec<u32>,
-    /// Per segment: one past the last entry of the activation group.
-    seg_end: Vec<u32>,
-    /// Per segment: the group's canonical (non-zero) weight value.
-    seg_weight: Vec<i32>,
+    /// The activation groups that dispatch a multiply, level by level.
+    segs: Vec<Segment>,
     /// `true` when every segment weight is `±2^k` — the tile qualifies for
     /// the shift-add phase-2 kernel (INQ and ternary TTQ alphabets always
-    /// do). Classified once at lowering time.
+    /// do). Classified once at lowering time. When set, each level's
+    /// segments are additionally **sorted by shift code** (`±(k + 1)` for a
+    /// weight of `±2^k`; wrapping i32 addition is commutative, so the
+    /// permutation is bit-invisible), collapsing into a few runs per level.
     pow2: bool,
-    /// Per segment, only when `pow2`: signed shift code `±(k + 1)` for a
-    /// weight of `±2^k` (the magnitude is never zero, so `|code| ≥ 1`).
-    /// When `pow2`, each level's segments are additionally **sorted by
-    /// code** at lowering time (wrapping i32 addition is commutative, so
-    /// the permutation is bit-invisible), collapsing the codes into a few
-    /// runs per level.
-    seg_shift: Vec<i8>,
     /// Per level `l`, only when `pow2`: runs `run_ptr[l]..run_ptr[l + 1]`
     /// belong to `l` — the CSR analog of `seg_ptr` over equal-code runs.
     run_ptr: Vec<u32>,
@@ -146,6 +134,19 @@ pub struct FlattenedTile {
     /// loop per run — the per-segment work is a bare add/sub, with no
     /// data-dependent branch to mispredict on sign-random alphabets.
     run_code: Vec<i8>,
+}
+
+/// One activation group of one level: its total is the difference of two
+/// prefix rows, times its weight.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Segment {
+    /// The prefix row before the group's first entry (the close that
+    /// precedes it; row 0 at the stream head).
+    start: u32,
+    /// The prefix row of the group's own close.
+    end: u32,
+    /// The group's canonical (non-zero) weight value.
+    weight: i32,
 }
 
 /// The shift code for a `±2^k` segment weight: `±(k + 1)`; `None` when the
@@ -177,99 +178,74 @@ impl FlattenedTile {
         let n = stream.entry_count();
         let rs = geom.r() * geom.s();
         let s_dim = geom.s();
-        let (in_w, in_h) = (geom.in_w(), geom.in_h());
-        let pad = geom.pad() as isize;
+        let (pw, ph) = (geom.in_w() + 2 * geom.pad(), geom.in_h() + 2 * geom.pad());
         let canonical = stream.canonical();
 
-        // Each gather path reads only its own arrays, so build just those:
-        // `base` for the branch-free path, `chan`/`dx`/`dy` for the checked
-        // one — half the resident footprint either way.
-        let all_in_bounds = geom.pad() == 0;
-        let mut base = Vec::with_capacity(if all_in_bounds { n } else { 0 });
-        let mut chan = Vec::with_capacity(if all_in_bounds { 0 } else { n });
-        let mut dx = Vec::with_capacity(if all_in_bounds { 0 } else { n });
-        let mut dy = Vec::with_capacity(if all_in_bounds { 0 } else { n });
+        // Staged coordinates already carry the halo: filter tap (r, s) at
+        // output (0, 0) reads staged cell (r, s), whatever the padding.
+        let mut base = Vec::with_capacity(n);
+        let mut close = Vec::with_capacity(n);
         for e in stream.entries() {
-            let p = e.index as usize;
-            let c = p / rs;
-            let rem = p % rs;
-            let r = (rem / s_dim) as isize;
-            let s = (rem % s_dim) as isize;
-            let c_abs = c_first + c;
-            if all_in_bounds {
-                let off = (c_abs * in_w * in_h) as isize + (r - pad) * in_h as isize + (s - pad);
-                base.push(i32::try_from(off).expect("input offset fits i32"));
-            } else {
-                chan.push(u32::try_from(c_abs).expect("channel fits u32"));
-                dx.push((r - pad) as i16);
-                dy.push((s - pad) as i16);
-            }
+            let (c, rem) = (e.index as usize / rs, e.index as usize % rs);
+            let off = ((c_first + c) * pw + rem / s_dim) * ph + rem % s_dim;
+            base.push(u32::try_from(off).expect("input offset fits u32"));
+            close.push(u8::from(e.close_level.is_some()));
         }
+        let rows = 1 + close.iter().map(|&c| usize::from(c)).sum::<usize>();
 
-        // CSR group ranges: at level `l`, a group closes at entry `i` when
-        // the stream closes level `l` or any outer level there. Groups whose
-        // weight is zero at this level dispatch nothing and are dropped.
+        // CSR group ranges over the close rows: at level `l`, a group closes
+        // on an entry when the stream closes level `l` or any outer level
+        // there, and starts at the row of the previous such close. Groups
+        // whose weight is zero at this level dispatch nothing and are
+        // dropped.
         let mut seg_ptr = Vec::with_capacity(g + 1);
-        let mut seg_start = Vec::new();
-        let mut seg_end = Vec::new();
-        let mut seg_weight = Vec::new();
+        let mut segs = Vec::new();
         for level in 0..g {
-            seg_ptr.push(u32::try_from(seg_start.len()).expect("segment count fits u32"));
-            let mut start = 0u32;
-            for i in 0..n {
-                let e = stream.entry(i);
+            seg_ptr.push(u32::try_from(segs.len()).expect("segment count fits u32"));
+            let (mut start, mut row) = (0u32, 0u32);
+            for e in stream.entries() {
                 let Some(cl) = e.close_level else { continue };
+                row += 1;
                 if (cl as usize) > level {
                     continue;
                 }
                 let rank = e.ranks[level];
                 if rank != ZERO_RANK {
-                    seg_start.push(start);
-                    seg_end.push(i as u32 + 1);
-                    seg_weight.push(i32::from(canonical[rank as usize]));
+                    let weight = i32::from(canonical[rank as usize]);
+                    segs.push(Segment {
+                        start,
+                        end: row,
+                        weight,
+                    });
                 }
-                start = i as u32 + 1;
+                start = row;
             }
         }
-        seg_ptr.push(u32::try_from(seg_start.len()).expect("segment count fits u32"));
+        seg_ptr.push(u32::try_from(segs.len()).expect("segment count fits u32"));
 
         // Alphabet classification (once, at plan-compile time): the tile
         // takes the shift-add phase 2 iff every segment weight is ±2^k.
-        let codes: Option<Vec<i8>> = seg_weight.iter().map(|&w| shift_code(w)).collect();
-        let (pow2, mut seg_shift) = match codes {
-            Some(v) => (true, v),
-            None => (false, Vec::new()),
-        };
+        let pow2 = segs.iter().all(|s| shift_code(s.weight).is_some());
 
         // On pow2 alphabets, sort each level's segments by shift code and
         // record the equal-code runs. Wrapping i32 addition commutes and
         // `<< k` distributes over it, so both phase-2 kernels are
         // bit-identical under the permutation — but the shift-add kernel
-        // can now hoist the shift and the sign per run instead of paying a
-        // data-dependent branch per segment (weight signs are effectively
-        // random in INQ/TTQ streams, so that branch never predicts).
+        // can now hoist the shift and the sign per run instead of paying
+        // them per segment.
         let mut run_ptr = Vec::new();
         let mut run_end = Vec::new();
         let mut run_code = Vec::new();
         if pow2 {
             run_ptr.reserve(g + 1);
+            let code_of = |s: &Segment| shift_code(s.weight).expect("pow2 alphabet");
             for level in 0..g {
                 run_ptr.push(u32::try_from(run_end.len()).expect("run count fits u32"));
                 let s0 = seg_ptr[level] as usize;
                 let s1 = seg_ptr[level + 1] as usize;
-                let mut order: Vec<usize> = (s0..s1).collect();
-                order.sort_by_key(|&si| seg_shift[si]);
-                let apply_u32 = |v: &mut Vec<u32>| {
-                    let permuted: Vec<u32> = order.iter().map(|&si| v[si]).collect();
-                    v[s0..s1].copy_from_slice(&permuted);
-                };
-                apply_u32(&mut seg_start);
-                apply_u32(&mut seg_end);
-                let w: Vec<i32> = order.iter().map(|&si| seg_weight[si]).collect();
-                seg_weight[s0..s1].copy_from_slice(&w);
-                let c: Vec<i8> = order.iter().map(|&si| seg_shift[si]).collect();
-                seg_shift[s0..s1].copy_from_slice(&c);
-                for (si, &code) in seg_shift.iter().enumerate().take(s1).skip(s0) {
+                segs[s0..s1].sort_by_key(code_of);
+                for (si, seg) in segs.iter().enumerate().take(s1).skip(s0) {
+                    let code = code_of(seg);
                     if run_end.len() == run_ptr[level] as usize
                         || run_code[run_end.len() - 1] != code
                     {
@@ -286,18 +262,12 @@ impl FlattenedTile {
         Self {
             k_first,
             g,
-            all_in_bounds,
-            n,
             base,
-            chan,
-            dx,
-            dy,
+            close,
+            rows,
             seg_ptr,
-            seg_start,
-            seg_end,
-            seg_weight,
+            segs,
             pow2,
-            seg_shift,
             run_ptr,
             run_end,
             run_code,
@@ -307,14 +277,14 @@ impl FlattenedTile {
     /// Stream entries retained by the tile.
     #[must_use]
     pub fn entry_count(&self) -> usize {
-        self.n
+        self.base.len()
     }
 
     /// Activation-group segments across all levels — one multiply each per
     /// output position.
     #[must_use]
     pub fn segment_count(&self) -> usize {
-        self.seg_start.len()
+        self.segs.len()
     }
 
     /// How many equal-shift-code runs the segment list collapses into
@@ -328,10 +298,15 @@ impl FlattenedTile {
         self.run_end.len()
     }
 
-    /// Whether the tile takes the fully branch-free gather (`pad == 0`).
+    /// Bytes of heap the lowered tile keeps resident: 5 per entry (gather
+    /// offset + close flag), 12 per segment, and the run tables of a
+    /// `±2^k` alphabet.
     #[must_use]
-    pub fn branch_free(&self) -> bool {
-        self.all_in_bounds
+    pub fn resident_bytes(&self) -> usize {
+        4 * (self.base.len() + self.seg_ptr.len() + self.run_ptr.len() + self.run_end.len())
+            + std::mem::size_of_val(&self.segs[..])
+            + self.close.len()
+            + self.run_code.len()
     }
 
     /// Whether every segment weight is `±2^k`, so the tile qualifies for
@@ -343,12 +318,13 @@ impl FlattenedTile {
     }
 
     /// The shared strip kernel body: adds this tile's partial sums for `LW`
-    /// batch-interleaved images at once. `input` holds a chunk interleaved
-    /// as `input[off · LW + lane]` (see [`interleave_lanes`]), `out` is the
-    /// lane-major accumulator of the tile's **filter band** — `g` output
-    /// planes starting at the tile's first filter, `out[off · LW + lane]`
-    /// with `off` counted from that filter's plane — and `prefix` is caller
-    /// scratch holding `(n + 1) · LW` prefix lanes.
+    /// batch-interleaved images at once. `input` holds a chunk staged as
+    /// `input[off · LW + lane]` over the zero-haloed plane (see
+    /// [`stage_chunk`]), `out` is the lane-major accumulator of the tile's
+    /// **filter band** — `g` output planes starting at the tile's first
+    /// filter, `out[off · LW + lane]` with `off` counted from that filter's
+    /// plane — and `prefix` is caller scratch holding `rows · LW` prefix
+    /// lanes. All three are walked as `LW`-wide rows.
     /// `LW == 1` **is** the planar walk — the layout degenerates to the
     /// plain planar slices, which is how [`run_flattened`] executes.
     ///
@@ -358,7 +334,7 @@ impl FlattenedTile {
     /// register width the enclosing `#[target_feature]` wrapper enables.
     /// With `SHIFT`, phase 2 accumulates `±((hi − lo) << k)` instead of
     /// `(hi − lo) · ±2^k` — identical in two's complement — using the
-    /// `seg_shift` codes precomputed at lowering time. The const generics
+    /// run codes precomputed at lowering time. The const generics
     /// keep the lane arrays on the stack and the strips fully unrolled at
     /// every monomorphized width.
     #[inline(always)]
@@ -370,42 +346,30 @@ impl FlattenedTile {
         prefix: &mut Vec<i32>,
     ) {
         let (out_w, out_h) = (geom.out_w(), geom.out_h());
-        let (in_w, in_h) = (geom.in_w(), geom.in_h());
+        let ph = geom.in_h() + 2 * geom.pad();
         let stride = geom.stride();
-        let n = self.n;
-        prefix.resize((n + 1) * LW, 0);
+        prefix.resize(self.rows * LW, 0);
         prefix[..LW].fill(0);
+        let (input, _) = input.as_chunks::<LW>();
+        let (out, _) = out.as_chunks_mut::<LW>();
+        let (prefix, _) = prefix.as_chunks_mut::<LW>();
 
         for x in 0..out_w {
             for y in 0..out_h {
-                // Phase 1: LW parallel prefix sums behind one offset stream.
+                // Phase 1: LW parallel running sums behind one offset
+                // stream. The sum is written to the row under the cursor on
+                // every entry, but the cursor only moves past a row when a
+                // group closes on it — so rows hold exactly the prefixes
+                // phase 2 reads, and the walk stays flat and branch-free.
+                let delta = stride * (x * ph + y);
                 let mut run = [0i32; LW];
-                if self.all_in_bounds {
-                    let delta = (x * stride * in_h + y * stride) as i32;
-                    for (i, &b) in self.base.iter().enumerate() {
-                        let src = &input[(b + delta) as usize * LW..][..LW];
-                        for (r, &v) in run.iter_mut().zip(src) {
-                            *r += i32::from(v);
-                        }
-                        prefix[(i + 1) * LW..][..LW].copy_from_slice(&run);
+                let mut row = 1;
+                for (&b, &c) in self.base.iter().zip(&self.close) {
+                    for (r, &v) in run.iter_mut().zip(&input[b as usize + delta]) {
+                        *r += i32::from(v);
                     }
-                } else {
-                    let (bx, by) = ((x * stride) as isize, (y * stride) as isize);
-                    for i in 0..n {
-                        let ix = bx + isize::from(self.dx[i]);
-                        let iy = by + isize::from(self.dy[i]);
-                        // One halo check covers the whole chunk: a halo read
-                        // is zero for every image, so all LW lanes skip it.
-                        if ix >= 0 && iy >= 0 && (ix as usize) < in_w && (iy as usize) < in_h {
-                            let off =
-                                (self.chan[i] as usize * in_w + ix as usize) * in_h + iy as usize;
-                            let src = &input[off * LW..][..LW];
-                            for (r, &v) in run.iter_mut().zip(src) {
-                                *r += i32::from(v);
-                            }
-                        }
-                        prefix[(i + 1) * LW..][..LW].copy_from_slice(&run);
-                    }
+                    prefix[row] = run;
+                    row += usize::from(c);
                 }
                 // Phase 2: segment ranges resolved once; each segment is one
                 // broadcast multiply — or, on ±2^k alphabets, a bare add into
@@ -423,41 +387,38 @@ impl FlattenedTile {
                             let sh = u32::from(code.unsigned_abs() - 1);
                             let end = self.run_end[ri] as usize;
                             let mut racc = [0i32; LW];
-                            while si < end {
-                                let hi = &prefix[self.seg_end[si] as usize * LW..][..LW];
-                                let lo = &prefix[self.seg_start[si] as usize * LW..][..LW];
+                            for seg in &self.segs[si..end] {
+                                let hi = &prefix[seg.end as usize];
+                                let lo = &prefix[seg.start as usize];
                                 for (a, (&h, &l)) in racc.iter_mut().zip(hi.iter().zip(lo)) {
                                     *a += h - l;
                                 }
-                                si += 1;
                             }
+                            si = end;
                             // `(Σd) << k ≡ Σ(d << k)` mod 2^32, so shifting
                             // the run sum once is bit-identical to shifting
-                            // every segment.
-                            if code > 0 {
-                                for (a, &r) in acc.iter_mut().zip(&racc) {
-                                    *a += r << sh;
-                                }
-                            } else {
-                                for (a, &r) in acc.iter_mut().zip(&racc) {
-                                    *a -= r << sh;
-                                }
+                            // every segment. The sign is applied as a mask
+                            // (`m` = 0 or −1; `(v ^ m) − m` is `±v`): with a
+                            // branch on it the compiler split the upper
+                            // half-strip of `racc` into sub-register pieces.
+                            let m = i32::from(code >> 7);
+                            for (a, &r) in acc.iter_mut().zip(&racc) {
+                                *a += ((r << sh) ^ m) - m;
                             }
                         }
                     } else {
                         let s0 = self.seg_ptr[level] as usize;
                         let s1 = self.seg_ptr[level + 1] as usize;
-                        for si in s0..s1 {
-                            let hi = &prefix[self.seg_end[si] as usize * LW..][..LW];
-                            let lo = &prefix[self.seg_start[si] as usize * LW..][..LW];
-                            let weight = self.seg_weight[si];
+                        for seg in &self.segs[s0..s1] {
+                            let hi = &prefix[seg.end as usize];
+                            let lo = &prefix[seg.start as usize];
                             for (a, (&h, &l)) in acc.iter_mut().zip(hi.iter().zip(lo)) {
-                                *a += (h - l) * weight;
+                                *a += (h - l) * seg.weight;
                             }
                         }
                     }
-                    let off = ((level * out_w + x) * out_h + y) * LW;
-                    for (o, &a) in out[off..][..LW].iter_mut().zip(&acc) {
+                    let dst = &mut out[(level * out_w + x) * out_h + y];
+                    for (o, &a) in dst.iter_mut().zip(&acc) {
                         *o += a;
                     }
                 }
@@ -677,15 +638,20 @@ pub fn run_flattened(layer: &CompiledLayer, input: &Tensor3<i16>) -> Tensor3<i32
     let mut out = Tensor3::<i32>::zeros(geom.k(), geom.out_w(), geom.out_h());
     let plane = geom.out_w() * geom.out_h();
     let out_slice = out.as_mut_slice();
-    let in_slice = input.as_slice();
     with_thread_scratch(1, |arenas| {
+        let FlattenedScratch {
+            interleaved,
+            prefix,
+            ..
+        } = &mut arenas[0];
+        let staged = stage_chunk(std::slice::from_ref(input), geom.pad(), interleaved);
         for tile in layer.flat_tiles() {
             // Width 1 *is* the planar layout, so the tile's band is simply
             // its filters' planes of the output; the tier/shift selection
             // still applies (the quantized phase 2 pays off even
             // single-image).
             let band = &mut out_slice[tile.k_first * plane..][..tile.g * plane];
-            accumulate_width::<1>(tile, in_slice, band, geom, &mut arenas[0].prefix, sel);
+            accumulate_width::<1>(tile, staged, band, geom, prefix, sel);
         }
     });
     out
@@ -698,9 +664,9 @@ pub fn run_flattened(layer: &CompiledLayer, input: &Tensor3<i16>) -> Tensor3<i32
 /// monomorphized kernel set.
 pub const LANE_WIDTH: usize = 8;
 
-/// Reusable scratch for the flattened executors: the batch-interleaved
-/// input chunk, the `LW`-wide prefix lanes, and the lane-major sums of the
-/// filter band being executed.
+/// Reusable scratch for the flattened executors: the staged (zero-haloed,
+/// batch-interleaved) input chunk, the `LW`-wide prefix lanes, and the
+/// lane-major sums of the filter band being executed.
 ///
 /// One arena serves any number of layers and chunk widths — buffers only
 /// ever grow, and [`FlattenedScratch::reserve_for`] pre-grows them to the
@@ -710,10 +676,11 @@ pub const LANE_WIDTH: usize = 8;
 /// serving worker thread reuses its own across requests.
 #[derive(Debug, Default)]
 pub struct FlattenedScratch {
-    /// Batch-interleaved activations: `interleaved[off · LW + lane]`.
+    /// Staged activations: `interleaved[off · LW + lane]`, `off` over the
+    /// zero-haloed plane.
     interleaved: Vec<i16>,
-    /// Prefix-sum lanes: `(n + 1) · LW` values, row `i` = prefix after
-    /// entry `i − 1`.
+    /// Prefix-sum lanes: `rows · LW` values, row `j` = prefix at the `j`-th
+    /// group close (row 0 = zeros).
     prefix: Vec<i32>,
     /// Lane-major sums of one filter band: `band_lanes[off · LW + lane]`,
     /// `off` counted from the band's first output plane. `G` planes, not
@@ -746,16 +713,18 @@ impl FlattenedScratch {
     /// independent of its filter count.
     pub fn reserve_for(&mut self, layer: &CompiledLayer, lane_width: usize) {
         let geom = layer.geom();
-        let in_len = geom.c() * layer.conv_groups() * geom.in_w() * geom.in_h();
+        let pad = geom.pad();
+        let staged = (geom.in_w() + 2 * pad) * (geom.in_h() + 2 * pad);
+        let in_len = geom.c() * layer.conv_groups() * staged;
         let plane = geom.out_w() * geom.out_h();
         let tiles = layer.flat_tiles();
-        let max_entries = tiles.iter().map(|t| t.n).max().unwrap_or(0);
+        let max_rows = tiles.iter().map(|t| t.rows).max().unwrap_or(0);
         let max_g = tiles.iter().map(|t| t.g).max().unwrap_or(0);
-        // A single lane reads the planar input in place.
-        if lane_width > 1 {
+        // A single unpadded lane reads the planar input in place.
+        if lane_width > 1 || pad > 0 {
             grow_capacity(&mut self.interleaved, in_len * lane_width);
         }
-        grow_capacity(&mut self.prefix, (max_entries + 1) * lane_width);
+        grow_capacity(&mut self.prefix, max_rows * lane_width);
         grow_capacity(&mut self.band_lanes, max_g * plane * lane_width);
     }
 
@@ -800,17 +769,58 @@ fn with_thread_scratch<R>(n: usize, f: impl FnOnce(&mut [FlattenedScratch]) -> R
 ///
 /// Panics if `images` is empty or the images differ in length.
 pub fn interleave_lanes<T: Copy + Default>(images: &[&[T]], out: &mut Vec<T>) {
+    assert!(!images.is_empty(), "cannot interleave an empty chunk");
+    stage_lanes(images, (1, 1, images[0].len()), 0, out);
+}
+
+/// The staging transpose behind [`interleave_lanes`] and [`stage_chunk`]:
+/// `images` are `c × w × h` planes, `out` becomes their batch-interleaved
+/// copy inside a `pad`-wide zero halo — `out[off · LW + lane]` with `off`
+/// over `c × (w + 2·pad) × (h + 2·pad)`. The buffer is zeroed on every
+/// call, so an arena that last held another layer's chunk leaks nothing
+/// into the halo.
+/// One contiguous run (an input row; a [`SCATTER_BLOCK`] of offsets when
+/// no halo separates the rows) is filled by every lane while it is
+/// cache-resident, mirroring [`scatter_lanes`].
+fn stage_lanes<T: Copy + Default>(
+    images: &[&[T]],
+    (c, w, h): (usize, usize, usize),
+    pad: usize,
+    out: &mut Vec<T>,
+) {
     let lw = images.len();
-    assert!(lw > 0, "cannot interleave an empty chunk");
-    let len = images[0].len();
+    let (len, pw, ph) = (c * w * h, w + 2 * pad, h + 2 * pad);
+    assert!(
+        images.iter().all(|img| img.len() == len),
+        "interleaved images must be equally sized"
+    );
     out.clear();
-    out.resize(len * lw, T::default());
-    for (lane, img) in images.iter().enumerate() {
-        assert_eq!(img.len(), len, "interleaved images must be equally sized");
-        for (off, &v) in img.iter().enumerate() {
-            out[off * lw + lane] = v;
+    out.resize(c * pw * ph * lw, T::default());
+    let run = if pad == 0 { SCATTER_BLOCK } else { h };
+    for at in (0..len).step_by(run) {
+        let n = run.min(len - at);
+        let row = at / h;
+        let to = (row / w * pw + row % w + pad) * ph + pad + at % h;
+        let dst = &mut out[to * lw..][..n * lw];
+        for (lane, img) in images.iter().enumerate() {
+            for (d, &v) in dst[lane..].iter_mut().step_by(lw).zip(&img[at..][..n]) {
+                *d = v;
+            }
         }
     }
+}
+
+/// The chunk as the strip kernels read it: staged through [`stage_lanes`]
+/// into `staged`, except that a single unpadded image already *is* its own
+/// width-1 staging and is read in place.
+fn stage_chunk<'a>(inputs: &'a [Tensor3<i16>], pad: usize, staged: &'a mut Vec<i16>) -> &'a [i16] {
+    let first = &inputs[0];
+    if inputs.len() == 1 && pad == 0 {
+        return first.as_slice();
+    }
+    let images: Vec<&[i16]> = inputs.iter().map(Tensor3::as_slice).collect();
+    stage_lanes(&images, (first.c(), first.w(), first.h()), pad, staged);
+    staged
 }
 
 /// Scatters a lane-major buffer (`lanes[off · LW + lane]`,
@@ -881,7 +891,7 @@ impl LaneOut for i16 {
 }
 
 /// Executes one lane chunk (`inputs.len()` = an emitted chunk width) through
-/// the flattened tiles: interleave once, then per filter band walk its
+/// the flattened tiles: stage once, then per filter band walk its
 /// channel tiles `LW`-wide into the staging buffer and scatter the finished
 /// sums — through the [`LaneOut`] epilogue — into the per-image outputs.
 fn run_chunk<T: LaneOut>(
@@ -900,15 +910,7 @@ fn run_chunk<T: LaneOut>(
         prefix,
         band_lanes,
     } = scratch;
-    // A single lane gains nothing from interleaving (the transpose is pure
-    // overhead): width 1 *is* the planar layout.
-    let input: &[i16] = if lw == 1 {
-        inputs[0].as_slice()
-    } else {
-        let images: Vec<&[i16]> = inputs.iter().map(Tensor3::as_slice).collect();
-        interleave_lanes(&images, interleaved);
-        interleaved
-    };
+    let input = stage_chunk(inputs, geom.pad(), interleaved);
     let plane = geom.out_w() * geom.out_h();
     let mut planes: Vec<&mut [T]> = outs.iter_mut().map(Tensor3::as_mut_slice).collect();
     // `CompiledLayer::compile` emits tiles band by band, so the channel
@@ -1009,8 +1011,8 @@ fn run_interleaved<T: LaneOut>(
 ///
 /// The batch is processed in chunks as wide as the dispatched tier's
 /// interleave width (8 scalar, 16 AVX2, 32 AVX-512 — the plan's cached
-/// [`KernelSel`]). Each chunk is transposed once into the batch-interleaved
-/// layout, every gather base / halo bounds check / CSR segment range is
+/// [`KernelSel`]). Each chunk is staged once into the zero-haloed
+/// batch-interleaved layout, every gather offset / CSR segment range is
 /// computed once per entry per output position, and the prefix-sum and
 /// segment-multiply phases run as contiguous `LW`-wide strips through the
 /// tier's `#[target_feature]` kernel, one filter band at a time. Per image
@@ -1142,11 +1144,6 @@ mod tests {
     #[test]
     fn fc_shape_is_branch_free_and_exact() {
         let geom = ConvGeom::new(1, 1, 64, 10, 1, 1);
-        let cfg = UcnnConfig::with_g(2);
-        let mut wgen = WeightGen::new(QuantScheme::ttq(), 3).with_density(0.6);
-        let weights = wgen.generate_dims(10, 64, 1, 1);
-        let layer = CompiledLayer::compile(&geom, 1, &weights, &cfg);
-        assert!(layer.flat_tiles().iter().all(FlattenedTile::branch_free));
         check(geom, 1, 2, 16, 3);
     }
 
@@ -1158,35 +1155,27 @@ mod tests {
 
     #[test]
     fn halo_corners_with_pad2_stride_and_negative_deltas() {
-        // pad = 2 with a 3×3 filter makes every dx/dy delta non-positive
-        // (r − pad ∈ {−2, −1, 0}), so the checked gather must clip reads on
-        // ALL four sides: ix < 0 and iy < 0 at the (0, 0) output corner,
-        // ix ≥ in_w / iy ≥ in_h at the far corners once the stride pushes
-        // the gather base past the plane. Non-square input (7×6) keeps the
-        // two axes from masking each other's bugs.
+        // pad = 2 with a 3×3 filter makes every tap delta non-positive
+        // (r − pad ∈ {−2, −1, 0}), so reads leave the plane on ALL four
+        // sides: ix < 0 and iy < 0 at the (0, 0) output corner, ix ≥ in_w /
+        // iy ≥ in_h at the far corners once the stride pushes the gather
+        // base past the plane. Non-square input (7×6) keeps the two axes
+        // from masking each other's bugs. Every corner output (where the
+        // reads land in the halo) must agree with the dense reference bit
+        // for bit.
         for (stride, seed) in [(1usize, 21u64), (2, 22), (3, 23)] {
             let geom = ConvGeom::new(7, 6, 3, 4, 3, 3)
                 .with_stride(stride)
                 .with_pad(2);
-            // The lowering must take the checked path everywhere…
-            let mut wgen = WeightGen::new(QuantScheme::inq(), seed).with_density(0.8);
-            let weights = wgen.generate_dims(4, 3, 3, 3);
-            let layer = CompiledLayer::compile(&geom, 1, &weights, &UcnnConfig::with_g(2));
-            assert!(
-                layer.flat_tiles().iter().all(|t| !t.branch_free()),
-                "pad > 0 must disable the branch-free gather (stride {stride})"
-            );
-            // …and every corner output (where halo reads clip) must agree
-            // with the dense reference bit for bit.
             check(geom, 1, 2, 2, seed);
         }
     }
 
     #[test]
     fn halo_corners_grouped_conv_pad2() {
-        // Grouped conv + pad 2: the checked path's absolute-channel gather
-        // (`chan[i]`) must stay inside each group's channel band even while
-        // the spatial deltas go negative.
+        // Grouped conv + pad 2: the absolute-channel gather offsets must
+        // stay inside each group's channel band of the haloed plane even
+        // while the spatial deltas go negative.
         let geom = ConvGeom::new(6, 7, 3, 4, 3, 3).with_stride(2).with_pad(2);
         check(geom, 2, 2, 2, 24);
     }
@@ -1223,7 +1212,7 @@ mod tests {
             2,
             "bottom-right corner clips ix ≥ in_w and iy ≥ in_h"
         );
-        // The interleaved kernel shares the same single bounds check.
+        // The interleaved kernel reads the same zero halo.
         let batch = vec![input; 4];
         for got in run_flattened_batch_interleaved(&layer, &batch, 1) {
             assert_eq!(got, expected);
@@ -1249,8 +1238,8 @@ mod tests {
 
     #[test]
     fn explicit_scratch_arena_is_reusable_across_layers_and_widths() {
-        // One arena across different layers, chunk widths, and both gather
-        // paths: buffers only grow, results stay exact.
+        // One arena across different layers, chunk widths, and padded and
+        // unpadded staging: buffers only grow, results stay exact.
         let mut scratch = FlattenedScratch::new();
         let geoms = [
             ConvGeom::new(1, 1, 32, 6, 1, 1),
@@ -1310,6 +1299,16 @@ mod tests {
             .max()
             .unwrap();
         assert_eq!(scratch.band_lanes.capacity(), band * widest);
+        // The staged chunk covers the padded conv's haloed plane (126
+        // offsets, more than the FC layer's 48); the prefix holds one row
+        // per group close.
+        assert_eq!(
+            scratch.interleaved.capacity(),
+            3 * (5 + 2) * (4 + 2) * widest
+        );
+        let rows = layers.iter().flat_map(CompiledLayer::flat_tiles);
+        let max_rows = rows.map(|t| t.rows).max().unwrap();
+        assert_eq!(scratch.prefix.capacity(), max_rows * widest);
         let caps = (
             scratch.interleaved.capacity(),
             scratch.prefix.capacity(),
@@ -1388,11 +1387,11 @@ mod tests {
             "output staging {staging} B exceeds one band ({} B)",
             g * plane * lw * 4
         );
-        let max_entries = layer.flat_tiles().iter().map(|t| t.n).max().unwrap();
+        let max_rows = layer.flat_tiles().iter().map(|t| t.rows).max().unwrap();
         assert_eq!(
             scratch.resident_bytes(),
-            3 * 8 * 8 * lw * 2 + (max_entries + 1) * lw * 4 + staging,
-            "resident_bytes is the interleaved input + prefix lanes + one band"
+            3 * (8 + 2) * (8 + 2) * lw * 2 + max_rows * lw * 4 + staging,
+            "resident_bytes is the haloed staged input + close-row prefix lanes + one band"
         );
         assert!(
             scratch.resident_bytes() < k * plane * lw * 4,
@@ -1481,7 +1480,7 @@ mod tests {
             // Grouped conv: bands never span a conv group, and K / groups
             // = 3 leaves a ragged band inside every group.
             (ConvGeom::new(6, 5, 4, 6, 3, 3).with_pad(1), 2, 2, 3),
-            // Stride 2 with pad 2: the checked gather clips on all sides.
+            // Stride 2 with pad 2: reads land in the halo on all sides.
             (
                 ConvGeom::new(7, 6, 3, 5, 3, 3).with_stride(2).with_pad(2),
                 1,
@@ -1506,6 +1505,118 @@ mod tests {
                     .map(|_| agen.generate(geom.c() * conv_groups, geom.in_w(), geom.in_h()))
                     .collect();
                 check_bands_against_reference(&layer, &weights, &inputs, &format!("shape {si}"));
+            }
+        }
+    }
+
+    #[test]
+    fn geometry_sweep_matches_reference_on_every_tier() {
+        // The single gather path against the dense reference over stride ×
+        // pad — including pad > r − 1, where whole windows sit in the halo —
+        // on a non-square plane, cycling grouped conv and G through the
+        // cells, with ragged channel tiles (C = 5, Ct = 2) throughout and
+        // batches that straddle every strip width.
+        let mut case = 0usize;
+        for stride in 1..=3 {
+            for pad in 0..=3 {
+                let (conv_groups, g) = (1 + case % 2, 1 + case % 3);
+                let geom = ConvGeom::new(7, 6, 5, 6, 3, 3)
+                    .with_stride(stride)
+                    .with_pad(pad);
+                let seed = 400 + case as u64;
+                let mut wgen = WeightGen::new(QuantScheme::inq(), seed).with_density(0.8);
+                let weights = wgen.generate_dims(geom.k(), geom.c(), geom.r(), geom.s());
+                let cfg = UcnnConfig {
+                    g,
+                    ct: 2,
+                    ..UcnnConfig::default()
+                };
+                let layer = CompiledLayer::compile(&geom, conv_groups, &weights, &cfg);
+                let mut agen = ActivationGen::new(seed ^ 0x5EE9);
+                for b in [1usize, 5, 8, 16, 32, 35] {
+                    let inputs: Vec<Tensor3<i16>> = (0..b)
+                        .map(|_| agen.generate(geom.c() * conv_groups, geom.in_w(), geom.in_h()))
+                        .collect();
+                    let what = format!("stride {stride}, pad {pad}, groups {conv_groups}, G {g}");
+                    check_bands_against_reference(&layer, &weights, &inputs, &what);
+                }
+                case += 1;
+            }
+        }
+    }
+
+    #[test]
+    fn staged_halo_is_rezeroed_after_a_wider_layer() {
+        // A wide unpadded layer leaves the arena's staged chunk full of
+        // non-zero activations; the small padded layer staged next must
+        // read a zero halo, not those leftovers. At B = 1 the wide layer is
+        // read in place, so the padded single-lane copy lands on what the
+        // 8-lane chunks left behind.
+        let mut scratch = FlattenedScratch::new();
+        let geoms = [
+            ConvGeom::new(12, 12, 6, 2, 3, 3),
+            ConvGeom::new(4, 4, 2, 2, 3, 3).with_pad(2),
+        ];
+        for b in [8usize, 1] {
+            for (gi, geom) in geoms.iter().enumerate() {
+                let mut wgen = WeightGen::new(QuantScheme::inq(), 60 + gi as u64).with_density(0.9);
+                let weights = wgen.generate_dims(geom.k(), geom.c(), geom.r(), geom.s());
+                let layer = CompiledLayer::compile(geom, 1, &weights, &UcnnConfig::with_g(2));
+                let inputs: Vec<Tensor3<i16>> = (0..b)
+                    .map(|lane| {
+                        Tensor3::filled(geom.c(), geom.in_w(), geom.in_h(), 100 + lane as i16)
+                    })
+                    .collect();
+                let expected: Vec<Tensor3<i32>> = inputs
+                    .iter()
+                    .map(|i| reference::conv2d(geom, 1, i, &weights))
+                    .collect();
+                let sel = layer.kernel_sel().clamped();
+                assert_eq!(
+                    run_chunks::<i32>(&layer, &inputs, &mut scratch, sel),
+                    expected,
+                    "layer {gi}, B={b}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_stream_ends_on_a_close_and_rows_count_the_closes() {
+        // Phase 1 writes row `cursor` on every entry and only advances past
+        // it on a close: the last entry must close (or the final row would
+        // be written and never read) and `rows` must be `closes + 1` (or
+        // the cursor would leave the prefix buffer).
+        let shapes = [
+            (ConvGeom::new(6, 5, 7, 6, 3, 3).with_pad(1), 1usize, 3usize),
+            (
+                ConvGeom::new(5, 5, 4, 4, 3, 3).with_stride(2).with_pad(2),
+                2,
+                2,
+            ),
+            (ConvGeom::new(1, 1, 96, 5, 1, 1), 1, 1),
+        ];
+        for (si, (geom, conv_groups, g)) in shapes.into_iter().enumerate() {
+            let mut wgen = WeightGen::new(QuantScheme::inq(), 80 + si as u64).with_density(0.7);
+            let weights = wgen.generate_dims(geom.k(), geom.c(), geom.r(), geom.s());
+            let cfg = UcnnConfig {
+                g,
+                ct: 3,
+                ..UcnnConfig::default()
+            };
+            let layer = CompiledLayer::compile(&geom, conv_groups, &weights, &cfg);
+            for (tile, flat) in layer.tiles().iter().zip(layer.flat_tiles()) {
+                let n = flat.entry_count();
+                assert_eq!(n, tile.stream().entry_count());
+                if n > 0 {
+                    assert_eq!(tile.stream().entry(n - 1).close_level, Some(0));
+                    assert_eq!(flat.close[n - 1], 1, "shape {si}: last entry must close");
+                }
+                let closes: usize = flat.close.iter().map(|&c| usize::from(c)).sum();
+                assert_eq!(flat.rows, closes + 1, "shape {si}");
+                for seg in &flat.segs {
+                    assert!(seg.start < seg.end && (seg.end as usize) < flat.rows);
+                }
             }
         }
     }

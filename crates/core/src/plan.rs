@@ -145,7 +145,7 @@ impl CompiledLayer {
             "filter plane mismatch"
         );
         assert!(
-            conv_groups > 0 && geom.k() % conv_groups == 0,
+            conv_groups > 0 && geom.k().is_multiple_of(conv_groups),
             "bad group count"
         );
 
@@ -226,6 +226,15 @@ impl CompiledLayer {
                 .map(|t| FlattenedTile::lower(&t.stream, t.k_first, t.c_first, &self.geom))
                 .collect()
         })
+    }
+
+    /// Bytes of heap the flattened lowering keeps resident (lowering it
+    /// first if needed) — the plan-size figure `repro backends` prints
+    /// beside each lowered layer's time.
+    #[must_use]
+    pub fn flat_bytes(&self) -> usize {
+        let tiles = self.flat_tiles().iter();
+        tiles.map(FlattenedTile::resident_bytes).sum()
     }
 
     /// Whether the flattened lowering has already been built (by a
