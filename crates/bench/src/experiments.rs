@@ -1329,14 +1329,12 @@ pub fn batch_exec(quick: bool) -> TableOut {
 /// backends` writes these rows as machine-readable `BENCH_backends.json`
 /// for the perf trajectory.
 ///
-/// Beyond the three registered backends, each cell carries the explicit
-/// SIMD variants: one `flattened-batch@<tier>` row per ISA tier the CPU
-/// supports, and — on power-of-two-alphabet layers — one
-/// `flattened-batch@<tier>-mult|-shift` twin per tier with the phase-2 mode
-/// the plan did not elect forced on, so shift-vs-multiply is measured at
-/// equal width. The `simd_tier` column reports the exact kernel each row
-/// ran (`avx512+shift`, `scalar+mult`, `-` for the stream walkers), and
-/// `flat_bytes` what the flattened rows' lowered tables keep resident.
+/// Beyond the three registered backends, each cell carries one
+/// `flattened-batch@<tier>` row per ISA tier the CPU supports. The
+/// `simd_tier` column reports the tier each row ran (`avx512`, `scalar`,
+/// `-` for the stream walkers), and `flat_bytes` what the flattened rows'
+/// lowered tables keep resident. A `provenance` section records where the
+/// numbers came from: commit, compiler, detected tiers, core count.
 ///
 /// `flattened-batch` and the pinned row of the tier it dispatches to run
 /// the identical kernel: the gap between those two rows is the run's own
@@ -1346,7 +1344,7 @@ pub fn backend_table(quick: bool) -> TableOut {
     use std::time::Instant;
     use ucnn_core::flatten::run_flattened_batch_interleaved_forced;
     use ucnn_core::plan::CompiledLayer;
-    use ucnn_core::simd::{available_tiers, KernelSel};
+    use ucnn_core::simd::{available_tiers, resolve_tier};
     use ucnn_model::ActivationGen;
     use ucnn_tensor::{ConvGeom, Tensor3};
 
@@ -1367,12 +1365,11 @@ pub fn backend_table(quick: bool) -> TableOut {
             QuantScheme::inq(),
             2,
         ),
-        // The i8-alphabet zoo entry: ternary TTQ weights (alphabet {±64})
-        // drive the shift-add quantized path, and G = 8 deepens the
-        // shared-partial hierarchy so phase 2 — the per-segment
-        // multiply/shift loop the quantized kernel replaces — carries the
-        // dominant share of the runtime (each of the 8 levels walks its own
-        // segment list against one shared prefix array).
+        // The i8-alphabet zoo entry: ternary TTQ weights (alphabet {±64}),
+        // and G = 8 deepens the shared-partial hierarchy so phase 2 — the
+        // per-segment multiply loop — carries the dominant share of the
+        // runtime (each of the 8 levels walks its own segment list against
+        // one shared prefix array).
         (
             "fc ttq i8",
             ConvGeom::new(1, 1, fc_c, 32, 1, 1),
@@ -1398,11 +1395,6 @@ pub fn backend_table(quick: bool) -> TableOut {
         let mut wgen = WeightGen::new(scheme, SEED ^ 0xBA).with_density(0.9);
         let weights = wgen.generate_dims(geom.k(), geom.c(), geom.r(), geom.s());
         let plan = CompiledLayer::compile(&geom, 1, &weights, &cfg);
-        let sel = plan.kernel_sel().clamped();
-        let pow2 = plan
-            .flat_tiles()
-            .iter()
-            .all(ucnn_core::flatten::FlattenedTile::pow2_alphabet);
         let flat_bytes = plan.flat_bytes().to_string();
         let mut agen = ActivationGen::new(SEED ^ 0xBB);
         for &b in batches {
@@ -1414,50 +1406,27 @@ pub fn backend_table(quick: bool) -> TableOut {
                 .collect();
             let expected: Vec<_> = inputs.iter().map(|i| run_compiled(plan, i)).collect();
             // The measured variants — (backend column, simd_tier column,
-            // runner): the registered backends, one tier-pinned
-            // flattened-batch per available ISA tier, and (on pow2
-            // alphabets) one twin per tier.
+            // runner): the registered backends and one tier-pinned
+            // flattened-batch per available ISA tier.
             let mut variants: Vec<(String, String, Runner<'_>)> = Vec::new();
             for kind in BackendKind::ALL {
                 let tier_label = if kind == BackendKind::FlattenedBatch {
-                    sel.label()
+                    resolve_tier().name()
                 } else {
-                    "-".to_string()
+                    "-"
                 };
                 variants.push((
                     kind.name().to_string(),
-                    tier_label,
+                    tier_label.to_string(),
                     Box::new(move |ins| backend(kind).run_layer(plan, ins, 2)),
                 ));
             }
             for &tier in available_tiers() {
-                let forced = plan.kernel_sel().with_tier(tier);
                 variants.push((
                     format!("flattened-batch@{}", tier.name()),
-                    forced.label(),
-                    Box::new(move |ins| {
-                        run_flattened_batch_interleaved_forced(plan, ins, 2, forced)
-                    }),
+                    tier.name().to_string(),
+                    Box::new(move |ins| run_flattened_batch_interleaved_forced(plan, ins, 2, tier)),
                 ));
-                if pow2 {
-                    // Shift-vs-multiply at equal width: same tier, the
-                    // phase-2 mode the plan did *not* elect forced on. The
-                    // suffix names the twin's own mode, so a layer whose
-                    // run-length heuristic picked multiply gets a `-shift`
-                    // twin and vice versa.
-                    let twin = KernelSel {
-                        tier,
-                        shift_add: !sel.shift_add,
-                    };
-                    let suffix = if twin.shift_add { "shift" } else { "mult" };
-                    variants.push((
-                        format!("flattened-batch@{}-{suffix}", tier.name()),
-                        twin.label(),
-                        Box::new(move |ins| {
-                            run_flattened_batch_interleaved_forced(plan, ins, 2, twin)
-                        }),
-                    ));
-                }
             }
             // Correctness (and warm-up): every variant must agree bit for
             // bit.
@@ -1505,6 +1474,30 @@ pub fn backend_table(quick: bool) -> TableOut {
             }
         }
     }
+    // Where the numbers came from. `unknown` when the tool is not on PATH
+    // or the run is outside a checkout.
+    let tool = |cmd: &str, args: &[&str]| {
+        std::process::Command::new(cmd)
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+            .map_or_else(|| "unknown".to_string(), |v| v.trim().to_string())
+    };
+    let tiers: Vec<&str> = available_tiers().iter().map(|t| t.name()).collect();
+    let cores = std::thread::available_parallelism().map_or(0, usize::from);
+    let mut provenance = TableOut::new(
+        "provenance",
+        &["commit", "rustc", "simd_tiers", "available_parallelism"],
+    );
+    provenance.push_row(vec![
+        tool("git", &["describe", "--always", "--dirty"]),
+        tool("rustc", &["--version"]),
+        tiers.join(" "),
+        cores.to_string(),
+    ]);
+    t.push_section(provenance);
     t
 }
 
@@ -1806,12 +1799,10 @@ mod tests {
         // is the perf gate).
         let t = backend_table(true);
         let tiers = ucnn_core::simd::available_tiers().len();
-        // Per cell: the three registered backends, one tier-pinned
-        // flattened-batch row per available ISA tier, and — since every
-        // bench layer has a pow2 alphabet — one twin per tier with the
-        // un-elected phase-2 mode forced on. 3 layers × 2 quick batch
-        // sizes.
-        let per_cell = BackendKind::ALL.len() + 2 * tiers;
+        // Per cell: the three registered backends and one tier-pinned
+        // flattened-batch row per available ISA tier. 3 layers × 2 quick
+        // batch sizes.
+        let per_cell = BackendKind::ALL.len() + tiers;
         let cells = 3 * 2;
         assert_eq!(t.rows.len(), cells * per_cell);
         assert_eq!(
@@ -1830,11 +1821,11 @@ mod tests {
             assert!(row[4].parse::<f64>().unwrap() > 0.0, "{row:?}");
             assert!(row[5].parse::<f64>().unwrap() > 0.0, "{row:?}");
             // Every row reports which kernel ran: flattened rows carry a
-            // `tier+mode` label, the rest a `-` placeholder.
+            // tier name, the rest a `-` placeholder.
             if row[2].starts_with("flattened") {
                 assert!(
-                    row[3].contains("+shift") || row[3].contains("+mult"),
-                    "flattened rows report their kernel: {row:?}"
+                    ucnn_core::simd::SimdTier::parse(&row[3]).is_some(),
+                    "flattened rows report their tier: {row:?}"
                 );
                 assert!(row[6].parse::<usize>().unwrap() > 0, "{row:?}");
             } else {
@@ -1848,28 +1839,19 @@ mod tests {
             .filter(|r| r[0] == "fc 1x1" && r[1] == "1")
             .collect();
         assert_eq!(fc_b1.len(), per_cell);
-        // Forced-tier rows exist for every available tier, with the
-        // shift/mult twins paired at equal width (the twin's suffix names
-        // the mode the plan's run-length heuristic did not elect, so it is
-        // `-mult` on shift-elected layers and `-shift` on multiply-elected
-        // ones).
+        // Forced-tier rows exist for every available tier.
         for tier in ucnn_core::simd::available_tiers() {
             let pinned = format!("flattened-batch@{}", tier.name());
-            let twin_prefix = format!("flattened-batch@{}-", tier.name());
             assert_eq!(
                 t.rows.iter().filter(|r| r[2] == pinned).count(),
                 cells,
                 "{pinned} row per cell"
             );
-            assert_eq!(
-                t.rows
-                    .iter()
-                    .filter(|r| r[2].starts_with(&twin_prefix))
-                    .count(),
-                cells,
-                "{twin_prefix}shift|mult twin row per cell"
-            );
         }
+        // One provenance row rides along.
+        assert_eq!(t.sections.len(), 1);
+        assert_eq!(t.sections[0].title, "provenance");
+        assert_eq!(t.sections[0].rows.len(), 1);
         // The baseline column is relative to the engine default's own row.
         for row in t.rows.iter().filter(|r| r[2] == "batch-threads") {
             assert_eq!(row[5], "1.00", "{row:?}");

@@ -17,10 +17,9 @@
 //! | [`BackendKind::BatchThreads`] | retained-stream walk: per image at B = 1, batch-major at B ≥ 2, scoped threads over filter bands × batch chunks when `threads > 1` | nowhere on speed; it is the serving engine's default until the benchmark's memory accounting lets the engine switch (see `EngineConfig::backend` in `ucnn-serve`) |
 //! | [`BackendKind::FlattenedBatch`] | branch-free flattened walk (one gather path for every geometry: padded layers are staged into a zero-haloed chunk; prefix rows kept per group close) over batch-interleaved SIMD lanes (width-1 strips at B = 1), staged per filter band | every measured cell; the library default ([`CompiledNetwork::DEFAULT_BACKEND`](crate::plan::CompiledNetwork::DEFAULT_BACKEND)) |
 //!
-//! Which ISA tier and phase-2 form the flattened executor runs is not a
-//! backend choice: the plan works it out from what it can observe
-//! ([`SimdCaps`](crate::simd::SimdCaps) and the weight alphabet) and caches
-//! it as [`CompiledLayer::kernel_sel`].
+//! Which ISA tier the flattened executor runs is not a backend choice: the
+//! process works it out once from what it can observe
+//! ([`SimdCaps`](crate::simd::SimdCaps)) in [`resolve_tier`].
 
 use ucnn_model::reference;
 use ucnn_tensor::{Tensor3, Tensor4};
@@ -29,6 +28,7 @@ use crate::counters::LayerWork;
 use crate::exec::{factorized_conv, run_compiled_batch_threads};
 use crate::flatten::{run_flattened_batch_interleaved, run_flattened_batch_interleaved_relu};
 use crate::plan::CompiledLayer;
+use crate::simd::resolve_tier;
 
 /// Selects one of the registered executor backends.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -48,9 +48,8 @@ pub enum BackendKind {
     /// chunk feeds a strip of contiguous image lanes as wide as the
     /// dispatched ISA tier allows (8 scalar/NEON, 16 AVX2, 32 AVX-512 —
     /// see [`SimdTier::lane_width`](crate::simd::SimdTier::lane_width)),
-    /// through explicit `#[target_feature]` kernels picked once per plan
-    /// by [`CompiledLayer::kernel_sel`]. Power-of-two weight alphabets
-    /// additionally take the shift-add quantized path.
+    /// through explicit `#[target_feature]` kernels picked once per
+    /// process by [`resolve_tier`].
     FlattenedBatch,
 }
 
@@ -206,7 +205,6 @@ fn stream_walk_work(layer: &CompiledLayer, batch: usize) -> LayerWork {
         lowering_hits: 0,
         lowering_misses: 0,
         lane_strips: 0,
-        shift_multiplies: 0,
         lane_width: 0,
     }
 }
@@ -214,10 +212,9 @@ fn stream_walk_work(layer: &CompiledLayer, batch: usize) -> LayerWork {
 /// [`stream_walk_work`] plus the flattened-only fields: CSR segments walked
 /// (one multiply each per output position — the lowering invariant pinned
 /// by `segment_counts_match_stream_multiplies`), whether this call hit
-/// the cached lowering or had to build it, and the per-ISA profile from
-/// the layer's cached kernel selection — which interleave width ran, how
-/// many lane strips the batch decomposed into, and how many multiplies
-/// the power-of-two shift-add path absorbed.
+/// the cached lowering or had to build it, and the per-ISA profile of the
+/// dispatched tier — which interleave width ran and how many lane strips
+/// the batch decomposed into.
 fn flattened_work(layer: &CompiledLayer, batch: usize, lowering_was_ready: bool) -> LayerWork {
     let mut work = stream_walk_work(layer, batch);
     let out_positions = (layer.geom().out_w() * layer.geom().out_h()) as u64;
@@ -232,12 +229,9 @@ fn flattened_work(layer: &CompiledLayer, batch: usize, lowering_was_ready: bool)
     } else {
         work.lowering_misses = 1;
     }
-    let sel = layer.kernel_sel().clamped();
-    if sel.shift_add {
-        work.shift_multiplies = work.multiplies_issued;
-    }
-    work.lane_width = sel.tier.lane_width() as u64;
-    work.lane_strips = crate::flatten::chunk_count(batch, sel.tier.lane_width()) as u64;
+    let lane = resolve_tier().lane_width();
+    work.lane_width = lane as u64;
+    work.lane_strips = crate::flatten::chunk_count(batch, lane) as u64;
     work
 }
 
@@ -314,15 +308,11 @@ impl Backend for FlattenedBatchBackend {
         inputs: &[Tensor3<i16>],
         threads: usize,
     ) -> Vec<Tensor3<i16>> {
-        run_flattened_batch_interleaved_relu(layer, inputs, threads, layer.kernel_sel())
+        run_flattened_batch_interleaved_relu(layer, inputs, threads, resolve_tier())
     }
 
     fn warm(&self, layer: &CompiledLayer) {
         let _ = layer.flat_tiles();
-        // Resolving the kernel selection here (not on the first request)
-        // pins the ISA tier + alphabet classification into the plan's
-        // `OnceLock`, the same warm-path discipline as the lowering.
-        let _ = layer.kernel_sel();
     }
 
     fn work(&self, layer: &CompiledLayer, batch: usize, lowering_was_ready: bool) -> LayerWork {

@@ -59,14 +59,9 @@ pub struct LayerWork {
     /// feeding up to [`lane_width`](LayerWork::lane_width) image lanes.
     /// Zero for backends that do not interleave.
     pub lane_strips: u64,
-    /// Of [`multiplies_issued`](LayerWork::multiplies_issued), how many
-    /// were issued as shift-adds by the power-of-two-alphabet quantized
-    /// kernel instead of broadcast multiplies. Zero when the layer's
-    /// alphabet is not pow2/ternary or the shift path is disabled.
-    pub shift_multiplies: u64,
     /// Widest SIMD interleave width the dispatched kernel ran at (the
     /// [`SimdTier::lane_width`](crate::simd::SimdTier::lane_width) of the
-    /// elected tier; 1 for planar execution, 0 when not applicable).
+    /// dispatched tier; 1 for planar execution, 0 when not applicable).
     /// Merged by `max`, so an aggregate row reports the widest tier that
     /// served it — the per-ISA issued-op profile.
     pub lane_width: u64,
@@ -85,7 +80,6 @@ impl LayerWork {
         self.lowering_hits += other.lowering_hits;
         self.lowering_misses += other.lowering_misses;
         self.lane_strips += other.lane_strips;
-        self.shift_multiplies += other.shift_multiplies;
         self.lane_width = self.lane_width.max(other.lane_width);
     }
 
@@ -304,19 +298,16 @@ mod tests {
     fn simd_profile_fields_merge_additively_except_lane_width() {
         let mut a = LayerWork {
             lane_strips: 2,
-            shift_multiplies: 100,
             lane_width: 8,
             ..LayerWork::default()
         };
         let b = LayerWork {
             lane_strips: 3,
-            shift_multiplies: 50,
             lane_width: 32,
             ..LayerWork::default()
         };
         a.merge(&b);
         assert_eq!(a.lane_strips, 5);
-        assert_eq!(a.shift_multiplies, 150);
         assert_eq!(a.lane_width, 32, "lane width reports the widest tier");
         // Merging a narrower record never shrinks the profile.
         a.merge(&LayerWork {

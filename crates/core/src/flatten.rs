@@ -48,17 +48,15 @@
 //! segment weight). Every gather offset and CSR segment range is computed
 //! **once per entry per output position** and feeds all `LW` images.
 //!
-//! The strip width and codegen follow the dispatched [`KernelSel`]
+//! The strip width and codegen follow the dispatched [`SimdTier`]
 //! ([`simd`](crate::simd)): the `scalar` tier keeps the historical
 //! [`LANE_WIDTH`]` = 8` strips under baseline codegen, while the `avx2` /
 //! `avx512` tiers run the same strip body 16/32 lanes wide inside
 //! `#[target_feature]`-gated kernels so the compiler emits full-width
-//! 256/512-bit arithmetic. On power-of-two weight alphabets (INQ, ternary
-//! TTQ) phase 2 swaps the broadcast multiply for shift-add accumulation.
-//! Per lane the i32 operation sequence is identical at every width, every
-//! tier, and both phase-2 forms (`x · ±2^k ≡ ±(x << k)` in two's
-//! complement), so outputs stay bit-identical to [`run_flattened`] across
-//! all of them — the golden conformance corpus is the referee.
+//! 256/512-bit arithmetic. Per lane the i32 operation sequence is identical
+//! at every width and every tier, so outputs stay bit-identical to
+//! [`run_flattened`] across all of them — the golden conformance corpus is
+//! the referee.
 //!
 //! # Band staging and the fused epilogue
 //!
@@ -88,7 +86,7 @@ use ucnn_tensor::{ConvGeom, Tensor3};
 
 use crate::hierarchy::{GroupStream, ZERO_RANK};
 use crate::plan::CompiledLayer;
-use crate::simd::{KernelSel, SimdTier};
+use crate::simd::{resolve_tier, SimdCaps, SimdTier};
 
 /// The flattened, branch-free form of one retained tile: per-entry gather
 /// offsets plus CSR-style activation-group ranges per level.
@@ -115,25 +113,10 @@ pub struct FlattenedTile {
     rows: usize,
     /// Per level `l`: segments `seg_ptr[l]..seg_ptr[l + 1]` belong to `l`.
     seg_ptr: Vec<u32>,
-    /// The activation groups that dispatch a multiply, level by level.
+    /// The activation groups that dispatch a multiply, level by level, each
+    /// level in stream order — so `end` never decreases within a level and
+    /// phase 2 reads the prefix rows monotonically.
     segs: Vec<Segment>,
-    /// `true` when every segment weight is `±2^k` — the tile qualifies for
-    /// the shift-add phase-2 kernel (INQ and ternary TTQ alphabets always
-    /// do). Classified once at lowering time. When set, each level's
-    /// segments are additionally **sorted by shift code** (`±(k + 1)` for a
-    /// weight of `±2^k`; wrapping i32 addition is commutative, so the
-    /// permutation is bit-invisible), collapsing into a few runs per level.
-    pow2: bool,
-    /// Per level `l`, only when `pow2`: runs `run_ptr[l]..run_ptr[l + 1]`
-    /// belong to `l` — the CSR analog of `seg_ptr` over equal-code runs.
-    run_ptr: Vec<u32>,
-    /// Per run: one past the last segment of the run.
-    run_end: Vec<u32>,
-    /// Per run: the common shift code of every segment in the run. The
-    /// shift-add kernel hoists the shift and the sign out of the segment
-    /// loop per run — the per-segment work is a bare add/sub, with no
-    /// data-dependent branch to mispredict on sign-random alphabets.
-    run_code: Vec<i8>,
 }
 
 /// One activation group of one level: its total is the difference of two
@@ -147,23 +130,6 @@ struct Segment {
     end: u32,
     /// The group's canonical (non-zero) weight value.
     weight: i32,
-}
-
-/// The shift code for a `±2^k` segment weight: `±(k + 1)`; `None` when the
-/// weight is not a (signed) power of two.
-fn shift_code(weight: i32) -> Option<i8> {
-    let mag = weight.unsigned_abs();
-    if mag == 0 || !mag.is_power_of_two() {
-        return None;
-    }
-    let k = mag.trailing_zeros();
-    // Canonical weights widen from i16, so k ≤ 15 in practice; the i8 code
-    // caps at 30 defensively (shifting past that would change wrapping).
-    if k > 30 {
-        return None;
-    }
-    let code = (k as i8) + 1;
-    Some(if weight < 0 { -code } else { code })
 }
 
 impl FlattenedTile {
@@ -223,42 +189,6 @@ impl FlattenedTile {
         }
         seg_ptr.push(u32::try_from(segs.len()).expect("segment count fits u32"));
 
-        // Alphabet classification (once, at plan-compile time): the tile
-        // takes the shift-add phase 2 iff every segment weight is ±2^k.
-        let pow2 = segs.iter().all(|s| shift_code(s.weight).is_some());
-
-        // On pow2 alphabets, sort each level's segments by shift code and
-        // record the equal-code runs. Wrapping i32 addition commutes and
-        // `<< k` distributes over it, so both phase-2 kernels are
-        // bit-identical under the permutation — but the shift-add kernel
-        // can now hoist the shift and the sign per run instead of paying
-        // them per segment.
-        let mut run_ptr = Vec::new();
-        let mut run_end = Vec::new();
-        let mut run_code = Vec::new();
-        if pow2 {
-            run_ptr.reserve(g + 1);
-            let code_of = |s: &Segment| shift_code(s.weight).expect("pow2 alphabet");
-            for level in 0..g {
-                run_ptr.push(u32::try_from(run_end.len()).expect("run count fits u32"));
-                let s0 = seg_ptr[level] as usize;
-                let s1 = seg_ptr[level + 1] as usize;
-                segs[s0..s1].sort_by_key(code_of);
-                for (si, seg) in segs.iter().enumerate().take(s1).skip(s0) {
-                    let code = code_of(seg);
-                    if run_end.len() == run_ptr[level] as usize
-                        || run_code[run_end.len() - 1] != code
-                    {
-                        run_end.push(si as u32 + 1);
-                        run_code.push(code);
-                    } else {
-                        *run_end.last_mut().expect("run exists") = si as u32 + 1;
-                    }
-                }
-            }
-            run_ptr.push(u32::try_from(run_end.len()).expect("run count fits u32"));
-        }
-
         Self {
             k_first,
             g,
@@ -267,10 +197,6 @@ impl FlattenedTile {
             rows,
             seg_ptr,
             segs,
-            pow2,
-            run_ptr,
-            run_end,
-            run_code,
         }
     }
 
@@ -287,34 +213,13 @@ impl FlattenedTile {
         self.segs.len()
     }
 
-    /// How many equal-shift-code runs the segment list collapses into
-    /// (zero for a tile whose alphabet is not `±2^k` — runs are only built
-    /// for the shift-add kernel). `segment_count / run_count` is the
-    /// average run length the shift kernel amortizes its hoisted shift
-    /// over; the plan-level kernel election uses it as the profitability
-    /// signal.
-    #[must_use]
-    pub fn run_count(&self) -> usize {
-        self.run_end.len()
-    }
-
     /// Bytes of heap the lowered tile keeps resident: 5 per entry (gather
-    /// offset + close flag), 12 per segment, and the run tables of a
-    /// `±2^k` alphabet.
+    /// offset + close flag), 12 per segment, 4 per level bound.
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
-        4 * (self.base.len() + self.seg_ptr.len() + self.run_ptr.len() + self.run_end.len())
+        4 * (self.base.len() + self.seg_ptr.len())
             + std::mem::size_of_val(&self.segs[..])
             + self.close.len()
-            + self.run_code.len()
-    }
-
-    /// Whether every segment weight is `±2^k`, so the tile qualifies for
-    /// the shift-add quantized kernel. Trivially `true` for a tile with no
-    /// segments.
-    #[must_use]
-    pub fn pow2_alphabet(&self) -> bool {
-        self.pow2
     }
 
     /// The shared strip kernel body: adds this tile's partial sums for `LW`
@@ -332,13 +237,10 @@ impl FlattenedTile {
     /// indirection walk feeds all `LW` lanes, and every inner loop is a
     /// contiguous `LW`-wide strip the compiler lifts to SIMD at whatever
     /// register width the enclosing `#[target_feature]` wrapper enables.
-    /// With `SHIFT`, phase 2 accumulates `±((hi − lo) << k)` instead of
-    /// `(hi − lo) · ±2^k` — identical in two's complement — using the
-    /// run codes precomputed at lowering time. The const generics
-    /// keep the lane arrays on the stack and the strips fully unrolled at
-    /// every monomorphized width.
+    /// The const generic keeps the lane arrays on the stack and the strips
+    /// fully unrolled at every monomorphized width.
     #[inline(always)]
-    fn accumulate_lanes_body<const LW: usize, const SHIFT: bool>(
+    fn accumulate_lanes_body<const LW: usize>(
         &self,
         input: &[i16],
         out: &mut [i32],
@@ -372,49 +274,16 @@ impl FlattenedTile {
                     row += usize::from(c);
                 }
                 // Phase 2: segment ranges resolved once; each segment is one
-                // broadcast multiply — or, on ±2^k alphabets, a bare add into
-                // a per-run accumulator with the shift and sign hoisted out
-                // of the segment loop (segments arrive sorted by shift code,
-                // so a level is a handful of equal-code runs).
+                // prefix-row difference times one broadcast weight.
                 for level in 0..self.g {
                     let mut acc = [0i32; LW];
-                    if SHIFT {
-                        let mut si = self.seg_ptr[level] as usize;
-                        let r0 = self.run_ptr[level] as usize;
-                        let r1 = self.run_ptr[level + 1] as usize;
-                        for ri in r0..r1 {
-                            let code = self.run_code[ri];
-                            let sh = u32::from(code.unsigned_abs() - 1);
-                            let end = self.run_end[ri] as usize;
-                            let mut racc = [0i32; LW];
-                            for seg in &self.segs[si..end] {
-                                let hi = &prefix[seg.end as usize];
-                                let lo = &prefix[seg.start as usize];
-                                for (a, (&h, &l)) in racc.iter_mut().zip(hi.iter().zip(lo)) {
-                                    *a += h - l;
-                                }
-                            }
-                            si = end;
-                            // `(Σd) << k ≡ Σ(d << k)` mod 2^32, so shifting
-                            // the run sum once is bit-identical to shifting
-                            // every segment. The sign is applied as a mask
-                            // (`m` = 0 or −1; `(v ^ m) − m` is `±v`): with a
-                            // branch on it the compiler split the upper
-                            // half-strip of `racc` into sub-register pieces.
-                            let m = i32::from(code >> 7);
-                            for (a, &r) in acc.iter_mut().zip(&racc) {
-                                *a += ((r << sh) ^ m) - m;
-                            }
-                        }
-                    } else {
-                        let s0 = self.seg_ptr[level] as usize;
-                        let s1 = self.seg_ptr[level + 1] as usize;
-                        for seg in &self.segs[s0..s1] {
-                            let hi = &prefix[seg.end as usize];
-                            let lo = &prefix[seg.start as usize];
-                            for (a, (&h, &l)) in acc.iter_mut().zip(hi.iter().zip(lo)) {
-                                *a += (h - l) * seg.weight;
-                            }
+                    let s0 = self.seg_ptr[level] as usize;
+                    let s1 = self.seg_ptr[level + 1] as usize;
+                    for seg in &self.segs[s0..s1] {
+                        let hi = &prefix[seg.end as usize];
+                        let lo = &prefix[seg.start as usize];
+                        for (a, (&h, &l)) in acc.iter_mut().zip(hi.iter().zip(lo)) {
+                            *a += (h - l) * seg.weight;
                         }
                     }
                     let dst = &mut out[(level * out_w + x) * out_h + y];
@@ -436,7 +305,7 @@ impl FlattenedTile {
 /// These functions are `unsafe` purely by the `#[target_feature]` language
 /// rule; they have no other safety obligations. Callers must ensure the
 /// feature is present — [`accumulate_width`] only reaches them through a
-/// [`KernelSel`] clamped by [`SimdCaps`](crate::simd::SimdCaps) detection.
+/// [`SimdTier`] clamped by [`SimdCaps`] detection.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod tier_kernels {
@@ -444,25 +313,25 @@ mod tier_kernels {
     use ucnn_tensor::ConvGeom;
 
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn tile_lanes_avx2<const LW: usize, const SHIFT: bool>(
+    pub(super) unsafe fn tile_lanes_avx2<const LW: usize>(
         tile: &FlattenedTile,
         input: &[i16],
         out: &mut [i32],
         geom: &ConvGeom,
         prefix: &mut Vec<i32>,
     ) {
-        tile.accumulate_lanes_body::<LW, SHIFT>(input, out, geom, prefix);
+        tile.accumulate_lanes_body::<LW>(input, out, geom, prefix);
     }
 
     #[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl")]
-    pub(super) unsafe fn tile_lanes_avx512<const LW: usize, const SHIFT: bool>(
+    pub(super) unsafe fn tile_lanes_avx512<const LW: usize>(
         tile: &FlattenedTile,
         input: &[i16],
         out: &mut [i32],
         geom: &ConvGeom,
         prefix: &mut Vec<i32>,
     ) {
-        tile.accumulate_lanes_body::<LW, SHIFT>(input, out, geom, prefix);
+        tile.accumulate_lanes_body::<LW>(input, out, geom, prefix);
     }
 }
 
@@ -475,25 +344,26 @@ mod tier_kernels {
     use ucnn_tensor::ConvGeom;
 
     #[target_feature(enable = "neon")]
-    pub(super) unsafe fn tile_lanes_neon<const LW: usize, const SHIFT: bool>(
+    pub(super) unsafe fn tile_lanes_neon<const LW: usize>(
         tile: &FlattenedTile,
         input: &[i16],
         out: &mut [i32],
         geom: &ConvGeom,
         prefix: &mut Vec<i32>,
     ) {
-        tile.accumulate_lanes_body::<LW, SHIFT>(input, out, geom, prefix);
+        tile.accumulate_lanes_body::<LW>(input, out, geom, prefix);
     }
 }
 
 /// Runs one monomorphized strip width through the selected tier kernel.
 ///
 /// The `unsafe` blocks satisfy the `#[target_feature]` contract by
-/// construction: every [`KernelSel`] that reaches an executor has been
-/// clamped to the CPU's detected capabilities
-/// ([`KernelSel::clamped`]), so a gated kernel only runs when its feature
-/// was probed present. Foreign-architecture tiers fold into the scalar arm
-/// at compile time via the `cfg`s.
+/// construction: every [`SimdTier`] that reaches an executor has been
+/// clamped to the CPU's detected capabilities ([`SimdCaps::clamp`] — by
+/// [`resolve_tier`] on the default path, by [`run_interleaved`] for a forced
+/// tier), so a gated kernel only runs when its feature was probed present.
+/// Foreign-architecture tiers fold into the scalar arm at compile time via
+/// the `cfg`s.
 #[allow(unsafe_code)]
 fn accumulate_width<const LW: usize>(
     tile: &FlattenedTile,
@@ -501,41 +371,22 @@ fn accumulate_width<const LW: usize>(
     out: &mut [i32],
     geom: &ConvGeom,
     prefix: &mut Vec<i32>,
-    sel: KernelSel,
+    tier: SimdTier,
 ) {
-    let shift = sel.shift_add && tile.pow2;
-    match sel.tier {
+    match tier {
         #[cfg(target_arch = "x86_64")]
         SimdTier::Avx2 => unsafe {
-            if shift {
-                tier_kernels::tile_lanes_avx2::<LW, true>(tile, input, out, geom, prefix);
-            } else {
-                tier_kernels::tile_lanes_avx2::<LW, false>(tile, input, out, geom, prefix);
-            }
+            tier_kernels::tile_lanes_avx2::<LW>(tile, input, out, geom, prefix);
         },
         #[cfg(target_arch = "x86_64")]
         SimdTier::Avx512 => unsafe {
-            if shift {
-                tier_kernels::tile_lanes_avx512::<LW, true>(tile, input, out, geom, prefix);
-            } else {
-                tier_kernels::tile_lanes_avx512::<LW, false>(tile, input, out, geom, prefix);
-            }
+            tier_kernels::tile_lanes_avx512::<LW>(tile, input, out, geom, prefix);
         },
         #[cfg(target_arch = "aarch64")]
         SimdTier::Neon => unsafe {
-            if shift {
-                tier_kernels::tile_lanes_neon::<LW, true>(tile, input, out, geom, prefix);
-            } else {
-                tier_kernels::tile_lanes_neon::<LW, false>(tile, input, out, geom, prefix);
-            }
+            tier_kernels::tile_lanes_neon::<LW>(tile, input, out, geom, prefix);
         },
-        _ => {
-            if shift {
-                tile.accumulate_lanes_body::<LW, true>(input, out, geom, prefix);
-            } else {
-                tile.accumulate_lanes_body::<LW, false>(input, out, geom, prefix);
-            }
-        }
+        _ => tile.accumulate_lanes_body::<LW>(input, out, geom, prefix),
     }
 }
 
@@ -549,19 +400,19 @@ fn accumulate_tile_lanes(
     geom: &ConvGeom,
     prefix: &mut Vec<i32>,
     lw: usize,
-    sel: KernelSel,
+    tier: SimdTier,
 ) {
     match lw {
-        1 => accumulate_width::<1>(tile, input, out, geom, prefix, sel),
-        2 => accumulate_width::<2>(tile, input, out, geom, prefix, sel),
-        3 => accumulate_width::<3>(tile, input, out, geom, prefix, sel),
-        4 => accumulate_width::<4>(tile, input, out, geom, prefix, sel),
-        5 => accumulate_width::<5>(tile, input, out, geom, prefix, sel),
-        6 => accumulate_width::<6>(tile, input, out, geom, prefix, sel),
-        7 => accumulate_width::<7>(tile, input, out, geom, prefix, sel),
-        8 => accumulate_width::<8>(tile, input, out, geom, prefix, sel),
-        16 => accumulate_width::<16>(tile, input, out, geom, prefix, sel),
-        32 => accumulate_width::<32>(tile, input, out, geom, prefix, sel),
+        1 => accumulate_width::<1>(tile, input, out, geom, prefix, tier),
+        2 => accumulate_width::<2>(tile, input, out, geom, prefix, tier),
+        3 => accumulate_width::<3>(tile, input, out, geom, prefix, tier),
+        4 => accumulate_width::<4>(tile, input, out, geom, prefix, tier),
+        5 => accumulate_width::<5>(tile, input, out, geom, prefix, tier),
+        6 => accumulate_width::<6>(tile, input, out, geom, prefix, tier),
+        7 => accumulate_width::<7>(tile, input, out, geom, prefix, tier),
+        8 => accumulate_width::<8>(tile, input, out, geom, prefix, tier),
+        16 => accumulate_width::<16>(tile, input, out, geom, prefix, tier),
+        32 => accumulate_width::<32>(tile, input, out, geom, prefix, tier),
         other => unreachable!("lane width {other} has no monomorphized kernel"),
     }
 }
@@ -634,7 +485,7 @@ pub fn run_flattened(layer: &CompiledLayer, input: &Tensor3<i16>) -> Tensor3<i32
         "input plane mismatch"
     );
 
-    let sel = layer.kernel_sel();
+    let tier = resolve_tier();
     let mut out = Tensor3::<i32>::zeros(geom.k(), geom.out_w(), geom.out_h());
     let plane = geom.out_w() * geom.out_h();
     let out_slice = out.as_mut_slice();
@@ -647,11 +498,9 @@ pub fn run_flattened(layer: &CompiledLayer, input: &Tensor3<i16>) -> Tensor3<i32
         let staged = stage_chunk(std::slice::from_ref(input), geom.pad(), interleaved);
         for tile in layer.flat_tiles() {
             // Width 1 *is* the planar layout, so the tile's band is simply
-            // its filters' planes of the output; the tier/shift selection
-            // still applies (the quantized phase 2 pays off even
-            // single-image).
+            // its filters' planes of the output.
             let band = &mut out_slice[tile.k_first * plane..][..tile.g * plane];
-            accumulate_width::<1>(tile, staged, band, geom, prefix, sel);
+            accumulate_width::<1>(tile, staged, band, geom, prefix, tier);
         }
     });
     out
@@ -899,7 +748,7 @@ fn run_chunk<T: LaneOut>(
     inputs: &[Tensor3<i16>],
     outs: &mut [Tensor3<T>],
     scratch: &mut FlattenedScratch,
-    sel: KernelSel,
+    tier: SimdTier,
 ) {
     let geom = layer.geom();
     let lw = inputs.len();
@@ -923,7 +772,7 @@ fn run_chunk<T: LaneOut>(
         band_lanes.clear();
         band_lanes.resize(g * plane * lw, 0);
         for tile in band {
-            accumulate_tile_lanes(tile, input, band_lanes, geom, prefix, lw, sel);
+            accumulate_tile_lanes(tile, input, band_lanes, geom, prefix, lw, tier);
         }
         scatter_lanes(band_lanes, &mut planes, k_first * plane, T::from_sum);
         rest = after;
@@ -931,16 +780,16 @@ fn run_chunk<T: LaneOut>(
 }
 
 /// Runs a batch on the calling thread, chunk by chunk at the widths
-/// [`next_chunk_width`] emits for the (already clamped) `sel`.
+/// [`next_chunk_width`] emits for the (already clamped) `tier`.
 fn run_chunks<T: LaneOut>(
     layer: &CompiledLayer,
     inputs: &[Tensor3<i16>],
     scratch: &mut FlattenedScratch,
-    sel: KernelSel,
+    tier: SimdTier,
 ) -> Vec<Tensor3<T>> {
     let geom = layer.geom();
     crate::exec::check_batch_inputs(layer, inputs);
-    let lane = sel.tier.lane_width();
+    let lane = tier.lane_width();
     // Size the arena for the widest chunk this call will run, so the
     // per-chunk loop never reallocates even the first time a wide tier
     // executes.
@@ -957,7 +806,7 @@ fn run_chunks<T: LaneOut>(
             &inputs[start..start + w],
             &mut outs[start..start + w],
             scratch,
-            sel,
+            tier,
         );
         start += w;
     }
@@ -971,30 +820,30 @@ fn run_interleaved<T: LaneOut>(
     layer: &CompiledLayer,
     inputs: &[Tensor3<i16>],
     threads: usize,
-    sel: KernelSel,
+    tier: SimdTier,
 ) -> Vec<Tensor3<T>> {
     assert!(threads > 0, "need at least one execution thread");
     if inputs.is_empty() {
         return Vec::new();
     }
-    let sel = sel.clamped();
+    let tier = SimdCaps::get().clamp(tier);
     // Work is dealt in whole tier-width chunks: splitting finer would
     // narrow the SIMD width of every worker's kernel, costing more than
     // the extra thread buys.
-    let lane = sel.tier.lane_width();
+    let lane = tier.lane_width();
     let chunks = inputs.len().div_ceil(lane);
     let workers = threads.min(chunks);
     let per_worker = chunks.div_ceil(workers) * lane;
     with_thread_scratch(workers, |arenas| {
         if workers == 1 {
-            return run_chunks(layer, inputs, &mut arenas[0], sel);
+            return run_chunks(layer, inputs, &mut arenas[0], tier);
         }
         std::thread::scope(|scope| {
             let handles: Vec<_> = inputs
                 .chunks(per_worker)
                 .zip(arenas.iter_mut())
                 .map(|(ins, scratch)| {
-                    scope.spawn(move || run_chunks::<T>(layer, ins, scratch, sel))
+                    scope.spawn(move || run_chunks::<T>(layer, ins, scratch, tier))
                 })
                 .collect();
             handles
@@ -1010,8 +859,8 @@ fn run_interleaved<T: LaneOut>(
 /// loop.
 ///
 /// The batch is processed in chunks as wide as the dispatched tier's
-/// interleave width (8 scalar, 16 AVX2, 32 AVX-512 — the plan's cached
-/// [`KernelSel`]). Each chunk is staged once into the zero-haloed
+/// interleave width (8 scalar, 16 AVX2, 32 AVX-512 — the process-wide
+/// [`resolve_tier`]). Each chunk is staged once into the zero-haloed
 /// batch-interleaved layout, every gather offset / CSR segment range is
 /// computed once per entry per output position, and the prefix-sum and
 /// segment-multiply phases run as contiguous `LW`-wide strips through the
@@ -1057,14 +906,14 @@ pub fn run_flattened_batch_interleaved(
     inputs: &[Tensor3<i16>],
     threads: usize,
 ) -> Vec<Tensor3<i32>> {
-    run_interleaved(layer, inputs, threads, layer.kernel_sel())
+    run_interleaved(layer, inputs, threads, resolve_tier())
 }
 
-/// [`run_flattened_batch_interleaved`] with an explicit [`KernelSel`]
-/// instead of the plan's cached one — the entry point for the per-tier
-/// conformance tests and the A/B rows of `repro backends`. The selection is
+/// [`run_flattened_batch_interleaved`] with an explicit [`SimdTier`]
+/// instead of the process-wide one — the entry point for the per-tier
+/// conformance tests and the per-tier rows of `repro backends`. The tier is
 /// clamped to the CPU's detected capabilities, so forcing an unavailable
-/// tier runs the best supported one instead of faulting.
+/// one runs the best supported tier instead of faulting.
 ///
 /// # Panics
 ///
@@ -1074,9 +923,9 @@ pub fn run_flattened_batch_interleaved_forced(
     layer: &CompiledLayer,
     inputs: &[Tensor3<i16>],
     threads: usize,
-    sel: KernelSel,
+    tier: SimdTier,
 ) -> Vec<Tensor3<i32>> {
-    run_interleaved(layer, inputs, threads, sel)
+    run_interleaved(layer, inputs, threads, tier)
 }
 
 /// [`run_flattened_batch_interleaved_forced`] with the inter-layer epilogue
@@ -1094,9 +943,9 @@ pub fn run_flattened_batch_interleaved_relu(
     layer: &CompiledLayer,
     inputs: &[Tensor3<i16>],
     threads: usize,
-    sel: KernelSel,
+    tier: SimdTier,
 ) -> Vec<Tensor3<i16>> {
-    run_interleaved(layer, inputs, threads, sel)
+    run_interleaved(layer, inputs, threads, tier)
 }
 
 #[cfg(test)]
@@ -1104,7 +953,7 @@ mod tests {
     use super::*;
     use crate::compile::UcnnConfig;
     use crate::exec::run_compiled;
-    use crate::simd::{available_tiers, SimdCaps};
+    use crate::simd::available_tiers;
     use ucnn_model::{reference, ActivationGen, QuantScheme, WeightGen};
     use ucnn_tensor::Tensor4;
 
@@ -1256,9 +1105,8 @@ mod tests {
                     .collect();
                 let expected: Vec<Tensor3<i32>> =
                     inputs.iter().map(|i| run_flattened(&layer, i)).collect();
-                let sel = layer.kernel_sel().clamped();
                 assert_eq!(
-                    run_chunks::<i32>(&layer, &inputs, &mut scratch, sel),
+                    run_chunks::<i32>(&layer, &inputs, &mut scratch, resolve_tier()),
                     expected,
                     "layer {gi}, B={b}"
                 );
@@ -1331,8 +1179,7 @@ mod tests {
                         .collect();
                     let expected: Vec<Tensor3<i32>> =
                         inputs.iter().map(|i| run_flattened(layer, i)).collect();
-                    let sel = layer.kernel_sel().with_tier(tier).clamped();
-                    let got = run_chunks::<i32>(layer, &inputs, &mut scratch, sel);
+                    let got = run_chunks::<i32>(layer, &inputs, &mut scratch, tier);
                     assert_eq!(got, expected, "round {round}, tier {}", tier.name());
                 }
             }
@@ -1372,14 +1219,13 @@ mod tests {
 
         let mut scratch = FlattenedScratch::new();
         assert_eq!(scratch.resident_bytes(), 0, "a new arena holds nothing");
-        let sel = layer.kernel_sel().clamped();
-        let got = run_chunks::<i32>(&layer, &inputs, &mut scratch, sel);
+        let got = run_chunks::<i32>(&layer, &inputs, &mut scratch, resolve_tier());
         for (input, out) in inputs.iter().zip(&got) {
             assert_eq!(out, &reference::conv2d(&geom, 1, input, &weights));
         }
 
         // 32 images fill the widest tier's strip, so LW is the tier width.
-        let lw = layer.kernel_sel().clamped().tier.lane_width();
+        let lw = resolve_tier().lane_width();
         let plane = geom.out_w() * geom.out_h();
         let staging = scratch.band_lanes.capacity() * std::mem::size_of::<i32>();
         assert!(
@@ -1409,7 +1255,7 @@ mod tests {
         let mut wgen = WeightGen::new(QuantScheme::inq(), 97).with_density(0.8);
         let weights = wgen.generate_dims(4, 3, 3, 3);
         let layer = CompiledLayer::compile(&geom, 1, &weights, &UcnnConfig::with_g(2));
-        let lane = layer.kernel_sel().clamped().tier.lane_width();
+        let lane = resolve_tier().lane_width();
         let mut agen = ActivationGen::new(98);
         let inputs: Vec<Tensor3<i16>> = (0..2 * lane).map(|_| agen.generate(3, 6, 6)).collect();
         let pool = || {
@@ -1445,7 +1291,6 @@ mod tests {
             .collect();
         let acts: Vec<Tensor3<i16>> = sums.iter().map(reference::relu_saturate).collect();
         for &tier in available_tiers() {
-            let sel = layer.kernel_sel().with_tier(tier);
             for threads in [1usize, 2] {
                 let label = format!(
                     "{what}, tier {}, B={}, {threads} threads",
@@ -1453,12 +1298,12 @@ mod tests {
                     inputs.len()
                 );
                 assert_eq!(
-                    run_flattened_batch_interleaved_forced(layer, inputs, threads, sel),
+                    run_flattened_batch_interleaved_forced(layer, inputs, threads, tier),
                     sums,
                     "raw sums: {label}"
                 );
                 assert_eq!(
-                    run_flattened_batch_interleaved_relu(layer, inputs, threads, sel),
+                    run_flattened_batch_interleaved_relu(layer, inputs, threads, tier),
                     acts,
                     "fused epilogue: {label}"
                 );
@@ -1571,9 +1416,8 @@ mod tests {
                     .iter()
                     .map(|i| reference::conv2d(geom, 1, i, &weights))
                     .collect();
-                let sel = layer.kernel_sel().clamped();
                 assert_eq!(
-                    run_chunks::<i32>(&layer, &inputs, &mut scratch, sel),
+                    run_chunks::<i32>(&layer, &inputs, &mut scratch, resolve_tier()),
                     expected,
                     "layer {gi}, B={b}"
                 );
@@ -1616,6 +1460,15 @@ mod tests {
                 assert_eq!(flat.rows, closes + 1, "shape {si}");
                 for seg in &flat.segs {
                     assert!(seg.start < seg.end && (seg.end as usize) < flat.rows);
+                }
+                // Stream order within a level: phase 2 reads the prefix
+                // rows monotonically.
+                for level in flat.seg_ptr.windows(2) {
+                    let segs = &flat.segs[level[0] as usize..level[1] as usize];
+                    assert!(
+                        segs.windows(2).all(|p| p[0].end <= p[1].start),
+                        "shape {si}: a level's segments must not step back"
+                    );
                 }
             }
         }
@@ -1703,83 +1556,50 @@ mod tests {
     }
 
     #[test]
-    fn every_available_tier_and_shift_mode_is_bit_identical() {
+    fn every_available_tier_is_bit_identical() {
         // Cheap in-process tier sweep: full-width + residual batches per
-        // tier, threaded and not, forced shift on and off, against the
-        // planar per-image walk. The conformance corpus repeats this
-        // against golden vectors; this is the fast in-module guard.
-        let geoms = [
-            ConvGeom::new(1, 1, 64, 8, 1, 1),
-            ConvGeom::new(4, 4, 3, 4, 3, 3).with_pad(1),
+        // tier, threaded and not, against the planar per-image walk and the
+        // dense reference. An INQ FC, an INQ conv and a ternary-TTQ FC keep
+        // `±2^k` alphabets checked on every tier. The conformance corpus
+        // repeats this against golden vectors; this is the fast in-module
+        // guard.
+        let cases = [
+            (ConvGeom::new(1, 1, 64, 8, 1, 1), QuantScheme::inq()),
+            (
+                ConvGeom::new(4, 4, 3, 4, 3, 3).with_pad(1),
+                QuantScheme::inq(),
+            ),
+            (ConvGeom::new(1, 1, 64, 8, 1, 1), QuantScheme::ttq()),
         ];
         let mut agen = ActivationGen::new(55);
-        for (gi, geom) in geoms.iter().enumerate() {
-            let mut wgen = WeightGen::new(QuantScheme::inq(), 50 + gi as u64).with_density(0.8);
+        for (ci, (geom, scheme)) in cases.into_iter().enumerate() {
+            let mut wgen = WeightGen::new(scheme, 50 + ci as u64).with_density(0.8);
             let weights = wgen.generate_dims(geom.k(), geom.c(), geom.r(), geom.s());
-            let layer = CompiledLayer::compile(geom, 1, &weights, &UcnnConfig::with_g(2));
+            let layer = CompiledLayer::compile(&geom, 1, &weights, &UcnnConfig::with_g(2));
             for &tier in available_tiers() {
                 let lane = tier.lane_width();
                 for b in [lane, lane + 3] {
                     let inputs: Vec<Tensor3<i16>> = (0..b)
                         .map(|_| agen.generate(geom.c(), geom.in_w(), geom.in_h()))
                         .collect();
-                    let expected: Vec<Tensor3<i32>> =
+                    let expected: Vec<Tensor3<i32>> = inputs
+                        .iter()
+                        .map(|i| reference::conv2d(&geom, 1, i, &weights))
+                        .collect();
+                    let planar: Vec<Tensor3<i32>> =
                         inputs.iter().map(|i| run_flattened(&layer, i)).collect();
-                    for shift_add in [false, true] {
-                        let sel = KernelSel { tier, shift_add };
-                        for threads in [1usize, 3] {
-                            assert_eq!(
-                                run_flattened_batch_interleaved_forced(
-                                    &layer, &inputs, threads, sel
-                                ),
-                                expected,
-                                "tier {}, shift {shift_add}, B={b}, {threads} threads",
-                                tier.name()
-                            );
-                        }
+                    assert_eq!(planar, expected, "case {ci}: planar walk");
+                    for threads in [1usize, 3] {
+                        assert_eq!(
+                            run_flattened_batch_interleaved_forced(&layer, &inputs, threads, tier),
+                            expected,
+                            "case {ci}, tier {}, B={b}, {threads} threads",
+                            tier.name()
+                        );
                     }
                 }
             }
         }
-    }
-
-    #[test]
-    fn pow2_alphabet_classification_follows_the_weights() {
-        // INQ (±2^e) and TTQ (±64) always classify pow2; any non-power
-        // weight disqualifies the tile.
-        let geom = ConvGeom::new(1, 1, 16, 4, 1, 1);
-        for scheme in [QuantScheme::inq(), QuantScheme::ttq()] {
-            let mut wgen = WeightGen::new(scheme, 7).with_density(0.9);
-            let weights = wgen.generate_dims(4, 16, 1, 1);
-            let layer = CompiledLayer::compile(&geom, 1, &weights, &UcnnConfig::with_g(2));
-            assert!(
-                layer.flat_tiles().iter().all(FlattenedTile::pow2_alphabet),
-                "pow2 scheme must classify pow2"
-            );
-        }
-        let weights = Tensor4::from_fn(4, 16, 1, 1, |k, c, _, _| ((k + c) % 5) as i16 - 2);
-        // Contains ±1 and ±2 (pow2) but also… only those, actually — force
-        // a 3 into the alphabet explicitly.
-        let mut w = weights;
-        w[(0, 0, 0, 0)] = 3;
-        let layer = CompiledLayer::compile(&geom, 1, &w, &UcnnConfig::with_g(2));
-        assert!(
-            layer.flat_tiles().iter().any(|t| !t.pow2_alphabet()),
-            "a weight of 3 must disqualify its tile"
-        );
-    }
-
-    #[test]
-    fn shift_codes_cover_the_signed_pow2_range() {
-        assert_eq!(shift_code(1), Some(1));
-        assert_eq!(shift_code(-1), Some(-1));
-        assert_eq!(shift_code(2), Some(2));
-        assert_eq!(shift_code(-128), Some(-8));
-        assert_eq!(shift_code(1 << 14), Some(15));
-        assert_eq!(shift_code(0), None);
-        assert_eq!(shift_code(3), None);
-        assert_eq!(shift_code(-6), None);
-        assert_eq!(shift_code(96), None);
     }
 
     #[test]
@@ -1801,7 +1621,6 @@ mod tests {
         let tile = FlattenedTile::lower(&stream, 0, 0, &geom);
         assert_eq!(tile.entry_count(), 0);
         assert_eq!(tile.segment_count(), 0);
-        assert!(tile.pow2_alphabet(), "no segments ⇒ trivially pow2");
     }
 
     #[test]
@@ -1815,6 +1634,12 @@ mod tests {
         let geom = ConvGeom::new(5, 5, 8, 2, 3, 3);
         let tile = FlattenedTile::lower(&stream, 0, 0, &geom);
         assert_eq!(tile.segment_count(), stream.multiplies());
+        // An INQ (`±2^k`) tile keeps nothing resident beyond the gather
+        // stream, the segments and the level bounds.
+        assert_eq!(
+            tile.resident_bytes(),
+            5 * tile.entry_count() + 12 * tile.segment_count() + 4 * (stream.g() + 1)
+        );
     }
 
     #[test]

@@ -50,11 +50,10 @@
 //!   executor behind [`BackendKind::FlattenedBatch`] (one indirection walk
 //!   feeding a strip of contiguous image lanes as wide as the dispatched
 //!   ISA tier allows, with per-worker [`FlattenedScratch`] arenas).
-//! * [`simd`] — runtime ISA detection ([`SimdCaps`]) and per-plan kernel
-//!   selection ([`KernelSel`]): which `#[target_feature]` tier the strip
-//!   kernels dispatch to (scalar / AVX2 / AVX-512 / NEON, clamped to the
-//!   CPU), at what interleave width, and whether a power-of-two weight
-//!   alphabet lets phase 2 run shift-add instead of broadcast multiplies.
+//! * [`simd`] — runtime ISA detection ([`SimdCaps`]) and the process-wide
+//!   [`SimdTier`]: which `#[target_feature]` tier the strip kernels
+//!   dispatch to (scalar / AVX2 / AVX-512 / NEON, clamped to the CPU) and
+//!   at what interleave width.
 //! * [`partial_product`] — the paper's third (unexploited) reuse form,
 //!   partial-product memoization across filters (§III-C), provided as an
 //!   extension for ablation.
@@ -99,4 +98,4 @@ pub use factorize::{ActivationGroup, FilterFactorization};
 pub use flatten::{FlattenedScratch, FlattenedTile};
 pub use hierarchy::{GroupStream, StreamEntry};
 pub use plan::{CompiledLayer, CompiledNetwork, CompiledStage, CompiledTile};
-pub use simd::{KernelSel, SimdCaps, SimdTier};
+pub use simd::{SimdCaps, SimdTier};

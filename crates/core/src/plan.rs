@@ -29,7 +29,6 @@ use crate::backend::{backend, BackendKind};
 use crate::compile::{canonical_of_tensor, UcnnConfig};
 use crate::flatten::FlattenedTile;
 use crate::hierarchy::{GroupStream, ZERO_RANK};
-use crate::simd::KernelSel;
 
 /// One retained work unit of a compiled layer: the stream for a group of
 /// `≤ G` filters over one channel tile, plus where it lands in the layer.
@@ -99,16 +98,9 @@ pub struct CompiledLayer {
     /// one — never builds it and pays neither the lowering work nor the
     /// extra resident memory.
     flat: OnceLock<Vec<FlattenedTile>>,
-    /// Cached SIMD kernel selection ([`KernelSel`]): the dispatched ISA
-    /// tier and whether the plan's weight alphabet admits the shift-add
-    /// phase-2 kernel. Resolved on first flattened execution (it needs the
-    /// flattened lowering for alphabet classification) and cached exactly
-    /// like `flat`.
-    simd: OnceLock<KernelSel>,
 }
 
-/// `flat` and `simd` are derived from the other fields (plus
-/// process environment for `simd`), so equality ignores them (and
+/// `flat` is derived from the other fields, so equality ignores it (and
 /// `OnceLock` has no `PartialEq` anyway).
 impl PartialEq for CompiledLayer {
     fn eq(&self, other: &Self) -> bool {
@@ -185,7 +177,6 @@ impl CompiledLayer {
             conv_groups,
             tiles,
             flat: OnceLock::new(),
-            simd: OnceLock::new(),
         }
     }
 
@@ -243,29 +234,6 @@ impl CompiledLayer {
     #[must_use]
     pub fn flat_ready(&self) -> bool {
         self.flat.get().is_some()
-    }
-
-    /// The plan's cached SIMD kernel selection: the ISA tier the flattened
-    /// strip kernels dispatch to (widest available, or the `UCNN_SIMD`
-    /// override clamped to the CPU) and whether phase 2 runs shift-add —
-    /// eligible when every tile's segment alphabet is `±2^k`, elected by
-    /// default only when the average equal-code run spans at least
-    /// [`ucnn_simd::SHIFT_MIN_AVG_RUN`](crate::simd::SHIFT_MIN_AVG_RUN)
-    /// segments (shorter runs pay the per-run bookkeeping without
-    /// amortizing the hoisted shift, and the broadcast multiply wins).
-    /// Resolved once — the env knobs are read at that moment, like the
-    /// lowering this rides on — then a plain load.
-    #[must_use]
-    pub fn kernel_sel(&self) -> KernelSel {
-        *self.simd.get_or_init(|| {
-            let tiles = self.flat_tiles();
-            let pow2 = tiles.iter().all(FlattenedTile::pow2_alphabet);
-            let (segs, runs) = tiles.iter().fold((0usize, 0usize), |(s, r), t| {
-                (s + t.segment_count(), r + t.run_count())
-            });
-            let profitable = runs > 0 && segs >= crate::simd::SHIFT_MIN_AVG_RUN * runs;
-            KernelSel::resolve(pow2, profitable)
-        })
     }
 
     /// Rebuilds the dense weight tensor the layer was compiled from, out of

@@ -1,14 +1,11 @@
-//! Runtime SIMD capability detection and per-plan kernel selection for the
-//! flattened backends.
+//! Runtime SIMD capability detection and tier selection for the flattened
+//! backend.
 //!
 //! The flattened strip kernels ([`flatten`](crate::flatten)) are compiled
 //! once per ISA tier behind `#[target_feature]` gates and picked at runtime:
 //! a [`SimdCaps`] probe (via `is_x86_feature_detected!` /
 //! `is_aarch64_feature_detected!`) decides which tiers this CPU can run, and
-//! each compiled plan caches one [`KernelSel`] — the dispatched tier plus
-//! whether the plan's weight alphabet admits the i8-style shift-add phase-2
-//! kernel — in a `OnceLock` next to the flattened lowering itself
-//! ([`CompiledLayer::kernel_sel`](crate::plan::CompiledLayer::kernel_sel)).
+//! [`resolve_tier`] picks the one every plan in the process dispatches to.
 //!
 //! ReuseSense (arXiv:2311.10487) is the grounding: UCNN-style reuse pays off
 //! most when the amortized gather/CSR index work feeds the widest contiguous
@@ -19,32 +16,25 @@
 //! tier stays bit-identical to the planar walk (the conformance corpus is
 //! the referee).
 //!
-//! # Env knobs
+//! # The `UCNN_SIMD` knob
 //!
-//! * `UCNN_SIMD=scalar|avx2|avx512|neon` forces a tier for testing. Requests
-//!   are **clamped downward** to what the CPU actually supports (asking for
-//!   `avx512` on an AVX2-only box runs `avx2`; asking for `avx2` on aarch64
-//!   runs `neon`), so CI legs can force any tier on any runner without
-//!   crashing — the `scalar` leg in particular exercises the fallback path
-//!   everywhere.
-//! * `UCNN_SIMD_SHIFT` steers the shift-add quantized kernel on
-//!   power-of-two alphabets: `off` (also `0`/`false`) pins the broadcast
-//!   multiply path, `on` (also `1`/`true`) forces shift-add, and unset
-//!   leaves the choice to the plan's run-length profitability heuristic
-//!   ([`SHIFT_MIN_AVG_RUN`]).
-//!
-//! Both knobs are read when a plan first resolves its selection (once per
-//! `CompiledLayer`, cached), not at process start — a benchmark can flip
-//! them between plan compilations in one process.
+//! `UCNN_SIMD=scalar|avx2|avx512|neon` forces a tier for testing — the only
+//! environment variable the program reads. Requests are **clamped
+//! downward** to what the CPU actually supports (asking for `avx512` on an
+//! AVX2-only box runs `avx2`; asking for `avx2` on aarch64 runs `neon`), so
+//! CI legs can force any tier on any runner without crashing — the `scalar`
+//! leg in particular exercises the fallback path everywhere. A value that
+//! names no tier runs the widest one and says so on stderr. The variable is
+//! read once, on the first flattened execution of the process.
 
 use std::env;
 use std::sync::OnceLock;
 
 /// Env var forcing a dispatch tier (`scalar|avx2|avx512|neon`).
 pub const SIMD_ENV: &str = "UCNN_SIMD";
-/// Env var steering the shift-add quantized kernel (`off`/`0`/`false`
-/// forbids, `on`/`1`/`true` forces, unset defers to the run-length
-/// heuristic).
+/// Inert: nothing reads this variable. The name stays only because the
+/// benchmark package imports it and may not change in the PR that retired
+/// the knob; the next `[benchmark]` PR drops the import and this const.
 pub const SHIFT_ENV: &str = "UCNN_SIMD_SHIFT";
 
 /// One dispatchable ISA tier. Every variant exists on every architecture
@@ -200,111 +190,38 @@ pub fn available_tiers() -> &'static [SimdTier] {
     SimdCaps::get().tiers()
 }
 
-/// The tier a freshly resolved plan dispatches to: the `UCNN_SIMD` request
-/// clamped to this CPU, or the widest available tier when unset (an
-/// unparseable value also falls back to the widest — it is reported by the
-/// bench tables, not silently distinct).
+/// The tier every flattened execution in this process dispatches to: the
+/// `UCNN_SIMD` request clamped to this CPU, or the widest available tier when
+/// unset. Resolved once and cached beside [`SimdCaps`]; a value that names no
+/// tier runs the widest one and is reported on stderr, so a typo in a CI leg
+/// cannot pass for the tier it meant.
 #[must_use]
 pub fn resolve_tier() -> SimdTier {
-    let caps = SimdCaps::get();
-    match env::var(SIMD_ENV) {
-        Ok(v) => SimdTier::parse(&v).map_or_else(|| caps.best(), |t| caps.clamp(t)),
-        Err(_) => caps.best(),
-    }
+    static TIER: OnceLock<SimdTier> = OnceLock::new();
+    *TIER.get_or_init(|| {
+        let caps = SimdCaps::get();
+        let value = env::var_os(SIMD_ENV).map(|v| v.to_string_lossy().into_owned());
+        tier_for_request(value.as_deref(), caps).unwrap_or_else(|| {
+            let best = caps.best();
+            let names: Vec<&str> = SimdTier::ALL.iter().map(|t| t.name()).collect();
+            eprintln!(
+                "ucnn: {SIMD_ENV}={:?} names no SIMD tier (accepted: {}); running {}",
+                value.unwrap_or_default(),
+                names.join(", "),
+                best.name()
+            );
+            best
+        })
+    })
 }
 
-/// The `UCNN_SIMD_SHIFT` request: `Some(false)` (`off|0|false`) forbids the
-/// shift-add quantized kernel, `Some(true)` (`on|1|true`) forces it onto any
-/// `±2^k` plan regardless of profitability, `None` (unset or unrecognized)
-/// leaves the choice to the plan's run-length heuristic.
-#[must_use]
-pub fn shift_env_mode() -> Option<bool> {
-    match env::var(SHIFT_ENV) {
-        Ok(v) => match v.to_ascii_lowercase().as_str() {
-            "off" | "0" | "false" => Some(false),
-            "on" | "1" | "true" => Some(true),
-            _ => None,
-        },
-        Err(_) => None,
-    }
-}
-
-/// Minimum average segments-per-run for the shift-add kernel to be elected
-/// by default. The shift kernel hoists the shift and sign out of each
-/// equal-code run, so its win over the broadcast multiply scales with run
-/// length; at run length ≈ 1 (an alphabet so wide that neighbouring
-/// segments rarely share a code, e.g. INQ over many magnitudes) the extra
-/// per-run bookkeeping loses to a plain `vpmulld` and the multiply kernel
-/// is the right default. Measured crossover on AVX-512: a dense INQ FC
-/// layer at ≈ 2.2 segments/run loses ~1.8× under shift, while a conv layer
-/// at ≈ 3.5 and a ternary layer at ≈ 16 both win — hence 3.
-/// `UCNN_SIMD_SHIFT=on|off` overrides in either direction.
-pub const SHIFT_MIN_AVG_RUN: usize = 3;
-
-/// One plan's cached kernel selection: the dispatched ISA tier plus whether
-/// phase 2 runs the shift-add quantized kernel (possible only when every
-/// segment weight in the plan's flattened lowering is `±2^k` — INQ and
-/// ternary TTQ alphabets qualify by construction).
-///
-/// Resolved once per [`CompiledLayer`](crate::plan::CompiledLayer) and
-/// cached in a `OnceLock` exactly like the flattened lowering itself, so
-/// steady-state dispatch is a field read.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct KernelSel {
-    /// The ISA tier the strip kernels dispatch to.
-    pub tier: SimdTier,
-    /// Phase 2 replaces the per-segment broadcast multiply with shift-add
-    /// accumulation (bit-identical for `±2^k` weights).
-    pub shift_add: bool,
-}
-
-impl KernelSel {
-    /// Resolves a fresh selection from the environment and two properties
-    /// of the plan's flattened lowering: the alphabet classification
-    /// (`pow2_alphabet` = every segment weight in every flattened tile is
-    /// `±2^k`, a hard eligibility gate) and the profitability signal
-    /// (`shift_profitable` = the average equal-code run is long enough —
-    /// [`SHIFT_MIN_AVG_RUN`] segments — for the hoisted shift to beat the
-    /// broadcast multiply). `UCNN_SIMD_SHIFT=on|off` overrides the
-    /// heuristic in either direction; eligibility is never overridable.
-    #[must_use]
-    pub fn resolve(pow2_alphabet: bool, shift_profitable: bool) -> Self {
-        Self {
-            tier: resolve_tier(),
-            shift_add: pow2_alphabet && shift_env_mode().unwrap_or(shift_profitable),
-        }
-    }
-
-    /// The same selection forced onto another tier (alphabet classification
-    /// is a property of the plan and carries over).
-    #[must_use]
-    pub fn with_tier(self, tier: SimdTier) -> Self {
-        Self { tier, ..self }
-    }
-
-    /// The selection with its tier clamped to this CPU's detected
-    /// capabilities — the executors apply this before dispatching, so a
-    /// hand-built selection can never reach a `#[target_feature]` kernel
-    /// the CPU lacks.
-    #[must_use]
-    pub fn clamped(self) -> Self {
-        Self {
-            tier: SimdCaps::get().clamp(self.tier),
-            ..self
-        }
-    }
-
-    /// Human/bench label naming the exact kernel: the tier plus the phase-2
-    /// mode — `+shift` when the quantized shift-add kernel is active,
-    /// `+mult` for the i16 broadcast multiply (e.g. `avx512+shift`,
-    /// `scalar+mult`).
-    #[must_use]
-    pub fn label(self) -> String {
-        if self.shift_add {
-            format!("{}+shift", self.tier.name())
-        } else {
-            format!("{}+mult", self.tier.name())
-        }
+/// The parse/clamp step of [`resolve_tier`], free of process state: the
+/// widest tier of `caps` when nothing is requested, the requested tier
+/// clamped to `caps` when `value` names one, `None` when it names none.
+fn tier_for_request(value: Option<&str>, caps: SimdCaps) -> Option<SimdTier> {
+    match value {
+        None => Some(caps.best()),
+        Some(v) => SimdTier::parse(v).map(|t| caps.clamp(t)),
     }
 }
 
@@ -354,17 +271,23 @@ mod tests {
     }
 
     #[test]
-    fn kernel_sel_labels() {
-        let sel = KernelSel {
-            tier: SimdTier::Avx2,
-            shift_add: true,
+    fn tier_requests_parse_then_clamp_and_typos_are_not_a_tier() {
+        use SimdTier::{Avx2, Neon, Scalar};
+        let avx2_box = SimdCaps {
+            tiers: &[Scalar, Avx2],
         };
-        assert_eq!(sel.label(), "avx2+shift");
-        assert_eq!(sel.with_tier(SimdTier::Scalar).label(), "scalar+shift");
-        let mult = KernelSel {
-            tier: SimdTier::Avx512,
-            shift_add: false,
+        let neon_box = SimdCaps {
+            tiers: &[Scalar, Neon],
         };
-        assert_eq!(mult.label(), "avx512+mult");
+        assert_eq!(tier_for_request(None, avx2_box), Some(Avx2));
+        assert_eq!(tier_for_request(Some("scalar"), avx2_box), Some(Scalar));
+        assert_eq!(tier_for_request(Some("AVX2"), avx2_box), Some(Avx2));
+        assert_eq!(tier_for_request(Some("avx512"), avx2_box), Some(Avx2));
+        assert_eq!(tier_for_request(Some("neon"), avx2_box), Some(Avx2));
+        assert_eq!(tier_for_request(Some("avx512"), neon_box), Some(Neon));
+        // What used to run the widest tier without a word.
+        for typo in ["", "avx-512", "avx512 ", "sse9", "1"] {
+            assert_eq!(tier_for_request(Some(typo), avx2_box), None, "{typo:?}");
+        }
     }
 }

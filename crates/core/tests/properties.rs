@@ -219,79 +219,6 @@ proptest! {
         }
     }
 
-    /// The i8 quantized shift-add kernel is bit-identical to the i16
-    /// broadcast-multiply kernel on power-of-two and ternary weight
-    /// alphabets — `x·(±2^k) == ±(x << k)` exactly in two's complement —
-    /// for every ISA tier this machine can execute, at batch sizes that
-    /// cover full-width strips and residuals of every lane width.
-    #[test]
-    fn shift_add_matches_multiply_on_pow2_alphabets(
-        seed in any::<u64>(),
-        g in 1usize..=3,
-        ct in 1usize..=5,
-        k in 1usize..=4,
-        c in 2usize..=5,
-        ternary in any::<bool>(),
-        b_sel in 0usize..4,
-        threads in 1usize..=3,
-    ) {
-        use ucnn_core::flatten::{run_flattened_batch_interleaved_forced, FlattenedTile};
-        use ucnn_core::simd::{available_tiers, KernelSel};
-
-        let b = [1usize, 3, 9, 17][b_sel];
-        let (w, h, r, s) = (6usize, 5usize, 3usize, 3usize);
-        let geom = ConvGeom::validated(w, h, c, k, r, s, 1, 1).unwrap();
-        let mut state = seed | 1;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (state >> 33) as i64
-        };
-        // Weights drawn from a pow2 alphabet: TTQ-style {0, ±64} or
-        // INQ-style ±2^e with zeros mixed in.
-        let filters = Tensor4::from_fn(k, c, r, s, |_, _, _, _| {
-            let v = next();
-            if ternary {
-                [0i16, 64, -64][(v % 3) as usize]
-            } else if v % 5 == 0 {
-                0
-            } else {
-                let mag = 1i16 << (v % 7);
-                if (v / 7) % 2 == 0 { mag } else { -mag }
-            }
-        });
-        let inputs: Vec<Tensor3<i16>> = (0..b)
-            .map(|_| Tensor3::from_fn(c, w, h, |_, _, _| (next() % 121) as i16 - 60))
-            .collect();
-        let cfg = UcnnConfig { g, ct, ..UcnnConfig::default() };
-        let layer = CompiledLayer::compile(&geom, 1, &filters, &cfg);
-        // The alphabet must actually classify pow2, or the shift path
-        // would silently never engage and the property would test nothing.
-        prop_assert!(
-            layer.flat_tiles().iter().all(FlattenedTile::pow2_alphabet),
-            "pow2/ternary weights must classify as a pow2 alphabet"
-        );
-        let expected: Vec<Tensor3<i32>> = inputs
-            .iter()
-            .map(|i| reference::conv2d(&geom, 1, i, &filters))
-            .collect();
-        for &tier in available_tiers() {
-            let shifted = run_flattened_batch_interleaved_forced(
-                &layer, &inputs, threads, KernelSel { tier, shift_add: true });
-            let multiplied = run_flattened_batch_interleaved_forced(
-                &layer, &inputs, threads, KernelSel { tier, shift_add: false });
-            prop_assert_eq!(
-                &shifted, &multiplied,
-                "tier '{}': shift-add diverged from broadcast multiply (B={}, threads={})",
-                tier.name(), b, threads
-            );
-            prop_assert_eq!(
-                &shifted, &expected,
-                "tier '{}': shift-add diverged from the dense reference (B={}, threads={})",
-                tier.name(), b, threads
-            );
-        }
-    }
-
     /// Batch-interleave ⇄ planar round trip: for any chunk width up to the
     /// widest SIMD lane count and any plane size,
     /// `deinterleave(interleave(x)) == x` and every lane lands at

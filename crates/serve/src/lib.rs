@@ -34,8 +34,6 @@
 //!   (one histogram per shard, merged at report time), with
 //!   coordinated-omission-aware open-loop latency, shed accounting, and
 //!   bit-exact per-model verification.
-//! * [`loadgen`] — thin single-model closed/open-loop front-ends over the
-//!   harness, kept for quick smoke tests.
 //! * [`metrics`] — a typed [`MetricsRegistry`] (sharded counters, gauges,
 //!   lock-free histograms) every [`Engine`] owns, exported as Prometheus
 //!   text exposition or a JSON snapshot; the engine stamps request
@@ -87,7 +85,6 @@
 pub mod engine;
 pub mod harness;
 pub mod histogram;
-pub mod loadgen;
 pub mod metrics;
 pub mod queue;
 pub mod registry;
@@ -99,7 +96,6 @@ pub use engine::{
 };
 pub use harness::{HarnessReport, IntervalSample, ModelBreakdown, ModelCases, RunConfig};
 pub use histogram::LatencyHistogram;
-pub use loadgen::LoadReport;
 pub use metrics::MetricsRegistry;
 pub use queue::{ShardedBatch, ShardedQueue};
 pub use registry::{ModelQuota, ModelRegistry, QuotaToken, ResolvedModel};

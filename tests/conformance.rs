@@ -643,12 +643,11 @@ fn every_isa_tier_matches_the_golden_corpus_bit_identically() {
     // The suite above runs whatever tier the host dispatches (or `UCNN_SIMD`
     // forces — the CI `simd` job re-runs the whole file once per tier). This
     // test removes the env dependency: it drives every golden *layer* vector
-    // through every tier this machine can execute, with the quantized
-    // shift-add path both on and off, in one process. Networks are covered
-    // by the env-forced CI legs — the per-layer entry point is the only one
-    // that takes an explicit kernel selection.
+    // through every tier this machine can execute, in one process. Networks
+    // are covered by the env-forced CI legs — the per-layer entry point is
+    // the only one that takes an explicit tier.
     use ucnn::core::flatten::run_flattened_batch_interleaved_forced;
-    use ucnn::core::simd::{available_tiers, KernelSel};
+    use ucnn::core::simd::available_tiers;
 
     let dir = golden_dir();
     let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
@@ -687,23 +686,17 @@ fn every_isa_tier_matches_the_golden_corpus_bit_identically() {
         };
         let layer = CompiledLayer::compile(&geom, conv_groups, &weights, &cfg);
         for &tier in available_tiers() {
-            for shift_add in [true, false] {
-                // shift_add=true on a non-power-of-two alphabet is a no-op
-                // request: the kernel only takes the shift path when the
-                // compiled tile actually classified as pow2/ternary.
-                let sel = KernelSel { tier, shift_add };
-                for (b, threads) in SHAPES {
-                    let inputs = vec![input.clone(); b];
-                    let got = run_flattened_batch_interleaved_forced(&layer, &inputs, threads, sel);
-                    assert_eq!(got.len(), b, "{name}: {} wrong batch size", sel.label());
-                    for (i, out) in got.iter().enumerate() {
-                        assert_eq!(
-                            out,
-                            &output,
-                            "{name}: tier '{}' diverged (B={b}, threads={threads}, image {i})",
-                            sel.label()
-                        );
-                    }
+            for (b, threads) in SHAPES {
+                let inputs = vec![input.clone(); b];
+                let got = run_flattened_batch_interleaved_forced(&layer, &inputs, threads, tier);
+                assert_eq!(got.len(), b, "{name}: {} wrong batch size", tier.name());
+                for (i, out) in got.iter().enumerate() {
+                    assert_eq!(
+                        out,
+                        &output,
+                        "{name}: tier '{}' diverged (B={b}, threads={threads}, image {i})",
+                        tier.name()
+                    );
                 }
             }
         }

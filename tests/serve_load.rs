@@ -83,6 +83,18 @@ fn hot_cold_mixed_models_bit_exact_across_all_backends() {
         assert_eq!(report.mismatches, 0, "backend {backend}: outputs diverged");
         assert_eq!(report.errors, 0, "backend {backend}");
         assert_eq!(report.shed(), 0, "backend {backend}");
+        // Every response reports the batch it rode in, and the flat
+        // single-run views (rate, latency quantiles) are well-formed.
+        assert_eq!(report.batch_sizes.count(), 30, "backend {backend}");
+        assert!(
+            report.mean_batch() >= 1.0 && report.max_batch() <= 4,
+            "backend {backend}: batch sizes outside 1..=max_batch"
+        );
+        assert!(report.throughput_rps() > 0.0, "backend {backend}");
+        assert!(
+            report.percentile_us(0.99) >= report.percentile_us(0.50),
+            "backend {backend}"
+        );
         // The hot model dominates; per-model slices sum to the total with
         // none counted twice.
         let split: u64 = report.per_model.iter().map(|m| m.completed).sum();
