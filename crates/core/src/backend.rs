@@ -5,7 +5,8 @@
 //! convolution, only reordered around weight repetition (§III) — so an
 //! executor is a swappable implementation detail, not a semantic choice.
 //! This module makes that explicit: a [`Backend`] executes a
-//! [`CompiledLayer`] over a batch of inputs, every registered backend is
+//! [`CompiledLayer`] — or a whole [`CompiledNetwork`] — over a batch of
+//! inputs, every registered backend is
 //! **bit-identical** to the dense reference (enforced by the golden
 //! conformance corpus in `tests/golden/` and the cross-backend property
 //! test), and callers select one with a [`BackendKind`] threaded end to end
@@ -15,19 +16,21 @@
 //! |------|-----------|----------------|
 //! | [`BackendKind::Factorized`] | re-sorts/factorizes per call | never — the paper's functional definition and the compile-amortization baseline |
 //! | [`BackendKind::BatchThreads`] | retained-stream walk: per image at B = 1, batch-major at B ≥ 2, scoped threads over filter bands × batch chunks when `threads > 1` | nowhere on speed; it is the serving engine's default until the benchmark's memory accounting lets the engine switch (see `EngineConfig::backend` in `ucnn-serve`) |
-//! | [`BackendKind::FlattenedBatch`] | branch-free flattened walk (one gather path for every geometry: padded layers are staged into a zero-haloed chunk; prefix rows kept per group close) over batch-interleaved SIMD lanes (width-1 strips at B = 1), staged per filter band | every measured cell; the library default ([`CompiledNetwork::DEFAULT_BACKEND`](crate::plan::CompiledNetwork::DEFAULT_BACKEND)) |
+//! | [`BackendKind::FlattenedBatch`] | branch-free flattened walk (one gather path for every geometry: padded layers are staged into a zero-haloed chunk; prefix rows kept per group close) over batch-interleaved SIMD lanes (width-1 strips at B = 1), staged per filter band; a whole network runs chunk-major — each lane chunk stays batch-interleaved from the staged input to the last stage ([`Backend::run_network`]) | every measured cell; the library default ([`CompiledNetwork::DEFAULT_BACKEND`](crate::plan::CompiledNetwork::DEFAULT_BACKEND)) |
 //!
 //! Which ISA tier the flattened executor runs is not a backend choice: the
 //! process works it out once from what it can observe
 //! ([`SimdCaps`](crate::simd::SimdCaps)) in [`resolve_tier`].
 
-use ucnn_model::reference;
+use std::borrow::Cow;
+
+use ucnn_model::{forward::flatten_for_fc, reference};
 use ucnn_tensor::{Tensor3, Tensor4};
 
 use crate::counters::LayerWork;
 use crate::exec::{factorized_conv, run_compiled_batch_threads};
-use crate::flatten::{run_flattened_batch_interleaved, run_flattened_batch_interleaved_relu};
-use crate::plan::CompiledLayer;
+use crate::flatten::{run_flattened_batch_interleaved, run_network_interleaved};
+use crate::plan::{CompiledLayer, CompiledNetwork, CompiledStage};
 use crate::simd::resolve_tier;
 
 /// Selects one of the registered executor backends.
@@ -129,29 +132,62 @@ pub trait Backend: Send + Sync {
         threads: usize,
     ) -> Vec<Tensor3<i32>>;
 
-    /// [`Backend::run_layer`] followed by the inter-layer epilogue
-    /// ([`reference::relu_saturate`]): the `i16` activations a non-final
-    /// weight layer hands to the next stage.
+    /// Runs the whole of `net` over `inputs` (already checked against its
+    /// input dims, non-empty) with the wiring rule of
+    /// `ucnn_model::forward::dense_forward`: ReLU-saturated `i16`
+    /// activations between stages, the last stage's raw `i32` output
+    /// returned (a trailing pool's activations widened).
     ///
-    /// The default converts image by image, **consuming** the `i32` outputs
-    /// — each is freed as soon as its `i16` successor exists, so the two
-    /// whole-batch tensors never coexist. A backend that can apply the
-    /// epilogue while it writes its outputs overrides this and never
-    /// materializes the `i32` batch at all.
+    /// The default is the per-layer loop: every stage materializes its
+    /// per-image tensors — [`Backend::run_layer`], each `i32` output
+    /// consumed into its [`reference::relu_saturate`]d successor so the two
+    /// whole-batch tensors never coexist, [`reference::pool2d`] image by
+    /// image. A backend that can keep the batch in its own layout from
+    /// stage to stage overrides it.
     ///
     /// # Panics
     ///
-    /// Panics if `threads == 0` or any input mismatches the layer geometry.
-    fn run_layer_relu(
+    /// Panics if `threads == 0` or the activations reaching a stage
+    /// mismatch its geometry.
+    fn run_network(
         &self,
-        layer: &CompiledLayer,
+        net: &CompiledNetwork,
         inputs: &[Tensor3<i16>],
         threads: usize,
-    ) -> Vec<Tensor3<i16>> {
-        self.run_layer(layer, inputs, threads)
-            .into_iter()
-            .map(|sums| reference::relu_saturate(&sums))
-            .collect()
+    ) -> Vec<Tensor3<i32>> {
+        let last = net.stages().len() - 1;
+        // The first stage reads the caller's tensors in place; every later
+        // one owns the previous stage's output.
+        let mut acts: Cow<'_, [Tensor3<i16>]> = Cow::Borrowed(inputs);
+        for (si, stage) in net.stages().iter().enumerate() {
+            match stage {
+                CompiledStage::Conv { layer, is_fc, .. } => {
+                    if *is_fc {
+                        let flat = |a| flatten_for_fc(a, layer.geom().c());
+                        acts = acts.into_owned().into_iter().map(flat).collect();
+                    }
+                    let sums = self.run_layer(layer, &acts, threads);
+                    if si == last {
+                        return sums;
+                    }
+                    let relu = |sums| reference::relu_saturate(&sums);
+                    acts = sums.into_iter().map(relu).collect();
+                }
+                CompiledStage::Pool {
+                    kind, size, stride, ..
+                } => {
+                    let pool = |a| reference::pool2d(a, *kind, *size, *stride);
+                    acts = acts.iter().map(pool).collect();
+                    if si == last {
+                        let widen = |a: &Tensor3<i16>| {
+                            Tensor3::from_fn(a.c(), a.w(), a.h(), |c, x, y| i32::from(a[(c, x, y)]))
+                        };
+                        return acts.iter().map(widen).collect();
+                    }
+                }
+            }
+        }
+        unreachable!("stages is non-empty, so the loop always returns")
     }
 
     /// Eagerly builds whatever lazily derived execution state this backend
@@ -300,15 +336,16 @@ impl Backend for FlattenedBatchBackend {
         run_flattened_batch_interleaved(layer, inputs, threads)
     }
 
-    /// The epilogue rides the band scatter: sums leave the staging buffer
-    /// already clamped and narrowed.
-    fn run_layer_relu(
+    /// Chunk-major: every lane chunk runs the whole network
+    /// batch-interleaved, transposed once on the way in and once on the
+    /// way out.
+    fn run_network(
         &self,
-        layer: &CompiledLayer,
+        net: &CompiledNetwork,
         inputs: &[Tensor3<i16>],
         threads: usize,
-    ) -> Vec<Tensor3<i16>> {
-        run_flattened_batch_interleaved_relu(layer, inputs, threads, resolve_tier())
+    ) -> Vec<Tensor3<i32>> {
+        run_network_interleaved(net.stages(), inputs, threads, resolve_tier())
     }
 
     fn warm(&self, layer: &CompiledLayer) {
@@ -342,7 +379,8 @@ pub fn all_backends() -> Vec<&'static dyn Backend> {
 mod tests {
     use super::*;
     use crate::compile::UcnnConfig;
-    use ucnn_model::{ActivationGen, QuantScheme, WeightGen};
+    use ucnn_model::{forward, ActivationGen, QuantScheme, WeightGen};
+    use ucnn_model::{LayerSpec, NetworkSpec, PoolKind};
     use ucnn_tensor::ConvGeom;
 
     #[test]
@@ -393,35 +431,49 @@ mod tests {
 
     #[test]
     fn every_backend_matches_dense_reference() {
-        let geom = ConvGeom::new(7, 6, 5, 4, 3, 3).with_pad(1);
-        let mut wgen = WeightGen::new(QuantScheme::inq(), 17).with_density(0.8);
-        let weights = wgen.generate_dims(4, 5, 3, 3);
-        let layer = CompiledLayer::compile(&geom, 1, &weights, &UcnnConfig::with_g(2));
+        // One layer through `run_layer`, and a conv → conv → pool network
+        // through `run_network` — provided or overridden, the wiring is
+        // exactly `dense_forward`'s.
+        let mut net = NetworkSpec::new("pair");
+        net.push(LayerSpec::conv(
+            "c1",
+            ConvGeom::new(7, 6, 5, 4, 3, 3).with_pad(1),
+        ));
+        net.push(LayerSpec::conv(
+            "c2",
+            ConvGeom::new(7, 6, 4, 3, 3, 3).with_pad(1),
+        ));
+        net.push(LayerSpec::pool("p", PoolKind::Avg, 3, 2));
+        let weights = forward::generate_network_weights(&net, QuantScheme::inq(), 17, 0.8);
+        let plan = CompiledNetwork::compile(&net, &weights, &UcnnConfig::with_g(2));
+        let CompiledStage::Conv { layer, .. } = &plan.stages()[0] else {
+            panic!("the network starts with a convolution");
+        };
         let mut agen = ActivationGen::new(18);
         let inputs: Vec<_> = (0..3).map(|_| agen.generate(5, 7, 6)).collect();
         let expected: Vec<_> = inputs
             .iter()
-            .map(|i| reference::conv2d(&geom, 1, i, &weights))
+            .map(|i| reference::conv2d(layer.geom(), 1, i, &weights[0]))
             .collect();
-        let expected_acts: Vec<_> = expected.iter().map(reference::relu_saturate).collect();
+        let expected_net: Vec<_> = inputs
+            .iter()
+            .map(|i| forward::dense_forward(&net, &weights, i))
+            .collect();
         for b in all_backends() {
             for threads in [1, 3] {
                 assert_eq!(
-                    b.run_layer(&layer, &inputs, threads),
+                    b.run_layer(layer, &inputs, threads),
                     expected,
                     "backend {} at {threads} threads",
                     b.name()
                 );
-                // The inter-layer epilogue — provided or overridden — is
-                // exactly `relu_saturate` of the same sums.
                 assert_eq!(
-                    b.run_layer_relu(&layer, &inputs, threads),
-                    expected_acts,
-                    "backend {} epilogue at {threads} threads",
+                    b.run_network(&plan, &inputs, threads),
+                    expected_net,
+                    "backend {} network at {threads} threads",
                     b.name()
                 );
-                assert!(b.run_layer(&layer, &[], threads).is_empty());
-                assert!(b.run_layer_relu(&layer, &[], threads).is_empty());
+                assert!(b.run_layer(layer, &[], threads).is_empty());
             }
         }
     }

@@ -58,34 +58,38 @@
 //! [`run_flattened`] across all of them — the golden conformance corpus is
 //! the referee.
 //!
-//! # Band staging and the fused epilogue
+//! # Filter bands and the chunk-major pipeline
 //!
 //! The lane-major sums are staged one **filter band** at a time — the
 //! channel tiles that share a `k_first`, i.e. `G · out_w · out_h · LW`
-//! `i32`s rather than the whole layer's `K · …` — and each finished band is
-//! de-interleaved straight into the per-image outputs. A band stays
-//! cache-resident between the kernel that fills it and the scatter that
-//! drains it, and the executor's working set no longer scales with `K`.
-//! The scatter is also where a non-final layer's epilogue runs:
-//! [`run_flattened_batch_interleaved_relu`] clamps every sum to
-//! `0..=i16::MAX` (the reference's `relu_saturate`) while narrowing it into
-//! the `i16` activations the next layer reads, so no whole-batch `i32`
-//! tensor ever exists.
+//! `i32`s rather than the whole layer's `K · …` — so a band stays
+//! cache-resident between the kernel that fills it and whatever drains it.
+//! A whole network ([`BackendKind::FlattenedBatch`](crate::backend::BackendKind)
+//! through `CompiledNetwork::forward*`) runs **chunk-major**: each lane
+//! chunk is transposed into the lane layout once, runs every stage there —
+//! a finished band enters its consumer's zero-haloed plane clamped to
+//! `0..=i16::MAX` and narrowed (the reference's `relu_saturate`), pooling is
+//! an `LW`-wide max / widening sum over rows, a pool that directly follows
+//! a convolution runs on each finished band — and is transposed out once,
+//! into the caller's `i32` tensors. The per-layer entry points are the same
+//! pieces for one layer: stage → bands → scatter.
 //!
-//! Scratch (the staged chunk, the close-row prefix lanes, the band's
-//! lane-major sums) lives in a [`FlattenedScratch`] arena whose capacity
-//! follows the dispatched kernel width
-//! ([`FlattenedScratch::reserve_for`]). The module
-//! keeps a small pool of arenas per calling thread — one per execution
-//! thread it has ever fanned out to — so a serving worker's steady-state
-//! hot path stops allocating per request at any thread budget.
+//! Scratch (two activation planes, the close-row prefix lanes, the band's
+//! lane-major sums) lives in a [`FlattenedScratch`] arena. Every buffer the
+//! strip kernel walks as `LW`-wide rows starts its rows on a 64-byte
+//! boundary, so a 32-lane row is whole cache lines by construction instead
+//! of by where the allocator happened to put it. The module keeps a small
+//! pool of arenas per calling thread — one per execution thread it has ever
+//! fanned out to — so a serving worker's steady-state hot path allocates
+//! its output tensors and nothing else at any thread budget.
 
 use std::cell::RefCell;
 
+use ucnn_model::PoolKind;
 use ucnn_tensor::{ConvGeom, Tensor3};
 
 use crate::hierarchy::{GroupStream, ZERO_RANK};
-use crate::plan::CompiledLayer;
+use crate::plan::{CompiledLayer, CompiledStage};
 use crate::simd::{resolve_tier, SimdCaps, SimdTier};
 
 /// The flattened, branch-free form of one retained tile: per-entry gather
@@ -228,7 +232,7 @@ impl FlattenedTile {
     /// [`stage_chunk`]), `out` is the lane-major accumulator of the tile's
     /// **filter band** — `g` output planes starting at the tile's first
     /// filter, `out[off · LW + lane]` with `off` counted from that filter's
-    /// plane — and `prefix` is caller scratch holding `rows · LW` prefix
+    /// plane — and `prefix` is caller scratch of at least `rows · LW` prefix
     /// lanes. All three are walked as `LW`-wide rows.
     /// `LW == 1` **is** the planar walk — the layout degenerates to the
     /// plain planar slices, which is how [`run_flattened`] executes.
@@ -245,16 +249,15 @@ impl FlattenedTile {
         input: &[i16],
         out: &mut [i32],
         geom: &ConvGeom,
-        prefix: &mut Vec<i32>,
+        prefix: &mut [i32],
     ) {
         let (out_w, out_h) = (geom.out_w(), geom.out_h());
         let ph = geom.in_h() + 2 * geom.pad();
         let stride = geom.stride();
-        prefix.resize(self.rows * LW, 0);
-        prefix[..LW].fill(0);
         let (input, _) = input.as_chunks::<LW>();
         let (out, _) = out.as_chunks_mut::<LW>();
-        let (prefix, _) = prefix.as_chunks_mut::<LW>();
+        let (prefix, _) = prefix[..self.rows * LW].as_chunks_mut::<LW>();
+        prefix[0] = [0; LW];
 
         for x in 0..out_w {
             for y in 0..out_h {
@@ -318,7 +321,7 @@ mod tier_kernels {
         input: &[i16],
         out: &mut [i32],
         geom: &ConvGeom,
-        prefix: &mut Vec<i32>,
+        prefix: &mut [i32],
     ) {
         tile.accumulate_lanes_body::<LW>(input, out, geom, prefix);
     }
@@ -329,7 +332,7 @@ mod tier_kernels {
         input: &[i16],
         out: &mut [i32],
         geom: &ConvGeom,
-        prefix: &mut Vec<i32>,
+        prefix: &mut [i32],
     ) {
         tile.accumulate_lanes_body::<LW>(input, out, geom, prefix);
     }
@@ -349,7 +352,7 @@ mod tier_kernels {
         input: &[i16],
         out: &mut [i32],
         geom: &ConvGeom,
-        prefix: &mut Vec<i32>,
+        prefix: &mut [i32],
     ) {
         tile.accumulate_lanes_body::<LW>(input, out, geom, prefix);
     }
@@ -370,7 +373,7 @@ fn accumulate_width<const LW: usize>(
     input: &[i16],
     out: &mut [i32],
     geom: &ConvGeom,
-    prefix: &mut Vec<i32>,
+    prefix: &mut [i32],
     tier: SimdTier,
 ) {
     match tier {
@@ -398,7 +401,7 @@ fn accumulate_tile_lanes(
     input: &[i16],
     out: &mut [i32],
     geom: &ConvGeom,
-    prefix: &mut Vec<i32>,
+    prefix: &mut [i32],
     lw: usize,
     tier: SimdTier,
 ) {
@@ -475,32 +478,24 @@ pub(crate) fn chunk_count(batch: usize, lane_width: usize) -> usize {
 #[must_use]
 pub fn run_flattened(layer: &CompiledLayer, input: &Tensor3<i16>) -> Tensor3<i32> {
     let geom = layer.geom();
-    assert_eq!(
-        input.c(),
-        geom.c() * layer.conv_groups(),
-        "input channel mismatch"
-    );
-    assert!(
-        input.w() == geom.in_w() && input.h() == geom.in_h(),
-        "input plane mismatch"
-    );
-
+    let inputs = std::slice::from_ref(input);
+    crate::exec::check_batch_inputs(layer, inputs);
     let tier = resolve_tier();
     let mut out = Tensor3::<i32>::zeros(geom.k(), geom.out_w(), geom.out_h());
     let plane = geom.out_w() * geom.out_h();
     let out_slice = out.as_mut_slice();
     with_thread_scratch(1, |arenas| {
         let FlattenedScratch {
-            interleaved,
+            planes: [staged, _],
             prefix,
             ..
         } = &mut arenas[0];
-        let staged = stage_chunk(std::slice::from_ref(input), geom.pad(), interleaved);
+        let staged = stage_chunk(inputs, geom.pad(), staged);
         for tile in layer.flat_tiles() {
             // Width 1 *is* the planar layout, so the tile's band is simply
             // its filters' planes of the output.
             let band = &mut out_slice[tile.k_first * plane..][..tile.g * plane];
-            accumulate_width::<1>(tile, staged, band, geom, prefix, tier);
+            accumulate_width::<1>(tile, staged, band, geom, prefix.rows_mut(tile.rows), tier);
         }
     });
     out
@@ -513,37 +508,98 @@ pub fn run_flattened(layer: &CompiledLayer, input: &Tensor3<i16>) -> Tensor3<i32
 /// monomorphized kernel set.
 pub const LANE_WIDTH: usize = 8;
 
-/// Reusable scratch for the flattened executors: the staged (zero-haloed,
-/// batch-interleaved) input chunk, the `LW`-wide prefix lanes, and the
-/// lane-major sums of the filter band being executed.
-///
-/// One arena serves any number of layers and chunk widths — buffers only
-/// ever grow, and [`FlattenedScratch::reserve_for`] pre-grows them to the
-/// dispatched kernel width so wider tiers never reallocate per chunk. The
-/// module keeps thread-local arenas that the entry points
-/// ([`run_flattened`], [`run_flattened_batch_interleaved`]) borrow, so each
-/// serving worker thread reuses its own across requests.
-#[derive(Debug, Default)]
-pub struct FlattenedScratch {
-    /// Staged activations: `interleaved[off · LW + lane]`, `off` over the
-    /// zero-haloed plane.
-    interleaved: Vec<i16>,
-    /// Prefix-sum lanes: `rows · LW` values, row `j` = prefix at the `j`-th
-    /// group close (row 0 = zeros).
-    prefix: Vec<i32>,
-    /// Lane-major sums of one filter band: `band_lanes[off · LW + lane]`,
-    /// `off` counted from the band's first output plane. `G` planes, not
-    /// the layer's `K` — the band is scattered into the per-image outputs
-    /// before the next one starts.
-    band_lanes: Vec<i32>,
+/// `(channels, width, height)` of an activation tensor.
+pub(crate) type Dims = (usize, usize, usize);
+
+/// Cells of a `dims` plane inside a `pad`-wide halo.
+fn haloed_len((c, w, h): Dims, pad: usize) -> usize {
+    c * (w + 2 * pad) * (h + 2 * pad)
 }
 
-/// Grows a buffer's capacity to exactly `cap` elements (when it is smaller)
-/// without touching its length or contents.
-fn grow_capacity<T>(v: &mut Vec<T>, cap: usize) {
-    if v.capacity() < cap {
-        v.reserve_exact(cap - v.len());
+/// Bytes in a cache line — where every `LW`-wide row view starts.
+const LINE: usize = 64;
+
+/// A grow-only buffer whose row view starts on a cache-line boundary, so a
+/// 32-lane row is exactly one line (`i16`) or two (`i32`) and no strip load
+/// or store straddles a boundary. The allocator only promises 16 bytes, and
+/// at any other offset every prefix-row access of the 32-lane kernel splits
+/// in two (a third of its speed, by where the heap happened to land). The
+/// buffer over-allocates one line and the view's start is recomputed from
+/// the live pointer on every borrow, so it survives growth.
+#[derive(Debug, Default)]
+struct Rows<T>(Vec<T>);
+
+impl<T: Copy + Default> Rows<T> {
+    /// Elements of slack that let the view start up to one line in.
+    const SLACK: usize = LINE / std::mem::size_of::<T>();
+
+    fn line_start(&self) -> usize {
+        // `align_offset` may decline (`usize::MAX`); an unaligned view is
+        // slower, not wrong.
+        match self.0.as_ptr().align_offset(LINE) {
+            at if at < Self::SLACK => at,
+            _ => 0,
+        }
     }
+
+    /// Grows (exactly, zero-filled) to hold `len` elements past the line
+    /// boundary; never shrinks.
+    fn reserve(&mut self, len: usize) {
+        let need = len + Self::SLACK;
+        if self.0.len() < need {
+            self.0.reserve_exact(need - self.0.len());
+            self.0.resize(need, T::default());
+        }
+    }
+
+    /// The `len` elements from the line boundary, grown to fit first. They
+    /// hold whatever the last user left there.
+    fn rows_mut(&mut self, len: usize) -> &mut [T] {
+        self.reserve(len);
+        let at = self.line_start();
+        &mut self.0[at..at + len]
+    }
+
+    /// The `len` elements a [`Rows::rows_mut`] of at least that size filled.
+    fn rows(&self, len: usize) -> &[T] {
+        let at = self.line_start();
+        &self.0[at..at + len]
+    }
+
+    fn bytes(&self) -> usize {
+        self.0.capacity() * std::mem::size_of::<T>()
+    }
+}
+
+/// Reusable scratch for the flattened executors: two staged (zero-haloed,
+/// batch-interleaved) activation planes, the `LW`-wide prefix lanes, and
+/// the lane-major sums of the filter band being executed — each a
+/// cache-line-aligned row view (one line of slack per buffer, counted by
+/// [`FlattenedScratch::resident_bytes`]).
+///
+/// One arena serves any number of layers and chunk widths — buffers grow on
+/// demand and never shrink, and [`FlattenedScratch::reserve_for`] pre-grows
+/// them for a layer. The module keeps thread-local arenas that the entry
+/// points borrow, so each serving worker thread reuses its own across
+/// requests.
+#[derive(Debug, Default)]
+pub struct FlattenedScratch {
+    /// Staged activations: `plane[off · LW + lane]`, `off` over a
+    /// zero-haloed plane. The per-layer entry points stage into the first;
+    /// the network pipeline ping-pongs, every stage reading one and writing
+    /// its consumer's input into the other.
+    planes: [Rows<i16>; 2],
+    /// Prefix-sum lanes: `rows · LW` values, row `j` = prefix at the `j`-th
+    /// group close (row 0 = zeros).
+    prefix: Rows<i32>,
+    /// Lane-major sums of one filter band: `band_lanes[off · LW + lane]`,
+    /// `off` counted from the band's first output plane. `G` planes, not
+    /// the layer's `K` — a band leaves for its consumer before the next one
+    /// starts.
+    band_lanes: Rows<i32>,
+    /// The band's `relu_saturate`d activations, when a pool consumes them
+    /// band by band instead of a plane.
+    band_acts: Rows<i16>,
 }
 
 impl FlattenedScratch {
@@ -553,36 +609,31 @@ impl FlattenedScratch {
         Self::default()
     }
 
-    /// Pre-grows every buffer for running `layer` at interleave width
-    /// `lane_width`, so no subsequent chunk of that width (or narrower)
-    /// reallocates. Called by the batch executors with the dispatched
-    /// tier's width; idempotent and monotone — an arena reserved for a wide
-    /// layer serves narrower ones for free. The output staging is sized for
-    /// the layer's widest filter band (`G · out_w · out_h · lane_width`),
-    /// independent of its filter count.
+    /// Pre-grows the buffers the per-layer executors use for running
+    /// `layer` at interleave width `lane_width`, so no chunk of that width
+    /// (or narrower) reallocates. Idempotent and monotone — an arena
+    /// reserved for a wide layer serves narrower ones for free. The output
+    /// staging is sized for the layer's widest filter band
+    /// (`G · out_w · out_h · lane_width`), independent of its filter count.
     pub fn reserve_for(&mut self, layer: &CompiledLayer, lane_width: usize) {
         let geom = layer.geom();
-        let pad = geom.pad();
-        let staged = (geom.in_w() + 2 * pad) * (geom.in_h() + 2 * pad);
-        let in_len = geom.c() * layer.conv_groups() * staged;
+        let in_dims = (geom.c() * layer.conv_groups(), geom.in_w(), geom.in_h());
         let plane = geom.out_w() * geom.out_h();
         let tiles = layer.flat_tiles();
         let max_rows = tiles.iter().map(|t| t.rows).max().unwrap_or(0);
         let max_g = tiles.iter().map(|t| t.g).max().unwrap_or(0);
-        // A single unpadded lane reads the planar input in place.
-        if lane_width > 1 || pad > 0 {
-            grow_capacity(&mut self.interleaved, in_len * lane_width);
-        }
-        grow_capacity(&mut self.prefix, max_rows * lane_width);
-        grow_capacity(&mut self.band_lanes, max_g * plane * lane_width);
+        self.planes[0].reserve(haloed_len(in_dims, geom.pad()) * lane_width);
+        self.prefix.reserve(max_rows * lane_width);
+        self.band_lanes.reserve(max_g * plane * lane_width);
     }
 
-    /// Bytes of heap the arena currently holds (capacities, not lengths) —
-    /// what an executor thread keeps resident between calls.
+    /// Bytes of heap the arena currently holds (capacities, not lengths,
+    /// alignment slack included) — what an executor thread keeps resident
+    /// between calls.
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
-        self.interleaved.capacity() * std::mem::size_of::<i16>()
-            + (self.prefix.capacity() + self.band_lanes.capacity()) * std::mem::size_of::<i32>()
+        let planes: usize = self.planes.iter().map(Rows::bytes).sum();
+        planes + self.band_acts.bytes() + self.prefix.bytes() + self.band_lanes.bytes()
     }
 }
 
@@ -619,32 +670,55 @@ fn with_thread_scratch<R>(n: usize, f: impl FnOnce(&mut [FlattenedScratch]) -> R
 /// Panics if `images` is empty or the images differ in length.
 pub fn interleave_lanes<T: Copy + Default>(images: &[&[T]], out: &mut Vec<T>) {
     assert!(!images.is_empty(), "cannot interleave an empty chunk");
-    stage_lanes(images, (1, 1, images[0].len()), 0, out);
+    let len = images[0].len();
+    out.clear();
+    out.resize(len * images.len(), T::default());
+    stage_lanes(images, (1, 1, len), 0, out);
+}
+
+/// Zeroes the `pad`-wide halo ring of a lane-major plane (`c` channels of
+/// `(w + 2·pad) × (h + 2·pad)` cells, `lw` lanes each) and leaves the
+/// interior alone: whoever fills the plane overwrites every interior cell,
+/// so the ring is all that can leak what the buffer last held.
+fn zero_halo<T: Copy + Default>(plane: &mut [T], (_, w, h): Dims, pad: usize, lw: usize) {
+    if pad == 0 {
+        return;
+    }
+    let (pw, ph) = (w + 2 * pad, h + 2 * pad);
+    for channel in plane.chunks_exact_mut(pw * ph * lw) {
+        // The ring is the gaps between consecutive interior rows.
+        let mut gap = 0;
+        for x in 0..w {
+            let row = ((x + pad) * ph + pad) * lw;
+            channel[gap..row].fill(T::default());
+            gap = row + h * lw;
+        }
+        channel[gap..].fill(T::default());
+    }
 }
 
 /// The staging transpose behind [`interleave_lanes`] and [`stage_chunk`]:
 /// `images` are `c × w × h` planes, `out` becomes their batch-interleaved
 /// copy inside a `pad`-wide zero halo — `out[off · LW + lane]` with `off`
-/// over `c × (w + 2·pad) × (h + 2·pad)`. The buffer is zeroed on every
-/// call, so an arena that last held another layer's chunk leaks nothing
-/// into the halo.
+/// over `c × (w + 2·pad) × (h + 2·pad)`. The halo ring is re-zeroed on
+/// every call ([`zero_halo`]), so an arena that last held another layer's
+/// chunk leaks nothing into it.
 /// One contiguous run (an input row; a [`SCATTER_BLOCK`] of offsets when
 /// no halo separates the rows) is filled by every lane while it is
 /// cache-resident, mirroring [`scatter_lanes`].
-fn stage_lanes<T: Copy + Default>(
-    images: &[&[T]],
-    (c, w, h): (usize, usize, usize),
+fn stage_lanes<T: Copy + Default, I: AsRef<[T]>>(
+    images: &[I],
+    (c, w, h): Dims,
     pad: usize,
-    out: &mut Vec<T>,
+    out: &mut [T],
 ) {
     let lw = images.len();
     let (len, pw, ph) = (c * w * h, w + 2 * pad, h + 2 * pad);
     assert!(
-        images.iter().all(|img| img.len() == len),
+        images.iter().all(|img| img.as_ref().len() == len),
         "interleaved images must be equally sized"
     );
-    out.clear();
-    out.resize(c * pw * ph * lw, T::default());
+    zero_halo(out, (c, w, h), pad, lw);
     let run = if pad == 0 { SCATTER_BLOCK } else { h };
     for at in (0..len).step_by(run) {
         let n = run.min(len - at);
@@ -652,7 +726,8 @@ fn stage_lanes<T: Copy + Default>(
         let to = (row / w * pw + row % w + pad) * ph + pad + at % h;
         let dst = &mut out[to * lw..][..n * lw];
         for (lane, img) in images.iter().enumerate() {
-            for (d, &v) in dst[lane..].iter_mut().step_by(lw).zip(&img[at..][..n]) {
+            let src = &img.as_ref()[at..][..n];
+            for (d, &v) in dst[lane..].iter_mut().step_by(lw).zip(src) {
                 *d = v;
             }
         }
@@ -660,16 +735,14 @@ fn stage_lanes<T: Copy + Default>(
 }
 
 /// The chunk as the strip kernels read it: staged through [`stage_lanes`]
-/// into `staged`, except that a single unpadded image already *is* its own
-/// width-1 staging and is read in place.
-fn stage_chunk<'a>(inputs: &'a [Tensor3<i16>], pad: usize, staged: &'a mut Vec<i16>) -> &'a [i16] {
+/// into `staged`'s cache-line-aligned rows, inside the `pad`-wide zero halo
+/// the gather offsets are lowered against.
+fn stage_chunk<'a>(inputs: &[Tensor3<i16>], pad: usize, staged: &'a mut Rows<i16>) -> &'a [i16] {
     let first = &inputs[0];
-    if inputs.len() == 1 && pad == 0 {
-        return first.as_slice();
-    }
-    let images: Vec<&[i16]> = inputs.iter().map(Tensor3::as_slice).collect();
-    stage_lanes(&images, (first.c(), first.w(), first.h()), pad, staged);
-    staged
+    let dims = (first.c(), first.w(), first.h());
+    let rows = staged.rows_mut(haloed_len(dims, pad) * inputs.len());
+    stage_lanes(inputs, dims, pad, rows);
+    rows
 }
 
 /// Scatters a lane-major buffer (`lanes[off · LW + lane]`,
@@ -695,12 +768,13 @@ pub fn deinterleave_lanes<T: Copy>(lanes: &[T], outs: &mut [&mut [T]]) {
 /// cache-line-strided read per element.
 const SCATTER_BLOCK: usize = 32;
 
-/// The de-interleaving transpose behind [`deinterleave_lanes`] and the band
-/// scatter: `outs[lane][at + off] = convert(lanes[off · LW + lane])` for
-/// every `off` the lane-major buffer holds.
-fn scatter_lanes<T: Copy, U>(
+/// The de-interleaving transpose behind [`deinterleave_lanes`] and the last
+/// stage's way out of the lane layout:
+/// `outs[lane][at + off] = convert(lanes[off · LW + lane])` for every `off`
+/// the lane-major buffer holds.
+fn scatter_lanes<T: Copy, U, O: AsMut<[U]>>(
     lanes: &[T],
-    outs: &mut [&mut [U]],
+    outs: &mut [O],
     at: usize,
     convert: impl Fn(T) -> U,
 ) {
@@ -708,7 +782,7 @@ fn scatter_lanes<T: Copy, U>(
     for (block, rows) in lanes.chunks(SCATTER_BLOCK * lw).enumerate() {
         let base = at + block * SCATTER_BLOCK;
         for (lane, out) in outs.iter_mut().enumerate() {
-            let dst = &mut out[base..][..rows.len() / lw];
+            let dst = &mut out.as_mut()[base..][..rows.len() / lw];
             for (d, row) in dst.iter_mut().zip(rows.chunks_exact(lw)) {
                 *d = convert(row[lane]);
             }
@@ -716,52 +790,22 @@ fn scatter_lanes<T: Copy, U>(
     }
 }
 
-/// What a finished `i32` sum becomes as it leaves the band staging buffer
-/// for a per-image output tensor — the epilogue fused into the scatter.
-trait LaneOut: ucnn_tensor::Elem + Send {
-    fn from_sum(sum: i32) -> Self;
-}
-
-/// Raw sums: the layer's `i32` output as every other backend returns it.
-impl LaneOut for i32 {
-    #[inline(always)]
-    fn from_sum(sum: i32) -> i32 {
-        sum
-    }
-}
-
-/// The inter-layer epilogue: ReLU with saturation to `i16`, element for
-/// element `ucnn_model::reference::relu_saturate`.
-impl LaneOut for i16 {
-    #[inline(always)]
-    fn from_sum(sum: i32) -> i16 {
-        sum.clamp(0, i32::from(i16::MAX)) as i16
-    }
-}
-
-/// Executes one lane chunk (`inputs.len()` = an emitted chunk width) through
-/// the flattened tiles: stage once, then per filter band walk its
-/// channel tiles `LW`-wide into the staging buffer and scatter the finished
-/// sums — through the [`LaneOut`] epilogue — into the per-image outputs.
-fn run_chunk<T: LaneOut>(
+/// Walks `layer` over a staged chunk one filter band at a time: zeroes the
+/// band's lane-major sums, accumulates the band's channel tiles into them
+/// `lw` lanes wide, and hands the finished sums to `sink(k_first, sums)`
+/// while they are still cache-resident.
+fn run_bands(
     layer: &CompiledLayer,
-    inputs: &[Tensor3<i16>],
-    outs: &mut [Tensor3<T>],
-    scratch: &mut FlattenedScratch,
+    input: &[i16],
+    lw: usize,
     tier: SimdTier,
+    prefix: &mut Rows<i32>,
+    band_lanes: &mut Rows<i32>,
+    mut sink: impl FnMut(usize, &[i32]),
 ) {
-    let geom = layer.geom();
-    let lw = inputs.len();
     debug_assert!(matches!(lw, 1..=8 | 16 | 32), "chunk width {lw}");
-    debug_assert_eq!(outs.len(), lw);
-    let FlattenedScratch {
-        interleaved,
-        prefix,
-        band_lanes,
-    } = scratch;
-    let input = stage_chunk(inputs, geom.pad(), interleaved);
+    let geom = layer.geom();
     let plane = geom.out_w() * geom.out_h();
-    let mut planes: Vec<&mut [T]> = outs.iter_mut().map(Tensor3::as_mut_slice).collect();
     // `CompiledLayer::compile` emits tiles band by band, so the channel
     // tiles that accumulate into one filter band are adjacent.
     let mut rest = layer.flat_tiles();
@@ -769,94 +813,304 @@ fn run_chunk<T: LaneOut>(
         let (k_first, g) = (first.k_first, first.g);
         let tiles = rest.iter().take_while(|t| t.k_first == k_first).count();
         let (band, after) = rest.split_at(tiles);
-        band_lanes.clear();
-        band_lanes.resize(g * plane * lw, 0);
+        let sums = band_lanes.rows_mut(g * plane * lw);
+        sums.fill(0);
         for tile in band {
-            accumulate_tile_lanes(tile, input, band_lanes, geom, prefix, lw, tier);
+            let prefix = prefix.rows_mut(tile.rows * lw);
+            accumulate_tile_lanes(tile, input, sums, geom, prefix, lw, tier);
         }
-        scatter_lanes(band_lanes, &mut planes, k_first * plane, T::from_sum);
+        sink(k_first, sums);
         rest = after;
     }
 }
 
-/// Runs a batch on the calling thread, chunk by chunk at the widths
-/// [`next_chunk_width`] emits for the (already clamped) `tier`.
-fn run_chunks<T: LaneOut>(
-    layer: &CompiledLayer,
-    inputs: &[Tensor3<i16>],
-    scratch: &mut FlattenedScratch,
-    tier: SimdTier,
-) -> Vec<Tensor3<T>> {
-    let geom = layer.geom();
-    crate::exec::check_batch_inputs(layer, inputs);
-    let lane = tier.lane_width();
-    // Size the arena for the widest chunk this call will run, so the
-    // per-chunk loop never reallocates even the first time a wide tier
-    // executes.
-    scratch.reserve_for(layer, lane.min(inputs.len().max(1)));
-    let mut outs: Vec<Tensor3<T>> = inputs
-        .iter()
-        .map(|_| Tensor3::zeros(geom.k(), geom.out_w(), geom.out_h()))
-        .collect();
-    let mut start = 0;
-    while start < inputs.len() {
-        let w = next_chunk_width(inputs.len() - start, lane);
-        run_chunk(
-            layer,
-            &inputs[start..start + w],
-            &mut outs[start..start + w],
-            scratch,
-            tier,
-        );
-        start += w;
-    }
-    outs
+/// A lane-major activation plane while its producer fills it: `c × w × h`
+/// cells of `lw` lanes inside the `pad`-wide zero halo its **consumer**
+/// reads through — so a padded convolution finds its input already staged.
+struct PlaneMut<'a> {
+    cells: &'a mut [i16],
+    dims: Dims,
+    pad: usize,
+    lw: usize,
 }
 
-/// The batch executor behind every `run_flattened_batch_interleaved*` entry
-/// point (whose docs state the contract), generic over the [`LaneOut`]
-/// epilogue.
-fn run_interleaved<T: LaneOut>(
-    layer: &CompiledLayer,
+impl<'a> PlaneMut<'a> {
+    /// Claims `buf`'s aligned rows for the plane and zeroes its halo ring.
+    fn new(buf: &'a mut Rows<i16>, dims: Dims, pad: usize, lw: usize) -> Self {
+        let cells = buf.rows_mut(haloed_len(dims, pad) * lw);
+        zero_halo(cells, dims, pad, lw);
+        Self {
+            cells,
+            dims,
+            pad,
+            lw,
+        }
+    }
+
+    /// Interior row `x` of channel `c`: `h · lw` contiguous values.
+    fn row(&mut self, c: usize, x: usize) -> &mut [i16] {
+        let (_, w, h) = self.dims;
+        let (pw, ph) = (w + 2 * self.pad, h + 2 * self.pad);
+        let at = ((c * pw + x + self.pad) * ph + self.pad) * self.lw;
+        &mut self.cells[at..][..h * self.lw]
+    }
+
+    /// The inter-layer epilogue: a finished band's sums (whole output
+    /// planes from channel `c0`) enter the plane clamped to `0..=i16::MAX`
+    /// and narrowed — element for element `reference::relu_saturate`.
+    fn write_relu(&mut self, c0: usize, sums: &[i32]) {
+        let (_, w, h) = self.dims;
+        for (i, sums) in sums.chunks_exact(h * self.lw).enumerate() {
+            for (d, &s) in self.row(c0 + i / w, i % w).iter_mut().zip(sums) {
+                *d = s.clamp(0, i32::from(i16::MAX)) as i16;
+            }
+        }
+    }
+}
+
+/// `reference::pool2d` over lane-major rows: pools `src` (`c × w × h` cells
+/// of `lw` lanes, no halo) into the interior of `dst`'s channels from `c0`,
+/// per lane element for element the reference — windows anchored at
+/// multiples of `stride`, the last ones clipped at the edge, `sum / n`
+/// truncating toward zero.
+fn pool_lanes(
+    src: &[i16],
+    (c, w, h): Dims,
+    (kind, size, stride): (PoolKind, usize, usize),
+    dst: &mut PlaneMut<'_>,
+    c0: usize,
+) {
+    let lw = dst.lw;
+    let (_, out_w, _) = dst.dims;
+    // One widened sum per lane of the widest chunk.
+    let mut sum = [0i32; 32];
+    let sum = &mut sum[..lw];
+    for (ch, ox) in (0..c).flat_map(|ch| (0..out_w).map(move |ox| (ch, ox))) {
+        let (x0, x1) = (ox * stride, (ox * stride + size).min(w));
+        for (oy, cell) in dst.row(c0 + ch, ox).chunks_exact_mut(lw).enumerate() {
+            let (y0, y1) = (oy * stride, (oy * stride + size).min(h));
+            let window = (x0..x1).flat_map(|x| {
+                src[((ch * w + x) * h + y0) * lw..][..(y1 - y0) * lw].chunks_exact(lw)
+            });
+            match kind {
+                PoolKind::Max => {
+                    cell.fill(i16::MIN);
+                    for row in window {
+                        for (m, &v) in cell.iter_mut().zip(row) {
+                            *m = (*m).max(v);
+                        }
+                    }
+                }
+                PoolKind::Avg => {
+                    sum.fill(0);
+                    for row in window {
+                        for (s, &v) in sum.iter_mut().zip(row) {
+                            *s += i32::from(v);
+                        }
+                    }
+                    let n = ((x1 - x0) * (y1 - y0)) as i32;
+                    for (d, &s) in cell.iter_mut().zip(sum.iter()) {
+                        *d = (s / n) as i16;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The batch driver behind the per-layer entry points and the network
+/// pipeline: allocates the `out_dims` outputs, cuts the batch into lane
+/// chunks at the widths [`next_chunk_width`] emits for the (clamped)
+/// `tier`, and runs `chunk(inputs, outputs, arena, tier)` on each with an
+/// arena from the calling thread's pool. `threads > 1` deals contiguous
+/// runs of **whole tier-width chunks** to scoped threads: splitting finer
+/// would narrow the SIMD width of every worker's kernel, costing more than
+/// the extra thread buys.
+fn run_chunked(
     inputs: &[Tensor3<i16>],
+    (c, w, h): Dims,
     threads: usize,
     tier: SimdTier,
-) -> Vec<Tensor3<T>> {
+    chunk: impl Fn(&[Tensor3<i16>], &mut [Tensor3<i32>], &mut FlattenedScratch, SimdTier) + Sync,
+) -> Vec<Tensor3<i32>> {
     assert!(threads > 0, "need at least one execution thread");
     if inputs.is_empty() {
         return Vec::new();
     }
     let tier = SimdCaps::get().clamp(tier);
-    // Work is dealt in whole tier-width chunks: splitting finer would
-    // narrow the SIMD width of every worker's kernel, costing more than
-    // the extra thread buys.
     let lane = tier.lane_width();
+    let mut outs: Vec<Tensor3<i32>> = inputs.iter().map(|_| Tensor3::zeros(c, w, h)).collect();
+    let run = &|ins: &[Tensor3<i16>], outs: &mut [Tensor3<i32>], arena: &mut FlattenedScratch| {
+        let mut start = 0;
+        while start < ins.len() {
+            let end = start + next_chunk_width(ins.len() - start, lane);
+            chunk(&ins[start..end], &mut outs[start..end], arena, tier);
+            start = end;
+        }
+    };
     let chunks = inputs.len().div_ceil(lane);
     let workers = threads.min(chunks);
     let per_worker = chunks.div_ceil(workers) * lane;
     with_thread_scratch(workers, |arenas| {
         if workers == 1 {
-            return run_chunks(layer, inputs, &mut arenas[0], tier);
+            return run(inputs, &mut outs, &mut arenas[0]);
         }
         std::thread::scope(|scope| {
-            let handles: Vec<_> = inputs
-                .chunks(per_worker)
-                .zip(arenas.iter_mut())
-                .map(|(ins, scratch)| {
-                    scope.spawn(move || run_chunks::<T>(layer, ins, scratch, tier))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("interleaved executor thread panicked"))
-                .collect()
-        })
+            let dealt = inputs.chunks(per_worker).zip(outs.chunks_mut(per_worker));
+            for ((ins, outs), arena) in dealt.zip(arenas.iter_mut()) {
+                scope.spawn(move || run(ins, outs, arena));
+            }
+        });
+    });
+    outs
+}
+
+/// One layer over one lane chunk: stage → bands → scatter.
+fn run_layer_chunk(
+    layer: &CompiledLayer,
+    inputs: &[Tensor3<i16>],
+    outs: &mut [Tensor3<i32>],
+    scratch: &mut FlattenedScratch,
+    tier: SimdTier,
+) {
+    let FlattenedScratch {
+        planes: [staged, _],
+        prefix,
+        band_lanes,
+        ..
+    } = scratch;
+    let geom = layer.geom();
+    let plane = geom.out_w() * geom.out_h();
+    let input = stage_chunk(inputs, geom.pad(), staged);
+    let sink = |k_first, sums: &[i32]| scatter_lanes(sums, outs, k_first * plane, |v| v);
+    run_bands(layer, input, inputs.len(), tier, prefix, band_lanes, sink);
+}
+
+/// A whole network over one lane chunk, lane-major from the staged input to
+/// the last stage: one transpose in ([`stage_chunk`]), one transpose out
+/// ([`scatter_lanes`] into the caller's `i32` tensors). In between the
+/// activations ping-pong between the arena's two planes — a convolution's
+/// finished bands enter its consumer's plane through
+/// [`PlaneMut::write_relu`] at the interior offset (the halo the next
+/// padded convolution reads is already there), pooling runs plane to plane
+/// ([`pool_lanes`]), and a fully connected layer reads the unhaloed plane
+/// as it is: `flatten_for_fc` is the identity on `off · LW + lane`.
+///
+/// A pool that directly follows a convolution runs on each finished band
+/// instead (pooling is per channel and a band is `G` whole output planes),
+/// so the convolution's full-resolution activation never exists.
+fn run_network_chunk(
+    stages: &[CompiledStage],
+    inputs: &[Tensor3<i16>],
+    outs: &mut [Tensor3<i32>],
+    scratch: &mut FlattenedScratch,
+    tier: SimdTier,
+) {
+    let FlattenedScratch {
+        planes: [even, odd],
+        prefix,
+        band_lanes,
+        band_acts,
+    } = scratch;
+    let lw = inputs.len();
+    let mut dims = (inputs[0].c(), inputs[0].w(), inputs[0].h());
+    stage_chunk(inputs, stages[0].pad(), even);
+    let (mut si, mut flip) = (0, false);
+    while let Some(stage) = stages.get(si) {
+        let (src, dst) = if flip {
+            (&*odd, &mut *even)
+        } else {
+            (&*even, &mut *odd)
+        };
+        let fused_pool = match stage {
+            CompiledStage::Conv { .. } => stages.get(si + 1).and_then(CompiledStage::pool),
+            CompiledStage::Pool { .. } => None,
+        };
+        let after = si + 1 + usize::from(fused_pool.is_some());
+        let consumer = stages.get(after);
+        let out_dims = stages[si..after].iter().fold(dims, |d, s| s.out_dims(d));
+        let out_pad = consumer.map_or(0, CompiledStage::pad);
+        match stage {
+            CompiledStage::Conv { layer, is_fc, .. } => {
+                let geom = layer.geom();
+                if *is_fc {
+                    dims = (dims.0 * dims.1 * dims.2, 1, 1);
+                }
+                let in_dims = (geom.c() * layer.conv_groups(), geom.in_w(), geom.in_h());
+                assert_eq!(dims, in_dims, "activation dims do not match the layer");
+                let input = src.rows(haloed_len(dims, geom.pad()) * lw);
+                let (w, h) = (geom.out_w(), geom.out_h());
+                if consumer.is_none() && fused_pool.is_none() {
+                    // The last layer's raw sums leave the lane layout.
+                    let sink = |k_first, sums: &[i32]| {
+                        scatter_lanes(sums, outs, k_first * w * h, |v| v);
+                    };
+                    return run_bands(layer, input, lw, tier, prefix, band_lanes, sink);
+                }
+                let mut dst = PlaneMut::new(dst, out_dims, out_pad, lw);
+                let sink = |k_first, sums: &[i32]| match fused_pool {
+                    None => dst.write_relu(k_first, sums),
+                    Some(pool) => {
+                        let band = (sums.len() / (w * h * lw), w, h);
+                        let mut acts = PlaneMut::new(band_acts, band, 0, lw);
+                        acts.write_relu(0, sums);
+                        pool_lanes(acts.cells, band, pool, &mut dst, k_first);
+                    }
+                };
+                run_bands(layer, input, lw, tier, prefix, band_lanes, sink);
+            }
+            CompiledStage::Pool { .. } => {
+                let pool = stage.pool().expect("a pooling stage");
+                let mut dst = PlaneMut::new(dst, out_dims, out_pad, lw);
+                pool_lanes(src.rows(haloed_len(dims, 0) * lw), dims, pool, &mut dst, 0);
+            }
+        }
+        if consumer.is_none() {
+            // The network ends in a pool: its plane widens on the way out.
+            let pooled = if flip { &*even } else { &*odd };
+            scatter_lanes(
+                pooled.rows(haloed_len(out_dims, 0) * lw),
+                outs,
+                0,
+                i32::from,
+            );
+        }
+        (dims, si, flip) = (out_dims, after, !flip);
+    }
+}
+
+/// The chunk-major network executor behind
+/// [`BackendKind::FlattenedBatch`](crate::backend::BackendKind): every lane
+/// chunk of the batch runs the whole of `stages` through
+/// [`run_network_chunk`] on the (clamped) `tier`, dealt over `threads` as
+/// [`run_flattened_batch_interleaved`] deals a layer's. Bit-identical to
+/// the per-layer loop at every batch size, thread count and tier.
+///
+/// # Panics
+///
+/// Panics if `threads == 0`, if `stages` is empty, or if the activations
+/// reaching a layer mismatch its geometry. The caller checks the inputs
+/// against the network's input dims.
+pub(crate) fn run_network_interleaved(
+    stages: &[CompiledStage],
+    inputs: &[Tensor3<i16>],
+    threads: usize,
+    tier: SimdTier,
+) -> Vec<Tensor3<i32>> {
+    let Some(first) = inputs.first() else {
+        return Vec::new();
+    };
+    let in_dims = (first.c(), first.w(), first.h());
+    let out_dims = stages.iter().fold(in_dims, |d, s| s.out_dims(d));
+    run_chunked(inputs, out_dims, threads, tier, |ins, outs, arena, tier| {
+        run_network_chunk(stages, ins, outs, arena, tier);
     })
 }
 
 /// Batch-interleaved execution of a [`CompiledLayer`]'s flattened tiles —
-/// the [`BackendKind::FlattenedBatch`](crate::backend::BackendKind) inner
-/// loop.
+/// one layer of the [`BackendKind::FlattenedBatch`](crate::backend::BackendKind)
+/// inner loop, as `repro backends`, the golden corpus and
+/// [`Backend::run_layer`](crate::backend::Backend::run_layer) drive it.
 ///
 /// The batch is processed in chunks as wide as the dispatched tier's
 /// interleave width (8 scalar, 16 AVX2, 32 AVX-512 — the process-wide
@@ -864,7 +1118,8 @@ fn run_interleaved<T: LaneOut>(
 /// batch-interleaved layout, every gather offset / CSR segment range is
 /// computed once per entry per output position, and the prefix-sum and
 /// segment-multiply phases run as contiguous `LW`-wide strips through the
-/// tier's `#[target_feature]` kernel, one filter band at a time. Per image
+/// tier's `#[target_feature]` kernel, one filter band at a time; each
+/// finished band is de-interleaved into the per-image outputs. Per image
 /// the i32 operation sequence is identical to [`run_flattened`] at every
 /// width and tier, so outputs are **bit-identical** to it at every batch
 /// size and thread count.
@@ -906,7 +1161,7 @@ pub fn run_flattened_batch_interleaved(
     inputs: &[Tensor3<i16>],
     threads: usize,
 ) -> Vec<Tensor3<i32>> {
-    run_interleaved(layer, inputs, threads, resolve_tier())
+    run_flattened_batch_interleaved_forced(layer, inputs, threads, resolve_tier())
 }
 
 /// [`run_flattened_batch_interleaved`] with an explicit [`SimdTier`]
@@ -925,27 +1180,12 @@ pub fn run_flattened_batch_interleaved_forced(
     threads: usize,
     tier: SimdTier,
 ) -> Vec<Tensor3<i32>> {
-    run_interleaved(layer, inputs, threads, tier)
-}
-
-/// [`run_flattened_batch_interleaved_forced`] with the inter-layer epilogue
-/// fused into the band scatter: every output is
-/// `reference::relu_saturate` of the layer's sums, narrowed to the `i16`
-/// activations the next layer reads, without the whole-batch `i32` tensors
-/// ever being materialized. Bit-identical to running the unfused executor
-/// and converting afterwards.
-///
-/// # Panics
-///
-/// Panics if `threads == 0` or any input mismatches the layer geometry.
-#[must_use]
-pub fn run_flattened_batch_interleaved_relu(
-    layer: &CompiledLayer,
-    inputs: &[Tensor3<i16>],
-    threads: usize,
-    tier: SimdTier,
-) -> Vec<Tensor3<i16>> {
-    run_interleaved(layer, inputs, threads, tier)
+    crate::exec::check_batch_inputs(layer, inputs);
+    let geom = layer.geom();
+    let out_dims = (geom.k(), geom.out_w(), geom.out_h());
+    run_chunked(inputs, out_dims, threads, tier, |ins, outs, arena, tier| {
+        run_layer_chunk(layer, ins, outs, arena, tier);
+    })
 }
 
 #[cfg(test)]
@@ -953,9 +1193,70 @@ mod tests {
     use super::*;
     use crate::compile::UcnnConfig;
     use crate::exec::run_compiled;
+    use crate::plan::CompiledNetwork;
     use crate::simd::available_tiers;
-    use ucnn_model::{reference, ActivationGen, QuantScheme, WeightGen};
+    use ucnn_model::{forward, reference, ActivationGen, QuantScheme, WeightGen};
+    use ucnn_model::{LayerSpec, NetworkSpec};
     use ucnn_tensor::Tensor4;
+
+    /// A batch of one layer on one explicit arena, chunk by chunk — what
+    /// `run_chunked` does per worker.
+    fn run_on_arena(
+        layer: &CompiledLayer,
+        inputs: &[Tensor3<i16>],
+        scratch: &mut FlattenedScratch,
+        tier: SimdTier,
+    ) -> Vec<Tensor3<i32>> {
+        let geom = layer.geom();
+        let mut outs: Vec<Tensor3<i32>> = inputs
+            .iter()
+            .map(|_| Tensor3::zeros(geom.k(), geom.out_w(), geom.out_h()))
+            .collect();
+        let mut start = 0;
+        while start < inputs.len() {
+            let end = start + next_chunk_width(inputs.len() - start, tier.lane_width());
+            let (ins, outs) = (&inputs[start..end], &mut outs[start..end]);
+            run_layer_chunk(layer, ins, outs, scratch, tier);
+            start = end;
+        }
+        outs
+    }
+
+    /// Where each of the arena's five row buffers lives and how much it
+    /// holds: any reallocation or growth changes it.
+    fn arena_layout(scratch: &FlattenedScratch) -> [(usize, usize); 5] {
+        fn at<T>(buf: &Rows<T>) -> (usize, usize) {
+            (buf.0.as_ptr() as usize, buf.0.capacity())
+        }
+        let [even, odd] = &scratch.planes;
+        [
+            at(even),
+            at(odd),
+            at(&scratch.band_acts),
+            at(&scratch.prefix),
+            at(&scratch.band_lanes),
+        ]
+    }
+
+    /// Every allocated row buffer of the arena hands out its view at
+    /// `addr % 64 == 0`.
+    fn assert_aligned(scratch: &FlattenedScratch, what: &str) {
+        fn starts<T: Copy + Default>(buf: &Rows<T>) -> usize {
+            if buf.0.is_empty() {
+                return 0;
+            }
+            buf.rows(buf.0.len() - Rows::<T>::SLACK).as_ptr() as usize % LINE
+        }
+        let [even, odd] = &scratch.planes;
+        let starts = [
+            starts(even),
+            starts(odd),
+            starts(&scratch.band_acts),
+            starts(&scratch.prefix),
+            starts(&scratch.band_lanes),
+        ];
+        assert_eq!(starts, [0; 5], "{what}: a row view is off its cache line");
+    }
 
     fn check(geom: ConvGeom, conv_groups: usize, g: usize, ct: usize, seed: u64) {
         let mut wgen = WeightGen::new(QuantScheme::inq(), seed).with_density(0.8);
@@ -1106,7 +1407,7 @@ mod tests {
                 let expected: Vec<Tensor3<i32>> =
                     inputs.iter().map(|i| run_flattened(&layer, i)).collect();
                 assert_eq!(
-                    run_chunks::<i32>(&layer, &inputs, &mut scratch, resolve_tier()),
+                    run_on_arena(&layer, &inputs, &mut scratch, resolve_tier()),
                     expected,
                     "layer {gi}, B={b}"
                 );
@@ -1140,33 +1441,27 @@ mod tests {
             scratch.reserve_for(layer, widest);
         }
         // The output staging is reserved per filter band (G = 2 planes of
-        // the larger layer), not per layer (K = 6 / 4 planes).
+        // the larger layer), not per layer (K = 6 / 4 planes); every buffer
+        // carries one cache line of alignment slack on top of its rows.
         let band = geoms
             .iter()
             .map(|geom| 2 * geom.out_w() * geom.out_h())
             .max()
             .unwrap();
-        assert_eq!(scratch.band_lanes.capacity(), band * widest);
+        let (i16_line, i32_line) = (Rows::<i16>::SLACK, Rows::<i32>::SLACK);
+        assert_eq!(scratch.band_lanes.0.capacity(), band * widest + i32_line);
         // The staged chunk covers the padded conv's haloed plane (126
         // offsets, more than the FC layer's 48); the prefix holds one row
-        // per group close.
+        // per group close. The second plane is the network pipeline's.
         assert_eq!(
-            scratch.interleaved.capacity(),
-            3 * (5 + 2) * (4 + 2) * widest
+            scratch.planes[0].0.capacity(),
+            3 * (5 + 2) * (4 + 2) * widest + i16_line
         );
+        assert_eq!(scratch.planes[1].0.capacity(), 0);
         let rows = layers.iter().flat_map(CompiledLayer::flat_tiles);
         let max_rows = rows.map(|t| t.rows).max().unwrap();
-        assert_eq!(scratch.prefix.capacity(), max_rows * widest);
-        let caps = (
-            scratch.interleaved.capacity(),
-            scratch.prefix.capacity(),
-            scratch.band_lanes.capacity(),
-        );
-        let ptrs = (
-            scratch.interleaved.as_ptr(),
-            scratch.prefix.as_ptr(),
-            scratch.band_lanes.as_ptr(),
-        );
+        assert_eq!(scratch.prefix.0.capacity(), max_rows * widest + i32_line);
+        let reserved = arena_layout(&scratch);
         let mut agen = ActivationGen::new(91);
         for round in 0..2 {
             for (layer, geom) in layers.iter().zip(&geoms) {
@@ -1179,29 +1474,56 @@ mod tests {
                         .collect();
                     let expected: Vec<Tensor3<i32>> =
                         inputs.iter().map(|i| run_flattened(layer, i)).collect();
-                    let got = run_chunks::<i32>(layer, &inputs, &mut scratch, tier);
+                    let got = run_on_arena(layer, &inputs, &mut scratch, tier);
                     assert_eq!(got, expected, "round {round}, tier {}", tier.name());
                 }
             }
         }
         assert_eq!(
-            caps,
-            (
-                scratch.interleaved.capacity(),
-                scratch.prefix.capacity(),
-                scratch.band_lanes.capacity(),
-            ),
-            "arena buffers grew after reserve_for"
+            arena_layout(&scratch),
+            reserved,
+            "arena buffers grew or reallocated after reserve_for"
         );
-        assert_eq!(
-            ptrs,
-            (
-                scratch.interleaved.as_ptr(),
-                scratch.prefix.as_ptr(),
-                scratch.band_lanes.as_ptr(),
-            ),
-            "arena buffers reallocated after reserve_for"
-        );
+    }
+
+    #[test]
+    fn every_row_view_starts_on_a_cache_line() {
+        // After `reserve_for`, after a run, and after growth to a larger
+        // layer, each of the arena's row buffers hands out views at
+        // `addr % 64 == 0` at every strip width, and `resident_bytes`
+        // counts one line of slack per allocated buffer.
+        let geoms = [
+            ConvGeom::new(5, 4, 3, 4, 3, 3).with_pad(1),
+            ConvGeom::new(9, 7, 4, 6, 3, 3).with_pad(2),
+        ];
+        let mut agen = ActivationGen::new(93);
+        for lw in [1usize, 8, 16, 32] {
+            let mut scratch = FlattenedScratch::new();
+            for (gi, geom) in geoms.iter().enumerate() {
+                let mut wgen = WeightGen::new(QuantScheme::inq(), 92 + gi as u64).with_density(0.8);
+                let weights = wgen.generate_dims(geom.k(), geom.c(), 3, 3);
+                let layer = CompiledLayer::compile(geom, 1, &weights, &UcnnConfig::with_g(2));
+                scratch.reserve_for(&layer, lw);
+                assert_aligned(&scratch, &format!("LW {lw}, layer {gi}, reserved"));
+                let rows = layer.flat_tiles().iter().map(|t| t.rows).max().unwrap();
+                let cells = haloed_len((geom.c(), geom.in_w(), geom.in_h()), geom.pad());
+                assert_eq!(
+                    scratch.resident_bytes(),
+                    cells * lw * 2 + (rows + 2 * geom.out_w() * geom.out_h()) * lw * 4 + 3 * LINE,
+                    "LW {lw}, layer {gi}: rows plus one line of slack per buffer"
+                );
+                // Exactly `lw` lanes: one chunk of this strip width on any
+                // tier that has it.
+                let inputs: Vec<Tensor3<i16>> = (0..lw)
+                    .map(|_| agen.generate(geom.c(), geom.in_w(), geom.in_h()))
+                    .collect();
+                let got = run_on_arena(&layer, &inputs, &mut scratch, SimdCaps::get().best());
+                for (input, out) in inputs.iter().zip(&got) {
+                    assert_eq!(out, &reference::conv2d(geom, 1, input, &weights));
+                }
+                assert_aligned(&scratch, &format!("LW {lw}, layer {gi}, after a run"));
+            }
+        }
     }
 
     #[test]
@@ -1219,7 +1541,7 @@ mod tests {
 
         let mut scratch = FlattenedScratch::new();
         assert_eq!(scratch.resident_bytes(), 0, "a new arena holds nothing");
-        let got = run_chunks::<i32>(&layer, &inputs, &mut scratch, resolve_tier());
+        let got = run_on_arena(&layer, &inputs, &mut scratch, resolve_tier());
         for (input, out) in inputs.iter().zip(&got) {
             assert_eq!(out, &reference::conv2d(&geom, 1, input, &weights));
         }
@@ -1227,17 +1549,18 @@ mod tests {
         // 32 images fill the widest tier's strip, so LW is the tier width.
         let lw = resolve_tier().lane_width();
         let plane = geom.out_w() * geom.out_h();
-        let staging = scratch.band_lanes.capacity() * std::mem::size_of::<i32>();
+        let staging = scratch.band_lanes.bytes();
         assert!(
-            staging <= g * plane * lw * 4,
-            "output staging {staging} B exceeds one band ({} B)",
+            staging <= g * plane * lw * 4 + LINE,
+            "output staging {staging} B exceeds one band ({} B) and its slack",
             g * plane * lw * 4
         );
         let max_rows = layer.flat_tiles().iter().map(|t| t.rows).max().unwrap();
         assert_eq!(
             scratch.resident_bytes(),
-            3 * (8 + 2) * (8 + 2) * lw * 2 + max_rows * lw * 4 + staging,
-            "resident_bytes is the haloed staged input + close-row prefix lanes + one band"
+            3 * (8 + 2) * (8 + 2) * lw * 2 + max_rows * lw * 4 + staging + 2 * LINE,
+            "resident_bytes is the haloed staged input + close-row prefix lanes + one band, \
+             each with its line of alignment slack"
         );
         assert!(
             scratch.resident_bytes() < k * plane * lw * 4,
@@ -1247,38 +1570,58 @@ mod tests {
 
     #[test]
     fn threaded_calls_reuse_the_calling_threads_arena_pool() {
-        // Two workers borrow two arenas from the caller's pool; a second
-        // call finds them grown and allocates no scratch (same buffers,
-        // same capacities). libtest runs each test on its own thread, so
-        // the pool starts empty here.
-        let geom = ConvGeom::new(6, 6, 3, 4, 3, 3).with_pad(1);
-        let mut wgen = WeightGen::new(QuantScheme::inq(), 97).with_density(0.8);
-        let weights = wgen.generate_dims(4, 3, 3, 3);
-        let layer = CompiledLayer::compile(&geom, 1, &weights, &UcnnConfig::with_g(2));
-        let lane = resolve_tier().lane_width();
+        // A one-layer call and a whole-network call, at one worker and at
+        // two: the first call grows the caller's pool (one arena per
+        // worker), the second finds every buffer where it was — same
+        // pointers, same capacities — so the steady state allocates the
+        // output tensors and nothing else. libtest runs each test on its
+        // own thread, so the pool starts empty here.
+        let net = ucnn_model::networks::tiny();
+        let weights = forward::generate_network_weights(&net, QuantScheme::inq(), 97, 0.85);
+        let plan = CompiledNetwork::compile(&net, &weights, &UcnnConfig::with_g(2));
+        let CompiledStage::Conv { layer, .. } = &plan.stages()[0] else {
+            panic!("tiny starts with a convolution");
+        };
+        let tier = resolve_tier();
         let mut agen = ActivationGen::new(98);
-        let inputs: Vec<Tensor3<i16>> = (0..2 * lane).map(|_| agen.generate(3, 6, 6)).collect();
+        let inputs: Vec<Tensor3<i16>> = (0..2 * tier.lane_width())
+            .map(|_| agen.generate_for(&net.conv_layers()[0]))
+            .collect();
         let pool = || {
-            THREAD_SCRATCH.with(|cell| {
-                cell.borrow()
-                    .iter()
-                    .map(|a| (a.resident_bytes(), a.band_lanes.as_ptr()))
-                    .collect::<Vec<_>>()
-            })
+            THREAD_SCRATCH.with(|cell| cell.borrow().iter().map(arena_layout).collect::<Vec<_>>())
         };
         assert!(pool().is_empty());
-        let first = run_flattened_batch_interleaved(&layer, &inputs, 2);
-        let grown = pool();
-        assert_eq!(grown.len(), 2, "one arena per worker");
-        assert!(grown.iter().all(|&(bytes, _)| bytes > 0));
-        let second = run_flattened_batch_interleaved(&layer, &inputs, 2);
-        assert_eq!(pool(), grown, "steady state must not build new arenas");
-        assert_eq!(first, second);
+        for threads in [1usize, 2] {
+            let first = (
+                run_flattened_batch_interleaved(layer, &inputs, threads),
+                run_network_interleaved(plan.stages(), &inputs, threads, tier),
+            );
+            let grown = pool();
+            assert_eq!(grown.len(), threads, "one arena per worker");
+            for arena in &grown {
+                assert!(arena.iter().all(|&(_, capacity)| capacity > 0));
+            }
+            let second = (
+                run_flattened_batch_interleaved(layer, &inputs, threads),
+                run_network_interleaved(plan.stages(), &inputs, threads, tier),
+            );
+            assert_eq!(pool(), grown, "steady state must not touch the arenas");
+            assert_eq!(first, second);
+            // The pipeline's own buffers exist now (tiny pools a band of its
+            // second convolution): all five sit on a line in every arena.
+            THREAD_SCRATCH.with(|cell| {
+                for arena in cell.borrow().iter() {
+                    assert_aligned(arena, "after a network call");
+                }
+            });
+        }
     }
 
     /// Runs `layer` over `inputs` on every available tier at both thread
-    /// counts, raw and with the fused epilogue, against the dense reference
-    /// (`conv2d`, then `relu_saturate`).
+    /// counts against the dense reference: raw sums through the per-layer
+    /// entry point, and the inter-layer epilogue (`relu_saturate`) through
+    /// the network pipeline — the layer followed by a 1×1 max-pool, which
+    /// hands the narrowed activations back unchanged (widened to `i32`).
     fn check_bands_against_reference(
         layer: &CompiledLayer,
         weights: &Tensor4<i16>,
@@ -1289,7 +1632,26 @@ mod tests {
             .iter()
             .map(|i| reference::conv2d(layer.geom(), layer.conv_groups(), i, weights))
             .collect();
-        let acts: Vec<Tensor3<i16>> = sums.iter().map(reference::relu_saturate).collect();
+        let acts: Vec<Tensor3<i32>> = sums
+            .iter()
+            .map(|s| {
+                let a = reference::relu_saturate(s);
+                Tensor3::from_fn(a.c(), a.w(), a.h(), |c, x, y| i32::from(a[(c, x, y)]))
+            })
+            .collect();
+        let stages = [
+            CompiledStage::Conv {
+                name: "layer".into(),
+                layer: layer.clone(),
+                is_fc: false,
+            },
+            CompiledStage::Pool {
+                name: "identity".into(),
+                kind: PoolKind::Max,
+                size: 1,
+                stride: 1,
+            },
+        ];
         for &tier in available_tiers() {
             for threads in [1usize, 2] {
                 let label = format!(
@@ -1303,9 +1665,9 @@ mod tests {
                     "raw sums: {label}"
                 );
                 assert_eq!(
-                    run_flattened_batch_interleaved_relu(layer, inputs, threads, tier),
+                    run_network_interleaved(&stages, inputs, threads, tier),
                     acts,
-                    "fused epilogue: {label}"
+                    "pipeline epilogue: {label}"
                 );
             }
         }
@@ -1392,35 +1754,40 @@ mod tests {
 
     #[test]
     fn staged_halo_is_rezeroed_after_a_wider_layer() {
-        // A wide unpadded layer leaves the arena's staged chunk full of
-        // non-zero activations; the small padded layer staged next must
-        // read a zero halo, not those leftovers. At B = 1 the wide layer is
-        // read in place, so the padded single-lane copy lands on what the
-        // 8-lane chunks left behind.
-        let mut scratch = FlattenedScratch::new();
-        let geoms = [
-            ConvGeom::new(12, 12, 6, 2, 3, 3),
-            ConvGeom::new(4, 4, 2, 2, 3, 3).with_pad(2),
+        // Two networks back to back on this thread's arena. The wide
+        // unpadded one leaves both planes full of non-zero activations
+        // (all-ones weights over positive inputs); the small pad-2 one
+        // staged and run next must read zero halos in both — the ring is
+        // all that staging and the epilogue re-zero.
+        let nets = [
+            (
+                ConvGeom::new(12, 12, 6, 4, 3, 3),
+                ConvGeom::new(10, 10, 4, 2, 3, 3),
+            ),
+            (
+                ConvGeom::new(4, 4, 2, 2, 3, 3).with_pad(2),
+                ConvGeom::new(6, 6, 2, 2, 3, 3).with_pad(2),
+            ),
         ];
         for b in [8usize, 1] {
-            for (gi, geom) in geoms.iter().enumerate() {
-                let mut wgen = WeightGen::new(QuantScheme::inq(), 60 + gi as u64).with_density(0.9);
-                let weights = wgen.generate_dims(geom.k(), geom.c(), geom.r(), geom.s());
-                let layer = CompiledLayer::compile(geom, 1, &weights, &UcnnConfig::with_g(2));
+            for (ni, (first, second)) in nets.iter().enumerate() {
+                let mut net = NetworkSpec::new(format!("halo{ni}"));
+                net.push(LayerSpec::conv("first", *first));
+                net.push(LayerSpec::conv("second", *second));
+                let weights = [first, second]
+                    .map(|g| Tensor4::from_fn(g.k(), g.c(), 3, 3, |_, _, _, _| 1i16))
+                    .to_vec();
+                let plan = CompiledNetwork::compile(&net, &weights, &UcnnConfig::with_g(2));
                 let inputs: Vec<Tensor3<i16>> = (0..b)
                     .map(|lane| {
-                        Tensor3::filled(geom.c(), geom.in_w(), geom.in_h(), 100 + lane as i16)
+                        Tensor3::filled(first.c(), first.in_w(), first.in_h(), 100 + lane as i16)
                     })
                     .collect();
                 let expected: Vec<Tensor3<i32>> = inputs
                     .iter()
-                    .map(|i| reference::conv2d(geom, 1, i, &weights))
+                    .map(|i| forward::dense_forward(&net, &weights, i))
                     .collect();
-                assert_eq!(
-                    run_chunks::<i32>(&layer, &inputs, &mut scratch, resolve_tier()),
-                    expected,
-                    "layer {gi}, B={b}"
-                );
+                assert_eq!(plan.forward_batch(&inputs), expected, "net {ni}, B={b}");
             }
         }
     }
@@ -1497,14 +1864,12 @@ mod tests {
             i32::MAX,
         ];
         let sums = Tensor3::from_vec(edge.len(), 1, 1, edge.to_vec()).unwrap();
-        let narrowed: Vec<i16> = edge
-            .iter()
-            .map(|&v| <i16 as LaneOut>::from_sum(v))
-            .collect();
-        assert_eq!(narrowed, reference::relu_saturate(&sums).into_vec());
-        assert_eq!(<i16 as LaneOut>::from_sum(i32::MAX), i16::MAX);
-        assert_eq!(<i16 as LaneOut>::from_sum(i32::MIN), 0);
-        assert!(edge.iter().all(|&v| <i32 as LaneOut>::from_sum(v) == v));
+        let mut buf = Rows::default();
+        let mut plane = PlaneMut::new(&mut buf, (edge.len(), 1, 1), 0, 1);
+        plane.write_relu(0, &edge);
+        assert_eq!(plane.cells, reference::relu_saturate(&sums).as_slice());
+        assert_eq!(plane.cells[edge.len() - 1], i16::MAX);
+        assert_eq!(plane.cells[0], 0);
 
         // Through the executor: an FC-shaped layer whose filters drive the
         // sums to each regime. Per image, with activations a₀ = a₁ = A:

@@ -17,17 +17,20 @@
 //! behind an `Arc` without cloning. Execution goes through
 //! [`run_compiled`](crate::exec::run_compiled()) /
 //! [`CompiledNetwork::forward`] and stays bit-identical to the dense
-//! reference.
+//! reference. How a network's stages are chained is the backend's business
+//! ([`Backend::run_network`](crate::backend::Backend::run_network)): the
+//! stream walkers loop layer by layer over per-image tensors, the flattened
+//! default keeps each lane chunk batch-interleaved from the first stage to
+//! the last.
 
-use std::borrow::Cow;
 use std::sync::OnceLock;
 
-use ucnn_model::{reference, LayerKind, NetworkSpec, PoolKind};
+use ucnn_model::{LayerKind, NetworkSpec, PoolKind};
 use ucnn_tensor::{ConvGeom, Tensor3, Tensor4};
 
 use crate::backend::{backend, BackendKind};
 use crate::compile::{canonical_of_tensor, UcnnConfig};
-use crate::flatten::FlattenedTile;
+use crate::flatten::{Dims, FlattenedTile};
 use crate::hierarchy::{GroupStream, ZERO_RANK};
 
 /// One retained work unit of a compiled layer: the stream for a group of
@@ -300,7 +303,8 @@ pub enum CompiledStage {
         /// Whether the incoming activations must be flattened first.
         is_fc: bool,
     },
-    /// A pooling stage (no weights; executed via the dense reference).
+    /// A pooling stage (no weights; element for element the dense
+    /// reference's `pool2d` on every backend).
     Pool {
         /// Layer name from the network specification.
         name: String,
@@ -311,6 +315,47 @@ pub enum CompiledStage {
         /// Stride.
         stride: usize,
     },
+}
+
+impl CompiledStage {
+    /// Zero padding the stage reads its input through (0 for pooling).
+    pub(crate) fn pad(&self) -> usize {
+        match self {
+            CompiledStage::Conv { layer, .. } => layer.geom().pad(),
+            CompiledStage::Pool { .. } => 0,
+        }
+    }
+
+    /// `(kind, size, stride)` of a pooling stage.
+    pub(crate) fn pool(&self) -> Option<(PoolKind, usize, usize)> {
+        match self {
+            CompiledStage::Conv { .. } => None,
+            CompiledStage::Pool {
+                kind, size, stride, ..
+            } => Some((*kind, *size, *stride)),
+        }
+    }
+
+    /// `(C, W, H)` of the stage's output for an input of `(c, w, h)` — a
+    /// weight layer's own geometry, a pooling window's Caffe-style ceiling
+    /// (the rule of `ucnn_model::reference::pool2d`, checked as there).
+    pub(crate) fn out_dims(&self, (c, w, h): Dims) -> Dims {
+        match self {
+            CompiledStage::Conv { layer, .. } => {
+                let geom = layer.geom();
+                (geom.k(), geom.out_w(), geom.out_h())
+            }
+            CompiledStage::Pool { size, stride, .. } => {
+                assert!(
+                    *size > 0 && *stride > 0,
+                    "pool size/stride must be positive"
+                );
+                assert!(*size <= w && *size <= h, "pool window exceeds input");
+                let pooled = |dim: usize| (dim - size).div_ceil(*stride) + 1;
+                (c, pooled(w), pooled(h))
+            }
+        }
+    }
 }
 
 /// A whole network compiled front to back: the unit a serving engine
@@ -514,9 +559,11 @@ impl CompiledNetwork {
     }
 
     /// The fully explicit entry point every other `forward*` routes
-    /// through: executes the batch with the given [`BackendKind`] and
-    /// thread budget. Every backend produces bit-identical outputs, so the
-    /// choice only changes performance.
+    /// through: checks the inputs, hands the batch to the given
+    /// [`BackendKind`]'s [`Backend::run_network`](crate::backend::Backend::run_network)
+    /// with the thread budget, and records the per-layer reuse counters.
+    /// Every backend produces bit-identical outputs, so the choice only
+    /// changes performance.
     ///
     /// # Panics
     ///
@@ -541,81 +588,34 @@ impl CompiledNetwork {
             return Vec::new();
         }
         let exec = backend(kind);
-        let last = self.stages.len() - 1;
-        // The first stage reads the caller's tensors in place; every later
-        // one owns the previous stage's output.
-        let mut acts: Cow<'_, [Tensor3<i16>]> = Cow::Borrowed(inputs);
-        for (si, stage) in self.stages.iter().enumerate() {
-            match stage {
-                CompiledStage::Conv { name, layer, is_fc } => {
-                    if *is_fc {
-                        acts = acts
-                            .into_owned()
-                            .into_iter()
-                            .map(|a| ucnn_model::forward::flatten_for_fc(a, layer.geom().c()))
-                            .collect();
-                    }
-                    let batch = acts.len();
-                    // Reuse telemetry: one gated load on the hot path; when
-                    // enabled, the analytic per-call work is recorded after
-                    // execution (so the flattened lowering, if this call
-                    // built it, is available to account CSR segments) with
-                    // the lowering-cache state captured before.
-                    let counting = crate::counters::enabled();
-                    let lowering_was_ready = counting && layer.flat_ready();
-                    // The final layer returns its raw sums; every other one
-                    // hands `relu_saturate`d i16 activations to the next
-                    // stage, through the backend's own epilogue so the
-                    // whole-batch i32 tensor is never held beside them.
-                    let mut logits = Vec::new();
-                    let mut next = Vec::new();
-                    if si == last {
-                        logits = exec.run_layer(layer, &acts, threads);
-                    } else {
-                        next = exec.run_layer_relu(layer, &acts, threads);
-                    }
-                    if counting {
-                        crate::counters::record(
-                            &self.name,
-                            name,
-                            kind.name(),
-                            batch,
-                            &exec.work(layer, batch, lowering_was_ready),
-                        );
-                    }
-                    if si == last {
-                        return logits;
-                    }
-                    acts = Cow::Owned(next);
-                }
-                CompiledStage::Pool {
-                    kind, size, stride, ..
-                } => {
-                    acts = acts
-                        .iter()
-                        .map(|a| reference::pool2d(a, *kind, *size, *stride))
-                        .collect();
-                    if si == last {
-                        return acts
-                            .iter()
-                            .map(|a| {
-                                Tensor3::from_fn(a.c(), a.w(), a.h(), |c, x, y| {
-                                    i32::from(a[(c, x, y)])
-                                })
-                            })
-                            .collect();
-                    }
-                }
-            }
+        // Reuse telemetry: one gated load on the hot path.
+        if !crate::counters::enabled() {
+            return exec.run_network(self, inputs, threads);
         }
-        unreachable!("stages is non-empty, so the loop always returns")
+        // The analytic per-call work of every weight layer is recorded
+        // after execution (so the flattened lowering, if this call built
+        // it, is available to account CSR segments) with the
+        // lowering-cache state captured before.
+        let convs = || {
+            self.stages.iter().filter_map(|stage| match stage {
+                CompiledStage::Conv { name, layer, .. } => Some((name, layer)),
+                CompiledStage::Pool { .. } => None,
+            })
+        };
+        let was_ready: Vec<bool> = convs().map(|(_, layer)| layer.flat_ready()).collect();
+        let outs = exec.run_network(self, inputs, threads);
+        for ((name, layer), ready) in convs().zip(was_ready) {
+            let work = exec.work(layer, inputs.len(), ready);
+            crate::counters::record(&self.name, name, kind.name(), inputs.len(), &work);
+        }
+        outs
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ucnn_model::{forward, networks, ActivationGen, QuantScheme, WeightGen};
+    use ucnn_model::{forward, networks, ActivationGen, LayerSpec, QuantScheme, WeightGen};
 
     fn assert_send_sync<T: Send + Sync>() {}
 
@@ -743,6 +743,126 @@ mod tests {
             );
         }
         assert!(compiled.forward_batch(&[]).is_empty());
+    }
+
+    /// A network from `(name, layers)`.
+    fn net_of(name: &str, layers: Vec<LayerSpec>) -> NetworkSpec {
+        let mut net = NetworkSpec::new(name);
+        for layer in layers {
+            net.push(layer);
+        }
+        net
+    }
+
+    #[test]
+    fn pipeline_matches_dense_forward_on_every_tier() {
+        // The chunk-major pipeline against `dense_forward`, one network per
+        // way a stage can hand its activations on, at batches that straddle
+        // every strip width (full chunks, residuals, several chunks dealt
+        // over two threads).
+        let (conv, pool) = (LayerSpec::conv, LayerSpec::pool);
+        let mut nets = vec![
+            // conv → padded conv: the epilogue writes at the consumer's
+            // interior offset, inside the halo it zeroed.
+            net_of(
+                "pad-consumer",
+                vec![
+                    conv("c1", ConvGeom::new(7, 6, 3, 4, 3, 3).with_pad(1)),
+                    conv(
+                        "c2",
+                        ConvGeom::new(7, 6, 4, 5, 3, 3).with_stride(2).with_pad(2),
+                    ),
+                ],
+            ),
+            // Avg-pool windows hanging over the edge in both axes
+            // (6 → 3 at size 3 / stride 2: divisors 9, 6 and 4), read by a
+            // fully connected layer as the flat plane it already is.
+            net_of(
+                "avg-overhang",
+                vec![
+                    conv("c1", ConvGeom::new(6, 6, 2, 3, 3, 3).with_pad(1)),
+                    pool("avg", PoolKind::Avg, 3, 2),
+                    LayerSpec::fully_connected("fc", 3 * 3 * 3, 4),
+                ],
+            ),
+            // pool → pool, and a network that ends in one (widened there).
+            net_of(
+                "pool-pool",
+                vec![
+                    conv("c1", ConvGeom::new(8, 7, 2, 3, 3, 3).with_pad(1)),
+                    pool("max", PoolKind::Max, 2, 2),
+                    pool("avg", PoolKind::Avg, 3, 2),
+                ],
+            ),
+            // Grouped convolution between two ordinary ones.
+            net_of(
+                "grouped",
+                vec![
+                    conv("c1", ConvGeom::new(6, 5, 3, 4, 3, 3).with_pad(1)),
+                    LayerSpec::grouped_conv("c2", ConvGeom::new(6, 5, 2, 6, 3, 3).with_pad(1), 2),
+                    conv("c3", ConvGeom::new(6, 5, 6, 2, 3, 3)),
+                ],
+            ),
+            networks::tiny(),
+            networks::lenet(),
+        ];
+        // conv → max-pool → conv at every halo width the pool can feed.
+        for pad in 0..=2 {
+            nets.push(net_of(
+                &format!("pool-consumer-pad{pad}"),
+                vec![
+                    conv("c1", ConvGeom::new(8, 8, 2, 4, 3, 3).with_pad(1)),
+                    pool("max", PoolKind::Max, 3, 2),
+                    conv("c2", ConvGeom::new(4, 4, 4, 3, 3, 3).with_pad(pad)),
+                ],
+            ));
+        }
+        for (ni, net) in nets.iter().enumerate() {
+            let seed = 500 + ni as u64;
+            let weights = forward::generate_network_weights(net, QuantScheme::inq(), seed, 0.85);
+            let plan = CompiledNetwork::compile(net, &weights, &UcnnConfig::with_g(2));
+            // LeNet costs 0.2–0.4 s per image unoptimized: the small
+            // networks cover the strip widths, it keeps a strip plus
+            // residual there and adds the one-lane and 33-image cases where
+            // the build is optimized (CI's forced-tier legs).
+            let (batches, thread_counts): (&[usize], &[usize]) =
+                match (net.name(), cfg!(debug_assertions)) {
+                    ("LeNet", true) => (&[9], &[2]),
+                    ("LeNet", false) => (&[1, 9, 33], &[1, 2]),
+                    _ => (&[1, 2, 7, 8, 9, 16, 17, 32, 33, 40], &[1, 2]),
+                };
+            let widest = *batches.iter().max().unwrap();
+            // Distinct images per lane, so a lane mix-up cannot cancel.
+            let mut agen = ActivationGen::new(seed ^ 0xF00D);
+            let inputs: Vec<_> = (0..widest)
+                .map(|_| agen.generate_for(&net.conv_layers()[0]))
+                .collect();
+            let expected: Vec<_> = inputs
+                .iter()
+                .map(|i| forward::dense_forward(net, &weights, i))
+                .collect();
+            for &tier in crate::simd::available_tiers() {
+                for &threads in thread_counts {
+                    for &b in batches {
+                        let got = crate::flatten::run_network_interleaved(
+                            plan.stages(),
+                            &inputs[..b],
+                            threads,
+                            tier,
+                        );
+                        assert_eq!(
+                            got,
+                            expected[..b],
+                            "{}, tier {}, B={b}, {threads} threads",
+                            net.name(),
+                            tier.name()
+                        );
+                    }
+                }
+            }
+            // The public entry point reaches the same pipeline.
+            assert_eq!(plan.forward_batch_threads(&inputs[..2], 2), expected[..2]);
+        }
     }
 
     #[test]

@@ -189,3 +189,47 @@ fn flattened_csr_and_lowering_cache_accounting() {
         }
     }
 }
+
+/// The chunk-major pipeline records what the per-layer loop recorded: one
+/// row per weight layer per call — not per lane chunk, not per worker —
+/// equal field for field to the backend's analytic `work` for the whole
+/// batch, with the lowering-cache state as it was before the call.
+#[test]
+fn pipeline_rows_equal_the_per_layer_loops() {
+    let net = "counters-pipeline";
+    let kind = BackendKind::FlattenedBatch;
+    let exec = ucnn_core::backend::backend(kind);
+    // 40 images: two lane chunks on every tier, so two workers at 2 threads.
+    let batch = 40;
+    let _guard = serialize();
+    for threads in [1usize, 2] {
+        let (plan, inputs) = compiled(net, 0x74);
+        let inputs: Vec<_> = inputs.iter().cycle().take(batch).cloned().collect();
+        for lowered in [false, true] {
+            counters::reset();
+            counters::set_enabled(true);
+            let _ = plan.forward_batch_with(&inputs, kind, threads);
+            counters::set_enabled(false);
+            let expected: Vec<TallyRow> = plan
+                .stages()
+                .iter()
+                .filter_map(|s| match s {
+                    ucnn_core::plan::CompiledStage::Conv { name, layer, .. } => Some(TallyRow {
+                        net: net.to_string(),
+                        layer: name.clone(),
+                        backend: kind.name(),
+                        batch_bucket: counters::batch_bucket(batch),
+                        work: exec.work(layer, batch, lowered),
+                    }),
+                    ucnn_core::plan::CompiledStage::Pool { .. } => None,
+                })
+                .collect();
+            let mut rows = rows_for(net);
+            rows.sort_by_key(|r| expected.iter().position(|e| e.layer == r.layer));
+            assert_eq!(
+                rows, expected,
+                "{threads} threads, lowered before: {lowered}"
+            );
+        }
+    }
+}

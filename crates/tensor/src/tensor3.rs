@@ -203,6 +203,21 @@ impl<T: Elem> Tensor3<T> {
     }
 }
 
+/// [`Tensor3::as_slice`], for code generic over "anything holding a plane".
+impl<T: Elem> AsRef<[T]> for Tensor3<T> {
+    fn as_ref(&self) -> &[T] {
+        &self.data
+    }
+}
+
+/// [`Tensor3::as_mut_slice`], for code generic over "anything holding a
+/// plane".
+impl<T: Elem> AsMut<[T]> for Tensor3<T> {
+    fn as_mut(&mut self) -> &mut [T] {
+        &mut self.data
+    }
+}
+
 impl<T: Elem> core::ops::Index<(usize, usize, usize)> for Tensor3<T> {
     type Output = T;
 
