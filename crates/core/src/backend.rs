@@ -16,7 +16,7 @@
 //! |------|-----------|----------------|
 //! | [`BackendKind::Factorized`] | re-sorts/factorizes per call | never — the paper's functional definition and the compile-amortization baseline |
 //! | [`BackendKind::BatchThreads`] | retained-stream walk: per image at B = 1, batch-major at B ≥ 2, scoped threads over filter bands × batch chunks when `threads > 1` | nowhere on speed; it is the serving engine's default until the benchmark's memory accounting lets the engine switch (see `EngineConfig::backend` in `ucnn-serve`) |
-//! | [`BackendKind::FlattenedBatch`] | branch-free flattened walk (one gather path for every geometry: padded layers are staged into a zero-haloed chunk; prefix rows kept per group close) over batch-interleaved SIMD lanes (width-1 strips at B = 1), staged per filter band; a whole network runs chunk-major — each lane chunk stays batch-interleaved from the staged input to the last stage ([`Backend::run_network`]) | every measured cell; the library default ([`CompiledNetwork::DEFAULT_BACKEND`](crate::plan::CompiledNetwork::DEFAULT_BACKEND)) |
+//! | [`BackendKind::FlattenedBatch`] | branch-free flattened walk (one gather path for every geometry: padded layers are staged into a zero-haloed chunk; prefix rows kept per group close) over SIMD lanes that are the chunk's images at B ≥ 8 and, for the fewer-than-eight images run one at a time, the output positions of one row of one image (stride-1 layers; strided and fully connected layers walk a single image width-1), staged per filter band; a whole network runs chunk-major — each lane chunk stays batch-interleaved from the staged input to the last stage ([`Backend::run_network`]) | every measured cell; the library default ([`CompiledNetwork::DEFAULT_BACKEND`](crate::plan::CompiledNetwork::DEFAULT_BACKEND)) |
 //!
 //! Which ISA tier the flattened executor runs is not a backend choice: the
 //! process works it out once from what it can observe
@@ -52,7 +52,9 @@ pub enum BackendKind {
     /// dispatched ISA tier allows (8 scalar/NEON, 16 AVX2, 32 AVX-512 —
     /// see [`SimdTier::lane_width`](crate::simd::SimdTier::lane_width)),
     /// through explicit `#[target_feature]` kernels picked once per
-    /// process by [`resolve_tier`].
+    /// process by [`resolve_tier`]. Below eight images the lanes are
+    /// neighbouring output positions of one image instead (stride-1
+    /// layers), through the same kernels over the same lowered tiles.
     FlattenedBatch,
 }
 
@@ -249,8 +251,9 @@ fn stream_walk_work(layer: &CompiledLayer, batch: usize) -> LayerWork {
 /// (one multiply each per output position — the lowering invariant pinned
 /// by `segment_counts_match_stream_multiplies`), whether this call hit
 /// the cached lowering or had to build it, and the per-ISA profile of the
-/// dispatched tier — which interleave width ran and how many lane strips
-/// the batch decomposed into.
+/// dispatched tier — how many lane chunks the batch decomposed into and
+/// the widest strip (of images, or of one image's output positions) that
+/// ran.
 fn flattened_work(layer: &CompiledLayer, batch: usize, lowering_was_ready: bool) -> LayerWork {
     let mut work = stream_walk_work(layer, batch);
     let out_positions = (layer.geom().out_w() * layer.geom().out_h()) as u64;
@@ -266,8 +269,9 @@ fn flattened_work(layer: &CompiledLayer, batch: usize, lowering_was_ready: bool)
         work.lowering_misses = 1;
     }
     let lane = resolve_tier().lane_width();
-    work.lane_width = lane as u64;
-    work.lane_strips = crate::flatten::chunk_count(batch, lane) as u64;
+    let (chunks, widest) = crate::flatten::strip_profile(layer.geom(), batch, lane);
+    work.lane_strips = chunks as u64;
+    work.lane_width = widest as u64;
     work
 }
 

@@ -54,16 +54,19 @@ pub struct LayerWork {
     pub lowering_hits: u64,
     /// Layer executions that had to build (or wait for) the lowering.
     pub lowering_misses: u64,
-    /// Interleaved lane strips walked by the flattened backends: how many
-    /// times the CSR indirection stream was traversed, each traversal
-    /// feeding up to [`lane_width`](LayerWork::lane_width) image lanes.
-    /// Zero for backends that do not interleave.
+    /// Lane chunks the flattened backends cut the batch into: whole strips
+    /// of the tier's width, then 16, then 8 images, and below eight one
+    /// image per chunk. Each chunk walks the CSR indirection stream on its
+    /// own, feeding up to [`lane_width`](LayerWork::lane_width) lanes per
+    /// walk. Zero for backends that do not interleave.
     pub lane_strips: u64,
-    /// Widest SIMD interleave width the dispatched kernel ran at (the
-    /// [`SimdTier::lane_width`](crate::simd::SimdTier::lane_width) of the
-    /// dispatched tier; 1 for planar execution, 0 when not applicable).
-    /// Merged by `max`, so an aggregate row reports the widest tier that
-    /// served it — the per-ISA issued-op profile.
+    /// Widest strip the dispatched kernel ran: the widest chunk's image
+    /// lanes, or — for a single image of a stride-1 layer — the widest
+    /// run of output positions it walked at once (at most the dispatched
+    /// tier's [`SimdTier::lane_width`](crate::simd::SimdTier::lane_width);
+    /// 1 for the planar walk, 0 when not applicable). Merged by `max`, so
+    /// an aggregate row reports the widest strip that served it — the
+    /// per-ISA issued-op profile.
     pub lane_width: u64,
 }
 

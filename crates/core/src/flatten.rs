@@ -58,6 +58,24 @@
 //! [`run_flattened`] across all of them — the golden conformance corpus is
 //! the referee.
 //!
+//! # Two meanings of a lane
+//!
+//! A batch is cut into chunks of the tier's width, then 16, then
+//! [`LANE_WIDTH`] images — **batch lanes**: lane `j` is image `j` at one
+//! output position — and below eight the rest runs one image at a time,
+//! because a 2–7 lane strip pays the whole walk for a fraction of a
+//! register. A single image finds its lanes in its own output row —
+//! **position lanes**: lane `j` is output position `y + j` of one row of
+//! one planar image. At stride 1 entry `i` of that strip reads the
+//! contiguous staged cells `base[i] + x·ph + y ..` and the band row it adds
+//! into is contiguous too, so the same strip body runs over the same
+//! [`FlattenedTile`] (no second lowering, nothing extra resident) with its
+//! row pitch 1 instead of `LW`. The output row is cut like a batch — tier
+//! width, 16, 8, then the exact tail. Which meaning runs is a function of
+//! the chunk width and the layer's geometry alone (`strip_runs`): layers
+//! with `stride > 1` (a row's reads are not contiguous) or one position per
+//! output row (fully connected) walk a single image width-1.
+//!
 //! # Filter bands and the chunk-major pipeline
 //!
 //! The lane-major sums are staged one **filter band** at a time — the
@@ -84,6 +102,7 @@
 //! its output tensors and nothing else at any thread budget.
 
 use std::cell::RefCell;
+use std::ops::Range;
 
 use ucnn_model::PoolKind;
 use ucnn_tensor::{ConvGeom, Tensor3};
@@ -227,40 +246,49 @@ impl FlattenedTile {
     }
 
     /// The shared strip kernel body: adds this tile's partial sums for `LW`
-    /// batch-interleaved images at once. `input` holds a chunk staged as
-    /// `input[off · LW + lane]` over the zero-haloed plane (see
-    /// [`stage_chunk`]), `out` is the lane-major accumulator of the tile's
-    /// **filter band** — `g` output planes starting at the tile's first
-    /// filter, `out[off · LW + lane]` with `off` counted from that filter's
+    /// lanes at once, over the positions `ys` of every output row. `input`
+    /// holds a chunk of `PITCH` images staged as `input[off · PITCH + image]`
+    /// over the zero-haloed plane (see [`stage_chunk`]), `out` is the
+    /// lane-major accumulator of the tile's **filter band** — `g` output
+    /// planes starting at the tile's first filter,
+    /// `out[off · PITCH + image]` with `off` counted from that filter's
     /// plane — and `prefix` is caller scratch of at least `rows · LW` prefix
-    /// lanes. All three are walked as `LW`-wide rows.
-    /// `LW == 1` **is** the planar walk — the layout degenerates to the
-    /// plain planar slices, which is how [`run_flattened`] executes.
+    /// lanes, walked as `LW`-wide rows.
     ///
-    /// Per lane the i32 operation sequence is independent of `LW`: one
-    /// indirection walk feeds all `LW` lanes, and every inner loop is a
-    /// contiguous `LW`-wide strip the compiler lifts to SIMD at whatever
-    /// register width the enclosing `#[target_feature]` wrapper enables.
-    /// The const generic keeps the lane arrays on the stack and the strips
-    /// fully unrolled at every monomorphized width.
+    /// What a lane *is* follows from `PITCH` (see [`strip_runs`]): with
+    /// `PITCH == LW` the lanes are the chunk's `LW` images at one output
+    /// position, and a strip is one line-aligned row of the staged plane;
+    /// with `PITCH == 1` they are the output positions `y..y + LW` of one
+    /// row of one planar image — at stride 1 those read `LW` neighbouring
+    /// staged cells, the same contiguous strip at any offset. Either way
+    /// one walk covers `LW / PITCH` positions, and `LW == PITCH == 1`
+    /// **is** the planar walk, which is how [`run_flattened`] executes.
+    /// A runtime pitch spilled phase 1's loop-invariant pointers in the
+    /// wide kernels (+11–35 % per call, EXPERIMENTS § `positions`).
+    ///
+    /// Per lane the i32 operation sequence is independent of `LW` and of
+    /// the lanes' meaning: one indirection walk feeds all `LW` lanes, and
+    /// every inner loop is a contiguous `LW`-wide strip the compiler lifts
+    /// to SIMD at whatever register width the enclosing `#[target_feature]`
+    /// wrapper enables. The const generic keeps the lane arrays on the
+    /// stack and the strips fully unrolled at every monomorphized width.
     #[inline(always)]
-    fn accumulate_lanes_body<const LW: usize>(
+    fn accumulate_lanes_body<const LW: usize, const PITCH: usize>(
         &self,
         input: &[i16],
         out: &mut [i32],
         geom: &ConvGeom,
         prefix: &mut [i32],
+        ys: Range<usize>,
     ) {
         let (out_w, out_h) = (geom.out_w(), geom.out_h());
         let ph = geom.in_h() + 2 * geom.pad();
         let stride = geom.stride();
-        let (input, _) = input.as_chunks::<LW>();
-        let (out, _) = out.as_chunks_mut::<LW>();
         let (prefix, _) = prefix[..self.rows * LW].as_chunks_mut::<LW>();
         prefix[0] = [0; LW];
 
         for x in 0..out_w {
-            for y in 0..out_h {
+            for y in ys.clone().step_by(LW / PITCH) {
                 // Phase 1: LW parallel running sums behind one offset
                 // stream. The sum is written to the row under the cursor on
                 // every entry, but the cursor only moves past a row when a
@@ -270,7 +298,13 @@ impl FlattenedTile {
                 let mut run = [0i32; LW];
                 let mut row = 1;
                 for (&b, &c) in self.base.iter().zip(&self.close) {
-                    for (r, &v) in run.iter_mut().zip(&input[b as usize + delta]) {
+                    let at = b as usize + delta;
+                    let strip: &[i16] = if PITCH == LW {
+                        &input.as_chunks::<LW>().0[at]
+                    } else {
+                        &input[at..][..LW]
+                    };
+                    for (r, &v) in run.iter_mut().zip(strip) {
                         *r += i32::from(v);
                     }
                     prefix[row] = run;
@@ -289,7 +323,12 @@ impl FlattenedTile {
                             *a += (h - l) * seg.weight;
                         }
                     }
-                    let dst = &mut out[(level * out_w + x) * out_h + y];
+                    let at = (level * out_w + x) * out_h + y;
+                    let dst: &mut [i32] = if PITCH == LW {
+                        &mut out.as_chunks_mut::<LW>().0[at]
+                    } else {
+                        &mut out[at..][..LW]
+                    };
                     for (o, &a) in dst.iter_mut().zip(&acc) {
                         *o += a;
                     }
@@ -313,28 +352,31 @@ impl FlattenedTile {
 #[allow(unsafe_code)]
 mod tier_kernels {
     use super::FlattenedTile;
+    use std::ops::Range;
     use ucnn_tensor::ConvGeom;
 
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn tile_lanes_avx2<const LW: usize>(
+    pub(super) unsafe fn tile_lanes_avx2<const LW: usize, const PITCH: usize>(
         tile: &FlattenedTile,
         input: &[i16],
         out: &mut [i32],
         geom: &ConvGeom,
         prefix: &mut [i32],
+        ys: Range<usize>,
     ) {
-        tile.accumulate_lanes_body::<LW>(input, out, geom, prefix);
+        tile.accumulate_lanes_body::<LW, PITCH>(input, out, geom, prefix, ys);
     }
 
     #[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl")]
-    pub(super) unsafe fn tile_lanes_avx512<const LW: usize>(
+    pub(super) unsafe fn tile_lanes_avx512<const LW: usize, const PITCH: usize>(
         tile: &FlattenedTile,
         input: &[i16],
         out: &mut [i32],
         geom: &ConvGeom,
         prefix: &mut [i32],
+        ys: Range<usize>,
     ) {
-        tile.accumulate_lanes_body::<LW>(input, out, geom, prefix);
+        tile.accumulate_lanes_body::<LW, PITCH>(input, out, geom, prefix, ys);
     }
 }
 
@@ -344,17 +386,19 @@ mod tier_kernels {
 #[allow(unsafe_code)]
 mod tier_kernels {
     use super::FlattenedTile;
+    use std::ops::Range;
     use ucnn_tensor::ConvGeom;
 
     #[target_feature(enable = "neon")]
-    pub(super) unsafe fn tile_lanes_neon<const LW: usize>(
+    pub(super) unsafe fn tile_lanes_neon<const LW: usize, const PITCH: usize>(
         tile: &FlattenedTile,
         input: &[i16],
         out: &mut [i32],
         geom: &ConvGeom,
         prefix: &mut [i32],
+        ys: Range<usize>,
     ) {
-        tile.accumulate_lanes_body::<LW>(input, out, geom, prefix);
+        tile.accumulate_lanes_body::<LW, PITCH>(input, out, geom, prefix, ys);
     }
 }
 
@@ -363,69 +407,129 @@ mod tier_kernels {
 /// The `unsafe` blocks satisfy the `#[target_feature]` contract by
 /// construction: every [`SimdTier`] that reaches an executor has been
 /// clamped to the CPU's detected capabilities ([`SimdCaps::clamp`] — by
-/// [`resolve_tier`] on the default path, by [`run_interleaved`] for a forced
+/// [`resolve_tier`] on the default path, by [`run_chunked`] for a forced
 /// tier), so a gated kernel only runs when its feature was probed present.
 /// Foreign-architecture tiers fold into the scalar arm at compile time via
 /// the `cfg`s.
 #[allow(unsafe_code)]
-fn accumulate_width<const LW: usize>(
+fn accumulate_width<const LW: usize, const PITCH: usize>(
     tile: &FlattenedTile,
     input: &[i16],
     out: &mut [i32],
     geom: &ConvGeom,
     prefix: &mut [i32],
+    ys: Range<usize>,
     tier: SimdTier,
 ) {
     match tier {
         #[cfg(target_arch = "x86_64")]
         SimdTier::Avx2 => unsafe {
-            tier_kernels::tile_lanes_avx2::<LW>(tile, input, out, geom, prefix);
+            tier_kernels::tile_lanes_avx2::<LW, PITCH>(tile, input, out, geom, prefix, ys);
         },
         #[cfg(target_arch = "x86_64")]
         SimdTier::Avx512 => unsafe {
-            tier_kernels::tile_lanes_avx512::<LW>(tile, input, out, geom, prefix);
+            tier_kernels::tile_lanes_avx512::<LW, PITCH>(tile, input, out, geom, prefix, ys);
         },
         #[cfg(target_arch = "aarch64")]
         SimdTier::Neon => unsafe {
-            tier_kernels::tile_lanes_neon::<LW>(tile, input, out, geom, prefix);
+            tier_kernels::tile_lanes_neon::<LW, PITCH>(tile, input, out, geom, prefix, ys);
         },
-        _ => tile.accumulate_lanes_body::<LW>(input, out, geom, prefix),
+        _ => tile.accumulate_lanes_body::<LW, PITCH>(input, out, geom, prefix, ys),
     }
 }
 
-/// Dispatches to the monomorphized kernel for a runtime chunk width. The
-/// decomposition ([`next_chunk_width`]) only ever emits these widths:
-/// `1..=8` for residuals, plus the wide-tier strips 16 and 32.
+/// One call of the strip kernel: `width` lanes at a time over the span
+/// `ys` of every output row, on a chunk staged `pitch` images wide.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct StripRun {
+    /// Lanes per strip — the monomorphized `LW`.
+    width: usize,
+    /// Images interleaved in the staged chunk (its row pitch): `width`
+    /// when the lanes are images, 1 when they are output positions.
+    pitch: usize,
+    /// The positions `y` of every output row, in steps of `width / pitch`.
+    ys: Range<usize>,
+}
+
+/// The strip-kernel calls one tile makes for a chunk of `lw` images on a
+/// tier `lane` lanes wide — where the two meanings of a lane are chosen,
+/// from the chunk width and the layer's geometry alone.
+///
+/// A chunk of [`LANE_WIDTH`] images or more is one run whose lanes are the
+/// images (**batch lanes**). A single image of a stride-1 layer with more
+/// than one position per output row runs **position lanes**: the row is
+/// cut by [`next_strip_width`] — tier-wide strips, then 16, 8 and the
+/// exact tail — one run per width. Strided layers (a row's reads are not
+/// contiguous) and `out_h == 1` (fully connected) keep the width-1 walk.
+fn strip_runs(geom: &ConvGeom, lw: usize, lane: usize) -> impl Iterator<Item = StripRun> {
+    let out_h = geom.out_h();
+    let positions = lw == 1 && geom.stride() == 1 && out_h > 1;
+    let mut y = 0;
+    std::iter::from_fn(move || {
+        let rest = out_h - y;
+        if rest == 0 {
+            return None;
+        }
+        let width = if positions {
+            next_strip_width(rest, lane)
+        } else {
+            lw
+        };
+        // Every strip of this width in one run: `width / lw` positions per
+        // strip, so batch lanes take the whole row one position at a time.
+        let ys = y..out_h - rest % (width / lw);
+        y = ys.end;
+        Some(StripRun {
+            width,
+            pitch: lw,
+            ys,
+        })
+    })
+}
+
+/// Dispatches one [`StripRun`] to its monomorphized kernel: position lanes
+/// at every width [`next_strip_width`] emits (`1..=8`, 16, 32 — width 1 is
+/// the planar walk), batch lanes at the chunk widths [`next_chunk_width`]
+/// still emits (8, 16, 32) — 13 kernels per ISA tier.
 fn accumulate_tile_lanes(
     tile: &FlattenedTile,
     input: &[i16],
     out: &mut [i32],
     geom: &ConvGeom,
     prefix: &mut [i32],
-    lw: usize,
+    run: &StripRun,
     tier: SimdTier,
 ) {
-    match lw {
-        1 => accumulate_width::<1>(tile, input, out, geom, prefix, tier),
-        2 => accumulate_width::<2>(tile, input, out, geom, prefix, tier),
-        3 => accumulate_width::<3>(tile, input, out, geom, prefix, tier),
-        4 => accumulate_width::<4>(tile, input, out, geom, prefix, tier),
-        5 => accumulate_width::<5>(tile, input, out, geom, prefix, tier),
-        6 => accumulate_width::<6>(tile, input, out, geom, prefix, tier),
-        7 => accumulate_width::<7>(tile, input, out, geom, prefix, tier),
-        8 => accumulate_width::<8>(tile, input, out, geom, prefix, tier),
-        16 => accumulate_width::<16>(tile, input, out, geom, prefix, tier),
-        32 => accumulate_width::<32>(tile, input, out, geom, prefix, tier),
-        other => unreachable!("lane width {other} has no monomorphized kernel"),
+    macro_rules! kernel {
+        ($lw:literal, $pitch:literal) => {
+            accumulate_width::<$lw, $pitch>(tile, input, out, geom, prefix, run.ys.clone(), tier)
+        };
+    }
+    match (run.width, run.pitch) {
+        (1, 1) => kernel!(1, 1),
+        (2, 1) => kernel!(2, 1),
+        (3, 1) => kernel!(3, 1),
+        (4, 1) => kernel!(4, 1),
+        (5, 1) => kernel!(5, 1),
+        (6, 1) => kernel!(6, 1),
+        (7, 1) => kernel!(7, 1),
+        (8, 1) => kernel!(8, 1),
+        (16, 1) => kernel!(16, 1),
+        (32, 1) => kernel!(32, 1),
+        (8, 8) => kernel!(8, 8),
+        (16, 16) => kernel!(16, 16),
+        (32, 32) => kernel!(32, 32),
+        other => unreachable!("strip {other:?} has no monomorphized kernel"),
     }
 }
 
-/// The width of the next chunk when `rest` images remain and the dispatched
-/// tier interleaves `lane_width` lanes: whole tier-width strips first, then
-/// the widest monomorphized residuals (16, then [`LANE_WIDTH`]), then the
-/// exact remainder. Every emitted width has a kernel in
-/// [`accumulate_tile_lanes`].
-fn next_chunk_width(rest: usize, lane_width: usize) -> usize {
+/// The width of the next strip when `rest` lanes remain and the dispatched
+/// tier runs `lane_width` of them at once: whole tier-width strips first,
+/// then the widest monomorphized residuals (16, then [`LANE_WIDTH`]), then
+/// the exact remainder. Every emitted width has a kernel in
+/// [`accumulate_tile_lanes`]. This is how one image's output row is cut
+/// into position-lane strips.
+fn next_strip_width(rest: usize, lane_width: usize) -> usize {
     if rest >= lane_width {
         lane_width
     } else if rest >= 16 {
@@ -437,19 +541,41 @@ fn next_chunk_width(rest: usize, lane_width: usize) -> usize {
     }
 }
 
-/// How many lane strips [`next_chunk_width`] decomposes a batch into at a
-/// given tier width — the analytic count behind
-/// [`LayerWork::lane_strips`](crate::counters::LayerWork::lane_strips)
-/// (one CSR indirection walk per strip).
-#[must_use]
-pub(crate) fn chunk_count(batch: usize, lane_width: usize) -> usize {
-    let mut rest = batch;
-    let mut strips = 0;
-    while rest > 0 {
-        rest -= next_chunk_width(rest, lane_width);
-        strips += 1;
+/// The width of the next lane chunk when `rest` images remain: the
+/// [`next_strip_width`] decomposition down to [`LANE_WIDTH`], and below it
+/// one image at a time — a residual of 2–7 images would pay a full walk
+/// per output position for that few lanes, while a single image fills the
+/// tier's lanes with output positions ([`strip_runs`]).
+fn next_chunk_width(rest: usize, lane_width: usize) -> usize {
+    match next_strip_width(rest, lane_width) {
+        width if width < LANE_WIDTH => 1,
+        width => width,
     }
-    strips
+}
+
+/// How a batch of `batch` images of a layer runs on a tier `lane_width`
+/// lanes wide: the lane chunks [`next_chunk_width`] cuts it into and the
+/// widest strip any of them runs ([`strip_runs`]) — the analytic
+/// [`LayerWork::lane_strips`](crate::counters::LayerWork::lane_strips) and
+/// [`LayerWork::lane_width`](crate::counters::LayerWork::lane_width).
+#[must_use]
+pub(crate) fn strip_profile(geom: &ConvGeom, batch: usize, lane_width: usize) -> (usize, usize) {
+    let (mut rest, mut chunks, mut widest) = (batch, 0, 0);
+    while rest > 0 {
+        let lw = next_chunk_width(rest, lane_width);
+        widest = widest.max(widest_strip(geom, lw, lane_width));
+        rest -= lw;
+        chunks += 1;
+    }
+    (chunks, widest)
+}
+
+/// The widest strip a chunk of `lw` images runs: its first [`strip_runs`]
+/// run — what sizes the prefix rows.
+fn widest_strip(geom: &ConvGeom, lw: usize, lane: usize) -> usize {
+    strip_runs(geom, lw, lane)
+        .next()
+        .map_or(lw, |run| run.width)
 }
 
 /// Executes a [`CompiledLayer`] through its flattened tiles — bit-identical
@@ -491,20 +617,26 @@ pub fn run_flattened(layer: &CompiledLayer, input: &Tensor3<i16>) -> Tensor3<i32
             ..
         } = &mut arenas[0];
         let staged = stage_chunk(inputs, geom.pad(), staged);
+        // The oracle keeps the one-position-per-walk form at every
+        // geometry: it is what the position-lane strips are checked against.
+        let ys = 0..geom.out_h();
         for tile in layer.flat_tiles() {
             // Width 1 *is* the planar layout, so the tile's band is simply
             // its filters' planes of the output.
             let band = &mut out_slice[tile.k_first * plane..][..tile.g * plane];
-            accumulate_width::<1>(tile, staged, band, geom, prefix.rows_mut(tile.rows), tier);
+            let prefix = prefix.rows_mut(tile.rows);
+            accumulate_width::<1, 1>(tile, staged, band, geom, prefix, ys.clone(), tier);
         }
     });
     out
 }
 
-/// The scalar tier's interleave width — and the widest *residual* chunk the
-/// decomposition emits below a full tier strip. Eight `i32` lanes fill two
-/// 128-bit registers on baseline x86-64; the `avx2`/`avx512` tiers run 16-
-/// and 32-lane strips (see [`SimdTier::lane_width`]), all through the same
+/// The scalar tier's interleave width — and the narrowest chunk of images
+/// the decomposition interleaves: below it the rest of a batch runs one
+/// image at a time, its lanes filled with output positions where the layer
+/// allows (see the module docs). Eight `i32` lanes fill two 128-bit
+/// registers on baseline x86-64; the `avx2`/`avx512` tiers run 16- and
+/// 32-lane strips (see [`SimdTier::lane_width`]), all through the same
 /// monomorphized kernel set.
 pub const LANE_WIDTH: usize = 8;
 
@@ -614,7 +746,10 @@ impl FlattenedScratch {
     /// (or narrower) reallocates. Idempotent and monotone — an arena
     /// reserved for a wide layer serves narrower ones for free. The output
     /// staging is sized for the layer's widest filter band
-    /// (`G · out_w · out_h · lane_width`), independent of its filter count.
+    /// (`G · out_w · out_h · lane_width`), independent of its filter count;
+    /// the prefix rows are as wide as the widest strip dispatched, which
+    /// for a single image is its position-lane strip on the CPU's widest
+    /// tier, not the chunk width.
     pub fn reserve_for(&mut self, layer: &CompiledLayer, lane_width: usize) {
         let geom = layer.geom();
         let in_dims = (geom.c() * layer.conv_groups(), geom.in_w(), geom.in_h());
@@ -623,7 +758,8 @@ impl FlattenedScratch {
         let max_rows = tiles.iter().map(|t| t.rows).max().unwrap_or(0);
         let max_g = tiles.iter().map(|t| t.g).max().unwrap_or(0);
         self.planes[0].reserve(haloed_len(in_dims, geom.pad()) * lane_width);
-        self.prefix.reserve(max_rows * lane_width);
+        let single = widest_strip(geom, 1, SimdCaps::get().best().lane_width());
+        self.prefix.reserve(max_rows * lane_width.max(single));
         self.band_lanes.reserve(max_g * plane * lane_width);
     }
 
@@ -803,7 +939,7 @@ fn run_bands(
     band_lanes: &mut Rows<i32>,
     mut sink: impl FnMut(usize, &[i32]),
 ) {
-    debug_assert!(matches!(lw, 1..=8 | 16 | 32), "chunk width {lw}");
+    debug_assert!(matches!(lw, 1 | 8 | 16 | 32), "chunk width {lw}");
     let geom = layer.geom();
     let plane = geom.out_w() * geom.out_h();
     // `CompiledLayer::compile` emits tiles band by band, so the channel
@@ -816,8 +952,10 @@ fn run_bands(
         let sums = band_lanes.rows_mut(g * plane * lw);
         sums.fill(0);
         for tile in band {
-            let prefix = prefix.rows_mut(tile.rows * lw);
-            accumulate_tile_lanes(tile, input, sums, geom, prefix, lw, tier);
+            for run in strip_runs(geom, lw, tier.lane_width()) {
+                let prefix = prefix.rows_mut(tile.rows * run.width);
+                accumulate_tile_lanes(tile, input, sums, geom, prefix, &run, tier);
+            }
         }
         sink(k_first, sums);
         rest = after;
@@ -1119,10 +1257,14 @@ pub(crate) fn run_network_interleaved(
 /// computed once per entry per output position, and the prefix-sum and
 /// segment-multiply phases run as contiguous `LW`-wide strips through the
 /// tier's `#[target_feature]` kernel, one filter band at a time; each
-/// finished band is de-interleaved into the per-image outputs. Per image
-/// the i32 operation sequence is identical to [`run_flattened`] at every
-/// width and tier, so outputs are **bit-identical** to it at every batch
-/// size and thread count.
+/// finished band is de-interleaved into the per-image outputs. Fewer than
+/// [`LANE_WIDTH`] images (a whole small batch, or what is left after the
+/// last chunk) run one at a time, and a single image of a stride-1 layer
+/// fills the same strips with neighbouring positions of each output row
+/// instead (position lanes, see the module docs). Per image the i32
+/// operation sequence is identical to [`run_flattened`] at every width,
+/// tier and lane meaning, so outputs are **bit-identical** to it at every
+/// batch size and thread count.
 ///
 /// `threads > 1` splits the batch into contiguous runs of **whole
 /// tier-width chunks** executed on scoped threads — never below the active
@@ -1460,6 +1602,9 @@ mod tests {
         assert_eq!(scratch.planes[1].0.capacity(), 0);
         let rows = layers.iter().flat_map(CompiledLayer::flat_tiles);
         let max_rows = rows.map(|t| t.rows).max().unwrap();
+        // A single image's position-lane strips (the conv's output rows
+        // hold 4 positions) are narrower than the widest chunk, so the
+        // chunk width still sizes the prefix rows.
         assert_eq!(scratch.prefix.0.capacity(), max_rows * widest + i32_line);
         let reserved = arena_layout(&scratch);
         let mut agen = ActivationGen::new(91);
@@ -1467,7 +1612,8 @@ mod tests {
             for (layer, geom) in layers.iter().zip(&geoms) {
                 for &tier in available_tiers() {
                     let lane = tier.lane_width();
-                    // Full-width chunk plus a residual chunk.
+                    // A full-width chunk, then three single images (position
+                    // lanes on the conv, the width-1 walk on the FC layer).
                     let b = lane + 3;
                     let inputs: Vec<Tensor3<i16>> = (0..b)
                         .map(|_| agen.generate(geom.c(), geom.in_w(), geom.in_h()))
@@ -1491,15 +1637,18 @@ mod tests {
         // After `reserve_for`, after a run, and after growth to a larger
         // layer, each of the arena's row buffers hands out views at
         // `addr % 64 == 0` at every strip width, and `resident_bytes`
-        // counts one line of slack per allocated buffer.
+        // counts one line of slack per allocated buffer. The prefix rows
+        // are as wide as the widest strip dispatched: the chunk, or — for
+        // one image — its position-lane strip (output rows of 4 and 9
+        // positions: strips of 4 and 8 on every tier).
         let geoms = [
-            ConvGeom::new(5, 4, 3, 4, 3, 3).with_pad(1),
-            ConvGeom::new(9, 7, 4, 6, 3, 3).with_pad(2),
+            (ConvGeom::new(5, 4, 3, 4, 3, 3).with_pad(1), 4),
+            (ConvGeom::new(9, 7, 4, 6, 3, 3).with_pad(2), 8),
         ];
         let mut agen = ActivationGen::new(93);
         for lw in [1usize, 8, 16, 32] {
             let mut scratch = FlattenedScratch::new();
-            for (gi, geom) in geoms.iter().enumerate() {
+            for (gi, (geom, single)) in geoms.iter().enumerate() {
                 let mut wgen = WeightGen::new(QuantScheme::inq(), 92 + gi as u64).with_density(0.8);
                 let weights = wgen.generate_dims(geom.k(), geom.c(), 3, 3);
                 let layer = CompiledLayer::compile(geom, 1, &weights, &UcnnConfig::with_g(2));
@@ -1507,9 +1656,12 @@ mod tests {
                 assert_aligned(&scratch, &format!("LW {lw}, layer {gi}, reserved"));
                 let rows = layer.flat_tiles().iter().map(|t| t.rows).max().unwrap();
                 let cells = haloed_len((geom.c(), geom.in_w(), geom.in_h()), geom.pad());
+                let reserved = scratch.resident_bytes();
                 assert_eq!(
-                    scratch.resident_bytes(),
-                    cells * lw * 2 + (rows + 2 * geom.out_w() * geom.out_h()) * lw * 4 + 3 * LINE,
+                    reserved,
+                    cells * lw * 2
+                        + (rows * lw.max(*single) + 2 * geom.out_w() * geom.out_h() * lw) * 4
+                        + 3 * LINE,
                     "LW {lw}, layer {gi}: rows plus one line of slack per buffer"
                 );
                 // Exactly `lw` lanes: one chunk of this strip width on any
@@ -1522,6 +1674,11 @@ mod tests {
                     assert_eq!(out, &reference::conv2d(geom, 1, input, &weights));
                 }
                 assert_aligned(&scratch, &format!("LW {lw}, layer {gi}, after a run"));
+                assert_eq!(
+                    scratch.resident_bytes(),
+                    reserved,
+                    "LW {lw}, layer {gi}: the run outgrew the reservation"
+                );
             }
         }
     }
@@ -1566,6 +1723,12 @@ mod tests {
             scratch.resident_bytes() < k * plane * lw * 4,
             "the whole arena must be smaller than whole-layer staging alone"
         );
+        // One image runs its 8-position output rows as one 8-lane strip:
+        // no wider than the chunk that grew the arena.
+        let grown = scratch.resident_bytes();
+        let got = run_on_arena(&layer, &inputs[..1], &mut scratch, resolve_tier());
+        assert_eq!(got[0], reference::conv2d(&geom, 1, &inputs[0], &weights));
+        assert_eq!(scratch.resident_bytes(), grown);
     }
 
     #[test]
@@ -1592,9 +1755,12 @@ mod tests {
         };
         assert!(pool().is_empty());
         for threads in [1usize, 2] {
+            // The single image runs position-lane strips (12-position
+            // rows) out of the same buffers the full chunks grew.
             let first = (
                 run_flattened_batch_interleaved(layer, &inputs, threads),
                 run_network_interleaved(plan.stages(), &inputs, threads, tier),
+                run_network_interleaved(plan.stages(), &inputs[..1], threads, tier),
             );
             let grown = pool();
             assert_eq!(grown.len(), threads, "one arena per worker");
@@ -1604,6 +1770,7 @@ mod tests {
             let second = (
                 run_flattened_batch_interleaved(layer, &inputs, threads),
                 run_network_interleaved(plan.stages(), &inputs, threads, tier),
+                run_network_interleaved(plan.stages(), &inputs[..1], threads, tier),
             );
             assert_eq!(pool(), grown, "steady state must not touch the arenas");
             assert_eq!(first, second);
@@ -1722,32 +1889,59 @@ mod tests {
         // pad — including pad > r − 1, where whole windows sit in the halo —
         // on a non-square plane, cycling grouped conv and G through the
         // cells, with ragged channel tiles (C = 5, Ct = 2) throughout and
-        // batches that straddle every strip width.
-        let mut case = 0usize;
+        // batches that straddle every strip width. Single images (B = 1,
+        // and the five of B = 5) run the stride-1 cells on position lanes
+        // and the strided ones on the width-1 walk.
+        let mut cases = Vec::new();
         for stride in 1..=3 {
             for pad in 0..=3 {
-                let (conv_groups, g) = (1 + case % 2, 1 + case % 3);
                 let geom = ConvGeom::new(7, 6, 5, 6, 3, 3)
                     .with_stride(stride)
                     .with_pad(pad);
-                let seed = 400 + case as u64;
-                let mut wgen = WeightGen::new(QuantScheme::inq(), seed).with_density(0.8);
-                let weights = wgen.generate_dims(geom.k(), geom.c(), geom.r(), geom.s());
-                let cfg = UcnnConfig {
-                    g,
-                    ct: 2,
-                    ..UcnnConfig::default()
-                };
-                let layer = CompiledLayer::compile(&geom, conv_groups, &weights, &cfg);
-                let mut agen = ActivationGen::new(seed ^ 0x5EE9);
-                for b in [1usize, 5, 8, 16, 32, 35] {
-                    let inputs: Vec<Tensor3<i16>> = (0..b)
-                        .map(|_| agen.generate(geom.c() * conv_groups, geom.in_w(), geom.in_h()))
-                        .collect();
-                    let what = format!("stride {stride}, pad {pad}, groups {conv_groups}, G {g}");
-                    check_bands_against_reference(&layer, &weights, &inputs, &what);
-                }
-                case += 1;
+                cases.push((geom, [1usize, 5, 8, 16, 32, 35]));
+            }
+        }
+        // Position lanes over output rows that hit every tail split of
+        // every tier width (32 | 16 | 8 | exact tail), at pad 0/1/2, with a
+        // strided and a 1-position row as the fallbacks; batches whose
+        // residual below eight images runs one image at a time.
+        for (ri, out_h) in [1usize, 2, 7, 8, 9, 12, 16, 17, 32, 33, 40]
+            .into_iter()
+            .enumerate()
+        {
+            // `ConvGeom::new` wants the filter inside the unpadded plane.
+            let pad = (ri % 3).min((out_h - 1) / 2);
+            let geom = ConvGeom::new(4, out_h + 2 - 2 * pad, 5, 6, 3, 3).with_pad(pad);
+            assert_eq!(geom.out_h(), out_h);
+            cases.push((geom, [1, 2, 3, 7, 9, 33]));
+        }
+        cases.push((
+            ConvGeom::new(4, 35, 5, 6, 3, 3).with_stride(2).with_pad(1),
+            [1, 2, 3, 7, 9, 33],
+        ));
+        for (case, (geom, batches)) in cases.into_iter().enumerate() {
+            let (conv_groups, g) = (1 + case % 2, 1 + case % 3);
+            let seed = 400 + case as u64;
+            let mut wgen = WeightGen::new(QuantScheme::inq(), seed).with_density(0.8);
+            let weights = wgen.generate_dims(geom.k(), geom.c(), geom.r(), geom.s());
+            let cfg = UcnnConfig {
+                g,
+                ct: 2,
+                ..UcnnConfig::default()
+            };
+            let layer = CompiledLayer::compile(&geom, conv_groups, &weights, &cfg);
+            let mut agen = ActivationGen::new(seed ^ 0x5EE9);
+            for b in batches {
+                let inputs: Vec<Tensor3<i16>> = (0..b)
+                    .map(|_| agen.generate(geom.c() * conv_groups, geom.in_w(), geom.in_h()))
+                    .collect();
+                let what = format!(
+                    "stride {}, pad {}, out row {}, groups {conv_groups}, G {g}",
+                    geom.stride(),
+                    geom.pad(),
+                    geom.out_h()
+                );
+                check_bands_against_reference(&layer, &weights, &inputs, &what);
             }
         }
     }
@@ -1871,8 +2065,10 @@ mod tests {
         assert_eq!(plane.cells[edge.len() - 1], i16::MAX);
         assert_eq!(plane.cells[0], 0);
 
-        // Through the executor: an FC-shaped layer whose filters drive the
-        // sums to each regime. Per image, with activations a₀ = a₁ = A:
+        // Through the executor: 1×1 filters that drive the sums to each
+        // regime at every position of a 1×9 plane, so one image's output
+        // row runs as position-lane strips (8 + 1) and a batch as image
+        // lanes. Per cell, with activations a₀ = a₁ = A:
         //   k0 = 2·A·32767      (≈ 2³¹ at A = 32767: far above i16::MAX)
         //   k1 = 2·A·(−32768)   (≈ −2³¹: far below zero)
         //   k2 = A − A = 0, k3 = 2·A (just above i16::MAX at A = 16384),
@@ -1895,17 +2091,17 @@ mod tests {
             (_, 0 | 1) => rows[k][ci],
             _ => 0,
         });
-        let geom = ConvGeom::new(1, 1, c, 6, 1, 1);
+        let geom = ConvGeom::new(1, 9, c, 6, 1, 1);
         let layer = CompiledLayer::compile(&geom, 1, &weights, &UcnnConfig::with_g(2));
         let levels = [i16::MAX, 16_384, 16_383, 1, 0];
+        // Image `i` cycles the levels along its row from level `i`.
+        let image = |i: usize| Tensor3::from_fn(c, 1, 9, |_, _, y| levels[(i + y) % levels.len()]);
         for b in [1usize, 5, 32, 35] {
-            let inputs: Vec<Tensor3<i16>> = (0..b)
-                .map(|i| Tensor3::filled(c, 1, 1, levels[i % levels.len()]))
-                .collect();
+            let inputs: Vec<Tensor3<i16>> = (0..b).map(image).collect();
             check_bands_against_reference(&layer, &weights, &inputs, "extremes");
         }
-        // The regimes were actually reached (image 0 has A = i16::MAX).
-        let sums = reference::conv2d(&geom, 1, &Tensor3::filled(c, 1, 1, i16::MAX), &weights);
+        // The regimes were actually reached (image 0 starts at A = i16::MAX).
+        let sums = reference::conv2d(&geom, 1, &image(0), &weights);
         if wrap {
             assert!(sums[(0, 0, 0)] < 0, "4·32767² must wrap negative");
             assert!(
@@ -2015,7 +2211,7 @@ mod tests {
                 let mut seen_widths = Vec::new();
                 while rest > 0 {
                     let w = next_chunk_width(rest, lane);
-                    assert!(matches!(w, 1..=8 | 16 | 32), "width {w}");
+                    assert!(matches!(w, 1 | 8 | 16 | 32), "width {w}");
                     assert!(w <= lane, "width {w} exceeds tier lane {lane}");
                     seen_widths.push(w);
                     rest -= w;
@@ -2024,6 +2220,43 @@ mod tests {
                 // Full tier-width chunks come first; widths never increase.
                 for pair in seen_widths.windows(2) {
                     assert!(pair[0] >= pair[1], "widths must be non-increasing");
+                }
+                // Below eight images the rest runs one image at a time.
+                let singles = seen_widths.iter().filter(|&&w| w == 1).count();
+                assert_eq!(singles, total % LANE_WIDTH, "B={total}, lane {lane}");
+                let geom = ConvGeom::new(3, total, 2, 2, 1, 1);
+                let profile = strip_profile(&geom, total, lane);
+                assert_eq!(profile.0, seen_widths.len());
+
+                // One image's `total`-position output row: position-lane
+                // runs that tile the row in kernel widths, widest first.
+                let runs: Vec<StripRun> = strip_runs(&geom, 1, lane).collect();
+                let mut y = 0;
+                for run in &runs {
+                    assert!(matches!(run.width, 1..=8 | 16 | 32), "strip {run:?}");
+                    assert!(run.width <= lane && run.pitch == 1, "strip {run:?}");
+                    assert_eq!(run.ys.start, y, "runs must tile the row");
+                    assert!(!run.ys.is_empty() && run.ys.len() % run.width == 0);
+                    y = run.ys.end;
+                }
+                assert_eq!(y, total, "row of {total} at lane {lane}");
+                assert!(runs.windows(2).all(|p| p[0].width > p[1].width));
+                assert_eq!(runs[0].width, next_strip_width(total, lane));
+                assert_eq!(widest_strip(&geom, 1, lane), runs[0].width);
+                assert_eq!(profile.1, runs[0].width.max(seen_widths[0]));
+
+                // The fallbacks keep the one-position walk over the whole
+                // row: a strided layer, a 1-position row, and any chunk of
+                // images (whose lanes are the images).
+                let strided = ConvGeom::new(3, 2 * total, 2, 2, 1, 1).with_stride(2);
+                let fc = ConvGeom::new(total, 1, 2, 2, 1, 1);
+                for (geom, lw) in [(strided, 1), (fc, 1), (geom, lane)] {
+                    let whole = StripRun {
+                        width: lw,
+                        pitch: lw,
+                        ys: 0..geom.out_h(),
+                    };
+                    assert_eq!(strip_runs(&geom, lw, lane).collect::<Vec<_>>(), [whole]);
                 }
             }
         }

@@ -758,8 +758,8 @@ mod tests {
     fn pipeline_matches_dense_forward_on_every_tier() {
         // The chunk-major pipeline against `dense_forward`, one network per
         // way a stage can hand its activations on, at batches that straddle
-        // every strip width (full chunks, residuals, several chunks dealt
-        // over two threads).
+        // every strip width (full chunks, residuals run one image at a
+        // time on position lanes, several chunks dealt over two threads).
         let (conv, pool) = (LayerSpec::conv, LayerSpec::pool);
         let mut nets = vec![
             // conv → padded conv: the epilogue writes at the consumer's
@@ -817,6 +817,19 @@ mod tests {
                 ],
             ));
         }
+        // Long output rows through conv → fused pool → padded conv: one
+        // image's rows of 40 and 22 positions run as position-lane strips
+        // (32 + 8, 16 + 6 on the widest tier; every tier splits its own
+        // way), the pool drains each finished band, and the padded
+        // consumer reads its halo around them.
+        nets.push(net_of(
+            "long-rows",
+            vec![
+                conv("c1", ConvGeom::new(5, 40, 2, 4, 3, 3).with_pad(1)),
+                pool("max", PoolKind::Max, 2, 2),
+                conv("c2", ConvGeom::new(3, 20, 4, 3, 3, 3).with_pad(2)),
+            ],
+        ));
         for (ni, net) in nets.iter().enumerate() {
             let seed = 500 + ni as u64;
             let weights = forward::generate_network_weights(net, QuantScheme::inq(), seed, 0.85);
@@ -829,7 +842,7 @@ mod tests {
                 match (net.name(), cfg!(debug_assertions)) {
                     ("LeNet", true) => (&[9], &[2]),
                     ("LeNet", false) => (&[1, 9, 33], &[1, 2]),
-                    _ => (&[1, 2, 7, 8, 9, 16, 17, 32, 33, 40], &[1, 2]),
+                    _ => (&[1, 2, 3, 7, 8, 9, 16, 17, 32, 33, 40], &[1, 2]),
                 };
             let widest = *batches.iter().max().unwrap();
             // Distinct images per lane, so a lane mix-up cannot cancel.

@@ -193,43 +193,88 @@ fn flattened_csr_and_lowering_cache_accounting() {
 /// The chunk-major pipeline records what the per-layer loop recorded: one
 /// row per weight layer per call — not per lane chunk, not per worker —
 /// equal field for field to the backend's analytic `work` for the whole
-/// batch, with the lowering-cache state as it was before the call.
+/// batch, with the lowering-cache state as it was before the call. The
+/// strip profile follows the chunk decomposition: below eight images the
+/// rest runs one image at a time, and a single image's lanes are output
+/// positions where the layer allows it.
 #[test]
 fn pipeline_rows_equal_the_per_layer_loops() {
     let net = "counters-pipeline";
     let kind = BackendKind::FlattenedBatch;
     let exec = ucnn_core::backend::backend(kind);
-    // 40 images: two lane chunks on every tier, so two workers at 2 threads.
-    let batch = 40;
+    let lane = ucnn_core::simd::resolve_tier().lane_width();
     let _guard = serialize();
-    for threads in [1usize, 2] {
-        let (plan, inputs) = compiled(net, 0x74);
-        let inputs: Vec<_> = inputs.iter().cycle().take(batch).cloned().collect();
-        for lowered in [false, true] {
-            counters::reset();
-            counters::set_enabled(true);
-            let _ = plan.forward_batch_with(&inputs, kind, threads);
-            counters::set_enabled(false);
-            let expected: Vec<TallyRow> = plan
-                .stages()
-                .iter()
-                .filter_map(|s| match s {
-                    ucnn_core::plan::CompiledStage::Conv { name, layer, .. } => Some(TallyRow {
-                        net: net.to_string(),
-                        layer: name.clone(),
-                        backend: kind.name(),
-                        batch_bucket: counters::batch_bucket(batch),
-                        work: exec.work(layer, batch, lowered),
-                    }),
-                    ucnn_core::plan::CompiledStage::Pool { .. } => None,
-                })
-                .collect();
-            let mut rows = rows_for(net);
-            rows.sort_by_key(|r| expected.iter().position(|e| e.layer == r.layer));
-            assert_eq!(
-                rows, expected,
-                "{threads} threads, lowered before: {lowered}"
-            );
+    // 40 images: two lane chunks on every tier, so two workers at 2 threads.
+    let mut arithmetic = Vec::new();
+    for batch in [1usize, 3, 7, 9, 40] {
+        for threads in [1usize, 2] {
+            let (plan, inputs) = compiled(net, 0x74);
+            let inputs: Vec<_> = inputs.iter().cycle().take(batch).cloned().collect();
+            for lowered in [false, true] {
+                counters::reset();
+                counters::set_enabled(true);
+                let _ = plan.forward_batch_with(&inputs, kind, threads);
+                counters::set_enabled(false);
+                let expected: Vec<TallyRow> = plan
+                    .stages()
+                    .iter()
+                    .filter_map(|s| match s {
+                        ucnn_core::plan::CompiledStage::Conv { name, layer, .. } => {
+                            Some(TallyRow {
+                                net: net.to_string(),
+                                layer: name.clone(),
+                                backend: kind.name(),
+                                batch_bucket: counters::batch_bucket(batch),
+                                work: exec.work(layer, batch, lowered),
+                            })
+                        }
+                        ucnn_core::plan::CompiledStage::Pool { .. } => None,
+                    })
+                    .collect();
+                let mut rows = rows_for(net);
+                rows.sort_by_key(|r| expected.iter().position(|e| e.layer == r.layer));
+                assert_eq!(
+                    rows, expected,
+                    "B={batch}, {threads} threads, lowered before: {lowered}"
+                );
+                for row in &rows {
+                    // Tier-wide chunks, then 16, then 8, then singles.
+                    let (mut rest, mut strips) = (batch, 0);
+                    for width in [lane, 16, 8, 1] {
+                        if width <= lane {
+                            strips += rest / width;
+                            rest %= width;
+                        }
+                    }
+                    assert_eq!(
+                        row.work.lane_strips, strips as u64,
+                        "B={batch}: {}",
+                        row.layer
+                    );
+                    // tiny's convolutions have 12-position output rows (one
+                    // image: an 8-lane strip and a 4-lane tail); its FC
+                    // layer has one position, so a lone image runs width 1.
+                    let single = if row.layer == "fc" { 1 } else { 8 };
+                    let widest = match batch {
+                        b if b >= lane => lane as u64,
+                        b if b >= 16 => 16,
+                        b if b >= 8 => 8,
+                        _ => single,
+                    };
+                    assert_eq!(row.work.lane_width, widest, "B={batch}: {}", row.layer);
+                    arithmetic.push((
+                        row.layer.clone(),
+                        row.work.dense_multiplies / batch as u64,
+                        row.work.multiplies_issued / batch as u64,
+                        row.work.gather_entries / batch as u64,
+                    ));
+                }
+            }
         }
     }
+    // The decomposition moves no arithmetic: per image the dense, issued and
+    // gather counts are the same at every B and thread count.
+    arithmetic.sort();
+    arithmetic.dedup();
+    assert_eq!(arithmetic.len(), 3, "one distinct row per layer");
 }

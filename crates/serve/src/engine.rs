@@ -86,14 +86,17 @@ pub struct EngineConfig {
     /// [`EngineConfig::default`] names `batch-threads` on purpose; it does
     /// not follow the library's `CompiledNetwork::DEFAULT_BACKEND`
     /// (`flattened-batch`), although that executor is faster in every cell
-    /// of `BENCH_backends.json`. Measured with the default flipped (PR 12):
-    /// `serve_closed_c2.throughput_vs_dense` 0.88 → 1.48 and
-    /// `serve_pipelined_w32` 0.97 → 2.90, but the repository benchmark
-    /// keeps one sample per answered request inside its own peak-RSS
-    /// reading, so the same flip pushes `peak_rss_mb` +30 % / +95 % past
-    /// the benchmark's 25 % bound. Flipping this default — and retiring
-    /// `batch-threads` with `run_compiled_batch*` — follows a PR that
-    /// fixes that accounting in `benchmark/`.
+    /// of `BENCH_backends.json`. Measured with the default flipped on a
+    /// scratch copy (PR 19, 20 s runs): `serve_closed_c2.throughput_vs_dense`
+    /// 0.94 → 6.2, `serve_pipelined_w32` 1.11 → 10.1 and
+    /// `serve_open_r500.lat_p50_vs_dense` 2.35 → 0.64 (2.8, 5.8 and 0.80
+    /// before single images ran on position lanes), but the repository
+    /// benchmark keeps one sample per answered request inside its own
+    /// peak-RSS reading, so the same flip reads `peak_rss_mb` 7.1 → 26.8
+    /// and 8.2 → 39.9 MB, far past the benchmark's 25 % bound. Flipping
+    /// this default — and retiring `batch-threads` with
+    /// `run_compiled_batch*` — follows a PR that fixes that accounting in
+    /// `benchmark/`.
     pub backend: BackendKind,
 }
 
