@@ -1368,8 +1368,9 @@ pub fn backend_table(quick: bool) -> TableOut {
         // The i8-alphabet zoo entry: ternary TTQ weights (alphabet {±64}),
         // and G = 8 deepens the shared-partial hierarchy so phase 2 — the
         // per-segment multiply loop — carries the dominant share of the
-        // runtime (each of the 8 levels walks its own segment list against
-        // one shared prefix array).
+        // runtime (each of the 7 outer levels walks its own segment list
+        // against the shared kept prefix rows; the eighth is multiplied in
+        // phase 1, where its groups close).
         (
             "fc ttq i8",
             ConvGeom::new(1, 1, fc_c, 32, 1, 1),

@@ -46,9 +46,10 @@ pub struct LayerWork {
     /// Indirection-table entries touched (gathers): one per retained stream
     /// entry per output position.
     pub gather_entries: u64,
-    /// CSR segments walked by the flattened backends (equal to
-    /// `multiplies_issued` by the lowering invariant — one multiply per
-    /// segment per output position); zero for non-flattened backends.
+    /// CSR segments walked by the flattened backends — outer segments plus
+    /// non-zero-weight innermost closes (a zero-weight close's `·0` is
+    /// executed, not counted): equal to `multiplies_issued` by the lowering
+    /// invariant. Zero for non-flattened backends.
     pub csr_segments: u64,
     /// Layer executions that found the flattened lowering already built.
     pub lowering_hits: u64,

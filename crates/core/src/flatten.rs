@@ -12,14 +12,19 @@
 //!    the output position, so it flattens to a per-entry base offset plus
 //!    one per-position delta (`base[i] + stride·(x·H + y)`);
 //! 2. **which contiguous entry runs feed which weight** — each level's
-//!    activation groups are contiguous runs of the sorted stream, so they
-//!    flatten to CSR-style `[start, end)` ranges with the group's canonical
-//!    weight value attached (zero-weight groups are dropped entirely).
+//!    activation groups are contiguous runs of the sorted stream: the
+//!    innermost level (nearly all the groups) flattens to one record per
+//!    group **close** — run length and weight — the outer levels to CSR-style
+//!    `[start, end)` ranges with the weight (zero-weight groups dropped).
 //!
 //! The executor then needs no per-entry decode at all: phase one gathers
-//! activations through the precomputed offsets into a running prefix sum,
-//! phase two forms every group total as one prefix difference and multiplies
-//! it by the group's weight. Both loops are pure index-stride arithmetic.
+//! each run's activations through the precomputed offsets into a running
+//! sum and — like the paper's PE (§IV, Fig. 7) — multiplies the innermost
+//! group's total **where it closes**, in registers (`inner += (run −
+//! prev)·w`), storing the sum as a prefix row only where an outer group
+//! closes too; phase two forms every outer group total as one difference of
+//! two such rows times the group's weight. Both loops are pure index-stride
+//! arithmetic.
 //! Because `i32` addition is associative modulo 2³², the prefix-difference
 //! group totals — and therefore the outputs — are **bit-identical** to the
 //! hierarchical accumulator walk (the conformance corpus and the
@@ -31,7 +36,7 @@
 //! offsets are lowered against that plane, so an edge position's
 //! out-of-plane reads add literal zeros. Every geometry takes the same
 //! branch-free gather, and the prefix sums are only *kept* where phase two
-//! reads them: one row per group close, not one per entry.
+//! reads them: one row per **outer** close — not per entry, nor per close.
 //!
 //! # Batch-interleaved lanes and ISA tiers
 //!
@@ -45,8 +50,8 @@
 //! images (`input[off · LW + lane]`, planar offset major, image lane
 //! minor), and both phases run as straight-line loops over contiguous
 //! `LW`-wide strips (`i16`→`i32` widening adds, one broadcast multiply per
-//! segment weight). Every gather offset and CSR segment range is computed
-//! **once per entry per output position** and feeds all `LW` images.
+//! close or segment). Every gather offset, close record and CSR segment
+//! range is read **once per output position** and feeds all `LW` images.
 //!
 //! The strip width and codegen follow the dispatched [`SimdTier`]
 //! ([`simd`](crate::simd)): the `scalar` tier keeps the historical
@@ -92,7 +97,7 @@
 //! into the caller's `i32` tensors. The per-layer entry points are the same
 //! pieces for one layer: stage → bands → scatter.
 //!
-//! Scratch (two activation planes, the close-row prefix lanes, the band's
+//! Scratch (two activation planes, the kept-close prefix lanes, the band's
 //! lane-major sums) lives in a [`FlattenedScratch`] arena. Every buffer the
 //! strip kernel walks as `LW`-wide rows starts its rows on a 64-byte
 //! boundary, so a 32-lane row is whole cache lines by construction instead
@@ -112,7 +117,7 @@ use crate::plan::{CompiledLayer, CompiledStage};
 use crate::simd::{resolve_tier, SimdCaps, SimdTier};
 
 /// The flattened, branch-free form of one retained tile: per-entry gather
-/// offsets plus CSR-style activation-group ranges per level.
+/// offsets, one record per close, CSR-style group ranges per outer level.
 ///
 /// Built once per plan by [`FlattenedTile::lower`] — lazily, on the first
 /// [`CompiledLayer::flat_tiles`] call — then cached; executed by
@@ -128,28 +133,42 @@ pub struct FlattenedTile {
     /// `base[i] + stride·(x·(in_h + 2·pad) + y)` is the exact staged index
     /// for output `(x, y)` — in range for every position, halo included.
     base: Vec<u32>,
-    /// Per entry: 1 when an activation group (of any level) closes on it,
-    /// else 0 — added to the prefix-row cursor, so phase 1 keeps one row
-    /// per close instead of one per entry.
-    close: Vec<u8>,
-    /// Prefix rows phase 1 fills: the zero row plus one per close.
+    /// One record per group close, in stream order: every close ends an
+    /// innermost (`G − 1`) group, so the run lengths partition `base`.
+    closes: Vec<Close>,
+    /// Prefix rows phase 1 fills: the zero row plus one per **kept** close
+    /// (none at `G = 1`) — or, for a tile walked once, one per entry.
     rows: usize,
-    /// Per level `l`: segments `seg_ptr[l]..seg_ptr[l + 1]` belong to `l`.
+    /// Per level `l < G − 1`: segments `seg_ptr[l]..seg_ptr[l + 1]`.
     seg_ptr: Vec<u32>,
-    /// The activation groups that dispatch a multiply, level by level, each
-    /// level in stream order — so `end` never decreases within a level and
-    /// phase 2 reads the prefix rows monotonically.
+    /// The outer-level activation groups that dispatch a multiply, level by
+    /// level, each level in stream order — so `end` never decreases within
+    /// a level and phase 2 reads the kept rows monotonically.
     segs: Vec<Segment>,
 }
 
-/// One activation group of one level: its total is the difference of two
-/// prefix rows, times its weight.
+/// One group close: the innermost group that ends here is the `len` entries
+/// since the previous close, and its total is multiplied where it closes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Close {
+    /// Entries in the run (≥ 1). `Ct` is unbounded, so not a `u16`.
+    len: u32,
+    /// The innermost group's canonical weight — 0 for a `ZERO_RANK` group,
+    /// whose `·0` the kernel executes rather than branches around.
+    weight: i16,
+    /// Whether an outer group ends here too (`close_level < G − 1`): only
+    /// then does phase 2 read the running sum, so only then is its row kept.
+    keep: bool,
+}
+
+/// One activation group of one outer level: its total is the difference of
+/// two kept prefix rows, times its weight.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Segment {
-    /// The prefix row before the group's first entry (the close that
+    /// The kept row before the group's first entry (the outer close that
     /// precedes it; row 0 at the stream head).
     start: u32,
-    /// The prefix row of the group's own close.
+    /// The kept row of the group's own close.
     end: u32,
     /// The group's canonical (non-zero) weight value.
     weight: i32,
@@ -173,29 +192,40 @@ impl FlattenedTile {
         // Staged coordinates already carry the halo: filter tap (r, s) at
         // output (0, 0) reads staged cell (r, s), whatever the padding.
         let mut base = Vec::with_capacity(n);
-        let mut close = Vec::with_capacity(n);
+        let mut closes = Vec::new();
+        let mut len = 0u32;
         for e in stream.entries() {
             let (c, rem) = (e.index as usize / rs, e.index as usize % rs);
             let off = ((c_first + c) * pw + rem / s_dim) * ph + rem % s_dim;
             base.push(u32::try_from(off).expect("input offset fits u32"));
-            close.push(u8::from(e.close_level.is_some()));
+            len += 1;
+            if let Some(cl) = e.close_level {
+                // `ZERO_RANK` lies past every canonical weight.
+                let weight = canonical.get(e.ranks[g - 1] as usize).copied().unwrap_or(0);
+                let keep = usize::from(cl) < g - 1;
+                closes.push(Close { len, weight, keep });
+                len = 0;
+            }
         }
-        let rows = 1 + close.iter().map(|&c| usize::from(c)).sum::<usize>();
+        let once = walked_once(geom);
+        let kept = closes.iter().filter(|c| c.keep).count();
+        let rows = 1 + if once { n } else { kept };
 
-        // CSR group ranges over the close rows: at level `l`, a group closes
-        // on an entry when the stream closes level `l` or any outer level
-        // there, and starts at the row of the previous such close. Groups
-        // whose weight is zero at this level dispatch nothing and are
-        // dropped.
-        let mut seg_ptr = Vec::with_capacity(g + 1);
+        // CSR group ranges of the outer levels over the kept rows: at level
+        // `l`, a group closes on an entry when the stream closes level `l`
+        // or any outer level there, and starts at the row of the previous
+        // such close. Groups whose weight is zero at this level dispatch
+        // nothing and are dropped.
+        let mut seg_ptr = Vec::with_capacity(g);
         let mut segs = Vec::new();
-        for level in 0..g {
+        for level in 0..g - 1 {
             seg_ptr.push(u32::try_from(segs.len()).expect("segment count fits u32"));
             let (mut start, mut row) = (0u32, 0u32);
-            for e in stream.entries() {
+            for (i, e) in stream.entries().enumerate() {
                 let Some(cl) = e.close_level else { continue };
-                row += 1;
-                if (cl as usize) > level {
+                let next_kept = row + u32::from(usize::from(cl) < g - 1);
+                row = if once { i as u32 + 1 } else { next_kept };
+                if usize::from(cl) > level {
                     continue;
                 }
                 let rank = e.ranks[level];
@@ -216,7 +246,7 @@ impl FlattenedTile {
             k_first,
             g,
             base,
-            close,
+            closes,
             rows,
             seg_ptr,
             segs,
@@ -229,20 +259,21 @@ impl FlattenedTile {
         self.base.len()
     }
 
-    /// Activation-group segments across all levels — one multiply each per
-    /// output position.
+    /// Multiplies by a non-zero weight per output position — the stream's
+    /// [`multiplies`](GroupStream::multiplies): outer segments plus non-zero
+    /// closes (a zero-weight close's `·0` is executed, not counted).
     #[must_use]
     pub fn segment_count(&self) -> usize {
-        self.segs.len()
+        self.segs.len() + self.closes.iter().filter(|c| c.weight != 0).count()
     }
 
-    /// Bytes of heap the lowered tile keeps resident: 5 per entry (gather
-    /// offset + close flag), 12 per segment, 4 per level bound.
+    /// Bytes of heap the lowered tile keeps resident: 4 per entry (gather
+    /// offset), 8 per close, 12 per outer segment, 4 per level bound.
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
         4 * (self.base.len() + self.seg_ptr.len())
+            + std::mem::size_of_val(&self.closes[..])
             + std::mem::size_of_val(&self.segs[..])
-            + self.close.len()
     }
 
     /// The shared strip kernel body: adds this tile's partial sums for `LW`
@@ -254,6 +285,10 @@ impl FlattenedTile {
     /// `out[off · PITCH + image]` with `off` counted from that filter's
     /// plane — and `prefix` is caller scratch of at least `rows · LW` prefix
     /// lanes, walked as `LW`-wide rows.
+    ///
+    /// The walk follows closes, not entries: the innermost level lives in
+    /// lane arrays (`run`, `prev`, `inner`), prefix rows only where an outer
+    /// level reads them. Fusing *all* levels so is in ROADMAP's do-not-rebuild.
     ///
     /// What a lane *is* follows from `PITCH` (see [`strip_runs`]): with
     /// `PITCH == LW` the lanes are the chunk's `LW` images at one output
@@ -286,18 +321,18 @@ impl FlattenedTile {
         let stride = geom.stride();
         let (prefix, _) = prefix[..self.rows * LW].as_chunks_mut::<LW>();
         prefix[0] = [0; LW];
+        let once = walked_once(geom);
 
         for x in 0..out_w {
             for y in ys.clone().step_by(LW / PITCH) {
                 // Phase 1: LW parallel running sums behind one offset
-                // stream. The sum is written to the row under the cursor on
-                // every entry, but the cursor only moves past a row when a
-                // group closes on it — so rows hold exactly the prefixes
-                // phase 2 reads, and the walk stays flat and branch-free.
+                // stream, one run of entries per close, where the run's
+                // total (`run − prev`) is multiplied and accumulated. The
+                // sum is stored only where an outer group closes too — a
+                // branch each position repeats, unlike a walked-once tile
+                // (a branch-free cursor store is 4–6 % slower here).
                 let delta = stride * (x * ph + y);
-                let mut run = [0i32; LW];
-                let mut row = 1;
-                for (&b, &c) in self.base.iter().zip(&self.close) {
+                let gather = |run: &mut [i32; LW], b: u32| {
                     let at = b as usize + delta;
                     let strip: &[i16] = if PITCH == LW {
                         &input.as_chunks::<LW>().0[at]
@@ -307,35 +342,79 @@ impl FlattenedTile {
                     for (r, &v) in run.iter_mut().zip(strip) {
                         *r += i32::from(v);
                     }
-                    prefix[row] = run;
-                    row += usize::from(c);
-                }
-                // Phase 2: segment ranges resolved once; each segment is one
-                // prefix-row difference times one broadcast weight.
-                for level in 0..self.g {
-                    let mut acc = [0i32; LW];
-                    let s0 = self.seg_ptr[level] as usize;
-                    let s1 = self.seg_ptr[level + 1] as usize;
-                    for seg in &self.segs[s0..s1] {
-                        let hi = &prefix[seg.end as usize];
-                        let lo = &prefix[seg.start as usize];
-                        for (a, (&h, &l)) in acc.iter_mut().zip(hi.iter().zip(lo)) {
-                            *a += (h - l) * seg.weight;
+                };
+                let (mut run, mut prev, mut inner) = ([0i32; LW], [0i32; LW], [0i32; LW]);
+                if once {
+                    // A row per entry, then one row difference per close.
+                    for (&b, row) in self.base.iter().zip(&mut prefix[1..]) {
+                        gather(&mut run, b);
+                        *row = run;
+                    }
+                    let mut end = 0;
+                    for close in &self.closes {
+                        let start = end;
+                        end += close.len as usize;
+                        let weight = i32::from(close.weight);
+                        let rows = prefix[end].iter().zip(&prefix[start]);
+                        for (a, (&h, &l)) in inner.iter_mut().zip(rows) {
+                            *a += (h - l) * weight;
                         }
                     }
+                } else {
+                    let mut row = 1;
+                    let mut rest = &self.base[..];
+                    for close in &self.closes {
+                        let (entries, after) = rest.split_at(close.len as usize);
+                        rest = after;
+                        for &b in entries {
+                            gather(&mut run, b);
+                        }
+                        let weight = i32::from(close.weight);
+                        for (a, (r, p)) in inner.iter_mut().zip(run.iter().zip(&mut prev)) {
+                            *a += (r - *p) * weight;
+                            *p = *r;
+                        }
+                        if close.keep {
+                            prefix[row] = run;
+                            row += 1;
+                        }
+                    }
+                }
+                let mut add_to_plane = |level: usize, acc: &[i32; LW]| {
                     let at = (level * out_w + x) * out_h + y;
                     let dst: &mut [i32] = if PITCH == LW {
                         &mut out.as_chunks_mut::<LW>().0[at]
                     } else {
                         &mut out[at..][..LW]
                     };
-                    for (o, &a) in dst.iter_mut().zip(&acc) {
+                    for (o, &a) in dst.iter_mut().zip(acc) {
                         *o += a;
                     }
+                };
+                add_to_plane(self.g - 1, &inner);
+                // Phase 2, outer levels: segment ranges resolved once; each
+                // segment is one row difference times one broadcast weight.
+                for (level, bounds) in self.seg_ptr.windows(2).enumerate() {
+                    let mut acc = [0i32; LW];
+                    for seg in &self.segs[bounds[0] as usize..bounds[1] as usize] {
+                        let hi = &prefix[seg.end as usize];
+                        let lo = &prefix[seg.start as usize];
+                        for (a, (&h, &l)) in acc.iter_mut().zip(hi.iter().zip(lo)) {
+                            *a += (h - l) * seg.weight;
+                        }
+                    }
+                    add_to_plane(level, &acc);
                 }
             }
         }
     }
+}
+
+/// Whether a layer's tiles are walked once per chunk (one output position):
+/// the predictor never sees a tile's run lengths twice (FC up to 2.6× slower), so
+/// such a tile keeps a row per entry and no trip count depends on a run.
+fn walked_once(geom: &ConvGeom) -> bool {
+    geom.out_w() * geom.out_h() == 1
 }
 
 /// The `#[target_feature]`-gated tier kernels: each wrapper re-monomorphizes
@@ -722,7 +801,7 @@ pub struct FlattenedScratch {
     /// its consumer's input into the other.
     planes: [Rows<i16>; 2],
     /// Prefix-sum lanes: `rows · LW` values, row `j` = prefix at the `j`-th
-    /// group close (row 0 = zeros).
+    /// kept (outer-level) close (row 0 = zeros).
     prefix: Rows<i32>,
     /// Lane-major sums of one filter band: `band_lanes[off · LW + lane]`,
     /// `off` counted from the band's first output plane. `G` planes, not
@@ -1593,8 +1672,8 @@ mod tests {
         let (i16_line, i32_line) = (Rows::<i16>::SLACK, Rows::<i32>::SLACK);
         assert_eq!(scratch.band_lanes.0.capacity(), band * widest + i32_line);
         // The staged chunk covers the padded conv's haloed plane (126
-        // offsets, more than the FC layer's 48); the prefix holds one row
-        // per group close. The second plane is the network pipeline's.
+        // offsets, more than the FC layer's 48); the prefix holds the zero
+        // row and one per kept close. The second plane is the network pipeline's.
         assert_eq!(
             scratch.planes[0].0.capacity(),
             3 * (5 + 2) * (4 + 2) * widest + i16_line
@@ -1640,7 +1719,9 @@ mod tests {
         // counts one line of slack per allocated buffer. The prefix rows
         // are as wide as the widest strip dispatched: the chunk, or — for
         // one image — its position-lane strip (output rows of 4 and 9
-        // positions: strips of 4 and 8 on every tier).
+        // positions: strips of 4 and 8 on every tier) — and there is one
+        // per *kept* close, which the larger layer need not have more of:
+        // the arena only grows, so the prefix holds the larger demand.
         let geoms = [
             (ConvGeom::new(5, 4, 3, 4, 3, 3).with_pad(1), 4),
             (ConvGeom::new(9, 7, 4, 6, 3, 3).with_pad(2), 8),
@@ -1648,6 +1729,7 @@ mod tests {
         let mut agen = ActivationGen::new(93);
         for lw in [1usize, 8, 16, 32] {
             let mut scratch = FlattenedScratch::new();
+            let mut prefix = 0;
             for (gi, (geom, single)) in geoms.iter().enumerate() {
                 let mut wgen = WeightGen::new(QuantScheme::inq(), 92 + gi as u64).with_density(0.8);
                 let weights = wgen.generate_dims(geom.k(), geom.c(), 3, 3);
@@ -1655,13 +1737,12 @@ mod tests {
                 scratch.reserve_for(&layer, lw);
                 assert_aligned(&scratch, &format!("LW {lw}, layer {gi}, reserved"));
                 let rows = layer.flat_tiles().iter().map(|t| t.rows).max().unwrap();
+                prefix = prefix.max(rows * lw.max(*single));
                 let cells = haloed_len((geom.c(), geom.in_w(), geom.in_h()), geom.pad());
                 let reserved = scratch.resident_bytes();
                 assert_eq!(
                     reserved,
-                    cells * lw * 2
-                        + (rows * lw.max(*single) + 2 * geom.out_w() * geom.out_h() * lw) * 4
-                        + 3 * LINE,
+                    cells * lw * 2 + (prefix + 2 * geom.out_w() * geom.out_h() * lw) * 4 + 3 * LINE,
                     "LW {lw}, layer {gi}: rows plus one line of slack per buffer"
                 );
                 // Exactly `lw` lanes: one chunk of this strip width on any
@@ -1716,7 +1797,7 @@ mod tests {
         assert_eq!(
             scratch.resident_bytes(),
             3 * (8 + 2) * (8 + 2) * lw * 2 + max_rows * lw * 4 + staging + 2 * LINE,
-            "resident_bytes is the haloed staged input + close-row prefix lanes + one band, \
+            "resident_bytes is the haloed staged input + kept-close prefix lanes + one band, \
              each with its line of alignment slack"
         );
         assert!(
@@ -1887,8 +1968,9 @@ mod tests {
     fn geometry_sweep_matches_reference_on_every_tier() {
         // The single gather path against the dense reference over stride ×
         // pad — including pad > r − 1, where whole windows sit in the halo —
-        // on a non-square plane, cycling grouped conv and G through the
-        // cells, with ragged channel tiles (C = 5, Ct = 2) throughout and
+        // on a non-square plane, cycling grouped conv and G = 1..=4 through
+        // the cells (G = 1 has no outer level and keeps no row; G = 4 leaves
+        // a ragged band), with ragged channel tiles (C = 5, Ct = 2) and
         // batches that straddle every strip width. Single images (B = 1,
         // and the five of B = 5) run the stride-1 cells on position lanes
         // and the strided ones on the width-1 walk.
@@ -1920,7 +2002,7 @@ mod tests {
             [1, 2, 3, 7, 9, 33],
         ));
         for (case, (geom, batches)) in cases.into_iter().enumerate() {
-            let (conv_groups, g) = (1 + case % 2, 1 + case % 3);
+            let (conv_groups, g) = (1 + case % 2, 1 + case % 4);
             let seed = 400 + case as u64;
             let mut wgen = WeightGen::new(QuantScheme::inq(), seed).with_density(0.8);
             let weights = wgen.generate_dims(geom.k(), geom.c(), geom.r(), geom.s());
@@ -1988,10 +2070,14 @@ mod tests {
 
     #[test]
     fn every_stream_ends_on_a_close_and_rows_count_the_closes() {
-        // Phase 1 writes row `cursor` on every entry and only advances past
-        // it on a close: the last entry must close (or the final row would
-        // be written and never read) and `rows` must be `closes + 1` (or
-        // the cursor would leave the prefix buffer).
+        // Phase 1 walks one run of entries per close record and stores the
+        // running sum at the kept ones: the run lengths must partition the
+        // entries (the last entry closes, or its adds would never be
+        // multiplied), the last close must be kept when outer levels exist
+        // (or a level's last group would have no row), and `rows` must
+        // count the zero row plus the kept closes — nothing at G = 1. A tile walked once (one output position:
+        // the two FC shapes) keeps a row per entry instead, and its outer
+        // segments index those.
         let shapes = [
             (ConvGeom::new(6, 5, 7, 6, 3, 3).with_pad(1), 1usize, 3usize),
             (
@@ -2000,6 +2086,8 @@ mod tests {
                 2,
             ),
             (ConvGeom::new(1, 1, 96, 5, 1, 1), 1, 1),
+            (ConvGeom::new(4, 4, 6, 8, 3, 3), 1, 4),
+            (ConvGeom::new(1, 1, 40, 6, 1, 1), 1, 3),
         ];
         for (si, (geom, conv_groups, g)) in shapes.into_iter().enumerate() {
             let mut wgen = WeightGen::new(QuantScheme::inq(), 80 + si as u64).with_density(0.7);
@@ -2011,19 +2099,34 @@ mod tests {
             };
             let layer = CompiledLayer::compile(&geom, conv_groups, &weights, &cfg);
             for (tile, flat) in layer.tiles().iter().zip(layer.flat_tiles()) {
+                let stream = tile.stream();
                 let n = flat.entry_count();
-                assert_eq!(n, tile.stream().entry_count());
-                if n > 0 {
-                    assert_eq!(tile.stream().entry(n - 1).close_level, Some(0));
-                    assert_eq!(flat.close[n - 1], 1, "shape {si}: last entry must close");
+                assert_eq!(n, stream.entry_count());
+                // One record per stream close, each ending its run on it.
+                let mut at = 0;
+                for close in &flat.closes {
+                    assert!(close.len >= 1, "shape {si}: an empty run");
+                    at += close.len as usize;
+                    let level = stream.entry(at - 1).close_level;
+                    assert!(level.is_some(), "shape {si}: a run must end on a close");
+                    assert_eq!(close.keep, usize::from(level.unwrap()) < flat.g - 1);
                 }
-                let closes: usize = flat.close.iter().map(|&c| usize::from(c)).sum();
-                assert_eq!(flat.rows, closes + 1, "shape {si}");
+                assert_eq!(at, n, "shape {si}: runs must partition the entries");
+                let kept = flat.closes.iter().filter(|c| c.keep).count();
+                let last_kept = flat.closes.last().is_none_or(|c| c.keep);
+                assert_eq!(last_kept, flat.g > 1 || n == 0, "shape {si}");
+                let once = walked_once(&geom);
+                let last_row = if once { n } else { kept };
+                assert_eq!(flat.rows, 1 + last_row, "shape {si}");
+                // Outer segments index kept rows only (entry rows, once).
+                assert_eq!(flat.seg_ptr.len(), flat.g, "levels 0..G−1 only");
                 for seg in &flat.segs {
-                    assert!(seg.start < seg.end && (seg.end as usize) < flat.rows);
+                    assert!(seg.start < seg.end && seg.end as usize <= last_row);
+                    let end = stream.entry(seg.end as usize - 1).close_level;
+                    assert!(!once || end.is_some_and(|l| usize::from(l) < flat.g - 1));
                 }
-                // Stream order within a level: phase 2 reads the prefix
-                // rows monotonically.
+                // Stream order within a level: phase 2 reads the kept rows
+                // monotonically.
                 for level in flat.seg_ptr.windows(2) {
                     let segs = &flat.segs[level[0] as usize..level[1] as usize];
                     assert!(
@@ -2092,13 +2195,23 @@ mod tests {
             _ => 0,
         });
         let geom = ConvGeom::new(1, 9, c, 6, 1, 1);
-        let layer = CompiledLayer::compile(&geom, 1, &weights, &UcnnConfig::with_g(2));
         let levels = [i16::MAX, 16_384, 16_383, 1, 0];
         // Image `i` cycles the levels along its row from level `i`.
         let image = |i: usize| Tensor3::from_fn(c, 1, 9, |_, _, y| levels[(i + y) % levels.len()]);
-        for b in [1usize, 5, 32, 35] {
-            let inputs: Vec<Tensor3<i16>> = (0..b).map(image).collect();
-            check_bands_against_reference(&layer, &weights, &inputs, "extremes");
+        // At G = 2 k0 is an outer level (a kept-row difference in phase 2)
+        // and k1 the fused innermost one; at G = 1 every filter wraps
+        // through `inner += (run − prev)·w` in registers.
+        for g in [1usize, 2] {
+            let layer = CompiledLayer::compile(&geom, 1, &weights, &UcnnConfig::with_g(g));
+            for b in [1usize, 5, 32, 35] {
+                let inputs: Vec<Tensor3<i16>> = (0..b).map(image).collect();
+                check_bands_against_reference(
+                    &layer,
+                    &weights,
+                    &inputs,
+                    &format!("extremes, G {g}"),
+                );
+            }
         }
         // The regimes were actually reached (image 0 starts at A = i16::MAX).
         let sums = reference::conv2d(&geom, 1, &image(0), &weights);
@@ -2171,8 +2284,12 @@ mod tests {
 
     #[test]
     fn ragged_channel_tiles_exact() {
+        // Every depth of hierarchy over the same ragged tiles: G = 1 is the
+        // fused level alone, G = 4 three outer levels above it.
         let geom = ConvGeom::new(8, 8, 10, 4, 3, 3);
-        check(geom, 1, 3, 4, 6);
+        for g in 1..=4 {
+            check(geom, 1, g, 4, 6);
+        }
     }
 
     #[test]
@@ -2182,12 +2299,16 @@ mod tests {
         let tile = FlattenedTile::lower(&stream, 0, 0, &geom);
         assert_eq!(tile.entry_count(), 0);
         assert_eq!(tile.segment_count(), 0);
+        // No closes, and no rows beyond the zero row.
+        assert!(tile.closes.is_empty() && tile.segs.is_empty());
+        assert_eq!(tile.rows, 1);
     }
 
     #[test]
     fn segment_counts_match_stream_multiplies() {
-        // Segments per position equal the stream's uncapped multiply count:
-        // one multiply per non-zero group closure.
+        // Multiplies per position equal the stream's uncapped multiply
+        // count — one per non-zero group closure: the outer levels'
+        // segments plus the innermost level's non-zero-weight closes.
         let mut wgen = WeightGen::new(QuantScheme::inq(), 9).with_density(0.7);
         let w = wgen.generate_dims(2, 8, 3, 3);
         let slices: Vec<&[i16]> = vec![w.filter(0), w.filter(1)];
@@ -2195,12 +2316,49 @@ mod tests {
         let geom = ConvGeom::new(5, 5, 8, 2, 3, 3);
         let tile = FlattenedTile::lower(&stream, 0, 0, &geom);
         assert_eq!(tile.segment_count(), stream.multiplies());
-        // An INQ (`±2^k`) tile keeps nothing resident beyond the gather
-        // stream, the segments and the level bounds.
+        let nonzero = tile.closes.iter().filter(|c| c.weight != 0).count();
+        assert!(
+            nonzero < tile.closes.len(),
+            "density 0.7 leaves zero groups"
+        );
+        assert_eq!(tile.segment_count(), tile.segs.len() + nonzero);
+        assert_eq!(tile.closes.len(), stream.closures_at_level(1));
+        // Nothing is resident beyond the gather stream, the close records,
+        // the outer segments and the level bounds.
         assert_eq!(
             tile.resident_bytes(),
-            5 * tile.entry_count() + 12 * tile.segment_count() + 4 * (stream.g() + 1)
+            4 * tile.entry_count() + 8 * tile.closes.len() + 12 * tile.segs.len() + 4 * stream.g()
         );
+
+        // A hand-built tile whose first outer group *starts* (and ends) on
+        // a zero-weight innermost group and whose second *ends* on one: the
+        // zero closes keep their rows and multiply by 0, the outer level's
+        // own zero group is dropped.
+        let weights = Tensor4::from_vec(2, 5, 1, 1, vec![1i16, 1, 2, 2, 0, 0, 0, 3, 0, 5]).unwrap();
+        let geom = ConvGeom::new(1, 9, 5, 2, 1, 1);
+        let layer = CompiledLayer::compile(&geom, 1, &weights, &UcnnConfig::with_g(2));
+        let [tile] = layer.flat_tiles() else {
+            panic!("one tile");
+        };
+        let close = |len, weight, keep| Close { len, weight, keep };
+        assert_eq!(
+            tile.closes,
+            [
+                close(2, 0, true),
+                close(1, 3, false),
+                close(1, 0, true),
+                close(1, 5, true)
+            ]
+        );
+        let seg = |start, end, weight| Segment { start, end, weight };
+        assert_eq!(tile.segs, [seg(0, 1, 1), seg(1, 2, 2)]);
+        assert_eq!((tile.rows, tile.segment_count()), (4, 4));
+        assert_eq!(layer.tiles()[0].stream().multiplies(), 4);
+        let mut agen = ActivationGen::new(10);
+        for b in [1usize, 9, 32] {
+            let inputs: Vec<Tensor3<i16>> = (0..b).map(|_| agen.generate(5, 1, 9)).collect();
+            check_bands_against_reference(&layer, &weights, &inputs, "zero innermost groups");
+        }
     }
 
     #[test]
