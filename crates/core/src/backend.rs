@@ -268,8 +268,7 @@ fn flattened_work(layer: &CompiledLayer, batch: usize, lowering_was_ready: bool)
     } else {
         work.lowering_misses = 1;
     }
-    let lane = resolve_tier().lane_width();
-    let (chunks, widest) = crate::flatten::strip_profile(layer.geom(), batch, lane);
+    let (chunks, widest) = crate::flatten::strip_profile(layer.geom(), batch, resolve_tier());
     work.lane_strips = chunks as u64;
     work.lane_width = widest as u64;
     work

@@ -61,13 +61,14 @@ pub struct LayerWork {
     /// own, feeding up to [`lane_width`](LayerWork::lane_width) lanes per
     /// walk. Zero for backends that do not interleave.
     pub lane_strips: u64,
-    /// Widest strip the dispatched kernel ran: the widest chunk's image
-    /// lanes, or — for a single image of a stride-1 layer — the widest
-    /// run of output positions it walked at once (at most the dispatched
-    /// tier's [`SimdTier::lane_width`](crate::simd::SimdTier::lane_width);
-    /// 1 for the planar walk, 0 when not applicable). Merged by `max`, so
-    /// an aggregate row reports the widest strip that served it — the
-    /// per-ISA issued-op profile.
+    /// Widest strip the dispatched kernel ran, in lanes — neighbouring
+    /// output positions × the chunk's images behind one indirection read
+    /// (at most the dispatched tier's
+    /// [`SimdTier::strip_lanes`](crate::simd::SimdTier::strip_lanes); one
+    /// position per strip on strided and fully connected layers; 1 for the
+    /// planar walk, 0 when not applicable). Merged by `max`, so an
+    /// aggregate row reports the widest strip that served it — the per-ISA
+    /// issued-op profile.
     pub lane_width: u64,
 }
 

@@ -53,33 +53,39 @@
 //! close or segment). Every gather offset, close record and CSR segment
 //! range is read **once per output position** and feeds all `LW` images.
 //!
-//! The strip width and codegen follow the dispatched [`SimdTier`]
+//! The chunk width and codegen follow the dispatched [`SimdTier`]
 //! ([`simd`](crate::simd)): the `scalar` tier keeps the historical
-//! [`LANE_WIDTH`]` = 8` strips under baseline codegen, while the `avx2` /
-//! `avx512` tiers run the same strip body 16/32 lanes wide inside
-//! `#[target_feature]`-gated kernels so the compiler emits full-width
-//! 256/512-bit arithmetic. Per lane the i32 operation sequence is identical
-//! at every width and every tier, so outputs stay bit-identical to
-//! [`run_flattened`] across all of them — the golden conformance corpus is
-//! the referee.
+//! [`LANE_WIDTH`]` = 8` chunks under baseline codegen, while the `avx2` /
+//! `avx512` tiers interleave 16/32 images and run the same strip body
+//! inside `#[target_feature]`-gated kernels so the compiler emits
+//! full-width 256/512-bit arithmetic. Per lane the i32 operation sequence
+//! is identical at every width and every tier, so outputs stay
+//! bit-identical to [`run_flattened`] across all of them — the golden
+//! conformance corpus is the referee.
 //!
-//! # Two meanings of a lane
+//! # A strip is positions × images
+//!
+//! One rule covers every strip: its lanes are `p` neighbouring output
+//! positions of one row × the `pitch` images of the chunk, lane
+//! `j·pitch + i` being image `i` at position `y + j`. At stride 1 entry `i`
+//! of that strip reads the contiguous staged cells
+//! `(base[i] + x·ph + y)·pitch ..` and the band row it adds into is
+//! contiguous too, so one strip body runs over one [`FlattenedTile`] (no
+//! second lowering, nothing extra resident) at any `p`: an indirection read
+//! is paid once per `p` positions, the paper's `VW` spatial lanes (§IV).
 //!
 //! A batch is cut into chunks of the tier's width, then 16, then
-//! [`LANE_WIDTH`] images — **batch lanes**: lane `j` is image `j` at one
-//! output position — and below eight the rest runs one image at a time,
-//! because a 2–7 lane strip pays the whole walk for a fraction of a
-//! register. A single image finds its lanes in its own output row —
-//! **position lanes**: lane `j` is output position `y + j` of one row of
-//! one planar image. At stride 1 entry `i` of that strip reads the
-//! contiguous staged cells `base[i] + x·ph + y ..` and the band row it adds
-//! into is contiguous too, so the same strip body runs over the same
-//! [`FlattenedTile`] (no second lowering, nothing extra resident) with its
-//! row pitch 1 instead of `LW`. The output row is cut like a batch — tier
-//! width, 16, 8, then the exact tail. Which meaning runs is a function of
-//! the chunk width and the layer's geometry alone (`strip_runs`): layers
-//! with `stride > 1` (a row's reads are not contiguous) or one position per
-//! output row (fully connected) walk a single image width-1.
+//! [`LANE_WIDTH`] images, and below eight the rest runs one image at a time
+//! (`pitch = 1`): a 2–7 image chunk has no pitch of its own yet. A chunk
+//! takes as many positions per strip as the tier's registers hold
+//! ([`SimdTier::strip_lanes`]: 128 lanes on `avx512`, so 4 positions × 32
+//! images or 16 × 8; 32 lanes elsewhere) and works down an output row by
+//! powers of two; a single image takes the tier's width, then 16, 8 and the
+//! exact tail. The shape is a function of the chunk width and the layer's
+//! geometry alone (`strip_runs`): layers with `stride > 1` (a row's reads
+//! are not contiguous) or one position per output row (fully connected)
+//! take one position per strip — the chunk's images, or a single image
+//! walked width-1.
 //!
 //! # Filter bands and the chunk-major pipeline
 //!
@@ -290,19 +296,20 @@ impl FlattenedTile {
     /// lane arrays (`run`, `prev`, `inner`), prefix rows only where an outer
     /// level reads them. Fusing *all* levels so is in ROADMAP's do-not-rebuild.
     ///
-    /// What a lane *is* follows from `PITCH` (see [`strip_runs`]): with
-    /// `PITCH == LW` the lanes are the chunk's `LW` images at one output
-    /// position, and a strip is one line-aligned row of the staged plane;
-    /// with `PITCH == 1` they are the output positions `y..y + LW` of one
-    /// row of one planar image — at stride 1 those read `LW` neighbouring
-    /// staged cells, the same contiguous strip at any offset. Either way
-    /// one walk covers `LW / PITCH` positions, and `LW == PITCH == 1`
-    /// **is** the planar walk, which is how [`run_flattened`] executes.
-    /// A runtime pitch spilled phase 1's loop-invariant pointers in the
-    /// wide kernels (+11–35 % per call, EXPERIMENTS § `positions`).
+    /// The `LW` lanes are `LW / PITCH` neighbouring output positions × the
+    /// chunk's `PITCH` images (see [`strip_runs`]): at stride 1 those read
+    /// `LW` contiguous staged values from `(base + delta) · PITCH` — with
+    /// `PITCH == LW` one line-aligned row of the staged plane, with
+    /// `PITCH == 1` the cells `y..y + LW` of one planar image — and
+    /// `LW == PITCH == 1` **is** the planar walk, which is how
+    /// [`run_flattened`] executes. A runtime pitch spilled phase 1's
+    /// loop-invariant pointers in the wide kernels (+11–35 % per call,
+    /// EXPERIMENTS § `positions`); the one-check `as_chunks` row is kept
+    /// where it applies and a flattened `as_chunks::<PITCH>` window measured
+    /// no better elsewhere (§ `strips`).
     ///
     /// Per lane the i32 operation sequence is independent of `LW` and of
-    /// the lanes' meaning: one indirection walk feeds all `LW` lanes, and
+    /// the strip's shape: one indirection walk feeds all `LW` lanes, and
     /// every inner loop is a contiguous `LW`-wide strip the compiler lifts
     /// to SIMD at whatever register width the enclosing `#[target_feature]`
     /// wrapper enables. The const generic keeps the lane arrays on the
@@ -337,7 +344,7 @@ impl FlattenedTile {
                     let strip: &[i16] = if PITCH == LW {
                         &input.as_chunks::<LW>().0[at]
                     } else {
-                        &input[at..][..LW]
+                        &input[at * PITCH..][..LW]
                     };
                     for (r, &v) in run.iter_mut().zip(strip) {
                         *r += i32::from(v);
@@ -385,7 +392,7 @@ impl FlattenedTile {
                     let dst: &mut [i32] = if PITCH == LW {
                         &mut out.as_chunks_mut::<LW>().0[at]
                     } else {
-                        &mut out[at..][..LW]
+                        &mut out[at * PITCH..][..LW]
                     };
                     for (o, &a) in dst.iter_mut().zip(acc) {
                         *o += a;
@@ -521,41 +528,42 @@ fn accumulate_width<const LW: usize, const PITCH: usize>(
 /// `ys` of every output row, on a chunk staged `pitch` images wide.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct StripRun {
-    /// Lanes per strip — the monomorphized `LW`.
+    /// Lanes per strip — the monomorphized `LW`: `width / pitch`
+    /// neighbouring output positions × `pitch` images.
     width: usize,
-    /// Images interleaved in the staged chunk (its row pitch): `width`
-    /// when the lanes are images, 1 when they are output positions.
+    /// Images interleaved in the staged chunk (its row pitch).
     pitch: usize,
     /// The positions `y` of every output row, in steps of `width / pitch`.
     ys: Range<usize>,
 }
 
-/// The strip-kernel calls one tile makes for a chunk of `lw` images on a
-/// tier `lane` lanes wide — where the two meanings of a lane are chosen,
-/// from the chunk width and the layer's geometry alone.
+/// The strip-kernel calls one tile makes for a chunk of `lw` images on
+/// `tier` — where a strip's shape (positions × images) is chosen, from the
+/// chunk width and the layer's geometry alone.
 ///
-/// A chunk of [`LANE_WIDTH`] images or more is one run whose lanes are the
-/// images (**batch lanes**). A single image of a stride-1 layer with more
-/// than one position per output row runs **position lanes**: the row is
-/// cut by [`next_strip_width`] — tier-wide strips, then 16, 8 and the
-/// exact tail — one run per width. Strided layers (a row's reads are not
-/// contiguous) and `out_h == 1` (fully connected) keep the width-1 walk.
-fn strip_runs(geom: &ConvGeom, lw: usize, lane: usize) -> impl Iterator<Item = StripRun> {
+/// At stride 1 the staged cells of neighbouring output positions are
+/// contiguous, so a strip takes as many positions of an output row as the
+/// tier's registers hold: a chunk of [`LANE_WIDTH`] images or more cascades
+/// through the powers of two from [`SimdTier::strip_lanes`]` / lw`
+/// positions down to one, a single image through [`next_strip_width`] —
+/// tier-wide strips, then 16, 8 and the exact tail — one run per width.
+/// Strided layers (a row's reads are not contiguous) and `out_h == 1`
+/// (fully connected) take one position per strip.
+fn strip_runs(geom: &ConvGeom, lw: usize, tier: SimdTier) -> impl Iterator<Item = StripRun> {
     let out_h = geom.out_h();
-    let positions = lw == 1 && geom.stride() == 1 && out_h > 1;
+    let row_lanes = geom.stride() == 1 && out_h > 1;
     let mut y = 0;
     std::iter::from_fn(move || {
         let rest = out_h - y;
         if rest == 0 {
             return None;
         }
-        let width = if positions {
-            next_strip_width(rest, lane)
-        } else {
-            lw
+        let width = match lw {
+            _ if !row_lanes => lw,
+            1 => next_strip_width(rest, tier.lane_width()),
+            _ => lw << rest.min(tier.strip_lanes() / lw).ilog2(),
         };
-        // Every strip of this width in one run: `width / lw` positions per
-        // strip, so batch lanes take the whole row one position at a time.
+        // Every strip of this width in one run, `width / lw` positions each.
         let ys = y..out_h - rest % (width / lw);
         y = ys.end;
         Some(StripRun {
@@ -566,40 +574,44 @@ fn strip_runs(geom: &ConvGeom, lw: usize, lane: usize) -> impl Iterator<Item = S
     })
 }
 
-/// Dispatches one [`StripRun`] to its monomorphized kernel: position lanes
-/// at every width [`next_strip_width`] emits (`1..=8`, 16, 32 — width 1 is
-/// the planar walk), batch lanes at the chunk widths [`next_chunk_width`]
-/// still emits (8, 16, 32) — 13 kernels per ISA tier.
-fn accumulate_tile_lanes(
-    tile: &FlattenedTile,
-    input: &[i16],
-    out: &mut [i32],
-    geom: &ConvGeom,
-    prefix: &mut [i32],
-    run: &StripRun,
-    tier: SimdTier,
-) {
-    macro_rules! kernel {
-        ($lw:literal, $pitch:literal) => {
-            accumulate_width::<$lw, $pitch>(tile, input, out, geom, prefix, run.ys.clone(), tier)
-        };
-    }
-    match (run.width, run.pitch) {
-        (1, 1) => kernel!(1, 1),
-        (2, 1) => kernel!(2, 1),
-        (3, 1) => kernel!(3, 1),
-        (4, 1) => kernel!(4, 1),
-        (5, 1) => kernel!(5, 1),
-        (6, 1) => kernel!(6, 1),
-        (7, 1) => kernel!(7, 1),
-        (8, 1) => kernel!(8, 1),
-        (16, 1) => kernel!(16, 1),
-        (32, 1) => kernel!(32, 1),
-        (8, 8) => kernel!(8, 8),
-        (16, 16) => kernel!(16, 16),
-        (32, 32) => kernel!(32, 32),
-        other => unreachable!("strip {other:?} has no monomorphized kernel"),
-    }
+/// Declares the monomorphized `(width, pitch)` strip kernels: the dispatch
+/// of one [`StripRun`] and the same list as data for the census test.
+macro_rules! strip_kernels {
+    ($(($lw:literal, $pitch:literal))*) => {
+        #[cfg(test)]
+        const KERNELS: &[(usize, usize)] = &[$(($lw, $pitch)),*];
+
+        /// Dispatches one [`StripRun`] to its monomorphized kernel.
+        fn accumulate_tile_lanes(
+            tile: &FlattenedTile,
+            input: &[i16],
+            out: &mut [i32],
+            geom: &ConvGeom,
+            prefix: &mut [i32],
+            run: &StripRun,
+            tier: SimdTier,
+        ) {
+            let ys = run.ys.clone();
+            match (run.width, run.pitch) {
+                $(($lw, $pitch) => {
+                    accumulate_width::<$lw, $pitch>(tile, input, out, geom, prefix, ys, tier);
+                })*
+                other => unreachable!("strip {other:?} has no monomorphized kernel"),
+            }
+        }
+    };
+}
+
+// A single image at every width [`next_strip_width`] emits (`1..=8`, 16, 32
+// — width 1 is the planar walk), the chunk widths [`next_chunk_width`]
+// emits (8, 16, 32) at every power-of-two depth up to 128 lanes: 22 kernels
+// per ISA tier, each one emitted by some tier and nothing else
+// (`every_strip_has_a_kernel_and_every_kernel_a_strip`).
+strip_kernels! {
+    (1, 1) (2, 1) (3, 1) (4, 1) (5, 1) (6, 1) (7, 1) (8, 1) (16, 1) (32, 1)
+    (8, 8) (16, 8) (32, 8) (64, 8) (128, 8)
+    (16, 16) (32, 16) (64, 16) (128, 16)
+    (32, 32) (64, 32) (128, 32)
 }
 
 /// The width of the next strip when `rest` lanes remain and the dispatched
@@ -607,7 +619,7 @@ fn accumulate_tile_lanes(
 /// then the widest monomorphized residuals (16, then [`LANE_WIDTH`]), then
 /// the exact remainder. Every emitted width has a kernel in
 /// [`accumulate_tile_lanes`]. This is how one image's output row is cut
-/// into position-lane strips.
+/// into strips, and — down to [`LANE_WIDTH`] — a batch into chunks.
 fn next_strip_width(rest: usize, lane_width: usize) -> usize {
     if rest >= lane_width {
         lane_width
@@ -622,9 +634,9 @@ fn next_strip_width(rest: usize, lane_width: usize) -> usize {
 
 /// The width of the next lane chunk when `rest` images remain: the
 /// [`next_strip_width`] decomposition down to [`LANE_WIDTH`], and below it
-/// one image at a time — a residual of 2–7 images would pay a full walk
-/// per output position for that few lanes, while a single image fills the
-/// tier's lanes with output positions ([`strip_runs`]).
+/// one image at a time — a residual of 2–7 images has no pitch of its own
+/// (ROADMAP 3(e)), while a single image fills the tier's lanes with output
+/// positions ([`strip_runs`]).
 fn next_chunk_width(rest: usize, lane_width: usize) -> usize {
     match next_strip_width(rest, lane_width) {
         width if width < LANE_WIDTH => 1,
@@ -632,17 +644,17 @@ fn next_chunk_width(rest: usize, lane_width: usize) -> usize {
     }
 }
 
-/// How a batch of `batch` images of a layer runs on a tier `lane_width`
-/// lanes wide: the lane chunks [`next_chunk_width`] cuts it into and the
-/// widest strip any of them runs ([`strip_runs`]) — the analytic
+/// How a batch of `batch` images of a layer runs on `tier`: the lane chunks
+/// [`next_chunk_width`] cuts it into and the widest strip any of them runs
+/// ([`strip_runs`]) — the analytic
 /// [`LayerWork::lane_strips`](crate::counters::LayerWork::lane_strips) and
 /// [`LayerWork::lane_width`](crate::counters::LayerWork::lane_width).
 #[must_use]
-pub(crate) fn strip_profile(geom: &ConvGeom, batch: usize, lane_width: usize) -> (usize, usize) {
+pub(crate) fn strip_profile(geom: &ConvGeom, batch: usize, tier: SimdTier) -> (usize, usize) {
     let (mut rest, mut chunks, mut widest) = (batch, 0, 0);
     while rest > 0 {
-        let lw = next_chunk_width(rest, lane_width);
-        widest = widest.max(widest_strip(geom, lw, lane_width));
+        let lw = next_chunk_width(rest, tier.lane_width());
+        widest = widest.max(widest_strip(geom, lw, tier));
         rest -= lw;
         chunks += 1;
     }
@@ -650,9 +662,10 @@ pub(crate) fn strip_profile(geom: &ConvGeom, batch: usize, lane_width: usize) ->
 }
 
 /// The widest strip a chunk of `lw` images runs: its first [`strip_runs`]
-/// run — what sizes the prefix rows.
-fn widest_strip(geom: &ConvGeom, lw: usize, lane: usize) -> usize {
-    strip_runs(geom, lw, lane)
+/// run — what sizes the prefix rows. Never narrower than a narrower
+/// chunk's, or the same chunk's on a narrower tier.
+fn widest_strip(geom: &ConvGeom, lw: usize, tier: SimdTier) -> usize {
+    strip_runs(geom, lw, tier)
         .next()
         .map_or(lw, |run| run.width)
 }
@@ -697,7 +710,7 @@ pub fn run_flattened(layer: &CompiledLayer, input: &Tensor3<i16>) -> Tensor3<i32
         } = &mut arenas[0];
         let staged = stage_chunk(inputs, geom.pad(), staged);
         // The oracle keeps the one-position-per-walk form at every
-        // geometry: it is what the position-lane strips are checked against.
+        // geometry: it is what every wider strip is checked against.
         let ys = 0..geom.out_h();
         for tile in layer.flat_tiles() {
             // Width 1 *is* the planar layout, so the tile's band is simply
@@ -718,6 +731,10 @@ pub fn run_flattened(layer: &CompiledLayer, input: &Tensor3<i16>) -> Tensor3<i32
 /// 32-lane strips (see [`SimdTier::lane_width`]), all through the same
 /// monomorphized kernel set.
 pub const LANE_WIDTH: usize = 8;
+
+/// The widest chunk of images interleaved: the widest tier's
+/// [`SimdTier::lane_width`].
+const MAX_CHUNK: usize = SimdTier::Avx512.lane_width();
 
 /// `(channels, width, height)` of an activation tensor.
 pub(crate) type Dims = (usize, usize, usize);
@@ -826,9 +843,8 @@ impl FlattenedScratch {
     /// reserved for a wide layer serves narrower ones for free. The output
     /// staging is sized for the layer's widest filter band
     /// (`G · out_w · out_h · lane_width`), independent of its filter count;
-    /// the prefix rows are as wide as the widest strip dispatched, which
-    /// for a single image is its position-lane strip on the CPU's widest
-    /// tier, not the chunk width.
+    /// the prefix rows are as wide as the widest strip such a chunk runs on
+    /// the CPU's widest tier — positions × images, not the chunk width.
     pub fn reserve_for(&mut self, layer: &CompiledLayer, lane_width: usize) {
         let geom = layer.geom();
         let in_dims = (geom.c() * layer.conv_groups(), geom.in_w(), geom.in_h());
@@ -837,8 +853,8 @@ impl FlattenedScratch {
         let max_rows = tiles.iter().map(|t| t.rows).max().unwrap_or(0);
         let max_g = tiles.iter().map(|t| t.g).max().unwrap_or(0);
         self.planes[0].reserve(haloed_len(in_dims, geom.pad()) * lane_width);
-        let single = widest_strip(geom, 1, SimdCaps::get().best().lane_width());
-        self.prefix.reserve(max_rows * lane_width.max(single));
+        let widest = widest_strip(geom, lane_width, SimdCaps::get().best());
+        self.prefix.reserve(max_rows * widest);
         self.band_lanes.reserve(max_g * plane * lane_width);
     }
 
@@ -1018,7 +1034,7 @@ fn run_bands(
     band_lanes: &mut Rows<i32>,
     mut sink: impl FnMut(usize, &[i32]),
 ) {
-    debug_assert!(matches!(lw, 1 | 8 | 16 | 32), "chunk width {lw}");
+    debug_assert!(matches!(lw, 1 | 8 | 16 | MAX_CHUNK), "chunk width {lw}");
     let geom = layer.geom();
     let plane = geom.out_w() * geom.out_h();
     // `CompiledLayer::compile` emits tiles band by band, so the channel
@@ -1031,7 +1047,7 @@ fn run_bands(
         let sums = band_lanes.rows_mut(g * plane * lw);
         sums.fill(0);
         for tile in band {
-            for run in strip_runs(geom, lw, tier.lane_width()) {
+            for run in strip_runs(geom, lw, tier) {
                 let prefix = prefix.rows_mut(tile.rows * run.width);
                 accumulate_tile_lanes(tile, input, sums, geom, prefix, &run, tier);
             }
@@ -1100,7 +1116,7 @@ fn pool_lanes(
     let lw = dst.lw;
     let (_, out_w, _) = dst.dims;
     // One widened sum per lane of the widest chunk.
-    let mut sum = [0i32; 32];
+    let mut sum = [0i32; MAX_CHUNK];
     let sum = &mut sum[..lw];
     for (ch, ox) in (0..c).flat_map(|ch| (0..out_w).map(move |ox| (ch, ox))) {
         let (x0, x1) = (ox * stride, (ox * stride + size).min(w));
@@ -1333,17 +1349,17 @@ pub(crate) fn run_network_interleaved(
 /// interleave width (8 scalar, 16 AVX2, 32 AVX-512 — the process-wide
 /// [`resolve_tier`]). Each chunk is staged once into the zero-haloed
 /// batch-interleaved layout, every gather offset / CSR segment range is
-/// computed once per entry per output position, and the prefix-sum and
+/// computed once per entry per strip, and the prefix-sum and
 /// segment-multiply phases run as contiguous `LW`-wide strips through the
 /// tier's `#[target_feature]` kernel, one filter band at a time; each
-/// finished band is de-interleaved into the per-image outputs. Fewer than
-/// [`LANE_WIDTH`] images (a whole small batch, or what is left after the
-/// last chunk) run one at a time, and a single image of a stride-1 layer
-/// fills the same strips with neighbouring positions of each output row
-/// instead (position lanes, see the module docs). Per image the i32
-/// operation sequence is identical to [`run_flattened`] at every width,
-/// tier and lane meaning, so outputs are **bit-identical** to it at every
-/// batch size and thread count.
+/// finished band is de-interleaved into the per-image outputs. On a
+/// stride-1 layer a strip is as many neighbouring positions of an output
+/// row × the chunk's images as the tier's registers hold (see the module
+/// docs). Fewer than [`LANE_WIDTH`] images (a whole small batch, or what is
+/// left after the last chunk) run one at a time, a strip being positions of
+/// that one image. Per image the i32 operation sequence is identical to
+/// [`run_flattened`] at every width, tier and strip shape, so outputs are
+/// **bit-identical** to it at every batch size and thread count.
 ///
 /// `threads > 1` splits the batch into contiguous runs of **whole
 /// tier-width chunks** executed on scoped threads — never below the active
@@ -1672,27 +1688,36 @@ mod tests {
         let (i16_line, i32_line) = (Rows::<i16>::SLACK, Rows::<i32>::SLACK);
         assert_eq!(scratch.band_lanes.0.capacity(), band * widest + i32_line);
         // The staged chunk covers the padded conv's haloed plane (126
-        // offsets, more than the FC layer's 48); the prefix holds the zero
-        // row and one per kept close. The second plane is the network pipeline's.
+        // offsets, more than the FC layer's 48). The second plane is the
+        // network pipeline's.
         assert_eq!(
             scratch.planes[0].0.capacity(),
             3 * (5 + 2) * (4 + 2) * widest + i16_line
         );
         assert_eq!(scratch.planes[1].0.capacity(), 0);
-        let rows = layers.iter().flat_map(CompiledLayer::flat_tiles);
-        let max_rows = rows.map(|t| t.rows).max().unwrap();
-        // A single image's position-lane strips (the conv's output rows
-        // hold 4 positions) are narrower than the widest chunk, so the
-        // chunk width still sizes the prefix rows.
-        assert_eq!(scratch.prefix.0.capacity(), max_rows * widest + i32_line);
+        // Each layer's rows are as wide as the widest strip a full chunk of
+        // it runs on the widest tier: the chunk itself on the FC layer, four
+        // positions (the conv's whole output row) × the chunk on the conv.
+        let best = SimdCaps::get().best();
+        let strips = [widest, (4 * widest).min(best.strip_lanes())];
+        let prefix = layers.iter().zip(strips).map(|(layer, strip)| {
+            assert_eq!(widest_strip(layer.geom(), widest, best), strip);
+            layer.flat_tiles().iter().map(|t| t.rows).max().unwrap() * strip
+        });
+        assert_eq!(
+            scratch.prefix.0.capacity(),
+            prefix.max().unwrap() + i32_line
+        );
         let reserved = arena_layout(&scratch);
         let mut agen = ActivationGen::new(91);
         for round in 0..2 {
             for (layer, geom) in layers.iter().zip(&geoms) {
                 for &tier in available_tiers() {
                     let lane = tier.lane_width();
-                    // A full-width chunk, then three single images (position
-                    // lanes on the conv, the width-1 walk on the FC layer).
+                    // A full-width chunk (on the conv: strips of four
+                    // positions × the chunk, capped by the tier), then three
+                    // single images (four positions on the conv, the width-1
+                    // walk on the FC layer).
                     let b = lane + 3;
                     let inputs: Vec<Tensor3<i16>> = (0..b)
                         .map(|_| agen.generate(geom.c(), geom.in_w(), geom.in_h()))
@@ -1717,11 +1742,14 @@ mod tests {
         // layer, each of the arena's row buffers hands out views at
         // `addr % 64 == 0` at every strip width, and `resident_bytes`
         // counts one line of slack per allocated buffer. The prefix rows
-        // are as wide as the widest strip dispatched: the chunk, or — for
-        // one image — its position-lane strip (output rows of 4 and 9
-        // positions: strips of 4 and 8 on every tier) — and there is one
-        // per *kept* close, which the larger layer need not have more of:
-        // the arena only grows, so the prefix holds the larger demand.
+        // are as wide as the widest strip a chunk of `lw` images runs on the
+        // widest tier — positions × images: output rows of 4 and 9
+        // positions give strips of 4 and 8 for one image, 4 and 8 positions
+        // deep (as far as the tier's `strip_lanes` allow) for a chunk — and
+        // there is one per *kept* close, which the larger layer need not
+        // have more of: the arena only grows, so the prefix holds the
+        // larger demand.
+        let best = SimdCaps::get().best();
         let geoms = [
             (ConvGeom::new(5, 4, 3, 4, 3, 3).with_pad(1), 4),
             (ConvGeom::new(9, 7, 4, 6, 3, 3).with_pad(2), 8),
@@ -1730,14 +1758,18 @@ mod tests {
         for lw in [1usize, 8, 16, 32] {
             let mut scratch = FlattenedScratch::new();
             let mut prefix = 0;
-            for (gi, (geom, single)) in geoms.iter().enumerate() {
+            for (gi, (geom, positions)) in geoms.iter().enumerate() {
                 let mut wgen = WeightGen::new(QuantScheme::inq(), 92 + gi as u64).with_density(0.8);
                 let weights = wgen.generate_dims(geom.k(), geom.c(), 3, 3);
                 let layer = CompiledLayer::compile(geom, 1, &weights, &UcnnConfig::with_g(2));
                 scratch.reserve_for(&layer, lw);
                 assert_aligned(&scratch, &format!("LW {lw}, layer {gi}, reserved"));
                 let rows = layer.flat_tiles().iter().map(|t| t.rows).max().unwrap();
-                prefix = prefix.max(rows * lw.max(*single));
+                let strip = match lw {
+                    1 => *positions,
+                    _ => (positions * lw).min(best.strip_lanes()),
+                };
+                prefix = prefix.max(rows * strip);
                 let cells = haloed_len((geom.c(), geom.in_w(), geom.in_h()), geom.pad());
                 let reserved = scratch.resident_bytes();
                 assert_eq!(
@@ -1750,7 +1782,7 @@ mod tests {
                 let inputs: Vec<Tensor3<i16>> = (0..lw)
                     .map(|_| agen.generate(geom.c(), geom.in_w(), geom.in_h()))
                     .collect();
-                let got = run_on_arena(&layer, &inputs, &mut scratch, SimdCaps::get().best());
+                let got = run_on_arena(&layer, &inputs, &mut scratch, best);
                 for (input, out) in inputs.iter().zip(&got) {
                     assert_eq!(out, &reference::conv2d(geom, 1, input, &weights));
                 }
@@ -1793,10 +1825,13 @@ mod tests {
             "output staging {staging} B exceeds one band ({} B) and its slack",
             g * plane * lw * 4
         );
+        // The 8-position output rows run as strips of as many positions ×
+        // the chunk as the tier's registers hold.
+        let strip = (8 * lw).min(resolve_tier().strip_lanes());
         let max_rows = layer.flat_tiles().iter().map(|t| t.rows).max().unwrap();
         assert_eq!(
             scratch.resident_bytes(),
-            3 * (8 + 2) * (8 + 2) * lw * 2 + max_rows * lw * 4 + staging + 2 * LINE,
+            3 * (8 + 2) * (8 + 2) * lw * 2 + max_rows * strip * 4 + staging + 2 * LINE,
             "resident_bytes is the haloed staged input + kept-close prefix lanes + one band, \
              each with its line of alignment slack"
         );
@@ -1805,7 +1840,7 @@ mod tests {
             "the whole arena must be smaller than whole-layer staging alone"
         );
         // One image runs its 8-position output rows as one 8-lane strip:
-        // no wider than the chunk that grew the arena.
+        // no wider than the strips that grew the arena.
         let grown = scratch.resident_bytes();
         let got = run_on_arena(&layer, &inputs[..1], &mut scratch, resolve_tier());
         assert_eq!(got[0], reference::conv2d(&geom, 1, &inputs[0], &weights));
@@ -2026,6 +2061,79 @@ mod tests {
                 check_bands_against_reference(&layer, &weights, &inputs, &what);
             }
         }
+    }
+
+    #[test]
+    fn strips_of_positions_by_images_match_the_planar_walk() {
+        // Every strip shape a chunk of eight or more images can take — the
+        // cascade over output rows that are a power of two, one short, one
+        // over, and narrower than any strip — against `run_flattened`, on
+        // every tier, with batches that mix chunk widths (24 = 16 + 8,
+        // 40 = 32 + 8, 9 = 8 + a single image). Release builds (where `i32`
+        // sums wrap rather than panic) give the first two filters (an outer
+        // level and, at G = 2, the fused innermost one) and the first two
+        // images the extreme values: 18 taps of ±32767² wrap four times.
+        let wrap = !cfg!(debug_assertions);
+        let mut case = 0u64;
+        for out_h in [1usize, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 33] {
+            for pad in 0..=2usize {
+                // `validated` takes the filter against the padded plane.
+                let Some(in_h) = (out_h + 2).checked_sub(2 * pad).filter(|&h| h > 0) else {
+                    continue;
+                };
+                let geom = ConvGeom::validated(3, in_h, 2, 4, 3, 3, 1, pad).expect("geometry");
+                assert_eq!(geom.out_h(), out_h);
+                for (conv_groups, g) in [1usize, 2]
+                    .into_iter()
+                    .flat_map(|cg| [1, 2, 4].map(|g| (cg, g)))
+                {
+                    case += 1;
+                    let mut wgen = WeightGen::new(QuantScheme::inq(), 500 + case).with_density(0.8);
+                    let mut weights = wgen.generate_dims(4, 2, 3, 3);
+                    if wrap {
+                        weights = Tensor4::from_fn(4, 2, 3, 3, |k, c, r, s| match k {
+                            0 => i16::MAX,
+                            1 => i16::MIN,
+                            _ => weights[(k, c, r, s)],
+                        });
+                    }
+                    let cfg = UcnnConfig {
+                        g,
+                        ct: 2,
+                        ..UcnnConfig::default()
+                    };
+                    let layer = CompiledLayer::compile(&geom, conv_groups, &weights, &cfg);
+                    let mut agen = ActivationGen::new(case ^ 0x57A1);
+                    let (c, w, h) = (2 * conv_groups, geom.in_w(), geom.in_h());
+                    let images: Vec<Tensor3<i16>> = (0..40)
+                        .map(|i| match i {
+                            0 if wrap => Tensor3::filled(c, w, h, i16::MAX),
+                            1 if wrap => Tensor3::filled(c, w, h, i16::MIN),
+                            _ => agen.generate(c, w, h),
+                        })
+                        .collect();
+                    let planar: Vec<Tensor3<i32>> =
+                        images.iter().map(|i| run_flattened(&layer, i)).collect();
+                    for &tier in available_tiers() {
+                        for b in [8usize, 9, 16, 24, 32, 40] {
+                            assert_eq!(
+                                run_flattened_batch_interleaved_forced(
+                                    &layer,
+                                    &images[..b],
+                                    1,
+                                    tier
+                                ),
+                                planar[..b],
+                                "out row {out_h}, pad {pad}, groups {conv_groups}, G {g}, \
+                                 tier {}, B={b}",
+                                tier.name()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(case, (13 * 3 - 2) * 6, "every cell but two unpaddable ones");
     }
 
     #[test]
@@ -2361,6 +2469,24 @@ mod tests {
         }
     }
 
+    /// The census domain: every chunk width a tier cuts a batch into, over
+    /// output rows of 1…40 positions at stride 1 and 2, with its strips.
+    fn census() -> impl Iterator<Item = (ConvGeom, usize, SimdTier, Vec<StripRun>)> {
+        let domain = SimdTier::ALL.into_iter().flat_map(|tier| {
+            let chunks = [1usize, 8, 16, 32].into_iter();
+            let chunks = chunks.filter(move |&lw| lw <= tier.lane_width());
+            chunks.flat_map(move |lw| {
+                (1usize..=40).flat_map(move |out_h| [1usize, 2].map(|st| (tier, lw, out_h, st)))
+            })
+        });
+        domain.map(|(tier, lw, out_h, stride)| {
+            let geom = ConvGeom::new(3, stride * (out_h - 1) + 1, 2, 2, 1, 1).with_stride(stride);
+            assert_eq!(geom.out_h(), out_h);
+            let runs = strip_runs(&geom, lw, tier).collect();
+            (geom, lw, tier, runs)
+        })
+    }
+
     #[test]
     fn chunk_decomposition_emits_only_kernel_widths() {
         for lane in [8usize, 16, 32] {
@@ -2369,7 +2495,7 @@ mod tests {
                 let mut seen_widths = Vec::new();
                 while rest > 0 {
                     let w = next_chunk_width(rest, lane);
-                    assert!(matches!(w, 1 | 8 | 16 | 32), "width {w}");
+                    assert!(matches!(w, 1 | 8 | 16 | MAX_CHUNK), "width {w}");
                     assert!(w <= lane, "width {w} exceeds tier lane {lane}");
                     seen_widths.push(w);
                     rest -= w;
@@ -2382,42 +2508,78 @@ mod tests {
                 // Below eight images the rest runs one image at a time.
                 let singles = seen_widths.iter().filter(|&&w| w == 1).count();
                 assert_eq!(singles, total % LANE_WIDTH, "B={total}, lane {lane}");
-                let geom = ConvGeom::new(3, total, 2, 2, 1, 1);
-                let profile = strip_profile(&geom, total, lane);
-                assert_eq!(profile.0, seen_widths.len());
-
-                // One image's `total`-position output row: position-lane
-                // runs that tile the row in kernel widths, widest first.
-                let runs: Vec<StripRun> = strip_runs(&geom, 1, lane).collect();
-                let mut y = 0;
-                for run in &runs {
-                    assert!(matches!(run.width, 1..=8 | 16 | 32), "strip {run:?}");
-                    assert!(run.width <= lane && run.pitch == 1, "strip {run:?}");
-                    assert_eq!(run.ys.start, y, "runs must tile the row");
-                    assert!(!run.ys.is_empty() && run.ys.len() % run.width == 0);
-                    y = run.ys.end;
-                }
-                assert_eq!(y, total, "row of {total} at lane {lane}");
-                assert!(runs.windows(2).all(|p| p[0].width > p[1].width));
-                assert_eq!(runs[0].width, next_strip_width(total, lane));
-                assert_eq!(widest_strip(&geom, 1, lane), runs[0].width);
-                assert_eq!(profile.1, runs[0].width.max(seen_widths[0]));
-
-                // The fallbacks keep the one-position walk over the whole
-                // row: a strided layer, a 1-position row, and any chunk of
-                // images (whose lanes are the images).
-                let strided = ConvGeom::new(3, 2 * total, 2, 2, 1, 1).with_stride(2);
-                let fc = ConvGeom::new(total, 1, 2, 2, 1, 1);
-                for (geom, lw) in [(strided, 1), (fc, 1), (geom, lane)] {
-                    let whole = StripRun {
-                        width: lw,
-                        pitch: lw,
-                        ys: 0..geom.out_h(),
-                    };
-                    assert_eq!(strip_runs(&geom, lw, lane).collect::<Vec<_>>(), [whole]);
-                }
             }
         }
+        // The strips of every chunk partition every output row exactly
+        // once, widest first, each a whole number of positions × the
+        // chunk's images and no wider than the tier's registers hold.
+        for (geom, lw, tier, runs) in census() {
+            let what = format!("{} {geom:?} chunk {lw}: {runs:?}", tier.name());
+            let (out_h, row_lanes) = (geom.out_h(), geom.stride() == 1 && geom.out_h() > 1);
+            let mut y = 0;
+            for run in &runs {
+                assert_eq!((run.ys.start, run.pitch), (y, lw), "{what}");
+                assert_eq!(run.width % lw, 0, "{what}");
+                let positions = run.width / lw;
+                assert!(
+                    !run.ys.is_empty() && run.ys.len() % positions == 0,
+                    "{what}"
+                );
+                assert!(row_lanes || positions == 1, "{what}");
+                let cap = if lw == 1 {
+                    tier.lane_width()
+                } else {
+                    tier.strip_lanes()
+                };
+                assert!(run.width <= cap.max(lw), "{what}");
+                assert!(lw == 1 || positions.is_power_of_two(), "{what}");
+                y = run.ys.end;
+            }
+            assert_eq!(y, out_h, "{what}");
+            assert!(runs.windows(2).all(|p| p[0].width > p[1].width), "{what}");
+            // The widest strip comes first, and takes all the row offers.
+            let widest = widest_strip(&geom, lw, tier);
+            assert_eq!(widest, runs[0].width, "{what}");
+            if row_lanes && lw > 1 {
+                assert!(2 * widest > (out_h * lw).min(tier.strip_lanes()), "{what}");
+            } else if row_lanes {
+                assert_eq!(widest, next_strip_width(out_h, tier.lane_width()), "{what}");
+            }
+            // The profile of one such chunk is one chunk of that strip.
+            assert_eq!(strip_profile(&geom, lw, tier), (1, widest), "{what}");
+        }
+        // Two worked rows: LeNet's conv2 (16 positions) and a ragged 7.
+        let geom = ConvGeom::new(3, 16, 2, 2, 1, 1);
+        let run = |width, pitch, ys| StripRun { width, pitch, ys };
+        let runs = |geom: &ConvGeom, lw, tier| strip_runs(geom, lw, tier).collect::<Vec<_>>();
+        assert_eq!(runs(&geom, 32, SimdTier::Avx512), [run(128, 32, 0..16)]);
+        assert_eq!(runs(&geom, 8, SimdTier::Avx512), [run(128, 8, 0..16)]);
+        assert_eq!(runs(&geom, 16, SimdTier::Avx2), [run(32, 16, 0..16)]);
+        assert_eq!(runs(&geom, 1, SimdTier::Avx2), [run(16, 1, 0..16)]);
+        let geom = ConvGeom::new(3, 7, 2, 2, 1, 1);
+        assert_eq!(
+            runs(&geom, 8, SimdTier::Scalar),
+            [run(32, 8, 0..4), run(16, 8, 4..6), run(8, 8, 6..7)]
+        );
+        assert_eq!(runs(&geom, 1, SimdTier::Scalar), [run(7, 1, 0..7)]);
+    }
+
+    #[test]
+    fn every_strip_has_a_kernel_and_every_kernel_a_strip() {
+        // Both directions over the census domain: a strip without a kernel
+        // is a panic waiting for its geometry, a kernel without a strip is
+        // dead code monomorphized three times.
+        let emitted: std::collections::BTreeSet<(usize, usize)> = census()
+            .flat_map(|(.., runs)| runs)
+            .map(|run| (run.width, run.pitch))
+            .collect();
+        let table: std::collections::BTreeSet<(usize, usize)> = KERNELS.iter().copied().collect();
+        assert_eq!(table.len(), KERNELS.len(), "a kernel is listed twice");
+        assert!(KERNELS.len() <= 22, "{} kernels per tier", KERNELS.len());
+        let missing: Vec<_> = emitted.difference(&table).collect();
+        assert!(missing.is_empty(), "strips with no kernel: {missing:?}");
+        let dead: Vec<_> = table.difference(&emitted).collect();
+        assert!(dead.is_empty(), "kernels nothing emits: {dead:?}");
     }
 
     #[test]

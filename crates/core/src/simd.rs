@@ -93,6 +93,19 @@ impl SimdTier {
         }
     }
 
+    /// The widest strip the tier's kernels run — neighbouring output
+    /// positions × images of one chunk behind one indirection read
+    /// ([`flatten`](crate::flatten)), sized so the kernel's three lane arrays
+    /// stay in registers: four `zmm` each on `avx512` (24 of 32; eight
+    /// spill), and 32 lanes elsewhere (measured: EXPERIMENTS § `strips`).
+    #[must_use]
+    pub const fn strip_lanes(self) -> usize {
+        match self {
+            Self::Avx512 => 128,
+            Self::Scalar | Self::Neon | Self::Avx2 => 32,
+        }
+    }
+
     /// Cross-architecture capability rank used by the downward clamp:
     /// `scalar` < {`neon`, `avx2`} < `avx512`. Forcing a foreign tier picks
     /// the best available tier of no higher rank.

@@ -202,7 +202,8 @@ fn pipeline_rows_equal_the_per_layer_loops() {
     let net = "counters-pipeline";
     let kind = BackendKind::FlattenedBatch;
     let exec = ucnn_core::backend::backend(kind);
-    let lane = ucnn_core::simd::resolve_tier().lane_width();
+    let tier = ucnn_core::simd::resolve_tier();
+    let lane = tier.lane_width();
     let _guard = serialize();
     // 40 images: two lane chunks on every tier, so two workers at 2 threads.
     let mut arithmetic = Vec::new();
@@ -251,16 +252,22 @@ fn pipeline_rows_equal_the_per_layer_loops() {
                         "B={batch}: {}",
                         row.layer
                     );
-                    // tiny's convolutions have 12-position output rows (one
-                    // image: an 8-lane strip and a 4-lane tail); its FC
-                    // layer has one position, so a lone image runs width 1.
-                    let single = if row.layer == "fc" { 1 } else { 8 };
-                    let widest = match batch {
-                        b if b >= lane => lane as u64,
+                    // tiny's convolutions have 12-position output rows: one
+                    // image runs an 8-lane strip and a 4-lane tail, a chunk
+                    // strips of 8 positions × its images, as far as the
+                    // tier's registers go. Its FC layer has one position:
+                    // the chunk's images, or width 1 for a lone image.
+                    let chunk = match batch {
+                        b if b >= lane => lane,
                         b if b >= 16 => 16,
                         b if b >= 8 => 8,
-                        _ => single,
+                        _ => 1,
                     };
+                    let widest = match (row.layer.as_str(), chunk) {
+                        ("fc", _) => chunk,
+                        (_, 1) => 8,
+                        _ => (8 * chunk).min(tier.strip_lanes()),
+                    } as u64;
                     assert_eq!(row.work.lane_width, widest, "B={batch}: {}", row.layer);
                     arithmetic.push((
                         row.layer.clone(),

@@ -20,7 +20,10 @@
 //! workers shed already-expired requests at drain time rather than
 //! executing dead work. Per-model [`ModelQuota`]s bound each tenant's
 //! requests in flight ([`ServeError::QuotaExceeded`]); the quota slot is
-//! held from admission to response delivery by an RAII token.
+//! held from admission to response delivery by an RAII token. Before
+//! either, a tensor that is not the named model's input shape is turned
+//! away with [`ServeError::BadInput`]: it costs that request, not the
+//! worker its forward would have panicked.
 //!
 //! [`ModelQuota`]: crate::registry::ModelQuota
 //!
@@ -131,6 +134,15 @@ pub enum ServeError {
     /// The model is at its per-model concurrency ceiling
     /// ([`crate::registry::ModelQuota`]); the request was not enqueued.
     QuotaExceeded,
+    /// The tensor is not the `(channels, width, height)` the named model
+    /// takes ([`CompiledNetwork::input_dims`]); the request took no quota
+    /// slot and was not enqueued.
+    BadInput {
+        /// The model's input dims.
+        expected: (usize, usize, usize),
+        /// The submitted tensor's dims.
+        got: (usize, usize, usize),
+    },
 }
 
 impl std::fmt::Display for ServeError {
@@ -142,6 +154,9 @@ impl std::fmt::Display for ServeError {
             ServeError::WorkerLost => write!(f, "worker dropped the response"),
             ServeError::DeadlineExceeded => write!(f, "deadline exceeded"),
             ServeError::QuotaExceeded => write!(f, "model concurrency quota exceeded"),
+            ServeError::BadInput { expected, got } => {
+                write!(f, "input dims {got:?} are not the model's {expected:?}")
+            }
         }
     }
 }
@@ -616,16 +631,32 @@ impl Engine {
         override_kind.unwrap_or(self.backend)
     }
 
-    /// Resolves a named model for submission: plan, pinned backend, and an
-    /// acquired quota slot.
+    /// Admits a request by model name — plan, pinned backend, and an
+    /// acquired quota slot — cheapest and stateless checks first. A tensor
+    /// of the wrong shape is turned away before anything is counted or
+    /// taken: enqueued, it would panic the forward of the worker that
+    /// drained it and fail every co-batched rider. `admission` is the
+    /// deadline the non-blocking path applies [`Engine::admit_deadline`] to.
     fn admit_named(
         &self,
         model: &str,
+        input: &Tensor3<i16>,
+        admission: Option<Instant>,
     ) -> Result<(Arc<CompiledNetwork>, BackendKind, Option<QuotaToken>), ServeError> {
         let resolved = self
             .registry
             .resolve(model)
             .ok_or_else(|| ServeError::UnknownModel(model.to_string()))?;
+        let (expected, got) = (
+            resolved.plan.input_dims(),
+            (input.c(), input.w(), input.h()),
+        );
+        if got != expected {
+            return Err(ServeError::BadInput { expected, got });
+        }
+        if let Some(deadline) = admission {
+            self.admit_deadline(deadline, Instant::now())?;
+        }
         let backend = self.resolve_backend(resolved.backend);
         let Some(token) = resolved.quota.try_acquire() else {
             self.counters.quota_rejected.fetch_add(1, Ordering::Relaxed);
@@ -673,10 +704,10 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::UnknownModel`], [`ServeError::QuotaExceeded`],
-    /// or [`ServeError::ShuttingDown`].
+    /// Returns [`ServeError::UnknownModel`], [`ServeError::BadInput`],
+    /// [`ServeError::QuotaExceeded`], or [`ServeError::ShuttingDown`].
     pub fn submit(&self, model: &str, input: Tensor3<i16>) -> Result<Pending, ServeError> {
-        let (plan, backend, quota) = self.admit_named(model)?;
+        let (plan, backend, quota) = self.admit_named(model, &input, None)?;
         self.push_request(plan, backend, input, None, quota)
     }
 
@@ -688,21 +719,21 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::UnknownModel`], [`ServeError::QuotaExceeded`],
-    /// or [`ServeError::ShuttingDown`].
+    /// Returns [`ServeError::UnknownModel`], [`ServeError::BadInput`],
+    /// [`ServeError::QuotaExceeded`], or [`ServeError::ShuttingDown`].
     pub fn submit_with_deadline(
         &self,
         model: &str,
         input: Tensor3<i16>,
         deadline: Instant,
     ) -> Result<Pending, ServeError> {
-        let (plan, backend, quota) = self.admit_named(model)?;
+        let (plan, backend, quota) = self.admit_named(model, &input, None)?;
         self.push_request(plan, backend, input, Some(deadline), quota)
     }
 
     /// Submits a request for an already resolved plan (no registry
-    /// override or quota: it runs on the engine default), blocking while
-    /// the queue is full.
+    /// override, quota or shape check: it runs on the engine default),
+    /// blocking while the queue is full.
     ///
     /// # Errors
     ///
@@ -758,8 +789,9 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::UnknownModel`], [`ServeError::QuotaExceeded`],
-    /// [`ServeError::Overloaded`], or [`ServeError::ShuttingDown`].
+    /// Returns [`ServeError::UnknownModel`], [`ServeError::BadInput`],
+    /// [`ServeError::QuotaExceeded`], [`ServeError::Overloaded`], or
+    /// [`ServeError::ShuttingDown`].
     pub fn try_submit(&self, model: &str, input: Tensor3<i16>) -> Result<Pending, ServeError> {
         self.try_submit_inner(model, input, None)
     }
@@ -772,9 +804,9 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::UnknownModel`], [`ServeError::QuotaExceeded`],
-    /// [`ServeError::DeadlineExceeded`], [`ServeError::Overloaded`], or
-    /// [`ServeError::ShuttingDown`].
+    /// Returns [`ServeError::UnknownModel`], [`ServeError::BadInput`],
+    /// [`ServeError::QuotaExceeded`], [`ServeError::DeadlineExceeded`],
+    /// [`ServeError::Overloaded`], or [`ServeError::ShuttingDown`].
     pub fn try_submit_with_deadline(
         &self,
         model: &str,
@@ -790,10 +822,7 @@ impl Engine {
         input: Tensor3<i16>,
         deadline: Option<Instant>,
     ) -> Result<Pending, ServeError> {
-        if let Some(deadline) = deadline {
-            self.admit_deadline(deadline, Instant::now())?;
-        }
-        let (plan, backend, quota) = self.admit_named(model)?;
+        let (plan, backend, quota) = self.admit_named(model, &input, deadline)?;
         let (request, pending) = Self::make_request(plan, backend, input, deadline, quota);
         self.queue.try_push(request).map_err(|e| match e {
             TryPushError::Full => ServeError::Overloaded,
@@ -1373,7 +1402,7 @@ mod tests {
         let admit_two = || -> Vec<(Request, Pending)> {
             (0..2)
                 .map(|_| {
-                    let (plan, backend, quota) = engine.admit_named("tiny").unwrap();
+                    let (plan, backend, quota) = engine.admit_named("tiny", &input, None).unwrap();
                     Engine::make_request(plan, backend, input.clone(), None, quota)
                 })
                 .collect()

@@ -1,5 +1,6 @@
 //! Chaos suite: the serving engine under induced failure — a worker dying
-//! mid-batch, consumers that stop reading responses, the registry being
+//! mid-batch, wrong-shaped tensors fired between good requests, consumers
+//! that stop reading responses, the registry being
 //! churned (re-insert + backend retune) under sustained traffic, and
 //! shutdown while producers are blocked on a full queue. Every test
 //! asserts invariants (exact accounting, bit-exact outputs, no hangs)
@@ -115,6 +116,101 @@ fn worker_death_is_surfaced_and_traffic_reroutes_around_the_dead_shard() {
         "requests on the dead worker's shard can only complete via steals"
     );
     assert_eq!(stats.served, 80, "the poison request must not count");
+}
+
+/// A wrong-shaped tensor costs exactly itself: every named submit path
+/// turns it away with [`ServeError::BadInput`] before it takes a quota slot
+/// or reaches a queue, so the good requests around it are all answered
+/// bit-exactly, no worker dies, and the harness's accounting still closes.
+#[test]
+fn wrong_shaped_tensors_cost_only_themselves() {
+    let registry = Arc::new(ModelRegistry::new());
+    let models = zoo(&registry, 2, 0x350);
+    // A ceiling the three closed-loop clients never reach: any slot still
+    // held at the end was leaked by a rejected tensor.
+    assert!(registry.set_quota("tiny-1", Some(8)));
+    let engine = Arc::new(Engine::start(
+        Arc::clone(&registry),
+        EngineConfig {
+            workers: 2,
+            queue_capacity: 64,
+            max_batch: 4,
+            ..EngineConfig::default()
+        },
+    ));
+    let expected = registry.get("tiny").expect("tiny registered").input_dims();
+    assert_eq!(expected, (3, 12, 12));
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let hostile = thread::spawn({
+        let engine = Arc::clone(&engine);
+        let stop = Arc::clone(&stop);
+        move || {
+            // One axis off at a time, and the poison pill of the test above.
+            let shapes = [(2, 12, 12), (3, 11, 12), (3, 12, 13), (1, 1, 1)];
+            let mut fired = 0u64;
+            while !stop.load(Ordering::Relaxed) || fired == 0 {
+                for got in shapes {
+                    let bad = || Tensor3::<i16>::zeros(got.0, got.1, got.2);
+                    let soon = Instant::now() + Duration::from_secs(60);
+                    let rejections = [
+                        engine.submit("tiny", bad()),
+                        engine.try_submit("tiny-1", bad()),
+                        engine.submit_with_deadline("tiny", bad(), soon),
+                        engine.try_submit_with_deadline("tiny-1", bad(), soon),
+                    ];
+                    for rejection in rejections {
+                        match rejection {
+                            Err(ServeError::BadInput {
+                                expected: e,
+                                got: g,
+                            }) => {
+                                assert_eq!((e, g), (expected, got));
+                            }
+                            other => panic!("{got:?} must be BadInput, got {:?}", other.err()),
+                        }
+                        fired += 1;
+                    }
+                }
+                thread::sleep(Duration::from_millis(1));
+            }
+            fired
+        }
+    });
+
+    let wl = StandardWorkload {
+        arrival: Arrival::Closed,
+        mix: Mix::Uniform,
+    };
+    let report = harness::run(
+        &engine,
+        &models,
+        &wl,
+        RunConfig {
+            requests: 120,
+            shards: 3,
+            seed: 0xBAD,
+            ..RunConfig::default()
+        },
+    );
+    stop.store(true, Ordering::Relaxed);
+    let fired = hostile.join().expect("every rejection was a BadInput");
+    assert!(fired >= 16, "the hostile client must actually have fired");
+
+    assert_eq!(
+        report.completed + report.shed() + report.errors,
+        120,
+        "the accounting identity"
+    );
+    assert_eq!(report.completed, 120, "a good request went unanswered");
+    assert_eq!((report.mismatches, report.errors), (0, 0));
+    let quota = registry.quota("tiny-1").expect("tiny-1 registered");
+    assert_eq!(quota.active(), 0, "a rejected tensor must hold no slot");
+    let engine = Arc::into_inner(engine).expect("sole owner after the join");
+    let stats = engine.shutdown();
+    assert_eq!(stats.served, 120, "rejected tensors must not count");
+    assert_eq!(stats.panicked_workers, 0);
+    assert_eq!(stats.quota_rejected, 0, "BadInput comes before the quota");
 }
 
 /// Consumers that go away without reading their responses must not stall
