@@ -92,12 +92,6 @@ fn bench_ablations(c: &mut Criterion) {
 fn bench_serving(c: &mut Criterion) {
     let mut g = c.benchmark_group("serving");
     g.sample_size(10);
-    g.bench_function("serve_load", |b| {
-        b.iter(|| black_box(exp::serve_load(true, &exp::ServeOpts::default())))
-    });
-    g.bench_function("compile_amortization", |b| {
-        b.iter(|| black_box(exp::compile_amortization(true)))
-    });
     g.bench_function("backend_table", |b| {
         b.iter(|| black_box(exp::backend_table(true)))
     });

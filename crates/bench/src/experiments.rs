@@ -7,10 +7,9 @@
 use ucnn_core::backend::{backend, BackendKind};
 use ucnn_core::compile::{compile_layer, compile_layer_sampled, UcnnConfig};
 use ucnn_core::encoding::{rle_bits_capped, EncodingParams, IitEncoding};
-use ucnn_core::exec::{factorized_conv, run_compiled};
+use ucnn_core::exec::run_compiled;
 use ucnn_core::hierarchy::GroupStream;
 use ucnn_core::partial_product;
-use ucnn_core::plan::CompiledLayer;
 use ucnn_model::stats::LayerRepetition;
 use ucnn_model::{networks, NetworkSpec, QuantScheme, WeightGen};
 use ucnn_sim::area::{dcnn_pe_area, ucnn_pe_area};
@@ -666,661 +665,6 @@ pub fn ablate_multipliers() -> TableOut {
     t
 }
 
-/// Knobs for the serve load experiment — the `repro serve` CLI surface.
-///
-/// Every `None`/empty field falls back to the built-in sweep: the full
-/// workload matrix over the whole model zoo at an auto-calibrated rate.
-#[derive(Clone, Debug)]
-pub struct ServeOpts {
-    /// Executor backend the engine serves through.
-    pub backend: BackendKind,
-    /// Schedule seed — same seed and config replay the identical stream.
-    pub seed: u64,
-    /// Requests per run (overrides `duration_s` and the built-in default).
-    pub requests: Option<usize>,
-    /// Target run length in seconds, converted to a request count via the
-    /// offered rate.
-    pub duration_s: Option<f64>,
-    /// Generator shards for a single-workload run (`--workload` mode).
-    pub shards: Option<usize>,
-    /// Open-loop offered rate; auto-calibrated to half the measured
-    /// closed-loop capacity when absent.
-    pub rate_hz: Option<f64>,
-    /// Restrict to one arrival process (`closed`/`open`/`bursty`/`ramp`)
-    /// instead of the full matrix.
-    pub workload: Option<String>,
-    /// Mix for a single-workload run (`uniform`/`hotcold`/`sequential`).
-    pub mix: Option<String>,
-    /// Zoo subset to serve (repeatable `--model`); empty = whole zoo.
-    pub models: Vec<String>,
-    /// Per-request deadline in milliseconds (`--deadline-ms`). Applied to
-    /// every matrix run when set; the `overload` workload always runs with
-    /// a deadline (this value, or its built-in default).
-    pub deadline_ms: Option<u64>,
-    /// Directory the observability artifacts land in (`--out`):
-    /// `serve_intervals.jsonl` (per-run interval samples),
-    /// `serve_metrics.prom` (session Prometheus exposition), and
-    /// `serve_metrics.json` (session JSON snapshot). `None` writes nothing.
-    pub metrics_dir: Option<std::path::PathBuf>,
-}
-
-impl Default for ServeOpts {
-    fn default() -> Self {
-        Self {
-            backend: ucnn_serve::EngineConfig::default().backend,
-            seed: SEED,
-            requests: None,
-            duration_s: None,
-            shards: None,
-            rate_hz: None,
-            workload: None,
-            mix: None,
-            models: Vec::new(),
-            deadline_ms: None,
-            metrics_dir: None,
-        }
-    }
-}
-
-/// The serving model zoo: three registrations of the tiny topology with
-/// distinct weights (seed and density), so multi-model mixes exercise real
-/// per-model plans and per-model bit-exactness is meaningful.
-const SERVE_ZOO: &[(&str, f64)] = &[("tiny", 0.9), ("tiny-b", 0.8), ("tiny-c", 0.7)];
-
-/// Serving load harness: executes the workload zoo (closed, open-loop
-/// fixed-rate, bursty, ramp arrivals × uniform/hot-cold/sequential mixes)
-/// against the compile-once engine over a multi-model registry, through
-/// sharded deterministic generators ([`ucnn_serve::harness`]). Every
-/// response is verified bit for bit against its model's dense reference
-/// (the run panics on any mismatch). One `ALL` row plus one row per model
-/// is emitted per run; `repro serve` writes the table as
-/// `BENCH_serve.json`.
-///
-/// The default matrix pins the sharded-stats acceptance pair — the same
-/// closed workload at 1 and 8 generator shards — plus a `closed-1q`
-/// baseline (the identical eight-worker pool running off one central
-/// queue, `queue_shards: 1`) so the sharded-vs-single-queue comparison
-/// holds every other variable fixed. It then sweeps the scheduled
-/// arrivals at an auto-calibrated sustainable rate, and closes
-/// with an `overload` run: an open-loop arrival at 4× the calibrated rate
-/// (2× measured capacity) under a per-request deadline, exercising
-/// deadline admission control and shed-on-expiry. The appended
-/// `shed_q`/`shed_lag`/`shed_dl`/`steals`/`deadline_ms` columns break the
-/// shed total down by cause and report whole-batch work stealing.
-///
-/// Observability: every engine records into one session
-/// [`MetricsRegistry`](ucnn_serve::MetricsRegistry) (request-lifecycle
-/// phase histograms, queue/in-flight gauges, harness accounting counters);
-/// `ALL` rows carry the per-phase latency breakdown (queue wait vs batch
-/// form vs execute vs respond). The per-layer reuse counters run during
-/// the matrix and a dedicated all-backend × {B=1, B=8} sweep afterwards,
-/// emitted as a nested `reuse` section (multiplies issued /
-/// dense-equivalent per layer × backend × batch bucket). With
-/// [`ServeOpts::metrics_dir`] set, interval samples
-/// (`serve_intervals.jsonl`), the Prometheus exposition
-/// (`serve_metrics.prom`), and the JSON snapshot (`serve_metrics.json`)
-/// are written there.
-#[must_use]
-pub fn serve_load(quick: bool, opts: &ServeOpts) -> TableOut {
-    use std::sync::Arc;
-    use std::time::Duration;
-    use ucnn_core::counters;
-    use ucnn_model::forward;
-    use ucnn_serve::harness::{self, ModelCases, RunConfig};
-    use ucnn_serve::workload::{Arrival, Mix, StandardWorkload};
-    use ucnn_serve::{Engine, EngineConfig, MetricsRegistry, ModelRegistry};
-
-    let zoo: Vec<(&str, f64)> = if opts.models.is_empty() {
-        SERVE_ZOO.to_vec()
-    } else {
-        opts.models
-            .iter()
-            .map(|m| {
-                *SERVE_ZOO
-                    .iter()
-                    .find(|(name, _)| name == m)
-                    .unwrap_or_else(|| panic!("unknown model '{m}'; the zoo is {SERVE_ZOO:?}"))
-            })
-            .collect()
-    };
-
-    let tiny = networks::tiny();
-    let registry = Arc::new(ModelRegistry::new());
-    let mut agen = ucnn_model::ActivationGen::new(opts.seed ^ 0x5E12E);
-    let models: Vec<ModelCases> = zoo
-        .iter()
-        .enumerate()
-        .map(|(i, (name, density))| {
-            let mut spec = NetworkSpec::new(*name);
-            for layer in tiny.layers() {
-                spec.push(layer.clone());
-            }
-            let weights = forward::generate_network_weights(
-                &spec,
-                QuantScheme::inq(),
-                opts.seed ^ (0xB0 + i as u64),
-                *density,
-            );
-            registry.compile_and_insert(&spec, &weights, &UcnnConfig::with_g(2));
-            let cases = (0..4)
-                .map(|_| {
-                    let input = agen.generate_for(&spec.conv_layers()[0]);
-                    let expected = forward::dense_forward(&spec, &weights, &input);
-                    (input, expected)
-                })
-                .collect();
-            ModelCases {
-                name: (*name).to_string(),
-                cases,
-            }
-        })
-        .collect();
-
-    // One session-wide metrics registry: every engine of this invocation
-    // (calibration included) records into it, so the final exposition
-    // carries the whole session's lifecycle and accounting series.
-    let session_metrics = Arc::new(MetricsRegistry::new(2));
-    let start_engine = |queue_shards: usize| {
-        Engine::start_with_metrics(
-            Arc::clone(&registry),
-            EngineConfig {
-                // Eight workers is the acceptance configuration. The
-                // default `queue_shards: 0` gives each worker its own
-                // queue shard (work stealing keeps the extra shards from
-                // stranding requests at low offered load); the `closed-1q`
-                // baseline pins `queue_shards: 1` to run the identical
-                // pool off one central queue, isolating the sharding
-                // variable for the no-regression comparison.
-                workers: 8,
-                queue_shards,
-                backend: opts.backend,
-                ..EngineConfig::default()
-            },
-            Arc::clone(&session_metrics),
-        )
-    };
-
-    // Offered rate for the scheduled arrivals: half the measured
-    // closed-loop capacity unless pinned, so open/bursty/ramp runs are
-    // sustainable on any machine.
-    let rate = opts.rate_hz.unwrap_or_else(|| {
-        let engine = start_engine(0);
-        let wl = StandardWorkload {
-            arrival: Arrival::Closed,
-            mix: Mix::Sequential,
-        };
-        let report = harness::run(
-            &engine,
-            &models,
-            &wl,
-            RunConfig {
-                requests: if quick { 24 } else { 96 },
-                shards: 2,
-                seed: opts.seed,
-                ..RunConfig::default()
-            },
-        );
-        let _ = engine.shutdown();
-        (report.throughput_rps() / 2.0).max(50.0)
-    });
-    assert!(
-        rate.is_finite() && rate > 0.0,
-        "offered rate must be positive, got {rate}"
-    );
-
-    let default_requests = if quick { 48 } else { 480 };
-    let requests_for = |arrival: &Arrival| -> usize {
-        if let Some(n) = opts.requests {
-            return n;
-        }
-        if let Some(secs) = opts.duration_s {
-            // Closed loops have no schedule; size them by capacity instead
-            // of the offered rate.
-            let per_s = match arrival {
-                Arrival::Closed => rate * 2.0,
-                _ => rate,
-            };
-            return ((per_s * secs).ceil() as usize).max(1);
-        }
-        default_requests
-    };
-
-    // (arrival, mix, shards) per run. The 1-vs-8-shard closed pair is the
-    // sharded-stats acceptance comparison reported in EXPERIMENTS.md.
-    let matrix: Vec<(String, String, usize)> = match &opts.workload {
-        Some(name) => vec![(
-            name.clone(),
-            opts.mix.clone().unwrap_or_else(|| "uniform".to_string()),
-            opts.shards.unwrap_or(2),
-        )],
-        None => [
-            ("closed", "sequential", 1usize),
-            ("closed", "sequential", 8),
-            // Same pool, same closed workload, one central queue
-            // (`queue_shards: 1`): the single-queue baseline the
-            // sharded closed×8 run is measured against.
-            ("closed-1q", "sequential", 8),
-            ("open", "uniform", 2),
-            ("bursty", "hotcold", 2),
-            ("ramp", "uniform", 2),
-            ("overload", "uniform", 2),
-        ]
-        .iter()
-        .map(|(w, m, s)| ((*w).to_string(), (*m).to_string(), *s))
-        .collect(),
-    };
-
-    let title = format!(
-        "Serving load harness: workload zoo, '{}' backend, seed {:#x}, rate {:.0}/s",
-        opts.backend, opts.seed, rate
-    );
-    let mut t = TableOut::new(
-        &title,
-        &[
-            "workload",
-            "mix",
-            "shards",
-            "model",
-            "scheduled",
-            "completed",
-            "shed",
-            "errors",
-            "mismatch",
-            "req_per_s",
-            "p50_us",
-            "p95_us",
-            "p99_us",
-            "p999_us",
-            "mean_batch",
-            "max_batch",
-            "q_wait_us",
-            "form_us",
-            "exec_us",
-            "respond_us",
-            "shed_q",
-            "shed_lag",
-            "shed_dl",
-            "steals",
-            "deadline_ms",
-        ],
-    );
-    // Interval sampler series per run, flattened into one JSONL stream.
-    let mut interval_log: Vec<String> = Vec::new();
-    for (wname, mname, shards) in matrix {
-        // `overload` is an open-loop arrival at 4× the calibrated rate
-        // (2× measured capacity) under a per-request deadline: the run
-        // that exercises deadline admission control and shed-on-expiry.
-        // Any other workload picks up a deadline only when `--deadline-ms`
-        // pins one.
-        let deadline = if wname == "overload" {
-            Some(Duration::from_millis(opts.deadline_ms.unwrap_or(100)))
-        } else {
-            opts.deadline_ms.map(Duration::from_millis)
-        };
-        let arrival = match wname.as_str() {
-            "overload" => Arrival::Open {
-                rate_hz: rate * 4.0,
-            },
-            // `closed-1q` is the closed workload on a single-central-queue
-            // engine: the baseline for the sharding no-regression check.
-            "closed-1q" => Arrival::Closed,
-            _ => Arrival::parse(&wname, rate).unwrap_or_else(|| {
-                panic!(
-                    "unknown workload '{wname}'; choose closed, closed-1q, open, bursty, ramp, \
-                     or overload"
-                )
-            }),
-        };
-        let queue_shards = if wname == "closed-1q" { 1 } else { 0 };
-        let mix = Mix::parse(&mname).unwrap_or_else(|| {
-            panic!("unknown mix '{mname}'; choose uniform, hotcold, or sequential")
-        });
-        let wl = StandardWorkload { arrival, mix };
-        let engine = start_engine(queue_shards);
-        let report = harness::run(
-            &engine,
-            &models,
-            &wl,
-            RunConfig {
-                requests: requests_for(&arrival),
-                shards,
-                seed: opts.seed,
-                // Backlog policy: a generator more than 2 s behind schedule
-                // sheds instead of compressing the arrival process. With a
-                // deadline in force the lag budget tightens to the deadline
-                // itself — a generator that far behind could only submit
-                // already-dead requests.
-                max_lag: Some(deadline.unwrap_or(Duration::from_secs(2))),
-                // HDR-histogram-log style progress sampling, written to
-                // `serve_intervals.jsonl` when a metrics dir is set.
-                interval: Some(Duration::from_millis(if quick { 10 } else { 50 })),
-                deadline,
-            },
-        );
-        let stats = engine.shutdown();
-        assert_eq!(
-            report.mismatches, 0,
-            "serving outputs diverged from the dense reference ({wname}/{mname})"
-        );
-        for s in &report.intervals {
-            interval_log.push(format!(
-                "{{\"workload\": \"{wname}\", \"mix\": \"{mname}\", \"shards\": {shards}, \
-                 \"at_ms\": {}, \"queue_depth\": {}, \"served\": {}, \"batches\": {}}}",
-                s.at_ms, s.queue_depth, s.served, s.batches
-            ));
-        }
-        let elapsed_s = report.elapsed.as_secs_f64().max(1e-9);
-        let phase_us = |stat: ucnn_serve::PhaseStat| f2(stat.mean_ns() / 1_000.0);
-        let deadline_cell = deadline
-            .map(|d| d.as_millis().to_string())
-            .unwrap_or_else(|| "-".to_string());
-        t.push_row(vec![
-            wname.clone(),
-            mname.clone(),
-            shards.to_string(),
-            "ALL".to_string(),
-            report.scheduled.to_string(),
-            report.completed.to_string(),
-            report.shed().to_string(),
-            report.errors.to_string(),
-            report.mismatches.to_string(),
-            f2(report.throughput_rps()),
-            f2(report.percentile_us(0.50)),
-            f2(report.percentile_us(0.95)),
-            f2(report.percentile_us(0.99)),
-            f2(report.percentile_us(0.999)),
-            f2(stats.mean_batch()),
-            stats.max_batch().to_string(),
-            phase_us(stats.phases.queue_wait),
-            phase_us(stats.phases.batch_form),
-            phase_us(stats.phases.execute),
-            phase_us(stats.phases.respond),
-            report.shed_queue.to_string(),
-            report.shed_lag.to_string(),
-            report.shed_deadline.to_string(),
-            stats.steals.to_string(),
-            deadline_cell.clone(),
-        ]);
-        for m in &report.per_model {
-            let p_us = |q: f64| f2(m.latency.percentile(q) as f64 / 1_000.0);
-            t.push_row(vec![
-                wname.clone(),
-                mname.clone(),
-                shards.to_string(),
-                m.name.clone(),
-                m.scheduled.to_string(),
-                m.completed.to_string(),
-                m.shed.to_string(),
-                m.errors.to_string(),
-                m.mismatches.to_string(),
-                f2(m.completed as f64 / elapsed_s),
-                p_us(0.50),
-                p_us(0.95),
-                p_us(0.99),
-                p_us(0.999),
-                "-".to_string(),
-                "-".to_string(),
-                "-".to_string(),
-                "-".to_string(),
-                "-".to_string(),
-                "-".to_string(),
-                "-".to_string(),
-                "-".to_string(),
-                "-".to_string(),
-                "-".to_string(),
-                deadline_cell.clone(),
-            ]);
-        }
-    }
-
-    // Dedicated reuse sweep: every registered backend × {B=1, B=8} over
-    // the zoo plans, driven directly (deterministic, engine-free) so
-    // the reuse-ratio table always covers every backend regardless of
-    // which one served the matrix. The counter sink is process-global, so the
-    // enable→snapshot window is serialized against concurrent serve_load
-    // calls (the bench test binary runs them in parallel).
-    let snapshot = {
-        static SWEEP: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        let _guard = SWEEP
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        counters::reset();
-        counters::set_enabled(true);
-        for kind in BackendKind::ALL {
-            for batch in [1usize, 8] {
-                for m in &models {
-                    let plan = registry.get(&m.name).expect("zoo model registered");
-                    let inputs: Vec<_> = (0..batch)
-                        .map(|i| m.cases[i % m.cases.len()].0.clone())
-                        .collect();
-                    let _ = plan.forward_batch_with(&inputs, kind, 1);
-                }
-            }
-        }
-        counters::set_enabled(false);
-        let rows = counters::snapshot();
-        counters::reset();
-        rows
-    };
-    let zoo_names: Vec<&str> = zoo.iter().map(|(name, _)| *name).collect();
-    let mut reuse = TableOut::new(
-        "Per-layer reuse: multiplies issued vs dense-equivalent, by backend and batch bucket",
-        &[
-            "model",
-            "layer",
-            "backend",
-            "batch_bucket",
-            "images",
-            "dense_mults",
-            "issued_mults",
-            "reuse_ratio",
-            "gather_entries",
-            "csr_segments",
-            "lowering_hits",
-            "lowering_misses",
-        ],
-    );
-    for row in snapshot {
-        if !zoo_names.contains(&row.net.as_str()) {
-            continue;
-        }
-        reuse.push_row(vec![
-            row.net.clone(),
-            row.layer.clone(),
-            row.backend.to_string(),
-            row.batch_bucket.to_string(),
-            row.work.images.to_string(),
-            row.work.dense_multiplies.to_string(),
-            row.work.multiplies_issued.to_string(),
-            f3(row.work.reuse_ratio()),
-            row.work.gather_entries.to_string(),
-            row.work.csr_segments.to_string(),
-            row.work.lowering_hits.to_string(),
-            row.work.lowering_misses.to_string(),
-        ]);
-    }
-    t.push_section(reuse);
-
-    if let Some(dir) = &opts.metrics_dir {
-        let _ = std::fs::create_dir_all(dir);
-        let jsonl = interval_log.join("\n") + "\n";
-        if let Err(e) = std::fs::write(dir.join("serve_intervals.jsonl"), jsonl) {
-            eprintln!("warning: could not write serve_intervals.jsonl: {e}");
-        }
-        if let Err(e) = std::fs::write(
-            dir.join("serve_metrics.prom"),
-            session_metrics.render_prometheus(),
-        ) {
-            eprintln!("warning: could not write serve_metrics.prom: {e}");
-        }
-        if let Err(e) = std::fs::write(
-            dir.join("serve_metrics.json"),
-            session_metrics.snapshot_json(),
-        ) {
-            eprintln!("warning: could not write serve_metrics.json: {e}");
-        }
-    }
-    t
-}
-
-/// Compile-once amortization: repeated inference of one layer through (a)
-/// the dense reference, (b) `factorized_conv`, which re-sorts and
-/// re-factorizes the weights on every call, and (c) a retained
-/// [`CompiledLayer`] via `run_compiled`. FC-shaped layers (1×1 spatial)
-/// make the per-call compilation cost visible: the stream walk is O(C) per
-/// output but the sort is O(C log C), so retaining the plan wins — the
-/// serving argument of UCNN §IV (and CREW's compile-once/serve-many MLPs).
-#[must_use]
-pub fn compile_amortization(quick: bool) -> TableOut {
-    use std::time::Instant;
-    use ucnn_tensor::{ConvGeom, Tensor3};
-
-    let (fc_c, conv_c, repeats) = if quick { (512, 32, 5) } else { (2048, 128, 20) };
-    let layers = [
-        ("fc 1x1", ConvGeom::new(1, 1, fc_c, 32, 1, 1)),
-        (
-            "conv 7x7",
-            ConvGeom::new(7, 7, conv_c, 16, 3, 3).with_pad(1),
-        ),
-    ];
-    let cfg = UcnnConfig::with_g(2);
-
-    let mut t = TableOut::new(
-        "Compile-once amortization: per-call time over repeated inference",
-        &["layer", "path", "calls", "per_call_us", "vs_factorized"],
-    );
-    for (name, geom) in layers {
-        let mut wgen = WeightGen::new(QuantScheme::inq(), SEED ^ 0xA3).with_density(0.9);
-        let weights = wgen.generate_dims(geom.k(), geom.c(), geom.r(), geom.s());
-        let mut agen = ucnn_model::ActivationGen::new(SEED ^ 0xA4);
-        let input: Tensor3<i16> = agen.generate(geom.c(), geom.in_w(), geom.in_h());
-
-        let t_dense = Instant::now();
-        for _ in 0..repeats {
-            std::hint::black_box(ucnn_model::reference::conv2d(&geom, 1, &input, &weights));
-        }
-        let dense_us = t_dense.elapsed().as_secs_f64() * 1e6 / repeats as f64;
-
-        let t_fact = Instant::now();
-        for _ in 0..repeats {
-            std::hint::black_box(factorized_conv(&geom, 1, &input, &weights, &cfg));
-        }
-        let fact_us = t_fact.elapsed().as_secs_f64() * 1e6 / repeats as f64;
-
-        let plan = CompiledLayer::compile(&geom, 1, &weights, &cfg);
-        let t_comp = Instant::now();
-        for _ in 0..repeats {
-            std::hint::black_box(run_compiled(&plan, &input));
-        }
-        let compiled_us = t_comp.elapsed().as_secs_f64() * 1e6 / repeats as f64;
-
-        for (path, us) in [
-            ("dense reference", dense_us),
-            ("factorized per-call", fact_us),
-            ("run_compiled (retained)", compiled_us),
-        ] {
-            t.push_row(vec![
-                name.to_string(),
-                path.to_string(),
-                repeats.to_string(),
-                f2(us),
-                f2(fact_us / us),
-            ]);
-        }
-    }
-    t
-}
-
-/// Batch-major execution: per-request vs batch-major vs threaded batch-major
-/// throughput on FC- and conv-shaped layers across batch sizes. The walk
-/// amortization is the whole story: one group-major traversal of the
-/// retained streams serves every image of the batch, so per-image time
-/// drops as B grows while outputs stay bit-identical (asserted per cell).
-#[must_use]
-pub fn batch_exec(quick: bool) -> TableOut {
-    use std::time::Instant;
-    use ucnn_core::exec::{run_compiled_batch, run_compiled_batch_threads};
-    use ucnn_model::ActivationGen;
-    use ucnn_tensor::{ConvGeom, Tensor3};
-
-    let (fc_c, conv_c, repeats) = if quick { (512, 16, 3) } else { (1024, 64, 10) };
-    let batches: &[usize] = if quick { &[2, 8] } else { &[1, 2, 8, 16] };
-    let layers = [
-        ("fc 1x1", ConvGeom::new(1, 1, fc_c, 32, 1, 1)),
-        (
-            "conv 7x7",
-            ConvGeom::new(7, 7, conv_c, 16, 3, 3).with_pad(1),
-        ),
-    ];
-    let cfg = UcnnConfig::with_g(2);
-
-    let mut t = TableOut::new(
-        "Batch-major execution: per-request vs one shared stream walk",
-        &[
-            "layer",
-            "batch",
-            "per_request_us",
-            "batch_major_us",
-            "speedup",
-            "threaded_us(t=2)",
-        ],
-    );
-    for (name, geom) in layers {
-        let mut wgen = WeightGen::new(QuantScheme::inq(), SEED ^ 0xB1).with_density(0.9);
-        let weights = wgen.generate_dims(geom.k(), geom.c(), geom.r(), geom.s());
-        let plan = CompiledLayer::compile(&geom, 1, &weights, &cfg);
-        let mut agen = ActivationGen::new(SEED ^ 0xB2);
-        for &b in batches {
-            let inputs: Vec<Tensor3<i16>> = (0..b)
-                .map(|_| agen.generate(geom.c(), geom.in_w(), geom.in_h()))
-                .collect();
-
-            let t_seq = Instant::now();
-            let mut sequential = Vec::new();
-            for _ in 0..repeats {
-                sequential = inputs
-                    .iter()
-                    .map(|i| run_compiled(&plan, i))
-                    .collect::<Vec<_>>();
-                std::hint::black_box(&sequential);
-            }
-            let seq_us = t_seq.elapsed().as_secs_f64() * 1e6 / (repeats * b) as f64;
-
-            let t_batch = Instant::now();
-            let mut batched = Vec::new();
-            for _ in 0..repeats {
-                batched = run_compiled_batch(&plan, &inputs);
-                std::hint::black_box(&batched);
-            }
-            let batch_us = t_batch.elapsed().as_secs_f64() * 1e6 / (repeats * b) as f64;
-
-            let t_thr = Instant::now();
-            let mut threaded = Vec::new();
-            for _ in 0..repeats {
-                threaded = run_compiled_batch_threads(&plan, &inputs, 2);
-                std::hint::black_box(&threaded);
-            }
-            let thr_us = t_thr.elapsed().as_secs_f64() * 1e6 / (repeats * b) as f64;
-
-            assert_eq!(
-                sequential, batched,
-                "batch-major output diverged from per-request"
-            );
-            assert_eq!(sequential, threaded, "threaded output diverged");
-
-            t.push_row(vec![
-                name.to_string(),
-                b.to_string(),
-                f2(seq_us),
-                f2(batch_us),
-                f2(seq_us / batch_us),
-                f2(thr_us),
-            ]);
-        }
-    }
-    t
-}
-
 /// Executor backend comparison: every registered backend on FC- and
 /// conv-shaped layers (plus an i8 ternary-alphabet zoo entry) across batch
 /// sizes — per-image time and speedup vs `batch-threads`, the serving
@@ -1606,193 +950,6 @@ mod tests {
     }
 
     #[test]
-    fn serve_load_quick_matrix_is_clean_and_accounted() {
-        let t = serve_load(true, &ServeOpts::default());
-        // 7 runs × (1 ALL row + 3 zoo models).
-        assert_eq!(t.rows.len(), 7 * 4);
-        for row in &t.rows {
-            assert_eq!(row[8], "0", "mismatches: {row:?}");
-            let scheduled: u64 = row[4].parse().unwrap();
-            let completed: u64 = row[5].parse().unwrap();
-            let shed: u64 = row[6].parse().unwrap();
-            let errors: u64 = row[7].parse().unwrap();
-            assert_eq!(
-                completed + shed + errors,
-                scheduled,
-                "lost requests: {row:?}"
-            );
-        }
-        // ALL rows break the shed total down by cause in the appended
-        // columns: shed == shed_q + shed_lag + shed_dl, always.
-        for row in t.rows.iter().filter(|r| r[3] == "ALL") {
-            let shed: u64 = row[6].parse().unwrap();
-            let by_cause: u64 = (20..=22).map(|i| row[i].parse::<u64>().unwrap()).sum();
-            assert_eq!(shed, by_cause, "shed breakdown: {row:?}");
-        }
-        // The overload run carries its deadline; every other run runs
-        // without one by default.
-        let overload = t
-            .rows
-            .iter()
-            .find(|r| r[0] == "overload" && r[3] == "ALL")
-            .expect("missing overload row");
-        assert_eq!(overload[24], "100", "deadline_ms: {overload:?}");
-        assert!(
-            t.rows
-                .iter()
-                .filter(|r| r[0] != "overload")
-                .all(|r| r[24] == "-"),
-            "deadline leaked into non-overload runs"
-        );
-        // The acceptance pair: closed/sequential at 1 and 8 shards, both
-        // completing everything (closed loops never shed) — plus the
-        // single-central-queue baseline at the same 8 workers.
-        for (workload, shards) in [("closed", "1"), ("closed", "8"), ("closed-1q", "8")] {
-            let row = t
-                .rows
-                .iter()
-                .find(|r| r[0] == workload && r[2] == shards && r[3] == "ALL")
-                .unwrap_or_else(|| panic!("missing {workload} x{shards} row"));
-            assert_eq!(row[4], row[5], "closed run must complete all: {row:?}");
-            assert!(row[9].parse::<f64>().unwrap() > 0.0, "throughput: {row:?}");
-        }
-        // Per-model scheduled counts sum to the run total for every run.
-        for all_row in t.rows.iter().filter(|r| r[3] == "ALL") {
-            let sum: u64 = t
-                .rows
-                .iter()
-                .filter(|r| r[0] == all_row[0] && r[2] == all_row[2] && r[3] != "ALL")
-                .map(|r| r[4].parse::<u64>().unwrap())
-                .sum();
-            assert_eq!(sum.to_string(), all_row[4], "split mismatch: {all_row:?}");
-        }
-    }
-
-    #[test]
-    fn serve_load_single_workload_and_model_subset() {
-        let opts = ServeOpts {
-            backend: BackendKind::FlattenedBatch,
-            workload: Some("open".to_string()),
-            mix: Some("sequential".to_string()),
-            models: vec!["tiny".to_string()],
-            rate_hz: Some(500.0),
-            requests: Some(20),
-            shards: Some(2),
-            ..ServeOpts::default()
-        };
-        let t = serve_load(true, &opts);
-        assert_eq!(t.rows.len(), 2); // one run, one model
-        assert_eq!(t.rows[0][0], "open");
-        assert_eq!(t.rows[0][4], "20");
-        assert_eq!(t.rows[1][3], "tiny");
-        assert_eq!(t.rows[0][8], "0", "mismatches");
-    }
-
-    #[test]
-    fn serve_load_same_seed_replays_counts() {
-        // Closed-loop runs are structurally deterministic: the same seed
-        // must reproduce every count column (timing columns excluded).
-        let opts = ServeOpts {
-            workload: Some("closed".to_string()),
-            mix: Some("hotcold".to_string()),
-            requests: Some(30),
-            seed: 0xFEED,
-            ..ServeOpts::default()
-        };
-        let a = serve_load(true, &opts);
-        let b = serve_load(true, &opts);
-        assert_eq!(a.rows.len(), b.rows.len());
-        for (ra, rb) in a.rows.iter().zip(&b.rows) {
-            // workload, mix, shards, model, scheduled, completed, shed,
-            // errors, mismatch — everything before the timing columns.
-            assert_eq!(ra[..9], rb[..9], "replay diverged");
-        }
-        // A different seed draws a different hot/cold split.
-        let c = serve_load(
-            true,
-            &ServeOpts {
-                seed: 0xBEEF,
-                ..opts
-            },
-        );
-        assert_ne!(
-            a.rows.iter().map(|r| r[4].clone()).collect::<Vec<_>>(),
-            c.rows.iter().map(|r| r[4].clone()).collect::<Vec<_>>(),
-            "different seed must change the per-model split"
-        );
-    }
-
-    #[test]
-    fn serve_load_emits_phase_breakdown_reuse_section_and_metrics_files() {
-        let dir = std::env::temp_dir().join("ucnn_serve_metrics_test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let opts = ServeOpts {
-            workload: Some("closed".to_string()),
-            mix: Some("sequential".to_string()),
-            requests: Some(24),
-            metrics_dir: Some(dir.clone()),
-            ..ServeOpts::default()
-        };
-        let t = serve_load(true, &opts);
-        // Phase columns ride on ALL rows and parse as microseconds; the
-        // magnitudes are machine-dependent and not asserted.
-        let header_at = |name: &str| t.header.iter().position(|h| h == name).unwrap();
-        let all_row = &t.rows[0];
-        assert_eq!(all_row[3], "ALL");
-        for col in ["q_wait_us", "form_us", "exec_us", "respond_us"] {
-            let v: f64 = all_row[header_at(col)].parse().unwrap();
-            assert!(v >= 0.0, "{col} = {v}");
-        }
-        assert!(
-            all_row[header_at("exec_us")].parse::<f64>().unwrap() > 0.0,
-            "forwards take nonzero time"
-        );
-        // The reuse section covers every backend at both batch buckets for
-        // every zoo model, with the factorized walk never exceeding dense.
-        assert_eq!(t.sections.len(), 1);
-        let reuse = &t.sections[0];
-        for kind in BackendKind::ALL {
-            for bucket in ["1", "8"] {
-                let rows: Vec<_> = reuse
-                    .rows
-                    .iter()
-                    .filter(|r| r[2] == kind.name() && r[3] == bucket)
-                    .collect();
-                assert!(!rows.is_empty(), "no reuse rows for {kind} B={bucket}");
-                for row in rows {
-                    let dense: u64 = row[5].parse().unwrap();
-                    let issued: u64 = row[6].parse().unwrap();
-                    let ratio: f64 = row[7].parse().unwrap();
-                    assert!(issued > 0 && issued <= dense, "work bounds: {row:?}");
-                    assert!(ratio > 0.0 && ratio <= 1.0, "ratio bounds: {row:?}");
-                }
-            }
-        }
-        // CSR segments equal issued multiplies on the flattened backend only.
-        for row in &reuse.rows {
-            let issued: u64 = row[6].parse().unwrap();
-            let csr: u64 = row[9].parse().unwrap();
-            if row[2].starts_with("flattened") {
-                assert_eq!(csr, issued, "CSR invariant: {row:?}");
-            } else {
-                assert_eq!(csr, 0, "stream walkers report no CSR: {row:?}");
-            }
-        }
-        // The observability artifacts landed in the metrics dir.
-        let prom = std::fs::read_to_string(dir.join("serve_metrics.prom")).unwrap();
-        assert!(prom.contains("# TYPE engine_execute_ns summary"));
-        assert!(prom.contains("harness_scheduled_total"));
-        let json = std::fs::read_to_string(dir.join("serve_metrics.json")).unwrap();
-        assert!(json.contains("\"histograms\""));
-        let jsonl = std::fs::read_to_string(dir.join("serve_intervals.jsonl")).unwrap();
-        assert!(jsonl.lines().count() >= 2, "interval samples present");
-        assert!(jsonl
-            .lines()
-            .all(|l| l.starts_with('{') && l.ends_with('}')));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn backend_table_covers_every_backend_bit_exactly() {
         // Bit-exactness across backends is asserted inside backend_table
         // per cell; here we pin the table shape and positive timings.
@@ -1856,32 +1013,6 @@ mod tests {
         // The baseline column is relative to the engine default's own row.
         for row in t.rows.iter().filter(|r| r[2] == "batch-threads") {
             assert_eq!(row[5], "1.00", "{row:?}");
-        }
-    }
-
-    #[test]
-    fn amortization_retained_beats_per_call_on_fc() {
-        let t = compile_amortization(true);
-        assert_eq!(t.rows.len(), 6);
-        let fc_fact: f64 = t.rows[1][3].parse().unwrap();
-        let fc_compiled: f64 = t.rows[2][3].parse().unwrap();
-        assert!(
-            fc_compiled < fc_fact,
-            "retained plan ({fc_compiled} us) must beat per-call \
-             factorization ({fc_fact} us) on the fc layer"
-        );
-    }
-
-    #[test]
-    fn batch_exec_outputs_bit_exact_and_table_shaped() {
-        // Timing is machine-dependent, so the test pins the structure and
-        // the (internally asserted) bit-exactness, not the speedup.
-        let t = batch_exec(true);
-        assert_eq!(t.rows.len(), 4); // 2 layers x 2 batch sizes
-        for row in &t.rows {
-            assert!(row[2].parse::<f64>().unwrap() > 0.0, "{row:?}");
-            assert!(row[3].parse::<f64>().unwrap() > 0.0, "{row:?}");
-            assert!(row[4].parse::<f64>().unwrap() > 0.0, "{row:?}");
         }
     }
 

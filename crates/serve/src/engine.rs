@@ -29,7 +29,7 @@
 //!
 //! A drained batch is grouped by model and each group executes as **one
 //! batched forward** ([`CompiledNetwork::forward_batch_with`], through the
-//! backend each request was admitted with): the retained plan is walked
+//! engine's one [`EngineConfig::backend`]): the retained plan is walked
 //! once for the whole group instead of once per request, and
 //! [`EngineConfig::exec_threads`] optionally parallelizes that single
 //! forward across scoped threads. Responses stay bit-identical to
@@ -40,9 +40,17 @@
 //! scratch arena** (`ucnn_core::flatten::FlattenedScratch`), so each
 //! worker's steady-state hot path stops allocating scratch per batch, and
 //! lazily lowered plan state is **warmed** ahead of traffic — by the
-//! [`ModelRegistry`] at insert/override time and by [`Engine::start`] for
-//! plans already resident — so the first request after a deploy or a
-//! backend retune does not pay lowering latency in its tail.
+//! [`ModelRegistry`] at insert time and by [`Engine::start`] for plans
+//! already resident — so the first request after a deploy does not pay
+//! lowering latency in its tail.
+//!
+//! Every event is tallied once, in the engine's own [`MetricsRegistry`]
+//! (per-worker padded cells): [`Engine::stats`] reads its totals and the
+//! three phase histograms — queue wait, batch formation, execute: the same
+//! partition of a request's time in the engine that each [`ServeResponse`]
+//! carries — back out of it. Measuring the engine is the job of the
+//! repository benchmark (`benchmark/`); the [`crate::harness`] is what the
+//! test suites drive it with.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -65,8 +73,7 @@ pub struct EngineConfig {
     pub workers: usize,
     /// Queue shard count; `0` (the default) means one shard per worker.
     /// Workers map onto shards round-robin, so `queue_shards: 1` runs the
-    /// whole pool off a single central queue — the configuration the
-    /// sharded-vs-single-queue comparison in `repro serve` pins.
+    /// whole pool off a single central queue.
     pub queue_shards: usize,
     /// Bounded queue capacity (backpressure depth).
     pub queue_capacity: usize,
@@ -81,10 +88,11 @@ pub struct EngineConfig {
     /// latency), few workers with several exec threads for large batches
     /// (high throughput per batch).
     pub exec_threads: usize,
-    /// Executor backend batched forwards run through (every backend is
-    /// bit-identical; this only changes performance) unless the model has
-    /// a per-model override in the [`ModelRegistry`] — resolution is
-    /// override, else this.
+    /// The executor backend every batched forward runs through (every
+    /// backend is bit-identical; this only changes performance). It is the
+    /// engine's only executor choice: there is no per-model or per-request
+    /// override tier, so retiring `batch-threads` is the default line below
+    /// plus the deletion of the executor.
     ///
     /// [`EngineConfig::default`] names `batch-threads` on purpose; it does
     /// not follow the library's `CompiledNetwork::DEFAULT_BACKEND`
@@ -92,14 +100,11 @@ pub struct EngineConfig {
     /// of `BENCH_backends.json`. Measured with the default flipped on a
     /// scratch copy (PR 19, 20 s runs): `serve_closed_c2.throughput_vs_dense`
     /// 0.94 → 6.2, `serve_pipelined_w32` 1.11 → 10.1 and
-    /// `serve_open_r500.lat_p50_vs_dense` 2.35 → 0.64 (2.8, 5.8 and 0.80
-    /// before single images ran on position lanes), but the repository
+    /// `serve_open_r500.lat_p50_vs_dense` 2.35 → 0.64, but the repository
     /// benchmark keeps one sample per answered request inside its own
     /// peak-RSS reading, so the same flip reads `peak_rss_mb` 7.1 → 26.8
-    /// and 8.2 → 39.9 MB, far past the benchmark's 25 % bound. Flipping
-    /// this default — and retiring `batch-threads` with
-    /// `run_compiled_batch*` — follows a PR that fixes that accounting in
-    /// `benchmark/`.
+    /// and 8.2 → 39.9 MB, far past the benchmark's 25 % bound. The flip
+    /// follows a PR that fixes that accounting in `benchmark/`.
     pub backend: BackendKind,
 }
 
@@ -172,7 +177,7 @@ pub struct ServeResponse {
     /// enqueue → execute-start span (queue wait plus batch formation).
     pub queue_ns: u64,
     /// The batch-formation slice of [`ServeResponse::queue_ns`]: drain →
-    /// execute-start (grouping the drained requests by model/backend and
+    /// execute-start (grouping the drained requests by model and
     /// assembling batch-major inputs), shared by every request of the
     /// batch. Pure queue wait is `queue_ns - batch_form_ns`.
     pub batch_form_ns: u64,
@@ -181,7 +186,8 @@ pub struct ServeResponse {
     pub service_ns: u64,
     /// Number of same-model requests served by that single batched forward.
     pub batch_size: usize,
-    /// Index of the worker that served it.
+    /// Index of the worker thread that served it (`< workers`, whatever
+    /// the queue shard count).
     pub worker: usize,
     /// When the worker finished (for open-loop latency accounting).
     pub completed_at: Instant,
@@ -208,10 +214,6 @@ impl Pending {
 
 struct Request {
     model: Arc<CompiledNetwork>,
-    /// Backend resolved at submit time (registry override, else the engine
-    /// default) — pinned per request so a mid-flight override change never
-    /// splits one batch's semantics.
-    backend: BackendKind,
     input: Tensor3<i16>,
     enqueued_at: Instant,
     /// Absolute expiry. A worker that drains this request at or past the
@@ -224,9 +226,9 @@ struct Request {
     tx: mpsc::Sender<Result<ServeResponse, ServeError>>,
 }
 
+/// Engine state with no twin in the [`MetricsRegistry`]: everything that
+/// is a plain event count lives there (see [`EngineMetrics`]).
 struct Counters {
-    served: AtomicU64,
-    batches: AtomicU64,
     /// `batch_sizes[s]` counts executed batches of exactly `s` requests
     /// (index 0 unused).
     batch_sizes: Vec<AtomicU64>,
@@ -234,19 +236,9 @@ struct Counters {
     /// here instead of being folded into the top bucket so the distribution
     /// cannot masquerade a bug as legitimate max-size batches.
     batch_overflows: AtomicU64,
-    /// Batches a worker stole from another worker's shard.
-    steals: AtomicU64,
-    /// Requests shed at drain time because their deadline had expired.
-    shed_deadline: AtomicU64,
-    /// Submissions rejected by deadline admission control (never enqueued).
-    deadline_rejected: AtomicU64,
-    /// Submissions rejected at a model's concurrency ceiling.
-    quota_rejected: AtomicU64,
     /// EWMA of per-request execute time in nanoseconds (0 = no sample
     /// yet), feeding deadline admission control.
     service_est_ns: AtomicU64,
-    /// Workers that died to a panic (caught or joined-as-error).
-    panicked_workers: AtomicU64,
     /// First worker panic message observed, for [`EngineStats`].
     panic_message: Mutex<Option<String>>,
 }
@@ -254,32 +246,23 @@ struct Counters {
 impl Counters {
     fn new(max_batch: usize) -> Self {
         Self {
-            served: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
             batch_sizes: (0..=max_batch).map(|_| AtomicU64::new(0)).collect(),
             batch_overflows: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
-            shed_deadline: AtomicU64::new(0),
-            deadline_rejected: AtomicU64::new(0),
-            quota_rejected: AtomicU64::new(0),
             service_est_ns: AtomicU64::new(0),
-            panicked_workers: AtomicU64::new(0),
             panic_message: Mutex::new(None),
         }
     }
 
-    fn record_batch(&self, size: usize) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.served.fetch_add(size as u64, Ordering::Relaxed);
+    fn record_batch_size(&self, size: usize) {
         debug_assert!(
             size < self.batch_sizes.len(),
             "batch of {size} exceeds max_batch {}",
             self.batch_sizes.len() - 1
         );
-        match self.batch_sizes.get(size) {
-            Some(cell) => cell.fetch_add(1, Ordering::Relaxed),
-            None => self.batch_overflows.fetch_add(1, Ordering::Relaxed),
-        };
+        self.batch_sizes
+            .get(size)
+            .unwrap_or(&self.batch_overflows)
+            .fetch_add(1, Ordering::Relaxed);
     }
 
     /// Folds one per-request execute-time sample into the EWMA admission
@@ -295,8 +278,7 @@ impl Counters {
         self.service_est_ns.store(next, Ordering::Relaxed);
     }
 
-    fn record_panic(&self, message: String) {
-        self.panicked_workers.fetch_add(1, Ordering::Relaxed);
+    fn record_panic_message(&self, message: String) {
         let mut first = self.panic_message.lock().expect("panic log poisoned");
         first.get_or_insert(message);
     }
@@ -327,26 +309,28 @@ impl PhaseStat {
 }
 
 /// Per-phase latency breakdown of the request lifecycle, stamped by the
-/// workers at the four phase boundaries:
+/// workers at the phase boundaries:
 ///
 /// ```text
-/// enqueue ──queue_wait──▶ drain ──batch_form──▶ execute ──▶ respond
+/// enqueue ──queue_wait──▶ drain ──batch_form──▶ start ──execute──▶ done
 /// ```
 ///
-/// Every phase counts once per request (batch-shared phases record the
-/// batch's value for each rider), so the four counts are equal and each
-/// phase's `total_ns / count` is directly a per-request mean.
+/// The three phases partition a request's time in the engine, and they are
+/// the stamps its [`ServeResponse`] carries: `queue_ns - batch_form_ns`,
+/// `batch_form_ns` and `service_ns` — each phase's `total_ns` is exactly
+/// the sum of that expression over the responses sent. Every phase counts
+/// once per request (batch-shared phases record the batch's value for each
+/// rider), so the three counts equal `served` and each phase's
+/// `total_ns / count` is directly a per-request mean.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseBreakdown {
     /// Enqueue → worker drain (time spent waiting in the bounded queue).
     pub queue_wait: PhaseStat,
-    /// Drain → execute start (grouping by model/backend, assembling the
+    /// Drain → execute start (grouping by model, assembling the
     /// batch-major inputs).
     pub batch_form: PhaseStat,
     /// The batched forward itself.
     pub execute: PhaseStat,
-    /// Execute end → all of the batch's responses handed to their channels.
-    pub respond: PhaseStat,
 }
 
 /// Aggregate engine counters returned by [`Engine::shutdown`].
@@ -385,7 +369,7 @@ pub struct EngineStats {
     /// The first worker panic message observed, when any worker panicked.
     pub panic_message: Option<String>,
     /// Per-phase latency breakdown (queue wait vs batch formation vs
-    /// execution vs response delivery).
+    /// execution).
     pub phases: PhaseBreakdown,
 }
 
@@ -461,15 +445,16 @@ pub struct Engine {
     queue: Arc<ShardedQueue<Request>>,
     counters: Arc<Counters>,
     workers: Vec<JoinHandle<()>>,
-    worker_count: usize,
-    backend: BackendKind,
+    config: EngineConfig,
     metrics: Arc<MetricsRegistry>,
     handles: EngineMetrics,
 }
 
 /// The engine's resolved handles into its [`MetricsRegistry`] — looked up
 /// once at start so the worker hot path records through `Arc`s without
-/// touching the registry's name maps.
+/// touching the registry's name maps. The counters are the engine's only
+/// tally of these events; worker `w` adds into padded cell `w`, the submit
+/// path into cell 0.
 #[derive(Clone)]
 struct EngineMetrics {
     requests: Arc<Counter>,
@@ -482,7 +467,6 @@ struct EngineMetrics {
     queue_wait: Arc<Histogram>,
     batch_form: Arc<Histogram>,
     execute: Arc<Histogram>,
-    respond: Arc<Histogram>,
     queue_depth: Arc<Gauge>,
     in_flight: Arc<Gauge>,
 }
@@ -500,7 +484,6 @@ impl EngineMetrics {
             queue_wait: metrics.histogram("engine_queue_wait_ns"),
             batch_form: metrics.histogram("engine_batch_form_ns"),
             execute: metrics.histogram("engine_execute_ns"),
-            respond: metrics.histogram("engine_respond_ns"),
             queue_depth: metrics.gauge("engine_queue_depth"),
             in_flight: metrics.gauge("engine_in_flight"),
         }
@@ -518,7 +501,6 @@ impl EngineMetrics {
             queue_wait: stat(&self.queue_wait),
             batch_form: stat(&self.batch_form),
             execute: stat(&self.execute),
-            respond: stat(&self.respond),
         }
     }
 }
@@ -532,36 +514,13 @@ impl Engine {
     /// the queue itself).
     #[must_use]
     pub fn start(registry: Arc<ModelRegistry>, config: EngineConfig) -> Self {
-        let metrics = Arc::new(MetricsRegistry::new(config.workers.max(1)));
-        Self::start_with_metrics(registry, config, metrics)
-    }
-
-    /// Like [`Engine::start`], but records into a caller-owned
-    /// [`MetricsRegistry`] — so a harness or server front-end can merge
-    /// engine lifecycle metrics with its own (e.g. scheduled/shed totals)
-    /// and export one exposition.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.workers == 0` (queue/batch sizing is validated by
-    /// the queue itself).
-    #[must_use]
-    pub fn start_with_metrics(
-        registry: Arc<ModelRegistry>,
-        config: EngineConfig,
-        metrics: Arc<MetricsRegistry>,
-    ) -> Self {
         assert!(config.workers > 0, "need at least one worker");
         assert!(config.exec_threads > 0, "need at least one exec thread");
         assert!(config.max_batch > 0, "need a positive max batch");
-        // Adopt the registry: registering the engine default lets the
+        // Adopt the registry: registering the serving backend lets the
         // registry warm models inserted *after* start for the backend that
-        // will actually serve them — the gap that used to put lazy-lowering
-        // latency in the first post-deploy request's tail.
-        // `set_default_backend` also warms every already-resident plan for
-        // the tier that will now serve it, so plans inserted before this
-        // engine adopted the registry have their lazy lowering built here,
-        // before the first request.
+        // will actually serve them, and warms every already-resident plan
+        // here, before the first request.
         registry.set_default_backend(config.backend);
         // `queue_shards: 0` = one shard per worker (the sharded default);
         // an explicit count caps it (never above the worker count — extra
@@ -572,21 +531,20 @@ impl Engine {
         };
         let queue = Arc::new(ShardedQueue::new(shards, config.queue_capacity));
         let counters = Arc::new(Counters::new(config.max_batch));
+        let metrics = Arc::new(MetricsRegistry::new(config.workers));
         let handles = EngineMetrics::resolve(&metrics);
         let workers = (0..config.workers)
             .map(|worker| {
                 let queue = Arc::clone(&queue);
                 let counters = Arc::clone(&counters);
                 let handles = handles.clone();
-                let max_batch = config.max_batch;
-                let exec_threads = config.exec_threads;
                 // With fewer shards than workers, workers share shards
                 // round-robin (`queue_shards: 1` = one central queue).
                 let shard = worker % shards;
                 std::thread::Builder::new()
                     .name(format!("ucnn-serve-{worker}"))
                     .spawn(move || {
-                        worker_loop(shard, &queue, &counters, &handles, max_batch, exec_threads);
+                        worker_loop(worker, shard, &queue, &counters, &handles, &config);
                     })
                     .expect("failed to spawn worker")
             })
@@ -596,8 +554,7 @@ impl Engine {
             queue,
             counters,
             workers,
-            worker_count: config.workers,
-            backend: config.backend,
+            config,
             metrics,
             handles,
         }
@@ -618,21 +575,15 @@ impl Engine {
         &self.registry
     }
 
-    /// The engine-wide default executor backend (per-model registry
-    /// overrides take precedence at submit time).
+    /// The executor backend every request runs through
+    /// ([`EngineConfig::backend`]).
     #[must_use]
     pub fn backend(&self) -> BackendKind {
-        self.backend
+        self.config.backend
     }
 
-    /// Resolves the backend for a request: the per-model registry
-    /// override, else the engine default.
-    fn resolve_backend(&self, override_kind: Option<BackendKind>) -> BackendKind {
-        override_kind.unwrap_or(self.backend)
-    }
-
-    /// Admits a request by model name — plan, pinned backend, and an
-    /// acquired quota slot — cheapest and stateless checks first. A tensor
+    /// Admits a request by model name — plan and an acquired quota slot —
+    /// cheapest and stateless checks first. A tensor
     /// of the wrong shape is turned away before anything is counted or
     /// taken: enqueued, it would panic the forward of the worker that
     /// drained it and fail every co-batched rider. `admission` is the
@@ -642,7 +593,7 @@ impl Engine {
         model: &str,
         input: &Tensor3<i16>,
         admission: Option<Instant>,
-    ) -> Result<(Arc<CompiledNetwork>, BackendKind, Option<QuotaToken>), ServeError> {
+    ) -> Result<(Arc<CompiledNetwork>, Option<QuotaToken>), ServeError> {
         let resolved = self
             .registry
             .resolve(model)
@@ -657,13 +608,11 @@ impl Engine {
         if let Some(deadline) = admission {
             self.admit_deadline(deadline, Instant::now())?;
         }
-        let backend = self.resolve_backend(resolved.backend);
         let Some(token) = resolved.quota.try_acquire() else {
-            self.counters.quota_rejected.fetch_add(1, Ordering::Relaxed);
             self.handles.quota_rejected.inc(0);
             return Err(ServeError::QuotaExceeded);
         };
-        Ok((resolved.plan, backend, Some(token)))
+        Ok((resolved.plan, Some(token)))
     }
 
     /// Deadline admission control for the open-loop submit path: predicts
@@ -675,25 +624,21 @@ impl Engine {
     fn admit_deadline(&self, deadline: Instant, now: Instant) -> Result<(), ServeError> {
         let est = self.counters.service_est_ns.load(Ordering::Relaxed);
         let admitted = if est == 0 {
-            // Regression (satellite 2): a zero EWMA used to predict zero
-            // queue delay, admitting unmeetable deadlines behind an
-            // arbitrary backlog — they were then shed at drain instead of
-            // rejected at submit. Until the first batch seeds the
-            // estimate, only an empty queue is a safe bet.
+            // A zero EWMA would predict zero queue delay and admit
+            // unmeetable deadlines behind an arbitrary backlog. Until the
+            // first batch seeds the estimate, only an empty queue is a
+            // safe bet.
             self.queue.is_empty() && now < deadline
         } else {
             let depth = self.queue.len() as u64;
             // Queued work drains across the pool; the request then pays
             // its own service time.
-            let predicted_ns = (depth + 1) * est / self.worker_count as u64 + est;
+            let predicted_ns = (depth + 1) * est / self.config.workers as u64 + est;
             now + Duration::from_nanos(predicted_ns) <= deadline
         };
         if admitted {
             Ok(())
         } else {
-            self.counters
-                .deadline_rejected
-                .fetch_add(1, Ordering::Relaxed);
             self.handles.deadline_rejected.inc(0);
             Err(ServeError::DeadlineExceeded)
         }
@@ -707,8 +652,8 @@ impl Engine {
     /// Returns [`ServeError::UnknownModel`], [`ServeError::BadInput`],
     /// [`ServeError::QuotaExceeded`], or [`ServeError::ShuttingDown`].
     pub fn submit(&self, model: &str, input: Tensor3<i16>) -> Result<Pending, ServeError> {
-        let (plan, backend, quota) = self.admit_named(model, &input, None)?;
-        self.push_request(plan, backend, input, None, quota)
+        let (plan, quota) = self.admit_named(model, &input, None)?;
+        self.push_request(plan, input, None, quota)
     }
 
     /// Like [`Engine::submit`], but tags the request with an absolute
@@ -727,13 +672,12 @@ impl Engine {
         input: Tensor3<i16>,
         deadline: Instant,
     ) -> Result<Pending, ServeError> {
-        let (plan, backend, quota) = self.admit_named(model, &input, None)?;
-        self.push_request(plan, backend, input, Some(deadline), quota)
+        let (plan, quota) = self.admit_named(model, &input, None)?;
+        self.push_request(plan, input, Some(deadline), quota)
     }
 
-    /// Submits a request for an already resolved plan (no registry
-    /// override, quota or shape check: it runs on the engine default),
-    /// blocking while the queue is full.
+    /// Submits a request for an already resolved plan (no quota or shape
+    /// check), blocking while the queue is full.
     ///
     /// # Errors
     ///
@@ -743,7 +687,7 @@ impl Engine {
         model: Arc<CompiledNetwork>,
         input: Tensor3<i16>,
     ) -> Result<Pending, ServeError> {
-        self.push_request(model, self.backend, input, None, None)
+        self.push_request(model, input, None, None)
     }
 
     /// Builds the queued request and the handle the caller waits on — the
@@ -751,7 +695,6 @@ impl Engine {
     /// non-blocking submit paths.
     fn make_request(
         model: Arc<CompiledNetwork>,
-        backend: BackendKind,
         input: Tensor3<i16>,
         deadline: Option<Instant>,
         quota: Option<QuotaToken>,
@@ -759,7 +702,6 @@ impl Engine {
         let (tx, rx) = mpsc::channel();
         let request = Request {
             model,
-            backend,
             input,
             enqueued_at: Instant::now(),
             deadline,
@@ -772,12 +714,11 @@ impl Engine {
     fn push_request(
         &self,
         model: Arc<CompiledNetwork>,
-        backend: BackendKind,
         input: Tensor3<i16>,
         deadline: Option<Instant>,
         quota: Option<QuotaToken>,
     ) -> Result<Pending, ServeError> {
-        let (request, pending) = Self::make_request(model, backend, input, deadline, quota);
+        let (request, pending) = Self::make_request(model, input, deadline, quota);
         self.queue
             .push(request)
             .map_err(|_| ServeError::ShuttingDown)?;
@@ -822,8 +763,8 @@ impl Engine {
         input: Tensor3<i16>,
         deadline: Option<Instant>,
     ) -> Result<Pending, ServeError> {
-        let (plan, backend, quota) = self.admit_named(model, &input, deadline)?;
-        let (request, pending) = Self::make_request(plan, backend, input, deadline, quota);
+        let (plan, quota) = self.admit_named(model, &input, deadline)?;
+        let (request, pending) = Self::make_request(plan, input, deadline, quota);
         self.queue.try_push(request).map_err(|e| match e {
             TryPushError::Full => ServeError::Overloaded,
             TryPushError::Closed => ServeError::ShuttingDown,
@@ -837,15 +778,18 @@ impl Engine {
         self.queue.len()
     }
 
-    /// Snapshot of the aggregate counters while the engine is live.
-    ///
-    /// The harness reads this between workload runs without tearing the
-    /// engine down; [`Engine::shutdown`] returns the final totals.
+    /// Snapshot of the aggregate counters while the engine is live;
+    /// [`Engine::shutdown`] returns the final totals. Event totals are read
+    /// out of the metrics registry, so a live snapshot is a sum over
+    /// per-worker cells taken without stopping them: each total is
+    /// monotone, but totals bumped at different points of a batch may be
+    /// one batch apart.
     #[must_use]
     pub fn stats(&self) -> EngineStats {
+        let m = &self.handles;
         EngineStats {
-            served: self.counters.served.load(Ordering::Relaxed),
-            batches: self.counters.batches.load(Ordering::Relaxed),
+            served: m.requests.get(),
+            batches: m.batches.get(),
             batch_size_counts: self
                 .counters
                 .batch_sizes
@@ -853,18 +797,18 @@ impl Engine {
                 .map(|c| c.load(Ordering::Relaxed))
                 .collect(),
             batch_overflows: self.counters.batch_overflows.load(Ordering::Relaxed),
-            steals: self.counters.steals.load(Ordering::Relaxed),
-            shed_deadline: self.counters.shed_deadline.load(Ordering::Relaxed),
-            deadline_rejected: self.counters.deadline_rejected.load(Ordering::Relaxed),
-            quota_rejected: self.counters.quota_rejected.load(Ordering::Relaxed),
-            panicked_workers: self.counters.panicked_workers.load(Ordering::Relaxed),
+            steals: m.steals.get(),
+            shed_deadline: m.deadline_shed.get(),
+            deadline_rejected: m.deadline_rejected.get(),
+            quota_rejected: m.quota_rejected.get(),
+            panicked_workers: m.worker_panics.get(),
             panic_message: self
                 .counters
                 .panic_message
                 .lock()
                 .expect("panic log poisoned")
                 .clone(),
-            phases: self.handles.phases(),
+            phases: m.phases(),
         }
     }
 
@@ -893,7 +837,7 @@ impl Engine {
         self.queue.close();
         for handle in self.workers.drain(..) {
             if let Err(payload) = handle.join() {
-                self.counters.record_panic(panic_message(&payload));
+                self.counters.record_panic_message(panic_message(&payload));
                 self.handles.worker_panics.inc(0);
             }
         }
@@ -934,17 +878,19 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// One worker thread: `worker` is its index in the pool (its metrics cell
+/// and the id stamped on responses), `shard` the queue shard it owns —
+/// shared with other workers when there are fewer shards than workers.
 fn worker_loop(
     worker: usize,
+    shard: usize,
     queue: &ShardedQueue<Request>,
     counters: &Counters,
     metrics: &EngineMetrics,
-    max_batch: usize,
-    exec_threads: usize,
+    config: &EngineConfig,
 ) {
-    while let Some(ShardedBatch { items, stolen }) = queue.pop_batch(worker, max_batch) {
+    while let Some(ShardedBatch { items, stolen }) = queue.pop_batch(shard, config.max_batch) {
         if stolen {
-            counters.steals.fetch_add(1, Ordering::Relaxed);
             metrics.steals.inc(worker);
         }
         // A panicking batch must not take the engine down silently: catch
@@ -953,10 +899,10 @@ fn worker_loop(
         // workers steal this worker's shard dry. Requests lost mid-batch
         // surface as `WorkerLost` to their callers.
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            serve_batch(worker, items, queue, counters, metrics, exec_threads);
+            serve_batch(worker, items, queue, counters, metrics, config);
         }));
         if let Err(payload) = outcome {
-            counters.record_panic(panic_message(payload.as_ref()));
+            counters.record_panic_message(panic_message(payload.as_ref()));
             metrics.worker_panics.inc(worker);
             return;
         }
@@ -969,7 +915,7 @@ fn serve_batch(
     queue: &ShardedQueue<Request>,
     counters: &Counters,
     metrics: &EngineMetrics,
-    exec_threads: usize,
+    config: &EngineConfig,
 ) {
     // Lifecycle stamp: the drain ends every rider's queue-wait phase.
     // Depth and in-flight gauges are sampled on every drain so load is
@@ -990,9 +936,6 @@ fn serve_batch(
         .into_iter()
         .partition(|req| req.deadline.map_or(true, |d| drained_at < d));
     if !expired.is_empty() {
-        counters
-            .shed_deadline
-            .fetch_add(expired.len() as u64, Ordering::Relaxed);
         metrics.deadline_shed.add(worker, expired.len() as u64);
         for req in expired {
             // A dropped receiver (client gave up) is not an error; the
@@ -1000,25 +943,19 @@ fn serve_batch(
             let _ = req.tx.send(Err(ServeError::DeadlineExceeded));
         }
     }
-    // Group the live requests by (model, backend) — FIFO order preserved
-    // within a group — so each group runs as ONE batch-major forward
-    // through one executor.
-    type Group = (Arc<CompiledNetwork>, BackendKind, Vec<Request>);
-    let mut groups: Vec<Group> = Vec::new();
+    // Group the live requests by model — FIFO order preserved within a
+    // group — so each group runs as ONE batch-major forward.
+    let mut groups: Vec<(Arc<CompiledNetwork>, Vec<Request>)> = Vec::new();
     for req in live {
         match groups
             .iter_mut()
-            .find(|(model, backend, _)| Arc::ptr_eq(model, &req.model) && *backend == req.backend)
+            .find(|(model, _)| Arc::ptr_eq(model, &req.model))
         {
-            Some((_, _, requests)) => requests.push(req),
-            None => {
-                let model = Arc::clone(&req.model);
-                let backend = req.backend;
-                groups.push((model, backend, vec![req]));
-            }
+            Some((_, requests)) => requests.push(req),
+            None => groups.push((Arc::clone(&req.model), vec![req])),
         }
     }
-    for (model, backend, requests) in groups {
+    for (model, requests) in groups {
         let batch_size = requests.len();
         let mut inputs = Vec::with_capacity(batch_size);
         let mut receipts = Vec::with_capacity(batch_size);
@@ -1028,28 +965,26 @@ fn serve_batch(
         }
         let start = Instant::now();
         let batch_form_ns = ns(start.duration_since(drained_at));
-        let outputs = model.forward_batch_with(&inputs, backend, exec_threads);
+        let outputs = model.forward_batch_with(&inputs, config.backend, config.exec_threads);
         let completed_at = Instant::now();
         let service_ns = ns(completed_at.duration_since(start));
         // Counters and phase records land only after the forward returned:
         // a batch that panics mid-execution is counted by the panic path,
         // not silently folded into `served` (which must keep meaning
         // "responses actually produced").
-        counters.record_batch(batch_size);
+        counters.record_batch_size(batch_size);
         metrics.batches.inc(worker);
         metrics.requests.add(worker, batch_size as u64);
         // Feed admission control's EWMA with this batch's amortized
         // per-request cost.
         counters.record_service_sample(service_ns / batch_size as u64);
-        // Batch-shared phases record once per rider, keeping every
-        // phase's count equal to requests served.
-        for (_, enqueued_at, _) in &receipts {
-            metrics
-                .queue_wait
-                .record(ns(drained_at.duration_since(*enqueued_at)));
-            metrics.batch_form.record(batch_form_ns);
-        }
         for ((tx, enqueued_at, quota), output) in receipts.into_iter().zip(outputs) {
+            // The three phases are recorded from the very values the
+            // response carries (batch-shared ones once per rider), so the
+            // histograms' totals are the sums over the responses sent.
+            let queue_ns = ns(start.duration_since(enqueued_at));
+            metrics.queue_wait.record(queue_ns - batch_form_ns);
+            metrics.batch_form.record(batch_form_ns);
             metrics.execute.record(service_ns);
             // Free the admission slot *before* handing off the response:
             // once a caller's wait() returns, its quota slot is already
@@ -1058,17 +993,13 @@ fn serve_batch(
             // A dropped receiver (client gave up) is not an error.
             let _ = tx.send(Ok(ServeResponse {
                 output,
-                queue_ns: ns(start.duration_since(enqueued_at)),
+                queue_ns,
                 batch_form_ns,
                 service_ns,
                 batch_size,
                 worker,
                 completed_at,
             }));
-        }
-        let respond_ns = ns(Instant::now().duration_since(completed_at));
-        for _ in 0..batch_size {
-            metrics.respond.record(respond_ns);
         }
     }
 }
@@ -1173,28 +1104,35 @@ mod tests {
                 engine.submit("tiny", input.clone()).unwrap()
             })
             .collect();
+        // The phases are recorded from the stamps the responses carry, so
+        // summing those stamps must reproduce each phase total exactly.
+        let (mut queue_wait_ns, mut batch_form_ns, mut service_ns) = (0u64, 0u64, 0u64);
         for pending in pendings {
             let resp = pending.wait().unwrap();
             // batch_form is a slice of the enqueue → execute-start span.
             assert!(resp.batch_form_ns <= resp.queue_ns);
+            queue_wait_ns += resp.queue_ns - resp.batch_form_ns;
+            batch_form_ns += resp.batch_form_ns;
+            service_ns += resp.service_ns;
         }
         let metrics = Arc::clone(engine.metrics());
         let stats = engine.shutdown();
         let phases = stats.phases;
-        // Every phase counts once per request served.
-        for (name, stat) in [
-            ("queue_wait", phases.queue_wait),
-            ("batch_form", phases.batch_form),
-            ("execute", phases.execute),
-            ("respond", phases.respond),
+        for (name, stat, total_ns) in [
+            ("queue_wait", phases.queue_wait, queue_wait_ns),
+            ("batch_form", phases.batch_form, batch_form_ns),
+            ("execute", phases.execute, service_ns),
         ] {
             assert_eq!(stat.count, stats.served, "{name} must count per request");
+            assert_eq!(
+                stat.total_ns, total_ns,
+                "{name} total != sum over responses"
+            );
             assert!(stat.max_ns as f64 >= stat.mean_ns(), "{name} max < mean");
         }
         assert!(phases.execute.total_ns > 0, "forwards take nonzero time");
         // The registry exposes the same lifecycle series by name, and the
         // in-flight gauge is balanced once the workers are drained.
-        assert_eq!(metrics.counter("engine_requests_total").get(), stats.served);
         assert_eq!(metrics.counter("engine_batches_total").get(), stats.batches);
         assert_eq!(metrics.gauge("engine_in_flight").get(), 0);
         let text = metrics.render_prometheus();
@@ -1203,26 +1141,50 @@ mod tests {
     }
 
     #[test]
-    fn engines_can_share_one_metrics_registry() {
-        let shared = Arc::new(MetricsRegistry::new(2));
-        for _ in 0..2 {
-            let (engine, cases) = tiny_engine(1);
-            let registry = Arc::clone(engine.registry());
-            let _ = engine.shutdown();
-            let engine = Engine::start_with_metrics(
-                registry,
-                EngineConfig {
-                    workers: 1,
-                    ..EngineConfig::default()
-                },
-                Arc::clone(&shared),
-            );
-            let resp = engine.submit("tiny", cases[0].0.clone()).unwrap();
-            let _ = resp.wait().unwrap();
-            let _ = engine.shutdown();
-        }
-        // Both engines recorded into the same series.
-        assert_eq!(shared.counter("engine_requests_total").get(), 2);
+    fn responses_name_the_worker_not_the_queue_shard() {
+        // One central queue under two workers: both share shard 0, and each
+        // must still stamp its own index. `max_batch: 1` with two clients
+        // that each keep one request outstanding leaves a request queued
+        // whenever one worker is busy, so both workers serve.
+        let (engine, cases) = tiny_engine(1);
+        let registry = Arc::clone(engine.registry());
+        let _ = engine.shutdown();
+        let workers = 2;
+        let engine = Engine::start(
+            registry,
+            EngineConfig {
+                workers,
+                queue_shards: 1,
+                max_batch: 1,
+                ..EngineConfig::default()
+            },
+        );
+        let mut seen = vec![0u32; workers];
+        std::thread::scope(|scope| {
+            let clients: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        (0..200)
+                            .map(|_| {
+                                let pending = engine.submit("tiny", cases[0].0.clone()).unwrap();
+                                pending.wait().unwrap().worker
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            for client in clients {
+                for worker in client.join().unwrap() {
+                    assert!(worker < workers, "worker id {worker} out of range");
+                    seen[worker] += 1;
+                }
+            }
+        });
+        assert!(
+            seen.iter().all(|&n| n > 0),
+            "every worker must appear under its own id: {seen:?}"
+        );
+        let _ = engine.shutdown();
     }
 
     #[test]
@@ -1315,8 +1277,9 @@ mod tests {
     fn engine_start_warms_plans_for_its_default_backend() {
         use ucnn_core::plan::CompiledStage;
 
-        // A plain plan (no override) under a flattened engine default: insert cannot warm it (the registry does not
-        // know the engine default), so Engine::start must.
+        // A plan inserted before any engine adopted the registry: insert
+        // cannot warm it (the registry does not know what will serve it),
+        // so Engine::start must.
         let registry = Arc::new(ModelRegistry::new());
         let net = networks::tiny();
         let weights = forward::generate_network_weights(&net, QuantScheme::inq(), 47, 0.9);
@@ -1337,100 +1300,6 @@ mod tests {
         );
         assert!(flat_ready(&plan), "start must warm for the engine default");
         let _ = engine.shutdown();
-    }
-
-    #[test]
-    fn per_model_backend_override_takes_precedence() {
-        // Registry override (flattened-batch) vs engine default (batch-threads):
-        // both must serve bit-exact outputs; the override path is exercised
-        // by resolving through submit().
-        let registry = Arc::new(ModelRegistry::new());
-        let net = networks::tiny();
-        let weights = forward::generate_network_weights(&net, QuantScheme::inq(), 43, 0.9);
-        registry.compile_and_insert(&net, &weights, &UcnnConfig::with_g(2));
-        assert!(registry.set_backend("tiny", Some(BackendKind::FlattenedBatch)));
-        let mut agen = ActivationGen::new(44);
-        let input = agen.generate_for(&net.conv_layers()[0]);
-        let expected = forward::dense_forward(&net, &weights, &input);
-        let engine = Engine::start(Arc::clone(&registry), EngineConfig::default());
-        let resp = engine
-            .submit("tiny", input.clone())
-            .unwrap()
-            .wait()
-            .unwrap();
-        assert_eq!(resp.output, expected);
-        // Clearing the override falls back to the engine default.
-        assert!(registry.set_backend("tiny", None));
-        let resp = engine.submit("tiny", input).unwrap().wait().unwrap();
-        assert_eq!(resp.output, expected);
-        let stats = engine.shutdown();
-        assert_eq!(stats.served, 2);
-    }
-
-    #[test]
-    fn override_beats_engine_default_and_is_pinned_at_admission() {
-        // Resolution at submit time is one rule: the per-model registry
-        // override, else the engine default.
-        let registry = Arc::new(ModelRegistry::new());
-        let net = networks::tiny();
-        let weights = forward::generate_network_weights(&net, QuantScheme::inq(), 45, 0.9);
-        registry.compile_and_insert(&net, &weights, &UcnnConfig::with_g(2));
-        let engine = Engine::start(Arc::clone(&registry), EngineConfig::default());
-        let default = EngineConfig::default().backend;
-        assert_eq!(engine.backend(), default);
-        assert_eq!(
-            engine.resolve_backend(None),
-            default,
-            "no override falls back to the engine default"
-        );
-        // `factorized` is the baseline no default will ever name.
-        let retune = BackendKind::Factorized;
-        assert_ne!(retune, default);
-        assert_eq!(
-            engine.resolve_backend(Some(retune)),
-            retune,
-            "registry override must beat the engine default"
-        );
-
-        // An override set mid-traffic applies to later admissions only: two
-        // requests admitted before it and two after, drained as ONE batch,
-        // keep the kind they were admitted with — the drain runs two
-        // forwards of two, never one re-resolved forward of four.
-        let mut agen = ActivationGen::new(46);
-        let input = agen.generate_for(&net.conv_layers()[0]);
-        let expected = forward::dense_forward(&net, &weights, &input);
-        let admit_two = || -> Vec<(Request, Pending)> {
-            (0..2)
-                .map(|_| {
-                    let (plan, backend, quota) = engine.admit_named("tiny", &input, None).unwrap();
-                    Engine::make_request(plan, backend, input.clone(), None, quota)
-                })
-                .collect()
-        };
-        let before = admit_two();
-        assert!(registry.set_backend("tiny", Some(retune)));
-        let after = admit_two();
-        let (requests, pendings): (Vec<_>, Vec<_>) = before.into_iter().chain(after).unzip();
-        let admitted: Vec<_> = requests.iter().map(|r| r.backend).collect();
-        assert_eq!(admitted, [default, default, retune, retune]);
-        serve_batch(
-            0,
-            requests,
-            &engine.queue,
-            &engine.counters,
-            &engine.handles,
-            1,
-        );
-        for pending in pendings {
-            let resp = pending.wait().unwrap();
-            assert_eq!(resp.output, expected);
-            assert_eq!(
-                resp.batch_size, 2,
-                "a drain must group by the kind each request was admitted with"
-            );
-        }
-        let stats = engine.shutdown();
-        assert_eq!(stats.served, 4);
     }
 
     #[test]
@@ -1586,10 +1455,10 @@ mod tests {
 
     #[test]
     fn cold_admission_rejects_deadlines_behind_a_backlog() {
-        // Regression (satellite 2): with no service sample yet (EWMA = 0)
-        // admission used to predict zero queue delay and admit any future
-        // deadline regardless of backlog — the request was then shed at
-        // drain instead of rejected at submit. Build an engine shell with
+        // With no service sample yet (EWMA = 0) admission used to predict
+        // zero queue delay and admit any future deadline regardless of
+        // backlog — the request was then shed at drain instead of
+        // rejected at submit. Build an engine shell with
         // no workers, so the queue holds whatever we push and the EWMA
         // stays at its cold-start zero.
         let registry = Arc::new(ModelRegistry::new());
@@ -1603,8 +1472,10 @@ mod tests {
             queue: Arc::new(ShardedQueue::new(1, 8)),
             counters: Arc::new(Counters::new(4)),
             workers: Vec::new(),
-            worker_count: 1,
-            backend: BackendKind::BatchThreads,
+            config: EngineConfig {
+                workers: 1,
+                ..EngineConfig::default()
+            },
             metrics,
             handles,
         };
@@ -1628,7 +1499,7 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, ServeError::DeadlineExceeded);
         assert_eq!(
-            engine.counters.deadline_rejected.load(Ordering::Relaxed),
+            engine.stats().deadline_rejected,
             1,
             "the rejection must be counted at the door"
         );
@@ -1741,16 +1612,21 @@ mod tests {
         // cell (`EngineStats::batch_overflows`) instead of masquerading as
         // a legitimate max-size batch.
         let counters = Counters::new(4);
-        counters.record_batch(9);
+        counters.record_batch_size(9);
     }
 
     #[test]
     fn in_queue_batch_sizes_never_reach_the_overflow_cell() {
         let counters = Counters::new(4);
         for size in 1..=4 {
-            counters.record_batch(size);
+            counters.record_batch_size(size);
         }
         assert_eq!(counters.batch_overflows.load(Ordering::Relaxed), 0);
-        assert_eq!(counters.batches.load(Ordering::Relaxed), 4);
+        let recorded: u64 = counters
+            .batch_sizes
+            .iter()
+            .map(|c| c.load(Ordering::Relaxed))
+            .sum();
+        assert_eq!(recorded, 4);
     }
 }

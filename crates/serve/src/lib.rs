@@ -1,5 +1,5 @@
-//! **ucnn-serve** — a compile-once batched inference engine with a
-//! stress-test harness.
+//! **ucnn-serve** — a compile-once batched inference engine, and the load
+//! harness its test suites drive it with.
 //!
 //! The UCNN premise is that factorization work is paid **once per model**
 //! and amortized over every inference (paper §IV). This crate is the
@@ -15,7 +15,8 @@
 //!   batch-major forwards) with dynamic batching feeding a pool of
 //!   worker threads; each drained batch is grouped by model and executed
 //!   as **one batch-major forward**
-//!   ([`ucnn_core::plan::CompiledNetwork::forward_batch_threads`]), walking
+//!   ([`ucnn_core::plan::CompiledNetwork::forward_batch_with`], through
+//!   [`EngineConfig::backend`], the engine's one executor choice), walking
 //!   the retained streams once for the whole batch — with
 //!   [`EngineConfig::exec_threads`] scoped threads inside the forward —
 //!   and every response stays bit-identical to the dense reference at
@@ -33,12 +34,17 @@
 //! * [`harness`] — executes a schedule across sharded generator threads
 //!   (one histogram per shard, merged at report time), with
 //!   coordinated-omission-aware open-loop latency, shed accounting, and
-//!   bit-exact per-model verification.
+//!   bit-exact per-model verification. It is what `tests/serve_load.rs`,
+//!   `tests/chaos.rs` and the `serve_stress` example drive the engine
+//!   with; *measuring* the engine is the job of the repository benchmark
+//!   (`benchmark/`), the only instrument.
 //! * [`metrics`] — a typed [`MetricsRegistry`] (sharded counters, gauges,
 //!   lock-free histograms) every [`Engine`] owns, exported as Prometheus
-//!   text exposition or a JSON snapshot; the engine stamps request
-//!   lifecycle phases (queue wait → batch form → execute → respond) into
-//!   it, surfaced as [`PhaseBreakdown`] on [`EngineStats`].
+//!   text exposition or a JSON snapshot. It is the engine's only tally:
+//!   every event is counted once, there, and [`EngineStats`] reads its
+//!   totals back out; the three request-lifecycle phases (queue wait →
+//!   batch form → execute, the partition each [`ServeResponse`] carries)
+//!   are surfaced as [`PhaseBreakdown`].
 //!
 //! # Quickstart
 //!

@@ -1,24 +1,24 @@
-//! Bounded MPMC request queues with dynamic batching.
+//! The bounded MPMC request queue with dynamic batching.
 //!
-//! Two queue shapes share the same contract (FIFO per shard, bounded depth,
-//! close-then-drain shutdown):
+//! [`ShardedQueue`] is the engine's one queue shape: FIFO per shard,
+//! bounded depth, close-then-drain shutdown. Producers block when every
+//! shard is full (natural backpressure for closed-loop clients; open-loop
+//! generators use [`ShardedQueue::try_push`] and count drops). Consumers
+//! block until at least one item is available, then drain up to a batch
+//! limit in one critical section — the "dynamic batching" a serving engine
+//! wants: batches grow exactly as large as the backlog, with no added
+//! latency when traffic is light.
 //!
-//! * [`BoundedQueue`] — one mutex-guarded deque. Producers block when the
-//!   queue is full (natural backpressure for closed-loop clients; open-loop
-//!   generators use [`BoundedQueue::try_push`] and count drops). Consumers
-//!   block until at least one item is available, then drain up to a batch
-//!   limit in one critical section — the "dynamic batching" a serving
-//!   engine wants: batches grow exactly as large as the backlog, with no
-//!   added latency when traffic is light.
-//! * [`ShardedQueue`] — one bounded shard per worker with submit-time shard
-//!   selection (two-choice load probing) and **whole-batch work stealing**:
-//!   a consumer that finds its own shard empty drains a contiguous FIFO run
-//!   from the deepest other shard, so stolen work keeps its model-grouping
-//!   locality. Idle consumers park on one shared condvar behind a
-//!   generation counter; producers touch that condvar only when a consumer
-//!   is actually parked, so the steady-state push path never takes a
-//!   cross-shard lock and drained shards never chain-notify peers into a
-//!   busy re-wake.
+//! With one shard per worker, submits pick a shard by two-choice load
+//! probing and a consumer that finds its own shard short **steals whole
+//! batches**: it drains a contiguous FIFO run from the deepest other shard,
+//! so stolen work keeps its model-grouping locality. `ShardedQueue::new(1,
+//! capacity)` is the single central queue — one mutex-guarded deque every
+//! worker drains, nothing to steal. Idle consumers park on one shared
+//! condvar behind a generation counter; producers touch that condvar only
+//! when a consumer is actually parked, so the steady-state push path never
+//! takes a cross-shard lock and drained shards never chain-notify peers
+//! into a busy re-wake.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -28,7 +28,7 @@ use std::sync::{Condvar, Mutex};
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Closed;
 
-/// Error returned by [`BoundedQueue::try_push`].
+/// Error returned by [`ShardedQueue::try_push`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TryPushError {
     /// The queue was at capacity.
@@ -40,158 +40,6 @@ pub enum TryPushError {
 struct State<T> {
     items: VecDeque<T>,
     closed: bool,
-}
-
-/// A bounded FIFO queue safe for any number of producers and consumers.
-pub struct BoundedQueue<T> {
-    capacity: usize,
-    state: Mutex<State<T>>,
-    /// Signaled when items arrive or the queue closes (wakes consumers).
-    not_empty: Condvar,
-    /// Signaled when space frees up or the queue closes (wakes producers).
-    not_full: Condvar,
-    /// Consumer wake-ups that found the queue empty and open — each one is
-    /// a wasted scheduler round trip. Diagnostics for the no-busy-re-wake
-    /// contract of `pop_batch` (a drain that empties the queue must not
-    /// chain-notify a peer consumer).
-    wasted_wakes: AtomicU64,
-}
-
-impl<T> BoundedQueue<T> {
-    /// Creates a queue holding at most `capacity` items.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "queue capacity must be positive");
-        Self {
-            capacity,
-            state: Mutex::new(State {
-                items: VecDeque::new(),
-                closed: false,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            wasted_wakes: AtomicU64::new(0),
-        }
-    }
-
-    /// Maximum number of queued items.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Current queue depth.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.state.lock().expect("queue poisoned").items.len()
-    }
-
-    /// Whether the queue is currently empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Consumer wake-ups that found nothing to do (empty, still open).
-    /// Stays near zero under the fixed chain-notify rule; OS-level spurious
-    /// wakeups may contribute a handful.
-    #[must_use]
-    pub fn wasted_wakes(&self) -> u64 {
-        self.wasted_wakes.load(Ordering::Relaxed)
-    }
-
-    /// Enqueues an item, blocking while the queue is full.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Closed`] if the queue is (or becomes) closed; the item is
-    /// returned inside the error-free path only.
-    pub fn push(&self, item: T) -> Result<(), Closed> {
-        let mut state = self.state.lock().expect("queue poisoned");
-        while !state.closed && state.items.len() >= self.capacity {
-            state = self.not_full.wait(state).expect("queue poisoned");
-        }
-        if state.closed {
-            return Err(Closed);
-        }
-        state.items.push_back(item);
-        drop(state);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Enqueues an item without blocking.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TryPushError::Full`] when at capacity (the caller counts a
-    /// drop) or [`TryPushError::Closed`] after shutdown.
-    pub fn try_push(&self, item: T) -> Result<(), TryPushError> {
-        let mut state = self.state.lock().expect("queue poisoned");
-        if state.closed {
-            return Err(TryPushError::Closed);
-        }
-        if state.items.len() >= self.capacity {
-            return Err(TryPushError::Full);
-        }
-        state.items.push_back(item);
-        drop(state);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Dequeues a batch: blocks until at least one item is available, then
-    /// drains up to `max_batch` items. Returns `None` once the queue is
-    /// closed **and** drained — the worker shutdown signal.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_batch == 0`.
-    #[must_use]
-    pub fn pop_batch(&self, max_batch: usize) -> Option<Vec<T>> {
-        assert!(max_batch > 0, "batch size must be positive");
-        let mut state = self.state.lock().expect("queue poisoned");
-        while state.items.is_empty() {
-            if state.closed {
-                return None;
-            }
-            state = self.not_empty.wait(state).expect("queue poisoned");
-            if state.items.is_empty() && !state.closed {
-                // Woken with nothing to do: either an OS spurious wakeup or
-                // a peer's stray notify. Counted so the no-busy-re-wake
-                // contract is testable.
-                self.wasted_wakes.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let n = state.items.len().min(max_batch);
-        let batch: Vec<T> = state.items.drain(..n).collect();
-        let remaining = state.items.len();
-        drop(state);
-        // Freed `n` slots; wake blocked producers. Chain-notify a peer
-        // consumer ONLY when items remain — an unconditional notify here
-        // was a guaranteed-wasted wake per batch under light load (every
-        // drain that emptied the queue kicked a parked peer awake for
-        // nothing).
-        self.not_full.notify_all();
-        if remaining > 0 {
-            self.not_empty.notify_one();
-        }
-        Some(batch)
-    }
-
-    /// Closes the queue: subsequent pushes fail, consumers drain what is
-    /// left and then receive `None`.
-    pub fn close(&self) {
-        let mut state = self.state.lock().expect("queue poisoned");
-        state.closed = true;
-        drop(state);
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
 }
 
 /// One batch popped from a [`ShardedQueue`]: the items plus whether they
@@ -230,8 +78,7 @@ impl<T> Shard<T> {
 /// **Producers** probe two shards (round-robin cursor plus its neighbor)
 /// and push to the shallower one; when both are full they scan all shards,
 /// and only block (in [`ShardedQueue::push`]) when every shard is at
-/// capacity — preserving the closed-loop backpressure contract of
-/// [`BoundedQueue`] at total capacity.
+/// capacity — closed-loop backpressure at total capacity.
 ///
 /// **Consumers** drain their own shard first. An empty own-shard falls
 /// through to a steal: the deepest other shard is drained up to the batch
@@ -526,8 +373,8 @@ impl<T> ShardedQueue<T> {
                 // parked peer so the pool ramps worker by worker under
                 // load instead of relying on future pushes. (Never fires
                 // when the drain emptied the queue — an empty-queue
-                // chain-kick is exactly the busy re-wake bug the bounded
-                // queue had.)
+                // chain-kick would wake a parked peer once per batch for
+                // nothing under light load.)
                 if self.depth.load(Ordering::SeqCst) > 0 && self.idle.load(Ordering::SeqCst) > 0 {
                     let mut gen = self.steal_gen.lock().expect("queue poisoned");
                     *gen = gen.wrapping_add(1);
@@ -595,126 +442,29 @@ mod tests {
     use std::thread;
     use std::time::Duration;
 
+    // ---- one shard: the single central queue ----
+
     #[test]
     fn fifo_order_and_batching() {
-        let q = BoundedQueue::new(16);
+        let q = ShardedQueue::new(1, 16);
         for i in 0..5 {
             q.push(i).unwrap();
         }
-        assert_eq!(q.pop_batch(3).unwrap(), vec![0, 1, 2]);
-        assert_eq!(q.pop_batch(10).unwrap(), vec![3, 4]);
+        let first = q.pop_batch(0, 3).unwrap();
+        assert!(!first.stolen, "one shard has nobody to steal from");
+        assert_eq!(first.items, vec![0, 1, 2]);
+        assert_eq!(q.pop_batch(0, 10).unwrap().items, vec![3, 4]);
         assert_eq!(q.len(), 0);
     }
 
     #[test]
     fn try_push_reports_full_then_drains() {
-        let q = BoundedQueue::new(2);
+        let q = ShardedQueue::new(1, 2);
         q.try_push(1).unwrap();
         q.try_push(2).unwrap();
         assert_eq!(q.try_push(3), Err(TryPushError::Full));
-        assert_eq!(q.pop_batch(8).unwrap(), vec![1, 2]);
+        assert_eq!(q.pop_batch(0, 8).unwrap().items, vec![1, 2]);
         q.try_push(3).unwrap();
-    }
-
-    #[test]
-    fn close_drains_then_stops() {
-        let q = BoundedQueue::new(4);
-        q.push("a").unwrap();
-        q.close();
-        assert_eq!(q.push("b"), Err(Closed));
-        assert_eq!(q.try_push("b"), Err(TryPushError::Closed));
-        assert_eq!(q.pop_batch(4).unwrap(), vec!["a"]);
-        assert!(q.pop_batch(4).is_none());
-    }
-
-    #[test]
-    fn blocked_producer_wakes_on_pop() {
-        let q = Arc::new(BoundedQueue::new(1));
-        q.push(0u32).unwrap();
-        let q2 = Arc::clone(&q);
-        let producer = thread::spawn(move || q2.push(1).is_ok());
-        thread::sleep(Duration::from_millis(20));
-        assert_eq!(q.pop_batch(1).unwrap(), vec![0]);
-        assert!(producer.join().unwrap());
-        assert_eq!(q.pop_batch(1).unwrap(), vec![1]);
-    }
-
-    #[test]
-    fn blocked_consumer_wakes_on_close() {
-        let q: Arc<BoundedQueue<u32>> = Arc::new(BoundedQueue::new(4));
-        let q2 = Arc::clone(&q);
-        let consumer = thread::spawn(move || q2.pop_batch(4));
-        thread::sleep(Duration::from_millis(20));
-        q.close();
-        assert!(consumer.join().unwrap().is_none());
-    }
-
-    #[test]
-    fn drain_to_empty_does_not_busy_rewake_peer_consumers() {
-        // Regression for the chain-notify bug: pop_batch used to fire
-        // not_empty.notify_one() even after draining the queue to empty,
-        // kicking a parked peer awake once per batch for nothing. With two
-        // consumers and a trickle of single items, the fixed queue must
-        // leave the idle peer asleep (a small allowance covers OS-level
-        // spurious wakeups, which condvars are permitted to produce).
-        let q: Arc<BoundedQueue<u32>> = Arc::new(BoundedQueue::new(16));
-        let consumers: Vec<_> = (0..2)
-            .map(|_| {
-                let q = Arc::clone(&q);
-                thread::spawn(move || {
-                    let mut got = 0u32;
-                    while let Some(batch) = q.pop_batch(4) {
-                        got += batch.len() as u32;
-                    }
-                    got
-                })
-            })
-            .collect();
-        for i in 0..40u32 {
-            q.push(i).unwrap();
-            // Light load: each item is drained (to empty) before the next
-            // arrives, so every drain is a would-be busy re-wake.
-            thread::sleep(Duration::from_millis(1));
-        }
-        q.close();
-        let total: u32 = consumers.into_iter().map(|c| c.join().unwrap()).sum();
-        assert_eq!(total, 40);
-        assert!(
-            q.wasted_wakes() <= 5,
-            "parked peer was busy re-woken {} times",
-            q.wasted_wakes()
-        );
-    }
-
-    #[test]
-    fn backpressure_holds_depth_at_capacity() {
-        // Several producers hammer a full queue: depth must never exceed
-        // capacity while they are blocked, and every item must eventually
-        // arrive exactly once.
-        let q = Arc::new(BoundedQueue::new(2));
-        q.push(100u64).unwrap();
-        q.push(101u64).unwrap();
-        let producers: Vec<_> = (0..3u64)
-            .map(|p| {
-                let q = Arc::clone(&q);
-                thread::spawn(move || q.push(p).is_ok())
-            })
-            .collect();
-        // All three producers are blocked on a full queue; give them time
-        // to park and verify backpressure holds the depth at capacity.
-        thread::sleep(Duration::from_millis(30));
-        assert_eq!(q.len(), 2, "blocked producers must not grow the queue");
-
-        let mut got = Vec::new();
-        while got.len() < 5 {
-            got.extend(q.pop_batch(1).unwrap());
-            assert!(q.len() <= 2, "depth exceeded capacity mid-drain");
-        }
-        for p in producers {
-            assert!(p.join().unwrap(), "producer failed to push");
-        }
-        got.sort_unstable();
-        assert_eq!(got, vec![0, 1, 2, 100, 101]);
     }
 
     #[test]
@@ -722,7 +472,7 @@ mod tests {
         // Shutdown while producers are parked in push(): all of them must
         // wake with Err(Closed) instead of deadlocking, and the items
         // already queued must still drain.
-        let q = Arc::new(BoundedQueue::new(1));
+        let q = Arc::new(ShardedQueue::new(1, 1));
         q.push(7u32).unwrap();
         let producers: Vec<_> = (0..4)
             .map(|_| {
@@ -736,15 +486,15 @@ mod tests {
             assert_eq!(p.join().unwrap(), Err(Closed), "producer not rejected");
         }
         // The pre-close item survives; afterwards the queue reports closed.
-        assert_eq!(q.pop_batch(4).unwrap(), vec![7]);
-        assert!(q.pop_batch(4).is_none());
+        assert_eq!(q.pop_batch(0, 4).unwrap().items, vec![7]);
+        assert!(q.pop_batch(0, 4).is_none());
     }
 
     #[test]
     fn close_races_with_producers_and_consumers() {
         // Producers, consumers, and a closer all racing: no deadlock, no
         // duplicated items, and everything that push() accepted is popped.
-        let q = Arc::new(BoundedQueue::new(4));
+        let q = Arc::new(ShardedQueue::new(1, 4));
         let producers: Vec<_> = (0..3u64)
             .map(|p| {
                 let q = Arc::clone(&q);
@@ -767,8 +517,8 @@ mod tests {
                 let q = Arc::clone(&q);
                 thread::spawn(move || {
                     let mut got = Vec::new();
-                    while let Some(batch) = q.pop_batch(3) {
-                        got.extend(batch);
+                    while let Some(batch) = q.pop_batch(0, 3) {
+                        got.extend(batch.items);
                     }
                     got
                 })
@@ -789,44 +539,7 @@ mod tests {
         assert_eq!(accepted, popped, "accepted and drained sets must match");
     }
 
-    #[test]
-    fn many_producers_many_consumers_lose_nothing() {
-        let q = Arc::new(BoundedQueue::new(8));
-        let mut producers = Vec::new();
-        for p in 0..4u64 {
-            let q = Arc::clone(&q);
-            producers.push(thread::spawn(move || {
-                for i in 0..100u64 {
-                    q.push(p * 1000 + i).unwrap();
-                }
-            }));
-        }
-        let mut consumers = Vec::new();
-        for _ in 0..3 {
-            let q = Arc::clone(&q);
-            consumers.push(thread::spawn(move || {
-                let mut got = Vec::new();
-                while let Some(batch) = q.pop_batch(5) {
-                    got.extend(batch);
-                }
-                got
-            }));
-        }
-        for p in producers {
-            p.join().unwrap();
-        }
-        q.close();
-        let mut all: Vec<u64> = consumers
-            .into_iter()
-            .flat_map(|c| c.join().unwrap())
-            .collect();
-        all.sort_unstable();
-        assert_eq!(all.len(), 400);
-        all.dedup();
-        assert_eq!(all.len(), 400, "duplicated or lost items");
-    }
-
-    // ---- ShardedQueue ----
+    // ---- several shards: two-choice pushes and whole-batch steals ----
 
     #[test]
     fn sharded_fifo_within_shard_and_capacity_split() {
@@ -966,8 +679,7 @@ mod tests {
 
     #[test]
     fn sharded_trickle_does_not_busy_rewake_parked_peers() {
-        // The per-shard replacement keeps the no-busy-re-wake contract:
-        // with two workers and a trickle of single items, each push wakes
+        // The no-busy-re-wake contract: with two workers and a trickle of single items, each push wakes
         // parked workers once and drains never chain-kick the idle peer.
         let q: Arc<ShardedQueue<u32>> = Arc::new(ShardedQueue::new(2, 16));
         let consumers: Vec<_> = (0..2)

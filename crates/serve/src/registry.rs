@@ -5,11 +5,10 @@
 //! and an `Arc` clone — workers never copy plan data.
 //!
 //! Besides the plan, each entry carries live-operations state that
-//! **survives hot-swaps**: the per-model backend override and the
-//! per-model concurrency [`ModelQuota`]. Re-inserting a model replaces the
-//! plan atomically but keeps both, so an operator's retune and a tenant's
-//! admission ceiling (including requests currently in flight against it)
-//! are stable across deploys.
+//! **survives hot-swaps**: the per-model concurrency [`ModelQuota`].
+//! Re-inserting a model replaces the plan atomically but keeps the quota,
+//! so a tenant's admission ceiling (including requests currently in flight
+//! against it) is stable across deploys.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -40,9 +39,9 @@ use ucnn_tensor::Tensor4;
 #[derive(Default)]
 pub struct ModelRegistry {
     models: RwLock<HashMap<String, Entry>>,
-    /// The engine-wide default backend, registered by [`Engine::start`]
-    /// (`None` until an engine adopts this registry). Inserts with no
-    /// per-model override warm for this, so a model deployed *after* start
+    /// The backend the adopting engine serves every model through,
+    /// registered by [`Engine::start`] (`None` until an engine adopts this
+    /// registry). Inserts warm for this, so a model deployed *after* start
     /// still serves its first request with no lazy lowering in the execute
     /// phase.
     ///
@@ -50,12 +49,9 @@ pub struct ModelRegistry {
     default_backend: RwLock<Option<BackendKind>>,
 }
 
-/// One registered model: the shared plan plus an optional per-model
-/// executor-backend override (engine-wide default applies when `None`) and
-/// the shared concurrency quota.
+/// One registered model: the shared plan and the shared concurrency quota.
 struct Entry {
     plan: Arc<CompiledNetwork>,
-    backend: Option<BackendKind>,
     quota: Arc<ModelQuota>,
 }
 
@@ -131,12 +127,10 @@ impl Drop for QuotaToken {
 }
 
 /// A model resolved for submission in one registry lock acquisition: the
-/// plan, the per-model backend override, and the shared quota handle.
+/// plan and the shared quota handle.
 pub struct ResolvedModel {
     /// The compiled plan to execute.
     pub plan: Arc<CompiledNetwork>,
-    /// Per-model backend override (`None` = the engine default).
-    pub backend: Option<BackendKind>,
     /// The model's concurrency quota.
     pub quota: Arc<ModelQuota>,
 }
@@ -155,91 +149,75 @@ impl ModelRegistry {
     /// this call return the new plan, while requests already holding the
     /// old `Arc` keep serving the old one to completion (plans are
     /// immutable, so no request ever observes a half-swapped model). A
-    /// per-model backend override set via [`ModelRegistry::set_backend`]
-    /// survives the replacement.
+    /// [`ModelQuota`] set on the old entry survives the replacement (the
+    /// same shared quota, so in-flight tokens keep counting).
     ///
-    /// The plan is **warmed** for the backend that will serve it (the
-    /// surviving per-model override if any, else the engine-wide default
+    /// The plan is **warmed** for the backend that will serve it (the one
     /// registered via [`ModelRegistry::set_default_backend`]): any lazily
     /// derived execution state — the flattened backend's per-layer lowering
     /// — is built here, at deploy time, so the first request after an
-    /// insert no longer pays lowering latency in its tail, **including
-    /// models deployed after the engine started**. With neither — no
-    /// engine has adopted the registry yet — nothing is warmed: the
-    /// library's own `CompiledNetwork::DEFAULT_BACKEND` is not what an
-    /// engine will run, and [`Engine::start`] warms every resident plan for
-    /// the tier it does run. Warming runs outside the registry lock (plans
-    /// synchronize their own `OnceLock`s), so concurrent lookups are never
-    /// blocked behind it.
-    ///
-    /// A [`ModelQuota`] set on the old entry also survives (the same
-    /// shared quota, so in-flight tokens keep counting).
+    /// insert does not pay lowering latency in its tail, **including
+    /// models deployed after the engine started**. Until an engine has
+    /// adopted the registry nothing is warmed: the library's own
+    /// `CompiledNetwork::DEFAULT_BACKEND` is not what an engine will run,
+    /// and [`Engine::start`] warms every resident plan for the backend it
+    /// does run. Warming runs outside the registry lock (plans synchronize
+    /// their own `OnceLock`s), so concurrent lookups are never blocked
+    /// behind it.
     ///
     /// [`Engine::start`]: crate::engine::Engine::start
     pub fn insert(&self, model: CompiledNetwork) -> Arc<CompiledNetwork> {
         let arc = Arc::new(model);
-        let backend = {
+        {
             let mut models = self.models.write().expect("registry poisoned");
-            let previous = models.get(arc.name());
-            let backend = previous.and_then(|entry| entry.backend);
-            let quota = previous
+            let quota = models
+                .get(arc.name())
                 .map(|entry| Arc::clone(&entry.quota))
                 .unwrap_or_default();
             models.insert(
                 arc.name().to_string(),
                 Entry {
                     plan: Arc::clone(&arc),
-                    backend,
                     quota,
                 },
             );
-            backend
-        };
-        self.warm_for_serving(&arc, backend);
+        }
+        if let Some(kind) = self.default_backend() {
+            arc.warm(kind);
+        }
         arc
     }
 
-    /// Warms `plan` for the backend that will serve it: the per-model
-    /// override, else the adopted engine default. With neither there is
-    /// nothing to warm for.
-    fn warm_for_serving(&self, plan: &CompiledNetwork, override_kind: Option<BackendKind>) {
-        if let Some(kind) = override_kind.or_else(|| self.default_backend()) {
-            plan.warm(kind);
-        }
-    }
-
-    /// Registers the engine-wide default backend — what every model
-    /// without an override is served through — so inserts *after*
-    /// [`Engine::start`] warm the backend that will actually serve them. Called by the engine itself at
-    /// start; with several engines sharing one registry, the last started
-    /// wins (warming for the wrong tier is only a missed optimization,
-    /// never a correctness issue — every backend is bit-identical).
+    /// Registers the backend the adopting engine serves every model
+    /// through, so inserts *after* [`Engine::start`] warm the backend that
+    /// will actually serve them. Called by the engine itself at start;
+    /// with several engines sharing one registry, the last started wins
+    /// (warming for the wrong backend is only a missed optimization, never
+    /// a correctness issue — every backend is bit-identical).
     ///
-    /// Every **already-resident** plan is warmed here too, for the backend
-    /// that will now serve it (its override, else the new default). Flipping the default under sustained traffic —
-    /// the hot-swap path the churn suite exercises — used to leave
-    /// resident plans cold, so the first post-flip request ate the
-    /// flattened-lowering tail. Warming runs outside the registry lock
-    /// (plans synchronize their own `OnceLock`s), so concurrent lookups
-    /// are never blocked behind it.
+    /// Every **already-resident** plan is warmed here too, so plans
+    /// inserted before an engine adopted the registry have their lazy
+    /// lowering built before the first request. Warming runs outside the
+    /// registry lock (plans synchronize their own `OnceLock`s), so
+    /// concurrent lookups are never blocked behind it.
     ///
     /// [`Engine::start`]: crate::engine::Engine::start
     pub fn set_default_backend(&self, backend: BackendKind) {
         *self.default_backend.write().expect("registry poisoned") = Some(backend);
-        let resident: Vec<(Arc<CompiledNetwork>, Option<BackendKind>)> = self
+        let resident: Vec<Arc<CompiledNetwork>> = self
             .models
             .read()
             .expect("registry poisoned")
             .values()
-            .map(|entry| (Arc::clone(&entry.plan), entry.backend))
+            .map(|entry| Arc::clone(&entry.plan))
             .collect();
-        for (plan, override_kind) in resident {
-            self.warm_for_serving(&plan, override_kind);
+        for plan in resident {
+            plan.warm(backend);
         }
     }
 
-    /// The engine-wide default backend registered with this registry, if
-    /// an engine has adopted it.
+    /// The serving backend registered with this registry, if an engine has
+    /// adopted it.
     #[must_use]
     pub fn default_backend(&self) -> Option<BackendKind> {
         *self.default_backend.read().expect("registry poisoned")
@@ -264,34 +242,6 @@ impl ModelRegistry {
             .expect("registry poisoned")
             .get(name)
             .map(|entry| Arc::clone(&entry.plan))
-    }
-
-    /// Sets (or with `None` clears) the per-model executor-backend
-    /// override. Returns `false` if no model of that name is registered.
-    ///
-    /// The override takes effect for requests submitted after the call;
-    /// every backend is bit-identical, so switching is always safe. The
-    /// plan is warmed (outside the lock) for the backend that will now serve
-    /// it — the new override, or on `None` the engine default it falls back
-    /// to — so the first request after an operator retune does not pay
-    /// lazy-lowering latency.
-    pub fn set_backend(&self, name: &str, backend: Option<BackendKind>) -> bool {
-        let plan = {
-            match self
-                .models
-                .write()
-                .expect("registry poisoned")
-                .get_mut(name)
-            {
-                Some(entry) => {
-                    entry.backend = backend;
-                    Arc::clone(&entry.plan)
-                }
-                None => return false,
-            }
-        };
-        self.warm_for_serving(&plan, backend);
-        true
     }
 
     /// Sets (or with `None` lifts) the model's concurrency ceiling.
@@ -320,8 +270,8 @@ impl ModelRegistry {
             .map(|entry| Arc::clone(&entry.quota))
     }
 
-    /// Resolves everything submission needs — plan, backend override, and
-    /// quota handle — in a single read-lock acquisition.
+    /// Resolves everything submission needs — plan and quota handle — in a
+    /// single read-lock acquisition.
     #[must_use]
     pub fn resolve(&self, name: &str) -> Option<ResolvedModel> {
         self.models
@@ -330,19 +280,8 @@ impl ModelRegistry {
             .get(name)
             .map(|entry| ResolvedModel {
                 plan: Arc::clone(&entry.plan),
-                backend: entry.backend,
                 quota: Arc::clone(&entry.quota),
             })
-    }
-
-    /// The per-model backend override, if any.
-    #[must_use]
-    pub fn backend_override(&self, name: &str) -> Option<BackendKind> {
-        self.models
-            .read()
-            .expect("registry poisoned")
-            .get(name)
-            .and_then(|entry| entry.backend)
     }
 
     /// Registered model names, sorted.
@@ -443,70 +382,7 @@ mod tests {
     }
 
     #[test]
-    fn insert_and_set_backend_warm_the_flattened_lowering() {
-        use ucnn_core::backend::BackendKind;
-        use ucnn_core::plan::CompiledStage;
-
-        let flat_ready = |plan: &CompiledNetwork| {
-            plan.stages().iter().all(|s| match s {
-                CompiledStage::Conv { layer, .. } => layer.flat_ready(),
-                CompiledStage::Pool { .. } => true,
-            })
-        };
-        let registry = ModelRegistry::new();
-        let net = networks::tiny();
-        let weights = forward::generate_network_weights(&net, QuantScheme::inq(), 10, 0.9);
-
-        // No override, no adopted engine: nothing to warm — lowering stays lazy.
-        let plain = registry.compile_and_insert(&net, &weights, &UcnnConfig::with_g(2));
-        assert!(!flat_ready(&plain));
-
-        // Retuning to a flattened backend warms at set_backend time.
-        assert!(registry.set_backend("tiny", Some(BackendKind::FlattenedBatch)));
-        assert!(flat_ready(&plain), "set_backend must warm the live plan");
-
-        // A hot-swap under a surviving override warms the *new* plan on
-        // insert, before any request can race the lazy lowering.
-        let w2 = forward::generate_network_weights(&net, QuantScheme::inq(), 11, 0.9);
-        let swapped = registry.compile_and_insert(&net, &w2, &UcnnConfig::with_g(2));
-        assert!(flat_ready(&swapped), "insert must warm under an override");
-    }
-
-    #[test]
-    fn backend_override_set_clear_and_reinsert_survival() {
-        use ucnn_core::backend::BackendKind;
-
-        let registry = ModelRegistry::new();
-        let net = networks::tiny();
-        let w1 = forward::generate_network_weights(&net, QuantScheme::inq(), 8, 0.9);
-        assert!(
-            !registry.set_backend("tiny", Some(BackendKind::FlattenedBatch)),
-            "override on an absent model must be rejected"
-        );
-        registry.compile_and_insert(&net, &w1, &UcnnConfig::with_g(2));
-        assert_eq!(registry.backend_override("tiny"), None);
-
-        assert!(registry.set_backend("tiny", Some(BackendKind::FlattenedBatch)));
-        assert_eq!(
-            registry.backend_override("tiny"),
-            Some(BackendKind::FlattenedBatch)
-        );
-
-        // A model hot-swap keeps the operator's backend choice.
-        let w2 = forward::generate_network_weights(&net, QuantScheme::inq(), 9, 0.9);
-        registry.compile_and_insert(&net, &w2, &UcnnConfig::with_g(2));
-        assert_eq!(
-            registry.backend_override("tiny"),
-            Some(BackendKind::FlattenedBatch)
-        );
-
-        assert!(registry.set_backend("tiny", None));
-        assert_eq!(registry.backend_override("tiny"), None);
-    }
-
-    #[test]
-    fn default_backend_warms_post_start_inserts_and_override_clears() {
-        use ucnn_core::backend::BackendKind;
+    fn default_backend_warms_post_start_inserts() {
         use ucnn_core::plan::CompiledStage;
 
         let flat_ready = |plan: &CompiledNetwork| {
@@ -520,8 +396,7 @@ mod tests {
         let weights = forward::generate_network_weights(&net, QuantScheme::inq(), 12, 0.9);
 
         // Simulates Engine::start adopting the registry with a flattened
-        // default tier: an insert *afterwards* must warm that tier even
-        // with no override (satellite-1 gap).
+        // serving backend: an insert *afterwards* must warm it.
         registry.set_default_backend(BackendKind::FlattenedBatch);
         assert_eq!(
             registry.default_backend(),
@@ -530,24 +405,18 @@ mod tests {
         let plan = registry.compile_and_insert(&net, &weights, &UcnnConfig::with_g(2));
         assert!(
             flat_ready(&plan),
-            "post-start insert must warm the engine-default tier"
+            "post-start insert must warm the serving backend"
         );
 
-        // Clearing an override re-warms for the fallback tier.
-        let fresh = ModelRegistry::new();
-        let p2 = fresh.compile_and_insert(&net, &weights, &UcnnConfig::with_g(2));
-        assert!(!flat_ready(&p2));
-        fresh.set_default_backend(BackendKind::FlattenedBatch);
-        assert!(fresh.set_backend("tiny", None));
-        assert!(
-            flat_ready(&p2),
-            "clearing an override must warm the fallback tier"
-        );
+        // A hot-swap warms the *new* plan on insert, before any request
+        // can race the lazy lowering.
+        let w2 = forward::generate_network_weights(&net, QuantScheme::inq(), 11, 0.9);
+        let swapped = registry.compile_and_insert(&net, &w2, &UcnnConfig::with_g(2));
+        assert!(flat_ready(&swapped), "a hot-swap insert must warm too");
     }
 
     #[test]
     fn set_default_backend_warms_already_resident_plans() {
-        use ucnn_core::backend::BackendKind;
         use ucnn_core::plan::CompiledStage;
 
         let flat_ready = |plan: &CompiledNetwork| {
@@ -560,32 +429,18 @@ mod tests {
         let net = networks::tiny();
         let weights = forward::generate_network_weights(&net, QuantScheme::inq(), 12, 0.9);
 
-        // Regression (satellite 1): a plan resident *before* the default
-        // flips used to stay cold — only insert/set_backend warmed — so
-        // the first request after a live default hot-swap ate the
-        // flattened-lowering tail. The flip itself must warm it.
+        // A plan resident *before* an engine adopts the registry is cold
+        // (no adopted engine: nothing to warm for); the adoption itself
+        // must warm it, or the first request eats the lowering tail.
         let plan = registry.compile_and_insert(&net, &weights, &UcnnConfig::with_g(2));
         assert!(
             !flat_ready(&plan),
-            "no flattened tier in play yet: the lowering must still be lazy"
+            "no flattened backend in play yet: the lowering must still be lazy"
         );
         registry.set_default_backend(BackendKind::FlattenedBatch);
         assert!(
             flat_ready(&plan),
-            "flipping the engine default must warm already-resident plans"
-        );
-
-        // A resident per-model override outranks the new default: the flip
-        // warms the override's tier (here also flattened), and never
-        // un-warms anything — warming is idempotent and additive.
-        let fresh = ModelRegistry::new();
-        let p2 = fresh.compile_and_insert(&net, &weights, &UcnnConfig::with_g(2));
-        assert!(fresh.set_backend("tiny", Some(BackendKind::FlattenedBatch)));
-        assert!(flat_ready(&p2), "setting an override warms its tier");
-        fresh.set_default_backend(BackendKind::BatchThreads);
-        assert!(
-            flat_ready(&p2),
-            "a default flip must not disturb an override's warmed state"
+            "adopting the registry must warm already-resident plans"
         );
     }
 
@@ -635,20 +490,16 @@ mod tests {
     }
 
     #[test]
-    fn resolve_returns_plan_override_and_quota_in_one_call() {
-        use ucnn_core::backend::BackendKind;
-
+    fn resolve_returns_plan_and_quota_in_one_call() {
         let registry = ModelRegistry::new();
         assert!(registry.resolve("tiny").is_none());
         let net = networks::tiny();
         let weights = forward::generate_network_weights(&net, QuantScheme::inq(), 15, 0.9);
         let plan = registry.compile_and_insert(&net, &weights, &UcnnConfig::default());
-        registry.set_backend("tiny", Some(BackendKind::Factorized));
         registry.set_quota("tiny", Some(4));
 
         let resolved = registry.resolve("tiny").unwrap();
         assert!(Arc::ptr_eq(&resolved.plan, &plan));
-        assert_eq!(resolved.backend, Some(BackendKind::Factorized));
         assert_eq!(resolved.quota.limit(), Some(4));
         assert!(Arc::ptr_eq(
             &resolved.quota,

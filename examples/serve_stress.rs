@@ -6,8 +6,7 @@
 //! ```sh
 //! cargo run --release --example serve_stress -- \
 //!     [--quick] [--workers N] [--rate HZ] [--batch N] [--threads N] \
-//!     [--backend NAME] [--workload NAME] [--mix NAME] [--seed N] \
-//!     [--shards N] [--requests N]
+//!     [--workload NAME] [--mix NAME] [--seed N] [--shards N] [--requests N]
 //! ```
 //!
 //! * `--quick` — small request counts (CI smoke configuration).
@@ -16,11 +15,6 @@
 //! * `--batch N` — max requests per batched forward (default 8).
 //! * `--threads N` — scoped exec threads inside each batched forward
 //!   (default 1).
-//! * `--backend NAME` — executor backend (any `BackendKind::ALL` name — an
-//!   unknown one prints the list; default: the engine's own
-//!   `EngineConfig::default()` backend). Every backend is bit-identical,
-//!   so this only changes performance — the CI backend matrix drives this
-//!   flag across all of them.
 //! * `--workload NAME` — run one arrival process (`closed`, `open`,
 //!   `bursty`, `ramp`) instead of the default closed + open + bursty sweep.
 //! * `--mix NAME` — model mix (`uniform`, `hotcold`, `sequential`;
@@ -30,10 +24,12 @@
 //! * `--shards N` — generator threads for scheduled workloads (default 2).
 //! * `--requests N` — total requests per run.
 //!
-//! This example is a thin front-end over `ucnn_serve::harness`: the same
-//! machinery behind `repro serve`, minus the multi-model zoo and JSON
-//! output. Open-loop latency is coordinated-omission-aware (charged from
-//! the intended send time; a full queue sheds instead of stalling).
+//! This example is a thin front-end over `ucnn_serve::harness` — the
+//! machinery `tests/serve_load.rs` and `tests/chaos.rs` drive — on the
+//! engine's default executor backend. It is a correctness smoke, not an
+//! instrument: numbers about the engine come from `benchmark/`. Open-loop
+//! latency is coordinated-omission-aware (charged from the intended send
+//! time; a full queue sheds instead of stalling).
 //!
 //! Exits non-zero if any response mismatches the dense reference or if a
 //! run completes zero requests.
@@ -47,7 +43,7 @@ use ucnn::serve::harness::{self, Case, HarnessReport, ModelCases, RunConfig};
 use ucnn::serve::workload::{Arrival, Mix, StandardWorkload};
 use ucnn::serve::{Engine, EngineConfig, ModelRegistry};
 
-use ucnn_bench::cli::{arg_value as arg_str, backend_arg};
+use ucnn_bench::cli::arg_value as arg_str;
 
 fn arg_value(args: &[String], flag: &str) -> Option<usize> {
     arg_str(args, flag).and_then(|v| v.parse().ok())
@@ -83,13 +79,6 @@ fn main() -> ExitCode {
         .unwrap_or(7);
     let shards = arg_value(&args, "--shards").unwrap_or(2);
     let requests = arg_value(&args, "--requests").unwrap_or(if quick { 40 } else { 400 });
-    let backend = match backend_arg(&args) {
-        Ok(kind) => kind,
-        Err(err) => {
-            eprintln!("{err}");
-            return ExitCode::FAILURE;
-        }
-    };
     let mix_name = arg_str(&args, "--mix").map_or("sequential", String::as_str);
     let Some(mix) = Mix::parse(mix_name) else {
         eprintln!("unknown mix '{mix_name}'; choose uniform, hotcold, or sequential");
@@ -154,14 +143,14 @@ fn main() -> ExitCode {
             workers,
             max_batch,
             exec_threads,
-            backend,
             ..EngineConfig::default()
         },
     );
     println!(
         "engine up: {workers} workers, max batch {max_batch}, \
-         {exec_threads} exec thread(s) per batch, '{backend}' backend, \
-         seed {seed}\n"
+         {exec_threads} exec thread(s) per batch, '{}' backend, \
+         seed {seed}\n",
+        engine.backend()
     );
 
     let mut bad = 0u64;

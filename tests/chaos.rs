@@ -1,7 +1,7 @@
 //! Chaos suite: the serving engine under induced failure — a worker dying
 //! mid-batch, wrong-shaped tensors fired between good requests, consumers
 //! that stop reading responses, the registry being
-//! churned (re-insert + backend retune) under sustained traffic, and
+//! churned (models re-inserted) under sustained traffic, and
 //! shutdown while producers are blocked on a full queue. Every test
 //! asserts invariants (exact accounting, bit-exact outputs, no hangs)
 //! rather than timings, so the suite is deterministic in CI.
@@ -265,25 +265,22 @@ fn slow_consumers_never_stall_the_engine() {
 
 /// Satellite: registry churn under load. While a closed-loop run is in
 /// flight, a churn thread re-inserts both models (same weights, fresh
-/// compile) and retunes the cold model's backend every couple of
-/// milliseconds. Requests already holding the old plan finish on it;
-/// every response stays bit-exact, nothing is lost, and the hot model's
-/// backend override survives every replacement.
+/// compile) every couple of milliseconds. Requests already holding the
+/// old plan finish on it; every response stays bit-exact and nothing is
+/// lost. The engine serves through the flattened backend, so every
+/// re-insert also builds (warms) a lowering while traffic is running.
 #[test]
-fn registry_churn_under_load_stays_bit_exact_and_keeps_the_override() {
+fn registry_churn_under_load_stays_bit_exact() {
     let seed = 0x400u64;
     let registry = Arc::new(ModelRegistry::new());
     let models = zoo(&registry, 2, seed);
-    assert!(
-        registry.set_backend("tiny", Some(BackendKind::FlattenedBatch)),
-        "override target registered"
-    );
     let engine = Engine::start(
         Arc::clone(&registry),
         EngineConfig {
             workers: 2,
             queue_capacity: 64,
             max_batch: 4,
+            backend: BackendKind::FlattenedBatch,
             ..EngineConfig::default()
         },
     );
@@ -311,14 +308,6 @@ fn registry_churn_under_load_stays_bit_exact_and_keeps_the_override() {
                     );
                     registry.compile_and_insert(&spec, &weights, &UcnnConfig::with_g(2));
                 }
-                // Retune the cold model back and forth; every backend is
-                // bit-identical, so mismatches stay impossible by design.
-                let retune = if spins % 2 == 0 {
-                    BackendKind::Factorized
-                } else {
-                    BackendKind::FlattenedBatch
-                };
-                registry.set_backend("tiny-1", Some(retune));
                 spins += 1;
                 thread::sleep(Duration::from_millis(2));
             }
@@ -349,11 +338,6 @@ fn registry_churn_under_load_stays_bit_exact_and_keeps_the_override() {
     assert_eq!(report.mismatches, 0, "churn broke bit-exactness");
     assert_eq!(report.errors, 0);
     assert_eq!(report.shed(), 0);
-    assert_eq!(
-        registry.backend_override("tiny"),
-        Some(BackendKind::FlattenedBatch),
-        "per-model override must survive every re-insert"
-    );
     let stats = engine.shutdown();
     assert_eq!(stats.served, 120);
     assert_eq!(stats.panicked_workers, 0);
