@@ -29,7 +29,8 @@ use ucnn_tensor::{Tensor3, Tensor4};
 
 use crate::counters::LayerWork;
 use crate::exec::{factorized_conv, run_compiled_batch_threads};
-use crate::flatten::{run_flattened_batch_interleaved, run_network_interleaved};
+use crate::flatten::{run_flattened_batch_interleaved, run_network_interleaved, FlattenedTile};
+use crate::hierarchy::GroupStream;
 use crate::plan::{CompiledLayer, CompiledNetwork, CompiledStage};
 use crate::simd::resolve_tier;
 
@@ -205,9 +206,11 @@ pub trait Backend: Send + Sync {
     /// performs, as reuse telemetry for
     /// [`counters`](crate::counters): analytic counts derived from the
     /// retained plan, **not** measured by instrumenting the inner loop — so
-    /// the accounting is O(tiles), bit-identical at every thread count, and
-    /// exactly equal across backends for the arithmetic fields (every
-    /// backend computes the same multiplies, only reordered).
+    /// the accounting is O(tiles) and bit-identical at every thread count.
+    /// The stream walkers report the stream's counts, equal between them;
+    /// the flattened backend reports what its lowered walks issue — at
+    /// most the stream walkers' multiplies (folding only merges groups), and
+    /// more gathers only where a band is walked filter by filter.
     ///
     /// `lowering_was_ready` is whether the flattened lowering existed
     /// before the call (captured by the caller); backends without derived
@@ -226,43 +229,42 @@ pub trait Backend: Send + Sync {
 /// R · S · C_group`, already whole-layer for grouped convolutions because
 /// `K` is total while `C` is per-group).
 fn stream_walk_work(layer: &CompiledLayer, batch: usize) -> LayerWork {
-    let out_positions = (layer.geom().out_w() * layer.geom().out_h()) as u64;
+    let streams = || layer.tiles().iter().map(|tile| tile.stream());
+    let multiplies = streams().map(GroupStream::multiplies).sum();
+    let entries = streams().map(GroupStream::entry_count).sum();
+    walk_work(layer, batch, multiplies, entries)
+}
+
+/// `multiplies` and gathered `entries` per output position per image, over
+/// a batch, beside the layer's dense-equivalent count.
+fn walk_work(layer: &CompiledLayer, batch: usize, multiplies: usize, entries: usize) -> LayerWork {
     let b = batch as u64;
-    let mut multiplies = 0u64;
-    let mut entries = 0u64;
-    for tile in layer.tiles() {
-        multiplies += tile.stream().multiplies() as u64;
-        entries += tile.stream().entry_count() as u64;
-    }
+    let walks = (layer.geom().out_w() * layer.geom().out_h()) as u64 * b;
     LayerWork {
         images: b,
         dense_multiplies: layer.geom().macs() as u64 * b,
-        multiplies_issued: multiplies * out_positions * b,
-        gather_entries: entries * out_positions * b,
-        csr_segments: 0,
-        lowering_hits: 0,
-        lowering_misses: 0,
-        lane_strips: 0,
-        lane_width: 0,
+        multiplies_issued: multiplies as u64 * walks,
+        gather_entries: entries as u64 * walks,
+        ..LayerWork::default()
     }
 }
 
-/// [`stream_walk_work`] plus the flattened-only fields: CSR segments walked
-/// (outer segments + non-zero closes, one multiply each per position — the
-/// invariant pinned by `segment_counts_match_stream_multiplies`), whether this call hit
-/// the cached lowering or had to build it, and the per-ISA profile of the
-/// dispatched tier — how many lane chunks the batch decomposed into and
-/// the widest strip (of images, or of one image's output positions) that
-/// ran.
+/// The analytic per-call work of the flattened backend, counted from the
+/// lowered walks — lowering owns their order and their sharing, so they are
+/// not the stream's: multiplies are the groups of a non-zero weight (outer
+/// segments + non-zero-`|w|` innermost groups, each one CSR segment: ≤ the
+/// stream walkers' multiplies), gathers the lowered entries (more than the
+/// stream's only on a band walked filter by filter). Beside them, whether
+/// this call hit the cached lowering or had to build it, and the per-ISA
+/// profile of the dispatched tier — how many lane chunks the batch
+/// decomposed into and the widest strip (of images, or of one image's
+/// output positions) that ran.
 fn flattened_work(layer: &CompiledLayer, batch: usize, lowering_was_ready: bool) -> LayerWork {
-    let mut work = stream_walk_work(layer, batch);
-    let out_positions = (layer.geom().out_w() * layer.geom().out_h()) as u64;
-    let segments: u64 = layer
-        .flat_tiles()
-        .iter()
-        .map(|t| t.segment_count() as u64)
-        .sum();
-    work.csr_segments = segments * out_positions * batch as u64;
+    let tiles = layer.flat_tiles();
+    let segments = tiles.iter().map(FlattenedTile::segment_count).sum();
+    let entries = tiles.iter().map(FlattenedTile::entry_count).sum();
+    let mut work = walk_work(layer, batch, segments, entries);
+    work.csr_segments = work.multiplies_issued;
     if lowering_was_ready {
         work.lowering_hits = 1;
     } else {

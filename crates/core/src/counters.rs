@@ -40,16 +40,20 @@ pub struct LayerWork {
     /// per image — what a dense convolution would have issued.
     pub dense_multiplies: u64,
     /// Multiplies the factorized walk actually issues: one per non-zero
-    /// activation-group closure per output position
-    /// ([`GroupStream::multiplies`](crate::hierarchy::GroupStream::multiplies)).
+    /// activation group per output position — for the stream walkers
+    /// [`GroupStream::multiplies`](crate::hierarchy::GroupStream::multiplies);
+    /// for the flattened backend the groups of its lowered walks, ≤ the
+    /// stream walkers' (sign-folding merges groups).
     pub multiplies_issued: u64,
-    /// Indirection-table entries touched (gathers): one per retained stream
-    /// entry per output position.
+    /// Indirection-table entries touched (gathers) per output position: one
+    /// per retained stream entry for the stream walkers, one per lowered
+    /// entry for the flattened backend (more only where a band is walked
+    /// filter by filter).
     pub gather_entries: u64,
     /// CSR segments walked by the flattened backends — outer segments plus
-    /// non-zero-weight innermost closes (a zero-weight close's `·0` is
-    /// executed, not counted): equal to `multiplies_issued` by the lowering
-    /// invariant. Zero for non-flattened backends.
+    /// innermost groups of a non-zero `|w|` (the kernel multiplies at every
+    /// close, by a telescoped `Δw`; that is executed, not counted): equal
+    /// to `multiplies_issued` there. Zero for non-flattened backends.
     pub csr_segments: u64,
     /// Layer executions that found the flattened lowering already built.
     pub lowering_hits: u64,

@@ -12,23 +12,50 @@
 //!    the output position, so it flattens to a per-entry base offset plus
 //!    one per-position delta (`base[i] + stride·(x·H + y)`);
 //! 2. **which contiguous entry runs feed which weight** — each level's
-//!    activation groups are contiguous runs of the sorted stream: the
-//!    innermost level (nearly all the groups) flattens to one record per
-//!    group **close** — run length and weight — the outer levels to CSR-style
-//!    `[start, end)` ranges with the weight (zero-weight groups dropped).
+//!    activation groups are contiguous runs of a sorted walk: the innermost
+//!    level (nearly all the groups) flattens to one record per group
+//!    **close** — sub-run lengths and a weight — the outer levels to
+//!    CSR-style `[start, end)` ranges with the weight (zero-weight groups
+//!    dropped).
 //!
 //! The executor then needs no per-entry decode at all: phase one gathers
 //! each run's activations through the precomputed offsets into a running
 //! sum and — like the paper's PE (§IV, Fig. 7) — multiplies the innermost
-//! group's total **where it closes**, in registers (`inner += (run −
-//! prev)·w`), storing the sum as a prefix row only where an outer group
-//! closes too; phase two forms every outer group total as one difference of
-//! two such rows times the group's weight. Both loops are pure index-stride
-//! arithmetic.
-//! Because `i32` addition is associative modulo 2³², the prefix-difference
-//! group totals — and therefore the outputs — are **bit-identical** to the
-//! hierarchical accumulator walk (the conformance corpus and the
-//! cross-backend property test pin this down).
+//! level **where its groups close**, in registers, storing the sum as a
+//! prefix row only where an outer group closes too; phase two forms every
+//! outer group total as one difference of two such rows times the group's
+//! weight. Both loops are pure index-stride arithmetic.
+//!
+//! # Lowering owns the order of the walk
+//!
+//! Lane sums are wrapping `i32` — a ring — so the walk need not be the
+//! stream's: any order, grouping or sharing that keeps `Σ x·w` per filter
+//! gives **bit-identical** outputs (the conformance corpus, the cross-backend
+//! property test and `the_order_is_free_the_sum_is_not` pin this down), and
+//! UCNN's argument (§III) — zero-skipping is only the special case of reusing
+//! *repeated* weights — goes one step further than exact repetition.
+//! [`FlattenedTile::lower_band`] chooses, from counts alone:
+//!
+//! * **Sign-folded groups.** An entry enters the running sum as `s·x`, `s`
+//!   the sign of its innermost weight; the innermost group is keyed by `|w|`
+//!   and outer level `l` by `w_l·s` (`x·w_l = (s·x)·(w_l·s)`), so
+//!   `(w_a, w_b)` and `(−w_a, −w_b)` are one group — a plus sub-run, then a
+//!   minus sub-run. Never more innermost groups; up to half as many on a
+//!   sign-symmetric alphabet (INQ). It can split outer groups, so a tile
+//!   folds only when its closes + outer segments do not grow.
+//! * **A telescoped close.** `Σ_j (R_j − R_{j−1})·w_j = Σ_j R_j·(w_j −
+//!   w_{j+1})`: the record stores `Δw`, the close block is `inner += run·Δw`,
+//!   and the previous close's sum is never needed (two lane arrays, not
+//!   three). In registers only — a telescoped *phase 2* that re-loads a row
+//!   per boundary is in ROADMAP's do-not-rebuild.
+//! * **Un-shared bands.** A `G`-level hierarchy pays closes, kept rows and
+//!   outer segments to share gathers; where that costs more than it shares
+//!   (LeNet's conv1: 74 entries in 63 closes a tile) the band is walked
+//!   filter by filter — `G` one-level folded walks, each adding into its
+//!   own plane of the band.
+//!
+//! Tiles walked once per chunk (every fully connected layer) keep the
+//! stream's order and sharing.
 //!
 //! Padding is not a hazard of the walk but a property of the staged input:
 //! a layer with `pad > 0` is staged once per chunk into a **zero-haloed**
@@ -112,59 +139,114 @@
 //! fanned out to — so a serving worker's steady-state hot path allocates
 //! its output tensors and nothing else at any thread budget.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::ops::Range;
 
 use ucnn_model::PoolKind;
 use ucnn_tensor::{ConvGeom, Tensor3};
 
-use crate::hierarchy::{GroupStream, ZERO_RANK};
-use crate::plan::{CompiledLayer, CompiledStage};
+use crate::hierarchy::{sort_by_digits, GroupStream, NO_CLOSE, ZERO_RANK};
+use crate::plan::{CompiledLayer, CompiledStage, CompiledTile};
 use crate::simd::{resolve_tier, SimdCaps, SimdTier};
 
-/// The flattened, branch-free form of one retained tile: per-entry gather
-/// offsets, one record per close, CSR-style group ranges per outer level.
+/// The flattened, branch-free form of one walk of a retained tile: per-entry
+/// gather offsets, one record per close, CSR-style group ranges per outer
+/// level.
 ///
-/// Built once per plan by [`FlattenedTile::lower`] — lazily, on the first
-/// [`CompiledLayer::flat_tiles`] call — then cached; executed by
+/// Built once per plan by [`FlattenedTile::lower_band`] — lazily, on the
+/// first [`CompiledLayer::flat_tiles`] call — then cached; executed by
 /// [`run_flattened`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FlattenedTile {
-    /// Absolute output channel of the tile's first filter.
+    /// Absolute output channel of the first filter of the tile's band.
     k_first: usize,
-    /// Filters in the tile (`G` of the stream).
+    /// Output planes of the band (`G` of the stream) — also for a
+    /// single-filter walk of an un-shared band, which adds into one of them.
     g: usize,
+    /// The band plane the innermost level adds into: the walk's last
+    /// filter. Outer level `l` adds into plane `l`.
+    plane: usize,
     /// Per entry: offset of its read for output position (0, 0) in the
     /// zero-haloed staged plane (`in_h + 2·pad` values per row), so
     /// `base[i] + stride·(x·(in_h + 2·pad) + y)` is the exact staged index
     /// for output `(x, y)` — in range for every position, halo included.
     base: Vec<u32>,
-    /// One record per group close, in stream order: every close ends an
-    /// innermost (`G − 1`) group, so the run lengths partition `base`.
+    /// One record per group close, in walk order: every close ends an
+    /// innermost group, so the sub-run lengths partition `base`.
     closes: Vec<Close>,
     /// Prefix rows phase 1 fills: the zero row plus one per **kept** close
-    /// (none at `G = 1`) — or, for a tile walked once, one per entry.
+    /// (none on a one-level walk) — or, for a tile walked once, one per
+    /// entry.
     rows: usize,
-    /// Per level `l < G − 1`: segments `seg_ptr[l]..seg_ptr[l + 1]`.
+    /// Per outer level `l`: segments `seg_ptr[l]..seg_ptr[l + 1]`.
     seg_ptr: Vec<u32>,
     /// The outer-level activation groups that dispatch a multiply, level by
-    /// level, each level in stream order — so `end` never decreases within
+    /// level, each level in walk order — so `end` never decreases within
     /// a level and phase 2 reads the kept rows monotonically.
     segs: Vec<Segment>,
+    /// Groups of a non-zero weight per walk: `segs` plus the innermost ones.
+    multiplies: usize,
 }
 
-/// One group close: the innermost group that ends here is the `len` entries
-/// since the previous close, and its total is multiplied where it closes.
+/// One group close. The innermost group that ends here is the `plus +
+/// minus` entries since the previous close: the first `plus` enter the
+/// running sum as `x`, the rest as `−x` (a sign-folded group holds both
+/// signs of one magnitude). The running sum is multiplied where the group
+/// closes — by `Δw`, this group's weight less the next one's, because
+/// `Σ (R_j − R_{j−1})·w_j = Σ R_j·(w_j − w_{j+1})` with no weight after the
+/// last: the kernel never needs the previous close's sum.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Close {
-    /// Entries in the run (≥ 1). `Ct` is unbounded, so not a `u16`.
-    len: u32,
-    /// The innermost group's canonical weight — 0 for a `ZERO_RANK` group,
-    /// whose `·0` the kernel executes rather than branches around.
-    weight: i16,
-    /// Whether an outer group ends here too (`close_level < G − 1`): only
-    /// then does phase 2 read the running sum, so only then is its row kept.
-    keep: bool,
+    plus: u16,
+    minus: u16,
+    /// `2·Δw + keep`. `Δw` reaches ±65 535 (an unfolded `i16` alphabet),
+    /// so it is not an `i16`; `keep` is whether an outer group ends here
+    /// too: only then does phase 2 read the running sum, so only then is
+    /// its row kept.
+    dw_keep: i32,
+}
+
+impl Close {
+    fn new(plus: usize, minus: usize, dw: i32, keep: bool) -> Self {
+        Self {
+            plus: u16::try_from(plus).expect("Close::push cuts longer sub-runs"),
+            minus: u16::try_from(minus).expect("Close::push cuts longer sub-runs"),
+            dw_keep: 2 * dw + i32::from(keep),
+        }
+    }
+
+    fn dw(self) -> i32 {
+        self.dw_keep >> 1
+    }
+
+    fn keep(self) -> bool {
+        self.dw_keep & 1 != 0
+    }
+
+    /// Appends the close of a group of `weight`, `plus` then `minus` entries
+    /// long, and telescopes: the record before it gives up this weight. `Ct`
+    /// is unbounded and a sub-run length is a `u16`, so a longer group is
+    /// cut into pieces of the same weight — which telescopes to `Δw = 0` —
+    /// of which only the last may keep its row.
+    fn push(closes: &mut Vec<Close>, mut plus: usize, mut minus: usize, weight: i32, keep: bool) {
+        const MAX: usize = u16::MAX as usize;
+        let mut piece = |plus, minus, keep| {
+            if let Some(before) = closes.last_mut() {
+                before.dw_keep -= 2 * weight;
+            }
+            closes.push(Close::new(plus, minus, weight, keep));
+        };
+        while plus > MAX {
+            piece(MAX, 0, false);
+            plus -= MAX;
+        }
+        while minus > MAX {
+            piece(plus, MAX, false);
+            (plus, minus) = (0, minus - MAX);
+        }
+        piece(plus, minus, keep);
+    }
 }
 
 /// One activation group of one outer level: its total is the difference of
@@ -172,90 +254,498 @@ struct Close {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Segment {
     /// The kept row before the group's first entry (the outer close that
-    /// precedes it; row 0 at the stream head).
+    /// precedes it; row 0 at the head of the walk).
     start: u32,
     /// The kept row of the group's own close.
     end: u32,
-    /// The group's canonical (non-zero) weight value.
+    /// The group's (non-zero) key: its weight, negated where the walk is
+    /// sign-folded and the entries entered the running sum negated.
     weight: i32,
 }
 
-impl FlattenedTile {
-    /// Lowers one retained stream into its flattened form.
-    ///
-    /// `k_first`/`c_first` are the tile's absolute filter and channel bases
-    /// (as in [`CompiledTile`](crate::plan::CompiledTile)); `geom` is the
-    /// layer geometry the offsets are computed against.
-    #[must_use]
-    pub fn lower(stream: &GroupStream, k_first: usize, c_first: usize, geom: &ConvGeom) -> Self {
-        let g = stream.g();
-        let n = stream.entry_count();
-        let rs = geom.r() * geom.s();
-        let s_dim = geom.s();
-        let (pw, ph) = (geom.in_w() + 2 * geom.pad(), geom.in_h() + 2 * geom.pad());
-        let canonical = stream.canonical();
+/// The key alphabet of a layer's walks: every canonical weight as a small
+/// digit that survives negation, so a counting sort can group by `w·s`.
+struct FoldKeys {
+    /// The distinct magnitudes of the canonical weights, ascending.
+    mags: Vec<u16>,
+    /// Per canonical rank: `2 · (rank of |w| in mags) + (w < 0)`.
+    signed: Vec<u32>,
+}
 
-        // Staged coordinates already carry the halo: filter tap (r, s) at
-        // output (0, 0) reads staged cell (r, s), whatever the padding.
-        let mut base = Vec::with_capacity(n);
-        let mut closes = Vec::new();
-        let mut len = 0u32;
-        for e in stream.entries() {
-            let (c, rem) = (e.index as usize / rs, e.index as usize % rs);
-            let off = ((c_first + c) * pw + rem / s_dim) * ph + rem % s_dim;
-            base.push(u32::try_from(off).expect("input offset fits u32"));
-            len += 1;
-            if let Some(cl) = e.close_level {
-                // `ZERO_RANK` lies past every canonical weight.
-                let weight = canonical.get(e.ranks[g - 1] as usize).copied().unwrap_or(0);
-                let keep = usize::from(cl) < g - 1;
-                closes.push(Close { len, weight, keep });
-                len = 0;
+impl FoldKeys {
+    fn new(canonical: &[i16]) -> Self {
+        let mut mags: Vec<u16> = canonical.iter().map(|w| w.unsigned_abs()).collect();
+        mags.sort_unstable();
+        mags.dedup();
+        let digit = |w: &i16| {
+            let mag = mags.binary_search(&w.unsigned_abs()).expect("a magnitude");
+            2 * mag as u32 + u32::from(*w < 0)
+        };
+        let signed = canonical.iter().map(digit).collect();
+        Self { mags, signed }
+    }
+
+    /// The digit of the zero weight — past every other.
+    fn zero(&self) -> u32 {
+        2 * self.mags.len() as u32
+    }
+
+    /// The digit of the weight of `rank`; its low bit flipped, of the
+    /// negated weight (the zero's is even and stays).
+    fn digit(&self, rank: u16) -> u32 {
+        match rank {
+            ZERO_RANK => self.zero(),
+            rank => self.signed[rank as usize],
+        }
+    }
+
+    fn value(&self, digit: u32) -> i32 {
+        if digit == self.zero() {
+            return 0;
+        }
+        let mag = i32::from(self.mags[digit as usize / 2]);
+        if digit & 1 == 1 {
+            -mag
+        } else {
+            mag
+        }
+    }
+}
+
+/// Where the positions of a channel tile read, in the zero-haloed staged
+/// plane, for output position (0, 0) and a tile whose first channel is 0.
+/// Staged coordinates already carry the halo: filter tap `(r, s)` of
+/// channel `c` reads staged cell `(c, r, s)`, whatever the padding.
+struct TileOffsets {
+    /// Per tile position `(c · R + r) · S + s`.
+    of: Vec<u32>,
+    /// Cells of one staged channel: what a tile's first channel shifts by.
+    channel: usize,
+}
+
+impl TileOffsets {
+    /// The offsets of a tile of up to `tile_len` positions of `geom`.
+    fn new(tile_len: usize, geom: &ConvGeom) -> Self {
+        let (pw, ph) = (geom.in_w() + 2 * geom.pad(), geom.in_h() + 2 * geom.pad());
+        let taps = || (0..geom.r()).flat_map(|r| (0..geom.s()).map(move |s| r * ph + s));
+        let channels = 0..tile_len.div_ceil(geom.r() * geom.s());
+        let cells = channels.flat_map(|c| taps().map(move |tap| c * pw * ph + tap));
+        let of = cells.map(|off| u32::try_from(off).expect("input offset fits u32"));
+        Self {
+            of: of.collect(),
+            channel: pw * ph,
+        }
+    }
+}
+
+/// One retained tile as lowering reads it: its stream cut into innermost
+/// groups — the runs between closes, whose entries share every weight and
+/// ascend by position — which are what a walk orders. Read in their own
+/// order they are the stream's walk.
+struct Source<'a> {
+    stream: &'a GroupStream,
+    /// Where an entry at tile position `p` reads: `offsets.of[p] + shift`.
+    offsets: &'a TileOffsets,
+    shift: u32,
+    keys: &'a FoldKeys,
+    /// Innermost group `j` of the stream is its entries
+    /// `starts[j]..starts[j + 1]`.
+    starts: Vec<u32>,
+    /// Per innermost group, the [`FoldKeys`] digit of each filter's weight.
+    digits: Vec<u32>,
+    /// Per innermost group, the outermost level the stream closes with it.
+    closes: Vec<u8>,
+    /// What the stream's own walk issues.
+    counts: WalkCounts,
+}
+
+impl<'a> Source<'a> {
+    /// `c_first` is the absolute first channel of the stream's tile.
+    fn new(
+        stream: &'a GroupStream,
+        c_first: usize,
+        offsets: &'a TileOffsets,
+        keys: &'a FoldKeys,
+    ) -> Self {
+        let g = stream.g();
+        assert!(stream.tile_len() <= offsets.of.len(), "a longer tile");
+        let shift = u32::try_from(c_first * offsets.channel).expect("input offset fits u32");
+        let (_, ranks, levels) = stream.columns();
+        let groups = stream.closures_at_level(g - 1);
+        let mut starts = Vec::with_capacity(groups + 1);
+        let mut digits = Vec::with_capacity(groups * g);
+        let mut closes = Vec::with_capacity(groups);
+        let mut counts = WalkCounts {
+            entries: levels.len(),
+            closes: groups,
+            ..WalkCounts::default()
+        };
+        starts.push(0);
+        // The stream has its closing levels ([`close_levels`] would derive
+        // the same from the digits, a compare per level per group dearer).
+        for (i, (ranks, &level)) in ranks.chunks_exact(g).zip(levels).enumerate() {
+            if level == NO_CLOSE {
+                continue;
+            }
+            starts.push(i as u32 + 1);
+            closes.push(level);
+            let at = digits.len();
+            digits.extend(ranks.iter().map(|&rank| keys.digit(rank)));
+            counts.kept += usize::from(usize::from(level) < g - 1);
+            let outer = &digits[at + usize::from(level)..at + g - 1];
+            counts.segs += outer.iter().filter(|&&digit| digit != keys.zero()).count();
+        }
+        Self {
+            stream,
+            offsets,
+            shift,
+            keys,
+            starts,
+            digits,
+            closes,
+            counts,
+        }
+    }
+
+    /// The stream entries of innermost group `group`.
+    fn entries(&self, group: u32) -> Range<usize> {
+        let bounds = &self.starts[group as usize..][..2];
+        bounds[0] as usize..bounds[1] as usize
+    }
+
+    /// What walking the tile's `G` filters apart, each folded, would issue —
+    /// without ordering anything: a one-filter walk reads the filter's
+    /// non-zero entries and closes once per distinct magnitude.
+    fn apart_counts(&self) -> WalkCounts {
+        let (g, mags) = (self.stream.g(), self.keys.mags.len());
+        let mut seen = vec![false; g * mags];
+        let mut counts = WalkCounts::default();
+        for (group, digits) in self.digits.chunks_exact(g).enumerate() {
+            let weighted = digits.iter().enumerate();
+            for (f, &digit) in weighted.filter(|(_, &digit)| digit != self.keys.zero()) {
+                counts.entries += self.entries(group as u32).len();
+                let seen = &mut seen[f * mags + digit as usize / 2];
+                counts.closes += usize::from(!std::mem::replace(seen, true));
             }
         }
-        let once = walked_once(geom);
-        let kept = closes.iter().filter(|c| c.keep).count();
-        let rows = 1 + if once { n } else { kept };
+        counts
+    }
+}
 
-        // CSR group ranges of the outer levels over the kept rows: at level
-        // `l`, a group closes on an entry when the stream closes level `l`
-        // or any outer level there, and starts at the row of the previous
-        // such close. Groups whose weight is zero at this level dispatch
-        // nothing and are dropped.
-        let mut seg_ptr = Vec::with_capacity(g);
-        let mut segs = Vec::new();
-        for level in 0..g - 1 {
-            seg_ptr.push(u32::try_from(segs.len()).expect("segment count fits u32"));
-            let (mut start, mut row) = (0u32, 0u32);
-            for (i, e) in stream.entries().enumerate() {
-                let Some(cl) = e.close_level else { continue };
-                let next_kept = row + u32::from(usize::from(cl) < g - 1);
-                row = if once { i as u32 + 1 } else { next_kept };
-                if usize::from(cl) > level {
+/// What one walk issues per output position — counted from its order,
+/// never timed.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct WalkCounts {
+    entries: usize,
+    closes: usize,
+    kept: usize,
+    segs: usize,
+}
+
+impl WalkCounts {
+    /// Vector instructions per 16 lanes (docs/LAB.md § `fused` / § `order`):
+    /// an entry is a widening load and an add, a close block a multiply, an
+    /// add and the run loops' exits, a kept row a store, an outer segment
+    /// two row loads, a subtract, a multiply and an add. The one place the
+    /// constants of the un-share rule ([`FlattenedTile::lower_band`]) live.
+    fn cost(&self) -> usize {
+        2 * self.entries + 3 * self.closes + self.kept + 5 * self.segs
+    }
+}
+
+impl std::iter::Sum for WalkCounts {
+    fn sum<I: Iterator<Item = Self>>(walks: I) -> Self {
+        walks.fold(Self::default(), |a, b| Self {
+            entries: a.entries + b.entries,
+            closes: a.closes + b.closes,
+            kept: a.kept + b.kept,
+            segs: a.segs + b.segs,
+        })
+    }
+}
+
+/// Where a walk's groups close, from its `keys` (`levels` per walked group,
+/// in walk order): per group the outermost level whose group ends with it —
+/// the first at which the next one's key differs, level 0 at the end of the
+/// walk, [`NO_CLOSE`] inside an innermost group — and what that makes the
+/// walk issue (entries not counted here).
+fn close_levels(keys: &[u32], levels: usize, zero: u32) -> (Vec<u8>, WalkCounts) {
+    let inner = levels - 1;
+    let mut counts = WalkCounts::default();
+    let mut closes = vec![NO_CLOSE; keys.len() / levels];
+    let mut rows = keys.chunks_exact(levels).peekable();
+    for close in &mut closes {
+        let here = rows.next().expect("a row per group");
+        let level = match rows.peek() {
+            None => Some(0),
+            Some(next) => {
+                let outer = here[..inner].iter().zip(*next).position(|(a, b)| a != b);
+                outer.or(((here[inner] ^ next[inner]) & !MINUS != 0).then_some(inner))
+            }
+        };
+        let Some(level) = level else { continue };
+        *close = u8::try_from(level).expect("the stream's levels fit a u8");
+        counts.closes += 1;
+        counts.kept += usize::from(level < inner);
+        let outer = &here[level..inner];
+        counts.segs += outer.iter().filter(|&&key| key != zero).count();
+    }
+    (closes, counts)
+}
+
+/// One way of walking (some filters of) a retained tile, before it is
+/// lowered: which of the stream's innermost groups, in which order, under
+/// which keys.
+///
+/// Lane sums are wrapping `i32` — a ring — so any order and any grouping
+/// that keeps `Σ x·w` per filter gives bit-identical outputs. A **folded**
+/// walk adds an entry as `s·x` with `s` the sign of its innermost weight,
+/// groups the innermost level by `|w|` and outer level `l` by `w_l·s`
+/// (`x·w_l = (s·x)·(w_l·s)`): `(w_a, w_b)` and `(−w_a, −w_b)` become one
+/// group, a plus sub-run then a minus sub-run.
+struct Walk<'a> {
+    source: &'a Source<'a>,
+    /// The stream's filter columns walked, outermost first.
+    filters: Range<usize>,
+    /// The walked innermost groups of the stream, in walk order.
+    order: Vec<u32>,
+    /// Per walked group, in walk order, what groups it at each walked
+    /// level: the digit of the key `w·s`, at the innermost level with
+    /// [`MINUS`] set where the group's entries enter the running sum
+    /// negated (`s = −1`).
+    keys: Cow<'a, [u32]>,
+    /// Per walked group, the outermost level whose group ends with it: the
+    /// first at which the next one's key differs, level 0 at the end of
+    /// the walk, [`NO_CLOSE`] inside an innermost group.
+    closes: Cow<'a, [u8]>,
+    counts: WalkCounts,
+}
+
+/// Marks the innermost key of a group that enters the running sum negated.
+const MINUS: u32 = 1 << 31;
+
+impl<'a> Walk<'a> {
+    /// The stream's own walk: every filter, in stream order, nothing
+    /// negated — as the source already holds it.
+    fn stream_order(source: &'a Source<'a>) -> Self {
+        Self {
+            source,
+            filters: 0..source.stream.g(),
+            order: (0..source.closes.len() as u32).collect(),
+            keys: Cow::Borrowed(&source.digits),
+            closes: Cow::Borrowed(&source.closes),
+            counts: source.counts,
+        }
+    }
+
+    /// The folded walk of `filters` over the groups where any of them has a
+    /// weight: sorted by folded keys, then sign (the plus sub-run of a key
+    /// before its minus sub-run), then stream order.
+    fn folded(source: &'a Source<'a>, filters: Range<usize>) -> Self {
+        let (g, zero) = (source.stream.g(), source.keys.zero());
+        let (levels, inner) = (filters.len(), filters.len() - 1);
+        let mut groups = Vec::with_capacity(source.closes.len());
+        let mut unsorted = Vec::with_capacity(groups.capacity() * levels);
+        for (group, digits) in source.digits.chunks_exact(g).enumerate() {
+            let digits = &digits[filters.clone()];
+            if digits.iter().all(|&d| d == zero) {
+                continue;
+            }
+            // The zero weight's digit is even: it folds under `s = +1`.
+            let minus = digits[inner] & 1;
+            let key = |&digit: &u32| if digit == zero { zero } else { digit ^ minus };
+            groups.push(group as u32);
+            unsorted.extend(digits[..inner].iter().map(key));
+            unsorted.push(key(&digits[inner]) | (minus * MINUS));
+        }
+        // Sort the walk positions, then gather groups and keys by them.
+        let mut sorted: Vec<u32> = (0..groups.len() as u32).collect();
+        sort_by_digits(&mut sorted, levels, 2 * zero as usize + 2, |at, level| {
+            let key = unsorted[at as usize * levels + level];
+            if level == inner {
+                (2 * (key & !MINUS) + key / MINUS) as usize
+            } else {
+                key as usize
+            }
+        });
+        let order: Vec<u32> = sorted.iter().map(|&at| groups[at as usize]).collect();
+        let gathered = sorted
+            .iter()
+            .map(|&at| &unsorted[at as usize * levels..][..levels]);
+        let keys: Vec<u32> = gathered.flatten().copied().collect();
+        let (closes, mut counts) = close_levels(&keys, levels, zero);
+        counts.entries = order.iter().map(|&g| source.entries(g).len()).sum();
+        Self {
+            source,
+            filters,
+            order,
+            keys: keys.into(),
+            closes: closes.into(),
+            counts,
+        }
+    }
+
+    /// The `G`-level walk of a whole tile: folded when that does not add
+    /// closes + outer segments (it never adds closes; on an alphabet that
+    /// is not sign-symmetric it can split outer groups), else — and always
+    /// for a tile walked once — the stream's own order.
+    fn shared(source: &'a Source<'a>, once: bool) -> Self {
+        let stream_order = Self::stream_order(source);
+        if once {
+            return stream_order;
+        }
+        let folded = Self::folded(source, 0..source.stream.g());
+        let work = |walk: &Self| walk.counts.closes + walk.counts.segs;
+        if work(&folded) <= work(&stream_order) {
+            folded
+        } else {
+            stream_order
+        }
+    }
+
+    /// Lowers the walk: `k_first` is the absolute first filter of the tile's
+    /// band, `once` whether the layer's tiles are [`walked_once`].
+    fn lower(&self, k_first: usize, once: bool) -> FlattenedTile {
+        let Source {
+            stream,
+            offsets,
+            shift,
+            keys,
+            ..
+        } = *self.source;
+        let (levels, inner) = (self.filters.len(), self.filters.len() - 1);
+        let (indices, ..) = stream.columns();
+
+        let mut base = Vec::with_capacity(self.counts.entries);
+        let mut closes = Vec::with_capacity(self.counts.closes);
+        let (mut plus, mut minus, mut multiplies) = (0, 0, 0);
+        let walk = self.order.iter().zip(self.closes.iter());
+        for ((&group, &level), keys_here) in walk.zip(self.keys.chunks_exact(levels)) {
+            let entries = self.source.entries(group);
+            if keys_here[inner] & MINUS != 0 {
+                minus += entries.len();
+            } else {
+                plus += entries.len();
+            }
+            let read = |&index: &u32| {
+                let off = offsets.of[index as usize].checked_add(shift);
+                off.expect("input offset fits u32")
+            };
+            base.extend(indices[entries].iter().map(read));
+            if level == NO_CLOSE {
+                continue;
+            }
+            if levels < stream.g() {
+                // A sub-run of a one-filter walk is several of the stream's
+                // groups: each ascends, their union need not.
+                let run = base.len() - plus - minus;
+                let (plus, minus) = base[run..].split_at_mut(plus);
+                plus.sort_unstable();
+                minus.sort_unstable();
+            }
+            let weight = keys.value(keys_here[inner] & !MINUS);
+            multiplies += usize::from(weight != 0);
+            Close::push(&mut closes, plus, minus, weight, usize::from(level) < inner);
+            (plus, minus) = (0, 0);
+        }
+        // CSR group ranges of the outer levels over the prefix rows — a kept
+        // row per outer close; an entry's, once: a group of level `l` ends
+        // where the walk closes level `l` or any outer level, and starts at
+        // the row of the previous such close. Groups whose key is zero
+        // dispatch nothing and are dropped.
+        let mut seg_ptr = Vec::with_capacity(levels);
+        let mut segs = Vec::with_capacity(self.counts.segs);
+        for l in 0..inner {
+            seg_ptr.push(segs.len() as u32);
+            let (mut start, mut end, mut at) = (0, 0, 0);
+            let walk = self.order.iter().zip(self.closes.iter());
+            for ((&group, &level), keys_here) in walk.zip(self.keys.chunks_exact(levels)) {
+                at += self.source.entries(group).len() as u32;
+                if usize::from(level) >= inner {
                     continue;
                 }
-                let rank = e.ranks[level];
-                if rank != ZERO_RANK {
-                    let weight = i32::from(canonical[rank as usize]);
-                    segs.push(Segment {
-                        start,
-                        end: row,
-                        weight,
-                    });
+                end = if once { at } else { end + 1 };
+                if usize::from(level) <= l {
+                    let weight = keys.value(keys_here[l]);
+                    if weight != 0 {
+                        segs.push(Segment { start, end, weight });
+                    }
+                    start = end;
                 }
-                start = row;
             }
         }
         seg_ptr.push(u32::try_from(segs.len()).expect("segment count fits u32"));
-
-        Self {
+        FlattenedTile {
             k_first,
-            g,
+            g: stream.g(),
+            plane: self.filters.end - 1,
+            rows: 1 + if once { base.len() } else { self.counts.kept },
+            multiplies: multiplies + segs.len(),
             base,
             closes,
-            rows,
             seg_ptr,
             segs,
+        }
+    }
+}
+
+impl FlattenedTile {
+    /// Lowers one retained stream as one `G`-level walk: sign-folded where
+    /// that issues no more closes + outer segments, in stream order
+    /// otherwise.
+    ///
+    /// `k_first`/`c_first` are the tile's absolute filter and channel bases
+    /// (as in [`CompiledTile`]); `geom` is the layer geometry the offsets
+    /// are computed against.
+    #[must_use]
+    pub fn lower(stream: &GroupStream, k_first: usize, c_first: usize, geom: &ConvGeom) -> Self {
+        let keys = FoldKeys::new(stream.canonical());
+        let offsets = TileOffsets::new(stream.tile_len(), geom);
+        let source = Source::new(stream, c_first, &offsets, &keys);
+        Walk::shared(&source, walked_once(geom)).lower(k_first, walked_once(geom))
+    }
+
+    /// Lowers one filter band — the channel tiles that share a `k_first` —
+    /// choosing, from counts alone, between the `G`-level walk of every
+    /// tile and `G` single-filter folded walks of it: a hierarchy is worth
+    /// its closes, kept rows and outer segments only while it shares
+    /// enough gathers (`WalkCounts::cost`; a tie keeps it). Either way
+    /// the band is `G` planes. Tiles walked once keep the stream's order
+    /// and its sharing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `band` is empty.
+    #[must_use]
+    pub fn lower_band(band: &[CompiledTile], geom: &ConvGeom) -> Vec<Self> {
+        let (k_first, g) = (band[0].k_first(), band[0].stream().g());
+        let keys = FoldKeys::new(band[0].stream().canonical());
+        // A band's tiles are its channel tiles: only the last may be short.
+        let offsets = TileOffsets::new(band[0].stream().tile_len(), geom);
+        let once = walked_once(geom);
+        let sources: Vec<Source<'_>> = band
+            .iter()
+            .map(|tile| Source::new(tile.stream(), tile.c_first(), &offsets, &keys))
+            .collect();
+        let shared: Vec<Walk<'_>> = sources
+            .iter()
+            .map(|source| Walk::shared(source, once))
+            .collect();
+        let together: WalkCounts = shared.iter().map(|walk| walk.counts).sum();
+        let split: WalkCounts = sources.iter().map(Source::apart_counts).sum();
+        let apart = !once && g > 1 && split.cost() < together.cost();
+        if apart {
+            let filters = sources
+                .iter()
+                .flat_map(|source| (0..g).map(move |f| (source, f)));
+            filters
+                .map(|(source, f)| Walk::folded(source, f..f + 1).lower(k_first, once))
+                .collect()
+        } else {
+            shared
+                .iter()
+                .map(|walk| walk.lower(k_first, once))
+                .collect()
         }
     }
 
@@ -265,12 +755,14 @@ impl FlattenedTile {
         self.base.len()
     }
 
-    /// Multiplies by a non-zero weight per output position — the stream's
-    /// [`multiplies`](GroupStream::multiplies): outer segments plus non-zero
-    /// closes (a zero-weight close's `·0` is executed, not counted).
+    /// Groups of a non-zero weight per output position: outer segments plus
+    /// the innermost groups whose `|w|` is not zero — at most the stream's
+    /// [`multiplies`](GroupStream::multiplies), fewer where folding merged
+    /// groups or the band is walked filter by filter. (The kernel multiplies
+    /// at every close, by `Δw`; that is executed, not counted.)
     #[must_use]
     pub fn segment_count(&self) -> usize {
-        self.segs.len() + self.closes.iter().filter(|c| c.weight != 0).count()
+        self.multiplies
     }
 
     /// Bytes of heap the lowered tile keeps resident: 4 per entry (gather
@@ -293,7 +785,7 @@ impl FlattenedTile {
     /// lanes, walked as `LW`-wide rows.
     ///
     /// The walk follows closes, not entries: the innermost level lives in
-    /// lane arrays (`run`, `prev`, `inner`), prefix rows only where an outer
+    /// two lane arrays (`run`, `inner`), prefix rows only where an outer
     /// level reads them. Fusing *all* levels so is in ROADMAP's do-not-rebuild.
     ///
     /// The `LW` lanes are `LW / PITCH` neighbouring output positions × the
@@ -333,13 +825,13 @@ impl FlattenedTile {
         for x in 0..out_w {
             for y in ys.clone().step_by(LW / PITCH) {
                 // Phase 1: LW parallel running sums behind one offset
-                // stream, one run of entries per close, where the run's
-                // total (`run − prev`) is multiplied and accumulated. The
-                // sum is stored only where an outer group closes too — a
+                // stream, a plus and a minus sub-run of entries per close,
+                // where the running sum is multiplied (by `Δw`) and
+                // accumulated. It is stored only where an outer group closes too — a
                 // branch each position repeats, unlike a walked-once tile
                 // (a branch-free cursor store is 4–6 % slower here).
                 let delta = stride * (x * ph + y);
-                let gather = |run: &mut [i32; LW], b: u32| {
+                let gather = |run: &mut [i32; LW], b: u32, minus: bool| {
                     let at = b as usize + delta;
                     let strip: &[i16] = if PITCH == LW {
                         &input.as_chunks::<LW>().0[at]
@@ -347,41 +839,49 @@ impl FlattenedTile {
                         &input[at * PITCH..][..LW]
                     };
                     for (r, &v) in run.iter_mut().zip(strip) {
-                        *r += i32::from(v);
+                        *r = if minus {
+                            r.wrapping_sub(i32::from(v))
+                        } else {
+                            r.wrapping_add(i32::from(v))
+                        };
                     }
                 };
-                let (mut run, mut prev, mut inner) = ([0i32; LW], [0i32; LW], [0i32; LW]);
+                // Telescoped, `run·Δw` is not a partial dot product: it may
+                // leave `i32` where the sum it builds does not, so it wraps
+                // by contract, in debug builds too.
+                let close_block = |inner: &mut [i32; LW], run: &[i32; LW], dw: i32| {
+                    for (a, &r) in inner.iter_mut().zip(run) {
+                        *a = a.wrapping_add(r.wrapping_mul(dw));
+                    }
+                };
+                let (mut run, mut inner) = ([0i32; LW], [0i32; LW]);
                 if once {
-                    // A row per entry, then one row difference per close.
+                    // A row per entry (stream order: nothing subtracts),
+                    // then one row per close.
                     for (&b, row) in self.base.iter().zip(&mut prefix[1..]) {
-                        gather(&mut run, b);
+                        gather(&mut run, b, false);
                         *row = run;
                     }
                     let mut end = 0;
                     for close in &self.closes {
-                        let start = end;
-                        end += close.len as usize;
-                        let weight = i32::from(close.weight);
-                        let rows = prefix[end].iter().zip(&prefix[start]);
-                        for (a, (&h, &l)) in inner.iter_mut().zip(rows) {
-                            *a += (h - l) * weight;
-                        }
+                        end += usize::from(close.plus);
+                        close_block(&mut inner, &prefix[end], close.dw());
                     }
                 } else {
                     let mut row = 1;
                     let mut rest = &self.base[..];
                     for close in &self.closes {
-                        let (entries, after) = rest.split_at(close.len as usize);
+                        let (plus, after) = rest.split_at(close.plus.into());
+                        let (minus, after) = after.split_at(close.minus.into());
                         rest = after;
-                        for &b in entries {
-                            gather(&mut run, b);
+                        for &b in plus {
+                            gather(&mut run, b, false);
                         }
-                        let weight = i32::from(close.weight);
-                        for (a, (r, p)) in inner.iter_mut().zip(run.iter().zip(&mut prev)) {
-                            *a += (r - *p) * weight;
-                            *p = *r;
+                        for &b in minus {
+                            gather(&mut run, b, true);
                         }
-                        if close.keep {
+                        close_block(&mut inner, &run, close.dw());
+                        if close.keep() {
                             prefix[row] = run;
                             row += 1;
                         }
@@ -398,7 +898,7 @@ impl FlattenedTile {
                         *o += a;
                     }
                 };
-                add_to_plane(self.g - 1, &inner);
+                add_to_plane(self.plane, &inner);
                 // Phase 2, outer levels: segment ranges resolved once; each
                 // segment is one row difference times one broadcast weight.
                 for (level, bounds) in self.seg_ptr.windows(2).enumerate() {
@@ -1095,9 +1595,22 @@ impl<'a> PlaneMut<'a> {
         let (_, w, h) = self.dims;
         for (i, sums) in sums.chunks_exact(h * self.lw).enumerate() {
             for (d, &s) in self.row(c0 + i / w, i % w).iter_mut().zip(sums) {
-                *d = s.clamp(0, i32::from(i16::MAX)) as i16;
+                // A saturating narrow, then the floor: the same value for
+                // every `i32`, and both steps have a baseline vector form
+                // (a clamp to `0..=i16::MAX` has none below SSE4.1).
+                let narrow = s.clamp(i32::from(i16::MIN), i32::from(i16::MAX)) as i16;
+                *d = narrow.max(0);
             }
         }
+    }
+}
+
+/// `cell[lane] = sum[lane] / n`, truncating toward zero as the reference's
+/// average pool does; inlined so a literal `n` reaches the division.
+#[inline(always)]
+fn divide_lanes(cell: &mut [i16], sum: &[i32], n: i32) {
+    for (d, &s) in cell.iter_mut().zip(sum) {
+        *d = (s / n) as i16;
     }
 }
 
@@ -1141,9 +1654,18 @@ fn pool_lanes(
                             *s += i32::from(v);
                         }
                     }
-                    let n = ((x1 - x0) * (y1 - y0)) as i32;
-                    for (d, &s) in cell.iter_mut().zip(sum.iter()) {
-                        *d = (s / n) as i16;
+                    // The window sizes a 2×2 or 3×3 pool meets (clipped at
+                    // the edges or not) divide by a constant — a multiply
+                    // and shifts, lane-wide — where `s / n` is an `idiv` per
+                    // lane.
+                    match ((x1 - x0) * (y1 - y0)) as i32 {
+                        1 => divide_lanes(cell, sum, 1),
+                        2 => divide_lanes(cell, sum, 2),
+                        3 => divide_lanes(cell, sum, 3),
+                        4 => divide_lanes(cell, sum, 4),
+                        6 => divide_lanes(cell, sum, 6),
+                        9 => divide_lanes(cell, sum, 9),
+                        n => divide_lanes(cell, sum, n),
                     }
                 }
             }
@@ -2178,14 +2700,15 @@ mod tests {
 
     #[test]
     fn every_stream_ends_on_a_close_and_rows_count_the_closes() {
-        // Phase 1 walks one run of entries per close record and stores the
-        // running sum at the kept ones: the run lengths must partition the
-        // entries (the last entry closes, or its adds would never be
-        // multiplied), the last close must be kept when outer levels exist
-        // (or a level's last group would have no row), and `rows` must
-        // count the zero row plus the kept closes — nothing at G = 1. A tile walked once (one output position:
-        // the two FC shapes) keeps a row per entry instead, and its outer
-        // segments index those.
+        // Phase 1 walks a plus and a minus sub-run of entries per close
+        // record and stores the running sum at the kept ones: the sub-runs
+        // must partition `base` (the last entry closes, or its adds would
+        // never be multiplied), the last close must be kept when outer
+        // levels exist (or a level's last group would have no row), and
+        // `rows` must count the zero row plus the kept closes — nothing on
+        // a one-level walk. A tile walked once (one output position: the
+        // two FC shapes) keeps the stream's order and a row per entry
+        // instead, and its outer segments index those.
         let shapes = [
             (ConvGeom::new(6, 5, 7, 6, 3, 3).with_pad(1), 1usize, 3usize),
             (
@@ -2206,35 +2729,30 @@ mod tests {
                 ..UcnnConfig::default()
             };
             let layer = CompiledLayer::compile(&geom, conv_groups, &weights, &cfg);
-            for (tile, flat) in layer.tiles().iter().zip(layer.flat_tiles()) {
-                let stream = tile.stream();
+            let once = walked_once(&geom);
+            for flat in layer.flat_tiles() {
                 let n = flat.entry_count();
-                assert_eq!(n, stream.entry_count());
-                // One record per stream close, each ending its run on it.
-                let mut at = 0;
-                for close in &flat.closes {
-                    assert!(close.len >= 1, "shape {si}: an empty run");
-                    at += close.len as usize;
-                    let level = stream.entry(at - 1).close_level;
-                    assert!(level.is_some(), "shape {si}: a run must end on a close");
-                    assert_eq!(close.keep, usize::from(level.unwrap()) < flat.g - 1);
-                }
-                assert_eq!(at, n, "shape {si}: runs must partition the entries");
-                let kept = flat.closes.iter().filter(|c| c.keep).count();
-                let last_kept = flat.closes.last().is_none_or(|c| c.keep);
-                assert_eq!(last_kept, flat.g > 1 || n == 0, "shape {si}");
-                let once = walked_once(&geom);
+                let (levels, runs) = (flat.seg_ptr.len(), flat.closes.iter());
+                assert!(flat.closes.iter().all(|c| c.plus + c.minus >= 1), "{si}");
+                let entries: usize = runs.map(|c| usize::from(c.plus + c.minus)).sum();
+                assert_eq!(
+                    entries, n,
+                    "shape {si}: sub-runs must partition the entries"
+                );
+                assert!(!once || flat.closes.iter().all(|c| c.minus == 0), "{si}");
+                // Shared, the band's `G` levels; apart, the filter's one.
+                assert!(levels == flat.g && flat.plane == levels - 1 || levels == 1);
+                let kept = flat.closes.iter().filter(|c| c.keep()).count();
+                let last_kept = flat.closes.last().is_none_or(|c| c.keep());
+                assert_eq!(last_kept, levels > 1 || n == 0, "shape {si}");
                 let last_row = if once { n } else { kept };
                 assert_eq!(flat.rows, 1 + last_row, "shape {si}");
-                // Outer segments index kept rows only (entry rows, once).
-                assert_eq!(flat.seg_ptr.len(), flat.g, "levels 0..G−1 only");
+                // Outer segments index kept rows only (entry rows, once),
+                // in walk order within a level: phase 2 reads the kept rows
+                // monotonically.
                 for seg in &flat.segs {
                     assert!(seg.start < seg.end && seg.end as usize <= last_row);
-                    let end = stream.entry(seg.end as usize - 1).close_level;
-                    assert!(!once || end.is_some_and(|l| usize::from(l) < flat.g - 1));
                 }
-                // Stream order within a level: phase 2 reads the kept rows
-                // monotonically.
                 for level in flat.seg_ptr.windows(2) {
                     let segs = &flat.segs[level[0] as usize..level[1] as usize];
                     assert!(
@@ -2400,6 +2918,202 @@ mod tests {
         }
     }
 
+    /// What a lowered walk (of a tile not walked once) issues, counted back
+    /// from its records.
+    fn lowered_counts(tile: &FlattenedTile) -> WalkCounts {
+        WalkCounts {
+            entries: tile.base.len(),
+            closes: tile.closes.len(),
+            kept: tile.rows - 1,
+            segs: tile.segs.len(),
+        }
+    }
+
+    /// One case of `the_order_is_free_the_sum_is_not`, a function of `seed`
+    /// alone: the first 100 seeds are alphabet × G × geometry, later ones
+    /// the same cells under other weights.
+    fn order_case(seed: u64) {
+        let what = format!("seed {seed}");
+        let mut rng = ucnn_model::rng::SmallRng::seed_from_u64(seed);
+        let (inq, fixed) = (QuantScheme::inq(), QuantScheme::fixed_bits(8));
+        let alphabet: &[i16] = match seed % 5 {
+            0 => inq.nonzero_values(),
+            // Not sign-symmetric: folding merges nothing here.
+            1 => &[-3, 5],
+            2 => fixed.nonzero_values(),
+            3 => &[],
+            _ => &[i16::MIN, i16::MAX, 1, -1],
+        };
+        let g = 1 + (seed / 5 % 4) as usize;
+        // Padded; strided; grouped; ragged channel tiles; a 2 × 2 output.
+        let (geom, conv_groups, ct) = match seed / 20 % 5 {
+            0 => (ConvGeom::new(6, 5, 4, 6, 3, 3).with_pad(1), 1, 64),
+            1 => (ConvGeom::new(7, 7, 4, 6, 3, 3).with_stride(2), 1, 64),
+            2 => (ConvGeom::new(5, 5, 2, 6, 3, 3), 2, 64),
+            3 => (ConvGeom::new(5, 6, 5, 6, 3, 3), 1, 2),
+            _ => (ConvGeom::new(4, 4, 4, 6, 3, 3), 1, 64),
+        };
+        let mut weight = |_, _, _, _| match rng.next_u64() % (alphabet.len() as u64 + 1) {
+            0 => 0,
+            pick => alphabet[pick as usize - 1],
+        };
+        let weights = Tensor4::from_fn(geom.k(), geom.c(), 3, 3, &mut weight);
+        let cfg = UcnnConfig {
+            g,
+            ct,
+            ..UcnnConfig::default()
+        };
+        let layer = CompiledLayer::compile(&geom, conv_groups, &weights, &cfg);
+        let again = CompiledLayer::compile(&geom, conv_groups, &weights, &cfg);
+        assert_eq!(
+            layer.flat_tiles(),
+            again.flat_tiles(),
+            "{what}: equal weights, equal plans"
+        );
+
+        let (rs, pw, ph) = (
+            9,
+            geom.in_w() + 2 * geom.pad(),
+            geom.in_h() + 2 * geom.pad(),
+        );
+        let mut flat = layer.flat_tiles().iter();
+        for band in layer.tiles().chunk_by(|a, b| a.k_first() == b.k_first()) {
+            let (k_first, levels) = (band[0].k_first(), band[0].stream().g());
+            let walks: Vec<_> = flat.clone().take_while(|t| t.k_first == k_first).collect();
+            flat.nth(walks.len() - 1);
+            let apart = walks.len() == levels * band.len() && levels > 1;
+            assert!(
+                apart || walks.len() == band.len(),
+                "{what}: a walk per tile or filter"
+            );
+            let mut costs = [WalkCounts::default(); 3];
+            for (ti, tile) in band.iter().enumerate() {
+                let stream = tile.stream();
+                // The offsets of the entries where `filters` hold a weight.
+                let offsets = |filters: Range<usize>| {
+                    let walked = stream
+                        .entries()
+                        .filter(|e| e.ranks[filters.clone()].iter().any(|&r| r != ZERO_RANK));
+                    let mut offsets: Vec<u32> = walked
+                        .map(|e| {
+                            let (c, rem) = (e.index as usize / rs, e.index as usize % rs);
+                            (((tile.c_first() + c) * pw + rem / 3) * ph + rem % 3) as u32
+                        })
+                        .collect();
+                    offsets.sort_unstable();
+                    offsets
+                };
+                let per_tile = walks.len() / band.len();
+                for (f, walk) in walks[ti * per_tile..][..per_tile].iter().enumerate() {
+                    let filters = if apart { f..f + 1 } else { 0..levels };
+                    let mut base = walk.base.clone();
+                    base.sort_unstable();
+                    assert_eq!(base, offsets(filters.clone()), "{what}: a permutation");
+                    assert_eq!((walk.g, walk.plane), (levels, filters.end - 1), "{what}");
+                    costs[0] = [costs[0], lowered_counts(walk)].into_iter().sum();
+                }
+                // Folding may not add closes + outer segments to the
+                // stream's own, and the cheap count of the one-filter walks
+                // is what ordering them gives.
+                let shared = FlattenedTile::lower(stream, k_first, tile.c_first(), &geom);
+                let inner = stream.entries().filter(|e| e.close_level.is_some());
+                let inner = inner.filter(|e| e.ranks[levels - 1] != ZERO_RANK).count();
+                assert!(
+                    shared.closes.len() + shared.segs.len()
+                        <= stream.closures_at_level(levels - 1) + stream.multiplies() - inner,
+                    "{what}: folding added work"
+                );
+                costs[1] = [costs[1], lowered_counts(&shared)].into_iter().sum();
+                let keys = FoldKeys::new(stream.canonical());
+                let offsets = TileOffsets::new(stream.tile_len(), &geom);
+                let source = Source::new(stream, tile.c_first(), &offsets, &keys);
+                let ordered = (0..levels).map(|f| Walk::folded(&source, f..f + 1).counts);
+                let ordered: WalkCounts = ordered.sum();
+                assert_eq!(source.apart_counts(), ordered, "{what}: the un-share count");
+                costs[2] = [costs[2], ordered].into_iter().sum();
+            }
+            // The band took the cheaper walk; a tie keeps the hierarchy.
+            let [lowered, shared, split] = costs.map(|c| c.cost());
+            assert_eq!(
+                apart,
+                levels > 1 && split < shared,
+                "{what}: the un-share rule"
+            );
+            assert_eq!(lowered, if apart { split } else { shared }, "{what}");
+        }
+
+        let mut agen = ActivationGen::new(seed ^ 0x0DE5);
+        let inputs: Vec<Tensor3<i16>> = (0..9)
+            .map(|_| agen.generate(geom.c() * conv_groups, geom.in_w(), geom.in_h()))
+            .collect();
+        let expected: Vec<Tensor3<i32>> = inputs.iter().map(|i| run_compiled(&layer, i)).collect();
+        assert_eq!(
+            run_flattened(&layer, &inputs[0]),
+            expected[0],
+            "{what}: planar"
+        );
+        for &tier in available_tiers() {
+            assert_eq!(
+                run_flattened_batch_interleaved_forced(&layer, &inputs, 1, tier),
+                expected,
+                "{what}: tier {}",
+                tier.name()
+            );
+        }
+    }
+
+    #[test]
+    fn the_order_is_free_the_sum_is_not() {
+        // Lowering may reorder, regroup, negate and un-share a tile any way
+        // that keeps `Σ x·w`. A failure names the one seed that replays it
+        // (`PROPTEST_SEED`, the property tests' knob); otherwise the whole
+        // alphabet × G × geometry product runs, then further seeds for a
+        // second — the range is logged.
+        if let Some(seed) = std::env::var("PROPTEST_SEED")
+            .ok()
+            .and_then(|s| s.parse().ok())
+        {
+            return order_case(seed);
+        }
+        let start = std::time::Instant::now();
+        let mut seeds = 0;
+        while seeds < 100 || (seeds < 1000 && start.elapsed().as_secs() < 1) {
+            order_case(seeds);
+            seeds += 1;
+        }
+        println!("the_order_is_free_the_sum_is_not: seeds 0..{seeds}");
+
+        // A sub-run longer than a `u16` is cut into records that telescope
+        // to `Δw = 0`: one group of (7, 7) then (−7, −7) entries, the plus
+        // or the minus sub-run too long for one record, walked at two
+        // positions (folded: two records) and, as a fully connected layer,
+        // once (stream order: two groups, three records).
+        let c = 70_000;
+        let mut agen = ActivationGen::new(11);
+        for flip in [1_000, 66_000] {
+            let weights =
+                Tensor4::from_fn(2, c, 1, 1, |_, ci, _, _| if ci < flip { 7i16 } else { -7 });
+            for geom in [
+                ConvGeom::new(1, 2, c, 2, 1, 1),
+                ConvGeom::new(1, 1, c, 2, 1, 1),
+            ] {
+                let cfg = UcnnConfig {
+                    g: 2,
+                    ct: c,
+                    ..UcnnConfig::default()
+                };
+                let layer = CompiledLayer::compile(&geom, 1, &weights, &cfg);
+                let [tile] = layer.flat_tiles() else {
+                    panic!("sharing every gather is cheaper");
+                };
+                let records = if walked_once(&geom) { 3 } else { 2 };
+                assert_eq!(tile.closes.len(), records, "{geom:?}, flip {flip}");
+                let input = agen.generate(c, geom.in_w(), geom.in_h());
+                assert_eq!(run_flattened(&layer, &input), run_compiled(&layer, &input));
+            }
+        }
+    }
+
     #[test]
     fn all_zero_tile_lowers_to_zero_work() {
         let stream = GroupStream::build(&[&[0i16; 9][..], &[0i16; 9][..]]);
@@ -2414,58 +3128,63 @@ mod tests {
 
     #[test]
     fn segment_counts_match_stream_multiplies() {
-        // Multiplies per position equal the stream's uncapped multiply
-        // count — one per non-zero group closure: the outer levels'
-        // segments plus the innermost level's non-zero-weight closes.
+        // Multiplies per position never exceed the stream's uncapped count
+        // — one per non-zero group, and folding only merges groups.
         let mut wgen = WeightGen::new(QuantScheme::inq(), 9).with_density(0.7);
         let w = wgen.generate_dims(2, 8, 3, 3);
-        let slices: Vec<&[i16]> = vec![w.filter(0), w.filter(1)];
-        let stream = GroupStream::build(&slices);
+        let stream = GroupStream::build(&[w.filter(0), w.filter(1)]);
         let geom = ConvGeom::new(5, 5, 8, 2, 3, 3);
         let tile = FlattenedTile::lower(&stream, 0, 0, &geom);
-        assert_eq!(tile.segment_count(), stream.multiplies());
-        let nonzero = tile.closes.iter().filter(|c| c.weight != 0).count();
-        assert!(
-            nonzero < tile.closes.len(),
-            "density 0.7 leaves zero groups"
-        );
-        assert_eq!(tile.segment_count(), tile.segs.len() + nonzero);
-        assert_eq!(tile.closes.len(), stream.closures_at_level(1));
+        assert!(tile.segment_count() < stream.multiplies(), "INQ folds");
+        assert!(tile.closes.len() < stream.closures_at_level(1));
         // Nothing is resident beyond the gather stream, the close records,
         // the outer segments and the level bounds.
-        assert_eq!(
-            tile.resident_bytes(),
-            4 * tile.entry_count() + 8 * tile.closes.len() + 12 * tile.segs.len() + 4 * stream.g()
-        );
+        let records = 8 * tile.closes.len() + 12 * tile.segs.len();
+        let offsets = 4 * (tile.entry_count() + stream.g());
+        assert_eq!(tile.resident_bytes(), offsets + records);
 
-        // A hand-built tile whose first outer group *starts* (and ends) on
-        // a zero-weight innermost group and whose second *ends* on one: the
-        // zero closes keep their rows and multiply by 0, the outer level's
-        // own zero group is dropped.
-        let weights = Tensor4::from_vec(2, 5, 1, 1, vec![1i16, 1, 2, 2, 0, 0, 0, 3, 0, 5]).unwrap();
-        let geom = ConvGeom::new(1, 9, 5, 2, 1, 1);
+        // A hand-built tile (filter a over filter b, per channel) whose
+        // first outer group is one zero-weight innermost group, whose second
+        // merges both signs of one magnitude — (2, 3) and (−2, −3) — and
+        // ends on a zero-weight group, and whose last is the outer level's
+        // own zero group (dropped) under a negated entry. The closes'
+        // weights 0 3 5 0 5 telescope to Δw = −3 −2 5 −5 5.
+        let taps = vec![1i16, 1, 2, -2, 2, 2, 0, 0, 0, 3, -3, 5, 0, -5];
+        let weights = Tensor4::from_vec(2, 7, 1, 1, taps).unwrap();
+        let geom = ConvGeom::new(1, 9, 7, 2, 1, 1);
         let layer = CompiledLayer::compile(&geom, 1, &weights, &UcnnConfig::with_g(2));
-        let [tile] = layer.flat_tiles() else {
-            panic!("one tile");
+        let stream = layer.tiles()[0].stream();
+        let tile = FlattenedTile::lower(stream, 0, 0, &geom);
+        let close = |plus, minus, dw, keep| Close::new(plus, minus, dw, keep);
+        assert_eq!(tile.base, [0, 9, 18, 27, 36, 45, 54]);
+        let [c0, c1, c2, c3, c4] = tile.closes[..] else {
+            panic!("five closes");
         };
-        let close = |len, weight, keep| Close { len, weight, keep };
-        assert_eq!(
-            tile.closes,
-            [
-                close(2, 0, true),
-                close(1, 3, false),
-                close(1, 0, true),
-                close(1, 5, true)
-            ]
-        );
+        assert_eq!([c0, c1], [close(2, 0, -3, true), close(1, 1, -2, false)]);
+        assert_eq!([c2, c3], [close(1, 0, 5, false), close(1, 0, -5, true)]);
+        assert_eq!(c4, close(0, 1, 5, true));
         let seg = |start, end, weight| Segment { start, end, weight };
         assert_eq!(tile.segs, [seg(0, 1, 1), seg(1, 2, 2)]);
-        assert_eq!((tile.rows, tile.segment_count()), (4, 4));
-        assert_eq!(layer.tiles()[0].stream().multiplies(), 4);
+        assert_eq!((tile.rows, tile.plane, tile.segment_count()), (4, 1, 5));
+        assert_eq!(stream.multiplies(), 7);
+        // The band itself is cheaper walked filter by filter (32 against
+        // 42): two one-level walks of one tile, each into its own plane.
+        let [a, b] = layer.flat_tiles() else {
+            panic!("two walks of one tile");
+        };
+        assert_eq!(a.base, [0, 9, 18, 36, 45, 27]);
+        assert_eq!(a.closes, [close(2, 0, -1, false), close(3, 1, 2, false)]);
+        assert_eq!(b.base, [18, 27, 36, 54]);
+        assert_eq!(b.closes, [close(1, 1, -2, false), close(1, 1, 5, false)]);
+        for (plane, walk) in [a, b].into_iter().enumerate() {
+            assert_eq!((walk.k_first, walk.g, walk.plane), (0, 2, plane));
+            assert_eq!((walk.rows, walk.seg_ptr.len()), (1, 1));
+            assert_eq!(walk.segment_count(), 2);
+        }
         let mut agen = ActivationGen::new(10);
         for b in [1usize, 9, 32] {
-            let inputs: Vec<Tensor3<i16>> = (0..b).map(|_| agen.generate(5, 1, 9)).collect();
-            check_bands_against_reference(&layer, &weights, &inputs, "zero innermost groups");
+            let inputs: Vec<Tensor3<i16>> = (0..b).map(|_| agen.generate(7, 1, 9)).collect();
+            check_bands_against_reference(&layer, &weights, &inputs, "folded zero groups");
         }
     }
 

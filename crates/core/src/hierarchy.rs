@@ -29,7 +29,7 @@ use std::collections::BTreeSet;
 pub const ZERO_RANK: u16 = u16::MAX;
 
 /// Sentinel for "no closure at this entry".
-const NO_CLOSE: u8 = u8::MAX;
+pub(crate) const NO_CLOSE: u8 = u8::MAX;
 
 /// Borrowed view of one stream entry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -145,11 +145,15 @@ impl GroupStream {
         let dropped_zero_positions = tile_len - order.len();
 
         // Hierarchical sort: lexicographic over rank tuples (filter 1
-        // outermost), ties broken by position for determinism.
-        order.sort_unstable_by(|&a, &b| {
-            let ra = &pos_ranks[a as usize * g..a as usize * g + g];
-            let rb = &pos_ranks[b as usize * g..b as usize * g + g];
-            ra.cmp(rb).then(a.cmp(&b))
+        // outermost), ties broken by position for determinism — `order`
+        // starts ascending by position and every pass is stable. The zero
+        // weight is the last bucket.
+        let zero = canonical.len();
+        sort_by_digits(&mut order, g, zero + 1, |p, level| {
+            match pos_ranks[p as usize * g + level] {
+                ZERO_RANK => zero,
+                rank => rank as usize,
+            }
         });
 
         let n = order.len();
@@ -238,6 +242,13 @@ impl GroupStream {
                 l => Some(l),
             },
         }
+    }
+
+    /// The stream as parallel per-entry slices — tile positions, weight
+    /// ranks (`G` per entry) and closing levels ([`NO_CLOSE`] mid-group) —
+    /// for lowering, which reads every entry of every tile of a plan.
+    pub(crate) fn columns(&self) -> (&[u32], &[u16], &[u8]) {
+        (&self.indices, &self.ranks, &self.close_levels)
     }
 
     /// Number of group closures at `level` (counting zero-group closures).
@@ -365,6 +376,36 @@ impl GroupStream {
                 .count();
         }
         independent - self.entry_count()
+    }
+}
+
+/// Stable LSD counting sort: reorders `order` so its items ascend by the
+/// tuple `digit(item, 0), digit(item, 1), …` — `digits` of them, the first
+/// the most significant, each `< buckets` — and ties keep the order they
+/// came in. One pass per digit of `O(order.len() + buckets)`, so it wants a
+/// digit alphabet no larger than the tile: the streams' is the layer's `U`.
+pub(crate) fn sort_by_digits(
+    order: &mut Vec<u32>,
+    digits: usize,
+    buckets: usize,
+    digit: impl Fn(u32, usize) -> usize,
+) {
+    let mut starts = vec![0u32; buckets + 1];
+    let mut sorted = vec![0u32; order.len()];
+    for d in (0..digits).rev() {
+        starts.fill(0);
+        for &item in order.iter() {
+            starts[digit(item, d) + 1] += 1;
+        }
+        for b in 0..buckets {
+            starts[b + 1] += starts[b];
+        }
+        for &item in order.iter() {
+            let at = &mut starts[digit(item, d)];
+            sorted[*at as usize] = item;
+            *at += 1;
+        }
+        std::mem::swap(order, &mut sorted);
     }
 }
 

@@ -93,8 +93,10 @@ pub struct CompiledLayer {
     geom: ConvGeom,
     conv_groups: usize,
     tiles: Vec<CompiledTile>,
-    /// Branch-free lowering of every tile (one per entry of `tiles`), built
-    /// on the first flattened execution (or an explicit
+    /// Branch-free lowering of every filter band — one walk per entry of
+    /// `tiles`, or one per filter of it where the band's hierarchy costs
+    /// more than it shares ([`FlattenedTile::lower_band`]) — built on the
+    /// first flattened execution (or an explicit
     /// [`CompiledNetwork::warm`]) and cached. The library default
     /// ([`CompiledNetwork::DEFAULT_BACKEND`]) runs through it; a deployment
     /// pinned to a stream-walking backend — the serving engine's default is
@@ -207,17 +209,20 @@ impl CompiledLayer {
         &self.tiles
     }
 
-    /// The branch-free flattened lowering of every tile, in the same order
-    /// as [`CompiledLayer::tiles`] (consumed by
-    /// [`run_flattened`](crate::flatten::run_flattened)).
+    /// The branch-free flattened lowering of the layer, filter band by
+    /// filter band in the order of [`CompiledLayer::tiles`] (consumed by
+    /// [`run_flattened`](crate::flatten::run_flattened)): lowering owns the
+    /// order and the sharing of each walk, so a tile may lower to one walk
+    /// per filter.
     ///
     /// Lowered on first use and cached; subsequent calls are a load.
     #[must_use]
     pub fn flat_tiles(&self) -> &[FlattenedTile] {
         self.flat.get_or_init(|| {
+            // `compile` emits tiles band by band.
             self.tiles
-                .iter()
-                .map(|t| FlattenedTile::lower(&t.stream, t.k_first, t.c_first, &self.geom))
+                .chunk_by(|a, b| a.k_first == b.k_first)
+                .flat_map(|band| FlattenedTile::lower_band(band, &self.geom))
                 .collect()
         })
     }

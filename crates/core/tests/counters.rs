@@ -108,9 +108,12 @@ fn dense_equivalent_matches_geometry_for_every_backend() {
     }
 }
 
-/// The arithmetic fields are identical across backends (same multiplies,
-/// only reordered) and across thread counts (analytic accounting, not
-/// scheduling-dependent instrumentation).
+/// The tallies are identical across thread counts (analytic accounting,
+/// not scheduling-dependent instrumentation). Across backends what is
+/// bit-identical is the dense-equivalent and, between the two stream
+/// walkers, every arithmetic field (same multiplies, only reordered); the
+/// flattened backend — whose lowering owns the order of the walk — issues
+/// at most their multiplies.
 #[test]
 fn tallies_are_bit_identical_across_backends_and_thread_counts() {
     let net = "counters-threads";
@@ -131,9 +134,7 @@ fn tallies_are_bit_identical_across_backends_and_thread_counts() {
             ),
         }
     }
-    // Across backends: arithmetic fields agree exactly (backend name and
-    // flattened-only fields may differ).
-    let mut arithmetic: Option<Vec<(String, u64, u64, u64)>> = None;
+    let mut walkers: Option<Vec<(String, u64, u64, u64)>> = None;
     for kind in BackendKind::ALL {
         counters::reset();
         counters::set_enabled(true);
@@ -150,15 +151,27 @@ fn tallies_are_bit_identical_across_backends_and_thread_counts() {
                 )
             })
             .collect();
-        match &arithmetic {
-            None => arithmetic = Some(rows),
-            Some(expected) => assert_eq!(&rows, expected, "backend {kind} issues different work"),
+        match &walkers {
+            None => walkers = Some(rows),
+            Some(expected) if kind != BackendKind::FlattenedBatch => {
+                assert_eq!(&rows, expected, "backend {kind} issues different work");
+            }
+            Some(expected) => {
+                for (flat, stream) in rows.iter().zip(expected) {
+                    assert_eq!((&flat.0, flat.1), (&stream.0, stream.1), "dense-equivalent");
+                    assert!(flat.2 <= stream.2, "{}: folding only merges groups", flat.0);
+                }
+                // INQ is sign-symmetric: the convolutions fold.
+                let issued =
+                    |rows: &[(String, u64, u64, u64)]| -> u64 { rows.iter().map(|r| r.2).sum() };
+                assert!(issued(&rows) < issued(expected));
+            }
         }
     }
 }
 
-/// Flattened backends account CSR segments (equal to multiplies by the
-/// lowering invariant) and the lowering cache: first execution is a miss,
+/// Flattened backends account CSR segments (their multiplies: one per
+/// lowered group of a non-zero weight) and the lowering cache: first execution is a miss,
 /// repeats are hits; stream-walking backends report neither.
 #[test]
 fn flattened_csr_and_lowering_cache_accounting() {
