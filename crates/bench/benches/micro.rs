@@ -10,7 +10,7 @@
 //! benches document that trade-off and track regressions in the library's
 //! own kernels (stream construction, lane walks, compilation).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
 use ucnn_core::backend::{backend, BackendKind};
@@ -20,8 +20,8 @@ use ucnn_core::exec::{
 };
 use ucnn_core::factorize::FilterFactorization;
 use ucnn_core::hierarchy::GroupStream;
-use ucnn_core::plan::CompiledLayer;
-use ucnn_model::reference;
+use ucnn_core::plan::{CompiledLayer, CompiledNetwork};
+use ucnn_model::{forward, networks, reference};
 use ucnn_model::{ActivationGen, QuantScheme, WeightGen};
 use ucnn_sim::lane::{run_lane, LaneConfig};
 use ucnn_tensor::ConvGeom;
@@ -80,6 +80,31 @@ fn bench_layer_compile(c: &mut Criterion) {
     c.bench_function("compile_layer_16x3x3x64", |b| {
         b.iter(|| black_box(compile_layer(&w, &UcnnConfig::with_g(2))))
     });
+}
+
+fn bench_cold_path(c: &mut Criterion) {
+    // What a deploy or a hot swap pays before the first answer, on the plan
+    // the benchmark's `offline_b32` builds (LeNet, INQ at density 0.9,
+    // G = 2): streams, then the flattened lowering of a fresh plan. Both
+    // report ns per weight — the cold path should cost per weight, not per
+    // tile.
+    let spec = networks::lenet();
+    let weights = forward::generate_network_weights(&spec, QuantScheme::inq(), 12_648_430, 0.9);
+    let cfg = UcnnConfig::with_g(2);
+    let compile = || CompiledNetwork::compile(&spec, &weights, &cfg);
+    let mut g = c.benchmark_group("cold");
+    g.throughput(Throughput::Elements(
+        weights.iter().map(|w| w.as_slice().len() as u64).sum(),
+    ));
+    g.bench_function("compile_lenet", |b| b.iter(|| black_box(compile())));
+    g.bench_function("lower_lenet", |b| {
+        let lower = |plan: CompiledNetwork| {
+            plan.warm(BackendKind::FlattenedBatch);
+            plan
+        };
+        b.iter_batched(compile, lower, BatchSize::PerIteration)
+    });
+    g.finish();
 }
 
 fn bench_conv_executors(c: &mut Criterion) {
@@ -199,6 +224,7 @@ criterion_group!(
     bench_stream_build,
     bench_lane_walk,
     bench_layer_compile,
+    bench_cold_path,
     bench_conv_executors,
     bench_retained_plan,
     bench_batch_executor,

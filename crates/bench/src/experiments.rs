@@ -677,8 +677,12 @@ pub fn ablate_multipliers() -> TableOut {
 /// `flattened-batch@<tier>` row per ISA tier the CPU supports. The
 /// `simd_tier` column reports the tier each row ran (`avx512`, `scalar`,
 /// `-` for the stream walkers), and `flat_bytes` what the flattened rows'
-/// lowered tables keep resident. A `provenance` section records where the
-/// numbers came from: commit, compiler, detected tiers, core count.
+/// lowered tables keep resident. `compile_us` and `lower_us` are the cold
+/// path of the row's layer — `CompiledLayer::compile`, then the first
+/// `flat_tiles` of that fresh plan (`-` for the stream walkers, which never
+/// lower) — the minimum over as many rounds as the cells time. A
+/// `provenance` section records where the numbers came from: commit,
+/// compiler, detected tiers, core count.
 ///
 /// `flattened-batch` and the pinned row of the tier it dispatches to run
 /// the identical kernel: the gap between those two rows is the run's own
@@ -733,6 +737,8 @@ pub fn backend_table(quick: bool) -> TableOut {
             "per_image_us",
             "x_vs_batch_threads",
             "flat_bytes",
+            "compile_us",
+            "lower_us",
         ],
     );
     for (name, geom, scheme, g) in layers {
@@ -741,6 +747,15 @@ pub fn backend_table(quick: bool) -> TableOut {
         let weights = wgen.generate_dims(geom.k(), geom.c(), geom.r(), geom.s());
         let plan = CompiledLayer::compile(&geom, 1, &weights, &cfg);
         let flat_bytes = plan.flat_bytes().to_string();
+        let (mut compile_s, mut lower_s) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..repeats {
+            let start = Instant::now();
+            let cold = CompiledLayer::compile(&geom, 1, &weights, &cfg);
+            let compiled = Instant::now();
+            std::hint::black_box(cold.flat_tiles());
+            lower_s = lower_s.min(compiled.elapsed().as_secs_f64());
+            compile_s = compile_s.min((compiled - start).as_secs_f64());
+        }
         let mut agen = ActivationGen::new(SEED ^ 0xBB);
         for &b in batches {
             // Shadow the plan as a shared borrow so the `move` runners
@@ -803,6 +818,8 @@ pub fn backend_table(quick: bool) -> TableOut {
                 .expect("batch-threads is a registered backend")
                 .1;
             for ((label, tier_label, _), s) in variants.iter().zip(&mins) {
+                // What only a lowered row has: `-` for the stream walkers.
+                let lowered = |v: String| if tier_label == "-" { "-".into() } else { v };
                 t.push_row(vec![
                     name.to_string(),
                     b.to_string(),
@@ -810,11 +827,9 @@ pub fn backend_table(quick: bool) -> TableOut {
                     tier_label.clone(),
                     f2(s * 1e6 / b as f64),
                     f2(baseline / s),
-                    if tier_label == "-" {
-                        tier_label.clone()
-                    } else {
-                        flat_bytes.clone()
-                    },
+                    lowered(flat_bytes.clone()),
+                    f2(compile_s * 1e6),
+                    lowered(f2(lower_s * 1e6)),
                 ]);
             }
         }
@@ -972,7 +987,9 @@ mod tests {
                 "simd_tier",
                 "per_image_us",
                 "x_vs_batch_threads",
-                "flat_bytes"
+                "flat_bytes",
+                "compile_us",
+                "lower_us"
             ]
         );
         for row in &t.rows {
@@ -986,9 +1003,13 @@ mod tests {
                     "flattened rows report their tier: {row:?}"
                 );
                 assert!(row[6].parse::<usize>().unwrap() > 0, "{row:?}");
+                assert!(row[8].parse::<f64>().unwrap() > 0.0, "{row:?}");
             } else {
                 assert_eq!((row[3].as_str(), row[6].as_str()), ("-", "-"), "{row:?}");
+                assert_eq!(row[8], "-", "{row:?}");
             }
+            // Every backend compiles its layer.
+            assert!(row[7].parse::<f64>().unwrap() > 0.0, "{row:?}");
         }
         // Every backend appears for the FC B=1 cell.
         let fc_b1: Vec<_> = t

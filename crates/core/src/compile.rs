@@ -10,7 +10,7 @@
 use ucnn_tensor::Tensor4;
 
 use crate::encoding::{table_cost, weight_value_bits, EncodingParams, TableCost};
-use crate::hierarchy::{GroupStream, ZERO_RANK};
+use crate::hierarchy::{GroupStream, StreamBuilder, ZERO_RANK};
 
 /// Compile-time configuration for UCNN layer plans.
 ///
@@ -278,8 +278,8 @@ pub fn compile_layer_sampled(
     assert!(config.g > 0, "G must be positive");
     assert!(config.group_cap > 0, "group cap must be positive");
 
-    let canonical = canonical_of_tensor(weights);
-    let u_layer = canonical.len() + 1;
+    let mut builder = canonical_of_tensor(weights);
+    let u_layer = builder.canonical().len() + 1;
     let k = weights.k();
     let rs = weights.r() * weights.s();
     let c = weights.c();
@@ -290,6 +290,7 @@ pub fn compile_layer_sampled(
 
     let mut units = Vec::with_capacity(units_to_compile);
     let mut totals = TileStats::default();
+    let mut slices: Vec<&[i16]> = Vec::with_capacity(config.g);
     for unit in 0..units_to_compile {
         let first = unit * config.g;
         let last = (first + config.g).min(k);
@@ -297,10 +298,9 @@ pub fn compile_layer_sampled(
         let mut c0 = 0usize;
         while c0 < c {
             let c1 = (c0 + ct).min(c);
-            let slices: Vec<&[i16]> = (first..last)
-                .map(|ki| &weights.filter(ki)[c0 * rs..c1 * rs])
-                .collect();
-            let stream = GroupStream::build_with_canonical(&slices, &canonical);
+            slices.clear();
+            slices.extend((first..last).map(|ki| &weights.filter(ki)[c0 * rs..c1 * rs]));
+            let stream = builder.build(&slices);
             let tile = tile_stats(&stream, config);
             stats.add(&tile);
             c0 = c1;
@@ -330,23 +330,23 @@ pub fn compile_layer_sampled(
     }
 }
 
-/// Canonical non-zero weight order (ascending) over a whole tensor, computed
-/// with a flat presence table for speed on multi-million-weight layers.
+/// The stream builder of a whole tensor: its canonical non-zero weight
+/// order (ascending) — computed with a flat presence table over the span of
+/// values the tensor holds, for speed on multi-million-weight layers — and
+/// the weight → rank table every tile is then built through.
 #[must_use]
-pub fn canonical_of_tensor(weights: &Tensor4<i16>) -> Vec<i16> {
-    let mut present = vec![false; 1 << 16];
-    for &w in weights.as_slice() {
-        present[(w as u16) as usize] = true;
-    }
-    present[0] = false; // drop zero (index of value 0)
-    let mut canonical: Vec<i16> = present
+pub fn canonical_of_tensor(weights: &Tensor4<i16>) -> StreamBuilder {
+    let values = weights.as_slice();
+    let (lo, hi) = values
         .iter()
-        .enumerate()
-        .filter(|&(_, &p)| p)
-        .map(|(i, _)| i as u16 as i16)
-        .collect();
-    canonical.sort_unstable();
-    canonical
+        .fold((0i16, 0i16), |(lo, hi), &w| (lo.min(w), hi.max(w)));
+    let mut present = vec![false; usize::from(hi.abs_diff(lo)) + 1];
+    for &w in values {
+        present[usize::from(w.abs_diff(lo))] = true;
+    }
+    present[usize::from(0i16.abs_diff(lo))] = false; // drop zero
+    let held = (lo..=hi).zip(&present).filter(|(_, &p)| p);
+    StreamBuilder::new(&held.map(|(w, _)| w).collect::<Vec<i16>>())
 }
 
 /// Walks one stream collecting the statistics the simulator needs.
@@ -595,13 +595,13 @@ mod tests {
         let mut expect: Vec<i16> = w.as_slice().iter().copied().filter(|&v| v != 0).collect();
         expect.sort_unstable();
         expect.dedup();
-        assert_eq!(canonical_of_tensor(&w), expect);
+        assert_eq!(canonical_of_tensor(&w).canonical(), expect);
     }
 
     #[test]
     fn negative_weights_roundtrip_canonical() {
         let w = Tensor4::from_vec(1, 1, 2, 2, vec![-5i16, 3, -5, 0]).unwrap();
-        assert_eq!(canonical_of_tensor(&w), vec![-5, 3]);
+        assert_eq!(canonical_of_tensor(&w).canonical(), [-5, 3]);
         let plan = compile_layer(&w, &UcnnConfig::default());
         assert_eq!(plan.u(), 3);
         assert_eq!(plan.totals().entries, 3);

@@ -62,7 +62,8 @@ pub fn factorized_conv(
     let pad = geom.pad() as isize;
     let k_per_group = geom.k() / conv_groups;
     let ct = config.effective_ct(c_dim);
-    let canonical = canonical_of_tensor(filters);
+    let mut builder = canonical_of_tensor(filters);
+    let mut slices: Vec<&[i16]> = Vec::with_capacity(config.g);
 
     let mut out = Tensor3::<i32>::zeros(geom.k(), out_w, out_h);
     let (mut psum, mut reg) = (Vec::new(), Vec::new());
@@ -76,10 +77,9 @@ pub fn factorized_conv(
             let mut c0 = 0usize;
             while c0 < c_dim {
                 let c1 = (c0 + ct).min(c_dim);
-                let slices: Vec<&[i16]> = (k0..k1)
-                    .map(|ki| &filters.filter(k_base + ki)[c0 * rs..c1 * rs])
-                    .collect();
-                let stream = GroupStream::build_with_canonical(&slices, &canonical);
+                slices.clear();
+                slices.extend((k0..k1).map(|ki| &filters.filter(k_base + ki)[c0 * rs..c1 * rs]));
+                let stream = builder.build(&slices);
                 accumulate_tile(
                     &stream,
                     input,

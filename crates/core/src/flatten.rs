@@ -34,7 +34,7 @@
 //! property test and `the_order_is_free_the_sum_is_not` pin this down), and
 //! UCNN's argument (§III) — zero-skipping is only the special case of reusing
 //! *repeated* weights — goes one step further than exact repetition.
-//! [`FlattenedTile::lower_band`] chooses, from counts alone:
+//! `Lowering::lower_band` chooses, from counts alone:
 //!
 //! * **Sign-folded groups.** An entry enters the running sum as `s·x`, `s`
 //!   the sign of its innermost weight; the innermost group is keyed by `|w|`
@@ -139,14 +139,13 @@
 //! fanned out to — so a serving worker's steady-state hot path allocates
 //! its output tensors and nothing else at any thread budget.
 
-use std::borrow::Cow;
 use std::cell::RefCell;
 use std::ops::Range;
 
 use ucnn_model::PoolKind;
 use ucnn_tensor::{ConvGeom, Tensor3};
 
-use crate::hierarchy::{sort_by_digits, GroupStream, NO_CLOSE, ZERO_RANK};
+use crate::hierarchy::{DigitSort, GroupStream, NO_CLOSE, ZERO_RANK};
 use crate::plan::{CompiledLayer, CompiledStage, CompiledTile};
 use crate::simd::{resolve_tier, SimdCaps, SimdTier};
 
@@ -154,7 +153,7 @@ use crate::simd::{resolve_tier, SimdCaps, SimdTier};
 /// gather offsets, one record per close, CSR-style group ranges per outer
 /// level.
 ///
-/// Built once per plan by [`FlattenedTile::lower_band`] — lazily, on the
+/// Built once per plan by `Lowering::lower_band` — lazily, on the
 /// first [`CompiledLayer::flat_tiles`] call — then cached; executed by
 /// [`run_flattened`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -317,7 +316,7 @@ impl FoldKeys {
 /// Staged coordinates already carry the halo: filter tap `(r, s)` of
 /// channel `c` reads staged cell `(c, r, s)`, whatever the padding.
 struct TileOffsets {
-    /// Per tile position `(c · R + r) · S + s`.
+    /// Per tile position `(c · R + r) · S + s`, ascending.
     of: Vec<u32>,
     /// Cells of one staged channel: what a tile's first channel shifts by.
     channel: usize,
@@ -338,73 +337,72 @@ impl TileOffsets {
     }
 }
 
+/// What the walks of one layer share: whether its tiles are [`walked_once`],
+/// the key alphabet of its canonical order, its tiles' offsets.
+struct Layer {
+    once: bool,
+    keys: FoldKeys,
+    offsets: TileOffsets,
+}
+
 /// One retained tile as lowering reads it: its stream cut into innermost
 /// groups — the runs between closes, whose entries share every weight and
-/// ascend by position — which are what a walk orders. Read in their own
-/// order they are the stream's walk.
-struct Source<'a> {
-    stream: &'a GroupStream,
-    /// Where an entry at tile position `p` reads: `offsets.of[p] + shift`.
-    offsets: &'a TileOffsets,
+/// ascend by position — which are what a walk orders. A [`Lowering`] reads
+/// tile after tile into the same one.
+#[derive(Default)]
+struct Source {
+    /// An entry at tile position `p` reads `offsets.of[p] + shift`.
     shift: u32,
-    keys: &'a FoldKeys,
     /// Innermost group `j` of the stream is its entries
     /// `starts[j]..starts[j + 1]`.
     starts: Vec<u32>,
-    /// Per innermost group, the [`FoldKeys`] digit of each filter's weight.
-    digits: Vec<u32>,
-    /// Per innermost group, the outermost level the stream closes with it.
-    closes: Vec<u8>,
-    /// What the stream's own walk issues.
-    counts: WalkCounts,
+    /// The stream's own walk: every filter, the groups in their own order
+    /// under the [`FoldKeys`] digit of each filter's weight, nothing
+    /// negated, closing where the stream closes.
+    stream_order: Walk,
 }
 
-impl<'a> Source<'a> {
-    /// `c_first` is the absolute first channel of the stream's tile.
-    fn new(
-        stream: &'a GroupStream,
-        c_first: usize,
-        offsets: &'a TileOffsets,
-        keys: &'a FoldKeys,
-    ) -> Self {
-        let g = stream.g();
-        assert!(stream.tile_len() <= offsets.of.len(), "a longer tile");
-        let shift = u32::try_from(c_first * offsets.channel).expect("input offset fits u32");
+impl Source {
+    /// Reads `stream`, whose tile's absolute first channel is `c_first`.
+    fn read(&mut self, stream: &GroupStream, c_first: usize, layer: &Layer) {
+        let (g, zero) = (stream.g(), layer.keys.zero());
+        let TileOffsets { of, channel } = &layer.offsets;
+        // The offsets ascend: no read of the tile is past its last position's.
+        let last = of.get(stream.tile_len() - 1).expect("a longer tile");
+        self.shift = u32::try_from(c_first * channel).expect("input offset fits u32");
+        last.checked_add(self.shift).expect("input offset fits u32");
+        let walk = &mut self.stream_order;
         let (_, ranks, levels) = stream.columns();
-        let groups = stream.closures_at_level(g - 1);
-        let mut starts = Vec::with_capacity(groups + 1);
-        let mut digits = Vec::with_capacity(groups * g);
-        let mut closes = Vec::with_capacity(groups);
-        let mut counts = WalkCounts {
-            entries: levels.len(),
-            closes: groups,
-            ..WalkCounts::default()
-        };
-        starts.push(0);
+        // Branch-free: a group per entry, kept where the entry closes one.
+        self.starts.resize(levels.len() + 1, 0);
+        walk.closes.resize(levels.len(), 0);
+        let mut groups = 0;
+        for (i, &level) in levels.iter().enumerate() {
+            self.starts[groups + 1] = i as u32 + 1;
+            walk.closes[groups] = level;
+            groups += usize::from(level != NO_CLOSE);
+        }
+        self.starts.truncate(groups + 1);
+        walk.closes.truncate(groups);
         // The stream has its closing levels ([`close_levels`] would derive
         // the same from the digits, a compare per level per group dearer).
-        for (i, (ranks, &level)) in ranks.chunks_exact(g).zip(levels).enumerate() {
-            if level == NO_CLOSE {
-                continue;
+        walk.keys.clear();
+        walk.counts = WalkCounts::default();
+        for (&end, &level) in self.starts[1..].iter().zip(&walk.closes) {
+            let at = walk.keys.len();
+            let ranks = &ranks[(end as usize - 1) * g..][..g];
+            walk.keys
+                .extend(ranks.iter().map(|&rank| layer.keys.digit(rank)));
+            if usize::from(level) < g - 1 {
+                walk.counts.kept += 1;
+                let outer = &walk.keys[at + usize::from(level)..at + g - 1];
+                walk.counts.segs += outer.iter().filter(|&&digit| digit != zero).count();
             }
-            starts.push(i as u32 + 1);
-            closes.push(level);
-            let at = digits.len();
-            digits.extend(ranks.iter().map(|&rank| keys.digit(rank)));
-            counts.kept += usize::from(usize::from(level) < g - 1);
-            let outer = &digits[at + usize::from(level)..at + g - 1];
-            counts.segs += outer.iter().filter(|&&digit| digit != keys.zero()).count();
         }
-        Self {
-            stream,
-            offsets,
-            shift,
-            keys,
-            starts,
-            digits,
-            closes,
-            counts,
-        }
+        (walk.counts.entries, walk.counts.closes) = (levels.len(), groups);
+        walk.filters = 0..g;
+        walk.order.clear();
+        walk.order.extend(0..groups as u32);
     }
 
     /// The stream entries of innermost group `group`.
@@ -413,22 +411,32 @@ impl<'a> Source<'a> {
         bounds[0] as usize..bounds[1] as usize
     }
 
-    /// What walking the tile's `G` filters apart, each folded, would issue —
-    /// without ordering anything: a one-filter walk reads the filter's
-    /// non-zero entries and closes once per distinct magnitude.
-    fn apart_counts(&self) -> WalkCounts {
-        let (g, mags) = (self.stream.g(), self.keys.mags.len());
-        let mut seen = vec![false; g * mags];
-        let mut counts = WalkCounts::default();
-        for (group, digits) in self.digits.chunks_exact(g).enumerate() {
-            let weighted = digits.iter().enumerate();
-            for (f, &digit) in weighted.filter(|(_, &digit)| digit != self.keys.zero()) {
-                counts.entries += self.entries(group as u32).len();
-                let seen = &mut seen[f * mags + digit as usize / 2];
-                counts.closes += usize::from(!std::mem::replace(seen, true));
+    /// What walking the `G` filters of `stream`, read here, apart, each
+    /// folded, would issue — without ordering anything: a one-filter walk
+    /// reads the filter's non-zero entries and closes once per distinct
+    /// magnitude (the zero weight's digit halves to a slot past them, not
+    /// counted). `seen` is scratch.
+    fn apart_counts(
+        &self,
+        stream: &GroupStream,
+        keys: &FoldKeys,
+        seen: &mut Vec<bool>,
+    ) -> WalkCounts {
+        let (g, mags) = (stream.g(), keys.mags.len());
+        seen.clear();
+        seen.resize(g * (mags + 1), false);
+        for digits in self.stream_order.keys.chunks_exact(g) {
+            for (f, &digit) in digits.iter().enumerate() {
+                seen[f * (mags + 1) + digit as usize / 2] = true;
             }
         }
-        counts
+        let closes = |seen: &[bool]| seen[..mags].iter().filter(|&&seen| seen).count();
+        let (_, ranks, _) = stream.columns();
+        WalkCounts {
+            entries: ranks.iter().filter(|&&rank| rank != ZERO_RANK).count(),
+            closes: seen.chunks_exact(mags + 1).map(closes).sum(),
+            ..WalkCounts::default()
+        }
     }
 }
 
@@ -447,7 +455,7 @@ impl WalkCounts {
     /// an entry is a widening load and an add, a close block a multiply, an
     /// add and the run loops' exits, a kept row a store, an outer segment
     /// two row loads, a subtract, a multiply and an add. The one place the
-    /// constants of the un-share rule ([`FlattenedTile::lower_band`]) live.
+    /// constants of the un-share rule ([`Lowering::lower_band`]) live.
     fn cost(&self) -> usize {
         2 * self.entries + 3 * self.closes + self.kept + 5 * self.segs
     }
@@ -465,16 +473,17 @@ impl std::iter::Sum for WalkCounts {
 }
 
 /// Where a walk's groups close, from its `keys` (`levels` per walked group,
-/// in walk order): per group the outermost level whose group ends with it —
-/// the first at which the next one's key differs, level 0 at the end of the
-/// walk, [`NO_CLOSE`] inside an innermost group — and what that makes the
-/// walk issue (entries not counted here).
-fn close_levels(keys: &[u32], levels: usize, zero: u32) -> (Vec<u8>, WalkCounts) {
+/// in walk order), into `closes`: per group the outermost level whose group
+/// ends with it — the first at which the next one's key differs, level 0 at
+/// the end of the walk, [`NO_CLOSE`] inside an innermost group — and what
+/// that makes the walk issue (entries not counted here).
+fn close_levels(keys: &[u32], levels: usize, zero: u32, closes: &mut Vec<u8>) -> WalkCounts {
     let inner = levels - 1;
     let mut counts = WalkCounts::default();
-    let mut closes = vec![NO_CLOSE; keys.len() / levels];
+    closes.clear();
+    closes.resize(keys.len() / levels, NO_CLOSE);
     let mut rows = keys.chunks_exact(levels).peekable();
-    for close in &mut closes {
+    for close in closes {
         let here = rows.next().expect("a row per group");
         let level = match rows.peek() {
             None => Some(0),
@@ -490,7 +499,7 @@ fn close_levels(keys: &[u32], levels: usize, zero: u32) -> (Vec<u8>, WalkCounts)
         let outer = &here[level..inner];
         counts.segs += outer.iter().filter(|&&key| key != zero).count();
     }
-    (closes, counts)
+    counts
 }
 
 /// One way of walking (some filters of) a retained tile, before it is
@@ -503,8 +512,8 @@ fn close_levels(keys: &[u32], levels: usize, zero: u32) -> (Vec<u8>, WalkCounts)
 /// groups the innermost level by `|w|` and outer level `l` by `w_l·s`
 /// (`x·w_l = (s·x)·(w_l·s)`): `(w_a, w_b)` and `(−w_a, −w_b)` become one
 /// group, a plus sub-run then a minus sub-run.
-struct Walk<'a> {
-    source: &'a Source<'a>,
+#[derive(Default)]
+struct Walk {
     /// The stream's filter columns walked, outermost first.
     filters: Range<usize>,
     /// The walked innermost groups of the stream, in walk order.
@@ -513,125 +522,99 @@ struct Walk<'a> {
     /// level: the digit of the key `w·s`, at the innermost level with
     /// [`MINUS`] set where the group's entries enter the running sum
     /// negated (`s = −1`).
-    keys: Cow<'a, [u32]>,
+    keys: Vec<u32>,
     /// Per walked group, the outermost level whose group ends with it: the
     /// first at which the next one's key differs, level 0 at the end of
     /// the walk, [`NO_CLOSE`] inside an innermost group.
-    closes: Cow<'a, [u8]>,
+    closes: Vec<u8>,
     counts: WalkCounts,
+    /// [`Walk::fold`]'s scratch: every group's folded keys, in stream order.
+    unsorted: Vec<u32>,
 }
 
 /// Marks the innermost key of a group that enters the running sum negated.
 const MINUS: u32 = 1 << 31;
 
-impl<'a> Walk<'a> {
-    /// The stream's own walk: every filter, in stream order, nothing
-    /// negated — as the source already holds it.
-    fn stream_order(source: &'a Source<'a>) -> Self {
-        Self {
-            source,
-            filters: 0..source.stream.g(),
-            order: (0..source.closes.len() as u32).collect(),
-            keys: Cow::Borrowed(&source.digits),
-            closes: Cow::Borrowed(&source.closes),
-            counts: source.counts,
-        }
-    }
-
-    /// The folded walk of `filters` over the groups where any of them has a
-    /// weight: sorted by folded keys, then sign (the plus sub-run of a key
-    /// before its minus sub-run), then stream order.
-    fn folded(source: &'a Source<'a>, filters: Range<usize>) -> Self {
-        let (g, zero) = (source.stream.g(), source.keys.zero());
+impl Walk {
+    /// Makes this the folded walk of `filters` over the groups of `source`
+    /// where any of them has a weight: sorted by folded keys, then sign (the
+    /// plus sub-run of a key before its minus sub-run), then stream order.
+    fn fold(&mut self, source: &Source, filters: Range<usize>, zero: u32, sort: &mut DigitSort) {
+        let g = source.stream_order.filters.len();
         let (levels, inner) = (filters.len(), filters.len() - 1);
-        let mut groups = Vec::with_capacity(source.closes.len());
-        let mut unsorted = Vec::with_capacity(groups.capacity() * levels);
-        for (group, digits) in source.digits.chunks_exact(g).enumerate() {
+        let unsorted = &mut self.unsorted;
+        // A sort digit per level: the key then, at the innermost level, the
+        // sign.
+        let buckets = 2 * zero as usize + 2;
+        let bucket = |key: u32, level| {
+            let sign = if level == inner { key / MINUS } else { 0 };
+            (2 * (key & !MINUS) + sign) as usize
+        };
+        let counts = sort.counts(levels, buckets);
+        unsorted.clear();
+        self.order.clear();
+        for (group, digits) in source.stream_order.keys.chunks_exact(g).enumerate() {
             let digits = &digits[filters.clone()];
-            if digits.iter().all(|&d| d == zero) {
-                continue;
-            }
             // The zero weight's digit is even: it folds under `s = +1`.
             let minus = digits[inner] & 1;
             let key = |&digit: &u32| if digit == zero { zero } else { digit ^ minus };
-            groups.push(group as u32);
+            let at = unsorted.len();
             unsorted.extend(digits[..inner].iter().map(key));
             unsorted.push(key(&digits[inner]) | (minus * MINUS));
-        }
-        // Sort the walk positions, then gather groups and keys by them.
-        let mut sorted: Vec<u32> = (0..groups.len() as u32).collect();
-        sort_by_digits(&mut sorted, levels, 2 * zero as usize + 2, |at, level| {
-            let key = unsorted[at as usize * levels + level];
-            if level == inner {
-                (2 * (key & !MINUS) + key / MINUS) as usize
-            } else {
-                key as usize
+            if digits.iter().all(|&d| d == zero) {
+                continue;
             }
+            self.order.push(group as u32);
+            for (level, &key) in unsorted[at..].iter().enumerate() {
+                counts[level * buckets + bucket(key, level)] += 1;
+            }
+        }
+        sort.sort(&mut self.order, |group, level| {
+            bucket(unsorted[group as usize * levels + level], level)
         });
-        let order: Vec<u32> = sorted.iter().map(|&at| groups[at as usize]).collect();
-        let gathered = sorted
-            .iter()
-            .map(|&at| &unsorted[at as usize * levels..][..levels]);
-        let keys: Vec<u32> = gathered.flatten().copied().collect();
-        let (closes, mut counts) = close_levels(&keys, levels, zero);
-        counts.entries = order.iter().map(|&g| source.entries(g).len()).sum();
-        Self {
-            source,
-            filters,
-            order,
-            keys: keys.into(),
-            closes: closes.into(),
-            counts,
+        self.keys.clear();
+        for &group in &self.order {
+            self.keys
+                .extend_from_slice(&unsorted[group as usize * levels..][..levels]);
         }
+        self.counts = close_levels(&self.keys, levels, zero, &mut self.closes);
+        self.counts.entries = self.order.iter().map(|&g| source.entries(g).len()).sum();
+        self.filters = filters;
     }
 
-    /// The `G`-level walk of a whole tile: folded when that does not add
-    /// closes + outer segments (it never adds closes; on an alphabet that
-    /// is not sign-symmetric it can split outer groups), else — and always
-    /// for a tile walked once — the stream's own order.
-    fn shared(source: &'a Source<'a>, once: bool) -> Self {
-        let stream_order = Self::stream_order(source);
-        if once {
-            return stream_order;
-        }
-        let folded = Self::folded(source, 0..source.stream.g());
-        let work = |walk: &Self| walk.counts.closes + walk.counts.segs;
-        if work(&folded) <= work(&stream_order) {
-            folded
-        } else {
-            stream_order
-        }
-    }
-
-    /// Lowers the walk: `k_first` is the absolute first filter of the tile's
-    /// band, `once` whether the layer's tiles are [`walked_once`].
-    fn lower(&self, k_first: usize, once: bool) -> FlattenedTile {
-        let Source {
-            stream,
-            offsets,
-            shift,
-            keys,
-            ..
-        } = *self.source;
+    /// Lowers the walk of `stream`, read into `source`: `k_first` is the
+    /// absolute first filter of the tile's band.
+    fn lower(
+        &self,
+        stream: &GroupStream,
+        source: &Source,
+        k_first: usize,
+        layer: &Layer,
+    ) -> FlattenedTile {
+        let (once, keys, offsets) = (layer.once, &layer.keys, &layer.offsets);
         let (levels, inner) = (self.filters.len(), self.filters.len() - 1);
         let (indices, ..) = stream.columns();
+        let read = |&index: &u32| offsets.of[index as usize] + source.shift;
 
+        // The stream's own walk reads its entries as they come.
+        let as_streamed = std::ptr::eq(self, &source.stream_order);
         let mut base = Vec::with_capacity(self.counts.entries);
+        if as_streamed {
+            base.extend(indices.iter().map(read));
+        }
         let mut closes = Vec::with_capacity(self.counts.closes);
         let (mut plus, mut minus, mut multiplies) = (0, 0, 0);
         let walk = self.order.iter().zip(self.closes.iter());
         for ((&group, &level), keys_here) in walk.zip(self.keys.chunks_exact(levels)) {
-            let entries = self.source.entries(group);
+            let entries = source.entries(group);
             if keys_here[inner] & MINUS != 0 {
                 minus += entries.len();
             } else {
                 plus += entries.len();
             }
-            let read = |&index: &u32| {
-                let off = offsets.of[index as usize].checked_add(shift);
-                off.expect("input offset fits u32")
-            };
-            base.extend(indices[entries].iter().map(read));
+            if !as_streamed {
+                base.extend(indices[entries].iter().map(read));
+            }
             if level == NO_CLOSE {
                 continue;
             }
@@ -657,16 +640,15 @@ impl<'a> Walk<'a> {
         let mut segs = Vec::with_capacity(self.counts.segs);
         for l in 0..inner {
             seg_ptr.push(segs.len() as u32);
-            let (mut start, mut end, mut at) = (0, 0, 0);
-            let walk = self.order.iter().zip(self.closes.iter());
-            for ((&group, &level), keys_here) in walk.zip(self.keys.chunks_exact(levels)) {
-                at += self.source.entries(group).len() as u32;
-                if usize::from(level) >= inner {
-                    continue;
-                }
-                end = if once { at } else { end + 1 };
+            let (mut start, mut end) = (0, 0);
+            let outer = |&(_, &level): &(usize, &u8)| usize::from(level) < inner;
+            for (at, &level) in self.closes.iter().enumerate().filter(outer) {
+                // A tile walked once is walked in stream order: the entries
+                // so far are the stream's up to this group's last.
+                let streamed = source.entries(self.order[at]).end as u32;
+                end = if once { streamed } else { end + 1 };
                 if usize::from(level) <= l {
-                    let weight = keys.value(keys_here[l]);
+                    let weight = keys.value(self.keys[at * levels + l]);
                     if weight != 0 {
                         segs.push(Segment { start, end, weight });
                     }
@@ -689,6 +671,119 @@ impl<'a> Walk<'a> {
     }
 }
 
+/// The tile of a band in hand: its stream as read, its folded `G`-level
+/// walk where one was made, and whether that is the walk to lower.
+#[derive(Default)]
+struct BandTile {
+    source: Source,
+    folded: Walk,
+    fold: bool,
+}
+
+impl BandTile {
+    /// Reads `stream` and settles the `G`-level walk of the whole tile:
+    /// folded when that does not add closes + outer segments (it never adds
+    /// closes; on an alphabet that is not sign-symmetric it can split outer
+    /// groups), else — and always for a tile walked once — the stream's own
+    /// order.
+    fn read(&mut self, stream: &GroupStream, c_first: usize, layer: &Layer, sort: &mut DigitSort) {
+        self.source.read(stream, c_first, layer);
+        self.fold = !layer.once && {
+            let (folded, zero) = (&mut self.folded, layer.keys.zero());
+            folded.fold(&self.source, 0..stream.g(), zero, sort);
+            let work = |walk: &Walk| walk.counts.closes + walk.counts.segs;
+            work(folded) <= work(&self.source.stream_order)
+        };
+    }
+
+    fn shared(&self) -> &Walk {
+        if self.fold {
+            &self.folded
+        } else {
+            &self.source.stream_order
+        }
+    }
+}
+
+/// One layer's lowering: what its walks share, made once, and every buffer a
+/// tile is read, ordered and counted in, reused from tile to tile — a
+/// lowered tile allocates its own `base`, `closes`, `seg_ptr` and `segs`
+/// and nothing else.
+pub(crate) struct Lowering {
+    layer: Layer,
+    sort: DigitSort,
+    /// [`Source::apart_counts`]' scratch.
+    seen: Vec<bool>,
+    /// As many as the longest band so far has tiles.
+    band: Vec<BandTile>,
+    /// The one-filter walk in hand, of a band walked filter by filter.
+    single: Walk,
+}
+
+impl Lowering {
+    /// The lowering of a layer of `geom` whose longest tile — any but the
+    /// last channel tile of a band — is `longest`.
+    pub(crate) fn new(longest: &GroupStream, geom: &ConvGeom) -> Self {
+        Self {
+            layer: Layer {
+                once: walked_once(geom),
+                keys: FoldKeys::new(longest.canonical()),
+                offsets: TileOffsets::new(longest.tile_len(), geom),
+            },
+            sort: DigitSort::default(),
+            seen: Vec::new(),
+            band: Vec::new(),
+            single: Walk::default(),
+        }
+    }
+
+    /// Lowers one filter band — the channel tiles that share a `k_first` —
+    /// onto `out`, choosing, from counts alone, between the `G`-level walk
+    /// of every tile and `G` single-filter folded walks of it: a hierarchy
+    /// is worth its closes, kept rows and outer segments only while it
+    /// shares enough gathers ([`WalkCounts::cost`]; a tie keeps it). Either
+    /// way the band is `G` planes. Tiles walked once keep the stream's order
+    /// and its sharing, and one filter has nothing to un-share: neither is
+    /// counted apart.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `band` is empty.
+    pub(crate) fn lower_band(&mut self, band: &[CompiledTile], out: &mut Vec<FlattenedTile>) {
+        let (k_first, g, layer) = (band[0].k_first(), band[0].stream().g(), &self.layer);
+        if self.band.len() < band.len() {
+            self.band.resize_with(band.len(), BandTile::default);
+        }
+        let tiles = &mut self.band[..band.len()];
+        for (tile, read) in band.iter().zip(tiles.iter_mut()) {
+            read.read(tile.stream(), tile.c_first(), layer, &mut self.sort);
+        }
+        let apart = !layer.once && g > 1 && {
+            let together: WalkCounts = tiles.iter().map(|tile| tile.shared().counts).sum();
+            let apart = |(tile, read): (&CompiledTile, &BandTile)| {
+                let seen = &mut self.seen;
+                read.source.apart_counts(tile.stream(), &layer.keys, seen)
+            };
+            let split: WalkCounts = band.iter().zip(tiles.iter()).map(apart).sum();
+            split.cost() < together.cost()
+        };
+        for (tile, read) in band.iter().zip(tiles.iter()) {
+            let mut lower = |walk: &Walk| {
+                out.push(walk.lower(tile.stream(), &read.source, k_first, layer));
+            };
+            if apart {
+                for f in 0..g {
+                    let single = &mut self.single;
+                    single.fold(&read.source, f..f + 1, layer.keys.zero(), &mut self.sort);
+                    lower(single);
+                }
+            } else {
+                lower(read.shared());
+            }
+        }
+    }
+}
+
 impl FlattenedTile {
     /// Lowers one retained stream as one `G`-level walk: sign-folded where
     /// that issues no more closes + outer segments, in stream order
@@ -699,54 +794,11 @@ impl FlattenedTile {
     /// are computed against.
     #[must_use]
     pub fn lower(stream: &GroupStream, k_first: usize, c_first: usize, geom: &ConvGeom) -> Self {
-        let keys = FoldKeys::new(stream.canonical());
-        let offsets = TileOffsets::new(stream.tile_len(), geom);
-        let source = Source::new(stream, c_first, &offsets, &keys);
-        Walk::shared(&source, walked_once(geom)).lower(k_first, walked_once(geom))
-    }
-
-    /// Lowers one filter band — the channel tiles that share a `k_first` —
-    /// choosing, from counts alone, between the `G`-level walk of every
-    /// tile and `G` single-filter folded walks of it: a hierarchy is worth
-    /// its closes, kept rows and outer segments only while it shares
-    /// enough gathers (`WalkCounts::cost`; a tie keeps it). Either way
-    /// the band is `G` planes. Tiles walked once keep the stream's order
-    /// and its sharing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `band` is empty.
-    #[must_use]
-    pub fn lower_band(band: &[CompiledTile], geom: &ConvGeom) -> Vec<Self> {
-        let (k_first, g) = (band[0].k_first(), band[0].stream().g());
-        let keys = FoldKeys::new(band[0].stream().canonical());
-        // A band's tiles are its channel tiles: only the last may be short.
-        let offsets = TileOffsets::new(band[0].stream().tile_len(), geom);
-        let once = walked_once(geom);
-        let sources: Vec<Source<'_>> = band
-            .iter()
-            .map(|tile| Source::new(tile.stream(), tile.c_first(), &offsets, &keys))
-            .collect();
-        let shared: Vec<Walk<'_>> = sources
-            .iter()
-            .map(|source| Walk::shared(source, once))
-            .collect();
-        let together: WalkCounts = shared.iter().map(|walk| walk.counts).sum();
-        let split: WalkCounts = sources.iter().map(Source::apart_counts).sum();
-        let apart = !once && g > 1 && split.cost() < together.cost();
-        if apart {
-            let filters = sources
-                .iter()
-                .flat_map(|source| (0..g).map(move |f| (source, f)));
-            filters
-                .map(|(source, f)| Walk::folded(source, f..f + 1).lower(k_first, once))
-                .collect()
-        } else {
-            shared
-                .iter()
-                .map(|walk| walk.lower(k_first, once))
-                .collect()
-        }
+        let mut lowering = Lowering::new(stream, geom);
+        let mut tile = BandTile::default();
+        tile.read(stream, c_first, &lowering.layer, &mut lowering.sort);
+        let walk = tile.shared();
+        walk.lower(stream, &tile.source, k_first, &lowering.layer)
     }
 
     /// Stream entries retained by the tile.
@@ -3024,12 +3076,22 @@ mod tests {
                     "{what}: folding added work"
                 );
                 costs[1] = [costs[1], lowered_counts(&shared)].into_iter().sum();
-                let keys = FoldKeys::new(stream.canonical());
-                let offsets = TileOffsets::new(stream.tile_len(), &geom);
-                let source = Source::new(stream, tile.c_first(), &offsets, &keys);
-                let ordered = (0..levels).map(|f| Walk::folded(&source, f..f + 1).counts);
+                let Lowering {
+                    layer,
+                    mut sort,
+                    mut seen,
+                    mut single,
+                    ..
+                } = Lowering::new(stream, &geom);
+                let mut read = BandTile::default();
+                read.read(stream, tile.c_first(), &layer, &mut sort);
+                let ordered = (0..levels).map(|f| {
+                    single.fold(&read.source, f..f + 1, layer.keys.zero(), &mut sort);
+                    single.counts
+                });
                 let ordered: WalkCounts = ordered.sum();
-                assert_eq!(source.apart_counts(), ordered, "{what}: the un-share count");
+                let counted = read.source.apart_counts(stream, &layer.keys, &mut seen);
+                assert_eq!(counted, ordered, "{what}: the un-share count");
                 costs[2] = [costs[2], ordered].into_iter().sum();
             }
             // The band took the cheaper walk; a tie keeps the hierarchy.

@@ -24,6 +24,7 @@
 //! unit ① fires once per (sub-)activation-group closure.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Weight rank used for the zero weight: sorts after every real rank.
 pub const ZERO_RANK: u16 = u16::MAX;
@@ -65,7 +66,8 @@ pub struct StreamEntry<'a> {
 pub struct GroupStream {
     g: usize,
     tile_len: usize,
-    canonical: Vec<i16>,
+    /// Shared with every other stream of the layer.
+    canonical: Arc<[i16]>,
     /// Per entry: flattened tile position.
     indices: Vec<u32>,
     /// Per entry × filter: weight rank (row-major, `g` ranks per entry).
@@ -86,8 +88,7 @@ impl GroupStream {
     /// Panics if `filters` is empty, tiles are empty, or tile lengths differ.
     #[must_use]
     pub fn build(filters: &[&[i16]]) -> Self {
-        let canonical = canonical_weights(filters);
-        Self::build_with_canonical(filters, &canonical)
+        Self::build_with_canonical(filters, &canonical_weights(filters))
     }
 
     /// Builds the stream against an explicit canonical non-zero weight order
@@ -96,99 +97,15 @@ impl GroupStream {
     ///
     /// Using one canonical list for a whole layer keeps weight ranks
     /// consistent across tiles, which is what the hardware's `U`-entry
-    /// weight buffer assumes.
+    /// weight buffer assumes. This is the one-shot form: a caller with a
+    /// layer of tiles makes one [`StreamBuilder`] and builds them all.
     ///
     /// # Panics
     ///
     /// Panics on empty/ragged input or on a weight missing from `canonical`.
     #[must_use]
     pub fn build_with_canonical(filters: &[&[i16]], canonical: &[i16]) -> Self {
-        assert!(!filters.is_empty(), "need at least one filter");
-        let tile_len = filters[0].len();
-        assert!(tile_len > 0, "tiles must be non-empty");
-        assert!(
-            filters.iter().all(|f| f.len() == tile_len),
-            "all filter tiles must have equal length"
-        );
-        assert!(
-            canonical.windows(2).all(|w| w[0] < w[1]),
-            "canonical order must be strictly ascending"
-        );
-        let g = filters.len();
-
-        let rank_of = |w: i16| -> u16 {
-            if w == 0 {
-                ZERO_RANK
-            } else {
-                match canonical.binary_search(&w) {
-                    Ok(r) => r as u16,
-                    Err(_) => panic!("weight {w} missing from canonical order"),
-                }
-            }
-        };
-
-        // Rank matrix, row-major (position-major).
-        let mut pos_ranks = vec![0u16; tile_len * g];
-        for (gi, f) in filters.iter().enumerate() {
-            for (p, &w) in f.iter().enumerate() {
-                pos_ranks[p * g + gi] = rank_of(w);
-            }
-        }
-
-        // Keep positions where at least one filter is non-zero.
-        let mut order: Vec<u32> = (0..tile_len as u32)
-            .filter(|&p| {
-                let base = p as usize * g;
-                pos_ranks[base..base + g].iter().any(|&r| r != ZERO_RANK)
-            })
-            .collect();
-        let dropped_zero_positions = tile_len - order.len();
-
-        // Hierarchical sort: lexicographic over rank tuples (filter 1
-        // outermost), ties broken by position for determinism — `order`
-        // starts ascending by position and every pass is stable. The zero
-        // weight is the last bucket.
-        let zero = canonical.len();
-        sort_by_digits(&mut order, g, zero + 1, |p, level| {
-            match pos_ranks[p as usize * g + level] {
-                ZERO_RANK => zero,
-                rank => rank as usize,
-            }
-        });
-
-        let n = order.len();
-        let mut indices = Vec::with_capacity(n);
-        let mut ranks = Vec::with_capacity(n * g);
-        let mut close_levels = vec![NO_CLOSE; n];
-        for &p in &order {
-            indices.push(p);
-            ranks.extend_from_slice(&pos_ranks[p as usize * g..p as usize * g + g]);
-        }
-        // Group-transition bits: the first level at which the next entry's
-        // rank tuple differs closes this entry's groups at that level and all
-        // deeper levels. The final entry closes level 0 ("filter done").
-        for i in 0..n {
-            if i + 1 == n {
-                close_levels[i] = 0;
-            } else {
-                let a = &ranks[i * g..i * g + g];
-                let b_pos = order[i + 1] as usize;
-                let b = &pos_ranks[b_pos * g..b_pos * g + g];
-                if let Some(level) = a.iter().zip(b).position(|(x, y)| x != y) {
-                    close_levels[i] = level as u8;
-                }
-            }
-        }
-
-        Self {
-            g,
-            tile_len,
-            canonical: canonical.to_vec(),
-            indices,
-            ranks,
-            close_levels,
-            dropped_zero_positions,
-        }
+        StreamBuilder::new(canonical).build(filters)
     }
 
     /// Number of filters sharing this stream (`G`).
@@ -379,33 +296,195 @@ impl GroupStream {
     }
 }
 
-/// Stable LSD counting sort: reorders `order` so its items ascend by the
-/// tuple `digit(item, 0), digit(item, 1), …` — `digits` of them, the first
-/// the most significant, each `< buckets` — and ties keep the order they
-/// came in. One pass per digit of `O(order.len() + buckets)`, so it wants a
-/// digit alphabet no larger than the tile: the streams' is the layer's `U`.
-pub(crate) fn sort_by_digits(
-    order: &mut Vec<u32>,
-    digits: usize,
+/// One layer's stream builds: its canonical weight order, shared by every
+/// stream built here, the weight → rank table that order implies — a load
+/// per weight where a search over the `U` values mispredicts — and the rank
+/// matrix and sort buffers, reused from tile to tile so a build allocates
+/// the stream's own three columns and nothing else. The table spans the
+/// order's values (INQ's ±1…±128: 514 bytes; never over 128 KB); a builder
+/// lives as long as one layer's compile.
+pub struct StreamBuilder {
+    canonical: Arc<[i16]>,
+    /// Indexed by `w − canonical[0]`: the weight's rank, [`ZERO_RANK`] for
+    /// zero and for every weight the canonical order does not hold — as is
+    /// every weight outside the span.
+    rank_of: Vec<u16>,
+    /// Rank matrix of the tile in hand, a column of `tile_len` per filter.
+    pos_ranks: Vec<u16>,
+    order: Vec<u32>,
+    sort: DigitSort,
+}
+
+impl StreamBuilder {
+    /// A builder over `canonical`, the ascending distinct non-zero weights.
+    pub(crate) fn new(canonical: &[i16]) -> Self {
+        assert!(
+            canonical.windows(2).all(|w| w[0] < w[1]),
+            "canonical order must be strictly ascending"
+        );
+        let span = canonical
+            .last()
+            .map_or(0, |hi| usize::from(hi.abs_diff(canonical[0])) + 1);
+        let mut rank_of = vec![ZERO_RANK; span];
+        for (rank, &w) in canonical.iter().enumerate().filter(|(_, &w)| w != 0) {
+            rank_of[usize::from(w.abs_diff(canonical[0]))] = rank as u16;
+        }
+        Self {
+            canonical: canonical.into(),
+            rank_of,
+            pos_ranks: Vec::new(),
+            order: Vec::new(),
+            sort: DigitSort::default(),
+        }
+    }
+
+    /// The canonical non-zero weight order every stream built here ranks by.
+    #[must_use]
+    pub fn canonical(&self) -> &[i16] {
+        &self.canonical
+    }
+
+    /// Builds the stream for `G = filters.len()` equally sized weight tiles.
+    ///
+    /// # Panics
+    ///
+    /// Panics on empty/ragged input or on a weight missing from the
+    /// canonical order.
+    #[must_use]
+    pub fn build(&mut self, filters: &[&[i16]]) -> GroupStream {
+        assert!(!filters.is_empty(), "need at least one filter");
+        let (g, tile_len) = (filters.len(), filters[0].len());
+        assert!(tile_len > 0, "tiles must be non-empty");
+        assert!(
+            filters.iter().all(|f| f.len() == tile_len),
+            "all filter tiles must have equal length"
+        );
+        let (pos_ranks, order) = (&mut self.pos_ranks, &mut self.order);
+        // Below the span a weight wraps past its end: `hi − w < 2¹⁶`.
+        let lo = self.canonical.first().copied().unwrap_or(0);
+        let rank_of = |w: i16| {
+            let at = usize::from(w.wrapping_sub(lo) as u16);
+            self.rank_of.get(at).copied().unwrap_or(ZERO_RANK)
+        };
+
+        // Filter by filter: its column of the rank matrix, how many of each
+        // rank it holds — the zero weight's is past every other, so it is
+        // the last bucket — and, in `order`, which positions hold a weight.
+        let zero = self.canonical.len();
+        let counts = self.sort.counts(g, zero + 1);
+        pos_ranks.resize(tile_len * g, 0);
+        order.clear();
+        order.resize(tile_len, 0);
+        let mut stray = false;
+        let columns = pos_ranks.chunks_exact_mut(tile_len);
+        for ((column, f), counts) in columns.zip(filters).zip(counts.chunks_exact_mut(zero + 1)) {
+            for ((rank, &w), weighted) in column.iter_mut().zip(*f).zip(order.iter_mut()) {
+                *rank = rank_of(w);
+                stray |= *rank == ZERO_RANK && w != 0;
+                *weighted |= u32::from(*rank != ZERO_RANK);
+                counts[usize::from(*rank).min(zero)] += 1;
+            }
+        }
+        if stray {
+            let held = |w: &&i16| **w != 0 && rank_of(**w) == ZERO_RANK;
+            let w = filters.iter().flat_map(|f| f.iter()).find(held);
+            panic!("weight {} missing from canonical order", w.expect("one"));
+        }
+
+        // Keep positions where at least one filter is non-zero: compacted in
+        // place, a position's flag read before its slot can be written.
+        let mut n = 0;
+        for p in 0..tile_len {
+            let weighted = order[p] as usize;
+            order[n] = p as u32;
+            n += weighted;
+        }
+        order.truncate(n);
+        let dropped_zero_positions = tile_len - n;
+        for counts in counts.chunks_exact_mut(zero + 1) {
+            counts[zero] -= dropped_zero_positions as u32;
+        }
+
+        // Hierarchical sort: lexicographic over rank tuples (filter 1
+        // outermost), ties broken by position for determinism — `order`
+        // starts ascending by position and every pass is stable.
+        self.sort.sort(order, |p, level| {
+            usize::from(pos_ranks[level * tile_len + p as usize]).min(zero)
+        });
+
+        // Group-transition bits: the first level at which the next entry's
+        // rank tuple differs closes this entry's groups at that level and all
+        // deeper levels — so, column by column, the outermost written last.
+        // The final entry closes level 0 ("filter done").
+        let mut ranks = vec![0; n * g];
+        let mut close_levels = vec![NO_CLOSE; n];
+        for (level, column) in pos_ranks.chunks_exact(tile_len).enumerate().rev() {
+            let rows = ranks.chunks_exact_mut(g).zip(&mut close_levels);
+            let mut after = ZERO_RANK;
+            for (&p, (row, close)) in order.iter().zip(rows).rev() {
+                row[level] = column[p as usize];
+                if row[level] != after {
+                    *close = level as u8;
+                }
+                after = row[level];
+            }
+        }
+        if let Some(last) = close_levels.last_mut() {
+            *last = 0;
+        }
+
+        GroupStream {
+            g,
+            tile_len,
+            canonical: Arc::clone(&self.canonical),
+            indices: order.clone(),
+            ranks,
+            close_levels,
+            dropped_zero_positions,
+        }
+    }
+}
+
+/// Stable LSD counting sort of items whose digits the caller has counted —
+/// it reads every digit once already, to compute it — with the buffers it
+/// reuses from call to call.
+#[derive(Default)]
+pub(crate) struct DigitSort {
+    /// Per digit, most significant first: per bucket, the items that have it.
+    counts: Vec<u32>,
     buckets: usize,
-    digit: impl Fn(u32, usize) -> usize,
-) {
-    let mut starts = vec![0u32; buckets + 1];
-    let mut sorted = vec![0u32; order.len()];
-    for d in (0..digits).rev() {
-        starts.fill(0);
-        for &item in order.iter() {
-            starts[digit(item, d) + 1] += 1;
+    sorted: Vec<u32>,
+}
+
+impl DigitSort {
+    /// Zeroed counts for items of `digits` digits, each `< buckets`: before
+    /// [`DigitSort::sort`], the caller adds one at `[d * buckets + digit]`
+    /// for digit `d` of every item.
+    pub(crate) fn counts(&mut self, digits: usize, buckets: usize) -> &mut [u32] {
+        self.buckets = buckets;
+        self.counts.clear();
+        self.counts.resize(digits * buckets, 0);
+        &mut self.counts
+    }
+
+    /// Reorders the counted items so they ascend by the tuple `digit(item,
+    /// 0), digit(item, 1), …`, and ties keep the order they came in. One
+    /// pass per digit of `O(order.len() + buckets)`, so it wants a digit
+    /// alphabet no larger than the tile: the streams' is the layer's `U`.
+    pub(crate) fn sort(&mut self, order: &mut Vec<u32>, digit: impl Fn(u32, usize) -> usize) {
+        self.sorted.resize(order.len(), 0);
+        for (d, starts) in self.counts.chunks_exact_mut(self.buckets).enumerate().rev() {
+            let mut start = 0;
+            for count in starts.iter_mut() {
+                start += std::mem::replace(count, start);
+            }
+            for &item in order.iter() {
+                let at = &mut starts[digit(item, d)];
+                self.sorted[*at as usize] = item;
+                *at += 1;
+            }
+            std::mem::swap(order, &mut self.sorted);
         }
-        for b in 0..buckets {
-            starts[b + 1] += starts[b];
-        }
-        for &item in order.iter() {
-            let at = &mut starts[digit(item, d)];
-            sorted[*at as usize] = item;
-            *at += 1;
-        }
-        std::mem::swap(order, &mut sorted);
     }
 }
 
@@ -585,13 +664,47 @@ mod tests {
         let stream = GroupStream::build_with_canonical(&[&w], &[2, 4, 8]);
         let acts = [1i16, 1, 1, 1];
         assert_eq!(stream.dot_group(&acts), vec![2 * 2 + 8 * 2]);
+
+        // One builder, tile after tile — longer, shorter, other `G`s, the
+        // ends of the `i16` range (the table is indexed by `w as u16`) —
+        // builds what a fresh one does: nothing of a tile is left in the
+        // reused rank matrix, order or counts.
+        let canonical = [i16::MIN, -3, 2, 4, 8, i16::MAX];
+        let k1 = [i16::MAX, 0, i16::MIN, 2, 2, -3, 0, 8, i16::MIN];
+        let k2 = [0i16, 0, i16::MIN, 8, 2, -3, 0, 8, i16::MAX];
+        let mut builder = StreamBuilder::new(&canonical);
+        assert_eq!(builder.canonical(), canonical);
+        let tiles: [&[&[i16]]; 5] = [
+            &[&k1, &k2],
+            &[&w],
+            &[&k2[..3], &k1[..3], &k2[3..6]],
+            &[&k2],
+            &[&k1, &k2],
+        ];
+        for filters in tiles {
+            let one_shot = GroupStream::build_with_canonical(filters, &canonical);
+            assert_eq!(builder.build(filters), one_shot);
+            let acts: Vec<i16> = (0..one_shot.tile_len() as i16).map(|i| 7 - 3 * i).collect();
+            let dense = |f: &&[i16]| {
+                let products = f
+                    .iter()
+                    .zip(&acts)
+                    .map(|(&w, &x)| i32::from(w) * i32::from(x));
+                products.fold(0i32, i32::wrapping_add)
+            };
+            let expected: Vec<i32> = filters.iter().map(dense).collect();
+            assert_eq!(one_shot.dot_group(&acts), expected);
+        }
     }
 
     #[test]
     #[should_panic(expected = "missing from canonical")]
     fn unknown_weight_panics() {
-        let w = [9i16];
-        let _ = GroupStream::build_with_canonical(&[&w], &[1, 2]);
+        // Through a builder that has built before: the table says so.
+        let mut builder = StreamBuilder::new(&[1, 2]);
+        assert_eq!(builder.build(&[&[2, 1]]).entry_count(), 2);
+        let w = [1i16, 9];
+        let _ = builder.build(&[&w]);
     }
 
     #[test]
@@ -609,5 +722,17 @@ mod tests {
         let stream = GroupStream::build(&[&k1, &k2]);
         assert_eq!(stream.entry_count(), 0);
         assert_eq!(stream.dot_group(&[1, 2, 3, 4]), vec![0, 0]);
+        // And after a tile that was not: every position is dropped again.
+        let mut builder = StreamBuilder::new(&[5]);
+        assert_eq!(
+            builder.build(&[&[5, 0, 5, 5], &[0, 0, 5, 0]]).entry_count(),
+            3
+        );
+        let empty = builder.build(&[&k1, &k2]);
+        assert_eq!(empty, GroupStream::build_with_canonical(&[&k1, &k2], &[5]));
+        assert_eq!(
+            (empty.entry_count(), empty.dropped_zero_positions()),
+            (0, 4)
+        );
     }
 }

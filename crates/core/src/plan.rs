@@ -30,7 +30,7 @@ use ucnn_tensor::{ConvGeom, Tensor3, Tensor4};
 
 use crate::backend::{backend, BackendKind};
 use crate::compile::{canonical_of_tensor, UcnnConfig};
-use crate::flatten::{Dims, FlattenedTile};
+use crate::flatten::{Dims, FlattenedTile, Lowering};
 use crate::hierarchy::{GroupStream, ZERO_RANK};
 
 /// One retained work unit of a compiled layer: the stream for a group of
@@ -95,7 +95,7 @@ pub struct CompiledLayer {
     tiles: Vec<CompiledTile>,
     /// Branch-free lowering of every filter band — one walk per entry of
     /// `tiles`, or one per filter of it where the band's hierarchy costs
-    /// more than it shares ([`FlattenedTile::lower_band`]) — built on the
+    /// more than it shares (`Lowering::lower_band`) — built on the
     /// first flattened execution (or an explicit
     /// [`CompiledNetwork::warm`]) and cached. The library default
     /// ([`CompiledNetwork::DEFAULT_BACKEND`]) runs through it; a deployment
@@ -150,9 +150,11 @@ impl CompiledLayer {
         let c_dim = geom.c();
         let ct = config.effective_ct(c_dim);
         let k_per_group = geom.k() / conv_groups;
-        let canonical = canonical_of_tensor(filters);
+        let mut builder = canonical_of_tensor(filters);
+        let mut slices: Vec<&[i16]> = Vec::with_capacity(config.g);
 
-        let mut tiles = Vec::new();
+        let bands = conv_groups * k_per_group.div_ceil(config.g);
+        let mut tiles = Vec::with_capacity(bands * c_dim.div_ceil(ct));
         for cg in 0..conv_groups {
             let k_base = cg * k_per_group;
             let c_base = cg * c_dim;
@@ -162,11 +164,11 @@ impl CompiledLayer {
                 let mut c0 = 0usize;
                 while c0 < c_dim {
                     let c1 = (c0 + ct).min(c_dim);
-                    let slices: Vec<&[i16]> = (k0..k1)
-                        .map(|ki| &filters.filter(k_base + ki)[c0 * rs..c1 * rs])
-                        .collect();
+                    slices.clear();
+                    slices
+                        .extend((k0..k1).map(|ki| &filters.filter(k_base + ki)[c0 * rs..c1 * rs]));
                     tiles.push(CompiledTile {
-                        stream: GroupStream::build_with_canonical(&slices, &canonical),
+                        stream: builder.build(&slices),
                         k_first: k_base + k0,
                         c_first: c_base + c0,
                     });
@@ -219,11 +221,13 @@ impl CompiledLayer {
     #[must_use]
     pub fn flat_tiles(&self) -> &[FlattenedTile] {
         self.flat.get_or_init(|| {
-            // `compile` emits tiles band by band.
-            self.tiles
-                .chunk_by(|a, b| a.k_first == b.k_first)
-                .flat_map(|band| FlattenedTile::lower_band(band, &self.geom))
-                .collect()
+            // `compile` emits tiles band by band, the longest tile first.
+            let mut lowering = Lowering::new(&self.tiles[0].stream, &self.geom);
+            let mut flat = Vec::with_capacity(self.tiles.len());
+            for band in self.tiles.chunk_by(|a, b| a.k_first == b.k_first) {
+                lowering.lower_band(band, &mut flat);
+            }
+            flat
         })
     }
 

@@ -206,7 +206,7 @@ impl Pending {
     ///
     /// Returns [`ServeError::DeadlineExceeded`] if a worker shed the
     /// request because it expired in queue, or [`ServeError::WorkerLost`]
-    /// if the serving worker died.
+    /// if the batch it rode in panicked.
     pub fn wait(self) -> Result<ServeResponse, ServeError> {
         self.rx.recv().map_err(|_| ServeError::WorkerLost)?
     }
@@ -362,8 +362,9 @@ pub struct EngineStats {
     pub deadline_rejected: u64,
     /// Submissions rejected at a model's concurrency ceiling.
     pub quota_rejected: u64,
-    /// Workers that died to a panic instead of exiting cleanly. Non-zero
-    /// means capacity silently shrank mid-run; see
+    /// Batches lost to a panic inside a worker (the name predates workers
+    /// surviving one): every rider of such a batch saw
+    /// [`ServeError::WorkerLost`], the worker went on to its next batch. See
     /// [`EngineStats::panic_message`] for the first cause.
     pub panicked_workers: u64,
     /// The first worker panic message observed, when any worker panicked.
@@ -829,9 +830,9 @@ impl Engine {
     ///
     /// Worker panics are **surfaced, not swallowed**: each one shows up in
     /// [`EngineStats::panicked_workers`] with the first message in
-    /// [`EngineStats::panic_message`]. (Workers catch their own panics to
-    /// record them; the join check is a backstop for a panic outside the
-    /// guarded region.)
+    /// [`EngineStats::panic_message`]. (Workers catch a batch's panic,
+    /// record it and carry on; the join check is a backstop for a panic
+    /// outside the guarded region.)
     #[must_use]
     pub fn shutdown(mut self) -> EngineStats {
         self.queue.close();
@@ -854,7 +855,7 @@ impl Drop for Engine {
 }
 
 /// Balances the in-flight gauge on every exit path out of a batch —
-/// including a panic's unwind — so a dead worker never leaves the gauge
+/// including a panic's unwind — so a lost batch never leaves the gauge
 /// permanently inflated.
 struct InFlightGuard<'a> {
     gauge: &'a Gauge,
@@ -893,18 +894,17 @@ fn worker_loop(
         if stolen {
             metrics.steals.inc(worker);
         }
-        // A panicking batch must not take the engine down silently: catch
-        // it, record which worker died and why, and let the thread exit —
-        // capacity shrinks (visibly, via the counter) and the remaining
-        // workers steal this worker's shard dry. Requests lost mid-batch
-        // surface as `WorkerLost` to their callers.
+        // A panicking batch costs the batch, not the worker: catch it,
+        // record that it happened and why, and go on to the next one — a
+        // worker that exited here would leave its shard to the others, and
+        // `workers` such batches would leave the queue to nobody. The riders
+        // of the lost batch see `WorkerLost` (their senders drop with it).
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             serve_batch(worker, items, queue, counters, metrics, config);
         }));
         if let Err(payload) = outcome {
             counters.record_panic_message(panic_message(payload.as_ref()));
             metrics.worker_panics.inc(worker);
-            return;
         }
     }
 }
@@ -1571,37 +1571,47 @@ mod tests {
     #[test]
     fn worker_panic_is_surfaced_not_swallowed() {
         // A malformed input (wrong shape for the first conv layer) panics
-        // the executor inside the worker. The engine must record which
-        // worker died and why; the caller sees WorkerLost, and the second
-        // worker keeps serving by stealing the dead worker's shard.
-        let (engine, cases) = tiny_engine(2);
-        let plan = engine.registry().get("tiny").unwrap();
-        let poison = Tensor3::<i16>::zeros(1, 1, 1);
-        let lost = engine.submit_plan(plan, poison).unwrap();
-        assert_eq!(lost.wait().unwrap_err(), ServeError::WorkerLost);
-        // The pool (minus one worker) still serves correctly.
-        for _ in 0..6 {
-            let resp = engine
-                .submit("tiny", cases[0].0.clone())
-                .unwrap()
-                .wait()
-                .unwrap();
-            assert_eq!(resp.output, cases[0].1);
+        // the executor inside the worker. The engine must record that and
+        // why; the caller sees WorkerLost, and the worker goes on serving:
+        // one more poison than there are workers, each its own batch, would
+        // leave an engine whose workers exit on a panic with nobody draining
+        // the queue — a hang, which the watchdog turns into a message.
+        let (done, finished) = mpsc::channel();
+        std::thread::spawn(move || {
+            let (engine, cases) = tiny_engine(2);
+            let plan = engine.registry().get("tiny").unwrap();
+            for _ in 0..3 {
+                let poison = Tensor3::<i16>::zeros(1, 1, 1);
+                let lost = engine.submit_plan(Arc::clone(&plan), poison).unwrap();
+                assert_eq!(lost.wait().unwrap_err(), ServeError::WorkerLost);
+            }
+            for (input, expected) in cases.iter().cycle().take(80) {
+                let resp = engine.submit("tiny", input.clone()).unwrap().wait();
+                assert_eq!(&resp.unwrap().output, expected);
+            }
+            let metrics = Arc::clone(engine.metrics());
+            let stats = engine.shutdown();
+            assert_eq!(stats.panicked_workers, 3, "a count of lost batches");
+            let msg = stats
+                .panic_message
+                .expect("the panic cause must be propagated");
+            assert!(msg.contains("input dims"), "the first cause, got: {msg}");
+            assert_eq!(stats.served, 80);
+            assert_eq!(metrics.counter("engine_worker_panics_total").get(), 3);
+            assert_eq!(
+                metrics.gauge("engine_in_flight").get(),
+                0,
+                "the unwind must balance the in-flight gauge"
+            );
+            done.send(()).unwrap();
+        });
+        match finished.recv_timeout(Duration::from_secs(10)) {
+            Ok(()) => {}
+            Err(mpsc::RecvTimeoutError::Timeout) => {
+                panic!("no answer in 10 s: the panics left no worker draining the queue")
+            }
+            Err(mpsc::RecvTimeoutError::Disconnected) => panic!("an assertion above failed"),
         }
-        let metrics = Arc::clone(engine.metrics());
-        let stats = engine.shutdown();
-        assert_eq!(stats.panicked_workers, 1);
-        assert!(
-            stats.panic_message.is_some(),
-            "the panic cause must be propagated"
-        );
-        assert_eq!(stats.served, 6);
-        assert_eq!(metrics.counter("engine_worker_panics_total").get(), 1);
-        assert_eq!(
-            metrics.gauge("engine_in_flight").get(),
-            0,
-            "the unwind must balance the in-flight gauge"
-        );
     }
 
     #[cfg(debug_assertions)]

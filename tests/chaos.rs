@@ -1,5 +1,5 @@
-//! Chaos suite: the serving engine under induced failure — a worker dying
-//! mid-batch, wrong-shaped tensors fired between good requests, consumers
+//! Chaos suite: the serving engine under induced failure — batches
+//! panicking mid-forward, wrong-shaped tensors fired between good requests, consumers
 //! that stop reading responses, the registry being
 //! churned (models re-inserted) under sustained traffic, and
 //! shutdown while producers are blocked on a full queue. Every test
@@ -7,7 +7,7 @@
 //! rather than timings, so the suite is deterministic in CI.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -51,71 +51,79 @@ fn zoo(registry: &Arc<ModelRegistry>, n: usize, seed: u64) -> Vec<ModelCases> {
         .collect()
 }
 
-/// A worker dying to a panic must be *surfaced* (panicked-worker count and
-/// message in the stats) and *survived*: requests that land on the dead
-/// worker's shard are stolen by the survivors, so the fleet keeps
-/// completing everything bit-exactly on reduced capacity.
+/// A batch lost to a panic must be *surfaced* (the count and the first
+/// message in the stats) and cost *that batch only*: one more poison than
+/// there are workers, each its own batch, and the pool still completes
+/// everything after them bit-exactly. An engine whose workers exit on a
+/// panic has nobody left to drain the queue by then — a hang, which the
+/// watchdog turns into a message.
 #[test]
-fn worker_death_is_surfaced_and_traffic_reroutes_around_the_dead_shard() {
-    let registry = Arc::new(ModelRegistry::new());
-    let models = zoo(&registry, 2, 0x300);
-    let engine = Engine::start(
-        Arc::clone(&registry),
-        EngineConfig {
-            workers: 4,
-            queue_capacity: 64,
-            max_batch: 4,
-            ..EngineConfig::default()
-        },
-    );
+fn a_panicking_batch_is_surfaced_and_costs_no_worker() {
+    const WORKERS: usize = 4;
+    let (done, finished) = mpsc::channel();
+    thread::spawn(move || {
+        let registry = Arc::new(ModelRegistry::new());
+        let models = zoo(&registry, 2, 0x300);
+        let engine = Engine::start(
+            Arc::clone(&registry),
+            EngineConfig {
+                workers: WORKERS,
+                queue_capacity: 64,
+                max_batch: 4,
+                ..EngineConfig::default()
+            },
+        );
 
-    // Poison pill: a malformed input panics its worker mid-forward. The
-    // caller sees a lost worker, not a hang.
-    let plan = registry.get("tiny").expect("tiny registered");
-    let poison = engine
-        .submit_plan(plan, Tensor3::<i16>::zeros(1, 1, 1))
-        .expect("poison enqueues");
-    assert!(
-        matches!(poison.wait(), Err(ServeError::WorkerLost)),
-        "a panicked worker must drop the response channel"
-    );
+        // Poison pills: a malformed input panics its batch mid-forward. The
+        // caller sees a lost worker, not a hang.
+        let plan = registry.get("tiny").expect("tiny registered");
+        for _ in 0..=WORKERS {
+            let poison = engine
+                .submit_plan(Arc::clone(&plan), Tensor3::<i16>::zeros(1, 1, 1))
+                .expect("poison enqueues");
+            assert!(
+                matches!(poison.wait(), Err(ServeError::WorkerLost)),
+                "a panicked batch must drop the response channel"
+            );
+        }
 
-    // The engine keeps serving on the remaining workers: the dead shard
-    // still receives pushes (submit-time shard selection doesn't know the
-    // worker died), so completion of the full run proves stealing drains
-    // it.
-    let wl = StandardWorkload {
-        arrival: Arrival::Closed,
-        mix: Mix::Uniform,
-    };
-    let report = harness::run(
-        &engine,
-        &models,
-        &wl,
-        RunConfig {
-            requests: 80,
-            shards: 4,
-            seed: 0xC0C,
-            ..RunConfig::default()
-        },
-    );
-    assert_eq!(report.completed, 80, "lost requests after worker death");
-    assert_eq!(report.mismatches, 0);
-    assert_eq!(report.errors, 0);
-    assert_eq!(report.shed(), 0);
+        let wl = StandardWorkload {
+            arrival: Arrival::Closed,
+            mix: Mix::Uniform,
+        };
+        let report = harness::run(
+            &engine,
+            &models,
+            &wl,
+            RunConfig {
+                requests: 80,
+                shards: 4,
+                seed: 0xC0C,
+                ..RunConfig::default()
+            },
+        );
+        assert_eq!(report.completed, 80, "lost requests after the panics");
+        assert_eq!(report.mismatches, 0);
+        assert_eq!(report.errors, 0);
+        assert_eq!(report.shed(), 0);
 
-    let stats = engine.shutdown();
-    assert_eq!(stats.panicked_workers, 1, "exactly one worker died");
-    let msg = stats.panic_message.expect("panic message surfaced");
-    assert!(
-        msg.contains("input dims"),
-        "panic message must carry the cause, got: {msg}"
-    );
-    assert!(
-        stats.steals > 0,
-        "requests on the dead worker's shard can only complete via steals"
-    );
-    assert_eq!(stats.served, 80, "the poison request must not count");
+        let stats = engine.shutdown();
+        assert_eq!(stats.panicked_workers, WORKERS as u64 + 1, "a batch each");
+        let msg = stats.panic_message.expect("panic message surfaced");
+        assert!(
+            msg.contains("input dims"),
+            "panic message must carry the cause, got: {msg}"
+        );
+        assert_eq!(stats.served, 80, "the poison requests must not count");
+        done.send(()).expect("the test is waiting");
+    });
+    match finished.recv_timeout(Duration::from_secs(10)) {
+        Ok(()) => {}
+        Err(mpsc::RecvTimeoutError::Timeout) => {
+            panic!("no answer in 10 s: the panics left no worker draining the queue")
+        }
+        Err(mpsc::RecvTimeoutError::Disconnected) => panic!("an assertion above failed"),
+    }
 }
 
 /// A wrong-shaped tensor costs exactly itself: every named submit path

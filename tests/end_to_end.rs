@@ -91,7 +91,6 @@ fn repetition_statistics_predict_plan_multiplies() {
 /// and entry cycles for the same stream.
 #[test]
 fn lane_and_plan_agree() {
-    use ucnn::core::hierarchy::GroupStream;
     let mut wgen = WeightGen::new(QuantScheme::inq(), 9).with_density(0.9);
     let weights = wgen.generate_dims(2, 32, 3, 3);
     let plan = compile_layer(
@@ -103,10 +102,7 @@ fn lane_and_plan_agree() {
     );
 
     let slices: Vec<&[i16]> = vec![weights.filter(0), weights.filter(1)];
-    let stream = GroupStream::build_with_canonical(
-        &slices,
-        &ucnn::core::compile::canonical_of_tensor(&weights),
-    );
+    let stream = ucnn::core::compile::canonical_of_tensor(&weights).build(&slices);
     let acts: Vec<i16> = (0..stream.tile_len()).map(|i| (i % 11) as i16).collect();
     let trace = run_lane(&stream, &acts, &LaneConfig::default());
 
