@@ -20,8 +20,10 @@ use crate::hierarchy::{GroupStream, StreamBuilder, ZERO_RANK};
 pub struct UcnnConfig {
     /// Filters sharing one input indirection table (`G ≥ 1`).
     pub g: usize,
-    /// Channel tile size `Ct`. Must be positive; values larger than a
-    /// layer's `C` are clamped per layer (see [`UcnnConfig::effective_ct`]).
+    /// Channel tile size `Ct` — the PE's input buffer (§IV). Must be positive;
+    /// values larger than a layer's `C` are clamped per layer (see
+    /// [`UcnnConfig::effective_ct`]); a compiled plan's FC layers are one tile
+    /// whatever `Ct` ([`CompiledLayer::compile`](crate::plan::CompiledLayer::compile)).
     pub ct: usize,
     /// Maximum activation-group size before an early multiply is forced
     /// (§IV-B; the paper provisions 16).

@@ -102,17 +102,17 @@
 //! is paid once per `p` positions, the paper's `VW` spatial lanes (§IV).
 //!
 //! A batch is cut into chunks of the tier's width, then 16, then
-//! [`LANE_WIDTH`] images, and below eight the rest runs one image at a time
-//! (`pitch = 1`): a 2–7 image chunk has no pitch of its own yet. A chunk
-//! takes as many positions per strip as the tier's registers hold
-//! ([`SimdTier::strip_lanes`]: 128 lanes on `avx512`, so 4 positions × 32
-//! images or 16 × 8; 32 lanes elsewhere) and works down an output row by
-//! powers of two; a single image takes the tier's width, then 16, 8 and the
-//! exact tail. The shape is a function of the chunk width and the layer's
-//! geometry alone (`strip_runs`): layers with `stride > 1` (a row's reads
-//! are not contiguous) or one position per output row (fully connected)
-//! take one position per strip — the chunk's images, or a single image
-//! walked width-1.
+//! [`LANE_WIDTH`] images, then the rest as one chunk of `b < 8`, staged at
+//! pitch 8 like a chunk of eight: its lanes hold `⌊8/b⌋` copies of each
+//! image, copy `v` moved up by `v·k` output rows, so every copy walks `k`
+//! rows of the same plan and a band's sums return to their real rows on the
+//! way into the consumer's plane (`Lanes`). A chunk takes as many positions
+//! per strip as the tier's registers hold ([`SimdTier::strip_lanes`]: 128
+//! lanes on `avx512`, so 4 positions × 32 images or 16 × 8; 32 lanes
+//! elsewhere) and works down an output row by powers of two — a function of
+//! the pitch and the layer's geometry alone (`strip_runs`); layers with
+//! `stride > 1` (a row's reads are not contiguous) or one position per
+//! output row (fully connected) take one position per strip.
 //!
 //! # Filter bands and the chunk-major pipeline
 //!
@@ -827,12 +827,12 @@ impl FlattenedTile {
     }
 
     /// The shared strip kernel body: adds this tile's partial sums for `LW`
-    /// lanes at once, over the positions `ys` of every output row. `input`
-    /// holds a chunk of `PITCH` images staged as `input[off · PITCH + image]`
+    /// lanes at once, over the positions `run.ys` of the output rows `run.xs`.
+    /// `input` holds a chunk staged `PITCH` lanes wide, `input[off · PITCH + lane]`
     /// over the zero-haloed plane (see [`stage_chunk`]), `out` is the
     /// lane-major accumulator of the tile's **filter band** — `g` output
     /// planes starting at the tile's first filter,
-    /// `out[off · PITCH + image]` with `off` counted from that filter's
+    /// `out[off · PITCH + lane]` with `off` counted from that filter's
     /// plane — and `prefix` is caller scratch of at least `rows · LW` prefix
     /// lanes, walked as `LW`-wide rows.
     ///
@@ -841,10 +841,9 @@ impl FlattenedTile {
     /// level reads them. Fusing *all* levels so is in ROADMAP's do-not-rebuild.
     ///
     /// The `LW` lanes are `LW / PITCH` neighbouring output positions × the
-    /// chunk's `PITCH` images (see [`strip_runs`]): at stride 1 those read
+    /// chunk's `PITCH` lanes (see [`strip_runs`]): at stride 1 those read
     /// `LW` contiguous staged values from `(base + delta) · PITCH` — with
-    /// `PITCH == LW` one line-aligned row of the staged plane, with
-    /// `PITCH == 1` the cells `y..y + LW` of one planar image — and
+    /// `PITCH == LW` one line-aligned row of the staged plane — and
     /// `LW == PITCH == 1` **is** the planar walk, which is how
     /// [`run_flattened`] executes. A runtime pitch spilled phase 1's
     /// loop-invariant pointers in the wide kernels (+11–35 % per call,
@@ -865,7 +864,7 @@ impl FlattenedTile {
         out: &mut [i32],
         geom: &ConvGeom,
         prefix: &mut [i32],
-        ys: Range<usize>,
+        run: &StripRun,
     ) {
         let (out_w, out_h) = (geom.out_w(), geom.out_h());
         let ph = geom.in_h() + 2 * geom.pad();
@@ -874,8 +873,8 @@ impl FlattenedTile {
         prefix[0] = [0; LW];
         let once = walked_once(geom);
 
-        for x in 0..out_w {
-            for y in ys.clone().step_by(LW / PITCH) {
+        for x in run.xs.clone() {
+            for y in run.ys.clone().step_by(LW / PITCH) {
                 // Phase 1: LW parallel running sums behind one offset
                 // stream, a plus and a minus sub-run of entries per close,
                 // where the running sum is multiplied (by `Δw`) and
@@ -972,7 +971,7 @@ impl FlattenedTile {
 /// Whether a layer's tiles are walked once per chunk (one output position):
 /// the predictor never sees a tile's run lengths twice (FC up to 2.6× slower), so
 /// such a tile keeps a row per entry and no trip count depends on a run.
-fn walked_once(geom: &ConvGeom) -> bool {
+pub(crate) fn walked_once(geom: &ConvGeom) -> bool {
     geom.out_w() * geom.out_h() == 1
 }
 
@@ -989,8 +988,7 @@ fn walked_once(geom: &ConvGeom) -> bool {
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod tier_kernels {
-    use super::FlattenedTile;
-    use std::ops::Range;
+    use super::{FlattenedTile, StripRun};
     use ucnn_tensor::ConvGeom;
 
     #[target_feature(enable = "avx2")]
@@ -1000,9 +998,9 @@ mod tier_kernels {
         out: &mut [i32],
         geom: &ConvGeom,
         prefix: &mut [i32],
-        ys: Range<usize>,
+        run: &StripRun,
     ) {
-        tile.accumulate_lanes_body::<LW, PITCH>(input, out, geom, prefix, ys);
+        tile.accumulate_lanes_body::<LW, PITCH>(input, out, geom, prefix, run);
     }
 
     #[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl")]
@@ -1012,9 +1010,9 @@ mod tier_kernels {
         out: &mut [i32],
         geom: &ConvGeom,
         prefix: &mut [i32],
-        ys: Range<usize>,
+        run: &StripRun,
     ) {
-        tile.accumulate_lanes_body::<LW, PITCH>(input, out, geom, prefix, ys);
+        tile.accumulate_lanes_body::<LW, PITCH>(input, out, geom, prefix, run);
     }
 }
 
@@ -1023,8 +1021,7 @@ mod tier_kernels {
 #[cfg(target_arch = "aarch64")]
 #[allow(unsafe_code)]
 mod tier_kernels {
-    use super::FlattenedTile;
-    use std::ops::Range;
+    use super::{FlattenedTile, StripRun};
     use ucnn_tensor::ConvGeom;
 
     #[target_feature(enable = "neon")]
@@ -1034,9 +1031,9 @@ mod tier_kernels {
         out: &mut [i32],
         geom: &ConvGeom,
         prefix: &mut [i32],
-        ys: Range<usize>,
+        run: &StripRun,
     ) {
-        tile.accumulate_lanes_body::<LW, PITCH>(input, out, geom, prefix, ys);
+        tile.accumulate_lanes_body::<LW, PITCH>(input, out, geom, prefix, run);
     }
 }
 
@@ -1056,53 +1053,111 @@ fn accumulate_width<const LW: usize, const PITCH: usize>(
     out: &mut [i32],
     geom: &ConvGeom,
     prefix: &mut [i32],
-    ys: Range<usize>,
+    run: &StripRun,
     tier: SimdTier,
 ) {
     match tier {
         #[cfg(target_arch = "x86_64")]
         SimdTier::Avx2 => unsafe {
-            tier_kernels::tile_lanes_avx2::<LW, PITCH>(tile, input, out, geom, prefix, ys);
+            tier_kernels::tile_lanes_avx2::<LW, PITCH>(tile, input, out, geom, prefix, run);
         },
         #[cfg(target_arch = "x86_64")]
         SimdTier::Avx512 => unsafe {
-            tier_kernels::tile_lanes_avx512::<LW, PITCH>(tile, input, out, geom, prefix, ys);
+            tier_kernels::tile_lanes_avx512::<LW, PITCH>(tile, input, out, geom, prefix, run);
         },
         #[cfg(target_arch = "aarch64")]
         SimdTier::Neon => unsafe {
-            tier_kernels::tile_lanes_neon::<LW, PITCH>(tile, input, out, geom, prefix, ys);
+            tier_kernels::tile_lanes_neon::<LW, PITCH>(tile, input, out, geom, prefix, run);
         },
-        _ => tile.accumulate_lanes_body::<LW, PITCH>(input, out, geom, prefix, ys),
+        _ => tile.accumulate_lanes_body::<LW, PITCH>(input, out, geom, prefix, run),
     }
 }
 
 /// One call of the strip kernel: `width` lanes at a time over the span
-/// `ys` of every output row, on a chunk staged `pitch` images wide.
+/// `ys` of the output rows `xs`, on a chunk staged `pitch` lanes wide.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct StripRun {
     /// Lanes per strip — the monomorphized `LW`: `width / pitch`
-    /// neighbouring output positions × `pitch` images.
+    /// neighbouring output positions × `pitch` lanes.
     width: usize,
-    /// Images interleaved in the staged chunk (its row pitch).
+    /// Lanes per staged cell (its row pitch).
     pitch: usize,
+    /// The output rows walked: all of them, or one copy's band of them.
+    xs: Range<usize>,
     /// The positions `y` of every output row, in steps of `width / pitch`.
     ys: Range<usize>,
 }
 
-/// The strip-kernel calls one tile makes for a chunk of `lw` images on
-/// `tier` — where a strip's shape (positions × images) is chosen, from the
+/// How a chunk of `images` images lies in the `pitch` lanes of one layer's
+/// staged cells (the images, at least [`LANE_WIDTH`]): lane `v·images + i`
+/// is copy `v` of image `i`, moved up by `v·rows` output rows, for `bands`
+/// copies, and every lane past them is zero.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Lanes {
+    images: usize,
+    pitch: usize,
+    bands: usize,
+    rows: usize,
+}
+
+impl Lanes {
+    fn new(images: usize, geom: &ConvGeom) -> Self {
+        let pitch = images.max(LANE_WIDTH);
+        let rows = geom.out_w().div_ceil(pitch / images);
+        Self {
+            images,
+            pitch,
+            bands: geom.out_w().div_ceil(rows),
+            rows,
+        }
+    }
+
+    /// Fills copies `1..bands` of a staged plane of `geom`'s input from copy
+    /// 0, as many rows as a copy reads (past the plane its lanes stay zero),
+    /// lane by lane: a cell-wide copy of `images` lanes is a `memcpy` call.
+    fn replicate(&self, plane: &mut [i16], geom: &ConvGeom) {
+        let (b, stride) = (self.images, geom.stride());
+        let row = (geom.in_h() + 2 * geom.pad()) * LANE_WIDTH;
+        let channel = (geom.in_w() + 2 * geom.pad()) * row;
+        for channel in plane.chunks_exact_mut(channel) {
+            for v in 1..self.bands {
+                for x in 0..(self.rows - 1) * stride + geom.r() {
+                    let (head, tail) = channel.split_at_mut((x + 1) * row);
+                    let from = (v * self.rows * stride - 1) * row;
+                    let Some(src) = tail.get(from..).and_then(|src| src.get(..row)) else {
+                        break;
+                    };
+                    let dst = head[x * row..].as_chunks_mut::<LANE_WIDTH>().0;
+                    for l in 0..b {
+                        for (d, s) in dst.iter_mut().zip(src.as_chunks::<LANE_WIDTH>().0) {
+                            d[v * b + l] = s[l];
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Where real row `r` of a band of `w`-row planes walked this way is
+    /// kept: its stored row, and the first lane of its copy.
+    fn stored(&self, r: usize, w: usize) -> (usize, usize) {
+        let x = r % w;
+        (r - x + x % self.rows, x / self.rows * self.images)
+    }
+}
+
+/// The strip-kernel calls one tile makes for a chunk laid out as `lanes` on
+/// `tier` — where a strip's shape (positions × lanes) is chosen, from the
 /// chunk width and the layer's geometry alone.
 ///
 /// At stride 1 the staged cells of neighbouring output positions are
 /// contiguous, so a strip takes as many positions of an output row as the
-/// tier's registers hold: a chunk of [`LANE_WIDTH`] images or more cascades
-/// through the powers of two from [`SimdTier::strip_lanes`]` / lw`
-/// positions down to one, a single image through [`next_strip_width`] —
-/// tier-wide strips, then 16, 8 and the exact tail — one run per width.
-/// Strided layers (a row's reads are not contiguous) and `out_h == 1`
+/// tier's registers hold: it cascades through the powers of two from
+/// [`SimdTier::strip_lanes`]` / pitch` positions down to one, one run per
+/// width. Strided layers (a row's reads are not contiguous) and `out_h == 1`
 /// (fully connected) take one position per strip.
-fn strip_runs(geom: &ConvGeom, lw: usize, tier: SimdTier) -> impl Iterator<Item = StripRun> {
-    let out_h = geom.out_h();
+fn strip_runs(geom: &ConvGeom, lanes: Lanes, tier: SimdTier) -> impl Iterator<Item = StripRun> {
+    let (out_h, lw) = (geom.out_h(), lanes.pitch);
     let row_lanes = geom.stride() == 1 && out_h > 1;
     let mut y = 0;
     std::iter::from_fn(move || {
@@ -1110,10 +1165,9 @@ fn strip_runs(geom: &ConvGeom, lw: usize, tier: SimdTier) -> impl Iterator<Item 
         if rest == 0 {
             return None;
         }
-        let width = match lw {
-            _ if !row_lanes => lw,
-            1 => next_strip_width(rest, tier.lane_width()),
-            _ => lw << rest.min(tier.strip_lanes() / lw).ilog2(),
+        let width = match row_lanes {
+            true => lw << rest.min(tier.strip_lanes() / lw).ilog2(),
+            false => lw,
         };
         // Every strip of this width in one run, `width / lw` positions each.
         let ys = y..out_h - rest % (width / lw);
@@ -1121,6 +1175,7 @@ fn strip_runs(geom: &ConvGeom, lw: usize, tier: SimdTier) -> impl Iterator<Item 
         Some(StripRun {
             width,
             pitch: lw,
+            xs: 0..lanes.rows,
             ys,
         })
     })
@@ -1143,10 +1198,9 @@ macro_rules! strip_kernels {
             run: &StripRun,
             tier: SimdTier,
         ) {
-            let ys = run.ys.clone();
             match (run.width, run.pitch) {
                 $(($lw, $pitch) => {
-                    accumulate_width::<$lw, $pitch>(tile, input, out, geom, prefix, ys, tier);
+                    accumulate_width::<$lw, $pitch>(tile, input, out, geom, prefix, run, tier);
                 })*
                 other => unreachable!("strip {other:?} has no monomorphized kernel"),
             }
@@ -1154,45 +1208,28 @@ macro_rules! strip_kernels {
     };
 }
 
-// A single image at every width [`next_strip_width`] emits (`1..=8`, 16, 32
-// — width 1 is the planar walk), the chunk widths [`next_chunk_width`]
-// emits (8, 16, 32) at every power-of-two depth up to 128 lanes: 22 kernels
-// per ISA tier, each one emitted by some tier and nothing else
+// The planar walk, and the pitches [`next_chunk_width`]'s chunks stage at
+// (8, 16, 32) at every power-of-two depth up to 128 lanes: 13 kernels per
+// ISA tier, each one emitted by some tier and nothing else
 // (`every_strip_has_a_kernel_and_every_kernel_a_strip`).
 strip_kernels! {
-    (1, 1) (2, 1) (3, 1) (4, 1) (5, 1) (6, 1) (7, 1) (8, 1) (16, 1) (32, 1)
+    (1, 1)
     (8, 8) (16, 8) (32, 8) (64, 8) (128, 8)
     (16, 16) (32, 16) (64, 16) (128, 16)
     (32, 32) (64, 32) (128, 32)
 }
 
-/// The width of the next strip when `rest` lanes remain and the dispatched
-/// tier runs `lane_width` of them at once: whole tier-width strips first,
-/// then the widest monomorphized residuals (16, then [`LANE_WIDTH`]), then
-/// the exact remainder. Every emitted width has a kernel in
-/// [`accumulate_tile_lanes`]. This is how one image's output row is cut
-/// into strips, and — down to [`LANE_WIDTH`] — a batch into chunks.
-fn next_strip_width(rest: usize, lane_width: usize) -> usize {
+/// The width of the next lane chunk when `rest` images remain and the
+/// dispatched tier interleaves `lane_width` at once: whole tier-width chunks
+/// first, then 16, then [`LANE_WIDTH`], then the rest as one chunk — which
+/// fills the pitch it stages at with copies of its images ([`Lanes`]).
+fn next_chunk_width(rest: usize, lane_width: usize) -> usize {
     if rest >= lane_width {
         lane_width
     } else if rest >= 16 {
         16
-    } else if rest >= LANE_WIDTH {
-        LANE_WIDTH
     } else {
-        rest
-    }
-}
-
-/// The width of the next lane chunk when `rest` images remain: the
-/// [`next_strip_width`] decomposition down to [`LANE_WIDTH`], and below it
-/// one image at a time — a residual of 2–7 images has no pitch of its own
-/// (ROADMAP 3(e)), while a single image fills the tier's lanes with output
-/// positions ([`strip_runs`]).
-fn next_chunk_width(rest: usize, lane_width: usize) -> usize {
-    match next_strip_width(rest, lane_width) {
-        width if width < LANE_WIDTH => 1,
-        width => width,
+        rest.min(LANE_WIDTH)
     }
 }
 
@@ -1214,12 +1251,12 @@ pub(crate) fn strip_profile(geom: &ConvGeom, batch: usize, tier: SimdTier) -> (u
 }
 
 /// The widest strip a chunk of `lw` images runs: its first [`strip_runs`]
-/// run — what sizes the prefix rows. Never narrower than a narrower
-/// chunk's, or the same chunk's on a narrower tier.
+/// run — what sizes the prefix rows. Never narrower than a narrower chunk's,
+/// or the same chunk's on a narrower tier.
 fn widest_strip(geom: &ConvGeom, lw: usize, tier: SimdTier) -> usize {
-    strip_runs(geom, lw, tier)
-        .next()
-        .map_or(lw, |run| run.width)
+    let lanes = Lanes::new(lw, geom);
+    let first = strip_runs(geom, lanes, tier).next();
+    first.map_or(lanes.pitch, |run| run.width)
 }
 
 /// Executes a [`CompiledLayer`] through its flattened tiles — bit-identical
@@ -1260,28 +1297,32 @@ pub fn run_flattened(layer: &CompiledLayer, input: &Tensor3<i16>) -> Tensor3<i32
             prefix,
             ..
         } = &mut arenas[0];
-        let staged = stage_chunk(inputs, geom.pad(), staged);
+        let staged = stage_chunk(inputs, geom.pad(), 1, staged);
         // The oracle keeps the one-position-per-walk form at every
         // geometry: it is what every wider strip is checked against.
-        let ys = 0..geom.out_h();
+        let (xs, ys) = (0..geom.out_w(), 0..geom.out_h());
+        let run = StripRun {
+            width: 1,
+            pitch: 1,
+            xs,
+            ys,
+        };
         for tile in layer.flat_tiles() {
             // Width 1 *is* the planar layout, so the tile's band is simply
             // its filters' planes of the output.
             let band = &mut out_slice[tile.k_first * plane..][..tile.g * plane];
             let prefix = prefix.rows_mut(tile.rows);
-            accumulate_width::<1, 1>(tile, staged, band, geom, prefix, ys.clone(), tier);
+            accumulate_width::<1, 1>(tile, staged, band, geom, prefix, &run, tier);
         }
     });
     out
 }
 
-/// The scalar tier's interleave width — and the narrowest chunk of images
-/// the decomposition interleaves: below it the rest of a batch runs one
-/// image at a time, its lanes filled with output positions where the layer
-/// allows (see the module docs). Eight `i32` lanes fill two 128-bit
-/// registers on baseline x86-64; the `avx2`/`avx512` tiers run 16- and
-/// 32-lane strips (see [`SimdTier::lane_width`]), all through the same
-/// monomorphized kernel set.
+/// The scalar tier's interleave width — and the narrowest pitch: a chunk of
+/// fewer images fills it with copies of them (see the module docs). Eight
+/// `i32` lanes fill two 128-bit registers on baseline x86-64; the
+/// `avx2`/`avx512` tiers run 16- and 32-lane strips (see
+/// [`SimdTier::lane_width`]), all through the same kernel set.
 pub const LANE_WIDTH: usize = 8;
 
 /// The widest chunk of images interleaved: the widest tier's
@@ -1404,10 +1445,11 @@ impl FlattenedScratch {
         let tiles = layer.flat_tiles();
         let max_rows = tiles.iter().map(|t| t.rows).max().unwrap_or(0);
         let max_g = tiles.iter().map(|t| t.g).max().unwrap_or(0);
-        self.planes[0].reserve(haloed_len(in_dims, geom.pad()) * lane_width);
+        let lanes = Lanes::new(lane_width, geom);
+        self.planes[0].reserve(haloed_len(in_dims, geom.pad()) * lanes.pitch);
         let widest = widest_strip(geom, lane_width, SimdCaps::get().best());
         self.prefix.reserve(max_rows * widest);
-        self.band_lanes.reserve(max_g * plane * lane_width);
+        self.band_lanes.reserve(max_g * plane * lanes.pitch);
     }
 
     /// Bytes of heap the arena currently holds (capacities, not lengths,
@@ -1456,7 +1498,7 @@ pub fn interleave_lanes<T: Copy + Default>(images: &[&[T]], out: &mut Vec<T>) {
     let len = images[0].len();
     out.clear();
     out.resize(len * images.len(), T::default());
-    stage_lanes(images, (1, 1, len), 0, out);
+    stage_lanes(images, (1, 1, len), 0, images.len(), out);
 }
 
 /// Zeroes the `pad`-wide halo ring of a lane-major plane (`c` channels of
@@ -1482,10 +1524,10 @@ fn zero_halo<T: Copy + Default>(plane: &mut [T], (_, w, h): Dims, pad: usize, lw
 
 /// The staging transpose behind [`interleave_lanes`] and [`stage_chunk`]:
 /// `images` are `c × w × h` planes, `out` becomes their batch-interleaved
-/// copy inside a `pad`-wide zero halo — `out[off · LW + lane]` with `off`
-/// over `c × (w + 2·pad) × (h + 2·pad)`. The halo ring is re-zeroed on
-/// every call ([`zero_halo`]), so an arena that last held another layer's
-/// chunk leaks nothing into it.
+/// copy inside a `pad`-wide zero halo — `out[off · pitch + lane]` with `off`
+/// over `c × (w + 2·pad) × (h + 2·pad)`, the lanes past the images zero.
+/// The halo ring is re-zeroed on every call ([`zero_halo`]), so an arena
+/// that last held another layer's chunk leaks nothing into it.
 /// One contiguous run (an input row; a [`SCATTER_BLOCK`] of offsets when
 /// no halo separates the rows) is filled by every lane while it is
 /// cache-resident, mirroring [`scatter_lanes`].
@@ -1493,14 +1535,17 @@ fn stage_lanes<T: Copy + Default, I: AsRef<[T]>>(
     images: &[I],
     (c, w, h): Dims,
     pad: usize,
+    lw: usize,
     out: &mut [T],
 ) {
-    let lw = images.len();
     let (len, pw, ph) = (c * w * h, w + 2 * pad, h + 2 * pad);
     assert!(
         images.iter().all(|img| img.as_ref().len() == len),
         "interleaved images must be equally sized"
     );
+    if images.len() < lw {
+        out.fill(T::default());
+    }
     zero_halo(out, (c, w, h), pad, lw);
     let run = if pad == 0 { SCATTER_BLOCK } else { h };
     for at in (0..len).step_by(run) {
@@ -1517,14 +1562,19 @@ fn stage_lanes<T: Copy + Default, I: AsRef<[T]>>(
     }
 }
 
-/// The chunk as the strip kernels read it: staged through [`stage_lanes`]
-/// into `staged`'s cache-line-aligned rows, inside the `pad`-wide zero halo
-/// the gather offsets are lowered against.
-fn stage_chunk<'a>(inputs: &[Tensor3<i16>], pad: usize, staged: &'a mut Rows<i16>) -> &'a [i16] {
+/// The chunk as the strip kernels read it: staged `pitch` lanes wide
+/// through [`stage_lanes`] into `staged`'s cache-line-aligned rows, inside
+/// the `pad`-wide zero halo the gather offsets are lowered against.
+fn stage_chunk<'a>(
+    inputs: &[Tensor3<i16>],
+    pad: usize,
+    pitch: usize,
+    staged: &'a mut Rows<i16>,
+) -> &'a mut [i16] {
     let first = &inputs[0];
     let dims = (first.c(), first.w(), first.h());
-    let rows = staged.rows_mut(haloed_len(dims, pad) * inputs.len());
-    stage_lanes(inputs, dims, pad, rows);
+    let rows = staged.rows_mut(haloed_len(dims, pad) * pitch);
+    stage_lanes(inputs, dims, pad, pitch, rows);
     rows
 }
 
@@ -1542,51 +1592,54 @@ pub fn deinterleave_lanes<T: Copy>(lanes: &[T], outs: &mut [&mut [T]]) {
     for out in outs.iter() {
         assert_eq!(out.len() * lw, lanes.len(), "lane buffer size mismatch");
     }
-    scatter_lanes(lanes, outs, 0, |v| v);
+    scatter_lanes(lanes, (lw, 1), |r| (r, 0), outs, 0, |v| v);
 }
 
-/// Offsets per block of the de-interleaving transpose: a block of `LW`-wide
-/// rows (4 KB of `i32` at 32 lanes) stays in L1 while every lane visits it,
-/// so each output slice is written in contiguous runs instead of one
-/// cache-line-strided read per element.
+/// Offsets per contiguous run of the staging transpose where no halo
+/// separates the rows: a block of `LW`-wide rows (4 KB of `i32` at 32
+/// lanes) stays in L1 while every lane visits it.
 const SCATTER_BLOCK: usize = 32;
 
 /// The de-interleaving transpose behind [`deinterleave_lanes`] and the last
-/// stage's way out of the lane layout:
-/// `outs[lane][at + off] = convert(lanes[off · LW + lane])` for every `off`
-/// the lane-major buffer holds.
+/// stage's way out of the lane layout, over rows of `h` cells of `lw` lanes:
+/// `outs[i][at + r·h + y] = convert(cells[(kept·h + y)·lw + from + i])`,
+/// row `r` kept at `stored(r) = (kept, from)`. A row stays in L1 while every
+/// image visits it, so each output slice is written in contiguous runs.
 fn scatter_lanes<T: Copy, U, O: AsMut<[U]>>(
-    lanes: &[T],
+    cells: &[T],
+    (lw, h): (usize, usize),
+    stored: impl Fn(usize) -> (usize, usize),
     outs: &mut [O],
     at: usize,
     convert: impl Fn(T) -> U,
 ) {
-    let lw = outs.len();
-    for (block, rows) in lanes.chunks(SCATTER_BLOCK * lw).enumerate() {
-        let base = at + block * SCATTER_BLOCK;
-        for (lane, out) in outs.iter_mut().enumerate() {
-            let dst = &mut out.as_mut()[base..][..rows.len() / lw];
-            for (d, row) in dst.iter_mut().zip(rows.chunks_exact(lw)) {
-                *d = convert(row[lane]);
+    for r in 0..cells.len() / (h * lw) {
+        let (kept, from) = stored(r);
+        let row = &cells[kept * h * lw..][..h * lw];
+        for (i, out) in outs.iter_mut().enumerate() {
+            let dst = &mut out.as_mut()[at + r * h..][..h];
+            for (d, cell) in dst.iter_mut().zip(row.chunks_exact(lw)) {
+                *d = convert(cell[from + i]);
             }
         }
     }
 }
 
-/// Walks `layer` over a staged chunk one filter band at a time: zeroes the
-/// band's lane-major sums, accumulates the band's channel tiles into them
-/// `lw` lanes wide, and hands the finished sums to `sink(k_first, sums)`
-/// while they are still cache-resident.
+/// Walks `layer` over a chunk staged as `lanes` one filter band at a time:
+/// zeroes the rows of the band's lane-major sums the copies walk,
+/// accumulates the band's channel tiles into them and hands them — each
+/// real row where [`Lanes::stored`] says — to `sink(k_first, sums, prefix)`
+/// while they are cache-resident, with the prefix rows it is done with.
 fn run_bands(
     layer: &CompiledLayer,
     input: &[i16],
-    lw: usize,
+    lanes: Lanes,
     tier: SimdTier,
     prefix: &mut Rows<i32>,
     band_lanes: &mut Rows<i32>,
-    mut sink: impl FnMut(usize, &[i32]),
+    mut sink: impl FnMut(usize, &[i32], &mut Rows<i32>),
 ) {
-    debug_assert!(matches!(lw, 1 | 8 | 16 | MAX_CHUNK), "chunk width {lw}");
+    debug_assert!(matches!(lanes.pitch, 8 | 16 | MAX_CHUNK), "{lanes:?}");
     let geom = layer.geom();
     let plane = geom.out_w() * geom.out_h();
     // `CompiledLayer::compile` emits tiles band by band, so the channel
@@ -1596,15 +1649,17 @@ fn run_bands(
         let (k_first, g) = (first.k_first, first.g);
         let tiles = rest.iter().take_while(|t| t.k_first == k_first).count();
         let (band, after) = rest.split_at(tiles);
-        let sums = band_lanes.rows_mut(g * plane * lw);
-        sums.fill(0);
+        let sums = band_lanes.rows_mut(g * plane * lanes.pitch);
+        for plane in sums.chunks_exact_mut(plane * lanes.pitch) {
+            plane[..lanes.rows * geom.out_h() * lanes.pitch].fill(0);
+        }
         for tile in band {
-            for run in strip_runs(geom, lw, tier) {
+            for run in strip_runs(geom, lanes, tier) {
                 let prefix = prefix.rows_mut(tile.rows * run.width);
                 accumulate_tile_lanes(tile, input, sums, geom, prefix, &run, tier);
             }
         }
-        sink(k_first, sums);
+        sink(k_first, sums, prefix);
         rest = after;
     }
 }
@@ -1641,17 +1696,157 @@ impl<'a> PlaneMut<'a> {
     }
 
     /// The inter-layer epilogue: a finished band's sums (whole output
-    /// planes from channel `c0`) enter the plane clamped to `0..=i16::MAX`
-    /// and narrowed — element for element `reference::relu_saturate`.
-    fn write_relu(&mut self, c0: usize, sums: &[i32]) {
+    /// planes from channel `c0`, walked as `lanes`) enter the plane through
+    /// [`relu`], each row at its real row: its copy moved to the images'
+    /// lanes in place (each lane reads one not yet written), the rest zero.
+    fn write_relu(&mut self, c0: usize, sums: &[i32], lanes: Lanes) {
         let (_, w, h) = self.dims;
-        for (i, sums) in sums.chunks_exact(h * self.lw).enumerate() {
-            for (d, &s) in self.row(c0 + i / w, i % w).iter_mut().zip(sums) {
-                // A saturating narrow, then the floor: the same value for
-                // every `i32`, and both steps have a baseline vector form
-                // (a clamp to `0..=i16::MAX` has none below SSE4.1).
-                let narrow = s.clamp(i32::from(i16::MIN), i32::from(i16::MAX)) as i16;
-                *d = narrow.max(0);
+        let (row, b) = (h * self.lw, lanes.images);
+        let keep: [i16; LANE_WIDTH] = std::array::from_fn(|l| -i16::from(l < b));
+        for r in 0..sums.len() / row {
+            let (kept, from) = lanes.stored(r, w);
+            let dst = self.row(c0 + r / w, r % w);
+            for (d, &s) in dst.iter_mut().zip(&sums[kept * row..][..row]) {
+                *d = relu(s);
+            }
+            if lanes.bands > 1 {
+                let cells = dst.as_chunks_mut::<LANE_WIDTH>().0;
+                for l in 0..b {
+                    cells.iter_mut().for_each(|cell| cell[l] = cell[from + l]);
+                }
+                for cell in cells {
+                    cell.iter_mut().zip(keep).for_each(|(lane, k)| *lane &= k);
+                }
+            }
+        }
+    }
+}
+
+/// `reference::relu_saturate` of one sum: a saturating narrow, then the
+/// floor — both have a baseline vector form (a clamp to `0..=i16::MAX` has
+/// none below SSE4.1).
+fn relu(s: i32) -> i16 {
+    (s.clamp(i32::from(i16::MIN), i32::from(i16::MAX)) as i16).max(0)
+}
+
+/// `reference::pool2d` over lane-major rows, per lane element for element:
+/// pools `src` (`c × w × h` cells of `lw` lanes, no halo; a band's rows kept
+/// as `folded` says) into `dst`'s channels from `c0`. Separably — max and
+/// integer sums are associative: the window's rows first, whole, into its
+/// first row of `src` (a max; no later window reads it) or into `acc` (a
+/// sum, or a folded row's copy), then each output cell from strided columns.
+fn pool_lanes(
+    src: &mut [i16],
+    dims: Dims,
+    pool: (PoolKind, usize, usize),
+    folded: Option<Lanes>,
+    acc: &mut Rows<i32>,
+    dst: &mut PlaneMut<'_>,
+    c0: usize,
+) {
+    match dst.lw {
+        8 => pool_rows::<8>(src, dims, pool, folded, acc, dst, c0),
+        16 => pool_rows::<16>(src, dims, pool, folded, acc, dst, c0),
+        _ => pool_rows::<MAX_CHUNK>(src, dims, pool, folded, acc, dst, c0),
+    }
+}
+
+/// [`pool_lanes`] at a pitch of `LW` lanes.
+fn pool_rows<const LW: usize>(
+    src: &mut [i16],
+    (c, w, h): Dims,
+    (kind, size, stride): (PoolKind, usize, usize),
+    folded: Option<Lanes>,
+    acc: &mut Rows<i32>,
+    dst: &mut PlaneMut<'_>,
+    c0: usize,
+) {
+    let (_, out_w, _) = dst.dims;
+    let (row, acc) = (h * LW, acc.rows_mut(h * LW));
+    acc.fill(0); // of a folded band only the images' lanes are written
+    for (ch, ox) in (0..c).flat_map(|ch| (0..out_w).map(move |ox| (ch, ox))) {
+        let (x0, x1) = (ox * stride, (ox * stride + size).min(w));
+        let cells = dst.row(c0 + ch, ox).as_chunks_mut::<LW>().0;
+        if kind == PoolKind::Max && folded.is_none() {
+            let window = &mut src[(ch * w + x0) * row..][..(x1 - x0) * row];
+            let (first, rest) = window.split_at_mut(row);
+            for later in rest.chunks_exact(row) {
+                for (m, &v) in first.iter_mut().zip(later) {
+                    *m = (*m).max(v);
+                }
+            }
+            max_columns(first.as_chunks::<LW>().0, cells, size, stride, |v| v);
+            continue;
+        }
+        for x in x0..x1 {
+            let Some(lanes) = folded else {
+                let pairs = acc.iter_mut().zip(&src[(ch * w + x) * row..][..row]);
+                match x == x0 {
+                    true => pairs.for_each(|(a, &v)| *a = i32::from(v)),
+                    false => pairs.for_each(|(a, &v)| *a += i32::from(v)),
+                }
+                continue;
+            };
+            let (kept, from) = lanes.stored(ch * w + x, w);
+            let kept = src[kept * row..][..row].as_chunks::<LW>().0;
+            let acc = acc.as_chunks_mut::<LW>().0;
+            for l in 0..lanes.images {
+                let pairs = acc.iter_mut().zip(kept);
+                match (x == x0, kind) {
+                    (true, _) => pairs.for_each(|(a, v)| a[l] = i32::from(v[from + l])),
+                    (_, PoolKind::Max) => {
+                        pairs.for_each(|(a, v)| a[l] = a[l].max(v[from + l].into()))
+                    }
+                    (_, PoolKind::Avg) => pairs.for_each(|(a, v)| a[l] += i32::from(v[from + l])),
+                }
+            }
+        }
+        let columns = acc.as_chunks::<LW>().0;
+        if kind == PoolKind::Max {
+            // Relu'd: every value fits an `i16`.
+            max_columns(columns, cells, size, stride, |v| v as i16);
+            continue;
+        }
+        for (oy, cell) in cells.iter_mut().enumerate() {
+            let window = &columns[oy * stride..(oy * stride + size).min(h)];
+            let mut sum = window[0];
+            for column in &window[1..] {
+                for (s, &v) in sum.iter_mut().zip(column) {
+                    *s += v;
+                }
+            }
+            // The window sizes a 2×2 or 3×3 pool meets (clipped at the edges
+            // or not) divide by a constant — a multiply and shifts, lane-wide
+            // — where `s / n` is an `idiv` per lane.
+            match ((x1 - x0) * window.len()) as i32 {
+                1 => divide_lanes(cell, &sum, 1),
+                2 => divide_lanes(cell, &sum, 2),
+                3 => divide_lanes(cell, &sum, 3),
+                4 => divide_lanes(cell, &sum, 4),
+                6 => divide_lanes(cell, &sum, 6),
+                9 => divide_lanes(cell, &sum, 9),
+                n => divide_lanes(cell, &sum, n),
+            }
+        }
+    }
+}
+
+/// Each output cell the max of its window's columns, column `j` of every
+/// window at once (a window clipped at the edge runs out first).
+fn max_columns<T: Copy, const LW: usize>(
+    columns: &[[T; LW]],
+    cells: &mut [[i16; LW]],
+    size: usize,
+    stride: usize,
+    narrow: impl Fn(T) -> i16,
+) {
+    for (cell, column) in cells.iter_mut().zip(columns.iter().step_by(stride)) {
+        *cell = column.map(&narrow);
+    }
+    for j in 1..size {
+        for (cell, column) in cells.iter_mut().zip(columns.iter().skip(j).step_by(stride)) {
+            for (m, &v) in cell.iter_mut().zip(column) {
+                *m = (*m).max(narrow(v));
             }
         }
     }
@@ -1663,65 +1858,6 @@ impl<'a> PlaneMut<'a> {
 fn divide_lanes(cell: &mut [i16], sum: &[i32], n: i32) {
     for (d, &s) in cell.iter_mut().zip(sum) {
         *d = (s / n) as i16;
-    }
-}
-
-/// `reference::pool2d` over lane-major rows: pools `src` (`c × w × h` cells
-/// of `lw` lanes, no halo) into the interior of `dst`'s channels from `c0`,
-/// per lane element for element the reference — windows anchored at
-/// multiples of `stride`, the last ones clipped at the edge, `sum / n`
-/// truncating toward zero.
-fn pool_lanes(
-    src: &[i16],
-    (c, w, h): Dims,
-    (kind, size, stride): (PoolKind, usize, usize),
-    dst: &mut PlaneMut<'_>,
-    c0: usize,
-) {
-    let lw = dst.lw;
-    let (_, out_w, _) = dst.dims;
-    // One widened sum per lane of the widest chunk.
-    let mut sum = [0i32; MAX_CHUNK];
-    let sum = &mut sum[..lw];
-    for (ch, ox) in (0..c).flat_map(|ch| (0..out_w).map(move |ox| (ch, ox))) {
-        let (x0, x1) = (ox * stride, (ox * stride + size).min(w));
-        for (oy, cell) in dst.row(c0 + ch, ox).chunks_exact_mut(lw).enumerate() {
-            let (y0, y1) = (oy * stride, (oy * stride + size).min(h));
-            let window = (x0..x1).flat_map(|x| {
-                src[((ch * w + x) * h + y0) * lw..][..(y1 - y0) * lw].chunks_exact(lw)
-            });
-            match kind {
-                PoolKind::Max => {
-                    cell.fill(i16::MIN);
-                    for row in window {
-                        for (m, &v) in cell.iter_mut().zip(row) {
-                            *m = (*m).max(v);
-                        }
-                    }
-                }
-                PoolKind::Avg => {
-                    sum.fill(0);
-                    for row in window {
-                        for (s, &v) in sum.iter_mut().zip(row) {
-                            *s += i32::from(v);
-                        }
-                    }
-                    // The window sizes a 2×2 or 3×3 pool meets (clipped at
-                    // the edges or not) divide by a constant — a multiply
-                    // and shifts, lane-wide — where `s / n` is an `idiv` per
-                    // lane.
-                    match ((x1 - x0) * (y1 - y0)) as i32 {
-                        1 => divide_lanes(cell, sum, 1),
-                        2 => divide_lanes(cell, sum, 2),
-                        3 => divide_lanes(cell, sum, 3),
-                        4 => divide_lanes(cell, sum, 4),
-                        6 => divide_lanes(cell, sum, 6),
-                        9 => divide_lanes(cell, sum, 9),
-                        n => divide_lanes(cell, sum, n),
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -1787,10 +1923,15 @@ fn run_layer_chunk(
         ..
     } = scratch;
     let geom = layer.geom();
-    let plane = geom.out_w() * geom.out_h();
-    let input = stage_chunk(inputs, geom.pad(), staged);
-    let sink = |k_first, sums: &[i32]| scatter_lanes(sums, outs, k_first * plane, |v| v);
-    run_bands(layer, input, inputs.len(), tier, prefix, band_lanes, sink);
+    let lanes = Lanes::new(inputs.len(), geom);
+    let input = stage_chunk(inputs, geom.pad(), lanes.pitch, staged);
+    lanes.replicate(input, geom);
+    let (w, h) = (geom.out_w(), geom.out_h());
+    let sink = |k_first, sums: &[i32], _: &mut Rows<i32>| {
+        let stored = |r| lanes.stored(r, w);
+        scatter_lanes(sums, (lanes.pitch, h), stored, outs, k_first * w * h, |v| v);
+    };
+    run_bands(layer, input, lanes, tier, prefix, band_lanes, sink);
 }
 
 /// A whole network over one lane chunk, lane-major from the staged input to
@@ -1819,15 +1960,16 @@ fn run_network_chunk(
         band_lanes,
         band_acts,
     } = scratch;
-    let lw = inputs.len();
+    // Every plane is `pitch` lanes a cell, the lanes past the images zero.
+    let (images, pitch) = (inputs.len(), inputs.len().max(LANE_WIDTH));
     let mut dims = (inputs[0].c(), inputs[0].w(), inputs[0].h());
-    stage_chunk(inputs, stages[0].pad(), even);
+    stage_chunk(inputs, stages[0].pad(), pitch, even);
     let (mut si, mut flip) = (0, false);
     while let Some(stage) = stages.get(si) {
         let (src, dst) = if flip {
-            (&*odd, &mut *even)
+            (&mut *odd, &mut *even)
         } else {
-            (&*even, &mut *odd)
+            (&mut *even, &mut *odd)
         };
         let fused_pool = match stage {
             CompiledStage::Conv { .. } => stages.get(si + 1).and_then(CompiledStage::pool),
@@ -1845,42 +1987,50 @@ fn run_network_chunk(
                 }
                 let in_dims = (geom.c() * layer.conv_groups(), geom.in_w(), geom.in_h());
                 assert_eq!(dims, in_dims, "activation dims do not match the layer");
-                let input = src.rows(haloed_len(dims, geom.pad()) * lw);
-                let (w, h) = (geom.out_w(), geom.out_h());
+                let lanes = Lanes::new(images, geom);
+                let input = src.rows_mut(haloed_len(dims, geom.pad()) * pitch);
+                lanes.replicate(input, geom);
+                let (input, (w, h)) = (&*input, (geom.out_w(), geom.out_h()));
                 if consumer.is_none() && fused_pool.is_none() {
                     // The last layer's raw sums leave the lane layout.
-                    let sink = |k_first, sums: &[i32]| {
-                        scatter_lanes(sums, outs, k_first * w * h, |v| v);
+                    let sink = |k_first, sums: &[i32], _: &mut Rows<i32>| {
+                        let stored = |r| lanes.stored(r, w);
+                        scatter_lanes(sums, (pitch, h), stored, outs, k_first * w * h, |v| v);
                     };
-                    return run_bands(layer, input, lw, tier, prefix, band_lanes, sink);
+                    return run_bands(layer, input, lanes, tier, prefix, band_lanes, sink);
                 }
-                let mut dst = PlaneMut::new(dst, out_dims, out_pad, lw);
-                let sink = |k_first, sums: &[i32]| match fused_pool {
-                    None => dst.write_relu(k_first, sums),
+                let mut dst = PlaneMut::new(dst, out_dims, out_pad, pitch);
+                let sink = |k_first, sums: &[i32], prefix: &mut Rows<i32>| match fused_pool {
+                    None => dst.write_relu(k_first, sums, lanes),
                     Some(pool) => {
-                        let band = (sums.len() / (w * h * lw), w, h);
-                        let mut acts = PlaneMut::new(band_acts, band, 0, lw);
-                        acts.write_relu(0, sums);
-                        pool_lanes(acts.cells, band, pool, &mut dst, k_first);
+                        let band = (sums.len() / (w * h * pitch), w, h);
+                        // The stored rows relu'd whole: every lane is a real value.
+                        let (plane, kept) = (w * h * pitch, lanes.rows * h * pitch);
+                        let acts = band_acts.rows_mut(sums.len());
+                        for (a, s) in acts.chunks_exact_mut(plane).zip(sums.chunks_exact(plane)) {
+                            a[..kept]
+                                .iter_mut()
+                                .zip(&s[..kept])
+                                .for_each(|(a, &s)| *a = relu(s));
+                        }
+                        let folded = (lanes.bands > 1).then_some(lanes);
+                        pool_lanes(acts, band, pool, folded, prefix, &mut dst, k_first);
                     }
                 };
-                run_bands(layer, input, lw, tier, prefix, band_lanes, sink);
+                run_bands(layer, input, lanes, tier, prefix, band_lanes, sink);
             }
             CompiledStage::Pool { .. } => {
                 let pool = stage.pool().expect("a pooling stage");
-                let mut dst = PlaneMut::new(dst, out_dims, out_pad, lw);
-                pool_lanes(src.rows(haloed_len(dims, 0) * lw), dims, pool, &mut dst, 0);
+                let mut dst = PlaneMut::new(dst, out_dims, out_pad, pitch);
+                let src = src.rows_mut(haloed_len(dims, 0) * pitch);
+                pool_lanes(src, dims, pool, None, prefix, &mut dst, 0);
             }
         }
         if consumer.is_none() {
             // The network ends in a pool: its plane widens on the way out.
             let pooled = if flip { &*even } else { &*odd };
-            scatter_lanes(
-                pooled.rows(haloed_len(out_dims, 0) * lw),
-                outs,
-                0,
-                i32::from,
-            );
+            let cells = pooled.rows(haloed_len(out_dims, 0) * pitch);
+            scatter_lanes(cells, (pitch, out_dims.2), |r| (r, 0), outs, 0, i32::from);
         }
         (dims, si, flip) = (out_dims, after, !flip);
     }
@@ -1919,21 +2069,14 @@ pub(crate) fn run_network_interleaved(
 /// inner loop, as `repro backends`, the golden corpus and
 /// [`Backend::run_layer`](crate::backend::Backend::run_layer) drive it.
 ///
-/// The batch is processed in chunks as wide as the dispatched tier's
-/// interleave width (8 scalar, 16 AVX2, 32 AVX-512 — the process-wide
-/// [`resolve_tier`]). Each chunk is staged once into the zero-haloed
-/// batch-interleaved layout, every gather offset / CSR segment range is
-/// computed once per entry per strip, and the prefix-sum and
-/// segment-multiply phases run as contiguous `LW`-wide strips through the
-/// tier's `#[target_feature]` kernel, one filter band at a time; each
-/// finished band is de-interleaved into the per-image outputs. On a
-/// stride-1 layer a strip is as many neighbouring positions of an output
-/// row × the chunk's images as the tier's registers hold (see the module
-/// docs). Fewer than [`LANE_WIDTH`] images (a whole small batch, or what is
-/// left after the last chunk) run one at a time, a strip being positions of
-/// that one image. Per image the i32 operation sequence is identical to
-/// [`run_flattened`] at every width, tier and strip shape, so outputs are
-/// **bit-identical** to it at every batch size and thread count.
+/// The batch is cut into lane chunks for the process-wide [`resolve_tier`]
+/// (see the module docs: the tier's interleave width, 16, 8, then the rest
+/// as one chunk of row-shifted copies); each is staged once into the
+/// zero-haloed layout, walked one filter band at a time through the tier's
+/// `#[target_feature]` kernel and de-interleaved into the per-image outputs.
+/// Per image the i32 operation sequence is identical to [`run_flattened`] at
+/// every width, tier and strip shape, so outputs are **bit-identical** to it
+/// at every batch size and thread count.
 ///
 /// `threads > 1` splits the batch into contiguous runs of **whole
 /// tier-width chunks** executed on scoped threads — never below the active
@@ -2040,13 +2183,8 @@ mod tests {
             (buf.0.as_ptr() as usize, buf.0.capacity())
         }
         let [even, odd] = &scratch.planes;
-        [
-            at(even),
-            at(odd),
-            at(&scratch.band_acts),
-            at(&scratch.prefix),
-            at(&scratch.band_lanes),
-        ]
+        let (acts, prefix) = (at(&scratch.band_acts), at(&scratch.prefix));
+        [at(even), at(odd), acts, prefix, at(&scratch.band_lanes)]
     }
 
     /// Every allocated row buffer of the arena hands out its view at
@@ -2059,14 +2197,15 @@ mod tests {
             buf.rows(buf.0.len() - Rows::<T>::SLACK).as_ptr() as usize % LINE
         }
         let [even, odd] = &scratch.planes;
-        let starts = [
+        let (acts, prefix) = (starts(&scratch.band_acts), starts(&scratch.prefix));
+        let lines = [
             starts(even),
             starts(odd),
-            starts(&scratch.band_acts),
-            starts(&scratch.prefix),
+            acts,
+            prefix,
             starts(&scratch.band_lanes),
         ];
-        assert_eq!(starts, [0; 5], "{what}: a row view is off its cache line");
+        assert_eq!(lines, [0; 5], "{what}: a row view is off its cache line");
     }
 
     fn check(geom: ConvGeom, conv_groups: usize, g: usize, ct: usize, seed: u64) {
@@ -2289,9 +2428,9 @@ mod tests {
                 for &tier in available_tiers() {
                     let lane = tier.lane_width();
                     // A full-width chunk (on the conv: strips of four
-                    // positions × the chunk, capped by the tier), then three
-                    // single images (four positions on the conv, the width-1
-                    // walk on the FC layer).
+                    // positions × the chunk, capped by the tier), then a
+                    // chunk of three at pitch 8 (two copies of each image on
+                    // the conv, idle lanes on the FC layer).
                     let b = lane + 3;
                     let inputs: Vec<Tensor3<i16>> = (0..b)
                         .map(|_| agen.generate(geom.c(), geom.in_w(), geom.in_h()))
@@ -2317,12 +2456,11 @@ mod tests {
         // `addr % 64 == 0` at every strip width, and `resident_bytes`
         // counts one line of slack per allocated buffer. The prefix rows
         // are as wide as the widest strip a chunk of `lw` images runs on the
-        // widest tier — positions × images: output rows of 4 and 9
-        // positions give strips of 4 and 8 for one image, 4 and 8 positions
-        // deep (as far as the tier's `strip_lanes` allow) for a chunk — and
-        // there is one per *kept* close, which the larger layer need not
-        // have more of: the arena only grows, so the prefix holds the
-        // larger demand.
+        // widest tier — positions × its pitch (eight lanes for one image):
+        // output rows of 4 and 9 positions give strips 4 and 8 positions
+        // deep, as far as the tier's `strip_lanes` allow — and there is one
+        // per *kept* close, which the larger layer need not have more of:
+        // the arena only grows, so the prefix holds the larger demand.
         let best = SimdCaps::get().best();
         let geoms = [
             (ConvGeom::new(5, 4, 3, 4, 3, 3).with_pad(1), 4),
@@ -2339,20 +2477,16 @@ mod tests {
                 scratch.reserve_for(&layer, lw);
                 assert_aligned(&scratch, &format!("LW {lw}, layer {gi}, reserved"));
                 let rows = layer.flat_tiles().iter().map(|t| t.rows).max().unwrap();
-                let strip = match lw {
-                    1 => *positions,
-                    _ => (positions * lw).min(best.strip_lanes()),
-                };
-                prefix = prefix.max(rows * strip);
+                let pitch = lw.max(LANE_WIDTH);
+                prefix = prefix.max(rows * (positions * pitch).min(best.strip_lanes()));
                 let cells = haloed_len((geom.c(), geom.in_w(), geom.in_h()), geom.pad());
                 let reserved = scratch.resident_bytes();
                 assert_eq!(
                     reserved,
-                    cells * lw * 2 + (prefix + 2 * geom.out_w() * geom.out_h() * lw) * 4 + 3 * LINE,
+                    (cells * 2 + 8 * geom.out_w() * geom.out_h()) * pitch + prefix * 4 + 3 * LINE,
                     "LW {lw}, layer {gi}: rows plus one line of slack per buffer"
                 );
-                // Exactly `lw` lanes: one chunk of this strip width on any
-                // tier that has it.
+                // Exactly `lw` images: one chunk on any tier that has it.
                 let inputs: Vec<Tensor3<i16>> = (0..lw)
                     .map(|_| agen.generate(geom.c(), geom.in_w(), geom.in_h()))
                     .collect();
@@ -2413,7 +2547,7 @@ mod tests {
             scratch.resident_bytes() < k * plane * lw * 4,
             "the whole arena must be smaller than whole-layer staging alone"
         );
-        // One image runs its 8-position output rows as one 8-lane strip:
+        // One image runs at pitch 8, eight copies of one output row each:
         // no wider than the strips that grew the arena.
         let grown = scratch.resident_bytes();
         let got = run_on_arena(&layer, &inputs[..1], &mut scratch, resolve_tier());
@@ -2445,8 +2579,8 @@ mod tests {
         };
         assert!(pool().is_empty());
         for threads in [1usize, 2] {
-            // The single image runs position-lane strips (12-position
-            // rows) out of the same buffers the full chunks grew.
+            // The single image runs at pitch 8 out of the same buffers the
+            // full chunks grew.
             let first = (
                 run_flattened_batch_interleaved(layer, &inputs, threads),
                 run_network_interleaved(plan.stages(), &inputs, threads, tier),
@@ -2580,9 +2714,8 @@ mod tests {
         // on a non-square plane, cycling grouped conv and G = 1..=4 through
         // the cells (G = 1 has no outer level and keeps no row; G = 4 leaves
         // a ragged band), with ragged channel tiles (C = 5, Ct = 2) and
-        // batches that straddle every strip width. Single images (B = 1,
-        // and the five of B = 5) run the stride-1 cells on position lanes
-        // and the strided ones on the width-1 walk.
+        // batches that straddle every strip width; a rest of fewer than
+        // eight images runs at pitch 8 in row-shifted copies.
         let mut cases = Vec::new();
         for stride in 1..=3 {
             for pad in 0..=3 {
@@ -2593,9 +2726,8 @@ mod tests {
             }
         }
         // Position lanes over output rows that hit every tail split of
-        // every tier width (32 | 16 | 8 | exact tail), at pad 0/1/2, with a
-        // strided and a 1-position row as the fallbacks; batches whose
-        // residual below eight images runs one image at a time.
+        // every strip width, at pad 0/1/2, with a strided and a 1-position
+        // row as the fallbacks, for chunks of 1–7, 8 and 32 images.
         for (ri, out_h) in [1usize, 2, 7, 8, 9, 12, 16, 17, 32, 33, 40]
             .into_iter()
             .enumerate()
@@ -2639,75 +2771,81 @@ mod tests {
 
     #[test]
     fn strips_of_positions_by_images_match_the_planar_walk() {
-        // Every strip shape a chunk of eight or more images can take — the
-        // cascade over output rows that are a power of two, one short, one
-        // over, and narrower than any strip — against `run_flattened`, on
-        // every tier, with batches that mix chunk widths (24 = 16 + 8,
-        // 40 = 32 + 8, 9 = 8 + a single image). Release builds (where `i32`
-        // sums wrap rather than panic) give the first two filters (an outer
-        // level and, at G = 2, the fused innermost one) and the first two
-        // images the extreme values: 18 taps of ±32767² wrap four times.
+        // Every strip shape a chunk can take — the cascade over output rows
+        // that are a power of two, one short, one over, and narrower than
+        // any strip — against `run_flattened`, on every tier, with batches
+        // that mix chunk widths (24 = 16 + 8, 40 = 32 + 8, 9 = 8 + 1) and
+        // chunks of 1–7 images, whose copies split 1 + 2·pad output rows at
+        // stride 1 in every cell and, in a twin alternating so each (groups,
+        // G) meets both, 7 at stride 2 or 12 (no multiple of a band count).
+        // One output position (pad 0, out row 1) is walked once. Release
+        // builds (where `i32` sums wrap rather than panic) give the first two
+        // filters (an outer level and, at G = 2, the fused innermost one) and
+        // the first two images the extreme values: 18 taps of ±32767² wrap.
         let wrap = !cfg!(debug_assertions);
-        let mut case = 0u64;
+        let (mut case, mut ran) = (0u64, 0);
         for out_h in [1usize, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 33] {
             for pad in 0..=2usize {
-                // `validated` takes the filter against the padded plane.
-                let Some(in_h) = (out_h + 2).checked_sub(2 * pad).filter(|&h| h > 0) else {
-                    continue;
-                };
-                let geom = ConvGeom::validated(3, in_h, 2, 4, 3, 3, 1, pad).expect("geometry");
-                assert_eq!(geom.out_h(), out_h);
-                for (conv_groups, g) in [1usize, 2]
-                    .into_iter()
-                    .flat_map(|cg| [1, 2, 4].map(|g| (cg, g)))
-                {
-                    case += 1;
-                    let mut wgen = WeightGen::new(QuantScheme::inq(), 500 + case).with_density(0.8);
-                    let mut weights = wgen.generate_dims(4, 2, 3, 3);
-                    if wrap {
-                        weights = Tensor4::from_fn(4, 2, 3, 3, |k, c, r, s| match k {
-                            0 => i16::MAX,
-                            1 => i16::MIN,
-                            _ => weights[(k, c, r, s)],
+                let pairs = [(1usize, 1), (1, 2), (1, 4), (2, 1), (2, 2), (2, 4)];
+                for (j, (conv_groups, g)) in pairs.into_iter().enumerate() {
+                    let twin = [(2, 7), (1, 12)][(out_h + pad + j) % 2];
+                    for (stride, out_w) in [(1, 1 + 2 * pad), twin] {
+                        case += 1;
+                        // `validated` takes the filter against the padded plane.
+                        let dim = |out: usize| (stride * (out - 1) + 3).checked_sub(2 * pad);
+                        let (Some(w), Some(h @ 1..)) = (dim(out_w), dim(out_h)) else {
+                            continue;
+                        };
+                        let geom = ConvGeom::validated(w, h, 2, 4, 3, 3, stride, pad).unwrap();
+                        assert_eq!((geom.out_w(), geom.out_h()), (out_w, out_h));
+                        ran += 1;
+                        let mut wgen =
+                            WeightGen::new(QuantScheme::inq(), 500 + case).with_density(0.8);
+                        let drawn = wgen.generate_dims(4, 2, 3, 3);
+                        let weights = Tensor4::from_fn(4, 2, 3, 3, |k, c, r, s| match k {
+                            0 if wrap => i16::MAX,
+                            1 if wrap => i16::MIN,
+                            _ => drawn[(k, c, r, s)],
                         });
-                    }
-                    let cfg = UcnnConfig {
-                        g,
-                        ct: 2,
-                        ..UcnnConfig::default()
-                    };
-                    let layer = CompiledLayer::compile(&geom, conv_groups, &weights, &cfg);
-                    let mut agen = ActivationGen::new(case ^ 0x57A1);
-                    let (c, w, h) = (2 * conv_groups, geom.in_w(), geom.in_h());
-                    let images: Vec<Tensor3<i16>> = (0..40)
-                        .map(|i| match i {
-                            0 if wrap => Tensor3::filled(c, w, h, i16::MAX),
-                            1 if wrap => Tensor3::filled(c, w, h, i16::MIN),
-                            _ => agen.generate(c, w, h),
-                        })
-                        .collect();
-                    let planar: Vec<Tensor3<i32>> =
-                        images.iter().map(|i| run_flattened(&layer, i)).collect();
-                    for &tier in available_tiers() {
-                        for b in [8usize, 9, 16, 24, 32, 40] {
-                            assert_eq!(
-                                run_flattened_batch_interleaved_forced(
-                                    &layer,
-                                    &images[..b],
-                                    1,
-                                    tier
-                                ),
-                                planar[..b],
-                                "out row {out_h}, pad {pad}, groups {conv_groups}, G {g}, \
-                                 tier {}, B={b}",
-                                tier.name()
-                            );
+                        let cfg = UcnnConfig {
+                            g,
+                            ct: 2,
+                            ..UcnnConfig::default()
+                        };
+                        let layer = CompiledLayer::compile(&geom, conv_groups, &weights, &cfg);
+                        let mut agen = ActivationGen::new(case ^ 0x57A1);
+                        let c = 2 * conv_groups;
+                        let images: Vec<Tensor3<i16>> = (0..40)
+                            .map(|i| match i {
+                                0 if wrap => Tensor3::filled(c, w, h, i16::MAX),
+                                1 if wrap => Tensor3::filled(c, w, h, i16::MIN),
+                                _ => agen.generate(c, w, h),
+                            })
+                            .collect();
+                        let planar: Vec<Tensor3<i32>> =
+                            images.iter().map(|i| run_flattened(&layer, i)).collect();
+                        for &tier in available_tiers() {
+                            for b in [1usize, 2, 3, 5, 7, 8, 9, 16, 24, 32, 40] {
+                                assert_eq!(
+                                    run_flattened_batch_interleaved_forced(
+                                        &layer,
+                                        &images[..b],
+                                        1,
+                                        tier
+                                    ),
+                                    planar[..b],
+                                    "{geom:?}, groups {conv_groups}, G {g}, tier {}, B={b}",
+                                    tier.name()
+                                );
+                            }
                         }
                     }
                 }
             }
         }
-        assert_eq!(case, (13 * 3 - 2) * 6, "every cell but two unpaddable ones");
+        // Stride 1 skips two unpaddable (out row, pad) blocks; of the twins,
+        // stride 2 skips three and 12 columns six (out row ≤ 2, pad 2).
+        assert_eq!(ran, (13 * 3 - 2) * 6 + 13 * 3 * 6 - 9);
     }
 
     #[test]
@@ -2841,7 +2979,7 @@ mod tests {
         let sums = Tensor3::from_vec(edge.len(), 1, 1, edge.to_vec()).unwrap();
         let mut buf = Rows::default();
         let mut plane = PlaneMut::new(&mut buf, (edge.len(), 1, 1), 0, 1);
-        plane.write_relu(0, &edge);
+        plane.write_relu(0, &edge, Lanes::new(1, &ConvGeom::new(1, 1, 1, 1, 1, 1)));
         assert_eq!(plane.cells, reference::relu_saturate(&sums).as_slice());
         assert_eq!(plane.cells[edge.len() - 1], i16::MAX);
         assert_eq!(plane.cells[0], 0);
@@ -3250,21 +3388,23 @@ mod tests {
         }
     }
 
-    /// The census domain: every chunk width a tier cuts a batch into, over
-    /// output rows of 1…40 positions at stride 1 and 2, with its strips.
-    fn census() -> impl Iterator<Item = (ConvGeom, usize, SimdTier, Vec<StripRun>)> {
+    /// The census domain: every chunk width a tier cuts a batch into — 1–7
+    /// images as well as 8, 16 and 32 — over output rows of 1…40 positions
+    /// at stride 1 and 2, 1, 7 or 12 of them, with its strips.
+    fn census() -> impl Iterator<Item = (ConvGeom, Lanes, SimdTier, Vec<StripRun>)> {
         let domain = SimdTier::ALL.into_iter().flat_map(|tier| {
-            let chunks = [1usize, 8, 16, 32].into_iter();
-            let chunks = chunks.filter(move |&lw| lw <= tier.lane_width());
+            let chunks = [1usize, 2, 3, 5, 7, 8, 16, 32].into_iter();
+            let chunks = chunks.filter(move |&lw| lw < LANE_WIDTH || lw <= tier.lane_width());
             chunks.flat_map(move |lw| {
                 (1usize..=40).flat_map(move |out_h| [1usize, 2].map(|st| (tier, lw, out_h, st)))
             })
         });
         domain.map(|(tier, lw, out_h, stride)| {
-            let geom = ConvGeom::new(3, stride * (out_h - 1) + 1, 2, 2, 1, 1).with_stride(stride);
-            assert_eq!(geom.out_h(), out_h);
-            let runs = strip_runs(&geom, lw, tier).collect();
-            (geom, lw, tier, runs)
+            let (input, out_w) = (|out: usize| stride * (out - 1) + 1, [1, 7, 12][out_h % 3]);
+            let geom = ConvGeom::new(input(out_w), input(out_h), 2, 2, 1, 1).with_stride(stride);
+            assert_eq!((geom.out_w(), geom.out_h()), (out_w, out_h));
+            let lanes = Lanes::new(lw, &geom);
+            (geom, lanes, tier, strip_runs(&geom, lanes, tier).collect())
         })
     }
 
@@ -3276,7 +3416,7 @@ mod tests {
                 let mut seen_widths = Vec::new();
                 while rest > 0 {
                     let w = next_chunk_width(rest, lane);
-                    assert!(matches!(w, 1 | 8 | 16 | MAX_CHUNK), "width {w}");
+                    assert!(w == rest || matches!(w, 8 | 16 | MAX_CHUNK), "width {w}");
                     assert!(w <= lane, "width {w} exceeds tier lane {lane}");
                     seen_widths.push(w);
                     rest -= w;
@@ -3286,20 +3426,26 @@ mod tests {
                 for pair in seen_widths.windows(2) {
                     assert!(pair[0] >= pair[1], "widths must be non-increasing");
                 }
-                // Below eight images the rest runs one image at a time.
-                let singles = seen_widths.iter().filter(|&&w| w == 1).count();
-                assert_eq!(singles, total % LANE_WIDTH, "B={total}, lane {lane}");
+                // Below eight images the rest is one chunk of its own.
+                let small = seen_widths.iter().filter(|&&w| w < LANE_WIDTH).count();
+                assert_eq!(small, usize::from(total % 8 > 0), "B={total}, {lane}");
             }
         }
-        // The strips of every chunk partition every output row exactly
-        // once, widest first, each a whole number of positions × the
-        // chunk's images and no wider than the tier's registers hold.
-        for (geom, lw, tier, runs) in census() {
-            let what = format!("{} {geom:?} chunk {lw}: {runs:?}", tier.name());
+        // The copies of a chunk cover its output rows once, and the strips
+        // partition every output row exactly once, widest first, each a
+        // whole number of positions × the pitch and no wider than the
+        // tier's registers hold.
+        for (geom, lanes, tier, runs) in census() {
+            let what = format!("{} {geom:?} {lanes:?}: {runs:?}", tier.name());
             let (out_h, row_lanes) = (geom.out_h(), geom.stride() == 1 && geom.out_h() > 1);
+            let lw = lanes.pitch;
+            assert!(lw == lanes.images.max(LANE_WIDTH) && lanes.bands * lanes.images <= lw);
+            let rows = (lanes.bands - 1) * lanes.rows..lanes.bands * lanes.rows;
+            assert!(rows.contains(&(geom.out_w() - 1)), "{what}");
             let mut y = 0;
             for run in &runs {
-                assert_eq!((run.ys.start, run.pitch), (y, lw), "{what}");
+                let shape = (run.ys.start, run.pitch, run.xs.clone());
+                assert_eq!(shape, (y, lw, 0..lanes.rows), "{what}");
                 assert_eq!(run.width % lw, 0, "{what}");
                 let positions = run.width / lw;
                 assert!(
@@ -3307,56 +3453,53 @@ mod tests {
                     "{what}"
                 );
                 assert!(row_lanes || positions == 1, "{what}");
-                let cap = if lw == 1 {
-                    tier.lane_width()
-                } else {
-                    tier.strip_lanes()
-                };
-                assert!(run.width <= cap.max(lw), "{what}");
-                assert!(lw == 1 || positions.is_power_of_two(), "{what}");
+                assert!(run.width <= tier.strip_lanes().max(lw), "{what}");
+                assert!(positions.is_power_of_two(), "{what}");
                 y = run.ys.end;
             }
             assert_eq!(y, out_h, "{what}");
             assert!(runs.windows(2).all(|p| p[0].width > p[1].width), "{what}");
             // The widest strip comes first, and takes all the row offers.
-            let widest = widest_strip(&geom, lw, tier);
+            let widest = widest_strip(&geom, lanes.images, tier);
             assert_eq!(widest, runs[0].width, "{what}");
-            if row_lanes && lw > 1 {
-                assert!(2 * widest > (out_h * lw).min(tier.strip_lanes()), "{what}");
-            } else if row_lanes {
-                assert_eq!(widest, next_strip_width(out_h, tier.lane_width()), "{what}");
-            }
+            assert!(!row_lanes || 2 * widest > (out_h * lw).min(tier.strip_lanes()));
             // The profile of one such chunk is one chunk of that strip.
-            assert_eq!(strip_profile(&geom, lw, tier), (1, widest), "{what}");
+            let profile = strip_profile(&geom, lanes.images, tier);
+            assert_eq!(profile, (1, widest), "{what}");
         }
-        // Two worked rows: LeNet's conv2 (16 positions) and a ragged 7.
+        // Two worked rows: LeNet's conv2 (16 positions) and a ragged 7, of
+        // three output rows — one each for the copies of a single image.
         let geom = ConvGeom::new(3, 16, 2, 2, 1, 1);
-        let run = |width, pitch, ys| StripRun { width, pitch, ys };
-        let runs = |geom: &ConvGeom, lw, tier| strip_runs(geom, lw, tier).collect::<Vec<_>>();
-        assert_eq!(runs(&geom, 32, SimdTier::Avx512), [run(128, 32, 0..16)]);
-        assert_eq!(runs(&geom, 8, SimdTier::Avx512), [run(128, 8, 0..16)]);
-        assert_eq!(runs(&geom, 16, SimdTier::Avx2), [run(32, 16, 0..16)]);
-        assert_eq!(runs(&geom, 1, SimdTier::Avx2), [run(16, 1, 0..16)]);
+        let runs = |geom: &ConvGeom, lw, tier| {
+            let runs = strip_runs(geom, Lanes::new(lw, geom), tier);
+            runs.map(|r| (r.width, r.pitch, r.xs, r.ys))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(runs(&geom, 32, SimdTier::Avx512), [(128, 32, 0..3, 0..16)]);
+        assert_eq!(runs(&geom, 8, SimdTier::Avx512), [(128, 8, 0..3, 0..16)]);
+        assert_eq!(runs(&geom, 16, SimdTier::Avx2), [(32, 16, 0..3, 0..16)]);
+        assert_eq!(runs(&geom, 1, SimdTier::Avx2), [(32, 8, 0..1, 0..16)]);
         let geom = ConvGeom::new(3, 7, 2, 2, 1, 1);
-        assert_eq!(
-            runs(&geom, 8, SimdTier::Scalar),
-            [run(32, 8, 0..4), run(16, 8, 4..6), run(8, 8, 6..7)]
-        );
-        assert_eq!(runs(&geom, 1, SimdTier::Scalar), [run(7, 1, 0..7)]);
+        let ragged = |xs: Range<usize>| {
+            [(32, 0..4), (16, 4..6), (8, 6..7)].map(|(w, ys)| (w, 8, xs.clone(), ys))
+        };
+        assert_eq!(runs(&geom, 8, SimdTier::Scalar), ragged(0..3));
+        assert_eq!(runs(&geom, 2, SimdTier::Scalar), ragged(0..1));
     }
 
     #[test]
     fn every_strip_has_a_kernel_and_every_kernel_a_strip() {
-        // Both directions over the census domain: a strip without a kernel
-        // is a panic waiting for its geometry, a kernel without a strip is
-        // dead code monomorphized three times.
+        // Both directions over the census domain and the planar oracle: a
+        // strip without a kernel is a panic waiting for its geometry, a
+        // kernel without a strip is dead code monomorphized three times.
         let emitted: std::collections::BTreeSet<(usize, usize)> = census()
             .flat_map(|(.., runs)| runs)
             .map(|run| (run.width, run.pitch))
+            .chain([(1, 1)])
             .collect();
         let table: std::collections::BTreeSet<(usize, usize)> = KERNELS.iter().copied().collect();
         assert_eq!(table.len(), KERNELS.len(), "a kernel is listed twice");
-        assert!(KERNELS.len() <= 22, "{} kernels per tier", KERNELS.len());
+        assert_eq!(KERNELS.len(), 13, "kernels per tier");
         let missing: Vec<_> = emitted.difference(&table).collect();
         assert!(missing.is_empty(), "strips with no kernel: {missing:?}");
         let dead: Vec<_> = table.difference(&emitted).collect();

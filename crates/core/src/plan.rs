@@ -30,7 +30,7 @@ use ucnn_tensor::{ConvGeom, Tensor3, Tensor4};
 
 use crate::backend::{backend, BackendKind};
 use crate::compile::{canonical_of_tensor, UcnnConfig};
-use crate::flatten::{Dims, FlattenedTile, Lowering};
+use crate::flatten::{walked_once, Dims, FlattenedTile, Lowering};
 use crate::hierarchy::{GroupStream, ZERO_RANK};
 
 /// One retained work unit of a compiled layer: the stream for a group of
@@ -119,9 +119,11 @@ impl PartialEq for CompiledLayer {
 impl CompiledLayer {
     /// Compiles a layer's weights into retained per-tile streams.
     ///
-    /// Tiling and grouping match `factorized_conv` exactly: filters are
-    /// grouped by `config.g` (never spanning conv groups), channels by
-    /// [`UcnnConfig::effective_ct`].
+    /// Filters are grouped by `config.g` (never spanning conv groups) and
+    /// channels tiled by [`UcnnConfig::effective_ct`], as `factorized_conv`
+    /// does — except a layer walked once per chunk (one output position:
+    /// every FC layer), which is one tile: a CPU plan has no PE input buffer
+    /// to fill, and such a layer's reuse is across its whole input.
     ///
     /// # Panics
     ///
@@ -149,6 +151,7 @@ impl CompiledLayer {
         let rs = geom.r() * geom.s();
         let c_dim = geom.c();
         let ct = config.effective_ct(c_dim);
+        let ct = if walked_once(geom) { c_dim } else { ct };
         let k_per_group = geom.k() / conv_groups;
         let mut builder = canonical_of_tensor(filters);
         let mut slices: Vec<&[i16]> = Vec::with_capacity(config.g);

@@ -208,8 +208,7 @@ fn flattened_csr_and_lowering_cache_accounting() {
 /// equal field for field to the backend's analytic `work` for the whole
 /// batch, with the lowering-cache state as it was before the call. The
 /// strip profile follows the chunk decomposition: below eight images the
-/// rest runs one image at a time, and a single image's lanes are output
-/// positions where the layer allows it.
+/// rest is one chunk, staged eight lanes wide like a chunk of eight.
 #[test]
 fn pipeline_rows_equal_the_per_layer_loops() {
     let net = "counters-pipeline";
@@ -252,10 +251,10 @@ fn pipeline_rows_equal_the_per_layer_loops() {
                     "B={batch}, {threads} threads, lowered before: {lowered}"
                 );
                 for row in &rows {
-                    // Tier-wide chunks, then 16, then 8, then singles.
+                    // Tier-wide chunks, then 16, then 8, then the rest.
                     let (mut rest, mut strips) = (batch, 0);
-                    for width in [lane, 16, 8, 1] {
-                        if width <= lane {
+                    for width in [lane, 16, 8, rest % 8] {
+                        if (1..=lane).contains(&width) {
                             strips += rest / width;
                             rest %= width;
                         }
@@ -265,21 +264,18 @@ fn pipeline_rows_equal_the_per_layer_loops() {
                         "B={batch}: {}",
                         row.layer
                     );
-                    // tiny's convolutions have 12-position output rows: one
-                    // image runs an 8-lane strip and a 4-lane tail, a chunk
-                    // strips of 8 positions × its images, as far as the
-                    // tier's registers go. Its FC layer has one position:
-                    // the chunk's images, or width 1 for a lone image.
-                    let chunk = match batch {
+                    // tiny's convolutions have 12-position output rows: a
+                    // chunk runs strips of 8 positions × its pitch (eight
+                    // lanes at least), as far as the tier's registers go.
+                    // Its FC layer has one position: the pitch alone.
+                    let pitch = match batch {
                         b if b >= lane => lane,
                         b if b >= 16 => 16,
-                        b if b >= 8 => 8,
-                        _ => 1,
+                        _ => 8,
                     };
-                    let widest = match (row.layer.as_str(), chunk) {
-                        ("fc", _) => chunk,
-                        (_, 1) => 8,
-                        _ => (8 * chunk).min(tier.strip_lanes()),
+                    let widest = match row.layer.as_str() {
+                        "fc" => pitch,
+                        _ => (8 * pitch).min(tier.strip_lanes()),
                     } as u64;
                     assert_eq!(row.work.lane_width, widest, "B={batch}: {}", row.layer);
                     arithmetic.push((

@@ -130,7 +130,8 @@ pub enum ServeError {
     ShuttingDown,
     /// The queue was full on a non-blocking submit (open-loop overload).
     Overloaded,
-    /// The worker dropped the response channel (worker panic).
+    /// The worker dropped the response channel: the request's own forward
+    /// panicked (run alone, after the batch it rode in panicked).
     WorkerLost,
     /// The request's deadline cannot be (or was not) met: rejected at
     /// submit by admission control, or shed by a worker that drained it
@@ -278,9 +279,17 @@ impl Counters {
         self.service_est_ns.store(next, Ordering::Relaxed);
     }
 
-    fn record_panic_message(&self, message: String) {
+    /// Records a forward (or batch) lost to a panic in `worker`'s cell and
+    /// keeps the first message.
+    fn record_panic(
+        &self,
+        worker: usize,
+        metrics: &EngineMetrics,
+        payload: &(dyn std::any::Any + Send),
+    ) {
         let mut first = self.panic_message.lock().expect("panic log poisoned");
-        first.get_or_insert(message);
+        first.get_or_insert_with(|| panic_message(payload));
+        metrics.worker_panics.inc(worker);
     }
 }
 
@@ -362,10 +371,12 @@ pub struct EngineStats {
     pub deadline_rejected: u64,
     /// Submissions rejected at a model's concurrency ceiling.
     pub quota_rejected: u64,
-    /// Batches lost to a panic inside a worker (the name predates workers
-    /// surviving one): every rider of such a batch saw
-    /// [`ServeError::WorkerLost`], the worker went on to its next batch. See
-    /// [`EngineStats::panic_message`] for the first cause.
+    /// Forwards lost to a panic inside a worker (the name predates workers
+    /// surviving one). The riders of a batch whose forward panicked are
+    /// re-run one by one, so a poison costs one request: only a rider whose
+    /// own forward panics too sees [`ServeError::WorkerLost`] — a batch of
+    /// `n > 1` with one poison counts 2. See [`EngineStats::panic_message`]
+    /// for the first cause.
     pub panicked_workers: u64,
     /// The first worker panic message observed, when any worker panicked.
     pub panic_message: Option<String>,
@@ -587,7 +598,7 @@ impl Engine {
     /// cheapest and stateless checks first. A tensor
     /// of the wrong shape is turned away before anything is counted or
     /// taken: enqueued, it would panic the forward of the worker that
-    /// drained it and fail every co-batched rider. `admission` is the
+    /// drained it and cost every co-batched rider a re-run. `admission` is the
     /// deadline the non-blocking path applies [`Engine::admit_deadline`] to.
     fn admit_named(
         &self,
@@ -838,8 +849,8 @@ impl Engine {
         self.queue.close();
         for handle in self.workers.drain(..) {
             if let Err(payload) = handle.join() {
-                self.counters.record_panic_message(panic_message(&payload));
-                self.handles.worker_panics.inc(0);
+                self.counters
+                    .record_panic(0, &self.handles, payload.as_ref());
             }
         }
         self.stats()
@@ -894,17 +905,15 @@ fn worker_loop(
         if stolen {
             metrics.steals.inc(worker);
         }
-        // A panicking batch costs the batch, not the worker: catch it,
-        // record that it happened and why, and go on to the next one — a
+        // A forward that panics is caught where it runs (`serve_batch`);
+        // anything else that panics costs the batch, not the worker: a
         // worker that exited here would leave its shard to the others, and
-        // `workers` such batches would leave the queue to nobody. The riders
-        // of the lost batch see `WorkerLost` (their senders drop with it).
+        // `workers` such batches would leave the queue to nobody.
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             serve_batch(worker, items, queue, counters, metrics, config);
         }));
         if let Err(payload) = outcome {
-            counters.record_panic_message(panic_message(payload.as_ref()));
-            metrics.worker_panics.inc(worker);
+            counters.record_panic(worker, metrics, payload.as_ref());
         }
     }
 }
@@ -956,51 +965,102 @@ fn serve_batch(
         }
     }
     for (model, requests) in groups {
-        let batch_size = requests.len();
-        let mut inputs = Vec::with_capacity(batch_size);
-        let mut receipts = Vec::with_capacity(batch_size);
-        for req in requests {
-            inputs.push(req.input);
-            receipts.push((req.tx, req.enqueued_at, req.quota));
-        }
-        let start = Instant::now();
-        let batch_form_ns = ns(start.duration_since(drained_at));
-        let outputs = model.forward_batch_with(&inputs, config.backend, config.exec_threads);
-        let completed_at = Instant::now();
-        let service_ns = ns(completed_at.duration_since(start));
-        // Counters and phase records land only after the forward returned:
-        // a batch that panics mid-execution is counted by the panic path,
-        // not silently folded into `served` (which must keep meaning
-        // "responses actually produced").
-        counters.record_batch_size(batch_size);
-        metrics.batches.inc(worker);
-        metrics.requests.add(worker, batch_size as u64);
-        // Feed admission control's EWMA with this batch's amortized
-        // per-request cost.
-        counters.record_service_sample(service_ns / batch_size as u64);
-        for ((tx, enqueued_at, quota), output) in receipts.into_iter().zip(outputs) {
-            // The three phases are recorded from the very values the
-            // response carries (batch-shared ones once per rider), so the
-            // histograms' totals are the sums over the responses sent.
-            let queue_ns = ns(start.duration_since(enqueued_at));
-            metrics.queue_wait.record(queue_ns - batch_form_ns);
-            metrics.batch_form.record(batch_form_ns);
-            metrics.execute.record(service_ns);
-            // Free the admission slot *before* handing off the response:
-            // once a caller's wait() returns, its quota slot is already
-            // released.
-            drop(quota);
-            // A dropped receiver (client gave up) is not an error.
-            let _ = tx.send(Ok(ServeResponse {
-                output,
-                queue_ns,
-                batch_form_ns,
-                service_ns,
-                batch_size,
+        let (inputs, receipts): (Vec<_>, Vec<_>) = requests
+            .into_iter()
+            .map(|req| (req.input, (req.tx, req.enqueued_at, req.quota)))
+            .unzip();
+        let forward = |inputs: &[Tensor3<i16>]| {
+            let start = Instant::now();
+            let run = || model.forward_batch_with(inputs, config.backend, config.exec_threads);
+            (start, catch_unwind(AssertUnwindSafe(run)))
+        };
+        let answer = |start, receipts: Vec<Receipt>, outputs| {
+            respond(
                 worker,
-                completed_at,
-            }));
+                (drained_at, start),
+                receipts,
+                outputs,
+                counters,
+                metrics,
+            );
+        };
+        match forward(&inputs) {
+            (start, Ok(outputs)) => answer(start, receipts, outputs),
+            (_, Err(payload)) => {
+                // A poison costs one request, not its riders: each re-runs
+                // alone, and only a forward that panics again is lost (its
+                // rider sees `WorkerLost`: the sender drops with it).
+                counters.record_panic(worker, metrics, payload.as_ref());
+                if inputs.len() == 1 {
+                    continue;
+                }
+                for (input, receipt) in inputs.iter().zip(receipts) {
+                    match forward(std::slice::from_ref(input)) {
+                        (start, Ok(outputs)) => answer(start, vec![receipt], outputs),
+                        (_, Err(payload)) => {
+                            counters.record_panic(worker, metrics, payload.as_ref())
+                        }
+                    }
+                }
+            }
         }
+    }
+}
+
+/// What a rider needs to be answered: its response channel, when it was
+/// enqueued, and its quota slot.
+type Receipt = (
+    mpsc::Sender<Result<ServeResponse, ServeError>>,
+    Instant,
+    Option<QuotaToken>,
+);
+
+/// Answers the riders of one forward that started at `start` — after the
+/// drain at `drained_at` — with their outputs, and records the batch.
+fn respond(
+    worker: usize,
+    (drained_at, start): (Instant, Instant),
+    receipts: Vec<Receipt>,
+    outputs: Vec<Tensor3<i32>>,
+    counters: &Counters,
+    metrics: &EngineMetrics,
+) {
+    let batch_size = receipts.len();
+    let batch_form_ns = ns(start.duration_since(drained_at));
+    let completed_at = Instant::now();
+    let service_ns = ns(completed_at.duration_since(start));
+    // Counters and phase records land only after the forward returned:
+    // a batch that panics mid-execution is counted by the panic path,
+    // not silently folded into `served` (which must keep meaning
+    // "responses actually produced").
+    counters.record_batch_size(batch_size);
+    metrics.batches.inc(worker);
+    metrics.requests.add(worker, batch_size as u64);
+    // Feed admission control's EWMA with this batch's amortized
+    // per-request cost.
+    counters.record_service_sample(service_ns / batch_size as u64);
+    for ((tx, enqueued_at, quota), output) in receipts.into_iter().zip(outputs) {
+        // The three phases are recorded from the very values the
+        // response carries (batch-shared ones once per rider), so the
+        // histograms' totals are the sums over the responses sent.
+        let queue_ns = ns(start.duration_since(enqueued_at));
+        metrics.queue_wait.record(queue_ns - batch_form_ns);
+        metrics.batch_form.record(batch_form_ns);
+        metrics.execute.record(service_ns);
+        // Free the admission slot *before* handing off the response:
+        // once a caller's wait() returns, its quota slot is already
+        // released.
+        drop(quota);
+        // A dropped receiver (client gave up) is not an error.
+        let _ = tx.send(Ok(ServeResponse {
+            output,
+            queue_ns,
+            batch_form_ns,
+            service_ns,
+            batch_size,
+            worker,
+            completed_at,
+        }));
     }
 }
 
@@ -1591,7 +1651,7 @@ mod tests {
             }
             let metrics = Arc::clone(engine.metrics());
             let stats = engine.shutdown();
-            assert_eq!(stats.panicked_workers, 3, "a count of lost batches");
+            assert_eq!(stats.panicked_workers, 3, "a count of lost forwards");
             let msg = stats
                 .panic_message
                 .expect("the panic cause must be propagated");
@@ -1603,6 +1663,37 @@ mod tests {
                 0,
                 "the unwind must balance the in-flight gauge"
             );
+            // A poison costs one request, not its riders: on one worker,
+            // held on the panic log by a first poison (whose panic is
+            // recorded there), a second poison and three riders queue and
+            // drain as one batch of `max_batch` = 4. Its forward panics, each
+            // rider re-runs alone, and only the poison is lost.
+            let (engine, cases) = tiny_engine(1);
+            let plan = engine.registry().get("tiny").unwrap();
+            let poison = || engine.submit_plan(Arc::clone(&plan), Tensor3::zeros(1, 1, 1));
+            let held = engine.counters.panic_message.lock().unwrap();
+            let stall = poison().unwrap();
+            while engine.queue_depth() > 0 {
+                std::thread::yield_now();
+            }
+            let lost = poison().unwrap();
+            let riders: Vec<_> = cases[..3]
+                .iter()
+                .map(|(input, _)| engine.submit("tiny", input.clone()).unwrap())
+                .collect();
+            drop(held);
+            for lost in [stall, lost] {
+                assert_eq!(lost.wait().unwrap_err(), ServeError::WorkerLost);
+            }
+            for (rider, (_, expected)) in riders.into_iter().zip(&cases) {
+                let resp = rider
+                    .wait()
+                    .expect("a rider of a poisoned batch is answered");
+                assert_eq!((&resp.output, resp.batch_size), (expected, 1));
+            }
+            let stats = engine.shutdown();
+            // The stall's forward, the batch's, and the poison's own re-run.
+            assert_eq!((stats.panicked_workers, stats.served), (3, 3));
             done.send(()).unwrap();
         });
         match finished.recv_timeout(Duration::from_secs(10)) {

@@ -440,14 +440,14 @@ fn parse(name: &str, text: &str) -> GoldenCase {
 // The conformance run.
 // ---------------------------------------------------------------------------
 
-/// Batch sizes × thread counts every backend is driven with. The batch
-/// sizes straddle every dispatchable lane width: 9 = one full 8-lane
-/// chunk + a width-1 residual (scalar/NEON tier), 17 = one full 16-lane
-/// chunk + residual (AVX2 tier), 33 = one full 32-lane chunk + residual
-/// (AVX-512 tier) — so whichever ISA tier the host dispatches (or
-/// `UCNN_SIMD` forces), the run covers both its full-width strip and its
-/// remainder path.
-const SHAPES: [(usize, usize); 6] = [(1, 1), (1, 2), (3, 2), (9, 2), (17, 2), (33, 2)];
+/// Batch sizes × thread counts every backend is driven with: chunks of 1,
+/// 2, 3, 5 and 7 images run at pitch 8 in up to 8, 4, 2, 1 and 1 row-shifted
+/// copies over the corpus's stride-2, pad-2, grouped and FC layers and its
+/// 7- and 12-row planes; 9, 17 and 33 = one full 8-, 16- or 32-lane chunk +
+/// one image, so whichever ISA tier the host dispatches (or `UCNN_SIMD`
+/// forces) runs both its full-width strip and its remainder.
+#[rustfmt::skip]
+const SHAPES: [(usize, usize); 8] = [(1, 1), (2, 2), (3, 1), (5, 2), (7, 2), (9, 2), (17, 2), (33, 2)];
 
 fn check_case(case: &GoldenCase) {
     match case {
