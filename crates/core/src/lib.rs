@@ -58,6 +58,27 @@
 //!   partial-product memoization across filters (§III-C), provided as an
 //!   extension for ablation.
 //!
+//! # Arithmetic contract
+//!
+//! Every executor and backend returns, bit for bit, what the dense
+//! reference (`ucnn_model::forward::dense_forward`) returns:
+//!
+//! * Activations and weights are `i16`.
+//! * A layer's lane sums — every product `x·w` and every partial sum — are
+//!   wrapping `i32`: two's-complement arithmetic modulo 2³², a ring.
+//! * Between stages, a weight-bearing layer's `i32` sums pass through ReLU
+//!   and saturate to `i16` (`ucnn_model::reference::relu_saturate`); the
+//!   network's final layer returns its raw `i32` sums.
+//!
+//! Because the sums live in a ring, **any summation order is bit-exact**:
+//! any order, grouping, sharing or sign-folding of the terms that keeps
+//! `Σ x·w` per output gives the same bits, including on sums that wrap.
+//! That is what lets factorization ([`factorize`]), activation-group reuse
+//! ([`hierarchy`]) and the lowered walk ([`flatten`]) reorder the sum
+//! freely. Release builds wrap everywhere; a debug build may instead trap
+//! where a scalar path uses plain `+`, so the sweeps that push sums past
+//! `i32` run in release.
+//!
 //! # Quickstart
 //!
 //! ```

@@ -49,8 +49,7 @@
 //! three phase histograms — queue wait, batch formation, execute: the same
 //! partition of a request's time in the engine that each [`ServeResponse`]
 //! carries — back out of it. Measuring the engine is the job of the
-//! repository benchmark (`benchmark/`); the [`crate::harness`] is what the
-//! test suites drive it with.
+//! repository benchmark (`benchmark/`).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -22,8 +22,8 @@ fn index_of(value: u64) -> usize {
         // identity here or "exact below 2^(P+1)" is a lie. (An earlier
         // version computed `value | 1` to make `leading_zeros` safe on 0,
         // which silently bumped every *even* value below LINEAR into the
-        // odd bucket above it — surfaced by the sharded-merge property
-        // tests comparing merged percentiles against the raw stream.)
+        // odd bucket above it — surfaced by the property test comparing
+        // percentiles against the sorted raw stream, `tests/sharded_stats.rs`.)
         value as usize
     } else {
         let msb = 63 - value.leading_zeros();
@@ -186,36 +186,6 @@ impl LatencyHistogram {
         }
         self.max
     }
-
-    /// Merges another histogram into this one (used to combine per-shard
-    /// recordings without cross-thread locking). Merging is exact: the
-    /// merged histogram is bucket-for-bucket identical to one that recorded
-    /// the concatenated streams, so percentiles of the merge equal
-    /// percentiles of the whole stream — the contract the sharded-stats
-    /// property tests pin down.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Merges a set of per-shard histograms into one (report-time
-    /// combination of lock-free per-thread recordings).
-    #[must_use]
-    pub fn merged<'a, I>(shards: I) -> LatencyHistogram
-    where
-        I: IntoIterator<Item = &'a LatencyHistogram>,
-    {
-        let mut out = LatencyHistogram::new();
-        for shard in shards {
-            out.merge(shard);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -297,25 +267,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_combined_recording() {
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
-        let mut both = LatencyHistogram::new();
-        for v in 1..500u64 {
-            let target = if v % 2 == 0 { &mut a } else { &mut b };
-            target.record(v * 37);
-            both.record(v * 37);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), both.count());
-        assert_eq!(a.min(), both.min());
-        assert_eq!(a.max(), both.max());
-        for q in [0.1, 0.5, 0.9, 0.99, 1.0] {
-            assert_eq!(a.percentile(q), both.percentile(q), "q = {q}");
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "quantile must be in [0, 1]")]
     fn bad_quantile_panics() {
         let _ = LatencyHistogram::new().percentile(1.5);
@@ -363,48 +314,5 @@ mod tests {
         assert_eq!(h.percentile(0.1), 5);
         assert_eq!(h.percentile(0.9), u64::MAX);
         assert!(index_of(u64::MAX) < BUCKETS);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity_both_ways() {
-        let mut a = LatencyHistogram::new();
-        for v in [3u64, 99, 4_000_000] {
-            a.record(v);
-        }
-        let snapshot = a.clone();
-        // Non-empty ← empty: nothing changes.
-        a.merge(&LatencyHistogram::new());
-        assert_eq!(a.count(), snapshot.count());
-        assert_eq!(a.min(), snapshot.min());
-        assert_eq!(a.max(), snapshot.max());
-        for q in [0.1, 0.5, 1.0] {
-            assert_eq!(a.percentile(q), snapshot.percentile(q));
-        }
-        // Empty ← non-empty: adopts the other's stats exactly (the min
-        // sentinel must not leak through).
-        let mut b = LatencyHistogram::new();
-        b.merge(&snapshot);
-        assert_eq!(b.count(), 3);
-        assert_eq!(b.min(), 3);
-        assert_eq!(b.max(), 4_000_000);
-        // Empty ← empty stays empty.
-        let mut c = LatencyHistogram::new();
-        c.merge(&LatencyHistogram::new());
-        assert_eq!(c.count(), 0);
-        assert_eq!(c.min(), 0);
-    }
-
-    #[test]
-    fn merge_accumulates_extremes_and_sums() {
-        let mut a = LatencyHistogram::new();
-        a.record(10);
-        let mut b = LatencyHistogram::new();
-        b.record(1_000_000);
-        b.record(u64::MAX);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.min(), 10);
-        assert_eq!(a.max(), u64::MAX);
-        assert_eq!(a.percentile(1.0), u64::MAX);
     }
 }

@@ -1,5 +1,4 @@
-//! **ucnn-serve** — a compile-once batched inference engine, and the load
-//! harness its test suites drive it with.
+//! **ucnn-serve** — a compile-once batched inference engine.
 //!
 //! The UCNN premise is that factorization work is paid **once per model**
 //! and amortized over every inference (paper §IV). This crate is the
@@ -25,19 +24,7 @@
 //!   concurrency **quotas** ([`registry::ModelQuota`]); worker panics are
 //!   surfaced in [`EngineStats`], never swallowed.
 //! * [`LatencyHistogram`] — HDR-style log-bucketed latency recording with
-//!   ≤ ~3 % relative error and exact shard merging.
-//! * [`workload`] — the workload zoo: a [`Workload`] trait with pluggable
-//!   arrival processes (closed, open-loop fixed-rate, bursty, ramp) and
-//!   model mixes (uniform, hot/cold, sequential), expanding into
-//!   seed-replayable schedules that are pure functions of
-//!   `(requests, models, seed)`.
-//! * [`harness`] — executes a schedule across sharded generator threads
-//!   (one histogram per shard, merged at report time), with
-//!   coordinated-omission-aware open-loop latency, shed accounting, and
-//!   bit-exact per-model verification. It is what `tests/serve_load.rs`,
-//!   `tests/chaos.rs` and the `serve_stress` example drive the engine
-//!   with; *measuring* the engine is the job of the repository benchmark
-//!   (`benchmark/`), the only instrument.
+//!   ≤ ~3 % relative error.
 //! * [`metrics`] — a typed [`MetricsRegistry`] (sharded counters, gauges,
 //!   lock-free histograms) every [`Engine`] owns, exported as Prometheus
 //!   text exposition or a JSON snapshot. It is the engine's only tally:
@@ -46,14 +33,17 @@
 //!   batch form → execute, the partition each [`ServeResponse`] carries)
 //!   are surfaced as [`PhaseBreakdown`].
 //!
+//! *Measuring* the engine is the job of the repository benchmark
+//! (`benchmark/`); the serving test suites (`tests/serve_load.rs`,
+//! `tests/chaos.rs`) drive it through a small shared module of their own,
+//! `tests/support/mod.rs`.
+//!
 //! # Quickstart
 //!
 //! ```
 //! use std::sync::Arc;
 //! use ucnn_core::compile::UcnnConfig;
 //! use ucnn_model::{forward, networks, ActivationGen, QuantScheme};
-//! use ucnn_serve::harness::{self, ModelCases, RunConfig};
-//! use ucnn_serve::workload::{Arrival, Mix, StandardWorkload};
 //! use ucnn_serve::{Engine, EngineConfig, ModelRegistry};
 //!
 //! // Compile once...
@@ -62,47 +52,31 @@
 //! let weights = forward::generate_network_weights(&net, QuantScheme::inq(), 1, 0.9);
 //! registry.compile_and_insert(&net, &weights, &UcnnConfig::with_g(2));
 //!
-//! // ...serve many, under a deterministic workload.
+//! // ...serve many, every answer the dense reference's.
 //! let engine = Engine::start(registry, EngineConfig { workers: 2, ..EngineConfig::default() });
 //! let mut agen = ActivationGen::new(2);
-//! let cases: Vec<harness::Case> = (0..2)
-//!     .map(|_| {
-//!         let input = agen.generate_for(&net.conv_layers()[0]);
-//!         let expected = forward::dense_forward(&net, &weights, &input);
-//!         (input, expected)
-//!     })
-//!     .collect();
-//! let models = vec![ModelCases { name: "tiny".into(), cases }];
-//! let wl = StandardWorkload { arrival: Arrival::Closed, mix: Mix::Sequential };
-//! let report = harness::run(
-//!     &engine,
-//!     &models,
-//!     &wl,
-//!     RunConfig { requests: 6, shards: 2, seed: 7, ..RunConfig::default() },
-//! );
-//! assert_eq!(report.completed, 6);
-//! assert_eq!(report.mismatches, 0);
-//! let _ = engine.shutdown();
+//! for _ in 0..3 {
+//!     let input = agen.generate_for(&net.conv_layers()[0]);
+//!     let response = engine.submit("tiny", input.clone()).unwrap().wait().unwrap();
+//!     assert_eq!(response.output, forward::dense_forward(&net, &weights, &input));
+//! }
+//! assert_eq!(engine.shutdown().served, 3);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod engine;
-pub mod harness;
 pub mod histogram;
 pub mod metrics;
 pub mod queue;
 pub mod registry;
-pub mod workload;
 
 pub use engine::{
     Engine, EngineConfig, EngineStats, Pending, PhaseBreakdown, PhaseStat, ServeError,
     ServeResponse,
 };
-pub use harness::{HarnessReport, IntervalSample, ModelBreakdown, ModelCases, RunConfig};
 pub use histogram::LatencyHistogram;
 pub use metrics::MetricsRegistry;
 pub use queue::{ShardedBatch, ShardedQueue};
 pub use registry::{ModelQuota, ModelRegistry, QuotaToken, ResolvedModel};
-pub use workload::{Arrival, Mix, RequestSpec, StandardWorkload, Workload};

@@ -179,24 +179,6 @@ impl Histogram {
             self.max.load(Ordering::Relaxed),
         )
     }
-
-    /// Folds another histogram's recordings into this one.
-    fn merge_from(&self, other: &Histogram) {
-        for (mine, theirs) in self.counts.iter().zip(&other.counts) {
-            let n = theirs.load(Ordering::Relaxed);
-            if n > 0 {
-                mine.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.total
-            .fetch_add(other.total.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum
-            .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.min
-            .fetch_min(other.min.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max
-            .fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
 }
 
 /// Typed registry of named counters, gauges, and histograms.
@@ -303,21 +285,6 @@ impl MetricsRegistry {
                 .entry(name.to_string())
                 .or_insert_with(|| Arc::new(Histogram::new())),
         )
-    }
-
-    /// Folds every metric of `other` into this registry (registering any
-    /// missing names). Used to aggregate per-run registries into one
-    /// session-wide view.
-    pub fn merge(&self, other: &MetricsRegistry) {
-        for (name, c) in other.counters.read().expect("metrics lock").iter() {
-            self.counter(name).add(0, c.get());
-        }
-        for (name, g) in other.gauges.read().expect("metrics lock").iter() {
-            self.gauge(name).set(g.get());
-        }
-        for (name, h) in other.histograms.read().expect("metrics lock").iter() {
-            self.histogram(name).merge_from(h);
-        }
     }
 
     /// Renders the Prometheus text exposition format.
@@ -483,25 +450,6 @@ mod tests {
         for line in text.lines().filter(|l| !l.starts_with('#')) {
             assert_eq!(line.split_whitespace().count(), 2, "bad line: {line}");
         }
-    }
-
-    #[test]
-    fn merge_folds_counters_and_histograms() {
-        let a = MetricsRegistry::new(2);
-        let b = MetricsRegistry::new(2);
-        a.counter("n_total").add(0, 5);
-        b.counter("n_total").add(1, 7);
-        b.counter("only_b_total").add(0, 1);
-        a.histogram("lat_ns").record(100);
-        b.histogram("lat_ns").record(200);
-        b.gauge("depth").set(9);
-        a.merge(&b);
-        assert_eq!(a.counter("n_total").get(), 12);
-        assert_eq!(a.counter("only_b_total").get(), 1);
-        assert_eq!(a.gauge("depth").get(), 9);
-        let snap = a.histogram("lat_ns").snapshot();
-        assert_eq!(snap.count(), 2);
-        assert_eq!(snap.max(), 200);
     }
 
     #[test]

@@ -1,24 +1,15 @@
-//! Property tests for sharded latency recording: merging per-shard
-//! histograms must be indistinguishable from recording the whole stream
-//! into one histogram, and the merged percentiles must track the true
-//! (sorted-stream) percentiles within the bucket resolution.
+//! Property tests for latency recording: a histogram's percentiles must
+//! track the true (sorted-stream) percentiles within the bucket resolution,
+//! and the metrics registry's lock-free histogram, recorded from many
+//! threads at once, must snapshot to the same buckets as one thread
+//! recording the whole stream.
 //!
-//! These are the tests that caught the linear-region `index_of` bug: with
-//! even values mis-bucketed, merged percentiles disagreed with the raw
-//! stream even though the merge itself was exact.
+//! The first is the test that caught the linear-region `index_of` bug:
+//! with even values mis-bucketed, percentiles disagreed with the raw
+//! stream.
 
 use proptest::prelude::*;
 use ucnn_serve::LatencyHistogram;
-
-/// Records `values` split round-robin across `shards` histograms, then
-/// merges them back into one.
-fn shard_and_merge(values: &[u64], shards: usize) -> LatencyHistogram {
-    let mut per_shard = vec![LatencyHistogram::new(); shards];
-    for (i, &v) in values.iter().enumerate() {
-        per_shard[i % shards].record(v);
-    }
-    LatencyHistogram::merged(per_shard.iter())
-}
 
 /// The true quantile of a value stream: the rank-`ceil(q·n)` order
 /// statistic, matching the histogram's rank definition.
@@ -30,150 +21,29 @@ fn true_percentile(sorted: &[u64], q: f64) -> u64 {
 const QS: [f64; 7] = [0.0, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0];
 
 proptest! {
-    /// Merged shards are bucket-for-bucket the whole stream: every summary
-    /// statistic and every percentile matches exactly, for any shard count.
+    /// Percentiles track the true sorted-stream order statistics within
+    /// the histogram's bucket resolution (exact below the linear region
+    /// bound, ≤ 2^-5 relative above it).
     #[test]
-    fn merge_equals_whole_stream(
+    fn percentiles_track_true_percentiles(
         values in proptest::collection::vec(0u64..1_000_000_000, 1..400),
-        shards in 1usize..=8,
     ) {
-        let merged = shard_and_merge(&values, shards);
-        let mut whole = LatencyHistogram::new();
+        let mut h = LatencyHistogram::new();
         for &v in &values {
-            whole.record(v);
+            h.record(v);
         }
-        prop_assert_eq!(merged.count(), whole.count());
-        prop_assert_eq!(merged.min(), whole.min());
-        prop_assert_eq!(merged.max(), whole.max());
-        prop_assert!((merged.mean() - whole.mean()).abs() < 1e-9);
-        for q in QS {
-            prop_assert_eq!(merged.percentile(q), whole.percentile(q), "q = {}", q);
-        }
-    }
-
-    /// Merged percentiles track the true sorted-stream order statistics
-    /// within the histogram's bucket resolution (exact below the linear
-    /// region bound, ≤ 2^-5 relative above it).
-    #[test]
-    fn merged_percentiles_track_true_percentiles(
-        values in proptest::collection::vec(0u64..1_000_000_000, 1..400),
-        shards in 1usize..=8,
-    ) {
-        let merged = shard_and_merge(&values, shards);
         let mut sorted = values.clone();
         sorted.sort_unstable();
         for q in QS {
             let truth = true_percentile(&sorted, q);
-            let got = merged.percentile(q);
+            let got = h.percentile(q);
             // Bucket edges only ever round *up*, capped at the exact max.
             prop_assert!(got >= truth, "q = {}: got {} < true {}", q, got, truth);
             let bound = truth + truth / 32 + 1;
             prop_assert!(got <= bound, "q = {}: got {} > bound {}", q, got, bound);
         }
-        prop_assert_eq!(merged.percentile(1.0), sorted[sorted.len() - 1]);
+        prop_assert_eq!(h.percentile(1.0), sorted[sorted.len() - 1]);
     }
-
-    /// Values in the exact linear region survive sharding bit-for-bit: any
-    /// percentile of the merge is a value that was actually recorded.
-    #[test]
-    fn linear_region_is_exact_after_merge(
-        values in proptest::collection::vec(0u64..64, 1..200),
-        shards in 1usize..=8,
-    ) {
-        let merged = shard_and_merge(&values, shards);
-        let mut sorted = values.clone();
-        sorted.sort_unstable();
-        for q in QS {
-            prop_assert_eq!(merged.percentile(q), true_percentile(&sorted, q), "q = {}", q);
-        }
-    }
-
-    /// Merge order never matters (merging is commutative and associative
-    /// on bucket counts).
-    #[test]
-    fn merge_is_order_independent(
-        values in proptest::collection::vec(0u64..1_000_000_000, 2..200),
-        shards in 2usize..=8,
-    ) {
-        let mut per_shard = vec![LatencyHistogram::new(); shards];
-        for (i, &v) in values.iter().enumerate() {
-            per_shard[i % shards].record(v);
-        }
-        let forward = LatencyHistogram::merged(per_shard.iter());
-        let backward = LatencyHistogram::merged(per_shard.iter().rev());
-        prop_assert_eq!(forward.count(), backward.count());
-        prop_assert_eq!(forward.min(), backward.min());
-        prop_assert_eq!(forward.max(), backward.max());
-        for q in QS {
-            prop_assert_eq!(forward.percentile(q), backward.percentile(q), "q = {}", q);
-        }
-    }
-}
-
-#[test]
-fn empty_shards_among_nonempty_do_not_skew() {
-    // A generator thread that never saw a scheduled request contributes an
-    // empty histogram; merging it must not disturb min/percentiles (the
-    // empty min sentinel must not leak).
-    let mut active = LatencyHistogram::new();
-    for v in [5u64, 70, 900, 1_000_000] {
-        active.record(v);
-    }
-    let shards = [
-        LatencyHistogram::new(),
-        active.clone(),
-        LatencyHistogram::new(),
-    ];
-    let merged = LatencyHistogram::merged(shards.iter());
-    assert_eq!(merged.count(), 4);
-    assert_eq!(merged.min(), 5);
-    assert_eq!(merged.max(), 1_000_000);
-    for q in [0.1, 0.5, 1.0] {
-        assert_eq!(merged.percentile(q), active.percentile(q), "q = {q}");
-    }
-}
-
-#[test]
-fn single_sample_shards_merge_to_the_full_stream() {
-    // Degenerate sharding: one sample per shard. The merge must equal a
-    // whole-stream recording exactly.
-    let values = [3u64, 3, 64, 65, 4_096, u64::MAX];
-    let shards: Vec<LatencyHistogram> = values
-        .iter()
-        .map(|&v| {
-            let mut h = LatencyHistogram::new();
-            h.record(v);
-            h
-        })
-        .collect();
-    let merged = LatencyHistogram::merged(shards.iter());
-    let mut whole = LatencyHistogram::new();
-    for &v in &values {
-        whole.record(v);
-    }
-    assert_eq!(merged.count(), whole.count());
-    assert_eq!(merged.min(), 3);
-    assert_eq!(merged.max(), u64::MAX);
-    for q in [0.0, 0.25, 0.5, 0.75, 0.99, 1.0] {
-        assert_eq!(merged.percentile(q), whole.percentile(q), "q = {q}");
-    }
-}
-
-#[test]
-fn saturating_top_bucket_survives_merge() {
-    // u64::MAX lands in the topmost (saturating) bucket; merging shards
-    // that both hold it must keep the exact max and cap percentile(1.0) at
-    // it rather than a would-be overflowing bucket edge.
-    let mut a = LatencyHistogram::new();
-    a.record(u64::MAX);
-    a.record(10);
-    let mut b = LatencyHistogram::new();
-    b.record(u64::MAX - 1);
-    let merged = LatencyHistogram::merged([&a, &b]);
-    assert_eq!(merged.count(), 3);
-    assert_eq!(merged.max(), u64::MAX);
-    assert_eq!(merged.percentile(1.0), u64::MAX);
-    assert_eq!(merged.percentile(0.1), 10);
 }
 
 #[test]

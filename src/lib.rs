@@ -10,7 +10,7 @@
 //! | [`model`] | networks (LeNet/AlexNet/ResNet-50), quantization (INQ/TTQ/fixed), generators, reference convolution, repetition statistics |
 //! | [`core`] | **the paper's contribution**: dot-product factorization, activation-group reuse, indirection-table encodings, functional factorized executor |
 //! | [`sim`] | DCNN/DCNN_sp/UCNN processing-element and chip models: cycles, energy, area |
-//! | [`serve`] | compile-once batched inference engine: model registry, worker pool, closed/open-loop stress harness |
+//! | [`serve`] | compile-once batched inference engine: model registry, sharded queue, worker pool, metrics registry |
 //!
 //! # Example: factorize a layer and weigh it against the dense baseline
 //!
@@ -55,7 +55,7 @@ pub mod sim {
     pub use ucnn_sim::*;
 }
 
-/// Serving engine and stress harness (re-export of `ucnn-serve`).
+/// Serving engine (re-export of `ucnn-serve`).
 pub mod serve {
     pub use ucnn_serve::*;
 }
