@@ -690,8 +690,8 @@ pub fn ablate_multipliers() -> TableOut {
 #[must_use]
 pub fn backend_table(quick: bool) -> TableOut {
     use std::time::Instant;
-    use ucnn_core::flatten::run_flattened_batch_interleaved_forced;
-    use ucnn_core::plan::CompiledLayer;
+    use ucnn_core::flatten::run_stages;
+    use ucnn_core::plan::{CompiledLayer, CompiledStage};
     use ucnn_core::simd::{available_tiers, resolve_tier};
     use ucnn_model::ActivationGen;
     use ucnn_tensor::{ConvGeom, Tensor3};
@@ -747,6 +747,12 @@ pub fn backend_table(quick: bool) -> TableOut {
         let weights = wgen.generate_dims(geom.k(), geom.c(), geom.r(), geom.s());
         let plan = CompiledLayer::compile(&geom, 1, &weights, &cfg);
         let flat_bytes = plan.flat_bytes().to_string();
+        // The tier-pinned rows run the layer as a one-stage list.
+        let stages = [CompiledStage::Conv {
+            name: name.to_string(),
+            layer: plan.clone(),
+            is_fc: false,
+        }];
         let (mut compile_s, mut lower_s) = (f64::INFINITY, f64::INFINITY);
         for _ in 0..repeats {
             let start = Instant::now();
@@ -758,9 +764,9 @@ pub fn backend_table(quick: bool) -> TableOut {
         }
         let mut agen = ActivationGen::new(SEED ^ 0xBB);
         for &b in batches {
-            // Shadow the plan as a shared borrow so the `move` runners
-            // capture the (Copy) reference, not the plan itself.
-            let plan = &plan;
+            // Shadow the plan and stages as shared borrows so the `move`
+            // runners capture the (Copy) references, not the values.
+            let (plan, stages) = (&plan, &stages);
             let inputs: Vec<Tensor3<i16>> = (0..b)
                 .map(|_| agen.generate(geom.c(), geom.in_w(), geom.in_h()))
                 .collect();
@@ -785,7 +791,7 @@ pub fn backend_table(quick: bool) -> TableOut {
                 variants.push((
                     format!("flattened-batch@{}", tier.name()),
                     tier.name().to_string(),
-                    Box::new(move |ins| run_flattened_batch_interleaved_forced(plan, ins, 2, tier)),
+                    Box::new(move |ins| run_stages(stages, ins, 2, tier)),
                 ));
             }
             // Correctness (and warm-up): every variant must agree bit for

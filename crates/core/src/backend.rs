@@ -29,7 +29,7 @@ use ucnn_tensor::{Tensor3, Tensor4};
 
 use crate::counters::LayerWork;
 use crate::exec::{factorized_conv, run_compiled_batch_threads};
-use crate::flatten::{run_flattened_batch_interleaved, run_network_interleaved, FlattenedTile};
+use crate::flatten::{run_layer, run_stages, FlattenedTile};
 use crate::hierarchy::GroupStream;
 use crate::plan::{CompiledLayer, CompiledNetwork, CompiledStage};
 use crate::simd::resolve_tier;
@@ -48,7 +48,7 @@ pub enum BackendKind {
     /// Branch-free flattened execution — compile-time lowered gather
     /// offsets and CSR group ranges, no entry decode — over
     /// batch-interleaved SIMD lanes
-    /// (`run_flattened_batch_interleaved`): one indirection walk per lane
+    /// ([`run_stages`]): one indirection walk per lane
     /// chunk feeds a strip of contiguous image lanes as wide as the
     /// dispatched ISA tier allows (8 scalar/NEON, 16 AVX2, 32 AVX-512 —
     /// see [`SimdTier::lane_width`](crate::simd::SimdTier::lane_width)),
@@ -338,7 +338,7 @@ impl Backend for FlattenedBatchBackend {
         inputs: &[Tensor3<i16>],
         threads: usize,
     ) -> Vec<Tensor3<i32>> {
-        run_flattened_batch_interleaved(layer, inputs, threads)
+        run_layer(layer, inputs, threads, resolve_tier())
     }
 
     /// Chunk-major: every lane chunk runs the whole network
@@ -350,7 +350,7 @@ impl Backend for FlattenedBatchBackend {
         inputs: &[Tensor3<i16>],
         threads: usize,
     ) -> Vec<Tensor3<i32>> {
-        run_network_interleaved(net.stages(), inputs, threads, resolve_tier())
+        run_stages(net.stages(), inputs, threads, resolve_tier())
     }
 
     fn warm(&self, layer: &CompiledLayer) {

@@ -1,0 +1,173 @@
+//! Branch-free flattened lowering of retained streams — the compile-time
+//! form behind [`BackendKind::FlattenedBatch`](crate::backend::BackendKind).
+//!
+//! [`run_compiled`](crate::exec::run_compiled()) walks a
+//! [`GroupStream`](crate::hierarchy::GroupStream) entry by entry: every
+//! entry pays a position decode (two divisions), a padding bounds check, an
+//! `Option` test on the closure level, and — on closures — a data-dependent
+//! nested loop over levels. All of that control flow exists to recover two
+//! static facts the stream already fixed at compile time:
+//!
+//! 1. **where each entry reads** — the input offset is an affine function of
+//!    the output position, so it flattens to a per-entry base offset plus
+//!    one per-position delta (`base[i] + stride·(x·H + y)`);
+//! 2. **which contiguous entry runs feed which weight** — each level's
+//!    activation groups are contiguous runs of a sorted walk: the innermost
+//!    level (nearly all the groups) flattens to one record per group
+//!    **close** — sub-run lengths and a weight — the outer levels to
+//!    CSR-style `[start, end)` ranges with the weight (zero-weight groups
+//!    dropped).
+//!
+//! The executor then needs no per-entry decode at all: phase one gathers
+//! each run's activations through the precomputed offsets into a running
+//! sum and — like the paper's PE (§IV, Fig. 7) — multiplies the innermost
+//! level **where its groups close**, in registers, storing the sum as a
+//! prefix row only where an outer group closes too; phase two forms every
+//! outer group total as one difference of two such rows times the group's
+//! weight. Both loops are pure index-stride arithmetic.
+//!
+//! # Layout
+//!
+//! The tables are built once and walked by a separate datapath, as in the
+//! paper (§IV):
+//!
+//! * `lower.rs` — lowering: a tile's stream becomes a [`FlattenedTile`]
+//!   (gather offsets, close records, outer segments) in an order chosen
+//!   from counts alone.
+//! * `kernel.rs` — the datapath: the one strip body, its
+//!   `#[target_feature]` tier kernels (the crate's only `unsafe`, reached
+//!   through a tier token only detection can mint), the strip shapes a
+//!   chunk runs, and the planar oracle [`run_flattened`].
+//! * `scratch.rs` — the cache-line-aligned row buffers, the arena that
+//!   holds them and the per-thread pool of arenas.
+//! * `network.rs` — the chunk-major driver: staging in and out of the lane
+//!   layout, filter bands, the epilogue, pooling, and [`run_stages`], the
+//!   one entry point that takes a tier.
+//!
+//! # Lowering owns the order of the walk
+//!
+//! Lane sums are wrapping `i32` — a ring — so the walk need not be the
+//! stream's: any order, grouping or sharing that keeps `Σ x·w` per filter
+//! gives **bit-identical** outputs (the conformance corpus, the cross-backend
+//! property test and `the_order_is_free_the_sum_is_not` pin this down), and
+//! UCNN's argument (§III) — zero-skipping is only the special case of reusing
+//! *repeated* weights — goes one step further than exact repetition.
+//! `Lowering::lower_band` chooses, from counts alone:
+//!
+//! * **Sign-folded groups.** An entry enters the running sum as `s·x`, `s`
+//!   the sign of its innermost weight; the innermost group is keyed by `|w|`
+//!   and outer level `l` by `w_l·s` (`x·w_l = (s·x)·(w_l·s)`), so
+//!   `(w_a, w_b)` and `(−w_a, −w_b)` are one group — a plus sub-run, then a
+//!   minus sub-run. Never more innermost groups; up to half as many on a
+//!   sign-symmetric alphabet (INQ). It can split outer groups, so a tile
+//!   folds only when its closes + outer segments do not grow.
+//! * **A telescoped close.** `Σ_j (R_j − R_{j−1})·w_j = Σ_j R_j·(w_j −
+//!   w_{j+1})`: the record stores `Δw`, the close block is `inner += run·Δw`,
+//!   and the previous close's sum is never needed (two lane arrays, not
+//!   three). In registers only — a telescoped *phase 2* that re-loads a row
+//!   per boundary is in ROADMAP's do-not-rebuild.
+//! * **Un-shared bands.** A `G`-level hierarchy pays closes, kept rows and
+//!   outer segments to share gathers; where that costs more than it shares
+//!   (LeNet's conv1: 74 entries in 63 closes a tile) the band is walked
+//!   filter by filter — `G` one-level folded walks, each adding into its
+//!   own plane of the band.
+//!
+//! Tiles walked once per chunk (every fully connected layer) keep the
+//! stream's order and sharing.
+//!
+//! Padding is not a hazard of the walk but a property of the staged input:
+//! a layer with `pad > 0` is staged once per chunk into a **zero-haloed**
+//! plane (`(in_w + 2·pad) × (in_h + 2·pad)` per channel) and the gather
+//! offsets are lowered against that plane, so an edge position's
+//! out-of-plane reads add literal zeros. Every geometry takes the same
+//! branch-free gather, and the prefix sums are only *kept* where phase two
+//! reads them: one row per **outer** close — not per entry, nor per close.
+//!
+//! # Batch-interleaved lanes and ISA tiers
+//!
+//! The paper's vector datapath amortizes one indirection stream across `VW`
+//! lanes (§VI): the iterator walk is paid once, the arithmetic is wide. A
+//! per-image walk ([`run_flattened`], kept as the tests' planar oracle) does
+//! the opposite over a batch — every image re-pays every gather offset and
+//! segment bound.
+//! [`run_stages`] is the software analog of the hardware's lane sharing:
+//! the batch is cut into chunks of interleaved images
+//! (`input[off · LW + lane]`, planar offset major, image lane minor), and
+//! both phases run as straight-line loops over contiguous `LW`-wide strips
+//! (`i16`→`i32` widening adds, one broadcast multiply per close or
+//! segment). Every gather offset, close record and CSR segment range is
+//! read **once per output position** and feeds all `LW` images.
+//!
+//! The chunk width and codegen follow the dispatched
+//! [`SimdTier`](crate::simd::SimdTier) ([`simd`](crate::simd)): the
+//! `scalar` tier keeps the historical 8-image chunks under baseline
+//! codegen, while the `avx2` / `avx512` tiers interleave 16/32 images and
+//! run the same strip body inside `#[target_feature]`-gated kernels so the
+//! compiler emits full-width 256/512-bit arithmetic. Per lane the i32
+//! operation sequence is identical at every width and every tier, so
+//! outputs stay bit-identical to [`run_flattened`] across all of them — the
+//! golden conformance corpus is the referee.
+//!
+//! # A strip is positions × images
+//!
+//! One rule covers every strip: its lanes are `p` neighbouring output
+//! positions of one row × the `pitch` images of the chunk, lane
+//! `j·pitch + i` being image `i` at position `y + j`. At stride 1 entry `i`
+//! of that strip reads the contiguous staged cells
+//! `(base[i] + x·ph + y)·pitch ..` and the band row it adds into is
+//! contiguous too, so one strip body runs over one [`FlattenedTile`] (no
+//! second lowering, nothing extra resident) at any `p`: an indirection read
+//! is paid once per `p` positions, the paper's `VW` spatial lanes (§IV).
+//!
+//! A batch is cut into chunks of the tier's width, then 16, then 8 images,
+//! then the rest as one chunk of `b < 8`, staged at pitch 8 like a chunk of
+//! eight: its lanes hold `⌊8/b⌋` copies of each image, copy `v` moved up by
+//! `v·k` output rows, so every copy walks `k` rows of the same plan and a
+//! band's sums return to their real rows on the way into the consumer's
+//! plane (`Lanes`). A chunk takes as many positions per strip as the tier's
+//! registers hold
+//! ([`SimdTier::strip_lanes`](crate::simd::SimdTier::strip_lanes): 128
+//! lanes on `avx512`, so 4 positions × 32 images or 16 × 8; 32 lanes
+//! elsewhere) and works down an output row by powers of two — a function of
+//! the pitch and the layer's geometry alone (`strip_runs`); layers with
+//! `stride > 1` (a row's reads are not contiguous) or one position per
+//! output row (fully connected) take one position per strip.
+//!
+//! # Filter bands and the chunk-major pipeline
+//!
+//! The lane-major sums are staged one **filter band** at a time — the
+//! channel tiles that share a `k_first`, i.e. `G · out_w · out_h · LW`
+//! `i32`s rather than the whole layer's `K · …` — so a band stays
+//! cache-resident between the kernel that fills it and whatever drains it.
+//! A whole network ([`BackendKind::FlattenedBatch`](crate::backend::BackendKind)
+//! through `CompiledNetwork::forward*`) runs **chunk-major**: each lane
+//! chunk is transposed into the lane layout once, runs every stage there —
+//! a finished band enters its consumer's zero-haloed plane clamped to
+//! `0..=i16::MAX` and narrowed (the reference's `relu_saturate`), pooling is
+//! an `LW`-wide max / widening sum over rows, a pool that directly follows
+//! a convolution runs on each finished band — and is transposed out once,
+//! into the caller's `i32` tensors. A layer alone (the backend's
+//! `run_layer`, or a one-stage list) is the same pieces: stage → bands →
+//! scatter.
+//!
+//! Scratch (two activation planes, the kept-close prefix lanes, the band's
+//! lane-major sums) lives in an arena. Every buffer the strip kernel walks
+//! as `LW`-wide rows starts its rows on a 64-byte boundary, so a 32-lane row
+//! is whole cache lines by construction instead of by where the allocator
+//! happened to put it. The module keeps a small pool of arenas per calling
+//! thread — one per execution thread it has ever fanned out to — so a
+//! serving worker's steady-state hot path allocates its output tensors and
+//! nothing else at any thread budget.
+
+mod kernel;
+mod lower;
+mod network;
+mod scratch;
+
+pub use kernel::run_flattened;
+pub use lower::FlattenedTile;
+pub use network::run_stages;
+
+pub(crate) use kernel::strip_profile;
+pub(crate) use lower::{walked_once, Lowering};
+pub(crate) use network::{run_layer, Dims};

@@ -49,7 +49,10 @@
 //!   and CSR-style activation-group ranges) and the batch-interleaved SIMD
 //!   executor behind [`BackendKind::FlattenedBatch`] (one indirection walk
 //!   feeding a strip of contiguous image lanes as wide as the dispatched
-//!   ISA tier allows, with per-worker [`FlattenedScratch`] arenas).
+//!   ISA tier allows), in four files: `lower` (the tables, built once),
+//!   `kernel` (the datapath that walks them), `scratch` (per-worker
+//!   arenas) and `network` (the chunk-major driver and
+//!   [`flatten::run_stages`], the one entry point that forces a tier).
 //! * [`simd`] — runtime ISA detection ([`SimdCaps`]) and the process-wide
 //!   [`SimdTier`]: which `#[target_feature]` tier the strip kernels
 //!   dispatch to (scalar / AVX2 / AVX-512 / NEON, clamped to the CPU) and
@@ -92,10 +95,11 @@
 //! assert_eq!(out, 220);
 //! ```
 
-// `deny` rather than `forbid`: the explicit SIMD tier kernels in `flatten`
-// need `#[target_feature]` functions, which are unsafe to call by language
-// rule. Those call sites carry a scoped `#[allow(unsafe_code)]` with the
-// safety argument; everything else stays unsafe-free.
+// `deny` rather than `forbid`: the explicit SIMD tier kernels need
+// `#[target_feature]` functions, which are unsafe to call by language rule.
+// They and their call sites live in `flatten/kernel.rs` alone, under a
+// scoped `#[allow(unsafe_code)]`, dispatched on a tier token only SIMD
+// detection can mint; everything else stays unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -116,7 +120,7 @@ pub use backend::{all_backends, backend, Backend, BackendKind};
 pub use compile::{LayerPlan, TileStats, UcnnConfig};
 pub use counters::{LayerWork, TallyRow};
 pub use factorize::{ActivationGroup, FilterFactorization};
-pub use flatten::{FlattenedScratch, FlattenedTile};
+pub use flatten::FlattenedTile;
 pub use hierarchy::{GroupStream, StreamEntry};
 pub use plan::{CompiledLayer, CompiledNetwork, CompiledStage, CompiledTile};
 pub use simd::{SimdCaps, SimdTier};

@@ -869,12 +869,8 @@ mod tests {
             for &tier in crate::simd::available_tiers() {
                 for &threads in thread_counts {
                     for &b in batches {
-                        let got = crate::flatten::run_network_interleaved(
-                            plan.stages(),
-                            &inputs[..b],
-                            threads,
-                            tier,
-                        );
+                        let got =
+                            crate::flatten::run_stages(plan.stages(), &inputs[..b], threads, tier);
                         assert_eq!(
                             got,
                             expected[..b],

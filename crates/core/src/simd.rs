@@ -97,7 +97,7 @@ impl SimdTier {
     /// positions × images of one chunk behind one indirection read
     /// ([`flatten`](crate::flatten)), sized so the kernel's three lane arrays
     /// stay in registers: four `zmm` each on `avx512` (24 of 32; eight
-    /// spill), and 32 lanes elsewhere (measured: EXPERIMENTS § `strips`).
+    /// spill), and 32 lanes elsewhere (measured: docs/LAB.md § `strips`).
     #[must_use]
     pub const fn strip_lanes(self) -> usize {
         match self {
@@ -169,6 +169,25 @@ impl SimdCaps {
             .iter()
             .rfind(|t| t.rank() <= requested.rank())
             .expect("scalar tier is always available")
+    }
+
+    /// [`SimdCaps::clamp`], as the token a gated kernel dispatches on.
+    pub(crate) fn probe(self, requested: SimdTier) -> Probed {
+        Probed(self.clamp(requested))
+    }
+}
+
+/// A [`SimdTier`] this CPU was probed to run. Its field is private to this
+/// module and only [`SimdCaps::probe`] mints one, clamped to the detected
+/// capabilities — outside this module every `SimdCaps` is the real probe's —
+/// so a `#[target_feature]` kernel dispatched on it runs only where its
+/// feature is present.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Probed(SimdTier);
+
+impl Probed {
+    pub(crate) fn tier(self) -> SimdTier {
+        self.0
     }
 }
 

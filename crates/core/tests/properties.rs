@@ -9,7 +9,6 @@ use ucnn_core::compile::{compile_layer, UcnnConfig};
 use ucnn_core::encoding::{rle_bits, rle_bits_capped, table_cost, EncodingParams, IitEncoding};
 use ucnn_core::exec::factorized_conv;
 use ucnn_core::factorize::FilterFactorization;
-use ucnn_core::flatten::{deinterleave_lanes, interleave_lanes};
 use ucnn_core::hierarchy::GroupStream;
 use ucnn_core::plan::CompiledLayer;
 use ucnn_model::reference;
@@ -217,39 +216,6 @@ proptest! {
                 "backend '{}' is not repeatable", kind.name()
             );
         }
-    }
-
-    /// Batch-interleave ⇄ planar round trip: for any chunk width up to the
-    /// widest SIMD lane count and any plane size,
-    /// `deinterleave(interleave(x)) == x` and every lane lands at
-    /// `off · LW + lane` — the layout contract the `flattened-batch` SIMD
-    /// kernels gather through.
-    #[test]
-    fn interleave_roundtrip_is_exact(
-        seed in any::<u64>(),
-        lw in 1usize..=32,
-        len in 1usize..96,
-    ) {
-        let mut state = seed | 1;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (state >> 33) as i16
-        };
-        let images: Vec<Vec<i16>> = (0..lw).map(|_| (0..len).map(|_| next()).collect()).collect();
-        let refs: Vec<&[i16]> = images.iter().map(Vec::as_slice).collect();
-        let mut lanes = Vec::new();
-        interleave_lanes(&refs, &mut lanes);
-        prop_assert_eq!(lanes.len(), len * lw);
-        // Layout contract: planar offset major, image lane minor.
-        for (lane, img) in images.iter().enumerate() {
-            for (off, &v) in img.iter().enumerate() {
-                prop_assert_eq!(lanes[off * lw + lane], v, "off {} lane {}", off, lane);
-            }
-        }
-        let mut back: Vec<Vec<i16>> = vec![vec![0; len]; lw];
-        let mut outs: Vec<&mut [i16]> = back.iter_mut().map(Vec::as_mut_slice).collect();
-        deinterleave_lanes(&lanes, &mut outs);
-        prop_assert_eq!(back, images);
     }
 
     /// Compiled plan totals are internally consistent.

@@ -37,7 +37,7 @@
 //!
 //! Workers are plain threads, which makes two serve-path costs one-time
 //! instead of per-request: the flattened executor keeps a **per-thread
-//! scratch arena** (`ucnn_core::flatten::FlattenedScratch`), so each
+//! scratch arena** (`ucnn_core`'s `flatten/scratch.rs`), so each
 //! worker's steady-state hot path stops allocating scratch per batch, and
 //! lazily lowered plan state is **warmed** ahead of traffic — by the
 //! [`ModelRegistry`] at insert time and by [`Engine::start`] for plans

@@ -24,7 +24,9 @@ use std::path::{Path, PathBuf};
 
 use ucnn::core::backend::{backend, BackendKind};
 use ucnn::core::compile::UcnnConfig;
-use ucnn::core::plan::{CompiledLayer, CompiledNetwork};
+use ucnn::core::flatten::run_stages;
+use ucnn::core::plan::{CompiledLayer, CompiledNetwork, CompiledStage};
+use ucnn::core::simd::available_tiers;
 use ucnn::model::{
     forward, networks, reference, ActivationGen, NetworkSpec, QuantScheme, WeightGen,
 };
@@ -62,6 +64,22 @@ fn spec_by_name(name: &str) -> NetworkSpec {
 
 fn golden_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
+}
+
+/// Every checked-in vector, parsed, in file-name order.
+fn golden_cases() -> Vec<GoldenCase> {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(golden_dir())
+        .expect("tests/golden must exist (run with UCNN_REGEN_GOLDEN=1 to create it)")
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| p.extension().is_some_and(|e| e == "txt"))
+        .collect();
+    files.sort();
+    let case = |file: &PathBuf| {
+        let name = file.file_stem().and_then(|s| s.to_str());
+        let text = std::fs::read_to_string(file).expect("read golden vector");
+        parse(name.expect("utf-8 file name"), &text)
+    };
+    files.iter().map(case).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -540,28 +558,15 @@ fn golden_corpus_runs_every_backend_bit_identically() {
         }
     }
 
-    let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
-        .expect("tests/golden must exist (run with UCNN_REGEN_GOLDEN=1 to create it)")
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|e| e == "txt"))
-        .collect();
-    files.sort();
+    let cases = golden_cases();
     assert!(
-        files.len() >= 9,
+        cases.len() >= 9,
         "golden corpus incomplete: found {} vectors in {}",
-        files.len(),
+        cases.len(),
         dir.display()
     );
-
-    for file in &files {
-        let name = file
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .expect("utf-8 file name")
-            .to_string();
-        let text = std::fs::read_to_string(file).expect("read golden vector");
-        let case = parse(&name, &text);
-        check_case(&case);
+    for case in &cases {
+        check_case(case);
     }
 }
 
@@ -642,53 +647,56 @@ fn corpus_definitions_round_trip_through_the_text_format() {
 fn every_isa_tier_matches_the_golden_corpus_bit_identically() {
     // The suite above runs whatever tier the host dispatches (or `UCNN_SIMD`
     // forces — the CI `simd` job re-runs the whole file once per tier). This
-    // test removes the env dependency: it drives every golden *layer* vector
-    // through every tier this machine can execute, in one process. Networks
-    // are covered by the env-forced CI legs — the per-layer entry point is
-    // the only one that takes an explicit tier.
-    use ucnn::core::flatten::run_flattened_batch_interleaved_forced;
-    use ucnn::core::simd::available_tiers;
-
-    let dir = golden_dir();
-    let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
-        .expect("tests/golden must exist (run with UCNN_REGEN_GOLDEN=1 to create it)")
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|e| e == "txt"))
-        .collect();
-    files.sort();
-
-    let mut layer_cases = 0usize;
-    for file in &files {
-        let name = file
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .expect("utf-8 file name")
-            .to_string();
-        let text = std::fs::read_to_string(file).expect("read golden vector");
-        let GoldenCase::Layer {
-            name,
-            geom,
-            conv_groups,
-            g,
-            ct,
-            weights,
-            input,
-            output,
-        } = parse(&name, &text)
-        else {
-            continue;
+    // test removes the env dependency: it drives every golden vector, layer
+    // and network alike, through every tier this machine can execute, in one
+    // process — through the one entry point that takes a tier, a layer as a
+    // one-stage list.
+    let (mut layers, mut networks) = (0usize, 0usize);
+    let cfg = |g, ct| UcnnConfig {
+        g,
+        ct,
+        ..UcnnConfig::default()
+    };
+    for case in golden_cases() {
+        let (name, stages, input, output) = match case {
+            GoldenCase::Layer {
+                name,
+                geom,
+                conv_groups,
+                g,
+                ct,
+                weights,
+                input,
+                output,
+            } => {
+                layers += 1;
+                let layer = CompiledLayer::compile(&geom, conv_groups, &weights, &cfg(g, ct));
+                let stage = CompiledStage::Conv {
+                    name: name.clone(),
+                    layer,
+                    is_fc: false,
+                };
+                (name, vec![stage], input, output)
+            }
+            GoldenCase::Network {
+                name,
+                network,
+                g,
+                ct,
+                weights,
+                input,
+                output,
+            } => {
+                networks += 1;
+                let spec = spec_by_name(&network);
+                let plan = CompiledNetwork::compile(&spec, &weights, &cfg(g, ct));
+                (name, plan.stages().to_vec(), input, output)
+            }
         };
-        layer_cases += 1;
-        let cfg = UcnnConfig {
-            g,
-            ct,
-            ..UcnnConfig::default()
-        };
-        let layer = CompiledLayer::compile(&geom, conv_groups, &weights, &cfg);
         for &tier in available_tiers() {
             for (b, threads) in SHAPES {
                 let inputs = vec![input.clone(); b];
-                let got = run_flattened_batch_interleaved_forced(&layer, &inputs, threads, tier);
+                let got = run_stages(&stages, &inputs, threads, tier);
                 assert_eq!(got.len(), b, "{name}: {} wrong batch size", tier.name());
                 for (i, out) in got.iter().enumerate() {
                     assert_eq!(
@@ -702,7 +710,7 @@ fn every_isa_tier_matches_the_golden_corpus_bit_identically() {
         }
     }
     assert!(
-        layer_cases >= 7,
-        "expected the full layer corpus, found {layer_cases} vectors"
+        layers >= 7 && networks >= 2,
+        "expected the full corpus, found {layers} layer and {networks} network vectors"
     );
 }
