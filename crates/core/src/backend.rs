@@ -8,8 +8,8 @@
 //! [`CompiledLayer`] — or a whole [`CompiledNetwork`] — over a batch of
 //! inputs, every registered backend is
 //! **bit-identical** to the dense reference (enforced by the golden
-//! conformance corpus in `tests/golden/` and the cross-backend property
-//! test), and callers select one with a [`BackendKind`] threaded end to end
+//! conformance corpus in `tests/golden/` and the seeded equivalence
+//! oracle), and callers select one with a [`BackendKind`] threaded end to end
 //! from the serving engine's config down to the inner loop.
 //!
 //! | kind | inner loop | where it wins |
@@ -109,8 +109,8 @@ impl std::str::FromStr for BackendKind {
 /// Outputs must be **bit-identical** to the dense reference
 /// (`ucnn_model::reference::conv2d`) for every input, batch size, and
 /// thread count — the conformance corpus (`tests/conformance.rs`) and the
-/// cross-backend property test (`crates/core/tests/properties.rs`) run
-/// every registered backend against exactly that bar. Backends that cannot
+/// equivalence oracle (`crates/core/src/flatten/oracle.rs`) run every
+/// registered backend against exactly that bar. Backends that cannot
 /// exploit `threads` simply ignore it; an empty batch returns an empty
 /// vector.
 pub trait Backend: Send + Sync {

@@ -60,8 +60,8 @@ pub struct LayerWork {
     /// Layer executions that had to build (or wait for) the lowering.
     pub lowering_misses: u64,
     /// Lane chunks the flattened backends cut the batch into: whole strips
-    /// of the tier's width, then 16, then 8 images, and below eight one
-    /// image per chunk. Each chunk walks the CSR indirection stream on its
+    /// of the tier's width, then 16, then 8 images, then the rest as one
+    /// chunk. Each chunk walks the CSR indirection stream on its
     /// own, feeding up to [`lane_width`](LayerWork::lane_width) lanes per
     /// walk. Zero for backends that do not interleave.
     pub lane_strips: u64,
@@ -69,8 +69,8 @@ pub struct LayerWork {
     /// output positions × the chunk's images behind one indirection read
     /// (at most the dispatched tier's
     /// [`SimdTier::strip_lanes`](crate::simd::SimdTier::strip_lanes); one
-    /// position per strip on strided and fully connected layers; 1 for the
-    /// planar walk, 0 when not applicable). Merged by `max`, so an
+    /// position per strip on strided and fully connected layers; 0 when not
+    /// applicable). Merged by `max`, so an
     /// aggregate row reports the widest strip that served it — the per-ISA
     /// issued-op profile.
     pub lane_width: u64,

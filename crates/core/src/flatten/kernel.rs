@@ -1,16 +1,13 @@
 //! The datapath: the one strip body over a lowered tile, its
-//! `#[target_feature]` tier kernels, the strip shapes a chunk runs, and the
-//! planar oracle. The only file of the crate with `unsafe` in it.
+//! `#[target_feature]` tier kernels, and the strip shapes a chunk runs. The
+//! only file of the crate with `unsafe` in it.
 
 use std::ops::Range;
 
-use ucnn_tensor::{ConvGeom, Tensor3};
+use ucnn_tensor::ConvGeom;
 
-use super::network::stage_chunk;
-use super::scratch::{with_thread_scratch, FlattenedScratch};
 use super::{walked_once, FlattenedTile};
-use crate::plan::CompiledLayer;
-use crate::simd::{resolve_tier, Probed, SimdCaps, SimdTier};
+use crate::simd::{Probed, SimdTier};
 
 /// The scalar tier's interleave width — and the narrowest pitch: a chunk of
 /// fewer images fills it with copies of them (see the module docs). Eight
@@ -27,7 +24,8 @@ impl FlattenedTile {
     /// The shared strip kernel body: adds this tile's partial sums for `LW`
     /// lanes at once, over the positions `run.ys` of the output rows `run.xs`.
     /// `input` holds a chunk staged `PITCH` lanes wide, `input[off · PITCH + lane]`
-    /// over the zero-haloed plane (see [`stage_chunk`]), `out` is the
+    /// over the zero-haloed plane (see
+    /// [`stage_chunk`](super::network::stage_chunk)), `out` is the
     /// lane-major accumulator of the tile's **filter band** — `g` output
     /// planes starting at the tile's first filter,
     /// `out[off · PITCH + lane]` with `off` counted from that filter's
@@ -41,13 +39,11 @@ impl FlattenedTile {
     /// The `LW` lanes are `LW / PITCH` neighbouring output positions × the
     /// chunk's `PITCH` lanes (see [`strip_runs`]): at stride 1 those read
     /// `LW` contiguous staged values from `(base + delta) · PITCH` — with
-    /// `PITCH == LW` one line-aligned row of the staged plane — and
-    /// `LW == PITCH == 1` **is** the planar walk, which is how
-    /// [`run_flattened`] executes. A runtime pitch spilled phase 1's
-    /// loop-invariant pointers in the wide kernels (+11–35 % per call,
-    /// docs/LAB.md § `positions`); the one-check `as_chunks` row is kept
-    /// where it applies and a flattened `as_chunks::<PITCH>` window measured
-    /// no better elsewhere (§ `strips`).
+    /// `PITCH == LW` one line-aligned row of the staged plane. A runtime
+    /// pitch spilled phase 1's loop-invariant pointers in the wide kernels
+    /// (+11–35 % per call, docs/LAB.md § `positions`); the one-check
+    /// `as_chunks` row is kept where it applies and a flattened
+    /// `as_chunks::<PITCH>` window measured no better elsewhere (§ `strips`).
     ///
     /// Per lane the i32 operation sequence is independent of `LW` and of
     /// the strip's shape: one indirection walk feeds all `LW` lanes, and
@@ -239,8 +235,8 @@ mod tier_kernels {
 ///
 /// The `unsafe` blocks satisfy the `#[target_feature]` contract by type: a
 /// [`Probed`] tier can only be minted by clamping to the CPU's detected
-/// capabilities ([`SimdCaps::probe`], in `run_chunked` and
-/// [`run_flattened`]), so a gated kernel only runs when its feature was
+/// capabilities ([`SimdCaps::probe`](crate::simd::SimdCaps::probe), in
+/// `run_chunked`), so a gated kernel only runs when its feature was
 /// probed present. Foreign-architecture tiers fold into the scalar arm at
 /// compile time via the `cfg`s.
 #[allow(unsafe_code)]
@@ -390,7 +386,7 @@ pub(super) fn strip_runs(
 macro_rules! strip_kernels {
     ($(($lw:literal, $pitch:literal))*) => {
         #[cfg(test)]
-        const KERNELS: &[(usize, usize)] = &[$(($lw, $pitch)),*];
+        pub(super) const KERNELS: &[(usize, usize)] = &[$(($lw, $pitch)),*];
 
         /// Dispatches one [`StripRun`] to its monomorphized kernel.
         pub(super) fn accumulate_tile_lanes(
@@ -412,46 +408,44 @@ macro_rules! strip_kernels {
     };
 }
 
-// The planar walk, and the pitches [`next_chunk_width`]'s chunks stage at
-// (8, 16, 32) at every power-of-two depth up to 128 lanes: 13 kernels per
-// ISA tier, each one emitted by some tier and nothing else
+// The pitches [`chunk_widths`]' chunks stage at (8, 16, 32) at every
+// power-of-two depth up to 128 lanes: 12 kernels per ISA tier, each one
+// emitted by some tier and nothing else
 // (`every_strip_has_a_kernel_and_every_kernel_a_strip`).
 strip_kernels! {
-    (1, 1)
     (8, 8) (16, 8) (32, 8) (64, 8) (128, 8)
     (16, 16) (32, 16) (64, 16) (128, 16)
     (32, 32) (64, 32) (128, 32)
 }
 
-/// The width of the next lane chunk when `rest` images remain and the
-/// dispatched tier interleaves `lane_width` at once: whole tier-width chunks
-/// first, then 16, then [`LANE_WIDTH`], then the rest as one chunk — which
-/// fills the pitch it stages at with copies of its images ([`Lanes`]).
-pub(super) fn next_chunk_width(rest: usize, lane_width: usize) -> usize {
-    if rest >= lane_width {
-        lane_width
-    } else if rest >= 16 {
-        16
-    } else {
-        rest.min(LANE_WIDTH)
-    }
+/// The widths of the lane chunks a batch of `images` runs in, in order, when
+/// the dispatched tier interleaves `lane_width` at once: whole tier-width
+/// chunks first, then 16, then [`LANE_WIDTH`], then the rest as one chunk —
+/// which fills the pitch it stages at with copies of its images ([`Lanes`]).
+pub(super) fn chunk_widths(images: usize, lane_width: usize) -> impl Iterator<Item = usize> {
+    let mut rest = images;
+    std::iter::from_fn(move || {
+        let width = match rest {
+            0 => return None,
+            r if r >= lane_width => lane_width,
+            r if r >= 16 => 16,
+            r => r.min(LANE_WIDTH),
+        };
+        rest -= width;
+        Some(width)
+    })
 }
 
 /// How a batch of `batch` images of a layer runs on `tier`: the lane chunks
-/// [`next_chunk_width`] cuts it into and the widest strip any of them runs
+/// [`chunk_widths`] cuts it into and the widest strip any of them runs
 /// ([`strip_runs`]) — the analytic
 /// [`LayerWork::lane_strips`](crate::counters::LayerWork::lane_strips) and
 /// [`LayerWork::lane_width`](crate::counters::LayerWork::lane_width).
 #[must_use]
 pub(crate) fn strip_profile(geom: &ConvGeom, batch: usize, tier: SimdTier) -> (usize, usize) {
-    let (mut rest, mut chunks, mut widest) = (batch, 0, 0);
-    while rest > 0 {
-        let lw = next_chunk_width(rest, tier.lane_width());
-        widest = widest.max(widest_strip(geom, lw, tier));
-        rest -= lw;
-        chunks += 1;
-    }
-    (chunks, widest)
+    chunk_widths(batch, tier.lane_width()).fold((0, 0), |(chunks, widest), lw| {
+        (chunks + 1, widest.max(widest_strip(geom, lw, tier)))
+    })
 }
 
 /// The widest strip a chunk of `lw` images runs: its first [`strip_runs`]
@@ -463,111 +457,39 @@ fn widest_strip(geom: &ConvGeom, lw: usize, tier: SimdTier) -> usize {
     first.map_or(lanes.pitch, |run| run.width)
 }
 
-/// Executes a [`CompiledLayer`] through its flattened tiles — bit-identical
-/// to [`run_compiled`](crate::exec::run_compiled()) with no per-entry
-/// decode or closure branching in the inner loops.
-///
-/// # Panics
-///
-/// Panics if `input` does not match the compiled layer's geometry.
-///
-/// # Examples
-///
-/// ```
-/// use ucnn_core::compile::UcnnConfig;
-/// use ucnn_core::exec::run_compiled;
-/// use ucnn_core::flatten::run_flattened;
-/// use ucnn_core::plan::CompiledLayer;
-/// use ucnn_tensor::{ConvGeom, Tensor3, Tensor4};
-///
-/// let geom = ConvGeom::new(5, 5, 3, 2, 3, 3);
-/// let filters = Tensor4::from_fn(2, 3, 3, 3, |k, c, r, s| ((k + c + r + s) % 3) as i16);
-/// let input = Tensor3::from_fn(3, 5, 5, |c, x, y| ((c + x + 2 * y) % 7) as i16);
-/// let layer = CompiledLayer::compile(&geom, 1, &filters, &UcnnConfig::with_g(2));
-/// assert_eq!(run_flattened(&layer, &input), run_compiled(&layer, &input));
-/// ```
-#[must_use]
-pub fn run_flattened(layer: &CompiledLayer, input: &Tensor3<i16>) -> Tensor3<i32> {
-    let geom = layer.geom();
-    let inputs = std::slice::from_ref(input);
-    crate::exec::check_batch_inputs(layer, inputs);
-    let tier = SimdCaps::get().probe(resolve_tier());
-    let mut out = Tensor3::<i32>::zeros(geom.k(), geom.out_w(), geom.out_h());
-    let plane = geom.out_w() * geom.out_h();
-    let out_slice = out.as_mut_slice();
-    with_thread_scratch(1, |arenas| {
-        let FlattenedScratch {
-            planes: [staged, _],
-            prefix,
-            ..
-        } = &mut arenas[0];
-        let staged = stage_chunk(inputs, geom.pad(), 1, staged);
-        // The oracle keeps the one-position-per-walk form at every
-        // geometry: it is what every wider strip is checked against.
-        let (xs, ys) = (0..geom.out_w(), 0..geom.out_h());
-        let run = StripRun {
-            width: 1,
-            pitch: 1,
-            xs,
-            ys,
-        };
-        for tile in layer.flat_tiles() {
-            // Width 1 *is* the planar layout, so the tile's band is simply
-            // its filters' planes of the output.
-            let band = &mut out_slice[tile.k_first * plane..][..tile.g * plane];
-            let prefix = prefix.rows_mut(tile.rows);
-            accumulate_width::<1, 1>(tile, staged, band, geom, prefix, &run, tier);
-        }
-    });
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{backend, BackendKind};
     use crate::compile::UcnnConfig;
-    use crate::exec::run_compiled;
-    use crate::flatten::network::tests::check_bands_against_reference;
+    use crate::flatten::oracle::{Alphabet, Case};
     use crate::flatten::run_layer;
-    use crate::simd::available_tiers;
-    use ucnn_model::{reference, ActivationGen, QuantScheme, WeightGen};
-    use ucnn_tensor::Tensor4;
+    use crate::plan::CompiledLayer;
+    use crate::simd::resolve_tier;
+    use ucnn_model::reference;
+    use ucnn_tensor::{Tensor3, Tensor4};
 
-    fn check(geom: ConvGeom, conv_groups: usize, g: usize, ct: usize, seed: u64) {
-        let mut wgen = WeightGen::new(QuantScheme::inq(), seed).with_density(0.8);
-        let weights = wgen.generate_dims(geom.k(), geom.c(), geom.r(), geom.s());
-        let mut agen = ActivationGen::new(seed ^ 0xF1A7);
-        let input = agen.generate(geom.c() * conv_groups, geom.in_w(), geom.in_h());
-        let cfg = UcnnConfig {
-            g,
-            ct,
-            ..UcnnConfig::default()
-        };
-        let layer = CompiledLayer::compile(&geom, conv_groups, &weights, &cfg);
-        let expected = reference::conv2d(&geom, conv_groups, &input, &weights);
-        assert_eq!(run_compiled(&layer, &input), expected, "run_compiled");
-        assert_eq!(run_flattened(&layer, &input), expected, "run_flattened");
-        // The batch-interleaved executor must agree at every chunk width:
-        // distinct images per lane so a lane mix-up cannot cancel out.
-        let mut agen = ActivationGen::new(seed ^ 0x1A9E5);
-        for b in [1usize, 2, 5, LANE_WIDTH, LANE_WIDTH + 3] {
-            let batch: Vec<Tensor3<i16>> = (0..b)
-                .map(|_| agen.generate(geom.c() * conv_groups, geom.in_w(), geom.in_h()))
-                .collect();
-            check_bands_against_reference(&layer, &weights, &batch, "interleaved");
+    // Named cases of the oracle, pinned: a change of its generator can move
+    // what the seeds draw, not these.
+
+    /// `case` at one image (eight copies), two (four copies each), five
+    /// (one copy), a chunk of eight, and eight and three.
+    fn at_small_batches(case: Case) {
+        for batch in [1, 2, 5, 8, 11] {
+            Case { batch, ..case }.check();
         }
     }
 
     #[test]
     fn fc_shape_is_branch_free_and_exact() {
         let geom = ConvGeom::new(1, 1, 64, 10, 1, 1);
-        check(geom, 1, 2, 16, 3);
+        at_small_batches(Case::pinned(3, geom, 1, 2, 16));
     }
 
     #[test]
     fn padded_strided_conv_takes_checked_path_and_stays_exact() {
         let geom = ConvGeom::new(11, 9, 5, 6, 3, 3).with_stride(2).with_pad(1);
-        check(geom, 1, 2, 3, 4);
+        at_small_batches(Case::pinned(4, geom, 1, 2, 3));
     }
 
     #[test]
@@ -577,14 +499,12 @@ mod tests {
         // sides: ix < 0 and iy < 0 at the (0, 0) output corner, ix ≥ in_w /
         // iy ≥ in_h at the far corners once the stride pushes the gather
         // base past the plane. Non-square input (7×6) keeps the two axes
-        // from masking each other's bugs. Every corner output (where the
-        // reads land in the halo) must agree with the dense reference bit
-        // for bit.
+        // from masking each other's bugs.
         for (stride, seed) in [(1usize, 21u64), (2, 22), (3, 23)] {
             let geom = ConvGeom::new(7, 6, 3, 4, 3, 3)
                 .with_stride(stride)
                 .with_pad(2);
-            check(geom, 1, 2, 2, seed);
+            at_small_batches(Case::pinned(seed, geom, 1, 2, 2));
         }
     }
 
@@ -594,7 +514,7 @@ mod tests {
         // stay inside each group's channel band of the haloed plane even
         // while the spatial deltas go negative.
         let geom = ConvGeom::new(6, 7, 3, 4, 3, 3).with_stride(2).with_pad(2);
-        check(geom, 2, 2, 2, 24);
+        at_small_batches(Case::pinned(24, geom, 2, 2, 2));
     }
 
     #[test]
@@ -610,9 +530,7 @@ mod tests {
         let weights = Tensor4::from_fn(1, 1, 3, 3, |_, _, _, _| 1i16);
         let input = Tensor3::filled(1, 7, 6, 1i16);
         let layer = CompiledLayer::compile(&geom, 1, &weights, &UcnnConfig::default());
-        let out = run_flattened(&layer, &input);
-        let expected = reference::conv2d(&geom, 1, &input, &weights);
-        assert_eq!(out, expected);
+        let out = reference::conv2d(&geom, 1, &input, &weights);
         assert_eq!(out[(0, 0, 0)], 1, "top-left corner: 8 of 9 reads clip");
         assert_eq!(
             out[(0, geom.out_w() - 1, 0)],
@@ -629,17 +547,18 @@ mod tests {
             2,
             "bottom-right corner clips ix ≥ in_w and iy ≥ in_h"
         );
-        // The interleaved kernel reads the same zero halo.
-        let batch = vec![input; 4];
-        for got in run_layer(&layer, &batch, 1, resolve_tier()) {
-            assert_eq!(got, expected);
+        // The kernels read the same zero halo, one image or several.
+        for batch in [1, 4] {
+            for got in run_layer(&layer, &vec![input.clone(); batch], 1, resolve_tier()) {
+                assert_eq!(got, out);
+            }
         }
     }
 
     #[test]
     fn grouped_conv_exact() {
         let geom = ConvGeom::new(7, 7, 4, 6, 3, 3).with_pad(1);
-        check(geom, 2, 2, 4, 5);
+        at_small_batches(Case::pinned(5, geom, 2, 2, 4));
     }
 
     #[test]
@@ -648,127 +567,25 @@ mod tests {
         // fused level alone, G = 4 three outer levels above it.
         let geom = ConvGeom::new(8, 8, 10, 4, 3, 3);
         for g in 1..=4 {
-            check(geom, 1, g, 4, 6);
+            at_small_batches(Case::pinned(6, geom, 1, g, 4));
         }
-    }
-
-    #[test]
-    fn strips_of_positions_by_images_match_the_planar_walk() {
-        // Every strip shape a chunk can take — the cascade over output rows
-        // that are a power of two, one short, one over, and narrower than
-        // any strip — against `run_flattened`, on every tier, with batches
-        // that mix chunk widths (24 = 16 + 8, 40 = 32 + 8, 9 = 8 + 1) and
-        // chunks of 1–7 images, whose copies split 1 + 2·pad output rows at
-        // stride 1 in every cell and, in a twin alternating so each (groups,
-        // G) meets both, 7 at stride 2 or 12 (no multiple of a band count).
-        // One output position (pad 0, out row 1) is walked once. Release
-        // builds (where `i32` sums wrap rather than panic) give the first two
-        // filters (an outer level and, at G = 2, the fused innermost one) and
-        // the first two images the extreme values: 18 taps of ±32767² wrap.
-        let wrap = !cfg!(debug_assertions);
-        let (mut case, mut ran) = (0u64, 0);
-        for out_h in [1usize, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 33] {
-            for pad in 0..=2usize {
-                let pairs = [(1usize, 1), (1, 2), (1, 4), (2, 1), (2, 2), (2, 4)];
-                for (j, (conv_groups, g)) in pairs.into_iter().enumerate() {
-                    let twin = [(2, 7), (1, 12)][(out_h + pad + j) % 2];
-                    for (stride, out_w) in [(1, 1 + 2 * pad), twin] {
-                        case += 1;
-                        // `validated` takes the filter against the padded plane.
-                        let dim = |out: usize| (stride * (out - 1) + 3).checked_sub(2 * pad);
-                        let (Some(w), Some(h @ 1..)) = (dim(out_w), dim(out_h)) else {
-                            continue;
-                        };
-                        let geom = ConvGeom::validated(w, h, 2, 4, 3, 3, stride, pad).unwrap();
-                        assert_eq!((geom.out_w(), geom.out_h()), (out_w, out_h));
-                        ran += 1;
-                        let mut wgen =
-                            WeightGen::new(QuantScheme::inq(), 500 + case).with_density(0.8);
-                        let drawn = wgen.generate_dims(4, 2, 3, 3);
-                        let weights = Tensor4::from_fn(4, 2, 3, 3, |k, c, r, s| match k {
-                            0 if wrap => i16::MAX,
-                            1 if wrap => i16::MIN,
-                            _ => drawn[(k, c, r, s)],
-                        });
-                        let cfg = UcnnConfig {
-                            g,
-                            ct: 2,
-                            ..UcnnConfig::default()
-                        };
-                        let layer = CompiledLayer::compile(&geom, conv_groups, &weights, &cfg);
-                        let mut agen = ActivationGen::new(case ^ 0x57A1);
-                        let c = 2 * conv_groups;
-                        let images: Vec<Tensor3<i16>> = (0..40)
-                            .map(|i| match i {
-                                0 if wrap => Tensor3::filled(c, w, h, i16::MAX),
-                                1 if wrap => Tensor3::filled(c, w, h, i16::MIN),
-                                _ => agen.generate(c, w, h),
-                            })
-                            .collect();
-                        let planar: Vec<Tensor3<i32>> =
-                            images.iter().map(|i| run_flattened(&layer, i)).collect();
-                        for &tier in available_tiers() {
-                            for b in [1usize, 2, 3, 5, 7, 8, 9, 16, 24, 32, 40] {
-                                assert_eq!(
-                                    run_layer(&layer, &images[..b], 1, tier),
-                                    planar[..b],
-                                    "{geom:?}, groups {conv_groups}, G {g}, tier {}, B={b}",
-                                    tier.name()
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        // Stride 1 skips two unpaddable (out row, pad) blocks; of the twins,
-        // stride 2 skips three and 12 columns six (out row ≤ 2, pad 2).
-        assert_eq!(ran, (13 * 3 - 2) * 6 + 13 * 3 * 6 - 9);
     }
 
     #[test]
     fn every_available_tier_is_bit_identical() {
-        // Cheap in-process tier sweep: full-width + residual batches per
-        // tier, threaded and not, against the planar per-image walk and the
-        // dense reference. An INQ FC, an INQ conv and a ternary-TTQ FC keep
-        // `±2^k` alphabets checked on every tier. The conformance corpus
-        // repeats this against golden vectors; this is the fast in-module
-        // guard.
-        let cases = [
-            (ConvGeom::new(1, 1, 64, 8, 1, 1), QuantScheme::inq()),
-            (
-                ConvGeom::new(4, 4, 3, 4, 3, 3).with_pad(1),
-                QuantScheme::inq(),
-            ),
-            (ConvGeom::new(1, 1, 64, 8, 1, 1), QuantScheme::ttq()),
-        ];
-        let mut agen = ActivationGen::new(55);
-        for (ci, (geom, scheme)) in cases.into_iter().enumerate() {
-            let mut wgen = WeightGen::new(scheme, 50 + ci as u64).with_density(0.8);
-            let weights = wgen.generate_dims(geom.k(), geom.c(), geom.r(), geom.s());
-            let layer = CompiledLayer::compile(&geom, 1, &weights, &UcnnConfig::with_g(2));
-            for &tier in available_tiers() {
-                let lane = tier.lane_width();
-                for b in [lane, lane + 3] {
-                    let inputs: Vec<Tensor3<i16>> = (0..b)
-                        .map(|_| agen.generate(geom.c(), geom.in_w(), geom.in_h()))
-                        .collect();
-                    let expected: Vec<Tensor3<i32>> = inputs
-                        .iter()
-                        .map(|i| reference::conv2d(&geom, 1, i, &weights))
-                        .collect();
-                    let planar: Vec<Tensor3<i32>> =
-                        inputs.iter().map(|i| run_flattened(&layer, i)).collect();
-                    assert_eq!(planar, expected, "case {ci}: planar walk");
-                    for threads in [1usize, 3] {
-                        assert_eq!(
-                            run_layer(&layer, &inputs, threads, tier),
-                            expected,
-                            "case {ci}, tier {}, B={b}, {threads} threads",
-                            tier.name()
-                        );
-                    }
-                }
+        // An INQ FC, an INQ conv and a ternary-TTQ FC, each one chunk of
+        // every tier's width and three more images, over three threads.
+        let fc = ConvGeom::new(1, 1, 64, 8, 1, 1);
+        let conv = ConvGeom::new(4, 4, 3, 4, 3, 3).with_pad(1);
+        for (seed, geom, alphabet) in [
+            (50, fc, Alphabet::Inq),
+            (51, conv, Alphabet::Inq),
+            (52, fc, Alphabet::Ttq),
+        ] {
+            let mut case = Case::pinned(seed, geom, 1, 2, 64);
+            (case.alphabet, case.threads) = (alphabet, 3);
+            for batch in [11, 19, 35] {
+                Case { batch, ..case }.check();
             }
         }
     }
@@ -797,13 +614,11 @@ mod tests {
     fn chunk_decomposition_emits_only_kernel_widths() {
         for lane in [8usize, 16, 32] {
             for total in 1usize..=70 {
+                let seen_widths: Vec<usize> = chunk_widths(total, lane).collect();
                 let mut rest = total;
-                let mut seen_widths = Vec::new();
-                while rest > 0 {
-                    let w = next_chunk_width(rest, lane);
+                for &w in &seen_widths {
                     assert!(w == rest || matches!(w, 8 | 16 | MAX_CHUNK), "width {w}");
                     assert!(w <= lane, "width {w} exceeds tier lane {lane}");
-                    seen_widths.push(w);
                     rest -= w;
                 }
                 assert_eq!(seen_widths.iter().sum::<usize>(), total);
@@ -874,17 +689,16 @@ mod tests {
 
     #[test]
     fn every_strip_has_a_kernel_and_every_kernel_a_strip() {
-        // Both directions over the census domain and the planar oracle: a
-        // strip without a kernel is a panic waiting for its geometry, a
-        // kernel without a strip is dead code monomorphized three times.
+        // Both directions over the census domain: a strip without a kernel
+        // is a panic waiting for its geometry, a kernel without a strip is
+        // dead code monomorphized three times.
         let emitted: std::collections::BTreeSet<(usize, usize)> = census()
             .flat_map(|(.., runs)| runs)
             .map(|run| (run.width, run.pitch))
-            .chain([(1, 1)])
             .collect();
         let table: std::collections::BTreeSet<(usize, usize)> = KERNELS.iter().copied().collect();
         assert_eq!(table.len(), KERNELS.len(), "a kernel is listed twice");
-        assert_eq!(KERNELS.len(), 13, "kernels per tier");
+        assert_eq!(KERNELS.len(), 12, "kernels per tier");
         let missing: Vec<_> = emitted.difference(&table).collect();
         assert!(missing.is_empty(), "strips with no kernel: {missing:?}");
         let dead: Vec<_> = table.difference(&emitted).collect();
@@ -897,6 +711,7 @@ mod tests {
         let geom = ConvGeom::new(6, 6, 4, 4, 3, 3);
         let weights = Tensor4::from_fn(4, 4, 3, 3, |_, _, _, _| 1i16);
         let layer = CompiledLayer::compile(&geom, 1, &weights, &UcnnConfig::default());
-        let _ = run_flattened(&layer, &Tensor3::filled(4, 5, 5, 1i16));
+        let exec = backend(BackendKind::FlattenedBatch);
+        let _ = exec.run_layer(&layer, &[Tensor3::filled(4, 5, 5, 1i16)], 1);
     }
 }

@@ -15,8 +15,8 @@ use crate::plan::CompiledTile;
 ///
 /// Built once per plan by `Lowering::lower_band` — lazily, on the
 /// first [`CompiledLayer::flat_tiles`](crate::plan::CompiledLayer::flat_tiles)
-/// call — then cached; executed by the strip kernels (planar:
-/// [`run_flattened`](super::run_flattened)).
+/// call — then cached; executed by the strip kernels behind
+/// [`run_stages`](super::run_stages).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FlattenedTile {
     /// Absolute output channel of the first filter of the tile's band.
@@ -680,15 +680,16 @@ pub(crate) fn walked_once(geom: &ConvGeom) -> bool {
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
     use crate::compile::UcnnConfig;
-    use crate::exec::run_compiled;
-    use crate::flatten::network::tests::check_bands_against_reference;
-    use crate::flatten::{run_flattened, run_layer};
+    use crate::flatten::oracle::check_layer;
+    use crate::flatten::run_layer;
     use crate::plan::CompiledLayer;
-    use crate::simd::available_tiers;
-    use ucnn_model::{ActivationGen, QuantScheme, WeightGen};
+    use crate::simd::resolve_tier;
+    use ucnn_model::{reference, ActivationGen, QuantScheme, WeightGen};
     use ucnn_tensor::{Tensor3, Tensor4};
 
     /// Lowers one retained stream as one `G`-level walk: sign-folded where
@@ -785,53 +786,22 @@ mod tests {
         }
     }
 
-    /// One case of `the_order_is_free_the_sum_is_not`, a function of `seed`
-    /// alone: the first 100 seeds are alphabet × G × geometry, later ones
-    /// the same cells under other weights.
-    fn order_case(seed: u64) {
-        let what = format!("seed {seed}");
-        let mut rng = ucnn_model::rng::SmallRng::seed_from_u64(seed);
-        let (inq, fixed) = (QuantScheme::inq(), QuantScheme::fixed_bits(8));
-        let alphabet: &[i16] = match seed % 5 {
-            0 => inq.nonzero_values(),
-            // Not sign-symmetric: folding merges nothing here.
-            1 => &[-3, 5],
-            2 => fixed.nonzero_values(),
-            3 => &[],
-            _ => &[i16::MIN, i16::MAX, 1, -1],
-        };
-        let g = 1 + (seed / 5 % 4) as usize;
-        // Padded; strided; grouped; ragged channel tiles; a 2 × 2 output.
-        let (geom, conv_groups, ct) = match seed / 20 % 5 {
-            0 => (ConvGeom::new(6, 5, 4, 6, 3, 3).with_pad(1), 1, 64),
-            1 => (ConvGeom::new(7, 7, 4, 6, 3, 3).with_stride(2), 1, 64),
-            2 => (ConvGeom::new(5, 5, 2, 6, 3, 3), 2, 64),
-            3 => (ConvGeom::new(5, 6, 5, 6, 3, 3), 1, 2),
-            _ => (ConvGeom::new(4, 4, 4, 6, 3, 3), 1, 64),
-        };
-        let mut weight = |_, _, _, _| match rng.next_u64() % (alphabet.len() as u64 + 1) {
-            0 => 0,
-            pick => alphabet[pick as usize - 1],
-        };
-        let weights = Tensor4::from_fn(geom.k(), geom.c(), 3, 3, &mut weight);
-        let cfg = UcnnConfig {
-            g,
-            ct,
-            ..UcnnConfig::default()
-        };
-        let layer = CompiledLayer::compile(&geom, conv_groups, &weights, &cfg);
-        let again = CompiledLayer::compile(&geom, conv_groups, &weights, &cfg);
-        assert_eq!(
-            layer.flat_tiles(),
-            again.flat_tiles(),
-            "{what}: equal weights, equal plans"
-        );
-
-        let (rs, pw, ph) = (
-            9,
-            geom.in_w() + 2 * geom.pad(),
-            geom.in_h() + 2 * geom.pad(),
-        );
+    /// Checks the lowering of `layer` against its streams, band by band:
+    /// each walk reads a permutation of the entries where its filters hold a
+    /// weight, folding adds no closes + outer segments to the stream's own,
+    /// the cheap count of the one-filter walks is what ordering them gives,
+    /// and the band took the cheaper walk (a tie keeps the hierarchy).
+    /// Returns the kinds of walk it met: "walked once", "shared" (one walk
+    /// of several filters) and "filter by filter".
+    pub(in crate::flatten) fn check_lowering(
+        layer: &CompiledLayer,
+        what: &str,
+    ) -> BTreeSet<&'static str> {
+        let geom = layer.geom();
+        let once = walked_once(geom);
+        let (s, rs) = (geom.s(), geom.r() * geom.s());
+        let (pw, ph) = (geom.in_w() + 2 * geom.pad(), geom.in_h() + 2 * geom.pad());
+        let mut kinds = BTreeSet::new();
         let mut flat = layer.flat_tiles().iter();
         for band in layer.tiles().chunk_by(|a, b| a.k_first() == b.k_first()) {
             let (k_first, levels) = (band[0].k_first(), band[0].stream().g());
@@ -842,6 +812,11 @@ mod tests {
                 apart || walks.len() == band.len(),
                 "{what}: a walk per tile or filter"
             );
+            kinds.extend(match (once, apart) {
+                (true, _) => Some("walked once"),
+                (_, true) => Some("filter by filter"),
+                _ => (levels > 1).then_some("shared"),
+            });
             let mut costs = [WalkCounts::default(); 3];
             for (ti, tile) in band.iter().enumerate() {
                 let stream = tile.stream();
@@ -852,8 +827,8 @@ mod tests {
                         .filter(|e| e.ranks[filters.clone()].iter().any(|&r| r != ZERO_RANK));
                     let mut offsets: Vec<u32> = walked
                         .map(|e| {
-                            let (c, rem) = (e.index as usize / rs, e.index as usize % rs);
-                            (((tile.c_first() + c) * pw + rem / 3) * ph + rem % 3) as u32
+                            let (c, tap) = (e.index as usize / rs, e.index as usize % rs);
+                            (((tile.c_first() + c) * pw + tap / s) * ph + tap % s) as u32
                         })
                         .collect();
                     offsets.sort_unstable();
@@ -871,7 +846,7 @@ mod tests {
                 // Folding may not add closes + outer segments to the
                 // stream's own, and the cheap count of the one-filter walks
                 // is what ordering them gives.
-                let shared = lower_shared(stream, k_first, tile.c_first(), &geom);
+                let shared = lower_shared(stream, k_first, tile.c_first(), geom);
                 let inner = stream.entries().filter(|e| e.close_level.is_some());
                 let inner = inner.filter(|e| e.ranks[levels - 1] != ZERO_RANK).count();
                 assert!(
@@ -886,7 +861,7 @@ mod tests {
                     mut seen,
                     mut single,
                     ..
-                } = Lowering::new(stream, &geom);
+                } = Lowering::new(stream, geom);
                 let mut read = BandTile::default();
                 read.read(stream, tile.c_first(), &layer, &mut sort);
                 let ordered = (0..levels).map(|f| {
@@ -898,57 +873,21 @@ mod tests {
                 assert_eq!(counted, ordered, "{what}: the un-share count");
                 costs[2] = [costs[2], ordered].into_iter().sum();
             }
-            // The band took the cheaper walk; a tie keeps the hierarchy.
+            // The band took the cheaper walk; a tie keeps the hierarchy, and
+            // a tile walked once keeps the stream's.
             let [lowered, shared, split] = costs.map(|c| c.cost());
             assert_eq!(
                 apart,
-                levels > 1 && split < shared,
+                !once && levels > 1 && split < shared,
                 "{what}: the un-share rule"
             );
             assert_eq!(lowered, if apart { split } else { shared }, "{what}");
         }
-
-        let mut agen = ActivationGen::new(seed ^ 0x0DE5);
-        let inputs: Vec<Tensor3<i16>> = (0..9)
-            .map(|_| agen.generate(geom.c() * conv_groups, geom.in_w(), geom.in_h()))
-            .collect();
-        let expected: Vec<Tensor3<i32>> = inputs.iter().map(|i| run_compiled(&layer, i)).collect();
-        assert_eq!(
-            run_flattened(&layer, &inputs[0]),
-            expected[0],
-            "{what}: planar"
-        );
-        for &tier in available_tiers() {
-            assert_eq!(
-                run_layer(&layer, &inputs, 1, tier),
-                expected,
-                "{what}: tier {}",
-                tier.name()
-            );
-        }
+        kinds
     }
 
     #[test]
     fn the_order_is_free_the_sum_is_not() {
-        // Lowering may reorder, regroup, negate and un-share a tile any way
-        // that keeps `Σ x·w`. A failure names the one seed that replays it
-        // (`PROPTEST_SEED`, the property tests' knob); otherwise the whole
-        // alphabet × G × geometry product runs, then further seeds for a
-        // second — the range is logged.
-        if let Some(seed) = std::env::var("PROPTEST_SEED")
-            .ok()
-            .and_then(|s| s.parse().ok())
-        {
-            return order_case(seed);
-        }
-        let start = std::time::Instant::now();
-        let mut seeds = 0;
-        while seeds < 100 || (seeds < 1000 && start.elapsed().as_secs() < 1) {
-            order_case(seeds);
-            seeds += 1;
-        }
-        println!("the_order_is_free_the_sum_is_not: seeds 0..{seeds}");
-
         // A sub-run longer than a `u16` is cut into records that telescope
         // to `Δw = 0`: one group of (7, 7) then (−7, −7) entries, the plus
         // or the minus sub-run too long for one record, walked at two
@@ -975,7 +914,9 @@ mod tests {
                 let records = if walked_once(&geom) { 3 } else { 2 };
                 assert_eq!(tile.closes.len(), records, "{geom:?}, flip {flip}");
                 let input = agen.generate(c, geom.in_w(), geom.in_h());
-                assert_eq!(run_flattened(&layer, &input), run_compiled(&layer, &input));
+                let expected = reference::conv2d(&geom, 1, &input, &weights);
+                let got = run_layer(&layer, &[input], 1, resolve_tier());
+                assert_eq!(got, [expected], "{geom:?}, flip {flip}");
             }
         }
     }
@@ -1050,7 +991,7 @@ mod tests {
         let mut agen = ActivationGen::new(10);
         for b in [1usize, 9, 32] {
             let inputs: Vec<Tensor3<i16>> = (0..b).map(|_| agen.generate(7, 1, 9)).collect();
-            check_bands_against_reference(&layer, &weights, &inputs, "folded zero groups");
+            check_layer(&layer, &weights, &inputs, 2, "folded zero groups");
         }
     }
 }

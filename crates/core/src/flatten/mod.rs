@@ -36,20 +36,23 @@
 //!   from counts alone.
 //! * `kernel.rs` — the datapath: the one strip body, its
 //!   `#[target_feature]` tier kernels (the crate's only `unsafe`, reached
-//!   through a tier token only detection can mint), the strip shapes a
-//!   chunk runs, and the planar oracle [`run_flattened`].
+//!   through a tier token only detection can mint), and the strip shapes a
+//!   chunk runs.
 //! * `scratch.rs` — the cache-line-aligned row buffers, the arena that
 //!   holds them and the per-thread pool of arenas.
 //! * `network.rs` — the chunk-major driver: staging in and out of the lane
 //!   layout, filter bands, the epilogue, pooling, and [`run_stages`], the
 //!   one entry point that takes a tier.
+//! * `oracle.rs` (tests only) — the referee: layer cases drawn from one
+//!   `u64` seed each, run through every backend and every tier, held to the
+//!   dense reference (`reference::conv2d`, then `relu_saturate`).
 //!
 //! # Lowering owns the order of the walk
 //!
 //! Lane sums are wrapping `i32` — a ring — so the walk need not be the
 //! stream's: any order, grouping or sharing that keeps `Σ x·w` per filter
-//! gives **bit-identical** outputs (the conformance corpus, the cross-backend
-//! property test and `the_order_is_free_the_sum_is_not` pin this down), and
+//! gives **bit-identical** outputs (the conformance corpus and the seeded
+//! equivalence oracle hold every walk to the dense reference), and
 //! UCNN's argument (§III) — zero-skipping is only the special case of reusing
 //! *repeated* weights — goes one step further than exact repetition.
 //! `Lowering::lower_band` chooses, from counts alone:
@@ -87,9 +90,8 @@
 //!
 //! The paper's vector datapath amortizes one indirection stream across `VW`
 //! lanes (§VI): the iterator walk is paid once, the arithmetic is wide. A
-//! per-image walk ([`run_flattened`], kept as the tests' planar oracle) does
-//! the opposite over a batch — every image re-pays every gather offset and
-//! segment bound.
+//! per-image walk would do the opposite over a batch — every image re-paying
+//! every gather offset and segment bound.
 //! [`run_stages`] is the software analog of the hardware's lane sharing:
 //! the batch is cut into chunks of interleaved images
 //! (`input[off · LW + lane]`, planar offset major, image lane minor), and
@@ -105,8 +107,9 @@
 //! run the same strip body inside `#[target_feature]`-gated kernels so the
 //! compiler emits full-width 256/512-bit arithmetic. Per lane the i32
 //! operation sequence is identical at every width and every tier, so
-//! outputs stay bit-identical to [`run_flattened`] across all of them — the
-//! golden conformance corpus is the referee.
+//! outputs stay bit-identical across all of them — the dense reference is
+//! the referee, through the golden conformance corpus and the seeded
+//! equivalence oracle.
 //!
 //! # A strip is positions × images
 //!
@@ -162,9 +165,10 @@
 mod kernel;
 mod lower;
 mod network;
+#[cfg(test)]
+mod oracle;
 mod scratch;
 
-pub use kernel::run_flattened;
 pub use lower::FlattenedTile;
 pub use network::run_stages;
 

@@ -5,7 +5,7 @@
 use ucnn_model::PoolKind;
 use ucnn_tensor::Tensor3;
 
-use super::kernel::{accumulate_tile_lanes, next_chunk_width, strip_runs, Lanes};
+use super::kernel::{accumulate_tile_lanes, chunk_widths, strip_runs, Lanes};
 use super::kernel::{LANE_WIDTH, MAX_CHUNK};
 use super::scratch::{with_thread_scratch, FlattenedScratch, Rows};
 use crate::plan::{CompiledLayer, CompiledStage};
@@ -77,7 +77,7 @@ fn stage_lanes(images: &[Tensor3<i16>], (c, w, h): Dims, pad: usize, lw: usize, 
 /// The chunk as the strip kernels read it: staged `pitch` lanes wide
 /// through [`stage_lanes`] into `staged`'s cache-line-aligned rows, inside
 /// the `pad`-wide zero halo the gather offsets are lowered against.
-pub(super) fn stage_chunk<'a>(
+fn stage_chunk<'a>(
     inputs: &[Tensor3<i16>],
     pad: usize,
     pitch: usize,
@@ -360,15 +360,15 @@ fn divide_lanes(cell: &mut [i16], sum: &[i32], n: i32) {
 /// outputs, clamps `tier` to the CPU (minting the [`Probed`] token the
 /// kernels dispatch on, so forcing an unavailable tier runs the best
 /// supported one instead of faulting), cuts the batch into lane chunks at
-/// the widths `next_chunk_width` emits for it — the tier's interleave
+/// the widths `chunk_widths` emits for it — the tier's interleave
 /// width, 16, 8, then the rest as one chunk of row-shifted copies — and
 /// runs `chunk(inputs, outputs, arena, tier)` on each with an arena from
 /// the calling thread's pool, so steady-state serving allocates no scratch
 /// at any thread count. `threads > 1` deals contiguous runs of **whole
-/// tier-width chunks** to scoped threads: splitting finer would narrow the
-/// SIMD width of every worker's kernel, costing more than the extra thread
-/// buys (a batch of 32 on the `avx512` tier runs as one full-width chunk at
-/// any thread budget).
+/// tier-width chunks** to scoped threads, which together run the chunks one
+/// thread would: splitting finer would narrow the SIMD width of every
+/// worker's kernel, costing more than the extra thread buys (a batch of 32
+/// on the `avx512` tier runs as one full-width chunk at any thread budget).
 fn run_chunked(
     inputs: &[Tensor3<i16>],
     (c, w, h): Dims,
@@ -385,8 +385,8 @@ fn run_chunked(
     let mut outs: Vec<Tensor3<i32>> = inputs.iter().map(|_| Tensor3::zeros(c, w, h)).collect();
     let run = &|ins: &[Tensor3<i16>], outs: &mut [Tensor3<i32>], arena: &mut FlattenedScratch| {
         let mut start = 0;
-        while start < ins.len() {
-            let end = start + next_chunk_width(ins.len() - start, lane);
+        for width in chunk_widths(ins.len(), lane) {
+            let end = start + width;
             chunk(&ins[start..end], &mut outs[start..end], arena, tier);
             start = end;
         }
@@ -549,9 +549,9 @@ fn run_network_chunk(
 /// clamped to the CPU's detected capabilities, so forcing an unavailable
 /// one runs the best supported tier instead of faulting. `threads > 1`
 /// deals whole tier-width chunks to scoped threads. Outputs are
-/// **bit-identical** to [`run_flattened`](super::run_flattened) and to the
-/// dense reference's wiring (`ucnn_model::forward::dense_forward`) at every
-/// batch size, thread count and tier.
+/// **bit-identical** to the dense reference's wiring
+/// (`ucnn_model::forward::dense_forward`) at every batch size, thread count
+/// and tier.
 ///
 /// # Panics
 ///
@@ -562,9 +562,10 @@ fn run_network_chunk(
 ///
 /// ```
 /// use ucnn_core::compile::UcnnConfig;
-/// use ucnn_core::flatten::{run_flattened, run_stages};
+/// use ucnn_core::flatten::run_stages;
 /// use ucnn_core::plan::{CompiledLayer, CompiledStage};
 /// use ucnn_core::simd::available_tiers;
+/// use ucnn_model::reference;
 /// use ucnn_tensor::{ConvGeom, Tensor3, Tensor4};
 ///
 /// let geom = ConvGeom::new(1, 1, 16, 4, 1, 1);
@@ -573,10 +574,10 @@ fn run_network_chunk(
 /// let inputs: Vec<Tensor3<i16>> = (0..5)
 ///     .map(|b| Tensor3::from_fn(16, 1, 1, |c, _, _| ((b + c) % 7) as i16))
 ///     .collect();
-/// let planar: Vec<_> = inputs.iter().map(|i| run_flattened(&layer, i)).collect();
+/// let dense: Vec<_> = inputs.iter().map(|i| reference::conv2d(&geom, 1, i, &filters)).collect();
 /// let stages = [CompiledStage::Conv { name: "fc".into(), layer, is_fc: false }];
 /// for &tier in available_tiers() {
-///     assert_eq!(run_stages(&stages, &inputs, 1, tier), planar); // bit-identical
+///     assert_eq!(run_stages(&stages, &inputs, 1, tier), dense); // bit-identical
 /// }
 /// ```
 #[must_use]
@@ -586,6 +587,8 @@ pub fn run_stages(
     threads: usize,
     tier: SimdTier,
 ) -> Vec<Tensor3<i32>> {
+    assert!(threads > 0, "need at least one execution thread");
+    assert!(!stages.is_empty(), "need at least one stage");
     let Some(first) = inputs.first() else {
         return Vec::new();
     };
@@ -619,75 +622,20 @@ pub(crate) fn run_layer(
 }
 
 #[cfg(test)]
-pub(super) mod tests {
+mod tests {
     use super::*;
     use crate::compile::UcnnConfig;
+    use crate::flatten::oracle::{check_layer, Case};
     use crate::plan::CompiledNetwork;
-    use crate::simd::available_tiers;
-    use ucnn_model::{forward, reference, ActivationGen, QuantScheme, WeightGen};
+    use ucnn_model::{forward, reference};
     use ucnn_model::{LayerSpec, NetworkSpec};
     use ucnn_tensor::{ConvGeom, Tensor4};
-
-    /// Runs `layer` over `inputs` on every available tier at both thread
-    /// counts against the dense reference: raw sums through the per-layer
-    /// entry point, and the inter-layer epilogue (`relu_saturate`) through
-    /// the network pipeline — the layer followed by a 1×1 max-pool, which
-    /// hands the narrowed activations back unchanged (widened to `i32`).
-    pub(in crate::flatten) fn check_bands_against_reference(
-        layer: &CompiledLayer,
-        weights: &Tensor4<i16>,
-        inputs: &[Tensor3<i16>],
-        what: &str,
-    ) {
-        let sums: Vec<Tensor3<i32>> = inputs
-            .iter()
-            .map(|i| reference::conv2d(layer.geom(), layer.conv_groups(), i, weights))
-            .collect();
-        let acts: Vec<Tensor3<i32>> = sums
-            .iter()
-            .map(|s| {
-                let a = reference::relu_saturate(s);
-                Tensor3::from_fn(a.c(), a.w(), a.h(), |c, x, y| i32::from(a[(c, x, y)]))
-            })
-            .collect();
-        let stages = [
-            CompiledStage::Conv {
-                name: "layer".into(),
-                layer: layer.clone(),
-                is_fc: false,
-            },
-            CompiledStage::Pool {
-                name: "identity".into(),
-                kind: PoolKind::Max,
-                size: 1,
-                stride: 1,
-            },
-        ];
-        for &tier in available_tiers() {
-            for threads in [1usize, 2] {
-                let label = format!(
-                    "{what}, tier {}, B={}, {threads} threads",
-                    tier.name(),
-                    inputs.len()
-                );
-                assert_eq!(
-                    run_layer(layer, inputs, threads, tier),
-                    sums,
-                    "raw sums: {label}"
-                );
-                assert_eq!(
-                    run_stages(&stages, inputs, threads, tier),
-                    acts,
-                    "pipeline epilogue: {label}"
-                );
-            }
-        }
-    }
 
     #[test]
     fn band_staging_and_fused_epilogue_match_reference() {
         // (geometry, conv groups, G, Ct): each shape stresses one way a
-        // band can be assembled or scattered wrongly.
+        // band can be assembled or scattered wrongly — pinned cases of the
+        // oracle.
         let shapes = [
             // Bands fed by three channel tiles (C = 10 > Ct = 4): the
             // staging buffer must accumulate across tiles, not overwrite.
@@ -706,85 +654,46 @@ pub(super) mod tests {
                 2,
             ),
         ];
-        for (si, (geom, conv_groups, g, ct)) in shapes.into_iter().enumerate() {
-            let seed = 300 + si as u64;
-            let mut wgen = WeightGen::new(QuantScheme::inq(), seed).with_density(0.8);
-            let weights = wgen.generate_dims(geom.k(), geom.c(), geom.r(), geom.s());
-            let cfg = UcnnConfig {
-                g,
-                ct,
-                ..UcnnConfig::default()
-            };
-            let layer = CompiledLayer::compile(&geom, conv_groups, &weights, &cfg);
-            let mut agen = ActivationGen::new(seed ^ 0xBA9D);
-            for b in [1usize, 5, 8, 16, 32, 35] {
-                // Distinct images per lane, so a lane mix-up cannot cancel.
-                let inputs: Vec<Tensor3<i16>> = (0..b)
-                    .map(|_| agen.generate(geom.c() * conv_groups, geom.in_w(), geom.in_h()))
-                    .collect();
-                check_bands_against_reference(&layer, &weights, &inputs, &format!("shape {si}"));
+        for (seed, (geom, conv_groups, g, ct)) in (300..).zip(shapes) {
+            let pinned = Case::pinned(seed, geom, conv_groups, g, ct);
+            for batch in [1, 5, 8, 16, 32, 35] {
+                Case { batch, ..pinned }.check();
             }
         }
     }
 
     #[test]
     fn geometry_sweep_matches_reference_on_every_tier() {
-        // The single gather path against the dense reference over stride ×
-        // pad — including pad > r − 1, where whole windows sit in the halo —
-        // on a non-square plane, cycling grouped conv and G = 1..=4 through
-        // the cells (G = 1 has no outer level and keeps no row; G = 4 leaves
-        // a ragged band), with ragged channel tiles (C = 5, Ct = 2) and
-        // batches that straddle every strip width; a rest of fewer than
-        // eight images runs at pitch 8 in row-shifted copies.
-        let mut cases = Vec::new();
-        for stride in 1..=3 {
-            for pad in 0..=3 {
-                let geom = ConvGeom::new(7, 6, 5, 6, 3, 3)
-                    .with_stride(stride)
-                    .with_pad(pad);
-                cases.push((geom, [1usize, 5, 8, 16, 32, 35]));
-            }
-        }
+        // Pinned oracle cases over stride × pad — including pad > r − 1,
+        // where whole windows sit in the halo — on a non-square plane,
+        // cycling grouped conv and G = 1..=4 through the cells (G = 1 has no
+        // outer level and keeps no row; G = 4 leaves a ragged band), with
+        // ragged channel tiles (C = 5, Ct = 2) and batches that straddle
+        // every strip width; a rest of fewer than eight images runs at
+        // pitch 8 in row-shifted copies.
+        let grid = (1..=3).flat_map(|stride| {
+            (0..=3).map(move |pad| {
+                let geom = ConvGeom::new(7, 6, 5, 6, 3, 3).with_stride(stride);
+                (geom.with_pad(pad), [1, 5, 8, 16, 32, 35])
+            })
+        });
         // Position lanes over output rows that hit every tail split of
         // every strip width, at pad 0/1/2, with a strided and a 1-position
         // row as the fallbacks, for chunks of 1–7, 8 and 32 images.
-        for (ri, out_h) in [1usize, 2, 7, 8, 9, 12, 16, 17, 32, 33, 40]
-            .into_iter()
-            .enumerate()
-        {
+        let rows = [1usize, 2, 7, 8, 9, 12, 16, 17, 32, 33, 40].into_iter();
+        let rows = rows.enumerate().map(|(ri, out_h)| {
             // `ConvGeom::new` wants the filter inside the unpadded plane.
             let pad = (ri % 3).min((out_h - 1) / 2);
             let geom = ConvGeom::new(4, out_h + 2 - 2 * pad, 5, 6, 3, 3).with_pad(pad);
             assert_eq!(geom.out_h(), out_h);
-            cases.push((geom, [1, 2, 3, 7, 9, 33]));
-        }
-        cases.push((
-            ConvGeom::new(4, 35, 5, 6, 3, 3).with_stride(2).with_pad(1),
-            [1, 2, 3, 7, 9, 33],
-        ));
-        for (case, (geom, batches)) in cases.into_iter().enumerate() {
-            let (conv_groups, g) = (1 + case % 2, 1 + case % 4);
-            let seed = 400 + case as u64;
-            let mut wgen = WeightGen::new(QuantScheme::inq(), seed).with_density(0.8);
-            let weights = wgen.generate_dims(geom.k(), geom.c(), geom.r(), geom.s());
-            let cfg = UcnnConfig {
-                g,
-                ct: 2,
-                ..UcnnConfig::default()
-            };
-            let layer = CompiledLayer::compile(&geom, conv_groups, &weights, &cfg);
-            let mut agen = ActivationGen::new(seed ^ 0x5EE9);
-            for b in batches {
-                let inputs: Vec<Tensor3<i16>> = (0..b)
-                    .map(|_| agen.generate(geom.c() * conv_groups, geom.in_w(), geom.in_h()))
-                    .collect();
-                let what = format!(
-                    "stride {}, pad {}, out row {}, groups {conv_groups}, G {g}",
-                    geom.stride(),
-                    geom.pad(),
-                    geom.out_h()
-                );
-                check_bands_against_reference(&layer, &weights, &inputs, &what);
+            (geom, [1, 2, 3, 7, 9, 33])
+        });
+        let strided = ConvGeom::new(4, 35, 5, 6, 3, 3).with_stride(2).with_pad(1);
+        let cases = grid.chain(rows).chain([(strided, [1, 2, 3, 7, 9, 33])]);
+        for (case, (geom, batches)) in cases.enumerate() {
+            let pinned = Case::pinned(400 + case as u64, geom, 1 + case % 2, 1 + case % 4, 2);
+            for batch in batches {
+                Case { batch, ..pinned }.check();
             }
         }
     }
@@ -896,12 +805,7 @@ pub(super) mod tests {
             let layer = CompiledLayer::compile(&geom, 1, &weights, &UcnnConfig::with_g(g));
             for b in [1usize, 5, 32, 35] {
                 let inputs: Vec<Tensor3<i16>> = (0..b).map(image).collect();
-                check_bands_against_reference(
-                    &layer,
-                    &weights,
-                    &inputs,
-                    &format!("extremes, G {g}"),
-                );
+                check_layer(&layer, &weights, &inputs, 2, &format!("extremes, G {g}"));
             }
         }
         // The regimes were actually reached (image 0 starts at A = i16::MAX).
@@ -920,12 +824,33 @@ pub(super) mod tests {
         assert_eq!(sums[(5, 0, 0)], 32_767);
     }
 
+    fn small_layer() -> CompiledLayer {
+        let geom = ConvGeom::new(4, 4, 2, 2, 3, 3);
+        let weights = Tensor4::from_fn(2, 2, 3, 3, |_, _, _, _| 1i16);
+        CompiledLayer::compile(&geom, 1, &weights, &UcnnConfig::default())
+    }
+
     #[test]
     #[should_panic(expected = "need at least one execution thread")]
     fn rejects_zero_threads() {
-        let geom = ConvGeom::new(4, 4, 2, 2, 3, 3);
-        let weights = Tensor4::from_fn(2, 2, 3, 3, |_, _, _, _| 1i16);
-        let layer = CompiledLayer::compile(&geom, 1, &weights, &UcnnConfig::default());
-        let _ = run_layer(&layer, &[], 0, crate::simd::resolve_tier());
+        let _ = run_layer(&small_layer(), &[], 0, crate::simd::resolve_tier());
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one execution thread")]
+    fn run_stages_rejects_zero_threads_on_an_empty_batch() {
+        let stages = [CompiledStage::Conv {
+            name: "conv".into(),
+            layer: small_layer(),
+            is_fc: false,
+        }];
+        let _ = run_stages(&stages, &[], 0, crate::simd::resolve_tier());
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one stage")]
+    fn run_stages_rejects_no_stages() {
+        let input = Tensor3::filled(2, 4, 4, 1i16);
+        let _ = run_stages(&[], &[input], 1, crate::simd::resolve_tier());
     }
 }

@@ -103,13 +103,13 @@ pub(super) fn with_thread_scratch<R>(n: usize, f: impl FnOnce(&mut [FlattenedScr
 mod tests {
     use super::*;
     use crate::compile::UcnnConfig;
-    use crate::flatten::kernel::{next_chunk_width, LANE_WIDTH};
+    use crate::flatten::kernel::{chunk_widths, LANE_WIDTH};
     use crate::flatten::network::{haloed_len, run_layer_chunk};
-    use crate::flatten::{run_flattened, run_layer, run_stages, strip_profile};
+    use crate::flatten::{run_layer, run_stages, strip_profile};
     use crate::plan::{CompiledLayer, CompiledNetwork, CompiledStage};
     use crate::simd::{available_tiers, resolve_tier, SimdCaps, SimdTier};
     use ucnn_model::{forward, reference, ActivationGen, QuantScheme, WeightGen};
-    use ucnn_tensor::{ConvGeom, Tensor3};
+    use ucnn_tensor::{ConvGeom, Tensor3, Tensor4};
 
     /// A batch of one layer on one explicit arena, chunk by chunk — what
     /// `run_chunked` does per worker.
@@ -126,8 +126,8 @@ mod tests {
             .collect();
         let tier = SimdCaps::get().probe(tier);
         let mut start = 0;
-        while start < inputs.len() {
-            let end = start + next_chunk_width(inputs.len() - start, tier.tier().lane_width());
+        for width in chunk_widths(inputs.len(), tier.tier().lane_width()) {
+            let end = start + width;
             let (ins, outs) = (&inputs[start..end], &mut outs[start..end]);
             run_layer_chunk(layer, ins, outs, scratch, tier);
             start = end;
@@ -198,8 +198,10 @@ mod tests {
                 let inputs: Vec<Tensor3<i16>> = (0..b)
                     .map(|_| agen.generate(geom.c(), geom.in_w(), geom.in_h()))
                     .collect();
-                let expected: Vec<Tensor3<i32>> =
-                    inputs.iter().map(|i| run_flattened(&layer, i)).collect();
+                let expected: Vec<Tensor3<i32>> = inputs
+                    .iter()
+                    .map(|i| reference::conv2d(geom, 1, i, &weights))
+                    .collect();
                 assert_eq!(
                     run_on_arena(&layer, &inputs, &mut scratch, resolve_tier()),
                     expected,
@@ -222,19 +224,20 @@ mod tests {
             ConvGeom::new(1, 1, 48, 6, 1, 1),
             ConvGeom::new(5, 4, 3, 4, 3, 3).with_pad(1),
         ];
-        let layers: Vec<CompiledLayer> = geoms
+        let layers: Vec<(CompiledLayer, Tensor4<i16>)> = geoms
             .iter()
             .enumerate()
             .map(|(gi, geom)| {
                 let mut wgen = WeightGen::new(QuantScheme::inq(), 90 + gi as u64).with_density(0.8);
                 let weights = wgen.generate_dims(geom.k(), geom.c(), geom.r(), geom.s());
-                CompiledLayer::compile(geom, 1, &weights, &UcnnConfig::with_g(2))
+                let layer = CompiledLayer::compile(geom, 1, &weights, &UcnnConfig::with_g(2));
+                (layer, weights)
             })
             .collect();
         let mut scratch = FlattenedScratch::default();
         let mut agen = ActivationGen::new(91);
         let mut run = |scratch: &mut FlattenedScratch, tier: SimdTier, what: &str| {
-            for (layer, geom) in layers.iter().zip(&geoms) {
+            for ((layer, weights), geom) in layers.iter().zip(&geoms) {
                 // A full-width chunk (on the conv: strips of four positions
                 // × the chunk, capped by the tier), then a chunk of three at
                 // pitch 8 (two copies of each image on the conv, idle lanes
@@ -243,8 +246,10 @@ mod tests {
                 let inputs: Vec<Tensor3<i16>> = (0..b)
                     .map(|_| agen.generate(geom.c(), geom.in_w(), geom.in_h()))
                     .collect();
-                let expected: Vec<Tensor3<i32>> =
-                    inputs.iter().map(|i| run_flattened(layer, i)).collect();
+                let expected: Vec<Tensor3<i32>> = inputs
+                    .iter()
+                    .map(|i| reference::conv2d(geom, 1, i, weights))
+                    .collect();
                 let got = run_on_arena(layer, &inputs, scratch, tier);
                 assert_eq!(got, expected, "{what}, tier {}", tier.name());
             }
@@ -272,7 +277,7 @@ mod tests {
         // it runs on the widest tier: the chunk itself on the FC layer, four
         // positions (the conv's whole output row) × the chunk on the conv.
         let strips = [widest, (4 * widest).min(best.strip_lanes())];
-        let prefix = layers.iter().zip(strips).map(|(layer, strip)| {
+        let prefix = layers.iter().zip(strips).map(|((layer, _), strip)| {
             assert_eq!(strip_profile(layer.geom(), widest, best), (1, strip));
             layer.flat_tiles().iter().map(|t| t.rows).max().unwrap() * strip
         });

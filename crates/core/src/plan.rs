@@ -216,7 +216,7 @@ impl CompiledLayer {
 
     /// The branch-free flattened lowering of the layer, filter band by
     /// filter band in the order of [`CompiledLayer::tiles`] (consumed by
-    /// [`run_flattened`](crate::flatten::run_flattened)): lowering owns the
+    /// [`run_stages`](crate::flatten::run_stages)): lowering owns the
     /// order and the sharing of each walk, so a tile may lower to one walk
     /// per filter.
     ///

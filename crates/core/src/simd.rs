@@ -13,8 +13,8 @@
 //! `scalar` keeps the historical 8-lane strips the autovectorizer turns into
 //! baseline SSE2, `avx2` runs 16-wide strips, `avx512` 32-wide — each strip
 //! still performs the identical per-lane i32 operation sequence, so every
-//! tier stays bit-identical to the planar walk (the conformance corpus is
-//! the referee).
+//! tier stays bit-identical to the dense reference (the conformance corpus
+//! and the equivalence oracle are the referees).
 //!
 //! # The `UCNN_SIMD` knob
 //!

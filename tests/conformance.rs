@@ -150,8 +150,8 @@ fn corpus_definitions() -> Vec<GoldenCase> {
         },
         LayerDef {
             // Deep halo: pad 2 with a 3×3 filter makes every gather delta
-            // non-positive, so edge outputs clip reads on all four sides —
-            // the branchy checked-gather path of the flattened executors.
+            // non-positive, so edge outputs read the zero halo on all four
+            // sides of the flattened executor's staged plane.
             name: "layer_halo_pad2_stride2",
             geom: ConvGeom::new(7, 6, 3, 4, 3, 3).with_stride(2).with_pad(2),
             conv_groups: 1,
