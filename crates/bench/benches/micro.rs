@@ -13,11 +13,9 @@
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
-use ucnn_core::backend::{backend, BackendKind};
+use ucnn_core::backend::BackendKind;
 use ucnn_core::compile::{compile_layer, UcnnConfig};
-use ucnn_core::exec::{
-    factorized_conv, run_compiled, run_compiled_batch, run_compiled_batch_threads,
-};
+use ucnn_core::exec::{factorized_conv, run_compiled, run_compiled_batch};
 use ucnn_core::factorize::FilterFactorization;
 use ucnn_core::hierarchy::GroupStream;
 use ucnn_core::plan::{CompiledLayer, CompiledNetwork};
@@ -173,9 +171,6 @@ fn bench_batch_executor(c: &mut Criterion) {
         g.bench_function("batch_major", |b| {
             b.iter(|| black_box(run_compiled_batch(&plan, &inputs)))
         });
-        g.bench_function("batch_major_2_threads", |b| {
-            b.iter(|| black_box(run_compiled_batch_threads(&plan, &inputs, 2)))
-        });
         g.finish();
     }
 }
@@ -209,9 +204,8 @@ fn bench_backend_comparison(c: &mut Criterion) {
             if only.is_some_and(|k| k != kind) {
                 continue;
             }
-            let exec = backend(kind);
             g.bench_function(kind.name(), |b| {
-                b.iter(|| black_box(exec.run_layer(&plan, &inputs, 2)))
+                b.iter(|| black_box(kind.run_layer(&plan, &inputs)))
             });
         }
         g.finish();

@@ -4,7 +4,7 @@
 //! the paper's plots. `quick` variants shrink networks/sweeps so Criterion
 //! can run them repeatedly; the full variants feed `EXPERIMENTS.md`.
 
-use ucnn_core::backend::{backend, BackendKind};
+use ucnn_core::backend::BackendKind;
 use ucnn_core::compile::{compile_layer, compile_layer_sampled, UcnnConfig};
 use ucnn_core::encoding::{rle_bits_capped, EncodingParams, IitEncoding};
 use ucnn_core::exec::run_compiled;
@@ -728,7 +728,7 @@ pub fn backend_table(quick: bool) -> TableOut {
     ];
 
     let mut t = TableOut::new(
-        "Executor backends: per-image time (2 exec threads where supported)",
+        "Executor backends: per-image time (one thread)",
         &[
             "layer",
             "batch",
@@ -784,14 +784,14 @@ pub fn backend_table(quick: bool) -> TableOut {
                 variants.push((
                     kind.name().to_string(),
                     tier_label.to_string(),
-                    Box::new(move |ins| backend(kind).run_layer(plan, ins, 2)),
+                    Box::new(move |ins| kind.run_layer(plan, ins)),
                 ));
             }
             for &tier in available_tiers() {
                 variants.push((
                     format!("flattened-batch@{}", tier.name()),
                     tier.name().to_string(),
-                    Box::new(move |ins| run_stages(stages, ins, 2, tier)),
+                    Box::new(move |ins| run_stages(stages, ins, tier)),
                 ));
             }
             // Correctness (and warm-up): every variant must agree bit for

@@ -1,22 +1,22 @@
-//! Pluggable executor backends: one trait, three inner-loop shapes over the
-//! same retained plans.
+//! The executor backends: three inner-loop shapes over the same retained
+//! plans, dispatched by a `match` on [`BackendKind`].
 //!
 //! Every UCNN execution strategy computes the *same* arithmetic as the dense
 //! convolution, only reordered around weight repetition (§III) — so an
 //! executor is a swappable implementation detail, not a semantic choice.
-//! This module makes that explicit: a [`Backend`] executes a
-//! [`CompiledLayer`] — or a whole [`CompiledNetwork`] — over a batch of
-//! inputs, every registered backend is
-//! **bit-identical** to the dense reference (enforced by the golden
-//! conformance corpus in `tests/golden/` and the seeded equivalence
-//! oracle), and callers select one with a [`BackendKind`] threaded end to end
-//! from the serving engine's config down to the inner loop.
+//! This module makes that explicit: [`BackendKind::run_layer`] executes a
+//! [`CompiledLayer`] and [`BackendKind::run_network`] a whole
+//! [`CompiledNetwork`] over a batch of inputs, every kind in
+//! [`BackendKind::ALL`] is **bit-identical** to the dense reference
+//! (enforced by the golden conformance corpus in `tests/golden/` and the
+//! seeded equivalence oracle), and callers select one with a [`BackendKind`]
+//! passed end to end from the serving engine's config down to the inner loop.
 //!
 //! | kind | inner loop | where it wins |
 //! |------|-----------|----------------|
 //! | [`BackendKind::Factorized`] | re-sorts/factorizes per call | never — the paper's functional definition and the compile-amortization baseline |
-//! | [`BackendKind::BatchThreads`] | retained-stream walk: per image at B = 1, batch-major at B ≥ 2, scoped threads over filter bands × batch chunks when `threads > 1` | nowhere on speed; it is the serving engine's default until the benchmark's memory accounting lets the engine switch (see `EngineConfig::backend` in `ucnn-serve`) |
-//! | [`BackendKind::FlattenedBatch`] | branch-free flattened walk (one gather path for every geometry: padded layers are staged into a zero-haloed chunk; the innermost level multiplied in registers where its groups close, prefix rows kept only where an outer group closes) over SIMD lanes that are output positions × the chunk's images, a chunk of fewer than eight images filling eight lanes with row-shifted copies of itself, staged per filter band; a whole network runs chunk-major — each lane chunk stays batch-interleaved from the staged input to the last stage ([`Backend::run_network`]) | every measured cell; the library default ([`CompiledNetwork::DEFAULT_BACKEND`](crate::plan::CompiledNetwork::DEFAULT_BACKEND)) |
+//! | [`BackendKind::BatchThreads`] | retained-stream walk: per image at B = 1, batch-major at B ≥ 2 | nowhere on speed; it is the serving engine's default until the benchmark's memory accounting lets the engine switch (see `EngineConfig::backend` in `ucnn-serve`) |
+//! | [`BackendKind::FlattenedBatch`] | branch-free flattened walk (one gather path for every geometry: padded layers are staged into a zero-haloed chunk; the innermost level multiplied in registers where its groups close, prefix rows kept only where an outer group closes) over SIMD lanes that are output positions × the chunk's images, a chunk of fewer than eight images filling eight lanes with row-shifted copies of itself, staged per filter band; a whole network runs chunk-major — each lane chunk stays batch-interleaved from the staged input to the last stage ([`BackendKind::run_network`]) | every measured cell; the library default ([`CompiledNetwork::DEFAULT_BACKEND`](crate::plan::CompiledNetwork::DEFAULT_BACKEND)) |
 //!
 //! Which ISA tier the flattened executor runs is not a backend choice: the
 //! process works it out once from what it can observe
@@ -28,7 +28,7 @@ use ucnn_model::{forward::flatten_for_fc, reference};
 use ucnn_tensor::{Tensor3, Tensor4};
 
 use crate::counters::LayerWork;
-use crate::exec::{factorized_conv, run_compiled_batch_threads};
+use crate::exec::{factorized_conv, run_compiled_batch};
 use crate::flatten::{run_layer, run_stages, FlattenedTile};
 use crate::hierarchy::GroupStream;
 use crate::plan::{CompiledLayer, CompiledNetwork, CompiledStage};
@@ -40,10 +40,11 @@ pub enum BackendKind {
     /// Per-call re-factorization (`factorized_conv`): re-sorts the weights
     /// on every execution. The slow baseline that motivates retained plans.
     Factorized,
-    /// Retained-stream walk (`run_compiled_batch_threads`): the scalar
-    /// per-image walk at B = 1, one batch-major walk (each stream entry
-    /// decoded once for the whole batch) at B ≥ 2, parallelized over filter
-    /// bands × batch chunks with scoped threads when `threads > 1`.
+    /// Retained-stream walk (`run_compiled_batch`): the scalar per-image
+    /// walk at B = 1, one batch-major walk (each stream entry decoded once
+    /// for the whole batch) at B ≥ 2. It runs on one thread; the name is
+    /// kept because it keys the counters, `BENCH_backends.json` and the
+    /// engine's `Debug` string until the variant itself is deleted.
     BatchThreads,
     /// Branch-free flattened execution — compile-time lowered gather
     /// offsets and CSR group ranges, no entry decode — over
@@ -53,9 +54,10 @@ pub enum BackendKind {
     /// dispatched ISA tier allows (8 scalar/NEON, 16 AVX2, 32 AVX-512 —
     /// see [`SimdTier::lane_width`](crate::simd::SimdTier::lane_width)),
     /// through explicit `#[target_feature]` kernels picked once per
-    /// process by [`resolve_tier`]. Below eight images the lanes are
-    /// neighbouring output positions of one image instead (stride-1
-    /// layers), through the same kernels over the same lowered tiles.
+    /// process by [`resolve_tier`]. A chunk of fewer than eight images is
+    /// staged at pitch 8 like a chunk of eight, in row-shifted copies of
+    /// each image that walk a share of the output rows each, through the
+    /// same kernels over the same lowered tiles.
     FlattenedBatch,
 }
 
@@ -102,123 +104,143 @@ impl std::str::FromStr for BackendKind {
     }
 }
 
-/// An executor backend: runs a compiled layer over a batch of inputs.
+/// The executors, one `match` on the kind each.
 ///
 /// # Contract
 ///
-/// Outputs must be **bit-identical** to the dense reference
-/// (`ucnn_model::reference::conv2d`) for every input, batch size, and
-/// thread count — the conformance corpus (`tests/conformance.rs`) and the
-/// equivalence oracle (`crates/core/src/flatten/oracle.rs`) run every
-/// registered backend against exactly that bar. Backends that cannot
-/// exploit `threads` simply ignore it; an empty batch returns an empty
-/// vector.
-pub trait Backend: Send + Sync {
-    /// Which [`BackendKind`] this backend implements.
-    fn kind(&self) -> BackendKind;
-
-    /// Stable name (defaults to the kind's name).
-    fn name(&self) -> &'static str {
-        self.kind().name()
-    }
-
-    /// Executes `layer` over `inputs`, using at most `threads` execution
-    /// threads where the backend supports them.
+/// Outputs are **bit-identical** to the dense reference
+/// (`ucnn_model::reference::conv2d`) for every input and batch size — the
+/// conformance corpus (`tests/conformance.rs`) and the equivalence oracle
+/// (`crates/core/src/flatten/oracle.rs`) run every kind in
+/// [`BackendKind::ALL`] against exactly that bar. An empty batch returns an
+/// empty vector. Every executor runs on the calling thread.
+impl BackendKind {
+    /// Executes `layer` over `inputs`.
     ///
     /// # Panics
     ///
-    /// Panics if `threads == 0` or any input mismatches the layer geometry.
-    fn run_layer(
-        &self,
-        layer: &CompiledLayer,
-        inputs: &[Tensor3<i16>],
-        threads: usize,
-    ) -> Vec<Tensor3<i32>>;
+    /// Panics if any input mismatches the layer geometry.
+    #[must_use]
+    pub fn run_layer(self, layer: &CompiledLayer, inputs: &[Tensor3<i16>]) -> Vec<Tensor3<i32>> {
+        match self {
+            BackendKind::Factorized => {
+                // Plans retain only streams; the per-call baseline rebuilds
+                // the dense weights from them (exact) and re-factorizes
+                // every call.
+                let filters: Tensor4<i16> = layer.reconstruct_filters();
+                let (geom, groups, config) = (layer.geom(), layer.conv_groups(), layer.config());
+                let conv = |input| factorized_conv(geom, groups, input, &filters, config);
+                inputs.iter().map(conv).collect()
+            }
+            BackendKind::BatchThreads => run_compiled_batch(layer, inputs),
+            BackendKind::FlattenedBatch => run_layer(layer, inputs, resolve_tier()),
+        }
+    }
 
-    /// Runs the whole of `net` over `inputs` (already checked against its
-    /// input dims, non-empty) with the wiring rule of
+    /// Runs the whole of `net` over `inputs` with the wiring rule of
     /// `ucnn_model::forward::dense_forward`: ReLU-saturated `i16`
     /// activations between stages, the last stage's raw `i32` output
     /// returned (a trailing pool's activations widened).
+    /// [`CompiledNetwork::forward_batch_with`] is the checked entry point: it
+    /// holds the inputs to the network's input dims and records the reuse
+    /// counters.
     ///
-    /// The default is the per-layer loop: every stage materializes its
-    /// per-image tensors — [`Backend::run_layer`], each `i32` output
-    /// consumed into its [`reference::relu_saturate`]d successor so the two
-    /// whole-batch tensors never coexist, [`reference::pool2d`] image by
-    /// image. A backend that can keep the batch in its own layout from
-    /// stage to stage overrides it.
+    /// The stream walkers loop layer by layer over per-image tensors; the
+    /// flattened executor runs chunk-major — every lane chunk runs the
+    /// whole network batch-interleaved, transposed once on the way in and
+    /// once on the way out ([`run_stages`]).
     ///
     /// # Panics
     ///
-    /// Panics if `threads == 0` or the activations reaching a stage
-    /// mismatch its geometry.
-    fn run_network(
-        &self,
-        net: &CompiledNetwork,
-        inputs: &[Tensor3<i16>],
-        threads: usize,
-    ) -> Vec<Tensor3<i32>> {
-        let last = net.stages().len() - 1;
-        // The first stage reads the caller's tensors in place; every later
-        // one owns the previous stage's output.
-        let mut acts: Cow<'_, [Tensor3<i16>]> = Cow::Borrowed(inputs);
-        for (si, stage) in net.stages().iter().enumerate() {
-            match stage {
-                CompiledStage::Conv { layer, is_fc, .. } => {
-                    if *is_fc {
-                        let flat = |a| flatten_for_fc(a, layer.geom().c());
-                        acts = acts.into_owned().into_iter().map(flat).collect();
-                    }
-                    let sums = self.run_layer(layer, &acts, threads);
-                    if si == last {
-                        return sums;
-                    }
-                    let relu = |sums| reference::relu_saturate(&sums);
-                    acts = sums.into_iter().map(relu).collect();
-                }
-                CompiledStage::Pool {
-                    kind, size, stride, ..
-                } => {
-                    let pool = |a| reference::pool2d(a, *kind, *size, *stride);
-                    acts = acts.iter().map(pool).collect();
-                    if si == last {
-                        let widen = |a: &Tensor3<i16>| {
-                            Tensor3::from_fn(a.c(), a.w(), a.h(), |c, x, y| i32::from(a[(c, x, y)]))
-                        };
-                        return acts.iter().map(widen).collect();
-                    }
-                }
+    /// Panics if the activations reaching a stage mismatch its geometry.
+    #[must_use]
+    pub fn run_network(self, net: &CompiledNetwork, inputs: &[Tensor3<i16>]) -> Vec<Tensor3<i32>> {
+        match self {
+            BackendKind::Factorized | BackendKind::BatchThreads => {
+                layer_by_layer(self, net, inputs)
             }
+            BackendKind::FlattenedBatch => run_stages(net.stages(), inputs, resolve_tier()),
         }
-        unreachable!("stages is non-empty, so the loop always returns")
     }
 
-    /// Eagerly builds whatever lazily derived execution state this backend
-    /// needs for `layer` (a no-op for the stream walkers). The flattened
-    /// backend forces the `OnceLock` lowering here so the first request
-    /// after deploy does not pay lowering latency in its tail — see
-    /// [`CompiledNetwork::warm`](crate::plan::CompiledNetwork::warm).
-    fn warm(&self, layer: &CompiledLayer) {
-        let _ = layer;
+    /// Eagerly builds whatever lazily derived execution state this kind
+    /// needs for `layer` (nothing for the stream walkers): the flattened
+    /// executor's `OnceLock` lowering, so the first request after deploy
+    /// does not pay lowering latency in its tail — see
+    /// [`CompiledNetwork::warm`].
+    pub(crate) fn warm(self, layer: &CompiledLayer) {
+        if self == BackendKind::FlattenedBatch {
+            let _ = layer.flat_tiles();
+        }
     }
 
-    /// The work one `run_layer(layer, inputs, _)` call with `batch` inputs
-    /// performs, as reuse telemetry for
-    /// [`counters`](crate::counters): analytic counts derived from the
-    /// retained plan, **not** measured by instrumenting the inner loop — so
-    /// the accounting is O(tiles) and bit-identical at every thread count.
-    /// The stream walkers report the stream's counts, equal between them;
-    /// the flattened backend reports what its lowered walks issue — at
-    /// most the stream walkers' multiplies (folding only merges groups), and
+    /// The work one `run_layer(layer, inputs)` call with `batch` inputs
+    /// performs, as reuse telemetry for [`counters`](crate::counters):
+    /// analytic counts derived from the retained plan, **not** measured by
+    /// instrumenting the inner loop — so the accounting is O(tiles). The
+    /// stream walkers report the stream's counts, equal between them; the
+    /// flattened executor reports what its lowered walks issue — at most
+    /// the stream walkers' multiplies (folding only merges groups), and
     /// more gathers only where a band is walked filter by filter.
     ///
     /// `lowering_was_ready` is whether the flattened lowering existed
-    /// before the call (captured by the caller); backends without derived
-    /// lowering state ignore it.
-    fn work(&self, layer: &CompiledLayer, batch: usize, lowering_was_ready: bool) -> LayerWork {
-        let _ = lowering_was_ready;
-        stream_walk_work(layer, batch)
+    /// before the call (captured by the caller); the stream walkers ignore
+    /// it.
+    pub(crate) fn work(
+        self,
+        layer: &CompiledLayer,
+        batch: usize,
+        lowering_was_ready: bool,
+    ) -> LayerWork {
+        match self {
+            BackendKind::Factorized | BackendKind::BatchThreads => stream_walk_work(layer, batch),
+            BackendKind::FlattenedBatch => flattened_work(layer, batch, lowering_was_ready),
+        }
     }
+}
+
+/// The stream walkers' network loop: every stage materializes its
+/// per-image tensors — [`BackendKind::run_layer`], each `i32` output
+/// consumed into its [`reference::relu_saturate`]d successor so the two
+/// whole-batch tensors never coexist, [`reference::pool2d`] image by image.
+fn layer_by_layer(
+    backend: BackendKind,
+    net: &CompiledNetwork,
+    inputs: &[Tensor3<i16>],
+) -> Vec<Tensor3<i32>> {
+    let last = net.stages().len() - 1;
+    // The first stage reads the caller's tensors in place; every later one
+    // owns the previous stage's output.
+    let mut acts: Cow<'_, [Tensor3<i16>]> = Cow::Borrowed(inputs);
+    for (si, stage) in net.stages().iter().enumerate() {
+        match stage {
+            CompiledStage::Conv { layer, is_fc, .. } => {
+                if *is_fc {
+                    let flat = |a| flatten_for_fc(a, layer.geom().c());
+                    acts = acts.into_owned().into_iter().map(flat).collect();
+                }
+                let sums = backend.run_layer(layer, &acts);
+                if si == last {
+                    return sums;
+                }
+                let relu = |sums| reference::relu_saturate(&sums);
+                acts = sums.into_iter().map(relu).collect();
+            }
+            CompiledStage::Pool {
+                kind, size, stride, ..
+            } => {
+                let pool = |a| reference::pool2d(a, *kind, *size, *stride);
+                acts = acts.iter().map(pool).collect();
+                if si == last {
+                    let widen = |a: &Tensor3<i16>| {
+                        Tensor3::from_fn(a.c(), a.w(), a.h(), |c, x, y| i32::from(a[(c, x, y)]))
+                    };
+                    return acts.iter().map(widen).collect();
+                }
+            }
+        }
+    }
+    unreachable!("stages is non-empty, so the loop always returns")
 }
 
 /// The analytic per-call work of any stream-walking backend: every tile's
@@ -276,110 +298,6 @@ fn flattened_work(layer: &CompiledLayer, batch: usize, lowering_was_ready: bool)
     work
 }
 
-struct FactorizedBackend;
-
-impl Backend for FactorizedBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Factorized
-    }
-
-    fn run_layer(
-        &self,
-        layer: &CompiledLayer,
-        inputs: &[Tensor3<i16>],
-        threads: usize,
-    ) -> Vec<Tensor3<i32>> {
-        assert!(threads > 0, "need at least one execution thread");
-        // Plans retain only streams; the per-call baseline rebuilds the
-        // dense weights from them (exact) and re-factorizes every call.
-        let filters: Tensor4<i16> = layer.reconstruct_filters();
-        inputs
-            .iter()
-            .map(|input| {
-                factorized_conv(
-                    layer.geom(),
-                    layer.conv_groups(),
-                    input,
-                    &filters,
-                    layer.config(),
-                )
-            })
-            .collect()
-    }
-}
-
-struct BatchThreadsBackend;
-
-impl Backend for BatchThreadsBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::BatchThreads
-    }
-
-    fn run_layer(
-        &self,
-        layer: &CompiledLayer,
-        inputs: &[Tensor3<i16>],
-        threads: usize,
-    ) -> Vec<Tensor3<i32>> {
-        run_compiled_batch_threads(layer, inputs, threads)
-    }
-}
-
-struct FlattenedBatchBackend;
-
-impl Backend for FlattenedBatchBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::FlattenedBatch
-    }
-
-    fn run_layer(
-        &self,
-        layer: &CompiledLayer,
-        inputs: &[Tensor3<i16>],
-        threads: usize,
-    ) -> Vec<Tensor3<i32>> {
-        run_layer(layer, inputs, threads, resolve_tier())
-    }
-
-    /// Chunk-major: every lane chunk runs the whole network
-    /// batch-interleaved, transposed once on the way in and once on the
-    /// way out.
-    fn run_network(
-        &self,
-        net: &CompiledNetwork,
-        inputs: &[Tensor3<i16>],
-        threads: usize,
-    ) -> Vec<Tensor3<i32>> {
-        run_stages(net.stages(), inputs, threads, resolve_tier())
-    }
-
-    fn warm(&self, layer: &CompiledLayer) {
-        let _ = layer.flat_tiles();
-    }
-
-    fn work(&self, layer: &CompiledLayer, batch: usize, lowering_was_ready: bool) -> LayerWork {
-        flattened_work(layer, batch, lowering_was_ready)
-    }
-}
-
-/// Resolves a [`BackendKind`] to its (stateless, `'static`) implementation.
-#[must_use]
-pub fn backend(kind: BackendKind) -> &'static dyn Backend {
-    match kind {
-        BackendKind::Factorized => &FactorizedBackend,
-        BackendKind::BatchThreads => &BatchThreadsBackend,
-        BackendKind::FlattenedBatch => &FlattenedBatchBackend,
-    }
-}
-
-/// Every registered backend, in [`BackendKind::ALL`] order — the set the
-/// conformance suite iterates, so a new backend added here is tested for
-/// free.
-#[must_use]
-pub fn all_backends() -> Vec<&'static dyn Backend> {
-    BackendKind::ALL.into_iter().map(backend).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -416,7 +334,7 @@ mod tests {
         for kind in BackendKind::ALL {
             let layer = CompiledLayer::compile(&geom, 1, &weights, &UcnnConfig::with_g(2));
             assert!(!layer.flat_ready());
-            backend(kind).warm(&layer);
+            kind.warm(&layer);
             assert_eq!(
                 layer.flat_ready(),
                 kind == BackendKind::FlattenedBatch,
@@ -426,19 +344,10 @@ mod tests {
     }
 
     #[test]
-    fn registry_resolves_every_kind() {
-        assert_eq!(all_backends().len(), BackendKind::ALL.len());
-        for kind in BackendKind::ALL {
-            assert_eq!(backend(kind).kind(), kind);
-            assert_eq!(backend(kind).name(), kind.name());
-        }
-    }
-
-    #[test]
     fn every_backend_matches_dense_reference() {
         // One layer through `run_layer`, and a conv → conv → pool network
-        // through `run_network` — provided or overridden, the wiring is
-        // exactly `dense_forward`'s.
+        // through `run_network` — layer by layer or chunk-major, the wiring
+        // is exactly `dense_forward`'s.
         let mut net = NetworkSpec::new("pair");
         net.push(LayerSpec::conv(
             "c1",
@@ -464,28 +373,11 @@ mod tests {
             .iter()
             .map(|i| forward::dense_forward(&net, &weights, i))
             .collect();
-        for b in all_backends() {
-            for threads in [1, 3] {
-                assert_eq!(
-                    b.run_layer(layer, &inputs, threads),
-                    expected,
-                    "backend {} at {threads} threads",
-                    b.name()
-                );
-                assert_eq!(
-                    b.run_network(&plan, &inputs, threads),
-                    expected_net,
-                    "backend {} network at {threads} threads",
-                    b.name()
-                );
-                assert!(b.run_layer(layer, &[], threads).is_empty());
-            }
+        for kind in BackendKind::ALL {
+            assert_eq!(kind.run_layer(layer, &inputs), expected, "backend {kind}");
+            let got = kind.run_network(&plan, &inputs);
+            assert_eq!(got, expected_net, "backend {kind} network");
+            assert!(kind.run_layer(layer, &[]).is_empty());
         }
-    }
-
-    #[test]
-    fn backends_are_object_safe_and_send_sync() {
-        fn assert_send_sync<T: Send + Sync + ?Sized>() {}
-        assert_send_sync::<dyn Backend>();
     }
 }

@@ -6,18 +6,16 @@
 //! offline benches assert that ratio once; this module measures it from
 //! whatever actually executes, aggregated per **network × layer × backend ×
 //! batch-size bucket**, so the serving path can report how much reuse each
-//! layer realizes under real traffic (and a future cost-model autotuner has
-//! training data).
+//! layer realizes under real traffic.
 //!
 //! The sink is disabled by default and every [`record`] call is gated on a
 //! single relaxed atomic load, so the serving hot path pays one branch when
 //! telemetry is off. Counts are *analytic*: they are derived from the
-//! retained plan structure per `run_layer` call (see
-//! [`Backend::work`](crate::backend::Backend::work)), never from
-//! instrumented inner loops — which keeps recording O(tiles) per layer
-//! batch, and makes totals bit-identical across thread counts by
-//! construction (the same calls record the same analytic values regardless
-//! of how the work was scheduled).
+//! retained plan structure per layer of a forward (by the executed
+//! [`BackendKind`](crate::backend::BackendKind)), never from instrumented
+//! inner loops — which keeps recording O(tiles) per layer batch, and makes
+//! totals independent of how the work was scheduled (the same calls record
+//! the same analytic values, on whichever threads they ran).
 //!
 //! Recording is sharded: each thread hashes to one of a fixed set of
 //! mutex-protected maps (one lock acquisition per executed layer batch, not

@@ -251,170 +251,6 @@ pub fn run_compiled_batch(layer: &CompiledLayer, inputs: &[Tensor3<i16>]) -> Vec
     outs
 }
 
-/// One independently executable slice of a layer: all channel tiles of one
-/// filter group, writing a contiguous output-channel band.
-struct FilterBand {
-    /// First output channel of the band.
-    k_lo: usize,
-    /// Output channels the band produces (the group's stream width).
-    channels: usize,
-    /// Index range into [`CompiledLayer::tiles`].
-    tiles: std::ops::Range<usize>,
-}
-
-/// Splits the plan's tiles into filter bands: tiles sharing a `k_first`
-/// write disjoint, contiguous output-channel ranges, so bands can execute
-/// on different threads without synchronizing on the output tensor.
-fn filter_bands(layer: &CompiledLayer) -> Vec<FilterBand> {
-    let tiles = layer.tiles();
-    let mut bands: Vec<FilterBand> = Vec::new();
-    for (i, tile) in tiles.iter().enumerate() {
-        match bands.last_mut() {
-            Some(band) if band.k_lo == tile.k_first() => band.tiles.end = i + 1,
-            _ => bands.push(FilterBand {
-                k_lo: tile.k_first(),
-                channels: tile.stream().g(),
-                tiles: i..i + 1,
-            }),
-        }
-    }
-    debug_assert!(
-        bands
-            .windows(2)
-            .all(|w| w[0].k_lo + w[0].channels == w[1].k_lo),
-        "filter bands must tile the output channels contiguously"
-    );
-    bands
-}
-
-/// [`run_compiled_batch`] parallelized across filter bands × batch chunks
-/// with scoped threads.
-///
-/// Work is split into (filter band × batch chunk) units that write disjoint
-/// output regions, distributed round-robin over at most `threads` scoped
-/// worker threads. Because each image's arithmetic is untouched by the
-/// partitioning, results are **bit-identical at every thread count** — the
-/// determinism tests in `tests/batch_determinism.rs` pin this down.
-///
-/// `threads == 1` is exactly [`run_compiled_batch`] (no threads spawned).
-///
-/// # Panics
-///
-/// Panics if `threads == 0`, if any input mismatches the layer geometry, or
-/// if a worker thread panics.
-#[must_use]
-pub fn run_compiled_batch_threads(
-    layer: &CompiledLayer,
-    inputs: &[Tensor3<i16>],
-    threads: usize,
-) -> Vec<Tensor3<i32>> {
-    assert!(threads > 0, "need at least one execution thread");
-    // Serial execution and batches of ≤ 1 spawn nothing: run_compiled_batch
-    // also routes a single image to the scalar walk, so light-load latency
-    // is unaffected by the exec-thread knob.
-    if threads == 1 || inputs.len() <= 1 {
-        return run_compiled_batch(layer, inputs);
-    }
-    check_batch_inputs(layer, inputs);
-    let geom = layer.geom();
-    let (out_w, out_h) = (geom.out_w(), geom.out_h());
-    let rs = geom.r() * geom.s();
-    let s_dim = geom.s();
-    let stride = geom.stride() as isize;
-    let pad = geom.pad() as isize;
-    let plane = out_w * out_h;
-    let b = inputs.len();
-
-    let bands = filter_bands(layer);
-    // Enough batch chunks to keep every thread busy even when the layer has
-    // few filter bands (e.g. a two-group FC head).
-    let chunks = threads.div_ceil(bands.len()).min(b);
-    let mut ranges = Vec::with_capacity(chunks);
-    let mut lo = 0usize;
-    for ci in 0..chunks {
-        let hi = lo + (b - lo) / (chunks - ci);
-        ranges.push(lo..hi.max(lo + 1));
-        lo = ranges.last().expect("just pushed").end;
-    }
-    debug_assert_eq!(lo, b);
-
-    let mut outs: Vec<Tensor3<i32>> = inputs
-        .iter()
-        .map(|_| Tensor3::zeros(geom.k(), out_w, out_h))
-        .collect();
-
-    // Slice every output tensor into per-band contiguous channel runs
-    // (storage is row-major over (c, x, y), so a channel band is one slice).
-    let mut by_band: Vec<Vec<&mut [i32]>> = bands.iter().map(|_| Vec::with_capacity(b)).collect();
-    for out in &mut outs {
-        let mut rest: &mut [i32] = out.as_mut_slice();
-        for (bi, band) in bands.iter().enumerate() {
-            let (head, tail) = rest.split_at_mut(band.channels * plane);
-            by_band[bi].push(head);
-            rest = tail;
-        }
-        debug_assert!(rest.is_empty());
-    }
-
-    // One work item per (band × batch chunk); each owns its output slices.
-    struct Item<'a> {
-        tiles: &'a [crate::plan::CompiledTile],
-        inputs: &'a [Tensor3<i16>],
-        outs: Vec<&'a mut [i32]>,
-        k_lo: usize,
-    }
-    let mut items = Vec::with_capacity(bands.len() * chunks);
-    for (band, mut slices) in bands.iter().zip(by_band) {
-        for range in &ranges {
-            let rest = slices.split_off(range.len());
-            items.push(Item {
-                tiles: &layer.tiles()[band.tiles.clone()],
-                inputs: &inputs[range.clone()],
-                outs: slices,
-                k_lo: band.k_lo,
-            });
-            slices = rest;
-        }
-    }
-
-    let workers = threads.min(items.len());
-    let mut buckets: Vec<Vec<Item<'_>>> = (0..workers).map(|_| Vec::new()).collect();
-    for (i, item) in items.into_iter().enumerate() {
-        buckets[i % workers].push(item);
-    }
-
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = buckets
-            .into_iter()
-            .map(|bucket| {
-                scope.spawn(move || {
-                    for mut item in bucket {
-                        for tile in item.tiles {
-                            accumulate_tile_batch(
-                                tile.stream(),
-                                item.inputs,
-                                &mut item.outs,
-                                tile.k_first() - item.k_lo,
-                                tile.c_first(),
-                                rs,
-                                s_dim,
-                                stride,
-                                pad,
-                                out_w,
-                                out_h,
-                            );
-                        }
-                    }
-                })
-            })
-            .collect();
-        for handle in handles {
-            handle.join().expect("batch executor thread panicked");
-        }
-    });
-    outs
-}
-
 /// Asserts every batch input matches the compiled layer's geometry (shared
 /// with the flattened executors in [`crate::flatten`]).
 pub(crate) fn check_batch_inputs(layer: &CompiledLayer, inputs: &[Tensor3<i16>]) {
@@ -652,8 +488,7 @@ mod tests {
             out,
             "run_compiled diverged from factorized_conv"
         );
-        // The batch-major paths must agree with per-image execution, at
-        // every thread count.
+        // The batch-major path must agree with per-image execution.
         let inputs: Vec<Tensor3<i16>> = std::iter::once(input)
             .chain((0..2).map(|_| agen.generate(geom.c() * conv_groups, geom.in_w(), geom.in_h())))
             .collect();
@@ -663,13 +498,6 @@ mod tests {
             expected,
             "run_compiled_batch diverged from sequential run_compiled"
         );
-        for threads in [2, 3] {
-            assert_eq!(
-                run_compiled_batch_threads(&layer, &inputs, threads),
-                expected,
-                "run_compiled_batch_threads({threads}) diverged"
-            );
-        }
     }
 
     #[test]
@@ -774,21 +602,6 @@ mod tests {
         assert_eq!(batch.len(), 1);
         assert_eq!(batch[0], run_compiled(&layer, &input));
         assert!(run_compiled_batch(&layer, &[]).is_empty());
-        assert!(run_compiled_batch_threads(&layer, &[], 4).is_empty());
-    }
-
-    #[test]
-    fn batch_threads_exceeding_work_still_exact() {
-        // More threads than (bands × images): excess threads idle, results
-        // unchanged.
-        let geom = ConvGeom::new(5, 5, 3, 2, 3, 3);
-        let mut wgen = WeightGen::new(QuantScheme::ttq(), 42).with_density(0.6);
-        let weights = wgen.generate_dims(2, 3, 3, 3);
-        let layer = CompiledLayer::compile(&geom, 1, &weights, &UcnnConfig::with_g(2));
-        let mut agen = ActivationGen::new(43);
-        let inputs: Vec<Tensor3<i16>> = (0..2).map(|_| agen.generate(3, 5, 5)).collect();
-        let expected: Vec<Tensor3<i32>> = inputs.iter().map(|i| run_compiled(&layer, i)).collect();
-        assert_eq!(run_compiled_batch_threads(&layer, &inputs, 16), expected);
     }
 
     #[test]
@@ -800,15 +613,6 @@ mod tests {
         let good = Tensor3::filled(4, 6, 6, 1i16);
         let bad = Tensor3::filled(4, 5, 5, 1i16);
         let _ = run_compiled_batch(&layer, &[good, bad]);
-    }
-
-    #[test]
-    #[should_panic(expected = "need at least one execution thread")]
-    fn batch_rejects_zero_threads() {
-        let geom = ConvGeom::new(4, 4, 2, 2, 3, 3);
-        let weights = Tensor4::from_fn(2, 2, 3, 3, |_, _, _, _| 1i16);
-        let layer = CompiledLayer::compile(&geom, 1, &weights, &UcnnConfig::default());
-        let _ = run_compiled_batch_threads(&layer, &[], 0);
     }
 
     #[test]

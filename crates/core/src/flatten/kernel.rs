@@ -460,7 +460,7 @@ fn widest_strip(geom: &ConvGeom, lw: usize, tier: SimdTier) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{backend, BackendKind};
+    use crate::backend::BackendKind;
     use crate::compile::UcnnConfig;
     use crate::flatten::oracle::{Alphabet, Case};
     use crate::flatten::run_layer;
@@ -549,7 +549,7 @@ mod tests {
         );
         // The kernels read the same zero halo, one image or several.
         for batch in [1, 4] {
-            for got in run_layer(&layer, &vec![input.clone(); batch], 1, resolve_tier()) {
+            for got in run_layer(&layer, &vec![input.clone(); batch], resolve_tier()) {
                 assert_eq!(got, out);
             }
         }
@@ -574,7 +574,7 @@ mod tests {
     #[test]
     fn every_available_tier_is_bit_identical() {
         // An INQ FC, an INQ conv and a ternary-TTQ FC, each one chunk of
-        // every tier's width and three more images, over three threads.
+        // every tier's width and three more images.
         let fc = ConvGeom::new(1, 1, 64, 8, 1, 1);
         let conv = ConvGeom::new(4, 4, 3, 4, 3, 3).with_pad(1);
         for (seed, geom, alphabet) in [
@@ -582,8 +582,10 @@ mod tests {
             (51, conv, Alphabet::Inq),
             (52, fc, Alphabet::Ttq),
         ] {
-            let mut case = Case::pinned(seed, geom, 1, 2, 64);
-            (case.alphabet, case.threads) = (alphabet, 3);
+            let case = Case {
+                alphabet,
+                ..Case::pinned(seed, geom, 1, 2, 64)
+            };
             for batch in [11, 19, 35] {
                 Case { batch, ..case }.check();
             }
@@ -711,7 +713,7 @@ mod tests {
         let geom = ConvGeom::new(6, 6, 4, 4, 3, 3);
         let weights = Tensor4::from_fn(4, 4, 3, 3, |_, _, _, _| 1i16);
         let layer = CompiledLayer::compile(&geom, 1, &weights, &UcnnConfig::default());
-        let exec = backend(BackendKind::FlattenedBatch);
-        let _ = exec.run_layer(&layer, &[Tensor3::filled(4, 5, 5, 1i16)], 1);
+        let bad = [Tensor3::filled(4, 5, 5, 1i16)];
+        let _ = BackendKind::FlattenedBatch.run_layer(&layer, &bad);
     }
 }

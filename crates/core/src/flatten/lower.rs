@@ -915,7 +915,7 @@ pub(super) mod tests {
                 assert_eq!(tile.closes.len(), records, "{geom:?}, flip {flip}");
                 let input = agen.generate(c, geom.in_w(), geom.in_h());
                 let expected = reference::conv2d(&geom, 1, &input, &weights);
-                let got = run_layer(&layer, &[input], 1, resolve_tier());
+                let got = run_layer(&layer, &[input], resolve_tier());
                 assert_eq!(got, [expected], "{geom:?}, flip {flip}");
             }
         }
@@ -991,7 +991,7 @@ pub(super) mod tests {
         let mut agen = ActivationGen::new(10);
         for b in [1usize, 9, 32] {
             let inputs: Vec<Tensor3<i16>> = (0..b).map(|_| agen.generate(7, 1, 9)).collect();
-            check_layer(&layer, &weights, &inputs, 2, "folded zero groups");
+            check_layer(&layer, &weights, &inputs, "folded zero groups");
         }
     }
 }

@@ -39,7 +39,7 @@
 //!   through a tier token only detection can mint), and the strip shapes a
 //!   chunk runs.
 //! * `scratch.rs` — the cache-line-aligned row buffers, the arena that
-//!   holds them and the per-thread pool of arenas.
+//!   holds them and the calling thread's arena.
 //! * `network.rs` — the chunk-major driver: staging in and out of the lane
 //!   layout, filter bands, the epilogue, pooling, and [`run_stages`], the
 //!   one entry point that takes a tier.
@@ -149,18 +149,17 @@
 //! `0..=i16::MAX` and narrowed (the reference's `relu_saturate`), pooling is
 //! an `LW`-wide max / widening sum over rows, a pool that directly follows
 //! a convolution runs on each finished band — and is transposed out once,
-//! into the caller's `i32` tensors. A layer alone (the backend's
-//! `run_layer`, or a one-stage list) is the same pieces: stage → bands →
-//! scatter.
+//! into the caller's `i32` tensors. A layer alone
+//! ([`BackendKind::run_layer`](crate::backend::BackendKind::run_layer), or a
+//! one-stage list) is the same pieces: stage → bands → scatter.
 //!
 //! Scratch (two activation planes, the kept-close prefix lanes, the band's
 //! lane-major sums) lives in an arena. Every buffer the strip kernel walks
 //! as `LW`-wide rows starts its rows on a 64-byte boundary, so a 32-lane row
 //! is whole cache lines by construction instead of by where the allocator
-//! happened to put it. The module keeps a small pool of arenas per calling
-//! thread — one per execution thread it has ever fanned out to — so a
-//! serving worker's steady-state hot path allocates its output tensors and
-//! nothing else at any thread budget.
+//! happened to put it. Every calling thread keeps one arena, and a forward
+//! runs on the thread that called it, so a serving worker's steady-state
+//! hot path allocates its output tensors and nothing else.
 
 mod kernel;
 mod lower;

@@ -1,6 +1,6 @@
 //! The chunk-major driver: staging into and out of the lane layout, filter
-//! bands, the inter-layer epilogue, lane-major pooling, and the batch
-//! drivers that deal lane chunks to threads.
+//! bands, the inter-layer epilogue, lane-major pooling, and the loop that
+//! cuts a batch into lane chunks.
 
 use ucnn_model::PoolKind;
 use ucnn_tensor::Tensor3;
@@ -362,48 +362,24 @@ fn divide_lanes(cell: &mut [i16], sum: &[i32], n: i32) {
 /// supported one instead of faulting), cuts the batch into lane chunks at
 /// the widths `chunk_widths` emits for it — the tier's interleave
 /// width, 16, 8, then the rest as one chunk of row-shifted copies — and
-/// runs `chunk(inputs, outputs, arena, tier)` on each with an arena from
-/// the calling thread's pool, so steady-state serving allocates no scratch
-/// at any thread count. `threads > 1` deals contiguous runs of **whole
-/// tier-width chunks** to scoped threads, which together run the chunks one
-/// thread would: splitting finer would narrow the SIMD width of every
-/// worker's kernel, costing more than the extra thread buys (a batch of 32
-/// on the `avx512` tier runs as one full-width chunk at any thread budget).
+/// runs `chunk(inputs, outputs, arena, tier)` on each, on the calling
+/// thread, with that thread's arena, so steady-state serving allocates no
+/// scratch.
 fn run_chunked(
     inputs: &[Tensor3<i16>],
     (c, w, h): Dims,
-    threads: usize,
     tier: SimdTier,
-    chunk: impl Fn(&[Tensor3<i16>], &mut [Tensor3<i32>], &mut FlattenedScratch, Probed) + Sync,
+    chunk: impl Fn(&[Tensor3<i16>], &mut [Tensor3<i32>], &mut FlattenedScratch, Probed),
 ) -> Vec<Tensor3<i32>> {
-    assert!(threads > 0, "need at least one execution thread");
-    if inputs.is_empty() {
-        return Vec::new();
-    }
     let tier = SimdCaps::get().probe(tier);
-    let lane = tier.tier().lane_width();
     let mut outs: Vec<Tensor3<i32>> = inputs.iter().map(|_| Tensor3::zeros(c, w, h)).collect();
-    let run = &|ins: &[Tensor3<i16>], outs: &mut [Tensor3<i32>], arena: &mut FlattenedScratch| {
+    with_thread_scratch(|arena| {
         let mut start = 0;
-        for width in chunk_widths(ins.len(), lane) {
+        for width in chunk_widths(inputs.len(), tier.tier().lane_width()) {
             let end = start + width;
-            chunk(&ins[start..end], &mut outs[start..end], arena, tier);
+            chunk(&inputs[start..end], &mut outs[start..end], arena, tier);
             start = end;
         }
-    };
-    let chunks = inputs.len().div_ceil(lane);
-    let workers = threads.min(chunks);
-    let per_worker = chunks.div_ceil(workers) * lane;
-    with_thread_scratch(workers, |arenas| {
-        if workers == 1 {
-            return run(inputs, &mut outs, &mut arenas[0]);
-        }
-        std::thread::scope(|scope| {
-            let dealt = inputs.chunks(per_worker).zip(outs.chunks_mut(per_worker));
-            for ((ins, outs), arena) in dealt.zip(arenas.iter_mut()) {
-                scope.spawn(move || run(ins, outs, arena));
-            }
-        });
     });
     outs
 }
@@ -547,16 +523,14 @@ fn run_network_chunk(
 /// walked one filter band at a time through the tier's `#[target_feature]`
 /// kernels, de-interleaved once into the per-image outputs. `tier` is
 /// clamped to the CPU's detected capabilities, so forcing an unavailable
-/// one runs the best supported tier instead of faulting. `threads > 1`
-/// deals whole tier-width chunks to scoped threads. Outputs are
+/// one runs the best supported tier instead of faulting. Outputs are
 /// **bit-identical** to the dense reference's wiring
-/// (`ucnn_model::forward::dense_forward`) at every batch size, thread count
-/// and tier.
+/// (`ucnn_model::forward::dense_forward`) at every batch size and tier.
 ///
 /// # Panics
 ///
-/// Panics if `threads == 0`, if `stages` is empty, if the inputs differ in
-/// dims, or if the activations reaching a layer mismatch its geometry.
+/// Panics if `stages` is empty, if the inputs differ in dims, or if the
+/// activations reaching a layer mismatch its geometry.
 ///
 /// # Examples
 ///
@@ -577,17 +551,15 @@ fn run_network_chunk(
 /// let dense: Vec<_> = inputs.iter().map(|i| reference::conv2d(&geom, 1, i, &filters)).collect();
 /// let stages = [CompiledStage::Conv { name: "fc".into(), layer, is_fc: false }];
 /// for &tier in available_tiers() {
-///     assert_eq!(run_stages(&stages, &inputs, 1, tier), dense); // bit-identical
+///     assert_eq!(run_stages(&stages, &inputs, tier), dense); // bit-identical
 /// }
 /// ```
 #[must_use]
 pub fn run_stages(
     stages: &[CompiledStage],
     inputs: &[Tensor3<i16>],
-    threads: usize,
     tier: SimdTier,
 ) -> Vec<Tensor3<i32>> {
-    assert!(threads > 0, "need at least one execution thread");
     assert!(!stages.is_empty(), "need at least one stage");
     let Some(first) = inputs.first() else {
         return Vec::new();
@@ -596,27 +568,27 @@ pub fn run_stages(
     let same = |i: &Tensor3<i16>| (i.c(), i.w(), i.h()) == in_dims;
     assert!(inputs.iter().all(same), "batch input dims differ");
     let out_dims = stages.iter().fold(in_dims, |d, s| s.out_dims(d));
-    run_chunked(inputs, out_dims, threads, tier, |ins, outs, arena, tier| {
+    run_chunked(inputs, out_dims, tier, |ins, outs, arena, tier| {
         run_network_chunk(stages, ins, outs, arena, tier);
     })
 }
 
 /// One layer over a batch on `tier`: [`run_stages`] of a one-stage list,
-/// without a stage to own the layer — `FlattenedBatchBackend::run_layer`.
+/// without a stage to own the layer — `BackendKind::FlattenedBatch`'s
+/// `run_layer`.
 ///
 /// # Panics
 ///
-/// Panics if `threads == 0` or any input mismatches the layer geometry.
+/// Panics if any input mismatches the layer geometry.
 pub(crate) fn run_layer(
     layer: &CompiledLayer,
     inputs: &[Tensor3<i16>],
-    threads: usize,
     tier: SimdTier,
 ) -> Vec<Tensor3<i32>> {
     crate::exec::check_batch_inputs(layer, inputs);
     let geom = layer.geom();
     let out_dims = (geom.k(), geom.out_w(), geom.out_h());
-    run_chunked(inputs, out_dims, threads, tier, |ins, outs, arena, tier| {
+    run_chunked(inputs, out_dims, tier, |ins, outs, arena, tier| {
         run_layer_chunk(layer, ins, outs, arena, tier);
     })
 }
@@ -805,7 +777,7 @@ mod tests {
             let layer = CompiledLayer::compile(&geom, 1, &weights, &UcnnConfig::with_g(g));
             for b in [1usize, 5, 32, 35] {
                 let inputs: Vec<Tensor3<i16>> = (0..b).map(image).collect();
-                check_layer(&layer, &weights, &inputs, 2, &format!("extremes, G {g}"));
+                check_layer(&layer, &weights, &inputs, &format!("extremes, G {g}"));
             }
         }
         // The regimes were actually reached (image 0 starts at A = i16::MAX).
@@ -824,33 +796,10 @@ mod tests {
         assert_eq!(sums[(5, 0, 0)], 32_767);
     }
 
-    fn small_layer() -> CompiledLayer {
-        let geom = ConvGeom::new(4, 4, 2, 2, 3, 3);
-        let weights = Tensor4::from_fn(2, 2, 3, 3, |_, _, _, _| 1i16);
-        CompiledLayer::compile(&geom, 1, &weights, &UcnnConfig::default())
-    }
-
-    #[test]
-    #[should_panic(expected = "need at least one execution thread")]
-    fn rejects_zero_threads() {
-        let _ = run_layer(&small_layer(), &[], 0, crate::simd::resolve_tier());
-    }
-
-    #[test]
-    #[should_panic(expected = "need at least one execution thread")]
-    fn run_stages_rejects_zero_threads_on_an_empty_batch() {
-        let stages = [CompiledStage::Conv {
-            name: "conv".into(),
-            layer: small_layer(),
-            is_fc: false,
-        }];
-        let _ = run_stages(&stages, &[], 0, crate::simd::resolve_tier());
-    }
-
     #[test]
     #[should_panic(expected = "need at least one stage")]
     fn run_stages_rejects_no_stages() {
         let input = Tensor3::filled(2, 4, 4, 1i16);
-        let _ = run_stages(&[], &[input], 1, crate::simd::resolve_tier());
+        let _ = run_stages(&[], &[input], crate::simd::resolve_tier());
     }
 }

@@ -26,7 +26,7 @@ use ucnn_tensor::{ConvGeom, Tensor3, Tensor4};
 use super::kernel::{chunk_widths, strip_runs, Lanes, KERNELS, LANE_WIDTH};
 use super::lower::tests::check_lowering;
 use super::run_stages;
-use crate::backend::{backend, BackendKind};
+use crate::backend::BackendKind;
 use crate::compile::UcnnConfig;
 use crate::plan::{CompiledLayer, CompiledStage};
 use crate::simd::{available_tiers, SimdTier};
@@ -87,7 +87,6 @@ pub(super) struct Case {
     pub(super) g: usize,
     pub(super) ct: usize,
     pub(super) batch: usize,
-    pub(super) threads: usize,
 }
 
 /// One thing a case ran, for the prefix's tally.
@@ -106,8 +105,6 @@ pub(super) enum Seen {
     Pad(usize),
     /// Padding the filter cannot span: whole windows read only the halo.
     PadPastFilter,
-    /// Several workers, each dealt whole chunks, on a tier.
-    Threaded(SimdTier),
 }
 
 /// One of `of`, drawn from `rng`.
@@ -157,12 +154,11 @@ impl Case {
             g: pick(rng, &[1, 2, 3, 4]),
             ct: pick(rng, &[1, 2, 3, 64]),
             batch: (full.iter().sum::<usize>() + small).max(1),
-            threads: pick(rng, &[1, 1, 2, 3]),
         }
     }
 
-    /// A case pinned by hand around `geom`: INQ weights, two threads, one
-    /// image. A named test sets its batches and whatever else it is about.
+    /// A case pinned by hand around `geom`: INQ weights, one image. A named
+    /// test sets its batches and whatever else it is about.
     pub(super) fn pinned(seed: u64, geom: ConvGeom, groups: usize, g: usize, ct: usize) -> Self {
         Case {
             seed,
@@ -172,7 +168,6 @@ impl Case {
             g,
             ct,
             batch: 1,
-            threads: 2,
         }
     }
 
@@ -211,7 +206,7 @@ impl Case {
             }),
         };
         let inputs: Vec<Tensor3<i16>> = (0..batch).map(&mut image).collect();
-        check_layer(&layer, &weights, &inputs, self.threads, &what);
+        check_layer(&layer, &weights, &inputs, &what);
 
         let mut seen: BTreeSet<Seen> = walks.into_iter().map(Seen::Walk).collect();
         seen.extend([
@@ -226,12 +221,9 @@ impl Case {
         }
         // The layer's chunks and strips on each tier, from the two
         // functions the executor cuts them with: `run_chunked` takes its
-        // chunks from `chunk_widths` (its workers together run the chunks
-        // one thread would), `run_bands` its strips from `strip_runs`.
+        // chunks from `chunk_widths`, `run_bands` its strips from
+        // `strip_runs`.
         for &tier in available_tiers() {
-            if self.threads > 1 && batch > tier.lane_width() {
-                seen.insert(Seen::Threaded(tier));
-            }
             for images in chunk_widths(batch, tier.lane_width()) {
                 let lanes = Lanes::new(images, &geom);
                 let runs = strip_runs(&geom, lanes, tier);
@@ -258,7 +250,6 @@ pub(super) fn check_layer(
     layer: &CompiledLayer,
     weights: &Tensor4<i16>,
     inputs: &[Tensor3<i16>],
-    threads: usize,
     what: &str,
 ) {
     let geom = layer.geom();
@@ -273,7 +264,7 @@ pub(super) fn check_layer(
         .map(|s| widen(reference::relu_saturate(s)))
         .collect();
     for kind in BackendKind::ALL {
-        let got = backend(kind).run_layer(layer, inputs, threads);
+        let got = kind.run_layer(layer, inputs);
         assert_eq!(got, sums, "{what}: backend {kind}");
     }
     let k = geom.k();
@@ -301,10 +292,10 @@ pub(super) fn check_layer(
     ];
     for &tier in available_tiers() {
         let tier_what = format!("{what}: tier {}", tier.name());
-        let raw = run_stages(std::slice::from_ref(&stage), inputs, threads, tier);
+        let raw = run_stages(std::slice::from_ref(&stage), inputs, tier);
         assert_eq!(raw, sums, "{tier_what}: raw sums");
         for (chain, stages) in &chains {
-            let got = run_stages(stages, inputs, threads, tier);
+            let got = run_stages(stages, inputs, tier);
             assert_eq!(got, acts, "{tier_what}: {chain}");
         }
     }
@@ -315,7 +306,7 @@ pub(super) fn check_layer(
 /// kind of walk and each value of each axis.
 fn expected() -> BTreeSet<Seen> {
     let tiers = available_tiers().iter().copied();
-    let kernels = tiers.clone().flat_map(|tier| {
+    let kernels = tiers.flat_map(|tier| {
         let emits = move |&&(width, pitch): &&(usize, usize)| {
             pitch <= tier.lane_width() && width <= tier.strip_lanes().max(pitch)
         };
@@ -324,7 +315,6 @@ fn expected() -> BTreeSet<Seen> {
     });
     let walks = ["walked once", "shared", "filter by filter"].map(Seen::Walk);
     kernels
-        .chain(tiers.map(Seen::Threaded))
         .chain((1..=8).map(Seen::Copies))
         .chain(walks)
         .chain(Alphabet::ALL.map(Seen::Alphabet))

@@ -1,5 +1,5 @@
 //! Scratch: the cache-line-aligned row buffers the strip kernels walk, the
-//! arena that holds them, and the per-thread pool of arenas.
+//! arena that holds them, and the calling thread's arena.
 
 use std::cell::RefCell;
 
@@ -55,9 +55,9 @@ impl<T: Copy + Default> Rows<T> {
 /// cache-line-aligned row view.
 ///
 /// One arena serves any number of layers and chunk widths — buffers grow on
-/// demand and never shrink. The entry points borrow thread-local arenas
-/// ([`with_thread_scratch`]), so each serving worker thread reuses its own
-/// across requests.
+/// demand and never shrink. The entry points borrow the calling thread's
+/// arena ([`with_thread_scratch`]), so each serving worker thread reuses its
+/// own across requests.
 #[derive(Debug, Default)]
 pub(super) struct FlattenedScratch {
     /// Staged activations: `plane[off · LW + lane]`, `off` over a
@@ -79,24 +79,15 @@ pub(super) struct FlattenedScratch {
 }
 
 thread_local! {
-    /// Per-thread arenas behind the entry points: serving workers are
-    /// threads, so this is a per-worker pool without any API plumbing.
-    /// Arena 0 serves the calling thread itself; the rest are lent to the
-    /// scoped threads a multi-threaded batch call fans out to, so those
-    /// short-lived threads never build (and throw away) an arena of their
-    /// own.
-    static THREAD_SCRATCH: RefCell<Vec<FlattenedScratch>> = const { RefCell::new(Vec::new()) };
+    /// The arena behind the entry points, one per calling thread: serving
+    /// workers are threads, so this is a per-worker arena without any API
+    /// plumbing.
+    static THREAD_SCRATCH: RefCell<FlattenedScratch> = RefCell::default();
 }
 
-/// Runs `f` with `n` of the calling thread's [`FlattenedScratch`] arenas.
-pub(super) fn with_thread_scratch<R>(n: usize, f: impl FnOnce(&mut [FlattenedScratch]) -> R) -> R {
-    THREAD_SCRATCH.with(|cell| {
-        let mut pool = cell.borrow_mut();
-        if pool.len() < n {
-            pool.resize_with(n, FlattenedScratch::default);
-        }
-        f(&mut pool[..n])
-    })
+/// Runs `f` with the calling thread's [`FlattenedScratch`] arena.
+pub(super) fn with_thread_scratch<R>(f: impl FnOnce(&mut FlattenedScratch) -> R) -> R {
+    THREAD_SCRATCH.with(|cell| f(&mut cell.borrow_mut()))
 }
 
 #[cfg(test)]
@@ -112,7 +103,7 @@ mod tests {
     use ucnn_tensor::{ConvGeom, Tensor3, Tensor4};
 
     /// A batch of one layer on one explicit arena, chunk by chunk — what
-    /// `run_chunked` does per worker.
+    /// `run_chunked` does with the calling thread's.
     fn run_on_arena(
         layer: &CompiledLayer,
         inputs: &[Tensor3<i16>],
@@ -397,12 +388,12 @@ mod tests {
 
     #[test]
     fn threaded_calls_reuse_the_calling_threads_arena_pool() {
-        // A one-layer call and a whole-network call, at one worker and at
-        // two: the first call grows the caller's pool (one arena per
-        // worker), the second finds every buffer where it was — same
-        // pointers, same capacities — so the steady state allocates the
-        // output tensors and nothing else. libtest runs each test on its
-        // own thread, so the pool starts empty here.
+        // A one-layer call and two whole-network calls (a full batch, and
+        // one image at pitch 8 out of the same buffers), twice, on each of
+        // two threads at once — the way serving workers call. A thread's
+        // first round grows its own arena; its second finds every buffer
+        // where it was — same pointers, same capacities — so the steady
+        // state allocates the output tensors and nothing else.
         let net = ucnn_model::networks::tiny();
         let weights = forward::generate_network_weights(&net, QuantScheme::inq(), 97, 0.85);
         let plan = CompiledNetwork::compile(&net, &weights, &UcnnConfig::with_g(2));
@@ -414,37 +405,35 @@ mod tests {
         let inputs: Vec<Tensor3<i16>> = (0..2 * tier.lane_width())
             .map(|_| agen.generate_for(&net.conv_layers()[0]))
             .collect();
-        let pool = || {
-            THREAD_SCRATCH.with(|cell| cell.borrow().iter().map(arena_layout).collect::<Vec<_>>())
+        let arena = || THREAD_SCRATCH.with(|cell| arena_layout(&cell.borrow()));
+        let calls = || {
+            (
+                run_layer(layer, &inputs, tier),
+                run_stages(plan.stages(), &inputs, tier),
+                run_stages(plan.stages(), &inputs[..1], tier),
+            )
         };
-        assert!(pool().is_empty());
-        for threads in [1usize, 2] {
-            // The single image runs at pitch 8 out of the same buffers the
-            // full chunks grew.
-            let first = (
-                run_layer(layer, &inputs, threads, tier),
-                run_stages(plan.stages(), &inputs, threads, tier),
-                run_stages(plan.stages(), &inputs[..1], threads, tier),
-            );
-            let grown = pool();
-            assert_eq!(grown.len(), threads, "one arena per worker");
-            for arena in &grown {
-                assert!(arena.iter().all(|&(_, capacity)| capacity > 0));
-            }
-            let second = (
-                run_layer(layer, &inputs, threads, tier),
-                run_stages(plan.stages(), &inputs, threads, tier),
-                run_stages(plan.stages(), &inputs[..1], threads, tier),
-            );
-            assert_eq!(pool(), grown, "steady state must not touch the arenas");
+        // Both threads hold their grown arena until both have grown one.
+        let both_grown = std::sync::Barrier::new(2);
+        let worker = || {
+            assert!(arena().iter().all(|&(_, capacity)| capacity == 0));
+            let first = calls();
+            let grown = arena();
+            assert!(grown.iter().all(|&(_, capacity)| capacity > 0));
+            let second = calls();
+            assert_eq!(arena(), grown, "steady state must not touch the arena");
             assert_eq!(first, second);
             // The pipeline's own buffers exist now (tiny pools a band of its
-            // second convolution): all five sit on a line in every arena.
-            THREAD_SCRATCH.with(|cell| {
-                for arena in cell.borrow().iter() {
-                    assert_aligned(arena, "after a network call");
-                }
-            });
-        }
+            // second convolution): all five sit on a line.
+            THREAD_SCRATCH.with(|cell| assert_aligned(&cell.borrow(), "after a network call"));
+            both_grown.wait();
+            (first, grown)
+        };
+        let (a, b) = std::thread::scope(|scope| {
+            let (a, b) = (scope.spawn(worker), scope.spawn(worker));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(a.0, b.0);
+        assert_ne!(a.1, b.1, "each thread grows an arena of its own");
     }
 }

@@ -37,21 +37,23 @@
 //!   [`CompiledNetwork`] own the per-tile streams so the sort/factorize
 //!   work is paid once per model and the hot path only walks streams
 //!   ([`exec::run_compiled`]).
-//! * [`backend`](mod@backend) — pluggable executor backends: one [`Backend`] trait over
-//!   three bit-identical inner-loop shapes (the per-call factorized
-//!   baseline, the retained-stream walk, the flattened SIMD executor),
-//!   selected by [`BackendKind`] end to end from the serving engine down.
+//! * [`backend`] — the executor backends: three bit-identical inner-loop
+//!   shapes (the per-call factorized baseline, the retained-stream walk, the
+//!   flattened SIMD executor), selected by a [`BackendKind`] end to end from
+//!   the serving engine down and dispatched by a `match` on it
+//!   ([`BackendKind::run_layer`], [`BackendKind::run_network`]). A forward
+//!   runs on the thread that calls it.
 //! * [`counters`] — the per-layer reuse-telemetry sink: an opt-in,
 //!   thread-sharded [`LayerWork`] tally (multiplies issued vs
 //!   dense-equivalent, gather entries, CSR segments, lowering-cache hits)
-//!   every backend reports into per `run_layer` call.
+//!   every backend reports into per layer of a forward.
 //! * [`flatten`] — the compile-time lowering (branch-free gather offsets
 //!   and CSR-style activation-group ranges) and the batch-interleaved SIMD
 //!   executor behind [`BackendKind::FlattenedBatch`] (one indirection walk
 //!   feeding a strip of contiguous image lanes as wide as the dispatched
 //!   ISA tier allows), in four files: `lower` (the tables, built once),
-//!   `kernel` (the datapath that walks them), `scratch` (per-worker
-//!   arenas) and `network` (the chunk-major driver and
+//!   `kernel` (the datapath that walks them), `scratch` (the calling
+//!   thread's arena) and `network` (the chunk-major driver and
 //!   [`flatten::run_stages`], the one entry point that forces a tier).
 //! * [`simd`] — runtime ISA detection ([`SimdCaps`]) and the process-wide
 //!   [`SimdTier`]: which `#[target_feature]` tier the strip kernels
@@ -116,7 +118,7 @@ pub mod partial_product;
 pub mod plan;
 pub mod simd;
 
-pub use backend::{all_backends, backend, Backend, BackendKind};
+pub use backend::BackendKind;
 pub use compile::{LayerPlan, TileStats, UcnnConfig};
 pub use counters::{LayerWork, TallyRow};
 pub use factorize::{ActivationGroup, FilterFactorization};

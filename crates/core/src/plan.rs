@@ -18,17 +18,16 @@
 //! [`run_compiled`](crate::exec::run_compiled()) /
 //! [`CompiledNetwork::forward`] and stays bit-identical to the dense
 //! reference. How a network's stages are chained is the backend's business
-//! ([`Backend::run_network`](crate::backend::Backend::run_network)): the
-//! stream walkers loop layer by layer over per-image tensors, the flattened
-//! default keeps each lane chunk batch-interleaved from the first stage to
-//! the last.
+//! ([`BackendKind::run_network`]): the stream walkers loop layer by layer
+//! over per-image tensors, the flattened default keeps each lane chunk
+//! batch-interleaved from the first stage to the last.
 
 use std::sync::OnceLock;
 
 use ucnn_model::{LayerKind, NetworkSpec, PoolKind};
 use ucnn_tensor::{ConvGeom, Tensor3, Tensor4};
 
-use crate::backend::{backend, BackendKind};
+use crate::backend::BackendKind;
 use crate::compile::{canonical_of_tensor, UcnnConfig};
 use crate::flatten::{walked_once, Dims, FlattenedTile, Lowering};
 use crate::hierarchy::{GroupStream, ZERO_RANK};
@@ -465,8 +464,8 @@ impl CompiledNetwork {
     /// The executor backend the `forward*` entry points use:
     /// [`CompiledNetwork::DEFAULT_BACKEND`]. A plan carries no backend
     /// choice of its own — a caller that wants another executor passes it
-    /// to [`CompiledNetwork::forward_batch_with`], and the serving stack
-    /// resolves one per request (per-model override, else engine default).
+    /// to [`CompiledNetwork::forward_batch_with`], as the serving engine
+    /// does with its one `EngineConfig::backend`.
     #[must_use]
     pub fn backend(&self) -> BackendKind {
         Self::DEFAULT_BACKEND
@@ -489,12 +488,11 @@ impl CompiledNetwork {
     /// the first request served after a deploy does not pay lowering
     /// latency in its tail. Idempotent and cheap to repeat; a no-op for
     /// backends with no derived state. The serving registry calls this on
-    /// insert and whenever a backend override is set.
+    /// insert and when an engine adopts it, for the engine's backend.
     pub fn warm(&self, kind: BackendKind) {
-        let exec = backend(kind);
         for stage in &self.stages {
             if let CompiledStage::Conv { layer, .. } = stage {
-                exec.warm(layer);
+                kind.warm(layer);
             }
         }
     }
@@ -531,7 +529,7 @@ impl CompiledNetwork {
     /// Panics if `input` does not match [`CompiledNetwork::input_dims`].
     #[must_use]
     pub fn forward_with(&self, input: &Tensor3<i16>, kind: BackendKind) -> Tensor3<i32> {
-        self.forward_batch_with(std::slice::from_ref(input), kind, 1)
+        self.forward_batch_with(std::slice::from_ref(input), kind)
             .pop()
             .expect("a batch of one produces one output")
     }
@@ -547,48 +545,24 @@ impl CompiledNetwork {
     /// Panics if any input does not match [`CompiledNetwork::input_dims`].
     #[must_use]
     pub fn forward_batch(&self, inputs: &[Tensor3<i16>]) -> Vec<Tensor3<i32>> {
-        self.forward_batch_with(inputs, self.backend(), 1)
-    }
-
-    /// [`CompiledNetwork::forward_batch`] with the convolution stages
-    /// allowed `threads` scoped worker threads (exploited by backends that
-    /// parallelize, e.g. [`BackendKind::BatchThreads`]).
-    ///
-    /// Results are bit-identical at every thread count; `threads == 1`
-    /// spawns nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0` or any input mismatches
-    /// [`CompiledNetwork::input_dims`].
-    #[must_use]
-    pub fn forward_batch_threads(
-        &self,
-        inputs: &[Tensor3<i16>],
-        threads: usize,
-    ) -> Vec<Tensor3<i32>> {
-        self.forward_batch_with(inputs, self.backend(), threads)
+        self.forward_batch_with(inputs, self.backend())
     }
 
     /// The fully explicit entry point every other `forward*` routes
-    /// through: checks the inputs, hands the batch to the given
-    /// [`BackendKind`]'s [`Backend::run_network`](crate::backend::Backend::run_network)
-    /// with the thread budget, and records the per-layer reuse counters.
-    /// Every backend produces bit-identical outputs, so the choice only
-    /// changes performance.
+    /// through: checks the inputs, hands the batch to
+    /// [`BackendKind::run_network`] on the calling thread, and records the
+    /// per-layer reuse counters. Every backend produces bit-identical
+    /// outputs, so the choice only changes performance.
     ///
     /// # Panics
     ///
-    /// Panics if `threads == 0` or any input mismatches
-    /// [`CompiledNetwork::input_dims`].
+    /// Panics if any input mismatches [`CompiledNetwork::input_dims`].
     #[must_use]
     pub fn forward_batch_with(
         &self,
         inputs: &[Tensor3<i16>],
         kind: BackendKind,
-        threads: usize,
     ) -> Vec<Tensor3<i32>> {
-        assert!(threads > 0, "need at least one execution thread");
         for input in inputs {
             assert_eq!(
                 (input.c(), input.w(), input.h()),
@@ -599,10 +573,9 @@ impl CompiledNetwork {
         if inputs.is_empty() {
             return Vec::new();
         }
-        let exec = backend(kind);
         // Reuse telemetry: one gated load on the hot path.
         if !crate::counters::enabled() {
-            return exec.run_network(self, inputs, threads);
+            return kind.run_network(self, inputs);
         }
         // The analytic per-call work of every weight layer is recorded
         // after execution (so the flattened lowering, if this call built
@@ -615,9 +588,9 @@ impl CompiledNetwork {
             })
         };
         let was_ready: Vec<bool> = convs().map(|(_, layer)| layer.flat_ready()).collect();
-        let outs = exec.run_network(self, inputs, threads);
+        let outs = kind.run_network(self, inputs);
         for ((name, layer), ready) in convs().zip(was_ready) {
-            let work = exec.work(layer, inputs.len(), ready);
+            let work = kind.work(layer, inputs.len(), ready);
             crate::counters::record(&self.name, name, kind.name(), inputs.len(), &work);
         }
         outs
@@ -747,13 +720,6 @@ mod tests {
             .collect();
         let expected: Vec<_> = inputs.iter().map(|i| compiled.forward(i)).collect();
         assert_eq!(compiled.forward_batch(&inputs), expected);
-        for threads in [2, 4] {
-            assert_eq!(
-                compiled.forward_batch_threads(&inputs, threads),
-                expected,
-                "forward_batch_threads({threads}) diverged"
-            );
-        }
         assert!(compiled.forward_batch(&[]).is_empty());
     }
 
@@ -770,8 +736,8 @@ mod tests {
     fn pipeline_matches_dense_forward_on_every_tier() {
         // The chunk-major pipeline against `dense_forward`, one network per
         // way a stage can hand its activations on, at batches that straddle
-        // every strip width (full chunks, residuals run one image at a
-        // time on position lanes, several chunks dealt over two threads).
+        // every strip width (full chunks, and residuals of fewer than eight
+        // images in row-shifted copies at pitch 8).
         let (conv, pool) = (LayerSpec::conv, LayerSpec::pool);
         let mut nets = vec![
             // conv → padded conv: the epilogue writes at the consumer's
@@ -850,12 +816,11 @@ mod tests {
             // networks cover the strip widths, it keeps a strip plus
             // residual there and adds the one-lane and 33-image cases where
             // the build is optimized (CI's forced-tier legs).
-            let (batches, thread_counts): (&[usize], &[usize]) =
-                match (net.name(), cfg!(debug_assertions)) {
-                    ("LeNet", true) => (&[9], &[2]),
-                    ("LeNet", false) => (&[1, 9, 33], &[1, 2]),
-                    _ => (&[1, 2, 3, 7, 8, 9, 16, 17, 32, 33, 40], &[1, 2]),
-                };
+            let batches: &[usize] = match (net.name(), cfg!(debug_assertions)) {
+                ("LeNet", true) => &[9],
+                ("LeNet", false) => &[1, 9, 33],
+                _ => &[1, 2, 3, 7, 8, 9, 16, 17, 32, 33, 40],
+            };
             let widest = *batches.iter().max().unwrap();
             // Distinct images per lane, so a lane mix-up cannot cancel.
             let mut agen = ActivationGen::new(seed ^ 0xF00D);
@@ -867,22 +832,14 @@ mod tests {
                 .map(|i| forward::dense_forward(net, &weights, i))
                 .collect();
             for &tier in crate::simd::available_tiers() {
-                for &threads in thread_counts {
-                    for &b in batches {
-                        let got =
-                            crate::flatten::run_stages(plan.stages(), &inputs[..b], threads, tier);
-                        assert_eq!(
-                            got,
-                            expected[..b],
-                            "{}, tier {}, B={b}, {threads} threads",
-                            net.name(),
-                            tier.name()
-                        );
-                    }
+                for &b in batches {
+                    let got = crate::flatten::run_stages(plan.stages(), &inputs[..b], tier);
+                    let what = format!("{}, tier {}, B={b}", net.name(), tier.name());
+                    assert_eq!(got, expected[..b], "{what}");
                 }
             }
             // The public entry point reaches the same pipeline.
-            assert_eq!(plan.forward_batch_threads(&inputs[..2], 2), expected[..2]);
+            assert_eq!(plan.forward_batch(&inputs[..2]), expected[..2]);
         }
     }
 
@@ -905,7 +862,7 @@ mod tests {
             .map(|i| forward::dense_forward(&net, &weights, i))
             .collect();
         for kind in [CompiledNetwork::DEFAULT_BACKEND, BackendKind::BatchThreads] {
-            assert_eq!(compiled.forward_batch_with(&inputs, kind, 1), expected);
+            assert_eq!(compiled.forward_batch_with(&inputs, kind), expected);
         }
         assert_eq!(inputs, before);
     }

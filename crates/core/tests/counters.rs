@@ -1,19 +1,21 @@
 //! Reuse-counter properties: the `counters` sink's dense-equivalent
 //! multiply counts must match an independent calculation from layer
-//! geometry for **every** registered backend, totals must be bit-identical
-//! across thread counts (the analytic-accounting contract), and the
-//! flattened lowering cache must tally exactly one miss then hits.
+//! geometry for **every** registered backend, totals recorded by several
+//! threads at once must be exactly the sum of their calls (the
+//! analytic-accounting contract, over the sharded sink), and the flattened
+//! lowering cache must tally exactly one miss then hits.
 //!
 //! The sink is process-global, so every test records under network names
 //! unique to this file, filters snapshots down to them, and serializes
 //! enable/disable windows behind one mutex.
 
-use std::sync::Mutex;
+use std::sync::{Barrier, Mutex};
 
 use ucnn_core::backend::BackendKind;
 use ucnn_core::compile::UcnnConfig;
-use ucnn_core::counters::{self, TallyRow};
-use ucnn_core::plan::CompiledNetwork;
+use ucnn_core::counters::{self, LayerWork, TallyRow};
+use ucnn_core::flatten::FlattenedTile;
+use ucnn_core::plan::{CompiledNetwork, CompiledStage};
 use ucnn_model::{forward, networks, ActivationGen, NetworkSpec, QuantScheme};
 use ucnn_tensor::Tensor3;
 
@@ -60,12 +62,12 @@ fn dense_equivalent_matches_geometry_for_every_backend() {
         .stages()
         .iter()
         .filter_map(|s| match s {
-            ucnn_core::plan::CompiledStage::Conv { name, layer, .. } => {
+            CompiledStage::Conv { name, layer, .. } => {
                 let g = layer.geom();
                 let macs = g.out_w() * g.out_h() * g.k() * g.r() * g.s() * g.c();
                 Some((name.clone(), macs as u64))
             }
-            ucnn_core::plan::CompiledStage::Pool { .. } => None,
+            CompiledStage::Pool { .. } => None,
         })
         .collect();
     assert!(!expected_per_image.is_empty());
@@ -75,7 +77,7 @@ fn dense_equivalent_matches_geometry_for_every_backend() {
         for batch in [1usize, 3, 8] {
             counters::reset();
             counters::set_enabled(true);
-            let _ = plan.forward_batch_with(&inputs[..batch], kind, 2);
+            let _ = plan.forward_batch_with(&inputs[..batch], kind);
             counters::set_enabled(false);
             let rows = rows_for(net);
             assert_eq!(
@@ -108,8 +110,10 @@ fn dense_equivalent_matches_geometry_for_every_backend() {
     }
 }
 
-/// The tallies are identical across thread counts (analytic accounting,
-/// not scheduling-dependent instrumentation). Across backends what is
+/// Forwards on 1, 2 and 4 threads at once record exactly that many times
+/// one forward's tally: the sink's shards lose and double nothing, and
+/// the accounting is analytic, not scheduling-dependent instrumentation.
+/// Across backends what is
 /// bit-identical is the dense-equivalent and, between the two stream
 /// walkers, every arithmetic field (same multiplies, only reordered); the
 /// flattened backend — whose lowering owns the order of the walk — issues
@@ -123,22 +127,34 @@ fn tallies_are_bit_identical_across_backends_and_thread_counts() {
     for threads in [1usize, 2, 4] {
         counters::reset();
         counters::set_enabled(true);
-        let _ = plan.forward_batch_with(&inputs, BackendKind::BatchThreads, threads);
+        let start = Barrier::new(threads);
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                scope.spawn(|| {
+                    start.wait();
+                    plan.forward_batch_with(&inputs, BackendKind::BatchThreads)
+                });
+            }
+        });
         counters::set_enabled(false);
         let rows = rows_for(net);
-        match &baseline {
-            None => baseline = Some(rows),
-            Some(expected) => assert_eq!(
-                &rows, expected,
-                "tally diverged at {threads} threads — accounting must be analytic"
-            ),
-        }
+        let once = baseline.get_or_insert_with(|| rows.clone());
+        let times = |row: &TallyRow| {
+            let mut work = LayerWork::default();
+            (0..threads).for_each(|_| work.merge(&row.work));
+            TallyRow {
+                work,
+                ..row.clone()
+            }
+        };
+        let expected: Vec<TallyRow> = once.iter().map(times).collect();
+        assert_eq!(rows, expected, "tally diverged at {threads} threads");
     }
     let mut walkers: Option<Vec<(String, u64, u64, u64)>> = None;
     for kind in BackendKind::ALL {
         counters::reset();
         counters::set_enabled(true);
-        let _ = plan.forward_batch_with(&inputs[..4], kind, 1);
+        let _ = plan.forward_batch_with(&inputs[..4], kind);
         counters::set_enabled(false);
         let rows: Vec<(String, u64, u64, u64)> = rows_for(net)
             .into_iter()
@@ -180,9 +196,9 @@ fn flattened_csr_and_lowering_cache_accounting() {
     let _guard = serialize();
     counters::reset();
     counters::set_enabled(true);
-    let _ = plan.forward_batch_with(&inputs[..2], BackendKind::FlattenedBatch, 1);
-    let _ = plan.forward_batch_with(&inputs[..2], BackendKind::FlattenedBatch, 1);
-    let _ = plan.forward_batch_with(&inputs[..2], BackendKind::BatchThreads, 1);
+    let _ = plan.forward_batch_with(&inputs[..2], BackendKind::FlattenedBatch);
+    let _ = plan.forward_batch_with(&inputs[..2], BackendKind::FlattenedBatch);
+    let _ = plan.forward_batch_with(&inputs[..2], BackendKind::BatchThreads);
     counters::set_enabled(false);
     for row in rows_for(net) {
         match row.backend {
@@ -204,92 +220,95 @@ fn flattened_csr_and_lowering_cache_accounting() {
 }
 
 /// The chunk-major pipeline records what the per-layer loop recorded: one
-/// row per weight layer per call — not per lane chunk, not per worker —
-/// equal field for field to the backend's analytic `work` for the whole
-/// batch, with the lowering-cache state as it was before the call. The
-/// strip profile follows the chunk decomposition: below eight images the
-/// rest is one chunk, staged eight lanes wide like a chunk of eight.
+/// row per weight layer per call — not per lane chunk — equal field for
+/// field to the whole batch's analytic work, computed here from the lowered
+/// tiles and the chunk decomposition, with the lowering-cache state as it
+/// was before the call. Below eight images the rest is one chunk, staged
+/// eight lanes wide like a chunk of eight.
 #[test]
 fn pipeline_rows_equal_the_per_layer_loops() {
     let net = "counters-pipeline";
     let kind = BackendKind::FlattenedBatch;
-    let exec = ucnn_core::backend::backend(kind);
     let tier = ucnn_core::simd::resolve_tier();
     let lane = tier.lane_width();
     let _guard = serialize();
-    // 40 images: two lane chunks on every tier, so two workers at 2 threads.
     let mut arithmetic = Vec::new();
     for batch in [1usize, 3, 7, 9, 40] {
-        for threads in [1usize, 2] {
-            let (plan, inputs) = compiled(net, 0x74);
-            let inputs: Vec<_> = inputs.iter().cycle().take(batch).cloned().collect();
-            for lowered in [false, true] {
-                counters::reset();
-                counters::set_enabled(true);
-                let _ = plan.forward_batch_with(&inputs, kind, threads);
-                counters::set_enabled(false);
-                let expected: Vec<TallyRow> = plan
-                    .stages()
-                    .iter()
-                    .filter_map(|s| match s {
-                        ucnn_core::plan::CompiledStage::Conv { name, layer, .. } => {
-                            Some(TallyRow {
-                                net: net.to_string(),
-                                layer: name.clone(),
-                                backend: kind.name(),
-                                batch_bucket: counters::batch_bucket(batch),
-                                work: exec.work(layer, batch, lowered),
-                            })
-                        }
-                        ucnn_core::plan::CompiledStage::Pool { .. } => None,
-                    })
-                    .collect();
-                let mut rows = rows_for(net);
-                rows.sort_by_key(|r| expected.iter().position(|e| e.layer == r.layer));
-                assert_eq!(
-                    rows, expected,
-                    "B={batch}, {threads} threads, lowered before: {lowered}"
-                );
-                for row in &rows {
-                    // Tier-wide chunks, then 16, then 8, then the rest.
-                    let (mut rest, mut strips) = (batch, 0);
-                    for width in [lane, 16, 8, rest % 8] {
-                        if (1..=lane).contains(&width) {
-                            strips += rest / width;
-                            rest %= width;
-                        }
-                    }
-                    assert_eq!(
-                        row.work.lane_strips, strips as u64,
-                        "B={batch}: {}",
-                        row.layer
-                    );
-                    // tiny's convolutions have 12-position output rows: a
-                    // chunk runs strips of 8 positions × its pitch (eight
-                    // lanes at least), as far as the tier's registers go.
-                    // Its FC layer has one position: the pitch alone.
-                    let pitch = match batch {
-                        b if b >= lane => lane,
-                        b if b >= 16 => 16,
-                        _ => 8,
-                    };
-                    let widest = match row.layer.as_str() {
-                        "fc" => pitch,
-                        _ => (8 * pitch).min(tier.strip_lanes()),
-                    } as u64;
-                    assert_eq!(row.work.lane_width, widest, "B={batch}: {}", row.layer);
-                    arithmetic.push((
-                        row.layer.clone(),
-                        row.work.dense_multiplies / batch as u64,
-                        row.work.multiplies_issued / batch as u64,
-                        row.work.gather_entries / batch as u64,
-                    ));
+        let (plan, inputs) = compiled(net, 0x74);
+        let inputs: Vec<_> = inputs.iter().cycle().take(batch).cloned().collect();
+        // Tier-wide chunks, then 16, then 8, then the rest.
+        let (mut rest, mut strips) = (batch, 0);
+        for width in [lane, 16, 8, rest % 8] {
+            if (1..=lane).contains(&width) {
+                strips += rest / width;
+                rest %= width;
+            }
+        }
+        // tiny's convolutions have 12-position output rows: a chunk runs
+        // strips of 8 positions × its pitch (eight lanes at least), as far
+        // as the tier's registers go. Its FC layer has one position: the
+        // pitch alone.
+        let pitch = match batch {
+            b if b >= lane => lane,
+            b if b >= 16 => 16,
+            _ => 8,
+        };
+        for lowered in [false, true] {
+            counters::reset();
+            counters::set_enabled(true);
+            let _ = plan.forward_batch_with(&inputs, kind);
+            counters::set_enabled(false);
+            let row = |name: &String, layer: &ucnn_core::plan::CompiledLayer| {
+                let (geom, tiles) = (layer.geom(), layer.flat_tiles());
+                let walks = (geom.out_w() * geom.out_h() * batch) as u64;
+                let count = |of: fn(&FlattenedTile) -> usize| {
+                    tiles.iter().map(of).sum::<usize>() as u64 * walks
+                };
+                let widest = match name.as_str() {
+                    "fc" => pitch,
+                    _ => (8 * pitch).min(tier.strip_lanes()),
+                };
+                TallyRow {
+                    net: net.to_string(),
+                    layer: name.clone(),
+                    backend: kind.name(),
+                    batch_bucket: counters::batch_bucket(batch),
+                    work: LayerWork {
+                        images: batch as u64,
+                        dense_multiplies: (geom.macs() * batch) as u64,
+                        multiplies_issued: count(FlattenedTile::segment_count),
+                        gather_entries: count(FlattenedTile::entry_count),
+                        csr_segments: count(FlattenedTile::segment_count),
+                        lowering_hits: u64::from(lowered),
+                        lowering_misses: u64::from(!lowered),
+                        lane_strips: strips as u64,
+                        lane_width: widest as u64,
+                    },
                 }
+            };
+            let expected: Vec<TallyRow> = plan
+                .stages()
+                .iter()
+                .filter_map(|s| match s {
+                    CompiledStage::Conv { name, layer, .. } => Some(row(name, layer)),
+                    CompiledStage::Pool { .. } => None,
+                })
+                .collect();
+            let mut rows = rows_for(net);
+            rows.sort_by_key(|r| expected.iter().position(|e| e.layer == r.layer));
+            assert_eq!(rows, expected, "B={batch}, lowered before: {lowered}");
+            for row in &rows {
+                arithmetic.push((
+                    row.layer.clone(),
+                    row.work.dense_multiplies / batch as u64,
+                    row.work.multiplies_issued / batch as u64,
+                    row.work.gather_entries / batch as u64,
+                ));
             }
         }
     }
     // The decomposition moves no arithmetic: per image the dense, issued and
-    // gather counts are the same at every B and thread count.
+    // gather counts are the same at every B.
     arithmetic.sort();
     arithmetic.dedup();
     assert_eq!(arithmetic.len(), 3, "one distinct row per layer");

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use ucnn_core::backend::{backend, BackendKind};
+use ucnn_core::backend::BackendKind;
 use ucnn_core::compile::{compile_layer, UcnnConfig};
 use ucnn_core::encoding::{rle_bits, rle_bits_capped, table_cost, EncodingParams, IitEncoding};
 use ucnn_core::exec::factorized_conv;
@@ -164,8 +164,8 @@ proptest! {
 
     /// Every registered executor backend is bit-identical to the dense
     /// reference over random geometries — `stride > 1`, `conv_groups > 1`,
-    /// ragged channel tiles (`ct ∤ C`), batch sizes `B ∈ {1, 2, 7, 16}` and
-    /// every tested thread count — replacing the earlier pairwise-only
+    /// ragged channel tiles (`ct ∤ C`) and batch sizes `B ∈ {1, 2, 7, 16}`
+    /// — replacing the earlier pairwise-only
     /// equivalence checks with one all-backends property. A backend added
     /// to [`BackendKind::ALL`] is covered automatically.
     #[test]
@@ -179,7 +179,6 @@ proptest! {
         stride in 1usize..=3,
         pad in 0usize..=1,
         b_sel in 0usize..4,
-        threads in 1usize..=4,
     ) {
         let b = [1usize, 2, 7, 16][b_sel];
         let (w, h, r, s) = (7usize, 6usize, 3usize, 2usize);
@@ -202,17 +201,16 @@ proptest! {
             .map(|i| reference::conv2d(&geom, conv_groups, i, &filters))
             .collect();
         for kind in BackendKind::ALL {
-            let exec = backend(kind);
-            let got = exec.run_layer(&layer, &inputs, threads);
+            let got = kind.run_layer(&layer, &inputs);
             prop_assert_eq!(
                 &got, &expected,
-                "backend '{}' diverged from the dense reference (B={}, threads={})",
-                kind.name(), b, threads
+                "backend '{}' diverged from the dense reference (B={})",
+                kind.name(), b
             );
             // Compile once, run twice: plans must not be consumed or
             // mutated by any backend.
             prop_assert_eq!(
-                &exec.run_layer(&layer, &inputs, threads), &got,
+                &kind.run_layer(&layer, &inputs), &got,
                 "backend '{}' is not repeatable", kind.name()
             );
         }

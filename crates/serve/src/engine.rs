@@ -29,11 +29,10 @@
 //!
 //! A drained batch is grouped by model and each group executes as **one
 //! batched forward** ([`CompiledNetwork::forward_batch_with`], through the
-//! engine's one [`EngineConfig::backend`]): the retained plan is walked
-//! once for the whole group instead of once per request, and
-//! [`EngineConfig::exec_threads`] optionally parallelizes that single
-//! forward across scoped threads. Responses stay bit-identical to
-//! per-request execution at every batch size and thread count.
+//! engine's one [`EngineConfig::backend`]) on the worker's own thread: the
+//! retained plan is walked once for the whole group instead of once per
+//! request. Responses stay bit-identical to per-request execution at every
+//! batch size.
 //!
 //! Workers are plain threads, which makes two serve-path costs one-time
 //! instead of per-request: the flattened executor keeps a **per-thread
@@ -78,15 +77,6 @@ pub struct EngineConfig {
     pub queue_capacity: usize,
     /// Maximum requests a worker drains per batch.
     pub max_batch: usize,
-    /// Scoped threads each worker uses *inside* one batched forward (`≥ 1`).
-    ///
-    /// `workers` scales across independent batches; `exec_threads` scales a
-    /// single batch's layer execution across filter bands and batch chunks.
-    /// On a machine with `P` cores, `workers × exec_threads ≈ P` is the
-    /// natural operating point: many workers for many small batches (low
-    /// latency), few workers with several exec threads for large batches
-    /// (high throughput per batch).
-    pub exec_threads: usize,
     /// The executor backend every batched forward runs through (every
     /// backend is bit-identical; this only changes performance). It is the
     /// engine's only executor choice: there is no per-model or per-request
@@ -114,7 +104,6 @@ impl Default for EngineConfig {
             queue_shards: 0,
             queue_capacity: 256,
             max_batch: 8,
-            exec_threads: 1,
             backend: BackendKind::BatchThreads,
         }
     }
@@ -526,7 +515,6 @@ impl Engine {
     #[must_use]
     pub fn start(registry: Arc<ModelRegistry>, config: EngineConfig) -> Self {
         assert!(config.workers > 0, "need at least one worker");
-        assert!(config.exec_threads > 0, "need at least one exec thread");
         assert!(config.max_batch > 0, "need a positive max batch");
         // Adopt the registry: registering the serving backend lets the
         // registry warm models inserted *after* start for the backend that
@@ -970,7 +958,7 @@ fn serve_batch(
             .unzip();
         let forward = |inputs: &[Tensor3<i16>]| {
             let start = Instant::now();
-            let run = || model.forward_batch_with(inputs, config.backend, config.exec_threads);
+            let run = || model.forward_batch_with(inputs, config.backend);
             (start, catch_unwind(AssertUnwindSafe(run)))
         };
         let answer = |start, receipts: Vec<Receipt>, outputs| {
@@ -1094,7 +1082,6 @@ mod tests {
                 workers,
                 queue_capacity: 32,
                 max_batch: 4,
-                exec_threads: 1,
                 ..EngineConfig::default()
             },
         );
@@ -1247,45 +1234,6 @@ mod tests {
     }
 
     #[test]
-    fn exec_threads_keep_responses_bit_exact() {
-        // Same requests through a 2-exec-thread engine: outputs must stay
-        // bit-identical to the dense reference the cases were built from.
-        let registry = Arc::new(ModelRegistry::new());
-        let net = networks::tiny();
-        let weights = forward::generate_network_weights(&net, QuantScheme::inq(), 13, 0.9);
-        registry.compile_and_insert(&net, &weights, &UcnnConfig::with_g(2));
-        let mut agen = ActivationGen::new(14);
-        let cases: Vec<_> = (0..3)
-            .map(|_| {
-                let input = agen.generate_for(&net.conv_layers()[0]);
-                let expected = forward::dense_forward(&net, &weights, &input);
-                (input, expected)
-            })
-            .collect();
-        let engine = Engine::start(
-            registry,
-            EngineConfig {
-                workers: 2,
-                queue_capacity: 32,
-                max_batch: 8,
-                exec_threads: 2,
-                ..EngineConfig::default()
-            },
-        );
-        let pendings: Vec<_> = (0..9)
-            .map(|i| {
-                let (input, _) = &cases[i % cases.len()];
-                engine.submit("tiny", input.clone()).unwrap()
-            })
-            .collect();
-        for (i, pending) in pendings.into_iter().enumerate() {
-            let resp = pending.wait().unwrap();
-            assert_eq!(resp.output, cases[i % cases.len()].1, "request {i}");
-        }
-        let _ = engine.shutdown();
-    }
-
-    #[test]
     fn every_backend_serves_bit_exact_responses() {
         // The engine backend knob changes only performance: responses must
         // match the dense reference under every registered backend.
@@ -1308,7 +1256,6 @@ mod tests {
                     workers: 2,
                     queue_capacity: 16,
                     max_batch: 4,
-                    exec_threads: 1,
                     backend,
                     ..EngineConfig::default()
                 },
@@ -1394,7 +1341,6 @@ mod tests {
                 workers: 1,
                 queue_capacity: 32,
                 max_batch: 8,
-                exec_threads: 1,
                 ..EngineConfig::default()
             },
         );
@@ -1419,19 +1365,6 @@ mod tests {
             registry,
             EngineConfig {
                 max_batch: 0,
-                ..EngineConfig::default()
-            },
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "need at least one exec thread")]
-    fn zero_exec_threads_rejected() {
-        let registry = Arc::new(ModelRegistry::new());
-        let _ = Engine::start(
-            registry,
-            EngineConfig {
-                exec_threads: 0,
                 ..EngineConfig::default()
             },
         );
@@ -1625,6 +1558,18 @@ mod tests {
         let stats = engine.shutdown();
         assert_eq!(stats.quota_rejected, 2);
         assert_eq!(stats.served, 1);
+    }
+
+    #[test]
+    fn zero_quota_rejects_every_submission() {
+        let (engine, cases) = tiny_engine(1);
+        assert!(engine.registry().set_quota("tiny", Some(0)));
+        assert_eq!(
+            engine.try_submit("tiny", cases[0].0.clone()).unwrap_err(),
+            ServeError::QuotaExceeded
+        );
+        let stats = engine.shutdown();
+        assert_eq!((stats.quota_rejected, stats.served), (1, 0));
     }
 
     #[test]

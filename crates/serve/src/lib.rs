@@ -16,10 +16,9 @@
 //!   as **one batch-major forward**
 //!   ([`ucnn_core::plan::CompiledNetwork::forward_batch_with`], through
 //!   [`EngineConfig::backend`], the engine's one executor choice), walking
-//!   the retained streams once for the whole batch — with
-//!   [`EngineConfig::exec_threads`] scoped threads inside the forward —
-//!   and every response stays bit-identical to the dense reference at
-//!   every batch size and thread count. Requests can carry **deadlines**
+//!   the retained streams once for the whole batch, on the worker's own
+//!   thread — and every response stays bit-identical to the dense
+//!   reference at every batch size. Requests can carry **deadlines**
 //!   (admission control at submit, shed-on-expiry at drain) and per-model
 //!   concurrency **quotas** ([`registry::ModelQuota`]); worker panics are
 //!   surfaced in [`EngineStats`], never swallowed.

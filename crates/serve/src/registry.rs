@@ -62,13 +62,22 @@ struct Entry {
 /// in-flight [`QuotaToken`]s acquired against the old plan still count
 /// against (and release back to) the ceiling the new plan is admitted
 /// under. A limit of `None` (the default) admits everything while still
-/// tracking the active count.
-#[derive(Debug, Default)]
+/// tracking the active count; `Some(0)` admits nothing.
+#[derive(Debug)]
 pub struct ModelQuota {
-    /// 0 = unlimited; otherwise the admission ceiling.
+    /// The admission ceiling; `usize::MAX` = unlimited.
     limit: AtomicUsize,
     /// Requests currently holding a [`QuotaToken`].
     active: AtomicUsize,
+}
+
+impl Default for ModelQuota {
+    fn default() -> Self {
+        Self {
+            limit: AtomicUsize::new(usize::MAX),
+            active: AtomicUsize::new(0),
+        }
+    }
 }
 
 impl ModelQuota {
@@ -76,7 +85,7 @@ impl ModelQuota {
     #[must_use]
     pub fn limit(&self) -> Option<usize> {
         match self.limit.load(Ordering::Relaxed) {
-            0 => None,
+            usize::MAX => None,
             n => Some(n),
         }
     }
@@ -88,7 +97,8 @@ impl ModelQuota {
     }
 
     fn set_limit(&self, limit: Option<usize>) {
-        self.limit.store(limit.unwrap_or(0), Ordering::Relaxed);
+        self.limit
+            .store(limit.unwrap_or(usize::MAX), Ordering::Relaxed);
     }
 
     /// Admits one request: returns a token that releases the slot on drop,
@@ -98,7 +108,7 @@ impl ModelQuota {
         let limit = self.limit.load(Ordering::Relaxed);
         let mut active = self.active.load(Ordering::Relaxed);
         loop {
-            if limit != 0 && active >= limit {
+            if active >= limit {
                 return None;
             }
             match self.active.compare_exchange_weak(
@@ -244,8 +254,9 @@ impl ModelRegistry {
             .map(|entry| Arc::clone(&entry.plan))
     }
 
-    /// Sets (or with `None` lifts) the model's concurrency ceiling.
-    /// Returns `false` if no model of that name is registered.
+    /// Sets (or with `None` lifts) the model's concurrency ceiling;
+    /// `Some(0)` stops admitting the model. Returns `false` if no model of
+    /// that name is registered.
     ///
     /// Takes effect for the next admission decision; requests already in
     /// flight are never evicted (a lowered ceiling simply stops admitting
@@ -487,6 +498,22 @@ mod tests {
         // Lifting the ceiling returns to unlimited.
         assert!(registry.set_quota("tiny", None));
         assert_eq!(after.limit(), None);
+    }
+
+    #[test]
+    fn zero_quota_admits_nothing() {
+        let registry = ModelRegistry::new();
+        let net = networks::tiny();
+        let weights = forward::generate_network_weights(&net, QuantScheme::inq(), 16, 0.9);
+        registry.compile_and_insert(&net, &weights, &UcnnConfig::default());
+        assert!(registry.set_quota("tiny", Some(0)));
+        let quota = registry.quota("tiny").unwrap();
+        assert_eq!(quota.limit(), Some(0));
+        assert!(
+            quota.try_acquire().is_none(),
+            "a zero ceiling admits nothing"
+        );
+        assert_eq!(quota.active(), 0);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! format: small fixed layers and networks with concrete weights, inputs,
 //! and the expected `i32` outputs (computed once from the dense reference
 //! and committed). The harness runs **every** [`BackendKind`] against every
-//! vector at several batch sizes and thread counts — a new backend added to
-//! the registry inherits the whole suite with zero new test code.
+//! vector at several batch sizes — a new backend added to
+//! [`BackendKind::ALL`] inherits the whole suite with zero new test code.
 //!
 //! Regenerate the corpus (e.g. after adding a case) with:
 //!
@@ -22,7 +22,7 @@
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-use ucnn::core::backend::{backend, BackendKind};
+use ucnn::core::backend::BackendKind;
 use ucnn::core::compile::UcnnConfig;
 use ucnn::core::flatten::run_stages;
 use ucnn::core::plan::{CompiledLayer, CompiledNetwork, CompiledStage};
@@ -458,14 +458,13 @@ fn parse(name: &str, text: &str) -> GoldenCase {
 // The conformance run.
 // ---------------------------------------------------------------------------
 
-/// Batch sizes × thread counts every backend is driven with: chunks of 1,
-/// 2, 3, 5 and 7 images run at pitch 8 in up to 8, 4, 2, 1 and 1 row-shifted
-/// copies over the corpus's stride-2, pad-2, grouped and FC layers and its
-/// 7- and 12-row planes; 9, 17 and 33 = one full 8-, 16- or 32-lane chunk +
-/// one image, so whichever ISA tier the host dispatches (or `UCNN_SIMD`
-/// forces) runs both its full-width strip and its remainder.
-#[rustfmt::skip]
-const SHAPES: [(usize, usize); 8] = [(1, 1), (2, 2), (3, 1), (5, 2), (7, 2), (9, 2), (17, 2), (33, 2)];
+/// Batch sizes every backend is driven with: chunks of 1, 2, 3, 5 and 7
+/// images run at pitch 8 in up to 8, 4, 2, 1 and 1 row-shifted copies over
+/// the corpus's stride-2, pad-2, grouped and FC layers and its 7- and 12-row
+/// planes; 9, 17 and 33 = one full 8-, 16- or 32-lane chunk + one image, so
+/// whichever ISA tier the host dispatches (or `UCNN_SIMD` forces) runs both
+/// its full-width strip and its remainder.
+const BATCHES: [usize; 8] = [1, 2, 3, 5, 7, 9, 17, 33];
 
 fn check_case(case: &GoldenCase) {
     match case {
@@ -493,14 +492,14 @@ fn check_case(case: &GoldenCase) {
             };
             let layer = CompiledLayer::compile(geom, *conv_groups, weights, &cfg);
             for kind in BackendKind::ALL {
-                for (b, threads) in SHAPES {
+                for b in BATCHES {
                     let inputs = vec![input.clone(); b];
-                    let got = backend(kind).run_layer(&layer, &inputs, threads);
+                    let got = kind.run_layer(&layer, &inputs);
                     assert_eq!(got.len(), b, "{name}: {kind} returned wrong batch size");
                     for (i, out) in got.iter().enumerate() {
                         assert_eq!(
                             out, output,
-                            "{name}: backend '{kind}' diverged (B={b}, threads={threads}, image {i})"
+                            "{name}: backend '{kind}' diverged (B={b}, image {i})"
                         );
                     }
                 }
@@ -528,14 +527,14 @@ fn check_case(case: &GoldenCase) {
             };
             let compiled = CompiledNetwork::compile(&spec, weights, &cfg);
             for kind in BackendKind::ALL {
-                for (b, threads) in SHAPES {
+                for b in BATCHES {
                     let inputs = vec![input.clone(); b];
-                    let got = compiled.forward_batch_with(&inputs, kind, threads);
+                    let got = compiled.forward_batch_with(&inputs, kind);
                     assert_eq!(got.len(), b, "{name}: {kind} returned wrong batch size");
                     for (i, out) in got.iter().enumerate() {
                         assert_eq!(
                             out, output,
-                            "{name}: backend '{kind}' diverged (B={b}, threads={threads}, image {i})"
+                            "{name}: backend '{kind}' diverged (B={b}, image {i})"
                         );
                     }
                 }
@@ -694,15 +693,15 @@ fn every_isa_tier_matches_the_golden_corpus_bit_identically() {
             }
         };
         for &tier in available_tiers() {
-            for (b, threads) in SHAPES {
+            for b in BATCHES {
                 let inputs = vec![input.clone(); b];
-                let got = run_stages(&stages, &inputs, threads, tier);
+                let got = run_stages(&stages, &inputs, tier);
                 assert_eq!(got.len(), b, "{name}: {} wrong batch size", tier.name());
                 for (i, out) in got.iter().enumerate() {
                     assert_eq!(
                         out,
                         &output,
-                        "{name}: tier '{}' diverged (B={b}, threads={threads}, image {i})",
+                        "{name}: tier '{}' diverged (B={b}, image {i})",
                         tier.name()
                     );
                 }

@@ -27,7 +27,6 @@ fn hot_cold_mixed_models_bit_exact_across_all_backends() {
                 workers: 2,
                 queue_capacity: 32,
                 max_batch: 4,
-                exec_threads: 1,
                 backend,
                 ..EngineConfig::default()
             },
@@ -161,7 +160,6 @@ fn metrics_and_reuse_counters_reconcile_with_accounting() {
                 workers: 2,
                 queue_capacity: 32,
                 max_batch: 4,
-                exec_threads: 1,
                 backend: BackendKind::BatchThreads,
                 ..EngineConfig::default()
             },
