@@ -7,7 +7,7 @@
 //!              table3 ablations backends all
 //! ```
 //!
-//! `--quick` shrinks networks/sweeps (used by CI and Criterion); the default
+//! `--quick` shrinks networks/sweeps (used by CI and the tests); the default
 //! runs the full configuration recorded in EXPERIMENTS.md. With `--out DIR`
 //! every table is also written as `DIR/<experiment>.csv`. The `backends`
 //! experiment prints the all-backends comparison table **and writes it as

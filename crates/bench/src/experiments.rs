@@ -1,13 +1,13 @@
 //! One regeneration function per table/figure of the paper's evaluation.
 //!
 //! Each function is deterministic (fixed seeds) and returns rows shaped like
-//! the paper's plots. `quick` variants shrink networks/sweeps so Criterion
-//! can run them repeatedly; the full variants feed `EXPERIMENTS.md`.
+//! the paper's plots. `quick` variants shrink networks/sweeps so the tests
+//! and CI's smoke run can take every regeneration path; the full variants
+//! feed `EXPERIMENTS.md`.
 
 use ucnn_core::backend::BackendKind;
 use ucnn_core::compile::{compile_layer, compile_layer_sampled, UcnnConfig};
 use ucnn_core::encoding::{rle_bits_capped, EncodingParams, IitEncoding};
-use ucnn_core::exec::run_compiled;
 use ucnn_core::hierarchy::GroupStream;
 use ucnn_core::partial_product;
 use ucnn_model::stats::LayerRepetition;
@@ -668,8 +668,9 @@ pub fn ablate_multipliers() -> TableOut {
 /// Executor backend comparison: every registered backend on FC- and
 /// conv-shaped layers (plus an i8 ternary-alphabet zoo entry) across batch
 /// sizes — per-image time and speedup vs `batch-threads`, the serving
-/// engine's default. Outputs are asserted bit-identical across rows per
-/// cell, so the table doubles as an end-to-end conformance run. `repro
+/// engine's default. Every row's outputs are asserted bit-identical to the
+/// dense reference (`reference::conv2d`), so the table doubles as an
+/// end-to-end conformance run. `repro
 /// backends` writes these rows as machine-readable `BENCH_backends.json`
 /// for the perf trajectory.
 ///
@@ -692,8 +693,8 @@ pub fn backend_table(quick: bool) -> TableOut {
     use std::time::Instant;
     use ucnn_core::flatten::run_stages;
     use ucnn_core::plan::{CompiledLayer, CompiledStage};
-    use ucnn_core::simd::{available_tiers, resolve_tier};
-    use ucnn_model::ActivationGen;
+    use ucnn_core::simd::{available_tiers, SimdCaps};
+    use ucnn_model::{reference, ActivationGen};
     use ucnn_tensor::{ConvGeom, Tensor3};
 
     type Runner<'a> = Box<dyn Fn(&[Tensor3<i16>]) -> Vec<Tensor3<i32>> + 'a>;
@@ -770,14 +771,17 @@ pub fn backend_table(quick: bool) -> TableOut {
             let inputs: Vec<Tensor3<i16>> = (0..b)
                 .map(|_| agen.generate(geom.c(), geom.in_w(), geom.in_h()))
                 .collect();
-            let expected: Vec<_> = inputs.iter().map(|i| run_compiled(plan, i)).collect();
+            let expected: Vec<_> = inputs
+                .iter()
+                .map(|i| reference::conv2d(&geom, 1, i, &weights))
+                .collect();
             // The measured variants — (backend column, simd_tier column,
             // runner): the registered backends and one tier-pinned
             // flattened-batch per available ISA tier.
             let mut variants: Vec<(String, String, Runner<'_>)> = Vec::new();
             for kind in BackendKind::ALL {
                 let tier_label = if kind == BackendKind::FlattenedBatch {
-                    resolve_tier().name()
+                    SimdCaps::get().best().name()
                 } else {
                     "-"
                 };
@@ -794,8 +798,8 @@ pub fn backend_table(quick: bool) -> TableOut {
                     Box::new(move |ins| run_stages(stages, ins, tier)),
                 ));
             }
-            // Correctness (and warm-up): every variant must agree bit for
-            // bit.
+            // Correctness (and warm-up): every variant must match the dense
+            // reference bit for bit.
             for (label, _, run) in &variants {
                 assert_eq!(
                     run(&inputs),
@@ -916,6 +920,25 @@ mod tests {
     }
 
     #[test]
+    fn fig10_quick_normalizes_each_layer_to_dcnn() {
+        let t = fig10(true);
+        // 4 ResNet layers × 5 designs, DCNN first in each layer's block.
+        assert_eq!(t.rows.len(), 4 * 5);
+        for block in t.rows.chunks(5) {
+            assert_eq!(block[0][1], "DCNN");
+            assert_eq!(block[0][5], "1.000", "{block:?}");
+            for row in block {
+                let parts: f64 = row[2..5].iter().map(|v| v.parse::<f64>().unwrap()).sum();
+                let total: f64 = row[5].parse().unwrap();
+                assert!((parts - total).abs() < 0.01, "{row:?}");
+            }
+            // UCNN U17 spends less energy than dense DCNN at 50 % density.
+            let u17 = block.iter().find(|r| r[1] == "UCNN U17").unwrap();
+            assert!(u17[5].parse::<f64>().unwrap() < 1.0, "{u17:?}");
+        }
+    }
+
+    #[test]
     fn fig11_is_monotone_in_density_and_g() {
         let t = fig11();
         assert_eq!(t.rows.len(), 10);
@@ -929,6 +952,24 @@ mod tests {
             let g2: f64 = row[2].parse().unwrap();
             let g4: f64 = row[3].parse().unwrap();
             assert!(g1 <= g2 + 0.02 && g2 <= g4 + 0.02 && g4 <= 1.05, "{row:?}");
+        }
+    }
+
+    #[test]
+    fn fig12_quick_normalizes_to_dcnn_sp() {
+        let t = fig12(true);
+        // LeNet × 3 designs, then one geomean row per design.
+        assert_eq!(t.rows.len(), 3 + 3);
+        assert_eq!(t.rows[0][..3], ["LeNet", "DCNN_sp", "1.000"]);
+        for row in &t.rows[..3] {
+            let runtime: f64 = row[2].parse().unwrap();
+            let ideal: f64 = row[3].parse().unwrap();
+            assert!(ideal > 0.0 && ideal <= runtime + 1e-3, "{row:?}");
+        }
+        for (row, geomean) in t.rows[..3].iter().zip(&t.rows[3..]) {
+            assert_eq!((geomean[0].as_str(), &geomean[1]), ("geomean", &row[1]));
+            // One network: the geomean is its runtime.
+            assert_eq!(geomean[2], row[2]);
         }
     }
 
@@ -972,10 +1013,10 @@ mod tests {
 
     #[test]
     fn backend_table_covers_every_backend_bit_exactly() {
-        // Bit-exactness across backends is asserted inside backend_table
-        // per cell; here we pin the table shape and positive timings.
-        // Speedups are machine-dependent and not asserted (the micro bench
-        // is the perf gate).
+        // Bit-exactness against the dense reference is asserted inside
+        // backend_table per cell; here we pin the table shape and positive
+        // timings. Speedups are machine-dependent and not asserted: CI's
+        // guard on the checked-in `BENCH_backends.json` is the perf gate.
         let t = backend_table(true);
         let tiers = ucnn_core::simd::available_tiers().len();
         // Per cell: the three registered backends and one tier-pinned
@@ -1001,11 +1042,13 @@ mod tests {
         for row in &t.rows {
             assert!(row[4].parse::<f64>().unwrap() > 0.0, "{row:?}");
             assert!(row[5].parse::<f64>().unwrap() > 0.0, "{row:?}");
-            // Every row reports which kernel ran: flattened rows carry a
-            // tier name, the rest a `-` placeholder.
+            // Every row reports which kernel ran: flattened rows carry the
+            // name of a tier this CPU has, the rest a `-` placeholder.
             if row[2].starts_with("flattened") {
                 assert!(
-                    ucnn_core::simd::SimdTier::parse(&row[3]).is_some(),
+                    ucnn_core::simd::available_tiers()
+                        .iter()
+                        .any(|t| t.name() == row[3]),
                     "flattened rows report their tier: {row:?}"
                 );
                 assert!(row[6].parse::<usize>().unwrap() > 0, "{row:?}");

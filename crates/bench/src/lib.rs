@@ -1,11 +1,10 @@
-//! Benchmark harness for the UCNN reproduction: one regeneration function
-//! per table and figure of the paper's evaluation (§VI), shared between the
-//! `repro` binary and the Criterion benches.
+//! Regeneration harness for the UCNN reproduction: one function per table
+//! and figure of the paper's evaluation (§VI), behind the `repro` binary.
 //!
 //! Every function returns a [`table::TableOut`] whose rows mirror what the
-//! paper plots; `repro` prints them and optionally writes CSV. `scale`
-//! arguments trade fidelity for speed (Criterion uses small scales; the
-//! final `EXPERIMENTS.md` numbers use the defaults).
+//! paper plots; `repro` prints them and optionally writes CSV. `quick`
+//! arguments trade fidelity for speed (the tests and CI's smoke run use the
+//! quick variants; the `EXPERIMENTS.md` numbers use the full ones).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -15,8 +14,8 @@ pub mod table;
 
 pub use table::TableOut;
 
-/// Minimal `--flag VALUE` argv scanning shared by the `repro` binary and
-/// the Criterion benches (no CLI crate in the offline build environment).
+/// Minimal `--flag VALUE` argv scanning for the `repro` binary (no CLI crate
+/// in the offline build environment).
 pub mod cli {
     /// The value of the **last** `--flag VALUE` occurrence in `args` —
     /// repeating a flag overrides earlier ones, like most CLIs.

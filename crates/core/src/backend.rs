@@ -18,9 +18,8 @@
 //! | [`BackendKind::BatchThreads`] | retained-stream walk: per image at B = 1, batch-major at B ≥ 2 | nowhere on speed; it is the serving engine's default until the benchmark's memory accounting lets the engine switch (see `EngineConfig::backend` in `ucnn-serve`) |
 //! | [`BackendKind::FlattenedBatch`] | branch-free flattened walk (one gather path for every geometry: padded layers are staged into a zero-haloed chunk; the innermost level multiplied in registers where its groups close, prefix rows kept only where an outer group closes) over SIMD lanes that are output positions × the chunk's images, a chunk of fewer than eight images filling eight lanes with row-shifted copies of itself, staged per filter band; a whole network runs chunk-major — each lane chunk stays batch-interleaved from the staged input to the last stage ([`BackendKind::run_network`]) | every measured cell; the library default ([`CompiledNetwork::DEFAULT_BACKEND`](crate::plan::CompiledNetwork::DEFAULT_BACKEND)) |
 //!
-//! Which ISA tier the flattened executor runs is not a backend choice: the
-//! process works it out once from what it can observe
-//! ([`SimdCaps`](crate::simd::SimdCaps)) in [`resolve_tier`].
+//! Which ISA tier the flattened executor runs is not a choice at all: every
+//! execution dispatches the widest tier the CPU has, [`SimdCaps::best`].
 
 use std::borrow::Cow;
 
@@ -32,7 +31,7 @@ use crate::exec::{factorized_conv, run_compiled_batch};
 use crate::flatten::{run_layer, run_stages, FlattenedTile};
 use crate::hierarchy::GroupStream;
 use crate::plan::{CompiledLayer, CompiledNetwork, CompiledStage};
-use crate::simd::resolve_tier;
+use crate::simd::SimdCaps;
 
 /// Selects one of the registered executor backends.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -53,8 +52,8 @@ pub enum BackendKind {
     /// chunk feeds a strip of contiguous image lanes as wide as the
     /// dispatched ISA tier allows (8 scalar/NEON, 16 AVX2, 32 AVX-512 —
     /// see [`SimdTier::lane_width`](crate::simd::SimdTier::lane_width)),
-    /// through explicit `#[target_feature]` kernels picked once per
-    /// process by [`resolve_tier`]. A chunk of fewer than eight images is
+    /// through the `#[target_feature]` kernels of the widest tier the CPU
+    /// has ([`SimdCaps::best`]). A chunk of fewer than eight images is
     /// staged at pitch 8 like a chunk of eight, in row-shifted copies of
     /// each image that walk a share of the output rows each, through the
     /// same kernels over the same lowered tiles.
@@ -133,7 +132,7 @@ impl BackendKind {
                 inputs.iter().map(conv).collect()
             }
             BackendKind::BatchThreads => run_compiled_batch(layer, inputs),
-            BackendKind::FlattenedBatch => run_layer(layer, inputs, resolve_tier()),
+            BackendKind::FlattenedBatch => run_layer(layer, inputs, SimdCaps::get().best()),
         }
     }
 
@@ -159,7 +158,7 @@ impl BackendKind {
             BackendKind::Factorized | BackendKind::BatchThreads => {
                 layer_by_layer(self, net, inputs)
             }
-            BackendKind::FlattenedBatch => run_stages(net.stages(), inputs, resolve_tier()),
+            BackendKind::FlattenedBatch => run_stages(net.stages(), inputs, SimdCaps::get().best()),
         }
     }
 
@@ -286,13 +285,13 @@ fn flattened_work(layer: &CompiledLayer, batch: usize, lowering_was_ready: bool)
     let segments = tiles.iter().map(FlattenedTile::segment_count).sum();
     let entries = tiles.iter().map(FlattenedTile::entry_count).sum();
     let mut work = walk_work(layer, batch, segments, entries);
-    work.csr_segments = work.multiplies_issued;
     if lowering_was_ready {
         work.lowering_hits = 1;
     } else {
         work.lowering_misses = 1;
     }
-    let (chunks, widest) = crate::flatten::strip_profile(layer.geom(), batch, resolve_tier());
+    let (chunks, widest) =
+        crate::flatten::strip_profile(layer.geom(), batch, SimdCaps::get().best());
     work.lane_strips = chunks as u64;
     work.lane_width = widest as u64;
     work

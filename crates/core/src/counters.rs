@@ -48,11 +48,6 @@ pub struct LayerWork {
     /// entry for the flattened backend (more only where a band is walked
     /// filter by filter).
     pub gather_entries: u64,
-    /// CSR segments walked by the flattened backends — outer segments plus
-    /// innermost groups of a non-zero `|w|` (the kernel multiplies at every
-    /// close, by a telescoped `Δw`; that is executed, not counted): equal
-    /// to `multiplies_issued` there. Zero for non-flattened backends.
-    pub csr_segments: u64,
     /// Layer executions that found the flattened lowering already built.
     pub lowering_hits: u64,
     /// Layer executions that had to build (or wait for) the lowering.
@@ -83,7 +78,6 @@ impl LayerWork {
         self.dense_multiplies += other.dense_multiplies;
         self.multiplies_issued += other.multiplies_issued;
         self.gather_entries += other.gather_entries;
-        self.csr_segments += other.csr_segments;
         self.lowering_hits += other.lowering_hits;
         self.lowering_misses += other.lowering_misses;
         self.lane_strips += other.lane_strips;

@@ -465,7 +465,7 @@ mod tests {
     use crate::flatten::oracle::{Alphabet, Case};
     use crate::flatten::run_layer;
     use crate::plan::CompiledLayer;
-    use crate::simd::resolve_tier;
+    use crate::simd::SimdCaps;
     use ucnn_model::reference;
     use ucnn_tensor::{Tensor3, Tensor4};
 
@@ -549,7 +549,7 @@ mod tests {
         );
         // The kernels read the same zero halo, one image or several.
         for batch in [1, 4] {
-            for got in run_layer(&layer, &vec![input.clone(); batch], resolve_tier()) {
+            for got in run_layer(&layer, &vec![input.clone(); batch], SimdCaps::get().best()) {
                 assert_eq!(got, out);
             }
         }

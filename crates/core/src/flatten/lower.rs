@@ -688,7 +688,7 @@ pub(super) mod tests {
     use crate::flatten::oracle::check_layer;
     use crate::flatten::run_layer;
     use crate::plan::CompiledLayer;
-    use crate::simd::resolve_tier;
+    use crate::simd::SimdCaps;
     use ucnn_model::{reference, ActivationGen, QuantScheme, WeightGen};
     use ucnn_tensor::{Tensor3, Tensor4};
 
@@ -915,7 +915,7 @@ pub(super) mod tests {
                 assert_eq!(tile.closes.len(), records, "{geom:?}, flip {flip}");
                 let input = agen.generate(c, geom.in_w(), geom.in_h());
                 let expected = reference::conv2d(&geom, 1, &input, &weights);
-                let got = run_layer(&layer, &[input], resolve_tier());
+                let got = run_layer(&layer, &[input], SimdCaps::get().best());
                 assert_eq!(got, [expected], "{geom:?}, flip {flip}");
             }
         }

@@ -800,6 +800,6 @@ mod tests {
     #[should_panic(expected = "need at least one stage")]
     fn run_stages_rejects_no_stages() {
         let input = Tensor3::filled(2, 4, 4, 1i16);
-        let _ = run_stages(&[], &[input], crate::simd::resolve_tier());
+        let _ = run_stages(&[], &[input], SimdCaps::get().best());
     }
 }

@@ -25,7 +25,7 @@ use ucnn_tensor::{ConvGeom, Tensor3, Tensor4};
 
 use super::kernel::{chunk_widths, strip_runs, Lanes, KERNELS, LANE_WIDTH};
 use super::lower::tests::check_lowering;
-use super::run_stages;
+use super::{run_layer, run_stages};
 use crate::backend::BackendKind;
 use crate::compile::UcnnConfig;
 use crate::plan::{CompiledLayer, CompiledStage};
@@ -238,14 +238,15 @@ impl Case {
 }
 
 /// Runs `layer`, compiled from `weights`, over `inputs` through every
-/// [`BackendKind`]'s `run_layer` (the process tier), and through
-/// [`run_stages`] on every available tier three ways, one for each way the
-/// layer's finished bands leave it: alone (its raw sums scattered out),
-/// followed by a 1×1 max-pool (fused onto the layer's bands), and followed
-/// by an identity 1×1 convolution (the bands enter its plane through the
-/// relu epilogue). Both chains hand the `relu_saturate`d activations on
-/// unchanged. Each is held to the dense reference; the plan is shared by
-/// every run, so a run that changed it fails a later one.
+/// [`BackendKind`]'s `run_layer` (the widest tier), and on every available
+/// tier through the flattened [`run_layer`] and through [`run_stages`] three
+/// ways, one for each way the layer's finished bands leave it: alone (its
+/// raw sums scattered out), followed by a 1×1 max-pool (fused onto the
+/// layer's bands), and followed by an identity 1×1 convolution (the bands
+/// enter its plane through the relu epilogue). Both chains hand the
+/// `relu_saturate`d activations on unchanged. Each is held to the dense
+/// reference; the plan is shared by every run, so a run that changed it
+/// fails a later one.
 pub(super) fn check_layer(
     layer: &CompiledLayer,
     weights: &Tensor4<i16>,
@@ -292,6 +293,7 @@ pub(super) fn check_layer(
     ];
     for &tier in available_tiers() {
         let tier_what = format!("{what}: tier {}", tier.name());
+        assert_eq!(run_layer(layer, inputs, tier), sums, "{tier_what}: layer");
         let raw = run_stages(std::slice::from_ref(&stage), inputs, tier);
         assert_eq!(raw, sums, "{tier_what}: raw sums");
         for (chain, stages) in &chains {

@@ -98,7 +98,7 @@ mod tests {
     use crate::flatten::network::{haloed_len, run_layer_chunk};
     use crate::flatten::{run_layer, run_stages, strip_profile};
     use crate::plan::{CompiledLayer, CompiledNetwork, CompiledStage};
-    use crate::simd::{available_tiers, resolve_tier, SimdCaps, SimdTier};
+    use crate::simd::{available_tiers, SimdCaps, SimdTier};
     use ucnn_model::{forward, reference, ActivationGen, QuantScheme, WeightGen};
     use ucnn_tensor::{ConvGeom, Tensor3, Tensor4};
 
@@ -194,7 +194,7 @@ mod tests {
                     .map(|i| reference::conv2d(geom, 1, i, &weights))
                     .collect();
                 assert_eq!(
-                    run_on_arena(&layer, &inputs, &mut scratch, resolve_tier()),
+                    run_on_arena(&layer, &inputs, &mut scratch, SimdCaps::get().best()),
                     expected,
                     "layer {gi}, B={b}"
                 );
@@ -348,15 +348,16 @@ mod tests {
         let mut agen = ActivationGen::new(96);
         let inputs: Vec<Tensor3<i16>> = (0..32).map(|_| agen.generate(3, 8, 8)).collect();
 
+        let best = SimdCaps::get().best();
         let mut scratch = FlattenedScratch::default();
         assert_eq!(resident_bytes(&scratch), 0, "a new arena holds nothing");
-        let got = run_on_arena(&layer, &inputs, &mut scratch, resolve_tier());
+        let got = run_on_arena(&layer, &inputs, &mut scratch, best);
         for (input, out) in inputs.iter().zip(&got) {
             assert_eq!(out, &reference::conv2d(&geom, 1, input, &weights));
         }
 
         // 32 images fill the widest tier's strip, so LW is the tier width.
-        let lw = resolve_tier().lane_width();
+        let lw = best.lane_width();
         let plane = geom.out_w() * geom.out_h();
         let staging = bytes(&scratch.band_lanes);
         assert!(
@@ -366,7 +367,7 @@ mod tests {
         );
         // The 8-position output rows run as strips of as many positions ×
         // the chunk as the tier's registers hold.
-        let strip = (8 * lw).min(resolve_tier().strip_lanes());
+        let strip = (8 * lw).min(best.strip_lanes());
         let max_rows = layer.flat_tiles().iter().map(|t| t.rows).max().unwrap();
         assert_eq!(
             resident_bytes(&scratch),
@@ -381,7 +382,7 @@ mod tests {
         // One image runs at pitch 8, eight copies of one output row each:
         // no wider than the strips that grew the arena.
         let grown = resident_bytes(&scratch);
-        let got = run_on_arena(&layer, &inputs[..1], &mut scratch, resolve_tier());
+        let got = run_on_arena(&layer, &inputs[..1], &mut scratch, best);
         assert_eq!(got[0], reference::conv2d(&geom, 1, &inputs[0], &weights));
         assert_eq!(resident_bytes(&scratch), grown);
     }
@@ -400,7 +401,7 @@ mod tests {
         let CompiledStage::Conv { layer, .. } = &plan.stages()[0] else {
             panic!("tiny starts with a convolution");
         };
-        let tier = resolve_tier();
+        let tier = SimdCaps::get().best();
         let mut agen = ActivationGen::new(98);
         let inputs: Vec<Tensor3<i16>> = (0..2 * tier.lane_width())
             .map(|_| agen.generate_for(&net.conv_layers()[0]))

@@ -55,10 +55,10 @@
 //!   `kernel` (the datapath that walks them), `scratch` (the calling
 //!   thread's arena) and `network` (the chunk-major driver and
 //!   [`flatten::run_stages`], the one entry point that forces a tier).
-//! * [`simd`] — runtime ISA detection ([`SimdCaps`]) and the process-wide
-//!   [`SimdTier`]: which `#[target_feature]` tier the strip kernels
-//!   dispatch to (scalar / AVX2 / AVX-512 / NEON, clamped to the CPU) and
-//!   at what interleave width.
+//! * [`simd`] — runtime ISA detection ([`SimdCaps`]) and the
+//!   [`SimdTier`]s the `#[target_feature]` strip kernels are built for
+//!   (scalar / AVX2 / AVX-512 / NEON) and their interleave widths; every
+//!   execution dispatches the widest tier the CPU has.
 //! * [`partial_product`] — the paper's third (unexploited) reuse form,
 //!   partial-product memoization across filters (§III-C), provided as an
 //!   extension for ablation.

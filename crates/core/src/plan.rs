@@ -815,7 +815,7 @@ mod tests {
             // LeNet costs 0.2–0.4 s per image unoptimized: the small
             // networks cover the strip widths, it keeps a strip plus
             // residual there and adds the one-lane and 33-image cases where
-            // the build is optimized (CI's forced-tier legs).
+            // the build is optimized (CI's release step).
             let batches: &[usize] = match (net.name(), cfg!(debug_assertions)) {
                 ("LeNet", true) => &[9],
                 ("LeNet", false) => &[1, 9, 33],

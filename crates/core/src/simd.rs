@@ -1,11 +1,13 @@
-//! Runtime SIMD capability detection and tier selection for the flattened
-//! backend.
+//! Runtime SIMD capability detection for the flattened backend.
 //!
 //! The flattened strip kernels ([`flatten`](crate::flatten)) are compiled
 //! once per ISA tier behind `#[target_feature]` gates and picked at runtime:
 //! a [`SimdCaps`] probe (via `is_x86_feature_detected!` /
 //! `is_aarch64_feature_detected!`) decides which tiers this CPU can run, and
-//! [`resolve_tier`] picks the one every plan in the process dispatches to.
+//! every flattened execution of the process dispatches to the widest of
+//! them, [`SimdCaps::best`]. Nothing else chooses a tier: the narrower tiers
+//! run only where a caller names one — [`run_stages`](crate::flatten::run_stages),
+//! which the per-tier tests and `repro backends`' pinned rows drive.
 //!
 //! ReuseSense (arXiv:2311.10487) is the grounding: UCNN-style reuse pays off
 //! most when the amortized gather/CSR index work feeds the widest contiguous
@@ -14,23 +16,14 @@
 //! baseline SSE2, `avx2` runs 16-wide strips, `avx512` 32-wide — each strip
 //! still performs the identical per-lane i32 operation sequence, so every
 //! tier stays bit-identical to the dense reference (the conformance corpus
-//! and the equivalence oracle are the referees).
-//!
-//! # The `UCNN_SIMD` knob
-//!
-//! `UCNN_SIMD=scalar|avx2|avx512|neon` forces a tier for testing — the only
-//! environment variable the program reads. Requests are **clamped
-//! downward** to what the CPU actually supports (asking for `avx512` on an
-//! AVX2-only box runs `avx2`; asking for `avx2` on aarch64 runs `neon`), so
-//! CI legs can force any tier on any runner without crashing — the `scalar`
-//! leg in particular exercises the fallback path everywhere. A value that
-//! names no tier runs the widest one and says so on stderr. The variable is
-//! read once, on the first flattened execution of the process.
+//! and the equivalence oracle run every available tier in one process).
 
-use std::env;
 use std::sync::OnceLock;
 
-/// Env var forcing a dispatch tier (`scalar|avx2|avx512|neon`).
+/// Inert: nothing reads this variable; every process runs
+/// [`SimdCaps::best`]. The name stays only because the benchmark package
+/// imports it and may not change in the PR that retired the knob; the next
+/// `[benchmark]` PR drops the import and this const.
 pub const SIMD_ENV: &str = "UCNN_SIMD";
 /// Inert: nothing reads this variable. The name stays only because the
 /// benchmark package imports it and may not change in the PR that retired
@@ -38,7 +31,7 @@ pub const SIMD_ENV: &str = "UCNN_SIMD";
 pub const SHIFT_ENV: &str = "UCNN_SIMD_SHIFT";
 
 /// One dispatchable ISA tier. Every variant exists on every architecture
-/// (so tier names parse portably in configs and bench artifacts); detection
+/// (so tier names read the same in bench artifacts everywhere); detection
 /// simply never reports a foreign tier as available.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SimdTier {
@@ -57,8 +50,7 @@ impl SimdTier {
     /// Every tier, in detection/rank order.
     pub const ALL: [Self; 4] = [Self::Scalar, Self::Neon, Self::Avx2, Self::Avx512];
 
-    /// Canonical lowercase name (stable: bench artifacts and `UCNN_SIMD`
-    /// values use it).
+    /// Canonical lowercase name (stable: bench artifacts use it).
     #[must_use]
     pub const fn name(self) -> &'static str {
         match self {
@@ -66,18 +58,6 @@ impl SimdTier {
             Self::Avx2 => "avx2",
             Self::Avx512 => "avx512",
             Self::Neon => "neon",
-        }
-    }
-
-    /// Parses a canonical tier name (case-insensitive).
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.to_ascii_lowercase().as_str() {
-            "scalar" => Some(Self::Scalar),
-            "avx2" => Some(Self::Avx2),
-            "avx512" => Some(Self::Avx512),
-            "neon" => Some(Self::Neon),
-            _ => None,
         }
     }
 
@@ -222,41 +202,6 @@ pub fn available_tiers() -> &'static [SimdTier] {
     SimdCaps::get().tiers()
 }
 
-/// The tier every flattened execution in this process dispatches to: the
-/// `UCNN_SIMD` request clamped to this CPU, or the widest available tier when
-/// unset. Resolved once and cached beside [`SimdCaps`]; a value that names no
-/// tier runs the widest one and is reported on stderr, so a typo in a CI leg
-/// cannot pass for the tier it meant.
-#[must_use]
-pub fn resolve_tier() -> SimdTier {
-    static TIER: OnceLock<SimdTier> = OnceLock::new();
-    *TIER.get_or_init(|| {
-        let caps = SimdCaps::get();
-        let value = env::var_os(SIMD_ENV).map(|v| v.to_string_lossy().into_owned());
-        tier_for_request(value.as_deref(), caps).unwrap_or_else(|| {
-            let best = caps.best();
-            let names: Vec<&str> = SimdTier::ALL.iter().map(|t| t.name()).collect();
-            eprintln!(
-                "ucnn: {SIMD_ENV}={:?} names no SIMD tier (accepted: {}); running {}",
-                value.unwrap_or_default(),
-                names.join(", "),
-                best.name()
-            );
-            best
-        })
-    })
-}
-
-/// The parse/clamp step of [`resolve_tier`], free of process state: the
-/// widest tier of `caps` when nothing is requested, the requested tier
-/// clamped to `caps` when `value` names one, `None` when it names none.
-fn tier_for_request(value: Option<&str>, caps: SimdCaps) -> Option<SimdTier> {
-    match value {
-        None => Some(caps.best()),
-        Some(v) => SimdTier::parse(v).map(|t| caps.clamp(t)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,15 +212,6 @@ mod tests {
         assert_eq!(caps.tiers()[0], SimdTier::Scalar);
         assert!(caps.supports(SimdTier::Scalar));
         assert!(caps.supports(caps.best()));
-    }
-
-    #[test]
-    fn names_round_trip() {
-        for tier in SimdTier::ALL {
-            assert_eq!(SimdTier::parse(tier.name()), Some(tier));
-            assert_eq!(SimdTier::parse(&tier.name().to_uppercase()), Some(tier));
-        }
-        assert_eq!(SimdTier::parse("sse9"), None);
     }
 
     #[test]
@@ -302,24 +238,25 @@ mod tests {
         assert_eq!(caps.clamp(SimdTier::Scalar), SimdTier::Scalar);
     }
 
+    /// A tier request is a `SimdTier` value, clamped to the CPU; the only
+    /// string match left is a bench row's tier name against `name()`, which
+    /// is exact, so a misspelt name is no tier at all.
     #[test]
     fn tier_requests_parse_then_clamp_and_typos_are_not_a_tier() {
-        use SimdTier::{Avx2, Neon, Scalar};
+        use SimdTier::{Avx2, Avx512, Neon, Scalar};
         let avx2_box = SimdCaps {
             tiers: &[Scalar, Avx2],
         };
         let neon_box = SimdCaps {
             tiers: &[Scalar, Neon],
         };
-        assert_eq!(tier_for_request(None, avx2_box), Some(Avx2));
-        assert_eq!(tier_for_request(Some("scalar"), avx2_box), Some(Scalar));
-        assert_eq!(tier_for_request(Some("AVX2"), avx2_box), Some(Avx2));
-        assert_eq!(tier_for_request(Some("avx512"), avx2_box), Some(Avx2));
-        assert_eq!(tier_for_request(Some("neon"), avx2_box), Some(Avx2));
-        assert_eq!(tier_for_request(Some("avx512"), neon_box), Some(Neon));
-        // What used to run the widest tier without a word.
-        for typo in ["", "avx-512", "avx512 ", "sse9", "1"] {
-            assert_eq!(tier_for_request(Some(typo), avx2_box), None, "{typo:?}");
+        assert_eq!(avx2_box.best(), Avx2);
+        assert_eq!(avx2_box.clamp(Scalar), Scalar);
+        assert_eq!(avx2_box.clamp(Avx512), Avx2);
+        assert_eq!(avx2_box.clamp(Neon), Avx2);
+        assert_eq!(neon_box.clamp(Avx512), Neon);
+        for typo in ["", "avx-512", "avx512 ", "AVX2", "sse9", "1"] {
+            assert!(SimdTier::ALL.iter().all(|t| t.name() != typo), "{typo:?}");
         }
     }
 }

@@ -462,8 +462,8 @@ fn parse(name: &str, text: &str) -> GoldenCase {
 /// images run at pitch 8 in up to 8, 4, 2, 1 and 1 row-shifted copies over
 /// the corpus's stride-2, pad-2, grouped and FC layers and its 7- and 12-row
 /// planes; 9, 17 and 33 = one full 8-, 16- or 32-lane chunk + one image, so
-/// whichever ISA tier the host dispatches (or `UCNN_SIMD` forces) runs both
-/// its full-width strip and its remainder.
+/// the widest ISA tier the host has runs both its full-width strip and its
+/// remainder.
 const BATCHES: [usize; 8] = [1, 2, 3, 5, 7, 9, 17, 33];
 
 fn check_case(case: &GoldenCase) {
@@ -644,12 +644,10 @@ fn corpus_definitions_round_trip_through_the_text_format() {
 
 #[test]
 fn every_isa_tier_matches_the_golden_corpus_bit_identically() {
-    // The suite above runs whatever tier the host dispatches (or `UCNN_SIMD`
-    // forces — the CI `simd` job re-runs the whole file once per tier). This
-    // test removes the env dependency: it drives every golden vector, layer
-    // and network alike, through every tier this machine can execute, in one
-    // process — through the one entry point that takes a tier, a layer as a
-    // one-stage list.
+    // The suite above runs the widest tier the host has. This test drives
+    // every golden vector, layer and network alike, through every tier this
+    // machine can execute, in one process — through the one entry point
+    // that takes a tier, a layer as a one-stage list.
     let (mut layers, mut networks) = (0usize, 0usize);
     let cfg = |g, ct| UcnnConfig {
         g,
