@@ -19,9 +19,7 @@
 //!
 //! Recording is sharded: each thread hashes to one of a fixed set of
 //! mutex-protected maps (one lock acquisition per executed layer batch, not
-//! per entry), and [`snapshot`] merges the shards at read time — the same
-//! record-sharded/merge-at-read discipline as the serving engine's
-//! per-worker metric cells.
+//! per entry), and [`snapshot`] merges the shards at read time.
 
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};

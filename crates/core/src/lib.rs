@@ -45,7 +45,7 @@
 //!   runs on the thread that calls it.
 //! * [`counters`] — the per-layer reuse-telemetry sink: an opt-in,
 //!   thread-sharded [`LayerWork`] tally (multiplies issued vs
-//!   dense-equivalent, gather entries, CSR segments, lowering-cache hits)
+//!   dense-equivalent, gather entries, lowering-cache hits)
 //!   every backend reports into per layer of a forward.
 //! * [`flatten`] — the compile-time lowering (branch-free gather offsets
 //!   and CSR-style activation-group ranges) and the batch-interleaved SIMD

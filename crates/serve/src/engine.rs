@@ -13,19 +13,9 @@
 //! batch is a single request (no added latency), under backlog it grows up
 //! to the configured limit, amortizing queue synchronization.
 //!
-//! Requests may carry a **deadline**. Open-loop submission applies
-//! admission control — a request whose deadline cannot be met at the
-//! current depth (estimated from an EWMA of per-request service time) is
-//! rejected with [`ServeError::DeadlineExceeded`] instead of queued — and
-//! workers shed already-expired requests at drain time rather than
-//! executing dead work. Per-model [`ModelQuota`]s bound each tenant's
-//! requests in flight ([`ServeError::QuotaExceeded`]); the quota slot is
-//! held from admission to response delivery by an RAII token. Before
-//! either, a tensor that is not the named model's input shape is turned
-//! away with [`ServeError::BadInput`]: it costs that request, not the
+//! A tensor that is not the named model's input shape is turned away at
+//! submit with [`ServeError::BadInput`]: it costs that request, not the
 //! worker its forward would have panicked.
-//!
-//! [`ModelQuota`]: crate::registry::ModelQuota
 //!
 //! A drained batch is grouped by model and each group executes as **one
 //! batched forward** ([`CompiledNetwork::forward_batch_with`], through the
@@ -43,12 +33,11 @@
 //! already resident — so the first request after a deploy does not pay
 //! lowering latency in its tail.
 //!
-//! Every event is tallied once, in the engine's own [`MetricsRegistry`]
-//! (per-worker padded cells): [`Engine::stats`] reads its totals and the
-//! three phase histograms — queue wait, batch formation, execute: the same
-//! partition of a request's time in the engine that each [`ServeResponse`]
-//! carries — back out of it. Measuring the engine is the job of the
-//! repository benchmark (`benchmark/`).
+//! Every event is tallied once, in plain atomics the engine owns:
+//! [`Engine::stats`] reads its totals and the three phases — queue wait,
+//! batch formation, execute: the same partition of a request's time in the
+//! engine that each [`ServeResponse`] carries — directly. Measuring the
+//! engine is the job of the repository benchmark (`benchmark/`).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -60,9 +49,8 @@ use ucnn_core::backend::BackendKind;
 use ucnn_core::plan::CompiledNetwork;
 use ucnn_tensor::Tensor3;
 
-use crate::metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 use crate::queue::{ShardedBatch, ShardedQueue, TryPushError};
-use crate::registry::{ModelRegistry, QuotaToken};
+use crate::registry::ModelRegistry;
 
 /// Engine sizing knobs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -121,16 +109,9 @@ pub enum ServeError {
     /// The worker dropped the response channel: the request's own forward
     /// panicked (run alone, after the batch it rode in panicked).
     WorkerLost,
-    /// The request's deadline cannot be (or was not) met: rejected at
-    /// submit by admission control, or shed by a worker that drained it
-    /// after expiry. Either way no forward pass ran for it.
-    DeadlineExceeded,
-    /// The model is at its per-model concurrency ceiling
-    /// ([`crate::registry::ModelQuota`]); the request was not enqueued.
-    QuotaExceeded,
     /// The tensor is not the `(channels, width, height)` the named model
-    /// takes ([`CompiledNetwork::input_dims`]); the request took no quota
-    /// slot and was not enqueued.
+    /// takes ([`CompiledNetwork::input_dims`]); the request was not
+    /// enqueued.
     BadInput {
         /// The model's input dims.
         expected: (usize, usize, usize),
@@ -146,8 +127,6 @@ impl std::fmt::Display for ServeError {
             ServeError::ShuttingDown => write!(f, "engine is shutting down"),
             ServeError::Overloaded => write!(f, "request queue is full"),
             ServeError::WorkerLost => write!(f, "worker dropped the response"),
-            ServeError::DeadlineExceeded => write!(f, "deadline exceeded"),
-            ServeError::QuotaExceeded => write!(f, "model concurrency quota exceeded"),
             ServeError::BadInput { expected, got } => {
                 write!(f, "input dims {got:?} are not the model's {expected:?}")
             }
@@ -189,13 +168,12 @@ pub struct Pending {
 }
 
 impl Pending {
-    /// Blocks until the response (or the worker's shed decision) arrives.
+    /// Blocks until the response arrives.
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::DeadlineExceeded`] if a worker shed the
-    /// request because it expired in queue, or [`ServeError::WorkerLost`]
-    /// if the batch it rode in panicked.
+    /// Returns [`ServeError::WorkerLost`] if the request's own forward
+    /// panicked.
     pub fn wait(self) -> Result<ServeResponse, ServeError> {
         self.rx.recv().map_err(|_| ServeError::WorkerLost)?
     }
@@ -205,19 +183,23 @@ struct Request {
     model: Arc<CompiledNetwork>,
     input: Tensor3<i16>,
     enqueued_at: Instant,
-    /// Absolute expiry. A worker that drains this request at or past the
-    /// deadline sheds it (sends `Err(DeadlineExceeded)`) instead of
-    /// executing dead work.
-    deadline: Option<Instant>,
-    /// Per-model admission slot, held until the response (or shed) is
-    /// delivered — dropping the request on any path releases it.
-    quota: Option<QuotaToken>,
     tx: mpsc::Sender<Result<ServeResponse, ServeError>>,
 }
 
-/// Engine state with no twin in the [`MetricsRegistry`]: everything that
-/// is a plain event count lives there (see [`EngineMetrics`]).
+/// The engine's one tally, in plain atomics: every event is counted once,
+/// here, and [`Engine::stats`] reads it directly. A worker records each
+/// answered forward once, whatever its size, so answering a batch costs
+/// nine read-modify-writes on this struct.
+#[derive(Default)]
 struct Counters {
+    /// Requests answered.
+    served: AtomicU64,
+    /// Forwards answered (one per model group, one per re-run rider).
+    batches: AtomicU64,
+    /// Batches drained from another worker's shard.
+    steals: AtomicU64,
+    /// Forwards (or batches) lost to a panic.
+    panics: AtomicU64,
     /// `batch_sizes[s]` counts executed batches of exactly `s` requests
     /// (index 0 unused).
     batch_sizes: Vec<AtomicU64>,
@@ -225,20 +207,41 @@ struct Counters {
     /// here instead of being folded into the top bucket so the distribution
     /// cannot masquerade a bug as legitimate max-size batches.
     batch_overflows: AtomicU64,
-    /// EWMA of per-request execute time in nanoseconds (0 = no sample
-    /// yet), feeding deadline admission control.
-    service_est_ns: AtomicU64,
+    queue_wait: PhaseTally,
+    batch_form: PhaseTally,
+    execute: PhaseTally,
     /// First worker panic message observed, for [`EngineStats`].
     panic_message: Mutex<Option<String>>,
+}
+
+/// One phase's total and worst observation over the requests answered;
+/// its count is [`Counters::served`] (every answer records each phase once).
+#[derive(Default)]
+struct PhaseTally {
+    total_ns: AtomicU64,
+    max_ns: AtomicU64,
+}
+
+impl PhaseTally {
+    fn record(&self, total_ns: u64, max_ns: u64) {
+        self.total_ns.fetch_add(total_ns, Ordering::Relaxed);
+        self.max_ns.fetch_max(max_ns, Ordering::Relaxed);
+    }
+
+    fn stat(&self, count: u64) -> PhaseStat {
+        PhaseStat {
+            count,
+            total_ns: self.total_ns.load(Ordering::Relaxed),
+            max_ns: self.max_ns.load(Ordering::Relaxed),
+        }
+    }
 }
 
 impl Counters {
     fn new(max_batch: usize) -> Self {
         Self {
             batch_sizes: (0..=max_batch).map(|_| AtomicU64::new(0)).collect(),
-            batch_overflows: AtomicU64::new(0),
-            service_est_ns: AtomicU64::new(0),
-            panic_message: Mutex::new(None),
+            ..Self::default()
         }
     }
 
@@ -254,30 +257,12 @@ impl Counters {
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Folds one per-request execute-time sample into the EWMA admission
-    /// estimate (α = 1/8; seeded directly by the first sample).
-    fn record_service_sample(&self, per_request_ns: u64) {
-        let sample = per_request_ns.max(1);
-        let old = self.service_est_ns.load(Ordering::Relaxed);
-        let next = if old == 0 {
-            sample
-        } else {
-            old - old / 8 + sample / 8
-        };
-        self.service_est_ns.store(next, Ordering::Relaxed);
-    }
-
-    /// Records a forward (or batch) lost to a panic in `worker`'s cell and
-    /// keeps the first message.
-    fn record_panic(
-        &self,
-        worker: usize,
-        metrics: &EngineMetrics,
-        payload: &(dyn std::any::Any + Send),
-    ) {
+    /// Records a forward (or batch) lost to a panic and keeps the first
+    /// message.
+    fn record_panic(&self, payload: &(dyn std::any::Any + Send)) {
         let mut first = self.panic_message.lock().expect("panic log poisoned");
         first.get_or_insert_with(|| panic_message(payload));
-        metrics.worker_panics.inc(worker);
+        self.panics.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -315,10 +300,11 @@ impl PhaseStat {
 /// The three phases partition a request's time in the engine, and they are
 /// the stamps its [`ServeResponse`] carries: `queue_ns - batch_form_ns`,
 /// `batch_form_ns` and `service_ns` — each phase's `total_ns` is exactly
-/// the sum of that expression over the responses sent. Every phase counts
-/// once per request (batch-shared phases record the batch's value for each
-/// rider), so the three counts equal `served` and each phase's
-/// `total_ns / count` is directly a per-request mean.
+/// the sum of that expression over the responses sent, and its `max_ns`
+/// the largest. Every phase counts once per request (batch-shared phases
+/// record the batch's value for each rider), so the three counts equal
+/// `served` and each phase's `total_ns / count` is directly a per-request
+/// mean.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseBreakdown {
     /// Enqueue → worker drain (time spent waiting in the bounded queue).
@@ -352,12 +338,17 @@ pub struct EngineStats {
     pub batch_overflows: u64,
     /// Batches drained from another worker's shard (work stealing).
     pub steals: u64,
-    /// Requests shed at drain time because their deadline had expired
-    /// (their [`Pending::wait`] returned [`ServeError::DeadlineExceeded`]).
+    /// Always 0: no code path writes it. Read only by
+    /// `benchmark/src/adapter.rs:277` until ROADMAP item 1(a) stops reading
+    /// it, then deleted.
     pub shed_deadline: u64,
-    /// Submissions rejected up front by deadline admission control.
+    /// Always 0: no code path writes it. Read only by
+    /// `benchmark/src/adapter.rs:277` until ROADMAP item 1(a) stops reading
+    /// it, then deleted.
     pub deadline_rejected: u64,
-    /// Submissions rejected at a model's concurrency ceiling.
+    /// Always 0: no code path writes it. Read only by
+    /// `benchmark/src/adapter.rs:277` until ROADMAP item 1(a) stops reading
+    /// it, then deleted.
     pub quota_rejected: u64,
     /// Forwards lost to a panic inside a worker (the name predates workers
     /// surviving one). The riders of a batch whose forward panicked are
@@ -446,63 +437,6 @@ pub struct Engine {
     counters: Arc<Counters>,
     workers: Vec<JoinHandle<()>>,
     config: EngineConfig,
-    metrics: Arc<MetricsRegistry>,
-    handles: EngineMetrics,
-}
-
-/// The engine's resolved handles into its [`MetricsRegistry`] — looked up
-/// once at start so the worker hot path records through `Arc`s without
-/// touching the registry's name maps. The counters are the engine's only
-/// tally of these events; worker `w` adds into padded cell `w`, the submit
-/// path into cell 0.
-#[derive(Clone)]
-struct EngineMetrics {
-    requests: Arc<Counter>,
-    batches: Arc<Counter>,
-    steals: Arc<Counter>,
-    deadline_shed: Arc<Counter>,
-    deadline_rejected: Arc<Counter>,
-    quota_rejected: Arc<Counter>,
-    worker_panics: Arc<Counter>,
-    queue_wait: Arc<Histogram>,
-    batch_form: Arc<Histogram>,
-    execute: Arc<Histogram>,
-    queue_depth: Arc<Gauge>,
-    in_flight: Arc<Gauge>,
-}
-
-impl EngineMetrics {
-    fn resolve(metrics: &MetricsRegistry) -> Self {
-        Self {
-            requests: metrics.counter("engine_requests_total"),
-            batches: metrics.counter("engine_batches_total"),
-            steals: metrics.counter("engine_steals_total"),
-            deadline_shed: metrics.counter("engine_deadline_shed_total"),
-            deadline_rejected: metrics.counter("engine_deadline_rejected_total"),
-            quota_rejected: metrics.counter("engine_quota_rejected_total"),
-            worker_panics: metrics.counter("engine_worker_panics_total"),
-            queue_wait: metrics.histogram("engine_queue_wait_ns"),
-            batch_form: metrics.histogram("engine_batch_form_ns"),
-            execute: metrics.histogram("engine_execute_ns"),
-            queue_depth: metrics.gauge("engine_queue_depth"),
-            in_flight: metrics.gauge("engine_in_flight"),
-        }
-    }
-
-    fn phases(&self) -> PhaseBreakdown {
-        fn stat(h: &Histogram) -> PhaseStat {
-            PhaseStat {
-                count: h.count(),
-                total_ns: h.sum_ns(),
-                max_ns: h.max_ns(),
-            }
-        }
-        PhaseBreakdown {
-            queue_wait: stat(&self.queue_wait),
-            batch_form: stat(&self.batch_form),
-            execute: stat(&self.execute),
-        }
-    }
 }
 
 impl Engine {
@@ -530,21 +464,16 @@ impl Engine {
         };
         let queue = Arc::new(ShardedQueue::new(shards, config.queue_capacity));
         let counters = Arc::new(Counters::new(config.max_batch));
-        let metrics = Arc::new(MetricsRegistry::new(config.workers));
-        let handles = EngineMetrics::resolve(&metrics);
         let workers = (0..config.workers)
             .map(|worker| {
                 let queue = Arc::clone(&queue);
                 let counters = Arc::clone(&counters);
-                let handles = handles.clone();
                 // With fewer shards than workers, workers share shards
                 // round-robin (`queue_shards: 1` = one central queue).
                 let shard = worker % shards;
                 std::thread::Builder::new()
                     .name(format!("ucnn-serve-{worker}"))
-                    .spawn(move || {
-                        worker_loop(worker, shard, &queue, &counters, &handles, &config);
-                    })
+                    .spawn(move || worker_loop(worker, shard, &queue, &counters, &config))
                     .expect("failed to spawn worker")
             })
             .collect();
@@ -554,18 +483,7 @@ impl Engine {
             counters,
             workers,
             config,
-            metrics,
-            handles,
         }
-    }
-
-    /// The metrics registry this engine records into. Callers may register
-    /// their own metrics alongside the engine's and export everything as
-    /// one snapshot ([`MetricsRegistry::render_prometheus`] /
-    /// [`MetricsRegistry::snapshot_json`]).
-    #[must_use]
-    pub fn metrics(&self) -> &Arc<MetricsRegistry> {
-        &self.metrics
     }
 
     /// The registry this engine serves from.
@@ -581,66 +499,23 @@ impl Engine {
         self.config.backend
     }
 
-    /// Admits a request by model name — plan and an acquired quota slot —
-    /// cheapest and stateless checks first. A tensor
-    /// of the wrong shape is turned away before anything is counted or
-    /// taken: enqueued, it would panic the forward of the worker that
-    /// drained it and cost every co-batched rider a re-run. `admission` is the
-    /// deadline the non-blocking path applies [`Engine::admit_deadline`] to.
+    /// Resolves a request's plan by model name and turns away a tensor of
+    /// the wrong shape: enqueued, it would panic the forward of the worker
+    /// that drained it and cost every co-batched rider a re-run.
     fn admit_named(
         &self,
         model: &str,
         input: &Tensor3<i16>,
-        admission: Option<Instant>,
-    ) -> Result<(Arc<CompiledNetwork>, Option<QuotaToken>), ServeError> {
-        let resolved = self
+    ) -> Result<Arc<CompiledNetwork>, ServeError> {
+        let plan = self
             .registry
             .resolve(model)
             .ok_or_else(|| ServeError::UnknownModel(model.to_string()))?;
-        let (expected, got) = (
-            resolved.plan.input_dims(),
-            (input.c(), input.w(), input.h()),
-        );
+        let (expected, got) = (plan.input_dims(), (input.c(), input.w(), input.h()));
         if got != expected {
             return Err(ServeError::BadInput { expected, got });
         }
-        if let Some(deadline) = admission {
-            self.admit_deadline(deadline, Instant::now())?;
-        }
-        let Some(token) = resolved.quota.try_acquire() else {
-            self.handles.quota_rejected.inc(0);
-            return Err(ServeError::QuotaExceeded);
-        };
-        Ok((resolved.plan, Some(token)))
-    }
-
-    /// Deadline admission control for the open-loop submit path: predicts
-    /// this request's completion from the current queue depth and the EWMA
-    /// per-request service time, and rejects when the deadline cannot be
-    /// met. With no estimate yet (a cold engine) a request is admitted
-    /// only when nothing is queued ahead of it — it then starts
-    /// immediately and the only unknown is its own service time.
-    fn admit_deadline(&self, deadline: Instant, now: Instant) -> Result<(), ServeError> {
-        let est = self.counters.service_est_ns.load(Ordering::Relaxed);
-        let admitted = if est == 0 {
-            // A zero EWMA would predict zero queue delay and admit
-            // unmeetable deadlines behind an arbitrary backlog. Until the
-            // first batch seeds the estimate, only an empty queue is a
-            // safe bet.
-            self.queue.is_empty() && now < deadline
-        } else {
-            let depth = self.queue.len() as u64;
-            // Queued work drains across the pool; the request then pays
-            // its own service time.
-            let predicted_ns = (depth + 1) * est / self.config.workers as u64 + est;
-            now + Duration::from_nanos(predicted_ns) <= deadline
-        };
-        if admitted {
-            Ok(())
-        } else {
-            self.handles.deadline_rejected.inc(0);
-            Err(ServeError::DeadlineExceeded)
-        }
+        Ok(plan)
     }
 
     /// Submits a request by model name, blocking while the queue is full
@@ -648,35 +523,15 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::UnknownModel`], [`ServeError::BadInput`],
-    /// [`ServeError::QuotaExceeded`], or [`ServeError::ShuttingDown`].
+    /// Returns [`ServeError::UnknownModel`], [`ServeError::BadInput`], or
+    /// [`ServeError::ShuttingDown`].
     pub fn submit(&self, model: &str, input: Tensor3<i16>) -> Result<Pending, ServeError> {
-        let (plan, quota) = self.admit_named(model, &input, None)?;
-        self.push_request(plan, input, None, quota)
+        let plan = self.admit_named(model, &input)?;
+        self.submit_plan(plan, input)
     }
 
-    /// Like [`Engine::submit`], but tags the request with an absolute
-    /// deadline. The blocking path applies backpressure instead of
-    /// admission control, so the request always enqueues (quota permitting)
-    /// — but a worker that drains it past the deadline sheds it, and
-    /// [`Pending::wait`] then returns [`ServeError::DeadlineExceeded`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::UnknownModel`], [`ServeError::BadInput`],
-    /// [`ServeError::QuotaExceeded`], or [`ServeError::ShuttingDown`].
-    pub fn submit_with_deadline(
-        &self,
-        model: &str,
-        input: Tensor3<i16>,
-        deadline: Instant,
-    ) -> Result<Pending, ServeError> {
-        let (plan, quota) = self.admit_named(model, &input, None)?;
-        self.push_request(plan, input, Some(deadline), quota)
-    }
-
-    /// Submits a request for an already resolved plan (no quota or shape
-    /// check), blocking while the queue is full.
+    /// Submits a request for an already resolved plan (no shape check),
+    /// blocking while the queue is full.
     ///
     /// # Errors
     ///
@@ -686,42 +541,25 @@ impl Engine {
         model: Arc<CompiledNetwork>,
         input: Tensor3<i16>,
     ) -> Result<Pending, ServeError> {
-        self.push_request(model, input, None, None)
+        let (request, pending) = Self::make_request(model, input);
+        self.queue
+            .push(request)
+            .map_err(|_| ServeError::ShuttingDown)?;
+        Ok(pending)
     }
 
     /// Builds the queued request and the handle the caller waits on — the
     /// one place `Request` is constructed, shared by the blocking and
     /// non-blocking submit paths.
-    fn make_request(
-        model: Arc<CompiledNetwork>,
-        input: Tensor3<i16>,
-        deadline: Option<Instant>,
-        quota: Option<QuotaToken>,
-    ) -> (Request, Pending) {
+    fn make_request(model: Arc<CompiledNetwork>, input: Tensor3<i16>) -> (Request, Pending) {
         let (tx, rx) = mpsc::channel();
         let request = Request {
             model,
             input,
             enqueued_at: Instant::now(),
-            deadline,
-            quota,
             tx,
         };
         (request, Pending { rx })
-    }
-
-    fn push_request(
-        &self,
-        model: Arc<CompiledNetwork>,
-        input: Tensor3<i16>,
-        deadline: Option<Instant>,
-        quota: Option<QuotaToken>,
-    ) -> Result<Pending, ServeError> {
-        let (request, pending) = Self::make_request(model, input, deadline, quota);
-        self.queue
-            .push(request)
-            .map_err(|_| ServeError::ShuttingDown)?;
-        Ok(pending)
     }
 
     /// Non-blocking submit for open-loop load: a full queue is an
@@ -730,40 +568,10 @@ impl Engine {
     /// # Errors
     ///
     /// Returns [`ServeError::UnknownModel`], [`ServeError::BadInput`],
-    /// [`ServeError::QuotaExceeded`], [`ServeError::Overloaded`], or
-    /// [`ServeError::ShuttingDown`].
-    pub fn try_submit(&self, model: &str, input: Tensor3<i16>) -> Result<Pending, ServeError> {
-        self.try_submit_inner(model, input, None)
-    }
-
-    /// Non-blocking submit with deadline admission control: on top of the
-    /// [`Engine::try_submit`] semantics, the request is rejected with
-    /// [`ServeError::DeadlineExceeded`] when the predicted completion at
-    /// the current queue depth already misses `deadline` — overload sheds
-    /// work at the door instead of queueing requests that will expire.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::UnknownModel`], [`ServeError::BadInput`],
-    /// [`ServeError::QuotaExceeded`], [`ServeError::DeadlineExceeded`],
     /// [`ServeError::Overloaded`], or [`ServeError::ShuttingDown`].
-    pub fn try_submit_with_deadline(
-        &self,
-        model: &str,
-        input: Tensor3<i16>,
-        deadline: Instant,
-    ) -> Result<Pending, ServeError> {
-        self.try_submit_inner(model, input, Some(deadline))
-    }
-
-    fn try_submit_inner(
-        &self,
-        model: &str,
-        input: Tensor3<i16>,
-        deadline: Option<Instant>,
-    ) -> Result<Pending, ServeError> {
-        let (plan, quota) = self.admit_named(model, &input, deadline)?;
-        let (request, pending) = Self::make_request(plan, input, deadline, quota);
+    pub fn try_submit(&self, model: &str, input: Tensor3<i16>) -> Result<Pending, ServeError> {
+        let plan = self.admit_named(model, &input)?;
+        let (request, pending) = Self::make_request(plan, input);
         self.queue.try_push(request).map_err(|e| match e {
             TryPushError::Full => ServeError::Overloaded,
             TryPushError::Closed => ServeError::ShuttingDown,
@@ -778,36 +586,31 @@ impl Engine {
     }
 
     /// Snapshot of the aggregate counters while the engine is live;
-    /// [`Engine::shutdown`] returns the final totals. Event totals are read
-    /// out of the metrics registry, so a live snapshot is a sum over
-    /// per-worker cells taken without stopping them: each total is
-    /// monotone, but totals bumped at different points of a batch may be
-    /// one batch apart.
+    /// [`Engine::shutdown`] returns the final totals. A live snapshot reads
+    /// the tallies without stopping the workers: each total is monotone,
+    /// but totals bumped at different points of a batch may be one batch
+    /// apart.
     #[must_use]
     pub fn stats(&self) -> EngineStats {
-        let m = &self.handles;
+        let c = &self.counters;
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let served = load(&c.served);
         EngineStats {
-            served: m.requests.get(),
-            batches: m.batches.get(),
-            batch_size_counts: self
-                .counters
-                .batch_sizes
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
-            batch_overflows: self.counters.batch_overflows.load(Ordering::Relaxed),
-            steals: m.steals.get(),
-            shed_deadline: m.deadline_shed.get(),
-            deadline_rejected: m.deadline_rejected.get(),
-            quota_rejected: m.quota_rejected.get(),
-            panicked_workers: m.worker_panics.get(),
-            panic_message: self
-                .counters
-                .panic_message
-                .lock()
-                .expect("panic log poisoned")
-                .clone(),
-            phases: m.phases(),
+            served,
+            batches: load(&c.batches),
+            batch_size_counts: c.batch_sizes.iter().map(load).collect(),
+            batch_overflows: load(&c.batch_overflows),
+            steals: load(&c.steals),
+            shed_deadline: 0,
+            deadline_rejected: 0,
+            quota_rejected: 0,
+            panicked_workers: load(&c.panics),
+            panic_message: c.panic_message.lock().expect("panic log poisoned").clone(),
+            phases: PhaseBreakdown {
+                queue_wait: c.queue_wait.stat(served),
+                batch_form: c.batch_form.stat(served),
+                execute: c.execute.stat(served),
+            },
         }
     }
 
@@ -836,8 +639,7 @@ impl Engine {
         self.queue.close();
         for handle in self.workers.drain(..) {
             if let Err(payload) = handle.join() {
-                self.counters
-                    .record_panic(0, &self.handles, payload.as_ref());
+                self.counters.record_panic(payload.as_ref());
             }
         }
         self.stats()
@@ -852,20 +654,6 @@ impl Drop for Engine {
     }
 }
 
-/// Balances the in-flight gauge on every exit path out of a batch —
-/// including a panic's unwind — so a lost batch never leaves the gauge
-/// permanently inflated.
-struct InFlightGuard<'a> {
-    gauge: &'a Gauge,
-    n: i64,
-}
-
-impl Drop for InFlightGuard<'_> {
-    fn drop(&mut self) {
-        self.gauge.add(-self.n);
-    }
-}
-
 /// Extracts a human-readable message from a panic payload.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -877,72 +665,40 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// One worker thread: `worker` is its index in the pool (its metrics cell
-/// and the id stamped on responses), `shard` the queue shard it owns —
-/// shared with other workers when there are fewer shards than workers.
+/// One worker thread: `worker` is its index in the pool (the id stamped on
+/// responses), `shard` the queue shard it owns — shared with other workers
+/// when there are fewer shards than workers.
 fn worker_loop(
     worker: usize,
     shard: usize,
     queue: &ShardedQueue<Request>,
     counters: &Counters,
-    metrics: &EngineMetrics,
     config: &EngineConfig,
 ) {
     while let Some(ShardedBatch { items, stolen }) = queue.pop_batch(shard, config.max_batch) {
         if stolen {
-            metrics.steals.inc(worker);
+            counters.steals.fetch_add(1, Ordering::Relaxed);
         }
         // A forward that panics is caught where it runs (`serve_batch`);
         // anything else that panics costs the batch, not the worker: a
         // worker that exited here would leave its shard to the others, and
         // `workers` such batches would leave the queue to nobody.
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            serve_batch(worker, items, queue, counters, metrics, config);
+            serve_batch(worker, items, counters, config);
         }));
         if let Err(payload) = outcome {
-            counters.record_panic(worker, metrics, payload.as_ref());
+            counters.record_panic(payload.as_ref());
         }
     }
 }
 
-fn serve_batch(
-    worker: usize,
-    batch: Vec<Request>,
-    queue: &ShardedQueue<Request>,
-    counters: &Counters,
-    metrics: &EngineMetrics,
-    config: &EngineConfig,
-) {
+fn serve_batch(worker: usize, batch: Vec<Request>, counters: &Counters, config: &EngineConfig) {
     // Lifecycle stamp: the drain ends every rider's queue-wait phase.
-    // Depth and in-flight gauges are sampled on every drain so load is
-    // observable while a run is in progress.
     let drained_at = Instant::now();
-    let drained = batch.len();
-    metrics.queue_depth.set(queue.len() as i64);
-    metrics.in_flight.add(drained as i64);
-    let _in_flight = InFlightGuard {
-        gauge: &metrics.in_flight,
-        n: drained as i64,
-    };
-    // Shed-on-expiry: requests whose deadline passed while they queued are
-    // answered with the shed verdict instead of burning a forward pass on
-    // output nobody can use. Shed requests are not "served" — the phase
-    // histograms and batch distribution only see executed work.
-    let (live, expired): (Vec<_>, Vec<_>) = batch
-        .into_iter()
-        .partition(|req| req.deadline.map_or(true, |d| drained_at < d));
-    if !expired.is_empty() {
-        metrics.deadline_shed.add(worker, expired.len() as u64);
-        for req in expired {
-            // A dropped receiver (client gave up) is not an error; the
-            // quota token releases with the request either way.
-            let _ = req.tx.send(Err(ServeError::DeadlineExceeded));
-        }
-    }
-    // Group the live requests by model — FIFO order preserved within a
-    // group — so each group runs as ONE batch-major forward.
+    // Group the requests by model — FIFO order preserved within a group —
+    // so each group runs as ONE batch-major forward.
     let mut groups: Vec<(Arc<CompiledNetwork>, Vec<Request>)> = Vec::new();
-    for req in live {
+    for req in batch {
         match groups
             .iter_mut()
             .find(|(model, _)| Arc::ptr_eq(model, &req.model))
@@ -954,7 +710,7 @@ fn serve_batch(
     for (model, requests) in groups {
         let (inputs, receipts): (Vec<_>, Vec<_>) = requests
             .into_iter()
-            .map(|req| (req.input, (req.tx, req.enqueued_at, req.quota)))
+            .map(|req| (req.input, (req.tx, req.enqueued_at)))
             .unzip();
         let forward = |inputs: &[Tensor3<i16>]| {
             let start = Instant::now();
@@ -962,14 +718,7 @@ fn serve_batch(
             (start, catch_unwind(AssertUnwindSafe(run)))
         };
         let answer = |start, receipts: Vec<Receipt>, outputs| {
-            respond(
-                worker,
-                (drained_at, start),
-                receipts,
-                outputs,
-                counters,
-                metrics,
-            );
+            respond(worker, (drained_at, start), receipts, outputs, counters);
         };
         match forward(&inputs) {
             (start, Ok(outputs)) => answer(start, receipts, outputs),
@@ -977,16 +726,14 @@ fn serve_batch(
                 // A poison costs one request, not its riders: each re-runs
                 // alone, and only a forward that panics again is lost (its
                 // rider sees `WorkerLost`: the sender drops with it).
-                counters.record_panic(worker, metrics, payload.as_ref());
+                counters.record_panic(payload.as_ref());
                 if inputs.len() == 1 {
                     continue;
                 }
                 for (input, receipt) in inputs.iter().zip(receipts) {
                     match forward(std::slice::from_ref(input)) {
                         (start, Ok(outputs)) => answer(start, vec![receipt], outputs),
-                        (_, Err(payload)) => {
-                            counters.record_panic(worker, metrics, payload.as_ref())
-                        }
+                        (_, Err(payload)) => counters.record_panic(payload.as_ref()),
                     }
                 }
             }
@@ -994,13 +741,9 @@ fn serve_batch(
     }
 }
 
-/// What a rider needs to be answered: its response channel, when it was
-/// enqueued, and its quota slot.
-type Receipt = (
-    mpsc::Sender<Result<ServeResponse, ServeError>>,
-    Instant,
-    Option<QuotaToken>,
-);
+/// What a rider needs to be answered: its response channel and when it
+/// was enqueued.
+type Receipt = (mpsc::Sender<Result<ServeResponse, ServeError>>, Instant);
 
 /// Answers the riders of one forward that started at `start` — after the
 /// drain at `drained_at` — with their outputs, and records the batch.
@@ -1010,38 +753,37 @@ fn respond(
     receipts: Vec<Receipt>,
     outputs: Vec<Tensor3<i32>>,
     counters: &Counters,
-    metrics: &EngineMetrics,
 ) {
     let batch_size = receipts.len();
     let batch_form_ns = ns(start.duration_since(drained_at));
     let completed_at = Instant::now();
     let service_ns = ns(completed_at.duration_since(start));
-    // Counters and phase records land only after the forward returned:
-    // a batch that panics mid-execution is counted by the panic path,
-    // not silently folded into `served` (which must keep meaning
-    // "responses actually produced").
+    let queue_ns = |enqueued_at: Instant| ns(start.duration_since(enqueued_at));
+    // The phases are recorded from the very values the responses carry
+    // (batch-shared ones once per rider), so their totals are the sums over
+    // the responses sent.
+    let (wait_total, wait_max) = receipts.iter().fold((0, 0), |(total, max), &(_, at)| {
+        let wait = queue_ns(at) - batch_form_ns;
+        (total + wait, u64::max(max, wait))
+    });
+    // Counters and phases land only after the forward returned: a batch
+    // that panics mid-execution is counted by the panic path, not silently
+    // folded into `served` (which must keep meaning "responses actually
+    // produced").
+    let riders = batch_size as u64;
     counters.record_batch_size(batch_size);
-    metrics.batches.inc(worker);
-    metrics.requests.add(worker, batch_size as u64);
-    // Feed admission control's EWMA with this batch's amortized
-    // per-request cost.
-    counters.record_service_sample(service_ns / batch_size as u64);
-    for ((tx, enqueued_at, quota), output) in receipts.into_iter().zip(outputs) {
-        // The three phases are recorded from the very values the
-        // response carries (batch-shared ones once per rider), so the
-        // histograms' totals are the sums over the responses sent.
-        let queue_ns = ns(start.duration_since(enqueued_at));
-        metrics.queue_wait.record(queue_ns - batch_form_ns);
-        metrics.batch_form.record(batch_form_ns);
-        metrics.execute.record(service_ns);
-        // Free the admission slot *before* handing off the response:
-        // once a caller's wait() returns, its quota slot is already
-        // released.
-        drop(quota);
+    counters.batches.fetch_add(1, Ordering::Relaxed);
+    counters.served.fetch_add(riders, Ordering::Relaxed);
+    counters.queue_wait.record(wait_total, wait_max);
+    counters
+        .batch_form
+        .record(batch_form_ns * riders, batch_form_ns);
+    counters.execute.record(service_ns * riders, service_ns);
+    for ((tx, enqueued_at), output) in receipts.into_iter().zip(outputs) {
         // A dropped receiver (client gave up) is not an error.
         let _ = tx.send(Ok(ServeResponse {
             output,
-            queue_ns,
+            queue_ns: queue_ns(enqueued_at),
             batch_form_ns,
             service_ns,
             batch_size,
@@ -1051,7 +793,7 @@ fn respond(
     }
 }
 
-fn ns(d: std::time::Duration) -> u64 {
+fn ns(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
@@ -1086,6 +828,26 @@ mod tests {
             },
         );
         (engine, cases)
+    }
+
+    /// A response's three phase stamps, in [`PhaseBreakdown`] order: queue
+    /// wait, batch formation, execute.
+    fn stamps(resp: &ServeResponse) -> [u64; 3] {
+        // batch_form is a slice of the enqueue → execute-start span.
+        assert!(resp.batch_form_ns <= resp.queue_ns);
+        [
+            resp.queue_ns - resp.batch_form_ns,
+            resp.batch_form_ns,
+            resp.service_ns,
+        ]
+    }
+
+    fn phases(p: &PhaseBreakdown) -> [(&'static str, PhaseStat); 3] {
+        [
+            ("queue_wait", p.queue_wait),
+            ("batch_form", p.batch_form),
+            ("execute", p.execute),
+        ]
     }
 
     #[test]
@@ -1151,39 +913,30 @@ mod tests {
             })
             .collect();
         // The phases are recorded from the stamps the responses carry, so
-        // summing those stamps must reproduce each phase total exactly.
-        let (mut queue_wait_ns, mut batch_form_ns, mut service_ns) = (0u64, 0u64, 0u64);
+        // summing those stamps must reproduce each phase total exactly, and
+        // their maximum each phase's max.
+        let (mut totals, mut maxes) = ([0u64; 3], [0u64; 3]);
         for pending in pendings {
             let resp = pending.wait().unwrap();
-            // batch_form is a slice of the enqueue → execute-start span.
-            assert!(resp.batch_form_ns <= resp.queue_ns);
-            queue_wait_ns += resp.queue_ns - resp.batch_form_ns;
-            batch_form_ns += resp.batch_form_ns;
-            service_ns += resp.service_ns;
+            for (i, stamp) in stamps(&resp).into_iter().enumerate() {
+                totals[i] += stamp;
+                maxes[i] = maxes[i].max(stamp);
+            }
         }
-        let metrics = Arc::clone(engine.metrics());
         let stats = engine.shutdown();
-        let phases = stats.phases;
-        for (name, stat, total_ns) in [
-            ("queue_wait", phases.queue_wait, queue_wait_ns),
-            ("batch_form", phases.batch_form, batch_form_ns),
-            ("execute", phases.execute, service_ns),
-        ] {
+        for (i, (name, stat)) in phases(&stats.phases).into_iter().enumerate() {
             assert_eq!(stat.count, stats.served, "{name} must count per request");
             assert_eq!(
-                stat.total_ns, total_ns,
+                stat.total_ns, totals[i],
                 "{name} total != sum over responses"
             );
+            assert_eq!(stat.max_ns, maxes[i], "{name} max != max over responses");
             assert!(stat.max_ns as f64 >= stat.mean_ns(), "{name} max < mean");
         }
-        assert!(phases.execute.total_ns > 0, "forwards take nonzero time");
-        // The registry exposes the same lifecycle series by name, and the
-        // in-flight gauge is balanced once the workers are drained.
-        assert_eq!(metrics.counter("engine_batches_total").get(), stats.batches);
-        assert_eq!(metrics.gauge("engine_in_flight").get(), 0);
-        let text = metrics.render_prometheus();
-        assert!(text.contains("# TYPE engine_execute_ns summary"));
-        assert!(text.contains("engine_queue_wait_ns_count 10"));
+        assert!(
+            stats.phases.execute.total_ns > 0,
+            "forwards take nonzero time"
+        );
     }
 
     #[test]
@@ -1395,184 +1148,6 @@ mod tests {
     }
 
     #[test]
-    fn expired_deadline_is_rejected_at_the_door() {
-        // Cold engine (no service estimate yet): admission control still
-        // rejects a deadline that has already passed, without enqueueing.
-        let (engine, cases) = tiny_engine(1);
-        let past = Instant::now() - Duration::from_millis(1);
-        let err = engine
-            .try_submit_with_deadline("tiny", cases[0].0.clone(), past)
-            .unwrap_err();
-        assert_eq!(err, ServeError::DeadlineExceeded);
-        let metrics = Arc::clone(engine.metrics());
-        let stats = engine.shutdown();
-        assert_eq!(stats.deadline_rejected, 1);
-        assert_eq!(stats.shed_deadline, 0, "never enqueued, so never shed");
-        assert_eq!(stats.served, 0);
-        assert_eq!(metrics.counter("engine_deadline_rejected_total").get(), 1);
-    }
-
-    #[test]
-    fn admission_rejects_unmeetable_deadlines_once_calibrated() {
-        // Warm the EWMA with one served request, then ask for a deadline
-        // far below any plausible service time: admission must reject it
-        // even though the deadline itself is still in the future.
-        let (engine, cases) = tiny_engine(1);
-        let _ = engine
-            .submit("tiny", cases[0].0.clone())
-            .unwrap()
-            .wait()
-            .unwrap();
-        assert!(
-            engine.counters.service_est_ns.load(Ordering::Relaxed) > 0,
-            "first forward must seed the estimate"
-        );
-        let err = engine
-            .try_submit_with_deadline("tiny", cases[0].0.clone(), Instant::now())
-            .unwrap_err();
-        assert_eq!(err, ServeError::DeadlineExceeded);
-        // A generous deadline passes the same gate.
-        let pending = engine
-            .try_submit_with_deadline(
-                "tiny",
-                cases[0].0.clone(),
-                Instant::now() + Duration::from_secs(60),
-            )
-            .unwrap();
-        let _ = pending.wait().unwrap();
-        let stats = engine.shutdown();
-        assert_eq!(stats.deadline_rejected, 1);
-        assert_eq!(stats.served, 2);
-    }
-
-    #[test]
-    fn cold_admission_rejects_deadlines_behind_a_backlog() {
-        // With no service sample yet (EWMA = 0) admission used to predict
-        // zero queue delay and admit any future deadline regardless of
-        // backlog — the request was then shed at drain instead of
-        // rejected at submit. Build an engine shell with
-        // no workers, so the queue holds whatever we push and the EWMA
-        // stays at its cold-start zero.
-        let registry = Arc::new(ModelRegistry::new());
-        let net = networks::tiny();
-        let weights = forward::generate_network_weights(&net, QuantScheme::inq(), 53, 0.9);
-        registry.compile_and_insert(&net, &weights, &UcnnConfig::with_g(2));
-        let metrics = Arc::new(MetricsRegistry::new(1));
-        let handles = EngineMetrics::resolve(&metrics);
-        let engine = Engine {
-            registry,
-            queue: Arc::new(ShardedQueue::new(1, 8)),
-            counters: Arc::new(Counters::new(4)),
-            workers: Vec::new(),
-            config: EngineConfig {
-                workers: 1,
-                ..EngineConfig::default()
-            },
-            metrics,
-            handles,
-        };
-        assert_eq!(engine.counters.service_est_ns.load(Ordering::Relaxed), 0);
-        let mut agen = ActivationGen::new(54);
-        let input = agen.generate_for(&net.conv_layers()[0]);
-        let far = Instant::now() + Duration::from_secs(60);
-
-        // Cold + empty queue: the request would start immediately, so a
-        // future deadline is admitted.
-        let _first = engine
-            .try_submit_with_deadline("tiny", input.clone(), far)
-            .expect("cold admission with an empty queue must admit");
-        assert_eq!(engine.queue.len(), 1);
-
-        // Cold + backlog: no basis for estimating the queue delay, so the
-        // request must be rejected at the door (this admitted before the
-        // fix).
-        let err = engine
-            .try_submit_with_deadline("tiny", input, far)
-            .unwrap_err();
-        assert_eq!(err, ServeError::DeadlineExceeded);
-        assert_eq!(
-            engine.stats().deadline_rejected,
-            1,
-            "the rejection must be counted at the door"
-        );
-        assert_eq!(engine.queue.len(), 1, "the rejected request never enqueued");
-    }
-
-    #[test]
-    fn workers_shed_requests_that_expired_in_queue() {
-        // The blocking deadline path skips admission (backpressure instead),
-        // so an already-expired request reaches a worker — which must shed
-        // it at drain time instead of executing dead work.
-        let (engine, cases) = tiny_engine(1);
-        let past = Instant::now() - Duration::from_millis(1);
-        let pending = engine
-            .submit_with_deadline("tiny", cases[0].0.clone(), past)
-            .unwrap();
-        assert_eq!(pending.wait().unwrap_err(), ServeError::DeadlineExceeded);
-        // A live deadline still serves normally.
-        let ok = engine
-            .submit_with_deadline(
-                "tiny",
-                cases[0].0.clone(),
-                Instant::now() + Duration::from_secs(60),
-            )
-            .unwrap()
-            .wait()
-            .unwrap();
-        assert_eq!(ok.output, cases[0].1);
-        let metrics = Arc::clone(engine.metrics());
-        let stats = engine.shutdown();
-        assert_eq!(stats.shed_deadline, 1);
-        assert_eq!(stats.served, 1, "shed requests are not served");
-        assert_eq!(stats.phases.execute.count, 1, "no forward ran for the shed");
-        assert_eq!(metrics.counter("engine_deadline_shed_total").get(), 1);
-        assert_eq!(metrics.gauge("engine_in_flight").get(), 0);
-    }
-
-    #[test]
-    fn quota_ceiling_rejects_submissions_and_releases_with_responses() {
-        let (engine, cases) = tiny_engine(1);
-        assert!(engine.registry().set_quota("tiny", Some(1)));
-        // Hold the single slot from outside: submission must bounce
-        // deterministically, with no queueing.
-        let quota = engine.registry().quota("tiny").unwrap();
-        let held = quota.try_acquire().expect("first slot");
-        assert_eq!(
-            engine.submit("tiny", cases[0].0.clone()).unwrap_err(),
-            ServeError::QuotaExceeded
-        );
-        assert_eq!(
-            engine.try_submit("tiny", cases[0].0.clone()).unwrap_err(),
-            ServeError::QuotaExceeded
-        );
-        drop(held);
-        // The slot is released: the next submit is admitted and its own
-        // token releases once the response is delivered.
-        let resp = engine
-            .submit("tiny", cases[0].0.clone())
-            .unwrap()
-            .wait()
-            .unwrap();
-        assert_eq!(resp.output, cases[0].1);
-        assert_eq!(quota.active(), 0, "response delivery must free the slot");
-        let stats = engine.shutdown();
-        assert_eq!(stats.quota_rejected, 2);
-        assert_eq!(stats.served, 1);
-    }
-
-    #[test]
-    fn zero_quota_rejects_every_submission() {
-        let (engine, cases) = tiny_engine(1);
-        assert!(engine.registry().set_quota("tiny", Some(0)));
-        assert_eq!(
-            engine.try_submit("tiny", cases[0].0.clone()).unwrap_err(),
-            ServeError::QuotaExceeded
-        );
-        let stats = engine.shutdown();
-        assert_eq!((stats.quota_rejected, stats.served), (1, 0));
-    }
-
-    #[test]
     fn worker_panic_is_surfaced_not_swallowed() {
         // A malformed input (wrong shape for the first conv layer) panics
         // the executor inside the worker. The engine must record that and
@@ -1583,7 +1158,7 @@ mod tests {
         let (done, finished) = mpsc::channel();
         std::thread::spawn(move || {
             let (engine, cases) = tiny_engine(2);
-            let plan = engine.registry().get("tiny").unwrap();
+            let plan = engine.registry().resolve("tiny").unwrap();
             for _ in 0..3 {
                 let poison = Tensor3::<i16>::zeros(1, 1, 1);
                 let lost = engine.submit_plan(Arc::clone(&plan), poison).unwrap();
@@ -1593,7 +1168,6 @@ mod tests {
                 let resp = engine.submit("tiny", input.clone()).unwrap().wait();
                 assert_eq!(&resp.unwrap().output, expected);
             }
-            let metrics = Arc::clone(engine.metrics());
             let stats = engine.shutdown();
             assert_eq!(stats.panicked_workers, 3, "a count of lost forwards");
             let msg = stats
@@ -1601,19 +1175,13 @@ mod tests {
                 .expect("the panic cause must be propagated");
             assert!(msg.contains("input dims"), "the first cause, got: {msg}");
             assert_eq!(stats.served, 80);
-            assert_eq!(metrics.counter("engine_worker_panics_total").get(), 3);
-            assert_eq!(
-                metrics.gauge("engine_in_flight").get(),
-                0,
-                "the unwind must balance the in-flight gauge"
-            );
             // A poison costs one request, not its riders: on one worker,
             // held on the panic log by a first poison (whose panic is
             // recorded there), a second poison and three riders queue and
             // drain as one batch of `max_batch` = 4. Its forward panics, each
             // rider re-runs alone, and only the poison is lost.
             let (engine, cases) = tiny_engine(1);
-            let plan = engine.registry().get("tiny").unwrap();
+            let plan = engine.registry().resolve("tiny").unwrap();
             let poison = || engine.submit_plan(Arc::clone(&plan), Tensor3::zeros(1, 1, 1));
             let held = engine.counters.panic_message.lock().unwrap();
             let stall = poison().unwrap();
@@ -1629,15 +1197,24 @@ mod tests {
             for lost in [stall, lost] {
                 assert_eq!(lost.wait().unwrap_err(), ServeError::WorkerLost);
             }
+            let mut totals = [0u64; 3];
             for (rider, (_, expected)) in riders.into_iter().zip(&cases) {
                 let resp = rider
                     .wait()
                     .expect("a rider of a poisoned batch is answered");
                 assert_eq!((&resp.output, resp.batch_size), (expected, 1));
+                for (total, stamp) in totals.iter_mut().zip(stamps(&resp)) {
+                    *total += stamp;
+                }
             }
             let stats = engine.shutdown();
             // The stall's forward, the batch's, and the poison's own re-run.
             assert_eq!((stats.panicked_workers, stats.served), (3, 3));
+            // The re-run riders still close the phase partition.
+            for ((name, stat), total) in phases(&stats.phases).into_iter().zip(totals) {
+                assert_eq!(stat.count, stats.served, "{name} must count per rider");
+                assert_eq!(stat.total_ns, total, "{name} total != sum over riders");
+            }
             done.send(()).unwrap();
         });
         match finished.recv_timeout(Duration::from_secs(10)) {

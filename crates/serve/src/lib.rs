@@ -18,19 +18,14 @@
 //!   [`EngineConfig::backend`], the engine's one executor choice), walking
 //!   the retained streams once for the whole batch, on the worker's own
 //!   thread — and every response stays bit-identical to the dense
-//!   reference at every batch size. Requests can carry **deadlines**
-//!   (admission control at submit, shed-on-expiry at drain) and per-model
-//!   concurrency **quotas** ([`registry::ModelQuota`]); worker panics are
-//!   surfaced in [`EngineStats`], never swallowed.
-//! * [`LatencyHistogram`] — HDR-style log-bucketed latency recording with
-//!   ≤ ~3 % relative error.
-//! * [`metrics`] — a typed [`MetricsRegistry`] (sharded counters, gauges,
-//!   lock-free histograms) every [`Engine`] owns, exported as Prometheus
-//!   text exposition or a JSON snapshot. It is the engine's only tally:
-//!   every event is counted once, there, and [`EngineStats`] reads its
-//!   totals back out; the three request-lifecycle phases (queue wait →
-//!   batch form → execute, the partition each [`ServeResponse`] carries)
-//!   are surfaced as [`PhaseBreakdown`].
+//!   reference at every batch size. A wrong-shaped tensor is turned away
+//!   at submit ([`ServeError::BadInput`]), and worker panics are surfaced
+//!   in [`EngineStats`], never swallowed.
+//! * [`EngineStats`] — the engine's one tally, plain atomics it owns and
+//!   [`Engine::stats`] reads directly: requests, batches and their size
+//!   distribution, steals, panics, and the three request-lifecycle phases
+//!   (queue wait → batch form → execute, the partition each
+//!   [`ServeResponse`] carries) as [`PhaseBreakdown`].
 //!
 //! *Measuring* the engine is the job of the repository benchmark
 //! (`benchmark/`); the serving test suites (`tests/serve_load.rs`,
@@ -66,8 +61,6 @@
 #![warn(missing_docs)]
 
 pub mod engine;
-pub mod histogram;
-pub mod metrics;
 pub mod queue;
 pub mod registry;
 
@@ -75,7 +68,5 @@ pub use engine::{
     Engine, EngineConfig, EngineStats, Pending, PhaseBreakdown, PhaseStat, ServeError,
     ServeResponse,
 };
-pub use histogram::LatencyHistogram;
-pub use metrics::MetricsRegistry;
 pub use queue::{ShardedBatch, ShardedQueue};
-pub use registry::{ModelQuota, ModelRegistry, QuotaToken, ResolvedModel};
+pub use registry::ModelRegistry;

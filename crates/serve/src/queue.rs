@@ -93,7 +93,7 @@ pub struct ShardedQueue<T> {
     capacity_per_shard: usize,
     /// Round-robin push cursor.
     cursor: AtomicUsize,
-    /// Total queued items across shards (admission control reads this
+    /// Total queued items across shards ([`ShardedQueue::len`] reads this
     /// without taking any lock).
     depth: AtomicUsize,
     closed: AtomicBool,

@@ -2,16 +2,11 @@
 //!
 //! Holds `Arc<CompiledNetwork>` plans by name. Registration pays the full
 //! sort/factorize cost; every lookup afterwards is a read-locked map access
-//! and an `Arc` clone — workers never copy plan data.
-//!
-//! Besides the plan, each entry carries live-operations state that
-//! **survives hot-swaps**: the per-model concurrency [`ModelQuota`].
-//! Re-inserting a model replaces the plan atomically but keeps the quota,
-//! so a tenant's admission ceiling (including requests currently in flight
-//! against it) is stable across deploys.
+//! and an `Arc` clone — workers never copy plan data. Re-inserting a name
+//! swaps the plan atomically: requests already holding the old `Arc`
+//! finish on it.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 
 use ucnn_core::backend::BackendKind;
@@ -33,12 +28,12 @@ use ucnn_tensor::Tensor4;
 /// let net = networks::tiny();
 /// let weights = forward::generate_network_weights(&net, QuantScheme::inq(), 1, 0.9);
 /// registry.compile_and_insert(&net, &weights, &UcnnConfig::with_g(2));
-/// assert!(registry.get("tiny").is_some());
+/// assert!(registry.resolve("tiny").is_some());
 /// assert_eq!(registry.names(), vec!["tiny".to_string()]);
 /// ```
 #[derive(Default)]
 pub struct ModelRegistry {
-    models: RwLock<HashMap<String, Entry>>,
+    models: RwLock<HashMap<String, Arc<CompiledNetwork>>>,
     /// The backend the adopting engine serves every model through,
     /// registered by [`Engine::start`] (`None` until an engine adopts this
     /// registry). Inserts warm for this, so a model deployed *after* start
@@ -47,102 +42,6 @@ pub struct ModelRegistry {
     ///
     /// [`Engine::start`]: crate::engine::Engine::start
     default_backend: RwLock<Option<BackendKind>>,
-}
-
-/// One registered model: the shared plan and the shared concurrency quota.
-struct Entry {
-    plan: Arc<CompiledNetwork>,
-    quota: Arc<ModelQuota>,
-}
-
-/// Per-model concurrency quota: an admission ceiling on requests in flight
-/// (queued or executing) for one tenant's model.
-///
-/// The quota is shared — the same `Arc` survives model hot-swaps, so
-/// in-flight [`QuotaToken`]s acquired against the old plan still count
-/// against (and release back to) the ceiling the new plan is admitted
-/// under. A limit of `None` (the default) admits everything while still
-/// tracking the active count; `Some(0)` admits nothing.
-#[derive(Debug)]
-pub struct ModelQuota {
-    /// The admission ceiling; `usize::MAX` = unlimited.
-    limit: AtomicUsize,
-    /// Requests currently holding a [`QuotaToken`].
-    active: AtomicUsize,
-}
-
-impl Default for ModelQuota {
-    fn default() -> Self {
-        Self {
-            limit: AtomicUsize::new(usize::MAX),
-            active: AtomicUsize::new(0),
-        }
-    }
-}
-
-impl ModelQuota {
-    /// Current admission ceiling (`None` = unlimited).
-    #[must_use]
-    pub fn limit(&self) -> Option<usize> {
-        match self.limit.load(Ordering::Relaxed) {
-            usize::MAX => None,
-            n => Some(n),
-        }
-    }
-
-    /// Requests currently in flight (queued or executing) under this quota.
-    #[must_use]
-    pub fn active(&self) -> usize {
-        self.active.load(Ordering::Relaxed)
-    }
-
-    fn set_limit(&self, limit: Option<usize>) {
-        self.limit
-            .store(limit.unwrap_or(usize::MAX), Ordering::Relaxed);
-    }
-
-    /// Admits one request: returns a token that releases the slot on drop,
-    /// or `None` when the model is at its ceiling.
-    #[must_use]
-    pub fn try_acquire(self: &Arc<Self>) -> Option<QuotaToken> {
-        let limit = self.limit.load(Ordering::Relaxed);
-        let mut active = self.active.load(Ordering::Relaxed);
-        loop {
-            if active >= limit {
-                return None;
-            }
-            match self.active.compare_exchange_weak(
-                active,
-                active + 1,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return Some(QuotaToken(Arc::clone(self))),
-                Err(now) => active = now,
-            }
-        }
-    }
-}
-
-/// RAII admission slot under a [`ModelQuota`]: the slot is released when
-/// the token drops — on response delivery, on a deadline shed, and during
-/// a worker panic's unwind alike, so a quota can never leak capacity.
-#[derive(Debug)]
-pub struct QuotaToken(Arc<ModelQuota>);
-
-impl Drop for QuotaToken {
-    fn drop(&mut self) {
-        self.0.active.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
-/// A model resolved for submission in one registry lock acquisition: the
-/// plan and the shared quota handle.
-pub struct ResolvedModel {
-    /// The compiled plan to execute.
-    pub plan: Arc<CompiledNetwork>,
-    /// The model's concurrency quota.
-    pub quota: Arc<ModelQuota>,
 }
 
 impl ModelRegistry {
@@ -158,9 +57,7 @@ impl ModelRegistry {
     /// Re-inserting a name **atomically replaces** the plan: lookups after
     /// this call return the new plan, while requests already holding the
     /// old `Arc` keep serving the old one to completion (plans are
-    /// immutable, so no request ever observes a half-swapped model). A
-    /// [`ModelQuota`] set on the old entry survives the replacement (the
-    /// same shared quota, so in-flight tokens keep counting).
+    /// immutable, so no request ever observes a half-swapped model).
     ///
     /// The plan is **warmed** for the backend that will serve it (the one
     /// registered via [`ModelRegistry::set_default_backend`]): any lazily
@@ -178,20 +75,10 @@ impl ModelRegistry {
     /// [`Engine::start`]: crate::engine::Engine::start
     pub fn insert(&self, model: CompiledNetwork) -> Arc<CompiledNetwork> {
         let arc = Arc::new(model);
-        {
-            let mut models = self.models.write().expect("registry poisoned");
-            let quota = models
-                .get(arc.name())
-                .map(|entry| Arc::clone(&entry.quota))
-                .unwrap_or_default();
-            models.insert(
-                arc.name().to_string(),
-                Entry {
-                    plan: Arc::clone(&arc),
-                    quota,
-                },
-            );
-        }
+        self.models
+            .write()
+            .expect("registry poisoned")
+            .insert(arc.name().to_string(), Arc::clone(&arc));
         if let Some(kind) = self.default_backend() {
             arc.warm(kind);
         }
@@ -219,7 +106,7 @@ impl ModelRegistry {
             .read()
             .expect("registry poisoned")
             .values()
-            .map(|entry| Arc::clone(&entry.plan))
+            .cloned()
             .collect();
         for plan in resident {
             plan.warm(backend);
@@ -234,7 +121,7 @@ impl ModelRegistry {
     }
 
     /// Compiles `spec` with `weights` under `config` and registers it —
-    /// the one-time cost that [`ModelRegistry::get`] then amortizes.
+    /// the one-time cost that [`ModelRegistry::resolve`] then amortizes.
     pub fn compile_and_insert(
         &self,
         spec: &NetworkSpec,
@@ -246,53 +133,12 @@ impl ModelRegistry {
 
     /// Looks up a model by name (cheap: read lock + `Arc` clone).
     #[must_use]
-    pub fn get(&self, name: &str) -> Option<Arc<CompiledNetwork>> {
+    pub fn resolve(&self, name: &str) -> Option<Arc<CompiledNetwork>> {
         self.models
             .read()
             .expect("registry poisoned")
             .get(name)
-            .map(|entry| Arc::clone(&entry.plan))
-    }
-
-    /// Sets (or with `None` lifts) the model's concurrency ceiling;
-    /// `Some(0)` stops admitting the model. Returns `false` if no model of
-    /// that name is registered.
-    ///
-    /// Takes effect for the next admission decision; requests already in
-    /// flight are never evicted (a lowered ceiling simply stops admitting
-    /// until enough tokens drain).
-    pub fn set_quota(&self, name: &str, limit: Option<usize>) -> bool {
-        match self.models.read().expect("registry poisoned").get(name) {
-            Some(entry) => {
-                entry.quota.set_limit(limit);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// The model's shared quota handle, if the model is registered.
-    #[must_use]
-    pub fn quota(&self, name: &str) -> Option<Arc<ModelQuota>> {
-        self.models
-            .read()
-            .expect("registry poisoned")
-            .get(name)
-            .map(|entry| Arc::clone(&entry.quota))
-    }
-
-    /// Resolves everything submission needs — plan and quota handle — in a
-    /// single read-lock acquisition.
-    #[must_use]
-    pub fn resolve(&self, name: &str) -> Option<ResolvedModel> {
-        self.models
-            .read()
-            .expect("registry poisoned")
-            .get(name)
-            .map(|entry| ResolvedModel {
-                plan: Arc::clone(&entry.plan),
-                quota: Arc::clone(&entry.quota),
-            })
+            .cloned()
     }
 
     /// Registered model names, sorted.
@@ -341,9 +187,9 @@ mod tests {
         let net = networks::tiny();
         let weights = forward::generate_network_weights(&net, QuantScheme::inq(), 2, 0.9);
         let inserted = registry.compile_and_insert(&net, &weights, &UcnnConfig::default());
-        let looked_up = registry.get("tiny").unwrap();
+        let looked_up = registry.resolve("tiny").unwrap();
         assert!(Arc::ptr_eq(&inserted, &looked_up), "lookup must not clone");
-        assert!(registry.get("missing").is_none());
+        assert!(registry.resolve("missing").is_none());
         assert_eq!(registry.len(), 1);
         assert!(!registry.is_empty());
     }
@@ -356,7 +202,7 @@ mod tests {
         let w2 = forward::generate_network_weights(&net, QuantScheme::inq(), 4, 0.9);
         let a = registry.compile_and_insert(&net, &w1, &UcnnConfig::default());
         let b = registry.compile_and_insert(&net, &w2, &UcnnConfig::default());
-        let current = registry.get("tiny").unwrap();
+        let current = registry.resolve("tiny").unwrap();
         assert!(Arc::ptr_eq(&b, &current));
         assert!(!Arc::ptr_eq(&a, &current));
         assert_eq!(registry.len(), 1);
@@ -386,7 +232,7 @@ mod tests {
         // The held Arc still serves the old weights...
         assert_eq!(old.forward(&input), expect_old);
         // ...while fresh lookups atomically see the replacement.
-        let current = registry.get("tiny").unwrap();
+        let current = registry.resolve("tiny").unwrap();
         assert!(Arc::ptr_eq(&new, &current));
         assert_eq!(current.forward(&input), expect_new);
         assert_eq!(registry.len(), 1);
@@ -453,84 +299,5 @@ mod tests {
             flat_ready(&plan),
             "adopting the registry must warm already-resident plans"
         );
-    }
-
-    #[test]
-    fn quota_admits_releases_and_survives_reinsert() {
-        let registry = ModelRegistry::new();
-        let net = networks::tiny();
-        let w1 = forward::generate_network_weights(&net, QuantScheme::inq(), 13, 0.9);
-        assert!(
-            !registry.set_quota("tiny", Some(1)),
-            "quota on an absent model must be rejected"
-        );
-        assert!(registry.quota("tiny").is_none());
-        registry.compile_and_insert(&net, &w1, &UcnnConfig::default());
-
-        // Unlimited by default: admits while tracking the active count.
-        let quota = registry.quota("tiny").unwrap();
-        assert_eq!(quota.limit(), None);
-        let t0 = quota.try_acquire().expect("unlimited must admit");
-        assert_eq!(quota.active(), 1);
-
-        // Ceiling of 2: one more admission fits, the third is rejected.
-        assert!(registry.set_quota("tiny", Some(2)));
-        assert_eq!(quota.limit(), Some(2));
-        let t1 = quota.try_acquire().expect("below ceiling");
-        assert!(quota.try_acquire().is_none(), "at ceiling");
-
-        // Hot-swap: the same quota (and its in-flight tokens) survives.
-        let w2 = forward::generate_network_weights(&net, QuantScheme::inq(), 14, 0.9);
-        registry.compile_and_insert(&net, &w2, &UcnnConfig::default());
-        let after = registry.quota("tiny").unwrap();
-        assert!(Arc::ptr_eq(&quota, &after), "quota must survive re-insert");
-        assert_eq!(after.limit(), Some(2));
-        assert_eq!(after.active(), 2);
-
-        // Dropping a token frees a slot.
-        drop(t0);
-        assert_eq!(after.active(), 1);
-        let t2 = after.try_acquire().expect("slot freed by drop");
-        drop(t1);
-        drop(t2);
-        assert_eq!(after.active(), 0);
-
-        // Lifting the ceiling returns to unlimited.
-        assert!(registry.set_quota("tiny", None));
-        assert_eq!(after.limit(), None);
-    }
-
-    #[test]
-    fn zero_quota_admits_nothing() {
-        let registry = ModelRegistry::new();
-        let net = networks::tiny();
-        let weights = forward::generate_network_weights(&net, QuantScheme::inq(), 16, 0.9);
-        registry.compile_and_insert(&net, &weights, &UcnnConfig::default());
-        assert!(registry.set_quota("tiny", Some(0)));
-        let quota = registry.quota("tiny").unwrap();
-        assert_eq!(quota.limit(), Some(0));
-        assert!(
-            quota.try_acquire().is_none(),
-            "a zero ceiling admits nothing"
-        );
-        assert_eq!(quota.active(), 0);
-    }
-
-    #[test]
-    fn resolve_returns_plan_and_quota_in_one_call() {
-        let registry = ModelRegistry::new();
-        assert!(registry.resolve("tiny").is_none());
-        let net = networks::tiny();
-        let weights = forward::generate_network_weights(&net, QuantScheme::inq(), 15, 0.9);
-        let plan = registry.compile_and_insert(&net, &weights, &UcnnConfig::default());
-        registry.set_quota("tiny", Some(4));
-
-        let resolved = registry.resolve("tiny").unwrap();
-        assert!(Arc::ptr_eq(&resolved.plan, &plan));
-        assert_eq!(resolved.quota.limit(), Some(4));
-        assert!(Arc::ptr_eq(
-            &resolved.quota,
-            &registry.quota("tiny").unwrap()
-        ));
     }
 }

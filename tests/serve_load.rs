@@ -139,13 +139,12 @@ fn shutdown_under_backpressure_keeps_accounting_exact() {
 }
 
 /// The observability stack end to end: per-layer reuse counters, request
-/// lifecycle phases, `Engine::stats()` sampled mid-run, and the metrics
-/// exposition must all reconcile with what the clients got back — and
-/// enabling the reuse counters must not meaningfully change throughput
-/// (the counts are analytic per `run_layer` call, not hot-loop
-/// instrumentation; the measured cost is documented in EXPERIMENTS.md, and
-/// only a loose bound is asserted here because absolute speed is
-/// machine-dependent).
+/// lifecycle phases and `Engine::stats()` sampled mid-run must all
+/// reconcile with what the clients got back — and enabling the reuse
+/// counters must not meaningfully change throughput (the counts are
+/// analytic per `run_layer` call, not hot-loop instrumentation; the
+/// measured cost is documented in EXPERIMENTS.md, and only a loose bound is
+/// asserted here because absolute speed is machine-dependent).
 #[test]
 fn metrics_and_reuse_counters_reconcile_with_accounting() {
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -189,12 +188,11 @@ fn metrics_and_reuse_counters_reconcile_with_accounting() {
         if counting {
             counters::set_enabled(false);
         }
-        let metrics = Arc::clone(engine.metrics());
         let stats = engine.shutdown();
-        (tally, samples, stats, metrics)
+        (tally, samples, stats)
     };
 
-    let (tally, samples, stats, metrics) = run_once(true);
+    let (tally, samples, stats) = run_once(true);
     assert_eq!(tally.completed, 60);
     assert_eq!(tally.mismatches, 0);
     assert_eq!(stats.served, tally.completed);
@@ -210,13 +208,6 @@ fn metrics_and_reuse_counters_reconcile_with_accounting() {
         assert!(sample.batches <= stats.batches, "{sample:?}");
     }
     assert_eq!(samples.last().expect("sampled").served, stats.served);
-    // The exposition parses line by line and carries the engine's families.
-    let text = metrics.render_prometheus();
-    assert!(text.contains("# TYPE engine_requests_total counter"));
-    assert!(text.contains("# TYPE engine_queue_wait_ns summary"));
-    for line in text.lines().filter(|l| !l.starts_with('#')) {
-        assert_eq!(line.split_whitespace().count(), 2, "bad line: {line}");
-    }
 
     // Reuse tallies cover both zoo models for the serving backend, with
     // the factorized walk never exceeding dense-equivalent work. Sibling
