@@ -1,6 +1,7 @@
-//! The datapath: the one strip body over a lowered tile, its
-//! `#[target_feature]` tier kernels, and the strip shapes a chunk runs. The
-//! only file of the crate with `unsafe` in it.
+//! The datapath: the shared strip body over a lowered tile, its
+//! `#[target_feature]` tier kernels, the `avx512` tier's `vpdpwssd` body, and
+//! the strip shapes a chunk runs. The only file of the crate with `unsafe`
+//! in it.
 
 use std::ops::Range;
 
@@ -51,6 +52,9 @@ impl FlattenedTile {
     /// to SIMD at whatever register width the enclosing `#[target_feature]`
     /// wrapper enables. The const generic keeps the lane arrays on the
     /// stack and the strips fully unrolled at every monomorphized width.
+    /// The `avx512` tier runs its strips of 32 lanes or more through
+    /// [`vnni_body`](tier_kernels::vnni_body) instead: the same walk and the
+    /// same per-lane sequence, its lanes held in another register order.
     #[inline(always)]
     fn accumulate_lanes_body<const LW: usize, const PITCH: usize>(
         &self,
@@ -166,10 +170,12 @@ impl FlattenedTile {
 /// the shared [`FlattenedTile::accumulate_lanes_body`] under a wider ISA so
 /// the compiler emits full-width vector arithmetic for the strip loops. The
 /// body is `#[inline(always)]`, so the feature gate reaches every inner
-/// loop.
+/// loop. The `avx512` tier runs strips of 32 lanes or more through a body of
+/// its own, [`vnni_body`](tier_kernels::vnni_body), written in intrinsics.
 ///
-/// These functions are `unsafe` purely by the `#[target_feature]` language
-/// rule; they have no other safety obligations.
+/// The wrappers are `unsafe` purely by the `#[target_feature]` language
+/// rule; `vnni_body` also loads and stores through pointers, each taken from
+/// a bounds-checked slice of exactly the 64 bytes it moves.
 ///
 /// # Safety
 ///
@@ -178,8 +184,20 @@ impl FlattenedTile {
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod tier_kernels {
-    use super::{FlattenedTile, StripRun};
+    use std::arch::x86_64::{
+        _mm512_add_epi32, _mm512_dpwssd_epi32, _mm512_loadu_si512, _mm512_mullo_epi32,
+        _mm512_permutex2var_epi32, _mm512_set1_epi32, _mm512_setr_epi32, _mm512_setzero_si512,
+        _mm512_storeu_si512, _mm512_sub_epi32,
+    };
+
+    use super::{walked_once, FlattenedTile, StripRun};
+    use crate::simd::SimdTier;
     use ucnn_tensor::ConvGeom;
+
+    /// `i32` lanes in a `zmm`.
+    const Z: usize = 16;
+    /// `zmm` in the widest strip's lane array.
+    const ZMM: usize = SimdTier::Avx512.strip_lanes() / Z;
 
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn tile_lanes_avx2<const LW: usize, const PITCH: usize>(
@@ -193,6 +211,8 @@ mod tier_kernels {
         tile.accumulate_lanes_body::<LW, PITCH>(input, out, geom, prefix, run);
     }
 
+    /// The `avx512` tier's 8- and 16-lane strips (drains of fewer than 32
+    /// images through a one-position layer).
     #[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl")]
     pub(super) unsafe fn tile_lanes_avx512<const LW: usize, const PITCH: usize>(
         tile: &FlattenedTile,
@@ -203,6 +223,179 @@ mod tier_kernels {
         run: &StripRun,
     ) {
         tile.accumulate_lanes_body::<LW, PITCH>(input, out, geom, prefix, run);
+    }
+
+    /// The `avx512` tier's strip body for strips of a multiple of 32 lanes:
+    /// [`FlattenedTile::accumulate_lanes_body`]'s walk, with phase 1 on
+    /// `vpdpwssd`. Each 32-lane `i16` slice of a gathered strip is one load
+    /// that two `vpdpwssd` widen, multiply by the sub-run's sign `s = ±1` and
+    /// add into two `i32` registers: the even lanes through the broadcast
+    /// `i16` pair `(s, 0)`, the odd lanes through `(0, s)`. Each lane adds
+    /// exactly `±x`, wrapping, as the shared body does — the per-lane `i32`
+    /// sequence is the same, and `(−1)·i16::MIN` lands as `+32 768`.
+    ///
+    /// So the running sums hold each slice's lanes even ones first. The close
+    /// block, the kept prefix rows and phase 2 are lane-wise and keep that
+    /// order; a sum returns to lane order (two `vpermt2d` per slice) only
+    /// where it is added to the band's plane.
+    ///
+    /// The intrinsics are written here, in the `#[target_feature]` function
+    /// itself (the macros expand in place): an intrinsic is only sure to
+    /// inline into a function that enables its feature, and in a closure or
+    /// a helper its inlining would rest on the compiler's rules for those
+    /// (docs/LAB.md Part 13).
+    #[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl,avx512vnni")]
+    pub(super) unsafe fn vnni_body<const LW: usize, const PITCH: usize>(
+        tile: &FlattenedTile,
+        input: &[i16],
+        out: &mut [i32],
+        geom: &ConvGeom,
+        prefix: &mut [i32],
+        run: &StripRun,
+    ) {
+        debug_assert!(
+            LW.is_multiple_of(2 * Z) && LW <= ZMM * Z,
+            "a {LW}-lane strip"
+        );
+        let (out_w, out_h) = (geom.out_w(), geom.out_h());
+        let ph = geom.in_h() + 2 * geom.pad();
+        let stride = geom.stride();
+        let (prefix, _) = prefix[..tile.rows * LW].as_chunks_mut::<LW>();
+        prefix[0] = [0; LW];
+        let once = walked_once(geom);
+        let zero = _mm512_setzero_si512();
+        // The `i16` pairs `(s, 0)` and `(0, s)`, for `s = 1` and `s = −1`.
+        let plus = [_mm512_set1_epi32(1), _mm512_set1_epi32(1 << 16)];
+        let minus = [_mm512_set1_epi32(0xffff), _mm512_set1_epi32(-1 << 16)];
+        // `vpermt2d` indices: lanes 0–15 and 16–31 of a slice, from its even
+        // and odd registers.
+        let low = _mm512_setr_epi32(0, 16, 1, 17, 2, 18, 3, 19, 4, 20, 5, 21, 6, 22, 7, 23);
+        let high = _mm512_setr_epi32(8, 24, 9, 25, 10, 26, 11, 27, 12, 28, 13, 29, 14, 30, 15, 31);
+
+        // Adds `sign ·` the strip at staged cell `at` into the registers `run`.
+        macro_rules! gather {
+            ($run:ident, $at:expr, $sign:ident) => {{
+                let at = $at;
+                let strip: &[i16] = if PITCH == LW {
+                    &input.as_chunks::<LW>().0[at]
+                } else {
+                    &input[at * PITCH..][..LW]
+                };
+                let (slices, _) = strip.as_chunks::<{ 2 * Z }>();
+                for (pair, slice) in $run.as_chunks_mut::<2>().0.iter_mut().zip(slices) {
+                    // SAFETY: `slice` is a checked `&[i16; 32]`, the 64 bytes
+                    // loaded.
+                    let x = _mm512_loadu_si512(slice.as_ptr().cast());
+                    pair[0] = _mm512_dpwssd_epi32(pair[0], x, $sign[0]);
+                    pair[1] = _mm512_dpwssd_epi32(pair[1], x, $sign[1]);
+                }
+            }};
+        }
+        // Telescoped, `run·Δw` wraps by contract (see the shared body).
+        macro_rules! close_block {
+            ($inner:ident, $run:expr, $dw:expr) => {{
+                let dw = _mm512_set1_epi32($dw);
+                for (a, &r) in $inner.iter_mut().zip($run.iter()).take(LW / Z) {
+                    *a = _mm512_add_epi32(*a, _mm512_mullo_epi32(r, dw));
+                }
+            }};
+        }
+        macro_rules! load_row {
+            ($row:expr) => {{
+                let mut regs = [zero; ZMM];
+                for (reg, lanes) in regs.iter_mut().zip($row.as_chunks::<Z>().0) {
+                    // SAFETY: `lanes` is a checked `&[i32; 16]`.
+                    *reg = _mm512_loadu_si512(lanes.as_ptr().cast());
+                }
+                regs
+            }};
+        }
+        macro_rules! store_row {
+            ($row:expr, $regs:expr) => {{
+                for (lanes, &reg) in $row.as_chunks_mut::<Z>().0.iter_mut().zip($regs.iter()) {
+                    // SAFETY: `lanes` is a checked `&mut [i32; 16]`.
+                    _mm512_storeu_si512(lanes.as_mut_ptr().cast(), reg);
+                }
+            }};
+        }
+        // Adds the registers `acc`, back in lane order, into the band's
+        // plane at cell `at`.
+        macro_rules! add_to_plane {
+            ($at:expr, $acc:expr) => {{
+                let at = $at;
+                let dst: &mut [i32] = if PITCH == LW {
+                    &mut out.as_chunks_mut::<LW>().0[at]
+                } else {
+                    &mut out[at * PITCH..][..LW]
+                };
+                let (halves, _) = dst.as_chunks_mut::<Z>();
+                let (slices, _) = halves.as_chunks_mut::<2>();
+                for (slice, &[even, odd]) in slices.iter_mut().zip($acc.as_chunks::<2>().0) {
+                    for (lanes, order) in slice.iter_mut().zip([low, high]) {
+                        // SAFETY: `lanes` is a checked `&mut [i32; 16]`.
+                        let sum = _mm512_add_epi32(
+                            _mm512_loadu_si512(lanes.as_ptr().cast()),
+                            _mm512_permutex2var_epi32(even, order, odd),
+                        );
+                        _mm512_storeu_si512(lanes.as_mut_ptr().cast(), sum);
+                    }
+                }
+            }};
+        }
+
+        for x in run.xs.clone() {
+            for y in run.ys.clone().step_by(LW / PITCH) {
+                // Phase 1, as in the shared body.
+                let delta = stride * (x * ph + y);
+                let (mut run, mut inner) = ([zero; ZMM], [zero; ZMM]);
+                if once {
+                    for (&b, row) in tile.base.iter().zip(&mut prefix[1..]) {
+                        gather!(run, b as usize + delta, plus);
+                        store_row!(row, run);
+                    }
+                    let mut end = 0;
+                    for close in &tile.closes {
+                        end += usize::from(close.plus);
+                        close_block!(inner, load_row!(prefix[end]), close.dw());
+                    }
+                } else {
+                    let mut row = 1;
+                    let mut rest = &tile.base[..];
+                    for close in &tile.closes {
+                        let (plus_run, after) = rest.split_at(close.plus.into());
+                        let (minus_run, after) = after.split_at(close.minus.into());
+                        rest = after;
+                        for &b in plus_run {
+                            gather!(run, b as usize + delta, plus);
+                        }
+                        for &b in minus_run {
+                            gather!(run, b as usize + delta, minus);
+                        }
+                        close_block!(inner, run, close.dw());
+                        if close.keep() {
+                            store_row!(prefix[row], run);
+                            row += 1;
+                        }
+                    }
+                }
+                let cell = |level: usize| (level * out_w + x) * out_h + y;
+                add_to_plane!(cell(tile.plane), inner);
+                // Phase 2, as in the shared body, wrapping.
+                for (level, bounds) in tile.seg_ptr.windows(2).enumerate() {
+                    let mut acc = [zero; ZMM];
+                    for seg in &tile.segs[bounds[0] as usize..bounds[1] as usize] {
+                        let weight = _mm512_set1_epi32(seg.weight);
+                        let hi = load_row!(prefix[seg.end as usize]);
+                        let lo = load_row!(prefix[seg.start as usize]);
+                        for (a, (&h, &l)) in acc.iter_mut().zip(hi.iter().zip(&lo)).take(LW / Z) {
+                            let d = _mm512_sub_epi32(h, l);
+                            *a = _mm512_add_epi32(*a, _mm512_mullo_epi32(d, weight));
+                        }
+                    }
+                    add_to_plane!(cell(level), acc);
+                }
+            }
+        }
     }
 }
 
@@ -254,6 +447,12 @@ fn accumulate_width<const LW: usize, const PITCH: usize>(
         #[cfg(target_arch = "x86_64")]
         SimdTier::Avx2 => unsafe {
             tier_kernels::tile_lanes_avx2::<LW, PITCH>(tile, input, out, geom, prefix, run);
+        },
+        // SAFETY: `tier` is `Probed`, so AVX-512 F/BW/DQ/VL and VNNI were
+        // detected; every load and store reads or writes a checked slice.
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Avx512 if LW >= 32 => unsafe {
+            tier_kernels::vnni_body::<LW, PITCH>(tile, input, out, geom, prefix, run);
         },
         // SAFETY: `tier` is `Probed`, so AVX-512 F/BW/DQ/VL were detected.
         #[cfg(target_arch = "x86_64")]
@@ -462,7 +661,7 @@ mod tests {
     use super::*;
     use crate::backend::BackendKind;
     use crate::compile::UcnnConfig;
-    use crate::flatten::oracle::{Alphabet, Case};
+    use crate::flatten::oracle::{Alphabet, Case, Seen};
     use crate::flatten::run_layer;
     use crate::plan::CompiledLayer;
     use crate::simd::SimdCaps;
@@ -590,6 +789,38 @@ mod tests {
                 Case { batch, ..case }.check();
             }
         }
+    }
+
+    #[test]
+    fn sign_edge_is_exact_on_every_avx512_strip() {
+        // ±1 weights, and images 0 and 1 all `i16::MAX` and all `i16::MIN`
+        // (in every build: their sums stay in `i32`), the rest distinct: a
+        // minus sub-run adds `(−1)·i16::MIN = +32 768` into an odd lane, and
+        // a lane out of order swaps two images. The convolution's 31
+        // positions per output row cascade through every strip width of
+        // chunks of 32, 16 and 8 images and of 5 in copies; the fully
+        // connected layer is walked once.
+        let conv = ConvGeom::new(4, 33, 3, 4, 3, 3);
+        let fc = ConvGeom::new(1, 1, 40, 6, 1, 1);
+        let mut emitted = std::collections::BTreeSet::new();
+        for (seed, geom, g) in [(70, conv, 1), (71, conv, 2), (72, fc, 2)] {
+            for batch in [5, 56] {
+                let case = Case {
+                    alphabet: Alphabet::SignEdge,
+                    batch,
+                    ..Case::pinned(seed, geom, 1, g, 64)
+                };
+                let seen = case.check();
+                let folded = seen.contains(&Seen::MinusSubRun);
+                assert!(folded || walked_once(&geom), "{case:?}");
+                let avx512 = SimdTier::Avx512;
+                for images in chunk_widths(batch, avx512.lane_width()) {
+                    let runs = strip_runs(&geom, Lanes::new(images, &geom), avx512);
+                    emitted.extend(runs.map(|run| (run.width, run.pitch)));
+                }
+            }
+        }
+        assert_eq!(emitted, KERNELS.iter().copied().collect());
     }
 
     /// The census domain: every chunk width a tier cuts a batch into — 1–7

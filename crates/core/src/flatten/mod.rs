@@ -34,10 +34,10 @@
 //! * `lower.rs` — lowering: a tile's stream becomes a [`FlattenedTile`]
 //!   (gather offsets, close records, outer segments) in an order chosen
 //!   from counts alone.
-//! * `kernel.rs` — the datapath: the one strip body, its
-//!   `#[target_feature]` tier kernels (the crate's only `unsafe`, reached
-//!   through a tier token only detection can mint), and the strip shapes a
-//!   chunk runs.
+//! * `kernel.rs` — the datapath: the shared strip body, its
+//!   `#[target_feature]` tier kernels and the `avx512` tier's `vpdpwssd`
+//!   body (the crate's only `unsafe`, reached through a tier token only
+//!   detection can mint), and the strip shapes a chunk runs.
 //! * `scratch.rs` — the cache-line-aligned row buffers, the arena that
 //!   holds them and the calling thread's arena.
 //! * `network.rs` — the chunk-major driver: staging in and out of the lane
@@ -100,11 +100,18 @@
 //! segment). Every gather offset, close record and CSR segment range is
 //! read **once per output position** and feeds all `LW` images.
 //!
+//! On `avx512` a strip of 32 lanes or more gathers on `vpdpwssd` (AVX-512
+//! VNNI): one instruction widens 32 staged `i16` lanes, multiplies them by
+//! the sub-run's sign and adds them into two `i32` registers, even lanes in
+//! one and odd lanes in the other. The sums keep that register order
+//! through the close block, the kept prefix rows and phase 2, all
+//! lane-wise, and return to lane order where they are added to the band.
+//!
 //! The chunk width and codegen follow the dispatched
 //! [`SimdTier`](crate::simd::SimdTier) ([`simd`](crate::simd)): the
 //! `scalar` tier keeps the historical 8-image chunks under baseline
 //! codegen, while the `avx2` / `avx512` tiers interleave 16/32 images and
-//! run the same strip body inside `#[target_feature]`-gated kernels so the
+//! run the same walk inside `#[target_feature]`-gated kernels so the
 //! compiler emits full-width 256/512-bit arithmetic. Per lane the i32
 //! operation sequence is identical at every width and every tier, so
 //! outputs stay bit-identical across all of them — the dense reference is

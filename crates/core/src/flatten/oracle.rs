@@ -51,6 +51,10 @@ pub(super) enum Alphabet {
     /// `{i16::MIN, i16::MAX, ±1}`. In release builds a case's first two
     /// images are all `i16::MAX` and all `i16::MIN`, so its sums wrap.
     MaxMagnitude,
+    /// `±1`, pinned cases only (not drawn): in every build a case's first
+    /// two images are all `i16::MAX` and all `i16::MIN`, whose sums stay in
+    /// `i32`, so a minus sub-run adds `(−1)·i16::MIN` exactly.
+    SignEdge,
 }
 
 impl Alphabet {
@@ -71,6 +75,7 @@ impl Alphabet {
             Self::NonSymmetric => vec![-3, 5],
             Self::AllZero => Vec::new(),
             Self::MaxMagnitude => vec![i16::MIN, i16::MAX, 1, -1],
+            Self::SignEdge => vec![1, -1],
         }
     }
 }
@@ -105,6 +110,8 @@ pub(super) enum Seen {
     Pad(usize),
     /// Padding the filter cannot span: whole windows read only the halo.
     PadPastFilter,
+    /// A sign-folded group with a minus sub-run.
+    MinusSubRun,
 }
 
 /// One of `of`, drawn from `rng`.
@@ -194,12 +201,17 @@ impl Case {
         assert_eq!(layer.flat_tiles(), compile().flat_tiles(), "{what}");
         let walks = check_lowering(&layer, &what);
 
-        // Distinct images per lane, so a lane mix-up cannot cancel out.
-        let wrap = !cfg!(debug_assertions) && self.alphabet == Alphabet::MaxMagnitude;
+        // Distinct images per lane, so a lane mix-up cannot cancel out; the
+        // two extreme images first where the alphabet asks for them.
+        let extremes = match self.alphabet {
+            Alphabet::MaxMagnitude => !cfg!(debug_assertions),
+            Alphabet::SignEdge => true,
+            _ => false,
+        };
         let (c, w, h) = (geom.c() * self.conv_groups, geom.in_w(), geom.in_h());
         let mut image = |i| match i {
-            0 if wrap => Tensor3::filled(c, w, h, i16::MAX),
-            1 if wrap => Tensor3::filled(c, w, h, i16::MIN),
+            0 if extremes => Tensor3::filled(c, w, h, i16::MAX),
+            1 if extremes => Tensor3::filled(c, w, h, i16::MIN),
             _ => Tensor3::from_fn(c, w, h, |_, _, _| match rng.next_u64() % 2 {
                 0 => 0,
                 _ => rng.gen_range_i16(-127, 127),
@@ -218,6 +230,10 @@ impl Case {
         ]);
         if geom.pad() >= geom.r().min(geom.s()) {
             seen.insert(Seen::PadPastFilter);
+        }
+        let tiles = layer.flat_tiles().iter();
+        if tiles.flat_map(|t| &t.closes).any(|close| close.minus > 0) {
+            seen.insert(Seen::MinusSubRun);
         }
         // The layer's chunks and strips on each tier, from the two
         // functions the executor cuts them with: `run_chunked` takes its
@@ -324,7 +340,7 @@ fn expected() -> BTreeSet<Seen> {
         .chain((1..=2).map(Seen::ConvGroups))
         .chain((1..=3).map(Seen::Stride))
         .chain((0..=3).map(Seen::Pad))
-        .chain([Seen::PadPastFilter])
+        .chain([Seen::PadPastFilter, Seen::MinusSubRun])
         .collect()
 }
 

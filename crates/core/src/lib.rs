@@ -98,10 +98,12 @@
 //! ```
 
 // `deny` rather than `forbid`: the explicit SIMD tier kernels need
-// `#[target_feature]` functions, which are unsafe to call by language rule.
-// They and their call sites live in `flatten/kernel.rs` alone, under a
-// scoped `#[allow(unsafe_code)]`, dispatched on a tier token only SIMD
-// detection can mint; everything else stays unsafe-free.
+// `#[target_feature]` functions, which are unsafe to call by language rule,
+// and the `avx512` tier's intrinsics load and store through pointers, each
+// taken from a bounds-checked slice of exactly the bytes it moves. They and
+// their call sites live in `flatten/kernel.rs` alone, under a scoped
+// `#[allow(unsafe_code)]`, dispatched on a tier token only SIMD detection
+// can mint; everything else stays unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

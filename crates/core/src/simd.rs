@@ -13,10 +13,13 @@
 //! most when the amortized gather/CSR index work feeds the widest contiguous
 //! arithmetic the CPU has. The tier therefore sets the **interleave width**:
 //! `scalar` keeps the historical 8-lane strips the autovectorizer turns into
-//! baseline SSE2, `avx2` runs 16-wide strips, `avx512` 32-wide — each strip
-//! still performs the identical per-lane i32 operation sequence, so every
-//! tier stays bit-identical to the dense reference (the conformance corpus
-//! and the equivalence oracle run every available tier in one process).
+//! baseline SSE2, `avx2` runs 16-wide strips, `avx512` 32-wide. The
+//! `avx512` tier needs AVX-512 VNNI as well as F/BW/DQ/VL: its strips of 32
+//! lanes or more gather on `vpdpwssd`, one instruction that widens each
+//! `i16` and adds it times a sign. Each strip still performs the identical
+//! per-lane i32 operation sequence, so every tier stays bit-identical to the
+//! dense reference (the conformance corpus and the equivalence oracle run
+//! every available tier in one process).
 
 use std::sync::OnceLock;
 
@@ -40,7 +43,9 @@ pub enum SimdTier {
     Scalar,
     /// AVX2 (256-bit): 16-lane strips.
     Avx2,
-    /// AVX-512 F/BW/DQ/VL (512-bit): 32-lane strips.
+    /// AVX-512 F/BW/DQ/VL and VNNI (512-bit): 32-lane chunks, whose strips
+    /// of 32 lanes or more accumulate on `vpdpwssd`. A CPU with the first
+    /// four and no VNNI (Skylake-SP) runs [`SimdTier::Avx2`].
     Avx512,
     /// NEON (128-bit, aarch64): 8-lane strips with NEON codegen.
     Neon,
@@ -75,9 +80,12 @@ impl SimdTier {
 
     /// The widest strip the tier's kernels run — neighbouring output
     /// positions × images of one chunk behind one indirection read
-    /// ([`flatten`](crate::flatten)), sized so the kernel's three lane arrays
-    /// stay in registers: four `zmm` each on `avx512` (24 of 32; eight
-    /// spill), and 32 lanes elsewhere (measured: docs/LAB.md § `strips`).
+    /// ([`flatten`](crate::flatten)), sized so the kernel's lane arrays stay
+    /// in registers. On `avx512` a 128-lane `i32` array is eight `zmm`, and
+    /// phase 1 keeps the running sum (8), the inner sum (8), four sign
+    /// vectors and a gathered slice live: 21 of 32, or 24 where the compiler
+    /// issues a strip's four slice loads together. Elsewhere 32 lanes
+    /// (measured: docs/LAB.md § `strips`).
     #[must_use]
     pub const fn strip_lanes(self) -> usize {
         match self {
@@ -176,16 +184,12 @@ fn detect() -> Vec<SimdTier> {
     let mut tiers = vec![SimdTier::Scalar];
     #[cfg(target_arch = "x86_64")]
     {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            tiers.push(SimdTier::Avx2);
-        }
-        if std::arch::is_x86_feature_detected!("avx512f")
-            && std::arch::is_x86_feature_detected!("avx512bw")
-            && std::arch::is_x86_feature_detected!("avx512dq")
-            && std::arch::is_x86_feature_detected!("avx512vl")
-        {
-            tiers.push(SimdTier::Avx512);
-        }
+        use std::arch::is_x86_feature_detected as has;
+        tiers.extend(x86_tiers(
+            has!("avx2"),
+            has!("avx512f") && has!("avx512bw") && has!("avx512dq") && has!("avx512vl"),
+            has!("avx512vnni"),
+        ));
     }
     #[cfg(target_arch = "aarch64")]
     {
@@ -194,6 +198,18 @@ fn detect() -> Vec<SimdTier> {
         }
     }
     tiers
+}
+
+/// The x86 tiers above `scalar` a CPU runs, from what it was probed to have:
+/// AVX2, AVX-512 F/BW/DQ/VL, and AVX-512 VNNI. `avx512` needs all five of
+/// the AVX-512 features — its wide strips accumulate on `vpdpwssd` — so a
+/// CPU without VNNI (Skylake-SP) runs `avx2`.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+fn x86_tiers(avx2: bool, avx512: bool, vnni: bool) -> impl Iterator<Item = SimdTier> {
+    let tiers = [(avx2, SimdTier::Avx2), (avx512 && vnni, SimdTier::Avx512)];
+    tiers
+        .into_iter()
+        .filter_map(|(has, tier)| has.then_some(tier))
 }
 
 /// Available tiers on this CPU (shorthand for `SimdCaps::get().tiers()`).
@@ -236,6 +252,16 @@ mod tests {
         }
         // Scalar requests always resolve to scalar exactly.
         assert_eq!(caps.clamp(SimdTier::Scalar), SimdTier::Scalar);
+    }
+
+    #[test]
+    fn avx512_needs_vnni_as_well_as_f_bw_dq_vl() {
+        use SimdTier::{Avx2, Avx512};
+        let tiers = |avx2, avx512, vnni| x86_tiers(avx2, avx512, vnni).collect::<Vec<_>>();
+        assert_eq!(tiers(true, true, true), [Avx2, Avx512]);
+        assert_eq!(tiers(true, true, false), [Avx2], "Skylake-SP");
+        assert_eq!(tiers(true, false, true), [Avx2]);
+        assert_eq!(tiers(false, false, false), []);
     }
 
     /// A tier request is a `SimdTier` value, clamped to the CPU; the only

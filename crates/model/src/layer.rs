@@ -74,7 +74,7 @@ impl LayerSpec {
     pub fn grouped_conv(name: impl Into<String>, geom: ConvGeom, groups: usize) -> Self {
         assert!(groups > 0, "groups must be positive");
         assert!(
-            geom.k() % groups == 0,
+            geom.k().is_multiple_of(groups),
             "filter count {} not divisible by groups {groups}",
             geom.k()
         );

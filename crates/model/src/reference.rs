@@ -56,7 +56,10 @@ pub fn conv2d(
         filters.r() == geom.r() && filters.s() == geom.s(),
         "filter plane mismatch"
     );
-    assert!(groups > 0 && geom.k() % groups == 0, "bad group count");
+    assert!(
+        groups > 0 && geom.k().is_multiple_of(groups),
+        "bad group count"
+    );
 
     let (out_w, out_h) = (geom.out_w(), geom.out_h());
     let k_per_group = geom.k() / groups;

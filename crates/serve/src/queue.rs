@@ -324,7 +324,7 @@ impl<T> ShardedQueue<T> {
                 continue;
             }
             let len = shard.len.load(Ordering::Relaxed);
-            if len > 0 && best.map_or(true, |(_, l)| len > l) {
+            if len > 0 && best.is_none_or(|(_, l)| len > l) {
                 best = Some((i, len));
             }
         }

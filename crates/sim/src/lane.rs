@@ -127,7 +127,7 @@ pub fn run_lane(stream: &GroupStream, activations: &[i16], config: &LaneConfig) 
         match e.close_level {
             None => {
                 // Early MAC when the innermost run crosses the cap.
-                if run[g - 1] % config.group_cap == 0 && e.ranks[g - 1] != ZERO_RANK {
+                if run[g - 1].is_multiple_of(config.group_cap) && e.ranks[g - 1] != ZERO_RANK {
                     let w = i32::from(canonical[e.ranks[g - 1] as usize]);
                     psum[g - 1] += acc * w;
                     carry += acc;
