@@ -674,14 +674,14 @@ pub fn ablate_multipliers() -> TableOut {
 /// backends` writes these rows as machine-readable `BENCH_backends.json`
 /// for the perf trajectory.
 ///
-/// Beyond the three registered backends, each cell carries one
+/// Beyond the two registered backends, each cell carries one
 /// `flattened-batch@<tier>` row per ISA tier the CPU supports. The
 /// `simd_tier` column reports the tier each row ran (`avx512`, `scalar`,
-/// `-` for the stream walkers), and `flat_bytes` what the flattened rows'
+/// `-` for the stream walker), and `flat_bytes` what the flattened rows'
 /// lowered tables keep resident. `compile_us` and `lower_us` are the cold
 /// path of the row's layer — `CompiledLayer::compile`, then the first
-/// `flat_tiles` of that fresh plan (`-` for the stream walkers, which never
-/// lower) — the minimum over as many rounds as the cells time. A
+/// `flat_tiles` of that fresh plan (`-` for the stream walker, which never
+/// lowers) — the minimum over as many rounds as the cells time. A
 /// `provenance` section records where the numbers came from: commit,
 /// compiler, detected tiers, core count.
 ///
@@ -828,7 +828,7 @@ pub fn backend_table(quick: bool) -> TableOut {
                 .expect("batch-threads is a registered backend")
                 .1;
             for ((label, tier_label, _), s) in variants.iter().zip(&mins) {
-                // What only a lowered row has: `-` for the stream walkers.
+                // What only a lowered row has: `-` for the stream walker.
                 let lowered = |v: String| if tier_label == "-" { "-".into() } else { v };
                 t.push_row(vec![
                     name.to_string(),
@@ -1019,7 +1019,7 @@ mod tests {
         // guard on the checked-in `BENCH_backends.json` is the perf gate.
         let t = backend_table(true);
         let tiers = ucnn_core::simd::available_tiers().len();
-        // Per cell: the three registered backends and one tier-pinned
+        // Per cell: the two registered backends and one tier-pinned
         // flattened-batch row per available ISA tier. 3 layers × 2 quick
         // batch sizes.
         let per_cell = BackendKind::ALL.len() + tiers;

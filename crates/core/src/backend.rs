@@ -1,4 +1,4 @@
-//! The executor backends: three inner-loop shapes over the same retained
+//! The executor backends: two inner-loop shapes over the same retained
 //! plans, dispatched by a `match` on [`BackendKind`].
 //!
 //! Every UCNN execution strategy computes the *same* arithmetic as the dense
@@ -14,20 +14,23 @@
 //!
 //! | kind | inner loop | where it wins |
 //! |------|-----------|----------------|
-//! | [`BackendKind::Factorized`] | re-sorts/factorizes per call | never — the paper's functional definition and the compile-amortization baseline |
 //! | [`BackendKind::BatchThreads`] | retained-stream walk: per image at B = 1, batch-major at B ≥ 2 | nowhere on speed; it is the serving engine's default until the benchmark's memory accounting lets the engine switch (see `EngineConfig::backend` in `ucnn-serve`) |
 //! | [`BackendKind::FlattenedBatch`] | branch-free flattened walk (one gather path for every geometry: padded layers are staged into a zero-haloed chunk; the innermost level multiplied in registers where its groups close, prefix rows kept only where an outer group closes) over SIMD lanes that are output positions × the chunk's images, a chunk of fewer than eight images filling eight lanes with row-shifted copies of itself, staged per filter band; a whole network runs chunk-major — each lane chunk stays batch-interleaved from the staged input to the last stage ([`BackendKind::run_network`]) | every measured cell; the library default ([`CompiledNetwork::DEFAULT_BACKEND`](crate::plan::CompiledNetwork::DEFAULT_BACKEND)) |
 //!
 //! Which ISA tier the flattened executor runs is not a choice at all: every
 //! execution dispatches the widest tier the CPU has, [`SimdCaps::best`].
+//! The paper's functional definition of factorized convolution (§III-A) is
+//! not an executor: it is the free function
+//! [`exec::factorized_conv`](crate::exec::factorized_conv), which sorts the
+//! weights on every call.
 
 use std::borrow::Cow;
 
 use ucnn_model::{forward::flatten_for_fc, reference};
-use ucnn_tensor::{Tensor3, Tensor4};
+use ucnn_tensor::Tensor3;
 
 use crate::counters::LayerWork;
-use crate::exec::{factorized_conv, run_compiled_batch};
+use crate::exec::run_compiled_batch;
 use crate::flatten::{run_layer, run_stages, FlattenedTile};
 use crate::hierarchy::GroupStream;
 use crate::plan::{CompiledLayer, CompiledNetwork, CompiledStage};
@@ -36,14 +39,11 @@ use crate::simd::SimdCaps;
 /// Selects one of the registered executor backends.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum BackendKind {
-    /// Per-call re-factorization (`factorized_conv`): re-sorts the weights
-    /// on every execution. The slow baseline that motivates retained plans.
-    Factorized,
     /// Retained-stream walk (`run_compiled_batch`): the scalar per-image
     /// walk at B = 1, one batch-major walk (each stream entry decoded once
     /// for the whole batch) at B ≥ 2. It runs on one thread; the name is
-    /// kept because it keys the counters, `BENCH_backends.json` and the
-    /// engine's `Debug` string until the variant itself is deleted.
+    /// kept because it labels `BENCH_backends.json` and the engine's
+    /// `Debug` string until the variant itself is deleted.
     BatchThreads,
     /// Branch-free flattened execution — compile-time lowered gather
     /// offsets and CSR group ranges, no entry decode — over
@@ -62,44 +62,22 @@ pub enum BackendKind {
 
 impl BackendKind {
     /// Every registered backend, in registry order.
-    pub const ALL: [BackendKind; 3] = [
-        BackendKind::Factorized,
-        BackendKind::BatchThreads,
-        BackendKind::FlattenedBatch,
-    ];
+    pub const ALL: [BackendKind; 2] = [BackendKind::BatchThreads, BackendKind::FlattenedBatch];
 
-    /// Stable CLI/config name of the backend.
+    /// The backend's name: the label of its `repro backends` rows and of
+    /// test messages.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
-            BackendKind::Factorized => "factorized",
             BackendKind::BatchThreads => "batch-threads",
             BackendKind::FlattenedBatch => "flattened-batch",
         }
-    }
-
-    /// Parses a [`BackendKind::name`] (`_` is accepted for `-`).
-    #[must_use]
-    pub fn parse(name: &str) -> Option<BackendKind> {
-        let name = name.replace('_', "-");
-        BackendKind::ALL.into_iter().find(|k| k.name() == name)
     }
 }
 
 impl std::fmt::Display for BackendKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for BackendKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        BackendKind::parse(s).ok_or_else(|| {
-            let names: Vec<&str> = BackendKind::ALL.iter().map(|k| k.name()).collect();
-            format!("unknown backend '{s}'; choose from {}", names.join(", "))
-        })
     }
 }
 
@@ -122,15 +100,6 @@ impl BackendKind {
     #[must_use]
     pub fn run_layer(self, layer: &CompiledLayer, inputs: &[Tensor3<i16>]) -> Vec<Tensor3<i32>> {
         match self {
-            BackendKind::Factorized => {
-                // Plans retain only streams; the per-call baseline rebuilds
-                // the dense weights from them (exact) and re-factorizes
-                // every call.
-                let filters: Tensor4<i16> = layer.reconstruct_filters();
-                let (geom, groups, config) = (layer.geom(), layer.conv_groups(), layer.config());
-                let conv = |input| factorized_conv(geom, groups, input, &filters, config);
-                inputs.iter().map(conv).collect()
-            }
             BackendKind::BatchThreads => run_compiled_batch(layer, inputs),
             BackendKind::FlattenedBatch => run_layer(layer, inputs, SimdCaps::get().best()),
         }
@@ -144,7 +113,7 @@ impl BackendKind {
     /// holds the inputs to the network's input dims and records the reuse
     /// counters.
     ///
-    /// The stream walkers loop layer by layer over per-image tensors; the
+    /// The stream walker loops layer by layer over per-image tensors; the
     /// flattened executor runs chunk-major — every lane chunk runs the
     /// whole network batch-interleaved, transposed once on the way in and
     /// once on the way out ([`run_stages`]).
@@ -155,15 +124,13 @@ impl BackendKind {
     #[must_use]
     pub fn run_network(self, net: &CompiledNetwork, inputs: &[Tensor3<i16>]) -> Vec<Tensor3<i32>> {
         match self {
-            BackendKind::Factorized | BackendKind::BatchThreads => {
-                layer_by_layer(self, net, inputs)
-            }
+            BackendKind::BatchThreads => layer_by_layer(self, net, inputs),
             BackendKind::FlattenedBatch => run_stages(net.stages(), inputs, SimdCaps::get().best()),
         }
     }
 
     /// Eagerly builds whatever lazily derived execution state this kind
-    /// needs for `layer` (nothing for the stream walkers): the flattened
+    /// needs for `layer` (nothing for the stream walker): the flattened
     /// executor's `OnceLock` lowering, so the first request after deploy
     /// does not pay lowering latency in its tail — see
     /// [`CompiledNetwork::warm`].
@@ -177,28 +144,19 @@ impl BackendKind {
     /// performs, as reuse telemetry for [`counters`](crate::counters):
     /// analytic counts derived from the retained plan, **not** measured by
     /// instrumenting the inner loop — so the accounting is O(tiles). The
-    /// stream walkers report the stream's counts, equal between them; the
-    /// flattened executor reports what its lowered walks issue — at most
-    /// the stream walkers' multiplies (folding only merges groups), and
-    /// more gathers only where a band is walked filter by filter.
-    ///
-    /// `lowering_was_ready` is whether the flattened lowering existed
-    /// before the call (captured by the caller); the stream walkers ignore
-    /// it.
-    pub(crate) fn work(
-        self,
-        layer: &CompiledLayer,
-        batch: usize,
-        lowering_was_ready: bool,
-    ) -> LayerWork {
+    /// stream walker reports the stream's counts; the flattened executor
+    /// reports what its lowered walks issue — at most the stream walker's
+    /// multiplies (folding only merges groups), and more gathers only where
+    /// a band is walked filter by filter.
+    pub(crate) fn work(self, layer: &CompiledLayer, batch: usize) -> LayerWork {
         match self {
-            BackendKind::Factorized | BackendKind::BatchThreads => stream_walk_work(layer, batch),
-            BackendKind::FlattenedBatch => flattened_work(layer, batch, lowering_was_ready),
+            BackendKind::BatchThreads => stream_walk_work(layer, batch),
+            BackendKind::FlattenedBatch => flattened_work(layer, batch),
         }
     }
 }
 
-/// The stream walkers' network loop: every stage materializes its
+/// The stream walker's network loop: every stage materializes its
 /// per-image tensors — [`BackendKind::run_layer`], each `i32` output
 /// consumed into its [`reference::relu_saturate`]d successor so the two
 /// whole-batch tensors never coexist, [`reference::pool2d`] image by image.
@@ -242,7 +200,7 @@ fn layer_by_layer(
     unreachable!("stages is non-empty, so the loop always returns")
 }
 
-/// The analytic per-call work of any stream-walking backend: every tile's
+/// The analytic per-call work of the stream-walking backend: every tile's
 /// stream is walked once per output position per image, issuing one
 /// multiply per non-zero activation-group closure and one gather per
 /// retained entry. The dense-equivalent count is pure geometry
@@ -266,7 +224,6 @@ fn walk_work(layer: &CompiledLayer, batch: usize, multiplies: usize, entries: us
         dense_multiplies: layer.geom().macs() as u64 * b,
         multiplies_issued: multiplies as u64 * walks,
         gather_entries: entries as u64 * walks,
-        ..LayerWork::default()
     }
 }
 
@@ -274,27 +231,13 @@ fn walk_work(layer: &CompiledLayer, batch: usize, multiplies: usize, entries: us
 /// lowered walks — lowering owns their order and their sharing, so they are
 /// not the stream's: multiplies are the groups of a non-zero weight (outer
 /// segments + non-zero-`|w|` innermost groups, each one CSR segment: ≤ the
-/// stream walkers' multiplies), gathers the lowered entries (more than the
-/// stream's only on a band walked filter by filter). Beside them, whether
-/// this call hit the cached lowering or had to build it, and the per-ISA
-/// profile of the dispatched tier — how many lane chunks the batch
-/// decomposed into and the widest strip (of images, or of one image's
-/// output positions) that ran.
-fn flattened_work(layer: &CompiledLayer, batch: usize, lowering_was_ready: bool) -> LayerWork {
+/// stream walker's multiplies), gathers the lowered entries (more than the
+/// stream's only on a band walked filter by filter).
+fn flattened_work(layer: &CompiledLayer, batch: usize) -> LayerWork {
     let tiles = layer.flat_tiles();
     let segments = tiles.iter().map(FlattenedTile::segment_count).sum();
     let entries = tiles.iter().map(FlattenedTile::entry_count).sum();
-    let mut work = walk_work(layer, batch, segments, entries);
-    if lowering_was_ready {
-        work.lowering_hits = 1;
-    } else {
-        work.lowering_misses = 1;
-    }
-    let (chunks, widest) =
-        crate::flatten::strip_profile(layer.geom(), batch, SimdCaps::get().best());
-    work.lane_strips = chunks as u64;
-    work.lane_width = widest as u64;
-    work
+    walk_work(layer, batch, segments, entries)
 }
 
 #[cfg(test)]
@@ -306,23 +249,12 @@ mod tests {
     use ucnn_tensor::ConvGeom;
 
     #[test]
-    fn names_round_trip_and_are_distinct() {
+    fn names_are_distinct() {
         let mut seen = std::collections::HashSet::new();
         for kind in BackendKind::ALL {
-            assert_eq!(BackendKind::parse(kind.name()), Some(kind));
-            assert_eq!(kind.name().parse::<BackendKind>().unwrap(), kind);
+            assert_eq!(kind.to_string(), kind.name());
             assert!(seen.insert(kind.name()), "duplicate name {}", kind.name());
         }
-        assert_eq!(
-            BackendKind::parse("batch_threads"),
-            Some(BackendKind::BatchThreads)
-        );
-        assert_eq!(
-            BackendKind::parse("flattened_batch"),
-            Some(BackendKind::FlattenedBatch)
-        );
-        assert!(BackendKind::parse("nope").is_none());
-        assert!("nope".parse::<BackendKind>().is_err());
     }
 
     #[test]

@@ -635,27 +635,6 @@ pub(super) fn chunk_widths(images: usize, lane_width: usize) -> impl Iterator<It
     })
 }
 
-/// How a batch of `batch` images of a layer runs on `tier`: the lane chunks
-/// [`chunk_widths`] cuts it into and the widest strip any of them runs
-/// ([`strip_runs`]) — the analytic
-/// [`LayerWork::lane_strips`](crate::counters::LayerWork::lane_strips) and
-/// [`LayerWork::lane_width`](crate::counters::LayerWork::lane_width).
-#[must_use]
-pub(crate) fn strip_profile(geom: &ConvGeom, batch: usize, tier: SimdTier) -> (usize, usize) {
-    chunk_widths(batch, tier.lane_width()).fold((0, 0), |(chunks, widest), lw| {
-        (chunks + 1, widest.max(widest_strip(geom, lw, tier)))
-    })
-}
-
-/// The widest strip a chunk of `lw` images runs: its first [`strip_runs`]
-/// run — what sizes the prefix rows. Never narrower than a narrower chunk's,
-/// or the same chunk's on a narrower tier.
-fn widest_strip(geom: &ConvGeom, lw: usize, tier: SimdTier) -> usize {
-    let lanes = Lanes::new(lw, geom);
-    let first = strip_runs(geom, lanes, tier).next();
-    first.map_or(lanes.pitch, |run| run.width)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -893,12 +872,8 @@ mod tests {
             assert_eq!(y, out_h, "{what}");
             assert!(runs.windows(2).all(|p| p[0].width > p[1].width), "{what}");
             // The widest strip comes first, and takes all the row offers.
-            let widest = widest_strip(&geom, lanes.images, tier);
-            assert_eq!(widest, runs[0].width, "{what}");
+            let widest = runs[0].width;
             assert!(!row_lanes || 2 * widest > (out_h * lw).min(tier.strip_lanes()));
-            // The profile of one such chunk is one chunk of that strip.
-            let profile = strip_profile(&geom, lanes.images, tier);
-            assert_eq!(profile, (1, widest), "{what}");
         }
         // Two worked rows: LeNet's conv2 (16 positions) and a ragged 7, of
         // three output rows — one each for the copies of a single image.

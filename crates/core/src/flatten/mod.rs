@@ -178,6 +178,5 @@ mod scratch;
 pub use lower::FlattenedTile;
 pub use network::run_stages;
 
-pub(crate) use kernel::strip_profile;
 pub(crate) use lower::{walked_once, Lowering};
 pub(crate) use network::{run_layer, Dims};

@@ -28,6 +28,7 @@ use super::lower::tests::check_lowering;
 use super::{run_layer, run_stages};
 use crate::backend::BackendKind;
 use crate::compile::UcnnConfig;
+use crate::exec::factorized_conv;
 use crate::plan::{CompiledLayer, CompiledStage};
 use crate::simd::{available_tiers, SimdTier};
 
@@ -254,15 +255,16 @@ impl Case {
 }
 
 /// Runs `layer`, compiled from `weights`, over `inputs` through every
-/// [`BackendKind`]'s `run_layer` (the widest tier), and on every available
-/// tier through the flattened [`run_layer`] and through [`run_stages`] three
-/// ways, one for each way the layer's finished bands leave it: alone (its
-/// raw sums scattered out), followed by a 1×1 max-pool (fused onto the
-/// layer's bands), and followed by an identity 1×1 convolution (the bands
-/// enter its plane through the relu epilogue). Both chains hand the
-/// `relu_saturate`d activations on unchanged. Each is held to the dense
-/// reference; the plan is shared by every run, so a run that changed it
-/// fails a later one.
+/// [`BackendKind`]'s `run_layer` (the widest tier), image by image through
+/// the paper's functional definition ([`factorized_conv`]), and on every
+/// available tier through the flattened [`run_layer`] and through
+/// [`run_stages`] three ways, one for each way the layer's finished bands
+/// leave it: alone (its raw sums scattered out), followed by a 1×1 max-pool
+/// (fused onto the layer's bands), and followed by an identity 1×1
+/// convolution (the bands enter its plane through the relu epilogue). Both
+/// chains hand the `relu_saturate`d activations on unchanged. Each is held
+/// to the dense reference; the plan is shared by every run, so a run that
+/// changed it fails a later one.
 pub(super) fn check_layer(
     layer: &CompiledLayer,
     weights: &Tensor4<i16>,
@@ -283,6 +285,10 @@ pub(super) fn check_layer(
     for kind in BackendKind::ALL {
         let got = kind.run_layer(layer, inputs);
         assert_eq!(got, sums, "{what}: backend {kind}");
+    }
+    for (i, input) in inputs.iter().enumerate() {
+        let got = factorized_conv(geom, layer.conv_groups(), input, weights, layer.config());
+        assert_eq!(got, sums[i], "{what}: factorized_conv, image {i}");
     }
     let k = geom.k();
     let identity = Tensor4::from_fn(k, k, 1, 1, |o, i, _, _| i16::from(o == i));

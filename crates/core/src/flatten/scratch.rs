@@ -96,7 +96,7 @@ mod tests {
     use crate::compile::UcnnConfig;
     use crate::flatten::kernel::{chunk_widths, LANE_WIDTH};
     use crate::flatten::network::{haloed_len, run_layer_chunk};
-    use crate::flatten::{run_layer, run_stages, strip_profile};
+    use crate::flatten::{run_layer, run_stages};
     use crate::plan::{CompiledLayer, CompiledNetwork, CompiledStage};
     use crate::simd::{available_tiers, SimdCaps, SimdTier};
     use ucnn_model::{forward, reference, ActivationGen, QuantScheme, WeightGen};
@@ -269,7 +269,6 @@ mod tests {
         // positions (the conv's whole output row) × the chunk on the conv.
         let strips = [widest, (4 * widest).min(best.strip_lanes())];
         let prefix = layers.iter().zip(strips).map(|((layer, _), strip)| {
-            assert_eq!(strip_profile(layer.geom(), widest, best), (1, strip));
             layer.flat_tiles().iter().map(|t| t.rows).max().unwrap() * strip
         });
         assert_eq!(

@@ -34,19 +34,20 @@
 //! * [`compile`] — compiles whole layers into per-tile streams plus the
 //!   aggregate statistics the accelerator simulator consumes.
 //! * [`plan`] — retained compilation for serving: [`CompiledLayer`] and
-//!   [`CompiledNetwork`] own the per-tile streams so the sort/factorize
-//!   work is paid once per model and the hot path only walks streams
-//!   ([`exec::run_compiled`]).
-//! * [`backend`] — the executor backends: three bit-identical inner-loop
-//!   shapes (the per-call factorized baseline, the retained-stream walk, the
-//!   flattened SIMD executor), selected by a [`BackendKind`] end to end from
-//!   the serving engine down and dispatched by a `match` on it
-//!   ([`BackendKind::run_layer`], [`BackendKind::run_network`]). A forward
-//!   runs on the thread that calls it.
-//! * [`counters`] — the per-layer reuse-telemetry sink: an opt-in,
-//!   thread-sharded [`LayerWork`] tally (multiplies issued vs
-//!   dense-equivalent, gather entries, lowering-cache hits)
-//!   every backend reports into per layer of a forward.
+//!   [`CompiledNetwork`] own the per-tile streams and their lowered tables,
+//!   so the sort/factorize work is paid once per model and the hot path only
+//!   walks what was retained (by default the flattened tables,
+//!   [`CompiledNetwork::DEFAULT_BACKEND`]).
+//! * [`backend`] — the executor backends: two bit-identical inner-loop
+//!   shapes (the retained-stream walk and the flattened SIMD executor),
+//!   selected by a [`BackendKind`] end to end from the serving engine down
+//!   and dispatched by a `match` on it ([`BackendKind::run_layer`],
+//!   [`BackendKind::run_network`]). A forward runs on the thread that calls
+//!   it.
+//! * [`counters`] — the per-layer reuse-telemetry sink: an opt-in
+//!   `(network, layer)` → [`LayerWork`] tally (images, multiplies issued vs
+//!   dense-equivalent, gather entries) every backend reports into per layer
+//!   of a forward.
 //! * [`flatten`] — the compile-time lowering (branch-free gather offsets
 //!   and CSR-style activation-group ranges) and the batch-interleaved SIMD
 //!   executor behind [`BackendKind::FlattenedBatch`] (one indirection walk

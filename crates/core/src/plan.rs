@@ -18,7 +18,7 @@
 //! [`run_compiled`](crate::exec::run_compiled()) /
 //! [`CompiledNetwork::forward`] and stays bit-identical to the dense
 //! reference. How a network's stages are chained is the backend's business
-//! ([`BackendKind::run_network`]): the stream walkers loop layer by layer
+//! ([`BackendKind::run_network`]): the stream walker loops layer by layer
 //! over per-image tensors, the flattened default keeps each lane chunk
 //! batch-interleaved from the first stage to the last.
 
@@ -30,7 +30,7 @@ use ucnn_tensor::{ConvGeom, Tensor3, Tensor4};
 use crate::backend::BackendKind;
 use crate::compile::{canonical_of_tensor, UcnnConfig};
 use crate::flatten::{walked_once, Dims, FlattenedTile, Lowering};
-use crate::hierarchy::{GroupStream, ZERO_RANK};
+use crate::hierarchy::GroupStream;
 
 /// One retained work unit of a compiled layer: the stream for a group of
 /// `≤ G` filters over one channel tile, plus where it lands in the layer.
@@ -248,49 +248,6 @@ impl CompiledLayer {
     #[must_use]
     pub fn flat_ready(&self) -> bool {
         self.flat.get().is_some()
-    }
-
-    /// Rebuilds the dense weight tensor the layer was compiled from, out of
-    /// the retained streams: dropped positions are zero in every filter of
-    /// their group (the §IV-C union rule), every retained rank maps back
-    /// through the canonical order — so the reconstruction is exact.
-    ///
-    /// Plans deliberately do **not** retain the weights (serving memory is
-    /// streams only); the [`BackendKind::Factorized`] baseline backend
-    /// reconstructs them per call, which is consistent with its role as the
-    /// pay-everything-per-call baseline.
-    #[must_use]
-    pub fn reconstruct_filters(&self) -> Tensor4<i16> {
-        let rs = self.geom.r() * self.geom.s();
-        let filter_size = self.geom.c() * rs;
-        let k_per_group = self.geom.k() / self.conv_groups;
-        let mut data = vec![0i16; self.geom.k() * filter_size];
-        for tile in &self.tiles {
-            // c_first is an absolute input channel; the weight tensor is
-            // indexed by within-group channel.
-            let conv_group = tile.k_first / k_per_group;
-            let c_tensor_base = tile.c_first - conv_group * self.geom.c();
-            let canonical = tile.stream.canonical();
-            for e in tile.stream.entries() {
-                let p = e.index as usize;
-                let c_tensor = c_tensor_base + p / rs;
-                let rem = p % rs;
-                for (gi, &rank) in e.ranks.iter().enumerate() {
-                    if rank != ZERO_RANK {
-                        let k = tile.k_first + gi;
-                        data[k * filter_size + c_tensor * rs + rem] = canonical[rank as usize];
-                    }
-                }
-            }
-        }
-        Tensor4::from_vec(
-            self.geom.k(),
-            self.geom.c(),
-            self.geom.r(),
-            self.geom.s(),
-            data,
-        )
-        .expect("reconstructed tensor matches the compiled geometry")
     }
 
     /// Total retained stream entries across all tiles — a proxy for the
@@ -519,17 +476,7 @@ impl CompiledNetwork {
     /// Panics if `input` does not match [`CompiledNetwork::input_dims`].
     #[must_use]
     pub fn forward(&self, input: &Tensor3<i16>) -> Tensor3<i32> {
-        self.forward_with(input, self.backend())
-    }
-
-    /// [`CompiledNetwork::forward`] through an explicit backend.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input` does not match [`CompiledNetwork::input_dims`].
-    #[must_use]
-    pub fn forward_with(&self, input: &Tensor3<i16>, kind: BackendKind) -> Tensor3<i32> {
-        self.forward_batch_with(std::slice::from_ref(input), kind)
+        self.forward_batch_with(std::slice::from_ref(input), self.backend())
             .pop()
             .expect("a batch of one produces one output")
     }
@@ -577,21 +524,14 @@ impl CompiledNetwork {
         if !crate::counters::enabled() {
             return kind.run_network(self, inputs);
         }
-        // The analytic per-call work of every weight layer is recorded
-        // after execution (so the flattened lowering, if this call built
-        // it, is available to account CSR segments) with the
-        // lowering-cache state captured before.
-        let convs = || {
-            self.stages.iter().filter_map(|stage| match stage {
-                CompiledStage::Conv { name, layer, .. } => Some((name, layer)),
-                CompiledStage::Pool { .. } => None,
-            })
-        };
-        let was_ready: Vec<bool> = convs().map(|(_, layer)| layer.flat_ready()).collect();
+        // The analytic work of every weight layer is recorded after
+        // execution, so the flattened lowering, if this call built it, is
+        // there to count the lowered walks from.
         let outs = kind.run_network(self, inputs);
-        for ((name, layer), ready) in convs().zip(was_ready) {
-            let work = kind.work(layer, inputs.len(), ready);
-            crate::counters::record(&self.name, name, kind.name(), inputs.len(), &work);
+        for stage in &self.stages {
+            if let CompiledStage::Conv { name, layer, .. } = stage {
+                crate::counters::record(&self.name, name, &kind.work(layer, inputs.len()));
+            }
         }
         outs
     }
@@ -648,25 +588,6 @@ mod tests {
         assert_eq!(layer.tiles()[0].c_first(), 0);
         assert_eq!(layer.tiles()[1].k_first(), 2);
         assert_eq!(layer.tiles()[1].c_first(), 4);
-    }
-
-    #[test]
-    fn reconstruct_filters_round_trips_exactly() {
-        // Grouped conv + ragged channel tiles + sparse weights: the streams
-        // must contain enough information to rebuild the dense tensor bit
-        // for bit (plans do not retain the weights themselves).
-        let mut wgen = WeightGen::new(QuantScheme::inq(), 51).with_density(0.6);
-        let w = wgen.generate_dims(4, 10, 3, 3);
-        let geom = ConvGeom::new(7, 7, 10, 4, 3, 3).with_pad(1);
-        let cfg = UcnnConfig {
-            g: 2,
-            ct: 4,
-            ..UcnnConfig::default()
-        };
-        for conv_groups in [1usize, 2] {
-            let layer = CompiledLayer::compile(&geom, conv_groups, &w, &cfg);
-            assert_eq!(layer.reconstruct_filters(), w, "{conv_groups} groups");
-        }
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! multiply counts must match an independent calculation from layer
 //! geometry for **every** registered backend, totals recorded by several
 //! threads at once must be exactly the sum of their calls (the
-//! analytic-accounting contract, over the sharded sink), and the flattened
-//! lowering cache must tally exactly one miss then hits.
+//! analytic-accounting contract), and the flattened backend's rows must be
+//! the counts of its lowered walks.
 //!
 //! The sink is process-global, so every test records under network names
 //! unique to this file, filters snapshots down to them, and serializes
@@ -90,8 +90,6 @@ fn dense_equivalent_matches_geometry_for_every_backend() {
                     .iter()
                     .find(|(name, _)| *name == row.layer)
                     .unwrap_or_else(|| panic!("unexpected layer '{}'", row.layer));
-                assert_eq!(row.backend, kind.name());
-                assert_eq!(row.batch_bucket, counters::batch_bucket(batch));
                 assert_eq!(row.work.images, batch as u64);
                 assert_eq!(
                     row.work.dense_multiplies,
@@ -111,13 +109,11 @@ fn dense_equivalent_matches_geometry_for_every_backend() {
 }
 
 /// Forwards on 1, 2 and 4 threads at once record exactly that many times
-/// one forward's tally: the sink's shards lose and double nothing, and
-/// the accounting is analytic, not scheduling-dependent instrumentation.
-/// Across backends what is
-/// bit-identical is the dense-equivalent and, between the two stream
-/// walkers, every arithmetic field (same multiplies, only reordered); the
-/// flattened backend — whose lowering owns the order of the walk — issues
-/// at most their multiplies.
+/// one forward's tally: the sink loses and doubles nothing, and the
+/// accounting is analytic, not scheduling-dependent instrumentation. Across
+/// backends the dense-equivalent is bit-identical, and the flattened
+/// backend — whose lowering owns the order of the walk — issues at most the
+/// stream walker's multiplies, strictly fewer on INQ.
 #[test]
 fn tallies_are_bit_identical_across_backends_and_thread_counts() {
     let net = "counters-threads";
@@ -150,104 +146,43 @@ fn tallies_are_bit_identical_across_backends_and_thread_counts() {
         let expected: Vec<TallyRow> = once.iter().map(times).collect();
         assert_eq!(rows, expected, "tally diverged at {threads} threads");
     }
-    let mut walkers: Option<Vec<(String, u64, u64, u64)>> = None;
-    for kind in BackendKind::ALL {
+    let tally = |kind| {
         counters::reset();
         counters::set_enabled(true);
         let _ = plan.forward_batch_with(&inputs[..4], kind);
         counters::set_enabled(false);
-        let rows: Vec<(String, u64, u64, u64)> = rows_for(net)
-            .into_iter()
-            .map(|r| {
-                (
-                    r.layer,
-                    r.work.dense_multiplies,
-                    r.work.multiplies_issued,
-                    r.work.gather_entries,
-                )
-            })
-            .collect();
-        match &walkers {
-            None => walkers = Some(rows),
-            Some(expected) if kind != BackendKind::FlattenedBatch => {
-                assert_eq!(&rows, expected, "backend {kind} issues different work");
-            }
-            Some(expected) => {
-                for (flat, stream) in rows.iter().zip(expected) {
-                    assert_eq!((&flat.0, flat.1), (&stream.0, stream.1), "dense-equivalent");
-                    assert!(flat.2 <= stream.2, "{}: folding only merges groups", flat.0);
-                }
-                // INQ is sign-symmetric: the convolutions fold.
-                let issued =
-                    |rows: &[(String, u64, u64, u64)]| -> u64 { rows.iter().map(|r| r.2).sum() };
-                assert!(issued(&rows) < issued(expected));
-            }
-        }
+        rows_for(net)
+    };
+    let stream = tally(BackendKind::BatchThreads);
+    let flat = tally(BackendKind::FlattenedBatch);
+    assert_eq!(flat.len(), stream.len());
+    for (flat, stream) in flat.iter().zip(&stream) {
+        assert_eq!(flat.layer, stream.layer);
+        assert_eq!(flat.work.dense_multiplies, stream.work.dense_multiplies);
+        assert!(
+            flat.work.multiplies_issued <= stream.work.multiplies_issued,
+            "{}: folding only merges groups",
+            flat.layer
+        );
     }
-}
-
-/// The flattened backend's lowered CSR tables are built once: its first
-/// execution is a lowering miss, repeats are hits; the stream walkers report
-/// neither.
-#[test]
-fn flattened_csr_and_lowering_cache_accounting() {
-    let net = "counters-flat";
-    let (plan, inputs) = compiled(net, 0x73);
-    let _guard = serialize();
-    counters::reset();
-    counters::set_enabled(true);
-    let _ = plan.forward_batch_with(&inputs[..2], BackendKind::FlattenedBatch);
-    let _ = plan.forward_batch_with(&inputs[..2], BackendKind::FlattenedBatch);
-    let _ = plan.forward_batch_with(&inputs[..2], BackendKind::BatchThreads);
-    counters::set_enabled(false);
-    for row in rows_for(net) {
-        match row.backend {
-            "flattened-batch" => {
-                assert_eq!(row.work.lowering_misses, 1, "first execution lowers");
-                assert_eq!(row.work.lowering_hits, 1, "second execution hits");
-            }
-            "batch-threads" => {
-                assert_eq!(row.work.lowering_hits + row.work.lowering_misses, 0);
-            }
-            other => panic!("unexpected backend '{other}'"),
-        }
-    }
+    // INQ is sign-symmetric: the convolutions fold.
+    let issued = |rows: &[TallyRow]| -> u64 { rows.iter().map(|r| r.work.multiplies_issued).sum() };
+    assert!(issued(&flat) < issued(&stream));
 }
 
 /// The chunk-major pipeline records what the per-layer loop recorded: one
 /// row per weight layer per call — not per lane chunk — equal field for
 /// field to the whole batch's analytic work, computed here from the lowered
-/// tiles and the chunk decomposition, with the lowering-cache state as it
-/// was before the call. Below eight images the rest is one chunk, staged
-/// eight lanes wide like a chunk of eight.
+/// tiles, whether or not the call had to build the lowering.
 #[test]
 fn pipeline_rows_equal_the_per_layer_loops() {
     let net = "counters-pipeline";
     let kind = BackendKind::FlattenedBatch;
-    let tier = ucnn_core::simd::SimdCaps::get().best();
-    let lane = tier.lane_width();
     let _guard = serialize();
     let mut arithmetic = Vec::new();
     for batch in [1usize, 3, 7, 9, 40] {
         let (plan, inputs) = compiled(net, 0x74);
         let inputs: Vec<_> = inputs.iter().cycle().take(batch).cloned().collect();
-        // Tier-wide chunks, then 16, then 8, then the rest.
-        let (mut rest, mut strips) = (batch, 0);
-        for width in [lane, 16, 8, rest % 8] {
-            if (1..=lane).contains(&width) {
-                strips += rest / width;
-                rest %= width;
-            }
-        }
-        // tiny's convolutions have 12-position output rows: a chunk runs
-        // strips of 8 positions × its pitch (eight lanes at least), as far
-        // as the tier's registers go. Its FC layer has one position: the
-        // pitch alone.
-        let pitch = match batch {
-            b if b >= lane => lane,
-            b if b >= 16 => 16,
-            _ => 8,
-        };
         for lowered in [false, true] {
             counters::reset();
             counters::set_enabled(true);
@@ -259,24 +194,14 @@ fn pipeline_rows_equal_the_per_layer_loops() {
                 let count = |of: fn(&FlattenedTile) -> usize| {
                     tiles.iter().map(of).sum::<usize>() as u64 * walks
                 };
-                let widest = match name.as_str() {
-                    "fc" => pitch,
-                    _ => (8 * pitch).min(tier.strip_lanes()),
-                };
                 TallyRow {
                     net: net.to_string(),
                     layer: name.clone(),
-                    backend: kind.name(),
-                    batch_bucket: counters::batch_bucket(batch),
                     work: LayerWork {
                         images: batch as u64,
                         dense_multiplies: (geom.macs() * batch) as u64,
                         multiplies_issued: count(FlattenedTile::segment_count),
                         gather_entries: count(FlattenedTile::entry_count),
-                        lowering_hits: u64::from(lowered),
-                        lowering_misses: u64::from(!lowered),
-                        lane_strips: strips as u64,
-                        lane_width: widest as u64,
                     },
                 }
             };

@@ -436,7 +436,6 @@ pub struct Engine {
     queue: Arc<ShardedQueue<Request>>,
     counters: Arc<Counters>,
     workers: Vec<JoinHandle<()>>,
-    config: EngineConfig,
 }
 
 impl Engine {
@@ -482,7 +481,6 @@ impl Engine {
             queue,
             counters,
             workers,
-            config,
         }
     }
 
@@ -490,13 +488,6 @@ impl Engine {
     #[must_use]
     pub fn registry(&self) -> &Arc<ModelRegistry> {
         &self.registry
-    }
-
-    /// The executor backend every request runs through
-    /// ([`EngineConfig::backend`]).
-    #[must_use]
-    pub fn backend(&self) -> BackendKind {
-        self.config.backend
     }
 
     /// Resolves a request's plan by model name and turns away a tensor of
@@ -1013,7 +1004,6 @@ mod tests {
                     ..EngineConfig::default()
                 },
             );
-            assert_eq!(engine.backend(), backend);
             let pendings: Vec<_> = (0..6)
                 .map(|i| {
                     let (input, _) = &cases[i % cases.len()];

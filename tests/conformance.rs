@@ -6,7 +6,9 @@
 //! and the expected `i32` outputs (computed once from the dense reference
 //! and committed). The harness runs **every** [`BackendKind`] against every
 //! vector at several batch sizes — a new backend added to
-//! [`BackendKind::ALL`] inherits the whole suite with zero new test code.
+//! [`BackendKind::ALL`] inherits the whole suite with zero new test code —
+//! and the layer vectors through the paper's functional definition,
+//! `factorized_conv`, too.
 //!
 //! Regenerate the corpus (e.g. after adding a case) with:
 //!
@@ -24,6 +26,7 @@ use std::path::{Path, PathBuf};
 
 use ucnn::core::backend::BackendKind;
 use ucnn::core::compile::UcnnConfig;
+use ucnn::core::exec::factorized_conv;
 use ucnn::core::flatten::run_stages;
 use ucnn::core::plan::{CompiledLayer, CompiledNetwork, CompiledStage};
 use ucnn::core::simd::available_tiers;
@@ -491,18 +494,24 @@ fn check_case(case: &GoldenCase) {
                 ..UcnnConfig::default()
             };
             let layer = CompiledLayer::compile(geom, *conv_groups, weights, &cfg);
-            for kind in BackendKind::ALL {
-                for b in BATCHES {
-                    let inputs = vec![input.clone(); b];
-                    let got = kind.run_layer(&layer, &inputs);
-                    assert_eq!(got.len(), b, "{name}: {kind} returned wrong batch size");
-                    for (i, out) in got.iter().enumerate() {
-                        assert_eq!(
-                            out, output,
-                            "{name}: backend '{kind}' diverged (B={b}, image {i})"
-                        );
-                    }
+            let check = |kind: &str, b: usize, got: Vec<Tensor3<i32>>| {
+                assert_eq!(got.len(), b, "{name}: {kind} returned wrong batch size");
+                for (i, out) in got.iter().enumerate() {
+                    assert_eq!(
+                        out, output,
+                        "{name}: backend '{kind}' diverged (B={b}, image {i})"
+                    );
                 }
+            };
+            for b in BATCHES {
+                let inputs = vec![input.clone(); b];
+                for kind in BackendKind::ALL {
+                    check(kind.name(), b, kind.run_layer(&layer, &inputs));
+                }
+                // The paper's functional definition (§III-A): the weights
+                // sorted again for every image.
+                let conv = |i| factorized_conv(geom, *conv_groups, i, weights, &cfg);
+                check("factorized_conv", b, inputs.iter().map(conv).collect());
             }
         }
         GoldenCase::Network {

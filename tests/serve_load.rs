@@ -142,9 +142,10 @@ fn shutdown_under_backpressure_keeps_accounting_exact() {
 /// lifecycle phases and `Engine::stats()` sampled mid-run must all
 /// reconcile with what the clients got back — and enabling the reuse
 /// counters must not meaningfully change throughput (the counts are
-/// analytic per `run_layer` call, not hot-loop instrumentation; the
-/// measured cost is documented in EXPERIMENTS.md, and only a loose bound is
-/// asserted here because absolute speed is machine-dependent).
+/// analytic, recorded per layer of each network forward, not hot-loop
+/// instrumentation; the measured cost is documented in EXPERIMENTS.md, and
+/// only a loose bound is asserted here because absolute speed is
+/// machine-dependent).
 #[test]
 fn metrics_and_reuse_counters_reconcile_with_accounting() {
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -209,13 +210,14 @@ fn metrics_and_reuse_counters_reconcile_with_accounting() {
     }
     assert_eq!(samples.last().expect("sampled").served, stats.served);
 
-    // Reuse tallies cover both zoo models for the serving backend, with
-    // the factorized walk never exceeding dense-equivalent work. Sibling
-    // tests share the global sink and the zoo names, so filter down to
-    // this run's backend rather than asserting exclusivity.
+    // Reuse tallies cover both zoo models, with the factorized walk never
+    // exceeding dense-equivalent work. Sibling tests share the global sink
+    // and the zoo names (a forward of theirs that lands while this run
+    // counts merges into the same rows, under any backend), so the
+    // assertions hold for every row rather than asserting exclusivity.
     let rows: Vec<_> = counters::snapshot()
         .into_iter()
-        .filter(|r| (r.net == "tiny" || r.net == "tiny-1") && r.backend == "batch-threads")
+        .filter(|r| r.net == "tiny" || r.net == "tiny-1")
         .collect();
     assert!(!rows.is_empty(), "serving must produce reuse tallies");
     for row in &rows {
