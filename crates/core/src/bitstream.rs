@@ -107,12 +107,6 @@ impl<'a> BitReader<'a> {
         }
         Ok(value)
     }
-
-    /// Bits consumed so far.
-    #[must_use]
-    pub fn bit_pos(&self) -> usize {
-        self.pos
-    }
 }
 
 /// Errors produced by [`unpack_filter`].

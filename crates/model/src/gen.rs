@@ -147,18 +147,6 @@ impl ActivationGen {
         self
     }
 
-    /// Sets the maximum activation magnitude.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_value < 1`.
-    #[must_use]
-    pub fn with_max_value(mut self, max_value: i16) -> Self {
-        assert!(max_value >= 1, "max_value must be at least 1");
-        self.max_value = max_value;
-        self
-    }
-
     /// The configured non-zero fraction.
     #[must_use]
     pub fn density(&self) -> f64 {

@@ -21,11 +21,11 @@
 //!   reference at every batch size. A wrong-shaped tensor is turned away
 //!   at submit ([`ServeError::BadInput`]), and worker panics are surfaced
 //!   in [`EngineStats`], never swallowed.
-//! * [`EngineStats`] — the engine's one tally, plain atomics it owns and
-//!   [`Engine::stats`] reads directly: requests, batches and their size
-//!   distribution, steals, panics, and the three request-lifecycle phases
-//!   (queue wait → batch form → execute, the partition each
-//!   [`ServeResponse`] carries) as [`PhaseBreakdown`].
+//! * [`ServeResponse`] — each answer carries its own request-lifecycle
+//!   phases (queue wait → batch form → execute) and the size of the batch
+//!   it rode in; [`EngineStats`] — the engine's one tally, plain atomics
+//!   it owns and [`Engine::stats`] reads directly — keeps only counts:
+//!   requests, batches, steals and panics.
 //!
 //! *Measuring* the engine is the job of the repository benchmark
 //! (`benchmark/`); the serving test suites (`tests/serve_load.rs`,
@@ -64,9 +64,6 @@ pub mod engine;
 pub mod queue;
 pub mod registry;
 
-pub use engine::{
-    Engine, EngineConfig, EngineStats, Pending, PhaseBreakdown, PhaseStat, ServeError,
-    ServeResponse,
-};
+pub use engine::{Engine, EngineConfig, EngineStats, Pending, ServeError, ServeResponse};
 pub use queue::{ShardedBatch, ShardedQueue};
 pub use registry::ModelRegistry;

@@ -143,12 +143,6 @@ impl<T> ShardedQueue<T> {
         }
     }
 
-    /// Number of shards (== workers).
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Aggregate capacity across all shards.
     #[must_use]
     pub fn capacity(&self) -> usize {
@@ -544,7 +538,7 @@ mod tests {
     #[test]
     fn sharded_fifo_within_shard_and_capacity_split() {
         let q: ShardedQueue<u32> = ShardedQueue::new(4, 10);
-        assert_eq!(q.shards(), 4);
+        assert_eq!(q.shards.len(), 4);
         // 10 across 4 shards rounds up to 3 per shard.
         assert_eq!(q.capacity(), 12);
         assert!(q.is_empty());

@@ -29,7 +29,7 @@ use ucnn_tensor::Tensor4;
 /// let weights = forward::generate_network_weights(&net, QuantScheme::inq(), 1, 0.9);
 /// registry.compile_and_insert(&net, &weights, &UcnnConfig::with_g(2));
 /// assert!(registry.resolve("tiny").is_some());
-/// assert_eq!(registry.names(), vec!["tiny".to_string()]);
+/// assert!(registry.resolve("missing").is_none());
 /// ```
 #[derive(Default)]
 pub struct ModelRegistry {
@@ -139,20 +139,6 @@ impl ModelRegistry {
             .expect("registry poisoned")
             .get(name)
             .cloned()
-    }
-
-    /// Registered model names, sorted.
-    #[must_use]
-    pub fn names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .models
-            .read()
-            .expect("registry poisoned")
-            .keys()
-            .cloned()
-            .collect();
-        names.sort();
-        names
     }
 
     /// Number of registered models.

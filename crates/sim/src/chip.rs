@@ -122,13 +122,6 @@ impl Simulator {
         self
     }
 
-    /// Replaces the energy model (sensitivity studies).
-    #[must_use]
-    pub fn with_energy_model(mut self, energy: EnergyModel) -> Self {
-        self.energy = energy;
-        self
-    }
-
     /// The design point being simulated.
     #[must_use]
     pub fn arch(&self) -> &ArchConfig {

@@ -138,13 +138,6 @@ impl ArchConfig {
         self
     }
 
-    /// Overrides the table encoding (e.g. jump tables for Figure 14).
-    #[must_use]
-    pub fn with_encoding(mut self, encoding: EncodingParams) -> Self {
-        self.encoding = encoding;
-        self
-    }
-
     /// Dense multiply-equivalents this design retires per PE per cycle
     /// (the throughput-normalization invariant: 8 for all presets).
     #[must_use]

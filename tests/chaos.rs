@@ -360,7 +360,6 @@ fn registry_churn_under_load_stays_bit_exact() {
             queue_capacity: 64,
             max_batch: 4,
             backend: BackendKind::FlattenedBatch,
-            ..EngineConfig::default()
         },
     );
 

@@ -28,7 +28,6 @@ fn hot_cold_mixed_models_bit_exact_across_all_backends() {
                 queue_capacity: 32,
                 max_batch: 4,
                 backend,
-                ..EngineConfig::default()
             },
         );
         let tally = closed(&engine, &models, 3, 30);
@@ -161,7 +160,6 @@ fn metrics_and_reuse_counters_reconcile_with_accounting() {
                 queue_capacity: 32,
                 max_batch: 4,
                 backend: BackendKind::BatchThreads,
-                ..EngineConfig::default()
             },
         );
         if counting {
@@ -197,10 +195,6 @@ fn metrics_and_reuse_counters_reconcile_with_accounting() {
     assert_eq!(tally.completed, 60);
     assert_eq!(tally.mismatches, 0);
     assert_eq!(stats.served, tally.completed);
-    // Every phase counted once per request.
-    assert_eq!(stats.phases.queue_wait.count, stats.served);
-    assert_eq!(stats.phases.execute.count, stats.served);
-    assert_eq!(stats.phases.batch_form.count, stats.served);
     // Each mid-run sample is never ahead of the totals `shutdown()`
     // returns, and the last one sees the whole run.
     assert!(samples.len() >= 2);
