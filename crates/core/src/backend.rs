@@ -232,7 +232,9 @@ fn walk_work(layer: &CompiledLayer, batch: usize, multiplies: usize, entries: us
 /// not the stream's: multiplies are the groups of a non-zero weight (outer
 /// segments + non-zero-`|w|` innermost groups, each one CSR segment: ≤ the
 /// stream walker's multiplies), gathers the lowered entries (more than the
-/// stream's only on a band walked filter by filter).
+/// stream's on a band walked filter by filter). A band lowered as one dense
+/// tile issues one multiply per non-zero weight and one gather per pair-tap,
+/// which its filters share.
 fn flattened_work(layer: &CompiledLayer, batch: usize) -> LayerWork {
     let tiles = layer.flat_tiles();
     let segments = tiles.iter().map(FlattenedTile::segment_count).sum();

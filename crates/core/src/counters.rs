@@ -35,12 +35,15 @@ pub struct LayerWork {
     /// activation group per output position — for the stream walker
     /// [`GroupStream::multiplies`](crate::hierarchy::GroupStream::multiplies);
     /// for the flattened backend the groups of its lowered walks, ≤ the
-    /// stream walker's (sign-folding merges groups).
+    /// stream walker's (sign-folding merges groups), and one per non-zero
+    /// weight of a band lowered as a dense tile (more than the stream
+    /// walker's groups: such a band's weights rarely repeat).
     pub multiplies_issued: u64,
     /// Indirection-table entries touched (gathers) per output position: one
     /// per retained stream entry for the stream walker, one per lowered
-    /// entry for the flattened backend (more only where a band is walked
-    /// filter by filter).
+    /// entry for the flattened backend (more where a band is walked filter
+    /// by filter), and one per pair-tap `(2c, 2c + 1, r, s)` of a dense
+    /// tile, shared by its band's filters.
     pub gather_entries: u64,
 }
 

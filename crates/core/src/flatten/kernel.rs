@@ -166,16 +166,103 @@ impl FlattenedTile {
     }
 }
 
+impl FlattenedTile {
+    /// The dense strip body: writes a dense tile's band — every filter's sums
+    /// for `LW` lanes at once, over the positions `run.ys` of the output rows
+    /// `run.xs` — into `out` (laid out as for
+    /// [`accumulate_lanes_body`](Self::accumulate_lanes_body)), storing each
+    /// sum once: the band's planes need no zeroing first. `input` holds the
+    /// chunk with its channels staged in pairs, `(x_2c, x_2c+1)` per lane
+    /// (an `i32` of two `i16`), so a pair-tap's strip is `LW` such pairs and
+    /// each lane adds `x_2c·w_2c + x_2c+1·w_2c+1` per filter — `pmaddwd`'s
+    /// arithmetic, wrapping where both products are `2³⁰`, as that
+    /// instruction does. One filter a pass over the pair-taps: a second
+    /// filter's lane array would not fit baseline x86-64's sixteen registers
+    /// beside the first. The `avx2` and `avx512` tiers run bodies of their
+    /// own, [`dense_avx2_body`](tier_kernels::dense_avx2_body) and
+    /// [`dense_vnni_body`](tier_kernels::dense_vnni_body): baseline codegen
+    /// finds `pmaddwd` for the odd channel only, and multiplies the even
+    /// one through `pmuludq`.
+    #[inline(always)]
+    fn dense_lanes_body<const LW: usize, const PITCH: usize>(
+        &self,
+        input: &[i16],
+        out: &mut [i32],
+        geom: &ConvGeom,
+        run: &StripRun,
+    ) {
+        let (out_w, out_h) = (geom.out_w(), geom.out_h());
+        let ph = geom.in_h() + 2 * geom.pad();
+        let stride = geom.stride();
+        let pairs = self.pairs.as_deref().expect("a dense tile");
+        let per_tap = self.g.next_multiple_of(2);
+        let (cells, _) = input.as_chunks::<2>();
+        for x in run.xs.clone() {
+            for y in run.ys.clone().step_by(LW / PITCH) {
+                let delta = stride * (x * ph + y);
+                for f in 0..self.g {
+                    let mut acc = [0i32; LW];
+                    for (&b, packed) in self.base.iter().zip(pairs.chunks_exact(per_tap)) {
+                        let at = b as usize + delta;
+                        let strip: &[[i16; 2]] = if PITCH == LW {
+                            &cells.as_chunks::<LW>().0[at]
+                        } else {
+                            &cells[at * PITCH..][..LW]
+                        };
+                        let w = packed[f];
+                        let (lo, hi) = (i32::from(w as i16), i32::from((w >> 16) as i16));
+                        for (a, &[x0, x1]) in acc.iter_mut().zip(strip) {
+                            let dot = (i32::from(x0) * lo).wrapping_add(i32::from(x1) * hi);
+                            *a = a.wrapping_add(dot);
+                        }
+                    }
+                    let at = (f * out_w + x) * out_h + y;
+                    let dst: &mut [i32] = if PITCH == LW {
+                        &mut out.as_chunks_mut::<LW>().0[at]
+                    } else {
+                        &mut out[at * PITCH..][..LW]
+                    };
+                    dst.copy_from_slice(&acc);
+                }
+            }
+        }
+    }
+
+    /// The strip body of this tile's kind, for the tiers without a dense
+    /// body of their own: [`Self::dense_lanes_body`] for a dense tile,
+    /// [`Self::accumulate_lanes_body`] for every other walk.
+    #[inline(always)]
+    fn strip_body<const LW: usize, const PITCH: usize>(
+        &self,
+        input: &[i16],
+        out: &mut [i32],
+        geom: &ConvGeom,
+        prefix: &mut [i32],
+        run: &StripRun,
+    ) {
+        if self.is_dense() {
+            self.dense_lanes_body::<LW, PITCH>(input, out, geom, run);
+        } else {
+            self.accumulate_lanes_body::<LW, PITCH>(input, out, geom, prefix, run);
+        }
+    }
+}
+
 /// The `#[target_feature]`-gated tier kernels: each wrapper re-monomorphizes
-/// the shared [`FlattenedTile::accumulate_lanes_body`] under a wider ISA so
+/// the shared bodies ([`FlattenedTile::strip_body`]) under a wider ISA so
 /// the compiler emits full-width vector arithmetic for the strip loops. The
-/// body is `#[inline(always)]`, so the feature gate reaches every inner
+/// bodies are `#[inline(always)]`, so the feature gate reaches every inner
 /// loop. The `avx512` tier runs strips of 32 lanes or more through a body of
-/// its own, [`vnni_body`](tier_kernels::vnni_body), written in intrinsics.
+/// its own, [`vnni_body`](tier_kernels::vnni_body), and a dense tile's strips
+/// of 16 or more through [`dense_vnni_body`](tier_kernels::dense_vnni_body);
+/// the `avx2` tier runs a dense tile's strips (and `avx512` its 8-lane ones)
+/// through [`dense_avx2_body`](tier_kernels::dense_avx2_body): all three are
+/// written in intrinsics.
 ///
 /// The wrappers are `unsafe` purely by the `#[target_feature]` language
-/// rule; `vnni_body` also loads and stores through pointers, each taken from
-/// a bounds-checked slice of exactly the 64 bytes it moves.
+/// rule; the three intrinsic bodies also load and store through pointers,
+/// each taken from a bounds-checked slice of exactly the 64 (or, in
+/// `dense_avx2_body`, 32) bytes it moves.
 ///
 /// # Safety
 ///
@@ -185,9 +272,10 @@ impl FlattenedTile {
 #[allow(unsafe_code)]
 mod tier_kernels {
     use std::arch::x86_64::{
-        _mm512_add_epi32, _mm512_dpwssd_epi32, _mm512_loadu_si512, _mm512_mullo_epi32,
-        _mm512_permutex2var_epi32, _mm512_set1_epi32, _mm512_setr_epi32, _mm512_setzero_si512,
-        _mm512_storeu_si512, _mm512_sub_epi32,
+        _mm256_add_epi32, _mm256_loadu_si256, _mm256_madd_epi16, _mm256_set1_epi32,
+        _mm256_setzero_si256, _mm256_storeu_si256, _mm512_add_epi32, _mm512_dpwssd_epi32,
+        _mm512_loadu_si512, _mm512_mullo_epi32, _mm512_permutex2var_epi32, _mm512_set1_epi32,
+        _mm512_setr_epi32, _mm512_setzero_si512, _mm512_storeu_si512, _mm512_sub_epi32,
     };
 
     use super::{walked_once, FlattenedTile, StripRun};
@@ -198,6 +286,121 @@ mod tier_kernels {
     const Z: usize = 16;
     /// `zmm` in the widest strip's lane array.
     const ZMM: usize = SimdTier::Avx512.strip_lanes() / Z;
+    /// `i32` lanes in a `ymm`.
+    const Y: usize = 8;
+    /// `ymm` in the `avx2` tier's widest strip's lane array.
+    const YMM: usize = SimdTier::Avx2.strip_lanes() / Y;
+
+    /// Declares a dense tile's strip body over one register width: the
+    /// walk of [`FlattenedTile::dense_lanes_body`], each load of a pair-tap's
+    /// strip — `$lanes` lanes of `(x_2c, x_2c+1)`, one register — feeding
+    /// the multiply-add `$mac` (`acc + x_2c·w_2c + x_2c+1·w_2c+1` per lane)
+    /// once per filter of the pass, by that filter's broadcast pair. Two
+    /// filters a pass, `$regs` registers each at the widest strip; the sums
+    /// stay in lane order and are stored once. Written as a macro so that
+    /// every intrinsic expands inside its `#[target_feature]` function.
+    macro_rules! dense_body {
+        (
+            $(#[$attr:meta])*
+            $name:ident: $lanes:ident * $regs:ident,
+            $zero:ident, $set1:ident, $load:ident, $store:ident,
+            |$acc:ident, $x:ident, $w:ident| $mac:expr
+        ) => {
+            $(#[$attr])*
+            pub(super) unsafe fn $name<const LW: usize, const PITCH: usize>(
+                tile: &FlattenedTile,
+                input: &[i16],
+                out: &mut [i32],
+                geom: &ConvGeom,
+                run: &StripRun,
+            ) {
+                let fits = LW.is_multiple_of($lanes) && LW <= $regs * $lanes;
+                debug_assert!(fits, "a {LW}-lane strip");
+                let (out_w, out_h) = (geom.out_w(), geom.out_h());
+                let ph = geom.in_h() + 2 * geom.pad();
+                let stride = geom.stride();
+                let pairs = tile.pairs.as_deref().expect("a dense tile");
+                let per_tap = tile.g.next_multiple_of(2);
+                let (cells, _) = input.as_chunks::<2>();
+                let zero = $zero();
+                // Stores the registers `sums` into the band's plane `level`
+                // at the strip's cell.
+                macro_rules! store {
+                    ($level:expr, $at_x:expr, $at_y:expr, $sums:expr) => {{
+                        let at = ($level * out_w + $at_x) * out_h + $at_y;
+                        let dst: &mut [i32] = if PITCH == LW {
+                            &mut out.as_chunks_mut::<LW>().0[at]
+                        } else {
+                            &mut out[at * PITCH..][..LW]
+                        };
+                        let (lanes, _) = dst.as_chunks_mut::<$lanes>();
+                        for (lanes, &sum) in lanes.iter_mut().zip($sums.iter()) {
+                            // SAFETY: `lanes` is a checked `&mut [i32; $lanes]`.
+                            $store(lanes.as_mut_ptr().cast(), sum);
+                        }
+                    }};
+                }
+                for x in run.xs.clone() {
+                    for y in run.ys.clone().step_by(LW / PITCH) {
+                        let delta = stride * (x * ph + y);
+                        for f in (0..tile.g).step_by(2) {
+                            let (mut first, mut second) = ([zero; $regs], [zero; $regs]);
+                            let taps = tile.base.iter().zip(pairs.chunks_exact(per_tap));
+                            for (&b, packed) in taps {
+                                let at = b as usize + delta;
+                                let strip: &[[i16; 2]] = if PITCH == LW {
+                                    &cells.as_chunks::<LW>().0[at]
+                                } else {
+                                    &cells[at * PITCH..][..LW]
+                                };
+                                let w = &packed[f..f + 2];
+                                let (w0, w1) = ($set1(w[0]), $set1(w[1]));
+                                for (i, lanes) in strip.as_chunks::<$lanes>().0.iter().enumerate() {
+                                    // SAFETY: `lanes` is a checked
+                                    // `&[[i16; 2]; $lanes]`, the bytes loaded.
+                                    let $x = $load(lanes.as_ptr().cast());
+                                    first[i] = {
+                                        let ($acc, $w) = (first[i], w0);
+                                        $mac
+                                    };
+                                    second[i] = {
+                                        let ($acc, $w) = (second[i], w1);
+                                        $mac
+                                    };
+                                }
+                            }
+                            store!(f, x, y, first);
+                            if f + 1 < tile.g {
+                                store!(f + 1, x, y, second);
+                            }
+                        }
+                    }
+                }
+            }
+        };
+    }
+
+    dense_body! {
+        /// The `avx2` tier's dense strip body, and the `avx512` tier's for
+        /// strips of 8 lanes: per 32-byte load one `vpmaddwd` and one
+        /// `vpaddd` per filter; two filters of 32 lanes are 8 accumulators.
+        #[target_feature(enable = "avx2")]
+        dense_avx2_body: Y * YMM,
+        _mm256_setzero_si256, _mm256_set1_epi32, _mm256_loadu_si256, _mm256_storeu_si256,
+        |acc, x, w| _mm256_add_epi32(acc, _mm256_madd_epi16(x, w))
+    }
+
+    dense_body! {
+        /// The `avx512` tier's dense strip body, for strips of a multiple of
+        /// 16 lanes: per 64-byte load one `vpdpwssd` per filter; two filters
+        /// of 128 lanes are 16 accumulators, which the registers hold with
+        /// the load and both broadcasts (CI disassembles this body, and
+        /// fails on any `zmm` it moves through the stack).
+        #[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl,avx512vnni")]
+        dense_vnni_body: Z * ZMM,
+        _mm512_setzero_si512, _mm512_set1_epi32, _mm512_loadu_si512, _mm512_storeu_si512,
+        |acc, x, w| _mm512_dpwssd_epi32(acc, x, w)
+    }
 
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn tile_lanes_avx2<const LW: usize, const PITCH: usize>(
@@ -420,7 +623,7 @@ mod tier_kernels {
         prefix: &mut [i32],
         run: &StripRun,
     ) {
-        tile.accumulate_lanes_body::<LW, PITCH>(input, out, geom, prefix, run);
+        tile.strip_body::<LW, PITCH>(input, out, geom, prefix, run);
     }
 }
 
@@ -443,6 +646,18 @@ fn accumulate_width<const LW: usize, const PITCH: usize>(
     tier: Probed,
 ) {
     match tier.tier() {
+        // SAFETY: `tier` is `Probed`, so AVX-512 F/BW/DQ/VL and VNNI were
+        // detected; every load and store reads or writes a checked slice.
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Avx512 if tile.is_dense() && LW >= 16 => unsafe {
+            tier_kernels::dense_vnni_body::<LW, PITCH>(tile, input, out, geom, run);
+        },
+        // SAFETY: `tier` is `Probed`, so AVX2 was detected (AVX-512 implies
+        // it); every load and store reads or writes a checked slice.
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Avx2 | SimdTier::Avx512 if tile.is_dense() => unsafe {
+            tier_kernels::dense_avx2_body::<LW, PITCH>(tile, input, out, geom, run);
+        },
         // SAFETY: `tier` is `Probed`, so AVX2 was detected.
         #[cfg(target_arch = "x86_64")]
         SimdTier::Avx2 => unsafe {
@@ -464,7 +679,7 @@ fn accumulate_width<const LW: usize, const PITCH: usize>(
         SimdTier::Neon => unsafe {
             tier_kernels::tile_lanes_neon::<LW, PITCH>(tile, input, out, geom, prefix, run);
         },
-        _ => tile.accumulate_lanes_body::<LW, PITCH>(input, out, geom, prefix, run),
+        _ => tile.strip_body::<LW, PITCH>(input, out, geom, prefix, run),
     }
 }
 
@@ -510,7 +725,9 @@ impl Lanes {
     /// Fills copies `1..bands` of a staged plane of `geom`'s input from copy
     /// 0, as many rows as a copy reads (past the plane its lanes stay zero),
     /// lane by lane: a cell-wide copy of `images` lanes is a `memcpy` call.
-    pub(super) fn replicate(&self, plane: &mut [i16], geom: &ConvGeom) {
+    /// A lane is one `T`: an `i16`, or a pair of them where the plane holds
+    /// two channels to a lane.
+    pub(super) fn replicate<T: Copy>(&self, plane: &mut [T], geom: &ConvGeom) {
         let (b, stride) = (self.images, geom.stride());
         let row = (geom.in_h() + 2 * geom.pad()) * LANE_WIDTH;
         let channel = (geom.in_w() + 2 * geom.pad()) * row;
@@ -800,6 +1017,67 @@ mod tests {
             }
         }
         assert_eq!(emitted, KERNELS.iter().copied().collect());
+    }
+
+    #[test]
+    fn dense_tiles_pair_odd_channels_with_a_zero_channel() {
+        // Three and five channels stage as two and three pairs, the last
+        // pair's second channel the zero channel; pad 2 puts reads in the
+        // halo on every side, stride 2 takes one position per strip, and the
+        // batches walk copies of one image, five, a chunk of eight, and a
+        // full chunk and three.
+        for (seed, c, stride) in [(80, 3, 1), (81, 5, 1), (82, 3, 2), (83, 5, 2)] {
+            let geom = ConvGeom::new(9, 8, c, 4, 3, 3)
+                .with_stride(stride)
+                .with_pad(2);
+            for batch in [1, 5, 8, 35] {
+                let case = Case {
+                    batch,
+                    ..Case::pinned(seed, geom, 1, 2, 64)
+                };
+                assert!(case.check().contains(&Seen::Walk("dense")), "{case:?}");
+            }
+        }
+    }
+
+    /// Release builds only: the reference's sum wraps, which a debug build
+    /// refuses.
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn one_vpdpwssd_wraps_where_both_products_are_two_to_the_thirty() {
+        use crate::flatten::oracle::check_layer;
+        // Filter 0 weighs both channels of tap (0, 0) `i16::MIN`; every other
+        // weight is a distinct large negative, so the band un-shares and is
+        // cheaper dense. On an image of all `i16::MIN` that pair-tap's two
+        // products sum to 2³¹ in one multiply-add, which wraps, and so does
+        // the whole sum, in the reference as in every kernel.
+        let geom = ConvGeom::new(4, 5, 2, 2, 3, 3);
+        let weights = Tensor4::from_fn(2, 2, 3, 3, |k, c, r, s| match (k, r, s) {
+            (0, 0, 0) => i16::MIN,
+            _ => -20_000 - (k * 18 + c * 9 + r * 3 + s) as i16,
+        });
+        let layer = CompiledLayer::compile(&geom, 1, &weights, &UcnnConfig::with_g(2));
+        let [tile] = layer.flat_tiles() else {
+            panic!("one dense tile");
+        };
+        let min = i32::from(i16::MIN as u16) | i32::from(i16::MIN) << 16;
+        assert_eq!(tile.pairs.as_deref().map(|pairs| pairs[0]), Some(min));
+        let (c, w, h) = (2, geom.in_w(), geom.in_h());
+        let mut images = vec![
+            Tensor3::filled(c, w, h, i16::MIN),
+            Tensor3::filled(c, w, h, i16::MAX),
+        ];
+        images.extend((0..33).map(|i| Tensor3::from_fn(c, w, h, |c, x, y| (i + c + x * y) as i16)));
+        let wrapped = reference::conv2d(&geom, 1, &images[0], &weights)[(0, 0, 0)];
+        let filter = (0..18).map(|at| i64::from(weights.as_slice()[at]));
+        let exact: i64 = filter.map(|w| w * i64::from(i16::MIN)).sum();
+        assert!(
+            exact > i64::from(i32::MAX) && wrapped == exact as i32,
+            "the sum wraps"
+        );
+        for batch in [1, 2, 35] {
+            check_layer(&layer, &weights, &images[..batch], "i16::MIN pairs");
+        }
     }
 
     /// The census domain: every chunk width a tier cuts a batch into — 1–7

@@ -11,13 +11,14 @@ use crate::plan::CompiledTile;
 
 /// The flattened, branch-free form of one walk of a retained tile: per-entry
 /// gather offsets, one record per close, CSR-style group ranges per outer
-/// level.
+/// level — or, for a **dense** tile, a whole band's weights per pair of
+/// channels.
 ///
 /// Built once per plan by `Lowering::lower_band` — lazily, on the
 /// first [`CompiledLayer::flat_tiles`](crate::plan::CompiledLayer::flat_tiles)
 /// call — then cached; executed by the strip kernels behind
 /// [`run_stages`](super::run_stages).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct FlattenedTile {
     /// Absolute output channel of the first filter of the tile's band.
     pub(super) k_first: usize,
@@ -25,7 +26,8 @@ pub struct FlattenedTile {
     /// single-filter walk of an un-shared band, which adds into one of them.
     pub(super) g: usize,
     /// The band plane the innermost level adds into: the walk's last
-    /// filter. Outer level `l` adds into plane `l`.
+    /// filter. Outer level `l` adds into plane `l`. (A dense tile stores
+    /// every plane of its band; 0 there.)
     pub(super) plane: usize,
     /// Per entry: offset of its read for output position (0, 0) in the
     /// zero-haloed staged plane (`in_h + 2·pad` values per row), so
@@ -37,7 +39,7 @@ pub struct FlattenedTile {
     pub(super) closes: Vec<Close>,
     /// Prefix rows phase 1 fills: the zero row plus one per **kept** close
     /// (none on a one-level walk) — or, for a tile walked once, one per
-    /// entry.
+    /// entry. A dense tile fills none, not even the zero row.
     pub(super) rows: usize,
     /// Per outer level `l`: segments `seg_ptr[l]..seg_ptr[l + 1]`.
     pub(super) seg_ptr: Vec<u32>,
@@ -45,8 +47,38 @@ pub struct FlattenedTile {
     /// level, each level in walk order — so `end` never decreases within
     /// a level and phase 2 reads the kept rows monotonically.
     pub(super) segs: Vec<Segment>,
-    /// Groups of a non-zero weight per walk: `segs` plus the innermost ones.
+    /// A dense tile's weights: per entry of `base` — a pair-tap
+    /// `(2c, 2c + 1, r, s)` of the band's channels, its offset counted in
+    /// the cells of a plane whose channels are staged in pairs — the band's
+    /// filters' packed `(w_2c, w_2c+1)` `i16` pairs (low half first), `g`
+    /// rounded up to even per pair-tap (the kernels take filters two at a
+    /// time; the last of an odd band is a zero pair). A dense tile has no
+    /// closes, rows or segments. `None` on every other walk.
+    pub(super) pairs: Option<Vec<i32>>,
+    /// Groups of a non-zero weight per walk: `segs` plus the innermost ones;
+    /// a dense tile's non-zero weights.
     multiplies: usize,
+}
+
+/// The derived form, with `pairs` only on a dense tile: every other tile
+/// prints as it did before dense tiles existed (`tests/plan_digest.rs`
+/// hashes this form).
+impl std::fmt::Debug for FlattenedTile {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let mut tile = f.debug_struct("FlattenedTile");
+        tile.field("k_first", &self.k_first)
+            .field("g", &self.g)
+            .field("plane", &self.plane)
+            .field("base", &self.base)
+            .field("closes", &self.closes)
+            .field("rows", &self.rows)
+            .field("seg_ptr", &self.seg_ptr)
+            .field("segs", &self.segs);
+        if let Some(pairs) = &self.pairs {
+            tile.field("pairs", pairs);
+        }
+        tile.field("multiplies", &self.multiplies).finish()
+    }
 }
 
 /// One group close. The innermost group that ends here is the `plus +
@@ -199,11 +231,13 @@ impl TileOffsets {
 }
 
 /// What the walks of one layer share: whether its tiles are [`walked_once`],
-/// the key alphabet of its canonical order, its tiles' offsets.
+/// the key alphabet of its canonical order, its tiles' offsets, its taps
+/// per channel (`R·S`).
 struct Layer {
     once: bool,
     keys: FoldKeys,
     offsets: TileOffsets,
+    taps: usize,
 }
 
 /// One retained tile as lowering reads it: its stream cut into innermost
@@ -319,6 +353,13 @@ impl WalkCounts {
     /// constants of the un-share rule ([`Lowering::lower_band`]) live.
     fn cost(&self) -> usize {
         2 * self.entries + 3 * self.closes + self.kept + 5 * self.segs
+    }
+
+    /// What a dense tile of `taps` pair-taps over `g` filters costs in the
+    /// same units: per pair-tap one load of 16 lanes' channel pairs, and one
+    /// multiply-add of both channels per filter (`pmaddwd` / `vpdpwssd`).
+    fn dense(taps: usize, g: usize) -> usize {
+        taps * (1 + g)
     }
 }
 
@@ -528,6 +569,84 @@ impl Walk {
             closes,
             seg_ptr,
             segs,
+            pairs: None,
+        }
+    }
+}
+
+/// A band's weights per pair-tap `(2c, 2c + 1, r, s)` over the pairs of
+/// channels its tiles span: what its dense tile is cut from.
+#[derive(Default)]
+struct DenseTable {
+    /// The absolute index of the band's first pair of channels.
+    first_pair: usize,
+    /// Packed pairs per pair-tap `(pair − first_pair) · R·S + r·S + s`, the
+    /// band's `g` rounded up to even per pair-tap: the layout of
+    /// [`FlattenedTile::pairs`].
+    packed: Vec<u32>,
+    /// Pair-taps with a non-zero weight.
+    taps: usize,
+    /// Non-zero weights.
+    weights: usize,
+}
+
+impl DenseTable {
+    /// Tabulates `band`, whose filters' streams are `g` wide.
+    fn fill(&mut self, band: &[CompiledTile], g: usize, layer: &Layer) {
+        let (rs, per_tap) = (layer.taps, g.next_multiple_of(2));
+        let last = band.last().expect("a band has a tile");
+        let end = last.c_first() + last.stream().tile_len() / rs;
+        self.first_pair = band[0].c_first() / 2;
+        self.packed.clear();
+        self.packed
+            .resize((end.div_ceil(2) - self.first_pair) * rs * per_tap, 0);
+        self.weights = 0;
+        for tile in band {
+            let stream = tile.stream();
+            let (indices, ranks, _) = stream.columns();
+            for (&index, ranks) in indices.iter().zip(ranks.chunks_exact(g)) {
+                let (c, tap) = (tile.c_first() + index as usize / rs, index as usize % rs);
+                let at = ((c / 2 - self.first_pair) * rs + tap) * per_tap;
+                let shift = 16 * (c % 2);
+                for (slot, &rank) in self.packed[at..].iter_mut().zip(ranks) {
+                    if rank != ZERO_RANK {
+                        let w = stream.canonical()[usize::from(rank)];
+                        *slot |= u32::from(w as u16) << shift;
+                        self.weights += 1;
+                    }
+                }
+            }
+        }
+        let held = |pairs: &&[u32]| pairs.iter().any(|&pair| pair != 0);
+        self.taps = self.packed.chunks_exact(per_tap).filter(held).count();
+    }
+
+    /// The dense tile of the band of `g` filters from `k_first`: its
+    /// pair-taps that hold a weight, ascending.
+    fn lower(&self, k_first: usize, g: usize, layer: &Layer) -> FlattenedTile {
+        let (rs, per_tap) = (layer.taps, g.next_multiple_of(2));
+        let TileOffsets { of, channel } = &layer.offsets;
+        let (mut base, mut pairs) = (Vec::with_capacity(self.taps), Vec::new());
+        pairs.reserve_exact(self.taps * per_tap);
+        for (at, packed) in self.packed.chunks_exact(per_tap).enumerate() {
+            if packed.iter().all(|&pair| pair == 0) {
+                continue;
+            }
+            let offset = (self.first_pair + at / rs) * channel + of[at % rs] as usize;
+            base.push(u32::try_from(offset).expect("input offset fits u32"));
+            pairs.extend(packed.iter().map(|&pair| pair as i32));
+        }
+        FlattenedTile {
+            k_first,
+            g,
+            plane: 0,
+            base,
+            closes: Vec::new(),
+            rows: 0,
+            seg_ptr: Vec::new(),
+            segs: Vec::new(),
+            pairs: Some(pairs),
+            multiplies: self.weights,
         }
     }
 }
@@ -566,11 +685,40 @@ impl BandTile {
     }
 }
 
+/// Lowers a layer's tiles — emitted band by band, the longest tile first
+/// — band by band ([`Lowering::lower_band`]).
+///
+/// A layer's input has one staged layout, and a dense tile reads it with
+/// its channels in pairs, so a layer is dense in every band or in none:
+/// lowering starts dense (unless its tiles are walked once or its bands are
+/// one filter wide) and, at the first band of several filters that declines
+/// the dense tile, lowers the bands before it again, as they would be in a
+/// layer without dense tiles.
+pub(crate) fn lower_layer(tiles: &[CompiledTile], geom: &ConvGeom) -> Vec<FlattenedTile> {
+    let mut lowering = Lowering::new(tiles[0].stream(), geom);
+    let bands: Vec<_> = tiles.chunk_by(|a, b| a.k_first() == b.k_first()).collect();
+    let mut flat = Vec::with_capacity(tiles.len());
+    let mut dense = !lowering.layer.once && tiles[0].stream().g() > 1;
+    for (at, band) in bands.iter().enumerate() {
+        let lowered = flat.len();
+        if !lowering.lower_band(band, dense, &mut flat) && dense {
+            dense = false;
+            let declined = flat.split_off(lowered);
+            flat.clear();
+            for band in &bands[..at] {
+                lowering.lower_band(band, false, &mut flat);
+            }
+            flat.extend(declined);
+        }
+    }
+    flat
+}
+
 /// One layer's lowering: what its walks share, made once, and every buffer a
 /// tile is read, ordered and counted in, reused from tile to tile — a
 /// lowered tile allocates its own `base`, `closes`, `seg_ptr` and `segs`
-/// and nothing else.
-pub(crate) struct Lowering {
+/// (or `base` and `pairs`) and nothing else.
+struct Lowering {
     layer: Layer,
     sort: DigitSort,
     /// [`Source::apart_counts`]' scratch.
@@ -579,22 +727,26 @@ pub(crate) struct Lowering {
     band: Vec<BandTile>,
     /// The one-filter walk in hand, of a band walked filter by filter.
     single: Walk,
+    /// The band in hand as a dense tile would hold it.
+    table: DenseTable,
 }
 
 impl Lowering {
     /// The lowering of a layer of `geom` whose longest tile — any but the
     /// last channel tile of a band — is `longest`.
-    pub(crate) fn new(longest: &GroupStream, geom: &ConvGeom) -> Self {
+    fn new(longest: &GroupStream, geom: &ConvGeom) -> Self {
         Self {
             layer: Layer {
                 once: walked_once(geom),
                 keys: FoldKeys::new(longest.canonical()),
                 offsets: TileOffsets::new(longest.tile_len(), geom),
+                taps: geom.r() * geom.s(),
             },
             sort: DigitSort::default(),
             seen: Vec::new(),
             band: Vec::new(),
             single: Walk::default(),
+            table: DenseTable::default(),
         }
     }
 
@@ -607,10 +759,21 @@ impl Lowering {
     /// and its sharing, and one filter has nothing to un-share: neither is
     /// counted apart.
     ///
+    /// In a `dense` layer ([`lower_layer`]) a band that un-shares is one
+    /// dense tile over all of its channels instead, where that costs less
+    /// than its walks apart ([`WalkCounts::dense`]); a band of one filter
+    /// (a ragged last band) follows its layer. Returns whether the band was
+    /// lowered dense: never outside a dense layer.
+    ///
     /// # Panics
     ///
     /// Panics if `band` is empty.
-    pub(crate) fn lower_band(&mut self, band: &[CompiledTile], out: &mut Vec<FlattenedTile>) {
+    fn lower_band(
+        &mut self,
+        band: &[CompiledTile],
+        dense: bool,
+        out: &mut Vec<FlattenedTile>,
+    ) -> bool {
         let (k_first, g, layer) = (band[0].k_first(), band[0].stream().g(), &self.layer);
         if self.band.len() < band.len() {
             self.band.resize_with(band.len(), BandTile::default);
@@ -619,20 +782,30 @@ impl Lowering {
         for (tile, read) in band.iter().zip(tiles.iter_mut()) {
             read.read(tile.stream(), tile.c_first(), layer, &mut self.sort);
         }
-        let apart = !layer.once && g > 1 && {
-            let together: WalkCounts = tiles.iter().map(|tile| tile.shared().counts).sum();
+        // What the band's walks apart cost, where that is less than sharing.
+        let apart = (!layer.once && g > 1).then(|| {
             let apart = |(tile, read): (&CompiledTile, &BandTile)| {
                 let seen = &mut self.seen;
                 read.source.apart_counts(tile.stream(), &layer.keys, seen)
             };
             let split: WalkCounts = band.iter().zip(tiles.iter()).map(apart).sum();
-            split.cost() < together.cost()
-        };
+            let together: WalkCounts = tiles.iter().map(|tile| tile.shared().counts).sum();
+            Some(split.cost()).filter(|&split| split < together.cost())
+        });
+        let apart = apart.flatten();
+        if dense && (g == 1 || apart.is_some()) {
+            self.table.fill(band, g, layer);
+            let cost = WalkCounts::dense(self.table.taps, g);
+            if apart.is_none_or(|apart| cost < apart) {
+                out.push(self.table.lower(k_first, g, layer));
+                return true;
+            }
+        }
         for (tile, read) in band.iter().zip(tiles.iter()) {
             let mut lower = |walk: &Walk| {
                 out.push(walk.lower(tile.stream(), &read.source, k_first, layer));
             };
-            if apart {
+            if apart.is_some() {
                 for f in 0..g {
                     let single = &mut self.single;
                     single.fold(&read.source, f..f + 1, layer.keys.zero(), &mut self.sort);
@@ -642,33 +815,45 @@ impl Lowering {
                 lower(read.shared());
             }
         }
+        false
     }
 }
 
 impl FlattenedTile {
-    /// Stream entries retained by the tile.
+    /// Gathers per output position: the stream entries the walk retains —
+    /// or, for a dense tile, its pair-taps, each one gather the band's
+    /// filters share.
     #[must_use]
     pub fn entry_count(&self) -> usize {
         self.base.len()
     }
 
-    /// Groups of a non-zero weight per output position: outer segments plus
-    /// the innermost groups whose `|w|` is not zero — at most the stream's
+    /// Multiplies per output position. A walk issues one per group of a
+    /// non-zero weight: outer segments plus the innermost groups whose `|w|`
+    /// is not zero — at most the stream's
     /// [`multiplies`](GroupStream::multiplies), fewer where folding merged
     /// groups or the band is walked filter by filter. (The kernel multiplies
-    /// at every close, by `Δw`; that is executed, not counted.)
+    /// at every close, by `Δw`; that is executed, not counted.) A dense tile
+    /// issues one per non-zero weight of its band.
     #[must_use]
     pub fn segment_count(&self) -> usize {
         self.multiplies
     }
 
     /// Bytes of heap the lowered tile keeps resident: 4 per entry (gather
-    /// offset), 8 per close, 12 per outer segment, 4 per level bound.
+    /// offset), 8 per close, 12 per outer segment, 4 per level bound, and 4
+    /// per packed pair of a dense tile.
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
-        4 * (self.base.len() + self.seg_ptr.len())
+        4 * (self.base.len() + self.seg_ptr.len() + self.pairs.as_ref().map_or(0, Vec::len))
             + std::mem::size_of_val(&self.closes[..])
             + std::mem::size_of_val(&self.segs[..])
+    }
+
+    /// Whether this is a band's dense tile, which reads its input with the
+    /// channels staged in pairs.
+    pub(super) fn is_dense(&self) -> bool {
+        self.pairs.is_some()
     }
 }
 
@@ -681,7 +866,7 @@ pub(crate) fn walked_once(geom: &ConvGeom) -> bool {
 
 #[cfg(test)]
 pub(super) mod tests {
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeMap, BTreeSet};
 
     use super::*;
     use crate::compile::UcnnConfig;
@@ -707,6 +892,17 @@ pub(super) mod tests {
         tile.read(stream, c_first, &lowering.layer, &mut lowering.sort);
         let walk = tile.shared();
         walk.lower(stream, &tile.source, k_first, &lowering.layer)
+    }
+
+    /// Lowers `layer` band by band as a layer without dense tiles is: its
+    /// walks, whatever its bands would elect.
+    fn lower_walks(layer: &CompiledLayer) -> Vec<FlattenedTile> {
+        let mut lowering = Lowering::new(layer.tiles()[0].stream(), layer.geom());
+        let mut walks = Vec::new();
+        for band in layer.tiles().chunk_by(|a, b| a.k_first() == b.k_first()) {
+            lowering.lower_band(band, false, &mut walks);
+        }
+        walks
     }
 
     #[test]
@@ -741,7 +937,7 @@ pub(super) mod tests {
             };
             let layer = CompiledLayer::compile(&geom, conv_groups, &weights, &cfg);
             let once = walked_once(&geom);
-            for flat in layer.flat_tiles() {
+            for flat in &lower_walks(&layer) {
                 let n = flat.entry_count();
                 let (levels, runs) = (flat.seg_ptr.len(), flat.closes.iter());
                 assert!(flat.closes.iter().all(|c| c.plus + c.minus >= 1), "{si}");
@@ -790,9 +986,14 @@ pub(super) mod tests {
     /// each walk reads a permutation of the entries where its filters hold a
     /// weight, folding adds no closes + outer segments to the stream's own,
     /// the cheap count of the one-filter walks is what ordering them gives,
-    /// and the band took the cheaper walk (a tie keeps the hierarchy).
-    /// Returns the kinds of walk it met: "walked once", "shared" (one walk
-    /// of several filters) and "filter by filter".
+    /// and the band took the cheaper walk (a tie keeps the hierarchy). A
+    /// dense tile holds its band's weights per pair-tap, tabulated here from
+    /// the streams, and a layer is dense in every band or none: in all of
+    /// them where no band of several filters declines the dense tile (it
+    /// does not un-share, or the tile costs no less than its walks apart),
+    /// and only then. Returns the kinds of walk it met: "walked once",
+    /// "shared" (one walk of several filters), "filter by filter" and
+    /// "dense".
     pub(in crate::flatten) fn check_lowering(
         layer: &CompiledLayer,
         what: &str,
@@ -801,23 +1002,66 @@ pub(super) mod tests {
         let once = walked_once(geom);
         let (s, rs) = (geom.s(), geom.r() * geom.s());
         let (pw, ph) = (geom.in_w() + 2 * geom.pad(), geom.in_h() + 2 * geom.pad());
+        let dense = layer.flat_tiles()[0].is_dense();
         let mut kinds = BTreeSet::new();
         let mut flat = layer.flat_tiles().iter();
-        for band in layer.tiles().chunk_by(|a, b| a.k_first() == b.k_first()) {
+        let mut declined = false;
+        let bands: Vec<_> = layer
+            .tiles()
+            .chunk_by(|a, b| a.k_first() == b.k_first())
+            .collect();
+        for band in &bands {
             let (k_first, levels) = (band[0].k_first(), band[0].stream().g());
             let walks: Vec<_> = flat.clone().take_while(|t| t.k_first == k_first).collect();
             flat.nth(walks.len() - 1);
-            let apart = walks.len() == levels * band.len() && levels > 1;
+            let same = walks.iter().all(|walk| walk.is_dense() == dense);
+            assert!(same, "{what}: a layer is dense in every band or none");
+            let apart = !dense && walks.len() == levels * band.len() && levels > 1;
             assert!(
-                apart || walks.len() == band.len(),
-                "{what}: a walk per tile or filter"
+                apart || walks.len() == if dense { 1 } else { band.len() },
+                "{what}: a walk per tile or filter, or a dense tile per band"
             );
-            kinds.extend(match (once, apart) {
-                (true, _) => Some("walked once"),
-                (_, true) => Some("filter by filter"),
+            kinds.extend(match (once, dense, apart) {
+                (true, ..) => Some("walked once"),
+                (_, true, _) => Some("dense"),
+                (_, _, true) => Some("filter by filter"),
                 _ => (levels > 1).then_some("shared"),
             });
+            // The band's weights per pair-tap, packed `g` rounded up to even
+            // per pair-tap, and how many are not zero.
+            let mut table: BTreeMap<(usize, usize), Vec<u32>> = BTreeMap::new();
+            let mut weights = 0;
+            for tile in *band {
+                let stream = tile.stream();
+                for e in stream.entries() {
+                    let (c, tap) = (
+                        tile.c_first() + e.index as usize / rs,
+                        e.index as usize % rs,
+                    );
+                    for (f, &rank) in e.ranks.iter().enumerate().filter(|(_, &r)| r != ZERO_RANK) {
+                        let w = stream.canonical()[usize::from(rank)] as u16;
+                        let pairs = table.entry((c / 2, tap)).or_default();
+                        pairs.resize(levels.next_multiple_of(2), 0);
+                        pairs[f] |= u32::from(w) << (16 * (c % 2));
+                        weights += 1;
+                    }
+                }
+            }
             let mut costs = [WalkCounts::default(); 3];
+            if dense {
+                let [walk] = &walks[..] else {
+                    unreachable!("one dense tile")
+                };
+                let offsets = table
+                    .keys()
+                    .map(|&(pair, tap)| ((pair * pw + tap / s) * ph + tap % s) as u32);
+                assert_eq!(walk.base, offsets.collect::<Vec<_>>(), "{what}: pair-taps");
+                let pairs = table.values().flatten().map(|&pair| pair as i32);
+                assert_eq!(walk.pairs, Some(pairs.collect()), "{what}: packed pairs");
+                assert_eq!(walk.segment_count(), weights, "{what}: the band's weights");
+                assert_eq!((walk.g, walk.rows), (levels, 0), "{what}");
+                assert!(walk.closes.is_empty() && walk.segs.is_empty(), "{what}");
+            }
             for (ti, tile) in band.iter().enumerate() {
                 let stream = tile.stream();
                 // The offsets of the entries where `filters` hold a weight.
@@ -835,7 +1079,12 @@ pub(super) mod tests {
                     offsets
                 };
                 let per_tile = walks.len() / band.len();
-                for (f, walk) in walks[ti * per_tile..][..per_tile].iter().enumerate() {
+                let walks = if dense {
+                    &[][..]
+                } else {
+                    &walks[ti * per_tile..][..per_tile]
+                };
+                for (f, walk) in walks.iter().enumerate() {
                     let filters = if apart { f..f + 1 } else { 0..levels };
                     let mut base = walk.base.clone();
                     base.sort_unstable();
@@ -874,15 +1123,25 @@ pub(super) mod tests {
                 costs[2] = [costs[2], ordered].into_iter().sum();
             }
             // The band took the cheaper walk; a tie keeps the hierarchy, and
-            // a tile walked once keeps the stream's.
+            // a tile walked once keeps the stream's. Of a band that
+            // un-shares, the dense tile is the cheaper walk where it costs
+            // less than the walks apart.
             let [lowered, shared, split] = costs.map(|c| c.cost());
-            assert_eq!(
-                apart,
-                !once && levels > 1 && split < shared,
-                "{what}: the un-share rule"
-            );
-            assert_eq!(lowered, if apart { split } else { shared }, "{what}");
+            let un_shares = !once && levels > 1 && split < shared;
+            let elects = un_shares && WalkCounts::dense(table.len(), levels) < split;
+            if dense {
+                assert!(levels == 1 || elects, "{what}: the dense rule");
+            } else {
+                assert_eq!(apart, un_shares, "{what}: the un-share rule");
+                assert_eq!(lowered, if apart { split } else { shared }, "{what}");
+                declined |= levels > 1 && !elects;
+            }
         }
+        let one_wide = bands[0][0].stream().g() == 1;
+        assert!(
+            dense || once || one_wide || declined,
+            "{what}: no band declined the dense tile"
+        );
         kinds
     }
 
@@ -976,7 +1235,8 @@ pub(super) mod tests {
         assert_eq!(stream.multiplies(), 7);
         // The band itself is cheaper walked filter by filter (32 against
         // 42): two one-level walks of one tile, each into its own plane.
-        let [a, b] = layer.flat_tiles() else {
+        let walks = lower_walks(&layer);
+        let [a, b] = &walks[..] else {
             panic!("two walks of one tile");
         };
         assert_eq!(a.base, [0, 9, 18, 36, 45, 27]);
@@ -988,6 +1248,27 @@ pub(super) mod tests {
             assert_eq!((walk.rows, walk.seg_ptr.len()), (1, 1));
             assert_eq!(walk.segment_count(), 2);
         }
+        // Cheaper still is one dense tile (12): four pair-taps of the
+        // channels (0, 1) … (6, zero), each one load for both filters' pairs
+        // (filter a's, then b's), multiplying the band's ten weights.
+        let [dense] = layer.flat_tiles() else {
+            panic!("one dense tile");
+        };
+        let pair = |lo: i16, hi: i16| i32::from(lo as u16) | i32::from(hi) << 16;
+        assert_eq!(dense.base, [0, 9, 18, 27]);
+        let pairs = [
+            (1, 1),
+            (0, 0),
+            (2, -2),
+            (3, -3),
+            (2, 2),
+            (5, 0),
+            (0, 0),
+            (-5, 0),
+        ];
+        let pairs: Vec<i32> = pairs.into_iter().map(|(lo, hi)| pair(lo, hi)).collect();
+        assert_eq!(dense.pairs.as_deref(), Some(&pairs[..]));
+        assert_eq!((dense.g, dense.segment_count()), (2, 10));
         let mut agen = ActivationGen::new(10);
         for b in [1usize, 9, 32] {
             let inputs: Vec<Tensor3<i16>> = (0..b).map(|_| agen.generate(7, 1, 9)).collect();

@@ -32,12 +32,13 @@
 //! paper (§IV):
 //!
 //! * `lower.rs` — lowering: a tile's stream becomes a [`FlattenedTile`]
-//!   (gather offsets, close records, outer segments) in an order chosen
-//!   from counts alone.
-//! * `kernel.rs` — the datapath: the shared strip body, its
-//!   `#[target_feature]` tier kernels and the `avx512` tier's `vpdpwssd`
-//!   body (the crate's only `unsafe`, reached through a tier token only
-//!   detection can mint), and the strip shapes a chunk runs.
+//!   (gather offsets, close records, outer segments — or a band's dense
+//!   tile) in an order chosen from counts alone.
+//! * `kernel.rs` — the datapath: the shared strip bodies (walks and dense
+//!   tiles), their `#[target_feature]` tier kernels and the `avx512` tier's
+//!   two `vpdpwssd` bodies (the crate's only `unsafe`, reached through a
+//!   tier token only detection can mint), and the strip shapes a chunk
+//!   runs.
 //! * `scratch.rs` — the cache-line-aligned row buffers, the arena that
 //!   holds them and the calling thread's arena.
 //! * `network.rs` — the chunk-major driver: staging in and out of the lane
@@ -71,9 +72,20 @@
 //!   per boundary is in ROADMAP's do-not-rebuild.
 //! * **Un-shared bands.** A `G`-level hierarchy pays closes, kept rows and
 //!   outer segments to share gathers; where that costs more than it shares
-//!   (LeNet's conv1: 74 entries in 63 closes a tile) the band is walked
-//!   filter by filter — `G` one-level folded walks, each adding into its
-//!   own plane of the band.
+//!   the band is walked filter by filter — `G` one-level folded walks, each
+//!   adding into its own plane of the band. Where reuse does not pay at all
+//!   (LeNet's conv1: 74 entries in 63 closes a tile, R·S·C = 75 against
+//!   INQ's U = 17) an un-shared band is cheaper still as one **dense tile**
+//!   over all of its channels: per pair-tap `(2c, 2c + 1, r, s)` holding a
+//!   weight, one gather offset and the band's `G` packed `(w_2c, w_2c+1)`
+//!   `i16` pairs, no closes, kept rows or segments — one load and one
+//!   multiply-add per filter a pair-tap (`WalkCounts::dense`, in the same
+//!   units as the walks' cost). A layer's input has one staged layout, so
+//!   a layer is dense in every band or in none: lowering starts dense and,
+//!   at the first band of several filters that declines (it does not
+//!   un-share, or its dense tile costs no less than its walks apart),
+//!   lowers every band as before. A band of one filter (a ragged last band)
+//!   follows its layer.
 //!
 //! Tiles walked once per chunk (every fully connected layer) keep the
 //! stream's order and sharing.
@@ -106,6 +118,16 @@
 //! one and odd lanes in the other. The sums keep that register order
 //! through the close block, the kept prefix rows and phase 2, all
 //! lane-wise, and return to lane order where they are added to the band.
+//!
+//! A dense layer's input is staged two channels to a lane: each `i32` lane
+//! holds `(x_2c, x_2c+1)` of one image (a zero channel after an odd `C`),
+//! in the arena's plane, at every chunk width and in every row-shifted
+//! copy — a first layer straight from the images, a later one by pairing
+//! its producer's plane in place. Each lane then adds
+//! `x_2c·w_2c + x_2c+1·w_2c+1` per filter (`pmaddwd`'s arithmetic); on
+//! `avx512` each 64-byte load of a pair-tap's strip feeds one `vpdpwssd` per
+//! filter of the band (two at a time), and every sum is stored once, so a
+//! dense band's planes are not zeroed first.
 //!
 //! The chunk width and codegen follow the dispatched
 //! [`SimdTier`](crate::simd::SimdTier) ([`simd`](crate::simd)): the
@@ -178,5 +200,5 @@ mod scratch;
 pub use lower::FlattenedTile;
 pub use network::run_stages;
 
-pub(crate) use lower::{walked_once, Lowering};
+pub(crate) use lower::{lower_layer, walked_once};
 pub(crate) use network::{run_layer, Dims};

@@ -3,7 +3,7 @@
 //! cuts a batch into lane chunks.
 
 use ucnn_model::PoolKind;
-use ucnn_tensor::Tensor3;
+use ucnn_tensor::{ConvGeom, Tensor3};
 
 use super::kernel::{accumulate_tile_lanes, chunk_widths, strip_runs, Lanes};
 use super::kernel::{LANE_WIDTH, MAX_CHUNK};
@@ -17,6 +17,52 @@ pub(crate) type Dims = (usize, usize, usize);
 /// Cells of a `dims` plane inside a `pad`-wide halo.
 pub(super) fn haloed_len((c, w, h): Dims, pad: usize) -> usize {
     c * (w + 2 * pad) * (h + 2 * pad)
+}
+
+/// How many channels share a staged lane for `layer`: 2 where its bands are
+/// dense tiles, which read `(x_2c, x_2c+1)` per lane — a channel pair's
+/// cells are `2·pitch` values, lane `l` of channel `c` at `2l + c % 2`, and
+/// an odd channel count is staged with a zero channel after it — else 1.
+fn pair_of(layer: &CompiledLayer) -> usize {
+    if layer.flat_tiles()[0].is_dense() {
+        2
+    } else {
+        1
+    }
+}
+
+/// `dims` with room for its channels staged `pair` to a lane.
+fn paired((c, w, h): Dims, pair: usize) -> Dims {
+    (c.next_multiple_of(pair), w, h)
+}
+
+/// Pairs the channels of a lane-major plane in place, as a dense layer reads
+/// them ([`pair_of`]): `c` channels of `cells` cells of `lw` lanes, room for
+/// one more after an odd `c`, become `(x_2c, x_2c+1)` per lane, the last
+/// pair's second channel zero after an odd `c`. `spare` holds a pair's first
+/// channel while both are interleaved over the pair's cells.
+fn pair_channels(plane: &mut [i16], c: usize, cells: usize, lw: usize, spare: &mut Rows<i16>) {
+    let n = cells * lw;
+    let spare = spare.rows_mut(n);
+    let pairs = plane[..c.next_multiple_of(2) * n].chunks_exact_mut(2 * n);
+    for (p, pair) in pairs.enumerate() {
+        spare.copy_from_slice(&pair[..n]);
+        let second = 2 * p + 1 < c;
+        // Front to back: step `i` reads value `i` of the second channel,
+        // at `n + i`, before it writes `2i` and `2i + 1 ≤ n + i`.
+        for (i, &first) in spare.iter().enumerate() {
+            pair[2 * i + 1] = if second { pair[n + i] } else { 0 };
+            pair[2 * i] = first;
+        }
+    }
+}
+
+/// [`Lanes::replicate`] over a plane staged `pair` channels to a lane.
+fn replicate(lanes: Lanes, plane: &mut [i16], geom: &ConvGeom, pair: usize) {
+    match pair {
+        1 => lanes.replicate(plane, geom),
+        _ => lanes.replicate(plane.as_chunks_mut::<2>().0, geom),
+    }
 }
 
 /// Zeroes the `pad`-wide halo ring of a lane-major plane (`c` channels of
@@ -43,13 +89,21 @@ fn zero_halo(plane: &mut [i16], (_, w, h): Dims, pad: usize, lw: usize) {
 /// The staging transpose behind [`stage_chunk`]: `images` are `c × w × h`
 /// planes, `out` becomes their batch-interleaved copy inside a `pad`-wide
 /// zero halo — `out[off · pitch + lane]` with `off` over
-/// `c × (w + 2·pad) × (h + 2·pad)`, the lanes past the images zero.
-/// The halo ring is re-zeroed on every call ([`zero_halo`]), so an arena
-/// that last held another layer's chunk leaks nothing into it.
+/// `c × (w + 2·pad) × (h + 2·pad)`, the lanes past the images zero — with
+/// its channels `pair` to a lane ([`pair_of`]).
+/// The halo ring is re-zeroed on every call ([`zero_halo`]), and so is the
+/// zero channel after an odd `c`, so an arena that last held another
+/// layer's chunk leaks nothing into it.
 /// One contiguous run (an input row; a [`SCATTER_BLOCK`] of offsets when
-/// no halo separates the rows) is filled by every lane while it is
-/// cache-resident, mirroring [`scatter_lanes`].
-fn stage_lanes(images: &[Tensor3<i16>], (c, w, h): Dims, pad: usize, lw: usize, out: &mut [i16]) {
+/// no halo or pairing separates the rows) is filled by every lane while it
+/// is cache-resident, mirroring [`scatter_lanes`].
+fn stage_lanes(
+    images: &[Tensor3<i16>],
+    (c, w, h): Dims,
+    pad: usize,
+    (lw, pair): (usize, usize),
+    out: &mut [i16],
+) {
     let (len, pw, ph) = (c * w * h, w + 2 * pad, h + 2 * pad);
     assert!(
         images.iter().all(|img| img.as_slice().len() == len),
@@ -58,35 +112,49 @@ fn stage_lanes(images: &[Tensor3<i16>], (c, w, h): Dims, pad: usize, lw: usize, 
     if images.len() < lw {
         out.fill(0);
     }
-    zero_halo(out, (c, w, h), pad, lw);
-    let run = if pad == 0 { SCATTER_BLOCK } else { h };
+    zero_halo(out, (c, w, h), pad, lw * pair);
+    let run = if pad == 0 && pair == 1 {
+        SCATTER_BLOCK
+    } else {
+        h
+    };
+    let step = lw * pair;
     for at in (0..len).step_by(run) {
         let n = run.min(len - at);
-        let row = at / h;
-        let to = (row / w * pw + row % w + pad) * ph + pad + at % h;
-        let dst = &mut out[to * lw..][..n * lw];
+        let (row, ch) = (at / h, at / (w * h));
+        let to = (ch / pair * pw + row % w + pad) * ph + pad + at % h;
+        let dst = &mut out[to * step..][..n * step];
+        let unpaired = pair == 2 && ch + 1 == c && c % 2 == 1;
         for (lane, img) in images.iter().enumerate() {
             let src = &img.as_slice()[at..][..n];
-            for (d, &v) in dst[lane..].iter_mut().step_by(lw).zip(src) {
+            let lane = lane * pair + ch % pair;
+            for (d, &v) in dst[lane..].iter_mut().step_by(step).zip(src) {
                 *d = v;
+            }
+            if unpaired {
+                dst[lane + 1..]
+                    .iter_mut()
+                    .step_by(step)
+                    .for_each(|d| *d = 0);
             }
         }
     }
 }
 
-/// The chunk as the strip kernels read it: staged `pitch` lanes wide
-/// through [`stage_lanes`] into `staged`'s cache-line-aligned rows, inside
-/// the `pad`-wide zero halo the gather offsets are lowered against.
+/// The chunk as the strip kernels read it: staged `pitch` lanes wide, its
+/// channels `pair` to a lane, through [`stage_lanes`] into `staged`'s
+/// cache-line-aligned rows, inside the `pad`-wide zero halo the gather
+/// offsets are lowered against.
 fn stage_chunk<'a>(
     inputs: &[Tensor3<i16>],
     pad: usize,
-    pitch: usize,
+    (pitch, pair): (usize, usize),
     staged: &'a mut Rows<i16>,
 ) -> &'a mut [i16] {
     let first = &inputs[0];
     let dims = (first.c(), first.w(), first.h());
-    let rows = staged.rows_mut(haloed_len(dims, pad) * pitch);
-    stage_lanes(inputs, dims, pad, pitch, rows);
+    let rows = staged.rows_mut(haloed_len(paired(dims, pair), pad) * pitch);
+    stage_lanes(inputs, dims, pad, (pitch, pair), rows);
     rows
 }
 
@@ -122,7 +190,8 @@ fn scatter_lanes<T: Copy, U, O: AsMut<[U]>>(
 
 /// Walks `layer` over a chunk staged as `lanes` one filter band at a time:
 /// zeroes the rows of the band's lane-major sums the copies walk,
-/// accumulates the band's channel tiles into them and hands them — each
+/// accumulates the band's channel tiles into them (a dense tile stores
+/// them, unzeroed) and hands them — each
 /// real row where [`Lanes::stored`] says — to `sink(k_first, sums, prefix)`
 /// while they are cache-resident, with the prefix rows it is done with.
 fn run_bands(
@@ -145,8 +214,11 @@ fn run_bands(
         let tiles = rest.iter().take_while(|t| t.k_first == k_first).count();
         let (band, after) = rest.split_at(tiles);
         let sums = band_lanes.rows_mut(g * plane * lanes.pitch);
-        for plane in sums.chunks_exact_mut(plane * lanes.pitch) {
-            plane[..lanes.rows * geom.out_h() * lanes.pitch].fill(0);
+        // A dense tile stores every sum the copies walk; walks add.
+        if !first.is_dense() {
+            for plane in sums.chunks_exact_mut(plane * lanes.pitch) {
+                plane[..lanes.rows * geom.out_h() * lanes.pitch].fill(0);
+            }
         }
         for tile in band {
             for run in strip_runs(geom, lanes, tier.tier()) {
@@ -170,9 +242,11 @@ struct PlaneMut<'a> {
 }
 
 impl<'a> PlaneMut<'a> {
-    /// Claims `buf`'s aligned rows for the plane and zeroes its halo ring.
-    fn new(buf: &'a mut Rows<i16>, dims: Dims, pad: usize, lw: usize) -> Self {
-        let cells = buf.rows_mut(haloed_len(dims, pad) * lw);
+    /// Claims `buf`'s aligned rows for the plane — with room for its
+    /// channels `pair` to a lane, which its consumer pairs in place
+    /// ([`pair_channels`]) — and zeroes its halo ring.
+    fn new(buf: &'a mut Rows<i16>, dims: Dims, pad: usize, (lw, pair): (usize, usize)) -> Self {
+        let cells = buf.rows_mut(haloed_len(paired(dims, pair), pad) * lw);
         zero_halo(cells, dims, pad, lw);
         Self {
             cells,
@@ -398,10 +472,10 @@ pub(super) fn run_layer_chunk(
         band_lanes,
         ..
     } = scratch;
-    let geom = layer.geom();
+    let (geom, pair) = (layer.geom(), pair_of(layer));
     let lanes = Lanes::new(inputs.len(), geom);
-    let input = stage_chunk(inputs, geom.pad(), lanes.pitch, staged);
-    lanes.replicate(input, geom);
+    let input = stage_chunk(inputs, geom.pad(), (lanes.pitch, pair), staged);
+    replicate(lanes, input, geom, pair);
     let (w, h) = (geom.out_w(), geom.out_h());
     let sink = |k_first, sums: &[i32], _: &mut Rows<i32>| {
         let stored = |r| lanes.stored(r, w);
@@ -439,7 +513,17 @@ fn run_network_chunk(
     // Every plane is `pitch` lanes a cell, the lanes past the images zero.
     let (images, pitch) = (inputs.len(), inputs.len().max(LANE_WIDTH));
     let mut dims = (inputs[0].c(), inputs[0].w(), inputs[0].h());
-    stage_chunk(inputs, stages[0].pad(), pitch, even);
+    // How many channels a stage's input has to a lane, once staged for it.
+    let pair_for = |stage: Option<&CompiledStage>| match stage {
+        Some(CompiledStage::Conv { layer, .. }) => pair_of(layer),
+        _ => 1,
+    };
+    stage_chunk(
+        inputs,
+        stages[0].pad(),
+        (pitch, pair_for(stages.first())),
+        even,
+    );
     let (mut si, mut flip) = (0, false);
     while let Some(stage) = stages.get(si) {
         let (src, dst) = if flip {
@@ -463,9 +547,14 @@ fn run_network_chunk(
                 }
                 let in_dims = (geom.c() * layer.conv_groups(), geom.in_w(), geom.in_h());
                 assert_eq!(dims, in_dims, "activation dims do not match the layer");
-                let lanes = Lanes::new(images, geom);
-                let input = src.rows_mut(haloed_len(dims, geom.pad()) * pitch);
-                lanes.replicate(input, geom);
+                let (lanes, pair) = (Lanes::new(images, geom), pair_of(layer));
+                let input = src.rows_mut(haloed_len(paired(dims, pair), geom.pad()) * pitch);
+                if pair > 1 && si > 0 {
+                    // The producer wrote the plane a channel to a lane.
+                    let cells = haloed_len((1, dims.1, dims.2), geom.pad());
+                    pair_channels(input, dims.0, cells, pitch, band_acts);
+                }
+                replicate(lanes, input, geom, pair);
                 let (input, (w, h)) = (&*input, (geom.out_w(), geom.out_h()));
                 if consumer.is_none() && fused_pool.is_none() {
                     // The last layer's raw sums leave the lane layout.
@@ -475,7 +564,7 @@ fn run_network_chunk(
                     };
                     return run_bands(layer, input, lanes, tier, prefix, band_lanes, sink);
                 }
-                let mut dst = PlaneMut::new(dst, out_dims, out_pad, pitch);
+                let mut dst = PlaneMut::new(dst, out_dims, out_pad, (pitch, pair_for(consumer)));
                 let sink = |k_first, sums: &[i32], prefix: &mut Rows<i32>| match fused_pool {
                     None => dst.write_relu(k_first, sums, lanes),
                     Some(pool) => {
@@ -497,7 +586,7 @@ fn run_network_chunk(
             }
             CompiledStage::Pool { .. } => {
                 let pool = stage.pool().expect("a pooling stage");
-                let mut dst = PlaneMut::new(dst, out_dims, out_pad, pitch);
+                let mut dst = PlaneMut::new(dst, out_dims, out_pad, (pitch, pair_for(consumer)));
                 let src = src.rows_mut(haloed_len(dims, 0) * pitch);
                 pool_lanes(src, dims, pool, None, prefix, &mut dst, 0);
             }
@@ -734,7 +823,7 @@ mod tests {
         ];
         let sums = Tensor3::from_vec(edge.len(), 1, 1, edge.to_vec()).unwrap();
         let mut buf = Rows::default();
-        let mut plane = PlaneMut::new(&mut buf, (edge.len(), 1, 1), 0, 1);
+        let mut plane = PlaneMut::new(&mut buf, (edge.len(), 1, 1), 0, (1, 1));
         plane.write_relu(0, &edge, Lanes::new(1, &ConvGeom::new(1, 1, 1, 1, 1, 1)));
         assert_eq!(plane.cells, reference::relu_saturate(&sums).as_slice());
         assert_eq!(plane.cells[edge.len() - 1], i16::MAX);

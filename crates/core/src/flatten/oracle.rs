@@ -337,7 +337,7 @@ fn expected() -> BTreeSet<Seen> {
         let kernels = KERNELS.iter().filter(emits);
         kernels.map(move |&(width, pitch)| Seen::Kernel(tier, width, pitch))
     });
-    let walks = ["walked once", "shared", "filter by filter"].map(Seen::Walk);
+    let walks = ["walked once", "shared", "filter by filter", "dense"].map(Seen::Walk);
     kernels
         .chain((1..=8).map(Seen::Copies))
         .chain(walks)

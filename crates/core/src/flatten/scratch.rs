@@ -126,6 +126,18 @@ mod tests {
         outs
     }
 
+    /// Channels the staged input of `layer` holds: its own, and a zero one
+    /// after an odd count where its bands are dense tiles (which read the
+    /// channels in pairs).
+    fn staged_channels(layer: &CompiledLayer) -> usize {
+        let pair = if layer.flat_tiles()[0].is_dense() {
+            2
+        } else {
+            1
+        };
+        layer.geom().c().next_multiple_of(pair)
+    }
+
     /// Bytes of heap a row buffer holds (its capacity, slack included).
     fn bytes<T>(buf: &Rows<T>) -> usize {
         buf.0.capacity() * std::mem::size_of::<T>()
@@ -257,11 +269,11 @@ mod tests {
         let (i16_line, i32_line) = (Rows::<i16>::SLACK, Rows::<i32>::SLACK);
         assert_eq!(scratch.band_lanes.0.capacity(), band * widest + i32_line);
         // The staged chunk covers the padded conv's haloed plane (126
-        // offsets, more than the FC layer's 48). The second plane is the
-        // network pipeline's.
+        // offsets, 168 with the zero channel of a dense layer: more than the
+        // FC layer's 48). The second plane is the network pipeline's.
         assert_eq!(
             scratch.planes[0].0.capacity(),
-            3 * (5 + 2) * (4 + 2) * widest + i16_line
+            staged_channels(&layers[1].0) * (5 + 2) * (4 + 2) * widest + i16_line
         );
         assert_eq!(scratch.planes[1].0.capacity(), 0);
         // Each layer's rows are as wide as the widest strip a full chunk of
@@ -324,7 +336,8 @@ mod tests {
                 let rows = layer.flat_tiles().iter().map(|t| t.rows).max().unwrap();
                 let pitch = lw.min(best.lane_width()).max(LANE_WIDTH);
                 prefix = prefix.max(rows * (positions * pitch).min(best.strip_lanes()));
-                let cells = haloed_len((geom.c(), geom.in_w(), geom.in_h()), geom.pad());
+                let staged = (staged_channels(&layer), geom.in_w(), geom.in_h());
+                let cells = haloed_len(staged, geom.pad());
                 assert_eq!(
                     resident_bytes(&scratch),
                     (cells * 2 + 8 * geom.out_w() * geom.out_h()) * pitch + prefix * 4 + 3 * LINE,
@@ -368,9 +381,10 @@ mod tests {
         // the chunk as the tier's registers hold.
         let strip = (8 * lw).min(best.strip_lanes());
         let max_rows = layer.flat_tiles().iter().map(|t| t.rows).max().unwrap();
+        let staged = staged_channels(&layer) * (8 + 2) * (8 + 2) * lw * 2;
         assert_eq!(
             resident_bytes(&scratch),
-            3 * (8 + 2) * (8 + 2) * lw * 2 + max_rows * strip * 4 + staging + 2 * LINE,
+            staged + max_rows * strip * 4 + staging + 2 * LINE,
             "the arena is the haloed staged input + kept-close prefix lanes + one band, \
              each with its line of alignment slack"
         );

@@ -29,7 +29,7 @@ use ucnn_tensor::{ConvGeom, Tensor3, Tensor4};
 
 use crate::backend::BackendKind;
 use crate::compile::{canonical_of_tensor, UcnnConfig};
-use crate::flatten::{walked_once, Dims, FlattenedTile, Lowering};
+use crate::flatten::{lower_layer, walked_once, Dims, FlattenedTile};
 use crate::hierarchy::GroupStream;
 
 /// One retained work unit of a compiled layer: the stream for a group of
@@ -94,7 +94,8 @@ pub struct CompiledLayer {
     tiles: Vec<CompiledTile>,
     /// Branch-free lowering of every filter band — one walk per entry of
     /// `tiles`, or one per filter of it where the band's hierarchy costs
-    /// more than it shares (`Lowering::lower_band`) — built on the
+    /// more than it shares, or one dense tile per band where that costs
+    /// less still (`Lowering::lower_band`) — built on the
     /// first flattened execution (or an explicit
     /// [`CompiledNetwork::warm`]) and cached. The library default
     /// ([`CompiledNetwork::DEFAULT_BACKEND`]) runs through it; a deployment
@@ -217,20 +218,14 @@ impl CompiledLayer {
     /// filter band in the order of [`CompiledLayer::tiles`] (consumed by
     /// [`run_stages`](crate::flatten::run_stages)): lowering owns the
     /// order and the sharing of each walk, so a tile may lower to one walk
-    /// per filter.
+    /// per filter, and a band to one dense tile.
     ///
     /// Lowered on first use and cached; subsequent calls are a load.
     #[must_use]
     pub fn flat_tiles(&self) -> &[FlattenedTile] {
-        self.flat.get_or_init(|| {
-            // `compile` emits tiles band by band, the longest tile first.
-            let mut lowering = Lowering::new(&self.tiles[0].stream, &self.geom);
-            let mut flat = Vec::with_capacity(self.tiles.len());
-            for band in self.tiles.chunk_by(|a, b| a.k_first == b.k_first) {
-                lowering.lower_band(band, &mut flat);
-            }
-            flat
-        })
+        // `compile` emits tiles band by band, the longest tile first.
+        self.flat
+            .get_or_init(|| lower_layer(&self.tiles, &self.geom))
     }
 
     /// Bytes of heap the flattened lowering keeps resident (lowering it

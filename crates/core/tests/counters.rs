@@ -15,6 +15,7 @@ use ucnn_core::backend::BackendKind;
 use ucnn_core::compile::UcnnConfig;
 use ucnn_core::counters::{self, LayerWork, TallyRow};
 use ucnn_core::flatten::FlattenedTile;
+use ucnn_core::hierarchy::ZERO_RANK;
 use ucnn_core::plan::{CompiledNetwork, CompiledStage};
 use ucnn_model::{forward, networks, ActivationGen, NetworkSpec, QuantScheme};
 use ucnn_tensor::Tensor3;
@@ -35,15 +36,25 @@ fn rows_for(net: &str) -> Vec<TallyRow> {
 /// Compiles the tiny topology under `name` and returns the plan plus a few
 /// valid inputs.
 fn compiled(name: &str, seed: u64) -> (CompiledNetwork, Vec<Tensor3<i16>>) {
-    let tiny = networks::tiny();
+    compiled_from(networks::tiny(), name, seed, 8)
+}
+
+/// Compiles `topology`'s layers under `name` (INQ weights, G = 2) and
+/// returns the plan plus `images` valid inputs.
+fn compiled_from(
+    topology: NetworkSpec,
+    name: &str,
+    seed: u64,
+    images: usize,
+) -> (CompiledNetwork, Vec<Tensor3<i16>>) {
     let mut spec = NetworkSpec::new(name);
-    for layer in tiny.layers() {
+    for layer in topology.layers() {
         spec.push(layer.clone());
     }
     let weights = forward::generate_network_weights(&spec, QuantScheme::inq(), seed, 0.85);
     let plan = CompiledNetwork::compile(&spec, &weights, &UcnnConfig::with_g(2));
     let mut agen = ActivationGen::new(seed ^ 0x7);
-    let inputs: Vec<_> = (0..8)
+    let inputs: Vec<_> = (0..images)
         .map(|_| agen.generate_for(&spec.conv_layers()[0]))
         .collect();
     (plan, inputs)
@@ -110,10 +121,17 @@ fn dense_equivalent_matches_geometry_for_every_backend() {
 
 /// Forwards on 1, 2 and 4 threads at once record exactly that many times
 /// one forward's tally: the sink loses and doubles nothing, and the
-/// accounting is analytic, not scheduling-dependent instrumentation. Across
-/// backends the dense-equivalent is bit-identical, and the flattened
-/// backend — whose lowering owns the order of the walk — issues at most the
-/// stream walker's multiplies, strictly fewer on INQ.
+/// accounting is analytic, not scheduling-dependent instrumentation.
+///
+/// Across backends on LeNet (INQ, G = 2) the dense-equivalent is
+/// bit-identical. The flattened backend counts what its lowered walks issue:
+/// at most the stream walker's multiplies on a walked layer — strictly
+/// fewer on the folded convolutions `conv2` and `conv3` (INQ is
+/// sign-symmetric), as many on the fully connected layers, walked once in
+/// stream order — while `conv1`'s bands are dense tiles, which issue one
+/// multiply per non-zero weight through one gather per pair of channels and
+/// tap, shared by the band's filters: more multiplies than the stream
+/// walker's groups, fewer gathers.
 #[test]
 fn tallies_are_bit_identical_across_backends_and_thread_counts() {
     let net = "counters-threads";
@@ -146,28 +164,50 @@ fn tallies_are_bit_identical_across_backends_and_thread_counts() {
         let expected: Vec<TallyRow> = once.iter().map(times).collect();
         assert_eq!(rows, expected, "tally diverged at {threads} threads");
     }
+    // Across backends, on LeNet.
+    let net = "counters-lenet";
+    let (plan, inputs) = compiled_from(networks::lenet(), net, 0x73, 2);
     let tally = |kind| {
         counters::reset();
         counters::set_enabled(true);
-        let _ = plan.forward_batch_with(&inputs[..4], kind);
+        let _ = plan.forward_batch_with(&inputs, kind);
         counters::set_enabled(false);
         rows_for(net)
     };
     let stream = tally(BackendKind::BatchThreads);
     let flat = tally(BackendKind::FlattenedBatch);
+    assert_eq!(flat.len(), 5);
     assert_eq!(flat.len(), stream.len());
     for (flat, stream) in flat.iter().zip(&stream) {
-        assert_eq!(flat.layer, stream.layer);
-        assert_eq!(flat.work.dense_multiplies, stream.work.dense_multiplies);
-        assert!(
-            flat.work.multiplies_issued <= stream.work.multiplies_issued,
-            "{}: folding only merges groups",
-            flat.layer
-        );
+        let (name, work, walker) = (flat.layer.as_str(), &flat.work, &stream.work);
+        assert_eq!(name, stream.layer);
+        assert_eq!(work.dense_multiplies, walker.dense_multiplies);
+        match name {
+            "conv1" => {
+                let layer = plan.stages().iter().find_map(|stage| match stage {
+                    CompiledStage::Conv {
+                        name: at, layer, ..
+                    } if at == name => Some(layer),
+                    _ => None,
+                });
+                let layer = layer.expect("a weight layer");
+                let weights: usize = layer
+                    .tiles()
+                    .iter()
+                    .flat_map(|tile| tile.stream().entries())
+                    .map(|e| e.ranks.iter().filter(|&&r| r != ZERO_RANK).count())
+                    .sum();
+                let walks = layer.geom().out_w() * layer.geom().out_h() * inputs.len();
+                assert_eq!(work.multiplies_issued, (weights * walks) as u64, "{name}");
+                assert!(work.multiplies_issued > walker.multiplies_issued, "{name}");
+                assert!(work.gather_entries < walker.gather_entries, "{name}");
+            }
+            "conv2" | "conv3" => {
+                assert!(work.multiplies_issued < walker.multiplies_issued, "{name}");
+            }
+            _ => assert_eq!(work.multiplies_issued, walker.multiplies_issued, "{name}"),
+        }
     }
-    // INQ is sign-symmetric: the convolutions fold.
-    let issued = |rows: &[TallyRow]| -> u64 { rows.iter().map(|r| r.work.multiplies_issued).sum() };
-    assert!(issued(&flat) < issued(&stream));
 }
 
 /// The chunk-major pipeline records what the per-layer loop recorded: one

@@ -10,7 +10,8 @@
 //! `canonical`, and every entry's position, ranks and closing level —
 //! `columns()` row by row). A lowered tile has no public field, so its
 //! digest is of its `Debug` form, which spells out `k_first`, `g`, `plane`,
-//! `base`, `closes`, `rows`, `seg_ptr`, `segs` and the multiply count.
+//! `base`, `closes`, `rows`, `seg_ptr`, `segs`, a dense tile's packed pairs
+//! and the multiply count.
 //! Lowering does not depend on the SIMD tier, so CI's forced-tier matrix
 //! does not repeat this file.
 
@@ -89,6 +90,12 @@ fn digests(plan: &CompiledNetwork) -> Vec<(String, u64, u64)> {
 /// PR 25 tiled as one channel tile (`ip1`, `fc`, and `ip2` at Ct = 16; at
 /// Ct = 64 `ip2`'s 64 channels were one tile already); every convolution's
 /// row is as recorded.
+///
+/// The rows marked `dense` were re-recorded when bands that walk filter by
+/// filter became one dense tile where that costs less: LeNet's `conv1` at
+/// G = 2 and 3 and its `conv3` at G = 3, and both `tiny` convolutions at
+/// G = 2 and 3, all on INQ weights. Their streams are as recorded, and every
+/// other row is unchanged.
 #[rustfmt::skip]
 const RECORDED: &[(&str, &str, usize, usize, &str, u64, u64)] = &[
     ("lenet", "inq", 1, 16, "conv1", 0x7ceadc3d0634f29d, 0x572aa0498a568018),
@@ -101,24 +108,24 @@ const RECORDED: &[(&str, &str, usize, usize, &str, u64, u64)] = &[
     ("lenet", "inq", 1, 64, "conv3", 0x2c282b1455ffc5ee, 0xfdc89c4c1abcfaa1),
     ("lenet", "inq", 1, 64, "ip1", 0x0273fdc84f00f802, 0xbb59b9a6017d270f), // re-recorded
     ("lenet", "inq", 1, 64, "ip2", 0xa889adf4265c795f, 0xda84bc191573a59e),
-    ("lenet", "inq", 2, 16, "conv1", 0x6989f6db809c75fd, 0xc8139695e0b3680e),
+    ("lenet", "inq", 2, 16, "conv1", 0x6989f6db809c75fd, 0xd7ee2993681de869), // re-recorded: dense
     ("lenet", "inq", 2, 16, "conv2", 0x93eecd8e41310594, 0xf0dff19519b68558),
     ("lenet", "inq", 2, 16, "conv3", 0x2232da1387ccefd7, 0x8ea646ae2b2cdd94),
     ("lenet", "inq", 2, 16, "ip1", 0x2074e54b29df21bb, 0x63c5320b03750b87), // re-recorded
     ("lenet", "inq", 2, 16, "ip2", 0xde72b039b0275425, 0xb406057e8e39b27d), // re-recorded
-    ("lenet", "inq", 2, 64, "conv1", 0x6989f6db809c75fd, 0xc8139695e0b3680e),
+    ("lenet", "inq", 2, 64, "conv1", 0x6989f6db809c75fd, 0xd7ee2993681de869), // re-recorded: dense
     ("lenet", "inq", 2, 64, "conv2", 0x24583f6d0cb59691, 0x488ac7ac6e80261a),
     ("lenet", "inq", 2, 64, "conv3", 0xa6f7ee4c4f4cf6df, 0xa9a968ba4fdcfc2e),
     ("lenet", "inq", 2, 64, "ip1", 0x2074e54b29df21bb, 0x63c5320b03750b87), // re-recorded
     ("lenet", "inq", 2, 64, "ip2", 0xde72b039b0275425, 0xb406057e8e39b27d),
-    ("lenet", "inq", 3, 16, "conv1", 0xe3ec9d0c2a5a0277, 0x4943ca4800bf30ed),
+    ("lenet", "inq", 3, 16, "conv1", 0xe3ec9d0c2a5a0277, 0x51ee0e845817f8ad), // re-recorded: dense
     ("lenet", "inq", 3, 16, "conv2", 0xd875a749622a2783, 0x46a433387f774a36),
-    ("lenet", "inq", 3, 16, "conv3", 0x07077e345db7caec, 0xb469f788e2af4522),
+    ("lenet", "inq", 3, 16, "conv3", 0x07077e345db7caec, 0xd3589a7a4f6ea92e), // re-recorded: dense
     ("lenet", "inq", 3, 16, "ip1", 0xb2ff2abfb16f6a59, 0x64b5b4036ce6de4e), // re-recorded
     ("lenet", "inq", 3, 16, "ip2", 0xd547900283359995, 0xd441b7607569f9d1), // re-recorded
-    ("lenet", "inq", 3, 64, "conv1", 0xe3ec9d0c2a5a0277, 0x4943ca4800bf30ed),
+    ("lenet", "inq", 3, 64, "conv1", 0xe3ec9d0c2a5a0277, 0x51ee0e845817f8ad), // re-recorded: dense
     ("lenet", "inq", 3, 64, "conv2", 0x78a148163ca7735a, 0x5b13591ff63ddae7),
-    ("lenet", "inq", 3, 64, "conv3", 0x1b7c4336a2e3fc37, 0x8b893ae56417e881),
+    ("lenet", "inq", 3, 64, "conv3", 0x1b7c4336a2e3fc37, 0xd3589a7a4f6ea92e), // re-recorded: dense
     ("lenet", "inq", 3, 64, "ip1", 0xb2ff2abfb16f6a59, 0x64b5b4036ce6de4e), // re-recorded
     ("lenet", "inq", 3, 64, "ip2", 0xd547900283359995, 0xd441b7607569f9d1),
     ("lenet", "ttq", 1, 16, "conv1", 0x8941ab03c5833d44, 0x619684217ee06707),
@@ -157,17 +164,17 @@ const RECORDED: &[(&str, &str, usize, usize, &str, u64, u64)] = &[
     ("tiny", "inq", 1, 64, "conv1", 0xf79757f47fc2e009, 0x6a7592f39954e42c),
     ("tiny", "inq", 1, 64, "conv2", 0x99a45af56e456221, 0x3d01d2fdec0fad1e),
     ("tiny", "inq", 1, 64, "fc", 0x1abf339e8c282ec4, 0x963ca6f5c7ae970e), // re-recorded
-    ("tiny", "inq", 2, 16, "conv1", 0xb56c7bed08a5b8c8, 0xe5938064a6ff011e),
-    ("tiny", "inq", 2, 16, "conv2", 0xa9f4102be6b9f215, 0x7bd90804e237a4be),
+    ("tiny", "inq", 2, 16, "conv1", 0xb56c7bed08a5b8c8, 0xd61f84d0bc21d2be), // re-recorded: dense
+    ("tiny", "inq", 2, 16, "conv2", 0xa9f4102be6b9f215, 0x1498aa8aebe49bc0), // re-recorded: dense
     ("tiny", "inq", 2, 16, "fc", 0x7d63251e44774711, 0x6dabc6d12265d073), // re-recorded
-    ("tiny", "inq", 2, 64, "conv1", 0xb56c7bed08a5b8c8, 0xe5938064a6ff011e),
-    ("tiny", "inq", 2, 64, "conv2", 0xa9f4102be6b9f215, 0x7bd90804e237a4be),
+    ("tiny", "inq", 2, 64, "conv1", 0xb56c7bed08a5b8c8, 0xd61f84d0bc21d2be), // re-recorded: dense
+    ("tiny", "inq", 2, 64, "conv2", 0xa9f4102be6b9f215, 0x1498aa8aebe49bc0), // re-recorded: dense
     ("tiny", "inq", 2, 64, "fc", 0x7d63251e44774711, 0x6dabc6d12265d073), // re-recorded
-    ("tiny", "inq", 3, 16, "conv1", 0xeb9eb5c163b6bed9, 0x01912ebf6c33c41e),
-    ("tiny", "inq", 3, 16, "conv2", 0x3dc5b6be33f8cc8e, 0xb57fd31116a13f60),
+    ("tiny", "inq", 3, 16, "conv1", 0xeb9eb5c163b6bed9, 0x2731bd298a8d3f43), // re-recorded: dense
+    ("tiny", "inq", 3, 16, "conv2", 0x3dc5b6be33f8cc8e, 0xa0ed50112618994a), // re-recorded: dense
     ("tiny", "inq", 3, 16, "fc", 0x7a5ed739b244aa98, 0x6991e64a3c4ac379), // re-recorded
-    ("tiny", "inq", 3, 64, "conv1", 0xeb9eb5c163b6bed9, 0x01912ebf6c33c41e),
-    ("tiny", "inq", 3, 64, "conv2", 0x3dc5b6be33f8cc8e, 0xb57fd31116a13f60),
+    ("tiny", "inq", 3, 64, "conv1", 0xeb9eb5c163b6bed9, 0x2731bd298a8d3f43), // re-recorded: dense
+    ("tiny", "inq", 3, 64, "conv2", 0x3dc5b6be33f8cc8e, 0xa0ed50112618994a), // re-recorded: dense
     ("tiny", "inq", 3, 64, "fc", 0x7a5ed739b244aa98, 0x6991e64a3c4ac379), // re-recorded
     ("tiny", "ttq", 1, 16, "conv1", 0x3aa72b8ae1e0aa3d, 0xbbe19b9c1d82b3a6),
     ("tiny", "ttq", 1, 16, "conv2", 0x457b263a6a165cf3, 0xc558b7f6776d5e44),
