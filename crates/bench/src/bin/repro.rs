@@ -4,16 +4,16 @@
 //! repro <experiment>... [--quick] [--out DIR]
 //!
 //! experiments: fig1 fig3 table2 fig7 fig9 fig10 fig11 fig12 fig13 fig14
-//!              table3 ablations backends all
+//!              table3 ablations reuse all
 //! ```
 //!
 //! `--quick` shrinks networks/sweeps (used by CI and the tests); the default
 //! runs the full configuration recorded in EXPERIMENTS.md. With `--out DIR`
-//! every table is also written as `DIR/<experiment>.csv`. The `backends`
-//! experiment prints the all-backends comparison table **and writes it as
-//! machine-readable `BENCH_backends.json`** (into `--out DIR` when given,
-//! the working directory otherwise) so the perf trajectory of the executor
-//! backends is tracked across commits.
+//! every table is also written as `DIR/<experiment>.csv`. The `reuse`
+//! experiment times each layer's elected lowering against its all-dense
+//! lowering on every SIMD tier **and writes the table as machine-readable
+//! `BENCH_reuse.json`** (into `--out DIR` when given, the working directory
+//! otherwise), the executor's one checked-in timing artifact.
 //!
 //! Numbers about the serving engine come from the repository benchmark
 //! (`benchmark/`, see its README), not from here.
@@ -38,7 +38,7 @@ const ALL: &[&str] = &[
     "fig14",
     "table3",
     "ablations",
-    "backends",
+    "reuse",
 ];
 
 fn run_one(name: &str, quick: bool) -> Option<Vec<TableOut>> {
@@ -60,7 +60,7 @@ fn run_one(name: &str, quick: bool) -> Option<Vec<TableOut>> {
             experiments::ablate_ppr(),
             experiments::ablate_multipliers(),
         ],
-        "backends" => vec![experiments::backend_table(quick)],
+        "reuse" => vec![experiments::reuse_table(quick)],
         _ => return None,
     };
     Some(tables)
@@ -109,11 +109,11 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             }
-            // The backend comparison doubles as a perf trajectory: always
-            // emit it machine-readable alongside the pretty table.
-            if name == "backends" {
+            // The executor's timing artifact: always emitted
+            // machine-readable alongside the pretty table.
+            if name == "reuse" {
                 let dir = out_dir.clone().unwrap_or_else(|| PathBuf::from("."));
-                let path = dir.join("BENCH_backends.json");
+                let path = dir.join("BENCH_reuse.json");
                 if let Err(err) = table.write_json(&path) {
                     eprintln!("cannot write {}: {err}", path.display());
                     return ExitCode::FAILURE;

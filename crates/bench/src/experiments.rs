@@ -5,7 +5,6 @@
 //! and CI's smoke run can take every regeneration path; the full variants
 //! feed `EXPERIMENTS.md`.
 
-use ucnn_core::backend::BackendKind;
 use ucnn_core::compile::{compile_layer, compile_layer_sampled, UcnnConfig};
 use ucnn_core::encoding::{rle_bits_capped, EncodingParams, IitEncoding};
 use ucnn_core::hierarchy::GroupStream;
@@ -665,31 +664,27 @@ pub fn ablate_multipliers() -> TableOut {
     t
 }
 
-/// Executor backend comparison: every registered backend on FC- and
-/// conv-shaped layers (plus an i8 ternary-alphabet zoo entry) across batch
-/// sizes — per-image time and speedup vs `batch-threads`, the serving
-/// engine's default. Every row's outputs are asserted bit-identical to the
-/// dense reference (`reference::conv2d`), so the table doubles as an
-/// end-to-end conformance run. `repro
-/// backends` writes these rows as machine-readable `BENCH_backends.json`
-/// for the perf trajectory.
+/// Reuse against the same-datapath dense yardstick: FC- and conv-shaped
+/// layers (an i8 ternary-alphabet entry and LeNet's conv2 among them)
+/// across batch sizes, each run on every ISA tier the CPU supports two
+/// ways — `reuse@<tier>`, the lowering the library elects, and
+/// `dense@<tier>`, the same plan with every filter band lowered as one
+/// dense tile (`CompiledLayer::dense_lowered`) through the same staging,
+/// kernels and epilogue. `x_reuse_vs_dense` is the dense row's time over
+/// the reuse row's (above 1 where reuse pays; 1 on the dense row). Every
+/// row's outputs are asserted bit-identical to the dense reference
+/// (`reference::conv2d`). `repro reuse` writes these rows as
+/// machine-readable `BENCH_reuse.json`.
 ///
-/// Beyond the two registered backends, each cell carries one
-/// `flattened-batch@<tier>` row per ISA tier the CPU supports. The
-/// `simd_tier` column reports the tier each row ran (`avx512`, `scalar`,
-/// `-` for the stream walker), and `flat_bytes` what the flattened rows'
-/// lowered tables keep resident. `compile_us` and `lower_us` are the cold
-/// path of the row's layer — `CompiledLayer::compile`, then the first
-/// `flat_tiles` of that fresh plan (`-` for the stream walker, which never
-/// lowers) — the minimum over as many rounds as the cells time. A
-/// `provenance` section records where the numbers came from: commit,
-/// compiler, detected tiers, core count.
-///
-/// `flattened-batch` and the pinned row of the tier it dispatches to run
-/// the identical kernel: the gap between those two rows is the run's own
-/// noise floor, which any comparison between other rows has to clear.
+/// `flat_bytes` is what the row's lowered tables keep resident;
+/// `compile_us` / `lower_us` the cold path — `CompiledLayer::compile`, then
+/// the first `flat_tiles` of that fresh plan or its `dense_lowered` copy
+/// (which clones the streams too), the minimum over as many rounds as the
+/// cells time. A `provenance` section records commit, compiler, detected
+/// tiers and core count. Both rows of a tier are timed in one process, so
+/// drift of the host cancels out of their ratio.
 #[must_use]
-pub fn backend_table(quick: bool) -> TableOut {
+pub fn reuse_table(quick: bool) -> TableOut {
     use std::time::Instant;
     use ucnn_core::flatten::run_stages;
     use ucnn_core::plan::{CompiledLayer, CompiledStage};
@@ -697,10 +692,18 @@ pub fn backend_table(quick: bool) -> TableOut {
     use ucnn_model::{reference, ActivationGen};
     use ucnn_tensor::{ConvGeom, Tensor3};
 
-    type Runner<'a> = Box<dyn Fn(&[Tensor3<i16>]) -> Vec<Tensor3<i32>> + 'a>;
-
-    let (fc_c, conv_c, repeats) = if quick { (512, 16, 3) } else { (1024, 64, 30) };
+    let (fc_c, conv_c, repeats) = if quick { (512, 16, 3) } else { (1024, 64, 60) };
     let batches: &[usize] = if quick { &[1, 8] } else { &[1, 2, 8, 16, 32] };
+    let lenet_conv2 = networks::lenet()
+        .conv_layer("conv2")
+        .expect("LeNet has conv2")
+        .geom();
+    // `--quick` keeps the shape on 8 of its 32 channels each way.
+    let lenet_conv2 = if quick {
+        ConvGeom::new(lenet_conv2.in_w(), lenet_conv2.in_h(), 8, 8, 5, 5).with_pad(2)
+    } else {
+        lenet_conv2
+    };
     let layers = [
         (
             "fc 1x1",
@@ -714,60 +717,55 @@ pub fn backend_table(quick: bool) -> TableOut {
             QuantScheme::inq(),
             2,
         ),
-        // The i8-alphabet zoo entry: ternary TTQ weights (alphabet {±64}),
-        // and G = 8 deepens the shared-partial hierarchy so phase 2 — the
+        // The i8-alphabet entry: ternary TTQ weights (alphabet {±64}), and
+        // G = 8 deepens the shared-partial hierarchy so phase 2 — the
         // per-segment multiply loop — carries the dominant share of the
-        // runtime (each of the 7 outer levels walks its own segment list
-        // against the shared kept prefix rows; the eighth is multiplied in
-        // phase 1, where its groups close).
+        // reuse row's runtime.
         (
             "fc ttq i8",
             ConvGeom::new(1, 1, fc_c, 32, 1, 1),
             QuantScheme::ttq(),
             8,
         ),
+        ("lenet conv2", lenet_conv2, QuantScheme::inq(), 2),
     ];
 
-    let mut t = TableOut::new(
-        "Executor backends: per-image time (one thread)",
-        &[
-            "layer",
-            "batch",
-            "backend",
-            "simd_tier",
-            "per_image_us",
-            "x_vs_batch_threads",
-            "flat_bytes",
-            "compile_us",
-            "lower_us",
-        ],
-    );
-    for (name, geom, scheme, g) in layers {
+    // Per layer: its name, the cold path (compile, then each lowering) and
+    // per lowering its label, resident bytes and one-stage list. Per cell
+    // (layer × batch): the layer and the inputs.
+    let mut built = Vec::new();
+    let mut cells = Vec::new();
+    for (li, (name, geom, scheme, g)) in layers.into_iter().enumerate() {
         let cfg = UcnnConfig::with_g(g);
         let mut wgen = WeightGen::new(scheme, SEED ^ 0xBA).with_density(0.9);
         let weights = wgen.generate_dims(geom.k(), geom.c(), geom.r(), geom.s());
-        let plan = CompiledLayer::compile(&geom, 1, &weights, &cfg);
-        let flat_bytes = plan.flat_bytes().to_string();
-        // The tier-pinned rows run the layer as a one-stage list.
-        let stages = [CompiledStage::Conv {
-            name: name.to_string(),
-            layer: plan.clone(),
-            is_fc: false,
-        }];
-        let (mut compile_s, mut lower_s) = (f64::INFINITY, f64::INFINITY);
+        let reuse = CompiledLayer::compile(&geom, 1, &weights, &cfg);
+        let dense = reuse.dense_lowered();
+        let (mut compile_s, mut lower_s) = (f64::INFINITY, [f64::INFINITY; 2]);
         for _ in 0..repeats {
             let start = Instant::now();
             let cold = CompiledLayer::compile(&geom, 1, &weights, &cfg);
             let compiled = Instant::now();
             std::hint::black_box(cold.flat_tiles());
-            lower_s = lower_s.min(compiled.elapsed().as_secs_f64());
+            let lowered = Instant::now();
+            std::hint::black_box(cold.dense_lowered());
             compile_s = compile_s.min((compiled - start).as_secs_f64());
+            lower_s[0] = lower_s[0].min((lowered - compiled).as_secs_f64());
+            lower_s[1] = lower_s[1].min(lowered.elapsed().as_secs_f64());
         }
+        // `flat_bytes` lowers the elected plan before it is cloned into its
+        // stage.
+        let lowerings = [("reuse", reuse), ("dense", dense)].map(|(label, layer)| {
+            let flat_bytes = layer.flat_bytes();
+            let stage = CompiledStage::Conv {
+                name: name.to_string(),
+                layer,
+                is_fc: false,
+            };
+            (label, flat_bytes, [stage])
+        });
         let mut agen = ActivationGen::new(SEED ^ 0xBB);
         for &b in batches {
-            // Shadow the plan and stages as shared borrows so the `move`
-            // runners capture the (Copy) references, not the values.
-            let (plan, stages) = (&plan, &stages);
             let inputs: Vec<Tensor3<i16>> = (0..b)
                 .map(|_| agen.generate(geom.c(), geom.in_w(), geom.in_h()))
                 .collect();
@@ -775,71 +773,76 @@ pub fn backend_table(quick: bool) -> TableOut {
                 .iter()
                 .map(|i| reference::conv2d(&geom, 1, i, &weights))
                 .collect();
-            // The measured variants — (backend column, simd_tier column,
-            // runner): the registered backends and one tier-pinned
-            // flattened-batch per available ISA tier.
-            let mut variants: Vec<(String, String, Runner<'_>)> = Vec::new();
-            for kind in BackendKind::ALL {
-                let tier_label = if kind == BackendKind::FlattenedBatch {
-                    SimdCaps::get().best().name()
-                } else {
-                    "-"
-                };
-                variants.push((
-                    kind.name().to_string(),
-                    tier_label.to_string(),
-                    Box::new(move |ins| kind.run_layer(plan, ins)),
-                ));
-            }
             for &tier in available_tiers() {
-                variants.push((
-                    format!("flattened-batch@{}", tier.name()),
-                    tier.name().to_string(),
-                    Box::new(move |ins| run_stages(stages, ins, tier)),
-                ));
+                for (label, _, stages) in &lowerings {
+                    assert_eq!(
+                        run_stages(stages, &inputs, tier),
+                        expected,
+                        "{label}@{} diverged on {name} B={b}",
+                        tier.name()
+                    );
+                }
             }
-            // Correctness (and warm-up): every variant must match the dense
-            // reference bit for bit.
-            for (label, _, run) in &variants {
-                assert_eq!(
-                    run(&inputs),
-                    expected,
-                    "backend {label} diverged on {name} B={b}"
-                );
+            cells.push((li, b, inputs));
+        }
+        built.push((name, compile_s, lower_s, lowerings));
+    }
+
+    // Every round visits every cell and times every lowering on every tier
+    // once, after an untimed call of each lowering that brings its tables
+    // and the inputs into cache. The host's slow phases (a busy neighbor)
+    // outlast a cell, so a cell timed in one block can miss every quiet
+    // phase; spread over the run, every cell meets the same phases, and its
+    // minimum is a quiet phase's. Each round runs on a fresh thread (one at
+    // a time), so its scratch arena is allocated afresh.
+    let tiers = available_tiers();
+    let mut times = vec![vec![[f64::INFINITY; 2]; tiers.len()]; cells.len()];
+    let round = |times: &mut [Vec<[f64; 2]>]| {
+        for ((li, _, inputs), mins) in cells.iter().zip(times) {
+            let lowerings = &built[*li].3;
+            for (_, _, stages) in lowerings {
+                std::hint::black_box(run_stages(stages, inputs, SimdCaps::get().best()));
             }
-            // Reported numbers: interleaved rounds over every variant, min
-            // per variant across rounds. The round-robin order means slow
-            // drift — thermal, a noisy neighbor — hits every variant alike
-            // instead of whichever one happened to own the polluted block,
-            // and the per-run minimum discards preempted iterations
-            // entirely.
-            let mut mins = vec![f64::INFINITY; variants.len()];
-            for _ in 0..repeats {
-                for ((_, _, run), min) in variants.iter().zip(&mut mins) {
+            for (&tier, mins) in tiers.iter().zip(mins) {
+                for ((_, _, stages), min) in lowerings.iter().zip(mins) {
                     let start = Instant::now();
-                    std::hint::black_box(run(&inputs));
+                    std::hint::black_box(run_stages(stages, inputs, tier));
                     *min = min.min(start.elapsed().as_secs_f64());
                 }
             }
-            let baseline = variants
-                .iter()
-                .zip(&mins)
-                .find(|((label, ..), _)| label == BackendKind::BatchThreads.name())
-                .expect("batch-threads is a registered backend")
-                .1;
-            for ((label, tier_label, _), s) in variants.iter().zip(&mins) {
-                // What only a lowered row has: `-` for the stream walker.
-                let lowered = |v: String| if tier_label == "-" { "-".into() } else { v };
+        }
+    };
+    for _ in 0..repeats {
+        std::thread::scope(|s| s.spawn(|| round(&mut times)).join())
+            .expect("a timing round panicked");
+    }
+
+    let mut t = TableOut::new(
+        "Reuse against the same-datapath dense lowering: per-image time (one thread)",
+        &[
+            "layer",
+            "batch",
+            "lowering",
+            "per_image_us",
+            "x_reuse_vs_dense",
+            "flat_bytes",
+            "compile_us",
+            "lower_us",
+        ],
+    );
+    for ((li, b, _), mins) in cells.iter().zip(&times) {
+        let (name, compile_s, lower_s, lowerings) = &built[*li];
+        for (tier, mins) in tiers.iter().zip(mins) {
+            for (at, ((label, flat_bytes, _), s)) in lowerings.iter().zip(mins).enumerate() {
                 t.push_row(vec![
-                    name.to_string(),
+                    (*name).to_string(),
                     b.to_string(),
-                    label.clone(),
-                    tier_label.clone(),
-                    f2(s * 1e6 / b as f64),
-                    f2(baseline / s),
-                    lowered(flat_bytes.clone()),
+                    format!("{label}@{}", tier.name()),
+                    f2(s * 1e6 / *b as f64),
+                    f3(mins[1] / s),
+                    flat_bytes.to_string(),
                     f2(compile_s * 1e6),
-                    lowered(f2(lower_s * 1e6)),
+                    f2(lower_s[at] * 1e6),
                 ]);
             }
         }
@@ -1012,78 +1015,47 @@ mod tests {
     }
 
     #[test]
-    fn backend_table_covers_every_backend_bit_exactly() {
+    fn reuse_table_pairs_both_lowerings_on_every_tier() {
         // Bit-exactness against the dense reference is asserted inside
-        // backend_table per cell; here we pin the table shape and positive
-        // timings. Speedups are machine-dependent and not asserted: CI's
-        // guard on the checked-in `BENCH_backends.json` is the perf gate.
-        let t = backend_table(true);
-        let tiers = ucnn_core::simd::available_tiers().len();
-        // Per cell: the two registered backends and one tier-pinned
-        // flattened-batch row per available ISA tier. 3 layers × 2 quick
-        // batch sizes.
-        let per_cell = BackendKind::ALL.len() + tiers;
-        let cells = 3 * 2;
-        assert_eq!(t.rows.len(), cells * per_cell);
+        // reuse_table per cell; here we pin the table shape and positive
+        // timings. Ratios are machine-dependent and not asserted: CI's
+        // ratio guard on the checked-in `BENCH_reuse.json` is the perf gate.
+        let t = reuse_table(true);
+        let tiers = ucnn_core::simd::available_tiers();
+        // Per cell: a reuse and a dense row per available ISA tier. 4
+        // layers × 2 quick batch sizes.
+        let cells = 4 * 2;
+        assert_eq!(t.rows.len(), cells * 2 * tiers.len());
         assert_eq!(
             t.header,
             vec![
                 "layer",
                 "batch",
-                "backend",
-                "simd_tier",
+                "lowering",
                 "per_image_us",
-                "x_vs_batch_threads",
+                "x_reuse_vs_dense",
                 "flat_bytes",
                 "compile_us",
                 "lower_us"
             ]
         );
-        for row in &t.rows {
-            assert!(row[4].parse::<f64>().unwrap() > 0.0, "{row:?}");
-            assert!(row[5].parse::<f64>().unwrap() > 0.0, "{row:?}");
-            // Every row reports which kernel ran: flattened rows carry the
-            // name of a tier this CPU has, the rest a `-` placeholder.
-            if row[2].starts_with("flattened") {
-                assert!(
-                    ucnn_core::simd::available_tiers()
-                        .iter()
-                        .any(|t| t.name() == row[3]),
-                    "flattened rows report their tier: {row:?}"
-                );
-                assert!(row[6].parse::<usize>().unwrap() > 0, "{row:?}");
-                assert!(row[8].parse::<f64>().unwrap() > 0.0, "{row:?}");
-            } else {
-                assert_eq!((row[3].as_str(), row[6].as_str()), ("-", "-"), "{row:?}");
-                assert_eq!(row[8], "-", "{row:?}");
+        for (pair, tier) in t.rows.chunks_exact(2).zip(tiers.iter().cycle()) {
+            let [reuse, dense] = pair else { unreachable!() };
+            assert_eq!(reuse[2], format!("reuse@{}", tier.name()), "{reuse:?}");
+            assert_eq!(dense[2], format!("dense@{}", tier.name()), "{dense:?}");
+            assert_eq!(reuse[..2], dense[..2], "one cell");
+            assert_eq!(dense[4], "1.000", "{dense:?}");
+            for row in pair {
+                for col in [3, 4, 6, 7] {
+                    assert!(row[col].parse::<f64>().unwrap() > 0.0, "{row:?}");
+                }
+                assert!(row[5].parse::<usize>().unwrap() > 0, "{row:?}");
             }
-            // Every backend compiles its layer.
-            assert!(row[7].parse::<f64>().unwrap() > 0.0, "{row:?}");
-        }
-        // Every backend appears for the FC B=1 cell.
-        let fc_b1: Vec<_> = t
-            .rows
-            .iter()
-            .filter(|r| r[0] == "fc 1x1" && r[1] == "1")
-            .collect();
-        assert_eq!(fc_b1.len(), per_cell);
-        // Forced-tier rows exist for every available tier.
-        for tier in ucnn_core::simd::available_tiers() {
-            let pinned = format!("flattened-batch@{}", tier.name());
-            assert_eq!(
-                t.rows.iter().filter(|r| r[2] == pinned).count(),
-                cells,
-                "{pinned} row per cell"
-            );
         }
         // One provenance row rides along.
         assert_eq!(t.sections.len(), 1);
         assert_eq!(t.sections[0].title, "provenance");
         assert_eq!(t.sections[0].rows.len(), 1);
-        // The baseline column is relative to the engine default's own row.
-        for row in t.rows.iter().filter(|r| r[2] == "batch-threads") {
-            assert_eq!(row[5], "1.00", "{row:?}");
-        }
     }
 
     #[test]

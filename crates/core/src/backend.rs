@@ -41,9 +41,8 @@ use crate::simd::SimdCaps;
 pub enum BackendKind {
     /// Retained-stream walk (`run_compiled_batch`): the scalar per-image
     /// walk at B = 1, one batch-major walk (each stream entry decoded once
-    /// for the whole batch) at B ≥ 2. It runs on one thread; the name is
-    /// kept because it labels `BENCH_backends.json` and the engine's
-    /// `Debug` string until the variant itself is deleted.
+    /// for the whole batch) at B ≥ 2. It runs on one thread, and only the
+    /// serving engine's default still selects it.
     BatchThreads,
     /// Branch-free flattened execution — compile-time lowered gather
     /// offsets and CSR group ranges, no entry decode — over
@@ -63,22 +62,6 @@ pub enum BackendKind {
 impl BackendKind {
     /// Every registered backend, in registry order.
     pub const ALL: [BackendKind; 2] = [BackendKind::BatchThreads, BackendKind::FlattenedBatch];
-
-    /// The backend's name: the label of its `repro backends` rows and of
-    /// test messages.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            BackendKind::BatchThreads => "batch-threads",
-            BackendKind::FlattenedBatch => "flattened-batch",
-        }
-    }
-}
-
-impl std::fmt::Display for BackendKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
 }
 
 /// The executors, one `match` on the kind each.
@@ -251,15 +234,6 @@ mod tests {
     use ucnn_tensor::ConvGeom;
 
     #[test]
-    fn names_are_distinct() {
-        let mut seen = std::collections::HashSet::new();
-        for kind in BackendKind::ALL {
-            assert_eq!(kind.to_string(), kind.name());
-            assert!(seen.insert(kind.name()), "duplicate name {}", kind.name());
-        }
-    }
-
-    #[test]
     fn warm_forces_flattened_lowering_only_where_needed() {
         let geom = ConvGeom::new(5, 5, 3, 2, 3, 3);
         let mut wgen = WeightGen::new(QuantScheme::inq(), 19).with_density(0.8);
@@ -271,7 +245,7 @@ mod tests {
             assert_eq!(
                 layer.flat_ready(),
                 kind == BackendKind::FlattenedBatch,
-                "backend {kind}"
+                "backend {kind:?}"
             );
         }
     }
@@ -307,9 +281,9 @@ mod tests {
             .map(|i| forward::dense_forward(&net, &weights, i))
             .collect();
         for kind in BackendKind::ALL {
-            assert_eq!(kind.run_layer(layer, &inputs), expected, "backend {kind}");
+            assert_eq!(kind.run_layer(layer, &inputs), expected, "backend {kind:?}");
             let got = kind.run_network(&plan, &inputs);
-            assert_eq!(got, expected_net, "backend {kind} network");
+            assert_eq!(got, expected_net, "backend {kind:?} network");
             assert!(kind.run_layer(layer, &[]).is_empty());
         }
     }

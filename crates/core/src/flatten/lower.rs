@@ -346,11 +346,14 @@ struct WalkCounts {
 }
 
 impl WalkCounts {
-    /// Vector instructions per 16 lanes (docs/LAB.md § `fused` / § `order`):
-    /// an entry is a widening load and an add, a close block a multiply, an
-    /// add and the run loops' exits, a kept row a store, an outer segment
-    /// two row loads, a subtract, a multiply and an add. The one place the
-    /// constants of the un-share rule ([`Lowering::lower_band`]) live.
+    /// Vector instructions per 16 lanes, fitted to the shared strip body of
+    /// docs/LAB.md § `fused` / § `order`: an entry a widening load and an
+    /// add, a close block a multiply, an add and the run loops' exits, a
+    /// kept row a store, an outer segment two row loads, a subtract, a
+    /// multiply and an add. `vnni_body` (the `avx512` strips of ≥ 32 lanes)
+    /// adds an entry in one `vpdpwssd`, which they do not price: ROADMAP
+    /// item 14(a) refits them. The one place the constants of the un-share
+    /// rule ([`Lowering::lower_band`]) live.
     fn cost(&self) -> usize {
         2 * self.entries + 3 * self.closes + self.kept + 5 * self.segs
     }
@@ -712,6 +715,22 @@ pub(crate) fn lower_layer(tiles: &[CompiledTile], geom: &ConvGeom) -> Vec<Flatte
         }
     }
     flat
+}
+
+/// Lowers every band of a layer as one dense tile — walked-once layers and
+/// one-filter bands too — whatever [`lower_layer`] would elect: the
+/// same-datapath dense yardstick the elected lowering is timed against.
+pub(crate) fn lower_dense(tiles: &[CompiledTile], geom: &ConvGeom) -> Vec<FlattenedTile> {
+    let Lowering {
+        layer, mut table, ..
+    } = Lowering::new(tiles[0].stream(), geom);
+    let bands = tiles.chunk_by(|a, b| a.k_first() == b.k_first());
+    let dense = |band: &[CompiledTile]| {
+        let (k_first, g) = (band[0].k_first(), band[0].stream().g());
+        table.fill(band, g, &layer);
+        table.lower(k_first, g, &layer)
+    };
+    bands.map(dense).collect()
 }
 
 /// One layer's lowering: what its walks share, made once, and every buffer a

@@ -200,5 +200,5 @@ mod scratch;
 pub use lower::FlattenedTile;
 pub use network::run_stages;
 
-pub(crate) use lower::{lower_layer, walked_once};
+pub(crate) use lower::{lower_dense, lower_layer, walked_once};
 pub(crate) use network::{run_layer, Dims};

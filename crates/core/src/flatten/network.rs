@@ -604,8 +604,8 @@ fn run_network_chunk(
 /// Runs `stages` over `inputs` on `tier` — the chunk-major network executor
 /// behind [`BackendKind::FlattenedBatch`](crate::backend::BackendKind), and
 /// the one entry point that forces a tier (the per-tier conformance tests,
-/// `repro backends`' `flattened-batch@<tier>` rows). A layer alone is a
-/// one-stage list.
+/// `repro reuse`' `reuse@<tier>` and `dense@<tier>` rows). A layer alone is
+/// a one-stage list.
 ///
 /// Every lane chunk of the batch runs the whole of `stages` batch-interleaved
 /// (see the module docs): staged once into the zero-haloed lane layout,

@@ -25,7 +25,7 @@ use ucnn_tensor::{ConvGeom, Tensor3, Tensor4};
 
 use super::kernel::{chunk_widths, strip_runs, Lanes, KERNELS, LANE_WIDTH};
 use super::lower::tests::check_lowering;
-use super::{run_layer, run_stages};
+use super::{run_layer, run_stages, walked_once};
 use crate::backend::BackendKind;
 use crate::compile::UcnnConfig;
 use crate::exec::factorized_conv;
@@ -102,7 +102,8 @@ pub(super) enum Seen {
     Kernel(SimdTier, usize, usize),
     /// A chunk of fewer than eight images, walked in this many copies.
     Copies(usize),
-    /// A kind of lowered walk ([`check_lowering`]).
+    /// A kind of lowered walk ([`check_lowering`]), or "dense once": the
+    /// all-dense lowering of a layer walked once.
     Walk(&'static str),
     Alphabet(Alphabet),
     G(usize),
@@ -222,6 +223,10 @@ impl Case {
         check_layer(&layer, &weights, &inputs, &what);
 
         let mut seen: BTreeSet<Seen> = walks.into_iter().map(Seen::Walk).collect();
+        // `check_layer` ran the all-dense lowering too.
+        if walked_once(&geom) {
+            seen.insert(Seen::Walk("dense once"));
+        }
         seen.extend([
             Seen::Alphabet(self.alphabet),
             Seen::G(self.g),
@@ -262,9 +267,11 @@ impl Case {
 /// leave it: alone (its raw sums scattered out), followed by a 1×1 max-pool
 /// (fused onto the layer's bands), and followed by an identity 1×1
 /// convolution (the bands enter its plane through the relu epilogue). Both
-/// chains hand the `relu_saturate`d activations on unchanged. Each is held
-/// to the dense reference; the plan is shared by every run, so a run that
-/// changed it fails a later one.
+/// chains hand the `relu_saturate`d activations on unchanged. The per-tier
+/// runs are made twice: with the elected lowering and with the all-dense
+/// one ([`CompiledLayer::dense_lowered`], a dense tile per band). Each is
+/// held to the dense reference; the plan is shared by every run, so a run
+/// that changed it fails a later one.
 pub(super) fn check_layer(
     layer: &CompiledLayer,
     weights: &Tensor4<i16>,
@@ -284,7 +291,7 @@ pub(super) fn check_layer(
         .collect();
     for kind in BackendKind::ALL {
         let got = kind.run_layer(layer, inputs);
-        assert_eq!(got, sums, "{what}: backend {kind}");
+        assert_eq!(got, sums, "{what}: backend {kind:?}");
     }
     for (i, input) in inputs.iter().enumerate() {
         let got = factorized_conv(geom, layer.conv_groups(), input, weights, layer.config());
@@ -308,19 +315,23 @@ pub(super) fn check_layer(
         "identity",
         CompiledLayer::compile(&id_geom, 1, &identity, &UcnnConfig::with_g(2)),
     );
-    let stage = conv("layer", layer.clone());
-    let chains = [
-        ("pooled", [stage.clone(), max]),
-        ("relayed", [stage.clone(), relay]),
-    ];
-    for &tier in available_tiers() {
-        let tier_what = format!("{what}: tier {}", tier.name());
-        assert_eq!(run_layer(layer, inputs, tier), sums, "{tier_what}: layer");
-        let raw = run_stages(std::slice::from_ref(&stage), inputs, tier);
-        assert_eq!(raw, sums, "{tier_what}: raw sums");
-        for (chain, stages) in &chains {
-            let got = run_stages(stages, inputs, tier);
-            assert_eq!(got, acts, "{tier_what}: {chain}");
+    let dense = layer.dense_lowered();
+    assert!(dense.flat_tiles().iter().all(|t| t.is_dense()), "{what}");
+    for (lowering, layer) in [("elected", layer), ("all-dense", &dense)] {
+        let stage = conv("layer", layer.clone());
+        let chains = [
+            ("pooled", [stage.clone(), max.clone()]),
+            ("relayed", [stage.clone(), relay.clone()]),
+        ];
+        for &tier in available_tiers() {
+            let tier_what = format!("{what}: {lowering}, tier {}", tier.name());
+            assert_eq!(run_layer(layer, inputs, tier), sums, "{tier_what}: layer");
+            let raw = run_stages(std::slice::from_ref(&stage), inputs, tier);
+            assert_eq!(raw, sums, "{tier_what}: raw sums");
+            for (chain, stages) in &chains {
+                let got = run_stages(stages, inputs, tier);
+                assert_eq!(got, acts, "{tier_what}: {chain}");
+            }
         }
     }
 }
@@ -337,7 +348,14 @@ fn expected() -> BTreeSet<Seen> {
         let kernels = KERNELS.iter().filter(emits);
         kernels.map(move |&(width, pitch)| Seen::Kernel(tier, width, pitch))
     });
-    let walks = ["walked once", "shared", "filter by filter", "dense"].map(Seen::Walk);
+    let walks = [
+        "walked once",
+        "shared",
+        "filter by filter",
+        "dense",
+        "dense once",
+    ];
+    let walks = walks.map(Seen::Walk);
     kernels
         .chain((1..=8).map(Seen::Copies))
         .chain(walks)

@@ -29,7 +29,7 @@ use ucnn_tensor::{ConvGeom, Tensor3, Tensor4};
 
 use crate::backend::BackendKind;
 use crate::compile::{canonical_of_tensor, UcnnConfig};
-use crate::flatten::{lower_layer, walked_once, Dims, FlattenedTile};
+use crate::flatten::{lower_dense, lower_layer, walked_once, Dims, FlattenedTile};
 use crate::hierarchy::GroupStream;
 
 /// One retained work unit of a compiled layer: the stream for a group of
@@ -229,12 +229,27 @@ impl CompiledLayer {
     }
 
     /// Bytes of heap the flattened lowering keeps resident (lowering it
-    /// first if needed) — the plan-size figure `repro backends` prints
-    /// beside each lowered layer's time.
+    /// first if needed) — the plan-size figure `repro reuse` prints beside
+    /// each lowered layer's time.
     #[must_use]
     pub fn flat_bytes(&self) -> usize {
         let tiles = self.flat_tiles().iter();
         tiles.map(FlattenedTile::resident_bytes).sum()
+    }
+
+    /// This layer with every filter band lowered as one dense tile —
+    /// walked-once layers and one-filter bands too — whatever
+    /// [`CompiledLayer::flat_tiles`] elects: the same-datapath dense
+    /// yardstick `repro reuse` times the elected lowering against. The
+    /// lowering is built here, so the copy is [`flat_ready`](Self::flat_ready).
+    #[doc(hidden)]
+    #[must_use]
+    pub fn dense_lowered(&self) -> CompiledLayer {
+        Self {
+            tiles: self.tiles.clone(),
+            flat: OnceLock::from(lower_dense(&self.tiles, &self.geom)),
+            ..*self
+        }
     }
 
     /// Whether the flattened lowering has already been built (by a

@@ -7,7 +7,7 @@
 //! every flattened execution of the process dispatches to the widest of
 //! them, [`SimdCaps::best`]. Nothing else chooses a tier: the narrower tiers
 //! run only where a caller names one — [`run_stages`](crate::flatten::run_stages),
-//! which the per-tier tests and `repro backends`' pinned rows drive.
+//! which the per-tier tests and `repro reuse`' per-tier rows drive.
 //!
 //! ReuseSense (arXiv:2311.10487) is the grounding: UCNN-style reuse pays off
 //! most when the amortized gather/CSR index work feeds the widest contiguous

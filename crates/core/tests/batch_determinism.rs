@@ -73,7 +73,7 @@ fn layer_batch_bit_identical_across_thread_counts() {
                 for got in on_threads(threads, || kind.run_layer(&layer, &inputs)) {
                     assert_eq!(
                         got, expected,
-                        "{kind}, B = {b}, {threads} threads: scheduling leaked into results"
+                        "{kind:?}, B = {b}, {threads} threads: scheduling leaked into results"
                     );
                 }
             }
@@ -136,7 +136,7 @@ fn repeated_threaded_runs_are_stable() {
         };
         for (thread, runs) in on_threads(8, runs).iter().enumerate() {
             for (run, got) in runs.iter().enumerate() {
-                assert_eq!(got, &first, "{kind}: thread {thread}, run {run} differed");
+                assert_eq!(got, &first, "{kind:?}: thread {thread}, run {run} differed");
             }
         }
     }

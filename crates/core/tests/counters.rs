@@ -94,7 +94,7 @@ fn dense_equivalent_matches_geometry_for_every_backend() {
             assert_eq!(
                 rows.len(),
                 expected_per_image.len(),
-                "one row per conv stage ({kind}, B={batch})"
+                "one row per conv stage ({kind:?}, B={batch})"
             );
             for row in &rows {
                 let (_, macs) = expected_per_image
@@ -105,13 +105,13 @@ fn dense_equivalent_matches_geometry_for_every_backend() {
                 assert_eq!(
                     row.work.dense_multiplies,
                     macs * batch as u64,
-                    "dense-equivalent diverged from geometry ({kind}, B={batch}, {})",
+                    "dense-equivalent diverged from geometry ({kind:?}, B={batch}, {})",
                     row.layer
                 );
-                assert!(row.work.multiplies_issued > 0, "{kind} issued nothing");
+                assert!(row.work.multiplies_issued > 0, "{kind:?} issued nothing");
                 assert!(
                     row.work.multiplies_issued <= row.work.dense_multiplies,
-                    "factorized walk must never issue more than dense ({kind})"
+                    "factorized walk must never issue more than dense ({kind:?})"
                 );
                 assert!(row.work.gather_entries > 0);
             }

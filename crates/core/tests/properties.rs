@@ -204,14 +204,14 @@ proptest! {
             let got = kind.run_layer(&layer, &inputs);
             prop_assert_eq!(
                 &got, &expected,
-                "backend '{}' diverged from the dense reference (B={})",
-                kind.name(), b
+                "backend {:?} diverged from the dense reference (B={})",
+                kind, b
             );
             // Compile once, run twice: plans must not be consumed or
             // mutated by any backend.
             prop_assert_eq!(
                 &kind.run_layer(&layer, &inputs), &got,
-                "backend '{}' is not repeatable", kind.name()
+                "backend {:?} is not repeatable", kind
             );
         }
     }

@@ -65,13 +65,13 @@ pub struct EngineConfig {
     /// The executor backend every batched forward runs through (every
     /// backend is bit-identical; this only changes performance). It is the
     /// engine's only executor choice: there is no per-model or per-request
-    /// override tier, so retiring `batch-threads` is the default line below
+    /// override tier, so retiring `BatchThreads` is the default line below
     /// plus the deletion of the executor.
     ///
-    /// [`EngineConfig::default`] names `batch-threads` on purpose; it does
+    /// [`EngineConfig::default`] names `BatchThreads` on purpose; it does
     /// not follow the library's `CompiledNetwork::DEFAULT_BACKEND`
-    /// (`flattened-batch`), although that executor is faster in every cell
-    /// of `BENCH_backends.json`. Measured with the default flipped on a
+    /// (`FlattenedBatch`), although that executor was faster in every cell
+    /// the executor table timed both (docs/LAB.md Part 10). Measured with the default flipped on a
     /// scratch copy (PR 19, 20 s runs): `serve_closed_c2.throughput_vs_dense`
     /// 0.94 → 6.2, `serve_pipelined_w32` 1.11 → 10.1 and
     /// `serve_open_r500.lat_p50_vs_dense` 2.35 → 0.64, but the repository
@@ -670,7 +670,7 @@ mod tests {
                 assert_eq!(
                     resp.output,
                     cases[i % cases.len()].1,
-                    "backend {backend} request {i}"
+                    "backend {backend:?} request {i}"
                 );
             }
             let _ = engine.shutdown();

@@ -506,7 +506,7 @@ fn check_case(case: &GoldenCase) {
             for b in BATCHES {
                 let inputs = vec![input.clone(); b];
                 for kind in BackendKind::ALL {
-                    check(kind.name(), b, kind.run_layer(&layer, &inputs));
+                    check(&format!("{kind:?}"), b, kind.run_layer(&layer, &inputs));
                 }
                 // The paper's functional definition (§III-A): the weights
                 // sorted again for every image.
@@ -539,11 +539,11 @@ fn check_case(case: &GoldenCase) {
                 for b in BATCHES {
                     let inputs = vec![input.clone(); b];
                     let got = compiled.forward_batch_with(&inputs, kind);
-                    assert_eq!(got.len(), b, "{name}: {kind} returned wrong batch size");
+                    assert_eq!(got.len(), b, "{name}: {kind:?} returned wrong batch size");
                     for (i, out) in got.iter().enumerate() {
                         assert_eq!(
                             out, output,
-                            "{name}: backend '{kind}' diverged (B={b}, image {i})"
+                            "{name}: backend {kind:?} diverged (B={b}, image {i})"
                         );
                     }
                 }

@@ -31,18 +31,18 @@ fn hot_cold_mixed_models_bit_exact_across_all_backends() {
             },
         );
         let tally = closed(&engine, &models, 3, 30);
-        assert_eq!(tally.completed, 30, "backend {backend}: lost requests");
-        assert_eq!(tally.mismatches, 0, "backend {backend}: outputs diverged");
-        assert_eq!((tally.errors, tally.shed), (0, 0), "backend {backend}");
+        assert_eq!(tally.completed, 30, "backend {backend:?}: lost requests");
+        assert_eq!(tally.mismatches, 0, "backend {backend:?}: outputs diverged");
+        assert_eq!((tally.errors, tally.shed), (0, 0), "backend {backend:?}");
         // Every response reports the batch it rode in, within the limit.
         assert!(
             (1..=4).contains(&tally.max_batch),
-            "backend {backend}: batch sizes outside 1..=max_batch"
+            "backend {backend:?}: batch sizes outside 1..=max_batch"
         );
         // Round-robin traffic: every model answered its share, bit-exactly.
-        assert_eq!(tally.per_model, [10, 10, 10], "backend {backend}");
+        assert_eq!(tally.per_model, [10, 10, 10], "backend {backend:?}");
         let stats = engine.shutdown();
-        assert_eq!(stats.served, 30, "backend {backend}: engine count");
+        assert_eq!(stats.served, 30, "backend {backend:?}: engine count");
     }
 }
 
