@@ -665,9 +665,9 @@ pub fn ablate_multipliers() -> TableOut {
 }
 
 /// Reuse against the same-datapath dense yardstick: FC- and conv-shaped
-/// layers (an i8 ternary-alphabet entry and LeNet's conv2 among them)
-/// across batch sizes, each run on every ISA tier the CPU supports two
-/// ways — `reuse@<tier>`, the lowering the library elects, and
+/// layers (an i8 ternary-alphabet entry and LeNet's conv2, INQ and TTQ,
+/// among them) across batch sizes, each run on every ISA tier the CPU
+/// supports two ways — `reuse@<tier>`, the lowering the library elects, and
 /// `dense@<tier>`, the same plan with every filter band lowered as one
 /// dense tile (`CompiledLayer::dense_lowered`) through the same staging,
 /// kernels and epilogue. `x_reuse_vs_dense` is the dense row's time over
@@ -698,9 +698,11 @@ pub fn reuse_table(quick: bool) -> TableOut {
         .conv_layer("conv2")
         .expect("LeNet has conv2")
         .geom();
-    // `--quick` keeps the shape on 8 of its 32 channels each way.
+    // `--quick` keeps the shape on 4 of its 32 filters: a band's 32
+    // channels are what its shared walk, under TTQ, needs to cost less than
+    // its dense tile.
     let lenet_conv2 = if quick {
-        ConvGeom::new(lenet_conv2.in_w(), lenet_conv2.in_h(), 8, 8, 5, 5).with_pad(2)
+        ConvGeom::new(lenet_conv2.in_w(), lenet_conv2.in_h(), 32, 4, 5, 5).with_pad(2)
     } else {
         lenet_conv2
     };
@@ -728,6 +730,10 @@ pub fn reuse_table(quick: bool) -> TableOut {
             8,
         ),
         ("lenet conv2", lenet_conv2, QuantScheme::inq(), 2),
+        // The convolution whose bands elect the shared walk over the dense
+        // tile (TTQ at G = 4), so a walk's kernels keep a row: on `avx512`
+        // `vnni_body`.
+        ("lenet conv2 ttq g4", lenet_conv2, QuantScheme::ttq(), 4),
     ];
 
     // Per layer: its name, the cold path (compile, then each lowering) and
@@ -1022,9 +1028,9 @@ mod tests {
         // ratio guard on the checked-in `BENCH_reuse.json` is the perf gate.
         let t = reuse_table(true);
         let tiers = ucnn_core::simd::available_tiers();
-        // Per cell: a reuse and a dense row per available ISA tier. 4
+        // Per cell: a reuse and a dense row per available ISA tier. 5
         // layers × 2 quick batch sizes.
-        let cells = 4 * 2;
+        let cells = 5 * 2;
         assert_eq!(t.rows.len(), cells * 2 * tiers.len());
         assert_eq!(
             t.header,
@@ -1050,6 +1056,10 @@ mod tests {
                     assert!(row[col].parse::<f64>().unwrap() > 0.0, "{row:?}");
                 }
                 assert!(row[5].parse::<usize>().unwrap() > 0, "{row:?}");
+            }
+            // The TTQ convolution is walked: its two lowerings differ.
+            if reuse[0] == "lenet conv2 ttq g4" {
+                assert_ne!(reuse[5], dense[5], "a walk's bytes: {reuse:?}");
             }
         }
         // One provenance row rides along.

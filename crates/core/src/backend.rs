@@ -128,9 +128,9 @@ impl BackendKind {
     /// analytic counts derived from the retained plan, **not** measured by
     /// instrumenting the inner loop — so the accounting is O(tiles). The
     /// stream walker reports the stream's counts; the flattened executor
-    /// reports what its lowered walks issue — at most the stream walker's
-    /// multiplies (folding only merges groups), and more gathers only where
-    /// a band is walked filter by filter.
+    /// reports what its lowered tiles issue — at most the stream walker's
+    /// multiplies and gathers on a walk (folding only merges groups), one
+    /// multiply per non-zero weight and fewer gathers on a dense tile.
     pub(crate) fn work(self, layer: &CompiledLayer, batch: usize) -> LayerWork {
         match self {
             BackendKind::BatchThreads => stream_walk_work(layer, batch),
@@ -214,10 +214,9 @@ fn walk_work(layer: &CompiledLayer, batch: usize, multiplies: usize, entries: us
 /// lowered walks — lowering owns their order and their sharing, so they are
 /// not the stream's: multiplies are the groups of a non-zero weight (outer
 /// segments + non-zero-`|w|` innermost groups, each one CSR segment: ≤ the
-/// stream walker's multiplies), gathers the lowered entries (more than the
-/// stream's on a band walked filter by filter). A band lowered as one dense
-/// tile issues one multiply per non-zero weight and one gather per pair-tap,
-/// which its filters share.
+/// stream walker's multiplies), gathers the lowered entries (the stream's).
+/// A band lowered as one dense tile issues one multiply per non-zero weight
+/// and one gather per pair-tap, which its filters share.
 fn flattened_work(layer: &CompiledLayer, batch: usize) -> LayerWork {
     let tiles = layer.flat_tiles();
     let segments = tiles.iter().map(FlattenedTile::segment_count).sum();

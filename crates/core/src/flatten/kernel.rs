@@ -147,7 +147,7 @@ impl FlattenedTile {
                         *o += a;
                     }
                 };
-                add_to_plane(self.plane, &inner);
+                add_to_plane(self.g - 1, &inner);
                 // Phase 2, outer levels: segment ranges resolved once; each
                 // segment is one row difference times one broadcast weight.
                 for (level, bounds) in self.seg_ptr.windows(2).enumerate() {
@@ -178,11 +178,9 @@ impl FlattenedTile {
     /// arithmetic, wrapping where both products are `2³⁰`, as that
     /// instruction does. One filter a pass over the pair-taps: a second
     /// filter's lane array would not fit baseline x86-64's sixteen registers
-    /// beside the first. The `avx2` and `avx512` tiers run bodies of their
-    /// own, [`dense_avx2_body`](tier_kernels::dense_avx2_body) and
-    /// [`dense_vnni_body`](tier_kernels::dense_vnni_body): baseline codegen
-    /// finds `pmaddwd` for the odd channel only, and multiplies the even
-    /// one through `pmuludq`.
+    /// beside the first. NEON runs this body; every x86-64 tier runs one of
+    /// its own, in intrinsics: baseline codegen of this one splits each
+    /// load's channel pairs and multiplies them apart.
     #[inline(always)]
     fn dense_lanes_body<const LW: usize, const PITCH: usize>(
         &self,
@@ -256,13 +254,14 @@ impl FlattenedTile {
 /// its own, [`vnni_body`](tier_kernels::vnni_body), and a dense tile's strips
 /// of 16 or more through [`dense_vnni_body`](tier_kernels::dense_vnni_body);
 /// the `avx2` tier runs a dense tile's strips (and `avx512` its 8-lane ones)
-/// through [`dense_avx2_body`](tier_kernels::dense_avx2_body): all three are
-/// written in intrinsics.
+/// through [`dense_avx2_body`](tier_kernels::dense_avx2_body), and the
+/// `scalar` tier through [`dense_sse2_body`](tier_kernels::dense_sse2_body):
+/// all four are written in intrinsics.
 ///
 /// The wrappers are `unsafe` purely by the `#[target_feature]` language
-/// rule; the three intrinsic bodies also load and store through pointers,
-/// each taken from a bounds-checked slice of exactly the 64 (or, in
-/// `dense_avx2_body`, 32) bytes it moves.
+/// rule; the four intrinsic bodies also load and store through pointers,
+/// each taken from a bounds-checked slice of exactly the 64 (in
+/// `dense_avx2_body` 32, in `dense_sse2_body` 16) bytes it moves.
 ///
 /// # Safety
 ///
@@ -276,6 +275,8 @@ mod tier_kernels {
         _mm256_setzero_si256, _mm256_storeu_si256, _mm512_add_epi32, _mm512_dpwssd_epi32,
         _mm512_loadu_si512, _mm512_mullo_epi32, _mm512_permutex2var_epi32, _mm512_set1_epi32,
         _mm512_setr_epi32, _mm512_setzero_si512, _mm512_storeu_si512, _mm512_sub_epi32,
+        _mm_add_epi32, _mm_loadu_si128, _mm_madd_epi16, _mm_set1_epi32, _mm_setzero_si128,
+        _mm_storeu_si128,
     };
 
     use super::{walked_once, FlattenedTile, StripRun};
@@ -290,6 +291,10 @@ mod tier_kernels {
     const Y: usize = 8;
     /// `ymm` in the `avx2` tier's widest strip's lane array.
     const YMM: usize = SimdTier::Avx2.strip_lanes() / Y;
+    /// `i32` lanes in an `xmm`.
+    const X: usize = 4;
+    /// `xmm` in the `scalar` tier's widest strip's lane array.
+    const XMM: usize = SimdTier::Scalar.strip_lanes() / X;
 
     /// Declares a dense tile's strip body over one register width: the
     /// walk of [`FlattenedTile::dense_lanes_body`], each load of a pair-tap's
@@ -378,6 +383,20 @@ mod tier_kernels {
                 }
             }
         };
+    }
+
+    dense_body! {
+        /// The `scalar` tier's dense strip body on x86-64: per 16-byte load
+        /// one `pmaddwd` and one `paddd` per filter, on SSE2 (the x86-64
+        /// baseline), where baseline codegen of
+        /// [`FlattenedTile::dense_lanes_body`] splits each load's channel
+        /// pairs and multiplies them apart. At 32 lanes two filters are 16
+        /// accumulators, and a few of them spill: LeNet's conv2 still runs
+        /// ≈ 2.4× as fast as its walk on this tier (`BENCH_reuse.json`).
+        #[target_feature(enable = "sse2")]
+        dense_sse2_body: X * XMM,
+        _mm_setzero_si128, _mm_set1_epi32, _mm_loadu_si128, _mm_storeu_si128,
+        |acc, x, w| _mm_add_epi32(acc, _mm_madd_epi16(x, w))
     }
 
     dense_body! {
@@ -582,7 +601,7 @@ mod tier_kernels {
                     }
                 }
                 let cell = |level: usize| (level * out_w + x) * out_h + y;
-                add_to_plane!(cell(tile.plane), inner);
+                add_to_plane!(cell(tile.g - 1), inner);
                 // Phase 2, as in the shared body, wrapping.
                 for (level, bounds) in tile.seg_ptr.windows(2).enumerate() {
                     let mut acc = [zero; ZMM];
@@ -657,6 +676,12 @@ fn accumulate_width<const LW: usize, const PITCH: usize>(
         #[cfg(target_arch = "x86_64")]
         SimdTier::Avx2 | SimdTier::Avx512 if tile.is_dense() => unsafe {
             tier_kernels::dense_avx2_body::<LW, PITCH>(tile, input, out, geom, run);
+        },
+        // SAFETY: SSE2 is part of the x86-64 baseline; every load and store
+        // reads or writes a checked slice.
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Scalar if tile.is_dense() => unsafe {
+            tier_kernels::dense_sse2_body::<LW, PITCH>(tile, input, out, geom, run);
         },
         // SAFETY: `tier` is `Probed`, so AVX2 was detected.
         #[cfg(target_arch = "x86_64")]
@@ -992,19 +1017,22 @@ mod tests {
         // ±1 weights, and images 0 and 1 all `i16::MAX` and all `i16::MIN`
         // (in every build: their sums stay in `i32`), the rest distinct: a
         // minus sub-run adds `(−1)·i16::MIN = +32 768` into an odd lane, and
-        // a lane out of order swaps two images. The convolution's 31
+        // a lane out of order swaps two images. The convolutions' 31
         // positions per output row cascade through every strip width of
-        // chunks of 32, 16 and 8 images and of 5 in copies; the fully
-        // connected layer is walked once.
+        // chunks of 32, 16 and 8 images and of 5 in copies: one level, and
+        // four over 128 channels, where one walk sharing every gather four
+        // ways costs less than the dense tile. The fully connected layer is
+        // walked once.
         let conv = ConvGeom::new(4, 33, 3, 4, 3, 3);
+        let deep = ConvGeom::new(3, 33, 128, 4, 3, 3);
         let fc = ConvGeom::new(1, 1, 40, 6, 1, 1);
         let mut emitted = std::collections::BTreeSet::new();
-        for (seed, geom, g) in [(70, conv, 1), (71, conv, 2), (72, fc, 2)] {
+        for (seed, geom, g, ct) in [(70, conv, 1, 64), (71, deep, 4, 128), (72, fc, 2, 64)] {
             for batch in [5, 56] {
                 let case = Case {
                     alphabet: Alphabet::SignEdge,
                     batch,
-                    ..Case::pinned(seed, geom, 1, g, 64)
+                    ..Case::pinned(seed, geom, 1, g, ct)
                 };
                 let seen = case.check();
                 let folded = seen.contains(&Seen::MinusSubRun);
@@ -1047,8 +1075,8 @@ mod tests {
     fn one_vpdpwssd_wraps_where_both_products_are_two_to_the_thirty() {
         use crate::flatten::oracle::check_layer;
         // Filter 0 weighs both channels of tap (0, 0) `i16::MIN`; every other
-        // weight is a distinct large negative, so the band un-shares and is
-        // cheaper dense. On an image of all `i16::MIN` that pair-tap's two
+        // weight is a distinct large negative, so the band is cheaper dense
+        // than walked. On an image of all `i16::MIN` that pair-tap's two
         // products sum to 2³¹ in one multiply-add, which wraps, and so does
         // the whole sum, in the reference as in every kernel.
         let geom = ConvGeom::new(4, 5, 2, 2, 3, 3);
@@ -1189,6 +1217,45 @@ mod tests {
         assert!(missing.is_empty(), "strips with no kernel: {missing:?}");
         let dead: Vec<_> = table.difference(&emitted).collect();
         assert!(dead.is_empty(), "kernels nothing emits: {dead:?}");
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn the_generic_dense_body_matches_the_sse2_one() {
+        // Only NEON runs `dense_lanes_body`, so here it is held to the
+        // scalar tier's SSE2 body on each strip that tier cuts (7 positions
+        // a row: 4 + 2 + 1), over one staged chunk of random channel pairs.
+        use ucnn_model::rng::SmallRng;
+        use ucnn_model::{QuantScheme, WeightGen};
+        let geom = ConvGeom::new(6, 7, 5, 3, 3, 3).with_pad(1);
+        let mut wgen = WeightGen::new(QuantScheme::inq(), 90).with_density(0.7);
+        let weights = wgen.generate_dims(geom.k(), geom.c(), geom.r(), geom.s());
+        let layer = CompiledLayer::compile(&geom, 1, &weights, &UcnnConfig::with_g(3));
+        let dense = layer.dense_lowered();
+        let [tile] = dense.flat_tiles() else {
+            panic!("one band");
+        };
+        let lanes = Lanes::new(LANE_WIDTH, &geom);
+        let cells = (geom.in_w() + 2) * (geom.in_h() + 2) * geom.c().div_ceil(2);
+        let rng = &mut SmallRng::seed_from_u64(91);
+        let input: Vec<i16> = (0..2 * (cells + 8) * lanes.pitch)
+            .map(|_| rng.gen_range_i16(-300, 300))
+            .collect();
+        let scalar = SimdCaps::get().probe(SimdTier::Scalar);
+        let plane = geom.out_w() * geom.out_h() * lanes.pitch;
+        for run in strip_runs(&geom, lanes, SimdTier::Scalar) {
+            let (mut generic, mut sse2) = (vec![0; tile.g * plane], vec![0; tile.g * plane]);
+            let body = match run.width {
+                8 => FlattenedTile::strip_body::<8, LANE_WIDTH>,
+                16 => FlattenedTile::strip_body::<16, LANE_WIDTH>,
+                32 => FlattenedTile::strip_body::<32, LANE_WIDTH>,
+                other => unreachable!("a {other}-lane scalar strip"),
+            };
+            body(tile, &input, &mut generic, &geom, &mut [], &run);
+            accumulate_tile_lanes(tile, &input, &mut sse2, &geom, &mut [], &run, scalar);
+            assert!(sse2.iter().any(|&sum| sum != 0), "{run:?}");
+            assert_eq!(generic, sse2, "{run:?}");
+        }
     }
 
     #[test]

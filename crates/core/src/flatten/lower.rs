@@ -22,13 +22,10 @@ use crate::plan::CompiledTile;
 pub struct FlattenedTile {
     /// Absolute output channel of the first filter of the tile's band.
     pub(super) k_first: usize,
-    /// Output planes of the band (`G` of the stream) — also for a
-    /// single-filter walk of an un-shared band, which adds into one of them.
+    /// Output planes of the band (`G` of the stream). A walk's level `l`
+    /// adds into plane `l`, its innermost level into plane `g − 1`; a dense
+    /// tile stores every plane.
     pub(super) g: usize,
-    /// The band plane the innermost level adds into: the walk's last
-    /// filter. Outer level `l` adds into plane `l`. (A dense tile stores
-    /// every plane of its band; 0 there.)
-    pub(super) plane: usize,
     /// Per entry: offset of its read for output position (0, 0) in the
     /// zero-haloed staged plane (`in_h + 2·pad` values per row), so
     /// `base[i] + stride·(x·(in_h + 2·pad) + y)` is the exact staged index
@@ -60,15 +57,17 @@ pub struct FlattenedTile {
     multiplies: usize,
 }
 
-/// The derived form, with `pairs` only on a dense tile: every other tile
-/// prints as it did before dense tiles existed (`tests/plan_digest.rs`
-/// hashes this form).
+/// The derived form, with `pairs` only on a dense tile and the plane the
+/// innermost level adds into (`g − 1`, a dense tile's 0) spelled out: every
+/// tile prints as it did when walks could add into any plane
+/// (`tests/plan_digest.rs` hashes this form).
 impl std::fmt::Debug for FlattenedTile {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let plane = if self.is_dense() { 0 } else { self.g - 1 };
         let mut tile = f.debug_struct("FlattenedTile");
         tile.field("k_first", &self.k_first)
             .field("g", &self.g)
-            .field("plane", &self.plane)
+            .field("plane", &plane)
             .field("base", &self.base)
             .field("closes", &self.closes)
             .field("rows", &self.rows)
@@ -295,7 +294,6 @@ impl Source {
             }
         }
         (walk.counts.entries, walk.counts.closes) = (levels.len(), groups);
-        walk.filters = 0..g;
         walk.order.clear();
         walk.order.extend(0..groups as u32);
     }
@@ -304,34 +302,6 @@ impl Source {
     fn entries(&self, group: u32) -> Range<usize> {
         let bounds = &self.starts[group as usize..][..2];
         bounds[0] as usize..bounds[1] as usize
-    }
-
-    /// What walking the `G` filters of `stream`, read here, apart, each
-    /// folded, would issue — without ordering anything: a one-filter walk
-    /// reads the filter's non-zero entries and closes once per distinct
-    /// magnitude (the zero weight's digit halves to a slot past them, not
-    /// counted). `seen` is scratch.
-    fn apart_counts(
-        &self,
-        stream: &GroupStream,
-        keys: &FoldKeys,
-        seen: &mut Vec<bool>,
-    ) -> WalkCounts {
-        let (g, mags) = (stream.g(), keys.mags.len());
-        seen.clear();
-        seen.resize(g * (mags + 1), false);
-        for digits in self.stream_order.keys.chunks_exact(g) {
-            for (f, &digit) in digits.iter().enumerate() {
-                seen[f * (mags + 1) + digit as usize / 2] = true;
-            }
-        }
-        let closes = |seen: &[bool]| seen[..mags].iter().filter(|&&seen| seen).count();
-        let (_, ranks, _) = stream.columns();
-        WalkCounts {
-            entries: ranks.iter().filter(|&&rank| rank != ZERO_RANK).count(),
-            closes: seen.chunks_exact(mags + 1).map(closes).sum(),
-            ..WalkCounts::default()
-        }
     }
 }
 
@@ -352,8 +322,8 @@ impl WalkCounts {
     /// kept row a store, an outer segment two row loads, a subtract, a
     /// multiply and an add. `vnni_body` (the `avx512` strips of ≥ 32 lanes)
     /// adds an entry in one `vpdpwssd`, which they do not price: ROADMAP
-    /// item 14(a) refits them. The one place the constants of the un-share
-    /// rule ([`Lowering::lower_band`]) live.
+    /// item 14(a) refits them. With [`WalkCounts::dense`], the one place the
+    /// constants of the walk-or-dense rule ([`Lowering::lower_band`]) live.
     fn cost(&self) -> usize {
         2 * self.entries + 3 * self.closes + self.kept + 5 * self.segs
     }
@@ -363,17 +333,6 @@ impl WalkCounts {
     /// multiply-add of both channels per filter (`pmaddwd` / `vpdpwssd`).
     fn dense(taps: usize, g: usize) -> usize {
         taps * (1 + g)
-    }
-}
-
-impl std::iter::Sum for WalkCounts {
-    fn sum<I: Iterator<Item = Self>>(walks: I) -> Self {
-        walks.fold(Self::default(), |a, b| Self {
-            entries: a.entries + b.entries,
-            closes: a.closes + b.closes,
-            kept: a.kept + b.kept,
-            segs: a.segs + b.segs,
-        })
     }
 }
 
@@ -407,9 +366,8 @@ fn close_levels(keys: &[u32], levels: usize, zero: u32, closes: &mut Vec<u8>) ->
     counts
 }
 
-/// One way of walking (some filters of) a retained tile, before it is
-/// lowered: which of the stream's innermost groups, in which order, under
-/// which keys.
+/// One way of walking a retained tile, before it is lowered: which of the
+/// stream's innermost groups, in which order, under which keys.
 ///
 /// Lane sums are wrapping `i32` — a ring — so any order and any grouping
 /// that keeps `Σ x·w` per filter gives bit-identical outputs. A **folded**
@@ -419,14 +377,11 @@ fn close_levels(keys: &[u32], levels: usize, zero: u32, closes: &mut Vec<u8>) ->
 /// group, a plus sub-run then a minus sub-run.
 #[derive(Default)]
 struct Walk {
-    /// The stream's filter columns walked, outermost first.
-    filters: Range<usize>,
     /// The walked innermost groups of the stream, in walk order.
     order: Vec<u32>,
-    /// Per walked group, in walk order, what groups it at each walked
-    /// level: the digit of the key `w·s`, at the innermost level with
-    /// [`MINUS`] set where the group's entries enter the running sum
-    /// negated (`s = −1`).
+    /// Per walked group, in walk order, what groups it at each level: the
+    /// digit of the key `w·s`, at the innermost level with [`MINUS`] set
+    /// where the group's entries enter the running sum negated (`s = −1`).
     keys: Vec<u32>,
     /// Per walked group, the outermost level whose group ends with it: the
     /// first at which the next one's key differs, level 0 at the end of
@@ -441,12 +396,12 @@ struct Walk {
 const MINUS: u32 = 1 << 31;
 
 impl Walk {
-    /// Makes this the folded walk of `filters` over the groups of `source`
-    /// where any of them has a weight: sorted by folded keys, then sign (the
-    /// plus sub-run of a key before its minus sub-run), then stream order.
-    fn fold(&mut self, source: &Source, filters: Range<usize>, zero: u32, sort: &mut DigitSort) {
-        let g = source.stream_order.filters.len();
-        let (levels, inner) = (filters.len(), filters.len() - 1);
+    /// Makes this the folded walk of the `levels` filters of `source` over
+    /// its groups where any of them has a weight: sorted by folded keys, then
+    /// sign (the plus sub-run of a key before its minus sub-run), then stream
+    /// order.
+    fn fold(&mut self, source: &Source, levels: usize, zero: u32, sort: &mut DigitSort) {
+        let inner = levels - 1;
         let unsorted = &mut self.unsorted;
         // A sort digit per level: the key then, at the innermost level, the
         // sign.
@@ -458,8 +413,7 @@ impl Walk {
         let counts = sort.counts(levels, buckets);
         unsorted.clear();
         self.order.clear();
-        for (group, digits) in source.stream_order.keys.chunks_exact(g).enumerate() {
-            let digits = &digits[filters.clone()];
+        for (group, digits) in source.stream_order.keys.chunks_exact(levels).enumerate() {
             // The zero weight's digit is even: it folds under `s = +1`.
             let minus = digits[inner] & 1;
             let key = |&digit: &u32| if digit == zero { zero } else { digit ^ minus };
@@ -484,7 +438,6 @@ impl Walk {
         }
         self.counts = close_levels(&self.keys, levels, zero, &mut self.closes);
         self.counts.entries = self.order.iter().map(|&g| source.entries(g).len()).sum();
-        self.filters = filters;
     }
 
     /// Lowers the walk of `stream`, read into `source`: `k_first` is the
@@ -497,7 +450,7 @@ impl Walk {
         layer: &Layer,
     ) -> FlattenedTile {
         let (once, keys, offsets) = (layer.once, &layer.keys, &layer.offsets);
-        let (levels, inner) = (self.filters.len(), self.filters.len() - 1);
+        let (levels, inner) = (stream.g(), stream.g() - 1);
         let (indices, ..) = stream.columns();
         let read = |&index: &u32| offsets.of[index as usize] + source.shift;
 
@@ -522,14 +475,6 @@ impl Walk {
             }
             if level == NO_CLOSE {
                 continue;
-            }
-            if levels < stream.g() {
-                // A sub-run of a one-filter walk is several of the stream's
-                // groups: each ascends, their union need not.
-                let run = base.len() - plus - minus;
-                let (plus, minus) = base[run..].split_at_mut(plus);
-                plus.sort_unstable();
-                minus.sort_unstable();
             }
             let weight = keys.value(keys_here[inner] & !MINUS);
             multiplies += usize::from(weight != 0);
@@ -565,7 +510,6 @@ impl Walk {
         FlattenedTile {
             k_first,
             g: stream.g(),
-            plane: self.filters.end - 1,
             rows: 1 + if once { base.len() } else { self.counts.kept },
             multiplies: multiplies + segs.len(),
             base,
@@ -642,7 +586,6 @@ impl DenseTable {
         FlattenedTile {
             k_first,
             g,
-            plane: 0,
             base,
             closes: Vec::new(),
             rows: 0,
@@ -673,7 +616,7 @@ impl BandTile {
         self.source.read(stream, c_first, layer);
         self.fold = !layer.once && {
             let (folded, zero) = (&mut self.folded, layer.keys.zero());
-            folded.fold(&self.source, 0..stream.g(), zero, sort);
+            folded.fold(&self.source, stream.g(), zero, sort);
             let work = |walk: &Walk| walk.counts.closes + walk.counts.segs;
             work(folded) <= work(&self.source.stream_order)
         };
@@ -689,14 +632,15 @@ impl BandTile {
 }
 
 /// Lowers a layer's tiles — emitted band by band, the longest tile first
-/// — band by band ([`Lowering::lower_band`]).
+/// — band by band ([`Lowering::lower_band`]), each its walks or its dense
+/// tile.
 ///
 /// A layer's input has one staged layout, and a dense tile reads it with
 /// its channels in pairs, so a layer is dense in every band or in none:
 /// lowering starts dense (unless its tiles are walked once or its bands are
-/// one filter wide) and, at the first band of several filters that declines
-/// the dense tile, lowers the bands before it again, as they would be in a
-/// layer without dense tiles.
+/// one filter wide) and, at the first band of several filters whose walks
+/// cost no more than its dense tile, lowers the bands before it again as
+/// walks.
 pub(crate) fn lower_layer(tiles: &[CompiledTile], geom: &ConvGeom) -> Vec<FlattenedTile> {
     let mut lowering = Lowering::new(tiles[0].stream(), geom);
     let bands: Vec<_> = tiles.chunk_by(|a, b| a.k_first() == b.k_first()).collect();
@@ -740,12 +684,8 @@ pub(crate) fn lower_dense(tiles: &[CompiledTile], geom: &ConvGeom) -> Vec<Flatte
 struct Lowering {
     layer: Layer,
     sort: DigitSort,
-    /// [`Source::apart_counts`]' scratch.
-    seen: Vec<bool>,
     /// As many as the longest band so far has tiles.
     band: Vec<BandTile>,
-    /// The one-filter walk in hand, of a band walked filter by filter.
-    single: Walk,
     /// The band in hand as a dense tile would hold it.
     table: DenseTable,
 }
@@ -762,27 +702,19 @@ impl Lowering {
                 taps: geom.r() * geom.s(),
             },
             sort: DigitSort::default(),
-            seen: Vec::new(),
             band: Vec::new(),
-            single: Walk::default(),
             table: DenseTable::default(),
         }
     }
 
     /// Lowers one filter band — the channel tiles that share a `k_first` —
-    /// onto `out`, choosing, from counts alone, between the `G`-level walk
-    /// of every tile and `G` single-filter folded walks of it: a hierarchy
-    /// is worth its closes, kept rows and outer segments only while it
-    /// shares enough gathers ([`WalkCounts::cost`]; a tie keeps it). Either
-    /// way the band is `G` planes. Tiles walked once keep the stream's order
-    /// and its sharing, and one filter has nothing to un-share: neither is
-    /// counted apart.
-    ///
-    /// In a `dense` layer ([`lower_layer`]) a band that un-shares is one
-    /// dense tile over all of its channels instead, where that costs less
-    /// than its walks apart ([`WalkCounts::dense`]); a band of one filter
-    /// (a ragged last band) follows its layer. Returns whether the band was
-    /// lowered dense: never outside a dense layer.
+    /// onto `out`: as the `G`-level walk of every tile ([`BandTile::read`])
+    /// or, in a `dense` layer ([`lower_layer`]), as one dense tile over all
+    /// of its channels where that costs less, from counts alone
+    /// ([`WalkCounts::dense`] against the walks' [`WalkCounts::cost`]; a tie
+    /// keeps the walks). A band of one filter (a ragged last band) follows
+    /// its layer. Returns whether the band was lowered dense: never outside
+    /// a dense layer.
     ///
     /// # Panics
     ///
@@ -801,38 +733,17 @@ impl Lowering {
         for (tile, read) in band.iter().zip(tiles.iter_mut()) {
             read.read(tile.stream(), tile.c_first(), layer, &mut self.sort);
         }
-        // What the band's walks apart cost, where that is less than sharing.
-        let apart = (!layer.once && g > 1).then(|| {
-            let apart = |(tile, read): (&CompiledTile, &BandTile)| {
-                let seen = &mut self.seen;
-                read.source.apart_counts(tile.stream(), &layer.keys, seen)
-            };
-            let split: WalkCounts = band.iter().zip(tiles.iter()).map(apart).sum();
-            let together: WalkCounts = tiles.iter().map(|tile| tile.shared().counts).sum();
-            Some(split.cost()).filter(|&split| split < together.cost())
-        });
-        let apart = apart.flatten();
-        if dense && (g == 1 || apart.is_some()) {
+        if dense {
             self.table.fill(band, g, layer);
-            let cost = WalkCounts::dense(self.table.taps, g);
-            if apart.is_none_or(|apart| cost < apart) {
+            let walks: usize = tiles.iter().map(|tile| tile.shared().counts.cost()).sum();
+            if g == 1 || WalkCounts::dense(self.table.taps, g) < walks {
                 out.push(self.table.lower(k_first, g, layer));
                 return true;
             }
         }
         for (tile, read) in band.iter().zip(tiles.iter()) {
-            let mut lower = |walk: &Walk| {
-                out.push(walk.lower(tile.stream(), &read.source, k_first, layer));
-            };
-            if apart.is_some() {
-                for f in 0..g {
-                    let single = &mut self.single;
-                    single.fold(&read.source, f..f + 1, layer.keys.zero(), &mut self.sort);
-                    lower(single);
-                }
-            } else {
-                lower(read.shared());
-            }
+            let walk = read.shared();
+            out.push(walk.lower(tile.stream(), &read.source, k_first, layer));
         }
         false
     }
@@ -851,9 +762,9 @@ impl FlattenedTile {
     /// non-zero weight: outer segments plus the innermost groups whose `|w|`
     /// is not zero — at most the stream's
     /// [`multiplies`](GroupStream::multiplies), fewer where folding merged
-    /// groups or the band is walked filter by filter. (The kernel multiplies
-    /// at every close, by `Δw`; that is executed, not counted.) A dense tile
-    /// issues one per non-zero weight of its band.
+    /// groups. (The kernel multiplies at every close, by `Δw`; that is
+    /// executed, not counted.) A dense tile issues one per non-zero weight
+    /// of its band.
     #[must_use]
     pub fn segment_count(&self) -> usize {
         self.multiplies
@@ -966,8 +877,7 @@ pub(super) mod tests {
                     "shape {si}: sub-runs must partition the entries"
                 );
                 assert!(!once || flat.closes.iter().all(|c| c.minus == 0), "{si}");
-                // Shared, the band's `G` levels; apart, the filter's one.
-                assert!(levels == flat.g && flat.plane == levels - 1 || levels == 1);
+                assert_eq!(levels, flat.g, "shape {si}: a level per filter");
                 let kept = flat.closes.iter().filter(|c| c.keep()).count();
                 let last_kept = flat.closes.last().is_none_or(|c| c.keep());
                 assert_eq!(last_kept, levels > 1 || n == 0, "shape {si}");
@@ -1002,17 +912,14 @@ pub(super) mod tests {
     }
 
     /// Checks the lowering of `layer` against its streams, band by band:
-    /// each walk reads a permutation of the entries where its filters hold a
-    /// weight, folding adds no closes + outer segments to the stream's own,
-    /// the cheap count of the one-filter walks is what ordering them gives,
-    /// and the band took the cheaper walk (a tie keeps the hierarchy). A
-    /// dense tile holds its band's weights per pair-tap, tabulated here from
-    /// the streams, and a layer is dense in every band or none: in all of
-    /// them where no band of several filters declines the dense tile (it
-    /// does not un-share, or the tile costs no less than its walks apart),
+    /// each walk is its tile's shared walk, which reads a permutation of the
+    /// entries where the band holds a weight and to which folding adds no
+    /// closes + outer segments over the stream's own. A dense tile holds its
+    /// band's weights per pair-tap, tabulated here from the streams, and a
+    /// layer is dense in every band or none: in all of them where every band
+    /// of several filters costs less as its dense tile than as its walks,
     /// and only then. Returns the kinds of walk it met: "walked once",
-    /// "shared" (one walk of several filters), "filter by filter" and
-    /// "dense".
+    /// "shared" (a walk of several filters) and "dense".
     pub(in crate::flatten) fn check_lowering(
         layer: &CompiledLayer,
         what: &str,
@@ -1035,15 +942,14 @@ pub(super) mod tests {
             flat.nth(walks.len() - 1);
             let same = walks.iter().all(|walk| walk.is_dense() == dense);
             assert!(same, "{what}: a layer is dense in every band or none");
-            let apart = !dense && walks.len() == levels * band.len() && levels > 1;
-            assert!(
-                apart || walks.len() == if dense { 1 } else { band.len() },
-                "{what}: a walk per tile or filter, or a dense tile per band"
+            assert_eq!(
+                walks.len(),
+                if dense { 1 } else { band.len() },
+                "{what}: a walk per tile, or a dense tile per band"
             );
-            kinds.extend(match (once, dense, apart) {
-                (true, ..) => Some("walked once"),
-                (_, true, _) => Some("dense"),
-                (_, _, true) => Some("filter by filter"),
+            kinds.extend(match (once, dense) {
+                (true, _) => Some("walked once"),
+                (_, true) => Some("dense"),
                 _ => (levels > 1).then_some("shared"),
             });
             // The band's weights per pair-tap, packed `g` rounded up to even
@@ -1066,7 +972,6 @@ pub(super) mod tests {
                     }
                 }
             }
-            let mut costs = [WalkCounts::default(); 3];
             if dense {
                 let [walk] = &walks[..] else {
                     unreachable!("one dense tile")
@@ -1081,40 +986,26 @@ pub(super) mod tests {
                 assert_eq!((walk.g, walk.rows), (levels, 0), "{what}");
                 assert!(walk.closes.is_empty() && walk.segs.is_empty(), "{what}");
             }
+            let mut cost = 0;
             for (ti, tile) in band.iter().enumerate() {
                 let stream = tile.stream();
-                // The offsets of the entries where `filters` hold a weight.
-                let offsets = |filters: Range<usize>| {
-                    let walked = stream
-                        .entries()
-                        .filter(|e| e.ranks[filters.clone()].iter().any(|&r| r != ZERO_RANK));
-                    let mut offsets: Vec<u32> = walked
-                        .map(|e| {
-                            let (c, tap) = (e.index as usize / rs, e.index as usize % rs);
-                            (((tile.c_first() + c) * pw + tap / s) * ph + tap % s) as u32
-                        })
-                        .collect();
-                    offsets.sort_unstable();
-                    offsets
-                };
-                let per_tile = walks.len() / band.len();
-                let walks = if dense {
-                    &[][..]
-                } else {
-                    &walks[ti * per_tile..][..per_tile]
-                };
-                for (f, walk) in walks.iter().enumerate() {
-                    let filters = if apart { f..f + 1 } else { 0..levels };
-                    let mut base = walk.base.clone();
-                    base.sort_unstable();
-                    assert_eq!(base, offsets(filters.clone()), "{what}: a permutation");
-                    assert_eq!((walk.g, walk.plane), (levels, filters.end - 1), "{what}");
-                    costs[0] = [costs[0], lowered_counts(walk)].into_iter().sum();
-                }
+                // The offsets of the entries where the band holds a weight.
+                let walked = stream
+                    .entries()
+                    .filter(|e| e.ranks.iter().any(|&r| r != ZERO_RANK));
+                let mut offsets: Vec<u32> = walked
+                    .map(|e| {
+                        let (c, tap) = (e.index as usize / rs, e.index as usize % rs);
+                        (((tile.c_first() + c) * pw + tap / s) * ph + tap % s) as u32
+                    })
+                    .collect();
+                offsets.sort_unstable();
                 // Folding may not add closes + outer segments to the
-                // stream's own, and the cheap count of the one-filter walks
-                // is what ordering them gives.
+                // stream's own.
                 let shared = lower_shared(stream, k_first, tile.c_first(), geom);
+                let mut base = shared.base.clone();
+                base.sort_unstable();
+                assert_eq!(base, offsets, "{what}: a permutation");
                 let inner = stream.entries().filter(|e| e.close_level.is_some());
                 let inner = inner.filter(|e| e.ranks[levels - 1] != ZERO_RANK).count();
                 assert!(
@@ -1122,37 +1013,17 @@ pub(super) mod tests {
                         <= stream.closures_at_level(levels - 1) + stream.multiplies() - inner,
                     "{what}: folding added work"
                 );
-                costs[1] = [costs[1], lowered_counts(&shared)].into_iter().sum();
-                let Lowering {
-                    layer,
-                    mut sort,
-                    mut seen,
-                    mut single,
-                    ..
-                } = Lowering::new(stream, geom);
-                let mut read = BandTile::default();
-                read.read(stream, tile.c_first(), &layer, &mut sort);
-                let ordered = (0..levels).map(|f| {
-                    single.fold(&read.source, f..f + 1, layer.keys.zero(), &mut sort);
-                    single.counts
-                });
-                let ordered: WalkCounts = ordered.sum();
-                let counted = read.source.apart_counts(stream, &layer.keys, &mut seen);
-                assert_eq!(counted, ordered, "{what}: the un-share count");
-                costs[2] = [costs[2], ordered].into_iter().sum();
+                cost += lowered_counts(&shared).cost();
+                if !dense {
+                    assert_eq!(walks[ti], &shared, "{what}: the shared walk");
+                }
             }
-            // The band took the cheaper walk; a tie keeps the hierarchy, and
-            // a tile walked once keeps the stream's. Of a band that
-            // un-shares, the dense tile is the cheaper walk where it costs
-            // less than the walks apart.
-            let [lowered, shared, split] = costs.map(|c| c.cost());
-            let un_shares = !once && levels > 1 && split < shared;
-            let elects = un_shares && WalkCounts::dense(table.len(), levels) < split;
+            // A band of several filters in a layer not walked once is its
+            // dense tile where that costs less than its walks.
+            let elects = !once && levels > 1 && WalkCounts::dense(table.len(), levels) < cost;
             if dense {
                 assert!(levels == 1 || elects, "{what}: the dense rule");
             } else {
-                assert_eq!(apart, un_shares, "{what}: the un-share rule");
-                assert_eq!(lowered, if apart { split } else { shared }, "{what}");
                 declined |= levels > 1 && !elects;
             }
         }
@@ -1167,28 +1038,31 @@ pub(super) mod tests {
     #[test]
     fn the_order_is_free_the_sum_is_not() {
         // A sub-run longer than a `u16` is cut into records that telescope
-        // to `Δw = 0`: one group of (7, 7) then (−7, −7) entries, the plus
-        // or the minus sub-run too long for one record, walked at two
-        // positions (folded: two records) and, as a fully connected layer,
-        // once (stream order: two groups, three records).
+        // to `Δw = 0`: four equal filters, one group of (7, 7, 7, 7) then
+        // (−7, −7, −7, −7) entries, the plus or the minus sub-run too long
+        // for one record, walked at two positions (folded: two records) and,
+        // as a fully connected layer, once (stream order: two groups, three
+        // records). Sharing every gather four ways costs less than the
+        // dense tile (140 009 against 175 000).
         let c = 70_000;
         let mut agen = ActivationGen::new(11);
         for flip in [1_000, 66_000] {
             let weights =
-                Tensor4::from_fn(2, c, 1, 1, |_, ci, _, _| if ci < flip { 7i16 } else { -7 });
+                Tensor4::from_fn(4, c, 1, 1, |_, ci, _, _| if ci < flip { 7i16 } else { -7 });
             for geom in [
-                ConvGeom::new(1, 2, c, 2, 1, 1),
-                ConvGeom::new(1, 1, c, 2, 1, 1),
+                ConvGeom::new(1, 2, c, 4, 1, 1),
+                ConvGeom::new(1, 1, c, 4, 1, 1),
             ] {
                 let cfg = UcnnConfig {
-                    g: 2,
+                    g: 4,
                     ct: c,
                     ..UcnnConfig::default()
                 };
                 let layer = CompiledLayer::compile(&geom, 1, &weights, &cfg);
                 let [tile] = layer.flat_tiles() else {
-                    panic!("sharing every gather is cheaper");
+                    panic!("one walk shares every gather");
                 };
+                assert!(!tile.is_dense(), "{geom:?}, flip {flip}");
                 let records = if walked_once(&geom) { 3 } else { 2 };
                 assert_eq!(tile.closes.len(), records, "{geom:?}, flip {flip}");
                 let input = agen.generate(c, geom.in_w(), geom.in_h());
@@ -1250,26 +1124,12 @@ pub(super) mod tests {
         assert_eq!(c4, close(0, 1, 5, true));
         let seg = |start, end, weight| Segment { start, end, weight };
         assert_eq!(tile.segs, [seg(0, 1, 1), seg(1, 2, 2)]);
-        assert_eq!((tile.rows, tile.plane, tile.segment_count()), (4, 1, 5));
+        assert_eq!((tile.rows, tile.segment_count()), (4, 5));
         assert_eq!(stream.multiplies(), 7);
-        // The band itself is cheaper walked filter by filter (32 against
-        // 42): two one-level walks of one tile, each into its own plane.
-        let walks = lower_walks(&layer);
-        let [a, b] = &walks[..] else {
-            panic!("two walks of one tile");
-        };
-        assert_eq!(a.base, [0, 9, 18, 36, 45, 27]);
-        assert_eq!(a.closes, [close(2, 0, -1, false), close(3, 1, 2, false)]);
-        assert_eq!(b.base, [18, 27, 36, 54]);
-        assert_eq!(b.closes, [close(1, 1, -2, false), close(1, 1, 5, false)]);
-        for (plane, walk) in [a, b].into_iter().enumerate() {
-            assert_eq!((walk.k_first, walk.g, walk.plane), (0, 2, plane));
-            assert_eq!((walk.rows, walk.seg_ptr.len()), (1, 1));
-            assert_eq!(walk.segment_count(), 2);
-        }
-        // Cheaper still is one dense tile (12): four pair-taps of the
-        // channels (0, 1) … (6, zero), each one load for both filters' pairs
-        // (filter a's, then b's), multiplying the band's ten weights.
+        // The band itself is cheaper as one dense tile (12 against the
+        // walk's 42): four pair-taps of the channels (0, 1) … (6, zero),
+        // each one load for both filters' pairs (filter a's, then b's),
+        // multiplying the band's ten weights.
         let [dense] = layer.flat_tiles() else {
             panic!("one dense tile");
         };

@@ -70,22 +70,19 @@
 //!   and the previous close's sum is never needed (two lane arrays, not
 //!   three). In registers only — a telescoped *phase 2* that re-loads a row
 //!   per boundary is in ROADMAP's do-not-rebuild.
-//! * **Un-shared bands.** A `G`-level hierarchy pays closes, kept rows and
-//!   outer segments to share gathers; where that costs more than it shares
-//!   the band is walked filter by filter — `G` one-level folded walks, each
-//!   adding into its own plane of the band. Where reuse does not pay at all
-//!   (LeNet's conv1: 74 entries in 63 closes a tile, R·S·C = 75 against
-//!   INQ's U = 17) an un-shared band is cheaper still as one **dense tile**
-//!   over all of its channels: per pair-tap `(2c, 2c + 1, r, s)` holding a
-//!   weight, one gather offset and the band's `G` packed `(w_2c, w_2c+1)`
-//!   `i16` pairs, no closes, kept rows or segments — one load and one
-//!   multiply-add per filter a pair-tap (`WalkCounts::dense`, in the same
-//!   units as the walks' cost). A layer's input has one staged layout, so
+//! * **Dense tiles.** A `G`-level hierarchy pays closes, kept rows and
+//!   outer segments to share gathers. Where that costs more than one
+//!   **dense tile** over all of the band's channels (LeNet's conv1: 74
+//!   entries in 63 closes a tile, R·S·C = 75 against INQ's U = 17), the band
+//!   is that tile: per pair-tap `(2c, 2c + 1, r, s)` holding a weight, one
+//!   gather offset and the band's `G` packed `(w_2c, w_2c+1)` `i16` pairs,
+//!   no closes, kept rows or segments — one load and one multiply-add per
+//!   filter a pair-tap (`WalkCounts::dense`, in the same units as the
+//!   walk's `WalkCounts::cost`). A layer's input has one staged layout, so
 //!   a layer is dense in every band or in none: lowering starts dense and,
-//!   at the first band of several filters that declines (it does not
-//!   un-share, or its dense tile costs no less than its walks apart),
-//!   lowers every band as before. A band of one filter (a ragged last band)
-//!   follows its layer.
+//!   at the first band of several filters whose walk costs no more than its
+//!   dense tile, lowers every band as a walk. A band of one filter (a
+//!   ragged last band) follows its layer.
 //!
 //! Tiles walked once per chunk (every fully connected layer) keep the
 //! stream's order and sharing.

@@ -348,14 +348,7 @@ fn expected() -> BTreeSet<Seen> {
         let kernels = KERNELS.iter().filter(emits);
         kernels.map(move |&(width, pitch)| Seen::Kernel(tier, width, pitch))
     });
-    let walks = [
-        "walked once",
-        "shared",
-        "filter by filter",
-        "dense",
-        "dense once",
-    ];
-    let walks = walks.map(Seen::Walk);
+    let walks = ["walked once", "shared", "dense", "dense once"].map(Seen::Walk);
     kernels
         .chain((1..=8).map(Seen::Copies))
         .chain(walks)

@@ -91,11 +91,18 @@ fn digests(plan: &CompiledNetwork) -> Vec<(String, u64, u64)> {
 /// Ct = 64 `ip2`'s 64 channels were one tile already); every convolution's
 /// row is as recorded.
 ///
-/// The rows marked `dense` were re-recorded when bands that walk filter by
-/// filter became one dense tile where that costs less: LeNet's `conv1` at
-/// G = 2 and 3 and its `conv3` at G = 3, and both `tiny` convolutions at
-/// G = 2 and 3, all on INQ weights. Their streams are as recorded, and every
-/// other row is unchanged.
+/// The rows marked `dense` were re-recorded when bands that walked each
+/// filter on its own became one dense tile where that costs less: LeNet's
+/// `conv1` at G = 2 and 3 and its `conv3` at G = 3, and both `tiny`
+/// convolutions at G = 2 and 3, all on INQ weights.
+///
+/// The rows marked `walk → dense` were re-recorded when every band became
+/// the cheaper of its shared walk and its dense tile, and walking a band
+/// one filter at a time went; each such layer's bands are now dense tiles:
+/// LeNet's INQ `conv2` and `conv3` at G = 2 and its `conv2` at G = 3,
+/// LeNet's TTQ `conv1`–`conv3` at G = 2 and at G = 3 (`conv2` and `conv3`
+/// at Ct = 16 only), and both TTQ `tiny` convolutions at G = 2 and 3. The
+/// streams of every row are as recorded, and every other row is unchanged.
 #[rustfmt::skip]
 const RECORDED: &[(&str, &str, usize, usize, &str, u64, u64)] = &[
     ("lenet", "inq", 1, 16, "conv1", 0x7ceadc3d0634f29d, 0x572aa0498a568018),
@@ -109,22 +116,22 @@ const RECORDED: &[(&str, &str, usize, usize, &str, u64, u64)] = &[
     ("lenet", "inq", 1, 64, "ip1", 0x0273fdc84f00f802, 0xbb59b9a6017d270f), // re-recorded
     ("lenet", "inq", 1, 64, "ip2", 0xa889adf4265c795f, 0xda84bc191573a59e),
     ("lenet", "inq", 2, 16, "conv1", 0x6989f6db809c75fd, 0xd7ee2993681de869), // re-recorded: dense
-    ("lenet", "inq", 2, 16, "conv2", 0x93eecd8e41310594, 0xf0dff19519b68558),
-    ("lenet", "inq", 2, 16, "conv3", 0x2232da1387ccefd7, 0x8ea646ae2b2cdd94),
+    ("lenet", "inq", 2, 16, "conv2", 0x93eecd8e41310594, 0xec85cae9d0afe5c9), // re-recorded: walk → dense
+    ("lenet", "inq", 2, 16, "conv3", 0x2232da1387ccefd7, 0x49995d79aa68a84a), // re-recorded: walk → dense
     ("lenet", "inq", 2, 16, "ip1", 0x2074e54b29df21bb, 0x63c5320b03750b87), // re-recorded
     ("lenet", "inq", 2, 16, "ip2", 0xde72b039b0275425, 0xb406057e8e39b27d), // re-recorded
     ("lenet", "inq", 2, 64, "conv1", 0x6989f6db809c75fd, 0xd7ee2993681de869), // re-recorded: dense
-    ("lenet", "inq", 2, 64, "conv2", 0x24583f6d0cb59691, 0x488ac7ac6e80261a),
-    ("lenet", "inq", 2, 64, "conv3", 0xa6f7ee4c4f4cf6df, 0xa9a968ba4fdcfc2e),
+    ("lenet", "inq", 2, 64, "conv2", 0x24583f6d0cb59691, 0xec85cae9d0afe5c9), // re-recorded: walk → dense
+    ("lenet", "inq", 2, 64, "conv3", 0xa6f7ee4c4f4cf6df, 0x49995d79aa68a84a), // re-recorded: walk → dense
     ("lenet", "inq", 2, 64, "ip1", 0x2074e54b29df21bb, 0x63c5320b03750b87), // re-recorded
     ("lenet", "inq", 2, 64, "ip2", 0xde72b039b0275425, 0xb406057e8e39b27d),
     ("lenet", "inq", 3, 16, "conv1", 0xe3ec9d0c2a5a0277, 0x51ee0e845817f8ad), // re-recorded: dense
-    ("lenet", "inq", 3, 16, "conv2", 0xd875a749622a2783, 0x46a433387f774a36),
+    ("lenet", "inq", 3, 16, "conv2", 0xd875a749622a2783, 0x5251e6b38af5e813), // re-recorded: walk → dense
     ("lenet", "inq", 3, 16, "conv3", 0x07077e345db7caec, 0xd3589a7a4f6ea92e), // re-recorded: dense
     ("lenet", "inq", 3, 16, "ip1", 0xb2ff2abfb16f6a59, 0x64b5b4036ce6de4e), // re-recorded
     ("lenet", "inq", 3, 16, "ip2", 0xd547900283359995, 0xd441b7607569f9d1), // re-recorded
     ("lenet", "inq", 3, 64, "conv1", 0xe3ec9d0c2a5a0277, 0x51ee0e845817f8ad), // re-recorded: dense
-    ("lenet", "inq", 3, 64, "conv2", 0x78a148163ca7735a, 0x5b13591ff63ddae7),
+    ("lenet", "inq", 3, 64, "conv2", 0x78a148163ca7735a, 0x5251e6b38af5e813), // re-recorded: walk → dense
     ("lenet", "inq", 3, 64, "conv3", 0x1b7c4336a2e3fc37, 0xd3589a7a4f6ea92e), // re-recorded: dense
     ("lenet", "inq", 3, 64, "ip1", 0xb2ff2abfb16f6a59, 0x64b5b4036ce6de4e), // re-recorded
     ("lenet", "inq", 3, 64, "ip2", 0xd547900283359995, 0xd441b7607569f9d1),
@@ -138,22 +145,22 @@ const RECORDED: &[(&str, &str, usize, usize, &str, u64, u64)] = &[
     ("lenet", "ttq", 1, 64, "conv3", 0x7d94bcea077415e8, 0x330c8e7790e2f32b),
     ("lenet", "ttq", 1, 64, "ip1", 0x2e0c044183eb6915, 0x5bacf94cb9252b4b), // re-recorded
     ("lenet", "ttq", 1, 64, "ip2", 0x0b9b359558f775aa, 0x6b9d2a4e794aaa3a),
-    ("lenet", "ttq", 2, 16, "conv1", 0xb9bf67bf1fb6ffe5, 0x1fe9b28a03d7252d),
-    ("lenet", "ttq", 2, 16, "conv2", 0xb3971382f864ad9e, 0xb277cf53f6d58fef),
-    ("lenet", "ttq", 2, 16, "conv3", 0xafdc1039d5fa6b0d, 0x9986de4405c2cc25),
+    ("lenet", "ttq", 2, 16, "conv1", 0xb9bf67bf1fb6ffe5, 0x248dbeae0332f2aa), // re-recorded: walk → dense
+    ("lenet", "ttq", 2, 16, "conv2", 0xb3971382f864ad9e, 0x6875c4cc71d7ae78), // re-recorded: walk → dense
+    ("lenet", "ttq", 2, 16, "conv3", 0xafdc1039d5fa6b0d, 0xcbcdfc7b8182623c), // re-recorded: walk → dense
     ("lenet", "ttq", 2, 16, "ip1", 0x6332f2a87854a055, 0xb5489df2b990412d), // re-recorded
     ("lenet", "ttq", 2, 16, "ip2", 0xaddb712222d58a02, 0x1334bdfd34ebd55c), // re-recorded
-    ("lenet", "ttq", 2, 64, "conv1", 0xb9bf67bf1fb6ffe5, 0x1fe9b28a03d7252d),
-    ("lenet", "ttq", 2, 64, "conv2", 0x0c673e2f039b9a0c, 0x44f1282e0237e486),
-    ("lenet", "ttq", 2, 64, "conv3", 0xd9974b5d2fc0be94, 0xc6b32de00e4972b4),
+    ("lenet", "ttq", 2, 64, "conv1", 0xb9bf67bf1fb6ffe5, 0x248dbeae0332f2aa), // re-recorded: walk → dense
+    ("lenet", "ttq", 2, 64, "conv2", 0x0c673e2f039b9a0c, 0x6875c4cc71d7ae78), // re-recorded: walk → dense
+    ("lenet", "ttq", 2, 64, "conv3", 0xd9974b5d2fc0be94, 0xcbcdfc7b8182623c), // re-recorded: walk → dense
     ("lenet", "ttq", 2, 64, "ip1", 0x6332f2a87854a055, 0xb5489df2b990412d), // re-recorded
     ("lenet", "ttq", 2, 64, "ip2", 0xaddb712222d58a02, 0x1334bdfd34ebd55c),
-    ("lenet", "ttq", 3, 16, "conv1", 0x818c71e911296e31, 0x56f046a1f3e615f0),
-    ("lenet", "ttq", 3, 16, "conv2", 0x16ad1351a1956298, 0xb3c95e32d458f183),
-    ("lenet", "ttq", 3, 16, "conv3", 0x5a58a633562a54f2, 0x516acaacb9ce3232),
+    ("lenet", "ttq", 3, 16, "conv1", 0x818c71e911296e31, 0xfa1826045d899783), // re-recorded: walk → dense
+    ("lenet", "ttq", 3, 16, "conv2", 0x16ad1351a1956298, 0xa8b84db21b3a8092), // re-recorded: walk → dense
+    ("lenet", "ttq", 3, 16, "conv3", 0x5a58a633562a54f2, 0x20e69533880220ee), // re-recorded: walk → dense
     ("lenet", "ttq", 3, 16, "ip1", 0x50a43fd50c7e04cf, 0xf344f3e0355828bf), // re-recorded
     ("lenet", "ttq", 3, 16, "ip2", 0xda39a313d55c9e3d, 0x5aa258501b21b061), // re-recorded
-    ("lenet", "ttq", 3, 64, "conv1", 0x818c71e911296e31, 0x56f046a1f3e615f0),
+    ("lenet", "ttq", 3, 64, "conv1", 0x818c71e911296e31, 0xfa1826045d899783), // re-recorded: walk → dense
     ("lenet", "ttq", 3, 64, "conv2", 0x5065ba7f9f4b7fd9, 0xe808ca4c528b22c1),
     ("lenet", "ttq", 3, 64, "conv3", 0xff46fbc1ba738399, 0xe540bc0a6749ea87),
     ("lenet", "ttq", 3, 64, "ip1", 0x50a43fd50c7e04cf, 0xf344f3e0355828bf), // re-recorded
@@ -182,17 +189,17 @@ const RECORDED: &[(&str, &str, usize, usize, &str, u64, u64)] = &[
     ("tiny", "ttq", 1, 64, "conv1", 0x3aa72b8ae1e0aa3d, 0xbbe19b9c1d82b3a6),
     ("tiny", "ttq", 1, 64, "conv2", 0x457b263a6a165cf3, 0xc558b7f6776d5e44),
     ("tiny", "ttq", 1, 64, "fc", 0x6a8004654dd5ef44, 0xb8120da6d8b64256), // re-recorded
-    ("tiny", "ttq", 2, 16, "conv1", 0xaef8106a4a3b5bb0, 0xf56d4e378b3604dc),
-    ("tiny", "ttq", 2, 16, "conv2", 0xe3043bc45841c853, 0x2cb9995e97260734),
+    ("tiny", "ttq", 2, 16, "conv1", 0xaef8106a4a3b5bb0, 0xa98a796f191f09b3), // re-recorded: walk → dense
+    ("tiny", "ttq", 2, 16, "conv2", 0xe3043bc45841c853, 0x8c1d628422fc6698), // re-recorded: walk → dense
     ("tiny", "ttq", 2, 16, "fc", 0xc2b03bb918c75526, 0x69c2cdb0ecd5cd65), // re-recorded
-    ("tiny", "ttq", 2, 64, "conv1", 0xaef8106a4a3b5bb0, 0xf56d4e378b3604dc),
-    ("tiny", "ttq", 2, 64, "conv2", 0xe3043bc45841c853, 0x2cb9995e97260734),
+    ("tiny", "ttq", 2, 64, "conv1", 0xaef8106a4a3b5bb0, 0xa98a796f191f09b3), // re-recorded: walk → dense
+    ("tiny", "ttq", 2, 64, "conv2", 0xe3043bc45841c853, 0x8c1d628422fc6698), // re-recorded: walk → dense
     ("tiny", "ttq", 2, 64, "fc", 0xc2b03bb918c75526, 0x69c2cdb0ecd5cd65), // re-recorded
-    ("tiny", "ttq", 3, 16, "conv1", 0x62a51de228208dde, 0x040e72dbbf8ce40e),
-    ("tiny", "ttq", 3, 16, "conv2", 0x2cad4d171bb86070, 0xc308a46c7e7a2780),
+    ("tiny", "ttq", 3, 16, "conv1", 0x62a51de228208dde, 0xf8cf6b2ff6d52c3b), // re-recorded: walk → dense
+    ("tiny", "ttq", 3, 16, "conv2", 0x2cad4d171bb86070, 0xe0ca2eaabc383e40), // re-recorded: walk → dense
     ("tiny", "ttq", 3, 16, "fc", 0x13924e53aef8ba43, 0xd1b8e757d7a4a0ff), // re-recorded
-    ("tiny", "ttq", 3, 64, "conv1", 0x62a51de228208dde, 0x040e72dbbf8ce40e),
-    ("tiny", "ttq", 3, 64, "conv2", 0x2cad4d171bb86070, 0xc308a46c7e7a2780),
+    ("tiny", "ttq", 3, 64, "conv1", 0x62a51de228208dde, 0xf8cf6b2ff6d52c3b), // re-recorded: walk → dense
+    ("tiny", "ttq", 3, 64, "conv2", 0x2cad4d171bb86070, 0xe0ca2eaabc383e40), // re-recorded: walk → dense
     ("tiny", "ttq", 3, 64, "fc", 0x13924e53aef8ba43, 0xd1b8e757d7a4a0ff), // re-recorded
 ];
 
