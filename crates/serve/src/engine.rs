@@ -1,17 +1,13 @@
-//! The batched inference engine: a sharded, work-stealing request queue
-//! feeding a pool of worker threads that execute retained
-//! [`CompiledNetwork`] plans.
+//! The batched inference engine: one bounded request queue feeding a pool
+//! of worker threads that execute retained [`CompiledNetwork`] plans.
 //!
 //! Workers share plans via `Arc` (the plan tree is `Send + Sync`, asserted
 //! at compile time in `ucnn-core`), so any number of workers serve any
 //! number of models with zero per-request compilation or weight copies.
-//! Each worker owns one shard of a [`ShardedQueue`] — submits spread over
-//! shards with two-choice probing, and a worker whose own shard runs dry
-//! **steals a whole contiguous batch** from the deepest peer (whole
-//! batches, not single items, so model-grouping survives the steal).
-//! Each worker drains its shard in dynamic batches: under light load a
-//! batch is a single request (no added latency), under backlog it grows up
-//! to the configured limit, amortizing queue synchronization.
+//! Every worker drains the one FIFO [`ShardedQueue`] in dynamic batches:
+//! under light load a batch is a single request (no added latency), under
+//! backlog it grows up to the configured limit, amortizing queue
+//! synchronization.
 //!
 //! A tensor that is not the named model's input shape is turned away at
 //! submit with [`ServeError::BadInput`]: it costs that request, not the
@@ -36,8 +32,8 @@
 //! Each request's time in the engine — queue wait, batch formation,
 //! execute — and the size of the batch it rode in are reported once, on
 //! its [`ServeResponse`]. The engine's own tally, which [`Engine::stats`]
-//! reads directly, keeps only counts: requests, forwards, steals and
-//! panics. Measuring the engine is the job of the repository benchmark
+//! reads directly, keeps only counts: requests, forwards and panics.
+//! Measuring the engine is the job of the repository benchmark
 //! (`benchmark/`).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -50,13 +46,13 @@ use ucnn_core::backend::BackendKind;
 use ucnn_core::plan::CompiledNetwork;
 use ucnn_tensor::Tensor3;
 
-use crate::queue::{ShardedBatch, ShardedQueue, TryPushError};
+use crate::queue::{ShardedQueue, TryPushError};
 use crate::registry::ModelRegistry;
 
 /// Engine sizing knobs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Worker thread count (`≥ 1`); each worker owns one queue shard.
+    /// Worker thread count (`≥ 1`); every worker drains the one queue.
     pub workers: usize,
     /// Bounded queue capacity (backpressure depth).
     pub queue_capacity: usize,
@@ -191,8 +187,6 @@ struct Counters {
     served: AtomicU64,
     /// Forwards answered (one per model group, one per re-run rider).
     batches: AtomicU64,
-    /// Batches drained from another worker's shard.
-    steals: AtomicU64,
     /// Forwards (or batches) lost to a panic.
     panics: AtomicU64,
     /// First worker panic message observed, for [`EngineStats`].
@@ -218,7 +212,9 @@ pub struct EngineStats {
     pub served: u64,
     /// Batched forwards executed across all workers (one per model group).
     pub batches: u64,
-    /// Batches drained from another worker's shard (work stealing).
+    /// Always 0: no code path writes it (the queue has no shards to steal
+    /// from). Read only by `benchmark/src/adapter.rs:276` until ROADMAP
+    /// item 1(a) stops reading it, then deleted.
     pub steals: u64,
     /// Always 0: no code path writes it. Read only by
     /// `benchmark/src/adapter.rs:277` until ROADMAP item 1(a) stops reading
@@ -288,7 +284,7 @@ impl Engine {
         // will actually serve them, and warms every already-resident plan
         // here, before the first request.
         registry.set_default_backend(config.backend);
-        let queue = Arc::new(ShardedQueue::new(config.workers, config.queue_capacity));
+        let queue = Arc::new(ShardedQueue::new(1, config.queue_capacity));
         let counters = Arc::new(Counters::default());
         let workers = (0..config.workers)
             .map(|worker| {
@@ -400,7 +396,7 @@ impl Engine {
         EngineStats {
             served: load(&c.served),
             batches: load(&c.batches),
-            steals: load(&c.steals),
+            steals: 0,
             shed_deadline: 0,
             deadline_rejected: 0,
             quota_rejected: 0,
@@ -461,23 +457,20 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// One worker thread: `worker` is its index in the pool (the id stamped on
-/// responses) and the queue shard it owns.
+/// responses). Every worker drains the one queue, up to `max_batch`
+/// requests at a time.
 fn worker_loop(
     worker: usize,
     queue: &ShardedQueue<Request>,
     counters: &Counters,
     config: &EngineConfig,
 ) {
-    while let Some(ShardedBatch { items, stolen }) = queue.pop_batch(worker, config.max_batch) {
-        if stolen {
-            counters.steals.fetch_add(1, Ordering::Relaxed);
-        }
+    while let Some(batch) = queue.pop_batch(0, config.max_batch) {
         // A forward that panics is caught where it runs (`serve_batch`);
-        // anything else that panics costs the batch, not the worker: a
-        // worker that exited here would leave its shard to the others, and
-        // `workers` such batches would leave the queue to nobody.
+        // anything else that panics costs the batch, not the worker:
+        // `workers` such batches would otherwise leave the queue to nobody.
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            serve_batch(worker, items, counters, config);
+            serve_batch(worker, batch.items, counters, config);
         }));
         if let Err(payload) = outcome {
             counters.record_panic(payload.as_ref());

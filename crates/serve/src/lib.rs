@@ -7,13 +7,11 @@
 //! * [`ModelRegistry`] — compile a network once
 //!   ([`ucnn_core::plan::CompiledNetwork`]), register it by name, and share
 //!   the immutable plan across threads behind an `Arc`.
-//! * [`Engine`] — a sharded, work-stealing request queue
-//!   ([`queue::ShardedQueue`]: one bounded shard per worker; an
-//!   undersized drain tops its batch up with whole FIFO runs stolen from
-//!   the deepest peers, so spread-out arrivals still coalesce into
-//!   batch-major forwards) with dynamic batching feeding a pool of
-//!   worker threads; each drained batch is grouped by model and executed
-//!   as **one batch-major forward**
+//! * [`Engine`] — one bounded FIFO request queue
+//!   ([`queue::ShardedQueue`], which every worker drains, so concurrent
+//!   arrivals coalesce into batch-major forwards) with dynamic batching
+//!   feeding a pool of worker threads; each drained batch is grouped by
+//!   model and executed as **one batch-major forward**
 //!   ([`ucnn_core::plan::CompiledNetwork::forward_batch_with`], through
 //!   [`EngineConfig::backend`], the engine's one executor choice), walking
 //!   the retained streams once for the whole batch, on the worker's own
@@ -25,7 +23,7 @@
 //!   phases (queue wait → batch form → execute) and the size of the batch
 //!   it rode in; [`EngineStats`] — the engine's one tally, plain atomics
 //!   it owns and [`Engine::stats`] reads directly — keeps only counts:
-//!   requests, batches, steals and panics.
+//!   requests, batches and panics.
 //!
 //! *Measuring* the engine is the job of the repository benchmark
 //! (`benchmark/`); the serving test suites (`tests/serve_load.rs`,

@@ -115,8 +115,7 @@ impl ModelRegistry {
 
     /// The serving backend registered with this registry, if an engine has
     /// adopted it.
-    #[must_use]
-    pub fn default_backend(&self) -> Option<BackendKind> {
+    fn default_backend(&self) -> Option<BackendKind> {
         *self.default_backend.read().expect("registry poisoned")
     }
 
@@ -139,18 +138,6 @@ impl ModelRegistry {
             .expect("registry poisoned")
             .get(name)
             .cloned()
-    }
-
-    /// Number of registered models.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.models.read().expect("registry poisoned").len()
-    }
-
-    /// Whether the registry holds no models.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -176,8 +163,6 @@ mod tests {
         let looked_up = registry.resolve("tiny").unwrap();
         assert!(Arc::ptr_eq(&inserted, &looked_up), "lookup must not clone");
         assert!(registry.resolve("missing").is_none());
-        assert_eq!(registry.len(), 1);
-        assert!(!registry.is_empty());
     }
 
     #[test]
@@ -191,7 +176,6 @@ mod tests {
         let current = registry.resolve("tiny").unwrap();
         assert!(Arc::ptr_eq(&b, &current));
         assert!(!Arc::ptr_eq(&a, &current));
-        assert_eq!(registry.len(), 1);
     }
 
     #[test]
@@ -221,7 +205,6 @@ mod tests {
         let current = registry.resolve("tiny").unwrap();
         assert!(Arc::ptr_eq(&new, &current));
         assert_eq!(current.forward(&input), expect_new);
-        assert_eq!(registry.len(), 1);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! | [`model`] | networks (LeNet/AlexNet/ResNet-50), quantization (INQ/TTQ/fixed), generators, reference convolution, repetition statistics |
 //! | [`core`] | **the paper's contribution**: dot-product factorization, activation-group reuse, indirection-table encodings, functional factorized executor |
 //! | [`sim`] | DCNN/DCNN_sp/UCNN processing-element and chip models: cycles, energy, area |
-//! | [`serve`] | compile-once batched inference engine: model registry, sharded queue, worker pool, engine stats |
+//! | [`serve`] | compile-once batched inference engine: model registry, one bounded queue, worker pool, engine stats |
 //!
 //! # Example: factorize a layer and weigh it against the dense baseline
 //!
