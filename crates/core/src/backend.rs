@@ -4,9 +4,9 @@
 //! Every UCNN execution strategy computes the *same* arithmetic as the dense
 //! convolution, only reordered around weight repetition (§III) — so an
 //! executor is a swappable implementation detail, not a semantic choice.
-//! This module makes that explicit: [`BackendKind::run_layer`] executes a
-//! [`CompiledLayer`] and [`BackendKind::run_network`] a whole
-//! [`CompiledNetwork`] over a batch of inputs, every kind in
+//! This module makes that explicit: [`BackendKind::run_network`] executes a
+//! whole [`CompiledNetwork`] over a batch of inputs (a layer alone is a
+//! one-layer network), every kind in
 //! [`BackendKind::ALL`] is **bit-identical** to the dense reference
 //! (enforced by the golden conformance corpus in `tests/golden/` and the
 //! seeded equivalence oracle), and callers select one with a [`BackendKind`]
@@ -31,7 +31,7 @@ use ucnn_tensor::Tensor3;
 
 use crate::counters::LayerWork;
 use crate::exec::run_compiled_batch;
-use crate::flatten::{run_layer, run_stages, FlattenedTile};
+use crate::flatten::{run_stages, FlattenedTile};
 use crate::hierarchy::GroupStream;
 use crate::plan::{CompiledLayer, CompiledNetwork, CompiledStage};
 use crate::simd::SimdCaps;
@@ -69,25 +69,13 @@ impl BackendKind {
 /// # Contract
 ///
 /// Outputs are **bit-identical** to the dense reference
-/// (`ucnn_model::reference::conv2d`) for every input and batch size — the
-/// conformance corpus (`tests/conformance.rs`) and the equivalence oracle
-/// (`crates/core/src/flatten/oracle.rs`) run every kind in
-/// [`BackendKind::ALL`] against exactly that bar. An empty batch returns an
-/// empty vector. Every executor runs on the calling thread.
+/// (`ucnn_model::forward::dense_forward`) for every input and batch size —
+/// the conformance corpus (`tests/conformance.rs`) and the equivalence
+/// oracle (`crates/core/src/flatten/oracle.rs`) run every kind in
+/// [`BackendKind::ALL`] against exactly that bar, a layer alone as a
+/// one-layer network. An empty batch returns an empty vector. Every
+/// executor runs on the calling thread.
 impl BackendKind {
-    /// Executes `layer` over `inputs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any input mismatches the layer geometry.
-    #[must_use]
-    pub fn run_layer(self, layer: &CompiledLayer, inputs: &[Tensor3<i16>]) -> Vec<Tensor3<i32>> {
-        match self {
-            BackendKind::BatchThreads => run_compiled_batch(layer, inputs),
-            BackendKind::FlattenedBatch => run_layer(layer, inputs, SimdCaps::get().best()),
-        }
-    }
-
     /// Runs the whole of `net` over `inputs` with the wiring rule of
     /// `ucnn_model::forward::dense_forward`: ReLU-saturated `i16`
     /// activations between stages, the last stage's raw `i32` output
@@ -107,7 +95,7 @@ impl BackendKind {
     #[must_use]
     pub fn run_network(self, net: &CompiledNetwork, inputs: &[Tensor3<i16>]) -> Vec<Tensor3<i32>> {
         match self {
-            BackendKind::BatchThreads => layer_by_layer(self, net, inputs),
+            BackendKind::BatchThreads => layer_by_layer(net, inputs),
             BackendKind::FlattenedBatch => run_stages(net.stages(), inputs, SimdCaps::get().best()),
         }
     }
@@ -123,8 +111,8 @@ impl BackendKind {
         }
     }
 
-    /// The work one `run_layer(layer, inputs)` call with `batch` inputs
-    /// performs, as reuse telemetry for [`counters`](crate::counters):
+    /// The work `layer` performs in one `run_network` call with `batch`
+    /// inputs, as reuse telemetry for [`counters`](crate::counters):
     /// analytic counts derived from the retained plan, **not** measured by
     /// instrumenting the inner loop — so the accounting is O(tiles). The
     /// stream walker reports the stream's counts; the flattened executor
@@ -140,14 +128,10 @@ impl BackendKind {
 }
 
 /// The stream walker's network loop: every stage materializes its
-/// per-image tensors — [`BackendKind::run_layer`], each `i32` output
+/// per-image tensors — [`run_compiled_batch`], each `i32` output
 /// consumed into its [`reference::relu_saturate`]d successor so the two
 /// whole-batch tensors never coexist, [`reference::pool2d`] image by image.
-fn layer_by_layer(
-    backend: BackendKind,
-    net: &CompiledNetwork,
-    inputs: &[Tensor3<i16>],
-) -> Vec<Tensor3<i32>> {
+fn layer_by_layer(net: &CompiledNetwork, inputs: &[Tensor3<i16>]) -> Vec<Tensor3<i32>> {
     let last = net.stages().len() - 1;
     // The first stage reads the caller's tensors in place; every later one
     // owns the previous stage's output.
@@ -159,7 +143,7 @@ fn layer_by_layer(
                     let flat = |a| flatten_for_fc(a, layer.geom().c());
                     acts = acts.into_owned().into_iter().map(flat).collect();
                 }
-                let sums = backend.run_layer(layer, &acts);
+                let sums = run_compiled_batch(layer, &acts);
                 if si == last {
                     return sums;
                 }
@@ -251,14 +235,12 @@ mod tests {
 
     #[test]
     fn every_backend_matches_dense_reference() {
-        // One layer through `run_layer`, and a conv → conv → pool network
-        // through `run_network` — layer by layer or chunk-major, the wiring
-        // is exactly `dense_forward`'s.
+        // One layer as a one-layer network, and a conv → conv → pool
+        // network — layer by layer or chunk-major, the wiring is exactly
+        // `dense_forward`'s.
+        let c1 = ConvGeom::new(7, 6, 5, 4, 3, 3).with_pad(1);
         let mut net = NetworkSpec::new("pair");
-        net.push(LayerSpec::conv(
-            "c1",
-            ConvGeom::new(7, 6, 5, 4, 3, 3).with_pad(1),
-        ));
+        net.push(LayerSpec::conv("c1", c1));
         net.push(LayerSpec::conv(
             "c2",
             ConvGeom::new(7, 6, 4, 3, 3, 3).with_pad(1),
@@ -266,24 +248,25 @@ mod tests {
         net.push(LayerSpec::pool("p", PoolKind::Avg, 3, 2));
         let weights = forward::generate_network_weights(&net, QuantScheme::inq(), 17, 0.8);
         let plan = CompiledNetwork::compile(&net, &weights, &UcnnConfig::with_g(2));
-        let CompiledStage::Conv { layer, .. } = &plan.stages()[0] else {
-            panic!("the network starts with a convolution");
-        };
+        let mut alone = NetworkSpec::new("c1");
+        alone.push(net.layers()[0].clone());
+        let one = CompiledNetwork::compile(&alone, &weights[..1], &UcnnConfig::with_g(2));
         let mut agen = ActivationGen::new(18);
         let inputs: Vec<_> = (0..3).map(|_| agen.generate(5, 7, 6)).collect();
         let expected: Vec<_> = inputs
             .iter()
-            .map(|i| reference::conv2d(layer.geom(), 1, i, &weights[0]))
+            .map(|i| reference::conv2d(&c1, 1, i, &weights[0]))
             .collect();
         let expected_net: Vec<_> = inputs
             .iter()
             .map(|i| forward::dense_forward(&net, &weights, i))
             .collect();
         for kind in BackendKind::ALL {
-            assert_eq!(kind.run_layer(layer, &inputs), expected, "backend {kind:?}");
+            let got = one.forward_batch_with(&inputs, kind);
+            assert_eq!(got, expected, "backend {kind:?}");
             let got = kind.run_network(&plan, &inputs);
             assert_eq!(got, expected_net, "backend {kind:?} network");
-            assert!(kind.run_layer(layer, &[]).is_empty());
+            assert!(kind.run_network(&one, &[]).is_empty());
         }
     }
 }

@@ -215,9 +215,11 @@ pub fn run_compiled_batch(layer: &CompiledLayer, inputs: &[Tensor3<i16>]) -> Vec
     if inputs.is_empty() {
         return Vec::new();
     }
-    // A batch of one gains nothing from amortization but would pay the
-    // batched kernel's scratch indirection; the scalar walk is the same
-    // arithmetic, so light-load latency stays unregressed.
+    // A batch of one amortizes nothing and would pay the batch-major walk's
+    // scratch indirection; the per-image walk is the same arithmetic. With
+    // B = 1 sent through the batch-major walk instead, `serve_closed_c2`
+    // (batch near 1) read `throughput_vs_dense` 0.88 → 0.52 and
+    // `lat_p50_vs_dense` 2.02 → 3.50, 4 of 4 pairs (docs/LAB.md Part 20).
     if let [input] = inputs {
         return vec![run_compiled(layer, input)];
     }
@@ -251,9 +253,8 @@ pub fn run_compiled_batch(layer: &CompiledLayer, inputs: &[Tensor3<i16>]) -> Vec
     outs
 }
 
-/// Asserts every batch input matches the compiled layer's geometry (shared
-/// with the flattened executors in [`crate::flatten`]).
-pub(crate) fn check_batch_inputs(layer: &CompiledLayer, inputs: &[Tensor3<i16>]) {
+/// Asserts every batch input matches the compiled layer's geometry.
+fn check_batch_inputs(layer: &CompiledLayer, inputs: &[Tensor3<i16>]) {
     let geom = layer.geom();
     let channels = geom.c() * layer.conv_groups();
     for input in inputs {

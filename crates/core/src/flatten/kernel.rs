@@ -651,7 +651,7 @@ mod tier_kernels {
 /// The `unsafe` blocks satisfy the `#[target_feature]` contract by type: a
 /// [`Probed`] tier can only be minted by clamping to the CPU's detected
 /// capabilities ([`SimdCaps::probe`](crate::simd::SimdCaps::probe), in
-/// `run_chunked`), so a gated kernel only runs when its feature was
+/// `run_stages`), so a gated kernel only runs when its feature was
 /// probed present. Foreign-architecture tiers fold into the scalar arm at
 /// compile time via the `cfg`s.
 #[allow(unsafe_code)]
@@ -880,10 +880,9 @@ pub(super) fn chunk_widths(images: usize, lane_width: usize) -> impl Iterator<It
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::BackendKind;
     use crate::compile::UcnnConfig;
-    use crate::flatten::oracle::{Alphabet, Case, Seen};
-    use crate::flatten::run_layer;
+    use crate::flatten::oracle::{alone, Alphabet, Case, Seen};
+    use crate::flatten::run_stages;
     use crate::plan::CompiledLayer;
     use crate::simd::SimdCaps;
     use ucnn_model::reference;
@@ -950,6 +949,7 @@ mod tests {
         let weights = Tensor4::from_fn(1, 1, 3, 3, |_, _, _, _| 1i16);
         let input = Tensor3::filled(1, 7, 6, 1i16);
         let layer = CompiledLayer::compile(&geom, 1, &weights, &UcnnConfig::default());
+        let stages = alone(layer);
         let out = reference::conv2d(&geom, 1, &input, &weights);
         assert_eq!(out[(0, 0, 0)], 1, "top-left corner: 8 of 9 reads clip");
         assert_eq!(
@@ -969,7 +969,7 @@ mod tests {
         );
         // The kernels read the same zero halo, one image or several.
         for batch in [1, 4] {
-            for got in run_layer(&layer, &vec![input.clone(); batch], SimdCaps::get().best()) {
+            for got in run_stages(&stages, &vec![input.clone(); batch], SimdCaps::get().best()) {
                 assert_eq!(got, out);
             }
         }
@@ -1259,12 +1259,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "input plane mismatch")]
+    #[should_panic(expected = "activation dims do not match the layer")]
     fn rejects_mismatched_input() {
         let geom = ConvGeom::new(6, 6, 4, 4, 3, 3);
         let weights = Tensor4::from_fn(4, 4, 3, 3, |_, _, _, _| 1i16);
         let layer = CompiledLayer::compile(&geom, 1, &weights, &UcnnConfig::default());
+        let stages = alone(layer);
         let bad = [Tensor3::filled(4, 5, 5, 1i16)];
-        let _ = BackendKind::FlattenedBatch.run_layer(&layer, &bad);
+        let _ = run_stages(&stages, &bad, SimdCaps::get().best());
     }
 }

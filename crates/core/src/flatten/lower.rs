@@ -800,8 +800,8 @@ pub(super) mod tests {
 
     use super::*;
     use crate::compile::UcnnConfig;
-    use crate::flatten::oracle::check_layer;
-    use crate::flatten::run_layer;
+    use crate::flatten::oracle::{alone, check_layer};
+    use crate::flatten::run_stages;
     use crate::plan::CompiledLayer;
     use crate::simd::SimdCaps;
     use ucnn_model::{reference, ActivationGen, QuantScheme, WeightGen};
@@ -1067,7 +1067,7 @@ pub(super) mod tests {
                 assert_eq!(tile.closes.len(), records, "{geom:?}, flip {flip}");
                 let input = agen.generate(c, geom.in_w(), geom.in_h());
                 let expected = reference::conv2d(&geom, 1, &input, &weights);
-                let got = run_layer(&layer, &[input], SimdCaps::get().best());
+                let got = run_stages(&alone(layer), &[input], SimdCaps::get().best());
                 assert_eq!(got, [expected], "{geom:?}, flip {flip}");
             }
         }

@@ -175,9 +175,8 @@
 //! `0..=i16::MAX` and narrowed (the reference's `relu_saturate`), pooling is
 //! an `LW`-wide max / widening sum over rows, a pool that directly follows
 //! a convolution runs on each finished band — and is transposed out once,
-//! into the caller's `i32` tensors. A layer alone
-//! ([`BackendKind::run_layer`](crate::backend::BackendKind::run_layer), or a
-//! one-stage list) is the same pieces: stage → bands → scatter.
+//! into the caller's `i32` tensors. A layer alone is a one-stage list, the
+//! same pieces with nothing between them: stage → bands → scatter.
 //!
 //! Scratch (two activation planes, the kept-close prefix lanes, the band's
 //! lane-major sums) lives in an arena. Every buffer the strip kernel walks
@@ -198,4 +197,4 @@ pub use lower::FlattenedTile;
 pub use network::run_stages;
 
 pub(crate) use lower::{lower_dense, lower_layer, walked_once};
-pub(crate) use network::{run_layer, Dims};
+pub(crate) use network::Dims;

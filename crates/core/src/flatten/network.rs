@@ -430,60 +430,6 @@ fn divide_lanes(cell: &mut [i16], sum: &[i32], n: i32) {
     }
 }
 
-/// The batch driver behind both entry points: allocates the `out_dims`
-/// outputs, clamps `tier` to the CPU (minting the [`Probed`] token the
-/// kernels dispatch on, so forcing an unavailable tier runs the best
-/// supported one instead of faulting), cuts the batch into lane chunks at
-/// the widths `chunk_widths` emits for it — the tier's interleave
-/// width, 16, 8, then the rest as one chunk of row-shifted copies — and
-/// runs `chunk(inputs, outputs, arena, tier)` on each, on the calling
-/// thread, with that thread's arena, so steady-state serving allocates no
-/// scratch.
-fn run_chunked(
-    inputs: &[Tensor3<i16>],
-    (c, w, h): Dims,
-    tier: SimdTier,
-    chunk: impl Fn(&[Tensor3<i16>], &mut [Tensor3<i32>], &mut FlattenedScratch, Probed),
-) -> Vec<Tensor3<i32>> {
-    let tier = SimdCaps::get().probe(tier);
-    let mut outs: Vec<Tensor3<i32>> = inputs.iter().map(|_| Tensor3::zeros(c, w, h)).collect();
-    with_thread_scratch(|arena| {
-        let mut start = 0;
-        for width in chunk_widths(inputs.len(), tier.tier().lane_width()) {
-            let end = start + width;
-            chunk(&inputs[start..end], &mut outs[start..end], arena, tier);
-            start = end;
-        }
-    });
-    outs
-}
-
-/// One layer over one lane chunk: stage → bands → scatter.
-pub(super) fn run_layer_chunk(
-    layer: &CompiledLayer,
-    inputs: &[Tensor3<i16>],
-    outs: &mut [Tensor3<i32>],
-    scratch: &mut FlattenedScratch,
-    tier: Probed,
-) {
-    let FlattenedScratch {
-        planes: [staged, _],
-        prefix,
-        band_lanes,
-        ..
-    } = scratch;
-    let (geom, pair) = (layer.geom(), pair_of(layer));
-    let lanes = Lanes::new(inputs.len(), geom);
-    let input = stage_chunk(inputs, geom.pad(), (lanes.pitch, pair), staged);
-    replicate(lanes, input, geom, pair);
-    let (w, h) = (geom.out_w(), geom.out_h());
-    let sink = |k_first, sums: &[i32], _: &mut Rows<i32>| {
-        let stored = |r| lanes.stored(r, w);
-        scatter_lanes(sums, (lanes.pitch, h), stored, outs, k_first * w * h, |v| v);
-    };
-    run_bands(layer, input, lanes, tier, prefix, band_lanes, sink);
-}
-
 /// A whole network over one lane chunk, lane-major from the staged input to
 /// the last stage: one transpose in ([`stage_chunk`]), one transpose out
 /// ([`scatter_lanes`] into the caller's `i32` tensors). In between the
@@ -497,7 +443,7 @@ pub(super) fn run_layer_chunk(
 /// A pool that directly follows a convolution runs on each finished band
 /// instead (pooling is per channel and a band is `G` whole output planes),
 /// so the convolution's full-resolution activation never exists.
-fn run_network_chunk(
+pub(super) fn run_network_chunk(
     stages: &[CompiledStage],
     inputs: &[Tensor3<i16>],
     outs: &mut [Tensor3<i32>],
@@ -607,10 +553,14 @@ fn run_network_chunk(
 /// `repro reuse`' `reuse@<tier>` and `dense@<tier>` rows). A layer alone is
 /// a one-stage list.
 ///
-/// Every lane chunk of the batch runs the whole of `stages` batch-interleaved
-/// (see the module docs): staged once into the zero-haloed lane layout,
-/// walked one filter band at a time through the tier's `#[target_feature]`
-/// kernels, de-interleaved once into the per-image outputs. `tier` is
+/// The batch is cut into lane chunks at the widths `chunk_widths` emits
+/// for it — the tier's interleave width, 16, 8, then the rest as one chunk
+/// of row-shifted copies — and every chunk runs the whole of `stages`
+/// batch-interleaved (see the module docs) on the calling thread, in its
+/// arena, so steady-state serving allocates no scratch: staged once into
+/// the zero-haloed lane layout, walked one filter band at a time through
+/// the tier's `#[target_feature]` kernels, de-interleaved once into the
+/// per-image outputs. `tier` is
 /// clamped to the CPU's detected capabilities, so forcing an unavailable
 /// one runs the best supported tier instead of faulting. Outputs are
 /// **bit-identical** to the dense reference's wiring
@@ -656,30 +606,25 @@ pub fn run_stages(
     let in_dims = (first.c(), first.w(), first.h());
     let same = |i: &Tensor3<i16>| (i.c(), i.w(), i.h()) == in_dims;
     assert!(inputs.iter().all(same), "batch input dims differ");
-    let out_dims = stages.iter().fold(in_dims, |d, s| s.out_dims(d));
-    run_chunked(inputs, out_dims, tier, |ins, outs, arena, tier| {
-        run_network_chunk(stages, ins, outs, arena, tier);
-    })
-}
-
-/// One layer over a batch on `tier`: [`run_stages`] of a one-stage list,
-/// without a stage to own the layer — `BackendKind::FlattenedBatch`'s
-/// `run_layer`.
-///
-/// # Panics
-///
-/// Panics if any input mismatches the layer geometry.
-pub(crate) fn run_layer(
-    layer: &CompiledLayer,
-    inputs: &[Tensor3<i16>],
-    tier: SimdTier,
-) -> Vec<Tensor3<i32>> {
-    crate::exec::check_batch_inputs(layer, inputs);
-    let geom = layer.geom();
-    let out_dims = (geom.k(), geom.out_w(), geom.out_h());
-    run_chunked(inputs, out_dims, tier, |ins, outs, arena, tier| {
-        run_layer_chunk(layer, ins, outs, arena, tier);
-    })
+    let (c, w, h) = stages.iter().fold(in_dims, |d, s| s.out_dims(d));
+    // Clamping to the CPU mints the `Probed` token the kernels dispatch on.
+    let tier = SimdCaps::get().probe(tier);
+    let mut outs: Vec<Tensor3<i32>> = inputs.iter().map(|_| Tensor3::zeros(c, w, h)).collect();
+    with_thread_scratch(|arena| {
+        let mut start = 0;
+        for width in chunk_widths(inputs.len(), tier.tier().lane_width()) {
+            let end = start + width;
+            run_network_chunk(
+                stages,
+                &inputs[start..end],
+                &mut outs[start..end],
+                arena,
+                tier,
+            );
+            start = end;
+        }
+    });
+    outs
 }
 
 #[cfg(test)]

@@ -20,16 +20,16 @@ use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
 use ucnn_model::rng::SmallRng;
-use ucnn_model::{reference, PoolKind, QuantScheme};
+use ucnn_model::{reference, LayerSpec, NetworkSpec, PoolKind, QuantScheme};
 use ucnn_tensor::{ConvGeom, Tensor3, Tensor4};
 
 use super::kernel::{chunk_widths, strip_runs, Lanes, KERNELS, LANE_WIDTH};
 use super::lower::tests::check_lowering;
-use super::{run_layer, run_stages, walked_once};
+use super::{run_stages, walked_once};
 use crate::backend::BackendKind;
 use crate::compile::UcnnConfig;
 use crate::exec::factorized_conv;
-use crate::plan::{CompiledLayer, CompiledStage};
+use crate::plan::{CompiledLayer, CompiledNetwork, CompiledStage};
 use crate::simd::{available_tiers, SimdTier};
 
 /// Seeds every run checks, whatever the clock says: one walk of the small
@@ -242,7 +242,7 @@ impl Case {
             seen.insert(Seen::MinusSubRun);
         }
         // The layer's chunks and strips on each tier, from the two
-        // functions the executor cuts them with: `run_chunked` takes its
+        // functions the executor cuts them with: `run_stages` takes its
         // chunks from `chunk_widths`, `run_bands` its strips from
         // `strip_runs`.
         for &tier in available_tiers() {
@@ -259,19 +259,29 @@ impl Case {
     }
 }
 
+/// `layer` alone: the one-stage list a layer runs as.
+pub(super) fn alone(layer: CompiledLayer) -> [CompiledStage; 1] {
+    let name = "layer".into();
+    [CompiledStage::Conv {
+        name,
+        layer,
+        is_fc: false,
+    }]
+}
+
 /// Runs `layer`, compiled from `weights`, over `inputs` through every
-/// [`BackendKind`]'s `run_layer` (the widest tier), image by image through
-/// the paper's functional definition ([`factorized_conv`]), and on every
-/// available tier through the flattened [`run_layer`] and through
-/// [`run_stages`] three ways, one for each way the layer's finished bands
-/// leave it: alone (its raw sums scattered out), followed by a 1×1 max-pool
-/// (fused onto the layer's bands), and followed by an identity 1×1
-/// convolution (the bands enter its plane through the relu epilogue). Both
-/// chains hand the `relu_saturate`d activations on unchanged. The per-tier
-/// runs are made twice: with the elected lowering and with the all-dense
-/// one ([`CompiledLayer::dense_lowered`], a dense tile per band). Each is
-/// held to the dense reference; the plan is shared by every run, so a run
-/// that changed it fails a later one.
+/// [`BackendKind`] as a one-layer network (the widest tier), image by image
+/// through the paper's functional definition ([`factorized_conv`]), and on
+/// every available tier through [`run_stages`] three ways, one for each
+/// way the layer's finished bands leave it: alone (its raw sums scattered
+/// out), followed by a 1×1 max-pool (fused onto the layer's bands), and
+/// followed by an identity 1×1 convolution (the bands enter its plane
+/// through the relu epilogue). Both chains hand the `relu_saturate`d
+/// activations on unchanged. The per-tier runs are made twice: with the
+/// elected lowering and with the all-dense one
+/// ([`CompiledLayer::dense_lowered`], a dense tile per band). Each is held
+/// to the dense reference; the plan is shared by every per-tier run, so a
+/// run that changed it fails a later one.
 pub(super) fn check_layer(
     layer: &CompiledLayer,
     weights: &Tensor4<i16>,
@@ -289,8 +299,11 @@ pub(super) fn check_layer(
         .iter()
         .map(|s| widen(reference::relu_saturate(s)))
         .collect();
+    let mut spec = NetworkSpec::new("alone");
+    spec.push(LayerSpec::grouped_conv("layer", *geom, layer.conv_groups()));
+    let net = CompiledNetwork::compile(&spec, std::slice::from_ref(weights), layer.config());
     for kind in BackendKind::ALL {
-        let got = kind.run_layer(layer, inputs);
+        let got = net.forward_batch_with(inputs, kind);
         assert_eq!(got, sums, "{what}: backend {kind:?}");
     }
     for (i, input) in inputs.iter().enumerate() {
@@ -325,7 +338,6 @@ pub(super) fn check_layer(
         ];
         for &tier in available_tiers() {
             let tier_what = format!("{what}: {lowering}, tier {}", tier.name());
-            assert_eq!(run_layer(layer, inputs, tier), sums, "{tier_what}: layer");
             let raw = run_stages(std::slice::from_ref(&stage), inputs, tier);
             assert_eq!(raw, sums, "{tier_what}: raw sums");
             for (chain, stages) in &chains {

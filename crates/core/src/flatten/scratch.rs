@@ -95,15 +95,16 @@ mod tests {
     use super::*;
     use crate::compile::UcnnConfig;
     use crate::flatten::kernel::{chunk_widths, LANE_WIDTH};
-    use crate::flatten::network::{haloed_len, run_layer_chunk};
-    use crate::flatten::{run_layer, run_stages};
-    use crate::plan::{CompiledLayer, CompiledNetwork, CompiledStage};
+    use crate::flatten::network::{haloed_len, run_network_chunk};
+    use crate::flatten::oracle::alone;
+    use crate::flatten::run_stages;
+    use crate::plan::{CompiledLayer, CompiledNetwork};
     use crate::simd::{available_tiers, SimdCaps, SimdTier};
     use ucnn_model::{forward, reference, ActivationGen, QuantScheme, WeightGen};
     use ucnn_tensor::{ConvGeom, Tensor3, Tensor4};
 
-    /// A batch of one layer on one explicit arena, chunk by chunk — what
-    /// `run_chunked` does with the calling thread's.
+    /// A batch of one layer, as a one-stage list, on one explicit arena,
+    /// chunk by chunk — what `run_stages` does with the calling thread's.
     fn run_on_arena(
         layer: &CompiledLayer,
         inputs: &[Tensor3<i16>],
@@ -115,12 +116,12 @@ mod tests {
             .iter()
             .map(|_| Tensor3::zeros(geom.k(), geom.out_w(), geom.out_h()))
             .collect();
-        let tier = SimdCaps::get().probe(tier);
+        let (stages, tier) = (alone(layer.clone()), SimdCaps::get().probe(tier));
         let mut start = 0;
         for width in chunk_widths(inputs.len(), tier.tier().lane_width()) {
             let end = start + width;
             let (ins, outs) = (&inputs[start..end], &mut outs[start..end]);
-            run_layer_chunk(layer, ins, outs, scratch, tier);
+            run_network_chunk(&stages, ins, outs, scratch, tier);
             start = end;
         }
         outs
@@ -411,9 +412,6 @@ mod tests {
         let net = ucnn_model::networks::tiny();
         let weights = forward::generate_network_weights(&net, QuantScheme::inq(), 97, 0.85);
         let plan = CompiledNetwork::compile(&net, &weights, &UcnnConfig::with_g(2));
-        let CompiledStage::Conv { layer, .. } = &plan.stages()[0] else {
-            panic!("tiny starts with a convolution");
-        };
         let tier = SimdCaps::get().best();
         let mut agen = ActivationGen::new(98);
         let inputs: Vec<Tensor3<i16>> = (0..2 * tier.lane_width())
@@ -422,7 +420,7 @@ mod tests {
         let arena = || THREAD_SCRATCH.with(|cell| arena_layout(&cell.borrow()));
         let calls = || {
             (
-                run_layer(layer, &inputs, tier),
+                run_stages(&plan.stages()[..1], &inputs, tier),
                 run_stages(plan.stages(), &inputs, tier),
                 run_stages(plan.stages(), &inputs[..1], tier),
             )

@@ -41,9 +41,9 @@
 //! * [`backend`] — the executor backends: two bit-identical inner-loop
 //!   shapes (the retained-stream walk and the flattened SIMD executor),
 //!   selected by a [`BackendKind`] end to end from the serving engine down
-//!   and dispatched by a `match` on it ([`BackendKind::run_layer`],
-//!   [`BackendKind::run_network`]). A forward runs on the thread that calls
-//!   it.
+//!   and dispatched by a `match` on it ([`BackendKind::run_network`]; a
+//!   layer alone runs as a one-layer network). A forward runs on the thread
+//!   that calls it.
 //! * [`counters`] — the per-layer reuse-telemetry sink: an opt-in
 //!   `(network, layer)` → [`LayerWork`] tally (images, multiplies issued vs
 //!   dense-equivalent, gather entries) every backend reports into per layer

@@ -92,10 +92,9 @@ pub struct CompiledLayer {
     geom: ConvGeom,
     conv_groups: usize,
     tiles: Vec<CompiledTile>,
-    /// Branch-free lowering of every filter band — one walk per entry of
-    /// `tiles`, or one per filter of it where the band's hierarchy costs
-    /// more than it shares, or one dense tile per band where that costs
-    /// less still (`Lowering::lower_band`) — built on the
+    /// Branch-free lowering of every filter band — each band lowered as
+    /// its shared walk (one walk per entry of `tiles`) or as one dense
+    /// tile, whichever costs less (`Lowering::lower_band`) — built on the
     /// first flattened execution (or an explicit
     /// [`CompiledNetwork::warm`]) and cached. The library default
     /// ([`CompiledNetwork::DEFAULT_BACKEND`]) runs through it; a deployment
@@ -216,9 +215,9 @@ impl CompiledLayer {
 
     /// The branch-free flattened lowering of the layer, filter band by
     /// filter band in the order of [`CompiledLayer::tiles`] (consumed by
-    /// [`run_stages`](crate::flatten::run_stages)): lowering owns the
-    /// order and the sharing of each walk, so a tile may lower to one walk
-    /// per filter, and a band to one dense tile.
+    /// [`run_stages`](crate::flatten::run_stages)): each band is lowered
+    /// as its shared walk, one walk per tile whose order and sharing
+    /// lowering owns, or as its dense tile.
     ///
     /// Lowered on first use and cached; subsequent calls are a load.
     #[must_use]

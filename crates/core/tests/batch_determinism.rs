@@ -16,7 +16,9 @@ use ucnn_core::backend::BackendKind;
 use ucnn_core::compile::UcnnConfig;
 use ucnn_core::exec::{run_compiled, run_compiled_batch};
 use ucnn_core::plan::{CompiledLayer, CompiledNetwork};
-use ucnn_model::{forward, networks, ActivationGen, QuantScheme, WeightGen};
+use ucnn_model::{
+    forward, networks, ActivationGen, LayerSpec, NetworkSpec, QuantScheme, WeightGen,
+};
 use ucnn_tensor::{ConvGeom, Tensor3};
 
 /// Thread counts exercised everywhere: one, two, and the larger of the
@@ -66,11 +68,14 @@ fn layer_batch_bit_identical_across_thread_counts() {
             expected,
             "batch-major diverged from sequential at B = {b}"
         );
+        let mut alone = NetworkSpec::new("alone");
+        alone.push(LayerSpec::conv("layer", geom));
         for threads in thread_counts() {
             for kind in BackendKind::ALL {
-                // A fresh plan: the flattened callers race to lower it.
-                let layer = CompiledLayer::compile(&geom, 1, &weights, &cfg);
-                for got in on_threads(threads, || kind.run_layer(&layer, &inputs)) {
+                // A fresh one-layer network: the flattened callers race to
+                // lower it.
+                let net = CompiledNetwork::compile(&alone, std::slice::from_ref(&weights), &cfg);
+                for got in on_threads(threads, || net.forward_batch_with(&inputs, kind)) {
                     assert_eq!(
                         got, expected,
                         "{kind:?}, B = {b}, {threads} threads: scheduling leaked into results"
@@ -124,14 +129,16 @@ fn repeated_threaded_runs_are_stable() {
     let geom = ConvGeom::new(6, 6, 8, 6, 3, 3).with_pad(1);
     let mut wgen = WeightGen::new(QuantScheme::ttq(), 105).with_density(0.6);
     let weights = wgen.generate_dims(6, 8, 3, 3);
-    let layer = CompiledLayer::compile(&geom, 1, &weights, &UcnnConfig::with_g(3));
+    let mut alone = NetworkSpec::new("alone");
+    alone.push(LayerSpec::conv("layer", geom));
+    let net = CompiledNetwork::compile(&alone, &[weights], &UcnnConfig::with_g(3));
     let mut agen = ActivationGen::new(106);
     let inputs: Vec<Tensor3<i16>> = (0..5).map(|_| agen.generate(8, 6, 6)).collect();
     for kind in BackendKind::ALL {
-        let first = kind.run_layer(&layer, &inputs);
+        let first = net.forward_batch_with(&inputs, kind);
         let runs = || {
             (0..5)
-                .map(|_| kind.run_layer(&layer, &inputs))
+                .map(|_| net.forward_batch_with(&inputs, kind))
                 .collect::<Vec<_>>()
         };
         for (thread, runs) in on_threads(8, runs).iter().enumerate() {

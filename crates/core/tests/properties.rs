@@ -10,8 +10,8 @@ use ucnn_core::encoding::{rle_bits, rle_bits_capped, table_cost, EncodingParams,
 use ucnn_core::exec::factorized_conv;
 use ucnn_core::factorize::FilterFactorization;
 use ucnn_core::hierarchy::GroupStream;
-use ucnn_core::plan::CompiledLayer;
-use ucnn_model::reference;
+use ucnn_core::plan::CompiledNetwork;
+use ucnn_model::{reference, LayerSpec, NetworkSpec};
 use ucnn_tensor::{ConvGeom, Tensor3, Tensor4};
 
 /// Strategy: a weight vector over a small alphabet (including zero).
@@ -165,9 +165,9 @@ proptest! {
     /// Every registered executor backend is bit-identical to the dense
     /// reference over random geometries — `stride > 1`, `conv_groups > 1`,
     /// ragged channel tiles (`ct ∤ C`) and batch sizes `B ∈ {1, 2, 7, 16}`
-    /// — replacing the earlier pairwise-only
-    /// equivalence checks with one all-backends property. A backend added
-    /// to [`BackendKind::ALL`] is covered automatically.
+    /// — the layer run as a one-layer network, replacing the earlier
+    /// pairwise-only equivalence checks with one all-backends property. A
+    /// backend added to [`BackendKind::ALL`] is covered automatically.
     #[test]
     fn all_backends_bit_identical_to_reference(
         seed in any::<u64>(),
@@ -195,13 +195,15 @@ proptest! {
             .map(|_| Tensor3::from_fn(c * conv_groups, w, h, |_, _, _| next(61)))
             .collect();
         let cfg = UcnnConfig { g, ct, ..UcnnConfig::default() };
-        let layer = CompiledLayer::compile(&geom, conv_groups, &filters, &cfg);
+        let mut alone = NetworkSpec::new("alone");
+        alone.push(LayerSpec::grouped_conv("layer", geom, conv_groups));
+        let net = CompiledNetwork::compile(&alone, std::slice::from_ref(&filters), &cfg);
         let expected: Vec<Tensor3<i32>> = inputs
             .iter()
             .map(|i| reference::conv2d(&geom, conv_groups, i, &filters))
             .collect();
         for kind in BackendKind::ALL {
-            let got = kind.run_layer(&layer, &inputs);
+            let got = net.forward_batch_with(&inputs, kind);
             prop_assert_eq!(
                 &got, &expected,
                 "backend {:?} diverged from the dense reference (B={})",
@@ -210,7 +212,7 @@ proptest! {
             // Compile once, run twice: plans must not be consumed or
             // mutated by any backend.
             prop_assert_eq!(
-                &kind.run_layer(&layer, &inputs), &got,
+                &net.forward_batch_with(&inputs, kind), &got,
                 "backend {:?} is not repeatable", kind
             );
         }

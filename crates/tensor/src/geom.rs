@@ -204,12 +204,6 @@ impl ConvGeom {
         self.filter_size() * self.k
     }
 
-    /// Number of input activations: `W·H·C` (unpadded).
-    #[must_use]
-    pub fn input_count(&self) -> usize {
-        self.w * self.h * self.c
-    }
-
     /// Number of output activations: `W'·H'·K`.
     #[must_use]
     pub fn output_count(&self) -> usize {
@@ -221,29 +215,6 @@ impl ConvGeom {
     #[must_use]
     pub fn macs(&self) -> usize {
         self.output_count() * self.filter_size()
-    }
-
-    /// Returns this geometry restricted to a channel tile of `ct ≤ C`
-    /// channels, as used by the PE dataflow (`R·S·Ct` tiles, §IV-A).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ct == 0` or `ct > C`.
-    #[must_use]
-    pub fn channel_tile(&self, ct: usize) -> ConvGeom {
-        assert!(
-            ct > 0 && ct <= self.c,
-            "channel tile must satisfy 0 < ct <= C"
-        );
-        ConvGeom { c: ct, ..*self }
-    }
-
-    /// Number of channel tiles of size `ct` needed to cover `C` (last tile may
-    /// be ragged).
-    #[must_use]
-    pub fn channel_tile_count(&self, ct: usize) -> usize {
-        assert!(ct > 0, "channel tile must be positive");
-        self.c.div_ceil(ct)
     }
 }
 
@@ -285,7 +256,6 @@ mod tests {
         let g = ConvGeom::new(8, 8, 4, 2, 3, 3);
         assert_eq!(g.filter_size(), 36);
         assert_eq!(g.weight_count(), 72);
-        assert_eq!(g.input_count(), 256);
         assert_eq!(g.output_count(), 6 * 6 * 2);
         assert_eq!(g.macs(), 6 * 6 * 2 * 36);
     }
@@ -316,14 +286,6 @@ mod tests {
     #[should_panic(expected = "invalid ConvGeom")]
     fn new_panics_on_invalid() {
         let _ = ConvGeom::new(4, 4, 1, 1, 5, 5);
-    }
-
-    #[test]
-    fn channel_tiles() {
-        let g = ConvGeom::new(8, 8, 50, 2, 3, 3);
-        assert_eq!(g.channel_tile(16).c(), 16);
-        assert_eq!(g.channel_tile_count(16), 4); // 16+16+16+2
-        assert_eq!(g.channel_tile_count(50), 1);
     }
 
     #[test]

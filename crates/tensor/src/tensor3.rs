@@ -194,13 +194,6 @@ impl<T: Elem> Tensor3<T> {
         let nonzero = self.data.iter().filter(|v| !v.is_zero()).count();
         nonzero as f64 / self.data.len() as f64
     }
-
-    /// Applies `f` to every element in place (e.g. ReLU).
-    pub fn map_inplace(&mut self, mut f: impl FnMut(T) -> T) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
-    }
 }
 
 /// [`Tensor3::as_slice`], for code generic over "anything holding a plane".
@@ -295,13 +288,6 @@ mod tests {
         assert!(Tensor3::from_vec(1, 2, 2, vec![1i16, 2, 3, 4]).is_ok());
         assert!(Tensor3::from_vec(1, 2, 2, vec![1i16, 2, 3]).is_err());
         assert!(Tensor3::<i16>::from_vec(0, 2, 2, vec![]).is_err());
-    }
-
-    #[test]
-    fn map_inplace_relu() {
-        let mut t = Tensor3::from_vec(1, 1, 4, vec![-3i16, 0, 2, -1]).unwrap();
-        t.map_inplace(|v| v.max(0));
-        assert_eq!(t.as_slice(), &[0, 0, 2, 0]);
     }
 
     #[test]

@@ -5,10 +5,10 @@
 //! format: small fixed layers and networks with concrete weights, inputs,
 //! and the expected `i32` outputs (computed once from the dense reference
 //! and committed). The harness runs **every** [`BackendKind`] against every
-//! vector at several batch sizes — a new backend added to
-//! [`BackendKind::ALL`] inherits the whole suite with zero new test code —
-//! and the layer vectors through the paper's functional definition,
-//! `factorized_conv`, too.
+//! vector at several batch sizes, a layer vector as a one-layer network — a
+//! new backend added to [`BackendKind::ALL`] inherits the whole suite with
+//! zero new test code — and the layer vectors through the paper's
+//! functional definition, `factorized_conv`, too.
 //!
 //! Regenerate the corpus (e.g. after adding a case) with:
 //!
@@ -31,7 +31,7 @@ use ucnn::core::flatten::run_stages;
 use ucnn::core::plan::{CompiledLayer, CompiledNetwork, CompiledStage};
 use ucnn::core::simd::available_tiers;
 use ucnn::model::{
-    forward, networks, reference, ActivationGen, NetworkSpec, QuantScheme, WeightGen,
+    forward, networks, reference, ActivationGen, LayerSpec, NetworkSpec, QuantScheme, WeightGen,
 };
 use ucnn::tensor::{ConvGeom, Tensor3, Tensor4};
 
@@ -493,7 +493,9 @@ fn check_case(case: &GoldenCase) {
                 ct: *ct,
                 ..UcnnConfig::default()
             };
-            let layer = CompiledLayer::compile(geom, *conv_groups, weights, &cfg);
+            let mut alone = NetworkSpec::new(name);
+            alone.push(LayerSpec::grouped_conv(name, *geom, *conv_groups));
+            let net = CompiledNetwork::compile(&alone, std::slice::from_ref(weights), &cfg);
             let check = |kind: &str, b: usize, got: Vec<Tensor3<i32>>| {
                 assert_eq!(got.len(), b, "{name}: {kind} returned wrong batch size");
                 for (i, out) in got.iter().enumerate() {
@@ -506,7 +508,11 @@ fn check_case(case: &GoldenCase) {
             for b in BATCHES {
                 let inputs = vec![input.clone(); b];
                 for kind in BackendKind::ALL {
-                    check(&format!("{kind:?}"), b, kind.run_layer(&layer, &inputs));
+                    check(
+                        &format!("{kind:?}"),
+                        b,
+                        net.forward_batch_with(&inputs, kind),
+                    );
                 }
                 // The paper's functional definition (§III-A): the weights
                 // sorted again for every image.
