@@ -668,8 +668,8 @@ pub fn ablate_multipliers() -> TableOut {
 /// layers (an i8 ternary-alphabet entry and LeNet's conv2, INQ and TTQ,
 /// among them) across batch sizes, each run on every ISA tier the CPU
 /// supports two ways — `reuse@<tier>`, the lowering the library elects, and
-/// `dense@<tier>`, the same plan with every filter band lowered as one
-/// dense tile (`CompiledLayer::dense_lowered`) through the same staging,
+/// `dense@<tier>`, the same plan lowered as its dense tiles, two filters
+/// each (`CompiledLayer::dense_lowered`), through the same staging,
 /// kernels and epilogue. `x_reuse_vs_dense` is the dense row's time over
 /// the reuse row's (above 1 where reuse pays; 1 on the dense row). Every
 /// row's outputs are asserted bit-identical to the dense reference
@@ -700,7 +700,7 @@ pub fn reuse_table(quick: bool) -> TableOut {
         .geom();
     // `--quick` keeps the shape on 4 of its 32 filters: a band's 32
     // channels are what its shared walk, under TTQ, needs to cost less than
-    // its dense tile.
+    // its dense tiles.
     let lenet_conv2 = if quick {
         ConvGeom::new(lenet_conv2.in_w(), lenet_conv2.in_h(), 32, 4, 5, 5).with_pad(2)
     } else {
@@ -730,8 +730,8 @@ pub fn reuse_table(quick: bool) -> TableOut {
             8,
         ),
         ("lenet conv2", lenet_conv2, QuantScheme::inq(), 2),
-        // The convolution whose bands elect the shared walk over the dense
-        // tile (TTQ at G = 4), so a walk's kernels keep a row: on `avx512`
+        // The convolution that elects its shared walks over its dense tiles
+        // (TTQ at G = 4), so a walk's kernels keep a row: on `avx512`
         // `vnni_body`.
         ("lenet conv2 ttq g4", lenet_conv2, QuantScheme::ttq(), 4),
     ];

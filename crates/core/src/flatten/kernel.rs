@@ -167,9 +167,9 @@ impl FlattenedTile {
 }
 
 impl FlattenedTile {
-    /// The dense strip body: writes a dense tile's band — every filter's sums
-    /// for `LW` lanes at once, over the positions `run.ys` of the output rows
-    /// `run.xs` — into `out` (laid out as for
+    /// The dense strip body: writes a dense tile's band — the sums of its
+    /// one or two filters for `LW` lanes at once, over the positions
+    /// `run.ys` of the output rows `run.xs` — into `out` (laid out as for
     /// [`accumulate_lanes_body`](Self::accumulate_lanes_body)), storing each
     /// sum once: the band's planes need no zeroing first. `input` holds the
     /// chunk with its channels staged in pairs, `(x_2c, x_2c+1)` per lane
@@ -193,14 +193,14 @@ impl FlattenedTile {
         let ph = geom.in_h() + 2 * geom.pad();
         let stride = geom.stride();
         let pairs = self.pairs.as_deref().expect("a dense tile");
-        let per_tap = self.g.next_multiple_of(2);
+        let (pairs, _) = pairs.as_chunks::<2>();
         let (cells, _) = input.as_chunks::<2>();
         for x in run.xs.clone() {
             for y in run.ys.clone().step_by(LW / PITCH) {
                 let delta = stride * (x * ph + y);
                 for f in 0..self.g {
                     let mut acc = [0i32; LW];
-                    for (&b, packed) in self.base.iter().zip(pairs.chunks_exact(per_tap)) {
+                    for (&b, packed) in self.base.iter().zip(pairs) {
                         let at = b as usize + delta;
                         let strip: &[[i16; 2]] = if PITCH == LW {
                             &cells.as_chunks::<LW>().0[at]
@@ -300,10 +300,12 @@ mod tier_kernels {
     /// walk of [`FlattenedTile::dense_lanes_body`], each load of a pair-tap's
     /// strip — `$lanes` lanes of `(x_2c, x_2c+1)`, one register — feeding
     /// the multiply-add `$mac` (`acc + x_2c·w_2c + x_2c+1·w_2c+1` per lane)
-    /// once per filter of the pass, by that filter's broadcast pair. Two
-    /// filters a pass, `$regs` registers each at the widest strip; the sums
-    /// stay in lane order and are stored once. Written as a macro so that
-    /// every intrinsic expands inside its `#[target_feature]` function.
+    /// once per slot of the tile, by that filter's broadcast pair. One pass
+    /// over the pair-taps takes both slots, `$regs` registers each at the
+    /// widest strip (a lone filter's second slot multiplies a zero pair and
+    /// is not stored); the sums stay in lane order and are stored once.
+    /// Written as a macro so that every intrinsic expands inside its
+    /// `#[target_feature]` function.
     macro_rules! dense_body {
         (
             $(#[$attr:meta])*
@@ -325,7 +327,7 @@ mod tier_kernels {
                 let ph = geom.in_h() + 2 * geom.pad();
                 let stride = geom.stride();
                 let pairs = tile.pairs.as_deref().expect("a dense tile");
-                let per_tap = tile.g.next_multiple_of(2);
+                let (pairs, _) = pairs.as_chunks::<2>();
                 let (cells, _) = input.as_chunks::<2>();
                 let zero = $zero();
                 // Stores the registers `sums` into the band's plane `level`
@@ -348,36 +350,32 @@ mod tier_kernels {
                 for x in run.xs.clone() {
                     for y in run.ys.clone().step_by(LW / PITCH) {
                         let delta = stride * (x * ph + y);
-                        for f in (0..tile.g).step_by(2) {
-                            let (mut first, mut second) = ([zero; $regs], [zero; $regs]);
-                            let taps = tile.base.iter().zip(pairs.chunks_exact(per_tap));
-                            for (&b, packed) in taps {
-                                let at = b as usize + delta;
-                                let strip: &[[i16; 2]] = if PITCH == LW {
-                                    &cells.as_chunks::<LW>().0[at]
-                                } else {
-                                    &cells[at * PITCH..][..LW]
+                        let (mut first, mut second) = ([zero; $regs], [zero; $regs]);
+                        for (&b, &[w0, w1]) in tile.base.iter().zip(pairs) {
+                            let at = b as usize + delta;
+                            let strip: &[[i16; 2]] = if PITCH == LW {
+                                &cells.as_chunks::<LW>().0[at]
+                            } else {
+                                &cells[at * PITCH..][..LW]
+                            };
+                            let (w0, w1) = ($set1(w0), $set1(w1));
+                            for (i, lanes) in strip.as_chunks::<$lanes>().0.iter().enumerate() {
+                                // SAFETY: `lanes` is a checked
+                                // `&[[i16; 2]; $lanes]`, the bytes loaded.
+                                let $x = $load(lanes.as_ptr().cast());
+                                first[i] = {
+                                    let ($acc, $w) = (first[i], w0);
+                                    $mac
                                 };
-                                let w = &packed[f..f + 2];
-                                let (w0, w1) = ($set1(w[0]), $set1(w[1]));
-                                for (i, lanes) in strip.as_chunks::<$lanes>().0.iter().enumerate() {
-                                    // SAFETY: `lanes` is a checked
-                                    // `&[[i16; 2]; $lanes]`, the bytes loaded.
-                                    let $x = $load(lanes.as_ptr().cast());
-                                    first[i] = {
-                                        let ($acc, $w) = (first[i], w0);
-                                        $mac
-                                    };
-                                    second[i] = {
-                                        let ($acc, $w) = (second[i], w1);
-                                        $mac
-                                    };
-                                }
+                                second[i] = {
+                                    let ($acc, $w) = (second[i], w1);
+                                    $mac
+                                };
                             }
-                            store!(f, x, y, first);
-                            if f + 1 < tile.g {
-                                store!(f + 1, x, y, second);
-                            }
+                        }
+                        store!(0, x, y, first);
+                        if tile.g == 2 {
+                            store!(1, x, y, second);
                         }
                     }
                 }
@@ -1019,9 +1017,10 @@ mod tests {
         // minus sub-run adds `(−1)·i16::MIN = +32 768` into an odd lane, and
         // a lane out of order swaps two images. The convolutions' 31
         // positions per output row cascade through every strip width of
-        // chunks of 32, 16 and 8 images and of 5 in copies: one level, and
+        // chunks of 32, 16 and 8 images and of 5 in copies: one level (the
+        // layer elects its dense tiles, and its walks run beside them), and
         // four over 128 channels, where one walk sharing every gather four
-        // ways costs less than the dense tile. The fully connected layer is
+        // ways costs less than the dense tiles. The fully connected layer is
         // walked once.
         let conv = ConvGeom::new(4, 33, 3, 4, 3, 3);
         let deep = ConvGeom::new(3, 33, 128, 4, 3, 3);
@@ -1224,7 +1223,8 @@ mod tests {
     fn the_generic_dense_body_matches_the_sse2_one() {
         // Only NEON runs `dense_lanes_body`, so here it is held to the
         // scalar tier's SSE2 body on each strip that tier cuts (7 positions
-        // a row: 4 + 2 + 1), over one staged chunk of random channel pairs.
+        // a row: 4 + 2 + 1), over one staged chunk of random channel pairs,
+        // for a tile of two filters and a lone one.
         use ucnn_model::rng::SmallRng;
         use ucnn_model::{QuantScheme, WeightGen};
         let geom = ConvGeom::new(6, 7, 5, 3, 3, 3).with_pad(1);
@@ -1232,9 +1232,8 @@ mod tests {
         let weights = wgen.generate_dims(geom.k(), geom.c(), geom.r(), geom.s());
         let layer = CompiledLayer::compile(&geom, 1, &weights, &UcnnConfig::with_g(3));
         let dense = layer.dense_lowered();
-        let [tile] = dense.flat_tiles() else {
-            panic!("one band");
-        };
+        let tiles = dense.flat_tiles();
+        assert_eq!(tiles.iter().map(|t| t.g).collect::<Vec<_>>(), [2, 1]);
         let lanes = Lanes::new(LANE_WIDTH, &geom);
         let cells = (geom.in_w() + 2) * (geom.in_h() + 2) * geom.c().div_ceil(2);
         let rng = &mut SmallRng::seed_from_u64(91);
@@ -1243,18 +1242,20 @@ mod tests {
             .collect();
         let scalar = SimdCaps::get().probe(SimdTier::Scalar);
         let plane = geom.out_w() * geom.out_h() * lanes.pitch;
-        for run in strip_runs(&geom, lanes, SimdTier::Scalar) {
-            let (mut generic, mut sse2) = (vec![0; tile.g * plane], vec![0; tile.g * plane]);
-            let body = match run.width {
-                8 => FlattenedTile::strip_body::<8, LANE_WIDTH>,
-                16 => FlattenedTile::strip_body::<16, LANE_WIDTH>,
-                32 => FlattenedTile::strip_body::<32, LANE_WIDTH>,
-                other => unreachable!("a {other}-lane scalar strip"),
-            };
-            body(tile, &input, &mut generic, &geom, &mut [], &run);
-            accumulate_tile_lanes(tile, &input, &mut sse2, &geom, &mut [], &run, scalar);
-            assert!(sse2.iter().any(|&sum| sum != 0), "{run:?}");
-            assert_eq!(generic, sse2, "{run:?}");
+        for tile in tiles {
+            for run in strip_runs(&geom, lanes, SimdTier::Scalar) {
+                let (mut generic, mut sse2) = (vec![0; tile.g * plane], vec![0; tile.g * plane]);
+                let body = match run.width {
+                    8 => FlattenedTile::strip_body::<8, LANE_WIDTH>,
+                    16 => FlattenedTile::strip_body::<16, LANE_WIDTH>,
+                    32 => FlattenedTile::strip_body::<32, LANE_WIDTH>,
+                    other => unreachable!("a {other}-lane scalar strip"),
+                };
+                body(tile, &input, &mut generic, &geom, &mut [], &run);
+                accumulate_tile_lanes(tile, &input, &mut sse2, &geom, &mut [], &run, scalar);
+                assert!(sse2.iter().any(|&sum| sum != 0), "{run:?}");
+                assert_eq!(generic, sse2, "g {}, {run:?}", tile.g);
+            }
         }
     }
 

@@ -1,30 +1,31 @@
 //! Lowering: a retained tile's stream becomes the walk the strip kernels
 //! execute — gather offsets, close records, outer segments — in an order
-//! chosen from counts alone.
+//! chosen from counts alone, or a layer's weights become its dense tiles,
+//! whichever costs less.
 
 use std::ops::Range;
 
 use ucnn_tensor::ConvGeom;
 
 use crate::hierarchy::{DigitSort, GroupStream, NO_CLOSE, ZERO_RANK};
-use crate::plan::CompiledTile;
+use crate::plan::{CompiledLayer, CompiledTile};
 
 /// The flattened, branch-free form of one walk of a retained tile: per-entry
 /// gather offsets, one record per close, CSR-style group ranges per outer
-/// level — or, for a **dense** tile, a whole band's weights per pair of
+/// level — or, for a **dense** tile, two filters' weights per pair of
 /// channels.
 ///
-/// Built once per plan by `Lowering::lower_band` — lazily, on the
-/// first [`CompiledLayer::flat_tiles`](crate::plan::CompiledLayer::flat_tiles)
-/// call — then cached; executed by the strip kernels behind
-/// [`run_stages`](super::run_stages).
+/// Built once per plan by `lower_layer` — lazily, on the first
+/// [`CompiledLayer::flat_tiles`] call — then cached; executed by the strip
+/// kernels behind [`run_stages`](super::run_stages).
 #[derive(Clone, PartialEq, Eq)]
 pub struct FlattenedTile {
     /// Absolute output channel of the first filter of the tile's band.
     pub(super) k_first: usize,
-    /// Output planes of the band (`G` of the stream). A walk's level `l`
-    /// adds into plane `l`, its innermost level into plane `g − 1`; a dense
-    /// tile stores every plane.
+    /// Output planes of the band: a walk's `G` of the stream, its level `l`
+    /// adding into plane `l` and its innermost level into plane `g − 1`; a
+    /// dense tile's filters, two or a conv group's last odd one, whatever
+    /// `G` is, each stored into its own plane.
     pub(super) g: usize,
     /// Per entry: offset of its read for output position (0, 0) in the
     /// zero-haloed staged plane (`in_h + 2·pad` values per row), so
@@ -45,12 +46,12 @@ pub struct FlattenedTile {
     /// a level and phase 2 reads the kept rows monotonically.
     pub(super) segs: Vec<Segment>,
     /// A dense tile's weights: per entry of `base` — a pair-tap
-    /// `(2c, 2c + 1, r, s)` of the band's channels, its offset counted in
-    /// the cells of a plane whose channels are staged in pairs — the band's
-    /// filters' packed `(w_2c, w_2c+1)` `i16` pairs (low half first), `g`
-    /// rounded up to even per pair-tap (the kernels take filters two at a
-    /// time; the last of an odd band is a zero pair). A dense tile has no
-    /// closes, rows or segments. `None` on every other walk.
+    /// `(2c, 2c + 1, r, s)` of its conv group's channels, its offset
+    /// counted in the cells of a plane whose channels are staged in pairs —
+    /// its two filters' packed `(w_2c, w_2c+1)` `i16` pairs (low half
+    /// first), a zero pair after a lone filter: the kernels take both in
+    /// one pass. A dense tile has no closes, rows or segments. `None` on
+    /// every other walk.
     pub(super) pairs: Option<Vec<i32>>,
     /// Groups of a non-zero weight per walk: `segs` plus the innermost ones;
     /// a dense tile's non-zero weights.
@@ -230,13 +231,11 @@ impl TileOffsets {
 }
 
 /// What the walks of one layer share: whether its tiles are [`walked_once`],
-/// the key alphabet of its canonical order, its tiles' offsets, its taps
-/// per channel (`R·S`).
+/// the key alphabet of its canonical order, its tiles' offsets.
 struct Layer {
     once: bool,
     keys: FoldKeys,
     offsets: TileOffsets,
-    taps: usize,
 }
 
 /// One retained tile as lowering reads it: its stream cut into innermost
@@ -323,14 +322,19 @@ impl WalkCounts {
     /// multiply and an add. `vnni_body` (the `avx512` strips of ≥ 32 lanes)
     /// adds an entry in one `vpdpwssd`, which they do not price: ROADMAP
     /// item 14(a) refits them. With [`WalkCounts::dense`], the one place the
-    /// constants of the walk-or-dense rule ([`Lowering::lower_band`]) live.
+    /// constants of the walk-or-dense election ([`lower_layer`], summed over
+    /// a layer's walks) live.
     fn cost(&self) -> usize {
         2 * self.entries + 3 * self.closes + self.kept + 5 * self.segs
     }
 
-    /// What a dense tile of `taps` pair-taps over `g` filters costs in the
-    /// same units: per pair-tap one load of 16 lanes' channel pairs, and one
-    /// multiply-add of both channels per filter (`pmaddwd` / `vpdpwssd`).
+    /// What a dense tile of `taps` pair-taps over its `g` filters (two, or
+    /// a group's last odd one) costs in the same units, summed over a
+    /// layer's dense tiles by [`lower_layer`]: per pair-tap one load of 16
+    /// lanes' channel pairs, and one multiply-add of both channels per
+    /// filter (`pmaddwd` / `vpdpwssd`) — the kernels' one pass over the
+    /// tile. (The intrinsic bodies multiply a lone filter's zero pair too,
+    /// unpriced.)
     fn dense(taps: usize, g: usize) -> usize {
         taps * (1 + g)
     }
@@ -521,92 +525,16 @@ impl Walk {
     }
 }
 
-/// A band's weights per pair-tap `(2c, 2c + 1, r, s)` over the pairs of
-/// channels its tiles span: what its dense tile is cut from.
+/// The tile in hand: its stream as read, its folded `G`-level walk where one
+/// was made, and whether that is the walk to lower.
 #[derive(Default)]
-struct DenseTable {
-    /// The absolute index of the band's first pair of channels.
-    first_pair: usize,
-    /// Packed pairs per pair-tap `(pair − first_pair) · R·S + r·S + s`, the
-    /// band's `g` rounded up to even per pair-tap: the layout of
-    /// [`FlattenedTile::pairs`].
-    packed: Vec<u32>,
-    /// Pair-taps with a non-zero weight.
-    taps: usize,
-    /// Non-zero weights.
-    weights: usize,
-}
-
-impl DenseTable {
-    /// Tabulates `band`, whose filters' streams are `g` wide.
-    fn fill(&mut self, band: &[CompiledTile], g: usize, layer: &Layer) {
-        let (rs, per_tap) = (layer.taps, g.next_multiple_of(2));
-        let last = band.last().expect("a band has a tile");
-        let end = last.c_first() + last.stream().tile_len() / rs;
-        self.first_pair = band[0].c_first() / 2;
-        self.packed.clear();
-        self.packed
-            .resize((end.div_ceil(2) - self.first_pair) * rs * per_tap, 0);
-        self.weights = 0;
-        for tile in band {
-            let stream = tile.stream();
-            let (indices, ranks, _) = stream.columns();
-            for (&index, ranks) in indices.iter().zip(ranks.chunks_exact(g)) {
-                let (c, tap) = (tile.c_first() + index as usize / rs, index as usize % rs);
-                let at = ((c / 2 - self.first_pair) * rs + tap) * per_tap;
-                let shift = 16 * (c % 2);
-                for (slot, &rank) in self.packed[at..].iter_mut().zip(ranks) {
-                    if rank != ZERO_RANK {
-                        let w = stream.canonical()[usize::from(rank)];
-                        *slot |= u32::from(w as u16) << shift;
-                        self.weights += 1;
-                    }
-                }
-            }
-        }
-        let held = |pairs: &&[u32]| pairs.iter().any(|&pair| pair != 0);
-        self.taps = self.packed.chunks_exact(per_tap).filter(held).count();
-    }
-
-    /// The dense tile of the band of `g` filters from `k_first`: its
-    /// pair-taps that hold a weight, ascending.
-    fn lower(&self, k_first: usize, g: usize, layer: &Layer) -> FlattenedTile {
-        let (rs, per_tap) = (layer.taps, g.next_multiple_of(2));
-        let TileOffsets { of, channel } = &layer.offsets;
-        let (mut base, mut pairs) = (Vec::with_capacity(self.taps), Vec::new());
-        pairs.reserve_exact(self.taps * per_tap);
-        for (at, packed) in self.packed.chunks_exact(per_tap).enumerate() {
-            if packed.iter().all(|&pair| pair == 0) {
-                continue;
-            }
-            let offset = (self.first_pair + at / rs) * channel + of[at % rs] as usize;
-            base.push(u32::try_from(offset).expect("input offset fits u32"));
-            pairs.extend(packed.iter().map(|&pair| pair as i32));
-        }
-        FlattenedTile {
-            k_first,
-            g,
-            base,
-            closes: Vec::new(),
-            rows: 0,
-            seg_ptr: Vec::new(),
-            segs: Vec::new(),
-            pairs: Some(pairs),
-            multiplies: self.weights,
-        }
-    }
-}
-
-/// The tile of a band in hand: its stream as read, its folded `G`-level
-/// walk where one was made, and whether that is the walk to lower.
-#[derive(Default)]
-struct BandTile {
+struct ReadTile {
     source: Source,
     folded: Walk,
     fold: bool,
 }
 
-impl BandTile {
+impl ReadTile {
     /// Reads `stream` and settles the `G`-level walk of the whole tile:
     /// folded when that does not add closes + outer segments (it never adds
     /// closes; on an alphabet that is not sign-symmetric it can split outer
@@ -631,63 +559,113 @@ impl BandTile {
     }
 }
 
-/// Lowers a layer's tiles — emitted band by band, the longest tile first
-/// — band by band ([`Lowering::lower_band`]), each its walks or its dense
-/// tile.
+/// Lowers a layer as its walks — each tile's shared walk, in the order of
+/// [`CompiledLayer::tiles`] — or as its dense tiles ([`lower_dense`]),
+/// whichever costs less, from counts alone: the dense tiles'
+/// [`WalkCounts::dense`] against the walks' [`WalkCounts::cost`], each
+/// summed over the layer, a tie keeping the walks. A layer's input has one
+/// staged layout, and a dense tile reads it with its channels in pairs, so
+/// a layer is one or the other whole. A layer walked once is walked.
 ///
-/// A layer's input has one staged layout, and a dense tile reads it with
-/// its channels in pairs, so a layer is dense in every band or in none:
-/// lowering starts dense (unless its tiles are walked once or its bands are
-/// one filter wide) and, at the first band of several filters whose walks
-/// cost no more than its dense tile, lowers the bands before it again as
-/// walks.
-pub(crate) fn lower_layer(tiles: &[CompiledTile], geom: &ConvGeom) -> Vec<FlattenedTile> {
-    let mut lowering = Lowering::new(tiles[0].stream(), geom);
-    let bands: Vec<_> = tiles.chunk_by(|a, b| a.k_first() == b.k_first()).collect();
-    let mut flat = Vec::with_capacity(tiles.len());
-    let mut dense = !lowering.layer.once && tiles[0].stream().g() > 1;
-    for (at, band) in bands.iter().enumerate() {
-        let lowered = flat.len();
-        if !lowering.lower_band(band, dense, &mut flat) && dense {
-            dense = false;
-            let declined = flat.split_off(lowered);
-            flat.clear();
-            for band in &bands[..at] {
-                lowering.lower_band(band, false, &mut flat);
+/// The walks are read, priced and lowered tile by tile, and lowering
+/// stops at the first tile that takes their cost past the dense tiles':
+/// no tile is read twice.
+pub(crate) fn lower_layer(layer: &CompiledLayer) -> Vec<FlattenedTile> {
+    let tiles = layer.tiles();
+    let mut lowering = Lowering::new(tiles[0].stream(), layer.geom());
+    let (dense, bound) = if lowering.layer.once {
+        (Vec::new(), usize::MAX)
+    } else {
+        let dense = lower_dense(layer);
+        let price = |tile: &FlattenedTile| WalkCounts::dense(tile.entry_count(), tile.g);
+        let bound = dense.iter().map(price).sum();
+        (dense, bound)
+    };
+    let (mut walks, mut cost) = (Vec::with_capacity(tiles.len()), 0);
+    for tile in tiles {
+        cost += lowering.read(tile).cost();
+        if cost > bound {
+            return dense;
+        }
+        walks.push(lowering.lower(tile));
+    }
+    walks
+}
+
+/// Lowers a layer as its dense tiles — a layer walked once too — whatever
+/// [`lower_layer`] elects: the election's dense side, and the
+/// same-datapath dense yardstick the elected lowering is timed against.
+///
+/// Each conv group's filters are cut into tiles of two, the last of an odd
+/// group alone, so no tile spans a group and `G` does not enter. A tile
+/// holds, per pair-tap `(2c, 2c + 1, r, s)` of its group's channels where
+/// either of its filters has a weight, ascending, one gather offset and
+/// both filters' packed pairs (a zero pair after a lone filter). The
+/// layer's weights are tabulated once, from its streams, tile by tile.
+pub(crate) fn lower_dense(layer: &CompiledLayer) -> Vec<FlattenedTile> {
+    let geom = layer.geom();
+    let (c_dim, k_group) = (geom.c(), geom.k() / layer.conv_groups());
+    let (rs, s, ph) = (geom.r() * geom.s(), geom.s(), geom.in_h() + 2 * geom.pad());
+    let channel = (geom.in_w() + 2 * geom.pad()) * ph;
+    // A group's `C` channels span `⌈C/2⌉` pairs from pair `⌊cg·C/2⌋`,
+    // whichever channel it starts at.
+    let (per_group, span) = (k_group.div_ceil(2), c_dim.div_ceil(2) * rs);
+    let first_pair = |cg: usize| cg * c_dim / 2;
+    let mut packed = vec![[0u32; 2]; layer.conv_groups() * per_group * span];
+    let mut weights = vec![0; layer.conv_groups() * per_group];
+    for tile in layer.tiles() {
+        let stream = tile.stream();
+        let (indices, ranks, _) = stream.columns();
+        let cg = tile.c_first() / c_dim;
+        for (&index, ranks) in indices.iter().zip(ranks.chunks_exact(stream.g())) {
+            let c = tile.c_first() + index as usize / rs;
+            let row = (c / 2 - first_pair(cg)) * rs + index as usize % rs;
+            for (f, &rank) in ranks.iter().enumerate() {
+                if rank != ZERO_RANK {
+                    let k = tile.k_first() + f - cg * k_group;
+                    let t = cg * per_group + k / 2;
+                    let w = stream.canonical()[usize::from(rank)];
+                    packed[t * span + row][k % 2] |= u32::from(w as u16) << (16 * (c % 2));
+                    weights[t] += 1;
+                }
             }
-            flat.extend(declined);
         }
     }
-    flat
-}
-
-/// Lowers every band of a layer as one dense tile — walked-once layers and
-/// one-filter bands too — whatever [`lower_layer`] would elect: the
-/// same-datapath dense yardstick the elected lowering is timed against.
-pub(crate) fn lower_dense(tiles: &[CompiledTile], geom: &ConvGeom) -> Vec<FlattenedTile> {
-    let Lowering {
-        layer, mut table, ..
-    } = Lowering::new(tiles[0].stream(), geom);
-    let bands = tiles.chunk_by(|a, b| a.k_first() == b.k_first());
-    let dense = |band: &[CompiledTile]| {
-        let (k_first, g) = (band[0].k_first(), band[0].stream().g());
-        table.fill(band, g, &layer);
-        table.lower(k_first, g, &layer)
+    let tiles = packed.chunks_exact(span).zip(weights).enumerate();
+    let lower = |(t, (rows, multiplies)): (usize, (&[[u32; 2]], usize))| {
+        let (cg, k) = (t / per_group, 2 * (t % per_group));
+        let (mut base, mut pairs) = (Vec::new(), Vec::new());
+        for (row, &pair) in rows.iter().enumerate() {
+            if pair != [0, 0] {
+                let (tap, at) = (row % rs, first_pair(cg) + row / rs);
+                let offset = at * channel + tap / s * ph + tap % s;
+                base.push(u32::try_from(offset).expect("input offset fits u32"));
+                pairs.extend(pair.map(|w| w as i32));
+            }
+        }
+        FlattenedTile {
+            k_first: cg * k_group + k,
+            g: (k_group - k).min(2),
+            base,
+            closes: Vec::new(),
+            rows: 0,
+            seg_ptr: Vec::new(),
+            segs: Vec::new(),
+            pairs: Some(pairs),
+            multiplies,
+        }
     };
-    bands.map(dense).collect()
+    tiles.map(lower).collect()
 }
 
-/// One layer's lowering: what its walks share, made once, and every buffer a
-/// tile is read, ordered and counted in, reused from tile to tile — a
-/// lowered tile allocates its own `base`, `closes`, `seg_ptr` and `segs`
-/// (or `base` and `pairs`) and nothing else.
+/// One layer's lowering of its walks: what they share, made once, and every
+/// buffer a tile is read, ordered and counted in, reused from tile to tile
+/// — a lowered walk allocates its own `base`, `closes`, `seg_ptr` and `segs`
+/// and nothing else.
 struct Lowering {
     layer: Layer,
     sort: DigitSort,
-    /// As many as the longest band so far has tiles.
-    band: Vec<BandTile>,
-    /// The band in hand as a dense tile would hold it.
-    table: DenseTable,
+    tile: ReadTile,
 }
 
 impl Lowering {
@@ -699,60 +677,32 @@ impl Lowering {
                 once: walked_once(geom),
                 keys: FoldKeys::new(longest.canonical()),
                 offsets: TileOffsets::new(longest.tile_len(), geom),
-                taps: geom.r() * geom.s(),
             },
             sort: DigitSort::default(),
-            band: Vec::new(),
-            table: DenseTable::default(),
+            tile: ReadTile::default(),
         }
     }
 
-    /// Lowers one filter band — the channel tiles that share a `k_first` —
-    /// onto `out`: as the `G`-level walk of every tile ([`BandTile::read`])
-    /// or, in a `dense` layer ([`lower_layer`]), as one dense tile over all
-    /// of its channels where that costs less, from counts alone
-    /// ([`WalkCounts::dense`] against the walks' [`WalkCounts::cost`]; a tie
-    /// keeps the walks). A band of one filter (a ragged last band) follows
-    /// its layer. Returns whether the band was lowered dense: never outside
-    /// a dense layer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `band` is empty.
-    fn lower_band(
-        &mut self,
-        band: &[CompiledTile],
-        dense: bool,
-        out: &mut Vec<FlattenedTile>,
-    ) -> bool {
-        let (k_first, g, layer) = (band[0].k_first(), band[0].stream().g(), &self.layer);
-        if self.band.len() < band.len() {
-            self.band.resize_with(band.len(), BandTile::default);
-        }
-        let tiles = &mut self.band[..band.len()];
-        for (tile, read) in band.iter().zip(tiles.iter_mut()) {
-            read.read(tile.stream(), tile.c_first(), layer, &mut self.sort);
-        }
-        if dense {
-            self.table.fill(band, g, layer);
-            let walks: usize = tiles.iter().map(|tile| tile.shared().counts.cost()).sum();
-            if g == 1 || WalkCounts::dense(self.table.taps, g) < walks {
-                out.push(self.table.lower(k_first, g, layer));
-                return true;
-            }
-        }
-        for (tile, read) in band.iter().zip(tiles.iter()) {
-            let walk = read.shared();
-            out.push(walk.lower(tile.stream(), &read.source, k_first, layer));
-        }
-        false
+    /// Reads `tile` and settles its shared walk ([`ReadTile::read`]):
+    /// returns what that walk issues.
+    fn read(&mut self, tile: &CompiledTile) -> WalkCounts {
+        let (layer, read) = (&self.layer, &mut self.tile);
+        read.read(tile.stream(), tile.c_first(), layer, &mut self.sort);
+        read.shared().counts
+    }
+
+    /// Lowers `tile`, the tile read last, as its shared walk.
+    fn lower(&self, tile: &CompiledTile) -> FlattenedTile {
+        let read = &self.tile;
+        read.shared()
+            .lower(tile.stream(), &read.source, tile.k_first(), &self.layer)
     }
 }
 
 impl FlattenedTile {
     /// Gathers per output position: the stream entries the walk retains —
-    /// or, for a dense tile, its pair-taps, each one gather the band's
-    /// filters share.
+    /// or, for a dense tile, its pair-taps, each one gather its filters
+    /// share.
     #[must_use]
     pub fn entry_count(&self) -> usize {
         self.base.len()
@@ -764,7 +714,7 @@ impl FlattenedTile {
     /// [`multiplies`](GroupStream::multiplies), fewer where folding merged
     /// groups. (The kernel multiplies at every close, by `Δw`; that is
     /// executed, not counted.) A dense tile issues one per non-zero weight
-    /// of its band.
+    /// of its filters.
     #[must_use]
     pub fn segment_count(&self) -> usize {
         self.multiplies
@@ -780,7 +730,7 @@ impl FlattenedTile {
             + std::mem::size_of_val(&self.segs[..])
     }
 
-    /// Whether this is a band's dense tile, which reads its input with the
+    /// Whether this is a dense tile, which reads its input with the
     /// channels staged in pairs.
     pub(super) fn is_dense(&self) -> bool {
         self.pairs.is_some()
@@ -802,9 +752,9 @@ pub(super) mod tests {
     use crate::compile::UcnnConfig;
     use crate::flatten::oracle::{alone, check_layer};
     use crate::flatten::run_stages;
-    use crate::plan::CompiledLayer;
+    use crate::plan::{CompiledLayer, CompiledNetwork, CompiledStage};
     use crate::simd::SimdCaps;
-    use ucnn_model::{reference, ActivationGen, QuantScheme, WeightGen};
+    use ucnn_model::{forward, networks, reference, ActivationGen, QuantScheme, WeightGen};
     use ucnn_tensor::{Tensor3, Tensor4};
 
     /// Lowers one retained stream as one `G`-level walk: sign-folded where
@@ -818,21 +768,20 @@ pub(super) mod tests {
         geom: &ConvGeom,
     ) -> FlattenedTile {
         let mut lowering = Lowering::new(stream, geom);
-        let mut tile = BandTile::default();
+        let mut tile = ReadTile::default();
         tile.read(stream, c_first, &lowering.layer, &mut lowering.sort);
         let walk = tile.shared();
         walk.lower(stream, &tile.source, k_first, &lowering.layer)
     }
 
-    /// Lowers `layer` band by band as a layer without dense tiles is: its
-    /// walks, whatever its bands would elect.
-    fn lower_walks(layer: &CompiledLayer) -> Vec<FlattenedTile> {
+    /// Lowers `layer` as its walks, whatever it would elect.
+    pub(in crate::flatten) fn lower_walks(layer: &CompiledLayer) -> Vec<FlattenedTile> {
         let mut lowering = Lowering::new(layer.tiles()[0].stream(), layer.geom());
-        let mut walks = Vec::new();
-        for band in layer.tiles().chunk_by(|a, b| a.k_first() == b.k_first()) {
-            lowering.lower_band(band, false, &mut walks);
-        }
-        walks
+        let lower = |tile| {
+            lowering.read(tile);
+            lowering.lower(tile)
+        };
+        layer.tiles().iter().map(lower).collect()
     }
 
     #[test]
@@ -911,15 +860,18 @@ pub(super) mod tests {
         }
     }
 
-    /// Checks the lowering of `layer` against its streams, band by band:
-    /// each walk is its tile's shared walk, which reads a permutation of the
-    /// entries where the band holds a weight and to which folding adds no
-    /// closes + outer segments over the stream's own. A dense tile holds its
-    /// band's weights per pair-tap, tabulated here from the streams, and a
-    /// layer is dense in every band or none: in all of them where every band
-    /// of several filters costs less as its dense tile than as its walks,
-    /// and only then. Returns the kinds of walk it met: "walked once",
-    /// "shared" (a walk of several filters) and "dense".
+    /// Checks the lowering of `layer` against its streams. Each walk of a
+    /// tile is its shared walk, which reads a permutation of the entries
+    /// where the tile holds a weight and to which folding adds no closes +
+    /// outer segments over the stream's own. The layer's dense tiles
+    /// ([`CompiledLayer::dense_lowered`]) are two filters of one conv group
+    /// each, the last of an odd group alone, holding their weights per
+    /// pair-tap as tabulated here from the streams. A layer not walked once
+    /// is its dense tiles if and only if they cost less than its walks,
+    /// summed over the layer; otherwise, and always when walked once, it is
+    /// its walks. Returns the kinds of the two lowerings it checked, both of
+    /// which [`check_layer`] runs: "walked once" or, for walks of several
+    /// filters, "shared"; and "dense once" or "dense".
     pub(in crate::flatten) fn check_lowering(
         layer: &CompiledLayer,
         what: &str,
@@ -928,111 +880,102 @@ pub(super) mod tests {
         let once = walked_once(geom);
         let (s, rs) = (geom.s(), geom.r() * geom.s());
         let (pw, ph) = (geom.in_w() + 2 * geom.pad(), geom.in_h() + 2 * geom.pad());
-        let dense = layer.flat_tiles()[0].is_dense();
-        let mut kinds = BTreeSet::new();
-        let mut flat = layer.flat_tiles().iter();
-        let mut declined = false;
-        let bands: Vec<_> = layer
-            .tiles()
-            .chunk_by(|a, b| a.k_first() == b.k_first())
+        let offset = |c: usize, tap: usize| ((c * pw + tap / s) * ph + tap % s) as u32;
+        let k_group = geom.k() / layer.conv_groups();
+
+        // The dense tiles, from the streams: per tile (its first filter),
+        // per pair-tap (pair, tap) holding a weight, both filters' packed
+        // pairs; and per tile its non-zero weights.
+        type Table = BTreeMap<(usize, usize), [u32; 2]>;
+        let mut tables: BTreeMap<usize, (Table, usize)> = (0..geom.k())
+            .filter(|k| (k % k_group).is_multiple_of(2))
+            .map(|k| (k, Default::default()))
             .collect();
-        for band in &bands {
-            let (k_first, levels) = (band[0].k_first(), band[0].stream().g());
-            let walks: Vec<_> = flat.clone().take_while(|t| t.k_first == k_first).collect();
-            flat.nth(walks.len() - 1);
-            let same = walks.iter().all(|walk| walk.is_dense() == dense);
-            assert!(same, "{what}: a layer is dense in every band or none");
-            assert_eq!(
-                walks.len(),
-                if dense { 1 } else { band.len() },
-                "{what}: a walk per tile, or a dense tile per band"
-            );
-            kinds.extend(match (once, dense) {
-                (true, _) => Some("walked once"),
-                (_, true) => Some("dense"),
-                _ => (levels > 1).then_some("shared"),
-            });
-            // The band's weights per pair-tap, packed `g` rounded up to even
-            // per pair-tap, and how many are not zero.
-            let mut table: BTreeMap<(usize, usize), Vec<u32>> = BTreeMap::new();
-            let mut weights = 0;
-            for tile in *band {
-                let stream = tile.stream();
-                for e in stream.entries() {
-                    let (c, tap) = (
+        let (mut walks, mut walk_cost) = (Vec::new(), 0);
+        for tile in layer.tiles() {
+            let stream = tile.stream();
+            let levels = stream.g();
+            for e in stream.entries() {
+                let (c, tap) = (
+                    tile.c_first() + e.index as usize / rs,
+                    e.index as usize % rs,
+                );
+                for (f, &rank) in e.ranks.iter().enumerate().filter(|(_, &r)| r != ZERO_RANK) {
+                    let k = tile.k_first() + f;
+                    let slot = k % k_group % 2;
+                    let w = stream.canonical()[usize::from(rank)] as u16;
+                    let (table, weights) = tables.get_mut(&(k - slot)).expect("a tile");
+                    table.entry((c / 2, tap)).or_default()[slot] |= u32::from(w) << (16 * (c % 2));
+                    *weights += 1;
+                }
+            }
+            // The offsets of the entries where the tile holds a weight.
+            let walked = stream
+                .entries()
+                .filter(|e| e.ranks.iter().any(|&r| r != ZERO_RANK));
+            let mut offsets: Vec<u32> = walked
+                .map(|e| {
+                    offset(
                         tile.c_first() + e.index as usize / rs,
                         e.index as usize % rs,
-                    );
-                    for (f, &rank) in e.ranks.iter().enumerate().filter(|(_, &r)| r != ZERO_RANK) {
-                        let w = stream.canonical()[usize::from(rank)] as u16;
-                        let pairs = table.entry((c / 2, tap)).or_default();
-                        pairs.resize(levels.next_multiple_of(2), 0);
-                        pairs[f] |= u32::from(w) << (16 * (c % 2));
-                        weights += 1;
-                    }
-                }
+                    )
+                })
+                .collect();
+            offsets.sort_unstable();
+            let shared = lower_shared(stream, tile.k_first(), tile.c_first(), geom);
+            let mut base = shared.base.clone();
+            base.sort_unstable();
+            assert_eq!(base, offsets, "{what}: a permutation");
+            // Folding may not add closes + outer segments to the stream's
+            // own.
+            let inner = stream.entries().filter(|e| e.close_level.is_some());
+            let inner = inner.filter(|e| e.ranks[levels - 1] != ZERO_RANK).count();
+            assert!(
+                shared.closes.len() + shared.segs.len()
+                    <= stream.closures_at_level(levels - 1) + stream.multiplies() - inner,
+                "{what}: folding added work"
+            );
+            if !once {
+                walk_cost += lowered_counts(&shared).cost();
             }
-            if dense {
-                let [walk] = &walks[..] else {
-                    unreachable!("one dense tile")
-                };
-                let offsets = table
-                    .keys()
-                    .map(|&(pair, tap)| ((pair * pw + tap / s) * ph + tap % s) as u32);
-                assert_eq!(walk.base, offsets.collect::<Vec<_>>(), "{what}: pair-taps");
-                let pairs = table.values().flatten().map(|&pair| pair as i32);
-                assert_eq!(walk.pairs, Some(pairs.collect()), "{what}: packed pairs");
-                assert_eq!(walk.segment_count(), weights, "{what}: the band's weights");
-                assert_eq!((walk.g, walk.rows), (levels, 0), "{what}");
-                assert!(walk.closes.is_empty() && walk.segs.is_empty(), "{what}");
-            }
-            let mut cost = 0;
-            for (ti, tile) in band.iter().enumerate() {
-                let stream = tile.stream();
-                // The offsets of the entries where the band holds a weight.
-                let walked = stream
-                    .entries()
-                    .filter(|e| e.ranks.iter().any(|&r| r != ZERO_RANK));
-                let mut offsets: Vec<u32> = walked
-                    .map(|e| {
-                        let (c, tap) = (e.index as usize / rs, e.index as usize % rs);
-                        (((tile.c_first() + c) * pw + tap / s) * ph + tap % s) as u32
-                    })
-                    .collect();
-                offsets.sort_unstable();
-                // Folding may not add closes + outer segments to the
-                // stream's own.
-                let shared = lower_shared(stream, k_first, tile.c_first(), geom);
-                let mut base = shared.base.clone();
-                base.sort_unstable();
-                assert_eq!(base, offsets, "{what}: a permutation");
-                let inner = stream.entries().filter(|e| e.close_level.is_some());
-                let inner = inner.filter(|e| e.ranks[levels - 1] != ZERO_RANK).count();
-                assert!(
-                    shared.closes.len() + shared.segs.len()
-                        <= stream.closures_at_level(levels - 1) + stream.multiplies() - inner,
-                    "{what}: folding added work"
-                );
-                cost += lowered_counts(&shared).cost();
-                if !dense {
-                    assert_eq!(walks[ti], &shared, "{what}: the shared walk");
-                }
-            }
-            // A band of several filters in a layer not walked once is its
-            // dense tile where that costs less than its walks.
-            let elects = !once && levels > 1 && WalkCounts::dense(table.len(), levels) < cost;
-            if dense {
-                assert!(levels == 1 || elects, "{what}: the dense rule");
-            } else {
-                declined |= levels > 1 && !elects;
-            }
+            walks.push(shared);
         }
-        let one_wide = bands[0][0].stream().g() == 1;
-        assert!(
-            dense || once || one_wide || declined,
-            "{what}: no band declined the dense tile"
+
+        let dense = layer.dense_lowered();
+        let dense = dense.flat_tiles();
+        assert_eq!(
+            dense.len(),
+            tables.len(),
+            "{what}: a dense tile per two filters"
         );
-        kinds
+        let mut dense_cost = 0;
+        for (tile, (&k_first, (table, weights))) in dense.iter().zip(&tables) {
+            let g = (k_group - k_first % k_group).min(2);
+            assert_eq!((tile.k_first, tile.g, tile.rows), (k_first, g, 0), "{what}");
+            let offsets = table.keys().map(|&(pair, tap)| offset(pair, tap));
+            assert_eq!(tile.base, offsets.collect::<Vec<_>>(), "{what}: pair-taps");
+            let pairs = table.values().flatten().map(|&pair| pair as i32);
+            assert_eq!(tile.pairs, Some(pairs.collect()), "{what}: packed pairs");
+            assert_eq!(tile.segment_count(), *weights, "{what}: the tile's weights");
+            assert!(tile.closes.is_empty() && tile.segs.is_empty(), "{what}");
+            dense_cost += WalkCounts::dense(table.len(), g);
+        }
+
+        // Both directions of the election.
+        let elects = !once && dense_cost < walk_cost;
+        if elects {
+            assert_eq!(layer.flat_tiles(), dense, "{what}: the dense tiles");
+        } else {
+            assert_eq!(layer.flat_tiles(), walks, "{what}: the shared walks");
+        }
+        let levels = layer.tiles()[0].stream().g();
+        let walk = if once {
+            Some("walked once")
+        } else {
+            (levels > 1).then_some("shared")
+        };
+        let dense = if once { "dense once" } else { "dense" };
+        walk.into_iter().chain([dense]).collect()
     }
 
     #[test]
@@ -1043,7 +986,7 @@ pub(super) mod tests {
         // for one record, walked at two positions (folded: two records) and,
         // as a fully connected layer, once (stream order: two groups, three
         // records). Sharing every gather four ways costs less than the
-        // dense tile (140 009 against 175 000).
+        // dense tiles (140 009 against 210 000).
         let c = 70_000;
         let mut agen = ActivationGen::new(11);
         for flip in [1_000, 66_000] {
@@ -1070,6 +1013,52 @@ pub(super) mod tests {
                 let got = run_stages(&alone(layer), &[input], SimdCaps::get().best());
                 assert_eq!(got, [expected], "{geom:?}, flip {flip}");
             }
+        }
+    }
+
+    #[test]
+    fn the_dense_lowering_does_not_depend_on_g() {
+        // A dense tile is two filters of one conv group, whatever G is.
+        // Every LeNet layer's dense tiles, on the INQ and TTQ weights
+        // `plan_digest` pins, print the same at G = 1 … 4; so do those of a
+        // grouped convolution of five filters and three channels a group,
+        // whose second group starts inside a channel pair, and none of its
+        // tiles spans a group.
+        let spec = networks::lenet();
+        for (scheme, density) in [(QuantScheme::inq(), 0.9), (QuantScheme::ttq(), 0.6)] {
+            let weights = forward::generate_network_weights(&spec, scheme, 0x1E7, density);
+            let dense_at = |g| {
+                let plan = CompiledNetwork::compile(&spec, &weights, &UcnnConfig::with_g(g));
+                let layers = plan.stages().iter().filter_map(|stage| match stage {
+                    CompiledStage::Conv { layer, .. } => Some(layer.dense_lowered()),
+                    _ => None,
+                });
+                layers
+                    .map(|layer| format!("{:?}", layer.flat_tiles()))
+                    .collect::<Vec<_>>()
+            };
+            let at_2 = dense_at(2);
+            for g in [1, 3, 4] {
+                assert!(dense_at(g) == at_2, "LeNet's dense tiles at G = {g}");
+            }
+        }
+        let geom = ConvGeom::new(6, 5, 3, 10, 3, 3).with_pad(1);
+        let mut wgen = WeightGen::new(QuantScheme::inq(), 0x1E7).with_density(0.9);
+        let weights = wgen.generate_dims(geom.k(), geom.c(), geom.r(), geom.s());
+        let dense_at = |g| {
+            let layer = CompiledLayer::compile(&geom, 2, &weights, &UcnnConfig::with_g(g));
+            check_lowering(&layer, &format!("grouped, G = {g}"));
+            layer.dense_lowered().flat_tiles().to_vec()
+        };
+        let at_2 = dense_at(2);
+        let tiles: Vec<_> = at_2.iter().map(|t| (t.k_first, t.g)).collect();
+        assert_eq!(tiles, [(0, 2), (2, 2), (4, 1), (5, 2), (7, 2), (9, 1)]);
+        for g in [1, 3, 4] {
+            assert_eq!(
+                format!("{:?}", dense_at(g)),
+                format!("{at_2:?}"),
+                "grouped, G = {g}"
+            );
         }
     }
 

@@ -32,8 +32,8 @@
 //! paper (§IV):
 //!
 //! * `lower.rs` — lowering: a tile's stream becomes a [`FlattenedTile`]
-//!   (gather offsets, close records, outer segments — or a band's dense
-//!   tile) in an order chosen from counts alone.
+//!   (gather offsets, close records, outer segments) in an order chosen
+//!   from counts alone, or a layer's weights become its dense tiles.
 //! * `kernel.rs` — the datapath: the shared strip bodies (walks and dense
 //!   tiles), their `#[target_feature]` tier kernels and the `avx512` tier's
 //!   two `vpdpwssd` bodies (the crate's only `unsafe`, reached through a
@@ -56,7 +56,7 @@
 //! equivalence oracle hold every walk to the dense reference), and
 //! UCNN's argument (§III) — zero-skipping is only the special case of reusing
 //! *repeated* weights — goes one step further than exact repetition.
-//! `Lowering::lower_band` chooses, from counts alone:
+//! `lower_layer` chooses, from counts alone:
 //!
 //! * **Sign-folded groups.** An entry enters the running sum as `s·x`, `s`
 //!   the sign of its innermost weight; the innermost group is keyed by `|w|`
@@ -71,18 +71,19 @@
 //!   three). In registers only — a telescoped *phase 2* that re-loads a row
 //!   per boundary is in ROADMAP's do-not-rebuild.
 //! * **Dense tiles.** A `G`-level hierarchy pays closes, kept rows and
-//!   outer segments to share gathers. Where that costs more than one
-//!   **dense tile** over all of the band's channels (LeNet's conv1: 74
-//!   entries in 63 closes a tile, R·S·C = 75 against INQ's U = 17), the band
-//!   is that tile: per pair-tap `(2c, 2c + 1, r, s)` holding a weight, one
-//!   gather offset and the band's `G` packed `(w_2c, w_2c+1)` `i16` pairs,
-//!   no closes, kept rows or segments — one load and one multiply-add per
-//!   filter a pair-tap (`WalkCounts::dense`, in the same units as the
-//!   walk's `WalkCounts::cost`). A layer's input has one staged layout, so
-//!   a layer is dense in every band or in none: lowering starts dense and,
-//!   at the first band of several filters whose walk costs no more than its
-//!   dense tile, lowers every band as a walk. A band of one filter (a
-//!   ragged last band) follows its layer.
+//!   outer segments to share gathers. Where that costs more, summed over a
+//!   layer, than its **dense tiles** (LeNet's conv1: 74 entries in 63
+//!   closes a tile, R·S·C = 75 against INQ's U = 17), the layer is those
+//!   tiles. A dense tile is two filters of one conv group (the last of an
+//!   odd group alone), whatever `G` is: per pair-tap `(2c, 2c + 1, r, s)`
+//!   where either holds a weight, one gather offset and both filters'
+//!   packed `(w_2c, w_2c+1)` `i16` pairs, no closes, kept rows or segments
+//!   — one load and one multiply-add per filter a pair-tap
+//!   (`WalkCounts::dense`, in the same units as the walk's
+//!   `WalkCounts::cost`). `lower_dense` builds them, for the election and
+//!   for the dense yardstick alike. A layer's input has one staged layout,
+//!   so a layer is all walks or all dense tiles, one election per layer (a
+//!   tie keeps the walks): `G` shapes only the walks.
 //!
 //! Tiles walked once per chunk (every fully connected layer) keep the
 //! stream's order and sharing.
@@ -123,8 +124,8 @@
 //! its producer's plane in place. Each lane then adds
 //! `x_2c·w_2c + x_2c+1·w_2c+1` per filter (`pmaddwd`'s arithmetic); on
 //! `avx512` each 64-byte load of a pair-tap's strip feeds one `vpdpwssd` per
-//! filter of the band (two at a time), and every sum is stored once, so a
-//! dense band's planes are not zeroed first.
+//! filter slot of the tile, both in one pass, and every sum is stored
+//! once, so a dense tile's planes are not zeroed first.
 //!
 //! The chunk width and codegen follow the dispatched
 //! [`SimdTier`](crate::simd::SimdTier) ([`simd`](crate::simd)): the
@@ -165,8 +166,9 @@
 //! # Filter bands and the chunk-major pipeline
 //!
 //! The lane-major sums are staged one **filter band** at a time — the
-//! channel tiles that share a `k_first`, i.e. `G · out_w · out_h · LW`
-//! `i32`s rather than the whole layer's `K · …` — so a band stays
+//! tiles that share a `k_first`: a walk's channel tiles over `G` filters or
+//! one dense tile's two, i.e. `g · out_w · out_h · LW` `i32`s rather than
+//! the whole layer's `K · …` — so a band stays
 //! cache-resident between the kernel that fills it and whatever drains it.
 //! A whole network ([`BackendKind::FlattenedBatch`](crate::backend::BackendKind)
 //! through `CompiledNetwork::forward*`) runs **chunk-major**: each lane

@@ -24,8 +24,8 @@ use ucnn_model::{reference, LayerSpec, NetworkSpec, PoolKind, QuantScheme};
 use ucnn_tensor::{ConvGeom, Tensor3, Tensor4};
 
 use super::kernel::{chunk_widths, strip_runs, Lanes, KERNELS, LANE_WIDTH};
-use super::lower::tests::check_lowering;
-use super::{run_stages, walked_once};
+use super::lower::tests::{check_lowering, lower_walks};
+use super::run_stages;
 use crate::backend::BackendKind;
 use crate::compile::UcnnConfig;
 use crate::exec::factorized_conv;
@@ -102,8 +102,8 @@ pub(super) enum Seen {
     Kernel(SimdTier, usize, usize),
     /// A chunk of fewer than eight images, walked in this many copies.
     Copies(usize),
-    /// A kind of lowered walk ([`check_lowering`]), or "dense once": the
-    /// all-dense lowering of a layer walked once.
+    /// A kind of lowering run ([`check_lowering`]): "walked once", "shared",
+    /// "dense once" or "dense".
     Walk(&'static str),
     Alphabet(Alphabet),
     G(usize),
@@ -112,7 +112,7 @@ pub(super) enum Seen {
     Pad(usize),
     /// Padding the filter cannot span: whole windows read only the halo.
     PadPastFilter,
-    /// A sign-folded group with a minus sub-run.
+    /// A sign-folded group with a minus sub-run, in the walks run.
     MinusSubRun,
 }
 
@@ -223,10 +223,6 @@ impl Case {
         check_layer(&layer, &weights, &inputs, &what);
 
         let mut seen: BTreeSet<Seen> = walks.into_iter().map(Seen::Walk).collect();
-        // `check_layer` ran the all-dense lowering too.
-        if walked_once(&geom) {
-            seen.insert(Seen::Walk("dense once"));
-        }
         seen.extend([
             Seen::Alphabet(self.alphabet),
             Seen::G(self.g),
@@ -237,8 +233,10 @@ impl Case {
         if geom.pad() >= geom.r().min(geom.s()) {
             seen.insert(Seen::PadPastFilter);
         }
-        let tiles = layer.flat_tiles().iter();
-        if tiles.flat_map(|t| &t.closes).any(|close| close.minus > 0) {
+        // `check_layer` ran the walks, elected or not.
+        let walks = lower_walks(&layer);
+        let mut closes = walks.iter().flat_map(|t| &t.closes);
+        if closes.any(|close| close.minus > 0) {
             seen.insert(Seen::MinusSubRun);
         }
         // The layer's chunks and strips on each tier, from the two
@@ -278,10 +276,11 @@ pub(super) fn alone(layer: CompiledLayer) -> [CompiledStage; 1] {
 /// followed by an identity 1×1 convolution (the bands enter its plane
 /// through the relu epilogue). Both chains hand the `relu_saturate`d
 /// activations on unchanged. The per-tier runs are made twice: with the
-/// elected lowering and with the all-dense one
-/// ([`CompiledLayer::dense_lowered`], a dense tile per band). Each is held
-/// to the dense reference; the plan is shared by every per-tier run, so a
-/// run that changed it fails a later one.
+/// elected lowering and with the one it did not elect — the layer's dense
+/// tiles ([`CompiledLayer::dense_lowered`]) or its walks — so both run
+/// whichever the counts favour. Each is held to the dense reference; the
+/// plan is shared by every per-tier run, so a run that changed it fails a
+/// later one.
 pub(super) fn check_layer(
     layer: &CompiledLayer,
     weights: &Tensor4<i16>,
@@ -328,9 +327,12 @@ pub(super) fn check_layer(
         "identity",
         CompiledLayer::compile(&id_geom, 1, &identity, &UcnnConfig::with_g(2)),
     );
-    let dense = layer.dense_lowered();
-    assert!(dense.flat_tiles().iter().all(|t| t.is_dense()), "{what}");
-    for (lowering, layer) in [("elected", layer), ("all-dense", &dense)] {
+    let other = if layer.flat_tiles()[0].is_dense() {
+        ("walks", layer.lowered_as(lower_walks(layer)))
+    } else {
+        ("dense", layer.dense_lowered())
+    };
+    for (lowering, layer) in [("elected", layer), (other.0, &other.1)] {
         let stage = conv("layer", layer.clone());
         let chains = [
             ("pooled", [stage.clone(), max.clone()]),

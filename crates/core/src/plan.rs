@@ -92,9 +92,9 @@ pub struct CompiledLayer {
     geom: ConvGeom,
     conv_groups: usize,
     tiles: Vec<CompiledTile>,
-    /// Branch-free lowering of every filter band — each band lowered as
-    /// its shared walk (one walk per entry of `tiles`) or as one dense
-    /// tile, whichever costs less (`Lowering::lower_band`) — built on the
+    /// Branch-free lowering of the layer — its shared walks (one per entry
+    /// of `tiles`) or its dense tiles (two filters each, whatever `G` is),
+    /// whichever costs less over the layer (`lower_layer`) — built on the
     /// first flattened execution (or an explicit
     /// [`CompiledNetwork::warm`]) and cached. The library default
     /// ([`CompiledNetwork::DEFAULT_BACKEND`]) runs through it; a deployment
@@ -213,18 +213,18 @@ impl CompiledLayer {
         &self.tiles
     }
 
-    /// The branch-free flattened lowering of the layer, filter band by
-    /// filter band in the order of [`CompiledLayer::tiles`] (consumed by
-    /// [`run_stages`](crate::flatten::run_stages)): each band is lowered
-    /// as its shared walk, one walk per tile whose order and sharing
-    /// lowering owns, or as its dense tile.
+    /// The branch-free flattened lowering of the layer (consumed by
+    /// [`run_stages`](crate::flatten::run_stages)), whichever costs less of
+    /// two: its shared walks, one per tile in the order of
+    /// [`CompiledLayer::tiles`], whose order and sharing lowering owns; or
+    /// its dense tiles, two filters of one conv group each, the layer's
+    /// filters in order.
     ///
     /// Lowered on first use and cached; subsequent calls are a load.
     #[must_use]
     pub fn flat_tiles(&self) -> &[FlattenedTile] {
         // `compile` emits tiles band by band, the longest tile first.
-        self.flat
-            .get_or_init(|| lower_layer(&self.tiles, &self.geom))
+        self.flat.get_or_init(|| lower_layer(self))
     }
 
     /// Bytes of heap the flattened lowering keeps resident (lowering it
@@ -236,17 +236,22 @@ impl CompiledLayer {
         tiles.map(FlattenedTile::resident_bytes).sum()
     }
 
-    /// This layer with every filter band lowered as one dense tile —
-    /// walked-once layers and one-filter bands too — whatever
-    /// [`CompiledLayer::flat_tiles`] elects: the same-datapath dense
-    /// yardstick `repro reuse` times the elected lowering against. The
-    /// lowering is built here, so the copy is [`flat_ready`](Self::flat_ready).
+    /// This layer lowered as its dense tiles — a walked-once layer too —
+    /// whatever [`CompiledLayer::flat_tiles`] elects: the same tiles the
+    /// election prices, and the same-datapath dense yardstick `repro reuse`
+    /// times the elected lowering against. The lowering is built here, so
+    /// the copy is [`flat_ready`](Self::flat_ready).
     #[doc(hidden)]
     #[must_use]
     pub fn dense_lowered(&self) -> CompiledLayer {
+        self.lowered_as(lower_dense(self))
+    }
+
+    /// This layer with `flat` for its lowering, whatever it would elect.
+    pub(crate) fn lowered_as(&self, flat: Vec<FlattenedTile>) -> CompiledLayer {
         Self {
             tiles: self.tiles.clone(),
-            flat: OnceLock::from(lower_dense(&self.tiles, &self.geom)),
+            flat: OnceLock::from(flat),
             ..*self
         }
     }
