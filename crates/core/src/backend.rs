@@ -101,13 +101,18 @@ impl BackendKind {
     }
 
     /// Eagerly builds whatever lazily derived execution state this kind
-    /// needs for `layer` (nothing for the stream walker): the flattened
-    /// executor's `OnceLock` lowering, so the first request after deploy
-    /// does not pay lowering latency in its tail — see
-    /// [`CompiledNetwork::warm`].
+    /// needs for `layer`, so the first request after deploy does not pay
+    /// for it in its tail — see [`CompiledNetwork::warm`]: the stream
+    /// walker's streams, or the flattened executor's lowering (which builds
+    /// only the streams it reads).
     pub(crate) fn warm(self, layer: &CompiledLayer) {
-        if self == BackendKind::FlattenedBatch {
-            let _ = layer.flat_tiles();
+        match self {
+            BackendKind::BatchThreads => {
+                let _ = layer.tiles();
+            }
+            BackendKind::FlattenedBatch => {
+                let _ = layer.flat_tiles();
+            }
         }
     }
 

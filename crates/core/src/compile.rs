@@ -338,7 +338,11 @@ pub fn compile_layer_sampled(
 /// the weight → rank table every tile is then built through.
 #[must_use]
 pub fn canonical_of_tensor(weights: &Tensor4<i16>) -> StreamBuilder {
-    let values = weights.as_slice();
+    canonical_of(weights.as_slice())
+}
+
+/// [`canonical_of_tensor`] of a tensor's backing storage.
+pub(crate) fn canonical_of(values: &[i16]) -> StreamBuilder {
     let (lo, hi) = values
         .iter()
         .fold((0i16, 0i16), |(lo, hi), &w| (lo.min(w), hi.max(w)));

@@ -106,9 +106,10 @@ pub fn factorized_conv(
 /// Executes a [`CompiledLayer`] against an input — the serving hot path.
 ///
 /// Identical arithmetic to [`factorized_conv`], but the sort/factorize work
-/// was done once at [`CompiledLayer::compile`] time: this function only
-/// walks the retained streams, so repeated inference of the same layer
-/// stops paying the per-call compilation cost.
+/// is done once per plan, on the first call (or
+/// [`CompiledNetwork::warm`](crate::plan::CompiledNetwork::warm)): this
+/// function only walks the retained streams, so repeated inference of the
+/// same layer stops paying the per-call compilation cost.
 ///
 /// # Panics
 ///

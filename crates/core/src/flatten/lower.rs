@@ -567,95 +567,184 @@ impl ReadTile {
 /// staged layout, and a dense tile reads it with its channels in pairs, so
 /// a layer is one or the other whole. A layer walked once is walked.
 ///
-/// The walks are read, priced and lowered tile by tile, and lowering
-/// stops at the first tile that takes their cost past the dense tiles':
-/// no tile is read twice.
+/// The dense tiles are priced from the layer's weights, and so is a lower
+/// bound on the walks' cost ([`walk_bound`]): a layer whose bound already
+/// exceeds its dense tiles' price is its dense tiles, and neither reads
+/// nor builds a stream. Otherwise the walks are read, priced and lowered
+/// tile by tile, and lowering stops at the first tile that takes their
+/// cost past the dense tiles': no tile is read twice, and a layer whose
+/// walks win builds no dense tile. The walks cost at least the bound, so
+/// the bound decides no layer the full read would not.
 pub(crate) fn lower_layer(layer: &CompiledLayer) -> Vec<FlattenedTile> {
+    if walked_once(layer.geom()) {
+        return walks_within(layer, usize::MAX).expect("an unbounded walk");
+    }
+    let dense = PairTaps::of(layer);
+    let price = dense.price();
+    if walk_bound(layer) > price {
+        return dense.tiles();
+    }
+    walks_within(layer, price).unwrap_or_else(|| dense.tiles())
+}
+
+/// The layer's walks, read, priced and lowered tile by tile, or `None` at
+/// the first tile that takes their summed [`WalkCounts::cost`] past
+/// `budget`.
+fn walks_within(layer: &CompiledLayer, budget: usize) -> Option<Vec<FlattenedTile>> {
     let tiles = layer.tiles();
     let mut lowering = Lowering::new(tiles[0].stream(), layer.geom());
-    let (dense, bound) = if lowering.layer.once {
-        (Vec::new(), usize::MAX)
-    } else {
-        let dense = lower_dense(layer);
-        let price = |tile: &FlattenedTile| WalkCounts::dense(tile.entry_count(), tile.g);
-        let bound = dense.iter().map(price).sum();
-        (dense, bound)
-    };
     let (mut walks, mut cost) = (Vec::with_capacity(tiles.len()), 0);
     for tile in tiles {
         cost += lowering.read(tile).cost();
-        if cost > bound {
-            return dense;
+        if cost > budget {
+            return None;
         }
         walks.push(lowering.lower(tile));
     }
-    walks
+    Some(walks)
+}
+
+/// A lower bound on the summed [`WalkCounts::cost`] of a layer's walks,
+/// from its weights alone: each tile's walk reads every position where a
+/// filter of its band has a weight — its stream's entries, which folding
+/// keeps — and closes at least once if it reads any.
+fn walk_bound(layer: &CompiledLayer) -> usize {
+    let rs = layer.geom().r() * layer.geom().s();
+    let mut held = Vec::new();
+    let mut bound = |(ks, cs, _): (Range<usize>, Range<usize>, usize)| {
+        let taps = cs.start * rs..cs.end * rs;
+        held.clear();
+        held.resize(taps.len(), false);
+        for k in ks {
+            let weights = &layer.filter(k)[taps.clone()];
+            held.iter_mut()
+                .zip(weights)
+                .for_each(|(h, &w)| *h |= w != 0);
+        }
+        let entries = held.iter().filter(|&&h| h).count();
+        let closes = usize::from(entries > 0);
+        WalkCounts {
+            entries,
+            closes,
+            ..WalkCounts::default()
+        }
+        .cost()
+    };
+    layer.tile_spans().map(&mut bound).sum()
 }
 
 /// Lowers a layer as its dense tiles — a layer walked once too — whatever
 /// [`lower_layer`] elects: the election's dense side, and the
 /// same-datapath dense yardstick the elected lowering is timed against.
-///
-/// Each conv group's filters are cut into tiles of two, the last of an odd
-/// group alone, so no tile spans a group and `G` does not enter. A tile
-/// holds, per pair-tap `(2c, 2c + 1, r, s)` of its group's channels where
-/// either of its filters has a weight, ascending, one gather offset and
-/// both filters' packed pairs (a zero pair after a lone filter). The
-/// layer's weights are tabulated once, from its streams, tile by tile.
 pub(crate) fn lower_dense(layer: &CompiledLayer) -> Vec<FlattenedTile> {
-    let geom = layer.geom();
-    let (c_dim, k_group) = (geom.c(), geom.k() / layer.conv_groups());
-    let (rs, s, ph) = (geom.r() * geom.s(), geom.s(), geom.in_h() + 2 * geom.pad());
-    let channel = (geom.in_w() + 2 * geom.pad()) * ph;
-    // A group's `C` channels span `⌈C/2⌉` pairs from pair `⌊cg·C/2⌋`,
-    // whichever channel it starts at.
-    let (per_group, span) = (k_group.div_ceil(2), c_dim.div_ceil(2) * rs);
-    let first_pair = |cg: usize| cg * c_dim / 2;
-    let mut packed = vec![[0u32; 2]; layer.conv_groups() * per_group * span];
-    let mut weights = vec![0; layer.conv_groups() * per_group];
-    for tile in layer.tiles() {
-        let stream = tile.stream();
-        let (indices, ranks, _) = stream.columns();
-        let cg = tile.c_first() / c_dim;
-        for (&index, ranks) in indices.iter().zip(ranks.chunks_exact(stream.g())) {
-            let c = tile.c_first() + index as usize / rs;
-            let row = (c / 2 - first_pair(cg)) * rs + index as usize % rs;
-            for (f, &rank) in ranks.iter().enumerate() {
-                if rank != ZERO_RANK {
-                    let k = tile.k_first() + f - cg * k_group;
-                    let t = cg * per_group + k / 2;
-                    let w = stream.canonical()[usize::from(rank)];
-                    packed[t * span + row][k % 2] |= u32::from(w as u16) << (16 * (c % 2));
-                    weights[t] += 1;
+    PairTaps::of(layer).tiles()
+}
+
+/// A layer's dense tiles as one table, filled from its weights. Each conv
+/// group's filters are cut into tiles of two, the last of an odd group
+/// alone, so no tile spans a group and `G` does not enter. A tile holds,
+/// per pair-tap `(2c, 2c + 1, r, s)` of its group's channels — a group's
+/// `C` channels span `⌈C/2⌉` pairs from pair `⌊cg·C/2⌋`, whichever channel
+/// it starts at — both filters' packed pairs (a zero pair after a lone
+/// filter); a pair-tap where neither filter has a weight is not lowered.
+struct PairTaps {
+    geom: ConvGeom,
+    conv_groups: usize,
+    /// Per tile, `span` pair-taps in ascending order, each its first
+    /// filter's packed pair in the low half and its second's in the high.
+    rows: Vec<u64>,
+    span: usize,
+    /// Per tile, its filters' non-zero weights.
+    weights: Vec<usize>,
+}
+
+impl PairTaps {
+    fn of(layer: &CompiledLayer) -> Self {
+        let (geom, conv_groups) = (*layer.geom(), layer.conv_groups());
+        let (c_dim, k_group, rs) = (geom.c(), geom.k() / conv_groups, geom.r() * geom.s());
+        let (per_group, span) = (k_group.div_ceil(2), c_dim.div_ceil(2) * rs);
+        let mut rows = vec![0u64; conv_groups * per_group * span];
+        let mut weights = vec![0; conv_groups * per_group];
+        for k in 0..geom.k() {
+            let (cg, kg) = (k / k_group, k % k_group);
+            let t = cg * per_group + kg / 2;
+            let first = cg * c_dim;
+            let filter = layer.filter(k).chunks_exact(rs);
+            for (c, taps) in (first..).zip(filter) {
+                let shift = 32 * (kg % 2) + 16 * (c % 2);
+                let pair_taps = &mut rows[t * span + (c / 2 - first / 2) * rs..][..rs];
+                for (row, &w) in pair_taps.iter_mut().zip(taps) {
+                    *row |= u64::from(w as u16) << shift;
                 }
+                weights[t] += taps.iter().filter(|&&w| w != 0).count();
             }
+        }
+        Self {
+            geom,
+            conv_groups,
+            rows,
+            span,
+            weights,
         }
     }
-    let tiles = packed.chunks_exact(span).zip(weights).enumerate();
-    let lower = |(t, (rows, multiplies)): (usize, (&[[u32; 2]], usize))| {
-        let (cg, k) = (t / per_group, 2 * (t % per_group));
-        let (mut base, mut pairs) = (Vec::new(), Vec::new());
-        for (row, &pair) in rows.iter().enumerate() {
-            if pair != [0, 0] {
-                let (tap, at) = (row % rs, first_pair(cg) + row / rs);
-                let offset = at * channel + tap / s * ph + tap % s;
-                base.push(u32::try_from(offset).expect("input offset fits u32"));
-                pairs.extend(pair.map(|w| w as i32));
+
+    /// Per tile, `(k_first, g, rows)`.
+    fn each(&self) -> impl Iterator<Item = (usize, usize, &[u64])> + '_ {
+        let k_group = self.geom.k() / self.conv_groups;
+        let per_group = k_group.div_ceil(2);
+        let tiles = self.rows.chunks_exact(self.span).enumerate();
+        tiles.map(move |(t, rows)| {
+            let (cg, k) = (t / per_group, 2 * (t % per_group));
+            (cg * k_group + k, (k_group - k).min(2), rows)
+        })
+    }
+
+    /// The pair-taps of a tile's `rows` where either filter has a weight.
+    fn taps(rows: &[u64]) -> usize {
+        rows.iter().filter(|&&pair| pair != 0).count()
+    }
+
+    /// The tiles' summed [`WalkCounts::dense`], counted from the table.
+    fn price(&self) -> usize {
+        let price = |(_, g, rows)| WalkCounts::dense(Self::taps(rows), g);
+        self.each().map(price).sum()
+    }
+
+    /// The dense tiles.
+    fn tiles(&self) -> Vec<FlattenedTile> {
+        let geom = &self.geom;
+        let (rs, s, ph) = (geom.r() * geom.s(), geom.s(), geom.in_h() + 2 * geom.pad());
+        let channel = (geom.in_w() + 2 * geom.pad()) * ph;
+        let k_group = geom.k() / self.conv_groups;
+        // Per tap, its offset within a staged channel.
+        let offsets: Vec<usize> = (0..rs).map(|tap| tap / s * ph + tap % s).collect();
+        let tile = |((k_first, g, rows), &multiplies): ((usize, usize, &[u64]), &usize)| {
+            let taps = Self::taps(rows);
+            let (mut base, mut pairs) = (Vec::with_capacity(taps), Vec::with_capacity(2 * taps));
+            let first_pair = k_first / k_group * geom.c() / 2;
+            for (at, rows) in (first_pair..).zip(rows.chunks_exact(rs)) {
+                for (&offset, &pair) in offsets.iter().zip(rows) {
+                    if pair != 0 {
+                        let offset = at * channel + offset;
+                        base.push(u32::try_from(offset).expect("input offset fits u32"));
+                        pairs.extend([pair as u32 as i32, (pair >> 32) as u32 as i32]);
+                    }
+                }
             }
-        }
-        FlattenedTile {
-            k_first: cg * k_group + k,
-            g: (k_group - k).min(2),
-            base,
-            closes: Vec::new(),
-            rows: 0,
-            seg_ptr: Vec::new(),
-            segs: Vec::new(),
-            pairs: Some(pairs),
-            multiplies,
-        }
-    };
-    tiles.map(lower).collect()
+            FlattenedTile {
+                k_first,
+                g,
+                base,
+                closes: Vec::new(),
+                rows: 0,
+                seg_ptr: Vec::new(),
+                segs: Vec::new(),
+                pairs: Some(pairs),
+                multiplies,
+            }
+        };
+        self.each().zip(&self.weights).map(tile).collect()
+    }
 }
 
 /// One layer's lowering of its walks: what they share, made once, and every
@@ -776,12 +865,7 @@ pub(super) mod tests {
 
     /// Lowers `layer` as its walks, whatever it would elect.
     pub(in crate::flatten) fn lower_walks(layer: &CompiledLayer) -> Vec<FlattenedTile> {
-        let mut lowering = Lowering::new(layer.tiles()[0].stream(), layer.geom());
-        let lower = |tile| {
-            lowering.read(tile);
-            lowering.lower(tile)
-        };
-        layer.tiles().iter().map(lower).collect()
+        walks_within(layer, usize::MAX).expect("an unbounded walk")
     }
 
     #[test]
@@ -961,6 +1045,22 @@ pub(super) mod tests {
             dense_cost += WalkCounts::dense(table.len(), g);
         }
 
+        // The election's inputs from the weights: the dense tiles' price as
+        // the table from the streams prices them, and a bound the walks
+        // never cost less than.
+        if !once {
+            assert_eq!(
+                PairTaps::of(layer).price(),
+                dense_cost,
+                "{what}: dense price"
+            );
+            let bound = walk_bound(layer);
+            assert!(
+                bound <= walk_cost,
+                "{what}: bound {bound} > walks {walk_cost}"
+            );
+        }
+
         // Both directions of the election.
         let elects = !once && dense_cost < walk_cost;
         if elects {
@@ -1013,6 +1113,67 @@ pub(super) mod tests {
                 let got = run_stages(&alone(layer), &[input], SimdCaps::get().best());
                 assert_eq!(got, [expected], "{geom:?}, flip {flip}");
             }
+        }
+    }
+
+    #[test]
+    fn the_walk_bound_is_a_bound_and_decides_as_the_walks_would() {
+        // On every layer `plan_digest` pins that is not walked once, the
+        // bound from the weights is at most what the full read of the walks
+        // costs, and the layer elects what that read elects. A layer whose
+        // bound exceeds its dense tiles' price is lowered without building
+        // a stream — every INQ LeNet convolution at G = 2, among others.
+        let nets = [
+            ("lenet", networks::lenet(), 0x1E7),
+            ("tiny", networks::tiny(), 0x717),
+        ];
+        let schemes = [
+            ("inq", QuantScheme::inq(), 0.9),
+            ("ttq", QuantScheme::ttq(), 0.6),
+        ];
+        let mut decided = BTreeSet::new();
+        for (net, spec, seed) in &nets {
+            for (scheme_name, scheme, density) in &schemes {
+                let weights =
+                    forward::generate_network_weights(spec, scheme.clone(), *seed, *density);
+                for (g, ct) in [1, 2, 3].into_iter().flat_map(|g| [(g, 16), (g, 64)]) {
+                    let config = UcnnConfig {
+                        ct,
+                        ..UcnnConfig::with_g(g)
+                    };
+                    let plan = CompiledNetwork::compile(spec, &weights, &config);
+                    for stage in plan.stages() {
+                        let CompiledStage::Conv { name, layer, .. } = stage else {
+                            continue;
+                        };
+                        if walked_once(layer.geom()) {
+                            continue;
+                        }
+                        let what = format!("{net} {scheme_name} G = {g}, Ct = {ct}, {name}");
+                        let (bound, price) = (walk_bound(layer), PairTaps::of(layer).price());
+                        let flat = layer.flat_tiles().to_vec();
+                        let by_bound = bound > price;
+                        assert_eq!(layer.streams_built(), !by_bound, "{what}");
+                        let mut lowering = Lowering::new(layer.tiles()[0].stream(), layer.geom());
+                        let tiles = layer.tiles().iter();
+                        let cost: usize = tiles.map(|tile| lowering.read(tile).cost()).sum();
+                        assert!(bound <= cost, "{what}: bound {bound} > walks {cost}");
+                        let elected = if price < cost {
+                            lower_dense(layer)
+                        } else {
+                            lower_walks(layer)
+                        };
+                        assert!(flat == elected, "{what}: elected otherwise");
+                        if by_bound {
+                            decided.insert(what);
+                        }
+                    }
+                }
+            }
+        }
+        for conv in ["conv1", "conv2", "conv3"] {
+            let what = format!("lenet inq G = 2, Ct = 64, {conv}");
+            assert!(decided.contains(&what), "{what} was read");
         }
     }
 

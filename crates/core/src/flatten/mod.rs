@@ -80,10 +80,17 @@
 //!   packed `(w_2c, w_2c+1)` `i16` pairs, no closes, kept rows or segments
 //!   — one load and one multiply-add per filter a pair-tap
 //!   (`WalkCounts::dense`, in the same units as the walk's
-//!   `WalkCounts::cost`). `lower_dense` builds them, for the election and
-//!   for the dense yardstick alike. A layer's input has one staged layout,
-//!   so a layer is all walks or all dense tiles, one election per layer (a
-//!   tie keeps the walks): `G` shapes only the walks.
+//!   `WalkCounts::cost`). They are filled straight from the layer's
+//!   weights, for the election and for the dense yardstick alike. A
+//!   layer's input has one staged layout, so a layer is all walks or all
+//!   dense tiles, one election per layer (a tie keeps the walks): `G`
+//!   shapes only the walks. The same pass over the weights bounds the
+//!   walks' cost from below (`2·entries` plus one close per tile that reads
+//!   any), so a layer whose bound already exceeds its dense tiles' price
+//!   elects them without building a stream; only where the bound does not
+//!   settle it are the streams built and the walks read, priced and
+//!   lowered until they lose, and a layer whose walks win builds no dense
+//!   tile.
 //!
 //! Tiles walked once per chunk (every fully connected layer) keep the
 //! stream's order and sharing.

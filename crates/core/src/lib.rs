@@ -34,10 +34,12 @@
 //! * [`compile`] — compiles whole layers into per-tile streams plus the
 //!   aggregate statistics the accelerator simulator consumes.
 //! * [`plan`] — retained compilation for serving: [`CompiledLayer`] and
-//!   [`CompiledNetwork`] own the per-tile streams and their lowered tables,
-//!   so the sort/factorize work is paid once per model and the hot path only
+//!   [`CompiledNetwork`] own the weights and build from them, at most once
+//!   and on first use, the per-tile streams and their lowered tables, so
+//!   the sort/factorize work is paid once per model and the hot path only
 //!   walks what was retained (by default the flattened tables,
-//!   [`CompiledNetwork::DEFAULT_BACKEND`]).
+//!   [`CompiledNetwork::DEFAULT_BACKEND`], whose dense layers need no
+//!   stream).
 //! * [`backend`] — the executor backends: two bit-identical inner-loop
 //!   shapes (the retained-stream walk and the flattened SIMD executor),
 //!   selected by a [`BackendKind`] end to end from the serving engine down

@@ -8,13 +8,19 @@
 //! amortized over every inference (§IV: "the computation to set up these
 //! tables is amortized across the lifetime of the DNN deployment").
 //!
-//! This module is that retained form: a [`CompiledLayer`] owns the
-//! hierarchically sorted streams for every (filter-group × channel-tile)
-//! work unit plus the geometry needed to execute them, and a
+//! This module is that retained form: a [`CompiledLayer`] owns a layer's
+//! weights plus the geometry needed to execute them, and builds from them,
+//! each at most once and on first use, the hierarchically sorted streams
+//! for every (filter-group × channel-tile) work unit and the flattened
+//! lowering — which reads the streams only where it may walk them, so a
+//! layer whose weights alone show it cheaper as dense tiles never sorts a
+//! stream. A
 //! [`CompiledNetwork`] chains compiled layers with the wiring rule of
-//! [`ucnn_model::forward`]. Both are immutable after compilation and
-//! `Send + Sync`, so a serving engine shares one plan across worker threads
-//! behind an `Arc` without cloning. Execution goes through
+//! [`ucnn_model::forward`]. Both are immutable after compilation (their
+//! lazy parts are `OnceLock`s) and `Send + Sync`, so a serving engine
+//! shares one plan across worker threads behind an `Arc` without cloning;
+//! [`CompiledNetwork::warm`] builds what an executor needs before the first
+//! request. Execution goes through
 //! [`run_compiled`](crate::exec::run_compiled()) /
 //! [`CompiledNetwork::forward`] and stays bit-identical to the dense
 //! reference. How a network's stages are chained is the backend's business
@@ -22,13 +28,14 @@
 //! over per-image tensors, the flattened default keeps each lane chunk
 //! batch-interleaved from the first stage to the last.
 
+use std::ops::Range;
 use std::sync::OnceLock;
 
 use ucnn_model::{LayerKind, NetworkSpec, PoolKind};
 use ucnn_tensor::{ConvGeom, Tensor3, Tensor4};
 
 use crate::backend::BackendKind;
-use crate::compile::{canonical_of_tensor, UcnnConfig};
+use crate::compile::{canonical_of, UcnnConfig};
 use crate::flatten::{lower_dense, lower_layer, walked_once, Dims, FlattenedTile};
 use crate::hierarchy::GroupStream;
 
@@ -61,13 +68,18 @@ impl CompiledTile {
     }
 }
 
-/// A layer compiled for repeated execution: owned per-tile streams plus the
-/// geometry and config needed to run them.
+/// A layer compiled for repeated execution: its weights, the geometry and
+/// config needed to run them, and the per-tile streams built from them on
+/// first use.
 ///
-/// Compilation performs the full sort/factorize work of
-/// [`factorized_conv`](crate::exec::factorized_conv) exactly once; each
-/// subsequent [`run_compiled`](crate::exec::run_compiled()) call only walks
-/// the retained streams.
+/// Compilation checks the shapes and keeps the weights; the sort/factorize
+/// work of [`factorized_conv`](crate::exec::factorized_conv) is done at
+/// most once per plan, by whichever first needs the streams
+/// ([`CompiledLayer::tiles`]): the stream walker
+/// ([`run_compiled`](crate::exec::run_compiled()), warmed by
+/// [`CompiledNetwork::warm`]), [`CompiledLayer::total_entries`], or the
+/// lowering of a layer whose walks it has to read. Each subsequent call
+/// only walks the retained streams.
 ///
 /// # Examples
 ///
@@ -91,7 +103,15 @@ pub struct CompiledLayer {
     config: UcnnConfig,
     geom: ConvGeom,
     conv_groups: usize,
-    tiles: Vec<CompiledTile>,
+    /// Channels per channel tile: the config's [`UcnnConfig::effective_ct`],
+    /// or a whole group's for a layer walked once.
+    ct: usize,
+    /// The weights, filter after filter, each `(c, r, s)` row-major.
+    filters: Box<[i16]>,
+    /// The per-tile streams, built from `filters` on first use. A flattened
+    /// deployment builds them only where lowering reads walks: never for a
+    /// layer whose weights alone show its dense tiles cheaper.
+    tiles: OnceLock<Vec<CompiledTile>>,
     /// Branch-free lowering of the layer — its shared walks (one per entry
     /// of `tiles`) or its dense tiles (two filters each, whatever `G` is),
     /// whichever costs less over the layer (`lower_layer`) — built on the
@@ -100,23 +120,26 @@ pub struct CompiledLayer {
     /// ([`CompiledNetwork::DEFAULT_BACKEND`]) runs through it; a deployment
     /// pinned to a stream-walking backend — the serving engine's default is
     /// one — never builds it and pays neither the lowering work nor the
-    /// extra resident memory.
+    /// extra resident memory. Lowering a layer whose weights alone show its
+    /// dense tiles cheaper (`lower_layer`'s bound) reads only `filters`.
     flat: OnceLock<Vec<FlattenedTile>>,
 }
 
-/// `flat` is derived from the other fields, so equality ignores it (and
-/// `OnceLock` has no `PartialEq` anyway).
+/// `tiles` and `flat` are derived from the other fields, so equality
+/// ignores them (and `OnceLock` has no `PartialEq` anyway).
 impl PartialEq for CompiledLayer {
     fn eq(&self, other: &Self) -> bool {
         self.config == other.config
             && self.geom == other.geom
             && self.conv_groups == other.conv_groups
-            && self.tiles == other.tiles
+            && self.filters == other.filters
     }
 }
 
 impl CompiledLayer {
-    /// Compiles a layer's weights into retained per-tile streams.
+    /// Compiles a layer's weights for retained execution: checks them
+    /// against `geom` and keeps them; their per-tile streams are built on
+    /// first use ([`CompiledLayer::tiles`]).
     ///
     /// Filters are grouped by `config.g` (never spanning conv groups) and
     /// channels tiled by [`UcnnConfig::effective_ct`], as `factorized_conv`
@@ -146,47 +169,45 @@ impl CompiledLayer {
             conv_groups > 0 && geom.k().is_multiple_of(conv_groups),
             "bad group count"
         );
-
-        let rs = geom.r() * geom.s();
-        let c_dim = geom.c();
-        let ct = config.effective_ct(c_dim);
-        let ct = if walked_once(geom) { c_dim } else { ct };
-        let k_per_group = geom.k() / conv_groups;
-        let mut builder = canonical_of_tensor(filters);
-        let mut slices: Vec<&[i16]> = Vec::with_capacity(config.g);
-
-        let bands = conv_groups * k_per_group.div_ceil(config.g);
-        let mut tiles = Vec::with_capacity(bands * c_dim.div_ceil(ct));
-        for cg in 0..conv_groups {
-            let k_base = cg * k_per_group;
-            let c_base = cg * c_dim;
-            let mut k0 = 0usize;
-            while k0 < k_per_group {
-                let k1 = (k0 + config.g).min(k_per_group);
-                let mut c0 = 0usize;
-                while c0 < c_dim {
-                    let c1 = (c0 + ct).min(c_dim);
-                    slices.clear();
-                    slices
-                        .extend((k0..k1).map(|ki| &filters.filter(k_base + ki)[c0 * rs..c1 * rs]));
-                    tiles.push(CompiledTile {
-                        stream: builder.build(&slices),
-                        k_first: k_base + k0,
-                        c_first: c_base + c0,
-                    });
-                    c0 = c1;
-                }
-                k0 = k1;
-            }
-        }
-
+        let ct = config.effective_ct(geom.c());
         Self {
             config: *config,
             geom: *geom,
             conv_groups,
-            tiles,
+            ct: if walked_once(geom) { geom.c() } else { ct },
+            filters: filters.as_slice().into(),
+            tiles: OnceLock::new(),
             flat: OnceLock::new(),
         }
+    }
+
+    /// Where each tile lies, in execution order: its absolute filters, its
+    /// channels within its conv group, and its absolute first channel —
+    /// band by band (`≤ G` filters of one conv group), the longest channel
+    /// tile first.
+    pub(crate) fn tile_spans(
+        &self,
+    ) -> impl Iterator<Item = (Range<usize>, Range<usize>, usize)> + '_ {
+        let (c_dim, g, ct) = (self.geom.c(), self.config.g, self.ct);
+        let k_group = self.geom.k() / self.conv_groups;
+        let bands = (0..self.conv_groups).flat_map(move |cg| {
+            let k_base = cg * k_group;
+            (0..k_group)
+                .step_by(g)
+                .map(move |k0| (cg, k_base + k0..k_base + (k0 + g).min(k_group)))
+        });
+        bands.flat_map(move |(cg, ks)| {
+            let channels = (0..c_dim)
+                .step_by(ct)
+                .map(move |c0| c0..(c0 + ct).min(c_dim));
+            channels.map(move |cs| (ks.clone(), cs.clone(), cg * c_dim + cs.start))
+        })
+    }
+
+    /// Filter `k`'s weights, `(c, r, s)` row-major.
+    pub(crate) fn filter(&self, k: usize) -> &[i16] {
+        let size = self.geom.c() * self.geom.r() * self.geom.s();
+        &self.filters[k * size..][..size]
     }
 
     /// The configuration the layer was compiled with.
@@ -207,10 +228,26 @@ impl CompiledLayer {
         self.conv_groups
     }
 
-    /// The retained work units, in execution order.
+    /// The retained work units, in execution order: built on first use —
+    /// every stream of the layer, from one canonical order — and cached.
     #[must_use]
     pub fn tiles(&self) -> &[CompiledTile] {
-        &self.tiles
+        self.tiles.get_or_init(|| {
+            let rs = self.geom.r() * self.geom.s();
+            let mut builder = canonical_of(&self.filters);
+            let mut slices: Vec<&[i16]> = Vec::with_capacity(self.config.g);
+            let tile = |(ks, cs, c_first): (Range<usize>, Range<usize>, usize)| {
+                slices.clear();
+                let taps = cs.start * rs..cs.end * rs;
+                slices.extend(ks.clone().map(|k| &self.filter(k)[taps.clone()]));
+                CompiledTile {
+                    stream: builder.build(&slices),
+                    k_first: ks.start,
+                    c_first,
+                }
+            };
+            self.tile_spans().map(tile).collect()
+        })
     }
 
     /// The branch-free flattened lowering of the layer (consumed by
@@ -220,10 +257,12 @@ impl CompiledLayer {
     /// its dense tiles, two filters of one conv group each, the layer's
     /// filters in order.
     ///
-    /// Lowered on first use and cached; subsequent calls are a load.
+    /// Lowered on first use and cached; subsequent calls are a load. A
+    /// layer that its weights alone show to be cheaper as dense tiles is
+    /// lowered without building its streams.
     #[must_use]
     pub fn flat_tiles(&self) -> &[FlattenedTile] {
-        // `compile` emits tiles band by band, the longest tile first.
+        // `tile_spans` runs band by band, the longest tile first.
         self.flat.get_or_init(|| lower_layer(self))
     }
 
@@ -250,6 +289,7 @@ impl CompiledLayer {
     /// This layer with `flat` for its lowering, whatever it would elect.
     pub(crate) fn lowered_as(&self, flat: Vec<FlattenedTile>) -> CompiledLayer {
         Self {
+            filters: self.filters.clone(),
             tiles: self.tiles.clone(),
             flat: OnceLock::from(flat),
             ..*self
@@ -264,11 +304,17 @@ impl CompiledLayer {
         self.flat.get().is_some()
     }
 
+    /// Whether the streams have already been built.
+    #[cfg(test)]
+    pub(crate) fn streams_built(&self) -> bool {
+        self.tiles.get().is_some()
+    }
+
     /// Total retained stream entries across all tiles — a proxy for the
-    /// plan's memory footprint.
+    /// plan's memory footprint (building the streams first if needed).
     #[must_use]
     pub fn total_entries(&self) -> usize {
-        self.tiles.iter().map(|t| t.stream.entry_count()).sum()
+        self.tiles().iter().map(|t| t.stream.entry_count()).sum()
     }
 }
 
@@ -455,11 +501,12 @@ impl CompiledNetwork {
     }
 
     /// Eagerly builds every lazily derived execution structure `kind` needs
-    /// (for the flattened backend, the per-layer `OnceLock` lowering), so
-    /// the first request served after a deploy does not pay lowering
-    /// latency in its tail. Idempotent and cheap to repeat; a no-op for
-    /// backends with no derived state. The serving registry calls this on
-    /// insert and when an engine adopts it, for the engine's backend.
+    /// (for the stream walker, every layer's streams; for the flattened
+    /// backend, the per-layer lowering, and the streams of only the layers
+    /// it may walk), so the first request served after a deploy builds
+    /// nothing in its tail. Idempotent and cheap to repeat. The serving
+    /// registry calls this on insert and when an engine adopts it, for the
+    /// engine's backend.
     pub fn warm(&self, kind: BackendKind) {
         for stage in &self.stages {
             if let CompiledStage::Conv { layer, .. } = stage {
@@ -821,14 +868,67 @@ mod tests {
                 CompiledStage::Pool { .. } => true,
             })
         };
+        let streams_built = |plan: &CompiledNetwork| {
+            plan.stages().iter().all(|s| match s {
+                CompiledStage::Conv { layer, .. } => layer.streams_built(),
+                CompiledStage::Pool { .. } => true,
+            })
+        };
         let compiled = CompiledNetwork::compile(&net, &weights, &UcnnConfig::with_g(2));
         assert!(!flat_ready(&compiled), "lowering must start lazy");
-        compiled.warm(BackendKind::BatchThreads); // no derived state
+        assert!(!streams_built(&compiled), "streams must start lazy");
+        compiled.warm(BackendKind::BatchThreads); // streams, no lowering
         assert!(!flat_ready(&compiled));
+        assert!(
+            streams_built(&compiled),
+            "the stream walker's warm builds its streams"
+        );
         compiled.warm(BackendKind::FlattenedBatch);
         assert!(flat_ready(&compiled), "warm must force the lowering");
         compiled.warm(BackendKind::FlattenedBatch); // idempotent
         assert!(flat_ready(&compiled));
+    }
+
+    #[test]
+    fn warm_builds_only_the_streams_it_walks() {
+        // INQ LeNet at G = 2: every convolution elects its dense tiles from
+        // its weights, so a flattened warm sorts no stream of theirs; the
+        // walked-once layers are walked, so theirs are built. Built later,
+        // the streams are those of a plan built eagerly — streams first,
+        // then the lowering.
+        let spec = networks::lenet();
+        let weights = forward::generate_network_weights(&spec, QuantScheme::inq(), 0x1E7, 0.9);
+        let config = UcnnConfig::with_g(2);
+        fn layers(plan: &CompiledNetwork) -> Vec<(&str, &CompiledLayer)> {
+            let stages = plan.stages().iter();
+            stages
+                .filter_map(|stage| match stage {
+                    CompiledStage::Conv { name, layer, .. } => Some((name.as_str(), layer)),
+                    CompiledStage::Pool { .. } => None,
+                })
+                .collect()
+        }
+        let lazy = CompiledNetwork::compile(&spec, &weights, &config);
+        lazy.warm(BackendKind::FlattenedBatch);
+        let built = layers(&lazy)
+            .into_iter()
+            .map(|(name, layer)| (name, layer.streams_built()));
+        let expected = [("conv1", false), ("conv2", false), ("conv3", false)];
+        assert!(built.eq(expected.into_iter().chain([("ip1", true), ("ip2", true)])));
+
+        let eager = CompiledNetwork::compile(&spec, &weights, &config);
+        for (_, layer) in layers(&eager) {
+            let _ = layer.tiles();
+        }
+        eager.warm(BackendKind::FlattenedBatch);
+        assert_eq!(lazy, eager);
+        for ((name, lazy), (_, eager)) in layers(&lazy).into_iter().zip(layers(&eager)) {
+            assert!(eager.streams_built(), "{name}");
+            assert_eq!(lazy.tiles(), eager.tiles(), "{name}");
+            assert_eq!(lazy.flat_tiles(), eager.flat_tiles(), "{name}");
+        }
+        assert_eq!(lazy.total_entries(), eager.total_entries());
+        assert_eq!(lazy.total_entries(), 71_984);
     }
 
     #[test]

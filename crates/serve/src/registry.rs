@@ -61,8 +61,8 @@ impl ModelRegistry {
     ///
     /// The plan is **warmed** for the backend that will serve it (the one
     /// registered via [`ModelRegistry::set_default_backend`]): any lazily
-    /// derived execution state — the flattened backend's per-layer lowering
-    /// — is built here, at deploy time, so the first request after an
+    /// derived execution state — the stream walker's streams, the flattened
+    /// backend's per-layer lowering — is built here, at deploy time, so the first request after an
     /// insert does not pay lowering latency in its tail, **including
     /// models deployed after the engine started**. Until an engine has
     /// adopted the registry nothing is warmed: the library's own
@@ -239,6 +239,30 @@ mod tests {
         let w2 = forward::generate_network_weights(&net, QuantScheme::inq(), 11, 0.9);
         let swapped = registry.compile_and_insert(&net, &w2, &UcnnConfig::with_g(2));
         assert!(flat_ready(&swapped), "a hot-swap insert must warm too");
+
+        // Under the stream walker, the engine's default backend, an insert
+        // after start builds every stream, so the first served request
+        // sorts none. A plan builds its streams on first use and has no
+        // accessor for whether it has: they are read off its `Debug` form,
+        // where an unbuilt `OnceLock` prints `<uninit>` — as a plan that
+        // nothing warmed shows.
+        let streams_built = |plan: &CompiledNetwork| {
+            plan.stages().iter().all(|s| match s {
+                CompiledStage::Conv { layer, .. } => {
+                    !format!("{layer:?}").contains("tiles: OnceLock(<uninit>)")
+                }
+                CompiledStage::Pool { .. } => true,
+            })
+        };
+        let cold = CompiledNetwork::compile(&net, &weights, &UcnnConfig::with_g(2));
+        assert!(!streams_built(&cold), "compiling builds no stream");
+        let walker = ModelRegistry::new();
+        walker.set_default_backend(BackendKind::BatchThreads);
+        let plan = walker.compile_and_insert(&net, &weights, &UcnnConfig::with_g(2));
+        assert!(
+            streams_built(&plan),
+            "post-start insert must build the streams"
+        );
     }
 
     #[test]
