@@ -679,9 +679,9 @@ pub fn ablate_multipliers() -> TableOut {
 /// `flat_bytes` is what the row's lowered tables keep resident;
 /// `compile_us` / `lower_us` the cold path — `CompiledLayer::compile`
 /// (which only keeps the weights), then the first `flat_tiles` of that
-/// fresh plan (which builds the streams of a layer it may walk) or its
-/// `dense_lowered` copy (which clones the weights and any streams built
-/// too), the minimum over as many rounds as the cells time. A `provenance` section records commit, compiler, detected
+/// fresh plan (which sorts the streams of a layer it may walk one tile at
+/// a time and keeps none) or its `dense_lowered` copy (which clones the
+/// weights), the minimum over as many rounds as the cells time. A `provenance` section records commit, compiler, detected
 /// tiers and core count. Both rows of a tier are timed in one process, so
 /// drift of the host cancels out of their ratio.
 #[must_use]

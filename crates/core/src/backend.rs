@@ -49,7 +49,7 @@ pub enum BackendKind {
     /// batch-interleaved SIMD lanes
     /// ([`run_stages`]): one indirection walk per lane
     /// chunk feeds a strip of contiguous image lanes as wide as the
-    /// dispatched ISA tier allows (8 scalar/NEON, 16 AVX2, 32 AVX-512 —
+    /// dispatched ISA tier allows (8 scalar, 16 AVX2, 32 AVX-512 —
     /// see [`SimdTier::lane_width`](crate::simd::SimdTier::lane_width)),
     /// through the `#[target_feature]` kernels of the widest tier the CPU
     /// has ([`SimdCaps::best`]). A chunk of fewer than eight images is
@@ -103,8 +103,8 @@ impl BackendKind {
     /// Eagerly builds whatever lazily derived execution state this kind
     /// needs for `layer`, so the first request after deploy does not pay
     /// for it in its tail — see [`CompiledNetwork::warm`]: the stream
-    /// walker's streams, or the flattened executor's lowering (which builds
-    /// only the streams it reads).
+    /// walker's streams, or the flattened executor's lowering (which keeps
+    /// no stream).
     pub(crate) fn warm(self, layer: &CompiledLayer) {
         match self {
             BackendKind::BatchThreads => {

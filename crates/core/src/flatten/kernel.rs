@@ -178,9 +178,9 @@ impl FlattenedTile {
     /// arithmetic, wrapping where both products are `2³⁰`, as that
     /// instruction does. One filter a pass over the pair-taps: a second
     /// filter's lane array would not fit baseline x86-64's sixteen registers
-    /// beside the first. NEON runs this body; every x86-64 tier runs one of
-    /// its own, in intrinsics: baseline codegen of this one splits each
-    /// load's channel pairs and multiplies them apart.
+    /// beside the first. The scalar tier runs this body off x86-64; every
+    /// x86-64 tier runs one of its own, in intrinsics: baseline codegen of
+    /// this one splits each load's channel pairs and multiplies them apart.
     #[inline(always)]
     fn dense_lanes_body<const LW: usize, const PITCH: usize>(
         &self,
@@ -619,31 +619,6 @@ mod tier_kernels {
     }
 }
 
-/// NEON twin of the x86 tier kernels (NEON is baseline on aarch64, but the
-/// explicit gate keeps the dispatch structure uniform).
-///
-/// # Safety
-///
-/// As for the x86 kernels: the caller holds a [`Probed`] NEON tier.
-#[cfg(target_arch = "aarch64")]
-#[allow(unsafe_code)]
-mod tier_kernels {
-    use super::{FlattenedTile, StripRun};
-    use ucnn_tensor::ConvGeom;
-
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn tile_lanes_neon<const LW: usize, const PITCH: usize>(
-        tile: &FlattenedTile,
-        input: &[i16],
-        out: &mut [i32],
-        geom: &ConvGeom,
-        prefix: &mut [i32],
-        run: &StripRun,
-    ) {
-        tile.strip_body::<LW, PITCH>(input, out, geom, prefix, run);
-    }
-}
-
 /// Runs one monomorphized strip width through the selected tier kernel.
 ///
 /// The `unsafe` blocks satisfy the `#[target_feature]` contract by type: a
@@ -696,11 +671,6 @@ fn accumulate_width<const LW: usize, const PITCH: usize>(
         #[cfg(target_arch = "x86_64")]
         SimdTier::Avx512 => unsafe {
             tier_kernels::tile_lanes_avx512::<LW, PITCH>(tile, input, out, geom, prefix, run);
-        },
-        // SAFETY: `tier` is `Probed`, so NEON was detected.
-        #[cfg(target_arch = "aarch64")]
-        SimdTier::Neon => unsafe {
-            tier_kernels::tile_lanes_neon::<LW, PITCH>(tile, input, out, geom, prefix, run);
         },
         _ => tile.strip_body::<LW, PITCH>(input, out, geom, prefix, run),
     }
@@ -1221,10 +1191,10 @@ mod tests {
     #[test]
     #[cfg(target_arch = "x86_64")]
     fn the_generic_dense_body_matches_the_sse2_one() {
-        // Only NEON runs `dense_lanes_body`, so here it is held to the
-        // scalar tier's SSE2 body on each strip that tier cuts (7 positions
-        // a row: 4 + 2 + 1), over one staged chunk of random channel pairs,
-        // for a tile of two filters and a lone one.
+        // Only the scalar tier off x86-64 runs `dense_lanes_body`, so here
+        // it is held to the scalar tier's SSE2 body on each strip that tier
+        // cuts (7 positions a row: 4 + 2 + 1), over one staged chunk of
+        // random channel pairs, for a tile of two filters and a lone one.
         use ucnn_model::rng::SmallRng;
         use ucnn_model::{QuantScheme, WeightGen};
         let geom = ConvGeom::new(6, 7, 5, 3, 3, 3).with_pad(1);

@@ -60,7 +60,7 @@
 //!   [`flatten::run_stages`], the one entry point that forces a tier).
 //! * [`simd`] — runtime ISA detection ([`SimdCaps`]) and the
 //!   [`SimdTier`]s the `#[target_feature]` strip kernels are built for
-//!   (scalar / AVX2 / AVX-512 / NEON) and their interleave widths; every
+//!   (scalar / AVX2 / AVX-512) and their interleave widths; every
 //!   execution dispatches the widest tier the CPU has.
 //! * [`partial_product`] — the paper's third (unexploited) reuse form,
 //!   partial-product memoization across filters (§III-C), provided as an
@@ -111,7 +111,6 @@
 #![warn(missing_docs)]
 
 pub mod backend;
-pub mod bitstream;
 pub mod compile;
 pub mod counters;
 pub mod encoding;

@@ -10,11 +10,11 @@
 //!
 //! This module is that retained form: a [`CompiledLayer`] owns a layer's
 //! weights plus the geometry needed to execute them, and builds from them,
-//! each at most once and on first use, the hierarchically sorted streams
-//! for every (filter-group × channel-tile) work unit and the flattened
-//! lowering — which reads the streams only where it may walk them, so a
-//! layer whose weights alone show it cheaper as dense tiles never sorts a
-//! stream. A
+//! each at most once and on first use, whichever of two forms an executor
+//! walks: the hierarchically sorted streams for every (filter-group ×
+//! channel-tile) work unit, which the stream walker keeps, or the flattened
+//! lowering — which sorts a tile's stream only where it may walk it, and
+//! keeps none: a lowered layer is its weights and its lowering. A
 //! [`CompiledNetwork`] chains compiled layers with the wiring rule of
 //! [`ucnn_model::forward`]. Both are immutable after compilation (their
 //! lazy parts are `OnceLock`s) and `Send + Sync`, so a serving engine
@@ -69,17 +69,17 @@ impl CompiledTile {
 }
 
 /// A layer compiled for repeated execution: its weights, the geometry and
-/// config needed to run them, and the per-tile streams built from them on
-/// first use.
+/// config needed to run them, and, built from them on first use, the
+/// per-tile streams the stream walker keeps or the flattened lowering.
 ///
 /// Compilation checks the shapes and keeps the weights; the sort/factorize
 /// work of [`factorized_conv`](crate::exec::factorized_conv) is done at
-/// most once per plan, by whichever first needs the streams
-/// ([`CompiledLayer::tiles`]): the stream walker
+/// most once per plan for the stream walker
 /// ([`run_compiled`](crate::exec::run_compiled()), warmed by
-/// [`CompiledNetwork::warm`]), [`CompiledLayer::total_entries`], or the
-/// lowering of a layer whose walks it has to read. Each subsequent call
-/// only walks the retained streams.
+/// [`CompiledNetwork::warm`]), which retains the streams
+/// ([`CompiledLayer::tiles`]) and on each subsequent call only walks them.
+/// Lowering ([`CompiledLayer::flat_tiles`]) sorts the streams of a layer
+/// whose walks it has to read one tile at a time and keeps none.
 ///
 /// # Examples
 ///
@@ -108,12 +108,12 @@ pub struct CompiledLayer {
     ct: usize,
     /// The weights, filter after filter, each `(c, r, s)` row-major.
     filters: Box<[i16]>,
-    /// The per-tile streams, built from `filters` on first use. A flattened
-    /// deployment builds them only where lowering reads walks: never for a
-    /// layer whose weights alone show its dense tiles cheaper.
+    /// The per-tile streams, built from `filters` on first use by the
+    /// stream walker, their one reader. A flattened deployment never fills
+    /// it: lowering builds each tile's stream alone and drops it.
     tiles: OnceLock<Vec<CompiledTile>>,
-    /// Branch-free lowering of the layer — its shared walks (one per entry
-    /// of `tiles`) or its dense tiles (two filters each, whatever `G` is),
+    /// Branch-free lowering of the layer — its shared walks (one per tile)
+    /// or its dense tiles (two filters each, whatever `G` is),
     /// whichever costs less over the layer (`lower_layer`) — built on the
     /// first flattened execution (or an explicit
     /// [`CompiledNetwork::warm`]) and cached. The library default
@@ -121,7 +121,8 @@ pub struct CompiledLayer {
     /// pinned to a stream-walking backend — the serving engine's default is
     /// one — never builds it and pays neither the lowering work nor the
     /// extra resident memory. Lowering a layer whose weights alone show its
-    /// dense tiles cheaper (`lower_layer`'s bound) reads only `filters`.
+    /// dense tiles cheaper (`lower_layer`'s bound) reads only `filters`;
+    /// any other sorts its streams one tile at a time and keeps none.
     flat: OnceLock<Vec<FlattenedTile>>,
 }
 
@@ -229,24 +230,29 @@ impl CompiledLayer {
     }
 
     /// The retained work units, in execution order: built on first use —
-    /// every stream of the layer, from one canonical order — and cached.
+    /// every stream of the layer, from one canonical order — and cached for
+    /// the stream walker, their one reader. Lowering and
+    /// [`CompiledLayer::total_entries`] build their own and keep none.
     #[must_use]
     pub fn tiles(&self) -> &[CompiledTile] {
-        self.tiles.get_or_init(|| {
-            let rs = self.geom.r() * self.geom.s();
-            let mut builder = canonical_of(&self.filters);
-            let mut slices: Vec<&[i16]> = Vec::with_capacity(self.config.g);
-            let tile = |(ks, cs, c_first): (Range<usize>, Range<usize>, usize)| {
-                slices.clear();
-                let taps = cs.start * rs..cs.end * rs;
-                slices.extend(ks.clone().map(|k| &self.filter(k)[taps.clone()]));
-                CompiledTile {
-                    stream: builder.build(&slices),
-                    k_first: ks.start,
-                    c_first,
-                }
-            };
-            self.tile_spans().map(tile).collect()
+        self.tiles.get_or_init(|| self.streams().collect())
+    }
+
+    /// The layer's work units built one at a time, in execution order, from
+    /// one canonical order; the caller owns each and nothing is cached.
+    pub(crate) fn streams(&self) -> impl Iterator<Item = CompiledTile> + '_ {
+        let rs = self.geom.r() * self.geom.s();
+        let mut builder = canonical_of(&self.filters);
+        let mut slices: Vec<&[i16]> = Vec::with_capacity(self.config.g);
+        self.tile_spans().map(move |(ks, cs, c_first)| {
+            slices.clear();
+            let taps = cs.start * rs..cs.end * rs;
+            slices.extend(ks.clone().map(|k| &self.filter(k)[taps.clone()]));
+            CompiledTile {
+                stream: builder.build(&slices),
+                k_first: ks.start,
+                c_first,
+            }
         })
     }
 
@@ -259,7 +265,9 @@ impl CompiledLayer {
     ///
     /// Lowered on first use and cached; subsequent calls are a load. A
     /// layer that its weights alone show to be cheaper as dense tiles is
-    /// lowered without building its streams.
+    /// lowered without building a stream; any other builds each tile's
+    /// stream, lowers it and drops it, so lowering leaves
+    /// [`CompiledLayer::tiles`] unbuilt.
     #[must_use]
     pub fn flat_tiles(&self) -> &[FlattenedTile] {
         // `tile_spans` runs band by band, the longest tile first.
@@ -290,7 +298,7 @@ impl CompiledLayer {
     pub(crate) fn lowered_as(&self, flat: Vec<FlattenedTile>) -> CompiledLayer {
         Self {
             filters: self.filters.clone(),
-            tiles: self.tiles.clone(),
+            tiles: OnceLock::new(),
             flat: OnceLock::from(flat),
             ..*self
         }
@@ -310,11 +318,13 @@ impl CompiledLayer {
         self.tiles.get().is_some()
     }
 
-    /// Total retained stream entries across all tiles — a proxy for the
-    /// plan's memory footprint (building the streams first if needed).
+    /// Total stream entries across all tiles — a proxy for the plan's
+    /// memory footprint under the stream walker. The streams are built for
+    /// the count and dropped, whether or not [`CompiledLayer::tiles`] holds
+    /// them.
     #[must_use]
     pub fn total_entries(&self) -> usize {
-        self.tiles().iter().map(|t| t.stream.entry_count()).sum()
+        self.streams().map(|t| t.stream.entry_count()).sum()
     }
 }
 
@@ -502,11 +512,10 @@ impl CompiledNetwork {
 
     /// Eagerly builds every lazily derived execution structure `kind` needs
     /// (for the stream walker, every layer's streams; for the flattened
-    /// backend, the per-layer lowering, and the streams of only the layers
-    /// it may walk), so the first request served after a deploy builds
-    /// nothing in its tail. Idempotent and cheap to repeat. The serving
-    /// registry calls this on insert and when an engine adopts it, for the
-    /// engine's backend.
+    /// backend, the per-layer lowering, which keeps no stream), so the
+    /// first request served after a deploy builds nothing in its tail.
+    /// Idempotent and cheap to repeat. The serving registry calls this on
+    /// insert and when an engine adopts it, for the engine's backend.
     pub fn warm(&self, kind: BackendKind) {
         for stage in &self.stages {
             if let CompiledStage::Conv { layer, .. } = stage {
@@ -890,15 +899,17 @@ mod tests {
     }
 
     #[test]
-    fn warm_builds_only_the_streams_it_walks() {
-        // INQ LeNet at G = 2: every convolution elects its dense tiles from
-        // its weights, so a flattened warm sorts no stream of theirs; the
-        // walked-once layers are walked, so theirs are built. Built later,
-        // the streams are those of a plan built eagerly — streams first,
-        // then the lowering.
+    fn a_flattened_warm_keeps_no_stream() {
+        // INQ LeNet at G = 2 (every convolution elects its dense tiles from
+        // its weights) and TTQ LeNet at G = 4 (conv2 and conv3 elect their
+        // walks): after a flattened warm no layer holds a stream, the walked
+        // ones included, and the lowering, equality and entry count are
+        // those of a plan whose streams were built first.
         let spec = networks::lenet();
-        let weights = forward::generate_network_weights(&spec, QuantScheme::inq(), 0x1E7, 0.9);
-        let config = UcnnConfig::with_g(2);
+        let cases = [
+            (QuantScheme::inq(), 0.9, 2, Some(71_984)),
+            (QuantScheme::ttq(), 0.6, 4, None),
+        ];
         fn layers(plan: &CompiledNetwork) -> Vec<(&str, &CompiledLayer)> {
             let stages = plan.stages().iter();
             stages
@@ -908,27 +919,31 @@ mod tests {
                 })
                 .collect()
         }
-        let lazy = CompiledNetwork::compile(&spec, &weights, &config);
-        lazy.warm(BackendKind::FlattenedBatch);
-        let built = layers(&lazy)
-            .into_iter()
-            .map(|(name, layer)| (name, layer.streams_built()));
-        let expected = [("conv1", false), ("conv2", false), ("conv3", false)];
-        assert!(built.eq(expected.into_iter().chain([("ip1", true), ("ip2", true)])));
-
-        let eager = CompiledNetwork::compile(&spec, &weights, &config);
-        for (_, layer) in layers(&eager) {
-            let _ = layer.tiles();
+        for (scheme, density, g, entries) in cases {
+            let weights = forward::generate_network_weights(&spec, scheme, 0x1E7, density);
+            let config = UcnnConfig::with_g(g);
+            let lazy = CompiledNetwork::compile(&spec, &weights, &config);
+            lazy.warm(BackendKind::FlattenedBatch);
+            let eager = CompiledNetwork::compile(&spec, &weights, &config);
+            for (_, layer) in layers(&eager) {
+                let _ = layer.tiles();
+            }
+            eager.warm(BackendKind::FlattenedBatch);
+            assert_eq!(lazy, eager);
+            for ((name, lazy), (_, eager)) in layers(&lazy).into_iter().zip(layers(&eager)) {
+                let what = format!("G = {g}, {name}");
+                assert!(!lazy.streams_built(), "{what}");
+                assert!(eager.streams_built(), "{what}");
+                let flat = |layer: &CompiledLayer| format!("{:?}", layer.flat_tiles());
+                assert!(flat(lazy) == flat(eager), "{what}");
+            }
+            assert_eq!(lazy.total_entries(), eager.total_entries());
+            if let Some(entries) = entries {
+                assert_eq!(lazy.total_entries(), entries);
+            }
+            let built = layers(&lazy).iter().any(|(_, layer)| layer.streams_built());
+            assert!(!built, "counting the entries keeps no stream");
         }
-        eager.warm(BackendKind::FlattenedBatch);
-        assert_eq!(lazy, eager);
-        for ((name, lazy), (_, eager)) in layers(&lazy).into_iter().zip(layers(&eager)) {
-            assert!(eager.streams_built(), "{name}");
-            assert_eq!(lazy.tiles(), eager.tiles(), "{name}");
-            assert_eq!(lazy.flat_tiles(), eager.flat_tiles(), "{name}");
-        }
-        assert_eq!(lazy.total_entries(), eager.total_entries());
-        assert_eq!(lazy.total_entries(), 71_984);
     }
 
     #[test]

@@ -2,10 +2,9 @@
 //!
 //! The flattened strip kernels ([`flatten`](crate::flatten)) are compiled
 //! once per ISA tier behind `#[target_feature]` gates and picked at runtime:
-//! a [`SimdCaps`] probe (via `is_x86_feature_detected!` /
-//! `is_aarch64_feature_detected!`) decides which tiers this CPU can run, and
-//! every flattened execution of the process dispatches to the widest of
-//! them, [`SimdCaps::best`]. Nothing else chooses a tier: the narrower tiers
+//! a [`SimdCaps`] probe (via `is_x86_feature_detected!`) decides which
+//! tiers this CPU can run, and every flattened execution of the process
+//! dispatches to the widest of them, [`SimdCaps::best`]. Nothing else chooses a tier: the narrower tiers
 //! run only where a caller names one — [`run_stages`](crate::flatten::run_stages),
 //! which the per-tier tests and `repro reuse`' per-tier rows drive.
 //!
@@ -33,9 +32,9 @@ pub const SIMD_ENV: &str = "UCNN_SIMD";
 /// the knob; the next `[benchmark]` PR drops the import and this const.
 pub const SHIFT_ENV: &str = "UCNN_SIMD_SHIFT";
 
-/// One dispatchable ISA tier. Every variant exists on every architecture
-/// (so tier names read the same in bench artifacts everywhere); detection
-/// simply never reports a foreign tier as available.
+/// One dispatchable ISA tier, ordered narrowest first. Every variant exists
+/// on every architecture (so tier names read the same in bench artifacts
+/// everywhere); detection simply never reports a foreign tier as available.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SimdTier {
     /// Baseline codegen, 8-lane strips — always available, the conformance
@@ -47,13 +46,11 @@ pub enum SimdTier {
     /// of 32 lanes or more accumulate on `vpdpwssd`. A CPU with the first
     /// four and no VNNI (Skylake-SP) runs [`SimdTier::Avx2`].
     Avx512,
-    /// NEON (128-bit, aarch64): 8-lane strips with NEON codegen.
-    Neon,
 }
 
 impl SimdTier {
-    /// Every tier, in detection/rank order.
-    pub const ALL: [Self; 4] = [Self::Scalar, Self::Neon, Self::Avx2, Self::Avx512];
+    /// Every tier, in detection order (the derived `Ord`'s).
+    pub const ALL: [Self; 3] = [Self::Scalar, Self::Avx2, Self::Avx512];
 
     /// Canonical lowercase name (stable: bench artifacts use it).
     #[must_use]
@@ -62,7 +59,6 @@ impl SimdTier {
             Self::Scalar => "scalar",
             Self::Avx2 => "avx2",
             Self::Avx512 => "avx512",
-            Self::Neon => "neon",
         }
     }
 
@@ -72,7 +68,7 @@ impl SimdTier {
     #[must_use]
     pub const fn lane_width(self) -> usize {
         match self {
-            Self::Scalar | Self::Neon => 8,
+            Self::Scalar => 8,
             Self::Avx2 => 16,
             Self::Avx512 => 32,
         }
@@ -90,18 +86,7 @@ impl SimdTier {
     pub const fn strip_lanes(self) -> usize {
         match self {
             Self::Avx512 => 128,
-            Self::Scalar | Self::Neon | Self::Avx2 => 32,
-        }
-    }
-
-    /// Cross-architecture capability rank used by the downward clamp:
-    /// `scalar` < {`neon`, `avx2`} < `avx512`. Forcing a foreign tier picks
-    /// the best available tier of no higher rank.
-    const fn rank(self) -> u8 {
-        match self {
-            Self::Scalar => 0,
-            Self::Neon | Self::Avx2 => 1,
-            Self::Avx512 => 2,
+            Self::Scalar | Self::Avx2 => 32,
         }
     }
 }
@@ -125,7 +110,7 @@ impl SimdCaps {
         }
     }
 
-    /// Available tiers in ascending rank order; `[0]` is always `Scalar`.
+    /// Available tiers in ascending order; `[0]` is always `Scalar`.
     #[must_use]
     pub fn tiers(self) -> &'static [SimdTier] {
         self.tiers
@@ -144,18 +129,14 @@ impl SimdCaps {
     }
 
     /// Clamps a requested tier downward to this CPU: the requested tier if
-    /// available, else the best available tier of no higher capability
-    /// rank (`scalar` < {`neon`, `avx2`} < `avx512`). Never fails —
-    /// `scalar` ranks lowest and is always available.
+    /// available, else the best available tier below it (`scalar` < `avx2`
+    /// < `avx512`). Never fails — `scalar` is lowest and always available.
     #[must_use]
     pub fn clamp(self, requested: SimdTier) -> SimdTier {
-        if self.supports(requested) {
-            return requested;
-        }
         *self
             .tiers
             .iter()
-            .rfind(|t| t.rank() <= requested.rank())
+            .rfind(|&&t| t <= requested)
             .expect("scalar tier is always available")
     }
 
@@ -190,12 +171,6 @@ fn detect() -> Vec<SimdTier> {
             has!("avx512f") && has!("avx512bw") && has!("avx512dq") && has!("avx512vl"),
             has!("avx512vnni"),
         ));
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        if std::arch::is_aarch64_feature_detected!("neon") {
-            tiers.push(SimdTier::Neon);
-        }
     }
     tiers
 }
@@ -244,7 +219,7 @@ mod tests {
             let got = caps.clamp(req);
             assert!(caps.supports(got), "clamp must return an available tier");
             assert!(
-                got.rank() <= req.rank() || got == req,
+                got <= req,
                 "clamp({:?}) = {:?} outranks the request",
                 req,
                 got
@@ -269,18 +244,13 @@ mod tests {
     /// is exact, so a misspelt name is no tier at all.
     #[test]
     fn tier_requests_parse_then_clamp_and_typos_are_not_a_tier() {
-        use SimdTier::{Avx2, Avx512, Neon, Scalar};
+        use SimdTier::{Avx2, Avx512, Scalar};
         let avx2_box = SimdCaps {
             tiers: &[Scalar, Avx2],
-        };
-        let neon_box = SimdCaps {
-            tiers: &[Scalar, Neon],
         };
         assert_eq!(avx2_box.best(), Avx2);
         assert_eq!(avx2_box.clamp(Scalar), Scalar);
         assert_eq!(avx2_box.clamp(Avx512), Avx2);
-        assert_eq!(avx2_box.clamp(Neon), Avx2);
-        assert_eq!(neon_box.clamp(Avx512), Neon);
         for typo in ["", "avx-512", "avx512 ", "AVX2", "sse9", "1"] {
             assert!(SimdTier::ALL.iter().all(|t| t.name() != typo), "{typo:?}");
         }

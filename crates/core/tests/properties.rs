@@ -244,40 +244,3 @@ proptest! {
         }
     }
 }
-
-proptest! {
-    /// Bitstream round trip: pack → unpack reconstructs the exact
-    /// factorization for arbitrary filters, and the image size matches the
-    /// closed-form bit accounting.
-    #[test]
-    fn bitstream_roundtrip(w in weight_vec(64, 9)) {
-        use ucnn_core::bitstream::{pack_filter, packed_bits, unpack_filter};
-        let fact = FilterFactorization::build(&w);
-        let image = pack_filter(&fact);
-        prop_assert_eq!(image.len(), packed_bits(&fact).div_ceil(8));
-        let back = unpack_filter(&image).unwrap();
-        prop_assert_eq!(&back, &fact);
-        // And the decoded tables compute identical dot products.
-        let acts: Vec<i16> = (0..w.len()).map(|i| (i as i16 * 5) % 23 - 11).collect();
-        prop_assert_eq!(back.dot(&acts), FilterFactorization::dense_dot(&w, &acts));
-    }
-
-    /// Layer images round-trip for any filter count.
-    #[test]
-    fn bitstream_layer_roundtrip(seed in any::<u64>(), k in 1usize..6) {
-        use ucnn_core::bitstream::{pack_layer, unpack_layer};
-        let mut state = seed | 1;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((state >> 33) % 7) as i16 - 3
-        };
-        let facts: Vec<FilterFactorization> = (0..k)
-            .map(|_| {
-                let w: Vec<i16> = (0..36).map(|_| next()).collect();
-                FilterFactorization::build(&w)
-            })
-            .collect();
-        let image = pack_layer(&facts);
-        prop_assert_eq!(unpack_layer(&image).unwrap(), facts);
-    }
-}
