@@ -1,6 +1,26 @@
 //! The chunk-major driver: staging into and out of the lane layout, filter
 //! bands, the inter-layer epilogue, lane-major pooling, and the loop that
 //! cuts a batch into lane chunks.
+//!
+//! A chunk runs at one compile-time pitch `LW` ([`run_chunk`]), and every
+//! lane loop between the kernels — staging, channel pairing, the relu
+//! epilogue and pooling — works on whole cells, `[T; LW]` arrays: a cell is
+//! loaded whole into a local, combined lane by lane in a loop of `LW` trips
+//! (a lane-wise max, a widening add, a saturating narrow, an interleave of
+//! two channels) and stored whole ([`combine_cells`]). This code runs
+//! outside the tiers' `#[target_feature]` kernels, under baseline codegen,
+//! and that shape is what LLVM lowers to whole-register SSE2 there
+//! (`pmaxsw`, `packssdw`, `punpcklwd`): the lanes of a local cannot alias
+//! the buffer it is stored to, and the trip count is a constant. Three
+//! shapes compiled to a scalar `cmovg`, `movswl` or `movzwl` per lane
+//! instead (docs/LAB.md Part 24): a lane loop with a runtime bound (`for l
+//! in 0..images`), an `array::map` (an out-of-line `try_map` per cell), and
+//! a lane loop storing into a buffer LLVM cannot tell apart from the one it
+//! reads. A cell built by `std::array::from_fn` left the channel interleave
+//! and a 32-lane max scalar too. Staging is a transpose: it stores each
+//! image's row into its lane of a staged row's cells, while they are in L1.
+
+use std::array::from_fn;
 
 use ucnn_model::PoolKind;
 use ucnn_tensor::{ConvGeom, Tensor3};
@@ -37,22 +57,34 @@ fn paired((c, w, h): Dims, pair: usize) -> Dims {
 }
 
 /// Pairs the channels of a lane-major plane in place, as a dense layer reads
-/// them ([`pair_of`]): `c` channels of `cells` cells of `lw` lanes, room for
+/// them ([`pair_of`]): `c` channels of `cells` cells of `LW` lanes, room for
 /// one more after an odd `c`, become `(x_2c, x_2c+1)` per lane, the last
-/// pair's second channel zero after an odd `c`. `spare` holds a pair's first
-/// channel while both are interleaved over the pair's cells.
-fn pair_channels(plane: &mut [i16], c: usize, cells: usize, lw: usize, spare: &mut Rows<i16>) {
-    let n = cells * lw;
-    let spare = spare.rows_mut(n);
+/// pair's second channel zero after an odd `c`. Each pair is copied whole
+/// into `spare` (the zero channel written there) and interleaved out of it,
+/// a cell of each channel into a cell of pairs.
+fn pair_channels<const LW: usize>(
+    plane: &mut [i16],
+    c: usize,
+    cells: usize,
+    spare: &mut Rows<i16>,
+) {
+    let n = cells * LW;
+    let spare = spare.rows_mut(2 * n);
     let pairs = plane[..c.next_multiple_of(2) * n].chunks_exact_mut(2 * n);
     for (p, pair) in pairs.enumerate() {
-        spare.copy_from_slice(&pair[..n]);
-        let second = 2 * p + 1 < c;
-        // Front to back: step `i` reads value `i` of the second channel,
-        // at `n + i`, before it writes `2i` and `2i + 1 ≤ n + i`.
-        for (i, &first) in spare.iter().enumerate() {
-            pair[2 * i + 1] = if second { pair[n + i] } else { 0 };
-            pair[2 * i] = first;
+        spare.copy_from_slice(pair);
+        if 2 * p + 1 == c {
+            spare[n..].fill(0);
+        }
+        let (first, second) = spare.as_chunks::<LW>().0.split_at(cells);
+        let out = pair.as_chunks_mut::<2>().0.as_chunks_mut::<LW>().0;
+        for ((o, a), b) in out.iter_mut().zip(first).zip(second) {
+            let (a, b) = (*a, *b);
+            let mut pairs = [[0; 2]; LW];
+            for l in 0..LW {
+                pairs[l] = [a[l], b[l]];
+            }
+            *o = pairs;
         }
     }
 }
@@ -86,82 +118,67 @@ fn zero_halo(plane: &mut [i16], (_, w, h): Dims, pad: usize, lw: usize) {
     }
 }
 
-/// The staging transpose behind [`stage_chunk`]: `images` are `c × w × h`
-/// planes, `out` becomes their batch-interleaved copy inside a `pad`-wide
-/// zero halo — `out[off · pitch + lane]` with `off` over
-/// `c × (w + 2·pad) × (h + 2·pad)`, the lanes past the images zero — with
-/// its channels `pair` to a lane ([`pair_of`]).
-/// The halo ring is re-zeroed on every call ([`zero_halo`]), and so is the
-/// zero channel after an odd `c`, so an arena that last held another
-/// layer's chunk leaks nothing into it.
-/// One contiguous run (an input row; a [`SCATTER_BLOCK`] of offsets when
-/// no halo or pairing separates the rows) is filled by every lane while it
-/// is cache-resident, mirroring [`scatter_lanes`].
-fn stage_lanes(
+/// The staging transpose behind [`stage_chunk`]: `images` (at most `LW`)
+/// are `c × w × h` planes, `out` becomes their batch-interleaved copy inside
+/// a `pad`-wide zero halo — cells of `LW` lanes of `P` channels over
+/// `⌈c/P⌉ × (w + 2·pad) × (h + 2·pad)`, lane `l` image `l`, the lanes past
+/// the images zero — its channels `P` to a lane ([`pair_of`]).
+/// The halo ring is re-zeroed on every call ([`zero_halo`]), and so are the
+/// lanes past the images and the zero channel after an odd `c` (the row's
+/// cells are zeroed before the images' rows are stored into them), so an
+/// arena that last held another layer's chunk leaks nothing into it.
+fn stage_lanes<const LW: usize, const P: usize>(
     images: &[Tensor3<i16>],
     (c, w, h): Dims,
     pad: usize,
-    (lw, pair): (usize, usize),
     out: &mut [i16],
 ) {
-    let (len, pw, ph) = (c * w * h, w + 2 * pad, h + 2 * pad);
+    let (b, pw, ph) = (images.len(), w + 2 * pad, h + 2 * pad);
     assert!(
-        images.iter().all(|img| img.as_slice().len() == len),
-        "interleaved images must be equally sized"
+        (1..=LW).contains(&b) && images.iter().all(|img| img.as_slice().len() == c * w * h),
+        "interleaved images must be equally sized, at most a chunk"
     );
-    if images.len() < lw {
-        out.fill(0);
-    }
-    zero_halo(out, (c, w, h), pad, lw * pair);
-    let run = if pad == 0 && pair == 1 {
-        SCATTER_BLOCK
-    } else {
-        h
-    };
-    let step = lw * pair;
-    for at in (0..len).step_by(run) {
-        let n = run.min(len - at);
-        let (row, ch) = (at / h, at / (w * h));
-        let to = (ch / pair * pw + row % w + pad) * ph + pad + at % h;
-        let dst = &mut out[to * step..][..n * step];
-        let unpaired = pair == 2 && ch + 1 == c && c % 2 == 1;
-        for (lane, img) in images.iter().enumerate() {
-            let src = &img.as_slice()[at..][..n];
-            let lane = lane * pair + ch % pair;
-            for (d, &v) in dst[lane..].iter_mut().step_by(step).zip(src) {
-                *d = v;
+    zero_halo(out, (c, w, h), pad, LW * P);
+    let out = out.as_chunks_mut::<P>().0.as_chunks_mut::<LW>().0;
+    for (g, group) in out.chunks_exact_mut(pw * ph).enumerate() {
+        // The group's real channels; a pair past them is the zero channel.
+        let real = (c - g * P).min(P);
+        for x in 0..w {
+            let dst = &mut group[(x + pad) * ph + pad..][..h];
+            if b < LW || real < P {
+                dst.fill([[0; P]; LW]);
             }
-            if unpaired {
-                dst[lane + 1..]
-                    .iter_mut()
-                    .step_by(step)
-                    .for_each(|d| *d = 0);
+            for (l, image) in images.iter().enumerate() {
+                for p in 0..real {
+                    let row = &image.as_slice()[((g * P + p) * w + x) * h..][..h];
+                    for (cell, &v) in dst.iter_mut().zip(row) {
+                        cell[l][p] = v;
+                    }
+                }
             }
         }
     }
 }
 
-/// The chunk as the strip kernels read it: staged `pitch` lanes wide, its
+/// The chunk as the strip kernels read it: staged `LW` lanes wide, its
 /// channels `pair` to a lane, through [`stage_lanes`] into `staged`'s
 /// cache-line-aligned rows, inside the `pad`-wide zero halo the gather
 /// offsets are lowered against.
-fn stage_chunk<'a>(
+fn stage_chunk<'a, const LW: usize>(
     inputs: &[Tensor3<i16>],
     pad: usize,
-    (pitch, pair): (usize, usize),
+    pair: usize,
     staged: &'a mut Rows<i16>,
 ) -> &'a mut [i16] {
     let first = &inputs[0];
     let dims = (first.c(), first.w(), first.h());
-    let rows = staged.rows_mut(haloed_len(paired(dims, pair), pad) * pitch);
-    stage_lanes(inputs, dims, pad, (pitch, pair), rows);
+    let rows = staged.rows_mut(haloed_len(paired(dims, pair), pad) * LW);
+    match pair {
+        1 => stage_lanes::<LW, 1>(inputs, dims, pad, rows),
+        _ => stage_lanes::<LW, 2>(inputs, dims, pad, rows),
+    }
     rows
 }
-
-/// Offsets per contiguous run of the staging transpose where no halo
-/// separates the rows: a block of `LW`-wide rows (4 KB of `i32` at 32
-/// lanes) stays in L1 while every lane visits it.
-const SCATTER_BLOCK: usize = 32;
 
 /// The de-interleaving transpose, the last stage's way out of the lane
 /// layout, over rows of `h` cells of `lw` lanes:
@@ -232,63 +249,112 @@ fn run_bands(
 }
 
 /// A lane-major activation plane while its producer fills it: `c × w × h`
-/// cells of `lw` lanes inside the `pad`-wide zero halo its **consumer**
+/// cells of `LW` lanes inside the `pad`-wide zero halo its **consumer**
 /// reads through — so a padded convolution finds its input already staged.
-struct PlaneMut<'a> {
-    cells: &'a mut [i16],
+struct PlaneMut<'a, const LW: usize> {
+    cells: &'a mut [[i16; LW]],
     dims: Dims,
     pad: usize,
-    lw: usize,
 }
 
-impl<'a> PlaneMut<'a> {
+impl<'a, const LW: usize> PlaneMut<'a, LW> {
     /// Claims `buf`'s aligned rows for the plane — with room for its
     /// channels `pair` to a lane, which its consumer pairs in place
     /// ([`pair_channels`]) — and zeroes its halo ring.
-    fn new(buf: &'a mut Rows<i16>, dims: Dims, pad: usize, (lw, pair): (usize, usize)) -> Self {
-        let cells = buf.rows_mut(haloed_len(paired(dims, pair), pad) * lw);
-        zero_halo(cells, dims, pad, lw);
+    fn new(buf: &'a mut Rows<i16>, dims: Dims, pad: usize, pair: usize) -> Self {
+        let cells = buf.rows_mut(haloed_len(paired(dims, pair), pad) * LW);
+        zero_halo(cells, dims, pad, LW);
         Self {
-            cells,
+            cells: cells.as_chunks_mut::<LW>().0,
             dims,
             pad,
-            lw,
         }
     }
 
-    /// Interior row `x` of channel `c`: `h · lw` contiguous values.
-    fn row(&mut self, c: usize, x: usize) -> &mut [i16] {
+    /// Interior row `x` of channel `c`: `h` contiguous cells.
+    fn row(&mut self, c: usize, x: usize) -> &mut [[i16; LW]] {
         let (_, w, h) = self.dims;
         let (pw, ph) = (w + 2 * self.pad, h + 2 * self.pad);
-        let at = ((c * pw + x + self.pad) * ph + self.pad) * self.lw;
-        &mut self.cells[at..][..h * self.lw]
+        let at = (c * pw + x + self.pad) * ph + self.pad;
+        &mut self.cells[at..][..h]
     }
 
     /// The inter-layer epilogue: a finished band's sums (whole output
     /// planes from channel `c0`, walked as `lanes`) enter the plane through
-    /// [`relu`], each row at its real row: its copy moved to the images'
-    /// lanes in place (each lane reads one not yet written), the rest zero.
+    /// [`relu_row`], each real row at its place in the plane.
     fn write_relu(&mut self, c0: usize, sums: &[i32], lanes: Lanes) {
         let (_, w, h) = self.dims;
-        let (row, b) = (h * self.lw, lanes.images);
-        let keep: [i16; LANE_WIDTH] = std::array::from_fn(|l| -i16::from(l < b));
-        for r in 0..sums.len() / row {
-            let (kept, from) = lanes.stored(r, w);
-            let dst = self.row(c0 + r / w, r % w);
-            for (d, &s) in dst.iter_mut().zip(&sums[kept * row..][..row]) {
-                *d = relu(s);
-            }
-            if lanes.bands > 1 {
-                let cells = dst.as_chunks_mut::<LANE_WIDTH>().0;
-                for l in 0..b {
-                    cells.iter_mut().for_each(|cell| cell[l] = cell[from + l]);
-                }
-                for cell in cells {
-                    cell.iter_mut().zip(keep).for_each(|(lane, k)| *lane &= k);
-                }
-            }
+        let keep = images_mask::<LW>(lanes);
+        for r in 0..sums.len() / (h * LW) {
+            relu_row(
+                self.row(c0 + r / w, r % w),
+                real_row(sums, lanes, r, (w, h)),
+                &keep,
+            );
         }
     }
+}
+
+/// All ones on the lanes of `lanes`' images, zero past them.
+fn images_mask<const LW: usize>(lanes: Lanes) -> [i32; LW] {
+    from_fn(|l| -i32::from(l < lanes.images))
+}
+
+/// Real row `r` of a band's lane-major sums walked as `lanes` (planes of
+/// `w` rows of `h` cells): the `h` cells that start at its copy's first lane
+/// in the row [`Lanes::stored`] keeps it in. Past the images a cell's lanes
+/// hold the next copy, or the start of the next stored row (a folded plane
+/// keeps fewer rows than it has), for the caller to mask.
+fn real_row<const LW: usize>(
+    sums: &[i32],
+    lanes: Lanes,
+    r: usize,
+    (w, h): (usize, usize),
+) -> &[[i32; LW]] {
+    let (kept, from) = lanes.stored(r, w);
+    sums[kept * h * LW + from..][..h * LW].as_chunks::<LW>().0
+}
+
+/// `dst` ← [`relu`] of `sums`, cell by cell, the lanes `keep` clears zero
+/// (masked as `i32`s: after the narrowing the mask cost a repack).
+/// Out of line: inlined where `keep` is built, LLVM knew each lane of it
+/// was 0 or -1, turned the mask into a select per lane and scalarized it.
+#[inline(never)]
+fn relu_row<const LW: usize>(dst: &mut [[i16; LW]], sums: &[[i32; LW]], keep: &[i32; LW]) {
+    for (d, s) in dst.iter_mut().zip(sums) {
+        let mut acts = [0; LW];
+        for l in 0..LW {
+            acts[l] = relu(s[l] & keep[l]);
+        }
+        *d = acts;
+    }
+}
+
+/// A pool fused onto a convolution, over one finished band: its sums (whole
+/// `w × h` output planes, walked as `lanes`) relu'd into `acts` real row by
+/// real row — unfolded from their copies ([`real_row`]), the lanes past the
+/// images zero — then pooled ([`pool_lanes`]) into `dst`'s channels from
+/// `c0`.
+fn relu_pool<const LW: usize>(
+    sums: &[i32],
+    (lanes, w, h): (Lanes, usize, usize),
+    pool: (PoolKind, usize, usize),
+    (acts, max_row, sum_row): (&mut Rows<i16>, &mut Rows<i16>, &mut Rows<i32>),
+    dst: &mut PlaneMut<'_, LW>,
+    c0: usize,
+) {
+    let keep = images_mask::<LW>(lanes);
+    let acts = acts.rows_mut(sums.len()).as_chunks_mut::<LW>().0;
+    if lanes.bands == 1 {
+        // Every row is kept where it is: the band in one pass.
+        relu_row(acts, sums.as_chunks::<LW>().0, &keep);
+    } else {
+        for (r, row) in acts.chunks_exact_mut(h).enumerate() {
+            relu_row(row, real_row(sums, lanes, r, (w, h)), &keep);
+        }
+    }
+    let band = (sums.len() / (w * h * LW), w, h);
+    pool_lanes(acts, band, pool, (max_row, sum_row), dst, c0);
 }
 
 /// `reference::relu_saturate` of one sum: a saturating narrow, then the
@@ -298,152 +364,141 @@ fn relu(s: i32) -> i16 {
     (s.clamp(i32::from(i16::MIN), i32::from(i16::MAX)) as i16).max(0)
 }
 
-/// `reference::pool2d` over lane-major rows, per lane element for element:
-/// pools `src` (`c × w × h` cells of `lw` lanes, no halo; a band's rows kept
-/// as `folded` says) into `dst`'s channels from `c0`. Separably — max and
-/// integer sums are associative: the window's rows first, whole, into its
-/// first row of `src` (a max; no later window reads it) or into `acc` (a
-/// sum, or a folded row's copy), then each output cell from strided columns.
-fn pool_lanes(
-    src: &mut [i16],
-    dims: Dims,
-    pool: (PoolKind, usize, usize),
-    folded: Option<Lanes>,
-    acc: &mut Rows<i32>,
-    dst: &mut PlaneMut<'_>,
-    c0: usize,
-) {
-    match dst.lw {
-        8 => pool_rows::<8>(src, dims, pool, folded, acc, dst, c0),
-        16 => pool_rows::<16>(src, dims, pool, folded, acc, dst, c0),
-        _ => pool_rows::<MAX_CHUNK>(src, dims, pool, folded, acc, dst, c0),
-    }
-}
-
-/// [`pool_lanes`] at a pitch of `LW` lanes.
-fn pool_rows<const LW: usize>(
-    src: &mut [i16],
+/// `reference::pool2d` over lane-major cells, per lane element for element:
+/// pools `src` (`c × w × h` cells, no halo) into `dst`'s channels from
+/// `c0`. Separably — max and integer sums are associative: a window's rows
+/// (clipped at the plane's far edge) into one row of `h` cells, `max_row`
+/// or the widened `sum_row`, then each output cell from that row's cells
+/// (clipped the same way).
+fn pool_lanes<const LW: usize>(
+    src: &[[i16; LW]],
     (c, w, h): Dims,
     (kind, size, stride): (PoolKind, usize, usize),
-    folded: Option<Lanes>,
-    acc: &mut Rows<i32>,
-    dst: &mut PlaneMut<'_>,
+    (max_row, sum_row): (&mut Rows<i16>, &mut Rows<i32>),
+    dst: &mut PlaneMut<'_, LW>,
     c0: usize,
 ) {
     let (_, out_w, _) = dst.dims;
-    let (row, acc) = (h * LW, acc.rows_mut(h * LW));
-    acc.fill(0); // of a folded band only the images' lanes are written
-    for (ch, ox) in (0..c).flat_map(|ch| (0..out_w).map(move |ox| (ch, ox))) {
-        let (x0, x1) = (ox * stride, (ox * stride + size).min(w));
-        let cells = dst.row(c0 + ch, ox).as_chunks_mut::<LW>().0;
-        if kind == PoolKind::Max && folded.is_none() {
-            let window = &mut src[(ch * w + x0) * row..][..(x1 - x0) * row];
-            let (first, rest) = window.split_at_mut(row);
-            for later in rest.chunks_exact(row) {
-                for (m, &v) in first.iter_mut().zip(later) {
-                    *m = (*m).max(v);
+    let max_row = max_row.rows_mut(h * LW).as_chunks_mut::<LW>().0;
+    let sum_row = sum_row.rows_mut(h * LW).as_chunks_mut::<LW>().0;
+    for ch in 0..c {
+        for ox in 0..out_w {
+            let (x0, x1) = (ox * stride, (ox * stride + size).min(w));
+            let window = &src[(ch * w + x0) * h..][..(x1 - x0) * h];
+            let (first, rest) = window.split_at(h);
+            let cells = dst.row(c0 + ch, ox).iter_mut().enumerate();
+            if kind == PoolKind::Max {
+                max_row.copy_from_slice(first);
+                for row in rest.chunks_exact(h) {
+                    combine_cells(max_row, row, |m, v| m.max(v));
                 }
-            }
-            max_columns(first.as_chunks::<LW>().0, cells, size, stride, |v| v);
-            continue;
-        }
-        for x in x0..x1 {
-            let Some(lanes) = folded else {
-                let pairs = acc.iter_mut().zip(&src[(ch * w + x) * row..][..row]);
-                match x == x0 {
-                    true => pairs.for_each(|(a, &v)| *a = i32::from(v)),
-                    false => pairs.for_each(|(a, &v)| *a += i32::from(v)),
+                for (oy, cell) in cells {
+                    let column = &max_row[oy * stride..(oy * stride + size).min(h)];
+                    *cell = fold_cells(column[0], &column[1..], i16::max);
                 }
                 continue;
-            };
-            let (kept, from) = lanes.stored(ch * w + x, w);
-            let kept = src[kept * row..][..row].as_chunks::<LW>().0;
-            let acc = acc.as_chunks_mut::<LW>().0;
-            for l in 0..lanes.images {
-                let pairs = acc.iter_mut().zip(kept);
-                match (x == x0, kind) {
-                    (true, _) => pairs.for_each(|(a, v)| a[l] = i32::from(v[from + l])),
-                    (_, PoolKind::Max) => {
-                        pairs.for_each(|(a, v)| a[l] = a[l].max(v[from + l].into()))
-                    }
-                    (_, PoolKind::Avg) => pairs.for_each(|(a, v)| a[l] += i32::from(v[from + l])),
-                }
             }
-        }
-        let columns = acc.as_chunks::<LW>().0;
-        if kind == PoolKind::Max {
-            // Relu'd: every value fits an `i16`.
-            max_columns(columns, cells, size, stride, |v| v as i16);
-            continue;
-        }
-        for (oy, cell) in cells.iter_mut().enumerate() {
-            let window = &columns[oy * stride..(oy * stride + size).min(h)];
-            let mut sum = window[0];
-            for column in &window[1..] {
-                for (s, &v) in sum.iter_mut().zip(column) {
-                    *s += v;
-                }
+            combine_cells(sum_row, first, |_, v| i32::from(v));
+            for row in rest.chunks_exact(h) {
+                combine_cells(sum_row, row, |s, v| s + i32::from(v));
             }
-            // The window sizes a 2×2 or 3×3 pool meets (clipped at the edges
-            // or not) divide by a constant — a multiply and shifts, lane-wide
-            // — where `s / n` is an `idiv` per lane.
-            match ((x1 - x0) * window.len()) as i32 {
-                1 => divide_lanes(cell, &sum, 1),
-                2 => divide_lanes(cell, &sum, 2),
-                3 => divide_lanes(cell, &sum, 3),
-                4 => divide_lanes(cell, &sum, 4),
-                6 => divide_lanes(cell, &sum, 6),
-                9 => divide_lanes(cell, &sum, 9),
-                n => divide_lanes(cell, &sum, n),
+            for (oy, cell) in cells {
+                let column = &sum_row[oy * stride..(oy * stride + size).min(h)];
+                let sum = fold_cells(column[0], &column[1..], |s, v| s + v);
+                // The window sizes a 2×2 or 3×3 pool meets (clipped at the
+                // edges or not) divide by a constant — a multiply and
+                // shifts, lane-wide — where `s / n` is an `idiv` per lane.
+                match ((x1 - x0) * column.len()) as i32 {
+                    1 => divide_lanes(cell, &sum, 1),
+                    2 => divide_lanes(cell, &sum, 2),
+                    3 => divide_lanes(cell, &sum, 3),
+                    4 => divide_lanes(cell, &sum, 4),
+                    6 => divide_lanes(cell, &sum, 6),
+                    9 => divide_lanes(cell, &sum, 9),
+                    n => divide_lanes(cell, &sum, n),
+                }
             }
         }
     }
 }
 
-/// Each output cell the max of its window's columns, column `j` of every
-/// window at once (a window clipped at the edge runs out first).
-fn max_columns<T: Copy, const LW: usize>(
-    columns: &[[T; LW]],
-    cells: &mut [[i16; LW]],
-    size: usize,
-    stride: usize,
-    narrow: impl Fn(T) -> i16,
+/// `acc[i] = f(acc[i], cells[i])` lane by lane: each cell loaded whole,
+/// combined in a loop of `LW` trips, stored whole (see the module docs).
+#[inline(always)]
+fn combine_cells<A: Copy, T: Copy, const LW: usize>(
+    acc: &mut [[A; LW]],
+    cells: &[[T; LW]],
+    f: impl Fn(A, T) -> A,
 ) {
-    for (cell, column) in cells.iter_mut().zip(columns.iter().step_by(stride)) {
-        *cell = column.map(&narrow);
+    for (a, v) in acc.iter_mut().zip(cells) {
+        let (mut lanes, v) = (*a, *v);
+        for l in 0..LW {
+            lanes[l] = f(lanes[l], v[l]);
+        }
+        *a = lanes;
     }
-    for j in 1..size {
-        for (cell, column) in cells.iter_mut().zip(columns.iter().skip(j).step_by(stride)) {
-            for (m, &v) in cell.iter_mut().zip(column) {
-                *m = (*m).max(narrow(v));
-            }
+}
+
+/// `cells` folded into `init` by `f`, lane by lane, as [`combine_cells`].
+#[inline(always)]
+fn fold_cells<A: Copy, T: Copy, const LW: usize>(
+    init: [A; LW],
+    cells: &[[T; LW]],
+    f: impl Fn(A, T) -> A,
+) -> [A; LW] {
+    let mut acc = init;
+    for v in cells {
+        let v = *v;
+        for l in 0..LW {
+            acc[l] = f(acc[l], v[l]);
         }
     }
+    acc
 }
 
 /// `cell[lane] = sum[lane] / n`, truncating toward zero as the reference's
 /// average pool does; inlined so a literal `n` reaches the division.
 #[inline(always)]
-fn divide_lanes(cell: &mut [i16], sum: &[i32], n: i32) {
-    for (d, &s) in cell.iter_mut().zip(sum) {
-        *d = (s / n) as i16;
+fn divide_lanes<const LW: usize>(cell: &mut [i16; LW], sum: &[i32; LW], n: i32) {
+    for l in 0..LW {
+        cell[l] = (sum[l] / n) as i16;
     }
 }
 
-/// A whole network over one lane chunk, lane-major from the staged input to
-/// the last stage: one transpose in ([`stage_chunk`]), one transpose out
-/// ([`scatter_lanes`] into the caller's `i32` tensors). In between the
-/// activations ping-pong between the arena's two planes — a convolution's
-/// finished bands enter its consumer's plane through
-/// [`PlaneMut::write_relu`] at the interior offset (the halo the next
-/// padded convolution reads is already there), pooling runs plane to plane
-/// ([`pool_lanes`]), and a fully connected layer reads the unhaloed plane
-/// as it is: `flatten_for_fc` is the identity on `off · LW + lane`.
+/// A whole network over one lane chunk: [`run_chunk`] at the chunk's pitch.
+pub(super) fn run_network_chunk(
+    stages: &[CompiledStage],
+    inputs: &[Tensor3<i16>],
+    outs: &mut [Tensor3<i32>],
+    scratch: &mut FlattenedScratch,
+    tier: Probed,
+) {
+    // Every plane is `pitch` lanes a cell, the lanes past the images zero.
+    match inputs.len().max(LANE_WIDTH) {
+        8 => run_chunk::<8>(stages, inputs, outs, scratch, tier),
+        16 => run_chunk::<16>(stages, inputs, outs, scratch, tier),
+        MAX_CHUNK => run_chunk::<MAX_CHUNK>(stages, inputs, outs, scratch, tier),
+        other => unreachable!("a chunk of {other} images"),
+    }
+}
+
+/// A whole network over one lane chunk staged `LW` lanes wide, lane-major
+/// from the staged input to the last stage: one transpose in
+/// ([`stage_chunk`]), one transpose out ([`scatter_lanes`] into the
+/// caller's `i32` tensors). In between the activations ping-pong between
+/// the arena's two planes — a convolution's finished bands enter its
+/// consumer's plane through [`PlaneMut::write_relu`] at the interior offset
+/// (the halo the next padded convolution reads is already there), pooling
+/// runs plane to plane ([`pool_lanes`]), and a fully connected layer reads
+/// the unhaloed plane as it is: `flatten_for_fc` is the identity on
+/// `off · LW + lane`.
 ///
 /// A pool that directly follows a convolution runs on each finished band
 /// instead (pooling is per channel and a band is `G` whole output planes),
-/// so the convolution's full-resolution activation never exists.
-pub(super) fn run_network_chunk(
+/// so the convolution's full-resolution activation never exists: the band's
+/// real rows are relu'd into the arena's band buffer, unfolded from their
+/// copies ([`real_row`]), and pooled from there.
+fn run_chunk<const LW: usize>(
     stages: &[CompiledStage],
     inputs: &[Tensor3<i16>],
     outs: &mut [Tensor3<i32>],
@@ -455,21 +510,16 @@ pub(super) fn run_network_chunk(
         prefix,
         band_lanes,
         band_acts,
+        pool_row,
     } = scratch;
-    // Every plane is `pitch` lanes a cell, the lanes past the images zero.
-    let (images, pitch) = (inputs.len(), inputs.len().max(LANE_WIDTH));
+    let images = inputs.len();
     let mut dims = (inputs[0].c(), inputs[0].w(), inputs[0].h());
     // How many channels a stage's input has to a lane, once staged for it.
     let pair_for = |stage: Option<&CompiledStage>| match stage {
         Some(CompiledStage::Conv { layer, .. }) => pair_of(layer),
         _ => 1,
     };
-    stage_chunk(
-        inputs,
-        stages[0].pad(),
-        (pitch, pair_for(stages.first())),
-        even,
-    );
+    stage_chunk::<LW>(inputs, stages[0].pad(), pair_for(stages.first()), even);
     let (mut si, mut flip) = (0, false);
     while let Some(stage) = stages.get(si) {
         let (src, dst) = if flip {
@@ -494,11 +544,11 @@ pub(super) fn run_network_chunk(
                 let in_dims = (geom.c() * layer.conv_groups(), geom.in_w(), geom.in_h());
                 assert_eq!(dims, in_dims, "activation dims do not match the layer");
                 let (lanes, pair) = (Lanes::new(images, geom), pair_of(layer));
-                let input = src.rows_mut(haloed_len(paired(dims, pair), geom.pad()) * pitch);
+                let input = src.rows_mut(haloed_len(paired(dims, pair), geom.pad()) * LW);
                 if pair > 1 && si > 0 {
                     // The producer wrote the plane a channel to a lane.
                     let cells = haloed_len((1, dims.1, dims.2), geom.pad());
-                    pair_channels(input, dims.0, cells, pitch, band_acts);
+                    pair_channels::<LW>(input, dims.0, cells, band_acts);
                 }
                 replicate(lanes, input, geom, pair);
                 let (input, (w, h)) = (&*input, (geom.out_w(), geom.out_h()));
@@ -506,42 +556,32 @@ pub(super) fn run_network_chunk(
                     // The last layer's raw sums leave the lane layout.
                     let sink = |k_first, sums: &[i32], _: &mut Rows<i32>| {
                         let stored = |r| lanes.stored(r, w);
-                        scatter_lanes(sums, (pitch, h), stored, outs, k_first * w * h, |v| v);
+                        scatter_lanes(sums, (LW, h), stored, outs, k_first * w * h, |v| v);
                     };
                     return run_bands(layer, input, lanes, tier, prefix, band_lanes, sink);
                 }
-                let mut dst = PlaneMut::new(dst, out_dims, out_pad, (pitch, pair_for(consumer)));
+                let mut dst = PlaneMut::<LW>::new(dst, out_dims, out_pad, pair_for(consumer));
                 let sink = |k_first, sums: &[i32], prefix: &mut Rows<i32>| match fused_pool {
                     None => dst.write_relu(k_first, sums, lanes),
                     Some(pool) => {
-                        let band = (sums.len() / (w * h * pitch), w, h);
-                        // The stored rows relu'd whole: every lane is a real value.
-                        let (plane, kept) = (w * h * pitch, lanes.rows * h * pitch);
-                        let acts = band_acts.rows_mut(sums.len());
-                        for (a, s) in acts.chunks_exact_mut(plane).zip(sums.chunks_exact(plane)) {
-                            a[..kept]
-                                .iter_mut()
-                                .zip(&s[..kept])
-                                .for_each(|(a, &s)| *a = relu(s));
-                        }
-                        let folded = (lanes.bands > 1).then_some(lanes);
-                        pool_lanes(acts, band, pool, folded, prefix, &mut dst, k_first);
+                        let scratch = (&mut *band_acts, &mut *pool_row, prefix);
+                        relu_pool(sums, (lanes, w, h), pool, scratch, &mut dst, k_first);
                     }
                 };
                 run_bands(layer, input, lanes, tier, prefix, band_lanes, sink);
             }
             CompiledStage::Pool { .. } => {
                 let pool = stage.pool().expect("a pooling stage");
-                let mut dst = PlaneMut::new(dst, out_dims, out_pad, (pitch, pair_for(consumer)));
-                let src = src.rows_mut(haloed_len(dims, 0) * pitch);
-                pool_lanes(src, dims, pool, None, prefix, &mut dst, 0);
+                let mut dst = PlaneMut::<LW>::new(dst, out_dims, out_pad, pair_for(consumer));
+                let src = src.rows(haloed_len(dims, 0) * LW).as_chunks::<LW>().0;
+                pool_lanes(src, dims, pool, (pool_row, prefix), &mut dst, 0);
             }
         }
         if consumer.is_none() {
             // The network ends in a pool: its plane widens on the way out.
             let pooled = if flip { &*even } else { &*odd };
-            let cells = pooled.rows(haloed_len(out_dims, 0) * pitch);
-            scatter_lanes(cells, (pitch, out_dims.2), |r| (r, 0), outs, 0, i32::from);
+            let cells = pooled.rows(haloed_len(out_dims, 0) * LW);
+            scatter_lanes(cells, (LW, out_dims.2), |r| (r, 0), outs, 0, i32::from);
         }
         (dims, si, flip) = (out_dims, after, !flip);
     }
@@ -766,13 +806,20 @@ mod tests {
             i32::MAX - 1,
             i32::MAX,
         ];
-        let sums = Tensor3::from_vec(edge.len(), 1, 1, edge.to_vec()).unwrap();
+        let n = edge.len();
+        let sums = Tensor3::from_vec(n, 1, 1, edge.to_vec()).unwrap();
+        let want = reference::relu_saturate(&sums);
+        // Eight images, lane `l` of cell `i` holding edge value `i + l`.
+        let lanes: Vec<i32> = (0..n * 8).map(|at| edge[(at / 8 + at % 8) % n]).collect();
         let mut buf = Rows::default();
-        let mut plane = PlaneMut::new(&mut buf, (edge.len(), 1, 1), 0, (1, 1));
-        plane.write_relu(0, &edge, Lanes::new(1, &ConvGeom::new(1, 1, 1, 1, 1, 1)));
-        assert_eq!(plane.cells, reference::relu_saturate(&sums).as_slice());
-        assert_eq!(plane.cells[edge.len() - 1], i16::MAX);
-        assert_eq!(plane.cells[0], 0);
+        let mut plane = PlaneMut::<8>::new(&mut buf, (n, 1, 1), 0, 1);
+        plane.write_relu(0, &lanes, Lanes::new(8, &ConvGeom::new(1, 1, 1, 1, 1, 1)));
+        for (i, cell) in plane.cells.iter().enumerate() {
+            let expected: [i16; 8] = from_fn(|l| want.as_slice()[(i + l) % n]);
+            assert_eq!(*cell, expected, "cell {i}");
+        }
+        assert_eq!(plane.cells[n - 1][0], i16::MAX);
+        assert_eq!(plane.cells[0][0], 0);
 
         // Through the executor: 1×1 filters that drive the sums to each
         // regime at every position of a 1×9 plane, so one image's output
@@ -828,6 +875,192 @@ mod tests {
         }
         assert_eq!(sums[(3, 0, 0)], 65_534);
         assert_eq!(sums[(5, 0, 0)], 32_767);
+    }
+
+    /// Deterministic values in `lo..hi`.
+    fn noise(seed: u64, lo: i64, hi: i64) -> impl FnMut() -> i64 {
+        let mut x = seed;
+        move || {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            lo + (x >> 33) as i64 % (hi - lo)
+        }
+    }
+
+    /// Row buffers that last held garbage, as an arena's do.
+    fn dirty<T: Copy + Default>(len: usize, garbage: T) -> Rows<T> {
+        let mut rows = Rows::default();
+        rows.rows_mut(len).fill(garbage);
+        rows
+    }
+
+    /// The plane `pool_lanes` wrote: channel `c0 + ch`, lane `lane`, as a
+    /// tensor.
+    fn pooled<const LW: usize>(dst: &mut PlaneMut<'_, LW>, c0: usize, lane: usize) -> Tensor3<i16> {
+        let (c, w, h) = dst.dims;
+        Tensor3::from_fn(c - c0, w, h, |ch, x, y| dst.row(c0 + ch, x)[y][lane])
+    }
+
+    /// `pool_lanes` against `reference::pool2d`, lane by lane: from a plane
+    /// (a pooling stage, any `i16`) and from a band's sums (a pool fused
+    /// onto a convolution: relu'd, then pooled), over planes whose edge
+    /// windows clip, into a haloed plane from channel 1, every buffer dirty.
+    fn pooling_matches_reference<const LW: usize>(images: usize) {
+        let mut next = noise(LW as u64 * 31 + images as u64, -70_000, 70_000);
+        for (w, h) in [(7usize, 6usize), (5, 9), (4, 4)] {
+            let geom = ConvGeom::new(w, h, 1, 1, 1, 1);
+            let lanes = Lanes::new(images, &geom);
+            assert_eq!(lanes.pitch, LW);
+            for (size, stride) in [(2usize, 2usize), (3, 2)] {
+                for kind in [PoolKind::Max, PoolKind::Avg] {
+                    let (c, pool) = (3, (kind, size, stride));
+                    let what = format!("{kind:?} {size}/{stride}, {w}x{h}, {images} of {LW}");
+                    let planes: Vec<Vec<i64>> = (0..images)
+                        .map(|_| (0..c * w * h).map(|_| next()).collect())
+                        .collect();
+                    let out = CompiledStage::Pool {
+                        name: "pool".into(),
+                        kind,
+                        size,
+                        stride,
+                    }
+                    .out_dims((c, w, h));
+                    let (mut buf, mut acts) = (dirty(4096, 0x5A5Ai16), dirty(4096, -3i16));
+                    let (mut max_row, mut sum_row) = (dirty(4096, 77i16), dirty(4096, -9i32));
+                    let scratch = (&mut max_row, &mut sum_row);
+
+                    // A pooling stage's plane: the images' `i16`s, whole lanes.
+                    if images == LW {
+                        let cells: Vec<[i16; LW]> = (0..c * w * h)
+                            .map(|at| from_fn(|l| planes[l][at] as i16))
+                            .collect();
+                        let mut dst = PlaneMut::<LW>::new(&mut buf, (c + 1, out.1, out.2), 1, 1);
+                        pool_lanes(&cells, (c, w, h), pool, scratch, &mut dst, 1);
+                        for (l, plane) in planes.iter().enumerate() {
+                            let input = Tensor3::from_fn(c, w, h, |ch, x, y| {
+                                plane[(ch * w + x) * h + y] as i16
+                            });
+                            let want = reference::pool2d(&input, kind, size, stride);
+                            assert_eq!(pooled(&mut dst, 1, l), want, "plane, lane {l}: {what}");
+                        }
+                    }
+
+                    // A band's sums, each real row where `lanes` keeps it.
+                    let mut sums = vec![i32::MIN + 5; c * w * h * LW];
+                    for (i, plane) in planes.iter().enumerate() {
+                        for (at, &v) in plane.iter().enumerate() {
+                            let (kept, from) = lanes.stored(at / h, w);
+                            sums[(kept * h + at % h) * LW + from + i] = v as i32;
+                        }
+                    }
+                    let mut dst = PlaneMut::<LW>::new(&mut buf, (c + 1, out.1, out.2), 1, 1);
+                    let scratch = (&mut acts, &mut max_row, &mut sum_row);
+                    relu_pool(&sums, (lanes, w, h), pool, scratch, &mut dst, 1);
+                    for l in 0..LW {
+                        let want = match planes.get(l) {
+                            Some(plane) => {
+                                let sums = Tensor3::from_fn(c, w, h, |ch, x, y| {
+                                    plane[(ch * w + x) * h + y] as i32
+                                });
+                                let acts = reference::relu_saturate(&sums);
+                                reference::pool2d(&acts, kind, size, stride)
+                            }
+                            None => Tensor3::zeros(c, out.1, out.2),
+                        };
+                        assert_eq!(pooled(&mut dst, 1, l), want, "band, lane {l}: {what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pool_lanes_matches_reference_pool_lane_by_lane() {
+        // Unfolded lanes at every pitch, and a small chunk's folded copies
+        // (1 and 2 images: 8 and 4 copies; 5 images: one copy, 3 lanes
+        // past the images).
+        pooling_matches_reference::<8>(8);
+        pooling_matches_reference::<16>(16);
+        pooling_matches_reference::<MAX_CHUNK>(MAX_CHUNK);
+        for images in [1, 2, 5] {
+            pooling_matches_reference::<8>(images);
+        }
+    }
+
+    /// `pair_channels` against a naive interleave over a dirty plane (the
+    /// slot of the zero channel after an odd `c` holds garbage) and a dirty
+    /// `spare`.
+    fn pairing_matches_naive<const LW: usize>() {
+        let mut next = noise(LW as u64, -32_768, 32_768);
+        for c in 1usize..=5 {
+            for cells in [1, 5] {
+                let n = cells * LW;
+                let plane: Vec<i16> = (0..c.next_multiple_of(2) * n)
+                    .map(|_| next() as i16)
+                    .collect();
+                let want: Vec<i16> = (0..plane.len())
+                    .map(|at| {
+                        let (pair, i, q) = (at / (2 * n), at / 2 % n, at % 2);
+                        let ch = 2 * pair + q;
+                        if ch < c {
+                            plane[ch * n + i]
+                        } else {
+                            0
+                        }
+                    })
+                    .collect();
+                let mut paired = plane.clone();
+                let mut spare = dirty(4 * n, 0x7E7Ei16);
+                pair_channels::<LW>(&mut paired, c, cells, &mut spare);
+                assert_eq!(paired, want, "c = {c}, {cells} cells of {LW}");
+            }
+        }
+    }
+
+    #[test]
+    fn pair_channels_matches_a_naive_interleave() {
+        pairing_matches_naive::<8>();
+        pairing_matches_naive::<16>();
+        pairing_matches_naive::<MAX_CHUNK>();
+    }
+
+    /// `stage_lanes` against a naive transpose into a dirty buffer: `b`
+    /// images of `c` channels, `P` to a lane, inside a 1-wide halo.
+    fn staging_matches_naive<const LW: usize, const P: usize>(b: usize, c: usize) {
+        let (w, h, pad) = (3, 5, 1);
+        let (pw, ph) = (w + 2 * pad, h + 2 * pad);
+        let mut next = noise((LW * P + b * 7 + c) as u64, -32_768, 32_768);
+        let images: Vec<Tensor3<i16>> = (0..b)
+            .map(|_| Tensor3::from_fn(c, w, h, |_, _, _| next() as i16))
+            .collect();
+        let len = haloed_len(paired((c, w, h), P), pad) * LW;
+        let mut out = vec![0x3C3C; len];
+        stage_lanes::<LW, P>(&images, (c, w, h), pad, &mut out);
+        for (at, &v) in out.iter().enumerate() {
+            let (cell, lane, p) = (at / (LW * P), at / P % LW, at % P);
+            let (g, x, y) = (cell / (pw * ph), cell / ph % pw, cell % ph);
+            let ch = g * P + p;
+            let inside = (pad..w + pad).contains(&x) && (pad..h + pad).contains(&y);
+            let want = match images.get(lane) {
+                Some(image) if inside && ch < c => image[(ch, x - pad, y - pad)],
+                _ => 0,
+            };
+            assert_eq!(v, want, "{b} images, c = {c}, P = {P}, LW = {LW}: at {at}");
+        }
+    }
+
+    #[test]
+    fn stage_lanes_matches_a_naive_transpose() {
+        for c in [1, 2, 3] {
+            for b in [1, 3, 8] {
+                staging_matches_naive::<8, 1>(b, c);
+                staging_matches_naive::<8, 2>(b, c);
+            }
+            staging_matches_naive::<16, 2>(16, c);
+            staging_matches_naive::<MAX_CHUNK, 1>(MAX_CHUNK, c);
+            staging_matches_naive::<MAX_CHUNK, 2>(MAX_CHUNK - 1, c);
+        }
     }
 
     #[test]

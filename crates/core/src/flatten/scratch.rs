@@ -76,6 +76,8 @@ pub(super) struct FlattenedScratch {
     /// The band's `relu_saturate`d activations, when a pool consumes them
     /// band by band instead of a plane.
     pub(super) band_acts: Rows<i16>,
+    /// One row of a max pool's window, its rows reduced to one.
+    pub(super) pool_row: Rows<i16>,
 }
 
 thread_local! {
@@ -149,18 +151,27 @@ mod tests {
     fn resident_bytes(scratch: &FlattenedScratch) -> usize {
         let [even, odd] = &scratch.planes;
         let lanes = bytes(&scratch.prefix) + bytes(&scratch.band_lanes);
-        bytes(even) + bytes(odd) + bytes(&scratch.band_acts) + lanes
+        let acts = bytes(&scratch.band_acts) + bytes(&scratch.pool_row);
+        bytes(even) + bytes(odd) + acts + lanes
     }
 
-    /// Where each of the arena's five row buffers lives and how much it
+    /// Where each of the arena's six row buffers lives and how much it
     /// holds: any reallocation or growth changes it.
-    fn arena_layout(scratch: &FlattenedScratch) -> [(usize, usize); 5] {
+    fn arena_layout(scratch: &FlattenedScratch) -> [(usize, usize); 6] {
         fn at<T>(buf: &Rows<T>) -> (usize, usize) {
             (buf.0.as_ptr() as usize, buf.0.capacity())
         }
         let [even, odd] = &scratch.planes;
         let (acts, prefix) = (at(&scratch.band_acts), at(&scratch.prefix));
-        [at(even), at(odd), acts, prefix, at(&scratch.band_lanes)]
+        let pool_row = at(&scratch.pool_row);
+        [
+            at(even),
+            at(odd),
+            acts,
+            prefix,
+            at(&scratch.band_lanes),
+            pool_row,
+        ]
     }
 
     /// Every allocated row buffer of the arena hands out its view at
@@ -180,8 +191,9 @@ mod tests {
             acts,
             prefix,
             starts(&scratch.band_lanes),
+            starts(&scratch.pool_row),
         ];
-        assert_eq!(lines, [0; 5], "{what}: a row view is off its cache line");
+        assert_eq!(lines, [0; 6], "{what}: a row view is off its cache line");
     }
 
     #[test]
@@ -436,7 +448,7 @@ mod tests {
             assert_eq!(arena(), grown, "steady state must not touch the arena");
             assert_eq!(first, second);
             // The pipeline's own buffers exist now (tiny pools a band of its
-            // second convolution): all five sit on a line.
+            // second convolution): all six sit on a line.
             THREAD_SCRATCH.with(|cell| assert_aligned(&cell.borrow(), "after a network call"));
             both_grown.wait();
             (first, grown)
