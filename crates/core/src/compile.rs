@@ -18,7 +18,9 @@ use crate::hierarchy::{GroupStream, StreamBuilder, ZERO_RANK};
 /// group size 16, pointer-encoded tables, 16-bit weights.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct UcnnConfig {
-    /// Filters sharing one input indirection table (`G ≥ 1`).
+    /// Filters sharing one input indirection table, `1 ≤ G ≤ 255`: a
+    /// stream's close level is a byte, and compiling a plan or building a
+    /// stream over more filters panics.
     pub g: usize,
     /// Channel tile size `Ct` — the PE's input buffer (§IV). Must be positive;
     /// values larger than a layer's `C` are clamped per layer (see

@@ -2,13 +2,19 @@
 //! execute — gather offsets, close records, outer segments — in an order
 //! chosen from counts alone, or a layer's weights become its dense tiles,
 //! whichever costs less.
+//!
+//! A layer's walks are read by one [`Lowering`], a tile at a time: the
+//! tile's stream is cut once into its innermost groups, and each of its
+//! two walks — the stream's own order and the sign-folded one — is a key
+//! tuple per group, in walk order, from which one rule, [`close_levels`],
+//! derives where the walk closes and what it issues.
 
 use std::ops::Range;
 
 use ucnn_tensor::ConvGeom;
 
 use crate::hierarchy::{DigitSort, GroupStream, NO_CLOSE, ZERO_RANK};
-use crate::plan::{CompiledLayer, CompiledTile};
+use crate::plan::CompiledLayer;
 
 /// The flattened, branch-free form of one walk of a retained tile: per-entry
 /// gather offsets, one record per close, CSR-style group ranges per outer
@@ -230,80 +236,6 @@ impl TileOffsets {
     }
 }
 
-/// What the walks of one layer share: whether its tiles are [`walked_once`],
-/// the key alphabet of its canonical order, its tiles' offsets.
-struct Layer {
-    once: bool,
-    keys: FoldKeys,
-    offsets: TileOffsets,
-}
-
-/// One retained tile as lowering reads it: its stream cut into innermost
-/// groups — the runs between closes, whose entries share every weight and
-/// ascend by position — which are what a walk orders. A [`Lowering`] reads
-/// tile after tile into the same one.
-#[derive(Default)]
-struct Source {
-    /// An entry at tile position `p` reads `offsets.of[p] + shift`.
-    shift: u32,
-    /// Innermost group `j` of the stream is its entries
-    /// `starts[j]..starts[j + 1]`.
-    starts: Vec<u32>,
-    /// The stream's own walk: every filter, the groups in their own order
-    /// under the [`FoldKeys`] digit of each filter's weight, nothing
-    /// negated, closing where the stream closes.
-    stream_order: Walk,
-}
-
-impl Source {
-    /// Reads `stream`, whose tile's absolute first channel is `c_first`.
-    fn read(&mut self, stream: &GroupStream, c_first: usize, layer: &Layer) {
-        let (g, zero) = (stream.g(), layer.keys.zero());
-        let TileOffsets { of, channel } = &layer.offsets;
-        // The offsets ascend: no read of the tile is past its last position's.
-        let last = of.get(stream.tile_len() - 1).expect("a longer tile");
-        self.shift = u32::try_from(c_first * channel).expect("input offset fits u32");
-        last.checked_add(self.shift).expect("input offset fits u32");
-        let walk = &mut self.stream_order;
-        let (_, ranks, levels) = stream.columns();
-        // Branch-free: a group per entry, kept where the entry closes one.
-        self.starts.resize(levels.len() + 1, 0);
-        walk.closes.resize(levels.len(), 0);
-        let mut groups = 0;
-        for (i, &level) in levels.iter().enumerate() {
-            self.starts[groups + 1] = i as u32 + 1;
-            walk.closes[groups] = level;
-            groups += usize::from(level != NO_CLOSE);
-        }
-        self.starts.truncate(groups + 1);
-        walk.closes.truncate(groups);
-        // The stream has its closing levels ([`close_levels`] would derive
-        // the same from the digits, a compare per level per group dearer).
-        walk.keys.clear();
-        walk.counts = WalkCounts::default();
-        for (&end, &level) in self.starts[1..].iter().zip(&walk.closes) {
-            let at = walk.keys.len();
-            let ranks = &ranks[(end as usize - 1) * g..][..g];
-            walk.keys
-                .extend(ranks.iter().map(|&rank| layer.keys.digit(rank)));
-            if usize::from(level) < g - 1 {
-                walk.counts.kept += 1;
-                let outer = &walk.keys[at + usize::from(level)..at + g - 1];
-                walk.counts.segs += outer.iter().filter(|&&digit| digit != zero).count();
-            }
-        }
-        (walk.counts.entries, walk.counts.closes) = (levels.len(), groups);
-        walk.order.clear();
-        walk.order.extend(0..groups as u32);
-    }
-
-    /// The stream entries of innermost group `group`.
-    fn entries(&self, group: u32) -> Range<usize> {
-        let bounds = &self.starts[group as usize..][..2];
-        bounds[0] as usize..bounds[1] as usize
-    }
-}
-
 /// What one walk issues per output position — counted from its order,
 /// never timed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -350,15 +282,14 @@ fn close_levels(keys: &[u32], levels: usize, zero: u32, closes: &mut Vec<u8>) ->
     let mut counts = WalkCounts::default();
     closes.clear();
     closes.resize(keys.len() / levels, NO_CLOSE);
+    // Only an innermost key holds `MINUS`, and no level compares it.
+    let differs = |(a, b): (&u32, &u32)| (a ^ b) & !MINUS != 0;
     let mut rows = keys.chunks_exact(levels).peekable();
     for close in closes {
         let here = rows.next().expect("a row per group");
         let level = match rows.peek() {
             None => Some(0),
-            Some(next) => {
-                let outer = here[..inner].iter().zip(*next).position(|(a, b)| a != b);
-                outer.or(((here[inner] ^ next[inner]) & !MINUS != 0).then_some(inner))
-            }
+            Some(next) => here.iter().zip(*next).position(differs),
         };
         let Some(level) = level else { continue };
         *close = u8::try_from(level).expect("the stream's levels fit a u8");
@@ -400,11 +331,12 @@ struct Walk {
 const MINUS: u32 = 1 << 31;
 
 impl Walk {
-    /// Makes this the folded walk of the `levels` filters of `source` over
-    /// its groups where any of them has a weight: sorted by folded keys, then
-    /// sign (the plus sub-run of a key before its minus sub-run), then stream
-    /// order.
-    fn fold(&mut self, source: &Source, levels: usize, zero: u32, sort: &mut DigitSort) {
+    /// Makes this the folded walk of the `levels` filters of `streamed`, the
+    /// stream's own walk: its groups sorted by folded keys, then sign (the
+    /// plus sub-run of a key before its minus sub-run), then stream order.
+    /// It walks every group — a stream holds no position where every filter
+    /// is zero — so it reads the stream's entries.
+    fn fold(&mut self, streamed: &Walk, levels: usize, zero: u32, sort: &mut DigitSort) {
         let inner = levels - 1;
         let unsorted = &mut self.unsorted;
         // A sort digit per level: the key then, at the innermost level, the
@@ -416,22 +348,18 @@ impl Walk {
         };
         let counts = sort.counts(levels, buckets);
         unsorted.clear();
-        self.order.clear();
-        for (group, digits) in source.stream_order.keys.chunks_exact(levels).enumerate() {
+        for digits in streamed.keys.chunks_exact(levels) {
             // The zero weight's digit is even: it folds under `s = +1`.
             let minus = digits[inner] & 1;
             let key = |&digit: &u32| if digit == zero { zero } else { digit ^ minus };
             let at = unsorted.len();
             unsorted.extend(digits[..inner].iter().map(key));
             unsorted.push(key(&digits[inner]) | (minus * MINUS));
-            if digits.iter().all(|&d| d == zero) {
-                continue;
-            }
-            self.order.push(group as u32);
             for (level, &key) in unsorted[at..].iter().enumerate() {
                 counts[level * buckets + bucket(key, level)] += 1;
             }
         }
+        self.order.clone_from(&streamed.order);
         sort.sort(&mut self.order, |group, level| {
             bucket(unsorted[group as usize * levels + level], level)
         });
@@ -441,121 +369,7 @@ impl Walk {
                 .extend_from_slice(&unsorted[group as usize * levels..][..levels]);
         }
         self.counts = close_levels(&self.keys, levels, zero, &mut self.closes);
-        self.counts.entries = self.order.iter().map(|&g| source.entries(g).len()).sum();
-    }
-
-    /// Lowers the walk of `stream`, read into `source`: `k_first` is the
-    /// absolute first filter of the tile's band.
-    fn lower(
-        &self,
-        stream: &GroupStream,
-        source: &Source,
-        k_first: usize,
-        layer: &Layer,
-    ) -> FlattenedTile {
-        let (once, keys, offsets) = (layer.once, &layer.keys, &layer.offsets);
-        let (levels, inner) = (stream.g(), stream.g() - 1);
-        let (indices, ..) = stream.columns();
-        let read = |&index: &u32| offsets.of[index as usize] + source.shift;
-
-        // The stream's own walk reads its entries as they come.
-        let as_streamed = std::ptr::eq(self, &source.stream_order);
-        let mut base = Vec::with_capacity(self.counts.entries);
-        if as_streamed {
-            base.extend(indices.iter().map(read));
-        }
-        let mut closes = Vec::with_capacity(self.counts.closes);
-        let (mut plus, mut minus, mut multiplies) = (0, 0, 0);
-        let walk = self.order.iter().zip(self.closes.iter());
-        for ((&group, &level), keys_here) in walk.zip(self.keys.chunks_exact(levels)) {
-            let entries = source.entries(group);
-            if keys_here[inner] & MINUS != 0 {
-                minus += entries.len();
-            } else {
-                plus += entries.len();
-            }
-            if !as_streamed {
-                base.extend(indices[entries].iter().map(read));
-            }
-            if level == NO_CLOSE {
-                continue;
-            }
-            let weight = keys.value(keys_here[inner] & !MINUS);
-            multiplies += usize::from(weight != 0);
-            Close::push(&mut closes, plus, minus, weight, usize::from(level) < inner);
-            (plus, minus) = (0, 0);
-        }
-        // CSR group ranges of the outer levels over the prefix rows — a kept
-        // row per outer close; an entry's, once: a group of level `l` ends
-        // where the walk closes level `l` or any outer level, and starts at
-        // the row of the previous such close. Groups whose key is zero
-        // dispatch nothing and are dropped.
-        let mut seg_ptr = Vec::with_capacity(levels);
-        let mut segs = Vec::with_capacity(self.counts.segs);
-        for l in 0..inner {
-            seg_ptr.push(segs.len() as u32);
-            let (mut start, mut end) = (0, 0);
-            let outer = |&(_, &level): &(usize, &u8)| usize::from(level) < inner;
-            for (at, &level) in self.closes.iter().enumerate().filter(outer) {
-                // A tile walked once is walked in stream order: the entries
-                // so far are the stream's up to this group's last.
-                let streamed = source.entries(self.order[at]).end as u32;
-                end = if once { streamed } else { end + 1 };
-                if usize::from(level) <= l {
-                    let weight = keys.value(self.keys[at * levels + l]);
-                    if weight != 0 {
-                        segs.push(Segment { start, end, weight });
-                    }
-                    start = end;
-                }
-            }
-        }
-        seg_ptr.push(u32::try_from(segs.len()).expect("segment count fits u32"));
-        FlattenedTile {
-            k_first,
-            g: stream.g(),
-            rows: 1 + if once { base.len() } else { self.counts.kept },
-            multiplies: multiplies + segs.len(),
-            base,
-            closes,
-            seg_ptr,
-            segs,
-            pairs: None,
-        }
-    }
-}
-
-/// The tile in hand: its stream as read, its folded `G`-level walk where one
-/// was made, and whether that is the walk to lower.
-#[derive(Default)]
-struct ReadTile {
-    source: Source,
-    folded: Walk,
-    fold: bool,
-}
-
-impl ReadTile {
-    /// Reads `stream` and settles the `G`-level walk of the whole tile:
-    /// folded when that does not add closes + outer segments (it never adds
-    /// closes; on an alphabet that is not sign-symmetric it can split outer
-    /// groups), else — and always for a tile walked once — the stream's own
-    /// order.
-    fn read(&mut self, stream: &GroupStream, c_first: usize, layer: &Layer, sort: &mut DigitSort) {
-        self.source.read(stream, c_first, layer);
-        self.fold = !layer.once && {
-            let (folded, zero) = (&mut self.folded, layer.keys.zero());
-            folded.fold(&self.source, stream.g(), zero, sort);
-            let work = |walk: &Walk| walk.counts.closes + walk.counts.segs;
-            work(folded) <= work(&self.source.stream_order)
-        };
-    }
-
-    fn shared(&self) -> &Walk {
-        if self.fold {
-            &self.folded
-        } else {
-            &self.source.stream_order
-        }
+        self.counts.entries = streamed.counts.entries;
     }
 }
 
@@ -598,11 +412,11 @@ fn walks_within(layer: &CompiledLayer, budget: usize) -> Option<Vec<FlattenedTil
     let mut lowering = Lowering::new(longest, layer.geom());
     let (mut walks, mut cost) = (Vec::with_capacity(layer.tile_spans().count()), 0);
     for tile in tiles {
-        cost += lowering.read(&tile).cost();
+        cost += lowering.read(tile.stream(), tile.c_first()).cost();
         if cost > budget {
             return None;
         }
-        walks.push(lowering.lower(&tile));
+        walks.push(lowering.lower(tile.stream(), tile.k_first()));
     }
     Some(walks)
 }
@@ -750,14 +564,35 @@ impl PairTaps {
     }
 }
 
-/// One layer's lowering of its walks: what they share, made once, and every
-/// buffer a tile is read, ordered and counted in, reused from tile to tile
-/// — a lowered walk allocates its own `base`, `closes`, `seg_ptr` and `segs`
-/// and nothing else.
+/// One layer's lowering of its walks: what they share — whether its tiles
+/// are [`walked_once`], the key alphabet of its canonical order, its tiles'
+/// offsets — made once, and the tile in hand, read into buffers reused from
+/// tile to tile: a lowered walk allocates its own `base`, `closes`,
+/// `seg_ptr` and `segs` and nothing else.
+///
+/// A tile is read as its stream's innermost groups — the runs between
+/// closes, whose entries share every weight and ascend by position — which
+/// are what a walk orders. Both of its walks, the stream's own and the
+/// folded one, are counted by one rule, [`close_levels`].
 struct Lowering {
-    layer: Layer,
+    once: bool,
+    keys: FoldKeys,
+    offsets: TileOffsets,
     sort: DigitSort,
-    tile: ReadTile,
+    /// An entry of the tile in hand at tile position `p` reads
+    /// `offsets.of[p] + shift`.
+    shift: u32,
+    /// Innermost group `j` of the tile's stream is its entries
+    /// `starts[j]..starts[j + 1]`.
+    starts: Vec<u32>,
+    /// The stream's own walk: every filter, the groups in their own order
+    /// under the [`FoldKeys`] digit of each filter's weight, nothing
+    /// negated, closing where the stream closes.
+    streamed: Walk,
+    /// The folded walk, made for a tile not walked once.
+    folded: Walk,
+    /// Whether the folded walk is the one to lower.
+    fold: bool,
 }
 
 impl Lowering {
@@ -765,29 +600,146 @@ impl Lowering {
     /// last channel tile of a band — is `longest`.
     fn new(longest: &GroupStream, geom: &ConvGeom) -> Self {
         Self {
-            layer: Layer {
-                once: walked_once(geom),
-                keys: FoldKeys::new(longest.canonical()),
-                offsets: TileOffsets::new(longest.tile_len(), geom),
-            },
+            once: walked_once(geom),
+            keys: FoldKeys::new(longest.canonical()),
+            offsets: TileOffsets::new(longest.tile_len(), geom),
             sort: DigitSort::default(),
-            tile: ReadTile::default(),
+            shift: 0,
+            starts: Vec::new(),
+            streamed: Walk::default(),
+            folded: Walk::default(),
+            fold: false,
         }
     }
 
-    /// Reads `tile` and settles its shared walk ([`ReadTile::read`]):
-    /// returns what that walk issues.
-    fn read(&mut self, tile: &CompiledTile) -> WalkCounts {
-        let (layer, read) = (&self.layer, &mut self.tile);
-        read.read(tile.stream(), tile.c_first(), layer, &mut self.sort);
-        read.shared().counts
+    /// Reads `stream`, whose tile's absolute first channel is `c_first`, and
+    /// settles the `G`-level walk of the whole tile: folded when that does
+    /// not add closes + outer segments (it never adds closes; on an alphabet
+    /// that is not sign-symmetric it can split outer groups), else — and
+    /// always for a tile walked once — the stream's own order. Returns what
+    /// that walk issues.
+    fn read(&mut self, stream: &GroupStream, c_first: usize) -> WalkCounts {
+        let (g, zero) = (stream.g(), self.keys.zero());
+        let TileOffsets { of, channel } = &self.offsets;
+        // The offsets ascend: no read of the tile is past its last position's.
+        let last = of.get(stream.tile_len() - 1).expect("a longer tile");
+        self.shift = u32::try_from(c_first * channel).expect("input offset fits u32");
+        last.checked_add(self.shift).expect("input offset fits u32");
+        let (_, ranks, levels) = stream.columns();
+        // Branch-free: a group per entry, kept where the entry closes one.
+        self.starts.resize(levels.len() + 1, 0);
+        let mut groups = 0;
+        for (i, &level) in levels.iter().enumerate() {
+            self.starts[groups + 1] = i as u32 + 1;
+            groups += usize::from(level != NO_CLOSE);
+        }
+        self.starts.truncate(groups + 1);
+        // A group's keys are the digits of its entries' shared ranks.
+        let walk = &mut self.streamed;
+        walk.keys.clear();
+        for &end in &self.starts[1..] {
+            let ranks = &ranks[(end as usize - 1) * g..][..g];
+            walk.keys
+                .extend(ranks.iter().map(|&rank| self.keys.digit(rank)));
+        }
+        walk.counts = close_levels(&walk.keys, g, zero, &mut walk.closes);
+        walk.counts.entries = levels.len();
+        walk.order.clear();
+        walk.order.extend(0..groups as u32);
+        self.fold = !self.once && {
+            self.folded.fold(walk, g, zero, &mut self.sort);
+            let work = |walk: &Walk| walk.counts.closes + walk.counts.segs;
+            work(&self.folded) <= work(walk)
+        };
+        self.shared().counts
     }
 
-    /// Lowers `tile`, the tile read last, as its shared walk.
-    fn lower(&self, tile: &CompiledTile) -> FlattenedTile {
-        let read = &self.tile;
-        read.shared()
-            .lower(tile.stream(), &read.source, tile.k_first(), &self.layer)
+    /// The walk [`Lowering::read`] settled on.
+    fn shared(&self) -> &Walk {
+        if self.fold {
+            &self.folded
+        } else {
+            &self.streamed
+        }
+    }
+
+    /// The stream entries of innermost group `group` of the tile in hand.
+    fn entries(&self, group: u32) -> Range<usize> {
+        let bounds = &self.starts[group as usize..][..2];
+        bounds[0] as usize..bounds[1] as usize
+    }
+
+    /// Lowers the tile read last, `stream`, as its shared walk: `k_first` is
+    /// the absolute first filter of the tile's band.
+    fn lower(&self, stream: &GroupStream, k_first: usize) -> FlattenedTile {
+        let (walk, once, keys) = (self.shared(), self.once, &self.keys);
+        let (levels, inner) = (stream.g(), stream.g() - 1);
+        let (indices, ..) = stream.columns();
+        let read = |&index: &u32| self.offsets.of[index as usize] + self.shift;
+
+        // The stream's own walk reads its entries as they come.
+        let mut base = Vec::with_capacity(walk.counts.entries);
+        if !self.fold {
+            base.extend(indices.iter().map(read));
+        }
+        let mut closes = Vec::with_capacity(walk.counts.closes);
+        let (mut plus, mut minus, mut multiplies) = (0, 0, 0);
+        let groups = walk.order.iter().zip(walk.closes.iter());
+        for ((&group, &level), keys_here) in groups.zip(walk.keys.chunks_exact(levels)) {
+            let entries = self.entries(group);
+            if keys_here[inner] & MINUS != 0 {
+                minus += entries.len();
+            } else {
+                plus += entries.len();
+            }
+            if self.fold {
+                base.extend(indices[entries].iter().map(read));
+            }
+            if level == NO_CLOSE {
+                continue;
+            }
+            let weight = keys.value(keys_here[inner] & !MINUS);
+            multiplies += usize::from(weight != 0);
+            Close::push(&mut closes, plus, minus, weight, usize::from(level) < inner);
+            (plus, minus) = (0, 0);
+        }
+        // CSR group ranges of the outer levels over the prefix rows — a kept
+        // row per outer close; an entry's, once: a group of level `l` ends
+        // where the walk closes level `l` or any outer level, and starts at
+        // the row of the previous such close. Groups whose key is zero
+        // dispatch nothing and are dropped.
+        let mut seg_ptr = Vec::with_capacity(levels);
+        let mut segs = Vec::with_capacity(walk.counts.segs);
+        for l in 0..inner {
+            seg_ptr.push(segs.len() as u32);
+            let (mut start, mut end) = (0, 0);
+            let outer = |&(_, &level): &(usize, &u8)| usize::from(level) < inner;
+            for (at, &level) in walk.closes.iter().enumerate().filter(outer) {
+                // A tile walked once is walked in stream order: the entries
+                // so far are the stream's up to this group's last.
+                let streamed = self.entries(walk.order[at]).end as u32;
+                end = if once { streamed } else { end + 1 };
+                if usize::from(level) <= l {
+                    let weight = keys.value(walk.keys[at * levels + l]);
+                    if weight != 0 {
+                        segs.push(Segment { start, end, weight });
+                    }
+                    start = end;
+                }
+            }
+        }
+        seg_ptr.push(u32::try_from(segs.len()).expect("segment count fits u32"));
+        FlattenedTile {
+            k_first,
+            g: stream.g(),
+            rows: 1 + if once { base.len() } else { walk.counts.kept },
+            multiplies: multiplies + segs.len(),
+            base,
+            closes,
+            seg_ptr,
+            segs,
+            pairs: None,
+        }
     }
 }
 
@@ -844,7 +796,7 @@ pub(super) mod tests {
     use crate::compile::UcnnConfig;
     use crate::flatten::oracle::{alone, check_layer};
     use crate::flatten::run_stages;
-    use crate::plan::{CompiledLayer, CompiledNetwork, CompiledStage};
+    use crate::plan::{CompiledLayer, CompiledNetwork, CompiledStage, CompiledTile};
     use crate::simd::SimdCaps;
     use ucnn_model::{forward, networks, reference, ActivationGen, QuantScheme, WeightGen};
     use ucnn_tensor::{Tensor3, Tensor4};
@@ -852,7 +804,7 @@ pub(super) mod tests {
     /// Lowers one retained stream as one `G`-level walk: sign-folded where
     /// that issues no more closes + outer segments, in stream order
     /// otherwise. `k_first`/`c_first` are the tile's absolute filter and
-    /// channel bases (as in [`CompiledTile`]).
+    /// channel bases (as in [`CompiledTile`](crate::plan::CompiledTile)).
     fn lower_shared(
         stream: &GroupStream,
         k_first: usize,
@@ -860,10 +812,8 @@ pub(super) mod tests {
         geom: &ConvGeom,
     ) -> FlattenedTile {
         let mut lowering = Lowering::new(stream, geom);
-        let mut tile = ReadTile::default();
-        tile.read(stream, c_first, &lowering.layer, &mut lowering.sort);
-        let walk = tile.shared();
-        walk.lower(stream, &tile.source, k_first, &lowering.layer)
+        lowering.read(stream, c_first);
+        lowering.lower(stream, k_first)
     }
 
     /// Lowers `layer` as its walks, whatever it would elect.
@@ -947,12 +897,56 @@ pub(super) mod tests {
         }
     }
 
-    /// Checks the lowering of `layer` against its streams. Each walk of a
-    /// tile is its shared walk, which reads a permutation of the entries
-    /// where the tile holds a weight and to which folding adds no closes +
-    /// outer segments over the stream's own. The layer's dense tiles
-    /// ([`CompiledLayer::dense_lowered`]) are two filters of one conv group
-    /// each, the last of an odd group alone, holding their weights per
+    /// The referee of what [`Lowering::read`] counts: a tile's two walks,
+    /// the stream's own and the folded one, counted from its weights alone
+    /// and in no order. A walk's groups are the distinct prefixes of the
+    /// tile's weight tuples (filter 0 outermost) over the positions where
+    /// any filter has a weight: its closes are the distinct full tuples, its
+    /// kept rows the distinct `(G − 1)`-prefixes (none at `G = 1`), and its
+    /// outer segments, per outer level `m`, the distinct `(m + 1)`-prefixes
+    /// whose weight `m` is not zero. The stream's walk counts the tuples as
+    /// they are; the folded walk counts each one times the sign of its
+    /// innermost weight, which it then holds as a magnitude.
+    fn recount(layer: &CompiledLayer, ks: Range<usize>, cs: Range<usize>) -> [WalkCounts; 2] {
+        let (rs, inner) = (layer.geom().r() * layer.geom().s(), ks.len() - 1);
+        let tuples: Vec<Vec<i32>> = (cs.start * rs..cs.end * rs)
+            .map(|p| ks.clone().map(|k| i32::from(layer.filter(k)[p])).collect())
+            .filter(|tuple: &Vec<i32>| tuple.iter().any(|&w| w != 0))
+            .collect();
+        let fold = |tuple: &Vec<i32>| {
+            let s = if tuple[inner] < 0 { -1 } else { 1 };
+            tuple.iter().map(|w| w * s).collect()
+        };
+        let folded = tuples.iter().map(fold).collect();
+        let count = |tuples: Vec<Vec<i32>>| {
+            let mut prefixes = vec![BTreeSet::new(); inner + 1];
+            let mut entries = 0;
+            for tuple in tuples {
+                entries += 1;
+                for (m, prefixes) in prefixes.iter_mut().enumerate() {
+                    prefixes.insert(tuple[..=m].to_vec());
+                }
+            }
+            let outer = |m: usize| prefixes[m].iter().filter(|p| p[m] != 0).count();
+            WalkCounts {
+                entries,
+                closes: prefixes[inner].len(),
+                kept: inner.checked_sub(1).map_or(0, |m| prefixes[m].len()),
+                segs: (0..inner).map(outer).sum(),
+            }
+        };
+        [count(tuples), count(folded)]
+    }
+
+    /// Checks the lowering of `layer` against its weights and its streams.
+    /// Each tile's read counts both its walks as the referee, [`recount`],
+    /// does, and settles on the folded walk exactly when that adds no
+    /// closes + outer segments (a tile walked once keeps the stream's).
+    /// Each walk of a tile is that shared walk, which reads a permutation of
+    /// the entries where the tile holds a weight and to which folding adds
+    /// no closes + outer segments over the stream's own. The layer's dense
+    /// tiles ([`CompiledLayer::dense_lowered`]) are two filters of one conv
+    /// group each, the last of an odd group alone, holding their weights per
     /// pair-tap as tabulated here from the streams. A layer not walked once
     /// is its dense tiles if and only if they cost less than its walks,
     /// summed over the layer; otherwise, and always when walked once, it is
@@ -979,8 +973,27 @@ pub(super) mod tests {
             .map(|k| (k, Default::default()))
             .collect();
         let (mut walks, mut walk_cost) = (Vec::new(), 0);
-        for tile in layer.tiles() {
+        let mut lowering = Lowering::new(layer.tiles()[0].stream(), geom);
+        for (tile, (ks, cs, _)) in layer.tiles().iter().zip(layer.tile_spans()) {
             let stream = tile.stream();
+            let read = lowering.read(stream, tile.c_first());
+            let [streamed, folded] = recount(layer, ks, cs);
+            assert_eq!(
+                lowering.streamed.counts, streamed,
+                "{what}: the stream's walk"
+            );
+            let work = |counts: &WalkCounts| counts.closes + counts.segs;
+            let elected = if once {
+                streamed
+            } else {
+                assert_eq!(lowering.folded.counts, folded, "{what}: the folded walk");
+                if work(&folded) <= work(&streamed) {
+                    folded
+                } else {
+                    streamed
+                }
+            };
+            assert_eq!(read, elected, "{what}: the shared walk");
             let levels = stream.g();
             for e in stream.entries() {
                 let (c, tap) = (
@@ -1009,7 +1022,7 @@ pub(super) mod tests {
                 })
                 .collect();
             offsets.sort_unstable();
-            let shared = lower_shared(stream, tile.k_first(), tile.c_first(), geom);
+            let shared = lowering.lower(stream, tile.k_first());
             let mut base = shared.base.clone();
             base.sort_unstable();
             assert_eq!(base, offsets, "{what}: a permutation");
@@ -1119,14 +1132,10 @@ pub(super) mod tests {
         }
     }
 
-    #[test]
-    fn the_walk_bound_is_a_bound_and_decides_as_the_walks_would() {
-        // On every layer `plan_digest` pins that is not walked once, the
-        // bound from the weights is at most what the full read of the walks
-        // costs, and the layer elects what that read elects. A layer whose
-        // bound exceeds its dense tiles' price is lowered without building
-        // a stream — every INQ LeNet convolution at G = 2, among others —
-        // and no lowered layer keeps one.
+    /// Every weight layer of every plan `plan_digest` pins — LeNet and
+    /// `tiny`, INQ and TTQ weights, `G ∈ {1, 2, 3}`, `Ct ∈ {16, 64}` — with
+    /// its case spelled out, freshly compiled.
+    fn each_digest_layer(mut check: impl FnMut(&str, &CompiledLayer)) {
         let nets = [
             ("lenet", networks::lenet(), 0x1E7),
             ("tiny", networks::tiny(), 0x717),
@@ -1135,7 +1144,6 @@ pub(super) mod tests {
             ("inq", QuantScheme::inq(), 0.9),
             ("ttq", QuantScheme::ttq(), 0.6),
         ];
-        let mut decided = BTreeSet::new();
         for (net, spec, seed) in &nets {
             for (scheme_name, scheme, density) in &schemes {
                 let weights =
@@ -1147,38 +1155,63 @@ pub(super) mod tests {
                     };
                     let plan = CompiledNetwork::compile(spec, &weights, &config);
                     for stage in plan.stages() {
-                        let CompiledStage::Conv { name, layer, .. } = stage else {
-                            continue;
-                        };
-                        if walked_once(layer.geom()) {
-                            continue;
-                        }
-                        let what = format!("{net} {scheme_name} G = {g}, Ct = {ct}, {name}");
-                        let (bound, price) = (walk_bound(layer), PairTaps::of(layer).price());
-                        let flat = layer.flat_tiles().to_vec();
-                        let by_bound = bound > price;
-                        assert!(!layer.streams_built(), "{what}");
-                        let mut lowering = Lowering::new(layer.tiles()[0].stream(), layer.geom());
-                        let tiles = layer.tiles().iter();
-                        let cost: usize = tiles.map(|tile| lowering.read(tile).cost()).sum();
-                        assert!(bound <= cost, "{what}: bound {bound} > walks {cost}");
-                        let elected = if price < cost {
-                            lower_dense(layer)
-                        } else {
-                            lower_walks(layer)
-                        };
-                        assert!(flat == elected, "{what}: elected otherwise");
-                        if by_bound {
-                            decided.insert(what);
+                        if let CompiledStage::Conv { name, layer, .. } = stage {
+                            let what = format!("{net} {scheme_name} G = {g}, Ct = {ct}, {name}");
+                            check(&what, layer);
                         }
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn the_walk_bound_is_a_bound_and_decides_as_the_walks_would() {
+        // On every layer `plan_digest` pins that is not walked once, the
+        // bound from the weights is at most what the full read of the walks
+        // costs, and the layer elects what that read elects. A layer whose
+        // bound exceeds its dense tiles' price is lowered without building
+        // a stream — every INQ LeNet convolution at G = 2, among others —
+        // and no lowered layer keeps one.
+        let mut decided = BTreeSet::new();
+        each_digest_layer(|what, layer| {
+            if walked_once(layer.geom()) {
+                return;
+            }
+            let (bound, price) = (walk_bound(layer), PairTaps::of(layer).price());
+            let flat = layer.flat_tiles().to_vec();
+            let by_bound = bound > price;
+            assert!(!layer.streams_built(), "{what}");
+            let mut lowering = Lowering::new(layer.tiles()[0].stream(), layer.geom());
+            let tiles = layer.tiles().iter();
+            let read = |tile: &CompiledTile| lowering.read(tile.stream(), tile.c_first());
+            let cost: usize = tiles.map(read).map(|counts| counts.cost()).sum();
+            assert!(bound <= cost, "{what}: bound {bound} > walks {cost}");
+            let elected = if price < cost {
+                lower_dense(layer)
+            } else {
+                lower_walks(layer)
+            };
+            assert!(flat == elected, "{what}: elected otherwise");
+            if by_bound {
+                decided.insert(what.to_string());
+            }
+        });
         for conv in ["conv1", "conv2", "conv3"] {
             let what = format!("lenet inq G = 2, Ct = 64, {conv}");
             assert!(decided.contains(&what), "{what} was read");
         }
+    }
+
+    #[test]
+    fn the_referee_counts_every_plan_digest_walk() {
+        // Both walks of every tile of every layer `plan_digest` pins, as
+        // read, equal the referee's count from the tile's weights alone
+        // (`recount`), and the read settles on the walk the counts elect
+        // (`check_lowering`).
+        each_digest_layer(|what, layer| {
+            check_lowering(layer, what);
+        });
     }
 
     #[test]
@@ -1224,6 +1257,31 @@ pub(super) mod tests {
                 format!("{at_2:?}"),
                 "grouped, G = {g}"
             );
+        }
+    }
+
+    #[test]
+    fn a_band_of_255_filters_is_exact_on_every_executor() {
+        // A stream's close level is a byte and 255 marks no close, so 255
+        // filters is the most a band holds. Every filter is (1, 1) over two
+        // channels but the last, (1, 2): the band's two groups differ only
+        // at its innermost level, whose close must not read as none — on
+        // the paper's functional definition, the stream walker, the
+        // flattened walks and the dense tiles, at several positions and at
+        // one.
+        let k = 255;
+        let weights =
+            Tensor4::from_fn(k, 2, 1, 1, |f, c, _, _| 1 + i16::from(f == k - 1 && c == 1));
+        let mut agen = ActivationGen::new(0xFF);
+        for geom in [
+            ConvGeom::new(3, 2, 2, k, 1, 1),
+            ConvGeom::new(1, 1, 2, k, 1, 1),
+        ] {
+            let layer = CompiledLayer::compile(&geom, 1, &weights, &UcnnConfig::with_g(k));
+            let inputs: Vec<_> = (0..3)
+                .map(|_| agen.generate(2, geom.in_w(), geom.in_h()))
+                .collect();
+            check_layer(&layer, &weights, &inputs, &format!("G = {k}, {geom:?}"));
         }
     }
 

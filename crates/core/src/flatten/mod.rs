@@ -95,6 +95,14 @@
 //! Tiles walked once per chunk (every fully connected layer) keep the
 //! stream's order and sharing.
 //!
+//! A tile is read once, into its stream's innermost groups, and both of its
+//! walks are counted by one rule: per walk, a key tuple per group in walk
+//! order, a close wherever the next group's tuple differs (at the first
+//! level where it does), a kept row per close of an outer level, and an
+//! outer segment per outer group whose key is not zero. Which prefixes of
+//! a tile's weight tuples occur fixes those counts, whatever the order, so
+//! the tests recount every tile from its weights alone (`check_lowering`).
+//!
 //! Padding is not a hazard of the walk but a property of the staged input:
 //! a layer with `pad > 0` is staged once per chunk into a **zero-haloed**
 //! plane (`(in_w + 2·pad) × (in_h + 2·pad)` per channel) and the gather

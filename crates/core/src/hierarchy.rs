@@ -32,6 +32,10 @@ pub const ZERO_RANK: u16 = u16::MAX;
 /// Sentinel for "no closure at this entry".
 pub(crate) const NO_CLOSE: u8 = u8::MAX;
 
+/// The most filters one stream holds: a close level is a byte below
+/// [`NO_CLOSE`], and a band of `G` filters closes levels `0..G`.
+pub(crate) const MAX_G: usize = NO_CLOSE as usize;
+
 /// Borrowed view of one stream entry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StreamEntry<'a> {
@@ -348,12 +352,16 @@ impl StreamBuilder {
     ///
     /// # Panics
     ///
-    /// Panics on empty/ragged input or on a weight missing from the
-    /// canonical order.
+    /// Panics on empty/ragged input, on more than 255 filters, or on a
+    /// weight missing from the canonical order.
     #[must_use]
     pub fn build(&mut self, filters: &[&[i16]]) -> GroupStream {
         assert!(!filters.is_empty(), "need at least one filter");
         let (g, tile_len) = (filters.len(), filters[0].len());
+        assert!(
+            g <= MAX_G,
+            "G = {g} exceeds {MAX_G}: a close level is a byte"
+        );
         assert!(tile_len > 0, "tiles must be non-empty");
         assert!(
             filters.iter().all(|f| f.len() == tile_len),
@@ -705,6 +713,16 @@ mod tests {
         assert_eq!(builder.build(&[&[2, 1]]).entry_count(), 2);
         let w = [1i16, 9];
         let _ = builder.build(&[&w]);
+    }
+
+    #[test]
+    #[should_panic(expected = "G = 256 exceeds 255: a close level is a byte")]
+    fn a_stream_of_256_filters_panics() {
+        // Level 255 would be stored as `NO_CLOSE`: the innermost close of
+        // a band of 256 filters would read as none.
+        let mut filters = vec![&[1i16, 1][..]; MAX_G];
+        filters.push(&[1, 2]);
+        let _ = GroupStream::build(&filters);
     }
 
     #[test]

@@ -37,7 +37,7 @@ use ucnn_tensor::{ConvGeom, Tensor3, Tensor4};
 use crate::backend::BackendKind;
 use crate::compile::{canonical_of, UcnnConfig};
 use crate::flatten::{lower_dense, lower_layer, walked_once, Dims, FlattenedTile};
-use crate::hierarchy::GroupStream;
+use crate::hierarchy::{GroupStream, MAX_G};
 
 /// One retained work unit of a compiled layer: the stream for a group of
 /// `≤ G` filters over one channel tile, plus where it lands in the layer.
@@ -150,8 +150,8 @@ impl CompiledLayer {
     ///
     /// # Panics
     ///
-    /// Panics if tensor shapes disagree with `geom`/`conv_groups`, or if
-    /// `config.g == 0` or `config.ct == 0`.
+    /// Panics if tensor shapes disagree with `geom`/`conv_groups`, if
+    /// `config.g` is 0 or over 255, or if `config.ct == 0`.
     #[must_use]
     pub fn compile(
         geom: &ConvGeom,
@@ -159,7 +159,12 @@ impl CompiledLayer {
         filters: &Tensor4<i16>,
         config: &UcnnConfig,
     ) -> Self {
-        assert!(config.g > 0, "G must be positive");
+        let g = config.g;
+        assert!(g > 0, "G must be positive");
+        assert!(
+            g <= MAX_G,
+            "G = {g} exceeds {MAX_G}: a close level is a byte"
+        );
         assert_eq!(filters.k(), geom.k(), "filter count mismatch");
         assert_eq!(filters.c(), geom.c(), "filter channel mismatch");
         assert!(
@@ -666,6 +671,16 @@ mod tests {
         let w = Tensor4::from_fn(4, 4, 5, 5, |_, _, _, _| 1i16);
         let geom = ConvGeom::new(6, 6, 4, 4, 3, 3);
         let _ = CompiledLayer::compile(&geom, 1, &w, &UcnnConfig::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "G = 256 exceeds 255: a close level is a byte")]
+    fn compile_rejects_g_over_255() {
+        // At compile, not at stream build: a layer that elects its dense
+        // tiles builds no stream.
+        let w = Tensor4::from_fn(256, 2, 1, 1, |k, c, _, _| 1 + i16::from(k == 255 && c == 1));
+        let geom = ConvGeom::new(3, 2, 2, 256, 1, 1);
+        let _ = CompiledLayer::compile(&geom, 1, &w, &UcnnConfig::with_g(256));
     }
 
     #[test]
