@@ -247,17 +247,30 @@ struct WalkCounts {
 }
 
 impl WalkCounts {
-    /// Vector instructions per 16 lanes, fitted to the shared strip body of
+    /// Vector instructions per 16 lanes of a walk of a tile walked `once`
+    /// or not. With [`WalkCounts::dense`], the one place the constants of
+    /// the walk-or-dense election ([`lower_layer`], summed over a layer's
+    /// walks) live.
+    ///
+    /// A walk of several positions runs the shared strip body of
     /// docs/LAB.md § `fused` / § `order`: an entry a widening load and an
     /// add, a close block a multiply, an add and the run loops' exits, a
     /// kept row a store, an outer segment two row loads, a subtract, a
     /// multiply and an add. `vnni_body` (the `avx512` strips of ≥ 32 lanes)
     /// adds an entry in one `vpdpwssd`, which they do not price: ROADMAP
-    /// item 14(a) refits them. With [`WalkCounts::dense`], the one place the
-    /// constants of the walk-or-dense election ([`lower_layer`], summed over
-    /// a layer's walks) live.
-    fn cost(&self) -> usize {
-        2 * self.entries + 3 * self.closes + self.kept + 5 * self.segs
+    /// item 14(a) refits them.
+    ///
+    /// A tile walked once runs the flat walk: an entry a gather and a row
+    /// store, a close a row load and a multiply-add, an outer segment two
+    /// row loads; its rows are the entries', so a kept row costs nothing
+    /// more. Two each, fitted to the timed walks and dense tiles of
+    /// fully connected layers on the best tier (docs/LAB.md Part 26).
+    fn cost(&self, once: bool) -> usize {
+        if once {
+            2 * (self.entries + self.closes + self.segs)
+        } else {
+            2 * self.entries + 3 * self.closes + self.kept + 5 * self.segs
+        }
     }
 
     /// What a dense tile of `taps` pair-taps over its `g` filters (two, or
@@ -379,7 +392,9 @@ impl Walk {
 /// [`WalkCounts::dense`] against the walks' [`WalkCounts::cost`], each
 /// summed over the layer, a tie keeping the walks. A layer's input has one
 /// staged layout, and a dense tile reads it with its channels in pairs, so
-/// a layer is one or the other whole. A layer walked once is walked.
+/// a layer is one or the other whole. Every layer is elected so, a layer
+/// [`walked_once`] (a fully connected one) too, its walks priced by the
+/// flat walk's terms.
 ///
 /// The dense tiles are priced from the layer's weights, and so is a lower
 /// bound on the walks' cost ([`walk_bound`]): a layer whose bound already
@@ -391,9 +406,6 @@ impl Walk {
 /// builds no dense tile. The walks cost at least the bound, so the bound
 /// decides no layer the full read would not.
 pub(crate) fn lower_layer(layer: &CompiledLayer) -> Vec<FlattenedTile> {
-    if walked_once(layer.geom()) {
-        return walks_within(layer, usize::MAX).expect("an unbounded walk");
-    }
     let dense = PairTaps::of(layer);
     let price = dense.price();
     if walk_bound(layer) > price {
@@ -412,7 +424,8 @@ fn walks_within(layer: &CompiledLayer, budget: usize) -> Option<Vec<FlattenedTil
     let mut lowering = Lowering::new(longest, layer.geom());
     let (mut walks, mut cost) = (Vec::with_capacity(layer.tile_spans().count()), 0);
     for tile in tiles {
-        cost += lowering.read(tile.stream(), tile.c_first()).cost();
+        let counts = lowering.read(tile.stream(), tile.c_first());
+        cost += counts.cost(lowering.once);
         if cost > budget {
             return None;
         }
@@ -422,10 +435,12 @@ fn walks_within(layer: &CompiledLayer, budget: usize) -> Option<Vec<FlattenedTil
 }
 
 /// A lower bound on the summed [`WalkCounts::cost`] of a layer's walks,
-/// from its weights alone: each tile's walk reads every position where a
-/// filter of its band has a weight — its stream's entries, which folding
-/// keeps — and closes at least once if it reads any.
+/// from its weights alone, under the terms its walks are priced by: each
+/// tile's walk reads every position where a filter of its band has a
+/// weight — its stream's entries, which folding keeps — and closes at
+/// least once if it reads any.
 fn walk_bound(layer: &CompiledLayer) -> usize {
+    let once = walked_once(layer.geom());
     let rs = layer.geom().r() * layer.geom().s();
     let mut held = Vec::new();
     let mut bound = |(ks, cs, _): (Range<usize>, Range<usize>, usize)| {
@@ -445,13 +460,13 @@ fn walk_bound(layer: &CompiledLayer) -> usize {
             closes,
             ..WalkCounts::default()
         }
-        .cost()
+        .cost(once)
     };
     layer.tile_spans().map(&mut bound).sum()
 }
 
-/// Lowers a layer as its dense tiles — a layer walked once too — whatever
-/// [`lower_layer`] elects: the election's dense side, and the
+/// Lowers a layer as its dense tiles, whatever [`lower_layer`] elects: the
+/// election's dense side — of every layer, one walked once too — and the
 /// same-datapath dense yardstick the elected lowering is timed against.
 pub(crate) fn lower_dense(layer: &CompiledLayer) -> Vec<FlattenedTile> {
     PairTaps::of(layer).tiles()
@@ -485,15 +500,36 @@ impl PairTaps {
         for k in 0..geom.k() {
             let (cg, kg) = (k / k_group, k % k_group);
             let t = cg * per_group + kg / 2;
-            let first = cg * c_dim;
-            let filter = layer.filter(k).chunks_exact(rs);
-            for (c, taps) in (first..).zip(filter) {
-                let shift = 32 * (kg % 2) + 16 * (c % 2);
-                let pair_taps = &mut rows[t * span + (c / 2 - first / 2) * rs..][..rs];
-                for (row, &w) in pair_taps.iter_mut().zip(taps) {
-                    *row |= u64::from(w as u16) << shift;
+            let filter = layer.filter(k);
+            weights[t] += filter.iter().filter(|&&w| w != 0).count();
+            let pack = |lo: i16, hi: i16| {
+                (u64::from(lo as u16) | u64::from(hi as u16) << 16) << (32 * (kg % 2))
+            };
+            // Channel `c` is the `c % 2` half of its pair's row, both
+            // channels of a pair packed in one pass: a group's odd first
+            // channel is the high half of its first row alone, an odd last
+            // channel the low half of its last.
+            let mut pair_rows = rows[t * span..][..span].chunks_exact_mut(rs);
+            let (lead, rest) = filter.split_at(rs * (cg * c_dim % 2));
+            let pairs = rest.chunks_exact(2 * rs);
+            let last = pairs.remainder();
+            if !lead.is_empty() {
+                let row = pair_rows.next().expect("a row per pair");
+                for (row, &hi) in row.iter_mut().zip(lead) {
+                    *row |= pack(0, hi);
                 }
-                weights[t] += taps.iter().filter(|&&w| w != 0).count();
+            }
+            // `pairs` leads, so the zip ends without taking the last row.
+            for (pair, row) in pairs.zip(&mut pair_rows) {
+                let (low, high) = pair.split_at(rs);
+                for ((row, &lo), &hi) in row.iter_mut().zip(low).zip(high) {
+                    *row |= pack(lo, hi);
+                }
+            }
+            if let Some(row) = pair_rows.next() {
+                for (row, &lo) in row.iter_mut().zip(last) {
+                    *row |= pack(lo, 0);
+                }
             }
         }
         Self {
@@ -784,6 +820,13 @@ impl FlattenedTile {
 /// Whether a layer's tiles are walked once per chunk (one output position):
 /// the predictor never sees a tile's run lengths twice (FC up to 2.6× slower), so
 /// such a tile keeps a row per entry and no trip count depends on a run.
+///
+/// It decides how such a layer is cut and walked, not whether it is walked:
+/// its one channel tile spans every channel (`Ct = C`, in
+/// [`CompiledLayer::compile`]), its walk keeps the stream's order with a
+/// row per entry (the kernels' flat walk), and that walk is priced by its
+/// own terms ([`WalkCounts::cost`]) when [`lower_layer`] elects it or its
+/// dense tiles.
 pub(crate) fn walked_once(geom: &ConvGeom) -> bool {
     geom.out_w() * geom.out_h() == 1
 }
@@ -886,8 +929,8 @@ pub(super) mod tests {
         }
     }
 
-    /// What a lowered walk (of a tile not walked once) issues, counted back
-    /// from its records.
+    /// What a lowered walk issues, counted back from its records. A tile
+    /// walked once keeps a row per entry, which its cost does not price.
     fn lowered_counts(tile: &FlattenedTile) -> WalkCounts {
         WalkCounts {
             entries: tile.base.len(),
@@ -947,12 +990,13 @@ pub(super) mod tests {
     /// no closes + outer segments over the stream's own. The layer's dense
     /// tiles ([`CompiledLayer::dense_lowered`]) are two filters of one conv
     /// group each, the last of an odd group alone, holding their weights per
-    /// pair-tap as tabulated here from the streams. A layer not walked once
-    /// is its dense tiles if and only if they cost less than its walks,
-    /// summed over the layer; otherwise, and always when walked once, it is
-    /// its walks. Returns the kinds of the two lowerings it checked, both of
-    /// which [`check_layer`] runs: "walked once" or, for walks of several
-    /// filters, "shared"; and "dense once" or "dense".
+    /// pair-tap as tabulated here from the streams. A layer — walked once
+    /// or not, each walk priced by the terms of its kind — is its dense
+    /// tiles if and only if they cost less than its walks, summed over the
+    /// layer; otherwise it is its walks. Returns the kinds of the two
+    /// lowerings it checked, both of which [`check_layer`] runs: "walked
+    /// once" or, for walks of several filters, "shared"; and "dense once"
+    /// or "dense".
     pub(in crate::flatten) fn check_lowering(
         layer: &CompiledLayer,
         what: &str,
@@ -1035,9 +1079,7 @@ pub(super) mod tests {
                     <= stream.closures_at_level(levels - 1) + stream.multiplies() - inner,
                 "{what}: folding added work"
             );
-            if !once {
-                walk_cost += lowered_counts(&shared).cost();
-            }
+            walk_cost += lowered_counts(&shared).cost(once);
             walks.push(shared);
         }
 
@@ -1064,22 +1106,19 @@ pub(super) mod tests {
         // The election's inputs from the weights: the dense tiles' price as
         // the table from the streams prices them, and a bound the walks
         // never cost less than.
-        if !once {
-            assert_eq!(
-                PairTaps::of(layer).price(),
-                dense_cost,
-                "{what}: dense price"
-            );
-            let bound = walk_bound(layer);
-            assert!(
-                bound <= walk_cost,
-                "{what}: bound {bound} > walks {walk_cost}"
-            );
-        }
+        assert_eq!(
+            PairTaps::of(layer).price(),
+            dense_cost,
+            "{what}: dense price"
+        );
+        let bound = walk_bound(layer);
+        assert!(
+            bound <= walk_cost,
+            "{what}: bound {bound} > walks {walk_cost}"
+        );
 
         // Both directions of the election.
-        let elects = !once && dense_cost < walk_cost;
-        if elects {
+        if dense_cost < walk_cost {
             assert_eq!(layer.flat_tiles(), dense, "{what}: the dense tiles");
         } else {
             assert_eq!(layer.flat_tiles(), walks, "{what}: the shared walks");
@@ -1167,25 +1206,24 @@ pub(super) mod tests {
 
     #[test]
     fn the_walk_bound_is_a_bound_and_decides_as_the_walks_would() {
-        // On every layer `plan_digest` pins that is not walked once, the
-        // bound from the weights is at most what the full read of the walks
+        // On every layer `plan_digest` pins, walked once or not, the bound
+        // from the weights is at most what the full read of the walks
         // costs, and the layer elects what that read elects. A layer whose
         // bound exceeds its dense tiles' price is lowered without building
-        // a stream — every INQ LeNet convolution at G = 2, among others —
-        // and no lowered layer keeps one.
+        // a stream — every INQ LeNet weight layer at G = 2, the fully
+        // connected `ip1` and `ip2` too, among others — and no lowered layer
+        // keeps one.
         let mut decided = BTreeSet::new();
         each_digest_layer(|what, layer| {
-            if walked_once(layer.geom()) {
-                return;
-            }
             let (bound, price) = (walk_bound(layer), PairTaps::of(layer).price());
             let flat = layer.flat_tiles().to_vec();
             let by_bound = bound > price;
             assert!(!layer.streams_built(), "{what}");
             let mut lowering = Lowering::new(layer.tiles()[0].stream(), layer.geom());
+            let once = lowering.once;
             let tiles = layer.tiles().iter();
             let read = |tile: &CompiledTile| lowering.read(tile.stream(), tile.c_first());
-            let cost: usize = tiles.map(read).map(|counts| counts.cost()).sum();
+            let cost: usize = tiles.map(read).map(|counts| counts.cost(once)).sum();
             assert!(bound <= cost, "{what}: bound {bound} > walks {cost}");
             let elected = if price < cost {
                 lower_dense(layer)
@@ -1197,9 +1235,41 @@ pub(super) mod tests {
                 decided.insert(what.to_string());
             }
         });
-        for conv in ["conv1", "conv2", "conv3"] {
-            let what = format!("lenet inq G = 2, Ct = 64, {conv}");
-            assert!(decided.contains(&what), "{what} was read");
+        for ct in [16, 64] {
+            for layer in ["conv1", "conv2", "conv3", "ip1", "ip2"] {
+                let what = format!("lenet inq G = 2, Ct = {ct}, {layer}");
+                assert!(decided.contains(&what), "{what} was read");
+            }
+        }
+    }
+
+    #[test]
+    fn the_flat_walk_terms_rank_both_reuse_fc_cells() {
+        // `repro reuse`'s two fully connected cells, 1024 channels into 32
+        // filters at density 0.9 on its seed, are priced by the flat walk's
+        // terms: the ternary one at G = 8 shares enough to walk (21 414
+        // against its dense tiles' 24 567), the INQ one at G = 2 does not
+        // (41 434), and its bound alone (32 492 against 24 567) elects its
+        // dense tiles without building a stream.
+        let geom = ConvGeom::new(1, 1, 1024, 32, 1, 1);
+        let cells = [
+            ("fc ttq i8", QuantScheme::ttq(), 8, 21_414, false),
+            ("fc 1x1", QuantScheme::inq(), 2, 41_434, true),
+        ];
+        for (what, scheme, g, walks, dense) in cells {
+            let mut wgen = WeightGen::new(scheme, 0xC0FFEE ^ 0xBA).with_density(0.9);
+            let weights = wgen.generate_dims(geom.k(), geom.c(), 1, 1);
+            let layer = CompiledLayer::compile(&geom, 1, &weights, &UcnnConfig::with_g(g));
+            let flat = layer.flat_tiles();
+            assert!(flat.iter().all(|tile| tile.is_dense() == dense), "{what}");
+            assert_eq!(PairTaps::of(&layer).price(), 24_567, "{what}");
+            let cost: usize = lower_walks(&layer)
+                .iter()
+                .map(|tile| lowered_counts(tile).cost(true))
+                .sum();
+            assert_eq!(cost, walks, "{what}");
+            assert_eq!(walk_bound(&layer) > 24_567, dense, "{what}");
+            check_lowering(&layer, what);
         }
     }
 

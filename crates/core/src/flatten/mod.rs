@@ -85,15 +85,19 @@
 //!   layer's input has one staged layout, so a layer is all walks or all
 //!   dense tiles, one election per layer (a tie keeps the walks): `G`
 //!   shapes only the walks. The same pass over the weights bounds the
-//!   walks' cost from below (`2·entries` plus one close per tile that reads
-//!   any), so a layer whose bound already exceeds its dense tiles' price
+//!   walks' cost from below (per tile that reads any, its entries and one
+//!   close), so a layer whose bound already exceeds its dense tiles' price
 //!   elects them without building a stream; only where the bound does not
 //!   settle it are the streams built and the walks read, priced and
 //!   lowered until they lose, and a layer whose walks win builds no dense
 //!   tile.
 //!
 //! Tiles walked once per chunk (every fully connected layer) keep the
-//! stream's order and sharing.
+//! stream's order and sharing and walk flat, priced by that walk's own
+//! terms: a gather and a row store per entry, a row load and a
+//! multiply-add per close, two row loads per outer segment. They enter
+//! the same election: INQ LeNet's `ip1` and `ip2` are dense tiles, packed
+//! without sorting a stream, while a ternary FC layer at `G = 8` walks.
 //!
 //! A tile is read once, into its stream's innermost groups, and both of its
 //! walks are counted by one rule: per walk, a key tuple per group in walk

@@ -125,8 +125,7 @@ fn dense_equivalent_matches_geometry_for_every_backend() {
 ///
 /// Across backends on LeNet (INQ, G = 2) the dense-equivalent is
 /// bit-identical. The flattened backend counts what its lowered tiles issue:
-/// as many multiplies as the stream walker on the fully connected layers,
-/// walked once in stream order, while every convolution's bands are dense
+/// every weight layer, the fully connected ones too, elects its dense
 /// tiles, which issue one multiply per non-zero weight through one gather
 /// per pair of channels and tap, shared by the band's filters: more
 /// multiplies than the stream walker's groups, fewer gathers.
@@ -180,28 +179,23 @@ fn tallies_are_bit_identical_across_backends_and_thread_counts() {
         let (name, work, walker) = (flat.layer.as_str(), &flat.work, &stream.work);
         assert_eq!(name, stream.layer);
         assert_eq!(work.dense_multiplies, walker.dense_multiplies);
-        match name {
-            "conv1" | "conv2" | "conv3" => {
-                let layer = plan.stages().iter().find_map(|stage| match stage {
-                    CompiledStage::Conv {
-                        name: at, layer, ..
-                    } if at == name => Some(layer),
-                    _ => None,
-                });
-                let layer = layer.expect("a weight layer");
-                let weights: usize = layer
-                    .tiles()
-                    .iter()
-                    .flat_map(|tile| tile.stream().entries())
-                    .map(|e| e.ranks.iter().filter(|&&r| r != ZERO_RANK).count())
-                    .sum();
-                let walks = layer.geom().out_w() * layer.geom().out_h() * inputs.len();
-                assert_eq!(work.multiplies_issued, (weights * walks) as u64, "{name}");
-                assert!(work.multiplies_issued > walker.multiplies_issued, "{name}");
-                assert!(work.gather_entries < walker.gather_entries, "{name}");
-            }
-            _ => assert_eq!(work.multiplies_issued, walker.multiplies_issued, "{name}"),
-        }
+        let layer = plan.stages().iter().find_map(|stage| match stage {
+            CompiledStage::Conv {
+                name: at, layer, ..
+            } if at == name => Some(layer),
+            _ => None,
+        });
+        let layer = layer.expect("a weight layer");
+        let weights: usize = layer
+            .tiles()
+            .iter()
+            .flat_map(|tile| tile.stream().entries())
+            .map(|e| e.ranks.iter().filter(|&&r| r != ZERO_RANK).count())
+            .sum();
+        let walks = layer.geom().out_w() * layer.geom().out_h() * inputs.len();
+        assert_eq!(work.multiplies_issued, (weights * walks) as u64, "{name}");
+        assert!(work.multiplies_issued > walker.multiplies_issued, "{name}");
+        assert!(work.gather_entries < walker.gather_entries, "{name}");
     }
 }
 

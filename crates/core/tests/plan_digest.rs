@@ -116,98 +116,109 @@ fn digests(plan: &CompiledNetwork) -> Vec<(String, u64, u64)> {
 /// pair-tap for its two passes, and at the price of what the kernel
 /// issues the shared walks win, as they already did at Ct = 64. Every G = 2
 /// row and every streams column is unchanged.
+///
+/// The rows marked `walk → dense (FC election)` were re-recorded when a
+/// layer walked once — a fully connected one — stopped being always walked
+/// and became, like every other layer, its dense tiles where they cost less
+/// than its walks, priced by the flat walk's own terms: LeNet's `ip1` and
+/// `ip2` on INQ weights at G = 1, 2 and 3 and on TTQ at G = 1 and 2, its
+/// TTQ `ip2` at G = 3, and `tiny`'s `fc` on INQ at G = 1, 2 and 3 and on
+/// TTQ at G = 1 and 2, each at both Ct; each lowered digest is now the
+/// layer's dense tiles, the same at every G. LeNet's TTQ `ip1` and `tiny`'s
+/// TTQ `fc` at G = 3 still walk, and their rows, every convolution's row
+/// and every streams column are unchanged.
 #[rustfmt::skip]
 const RECORDED: &[(&str, &str, usize, usize, &str, u64, u64)] = &[
     ("lenet", "inq", 1, 16, "conv1", 0x7ceadc3d0634f29d, 0xd7ee2993681de869), // re-recorded: two-filter dense
     ("lenet", "inq", 1, 16, "conv2", 0x7dd2c830e03fb277, 0xec85cae9d0afe5c9), // re-recorded: two-filter dense
     ("lenet", "inq", 1, 16, "conv3", 0x0c05419ad51ccb84, 0x49995d79aa68a84a), // re-recorded: two-filter dense
-    ("lenet", "inq", 1, 16, "ip1", 0x0273fdc84f00f802, 0xbb59b9a6017d270f), // re-recorded
-    ("lenet", "inq", 1, 16, "ip2", 0xa889adf4265c795f, 0xda84bc191573a59e), // re-recorded
+    ("lenet", "inq", 1, 16, "ip1", 0x0273fdc84f00f802, 0xa3d0b97ace4006b8), // re-recorded: walk → dense (FC election)
+    ("lenet", "inq", 1, 16, "ip2", 0xa889adf4265c795f, 0x9a18b79ad5532b8a), // re-recorded: walk → dense (FC election)
     ("lenet", "inq", 1, 64, "conv1", 0x7ceadc3d0634f29d, 0xd7ee2993681de869), // re-recorded: two-filter dense
     ("lenet", "inq", 1, 64, "conv2", 0x68101acd6e03a53d, 0xec85cae9d0afe5c9), // re-recorded: two-filter dense
     ("lenet", "inq", 1, 64, "conv3", 0x2c282b1455ffc5ee, 0x49995d79aa68a84a), // re-recorded: two-filter dense
-    ("lenet", "inq", 1, 64, "ip1", 0x0273fdc84f00f802, 0xbb59b9a6017d270f), // re-recorded
-    ("lenet", "inq", 1, 64, "ip2", 0xa889adf4265c795f, 0xda84bc191573a59e),
+    ("lenet", "inq", 1, 64, "ip1", 0x0273fdc84f00f802, 0xa3d0b97ace4006b8), // re-recorded: walk → dense (FC election)
+    ("lenet", "inq", 1, 64, "ip2", 0xa889adf4265c795f, 0x9a18b79ad5532b8a), // re-recorded: walk → dense (FC election)
     ("lenet", "inq", 2, 16, "conv1", 0x6989f6db809c75fd, 0xd7ee2993681de869), // re-recorded: dense
     ("lenet", "inq", 2, 16, "conv2", 0x93eecd8e41310594, 0xec85cae9d0afe5c9), // re-recorded: walk → dense
     ("lenet", "inq", 2, 16, "conv3", 0x2232da1387ccefd7, 0x49995d79aa68a84a), // re-recorded: walk → dense
-    ("lenet", "inq", 2, 16, "ip1", 0x2074e54b29df21bb, 0x63c5320b03750b87), // re-recorded
-    ("lenet", "inq", 2, 16, "ip2", 0xde72b039b0275425, 0xb406057e8e39b27d), // re-recorded
+    ("lenet", "inq", 2, 16, "ip1", 0x2074e54b29df21bb, 0xa3d0b97ace4006b8), // re-recorded: walk → dense (FC election)
+    ("lenet", "inq", 2, 16, "ip2", 0xde72b039b0275425, 0x9a18b79ad5532b8a), // re-recorded: walk → dense (FC election)
     ("lenet", "inq", 2, 64, "conv1", 0x6989f6db809c75fd, 0xd7ee2993681de869), // re-recorded: dense
     ("lenet", "inq", 2, 64, "conv2", 0x24583f6d0cb59691, 0xec85cae9d0afe5c9), // re-recorded: walk → dense
     ("lenet", "inq", 2, 64, "conv3", 0xa6f7ee4c4f4cf6df, 0x49995d79aa68a84a), // re-recorded: walk → dense
-    ("lenet", "inq", 2, 64, "ip1", 0x2074e54b29df21bb, 0x63c5320b03750b87), // re-recorded
-    ("lenet", "inq", 2, 64, "ip2", 0xde72b039b0275425, 0xb406057e8e39b27d),
+    ("lenet", "inq", 2, 64, "ip1", 0x2074e54b29df21bb, 0xa3d0b97ace4006b8), // re-recorded: walk → dense (FC election)
+    ("lenet", "inq", 2, 64, "ip2", 0xde72b039b0275425, 0x9a18b79ad5532b8a), // re-recorded: walk → dense (FC election)
     ("lenet", "inq", 3, 16, "conv1", 0xe3ec9d0c2a5a0277, 0xd7ee2993681de869), // re-recorded: two-filter dense
     ("lenet", "inq", 3, 16, "conv2", 0xd875a749622a2783, 0xec85cae9d0afe5c9), // re-recorded: two-filter dense
     ("lenet", "inq", 3, 16, "conv3", 0x07077e345db7caec, 0x49995d79aa68a84a), // re-recorded: two-filter dense
-    ("lenet", "inq", 3, 16, "ip1", 0xb2ff2abfb16f6a59, 0x64b5b4036ce6de4e), // re-recorded
-    ("lenet", "inq", 3, 16, "ip2", 0xd547900283359995, 0xd441b7607569f9d1), // re-recorded
+    ("lenet", "inq", 3, 16, "ip1", 0xb2ff2abfb16f6a59, 0xa3d0b97ace4006b8), // re-recorded: walk → dense (FC election)
+    ("lenet", "inq", 3, 16, "ip2", 0xd547900283359995, 0x9a18b79ad5532b8a), // re-recorded: walk → dense (FC election)
     ("lenet", "inq", 3, 64, "conv1", 0xe3ec9d0c2a5a0277, 0xd7ee2993681de869), // re-recorded: two-filter dense
     ("lenet", "inq", 3, 64, "conv2", 0x78a148163ca7735a, 0xec85cae9d0afe5c9), // re-recorded: two-filter dense
     ("lenet", "inq", 3, 64, "conv3", 0x1b7c4336a2e3fc37, 0x49995d79aa68a84a), // re-recorded: two-filter dense
-    ("lenet", "inq", 3, 64, "ip1", 0xb2ff2abfb16f6a59, 0x64b5b4036ce6de4e), // re-recorded
-    ("lenet", "inq", 3, 64, "ip2", 0xd547900283359995, 0xd441b7607569f9d1),
+    ("lenet", "inq", 3, 64, "ip1", 0xb2ff2abfb16f6a59, 0xa3d0b97ace4006b8), // re-recorded: walk → dense (FC election)
+    ("lenet", "inq", 3, 64, "ip2", 0xd547900283359995, 0x9a18b79ad5532b8a), // re-recorded: walk → dense (FC election)
     ("lenet", "ttq", 1, 16, "conv1", 0x8941ab03c5833d44, 0x248dbeae0332f2aa), // re-recorded: two-filter dense
     ("lenet", "ttq", 1, 16, "conv2", 0x965b261bfb51e016, 0x6875c4cc71d7ae78), // re-recorded: two-filter dense
     ("lenet", "ttq", 1, 16, "conv3", 0xb3c794d596cf53a1, 0xcbcdfc7b8182623c), // re-recorded: two-filter dense
-    ("lenet", "ttq", 1, 16, "ip1", 0x2e0c044183eb6915, 0x5bacf94cb9252b4b), // re-recorded
-    ("lenet", "ttq", 1, 16, "ip2", 0x0b9b359558f775aa, 0x6b9d2a4e794aaa3a), // re-recorded
+    ("lenet", "ttq", 1, 16, "ip1", 0x2e0c044183eb6915, 0x18ab0c0c25dbf20d), // re-recorded: walk → dense (FC election)
+    ("lenet", "ttq", 1, 16, "ip2", 0x0b9b359558f775aa, 0xf1d24d65b0e11e1c), // re-recorded: walk → dense (FC election)
     ("lenet", "ttq", 1, 64, "conv1", 0x8941ab03c5833d44, 0x248dbeae0332f2aa), // re-recorded: two-filter dense
     ("lenet", "ttq", 1, 64, "conv2", 0xba47f758d8bf77b9, 0x6875c4cc71d7ae78), // re-recorded: two-filter dense
     ("lenet", "ttq", 1, 64, "conv3", 0x7d94bcea077415e8, 0xcbcdfc7b8182623c), // re-recorded: two-filter dense
-    ("lenet", "ttq", 1, 64, "ip1", 0x2e0c044183eb6915, 0x5bacf94cb9252b4b), // re-recorded
-    ("lenet", "ttq", 1, 64, "ip2", 0x0b9b359558f775aa, 0x6b9d2a4e794aaa3a),
+    ("lenet", "ttq", 1, 64, "ip1", 0x2e0c044183eb6915, 0x18ab0c0c25dbf20d), // re-recorded: walk → dense (FC election)
+    ("lenet", "ttq", 1, 64, "ip2", 0x0b9b359558f775aa, 0xf1d24d65b0e11e1c), // re-recorded: walk → dense (FC election)
     ("lenet", "ttq", 2, 16, "conv1", 0xb9bf67bf1fb6ffe5, 0x248dbeae0332f2aa), // re-recorded: walk → dense
     ("lenet", "ttq", 2, 16, "conv2", 0xb3971382f864ad9e, 0x6875c4cc71d7ae78), // re-recorded: walk → dense
     ("lenet", "ttq", 2, 16, "conv3", 0xafdc1039d5fa6b0d, 0xcbcdfc7b8182623c), // re-recorded: walk → dense
-    ("lenet", "ttq", 2, 16, "ip1", 0x6332f2a87854a055, 0xb5489df2b990412d), // re-recorded
-    ("lenet", "ttq", 2, 16, "ip2", 0xaddb712222d58a02, 0x1334bdfd34ebd55c), // re-recorded
+    ("lenet", "ttq", 2, 16, "ip1", 0x6332f2a87854a055, 0x18ab0c0c25dbf20d), // re-recorded: walk → dense (FC election)
+    ("lenet", "ttq", 2, 16, "ip2", 0xaddb712222d58a02, 0xf1d24d65b0e11e1c), // re-recorded: walk → dense (FC election)
     ("lenet", "ttq", 2, 64, "conv1", 0xb9bf67bf1fb6ffe5, 0x248dbeae0332f2aa), // re-recorded: walk → dense
     ("lenet", "ttq", 2, 64, "conv2", 0x0c673e2f039b9a0c, 0x6875c4cc71d7ae78), // re-recorded: walk → dense
     ("lenet", "ttq", 2, 64, "conv3", 0xd9974b5d2fc0be94, 0xcbcdfc7b8182623c), // re-recorded: walk → dense
-    ("lenet", "ttq", 2, 64, "ip1", 0x6332f2a87854a055, 0xb5489df2b990412d), // re-recorded
-    ("lenet", "ttq", 2, 64, "ip2", 0xaddb712222d58a02, 0x1334bdfd34ebd55c),
+    ("lenet", "ttq", 2, 64, "ip1", 0x6332f2a87854a055, 0x18ab0c0c25dbf20d), // re-recorded: walk → dense (FC election)
+    ("lenet", "ttq", 2, 64, "ip2", 0xaddb712222d58a02, 0xf1d24d65b0e11e1c), // re-recorded: walk → dense (FC election)
     ("lenet", "ttq", 3, 16, "conv1", 0x818c71e911296e31, 0x248dbeae0332f2aa), // re-recorded: two-filter dense
     ("lenet", "ttq", 3, 16, "conv2", 0x16ad1351a1956298, 0xb3c95e32d458f183), // re-recorded: dense → walk
     ("lenet", "ttq", 3, 16, "conv3", 0x5a58a633562a54f2, 0x516acaacb9ce3232), // re-recorded: dense → walk
     ("lenet", "ttq", 3, 16, "ip1", 0x50a43fd50c7e04cf, 0xf344f3e0355828bf), // re-recorded
-    ("lenet", "ttq", 3, 16, "ip2", 0xda39a313d55c9e3d, 0x5aa258501b21b061), // re-recorded
+    ("lenet", "ttq", 3, 16, "ip2", 0xda39a313d55c9e3d, 0xf1d24d65b0e11e1c), // re-recorded: walk → dense (FC election)
     ("lenet", "ttq", 3, 64, "conv1", 0x818c71e911296e31, 0x248dbeae0332f2aa), // re-recorded: two-filter dense
     ("lenet", "ttq", 3, 64, "conv2", 0x5065ba7f9f4b7fd9, 0xe808ca4c528b22c1),
     ("lenet", "ttq", 3, 64, "conv3", 0xff46fbc1ba738399, 0xe540bc0a6749ea87),
     ("lenet", "ttq", 3, 64, "ip1", 0x50a43fd50c7e04cf, 0xf344f3e0355828bf), // re-recorded
-    ("lenet", "ttq", 3, 64, "ip2", 0xda39a313d55c9e3d, 0x5aa258501b21b061),
+    ("lenet", "ttq", 3, 64, "ip2", 0xda39a313d55c9e3d, 0xf1d24d65b0e11e1c), // re-recorded: walk → dense (FC election)
     ("tiny", "inq", 1, 16, "conv1", 0xf79757f47fc2e009, 0xd61f84d0bc21d2be), // re-recorded: two-filter dense
     ("tiny", "inq", 1, 16, "conv2", 0x99a45af56e456221, 0x1498aa8aebe49bc0), // re-recorded: two-filter dense
-    ("tiny", "inq", 1, 16, "fc", 0x1abf339e8c282ec4, 0x963ca6f5c7ae970e), // re-recorded
+    ("tiny", "inq", 1, 16, "fc", 0x1abf339e8c282ec4, 0x1b2f9f0c8b1ab11b), // re-recorded: walk → dense (FC election)
     ("tiny", "inq", 1, 64, "conv1", 0xf79757f47fc2e009, 0xd61f84d0bc21d2be), // re-recorded: two-filter dense
     ("tiny", "inq", 1, 64, "conv2", 0x99a45af56e456221, 0x1498aa8aebe49bc0), // re-recorded: two-filter dense
-    ("tiny", "inq", 1, 64, "fc", 0x1abf339e8c282ec4, 0x963ca6f5c7ae970e), // re-recorded
+    ("tiny", "inq", 1, 64, "fc", 0x1abf339e8c282ec4, 0x1b2f9f0c8b1ab11b), // re-recorded: walk → dense (FC election)
     ("tiny", "inq", 2, 16, "conv1", 0xb56c7bed08a5b8c8, 0xd61f84d0bc21d2be), // re-recorded: dense
     ("tiny", "inq", 2, 16, "conv2", 0xa9f4102be6b9f215, 0x1498aa8aebe49bc0), // re-recorded: dense
-    ("tiny", "inq", 2, 16, "fc", 0x7d63251e44774711, 0x6dabc6d12265d073), // re-recorded
+    ("tiny", "inq", 2, 16, "fc", 0x7d63251e44774711, 0x1b2f9f0c8b1ab11b), // re-recorded: walk → dense (FC election)
     ("tiny", "inq", 2, 64, "conv1", 0xb56c7bed08a5b8c8, 0xd61f84d0bc21d2be), // re-recorded: dense
     ("tiny", "inq", 2, 64, "conv2", 0xa9f4102be6b9f215, 0x1498aa8aebe49bc0), // re-recorded: dense
-    ("tiny", "inq", 2, 64, "fc", 0x7d63251e44774711, 0x6dabc6d12265d073), // re-recorded
+    ("tiny", "inq", 2, 64, "fc", 0x7d63251e44774711, 0x1b2f9f0c8b1ab11b), // re-recorded: walk → dense (FC election)
     ("tiny", "inq", 3, 16, "conv1", 0xeb9eb5c163b6bed9, 0xd61f84d0bc21d2be), // re-recorded: two-filter dense
     ("tiny", "inq", 3, 16, "conv2", 0x3dc5b6be33f8cc8e, 0x1498aa8aebe49bc0), // re-recorded: two-filter dense
-    ("tiny", "inq", 3, 16, "fc", 0x7a5ed739b244aa98, 0x6991e64a3c4ac379), // re-recorded
+    ("tiny", "inq", 3, 16, "fc", 0x7a5ed739b244aa98, 0x1b2f9f0c8b1ab11b), // re-recorded: walk → dense (FC election)
     ("tiny", "inq", 3, 64, "conv1", 0xeb9eb5c163b6bed9, 0xd61f84d0bc21d2be), // re-recorded: two-filter dense
     ("tiny", "inq", 3, 64, "conv2", 0x3dc5b6be33f8cc8e, 0x1498aa8aebe49bc0), // re-recorded: two-filter dense
-    ("tiny", "inq", 3, 64, "fc", 0x7a5ed739b244aa98, 0x6991e64a3c4ac379), // re-recorded
+    ("tiny", "inq", 3, 64, "fc", 0x7a5ed739b244aa98, 0x1b2f9f0c8b1ab11b), // re-recorded: walk → dense (FC election)
     ("tiny", "ttq", 1, 16, "conv1", 0x3aa72b8ae1e0aa3d, 0xa98a796f191f09b3), // re-recorded: two-filter dense
     ("tiny", "ttq", 1, 16, "conv2", 0x457b263a6a165cf3, 0x8c1d628422fc6698), // re-recorded: two-filter dense
-    ("tiny", "ttq", 1, 16, "fc", 0x6a8004654dd5ef44, 0xb8120da6d8b64256), // re-recorded
+    ("tiny", "ttq", 1, 16, "fc", 0x6a8004654dd5ef44, 0x7eb77cc4949df464), // re-recorded: walk → dense (FC election)
     ("tiny", "ttq", 1, 64, "conv1", 0x3aa72b8ae1e0aa3d, 0xa98a796f191f09b3), // re-recorded: two-filter dense
     ("tiny", "ttq", 1, 64, "conv2", 0x457b263a6a165cf3, 0x8c1d628422fc6698), // re-recorded: two-filter dense
-    ("tiny", "ttq", 1, 64, "fc", 0x6a8004654dd5ef44, 0xb8120da6d8b64256), // re-recorded
+    ("tiny", "ttq", 1, 64, "fc", 0x6a8004654dd5ef44, 0x7eb77cc4949df464), // re-recorded: walk → dense (FC election)
     ("tiny", "ttq", 2, 16, "conv1", 0xaef8106a4a3b5bb0, 0xa98a796f191f09b3), // re-recorded: walk → dense
     ("tiny", "ttq", 2, 16, "conv2", 0xe3043bc45841c853, 0x8c1d628422fc6698), // re-recorded: walk → dense
-    ("tiny", "ttq", 2, 16, "fc", 0xc2b03bb918c75526, 0x69c2cdb0ecd5cd65), // re-recorded
+    ("tiny", "ttq", 2, 16, "fc", 0xc2b03bb918c75526, 0x7eb77cc4949df464), // re-recorded: walk → dense (FC election)
     ("tiny", "ttq", 2, 64, "conv1", 0xaef8106a4a3b5bb0, 0xa98a796f191f09b3), // re-recorded: walk → dense
     ("tiny", "ttq", 2, 64, "conv2", 0xe3043bc45841c853, 0x8c1d628422fc6698), // re-recorded: walk → dense
-    ("tiny", "ttq", 2, 64, "fc", 0xc2b03bb918c75526, 0x69c2cdb0ecd5cd65), // re-recorded
+    ("tiny", "ttq", 2, 64, "fc", 0xc2b03bb918c75526, 0x7eb77cc4949df464), // re-recorded: walk → dense (FC election)
     ("tiny", "ttq", 3, 16, "conv1", 0x62a51de228208dde, 0xa98a796f191f09b3), // re-recorded: two-filter dense
     ("tiny", "ttq", 3, 16, "conv2", 0x2cad4d171bb86070, 0x8c1d628422fc6698), // re-recorded: two-filter dense
     ("tiny", "ttq", 3, 16, "fc", 0x13924e53aef8ba43, 0xd1b8e757d7a4a0ff), // re-recorded
