@@ -7,6 +7,8 @@
 //! tile by tile. Streams are transient — only statistics are retained — so
 //! compiling ResNet-50-sized layers stays cheap in memory.
 
+use std::ops::Range;
+
 use ucnn_tensor::Tensor4;
 
 use crate::encoding::{table_cost, weight_value_bits, EncodingParams, TableCost};
@@ -84,6 +86,37 @@ impl UcnnConfig {
         assert!(c > 0, "layer channel count must be positive");
         self.ct.min(c)
     }
+}
+
+/// The work units of a layer of `k` filters over `c` channels a conv group,
+/// in `conv_groups` groups, cut `g` filters by `ct` channels: per unit its
+/// absolute filters, its channels within its conv group and its absolute
+/// first channel. Band by band — `≤ g` filters of one conv group, its last
+/// band ragged — and within a band its channel tiles in order, the last
+/// ragged; `ct ≥ c` makes a band one tile.
+///
+/// The one place a layer is cut (§IV, Fig. 8): compiled statistics and the
+/// functional walk use `G` and [`UcnnConfig::effective_ct`], a
+/// [`CompiledLayer`](crate::plan::CompiledLayer) its own `G` and `Ct`, and
+/// its dense tiles bands of two filters over a whole conv group.
+pub(crate) fn tile_spans(
+    k: usize,
+    c: usize,
+    conv_groups: usize,
+    g: usize,
+    ct: usize,
+) -> impl Iterator<Item = (Range<usize>, Range<usize>, usize)> {
+    let k_group = k / conv_groups;
+    let bands = (0..conv_groups).flat_map(move |cg| {
+        let k_base = cg * k_group;
+        (0..k_group)
+            .step_by(g)
+            .map(move |k0| (cg, k_base + k0..k_base + (k0 + g).min(k_group)))
+    });
+    bands.flat_map(move |(cg, ks)| {
+        let channels = (0..c).step_by(ct).map(move |c0| c0..(c0 + ct).min(c));
+        channels.map(move |cs| (ks.clone(), cs.clone(), cg * c + cs.start))
+    })
 }
 
 /// Statistics for one compiled tile (also used as an accumulator across
@@ -292,29 +325,26 @@ pub fn compile_layer_sampled(
     let total_units = k.div_ceil(config.g);
     let units_to_compile = total_units.min(max_units.max(1));
 
-    let mut units = Vec::with_capacity(units_to_compile);
+    let mut units: Vec<UnitStats> = Vec::with_capacity(units_to_compile);
     let mut totals = TileStats::default();
     let mut slices: Vec<&[i16]> = Vec::with_capacity(config.g);
-    for unit in 0..units_to_compile {
-        let first = unit * config.g;
-        let last = (first + config.g).min(k);
-        let mut stats = TileStats::default();
-        let mut c0 = 0usize;
-        while c0 < c {
-            let c1 = (c0 + ct).min(c);
-            slices.clear();
-            slices.extend((first..last).map(|ki| &weights.filter(ki)[c0 * rs..c1 * rs]));
-            let stream = builder.build(&slices);
-            let tile = tile_stats(&stream, config);
-            stats.add(&tile);
-            c0 = c1;
+    let spans = tile_spans(k, c, 1, config.g, ct);
+    for (ks, cs, _) in spans.take_while(|(ks, ..)| ks.start < units_to_compile * config.g) {
+        if units
+            .last()
+            .is_none_or(|unit| unit.first_filter != ks.start)
+        {
+            units.push(UnitStats {
+                first_filter: ks.start,
+                filters: ks.len(),
+                stats: TileStats::default(),
+            });
         }
-        totals.add(&stats);
-        units.push(UnitStats {
-            first_filter: first,
-            filters: last - first,
-            stats,
-        });
+        slices.clear();
+        slices.extend(ks.map(|ki| &weights.filter(ki)[cs.start * rs..cs.end * rs]));
+        let tile = tile_stats(&builder.build(&slices), config);
+        totals.add(&tile);
+        units.last_mut().expect("a unit per band").stats.add(&tile);
     }
 
     let compiled_filters: usize = units.iter().map(|u| u.filters).sum();
@@ -539,6 +569,46 @@ mod tests {
         assert!(oversized.totals().entries > 0);
         assert_eq!(oversized.totals(), exact.totals());
         assert_eq!(oversized.units(), exact.units());
+    }
+
+    #[test]
+    fn tile_spans_match_a_nested_enumeration() {
+        // The one tiling rule against the loops every user once wrote: per
+        // conv group, bands of `g` filters, each over channel tiles of
+        // `ct`. The grid has ragged last bands and G above K / conv_groups,
+        // Ct above C and Ct = 1, and two conv groups of odd C, whose second
+        // starts on the high half of a channel pair.
+        let shapes = [(5, 4, 1), (6, 7, 1), (10, 3, 2), (6, 5, 2), (9, 1, 3)];
+        for (k, c, conv_groups) in shapes {
+            let k_group = k / conv_groups;
+            for g in [1, 2, 3, k_group, k_group + 2] {
+                for ct in [1, 2, 3, c, c + 5] {
+                    let mut nested = Vec::new();
+                    for cg in 0..conv_groups {
+                        let mut k0 = 0;
+                        while k0 < k_group {
+                            let k1 = (k0 + g).min(k_group);
+                            let mut c0 = 0;
+                            while c0 < c {
+                                let c1 = (c0 + ct).min(c);
+                                let ks = cg * k_group + k0..cg * k_group + k1;
+                                nested.push((ks, c0..c1, cg * c + c0));
+                                c0 = c1;
+                            }
+                            k0 = k1;
+                        }
+                    }
+                    let spans: Vec<_> = tile_spans(k, c, conv_groups, g, ct).collect();
+                    assert_eq!(
+                        spans, nested,
+                        "K = {k}, C = {c}, {conv_groups} groups, G = {g}, Ct = {ct}"
+                    );
+                }
+            }
+        }
+        // Group 1 of two of 3 channels starts at channel 3, a pair's high half.
+        let firsts: Vec<_> = tile_spans(10, 3, 2, 2, 3).map(|(.., c)| c).collect();
+        assert_eq!(firsts, [0, 0, 0, 3, 3, 3]);
     }
 
     #[test]

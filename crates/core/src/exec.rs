@@ -9,7 +9,7 @@
 use ucnn_model::reference;
 use ucnn_tensor::{ConvGeom, Tensor3, Tensor4};
 
-use crate::compile::{canonical_of_tensor, UcnnConfig};
+use crate::compile::{canonical_of_tensor, tile_spans, UcnnConfig};
 use crate::hierarchy::{GroupStream, ZERO_RANK};
 use crate::plan::CompiledLayer;
 
@@ -60,7 +60,6 @@ pub fn factorized_conv(
     let rs = r_dim * s_dim;
     let stride = geom.stride() as isize;
     let pad = geom.pad() as isize;
-    let k_per_group = geom.k() / conv_groups;
     let ct = config.effective_ct(c_dim);
     let mut builder = canonical_of_tensor(filters);
     let mut slices: Vec<&[i16]> = Vec::with_capacity(config.g);
@@ -68,37 +67,15 @@ pub fn factorized_conv(
     let mut out = Tensor3::<i32>::zeros(geom.k(), out_w, out_h);
     let (mut psum, mut reg) = (Vec::new(), Vec::new());
 
-    for cg in 0..conv_groups {
-        let k_base = cg * k_per_group;
-        let c_base = cg * c_dim;
-        let mut k0 = 0usize;
-        while k0 < k_per_group {
-            let k1 = (k0 + config.g).min(k_per_group);
-            let mut c0 = 0usize;
-            while c0 < c_dim {
-                let c1 = (c0 + ct).min(c_dim);
-                slices.clear();
-                slices.extend((k0..k1).map(|ki| &filters.filter(k_base + ki)[c0 * rs..c1 * rs]));
-                let stream = builder.build(&slices);
-                accumulate_tile(
-                    &stream,
-                    input,
-                    &mut out,
-                    k_base + k0,
-                    c_base + c0,
-                    rs,
-                    s_dim,
-                    stride,
-                    pad,
-                    out_w,
-                    out_h,
-                    &mut psum,
-                    &mut reg,
-                );
-                c0 = c1;
-            }
-            k0 = k1;
-        }
+    for (ks, cs, c_first) in tile_spans(geom.k(), c_dim, conv_groups, config.g, ct) {
+        let k_first = ks.start;
+        slices.clear();
+        slices.extend(ks.map(|ki| &filters.filter(ki)[cs.start * rs..cs.end * rs]));
+        let stream = builder.build(&slices);
+        accumulate_tile(
+            &stream, input, &mut out, k_first, c_first, rs, s_dim, stride, pad, out_w, out_h,
+            &mut psum, &mut reg,
+        );
     }
     out
 }

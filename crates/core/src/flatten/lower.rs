@@ -13,6 +13,7 @@ use std::ops::Range;
 
 use ucnn_tensor::ConvGeom;
 
+use crate::compile::tile_spans;
 use crate::hierarchy::{DigitSort, GroupStream, NO_CLOSE, ZERO_RANK};
 use crate::plan::CompiledLayer;
 
@@ -213,7 +214,10 @@ impl FoldKeys {
 /// Where the positions of a channel tile read, in the zero-haloed staged
 /// plane, for output position (0, 0) and a tile whose first channel is 0.
 /// Staged coordinates already carry the halo: filter tap `(r, s)` of
-/// channel `c` reads staged cell `(c, r, s)`, whatever the padding.
+/// channel `c` reads staged cell `(c, r, s)`, whatever the padding. A
+/// dense tile's positions are its pair-taps, over a plane staged two
+/// channels to a cell: its channel `c` is a pair, its first the pair it
+/// starts in.
 struct TileOffsets {
     /// Per tile position `(c · R + r) · S + s`, ascending.
     of: Vec<u32>,
@@ -396,22 +400,31 @@ impl Walk {
 /// [`walked_once`] (a fully connected one) too, its walks priced by the
 /// flat walk's terms.
 ///
-/// The dense tiles are priced from the layer's weights, and so is a lower
-/// bound on the walks' cost ([`walk_bound`]): a layer whose bound already
-/// exceeds its dense tiles' price is its dense tiles, and neither reads
-/// nor builds a stream. Otherwise each tile's stream is built, read,
-/// priced, lowered and dropped in turn, and lowering stops at the first
-/// tile that takes the walks' cost past the dense tiles': no tile is read
-/// twice, no stream outlives its tile's walk, and a layer whose walks win
-/// builds no dense tile. The walks cost at least the bound, so the bound
-/// decides no layer the full read would not.
+/// The dense tiles are built first, straight from the layer's weights, and
+/// priced from their pair-taps; a lower bound on the walks' cost comes
+/// from the weights too ([`walk_bound`]). A layer whose bound already
+/// exceeds the dense price is its dense tiles, and neither reads nor
+/// builds a stream. Otherwise each tile's stream is built, read, priced,
+/// lowered and dropped in turn, and lowering stops at the first tile that
+/// takes the walks' cost past the dense tiles': no tile is read twice and
+/// no stream outlives its tile's walk. A layer whose walks win has built
+/// its dense tiles for nothing: on TTQ LeNet at G = 3 and 4, whose
+/// convolutions walk, that is ≈ 5–8 % more lowering time (docs/LAB.md
+/// Part 27). The walks cost at least the bound, so the bound decides no
+/// layer the full read would not.
 pub(crate) fn lower_layer(layer: &CompiledLayer) -> Vec<FlattenedTile> {
-    let dense = PairTaps::of(layer);
-    let price = dense.price();
+    let dense = lower_dense(layer);
+    let price = dense_price(&dense);
     if walk_bound(layer) > price {
-        return dense.tiles();
+        return dense;
     }
-    walks_within(layer, price).unwrap_or_else(|| dense.tiles())
+    walks_within(layer, price).unwrap_or(dense)
+}
+
+/// The summed [`WalkCounts::dense`] of a layer's dense tiles.
+fn dense_price(tiles: &[FlattenedTile]) -> usize {
+    let price = |tile: &FlattenedTile| WalkCounts::dense(tile.entry_count(), tile.g);
+    tiles.iter().map(price).sum()
 }
 
 /// The layer's walks, each tile's stream built, read, priced and lowered
@@ -468,49 +481,40 @@ fn walk_bound(layer: &CompiledLayer) -> usize {
 /// Lowers a layer as its dense tiles, whatever [`lower_layer`] elects: the
 /// election's dense side — of every layer, one walked once too — and the
 /// same-datapath dense yardstick the elected lowering is timed against.
+///
+/// A dense tile is a band of two filters over its whole conv group
+/// ([`tile_spans`] at `G = 2`, `Ct = C`), the last of an odd group alone,
+/// so no tile spans a group and `G` does not enter. Its `C` channels span
+/// `⌈C/2⌉` pairs from pair `⌊c_first/2⌋`, whichever channel it starts at.
+/// Its filters are packed into one row buffer, reused from tile to tile:
+/// per pair-tap `(2c, 2c + 1, r, s)`, its first filter's packed pair in
+/// the low half and its second's in the high (a zero pair after a lone
+/// filter). A pair-tap where either filter holds a weight is lowered at
+/// its [`TileOffsets`] offset over pair cells; one where neither does is
+/// not.
 pub(crate) fn lower_dense(layer: &CompiledLayer) -> Vec<FlattenedTile> {
-    PairTaps::of(layer).tiles()
-}
-
-/// A layer's dense tiles as one table, filled from its weights. Each conv
-/// group's filters are cut into tiles of two, the last of an odd group
-/// alone, so no tile spans a group and `G` does not enter. A tile holds,
-/// per pair-tap `(2c, 2c + 1, r, s)` of its group's channels — a group's
-/// `C` channels span `⌈C/2⌉` pairs from pair `⌊cg·C/2⌋`, whichever channel
-/// it starts at — both filters' packed pairs (a zero pair after a lone
-/// filter); a pair-tap where neither filter has a weight is not lowered.
-struct PairTaps {
-    geom: ConvGeom,
-    conv_groups: usize,
-    /// Per tile, `span` pair-taps in ascending order, each its first
-    /// filter's packed pair in the low half and its second's in the high.
-    rows: Vec<u64>,
-    span: usize,
-    /// Per tile, its filters' non-zero weights.
-    weights: Vec<usize>,
-}
-
-impl PairTaps {
-    fn of(layer: &CompiledLayer) -> Self {
-        let (geom, conv_groups) = (*layer.geom(), layer.conv_groups());
-        let (c_dim, k_group, rs) = (geom.c(), geom.k() / conv_groups, geom.r() * geom.s());
-        let (per_group, span) = (k_group.div_ceil(2), c_dim.div_ceil(2) * rs);
-        let mut rows = vec![0u64; conv_groups * per_group * span];
-        let mut weights = vec![0; conv_groups * per_group];
-        for k in 0..geom.k() {
-            let (cg, kg) = (k / k_group, k % k_group);
-            let t = cg * per_group + kg / 2;
+    let geom = layer.geom();
+    let (c_dim, rs) = (geom.c(), geom.r() * geom.s());
+    // A staged pair cell is what a channel's cell is to a walk.
+    let offsets = TileOffsets::new(c_dim.div_ceil(2) * rs, geom);
+    let mut rows = vec![0u64; offsets.of.len()];
+    let spans = tile_spans(geom.k(), c_dim, layer.conv_groups(), 2, c_dim);
+    let mut tiles = Vec::with_capacity(geom.k().div_ceil(2));
+    for (ks, _, c_first) in spans {
+        rows.fill(0);
+        let mut multiplies = 0;
+        for (slot, k) in ks.clone().enumerate() {
             let filter = layer.filter(k);
-            weights[t] += filter.iter().filter(|&&w| w != 0).count();
+            multiplies += filter.iter().filter(|&&w| w != 0).count();
             let pack = |lo: i16, hi: i16| {
-                (u64::from(lo as u16) | u64::from(hi as u16) << 16) << (32 * (kg % 2))
+                (u64::from(lo as u16) | u64::from(hi as u16) << 16) << (32 * slot)
             };
             // Channel `c` is the `c % 2` half of its pair's row, both
-            // channels of a pair packed in one pass: a group's odd first
-            // channel is the high half of its first row alone, an odd last
-            // channel the low half of its last.
-            let mut pair_rows = rows[t * span..][..span].chunks_exact_mut(rs);
-            let (lead, rest) = filter.split_at(rs * (cg * c_dim % 2));
+            // channels of a pair packed in one pass: an odd first channel
+            // is the high half of the first row alone, an odd last channel
+            // the low half of the last.
+            let mut pair_rows = rows.chunks_exact_mut(rs);
+            let (lead, rest) = filter.split_at(rs * (c_first % 2));
             let pairs = rest.chunks_exact(2 * rs);
             let last = pairs.remainder();
             if !lead.is_empty() {
@@ -532,72 +536,30 @@ impl PairTaps {
                 }
             }
         }
-        Self {
-            geom,
-            conv_groups,
-            rows,
-            span,
-            weights,
+        let shift = u32::try_from(c_first / 2 * offsets.channel).expect("input offset fits u32");
+        let last = offsets.of.last().expect("a tile reads a pair-tap");
+        last.checked_add(shift).expect("input offset fits u32");
+        let taps = rows.iter().filter(|&&pair| pair != 0).count();
+        let (mut base, mut pairs) = (Vec::with_capacity(taps), Vec::with_capacity(2 * taps));
+        for (&offset, &pair) in offsets.of.iter().zip(&rows) {
+            if pair != 0 {
+                base.push(offset + shift);
+                pairs.extend([pair as u32 as i32, (pair >> 32) as u32 as i32]);
+            }
         }
+        tiles.push(FlattenedTile {
+            k_first: ks.start,
+            g: ks.len(),
+            base,
+            closes: Vec::new(),
+            rows: 0,
+            seg_ptr: Vec::new(),
+            segs: Vec::new(),
+            pairs: Some(pairs),
+            multiplies,
+        });
     }
-
-    /// Per tile, `(k_first, g, rows)`.
-    fn each(&self) -> impl Iterator<Item = (usize, usize, &[u64])> + '_ {
-        let k_group = self.geom.k() / self.conv_groups;
-        let per_group = k_group.div_ceil(2);
-        let tiles = self.rows.chunks_exact(self.span).enumerate();
-        tiles.map(move |(t, rows)| {
-            let (cg, k) = (t / per_group, 2 * (t % per_group));
-            (cg * k_group + k, (k_group - k).min(2), rows)
-        })
-    }
-
-    /// The pair-taps of a tile's `rows` where either filter has a weight.
-    fn taps(rows: &[u64]) -> usize {
-        rows.iter().filter(|&&pair| pair != 0).count()
-    }
-
-    /// The tiles' summed [`WalkCounts::dense`], counted from the table.
-    fn price(&self) -> usize {
-        let price = |(_, g, rows)| WalkCounts::dense(Self::taps(rows), g);
-        self.each().map(price).sum()
-    }
-
-    /// The dense tiles.
-    fn tiles(&self) -> Vec<FlattenedTile> {
-        let geom = &self.geom;
-        let (rs, s, ph) = (geom.r() * geom.s(), geom.s(), geom.in_h() + 2 * geom.pad());
-        let channel = (geom.in_w() + 2 * geom.pad()) * ph;
-        let k_group = geom.k() / self.conv_groups;
-        // Per tap, its offset within a staged channel.
-        let offsets: Vec<usize> = (0..rs).map(|tap| tap / s * ph + tap % s).collect();
-        let tile = |((k_first, g, rows), &multiplies): ((usize, usize, &[u64]), &usize)| {
-            let taps = Self::taps(rows);
-            let (mut base, mut pairs) = (Vec::with_capacity(taps), Vec::with_capacity(2 * taps));
-            let first_pair = k_first / k_group * geom.c() / 2;
-            for (at, rows) in (first_pair..).zip(rows.chunks_exact(rs)) {
-                for (&offset, &pair) in offsets.iter().zip(rows) {
-                    if pair != 0 {
-                        let offset = at * channel + offset;
-                        base.push(u32::try_from(offset).expect("input offset fits u32"));
-                        pairs.extend([pair as u32 as i32, (pair >> 32) as u32 as i32]);
-                    }
-                }
-            }
-            FlattenedTile {
-                k_first,
-                g,
-                base,
-                closes: Vec::new(),
-                rows: 0,
-                seg_ptr: Vec::new(),
-                segs: Vec::new(),
-                pairs: Some(pairs),
-                multiplies,
-            }
-        };
-        self.each().zip(&self.weights).map(tile).collect()
-    }
+    tiles
 }
 
 /// One layer's lowering of its walks: what they share — whether its tiles
@@ -1103,14 +1065,10 @@ pub(super) mod tests {
             dense_cost += WalkCounts::dense(table.len(), g);
         }
 
-        // The election's inputs from the weights: the dense tiles' price as
-        // the table from the streams prices them, and a bound the walks
-        // never cost less than.
-        assert_eq!(
-            PairTaps::of(layer).price(),
-            dense_cost,
-            "{what}: dense price"
-        );
+        // The election's inputs: the dense tiles' price, as the table from
+        // the streams prices them, and a bound from the weights that the
+        // walks never cost less than.
+        assert_eq!(dense_price(dense), dense_cost, "{what}: dense price");
         let bound = walk_bound(layer);
         assert!(
             bound <= walk_cost,
@@ -1215,7 +1173,7 @@ pub(super) mod tests {
         // keeps one.
         let mut decided = BTreeSet::new();
         each_digest_layer(|what, layer| {
-            let (bound, price) = (walk_bound(layer), PairTaps::of(layer).price());
+            let (bound, price) = (walk_bound(layer), dense_price(&lower_dense(layer)));
             let flat = layer.flat_tiles().to_vec();
             let by_bound = bound > price;
             assert!(!layer.streams_built(), "{what}");
@@ -1262,7 +1220,7 @@ pub(super) mod tests {
             let layer = CompiledLayer::compile(&geom, 1, &weights, &UcnnConfig::with_g(g));
             let flat = layer.flat_tiles();
             assert!(flat.iter().all(|tile| tile.is_dense() == dense), "{what}");
-            assert_eq!(PairTaps::of(&layer).price(), 24_567, "{what}");
+            assert_eq!(dense_price(&lower_dense(&layer)), 24_567, "{what}");
             let cost: usize = lower_walks(&layer)
                 .iter()
                 .map(|tile| lowered_counts(tile).cost(true))

@@ -80,17 +80,22 @@
 //!   packed `(w_2c, w_2c+1)` `i16` pairs, no closes, kept rows or segments
 //!   — one load and one multiply-add per filter a pair-tap
 //!   (`WalkCounts::dense`, in the same units as the walk's
-//!   `WalkCounts::cost`). They are filled straight from the layer's
-//!   weights, for the election and for the dense yardstick alike. A
-//!   layer's input has one staged layout, so a layer is all walks or all
-//!   dense tiles, one election per layer (a tie keeps the walks): `G`
-//!   shapes only the walks. The same pass over the weights bounds the
-//!   walks' cost from below (per tile that reads any, its entries and one
-//!   close), so a layer whose bound already exceeds its dense tiles' price
-//!   elects them without building a stream; only where the bound does not
-//!   settle it are the streams built and the walks read, priced and
-//!   lowered until they lose, and a layer whose walks win builds no dense
-//!   tile.
+//!   `WalkCounts::cost`). They are packed straight from the layer's
+//!   weights, a band of two filters at a time (`compile::tile_spans`, the
+//!   one rule that cuts a layer), for the election and for the dense
+//!   yardstick alike, and priced from what they hold. A layer's input has
+//!   one staged layout, so a layer is all walks or all dense tiles, one
+//!   election per layer (a tie keeps the walks): `G` shapes only the
+//!   walks. The walks' cost is bounded from below from the weights too
+//!   (per tile that reads any, its entries and one close), so a layer
+//!   whose bound already exceeds its dense tiles' price elects them
+//!   without building a stream; only where the bound does not settle it
+//!   are the streams built and the walks read, priced and lowered until
+//!   they lose. Every layer builds its dense tiles, so a layer whose walks
+//!   win drops them: TTQ LeNet at G = 3 and 4, whose convolutions walk,
+//!   lowers ≈ 5–8 % slower for it, while INQ LeNet at G = 2, all dense
+//!   tiles, lowers in ≈ 0.77× the time it took to fill a whole-layer
+//!   pair-tap table and scan it twice (docs/LAB.md Part 27).
 //!
 //! Tiles walked once per chunk (every fully connected layer) keep the
 //! stream's order and sharing and walk flat, priced by that walk's own

@@ -35,7 +35,7 @@ use ucnn_model::{LayerKind, NetworkSpec, PoolKind};
 use ucnn_tensor::{ConvGeom, Tensor3, Tensor4};
 
 use crate::backend::BackendKind;
-use crate::compile::{canonical_of, UcnnConfig};
+use crate::compile::{canonical_of, tile_spans, UcnnConfig};
 use crate::flatten::{lower_dense, lower_layer, walked_once, Dims, FlattenedTile};
 use crate::hierarchy::{GroupStream, MAX_G};
 
@@ -120,9 +120,11 @@ pub struct CompiledLayer {
     /// ([`CompiledNetwork::DEFAULT_BACKEND`]) runs through it; a deployment
     /// pinned to a stream-walking backend — the serving engine's default is
     /// one — never builds it and pays neither the lowering work nor the
-    /// extra resident memory. Lowering a layer whose weights alone show its
-    /// dense tiles cheaper (`lower_layer`'s bound) reads only `filters`;
-    /// any other sorts its streams one tile at a time and keeps none.
+    /// extra resident memory. Lowering packs every layer's dense tiles
+    /// from `filters`; a layer whose weights alone show them cheaper
+    /// (`lower_layer`'s bound) reads nothing else, and any other sorts its
+    /// streams one tile at a time, keeping none, and drops the dense tiles
+    /// if its walks win.
     flat: OnceLock<Vec<FlattenedTile>>,
 }
 
@@ -187,27 +189,11 @@ impl CompiledLayer {
         }
     }
 
-    /// Where each tile lies, in execution order: its absolute filters, its
-    /// channels within its conv group, and its absolute first channel —
-    /// band by band (`≤ G` filters of one conv group), the longest channel
-    /// tile first.
-    pub(crate) fn tile_spans(
-        &self,
-    ) -> impl Iterator<Item = (Range<usize>, Range<usize>, usize)> + '_ {
-        let (c_dim, g, ct) = (self.geom.c(), self.config.g, self.ct);
-        let k_group = self.geom.k() / self.conv_groups;
-        let bands = (0..self.conv_groups).flat_map(move |cg| {
-            let k_base = cg * k_group;
-            (0..k_group)
-                .step_by(g)
-                .map(move |k0| (cg, k_base + k0..k_base + (k0 + g).min(k_group)))
-        });
-        bands.flat_map(move |(cg, ks)| {
-            let channels = (0..c_dim)
-                .step_by(ct)
-                .map(move |c0| c0..(c0 + ct).min(c_dim));
-            channels.map(move |cs| (ks.clone(), cs.clone(), cg * c_dim + cs.start))
-        })
+    /// Where each tile lies, in execution order ([`tile_spans`] at the
+    /// layer's `G` and `Ct`).
+    pub(crate) fn tile_spans(&self) -> impl Iterator<Item = (Range<usize>, Range<usize>, usize)> {
+        let (k, c) = (self.geom.k(), self.geom.c());
+        tile_spans(k, c, self.conv_groups, self.config.g, self.ct)
     }
 
     /// Filter `k`'s weights, `(c, r, s)` row-major.
